@@ -66,9 +66,6 @@ const MAX_TRACE_BUFS: usize = 2;
 pub struct ExecutionArena {
     net: Option<NetArena<Message>>,
     trace_bufs: Vec<Vec<Entry>>,
-    /// High-water entry count, used to pre-size a fresh buffer when no
-    /// recycled one is available.
-    trace_capacity: usize,
     /// Resolution lattices keyed by `(action name, group)` — the inputs
     /// that determine an action's declared exceptions.
     graphs: HashMap<String, Arc<ExceptionGraph>>,
@@ -85,7 +82,6 @@ impl std::fmt::Debug for ExecutionArena {
         f.debug_struct("ExecutionArena")
             .field("net", &self.net.is_some())
             .field("trace_bufs", &self.trace_bufs.len())
-            .field("trace_capacity", &self.trace_capacity)
             .field("graphs", &self.graphs.len())
             .finish()
     }
@@ -98,34 +94,22 @@ impl ExecutionArena {
         ExecutionArena::default()
     }
 
-    /// An empty arena whose first trace buffer is pre-sized to `entries`
-    /// (the legacy `execute_with_capacity` hint).
-    #[must_use]
-    pub fn with_trace_capacity(entries: usize) -> ExecutionArena {
-        ExecutionArena {
-            trace_capacity: entries,
-            ..ExecutionArena::default()
-        }
-    }
-
     /// Hands a finished trace's entry buffer back for the next execution.
     /// Call it once a seed's trace has been checked and is no longer
     /// needed; traces kept alive (violating seeds, golden comparisons)
     /// simply are not recycled.
     pub fn recycle_trace(&mut self, trace: Trace) {
-        let entries = trace.into_entries();
-        self.trace_capacity = self.trace_capacity.max(entries.len());
         if self.trace_bufs.len() < MAX_TRACE_BUFS {
-            self.trace_bufs.push(entries);
+            self.trace_bufs.push(trace.into_entries());
         }
     }
 
-    /// A recorder for the next execution: recycled buffer if available,
-    /// else a fresh one sized to the high-water mark.
+    /// A recorder for the next execution: over a recycled buffer if one is
+    /// available, else a fresh one.
     pub(crate) fn recorder(&mut self) -> Arc<TraceRecorder> {
         match self.trace_bufs.pop() {
             Some(buf) => TraceRecorder::with_buffer(buf),
-            None => TraceRecorder::with_capacity(self.trace_capacity),
+            None => TraceRecorder::new(),
         }
     }
 

@@ -78,7 +78,7 @@ pub mod sweep;
 pub mod trace;
 
 pub use arena::ExecutionArena;
-pub use exec::{execute, execute_in, execute_with_capacity, RunArtifacts};
+pub use exec::{execute, execute_in, RunArtifacts};
 pub use fuzz::{
     fuzz, load_corpus_plan, mutate_plan, CoverageDoc, FuzzConfig, FuzzReport, Lineage,
     COVERAGE_SCHEMA,
@@ -86,7 +86,7 @@ pub use fuzz::{
 pub use oracle::{check_invariants, check_replay, check_replay_protocol, check_run, Violation};
 pub use plan::{validate_plan, ScenarioConfig, ScenarioPlan};
 pub use sweep::{
-    merge_signatures, run_plan_checked, run_seed, run_seed_in, run_seed_with_capacity, sweep,
-    PathCoverage, SeedResult, Shard, SignatureMap, SweepConfig, SweepReport,
+    merge_signatures, run_plan_checked, run_seed, run_seed_in, sweep, PathCoverage, SeedResult,
+    Shard, SignatureMap, SweepConfig, SweepReport,
 };
 pub use trace::{Trace, TraceRecorder};

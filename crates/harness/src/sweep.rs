@@ -491,20 +491,6 @@ pub fn run_seed(seed: u64, scenario: &ScenarioConfig, check_replay_too: bool) ->
     run_seed_in(seed, scenario, check_replay_too, &mut ExecutionArena::new())
 }
 
-/// [`run_seed`] with a trace-buffer preallocation hint (entries). Kept
-/// for callers without a long-lived arena — [`run_seed_in`] is the sweep
-/// path.
-#[must_use]
-pub fn run_seed_with_capacity(
-    seed: u64,
-    scenario: &ScenarioConfig,
-    check_replay_too: bool,
-    trace_capacity: usize,
-) -> SeedResult {
-    let mut arena = ExecutionArena::with_trace_capacity(trace_capacity);
-    run_seed_in(seed, scenario, check_replay_too, &mut arena)
-}
-
 /// [`run_seed`] through a per-worker [`ExecutionArena`]: both executions
 /// (run and replay check) recycle network storage, trace buffers and
 /// resolution lattices, and the replay comparison streams line by line

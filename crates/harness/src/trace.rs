@@ -403,30 +403,9 @@ impl TraceRecorder {
         Arc::new(TraceRecorder::default())
     }
 
-    /// A fresh recorder with roughly `entries` preallocated across the
-    /// shards low thread ids actually use — sweep drivers pass the
-    /// previous run's trace size so steady-state recording rarely
-    /// reallocates mid-run.
-    #[must_use]
-    pub fn with_capacity(entries: usize) -> Arc<TraceRecorder> {
-        let recorder = TraceRecorder::default();
-        if entries > 0 {
-            // Low thread ids dominate generated scenarios: split the hint
-            // over the first shards so the reserved total equals the hint
-            // (not a multiple of it) while the common case stays
-            // reallocation-free.
-            let per_shard = (entries / 8).max(16);
-            for shard in recorder.shards.iter().take(8) {
-                shard.lock().entries.reserve(per_shard);
-            }
-        }
-        Arc::new(recorder)
-    }
-
     /// A fresh recorder recording into a recycled entry buffer (cleared,
     /// capacity kept, assigned to thread 0's shard; other shards warm up
-    /// over the worker's first seeds) — the arena counterpart of
-    /// [`TraceRecorder::with_capacity`].
+    /// over the worker's first seeds).
     #[must_use]
     pub fn with_buffer(mut entries: Vec<Entry>) -> Arc<TraceRecorder> {
         entries.clear();

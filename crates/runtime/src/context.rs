@@ -19,22 +19,46 @@
 //! * the signalling algorithm of §3.4 with its µ/ƒ coordination;
 //! * the synchronous exit protocol (§5.1).
 //!
-//! Signalling and exit rounds range over the frame's *current view*, so a
-//! recovery that shrank the membership completes among the survivors — and
-//! both rounds carry their own bounded waits: the suspicion facility of
-//! [`crate::membership`] lets *any* round (resolution, signalling, exit)
-//! presume a silent peer crashed and continue over the shrunken view, so a
-//! crash-stop anywhere in an action's lifecycle is survived. A restarted
-//! participant re-enters its crashed action through [`Ctx::rejoin`]
-//! (epoch-numbered rejoin: ask a survivor for the current view, fast-forward
-//! to it, finish the action's exit protocol as a member again).
+//! # One collect round
+//!
+//! Recovery is a sequence of uniform coordination rounds — resolution, the
+//! two signalling exchanges, the exit barrier, and a restarted
+//! participant's wait for a rejoin grant ([`Ctx::rejoin`]): announce to the
+//! participants, wait until all have answered or the bound expires, treat
+//! silence as ƒ. `Ctx::collect` is the only loop that waits on a round: it
+//! polls the round's predicate over the view as it is *now*, receives
+//! until the round's deadline, routes what arrives, and on expiry asks the
+//! round for its silent set, runs suspicion on it (`Ctx::suspect_round`:
+//! quorum gate, view change, announcement) and re-arms or concludes. What
+//! a round *decides* at each of those points is pure `event → action`
+//! state in the private `rounds` module (in the shape of
+//! [`ResolverState::on_event`](crate::protocol::ResolverState::on_event)):
+//! `Round::status`, `Round::expired`, and — for a message — `Frame::absorb`
+//! of the frame it addresses, each answering with a `RoundAction`. That
+//! module never touches the endpoint, the system or this context; `Ctx` is
+//! the thin driver that owns the endpoint and the frame stack, performs
+//! the actions (`Ctx::perform`) and reports to the observer. Poll points
+//! of a role body go through the same two steps, as `Round::Body`.
+//!
+//! A frame is a constructor plus parts grouped by responsibility — identity
+//! (`id`), inboxes (`inbox`), recovery state (`recovery`), signalling table
+//! (`signals`), exit barrier (`exit`), view/liveness (`view`) and objects —
+//! reached through `Ctx::frame`/`Ctx::frame_mut`. Rounds range over the
+//! frame's *current view*, so a recovery that shrank the membership
+//! completes among the survivors.
+//!
+//! **Adding a round:** add a `Round` variant with its `status` and
+//! `expired` arms in `rounds.rs` (what completes it, who is silent at
+//! expiry, what expiry concludes), keep what it collects in a frame part
+//! that `Frame::absorb` fills, and call `self.collect(Round::…, timeout)`
+//! after announcing with `Ctx::broadcast`. The driver changes only if the
+//! round needs an effect no existing `RoundAction` names.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, PartitionId, RoleId, ThreadId};
-use caa_core::inline::InlineVec;
 use caa_core::message::{AppPayload, Message, SignalRound};
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{VirtualDuration, VirtualInstant};
@@ -42,17 +66,12 @@ use caa_simnet::{Endpoint, Parked, Received};
 
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
-use crate::membership::{synthesize_crashes, FrameMembership, SuspicionRound};
+use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot};
 use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake};
 use crate::observe::{Event, EventKind};
-use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolverState};
+use crate::protocol::{ProtoActions, ProtoEvent};
+use crate::rounds::{corrupted, unframed, Frame, Round, RoundAction, RoundEnd};
 use crate::system::SystemShared;
-
-/// A per-round snapshot of an action's live member set, kept on the stack
-/// (see [`caa_core::inline`]): protocol rounds snapshot the view once per
-/// round on the execute hot path, and groups beyond the inline capacity
-/// spill to the heap transparently.
-type ViewSnapshot = InlineVec<ThreadId, 8>;
 
 /// An application message delivered to a role.
 #[derive(Debug)]
@@ -72,98 +91,6 @@ enum RecoveryStart {
     Raise(Exception),
     /// This thread suspends because of peers' exceptions.
     Suspend,
-}
-
-/// One entry of the action stack (`SA`).
-struct Frame {
-    action: ActionId,
-    def: Arc<DefInner>,
-    role: RoleId,
-    /// Control messages for this action stashed by the router for the
-    /// recovery driver (the trigger that interrupted the body, §3.3.2's
-    /// "retain"). Drained when recovery starts.
-    pending_control: VecDeque<Message>,
-    /// Buffered application messages.
-    app_inbox: VecDeque<AppMsg>,
-    /// Exit votes seen, per epoch.
-    exit_votes: BTreeMap<u32, BTreeSet<ThreadId>>,
-    exit_epoch: u32,
-    /// Signalling announcements seen, per round.
-    signals: BTreeMap<(SignalRound, ThreadId), Signal>,
-    /// Resolution completed — later Exception/Suspended messages for this
-    /// instance are stragglers and are dropped (termination model: nothing
-    /// new can be raised within the action after handlers start).
-    recovered: bool,
-    /// Enclosing-level recovery is aborting this frame (its abortion
-    /// handler may be running). In-flight recovery messages for the
-    /// instance — e.g. a `Commit` whose resolution raced with the
-    /// enclosing trigger — are stragglers and are dropped.
-    aborting: bool,
-    /// External objects this thread touched within the action.
-    objects: Vec<Box<dyn TxControl>>,
-    /// Protocol state for this frame's recovery.
-    resolver: Box<dyn ResolverState>,
-    /// This participant's membership view of the instance: the threads it
-    /// still believes live, plus the view epoch (see
-    /// [`crate::membership`]). Starts as the full group; shrinks when the
-    /// bounded resolution wait presumes a peer crashed. Signalling and
-    /// exit rounds range over this view.
-    membership: FrameMembership,
-    /// Set while this frame's exception handler runs.
-    in_handler: Option<ExceptionId>,
-    /// A corrupted message arrived during the signalling collection; §3.4
-    /// treats it as the failure exception.
-    corrupted_during_signalling: bool,
-    /// A membership view change removed *this* thread (a peer's suspicion
-    /// was wrong — we are alive). The frame gives up locally and finalizes
-    /// as [`ActionOutcome::Failed`] at the next protocol step; it must not
-    /// broadcast further rounds the survivors no longer expect from it.
-    evicted: bool,
-    /// Liveness evidence for the eviction quorum gate: every peer this
-    /// thread received a protocol message from within this instance
-    /// (application traffic excluded — only recovery, signalling, exit and
-    /// membership messages prove a peer advanced the protocol). A
-    /// suspicion round may not evict a set of recently-alive peers larger
-    /// than the view that would survive it: one-sided silence on that
-    /// scale indicts this thread's own connectivity, not the peers'.
-    heard_from: BTreeSet<ThreadId>,
-    /// This frame was re-entered through [`Ctx::rejoin`] after a crash.
-    /// Rejoiners that time out waiting for exit votes give up silently
-    /// (finalize `Failed`) instead of suspecting the survivors: a rejoiner
-    /// may be missing votes that were broadcast while it was down, and its
-    /// suspicion would evict threads that are perfectly alive.
-    is_rejoiner: bool,
-    /// While a recovery is in flight (resolution start through signalling
-    /// end): the members the recovery started with. Signalling ranges over
-    /// `cohort ∩ current members` — peers readmitted mid-recovery have no
-    /// handler verdict to announce. Also the join-deferral gate: rejoin
-    /// grants are queued while this is `Some` and flushed before the exit
-    /// protocol, so the view never grows mid-resolution or mid-signalling.
-    cohort: Option<ViewSnapshot>,
-    /// The exception this frame's completed recovery resolved to, handed to
-    /// rejoiners so a restarted participant knows recovery already happened.
-    resolved_exception: Option<ExceptionId>,
-    /// Rejoin requests that arrived while `cohort` was `Some`, granted when
-    /// the frame reaches its exit protocol.
-    pending_join_requests: Vec<ThreadId>,
-}
-
-impl Frame {
-    /// The members the signalling rounds range over: the recovery cohort
-    /// that is still live. Peers readmitted mid-recovery never took part in
-    /// this recovery's handling and have no verdict to announce, so they
-    /// are excluded; crash-free frames never shrink the view and the
-    /// cohort equals the full group.
-    fn signalling_group(&self) -> ViewSnapshot {
-        match &self.cohort {
-            Some(cohort) => cohort
-                .iter()
-                .copied()
-                .filter(|&t| self.membership.members().contains(&t))
-                .collect(),
-            None => ViewSnapshot::from_slice(self.membership.members()),
-        }
-    }
 }
 
 /// The execution context of one participating thread.
@@ -198,11 +125,6 @@ pub struct Ctx {
     last_crash: Option<ActionId>,
 }
 
-/// Upper bound on retained messages: instances a thread never enters (e.g.
-/// a peer's raise inside an action abandoned by recovery) would otherwise
-/// accumulate their triggers forever.
-const RETAINED_CAP: usize = 4096;
-
 impl std::fmt::Debug for Ctx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
@@ -217,7 +139,7 @@ impl std::fmt::Debug for Ctx {
 /// debugging; no-op otherwise).
 macro_rules! trace {
     ($self:expr, $($arg:tt)*) => {
-        if std::env::var_os("CAA_TRACE").is_some() {
+        if crate::trace_enabled() {
             eprintln!(
                 "[{} {} d{}] {}",
                 $self.endpoint.now(),
@@ -229,14 +151,28 @@ macro_rules! trace {
     };
 }
 
-/// What the router decided about one received message.
-enum Routed {
-    /// Fully absorbed (buffered, recorded or dropped).
-    Done,
-    /// A resolution-protocol control message for the *active* action.
-    ActiveControl(Message),
-    /// A corrupted message arrived (payload unrecoverable).
-    Corrupted,
+/// An internal inconsistency: fatal to the thread.
+fn protocol_error(what: impl Into<String>) -> Flow {
+    RuntimeError::Protocol(what.into()).into()
+}
+
+/// Looks `role` up in `def`.
+fn role_id(def: &DefInner, role: &str) -> Result<RoleId, Flow> {
+    def.role_id(role).ok_or_else(|| {
+        Flow::from(RuntimeError::UnknownRole {
+            action: def.name.to_string(),
+            role: role.to_owned(),
+        })
+    })
+}
+
+/// What [`Ctx::perform`] left the round in.
+enum Performed {
+    /// Keep collecting until the current deadline.
+    Continue,
+    /// Keep collecting; the view changed, so the bound starts afresh.
+    Rearm,
+    End(RoundEnd),
 }
 
 impl Ctx {
@@ -282,6 +218,11 @@ impl Ctx {
         }
     }
 
+    /// [`Ctx::observe`] for a step of the active action.
+    fn observe_top(&self, kind: impl FnOnce() -> EventKind) {
+        self.observe(self.frame().id.action, kind);
+    }
+
     /// This thread's display name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -303,14 +244,43 @@ impl Ctx {
     /// The name of the active action, if any.
     #[must_use]
     pub fn action_name(&self) -> Option<&str> {
-        self.stack.last().map(|f| &*f.def.name)
+        self.stack.last().map(|f| &*f.id.def.name)
     }
 
     /// The resolving exception currently being handled, if this thread is
     /// executing an exception handler.
     #[must_use]
     pub fn handling(&self) -> Option<&ExceptionId> {
-        self.stack.last().and_then(|f| f.in_handler.as_ref())
+        self.stack
+            .last()
+            .and_then(|f| f.recovery.in_handler.as_ref())
+    }
+
+    /// The active (innermost) frame. Every protocol phase runs inside
+    /// [`Ctx::drive`], which holds the frame open until it returns.
+    fn frame(&self) -> &Frame {
+        self.stack.last().expect("frame active")
+    }
+
+    fn frame_mut(&mut self) -> &mut Frame {
+        self.stack.last_mut().expect("frame active")
+    }
+
+    fn send(&self, to: ThreadId, msg: Message) {
+        self.endpoint.send(PartitionId::new(to.as_u32()), msg);
+    }
+
+    /// Sends `msg(peer)` to every member of `view` but this thread, in view
+    /// order.
+    fn broadcast(&self, view: &[ThreadId], msg: impl Fn(ThreadId) -> Message) {
+        for &peer in view.iter().filter(|&&t| t != self.me) {
+            self.send(peer, msg(peer));
+        }
+    }
+
+    /// The instant `timeout` from now (a round's deadline), if bounded.
+    fn deadline_in(&self, timeout: Option<VirtualDuration>) -> Option<VirtualInstant> {
+        timeout.map(|t| self.now().saturating_add(t))
     }
 
     // ------------------------------------------------------------------
@@ -404,15 +374,12 @@ impl Ctx {
             Some(at) => self.endpoint.recv_deadline(at)?,
             None => Some(self.endpoint.recv()?),
         };
-        match received {
-            Some(r) => Ok(Some(r)),
-            None => {
-                // Woke at the effective deadline: the crash instant takes
-                // precedence over the caller's timeout.
-                self.crash_check()?;
-                Ok(None)
-            }
+        if received.is_none() {
+            // Woke at the effective deadline: the crash instant takes
+            // precedence over the caller's timeout.
+            self.crash_check()?;
         }
+        Ok(received)
     }
 
     /// Raises exception `e` in the active action (§3.1 *raise*). The
@@ -428,7 +395,7 @@ impl Ctx {
             Some(f) => f,
             None => return Err(RuntimeError::NoActiveAction("raise").into()),
         };
-        if frame.in_handler.is_some() {
+        if frame.recovery.in_handler.is_some() {
             return Err(RuntimeError::RaiseInHandler.into());
         }
         let e = e.into().with_origin(self.me);
@@ -453,20 +420,15 @@ impl Ctx {
             .stack
             .last()
             .ok_or_else(|| Flow::from(RuntimeError::NoActiveAction("send_to_role")))?;
-        let role_id = frame.def.role_id(role).ok_or_else(|| {
-            Flow::from(RuntimeError::UnknownRole {
-                action: frame.def.name.to_string(),
-                role: role.to_owned(),
-            })
-        })?;
-        let to = frame.def.thread_of(role_id);
+        let def = &frame.id.def;
+        let role_id = role_id(def, role)?;
         let msg = Message::App {
-            action: frame.action,
+            action: frame.id.action,
             from: self.me,
             tag,
             payload: AppPayload::new(payload),
         };
-        self.endpoint.send(PartitionId::new(to.as_u32()), msg);
+        self.send(def.thread_of(role_id), msg);
         Ok(())
     }
 
@@ -478,15 +440,8 @@ impl Ctx {
     /// Returns [`Flow`] on recovery interruption.
     pub fn recv_app(&mut self) -> Step<AppMsg> {
         loop {
-            self.poll()?;
-            if self.stack.is_empty() {
-                return Err(RuntimeError::NoActiveAction("recv_app").into());
-            }
-            if let Some(msg) = self.stack.last_mut().and_then(|f| f.app_inbox.pop_front()) {
+            if let Some(msg) = self.recv_app_until(None)? {
                 return Ok(msg);
-            }
-            if let Some(received) = self.recv_until(None)? {
-                self.absorb_or_unwind(received)?;
             }
         }
     }
@@ -498,20 +453,23 @@ impl Ctx {
     ///
     /// Returns [`Flow`] on recovery interruption.
     pub fn recv_app_timeout(&mut self, timeout: VirtualDuration) -> Step<Option<AppMsg>> {
-        let deadline = self.now().saturating_add(timeout);
+        let deadline = self.deadline_in(Some(timeout));
+        self.recv_app_until(deadline)
+    }
+
+    fn recv_app_until(&mut self, deadline: Option<VirtualInstant>) -> Step<Option<AppMsg>> {
         loop {
             self.poll()?;
-            if self.stack.is_empty() {
+            let Some(frame) = self.stack.last_mut() else {
                 return Err(RuntimeError::NoActiveAction("recv_app").into());
-            }
-            if let Some(msg) = self.stack.last_mut().and_then(|f| f.app_inbox.pop_front()) {
+            };
+            if let Some(msg) = frame.inbox.app.pop_front() {
                 return Ok(Some(msg));
             }
-            let remaining = deadline.duration_since(self.now());
-            if remaining.is_zero() {
+            if deadline.is_some_and(|d| d.duration_since(self.now()).is_zero()) {
                 return Ok(None);
             }
-            match self.recv_until(Some(deadline))? {
+            match self.recv_until(deadline)? {
                 Some(received) => self.absorb_or_unwind(received)?,
                 None => return Ok(None),
             }
@@ -572,7 +530,7 @@ impl Ctx {
         if self.stack.is_empty() {
             return Err(RuntimeError::NoActiveAction("object access").into());
         }
-        let chain: Vec<ActionId> = self.stack.iter().map(|fr| fr.action).collect();
+        let chain: Vec<ActionId> = self.stack.iter().map(|fr| fr.id.action).collect();
         let action = *chain.last().expect("stack nonempty");
         // Open a fresh parked wait (discarding any stale doorbell; the
         // returned epoch tags every wake computed for this request), then
@@ -641,7 +599,6 @@ impl Ctx {
         }
         Ok(value)
     }
-
     // ------------------------------------------------------------------
     // Entering actions
     // ------------------------------------------------------------------
@@ -667,124 +624,86 @@ impl Ctx {
         body: impl FnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
         let inner = Arc::clone(&def.inner);
-        let role_id = inner.role_id(role).ok_or_else(|| {
-            Flow::from(RuntimeError::UnknownRole {
-                action: inner.name.to_string(),
-                role: role.to_owned(),
-            })
-        })?;
-        if inner.thread_of(role_id) != self.me {
+        let role_id = self.bind_role(&inner, role)?;
+
+        let depth = u32::try_from(self.stack.len()).expect("nesting depth bounded");
+        let parent_serial = self.stack.last().map_or(0, |f| f.id.action.serial());
+        let instance = self
+            .entry_counts
+            .entry((inner.def_id, parent_serial))
+            .or_insert(0);
+        let action = make_action_id(inner.def_id, parent_serial, *instance, depth);
+        *instance += 1;
+        let resolver = self.system.protocol.new_state();
+        self.stack
+            .push(Frame::new(action, Arc::clone(&inner), role_id, resolver));
+
+        // "if Ti enters A then <A> → SAi; consume messages having arrived".
+        let mut initial: Option<RecoveryStart> = None;
+        let (arrived, retained): (Vec<Message>, Vec<Message>) = std::mem::take(&mut self.retained)
+            .into_iter()
+            .partition(|msg| msg.action() == action);
+        self.retained = retained;
+        for msg in arrived {
+            // Signals, votes and application traffic are buffered as usual;
+            // a retained trigger is stashed and starts the action in
+            // recovery (any other outcome is as moot as the message).
+            let top = self.stack.len() - 1;
+            let decision = self.frame_mut().absorb(msg, true, Round::Body);
+            if let Err(flow) = self.perform(Round::Body, top, decision) {
+                if matches!(flow.unwind, Unwind::Suspend) {
+                    initial = Some(RecoveryStart::Suspend);
+                }
+            }
+        }
+
+        trace!(self, "enter {} as {} ({})", inner.name, role, action);
+        self.observe_enter(action, &inner, role_id);
+        let outcome = self.drive(initial, body);
+        match &outcome {
+            Ok(o) => trace!(self, "leave {} ({action}): {o}", inner.name),
+            Err(f) => trace!(
+                self,
+                "unwind from {} ({action}): {:?}",
+                inner.name,
+                f.unwind
+            ),
+        }
+
+        let outcome = outcome?;
+        if !outcome.is_success() && !self.stack.is_empty() {
+            // Auto-raise the signalled exception in the enclosing
+            // action (distributed signalling, §3.1).
+            let id = outcome
+                .exception_id()
+                .expect("non-success outcome always carries an exception");
+            return Err(Flow::new(Unwind::Raise(
+                Exception::new(id).with_origin(self.me),
+            )));
+        }
+        Ok(outcome)
+    }
+
+    /// Resolves `role` in `def` and checks that this thread is the one
+    /// bound to it.
+    fn bind_role(&self, def: &DefInner, role: &str) -> Result<RoleId, Flow> {
+        let role_id = role_id(def, role)?;
+        if def.thread_of(role_id) != self.me {
             return Err(RuntimeError::RoleMismatch {
-                action: inner.name.to_string(),
+                action: def.name.to_string(),
                 role: role.to_owned(),
             }
             .into());
         }
+        Ok(role_id)
+    }
 
-        let depth = u32::try_from(self.stack.len()).expect("nesting depth bounded");
-        let parent_serial = self.stack.last().map_or(0, |f| f.action.serial());
-        let instance = {
-            let counter = self
-                .entry_counts
-                .entry((inner.def_id, parent_serial))
-                .or_insert(0);
-            let i = *counter;
-            *counter += 1;
-            i
-        };
-        let action = make_action_id(inner.def_id, parent_serial, instance, depth);
-
-        self.stack.push(Frame {
-            action,
-            def: Arc::clone(&inner),
-            role: role_id,
-            pending_control: VecDeque::new(),
-            app_inbox: VecDeque::new(),
-            exit_votes: BTreeMap::new(),
-            exit_epoch: 0,
-            signals: BTreeMap::new(),
-            recovered: false,
-            aborting: false,
-            objects: Vec::new(),
-            resolver: self.system.protocol.new_state(),
-            membership: FrameMembership::new(&inner.group),
-            in_handler: None,
-            corrupted_during_signalling: false,
-            evicted: false,
-            heard_from: BTreeSet::new(),
-            is_rejoiner: false,
-            cohort: None,
-            resolved_exception: None,
-            pending_join_requests: Vec::new(),
-        });
-
-        // "if Ti enters A then <A> → SAi; consume messages having arrived".
-        let mut initial: Option<RecoveryStart> = None;
-        let retained: Vec<Message> = std::mem::take(&mut self.retained);
-        let mut still_retained = Vec::new();
-        for msg in retained {
-            if msg.action() == action {
-                match msg {
-                    Message::Exception { .. }
-                    | Message::Suspended { .. }
-                    | Message::ViewChange { .. } => {
-                        let frame = self.stack.last_mut().expect("frame just pushed");
-                        frame.heard_from.insert(msg.from());
-                        frame.pending_control.push_back(msg);
-                        initial.get_or_insert(RecoveryStart::Suspend);
-                    }
-                    other => {
-                        // Signals / votes / app traffic buffered normally.
-                        let _ = self.route(Received {
-                            src: PartitionId::new(other.from().as_u32()),
-                            sent_at: VirtualInstant::EPOCH,
-                            delivered_at: VirtualInstant::EPOCH,
-                            msg: Some(other),
-                        });
-                    }
-                }
-            } else {
-                still_retained.push(msg);
-            }
-        }
-        self.retained = still_retained;
-
-        trace!(self, "enter {} as {} ({})", inner.name, role, action);
+    fn observe_enter(&self, action: ActionId, def: &DefInner, role: RoleId) {
         self.observe(action, || EventKind::Enter {
-            name: Arc::clone(&inner.name),
-            role: Arc::clone(&inner.role_names[role_id.index()]),
+            name: Arc::clone(&def.name),
+            role: Arc::clone(&def.role_names[role.index()]),
             depth: self.stack.len(),
         });
-        let outcome = self.drive(initial, body);
-        if std::env::var_os("CAA_TRACE").is_some() {
-            match &outcome {
-                Ok(o) => trace!(self, "leave {} ({action}): {o}", inner.name),
-                Err(f) => trace!(
-                    self,
-                    "unwind from {} ({action}): {:?}",
-                    inner.name,
-                    f.unwind
-                ),
-            }
-        }
-
-        match outcome {
-            Ok(outcome) => {
-                if !outcome.is_success() && !self.stack.is_empty() {
-                    // Auto-raise the signalled exception in the enclosing
-                    // action (distributed signalling, §3.1).
-                    let id = outcome
-                        .exception_id()
-                        .expect("non-success outcome always carries an exception");
-                    Err(Flow::new(Unwind::Raise(
-                        Exception::new(id).with_origin(self.me),
-                    )))
-                } else {
-                    Ok(outcome)
-                }
-            }
-            Err(flow) => Err(flow),
-        }
     }
 
     /// Simulates the down-time of a crashed participant before its
@@ -829,41 +748,22 @@ impl Ctx {
         // The restart cancels whatever killed us; a stale schedule would
         // re-kill the rejoiner at its first poll point.
         self.crash_at = None;
-        let action = match self.last_crash.take() {
-            Some(a) => a,
-            None => return Ok(None),
+        let Some(action) = self.last_crash.take() else {
+            return Ok(None);
         };
         if !self.stack.is_empty() {
-            return Err(RuntimeError::Protocol(
-                "rejoin requires an empty action stack (top-level restart)".into(),
-            )
-            .into());
+            return Err(protocol_error(
+                "rejoin requires an empty action stack (top-level restart)",
+            ));
         }
         let inner = Arc::clone(&def.inner);
-        let role_id = inner.role_id(role).ok_or_else(|| {
-            Flow::from(RuntimeError::UnknownRole {
-                action: inner.name.to_string(),
-                role: role.to_owned(),
-            })
-        })?;
-        if inner.thread_of(role_id) != self.me {
-            return Err(RuntimeError::RoleMismatch {
-                action: inner.name.to_string(),
-                role: role.to_owned(),
-            }
-            .into());
-        }
+        let role_id = self.bind_role(&inner, role)?;
         trace!(self, "rejoin request for {} ({action})", inner.name);
-        for &peer in inner.group.iter().filter(|&&t| t != self.me) {
+        let me = self.me;
+        self.broadcast(&inner.group, |peer| {
             self.observe(action, || EventKind::JoinRequested { to: peer });
-            self.endpoint.send(
-                PartitionId::new(peer.as_u32()),
-                Message::JoinRequest {
-                    action,
-                    from: self.me,
-                },
-            );
-        }
+            Message::JoinRequest { action, from: me }
+        });
         // The window only needs to cover a request/grant round trip, so the
         // (short, unscaled) signalling timeout fits; survivors blocked on
         // our exit vote wait out the much longer exit timeout, keeping a
@@ -872,96 +772,35 @@ impl Ctx {
             .signal_timeout
             .or(inner.exit_timeout)
             .unwrap_or_else(|| caa_core::time::secs(60.0));
-        let deadline = self.now().saturating_add(window);
-        let (epoch, removed, exit_epoch, resolved) = loop {
-            let received = match self.recv_until(Some(deadline))? {
-                Some(r) => r,
-                None => {
-                    trace!(self, "rejoin window expired for {action}");
-                    return Ok(None);
-                }
-            };
-            match received.msg {
-                Some(Message::JoinGrant {
-                    action: a,
-                    thread,
-                    epoch,
-                    removed,
-                    exit_epoch,
-                    resolved,
-                    ..
-                }) if a == action && thread == self.me => {
-                    break (epoch, removed, exit_epoch, resolved);
-                }
-                other => {
-                    // Traffic for other instances (retained or dropped as
-                    // usual); the crashed instance's own stragglers are
-                    // discarded because its serial is still `finished`.
-                    let _ = self.route(Received {
-                        src: received.src,
-                        sent_at: received.sent_at,
-                        delivered_at: received.delivered_at,
-                        msg: other,
-                    })?;
-                }
-            }
+        let RoundEnd::Granted(Message::JoinGrant {
+            epoch,
+            removed,
+            exit_epoch,
+            resolved,
+            ..
+        }) = self.collect(Round::Join { action }, Some(window))?
+        else {
+            trace!(self, "rejoin window expired for {action}");
+            return Ok(None);
         };
-        let membership = FrameMembership::sync_grant(&inner.group, epoch, &removed, self.me)
-            .map_err(|reason| {
-                Flow::from(RuntimeError::Protocol(format!(
-                    "join grant rejected: {reason}"
-                )))
-            })?;
+        let view = FrameMembership::sync_grant(&inner.group, epoch, &removed, me)
+            .map_err(|reason| protocol_error(format!("join grant rejected: {reason}")))?;
+        let view_epoch = view.epoch();
         trace!(
             self,
-            "rejoin {} ({action}) at v{} e{exit_epoch}",
-            inner.name,
-            membership.epoch()
+            "rejoin {} ({action}) at v{view_epoch} e{exit_epoch}",
+            inner.name
         );
         self.finished.remove(&action.serial());
         self.system.stats.lock().rejoins += 1;
-        let recovered = resolved.is_some();
-        self.stack.push(Frame {
-            action,
-            def: Arc::clone(&inner),
-            role: role_id,
-            pending_control: VecDeque::new(),
-            app_inbox: VecDeque::new(),
-            exit_votes: BTreeMap::new(),
-            exit_epoch,
-            signals: BTreeMap::new(),
-            recovered,
-            aborting: false,
-            objects: Vec::new(),
-            resolver: self.system.protocol.new_state(),
-            membership,
-            in_handler: None,
-            corrupted_during_signalling: false,
-            evicted: false,
-            heard_from: BTreeSet::new(),
-            is_rejoiner: true,
-            cohort: None,
-            resolved_exception: resolved,
-            pending_join_requests: Vec::new(),
+        let resolver = self.system.protocol.new_state();
+        let frame = Frame::new(action, Arc::clone(&inner), role_id, resolver);
+        self.stack.push(frame.rejoined(view, exit_epoch, resolved));
+        self.observe(action, || EventKind::Rejoin {
+            epoch: view_epoch,
+            thread: me,
         });
-        {
-            let view_epoch = self
-                .stack
-                .last()
-                .expect("frame just pushed")
-                .membership
-                .epoch();
-            let me = self.me;
-            self.observe(action, || EventKind::Rejoin {
-                epoch: view_epoch,
-                thread: me,
-            });
-        }
-        self.observe(action, || EventKind::Enter {
-            name: Arc::clone(&inner.name),
-            role: Arc::clone(&inner.role_names[role_id.index()]),
-            depth: self.stack.len(),
-        });
+        self.observe_enter(action, &inner, role_id);
         // The catch-up body is trivial: the rejoiner's pre-crash work is
         // lost (its transaction layers were broken at the crash) and must
         // not be redone — what remains is finishing the protocol rounds as
@@ -978,27 +817,20 @@ impl Ctx {
         initial: Option<RecoveryStart>,
         body: impl FnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
-        let mut next: Option<RecoveryStart> = initial;
-        if next.is_none() {
-            match body(self) {
-                Ok(()) => {}
-                Err(flow) => match self.flow_to_start(flow) {
-                    Ok(start) => next = Some(start),
-                    Err(flow) => return Err(flow),
-                },
-            }
-        }
+        let mut attempt = match initial {
+            Some(start) => self.phase_recover(start),
+            None => match body(self) {
+                Ok(()) => self.phase_exit(),
+                Err(flow) => Err(flow),
+            },
+        };
         loop {
-            let attempt: Step<ActionOutcome> = match next.take() {
-                None => self.phase_exit_then(ActionOutcome::Success),
-                Some(start) => self.phase_recover(start),
-            };
             match attempt {
                 Ok(outcome) => return Ok(outcome),
-                Err(flow) => match self.flow_to_start(flow) {
-                    Ok(start) => next = Some(start),
-                    Err(flow) => return Err(flow),
-                },
+                Err(flow) => {
+                    let start = self.flow_to_start(flow)?;
+                    attempt = self.phase_recover(start);
+                }
             }
         }
     }
@@ -1011,8 +843,7 @@ impl Ctx {
             Unwind::Raise(e) => Ok(RecoveryStart::Raise(e)),
             Unwind::Suspend => Ok(RecoveryStart::Suspend),
             Unwind::Outer { target, eab } => {
-                let my_action = self.stack.last().map(|f| f.action);
-                if my_action == Some(target) {
+                if self.frame().id.action == target {
                     // Recovery lands at this level: the abortion-handler
                     // exception of the directly nested action (if any) is
                     // raised here, else we suspend (§3.3.1).
@@ -1029,29 +860,32 @@ impl Ctx {
                     }))
                 }
             }
-            Unwind::Crash => {
-                // The process is "dead": unwind every frame silently.
-                self.crash_current_frame();
-                Err(Flow::new(Unwind::Crash))
-            }
-            fatal @ Unwind::Fatal(_) => {
-                self.discard_current_frame();
-                Err(Flow { unwind: fatal })
-            }
+            dead @ (Unwind::Crash | Unwind::Fatal(_)) => Err(self.unwind_dead(dead)),
         }
+    }
+
+    /// A crash-stop or fatal unwind passes through the top frame: no
+    /// handler runs, the frame is simply discarded.
+    fn unwind_dead(&mut self, unwind: Unwind) -> Flow {
+        match unwind {
+            // The process is "dead": unwind every frame silently.
+            Unwind::Crash => self.crash_current_frame(),
+            _ => self.discard_current_frame(),
+        }
+        Flow { unwind }
     }
 
     /// Aborts the top frame: rolls back its objects, runs its abortion
     /// handler (which may produce `Eab`), and pops it.
     fn abort_current_frame(&mut self) -> Result<Option<Exception>, Flow> {
         self.system.stats.lock().aborts += 1;
-        let (action, def, role) = {
-            let frame = self.stack.last_mut().expect("abort requires a frame");
+        let (def, role) = {
+            let frame = self.frame_mut();
             // From here on, recovery messages for this instance are
             // stragglers: its own recovery (if any) is abandoned in favour
             // of the enclosing level's.
-            frame.aborting = true;
-            (frame.action, Arc::clone(&frame.def), frame.role)
+            frame.recovery.aborting = true;
+            (Arc::clone(&frame.id.def), frame.id.role)
         };
         // Run the abortion handler while the frame is still active so it
         // can use the context (work, app messages). Deeper-outer triggers
@@ -1066,26 +900,14 @@ impl Ctx {
                     Unwind::Raise(e) => eab = Some(e),
                     Unwind::Suspend => {}
                     Unwind::Outer { target, eab: e } => deeper = Some((target, e)),
-                    Unwind::Crash => {
-                        self.crash_current_frame();
-                        return Err(Flow::new(Unwind::Crash));
-                    }
-                    fatal @ Unwind::Fatal(_) => {
-                        self.discard_current_frame();
-                        return Err(Flow { unwind: fatal });
-                    }
+                    dead @ (Unwind::Crash | Unwind::Fatal(_)) => return Err(self.unwind_dead(dead)),
                 },
             }
         }
         // Undo the aborted action's effects; effects that cannot be undone
         // taint the object (ƒ semantics).
-        let now = self.endpoint.now();
-        let frame = self.stack.last_mut().expect("frame still present");
-        let objects = std::mem::take(&mut frame.objects);
-        for obj in &objects {
-            self.release_rollback_or_taint(obj.as_ref(), action, now);
-        }
-        self.observe(action, || EventKind::Abort {
+        self.release_rollback_or_taint();
+        self.observe_top(|| EventKind::Abort {
             eab: eab.as_ref().map(|e| e.id().clone()),
         });
         self.pop_frame();
@@ -1096,40 +918,46 @@ impl Ctx {
         Ok(eab)
     }
 
-    /// Rolls `action`'s layer back on `obj` — tainting instead when the
-    /// object is irreversible (ƒ semantics) — and forwards the release's
-    /// wake-up to the next waiter.
-    fn release_rollback_or_taint(
-        &self,
-        obj: &dyn TxControl,
-        action: ActionId,
-        now: VirtualInstant,
-    ) {
-        match obj.rollback(action, now) {
-            Ok(wake) => self.forward_wake(wake),
-            Err(ObjectError::UndoImpossible { .. }) => {
-                if let Ok(wake) = obj.commit_tainted(action, now) {
-                    self.forward_wake(wake);
+    /// Takes the objects the top frame registered (each completion path
+    /// releases them exactly once), with its action and the release instant.
+    fn take_objects(&mut self) -> (ActionId, VirtualInstant, Vec<Box<dyn TxControl>>) {
+        let now = self.endpoint.now();
+        let frame = self.frame_mut();
+        (frame.id.action, now, std::mem::take(&mut frame.objects))
+    }
+
+    /// Rolls the top frame's layer back on every object it registered —
+    /// tainting instead where the object is irreversible (ƒ semantics) — and
+    /// forwards each release's wake-up to the next waiter. Returns `false`
+    /// when some effect could not be undone.
+    fn release_rollback_or_taint(&mut self) -> bool {
+        let (action, now, objects) = self.take_objects();
+        let mut undone = true;
+        for obj in &objects {
+            match obj.rollback(action, now) {
+                Ok(wake) => self.forward_wake(wake),
+                Err(ObjectError::UndoImpossible { .. }) => {
+                    if let Ok(wake) = obj.commit_tainted(action, now) {
+                        self.forward_wake(wake);
+                    }
+                    undone = false;
                 }
+                Err(ObjectError::NotAcquired { .. }) => {}
             }
-            Err(ObjectError::NotAcquired { .. }) => {}
         }
+        undone
     }
 
     /// Pops the top frame without ceremony (fatal-error path).
     fn discard_current_frame(&mut self) {
-        if let Some(frame) = self.stack.last_mut() {
-            let action = frame.action;
-            let now = self.endpoint.now();
-            let objects = std::mem::take(&mut frame.objects);
-            for obj in &objects {
-                if let Ok(wake) = obj.rollback(action, now) {
-                    self.forward_wake(wake);
-                }
+        let (action, now, objects) = self.take_objects();
+        for obj in &objects {
+            if let Ok(wake) = obj.rollback(action, now) {
+                self.forward_wake(wake);
             }
-            self.observe(action, || EventKind::Abort { eab: None });
-            self.pop_frame();
         }
+        self.observe_top(|| EventKind::Abort { eab: None });
+        self.pop_frame();
     }
 
     /// Crash-stop: discards the top frame like a process death — objects
@@ -1138,25 +966,19 @@ impl Ctx {
     /// sent. Emits a [`EventKind::Crash`] event so traces and oracles can
     /// account for the never-closed entry.
     fn crash_current_frame(&mut self) {
-        if let Some(frame) = self.stack.last_mut() {
-            let action = frame.action;
-            let now = self.endpoint.now();
-            let objects = std::mem::take(&mut frame.objects);
-            for obj in &objects {
-                self.release_rollback_or_taint(obj.as_ref(), action, now);
-            }
-            self.observe(action, || EventKind::Crash);
-            // The unwind pops frames innermost-out; the last one recorded
-            // is the outermost action the crash discarded — the instance a
-            // restart would ask to rejoin.
-            self.last_crash = Some(action);
-            self.pop_frame();
-        }
+        self.release_rollback_or_taint();
+        let action = self.frame().id.action;
+        self.observe(action, || EventKind::Crash);
+        // The unwind pops frames innermost-out; the last one recorded
+        // is the outermost action the crash discarded — the instance a
+        // restart would ask to rejoin.
+        self.last_crash = Some(action);
+        self.pop_frame();
     }
 
     fn pop_frame(&mut self) {
         if let Some(frame) = self.stack.pop() {
-            self.finished.insert(frame.action.serial());
+            self.finished.insert(frame.id.action.serial());
         }
     }
 
@@ -1164,15 +986,16 @@ impl Ctx {
     // Phases
     // ------------------------------------------------------------------
 
-    /// Exit protocol, then finalize with `outcome` if no recovery begins.
-    fn phase_exit_then(&mut self, outcome: ActionOutcome) -> Step<ActionOutcome> {
+    /// Exit protocol after a body that completed normally, then finalize
+    /// `Success` if no recovery begins.
+    fn phase_exit(&mut self) -> Step<ActionOutcome> {
         match self.run_exit()? {
-            ExitResult::Done => self.finalize(outcome),
-            ExitResult::Recover => self.phase_recover(RecoveryStart::Suspend),
+            RoundEnd::Exited => self.finalize(ActionOutcome::Success),
+            RoundEnd::Recover => self.phase_recover(RecoveryStart::Suspend),
             // A peer's view change removed this thread (or a rejoiner gave
             // up): the survivors conclude without us — resolve locally to
             // abortion (ƒ) so objects are tainted, not left hanging.
-            ExitResult::Evicted => self.finalize(ActionOutcome::Failed),
+            _ => self.finalize(ActionOutcome::Failed),
         }
     }
 
@@ -1187,75 +1010,50 @@ impl Ctx {
         };
         let verdict = self.run_handler(&resolved)?;
         let my_signal = self.run_signalling(verdict)?;
-        {
-            let frame = self.stack.last_mut().expect("frame active");
-            frame.exit_epoch += 1;
-            let action = frame.action;
-            let signal = my_signal.clone();
-            self.observe(action, || EventKind::SignalOutcome { signal });
-        }
+        self.frame_mut().exit.epoch += 1;
+        self.observe_top(|| EventKind::SignalOutcome {
+            signal: my_signal.clone(),
+        });
         // The recovery rounds are over: re-admit any restarted participant
         // that asked to rejoin while they ran. Done after the new exit
         // epoch opens so grants carry the epoch the joiner must vote in.
         self.flush_pending_joins();
-        match self.run_exit()? {
-            ExitResult::Done => {}
-            ExitResult::Recover => {
-                // Stragglers cannot re-trigger (the frame is marked
-                // recovered); a genuine trigger here is a protocol bug.
-                return Err(RuntimeError::Protocol(
-                    "recovery re-triggered after signalling".into(),
-                )
-                .into());
-            }
-            // This thread was removed from the view between signalling and
-            // exit: ƒ dominates whatever the signalling round concluded.
-            ExitResult::Evicted => return self.finalize(ActionOutcome::Failed),
-        }
         let outcome = match my_signal {
             Signal::None => ActionOutcome::Success,
             Signal::Exception(id) => ActionOutcome::Signalled(id),
             Signal::Undo => ActionOutcome::Undone,
             Signal::Failure => ActionOutcome::Failed,
         };
-        self.finalize(outcome)
+        match self.run_exit()? {
+            RoundEnd::Exited => self.finalize(outcome),
+            // Stragglers cannot re-trigger (the frame is marked recovered);
+            // a genuine trigger here is a protocol bug.
+            RoundEnd::Recover => Err(protocol_error("recovery re-triggered after signalling")),
+            // This thread was removed from the view between signalling and
+            // exit: ƒ dominates whatever the signalling round concluded.
+            _ => self.finalize(ActionOutcome::Failed),
+        }
     }
 
     /// Commits or finalizes objects per outcome and pops the frame.
     fn finalize(&mut self, outcome: ActionOutcome) -> Step<ActionOutcome> {
-        let now = self.endpoint.now();
-        let frame = self.stack.last_mut().expect("frame active");
-        let action = frame.action;
-        let objects = std::mem::take(&mut frame.objects);
-        match &outcome {
-            ActionOutcome::Success | ActionOutcome::Signalled(_) => {
+        let (action, now, objects) = self.take_objects();
+        for obj in &objects {
+            let released = match &outcome {
                 // Forward recovery leaves objects in (new) valid states.
-                for obj in &objects {
-                    if let Ok(wake) = obj.commit(action, now) {
-                        self.forward_wake(wake);
-                    }
-                }
-            }
-            ActionOutcome::Undone => {
+                ActionOutcome::Success | ActionOutcome::Signalled(_) => obj.commit(action, now),
                 // Rollback already happened during the undo round; any
                 // layer still open (acquired after undo) is discarded.
-                for obj in &objects {
-                    if let Ok(wake) = obj.rollback(action, now) {
-                        self.forward_wake(wake);
-                    }
-                }
-            }
-            ActionOutcome::Failed => {
+                ActionOutcome::Undone => obj.rollback(action, now),
                 // ƒ: effects may not have been undone; leave them visible
                 // and taint the objects.
-                for obj in &objects {
-                    if let Ok(wake) = obj.commit_tainted(action, now) {
-                        self.forward_wake(wake);
-                    }
-                }
+                ActionOutcome::Failed => obj.commit_tainted(action, now),
+            };
+            if let Ok(wake) = released {
+                self.forward_wake(wake);
             }
         }
-        self.observe(action, || EventKind::Exit {
+        self.observe_top(|| EventKind::Exit {
             outcome: outcome.clone(),
         });
         self.pop_frame();
@@ -1271,29 +1069,21 @@ impl Ctx {
     /// the caller must give up locally).
     fn run_recovery(&mut self, start: RecoveryStart) -> Step<Option<ExceptionId>> {
         trace!(self, "recovery start: {start:?}");
-        {
-            let frame = self.stack.last_mut().expect("frame active");
-            // Open the join-deferral window and pin the signalling cohort:
-            // the view must not grow while resolution or signalling ranges
-            // over it (see `Frame::cohort`).
-            frame.cohort = Some(ViewSnapshot::from_slice(frame.membership.members()));
-            let action = frame.action;
-            self.observe(action, || EventKind::RecoveryStart {
-                raised: matches!(start, RecoveryStart::Raise(_)),
-            });
-        }
+        let frame = self.frame_mut();
+        // Open the join-deferral window and pin the signalling cohort:
+        // the view must not grow while resolution or signalling ranges
+        // over it (see `Recovery::cohort`).
+        frame.recovery.cohort = Some(ViewSnapshot::from_slice(frame.view.members()));
+        frame.recovery.resolved_exception = None;
+        self.observe_top(|| EventKind::RecoveryStart {
+            raised: matches!(start, RecoveryStart::Raise(_)),
+        });
         // Feed the stashed trigger(s) first, then our own transition.
-        let pending: Vec<Message> = {
-            let frame = self.stack.last_mut().expect("frame active");
-            frame.pending_control.drain(..).collect()
-        };
-        let mut resolved: Option<ExceptionId> = None;
+        let pending: Vec<Message> = self.frame_mut().inbox.control.drain(..).collect();
         for msg in pending {
-            if let Some(r) = self.absorb_active_control(msg)? {
-                resolved = Some(r);
-            }
+            self.absorb_active_control(msg)?;
         }
-        if self.stack.last().expect("frame active").evicted {
+        if self.frame().view.evicted {
             // A pending view change removed us before we ever announced
             // our own transition: stay silent and give up.
             return Ok(None);
@@ -1303,151 +1093,48 @@ impl Ctx {
                 self.system.stats.lock().exceptions_raised += 1;
                 // "inform external objects (used by Ti within A) of the
                 // exception".
-                let frame = self.stack.last().expect("frame active");
-                let action = frame.action;
+                let frame = self.frame();
+                let action = frame.id.action;
                 for obj in &frame.objects {
                     obj.inform_exception(action, e.id().name());
                 }
-                self.observe(action, || EventKind::Raise {
+                self.observe_top(|| EventKind::Raise {
                     exception: e.id().clone(),
                 });
-                if let Some(r) = self.feed_resolver(ProtoEventKind::Raise(e.clone()))? {
-                    resolved = Some(r);
-                }
+                self.feed_resolver(ProtoEvent::LocalRaise(e))?;
             }
-            RecoveryStart::Suspend => {
-                if let Some(r) = self.feed_resolver(ProtoEventKind::Suspend)? {
-                    resolved = Some(r);
-                }
-            }
+            RecoveryStart::Suspend => self.feed_resolver(ProtoEvent::LocalSuspend)?,
         }
-        // Collect control messages until agreement. With a configured
-        // resolution timeout the wait is bounded per round (the membership
-        // extension): expiry presumes the silent peers crashed, shrinks the
-        // view and re-runs resolution; an applied view change — local or
-        // remote — opens a fresh round for the shrunken view.
-        let timeout = self
-            .stack
-            .last()
-            .expect("frame active")
-            .def
-            .resolution_timeout;
-        let mut deadline = timeout.map(|t| self.now().saturating_add(t));
-        while resolved.is_none() {
-            if self.stack.last().expect("frame active").evicted {
-                return Ok(None);
-            }
-            let received = match self.recv_until(deadline)? {
-                Some(r) => r,
-                None => {
-                    trace!(self, "bounded resolution wait expired");
-                    if let Some(r) = self.presume_crashed()? {
-                        resolved = Some(r);
-                    }
-                    deadline = timeout.map(|t| self.now().saturating_add(t));
-                    continue;
-                }
-            };
-            match self.route(received)? {
-                Routed::Done => {}
-                Routed::Corrupted => {
-                    // Lost information during resolution; Assumption 1
-                    // excludes this for the resolution algorithm, so count
-                    // and continue (the signalling algorithm is the layer
-                    // with the ƒ extension).
-                    self.system.stats.lock().corrupted_ignored += 1;
-                }
-                Routed::ActiveControl(msg) => {
-                    let view_change = matches!(msg, Message::ViewChange { .. });
-                    if let Some(r) = self.absorb_active_control(msg)? {
-                        resolved = Some(r);
-                    }
-                    if view_change {
-                        deadline = timeout.map(|t| self.now().saturating_add(t));
-                    }
-                }
-            }
-        }
-        let resolved = resolved.expect("loop exits only when resolved");
-        if self.stack.last().expect("frame active").evicted {
-            // The message that concluded resolution also carried a view
-            // excluding us (a commit whose membership moved on): give up.
+        let timeout = self.frame().id.def.resolution_timeout;
+        let RoundEnd::Resolved(resolved) = self.collect(Round::Resolution, timeout)? else {
             return Ok(None);
-        }
+        };
         trace!(self, "resolved: {resolved}");
-        let frame = self.stack.last_mut().expect("frame active");
-        frame.recovered = true;
-        frame.resolved_exception = Some(resolved.clone());
-        let action = frame.action;
-        self.observe(action, || EventKind::Resolved {
+        self.frame_mut().recovery.recovered = true;
+        self.observe_top(|| EventKind::Resolved {
             exception: resolved.clone(),
         });
         Ok(Some(resolved))
     }
 
-    fn feed_resolver(&mut self, event: ProtoEventKind) -> Step<Option<ExceptionId>> {
-        let (me, action, view, graph) = {
-            let frame = self.stack.last().expect("frame active");
-            (
-                self.me,
-                frame.action,
-                ViewSnapshot::from_slice(frame.membership.members()),
-                Arc::clone(&frame.def.graph),
-            )
-        };
-        let actions: ProtoActions = {
-            let frame = self.stack.last_mut().expect("frame active");
-            let ctx = ProtoCtx {
-                me,
-                action,
-                group: &view,
-                graph: &graph,
-            };
-            match &event {
-                ProtoEventKind::Raise(e) => {
-                    frame.resolver.on_event(&ctx, ProtoEvent::LocalRaise(e))
-                }
-                ProtoEventKind::Suspend => frame.resolver.on_event(&ctx, ProtoEvent::LocalSuspend),
-                ProtoEventKind::Control(m) => frame.resolver.on_event(&ctx, ProtoEvent::Control(m)),
-            }
-        };
-        self.dispatch_proto_actions(action, actions)
+    fn feed_resolver(&mut self, event: ProtoEvent<'_>) -> Step {
+        let me = self.me;
+        let (resolver, ctx) = self.frame_mut().proto_ctx(me);
+        let actions = resolver.on_event(&ctx, event);
+        self.dispatch_proto_actions(actions)
     }
 
-    /// Sends a resolver's outbound messages (stamping the frame's
-    /// membership view into outgoing `Commit`s), charges `Treso` per
-    /// resolution invocation and reports the resolved exception, if any.
-    fn dispatch_proto_actions(
-        &mut self,
-        action: ActionId,
-        mut actions: ProtoActions,
-    ) -> Step<Option<ExceptionId>> {
-        {
-            let frame = self.stack.last_mut().expect("frame active");
-            let epoch = frame.membership.epoch();
-            if epoch > 0 {
-                // Crash-free recoveries (epoch 0, nothing removed) keep
-                // the resolver's pre-stamped empty set — no work at all.
-                let removed = frame.membership.removed_shared();
-                for (_, msg) in &mut actions.outbound {
-                    if let Message::Commit {
-                        view_epoch,
-                        view_removed,
-                        ..
-                    } = msg
-                    {
-                        *view_epoch = epoch;
-                        *view_removed = Arc::clone(&removed);
-                    }
-                }
-            }
-        }
+    /// Sends a resolver's outbound messages (with the frame's membership
+    /// view stamped into outgoing `Commit`s), charges `Treso` per
+    /// resolution invocation and records the resolved exception, if any.
+    fn dispatch_proto_actions(&mut self, mut actions: ProtoActions) -> Step {
+        self.frame_mut().stamp_commits(&mut actions);
         for (to, msg) in actions.outbound {
-            self.endpoint.send(PartitionId::new(to.as_u32()), msg);
+            self.send(to, msg);
         }
         if actions.resolve_invocations > 0 {
             self.system.stats.lock().resolutions_invoked += u64::from(actions.resolve_invocations);
-            self.observe(action, || EventKind::ResolutionInvoked {
+            self.observe_top(|| EventKind::ResolutionInvoked {
                 invocations: actions.resolve_invocations,
             });
             let delay = self.system.resolution_delay * actions.resolve_invocations;
@@ -1455,7 +1142,10 @@ impl Ctx {
                 self.endpoint.sleep(delay)?;
             }
         }
-        Ok(actions.resolved)
+        if actions.resolved.is_some() {
+            self.frame_mut().recovery.resolved_exception = actions.resolved;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1467,238 +1157,213 @@ impl Ctx {
     /// layer, everything else to the resolver — a `Commit` first adopts
     /// the membership view piggybacked on it, so a commit racing ahead of
     /// its `ViewChange` announcement still shrinks this frame's view.
-    fn absorb_active_control(&mut self, msg: Message) -> Step<Option<ExceptionId>> {
+    fn absorb_active_control(&mut self, msg: Message) -> Step {
         let top = self.stack.len() - 1;
-        match msg {
+        match &msg {
             Message::ViewChange { removed, .. } => {
-                match self.adopt_removal_set(top, &removed) {
+                return match self.adopt_removal_set(top, removed) {
                     // Removals naming us mean the survivors resolve without
                     // us; do not re-elect over a view we are not part of.
-                    Some(fresh) if !self.stack[top].evicted => self.feed_view_change(&fresh),
-                    _ => Ok(None),
+                    Some(fresh) if !self.frame().view.evicted => self.feed_view_change(&fresh),
+                    _ => Ok(()),
+                };
+            }
+            Message::Commit { view_removed, .. } => {
+                self.adopt_removal_set(top, view_removed);
+                if self.frame().view.evicted {
+                    // The committed view excludes us: give up instead
+                    // of acting on a resolution we are not part of.
+                    return Ok(());
                 }
             }
-            msg => {
-                if let Message::Commit { view_removed, .. } = &msg {
-                    let removed = Arc::clone(view_removed);
-                    self.adopt_removal_set(top, &removed);
-                    if self.stack[top].evicted {
-                        // The committed view excludes us: give up instead
-                        // of acting on a resolution we are not part of.
-                        return Ok(None);
-                    }
+            _ => {}
+        }
+        self.feed_resolver(ProtoEvent::Control(&msg))
+    }
+
+    /// The one bounded-collect round (see the module docs), entered after
+    /// the caller announced to the view. Each pass polls `round`'s predicate
+    /// over the view as it is now, then receives until the round's deadline
+    /// — `timeout` from the last arming, unbounded when `None` — and
+    /// performs what the round decides about the arrival or the expiry.
+    fn collect(&mut self, round: Round, timeout: Option<VirtualDuration>) -> Step<RoundEnd> {
+        let mut deadline = self.deadline_in(timeout);
+        loop {
+            if let Some(end) = round.status(self.stack.last()) {
+                return Ok(end);
+            }
+            let (index, action) = match self.recv_until(deadline)? {
+                Some(received) => self.classify(received, round),
+                None => {
+                    trace!(self, "{round:?}: bounded wait expired");
+                    let top = self.stack.len().saturating_sub(1);
+                    (top, round.expired(self.stack.last_mut(), self.me))
                 }
-                self.feed_resolver(ProtoEventKind::Control(msg))
+            };
+            match self.perform(round, index, action)? {
+                Performed::Continue => {}
+                Performed::Rearm => deadline = self.deadline_in(timeout),
+                Performed::End(end) => return Ok(end),
             }
         }
     }
 
-    /// The bounded resolution wait expired: suspect the threads this
-    /// participant is blocked on, remove them from the frame's view,
-    /// announce the change to the survivors and re-run resolution with a
-    /// crash exception synthesized on each silent suspect's behalf
-    /// (presume-ƒ).
-    fn presume_crashed(&mut self) -> Step<Option<ExceptionId>> {
-        let suspects = {
-            let frame = self.stack.last().expect("frame active");
-            let view = ViewSnapshot::from_slice(frame.membership.members());
-            let graph = Arc::clone(&frame.def.graph);
-            let ctx = ProtoCtx {
-                me: self.me,
-                action: frame.action,
-                group: &view,
-                graph: &graph,
-            };
-            frame.resolver.waiting_on(&ctx)
-        };
-        if suspects.is_empty() {
-            return Err(RuntimeError::Protocol(
-                "bounded resolution wait expired but the protocol reports no suspects \
-                 (resolution protocol without membership support?)"
-                    .into(),
-            )
-            .into());
+    /// Executes one round decision. `index` is the frame it addresses.
+    fn perform(&mut self, round: Round, index: usize, action: RoundAction) -> Step<Performed> {
+        match action {
+            RoundAction::Continue => {}
+            RoundAction::End(end) => return Ok(Performed::End(end)),
+            RoundAction::Suspect { suspects, then } => {
+                if !suspects.is_empty() {
+                    self.suspect_round(round, &suspects)?;
+                }
+                return Ok(then.map_or(Performed::Rearm, Performed::End));
+            }
+            RoundAction::GiveUp => {
+                self.system.stats.lock().exit_give_ups += 1;
+                self.observe_timeout(round, &[]);
+                return Ok(Performed::End(RoundEnd::Excluded));
+            }
+            RoundAction::Resolve(msg) => {
+                // An applied view change opens a fresh round for the
+                // shrunken view.
+                let view_change = matches!(msg, Message::ViewChange { .. });
+                self.absorb_active_control(msg)?;
+                if view_change {
+                    return Ok(Performed::Rearm);
+                }
+            }
+            RoundAction::Adopt(removed) => {
+                self.adopt_removal_set(index, &removed);
+            }
+            RoundAction::Grant(joiner) => self.grant_join(index, joiner),
+            RoundAction::Retain(msg) => self.retained.push(msg),
+            RoundAction::CapDropped => self.system.stats.lock().retained_dropped += 1,
+            RoundAction::CountCorrupted => self.system.stats.lock().corrupted_ignored += 1,
+            RoundAction::Interrupt(unwind) => return Err(Flow::new(unwind)),
+            RoundAction::Violation(what) => return Err(protocol_error(what)),
         }
-        trace!(self, "presume crashed: {suspects:?}");
-        self.suspect_round(SuspicionRound::Resolution, &suspects)
+        Ok(Performed::Continue)
     }
 
     /// Round-agnostic suspicion: the bounded wait of `round` expired with
-    /// the listed peers silent. Observes the round's timeout event, removes
-    /// the suspects from the active frame's view, and announces the change
-    /// to the *pre-removal* view — so a falsely suspected (live) peer
-    /// learns of its eviction and gives up instead of counter-suspecting
-    /// the survivors. For resolution rounds the resolver is then re-fed
-    /// with a crash exception synthesized per suspect (presume-ƒ);
-    /// signalling and exit rounds need no synthesis — their own ƒ rules
-    /// cover the silence.
-    fn suspect_round(
-        &mut self,
-        round: SuspicionRound,
-        suspects: &[ThreadId],
-    ) -> Step<Option<ExceptionId>> {
-        let action = self.stack.last().expect("frame active").action;
+    /// the listed peers silent. Observes the round's timeout event and —
+    /// unless the quorum gate refuses — removes the suspects from the
+    /// active frame's view and announces the change. For resolution rounds
+    /// the resolver is then re-fed with a crash exception synthesized per
+    /// suspect (presume-ƒ); signalling and exit rounds need no synthesis —
+    /// their own ƒ rules cover the silence.
+    fn suspect_round(&mut self, round: Round, suspects: &[ThreadId]) -> Step {
+        let action = self.frame().id.action;
         trace!(self, "suspect in {round:?}: {suspects:?}");
-        match round {
-            SuspicionRound::Resolution => {
-                self.system.stats.lock().resolution_timeouts += 1;
-                let s = suspects.to_vec();
-                self.observe(action, || EventKind::ResolutionTimeout { suspects: s });
+        self.observe_timeout(round, suspects);
+        let decision = self.frame_mut().view.suspect(suspects).map_err(|reason| {
+            protocol_error(format!("membership view change rejected: {reason}"))
+        })?;
+        let (epoch, recipients) = match decision {
+            Eviction::Refused {
+                survivors,
+                recently_alive,
+            } => {
+                trace!(
+                    self,
+                    "suspicion refused: {survivors} survivor(s) vs \
+                     {recently_alive} recently-alive suspect(s); giving up"
+                );
+                self.system.stats.lock().suspicions_refused += 1;
+                return Ok(());
             }
-            SuspicionRound::Signalling(r) => {
-                self.system.stats.lock().signal_timeouts += 1;
-                let s = suspects.to_vec();
-                self.observe(action, || EventKind::SignalTimeout {
-                    round: r,
-                    suspects: s,
-                });
-            }
-            SuspicionRound::Exit { epoch } => {
-                self.system.stats.lock().exit_timeouts += 1;
-                self.observe(action, || EventKind::ExitTimeout { epoch });
-            }
-        }
-        // Quorum gate (primary-partition rule): when the suspects this
-        // thread has *heard from* within the instance outnumber the view
-        // that would survive their eviction, the unanimous silence is far
-        // better explained by this thread's own connectivity (its outbound
-        // announcements lost, or it lagging a round behind) than by a
-        // majority of recently-alive peers all crashing inside one bounded
-        // wait. A minority must not install a view the majority will never
-        // adopt — the survivors' own suspicion of *us* is already in
-        // flight, and acting on ours would split the membership. Give up
-        // locally instead: the frame finalizes `Failed` without
-        // broadcasting, exactly as if the survivors' eviction notice had
-        // arrived in time. Peers that never sent a protocol message are
-        // exempt from the count — their silence is indistinguishable from
-        // a crash before the protocol ever reached them (presume-ƒ), so a
-        // sole survivor can still evict a genuinely dead cohort.
-        let refused = {
-            let frame = self.stack.last().expect("frame active");
-            let members = frame.membership.members();
-            let survivors = members.iter().filter(|t| !suspects.contains(t)).count();
-            let recently_alive = suspects
-                .iter()
-                .filter(|t| members.contains(t) && frame.heard_from.contains(t))
-                .count();
-            (survivors < recently_alive).then_some((survivors, recently_alive))
-        };
-        if let Some((survivors, recently_alive)) = refused {
-            trace!(
-                self,
-                "suspicion refused: {survivors} survivor(s) vs \
-                 {recently_alive} recently-alive suspect(s); giving up"
-            );
-            self.stack.last_mut().expect("frame active").evicted = true;
-            return Ok(None);
-        }
-        let (epoch, recipients) = {
-            let frame = self.stack.last_mut().expect("frame active");
-            let recipients = ViewSnapshot::from_slice(frame.membership.members());
-            let epoch = frame.membership.initiate(suspects).map_err(|reason| {
-                Flow::from(RuntimeError::Protocol(format!(
-                    "membership view change rejected: {reason}"
-                )))
-            })?;
-            (epoch, recipients)
+            Eviction::Evict { epoch, recipients } => (epoch, recipients),
         };
         self.system.stats.lock().view_changes += 1;
-        {
-            let removed = suspects.to_vec();
-            self.observe(action, || EventKind::ViewChange { epoch, removed });
-        }
+        self.observe_top(|| EventKind::ViewChange {
+            epoch,
+            removed: suspects.to_vec(),
+        });
         // Announce before continuing the round: per-link FIFO then
         // guarantees every survivor sees the view change before any later
         // message this participant derives from it.
         let removed: Arc<[ThreadId]> = Arc::from(suspects);
-        for &peer in recipients.iter().filter(|&&t| t != self.me) {
-            self.endpoint.send(
-                PartitionId::new(peer.as_u32()),
-                Message::ViewChange {
-                    action,
-                    from: self.me,
-                    epoch,
-                    removed: Arc::clone(&removed),
-                },
-            );
-        }
+        let me = self.me;
+        self.broadcast(&recipients, |_| Message::ViewChange {
+            action,
+            from: me,
+            epoch,
+            removed: Arc::clone(&removed),
+        });
         match round {
-            SuspicionRound::Resolution => self.feed_view_change(suspects),
-            _ => Ok(None),
+            Round::Resolution => self.feed_view_change(suspects),
+            _ => Ok(()),
         }
     }
 
-    /// Applies a removal set announced by a peer — a `ViewChange` step set
-    /// or the cumulative set piggybacked on a `Commit` — to the frame at
-    /// `index`: already-removed threads are ignored, anything new shrinks
-    /// the view at the next local epoch (set-wise convergence; see
-    /// [`crate::membership`]). Returns the freshly removed threads, if
-    /// any. A removal naming this thread itself marks the frame evicted:
-    /// a peer suspected us wrongly — we are alive — and the survivors
-    /// have moved on without us.
+    /// Counts and reports the expiry of `round`'s bounded wait with
+    /// `suspects` silent.
+    fn observe_timeout(&self, round: Round, suspects: &[ThreadId]) {
+        let suspects = suspects.to_vec();
+        let epoch = self.frame().exit.epoch;
+        let mut stats = self.system.stats.lock();
+        let kind = match round {
+            Round::Resolution => {
+                stats.resolution_timeouts += 1;
+                EventKind::ResolutionTimeout { suspects }
+            }
+            Round::Signalling(round) => {
+                stats.signal_timeouts += 1;
+                EventKind::SignalTimeout { round, suspects }
+            }
+            Round::Exit => {
+                stats.exit_timeouts += 1;
+                EventKind::ExitTimeout { epoch }
+            }
+            // Only rounds of a frame time out on peers.
+            Round::Body | Round::Join { .. } => return,
+        };
+        drop(stats);
+        self.observe_top(|| kind);
+    }
+
+    /// Merges a removal set announced by a peer — a `ViewChange` step set
+    /// or the cumulative set piggybacked on a `Commit` — into the view of
+    /// the frame at `index` (set-wise, see [`crate::membership`]) and
+    /// returns the freshly removed threads, if any. A removal naming this
+    /// thread itself marks the frame evicted: a peer suspected us wrongly —
+    /// we are alive — and the survivors have moved on without us.
     fn adopt_removal_set(&mut self, index: usize, removed: &[ThreadId]) -> Option<Vec<ThreadId>> {
-        let (epoch, fresh) = self.stack[index].membership.adopt_removals(removed)?;
-        let action = self.stack[index].action;
+        let frame = &mut self.stack[index];
+        let (epoch, fresh) = frame.view.adopt_removals(removed)?;
+        if fresh.contains(&self.me) {
+            frame.view.evicted = true;
+        }
+        let action = frame.id.action;
         trace!(self, "adopt view change v{epoch}: -{fresh:?}");
         self.system.stats.lock().view_changes += 1;
-        {
-            let removed = fresh.clone();
-            self.observe(action, || EventKind::ViewChange { epoch, removed });
-        }
-        if fresh.contains(&self.me) {
-            self.stack[index].evicted = true;
-        }
+        self.observe(action, || EventKind::ViewChange {
+            epoch,
+            removed: fresh.clone(),
+        });
         Some(fresh)
     }
 
     /// Answers a restarted participant's `JoinRequest` at the frame at
-    /// `index`: re-admits it into the view (epoch-numbered rejoin) and
-    /// sends back the current view, exit epoch and resolved exception so
-    /// the joiner can fast-forward. If this thread already voted in the
-    /// current exit epoch, the vote is re-sent — the original broadcast
-    /// went to the joiner's pre-crash endpoint and was discarded.
+    /// `index` with the grant the frame builds ([`Frame::grant_join`]).
     fn grant_join(&mut self, index: usize, joiner: ThreadId) {
-        if !self.stack[index].def.group.contains(&joiner) {
+        let me = self.me;
+        let frame = &mut self.stack[index];
+        let action = frame.id.action;
+        let Some(granted) = frame.grant_join(me, joiner) else {
             return; // never part of this action's group; ignore
-        }
-        let action = self.stack[index].action;
-        if let Some(epoch) = self.stack[index].membership.adopt_rejoin(joiner) {
+        };
+        if let Some(epoch) = granted.readmitted {
             trace!(self, "readmit {joiner} at v{epoch}");
             self.observe(action, || EventKind::Rejoin {
                 epoch,
                 thread: joiner,
             });
         }
-        // (A joiner the view never removed — it restarted before anyone
-        // suspected it — simply gets its unchanged membership confirmed.)
-        let (grant, exit_epoch, revote) = {
-            let frame = &mut self.stack[index];
-            let grant = Message::JoinGrant {
-                action,
-                from: self.me,
-                thread: joiner,
-                epoch: frame.membership.epoch(),
-                removed: frame.membership.removed_shared(),
-                exit_epoch: frame.exit_epoch,
-                resolved: frame.resolved_exception.clone(),
-            };
-            let revote = frame
-                .exit_votes
-                .get(&frame.exit_epoch)
-                .is_some_and(|v| v.contains(&self.me));
-            (grant, frame.exit_epoch, revote)
-        };
-        let to = PartitionId::new(joiner.as_u32());
-        self.endpoint.send(to, grant);
-        if revote {
-            self.endpoint.send(
-                to,
-                Message::ExitVote {
-                    action,
-                    from: self.me,
-                    epoch: exit_epoch,
-                },
-            );
+        self.send(joiner, granted.grant);
+        if let Some(vote) = granted.revote {
+            self.send(joiner, vote);
         }
     }
 
@@ -1707,9 +1372,8 @@ impl Ctx {
     /// resolution/signalling ranged over it.
     fn flush_pending_joins(&mut self) {
         let top = self.stack.len() - 1;
-        self.stack[top].cohort = None;
-        let pending = std::mem::take(&mut self.stack[top].pending_join_requests);
-        for joiner in pending {
+        self.stack[top].recovery.cohort = None;
+        for joiner in std::mem::take(&mut self.stack[top].inbox.joins) {
             self.grant_join(top, joiner);
         }
     }
@@ -1718,28 +1382,12 @@ impl Ctx {
     /// are gone, and a synthesized crash exception stands in for each one
     /// that never announced anything. May conclude the resolution (this
     /// participant may now hold the quorum and the election).
-    fn feed_view_change(&mut self, removed: &[ThreadId]) -> Step<Option<ExceptionId>> {
+    fn feed_view_change(&mut self, removed: &[ThreadId]) -> Step {
         let synthesized = synthesize_crashes(removed);
-        let (me, action, view, graph) = {
-            let frame = self.stack.last().expect("frame active");
-            (
-                self.me,
-                frame.action,
-                ViewSnapshot::from_slice(frame.membership.members()),
-                Arc::clone(&frame.def.graph),
-            )
-        };
-        let actions: ProtoActions = {
-            let frame = self.stack.last_mut().expect("frame active");
-            let ctx = ProtoCtx {
-                me,
-                action,
-                group: &view,
-                graph: &graph,
-            };
-            frame.resolver.on_view_change(&ctx, removed, &synthesized)
-        };
-        self.dispatch_proto_actions(action, actions)
+        let me = self.me;
+        let (resolver, ctx) = self.frame_mut().proto_ctx(me);
+        let actions = resolver.on_view_change(&ctx, removed, &synthesized);
+        self.dispatch_proto_actions(actions)
     }
 
     // ------------------------------------------------------------------
@@ -1747,35 +1395,21 @@ impl Ctx {
     // ------------------------------------------------------------------
 
     fn run_handler(&mut self, resolved: &ExceptionId) -> Step<HandlerVerdict> {
-        let (handler, role, action) = {
-            let frame = self.stack.last_mut().expect("frame active");
-            frame.in_handler = Some(resolved.clone());
-            (
-                frame.def.handler_for(frame.role, resolved),
-                frame.role,
-                frame.action,
-            )
-        };
-        let _ = role;
-        self.observe(action, || EventKind::HandlerStart {
+        let frame = self.frame_mut();
+        frame.recovery.in_handler = Some(resolved.clone());
+        let handler = frame.id.def.handler_for(frame.id.role, resolved);
+        self.observe_top(|| EventKind::HandlerStart {
             exception: resolved.clone(),
         });
         let verdict = match handler {
-            Some(h) => {
-                let r = h(self);
-                if let Some(frame) = self.stack.last_mut() {
-                    frame.in_handler = None;
-                }
-                r?
-            }
-            None => {
-                if let Some(frame) = self.stack.last_mut() {
-                    frame.in_handler = None;
-                }
-                DefInner::default_verdict(resolved)
-            }
+            Some(h) => h(self),
+            None => Ok(DefInner::default_verdict(resolved)),
         };
-        self.observe(action, || EventKind::HandlerEnd {
+        if let Some(frame) = self.stack.last_mut() {
+            frame.recovery.in_handler = None;
+        }
+        let verdict = verdict?;
+        self.observe_top(|| EventKind::HandlerEnd {
             verdict: verdict.clone(),
         });
         Ok(verdict)
@@ -1787,7 +1421,7 @@ impl Ctx {
 
     fn run_signalling(&mut self, verdict: HandlerVerdict) -> Step<Signal> {
         let my_signal = verdict.to_signal();
-        if self.stack.last().expect("frame active").evicted {
+        if self.frame().view.evicted {
             // Removed from the view: the survivors no longer expect our
             // announcements; any broadcast would only confuse their rounds.
             return Ok(Signal::Failure);
@@ -1795,13 +1429,7 @@ impl Ctx {
         // Coordinate over the current view: presumed-crashed members are
         // not waited on (their silence would otherwise force ƒ through
         // the signalling timeout even after recovery handled the crash).
-        let group_len = self
-            .stack
-            .last()
-            .expect("frame active")
-            .signalling_group()
-            .len();
-        if group_len == 1 {
+        if self.frame().signalling_group().len() == 1 {
             // No coordination needed; µ still requires the local undo.
             return match my_signal {
                 Signal::Undo => Ok(self.perform_undo()),
@@ -1810,19 +1438,11 @@ impl Ctx {
         }
 
         let collected = self.signal_round(SignalRound::First, my_signal.clone())?;
-        let any_failure = collected.iter().any(|s| matches!(s, Signal::Failure))
-            || self
-                .stack
-                .last()
-                .expect("frame active")
-                .corrupted_during_signalling;
-        let any_undo = collected.iter().any(|s| matches!(s, Signal::Undo));
-
-        if any_failure {
+        if self.frame().signals.failed(&collected) {
             // Case 3: ƒ dominates — every thread signals ƒ.
             return Ok(Signal::Failure);
         }
-        if !any_undo {
+        if !collected.iter().any(|s| matches!(s, Signal::Undo)) {
             // Case 1: everyone signals its own exception (or nothing).
             return Ok(my_signal);
         }
@@ -1830,13 +1450,7 @@ impl Ctx {
         self.system.stats.lock().undo_rounds += 1;
         let after_undo = self.perform_undo();
         let collected = self.signal_round(SignalRound::AfterUndo, after_undo)?;
-        if collected.iter().any(|s| matches!(s, Signal::Failure))
-            || self
-                .stack
-                .last()
-                .expect("frame active")
-                .corrupted_during_signalling
-        {
+        if self.frame().signals.failed(&collected) {
             Ok(Signal::Failure)
         } else {
             Ok(Signal::Undo)
@@ -1847,9 +1461,9 @@ impl Ctx {
     /// runs the role's undo hook. Returns the signal to announce (µ on
     /// success, ƒ when some undo operation failed).
     fn perform_undo(&mut self) -> Signal {
-        let (action, def, role) = {
-            let frame = self.stack.last().expect("frame active");
-            (frame.action, Arc::clone(&frame.def), frame.role)
+        let (def, role) = {
+            let frame = self.frame();
+            (Arc::clone(&frame.id.def), frame.id.role)
         };
         let mut ok = true;
         if let Some(hook) = def.undo_hooks.get(&role).cloned() {
@@ -1858,21 +1472,7 @@ impl Ctx {
                 Err(_) => ok = false,
             }
         }
-        let now = self.endpoint.now();
-        let frame = self.stack.last_mut().expect("frame active");
-        let objects = std::mem::take(&mut frame.objects);
-        for obj in &objects {
-            match obj.rollback(action, now) {
-                Ok(wake) => self.forward_wake(wake),
-                Err(ObjectError::UndoImpossible { .. }) => {
-                    if let Ok(wake) = obj.commit_tainted(action, now) {
-                        self.forward_wake(wake);
-                    }
-                    ok = false;
-                }
-                Err(ObjectError::NotAcquired { .. }) => {}
-            }
-        }
+        ok &= self.release_rollback_or_taint();
         if ok {
             Signal::Undo
         } else {
@@ -1881,110 +1481,23 @@ impl Ctx {
     }
 
     /// One exchange of the signalling algorithm: broadcast my signal for
-    /// `round`, collect everyone's.
+    /// `round`, collect everyone's. A round that ends any other way than
+    /// with the group's signals did not coordinate: ƒ.
     fn signal_round(&mut self, round: SignalRound, mine: Signal) -> Step<Vec<Signal>> {
-        let (action, group, timeout) = {
-            let frame = self.stack.last_mut().expect("frame active");
-            frame.signals.insert((round, self.me), mine.clone());
-            (
-                frame.action,
-                frame.signalling_group(),
-                frame.def.signal_timeout,
-            )
-        };
-        for &peer in group.iter().filter(|&&t| t != self.me) {
-            self.endpoint.send(
-                PartitionId::new(peer.as_u32()),
-                Message::ToBeSignalled {
-                    action,
-                    from: self.me,
-                    round,
-                    signal: mine.clone(),
-                },
-            );
-        }
-        // The §3.4 timeout is a per-round deadline: unrelated traffic
-        // (exit votes, retained triggers for other instances) must not
-        // extend the wait, or a peer's signalling stall becomes unbounded.
-        let deadline = timeout.map(|t| self.now().saturating_add(t));
-        loop {
-            {
-                let frame = self.stack.last().expect("frame active");
-                // Re-derive the group each pass: a view change adopted by
-                // the router mid-round must not leave us waiting on a
-                // freshly removed member.
-                let group = frame.signalling_group();
-                let have = group
-                    .iter()
-                    .filter(|&&t| frame.signals.contains_key(&(round, t)))
-                    .count();
-                if have == group.len() {
-                    let collected = group
-                        .iter()
-                        .map(|&t| frame.signals[&(round, t)].clone())
-                        .collect();
-                    return Ok(collected);
-                }
-            }
-            let received = match self.recv_until(deadline)? {
-                Some(r) => r,
-                None => {
-                    let (epoch, group_now, suspects) = {
-                        let frame = self.stack.last().expect("frame active");
-                        let group_now = frame.signalling_group();
-                        let suspects: Vec<ThreadId> = group_now
-                            .iter()
-                            .copied()
-                            .filter(|&t| t != self.me && !frame.signals.contains_key(&(round, t)))
-                            .collect();
-                        (frame.membership.epoch(), group_now, suspects)
-                    };
-                    if epoch > 0
-                        && !suspects.is_empty()
-                        && !self.stack.last().expect("frame active").evicted
-                    {
-                        // The view is already degraded — a crash was
-                        // detected earlier in this action's life — so a
-                        // missing announcement here is presumed another
-                        // crash, not a §3.4-tolerated loss: suspect the
-                        // silent peers so the exit protocol will not wait
-                        // for them. Against a pristine view the two are
-                        // indistinguishable and the pure ƒ rule below
-                        // stands alone (a genuinely crashed peer is still
-                        // caught by the exit round's suspicion).
-                        self.suspect_round(SuspicionRound::Signalling(round), &suspects)?;
-                    }
-                    // §3.4 extension: a missing announcement (lost message
-                    // or crashed peer) is treated as ƒ; all fault-free
-                    // threads still signal coordinated exceptions. Fill
-                    // and conclude over the group as it was when the wait
-                    // expired — every member of it reaches ƒ through its
-                    // own timeout, so the round's outcome stays agreed
-                    // even when the suspicion above shrank the view.
-                    // (Only reachable with a deadline.)
-                    let frame = self.stack.last_mut().expect("frame active");
-                    for &t in &group_now {
-                        frame.signals.entry((round, t)).or_insert(Signal::Failure);
-                    }
-                    let collected = group_now
-                        .iter()
-                        .map(|&t| frame.signals[&(round, t)].clone())
-                        .collect();
-                    return Ok(collected);
-                }
-            };
-            match self.route(received)? {
-                Routed::Done => {}
-                Routed::Corrupted => {
-                    let frame = self.stack.last_mut().expect("frame active");
-                    frame.corrupted_during_signalling = true;
-                }
-                Routed::ActiveControl(_) => {
-                    // Straggler Exception/Suspended cannot reach here (the
-                    // frame is marked recovered); Commit stragglers are
-                    // dropped by the router.
-                }
-            }
+        let me = self.me;
+        let frame = self.frame_mut();
+        frame.signals.record(round, me, mine.clone());
+        let (action, group) = (frame.id.action, frame.signalling_group());
+        let timeout = frame.id.def.signal_timeout;
+        self.broadcast(&group, |_| Message::ToBeSignalled {
+            action,
+            from: me,
+            round,
+            signal: mine.clone(),
+        });
+        match self.collect(Round::Signalling(round), timeout)? {
+            RoundEnd::Signals(collected) => Ok(collected),
+            _ => Ok(vec![Signal::Failure]),
         }
     }
 
@@ -1992,127 +1505,25 @@ impl Ctx {
     // Exit protocol (§5.1)
     // ------------------------------------------------------------------
 
-    fn run_exit(&mut self) -> Step<ExitResult> {
-        // Vote and collect over the current view: a recovery that removed
-        // a presumed-crashed member must not wait for the dead thread's
-        // vote (it would only ever leave through the exit timeout's ƒ).
-        if self.stack.last().expect("frame active").evicted {
+    fn run_exit(&mut self) -> Step<RoundEnd> {
+        if self.frame().view.evicted {
             // A peer's view change removed us: the survivors no longer
             // count our vote, and broadcasting one would only confuse the
             // epochs they are collecting.
-            return Ok(ExitResult::Evicted);
+            return Ok(RoundEnd::Excluded);
         }
-        let (action, group, epoch, timeout, is_rejoiner) = {
-            let frame = self.stack.last_mut().expect("frame active");
-            let epoch = frame.exit_epoch;
-            frame.exit_votes.entry(epoch).or_default().insert(self.me);
-            (
-                frame.action,
-                ViewSnapshot::from_slice(frame.membership.members()),
-                epoch,
-                frame.def.exit_timeout,
-                frame.is_rejoiner,
-            )
-        };
+        let me = self.me;
+        let frame = self.frame_mut();
+        let epoch = frame.exit.vote(me);
+        let (action, timeout) = (frame.id.action, frame.id.def.exit_timeout);
+        let view = ViewSnapshot::from_slice(frame.view.members());
         self.observe(action, || EventKind::ExitStart { epoch });
-        let mut deadline = timeout.map(|t| self.now().saturating_add(t));
-        for &peer in group.iter().filter(|&&t| t != self.me) {
-            self.endpoint.send(
-                PartitionId::new(peer.as_u32()),
-                Message::ExitVote {
-                    action,
-                    from: self.me,
-                    epoch,
-                },
-            );
-        }
-        loop {
-            {
-                let frame = self.stack.last().expect("frame active");
-                if frame.evicted {
-                    return Ok(ExitResult::Evicted);
-                }
-                // Re-derive the wait set each pass: suspicion shrinks it,
-                // and a granted rejoin grows it (the readmitted thread's
-                // vote is required again).
-                let group = ViewSnapshot::from_slice(frame.membership.members());
-                if frame
-                    .exit_votes
-                    .get(&epoch)
-                    .is_some_and(|votes| group.iter().all(|t| votes.contains(t)))
-                {
-                    return Ok(ExitResult::Done);
-                }
-            }
-            let received = match self.recv_until(deadline)? {
-                Some(r) => r,
-                None => {
-                    // (Only reachable with a deadline.)
-                    if is_rejoiner {
-                        // A rejoiner may simply be missing votes that were
-                        // broadcast while it was down; suspecting the
-                        // survivors over that silence would evict threads
-                        // that are perfectly alive. Give up silently.
-                        self.system.stats.lock().exit_timeouts += 1;
-                        self.observe(action, || EventKind::ExitTimeout { epoch });
-                        return Ok(ExitResult::Evicted);
-                    }
-                    // Round-agnostic suspicion: presume the silent peers
-                    // crashed, announce the shrunken view and keep
-                    // collecting votes over it — the action concludes
-                    // among the survivors instead of resolving to ƒ
-                    // wholesale.
-                    let suspects: Vec<ThreadId> = {
-                        let frame = self.stack.last().expect("frame active");
-                        let votes = frame.exit_votes.get(&epoch);
-                        frame
-                            .membership
-                            .members()
-                            .iter()
-                            .copied()
-                            .filter(|t| !votes.is_some_and(|v| v.contains(t)))
-                            .collect()
-                    };
-                    if !suspects.is_empty() {
-                        self.suspect_round(SuspicionRound::Exit { epoch }, &suspects)?;
-                    }
-                    deadline = timeout.map(|t| self.now().saturating_add(t));
-                    continue;
-                }
-            };
-            match self.route(received)? {
-                Routed::Done => {}
-                Routed::Corrupted => {
-                    self.system.stats.lock().corrupted_ignored += 1;
-                }
-                Routed::ActiveControl(msg) => match msg {
-                    Message::Exception { .. } | Message::Suspended { .. } => {
-                        // A peer started recovery while we were leaving:
-                        // stash the trigger and join it.
-                        let frame = self.stack.last_mut().expect("frame active");
-                        frame.pending_control.push_back(msg);
-                        return Ok(ExitResult::Recover);
-                    }
-                    Message::ViewChange { removed, .. } => {
-                        // A peer's exit wait expired and it suspected
-                        // someone — possibly us. This cannot be a missed
-                        // recovery: any trigger would have arrived long
-                        // before a suspicion announcement (suspicion needs
-                        // a full bounded wait to expire first). Adopt the
-                        // removals and keep exiting over the new view.
-                        let top = self.stack.len() - 1;
-                        self.adopt_removal_set(top, &removed);
-                    }
-                    other => {
-                        return Err(RuntimeError::Protocol(format!(
-                            "unexpected {} during exit",
-                            other.kind()
-                        ))
-                        .into());
-                    }
-                },
-            }
-        }
+        self.broadcast(&view, |_| Message::ExitVote {
+            action,
+            from: me,
+            epoch,
+        });
+        self.collect(Round::Exit, timeout)
     }
 
     // ------------------------------------------------------------------
@@ -2132,46 +1543,18 @@ impl Ctx {
     /// Routes one message during *body* execution: control messages for the
     /// active action interrupt it.
     fn absorb_or_unwind(&mut self, received: Received<Message>) -> Step {
-        match self.route(received)? {
-            Routed::Done => Ok(()),
-            Routed::Corrupted => {
-                // A corrupted message during normal computation raises the
-                // action's corruption exception (Figure 7's `l_mes`).
-                match self.stack.last() {
-                    Some(frame) if frame.in_handler.is_none() && !frame.recovered => {
-                        let e = Exception::new(frame.def.corruption_exception.clone())
-                            .with_origin(self.me)
-                            .with_detail("corrupted message delivered");
-                        Err(Flow::new(Unwind::Raise(e)))
-                    }
-                    _ => {
-                        self.system.stats.lock().corrupted_ignored += 1;
-                        Ok(())
-                    }
-                }
-            }
-            Routed::ActiveControl(msg) => match msg {
-                Message::Exception { .. }
-                | Message::Suspended { .. }
-                | Message::ViewChange { .. } => {
-                    let frame = self.stack.last_mut().expect("active control implies frame");
-                    frame.pending_control.push_back(msg);
-                    Err(Flow::new(Unwind::Suspend))
-                }
-                other => Err(RuntimeError::Protocol(format!(
-                    "unexpected {} while body running",
-                    other.kind()
-                ))
-                .into()),
-            },
-        }
+        let (index, action) = self.classify(received, Round::Body);
+        self.perform(Round::Body, index, action).map(drop)
     }
 
-    /// Classifies one received message relative to the action stack.
-    fn route(&mut self, received: Received<Message>) -> Result<Routed, Flow> {
-        let msg = match received.msg {
-            Some(m) => m,
-            None => return Ok(Routed::Corrupted),
+    /// Asks the frame of a received message's instance — or, when it has
+    /// none here, the retention rule — what the message means while `round`
+    /// is in progress. Returns the decision and the frame's index.
+    fn classify(&mut self, received: Received<Message>, round: Round) -> (usize, RoundAction) {
+        let depth = self.stack.len();
+        let Some(msg) = received.msg else {
+            let top = depth.saturating_sub(1);
+            return (top, corrupted(self.stack.last_mut(), round, self.me));
         };
         trace!(
             self,
@@ -2181,143 +1564,12 @@ impl Ctx {
             msg.action()
         );
         let action = msg.action();
-        let position = self.stack.iter().position(|f| f.action == action);
-        match position {
-            Some(i) if i + 1 == self.stack.len() => self.route_to_frame(i, msg, true),
-            Some(i) => self.route_to_frame(i, msg, false),
+        match self.stack.iter().position(|f| f.id.action == action) {
+            Some(i) => (i, self.stack[i].absorb(msg, i + 1 == depth, round)),
             None => {
-                if !self.finished.contains(&action.serial()) && self.retained.len() < RETAINED_CAP {
-                    // For an action this thread has not entered yet:
-                    // "retain the Exception or Suspended message till Ti
-                    // enters A*". (Messages for instances this thread will
-                    // never enter — abandoned by recovery at a peer — stay
-                    // here harmlessly until the cap evicts them.)
-                    self.retained.push(msg);
-                } // else: straggler of a finished/aborted instance; drop.
-                Ok(Routed::Done)
-            }
-        }
-    }
-
-    fn route_to_frame(&mut self, index: usize, msg: Message, is_top: bool) -> Result<Routed, Flow> {
-        let target = self.stack[index].action;
-        if !matches!(msg, Message::App { .. }) {
-            // Protocol traffic proves the sender advanced this instance's
-            // protocol: liveness evidence for the eviction quorum gate.
-            self.stack[index].heard_from.insert(msg.from());
-        }
-        match msg {
-            Message::Exception { .. } | Message::Suspended { .. } => {
-                if self.stack[index].recovered || self.stack[index].aborting {
-                    // Straggler after commit/abort: the termination model
-                    // admits nothing new once handlers started.
-                    return Ok(Routed::Done);
-                }
-                if is_top {
-                    Ok(Routed::ActiveControl(msg))
-                } else {
-                    // Recovery at an enclosing action: stash the trigger
-                    // there and unwind, aborting nested frames on the way.
-                    self.stack[index].pending_control.push_back(msg);
-                    Err(Flow::new(Unwind::Outer { target, eab: None }))
-                }
-            }
-            Message::ViewChange { ref removed, .. } => {
-                if self.stack[index].aborting {
-                    return Ok(Routed::Done);
-                }
-                // Announcements from threads this view already removed are
-                // adopted like any other: in a symmetric mutual-eviction
-                // race (both sides time out within one message latency and
-                // evict each other) mutual adoption collapses both views
-                // into one removal set covering both announcers — each side
-                // observes its own eviction and steps aside consistently.
-                // The asymmetric case (a partitioned minority counter-
-                // evicting a recently-alive majority) never reaches this
-                // point: the eviction quorum gate refuses the suspicion on
-                // the announcer's side before anything is broadcast.
-                if self.stack[index].recovered {
-                    // Post-recovery suspicion from a peer's signalling or
-                    // exit wait (set-wise: already-known removals are
-                    // no-ops): adopt without disturbing whatever round
-                    // this frame is in — the rounds re-derive their group
-                    // from the view each pass.
-                    let removed: Vec<ThreadId> = removed.to_vec();
-                    self.adopt_removal_set(index, &removed);
-                    return Ok(Routed::Done);
-                }
-                if is_top {
-                    Ok(Routed::ActiveControl(msg))
-                } else {
-                    // A view change for a not-yet-recovered enclosing
-                    // action: recovery is (or will be) running there.
-                    self.stack[index].pending_control.push_back(msg);
-                    Err(Flow::new(Unwind::Outer { target, eab: None }))
-                }
-            }
-            Message::Commit { .. } | Message::Resolve { .. } => {
-                // A commit may race with an enclosing-level trigger that is
-                // aborting this frame: the nested resolution completed at a
-                // peer while this thread had already abandoned it (§3.3.1
-                // gives the enclosing recovery precedence).
-                if self.stack[index].recovered || self.stack[index].aborting {
-                    return Ok(Routed::Done);
-                }
-                if is_top {
-                    Ok(Routed::ActiveControl(msg))
-                } else {
-                    Err(RuntimeError::Protocol(
-                        "resolution message received for enclosing action while nested".into(),
-                    )
-                    .into())
-                }
-            }
-            Message::ToBeSignalled {
-                from,
-                round,
-                signal,
-                ..
-            } => {
-                self.stack[index].signals.insert((round, from), signal);
-                Ok(Routed::Done)
-            }
-            Message::ExitVote { from, epoch, .. } => {
-                self.stack[index]
-                    .exit_votes
-                    .entry(epoch)
-                    .or_default()
-                    .insert(from);
-                Ok(Routed::Done)
-            }
-            Message::JoinRequest { from, .. } => {
-                if self.stack[index].aborting || self.stack[index].evicted {
-                    // Nothing worth granting: this frame's view is moot.
-                    return Ok(Routed::Done);
-                }
-                if self.stack[index].cohort.is_some() {
-                    // Mid-recovery: the view must not grow while
-                    // resolution or signalling ranges over it. Granted
-                    // when the recovery's exit epoch opens.
-                    self.stack[index].pending_join_requests.push(from);
-                } else {
-                    self.grant_join(index, from);
-                }
-                Ok(Routed::Done)
-            }
-            Message::JoinGrant { .. } => {
-                // Grants are addressed to the requester and consumed in
-                // `Ctx::rejoin`'s own receive loop; one landing here is a
-                // duplicate from an additional granter, arriving after the
-                // first grant already readmitted us.
-                Ok(Routed::Done)
-            }
-            Message::App {
-                from, tag, payload, ..
-            } => {
-                self.stack[index]
-                    .app_inbox
-                    .push_back(AppMsg { from, tag, payload });
-                Ok(Routed::Done)
+                let finished = self.finished.contains(&action.serial());
+                let retained = self.retained.len();
+                (depth, unframed(msg, round, self.me, finished, retained))
             }
         }
     }
@@ -2327,20 +1579,4 @@ impl Ctx {
     pub(crate) fn shutdown(self) {
         self.endpoint.retire();
     }
-}
-
-/// Owned version of [`ProtoEvent`] for queueing.
-enum ProtoEventKind {
-    Raise(Exception),
-    Suspend,
-    Control(Message),
-}
-
-enum ExitResult {
-    Done,
-    Recover,
-    /// This thread is no longer part of the view — a peer's (wrong)
-    /// suspicion removed it, or a rejoiner gave up on votes it can never
-    /// collect. The caller finalizes as `Failed` without further rounds.
-    Evicted,
 }

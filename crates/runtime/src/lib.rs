@@ -102,6 +102,7 @@ pub mod objects;
 pub mod observe;
 mod pool;
 pub mod protocol;
+mod rounds;
 mod system;
 
 pub use action::{ActionDef, ActionDefBuilder, DefError};
@@ -110,3 +111,11 @@ pub use error::{Flow, RuntimeError, Step};
 pub use objects::SharedObject;
 pub use protocol::XrrResolution;
 pub use system::{RuntimeStats, System, SystemBuilder, SystemReport};
+
+/// Whether `CAA_TRACE` is set: the runtime then prints its own per-thread
+/// protocol trace to stderr. Read once per process — the check sits on
+/// per-message paths.
+pub(crate) fn trace_enabled() -> bool {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var_os("CAA_TRACE").is_some())
+}

@@ -5,113 +5,125 @@
 //!
 //! §3.4 of the paper bounds waits for the signalling algorithm, and the
 //! exit protocol reuses the same rule; this module generalises the
-//! machinery so any bounded collection loop can suspect its silent peers.
-//! Each action frame carries a `FrameMembership` (crate-internal): the
+//! machinery so any bounded round can suspect its silent peers. Each
+//! action frame carries a `FrameMembership` (crate-internal): the
 //! [`MembershipView`] (live members + epoch) this participant holds of the
-//! instance. Whatever round is running (see `SuspicionRound`), the
-//! driver in [`crate::context`] follows the same detector:
+//! instance, the peers it heard from, and whether it was itself evicted.
+//! Whatever round the one collect loop in [`crate::context`] is running,
+//! the detector is the same:
 //!
-//! 1. **Bounded wait.** Every collection loop waits on a per-round
-//!    virtual-time deadline (the
+//! 1. **Bounded wait.** The round waits on a per-round virtual-time
+//!    deadline (the
 //!    [`recv_deadline`](caa_simnet::Endpoint::recv_deadline) machinery):
 //!    resolution on the action's
 //!    [`resolution timeout`](crate::ActionDefBuilder::resolution_timeout),
 //!    signalling on its
 //!    [`signal timeout`](crate::ActionDefBuilder::signal_timeout), exit on
-//!    its [`exit timeout`](crate::ActionDefBuilder::exit_timeout) — the PR 4
+//!    its [`exit timeout`](crate::ActionDefBuilder::exit_timeout) — the
 //!    separation hierarchy (signalling ≪ exit/resolution, scaled per
-//!    nesting level) is preserved unchanged.
+//!    nesting level) keeps a live peer from being suspected.
 //! 2. **Suspect computation.** On expiry, the round's state names the
 //!    threads this participant is blocked on: for resolution,
-//!    [`ResolverState::waiting_on`](crate::protocol::ResolverState::waiting_on)
-//!    (view members with no recorded entry, or an elected resolver whose
-//!    `Commit` never came); for signalling, the view members whose
-//!    `toBeSignalled` announcement for the round never arrived; for exit,
-//!    the view members whose vote is missing. Because every live
-//!    participant answers within a latency bound ≪ the timeout, expiry
-//!    means those threads are crashed.
+//!    [`ResolverState::waiting_on`](crate::protocol::ResolverState::waiting_on);
+//!    for signalling, the members whose `toBeSignalled` announcement never
+//!    arrived; for exit, the members whose vote is missing. Every live
+//!    participant answers within a latency bound ≪ the timeout, so expiry
+//!    means those threads are crashed — unless the quorum gate
+//!    (`FrameMembership::suspect`) finds the silence better explained by
+//!    this thread's own connectivity and refuses.
 //! 3. **Presume-ƒ.** The suspects are removed from the view (epoch + 1).
 //!    In resolution, a crash exception ([`ExceptionId::crash`]) is
 //!    synthesized on behalf of each silent one — a participant crash is
 //!    *just another exception* to be resolved concurrently — and
 //!    resolution re-runs over the shrunken view. Signalling and exit
-//!    simply re-collect their round over the shrunken view: the dead
-//!    peer's announcement/vote is no longer waited for, so survivors
+//!    simply re-collect their round over the shrunken view, so survivors
 //!    conclude with real view-stamped outcomes instead of absorbing the
 //!    crash as an exit-timeout ƒ.
 //! 4. **View agreement.** The initiator broadcasts
 //!    [`Message::ViewChange`](caa_core::message::Message::ViewChange) with
-//!    the `(epoch, removed)` pair to its *pre-removal* view — including
-//!    the suspects themselves, so a falsely suspected live thread learns
-//!    of its eviction and gives up locally instead of counter-suspecting
-//!    the survivors. Receivers merge **set-wise**
-//!    (`FrameMembership::adopt_removals`): whatever subset of `removed`
-//!    is still live locally is removed at the receiver's own next epoch.
-//!    Epoch numbers are thread-local counters; agreement is on the member
-//!    *sets*, which concurrent suspicions from different rounds reach
-//!    commutatively (the sweep oracle checks that survivors' cumulative
-//!    removed sets form a chain under ⊆). A `Commit` also carries the
-//!    resolver's cumulative removed set, merged the same way, so a
-//!    survivor that receives the commit before a racing `ViewChange`
-//!    announcement still stops waiting on the dead.
-//!
-//! After recovery, the frame's signalling and exit protocols range over
-//! the current view: survivors coordinate among themselves and the action
-//! can still conclude with any outcome its handlers produce — a crash no
-//! longer forces ƒ the way a bare exit timeout does.
+//!    the `(epoch, removed)` pair to its *pre-removal* view. Receivers
+//!    merge **set-wise** (`FrameMembership::adopt_removals`): whatever
+//!    subset of `removed` is still live locally is removed at the
+//!    receiver's own next epoch. Epoch numbers are thread-local counters;
+//!    agreement is on the member *sets*, which concurrent suspicions from
+//!    different rounds reach commutatively (the sweep oracle checks that
+//!    survivors' cumulative removed sets form a chain under ⊆). A `Commit`
+//!    also carries the resolver's cumulative removed set, merged the same
+//!    way, so a survivor that receives the commit before a racing
+//!    `ViewChange` announcement still stops waiting on the dead.
 //!
 //! **Epoch-numbered rejoin.** Views can also grow back. A restarted
 //! participant broadcasts
 //! [`Message::JoinRequest`](caa_core::message::Message::JoinRequest) to
-//! the survivors of its last known view; a survivor *grants* by
-//! re-admitting the joiner locally (`FrameMembership::adopt_rejoin`,
-//! epoch + 1) and broadcasting
+//! every other member of the group; each survivor that still holds the
+//! frame open re-admits the joiner locally (`FrameMembership::adopt_rejoin`,
+//! epoch + 1) and answers it with a
 //! [`Message::JoinGrant`](caa_core::message::Message::JoinGrant) — its
-//! post-grant epoch, its cumulative removed set *after* re-admission
-//! (the joiner is no longer in it), the exit epoch, and the resolved
-//! exception if any — to every member of its new view including the
-//! joiner. Peers adopt the same rejoin step; the joiner reconstructs its
-//! view from scratch with `FrameMembership::sync_grant` and re-enters
-//! the action, catching up to the granter's exit epoch. Rejoin epochs are
-//! ordinary membership epochs: a re-admitted member can crash again and
-//! be removed again.
+//! post-grant epoch, its cumulative removed set *after* re-admission, the
+//! exit epoch, and the resolved exception if any. The joiner acts on the
+//! first grant: it reconstructs its view from scratch with
+//! `FrameMembership::sync_grant` and re-enters the action at the granter's
+//! exit epoch. Rejoin epochs are ordinary membership epochs: a re-admitted
+//! member can crash again and be removed again.
 //!
 //! Everything is deterministic: deadlines are virtual-time instants, the
 //! suspect set is a pure function of protocol state, and view changes are
 //! totally ordered by epoch — the same seed replays the same crashes, the
 //! same view sequence and the same byte-identical trace.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::ThreadId;
+use caa_core::inline::InlineVec;
 use caa_core::membership::{MembershipView, ViewChangeOutcome};
-use caa_core::message::{no_removals, SignalRound};
+use caa_core::message::no_removals;
 
-/// Which bounded protocol round a suspicion fired in.
-///
-/// Every round follows the same presume-crashed sequence (timeout event →
-/// local view change → `ViewChange` broadcast → re-collect over the
-/// shrunken view); the round only selects which timeout event is observed
-/// and which self-metric counter is bumped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SuspicionRound {
-    /// The §3.3.2 resolution collection loop timed out.
-    Resolution,
-    /// A §3.4 signalling exchange timed out.
-    Signalling(SignalRound),
-    /// The exit-vote collection timed out at the given exit epoch.
-    Exit {
-        /// The frame's exit epoch when the wait expired.
+/// A per-round snapshot of an action's live member set, kept on the stack
+/// (see [`caa_core::inline`]): protocol rounds snapshot the view once per
+/// round on the execute hot path, and groups beyond the inline capacity
+/// spill to the heap transparently.
+pub(crate) type ViewSnapshot = InlineVec<ThreadId, 8>;
+
+/// What a suspicion round decided about its silent peers (see
+/// [`FrameMembership::suspect`]).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Eviction {
+    /// The quorum gate refused: `recently_alive` suspects were heard from,
+    /// only `survivors` members would remain. The frame is now marked
+    /// evicted and gives up locally without broadcasting anything.
+    Refused {
+        survivors: usize,
+        recently_alive: usize,
+    },
+    /// The suspects were removed at `epoch`; the change is announced to
+    /// `recipients`, the *pre-removal* view — so a falsely suspected (live)
+    /// peer learns of its eviction and gives up instead of
+    /// counter-suspecting the survivors.
+    Evict {
         epoch: u32,
+        recipients: ViewSnapshot,
     },
 }
 
-/// Per-frame membership state driven by the recovery driver's failure
-/// detector.
+/// Per-frame membership and liveness state driven by the recovery driver's
+/// failure detector.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameMembership {
     view: MembershipView,
+    /// Liveness evidence for the eviction quorum gate: every peer this
+    /// thread received a protocol message from within this instance
+    /// (application traffic excluded — only recovery, signalling, exit and
+    /// membership messages prove a peer advanced the protocol).
+    pub(crate) heard_from: BTreeSet<ThreadId>,
+    /// A membership view change removed *this* thread (a peer's suspicion
+    /// was wrong — we are alive), or the quorum gate refused this thread's
+    /// own suspicion. The frame gives up locally and finalizes as
+    /// [`ActionOutcome::Failed`](caa_core::outcome::ActionOutcome::Failed)
+    /// at the next protocol step; it must not broadcast further rounds the
+    /// survivors no longer expect from it.
+    pub(crate) evicted: bool,
     /// The cumulative removed set as a shared slice, cached per epoch:
     /// stamping `N − 1` outgoing `Commit`s clones one `Arc` per recipient
     /// instead of materialising the set per message (and the crash-free
@@ -124,6 +136,8 @@ impl FrameMembership {
     pub(crate) fn new(group: &[ThreadId]) -> Self {
         FrameMembership {
             view: MembershipView::new(group),
+            heard_from: BTreeSet::new(),
+            evicted: false,
             removed_cache: None,
         }
     }
@@ -162,12 +176,43 @@ impl FrameMembership {
         }
     }
 
-    /// Initiates a local view change after a bounded wait expired:
-    /// removes `suspects` and bumps the epoch. Returns the new epoch.
-    pub(crate) fn initiate(&mut self, suspects: &[ThreadId]) -> Result<u32, String> {
+    /// Decides a suspicion round: the bounded wait expired with `suspects`
+    /// silent — evict them, or refuse.
+    ///
+    /// Quorum gate (primary-partition rule): when the suspects this
+    /// thread has *heard from* within the instance outnumber the view
+    /// that would survive their eviction, the unanimous silence is far
+    /// better explained by this thread's own connectivity (its outbound
+    /// announcements lost, or it lagging a round behind) than by a
+    /// majority of recently-alive peers all crashing inside one bounded
+    /// wait. A minority must not install a view the majority will never
+    /// adopt — the survivors' own suspicion of *us* is already in
+    /// flight, and acting on ours would split the membership. Give up
+    /// locally instead: the frame finalizes `Failed` without
+    /// broadcasting, exactly as if the survivors' eviction notice had
+    /// arrived in time. Peers that never sent a protocol message are
+    /// exempt from the count — their silence is indistinguishable from
+    /// a crash before the protocol ever reached them (presume-ƒ), so a
+    /// sole survivor can still evict a genuinely dead cohort. A tie still
+    /// evicts, which preserves two-party recovery.
+    pub(crate) fn suspect(&mut self, suspects: &[ThreadId]) -> Result<Eviction, String> {
+        let members = self.view.members();
+        let survivors = members.iter().filter(|t| !suspects.contains(t)).count();
+        let recently_alive = suspects
+            .iter()
+            .filter(|t| members.contains(t) && self.heard_from.contains(t))
+            .count();
+        if survivors < recently_alive {
+            self.evicted = true;
+            return Ok(Eviction::Refused {
+                survivors,
+                recently_alive,
+            });
+        }
+        let recipients = ViewSnapshot::from_slice(members);
         let epoch = self.view.epoch() + 1;
         match self.view.apply(epoch, suspects) {
-            ViewChangeOutcome::Applied { .. } => Ok(epoch),
+            ViewChangeOutcome::Applied { .. } => Ok(Eviction::Evict { epoch, recipients }),
             ViewChangeOutcome::Duplicate => Err("local view change applied nothing".into()),
             ViewChangeOutcome::Conflict { reason } => Err(reason),
         }
@@ -271,12 +316,66 @@ mod tests {
     fn initiate_bumps_epoch_and_removes_suspects() {
         let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
         assert_eq!(m.epoch(), 0);
-        let epoch = m.initiate(&[t(1)]).expect("valid suspects");
-        assert_eq!(epoch, 1);
+        let evicted = m.suspect(&[t(1)]).expect("valid suspects");
+        let recipients = ViewSnapshot::from_slice(&[t(0), t(1), t(2)]);
+        assert_eq!(
+            evicted,
+            Eviction::Evict {
+                epoch: 1,
+                recipients
+            }
+        );
         assert_eq!(m.members(), &[t(0), t(2)]);
         assert_eq!(m.removed(), &[t(1)]);
         // Removing a thread that is already gone is a local logic error.
-        assert!(m.initiate(&[t(1)]).is_err());
+        assert!(m.suspect(&[t(1)]).is_err());
+    }
+
+    #[test]
+    fn quorum_gate_refuses_a_minority_evicting_recently_alive_peers() {
+        // T0 heard from T1 and T2, then finds both silent: one survivor
+        // against two recently-alive suspects indicts T0 itself.
+        let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
+        m.heard_from.extend([t(1), t(2)]);
+        assert_eq!(
+            m.suspect(&[t(1), t(2)]),
+            Ok(Eviction::Refused {
+                survivors: 1,
+                recently_alive: 2
+            })
+        );
+        assert!(m.evicted, "the suspecter gives up locally");
+        assert_eq!(m.epoch(), 0, "nothing was removed");
+    }
+
+    #[test]
+    fn quorum_gate_lets_a_tie_evict() {
+        // Two-party recovery: one survivor, one recently-alive suspect.
+        let mut m = FrameMembership::new(&[t(0), t(1)]);
+        m.heard_from.insert(t(1));
+        assert!(matches!(
+            m.suspect(&[t(1)]),
+            Ok(Eviction::Evict { epoch: 1, .. })
+        ));
+        assert!(!m.evicted);
+        assert_eq!(m.members(), &[t(0)]);
+    }
+
+    #[test]
+    fn quorum_gate_exempts_peers_never_heard_from() {
+        // A sole survivor still evicts a cohort that died before the
+        // protocol ever reached it.
+        let mut m = FrameMembership::new(&[t(0), t(1), t(2), t(3)]);
+        m.heard_from.insert(t(1));
+        let recipients = ViewSnapshot::from_slice(m.members());
+        assert_eq!(
+            m.suspect(&[t(1), t(2), t(3)]),
+            Ok(Eviction::Evict {
+                epoch: 1,
+                recipients
+            })
+        );
+        assert_eq!(m.members(), &[t(0)]);
     }
 
     #[test]
@@ -297,7 +396,7 @@ mod tests {
     #[test]
     fn adopt_rejoin_readmits_and_rejects_stale() {
         let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
-        m.initiate(&[t(1)]).unwrap();
+        m.suspect(&[t(1)]).unwrap();
         assert_eq!(m.adopt_rejoin(t(1)), Some(2));
         assert_eq!(m.members(), &[t(0), t(1), t(2)]);
         // A duplicate grant broadcast is stale: T1 is already live.
@@ -312,7 +411,7 @@ mod tests {
         // T1 crashed (epoch 1); a survivor grants its rejoin at epoch 2.
         let group = [t(0), t(1), t(2)];
         let mut granter = FrameMembership::new(&group);
-        granter.initiate(&[t(1)]).unwrap();
+        granter.suspect(&[t(1)]).unwrap();
         let grant_epoch = granter.adopt_rejoin(t(1)).expect("removed member rejoins");
         assert_eq!(grant_epoch, 2);
         assert_eq!(granter.members(), &group);

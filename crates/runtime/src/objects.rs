@@ -493,7 +493,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         inner.waiters.retain(|w| w.thread != thread);
         inner.last_grant_at = Some(now);
         let opened = open_missing_layers(&mut inner, chain);
-        if std::env::var_os("CAA_TRACE").is_some() {
+        if crate::trace_enabled() {
             eprintln!(
                 "[obj {}] grant to {thread} for {action} at {now} (opened {opened}, depth {})",
                 self.shared.name,
@@ -625,7 +625,7 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
                 object: self.shared.name.to_string(),
             });
         };
-        if std::env::var_os("CAA_TRACE").is_some() {
+        if crate::trace_enabled() {
             eprintln!(
                 "[obj {}] commit by {action} (layer {index} of {})",
                 self.shared.name,
@@ -660,7 +660,7 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
                 object: self.shared.name.to_string(),
             });
         };
-        if std::env::var_os("CAA_TRACE").is_some() {
+        if crate::trace_enabled() {
             eprintln!(
                 "[obj {}] rollback by {action} (layer {index} of {})",
                 self.shared.name,

@@ -1,0 +1,1010 @@
+//! Sans-IO round state: the action frame, and what each coordination
+//! round of the recovery protocol *decides*.
+//!
+//! `Ctx::collect` (see [`crate::context`]) runs the one bounded-collect
+//! loop; this module holds what differs between rounds, as pure
+//! `event → action` state in the shape [`ResolverState::on_event`] has. A
+//! [`Round`] says whether it is complete ([`Round::status`]) and whom it
+//! found silent at its deadline ([`Round::expired`]); the frame it runs in
+//! says what an arriving message means ([`Frame::absorb`], [`unframed`],
+//! [`corrupted`]). Each answer is a [`RoundAction`] the driver executes.
+//! Nothing here sends, receives, observes or reads a clock, so every
+//! decision is unit-tested below without a network, a system or a thread.
+//! (The eviction quorum gate lives with the view it guards:
+//! [`FrameMembership::suspect`].)
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
+
+use caa_core::exception::{Exception, ExceptionId, Signal};
+use caa_core::ids::{ActionId, RoleId, ThreadId};
+use caa_core::message::{Message, SignalRound};
+
+use crate::action::DefInner;
+use crate::context::AppMsg;
+use crate::error::Unwind;
+use crate::membership::{FrameMembership, ViewSnapshot};
+use crate::objects::TxControl;
+use crate::protocol::{ProtoActions, ProtoCtx, ResolverState};
+
+/// One entry of the action stack (`SA`), grouped by responsibility.
+pub(crate) struct Frame {
+    pub(crate) id: Identity,
+    pub(crate) inbox: Inboxes,
+    pub(crate) recovery: Recovery,
+    pub(crate) signals: SignalTable,
+    pub(crate) exit: ExitBarrier,
+    /// This participant's membership view of the instance: starts as the
+    /// full group, shrinks when a bounded wait presumes a peer crashed.
+    pub(crate) view: FrameMembership,
+    /// External objects this thread touched within the action.
+    pub(crate) objects: Vec<Box<dyn TxControl>>,
+}
+
+/// Which instance a frame is and how this thread is bound to it.
+pub(crate) struct Identity {
+    pub(crate) action: ActionId,
+    pub(crate) def: Arc<DefInner>,
+    pub(crate) role: RoleId,
+}
+
+/// What arrived for a frame and waits to be consumed.
+#[derive(Default)]
+pub(crate) struct Inboxes {
+    /// Control messages for this action stashed by the router for the
+    /// recovery driver (the trigger that interrupted the body, §3.3.2's
+    /// "retain"). Drained when recovery starts.
+    pub(crate) control: VecDeque<Message>,
+    /// Buffered application messages.
+    pub(crate) app: VecDeque<AppMsg>,
+    /// Rejoin requests that arrived while a recovery was in flight,
+    /// granted when the frame reaches its exit protocol.
+    pub(crate) joins: Vec<ThreadId>,
+}
+
+/// A frame's progress through coordinated recovery.
+pub(crate) struct Recovery {
+    /// Protocol state for this frame's resolution.
+    pub(crate) resolver: Box<dyn ResolverState>,
+    /// Resolution completed — later Exception/Suspended messages for this
+    /// instance are stragglers and are dropped (termination model: nothing
+    /// new can be raised within the action after handlers start).
+    pub(crate) recovered: bool,
+    /// Enclosing-level recovery is aborting this frame (its abortion
+    /// handler may be running). In-flight recovery messages for the
+    /// instance — e.g. a `Commit` whose resolution raced with the
+    /// enclosing trigger — are stragglers and are dropped.
+    pub(crate) aborting: bool,
+    /// Set while this frame's exception handler runs.
+    pub(crate) in_handler: Option<ExceptionId>,
+    /// While a recovery is in flight (resolution start through signalling
+    /// end): the members the recovery started with. Signalling ranges over
+    /// `cohort ∩ current members` — peers readmitted mid-recovery have no
+    /// handler verdict to announce. Also the join-deferral gate: rejoin
+    /// grants are queued while this is `Some` and flushed before the exit
+    /// protocol, so the view never grows mid-resolution or mid-signalling.
+    pub(crate) cohort: Option<ViewSnapshot>,
+    /// The exception this frame's recovery resolved to (set the moment the
+    /// resolver reports agreement), handed to rejoiners so a restarted
+    /// participant knows recovery already happened.
+    pub(crate) resolved_exception: Option<ExceptionId>,
+}
+
+impl Frame {
+    /// A frame freshly entered over the action's full group.
+    pub(crate) fn new(
+        action: ActionId,
+        def: Arc<DefInner>,
+        role: RoleId,
+        resolver: Box<dyn ResolverState>,
+    ) -> Self {
+        Frame {
+            view: FrameMembership::new(&def.group),
+            id: Identity { action, def, role },
+            inbox: Inboxes::default(),
+            recovery: Recovery {
+                resolver,
+                recovered: false,
+                aborting: false,
+                in_handler: None,
+                cohort: None,
+                resolved_exception: None,
+            },
+            signals: SignalTable::default(),
+            exit: ExitBarrier::default(),
+            objects: Vec::new(),
+        }
+    }
+
+    /// Fast-forwards a fresh frame to the state a `JoinGrant` describes: the
+    /// granter's view, its exit epoch, and — when recovery already resolved
+    /// — the resolved exception, so the restarted participant skips
+    /// straight to the exit protocol.
+    pub(crate) fn rejoined(
+        mut self,
+        view: FrameMembership,
+        exit_epoch: u32,
+        resolved: Option<ExceptionId>,
+    ) -> Self {
+        self.view = view;
+        self.exit.epoch = exit_epoch;
+        self.exit.is_rejoiner = true;
+        self.recovery.recovered = resolved.is_some();
+        self.recovery.resolved_exception = resolved;
+        self
+    }
+
+    /// The members the signalling rounds range over: the recovery cohort
+    /// that is still live. Peers readmitted mid-recovery never took part in
+    /// this recovery's handling and have no verdict to announce, so they
+    /// are excluded; crash-free frames never shrink the view and the
+    /// cohort equals the full group.
+    pub(crate) fn signalling_group(&self) -> ViewSnapshot {
+        match &self.recovery.cohort {
+            Some(cohort) => cohort
+                .iter()
+                .copied()
+                .filter(|&t| self.view.members().contains(&t))
+                .collect(),
+            None => ViewSnapshot::from_slice(self.view.members()),
+        }
+    }
+
+    /// The frame's resolver together with the static context its events
+    /// take: this thread, the instance, the *current* view and the
+    /// action's exception graph.
+    pub(crate) fn proto_ctx(&mut self, me: ThreadId) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
+        let ctx = ProtoCtx {
+            me,
+            action: self.id.action,
+            group: self.view.members(),
+            graph: &self.id.def.graph,
+        };
+        (self.recovery.resolver.as_mut(), ctx)
+    }
+
+    /// Stamps this frame's membership view into the `Commit`s a resolver is
+    /// about to send.
+    pub(crate) fn stamp_commits(&mut self, actions: &mut ProtoActions) {
+        let epoch = self.view.epoch();
+        if epoch == 0 {
+            // Crash-free recoveries (epoch 0, nothing removed) keep the
+            // resolver's pre-stamped empty set — no work at all.
+            return;
+        }
+        let removed = self.view.removed_shared();
+        for (_, msg) in &mut actions.outbound {
+            if let Message::Commit {
+                view_epoch,
+                view_removed,
+                ..
+            } = msg
+            {
+                *view_epoch = epoch;
+                *view_removed = Arc::clone(&removed);
+            }
+        }
+    }
+
+    /// Decides what one message addressed to this frame's instance means
+    /// while `round` is in progress, recording whatever it carries for a
+    /// later round (signals, votes, application traffic, stashed triggers).
+    /// `is_top` tells whether the frame is the active one.
+    pub(crate) fn absorb(&mut self, msg: Message, is_top: bool, round: Round) -> RoundAction {
+        if !matches!(msg, Message::App { .. }) {
+            // Protocol traffic proves the sender advanced this instance's
+            // protocol: liveness evidence for the eviction quorum gate.
+            self.view.heard_from.insert(msg.from());
+        }
+        let recovery = &self.recovery;
+        match msg {
+            Message::Exception { .. }
+            | Message::Suspended { .. }
+            | Message::ViewChange { .. }
+            | Message::Commit { .. }
+            | Message::Resolve { .. } => {
+                let trigger = !matches!(msg, Message::Commit { .. } | Message::Resolve { .. });
+                if recovery.aborting {
+                    // In-flight recovery traffic for an instance the
+                    // enclosing level is aborting — e.g. a commit whose
+                    // nested resolution completed at a peer while this
+                    // thread had already abandoned it — is a straggler
+                    // (§3.3.1 gives the enclosing recovery precedence).
+                    return RoundAction::Continue;
+                }
+                if recovery.recovered {
+                    return match msg {
+                        // Post-recovery suspicion from a peer's signalling
+                        // or exit wait (set-wise: already-known removals
+                        // are no-ops): adopt without disturbing whatever
+                        // round this frame is in — the rounds re-derive
+                        // their group from the view each pass.
+                        // Announcements from threads this view already
+                        // removed are adopted like any other: in a
+                        // symmetric mutual-eviction race (both sides time
+                        // out within one message latency and evict each
+                        // other) mutual adoption collapses both views into
+                        // one removal set covering both announcers — each
+                        // side observes its own eviction and steps aside
+                        // consistently. The asymmetric case (a partitioned
+                        // minority counter-evicting a recently-alive
+                        // majority) never reaches this point: the eviction
+                        // quorum gate refuses the suspicion on the
+                        // announcer's side before anything is broadcast.
+                        Message::ViewChange { removed, .. } => RoundAction::Adopt(removed),
+                        // Straggler after commit: the termination model
+                        // admits nothing new once handlers started.
+                        _ => RoundAction::Continue,
+                    };
+                }
+                if !is_top && trigger {
+                    // A trigger (or a view change) for a not-yet-recovered
+                    // enclosing action: recovery is (or will be) running
+                    // there. Stash it and unwind, aborting nested frames on
+                    // the way.
+                    self.inbox.control.push_back(msg);
+                    return RoundAction::Interrupt(Unwind::Outer {
+                        target: self.id.action,
+                        eab: None,
+                    });
+                }
+                if !is_top {
+                    return RoundAction::Violation(
+                        "resolution message received for enclosing action while nested".into(),
+                    );
+                }
+                match round {
+                    Round::Resolution => RoundAction::Resolve(msg),
+                    Round::Body if trigger => {
+                        // Control for the active action interrupts its body.
+                        self.inbox.control.push_back(msg);
+                        RoundAction::Interrupt(Unwind::Suspend)
+                    }
+                    Round::Body => RoundAction::Violation(format!(
+                        "unexpected {} while body running",
+                        msg.kind()
+                    )),
+                    Round::Exit => match msg {
+                        Message::Exception { .. } | Message::Suspended { .. } => {
+                            // A peer started recovery while we were leaving:
+                            // stash the trigger and join it.
+                            self.inbox.control.push_back(msg);
+                            RoundAction::End(RoundEnd::Recover)
+                        }
+                        // A peer's exit wait expired and it suspected
+                        // someone — possibly us. This cannot be a missed
+                        // recovery: any trigger would have arrived long
+                        // before a suspicion announcement (suspicion needs a
+                        // full bounded wait to expire first). Adopt the
+                        // removals and keep exiting over the new view.
+                        Message::ViewChange { removed, .. } => RoundAction::Adopt(removed),
+                        other => RoundAction::Violation(format!(
+                            "unexpected {} during exit",
+                            other.kind()
+                        )),
+                    },
+                    // Unreachable in a signalling exchange (the frame is
+                    // marked recovered) and in the grant wait (no frame).
+                    Round::Signalling(_) | Round::Join { .. } => RoundAction::Continue,
+                }
+            }
+            Message::ToBeSignalled {
+                from,
+                round,
+                signal,
+                ..
+            } => {
+                self.signals.record(round, from, signal);
+                RoundAction::Continue
+            }
+            Message::ExitVote { from, epoch, .. } => {
+                self.exit.record(epoch, from);
+                RoundAction::Continue
+            }
+            Message::JoinRequest { from, .. } => {
+                if recovery.aborting || self.view.evicted {
+                    // Nothing worth granting: this frame's view is moot.
+                    RoundAction::Continue
+                } else if recovery.cohort.is_some() {
+                    // Mid-recovery: the view must not grow while
+                    // resolution or signalling ranges over it. Granted
+                    // when the recovery's exit epoch opens.
+                    self.inbox.joins.push(from);
+                    RoundAction::Continue
+                } else {
+                    RoundAction::Grant(from)
+                }
+            }
+            // A grant ends the requester's grant wait (see [`unframed`]); one
+            // landing here is a duplicate from an additional granter,
+            // arriving after the first already readmitted us.
+            Message::JoinGrant { .. } => RoundAction::Continue,
+            Message::App {
+                from, tag, payload, ..
+            } => {
+                self.inbox.app.push_back(AppMsg { from, tag, payload });
+                RoundAction::Continue
+            }
+        }
+    }
+
+    /// Answers a restarted participant's `JoinRequest`: re-admits it into
+    /// the view (epoch-numbered rejoin) and builds the grant carrying the
+    /// current view, exit epoch and resolved exception so the joiner can
+    /// fast-forward. If this thread already voted in the current exit
+    /// epoch, the vote is re-sent — the original broadcast went to the
+    /// joiner's pre-crash endpoint and was discarded. `None` when `joiner`
+    /// was never part of this action's group.
+    pub(crate) fn grant_join(&mut self, me: ThreadId, joiner: ThreadId) -> Option<JoinGranted> {
+        if !self.id.def.group.contains(&joiner) {
+            return None;
+        }
+        // (A joiner the view never removed — it restarted before anyone
+        // suspected it — simply gets its unchanged membership confirmed.)
+        let readmitted = self.view.adopt_rejoin(joiner);
+        let action = self.id.action;
+        let exit_epoch = self.exit.epoch;
+        Some(JoinGranted {
+            readmitted,
+            grant: Message::JoinGrant {
+                action,
+                from: me,
+                thread: joiner,
+                epoch: self.view.epoch(),
+                removed: self.view.removed_shared(),
+                exit_epoch,
+                resolved: self.recovery.resolved_exception.clone(),
+            },
+            revote: self
+                .exit
+                .voted(exit_epoch, me)
+                .then_some(Message::ExitVote {
+                    action,
+                    from: me,
+                    epoch: exit_epoch,
+                }),
+        })
+    }
+}
+
+/// A survivor's answer to a `JoinRequest` (see [`Frame::grant_join`]): the
+/// epoch the joiner was re-admitted at (when the view had removed it), the
+/// `JoinGrant`, and this thread's exit vote again if it already voted.
+#[derive(Debug)]
+pub(crate) struct JoinGranted {
+    pub(crate) readmitted: Option<u32>,
+    pub(crate) grant: Message,
+    pub(crate) revote: Option<Message>,
+}
+
+/// Upper bound on retained messages: instances a thread never enters (e.g.
+/// a peer's raise inside an action abandoned by recovery) would otherwise
+/// accumulate their triggers forever.
+const RETAINED_CAP: usize = 4096;
+
+/// Decides what a message for an instance that has no frame here means:
+/// the grant a [`Round::Join`] wait is for, a straggler if the instance
+/// `finished` at this thread, else retained up to the cap.
+pub(crate) fn unframed(
+    msg: Message,
+    round: Round,
+    me: ThreadId,
+    finished: bool,
+    retained: usize,
+) -> RoundAction {
+    match (round, &msg) {
+        (
+            Round::Join { action },
+            Message::JoinGrant {
+                action: a, thread, ..
+            },
+        ) if *a == action && *thread == me => RoundAction::End(RoundEnd::Granted(msg)),
+        // Straggler of a finished or aborted instance (during the grant
+        // wait that includes the crashed instance itself).
+        _ if finished => RoundAction::Continue,
+        _ if retained < RETAINED_CAP => RoundAction::Retain(msg),
+        _ => RoundAction::CapDropped,
+    }
+}
+
+/// Decides what a corrupted message (payload unrecoverable) means to the
+/// active frame while `round` is in progress.
+pub(crate) fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -> RoundAction {
+    match (round, frame) {
+        // A corrupted message during normal computation raises the action's
+        // corruption exception (Figure 7's `l_mes`).
+        (Round::Body, Some(frame))
+            if frame.recovery.in_handler.is_none() && !frame.recovery.recovered =>
+        {
+            let e = Exception::new(frame.id.def.corruption_exception.clone())
+                .with_origin(me)
+                .with_detail("corrupted message delivered");
+            RoundAction::Interrupt(Unwind::Raise(e))
+        }
+        // §3.4 treats lost information during a signalling exchange as ƒ.
+        (Round::Signalling(_), Some(frame)) => {
+            frame.signals.corrupted = true;
+            RoundAction::Continue
+        }
+        (Round::Join { .. }, _) => RoundAction::Continue,
+        // Lost information elsewhere — Assumption 1 excludes it for the
+        // resolution algorithm (the signalling algorithm is the layer with
+        // the ƒ extension) — is counted and ignored.
+        _ => RoundAction::CountCorrupted,
+    }
+}
+
+/// Signalling announcements seen (§3.4), per exchange and thread.
+#[derive(Default)]
+pub(crate) struct SignalTable {
+    announced: BTreeMap<(SignalRound, ThreadId), Signal>,
+    /// A corrupted message arrived during a signalling collection.
+    corrupted: bool,
+}
+
+impl SignalTable {
+    /// Records `from`'s announcement for `round` (the latest one wins).
+    pub(crate) fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
+        self.announced.insert((round, from), signal);
+    }
+
+    /// The signals of `group` for `round`, once every member announced.
+    fn complete(&self, round: SignalRound, group: &[ThreadId]) -> Option<Vec<Signal>> {
+        group
+            .iter()
+            .all(|&t| self.announced.contains_key(&(round, t)))
+            .then(|| self.collected(round, group))
+    }
+
+    fn collected(&self, round: SignalRound, group: &[ThreadId]) -> Vec<Signal> {
+        group
+            .iter()
+            .map(|&t| self.announced[&(round, t)].clone())
+            .collect()
+    }
+
+    /// The wait expired: the silent members of `group`, and the conclusion.
+    /// §3.4 extension: a missing announcement (lost message or crashed
+    /// peer) is treated as ƒ; all fault-free threads still signal
+    /// coordinated exceptions. Fill and conclude over the group as it was
+    /// when the wait expired — every member of it reaches ƒ through its
+    /// own timeout, so the round's outcome stays agreed even when the
+    /// suspicion the driver runs next shrinks the view.
+    fn expire(
+        &mut self,
+        round: SignalRound,
+        group: &[ThreadId],
+        me: ThreadId,
+    ) -> (Vec<ThreadId>, Vec<Signal>) {
+        let silent = group
+            .iter()
+            .copied()
+            .filter(|&t| t != me && !self.announced.contains_key(&(round, t)))
+            .collect();
+        for &t in group {
+            self.announced.entry((round, t)).or_insert(Signal::Failure);
+        }
+        (silent, self.collected(round, group))
+    }
+
+    /// §3.4 case 3: some thread announced ƒ, or information was lost while
+    /// collecting — ƒ dominates.
+    pub(crate) fn failed(&self, collected: &[Signal]) -> bool {
+        self.corrupted || collected.iter().any(|s| matches!(s, Signal::Failure))
+    }
+}
+
+/// The synchronous exit protocol's vote barrier (§5.1).
+#[derive(Default)]
+pub(crate) struct ExitBarrier {
+    /// Exit votes seen, per epoch.
+    votes: BTreeMap<u32, BTreeSet<ThreadId>>,
+    /// The exit epoch this thread votes in next: 0 for normal completion,
+    /// bumped by each completed recovery.
+    pub(crate) epoch: u32,
+    /// This frame was re-entered through [`Ctx::rejoin`](crate::Ctx::rejoin)
+    /// after a crash. Rejoiners that time out waiting for exit votes give
+    /// up silently (finalize `Failed`) instead of suspecting the
+    /// survivors: a rejoiner may be missing votes that were broadcast while
+    /// it was down, and its suspicion would evict threads that are
+    /// perfectly alive.
+    is_rejoiner: bool,
+}
+
+impl ExitBarrier {
+    /// Records `from`'s vote for `epoch`.
+    pub(crate) fn record(&mut self, epoch: u32, from: ThreadId) {
+        self.votes.entry(epoch).or_default().insert(from);
+    }
+
+    /// Casts this thread's own vote; returns the epoch it votes in.
+    pub(crate) fn vote(&mut self, me: ThreadId) -> u32 {
+        self.record(self.epoch, me);
+        self.epoch
+    }
+
+    fn voted(&self, epoch: u32, thread: ThreadId) -> bool {
+        self.votes.get(&epoch).is_some_and(|v| v.contains(&thread))
+    }
+
+    /// The members of `view` whose vote in the current epoch is missing.
+    fn silent<'a>(&'a self, view: &'a [ThreadId]) -> impl Iterator<Item = ThreadId> + 'a {
+        view.iter().copied().filter(|&t| !self.voted(self.epoch, t))
+    }
+}
+
+/// What a thread's receive loop is waiting on: one of the four
+/// bounded-collect rounds of the protocol, or nothing in particular.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Round {
+    /// Not a round: a role body (or handler) at a poll point.
+    Body,
+    /// §3.3.2: every member's `Exception`/`Suspended` entry, then the
+    /// elected resolver's `Commit`.
+    Resolution,
+    /// §3.4: one exchange of `toBeSignalled` announcements.
+    Signalling(SignalRound),
+    /// §5.1: the exit-vote barrier of the frame's current exit epoch.
+    Exit,
+    /// Epoch-numbered rejoin: a restarted participant (which has no frame
+    /// yet) waits for the first `JoinGrant` re-admitting it into `action`.
+    Join { action: ActionId },
+}
+
+/// What a round decision wants the driver to do.
+#[derive(Debug)]
+pub(crate) enum RoundAction {
+    /// Nothing (more): the event was recorded, buffered or dropped as a
+    /// straggler. Keep collecting.
+    Continue,
+    End(RoundEnd),
+    /// The wait expired with `suspects` silent: run a suspicion round on
+    /// them (if any), then conclude with `then` or — `None` — re-arm the
+    /// deadline and keep collecting over the new view.
+    Suspect {
+        suspects: Vec<ThreadId>,
+        then: Option<RoundEnd>,
+    },
+    /// A rejoiner's exit wait expired: it gives up on the missing votes
+    /// without suspecting anyone.
+    GiveUp,
+    /// Feed the control message to the resolution machinery.
+    Resolve(Message),
+    /// Merge a peer's removal set into the addressed frame's view.
+    Adopt(Arc<[ThreadId]>),
+    /// Grant this restarted participant's rejoin at the addressed frame.
+    Grant(ThreadId),
+    /// For an action this thread has not entered yet: "retain the Exception
+    /// or Suspended message till Ti enters A*" (§3.3.2).
+    Retain(Message),
+    /// Retainable, but [`RETAINED_CAP`] messages are held: dropped, counted.
+    CapDropped,
+    /// Count a corrupted message that is otherwise ignored.
+    CountCorrupted,
+    /// Recovery takes over: unwind the role body.
+    Interrupt(Unwind),
+    /// The event cannot occur in a correct run.
+    Violation(String),
+}
+
+/// How a round ended.
+#[derive(Debug)]
+pub(crate) enum RoundEnd {
+    /// Resolution reached agreement on this exception.
+    Resolved(ExceptionId),
+    /// The signalling exchange concluded with these signals (group order).
+    Signals(Vec<Signal>),
+    /// Every member of the view voted to exit.
+    Exited,
+    /// A survivor granted the rejoin: its `JoinGrant`.
+    Granted(Message),
+    /// A peer started recovery while this thread was leaving: its trigger
+    /// is stashed, join it.
+    Recover,
+    /// The round goes on without this thread: a view change removed it, or
+    /// a restarted participant's wait expired (on exit votes it can never
+    /// collect, or with no survivor granting its rejoin).
+    Excluded,
+}
+
+impl Round {
+    /// Does the round's predicate hold over the view as it is *now*?
+    /// Suspicion shrinks the view mid-round and a granted rejoin grows it
+    /// (the readmitted thread's vote is required again), so nothing derived
+    /// from the view is cached across passes.
+    pub(crate) fn status(self, frame: Option<&Frame>) -> Option<RoundEnd> {
+        let frame = frame?;
+        match self {
+            // A concurrent view change evicted this thread — possibly
+            // carried by the very message that concluded resolution (a
+            // commit whose membership moved on): the survivors go on among
+            // themselves.
+            Round::Resolution | Round::Exit if frame.view.evicted => Some(RoundEnd::Excluded),
+            Round::Resolution => frame
+                .recovery
+                .resolved_exception
+                .clone()
+                .map(RoundEnd::Resolved),
+            Round::Signalling(round) => frame
+                .signals
+                .complete(round, &frame.signalling_group())
+                .map(RoundEnd::Signals),
+            Round::Exit => frame
+                .exit
+                .silent(frame.view.members())
+                .next()
+                .is_none()
+                .then_some(RoundEnd::Exited),
+            Round::Body | Round::Join { .. } => None,
+        }
+    }
+
+    /// The round's deadline expired: who is silent, and what follows.
+    pub(crate) fn expired(self, frame: Option<&mut Frame>, me: ThreadId) -> RoundAction {
+        let Some(frame) = frame else {
+            // The grant wait: no survivor answered.
+            return RoundAction::End(RoundEnd::Excluded);
+        };
+        match self {
+            // Presume the peers the resolver is blocked on crashed; the
+            // applied view change opens a fresh round for the shrunken view.
+            Round::Resolution => {
+                let (resolver, ctx) = frame.proto_ctx(me);
+                let suspects = resolver.waiting_on(&ctx);
+                if suspects.is_empty() {
+                    return RoundAction::Violation(
+                        "bounded resolution wait expired but the protocol reports no suspects \
+                         (resolution protocol without membership support?)"
+                            .into(),
+                    );
+                }
+                RoundAction::Suspect {
+                    suspects,
+                    then: None,
+                }
+            }
+            // The §3.4 timeout is a per-round deadline — unrelated traffic
+            // must not extend the wait — so expiry concludes the exchange.
+            Round::Signalling(round) => {
+                let (silent, collected) =
+                    frame.signals.expire(round, &frame.signalling_group(), me);
+                // When the view is already degraded — a crash was detected
+                // earlier in this action's life — a missing announcement is
+                // presumed another crash, not a §3.4-tolerated loss:
+                // suspect the silent peers so the exit protocol will not
+                // wait for them. Against a pristine view the two are
+                // indistinguishable and the pure ƒ rule stands alone (a
+                // genuinely crashed peer is still caught by the exit
+                // round's suspicion).
+                let armed = frame.view.epoch() > 0 && !frame.view.evicted;
+                RoundAction::Suspect {
+                    suspects: if armed { silent } else { Vec::new() },
+                    then: Some(RoundEnd::Signals(collected)),
+                }
+            }
+            Round::Exit if frame.exit.is_rejoiner => RoundAction::GiveUp,
+            // Round-agnostic suspicion: presume the silent peers crashed
+            // and keep collecting votes over the shrunken view — the action
+            // concludes among the survivors instead of resolving to ƒ
+            // wholesale.
+            Round::Exit => RoundAction::Suspect {
+                suspects: frame.exit.silent(frame.view.members()).collect(),
+                then: None,
+            },
+            Round::Body | Round::Join { .. } => RoundAction::Continue,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::action::ActionDef;
+    use crate::membership::Eviction;
+    use crate::protocol::{ResolutionProtocol, XrrResolution};
+
+    fn t(n: u32) -> ThreadId {
+        ThreadId::new(n)
+    }
+
+    const ACTION: ActionId = ActionId::top_level(7);
+
+    /// Thread 0's frame of a three-party action: no network, no system.
+    fn frame() -> Frame {
+        let def = ActionDef::builder("a")
+            .role("r0", 0u32)
+            .role("r1", 1u32)
+            .role("r2", 2u32)
+            .build()
+            .expect("valid definition");
+        Frame::new(ACTION, def.inner, RoleId::new(0), XrrResolution.new_state())
+    }
+
+    fn exception(from: u32) -> Message {
+        Message::Exception {
+            action: ACTION,
+            from: t(from),
+            exception: Exception::new("e"),
+        }
+    }
+
+    fn join_grant(thread: u32) -> Message {
+        Message::JoinGrant {
+            action: ACTION,
+            from: t(1),
+            thread: t(thread),
+            epoch: 2,
+            removed: Arc::from([]),
+            exit_epoch: 1,
+            resolved: None,
+        }
+    }
+
+    // -- signalling table ------------------------------------------------
+
+    const FIRST: Round = Round::Signalling(SignalRound::First);
+
+    #[test]
+    fn signalling_completes_over_a_shrunk_view() {
+        let mut f = frame();
+        f.signals.record(SignalRound::First, t(0), Signal::None);
+        f.signals.record(SignalRound::First, t(1), Signal::Undo);
+        assert!(FIRST.status(Some(&f)).is_none(), "T2 has not announced");
+        // A view change adopted mid-round removes the silent member: the
+        // re-derived group is complete.
+        f.view.adopt_removals(&[t(2)]).expect("T2 was live");
+        match FIRST.status(Some(&f)) {
+            Some(RoundEnd::Signals(s)) => assert_eq!(s, [Signal::None, Signal::Undo]),
+            other => panic!("expected the two survivors' signals, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn signalling_expiry_fills_failure_over_the_group_as_it_was() {
+        let mut f = frame();
+        f.signals.record(SignalRound::First, t(0), Signal::None);
+        // Pristine view (epoch 0): a missing announcement is a §3.4 loss,
+        // nobody is suspected, and the round concludes with ƒ for the
+        // silent members of the group at expiry.
+        match FIRST.expired(Some(&mut f), t(0)) {
+            RoundAction::Suspect {
+                suspects,
+                then: Some(RoundEnd::Signals(s)),
+            } => {
+                assert!(suspects.is_empty());
+                assert_eq!(s, [Signal::None, Signal::Failure, Signal::Failure]);
+                assert!(f.signals.failed(&s));
+            }
+            other => panic!("expected an ƒ-filled conclusion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn signalling_expiry_suspects_only_against_a_degraded_view() {
+        let mut f = frame();
+        f.view.adopt_removals(&[t(2)]).expect("T2 was live");
+        f.signals.record(SignalRound::First, t(0), Signal::None);
+        match FIRST.expired(Some(&mut f), t(0)) {
+            RoundAction::Suspect { suspects, then } => {
+                assert_eq!(suspects, [t(1)], "epoch > 0: silence is another crash");
+                assert!(matches!(then, Some(RoundEnd::Signals(s)) if s.len() == 2));
+            }
+            other => panic!("expected suspicion, got {other:?}"),
+        }
+        // An evicted frame suspects nobody, whatever the epoch.
+        let mut f = frame();
+        f.view.adopt_removals(&[t(2)]).expect("T2 was live");
+        f.view.evicted = true;
+        assert!(matches!(
+            FIRST.expired(Some(&mut f), t(0)),
+            RoundAction::Suspect { suspects, .. } if suspects.is_empty()
+        ));
+    }
+
+    #[test]
+    fn corruption_during_signalling_forces_failure() {
+        let mut f = frame();
+        assert!(matches!(
+            corrupted(Some(&mut f), FIRST, t(0)),
+            RoundAction::Continue
+        ));
+        assert!(f.signals.failed(&[Signal::None]));
+        // Elsewhere it is counted — or, in a body, raised.
+        assert!(matches!(
+            corrupted(Some(&mut f), Round::Exit, t(0)),
+            RoundAction::CountCorrupted
+        ));
+        assert!(matches!(
+            corrupted(Some(&mut f), Round::Body, t(0)),
+            RoundAction::Interrupt(Unwind::Raise(_))
+        ));
+    }
+
+    // -- exit barrier ----------------------------------------------------
+
+    #[test]
+    fn exit_completes_when_suspicion_shrinks_the_view() {
+        let mut f = frame();
+        assert_eq!(f.exit.vote(t(0)), 0);
+        f.exit.record(0, t(1));
+        assert!(Round::Exit.status(Some(&f)).is_none(), "T2 has not voted");
+        match Round::Exit.expired(Some(&mut f), t(0)) {
+            RoundAction::Suspect {
+                suspects,
+                then: None,
+            } => {
+                assert_eq!(suspects, [t(2)]);
+                assert!(matches!(
+                    f.view.suspect(&suspects),
+                    Ok(Eviction::Evict { .. })
+                ));
+            }
+            other => panic!("expected suspicion and a re-armed wait, got {other:?}"),
+        }
+        assert!(matches!(
+            Round::Exit.status(Some(&f)),
+            Some(RoundEnd::Exited)
+        ));
+    }
+
+    #[test]
+    fn exit_requires_a_readmitted_members_vote_again() {
+        let mut f = frame();
+        f.view.suspect(&[t(2)]).expect("T2 was live");
+        f.exit.vote(t(0));
+        f.exit.record(0, t(1));
+        assert!(matches!(
+            Round::Exit.status(Some(&f)),
+            Some(RoundEnd::Exited)
+        ));
+        // A granted rejoin grows the view mid-round.
+        let granted = f.grant_join(t(0), t(2)).expect("T2 is in the group");
+        assert_eq!(granted.readmitted, Some(2));
+        assert!(Round::Exit.status(Some(&f)).is_none());
+        f.exit.record(0, t(2));
+        assert!(matches!(
+            Round::Exit.status(Some(&f)),
+            Some(RoundEnd::Exited)
+        ));
+    }
+
+    #[test]
+    fn rejoiner_gives_up_and_never_suspects() {
+        let view = FrameMembership::new(&[t(0), t(1), t(2)]);
+        let mut f = frame().rejoined(view, 1, Some(ExceptionId::new("e")));
+        assert!(f.recovery.recovered);
+        assert_eq!(f.exit.vote(t(0)), 1, "votes in the granter's exit epoch");
+        assert!(matches!(
+            Round::Exit.expired(Some(&mut f), t(0)),
+            RoundAction::GiveUp
+        ));
+    }
+
+    #[test]
+    fn evicted_frames_are_excluded_from_resolution_and_exit() {
+        let mut f = frame();
+        f.exit.vote(t(0));
+        f.view.evicted = true;
+        for round in [Round::Resolution, Round::Exit] {
+            assert!(matches!(round.status(Some(&f)), Some(RoundEnd::Excluded)));
+        }
+        // Signalling runs to its own conclusion even when evicted.
+        assert!(FIRST.status(Some(&f)).is_none());
+    }
+
+    // -- join / grant construction ---------------------------------------
+
+    #[test]
+    fn grant_revotes_only_if_already_voted_in_the_current_exit_epoch() {
+        let mut f = frame();
+        let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
+        assert_eq!(granted.readmitted, None, "T1 was never removed");
+        assert!(granted.revote.is_none(), "no vote cast yet");
+        f.exit.vote(t(0));
+        let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
+        assert!(matches!(
+            granted.revote,
+            Some(Message::ExitVote { epoch: 0, from, .. }) if from == t(0)
+        ));
+        // A recovery opens the next exit epoch: the old vote does not count.
+        f.exit.epoch += 1;
+        f.recovery.resolved_exception = Some(ExceptionId::new("e"));
+        let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
+        assert!(granted.revote.is_none());
+        assert!(matches!(
+            granted.grant,
+            Message::JoinGrant { thread, exit_epoch: 1, resolved: Some(_), .. } if thread == t(1)
+        ));
+        assert!(f.grant_join(t(0), t(9)).is_none(), "T9 is not in the group");
+    }
+
+    #[test]
+    fn join_requests_are_deferred_while_a_recovery_is_in_flight() {
+        let mut f = frame();
+        let request = || Message::JoinRequest {
+            action: ACTION,
+            from: t(2),
+        };
+        assert!(matches!(
+            f.absorb(request(), true, Round::Body),
+            RoundAction::Grant(j) if j == t(2)
+        ));
+        f.recovery.cohort = Some(ViewSnapshot::from_slice(f.view.members()));
+        assert!(matches!(
+            f.absorb(request(), true, Round::Resolution),
+            RoundAction::Continue
+        ));
+        assert_eq!(f.inbox.joins, [t(2)]);
+    }
+
+    #[test]
+    fn the_grant_wait_ends_on_its_own_grant_only() {
+        let join = Round::Join { action: ACTION };
+        assert!(matches!(
+            unframed(join_grant(0), join, t(0), true, 0),
+            RoundAction::End(RoundEnd::Granted(Message::JoinGrant { epoch: 2, .. }))
+        ));
+        // A grant for another thread, or outside a grant wait, is an
+        // ordinary message of a finished instance.
+        assert!(matches!(
+            unframed(join_grant(1), join, t(0), true, 0),
+            RoundAction::Continue
+        ));
+        assert!(matches!(
+            unframed(join_grant(0), Round::Body, t(0), true, 0),
+            RoundAction::Continue
+        ));
+        assert!(matches!(
+            join.expired(None, t(0)),
+            RoundAction::End(RoundEnd::Excluded)
+        ));
+    }
+
+    // -- routing decisions -----------------------------------------------
+
+    #[test]
+    fn unframed_messages_are_retained_up_to_the_cap() {
+        assert!(matches!(
+            unframed(exception(1), Round::Body, t(0), false, 0),
+            RoundAction::Retain(_)
+        ));
+        assert!(matches!(
+            unframed(exception(1), Round::Body, t(0), false, RETAINED_CAP),
+            RoundAction::CapDropped
+        ));
+        assert!(matches!(
+            unframed(exception(1), Round::Body, t(0), true, 0),
+            RoundAction::Continue
+        ));
+    }
+
+    #[test]
+    fn a_trigger_means_what_the_round_in_progress_says() {
+        let mut f = frame();
+        assert!(matches!(
+            f.absorb(exception(1), true, Round::Body),
+            RoundAction::Interrupt(Unwind::Suspend)
+        ));
+        assert!(matches!(
+            f.absorb(exception(1), true, Round::Resolution),
+            RoundAction::Resolve(_)
+        ));
+        assert!(matches!(
+            f.absorb(exception(1), true, Round::Exit),
+            RoundAction::End(RoundEnd::Recover)
+        ));
+        // For an enclosing frame it unwinds the nested ones.
+        assert!(matches!(
+            f.absorb(exception(1), false, Round::Body),
+            RoundAction::Interrupt(Unwind::Outer { target, eab: None }) if target == ACTION
+        ));
+        assert_eq!(f.inbox.control.len(), 3, "stashed for the recovery driver");
+        assert!(f.view.heard_from.contains(&t(1)));
+        // Once recovered (or aborting) it is a straggler.
+        f.recovery.recovered = true;
+        assert!(matches!(
+            f.absorb(exception(1), true, Round::Exit),
+            RoundAction::Continue
+        ));
+    }
+}

@@ -62,6 +62,16 @@ pub struct RuntimeStats {
     /// granted the current view by a survivor and re-entered their crashed
     /// action (counted once per re-entry, on the rejoining thread).
     pub rejoins: u64,
+    /// Messages for not-yet-entered instances dropped because the retained
+    /// list was full.
+    pub retained_dropped: u64,
+    /// Suspicion rounds the eviction quorum gate refused: the silent peers
+    /// were recently alive and outnumbered the would-be survivors, so the
+    /// suspecting thread gave up locally instead of evicting them.
+    pub suspicions_refused: u64,
+    /// Exit waits a rejoined participant gave up on without suspecting
+    /// anyone (also counted in `exit_timeouts`).
+    pub exit_give_ups: u64,
 }
 
 /// State shared between all participants of one [`System`].
