@@ -29,11 +29,12 @@
 //! path, a per-seed allocation storm) cannot slip through unnoticed.
 //!
 //! `--max-handoffs-per-seed N` gates the scheduler's park counter the
-//! same way: with `--workers 1` a virtual-time seed costs a fixed number
-//! of futex handoffs (~57/seed at PR 5), and a lost targeted-wakeup
-//! optimisation shows up as that number exploding long before wall-clock
-//! noise would reveal it. The count is wall-clock nondeterministic, so
-//! the gate is a ceiling, not an equality.
+//! same way: a virtual-time seed costs a fixed number of hand-offs
+//! between its participants (57/seed over the default space), and a lost
+//! targeted-wakeup optimisation shows up as that number exploding long
+//! before wall-clock noise would reveal it. Since participants run as
+//! fibers the count is exact for a seed; the gate stays a ceiling so
+//! that it survives changes to the scenario generator.
 //!
 //! Alongside the bench JSON, the run writes the merged `metrics.json`
 //! (all cases' [`SweepMetrics`] unioned) next to `--out` — protocol

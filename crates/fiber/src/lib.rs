@@ -1,0 +1,416 @@
+//! Stackful, run-to-block fibers: a blocking closure runs on a stack of its
+//! own and hands the CPU back to whoever resumed it by calling
+//! [`suspend`] — a user-space stack switch (tens of nanoseconds) where an
+//! OS thread would pay a futex sleep and wake-up (microseconds).
+//!
+//! This is what lets `caa-runtime`'s `System::run` host every
+//! participant of a simulated system on the calling thread while the
+//! role-facing API stays blocking closures: simnet's one blocking funnel
+//! suspends the current fiber where a thread would wait on a condvar, and
+//! a loop in `System::run` resumes whichever participants the scheduler
+//! has made runnable.
+//!
+//! The model is deliberately minimal:
+//!
+//! * a [`Fiber`] is resumed by the thread that owns it (it is neither
+//!   `Send` nor `Sync`) and runs until it calls [`suspend`] or its body
+//!   returns;
+//! * fibers do not nest — [`Fiber::resume`] from inside a fiber panics —
+//!   so "the current fiber" is one thread-local pointer and
+//!   [`in_fiber`] is one load;
+//! * a panic in the body is caught at the fiber's entry and handed to the
+//!   resumer as the payload, exactly like joining a panicked thread;
+//! * the [`Stack`] outlives the fiber and is handed back by
+//!   [`Fiber::into_stack`] for the next one, so steady-state code maps
+//!   none.
+//!
+//! # Why this crate may use `unsafe`
+//!
+//! Every other crate of the workspace carries `#![forbid(unsafe_code)]`.
+//! Switching stacks cannot be expressed in safe Rust (nor can mapping a
+//! guarded stack without the `libc` crate), so that one capability lives
+//! here, behind a safe API, and nowhere else: two naked assembly routines
+//! per supported architecture (`arch.rs`), three C-library calls
+//! (`stack.rs`), and the raw-pointer cell a fiber shares with its resumer
+//! (this file). Every `unsafe` block states why its requirements hold
+//! (`clippy::undocumented_unsafe_blocks` is denied), and CI runs this
+//! crate's tests on both x86-64 and AArch64.
+//!
+//! # Examples
+//!
+//! ```
+//! use caa_fiber::{suspend, Fiber, Stack};
+//! use std::cell::RefCell;
+//! use std::rc::Rc;
+//!
+//! let log = Rc::new(RefCell::new(Vec::new()));
+//! let seen = Rc::clone(&log);
+//! let mut fiber = Fiber::new(Stack::new(64 * 1024), move || {
+//!     seen.borrow_mut().push("started");
+//!     suspend();
+//!     seen.borrow_mut().push("continued");
+//!     42
+//! });
+//! assert!(fiber.resume().is_none()); // ran up to the suspend
+//! log.borrow_mut().push("host");
+//! let finished = fiber.resume().expect("the body returned");
+//! assert_eq!(finished.unwrap(), 42);
+//! assert_eq!(*log.borrow(), ["started", "host", "continued"]);
+//! let _stack: Stack = fiber.into_stack(); // reusable
+//! ```
+
+#![warn(missing_docs)]
+#![warn(missing_debug_implementations)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
+compile_error!(
+    "caa-fiber has no context switch for this target: crates/fiber/src/arch.rs needs a \
+     `switch` routine (plus `trampoline` and the initial-frame layout) for this architecture, \
+     and crates/fiber/src/stack.rs needs mmap/mprotect (unix)"
+);
+
+mod arch;
+mod stack;
+
+use std::any::Any;
+use std::cell::Cell;
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ptr::{self, NonNull};
+
+pub use stack::{stacks_mapped, Stack};
+
+thread_local! {
+    /// Set while a fiber runs on this thread: the slot holding its
+    /// resumer's stack pointer (where [`suspend`] switches back to, and
+    /// where it leaves the fiber's own in exchange). Null on a plain
+    /// thread.
+    static CURRENT: Cell<*mut *mut u8> = const { Cell::new(ptr::null_mut()) };
+}
+
+/// Whether the caller is running inside a [`Fiber`] (as opposed to
+/// directly on an OS thread's own stack).
+#[must_use]
+pub fn in_fiber() -> bool {
+    !CURRENT.get().is_null()
+}
+
+/// Suspends the current fiber: control returns to the
+/// [`Fiber::resume`] call that last resumed it, and this call returns when
+/// the fiber is resumed again.
+///
+/// # Panics
+///
+/// When called outside a fiber — there is nobody to hand the CPU to.
+pub fn suspend() {
+    let slot = CURRENT.get();
+    assert!(
+        !slot.is_null(),
+        "caa_fiber::suspend() called outside a fiber: only code running under Fiber::resume \
+         can suspend (check in_fiber() first)"
+    );
+    // SAFETY: `CURRENT` is non-null only between the two switches of a
+    // `Fiber::resume` on this thread, during which it points at the live
+    // `Inner::sp` of the running fiber, holding the resumer's stack
+    // pointer as stored by that `resume`'s switch. The resumer's stack is
+    // this thread's own, blocked inside `resume`.
+    unsafe { arch::switch(slot, *slot) };
+}
+
+/// The cell a fiber shares with its resumer. Both sides reach it through
+/// the raw pointer only (never through a long-lived reference), one at a
+/// time: the resumer while the fiber is suspended, the fiber while the
+/// resumer is blocked in [`Fiber::resume`].
+struct Inner<T> {
+    /// The stack pointer of whichever side is *not* running.
+    sp: *mut u8,
+    body: Option<Box<dyn FnOnce() -> T>>,
+    /// Set by the entry function just before its final switch.
+    result: Option<std::thread::Result<T>>,
+}
+
+/// A blocking closure on a stack of its own. See the [crate docs](crate).
+pub struct Fiber<T> {
+    inner: NonNull<Inner<T>>,
+    /// `Some` until [`Fiber::into_stack`] (or a leaking drop) takes it.
+    stack: Option<Stack>,
+    state: State,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Never resumed: the stack holds only the initial frame.
+    Fresh,
+    /// Suspended somewhere inside the body: the stack holds live frames.
+    Suspended,
+    /// The body returned or panicked; the stack is dead.
+    Finished,
+}
+
+impl<T> Fiber<T> {
+    /// Prepares `body` to run on `stack`. Nothing runs until the first
+    /// [`Fiber::resume`].
+    ///
+    /// `body` must be `'static` (it runs on another stack and may be
+    /// resumed after the creating frame is gone) but need not be `Send`:
+    /// a fiber never leaves its thread.
+    #[must_use]
+    pub fn new(stack: Stack, body: impl FnOnce() -> T + 'static) -> Fiber<T> {
+        let inner = Box::into_raw(Box::new(Inner {
+            sp: ptr::null_mut(),
+            body: Some(Box::new(body)),
+            result: None,
+        }));
+        // SAFETY: `stack.top()` is the 16-byte aligned end of a mapping
+        // with at least 64 KiB usable, owned by this fiber from here on;
+        // `inner` was just allocated and is valid for the write.
+        unsafe { (*inner).sp = arch::prepare(stack.top(), entry::<T>, inner.cast()) };
+        Fiber {
+            inner: NonNull::new(inner).expect("Box::into_raw is never null"),
+            stack: Some(stack),
+            state: State::Fresh,
+        }
+    }
+
+    /// Runs the fiber until it next calls [`suspend`] (returns `None`) or
+    /// its body ends (returns the body's value, or `Err` with the panic
+    /// payload if it panicked — the contract of
+    /// [`std::thread::JoinHandle::join`]).
+    ///
+    /// # Panics
+    ///
+    /// When called from inside a fiber (fibers do not nest), or on a
+    /// fiber that has already finished.
+    pub fn resume(&mut self) -> Option<std::thread::Result<T>> {
+        assert!(
+            !in_fiber(),
+            "nested fibers are not supported: Fiber::resume() called from inside a fiber"
+        );
+        assert!(
+            self.state != State::Finished,
+            "Fiber::resume() called on a finished fiber"
+        );
+        let inner = self.inner.as_ptr();
+        // SAFETY: `inner` is the live allocation made in `new`.
+        let slot = unsafe { &raw mut (*inner).sp };
+        CURRENT.set(slot);
+        self.state = State::Suspended;
+        // SAFETY: the fiber is not finished, so `*slot` is its stack
+        // pointer from `prepare` or from its last `suspend`, on the stack
+        // this `Fiber` owns; fibers are `!Send`, so it is not running
+        // elsewhere, and `slot` is valid for the write of our own.
+        unsafe { arch::switch(slot, *slot) };
+        CURRENT.set(ptr::null_mut());
+        // SAFETY: the fiber has switched back, so it is not touching
+        // `inner`; if it set `result` it did so for good.
+        let result = unsafe { (*inner).result.take() };
+        if result.is_some() {
+            self.state = State::Finished;
+        }
+        result
+    }
+
+    /// Takes the stack back for the next fiber.
+    ///
+    /// # Panics
+    ///
+    /// If the fiber is suspended inside its body — the stack still holds
+    /// that body's live frames.
+    #[must_use]
+    pub fn into_stack(mut self) -> Stack {
+        assert!(
+            self.state != State::Suspended,
+            "Fiber::into_stack() on a fiber suspended inside its body"
+        );
+        self.stack.take().expect("the stack leaves only here")
+    }
+}
+
+impl<T> Drop for Fiber<T> {
+    fn drop(&mut self) {
+        if self.state == State::Suspended {
+            // The body's frames hold live values, and the entry frame
+            // holds a pointer to `inner`: freeing either would leave them
+            // dangling if anything the body shared is still reachable.
+            // Dropping a half-run fiber is a leak, like `mem::forget`.
+            std::mem::forget(self.stack.take());
+            return;
+        }
+        // SAFETY: `inner` came from `Box::into_raw` in `new`, is freed
+        // only here, and no fiber frame that knows it is alive (the fiber
+        // never ran, or ran to its final switch).
+        drop(unsafe { Box::from_raw(self.inner.as_ptr()) });
+    }
+}
+
+impl<T> fmt::Debug for Fiber<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fiber")
+            .field("state", &self.state)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Where a fiber's first resume lands (through the trampoline): runs the
+/// body, publishes its outcome and switches away for the last time.
+unsafe extern "C" fn entry<T>(inner: *mut u8) -> ! {
+    let inner = inner.cast::<Inner<T>>();
+    // SAFETY: `inner` is the pointer `Fiber::new` passed to `prepare`; the
+    // resumer is blocked in `resume` and does not touch it while we run.
+    let body = unsafe { (*inner).body.take() }.expect("a fiber is entered once");
+    // The closure is consumed here and its captures are not observed after
+    // a panic, which is all `AssertUnwindSafe` waives. Catching matters
+    // for soundness, not just reporting: there is no frame to unwind into
+    // above this one.
+    let result: Result<T, Box<dyn Any + Send>> = catch_unwind(AssertUnwindSafe(body));
+    // SAFETY: as above for `inner`; `sp` holds the resumer's stack pointer
+    // from the `resume` that is waiting for us.
+    unsafe {
+        (*inner).result = Some(result);
+        let slot = &raw mut (*inner).sp;
+        arch::switch(slot, *slot);
+    }
+    unreachable!("a finished fiber was resumed")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    const TEST_STACK: usize = 256 * 1024;
+
+    #[test]
+    fn resume_and_suspend_alternate_in_order() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut fibers: Vec<Fiber<usize>> = (0..3)
+            .map(|i| {
+                let log = Rc::clone(&log);
+                Fiber::new(Stack::new(TEST_STACK), move || {
+                    for round in 0..3 {
+                        assert!(in_fiber());
+                        log.borrow_mut().push((round, i));
+                        suspend();
+                    }
+                    i
+                })
+            })
+            .collect();
+        assert!(!in_fiber());
+        for _ in 0..3 {
+            for fiber in &mut fibers {
+                assert!(fiber.resume().is_none());
+                assert!(!in_fiber(), "resume returns on the host");
+            }
+        }
+        let expected: Vec<_> = (0..3).flat_map(|r| (0..3).map(move |i| (r, i))).collect();
+        assert_eq!(*log.borrow(), expected);
+        for (i, fiber) in fibers.iter_mut().enumerate() {
+            assert_eq!(fiber.resume().expect("body returns").unwrap(), i);
+        }
+    }
+
+    #[test]
+    fn locals_survive_a_suspend() {
+        let mut fiber = Fiber::new(Stack::new(TEST_STACK), || {
+            let before: Vec<u64> = (0..100).collect();
+            let x = 1.5f64;
+            suspend();
+            before.iter().sum::<u64>() as f64 * x
+        });
+        assert!(fiber.resume().is_none());
+        assert_eq!(fiber.resume().unwrap().unwrap(), 4950.0 * 1.5);
+    }
+
+    #[test]
+    fn a_panic_comes_back_as_a_payload_and_the_stack_is_reusable() {
+        let dropped = Rc::new(Cell::new(false));
+        struct SetOnDrop(Rc<Cell<bool>>);
+        impl Drop for SetOnDrop {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let guard = SetOnDrop(Rc::clone(&dropped));
+        let mut fiber: Fiber<()> = Fiber::new(Stack::new(TEST_STACK), move || {
+            let _guard = guard;
+            suspend();
+            panic!("boom on a fiber");
+        });
+        assert!(fiber.resume().is_none());
+        let payload = fiber.resume().expect("finished").unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom on a fiber"));
+        assert!(dropped.get(), "the body's frames were unwound");
+        assert!(!in_fiber());
+        let mut next = Fiber::new(fiber.into_stack(), || 7);
+        assert_eq!(next.resume().unwrap().unwrap(), 7);
+    }
+
+    #[test]
+    fn nested_fibers_are_refused() {
+        let mut outer = Fiber::new(Stack::new(TEST_STACK), || {
+            let mut inner = Fiber::new(Stack::new(TEST_STACK), || ());
+            inner.resume()
+        });
+        let payload = outer.resume().expect("finished").unwrap_err();
+        let msg = payload.downcast_ref::<&str>().expect("a literal message");
+        assert!(msg.contains("nested fibers are not supported"), "{msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "suspend() called outside a fiber")]
+    fn suspend_outside_a_fiber_panics() {
+        suspend();
+    }
+
+    #[test]
+    #[should_panic(expected = "finished fiber")]
+    fn resuming_a_finished_fiber_panics() {
+        let mut fiber = Fiber::new(Stack::new(TEST_STACK), || ());
+        assert!(fiber.resume().is_some());
+        let _ = fiber.resume();
+    }
+
+    #[test]
+    fn an_unstarted_fiber_drops_its_body_and_returns_its_stack() {
+        let token = Rc::new(());
+        let held = Rc::clone(&token);
+        let fiber = Fiber::new(Stack::new(TEST_STACK), move || drop(held));
+        let _stack = fiber.into_stack();
+        assert_eq!(Rc::strong_count(&token), 1, "the unrun body was dropped");
+    }
+
+    #[test]
+    fn a_stack_is_intact_after_ten_thousand_reuses() {
+        let mut stack = Stack::new(TEST_STACK);
+        let mut total = 0u64;
+        for i in 0..10_000u64 {
+            let mut fiber = Fiber::new(stack, move || {
+                // Touch a good stretch of the stack on both sides of a
+                // suspend, so reuse sees the previous tenant's leftovers.
+                let mut scratch = [i; 512];
+                suspend();
+                scratch[(i % 512) as usize] += 1;
+                scratch.iter().sum::<u64>()
+            });
+            assert!(fiber.resume().is_none());
+            total += fiber.resume().unwrap().unwrap() - (512 * i + 1);
+            stack = fiber.into_stack();
+        }
+        assert_eq!(total, 0, "every tenant computed on clean locals");
+        // And the recycled stack still hosts a deep body.
+        fn depth(n: u32) -> u32 {
+            let pad = std::hint::black_box([n; 64]);
+            if n == 0 {
+                pad[0]
+            } else {
+                depth(n - 1) + 1
+            }
+        }
+        let mut deep = Fiber::new(stack, || depth(200));
+        assert_eq!(deep.resume().unwrap().unwrap(), 200);
+    }
+}

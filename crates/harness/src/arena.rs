@@ -8,7 +8,8 @@
 //! An [`ExecutionArena`] is the per-worker recycling bin for all of it:
 //!
 //! * the **network arena** ([`caa_simnet::NetArena`]): actor slots with
-//!   their condvars, mailbox heaps and link rows, reclaimed by
+//!   their participants' fiber stacks, mailbox heaps and link rows,
+//!   reclaimed by
 //!   [`System::run_reclaiming`](caa_runtime::System::run_reclaiming) and
 //!   fed back through
 //!   [`SystemBuilder::net_arena`](caa_runtime::SystemBuilder::net_arena);

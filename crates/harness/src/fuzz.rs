@@ -64,8 +64,8 @@ use crate::plan::{
 };
 use crate::rng::Rng;
 use crate::sweep::{
-    merge_signatures, run_plan_checked, sweep, write_corpus_files, PathCoverage, SeedResult,
-    SignatureMap, SweepConfig, SweepReport,
+    effective_workers, merge_signatures, run_plan_checked, sweep, write_corpus_files, PathCoverage,
+    SeedResult, SignatureMap, SweepConfig, SweepReport,
 };
 
 /// Schema tag of `coverage.json` documents ([`CoverageDoc`]).
@@ -953,7 +953,7 @@ pub struct FuzzConfig {
     /// same `(scenario, executions, initial_seeds, start_seed, batch,
     /// fuzz_seed)` are identical regardless of worker count.
     pub fuzz_seed: u64,
-    /// Worker OS threads; 0 = one per available core (×2).
+    /// Worker OS threads; 0 = one per available core.
     pub workers: usize,
     /// Execute every plan twice and require byte-identical traces.
     pub check_replay: bool,
@@ -1104,14 +1104,6 @@ struct ChildOutcome {
     coverage: PathCoverage,
     /// Present only for violating runs (the trace is recycled otherwise).
     result: Option<SeedResult>,
-}
-
-fn effective_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| usize::from(n) * 2)
-    } else {
-        workers
-    }
 }
 
 /// Executes `plans` across worker threads and returns outcomes **in input

@@ -15,8 +15,10 @@
 //!   Pure functions of the explored seed set: the same sweep serializes
 //!   to byte-identical JSON on any machine, and the shard-merged union
 //!   (`metrics_merge`) is byte-identical to the unsharded run.
-//! * **wall_clock** — host-scheduler facts ([`SchedStats`] park/wake
-//!   handoffs). Reported for regression ceilings, excluded from
+//! * **wall_clock** — facts about the simulator, not the protocol: the
+//!   [`SchedStats`] park/wake hand-offs (exact per seed since participants
+//!   run as fibers, but a property of the host loop) and the driver's
+//!   stage timers. Reported for regression ceilings, excluded from
 //!   byte-identity claims, and dropped by `metrics_merge`.
 
 use std::collections::{HashMap, HashSet};
@@ -47,9 +49,9 @@ pub struct SweepMetrics {
     /// `cp_instances`). Derived from the causal graph in virtual time, so
     /// byte-deterministic and shard-mergeable like `deterministic`.
     pub critical_path: MetricSet,
-    /// Host-scheduler counters (park/wake handoffs) and driver stage
-    /// timers — wall-clock facts, gate with ceilings, never with
-    /// equalities.
+    /// Scheduler counters (park/wake hand-offs) and driver stage timers
+    /// — facts about the simulator, kept out of the byte-identity
+    /// claims.
     pub wall_clock: MetricSet,
 }
 
@@ -213,7 +215,7 @@ impl SweepMetrics {
     }
 
     /// Park handoffs per explored seed, rounded up — the regression-guard
-    /// number (ROADMAP's "~57 futex handoffs/seed" as a tracked counter).
+    /// number (ROADMAP's "~57 hand-offs/seed" as a tracked counter).
     /// 0 when no seed was recorded.
     #[must_use]
     pub fn parks_per_seed(&self) -> u64 {

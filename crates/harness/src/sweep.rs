@@ -566,20 +566,24 @@ pub fn run_plan_checked(
     }
 }
 
+/// Resolves a configured worker count: 0 means one worker per available
+/// core. A worker runs its seed's participants on its own thread and never
+/// blocks in the kernel, so a second worker per core would only contend.
+/// (Worker count never affects traces; it only schedules which seed runs
+/// where.)
+pub(crate) fn effective_workers(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        workers
+    }
+}
+
 /// Explores `config.seeds` seeds across worker threads.
 #[must_use]
 pub fn sweep(config: &SweepConfig) -> SweepReport {
     let started = Instant::now();
-    let workers = if config.workers == 0 {
-        // Oversubscribe the cores 2×: a virtual-time seed serialises its
-        // participant threads through futex handoffs, so a worker spends
-        // a sizeable slice of its wall time blocked in wake-up latency —
-        // a second worker per core overlaps those gaps. (Worker count
-        // never affects traces; it only schedules which seed runs where.)
-        std::thread::available_parallelism().map_or(1, |n| usize::from(n) * 2)
-    } else {
-        config.workers
-    };
+    let workers = effective_workers(config.workers);
     let next = AtomicU64::new(0);
     let failures: Mutex<Vec<SeedResult>> = Mutex::new(Vec::new());
     let coverage: Mutex<PathCoverage> = Mutex::new(PathCoverage::default());
@@ -590,7 +594,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
     let seeds_run = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
+        for _ in 0..workers {
             scope.spawn(|| {
                 // Per-worker arena: network storage, trace buffers and
                 // resolution lattices recycle across this worker's seeds,

@@ -4,7 +4,7 @@
 //! [`caa_runtime::observe::Observer`] hook and the network's
 //! [`caa_simnet::NetTap`] hook, collecting every protocol-level
 //! step and every message send/loss/corruption of one simulated run. Events
-//! arrive from the participating OS threads in arbitrary wall-clock order;
+//! arrive in whatever order the host runs the participants;
 //! [`TraceRecorder::finish`] sorts them into the canonical order
 //! `(virtual time, thread, per-thread sequence)`, which is fully
 //! deterministic for a deterministic run — the same seed renders the same

@@ -15,9 +15,15 @@
 //! The test measures end to end (plan generation, execution, oracles, the
 //! replay re-execution where the config checks it), exactly like a sweep
 //! worker's per-seed loop.
+//!
+//! Fiber stacks are mapped, not allocated, so the allocator does not see
+//! them; the same warmed execution therefore also asserts that the
+//! process-wide count of mapped stacks stands still — the network arena
+//! hands every participant the stack its slot used last seed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use caa_harness::arena::ExecutionArena;
 use caa_harness::plan::ScenarioConfig;
@@ -49,6 +55,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Both counters are process-wide; the tests of this file take turns so
+/// that neither counts the other's work.
+static TURN: Mutex<()> = Mutex::new(());
+
 /// Executes `seed` once through a warmed arena and returns the
 /// allocation count of that execution (including plan generation and
 /// oracle checks — the sweep worker's whole per-seed loop).
@@ -61,28 +71,38 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
         assert!(result.passed(), "gate seed must be violation-free");
         arena.recycle_trace(result.artifacts.trace);
     }
+    let stacks_before = caa_fiber::stacks_mapped();
     let before = ALLOCS.load(Ordering::Relaxed);
     let result = run_seed_in(seed, scenario, check_replay, &mut arena);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert!(result.passed());
+    assert_eq!(
+        caa_fiber::stacks_mapped(),
+        stacks_before,
+        "a warmed execution mapped a fiber stack: the network arena no longer recycles them"
+    );
     arena.recycle_trace(result.artifacts.trace);
     after - before
 }
 
 /// One pinned case: a fixed seed per bench configuration, with a ceiling
-/// ~3× the steady-state count measured when the gate was introduced
-/// (recorded in the assertion message for recalibration).
+/// ~3× the steady-state count. Last measured with the fiber host
+/// (PR 13): 313 / 567 / 562 — one or two fewer than with pooled OS
+/// threads (569 / 563 on the last two): a fiber costs its cell and its
+/// boxed body where a pooled task cost a job box, a result `Arc` and a
+/// channel node.
 #[test]
 fn steady_state_seed_allocation_stays_bounded() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let cases = [
-        ("default", ScenarioConfig::default(), false, 7u64, 1_500u64),
-        ("default+replay", ScenarioConfig::default(), true, 7, 2_500),
+        ("default", ScenarioConfig::default(), false, 7u64, 1_000u64),
+        ("default+replay", ScenarioConfig::default(), true, 7, 1_700),
         (
             "object-heavy",
             ScenarioConfig::object_heavy(),
             false,
             7,
-            2_500,
+            1_700,
         ),
     ];
     for (name, scenario, check_replay, seed, ceiling) in cases {
@@ -93,7 +113,7 @@ fn steady_state_seed_allocation_stays_bounded() {
              execution exceed the pinned ceiling {ceiling} — the arena / \
              Arc-fan-out machinery regressed (or a legitimate change needs \
              this gate recalibrated; ceilings are ~3× the steady state \
-             measured at introduction)"
+             last measured)"
         );
         // The gate must also stay meaningful: a ceiling orders of
         // magnitude above reality would never catch anything.
@@ -111,6 +131,7 @@ fn steady_state_seed_allocation_stays_bounded() {
 /// both halves of the arena contract are asserted together.)
 #[test]
 fn warmed_arena_renders_identical_traces() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = ScenarioConfig::default();
     let mut arena = ExecutionArena::new();
     let cold = run_seed_in(7, &scenario, false, &mut arena);

@@ -5,17 +5,22 @@
 //!   same sweep serialize byte-identically, whatever the worker count;
 //! * sharding a sweep and merging the shards' metrics reproduces the
 //!   unsharded document byte for byte (the `metrics_merge` contract);
-//! * with one worker, scheduler handoffs per seed stay under the CI
-//!   ceiling (the ROADMAP's "~57 futex handoffs per seed" as a
+//! * scheduler hand-offs (parks and wakes) are a pure function of the
+//!   seed now that a seed's participants run to block one at a time —
+//!   executing a seed twice counts the same — and per seed they stay
+//!   under the CI ceiling (the ROADMAP's "~57 hand-offs per seed" as a
 //!   regression guard rather than prose).
 
+use caa_harness::exec::execute;
 use caa_harness::metrics::{metrics_json, parse_metrics_json, SweepMetrics};
+use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::sweep::{sweep, Shard, SweepConfig, SweepReport};
 
 /// Parks-per-seed ceiling for the default scenario at `--workers 1`.
-/// Measured ~51–57 across PR 5 and PR 6; 120 leaves room for scheduler
-/// jitter while still catching a lost-wakeup regression (which shows up
-/// as a multi-x explosion, not a few extra parks).
+/// Measured ~51–57 since PR 5 (57 exactly over seeds 0–499 since the
+/// fiber host); 120 leaves room for the scenario generator to drift while
+/// still catching a lost-wakeup regression (which shows up as a multi-x
+/// explosion, not a few extra parks).
 const HANDOFF_CEILING: u64 = 120;
 
 fn run(seeds: u64, workers: usize, check_replay: bool, shard: Option<Shard>) -> SweepReport {
@@ -36,7 +41,8 @@ fn run(seeds: u64, workers: usize, check_replay: bool, shard: Option<Shard>) -> 
 }
 
 /// The shard-stable serialization: everything but the wall-clock
-/// scheduler counters, which legitimately vary run to run.
+/// section (driver stage timers, and the scheduler counters filed with
+/// them).
 fn deterministic_json(report: &SweepReport) -> String {
     metrics_json(&report.metrics, report.seeds_run, false)
 }
@@ -161,4 +167,26 @@ fn single_worker_handoffs_stay_under_ceiling() {
         "~{per_seed} parks/seed at one worker exceeds the {HANDOFF_CEILING} ceiling \
          (lost targeted wakeups?)"
     );
+}
+
+#[test]
+fn handoff_counts_are_a_pure_function_of_the_seed() {
+    for (name, scenario) in [
+        ("default", ScenarioConfig::default()),
+        ("object_heavy", ScenarioConfig::object_heavy()),
+        ("multi_crash", ScenarioConfig::multi_crash()),
+    ] {
+        let mut parks = 0;
+        for seed in 0..50 {
+            let plan = ScenarioPlan::generate(seed, &scenario);
+            let first = execute(&plan).report.sched_stats;
+            let second = execute(&plan).report.sched_stats;
+            assert_eq!(
+                first, second,
+                "{name} seed {seed}: two executions handed off differently"
+            );
+            parks += first.parks;
+        }
+        assert!(parks > 0, "{name}: 50 seeds must park somewhere");
+    }
 }

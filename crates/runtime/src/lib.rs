@@ -1,8 +1,11 @@
 //! Distributed CA-action run-time with coordinated exception handling — the
 //! system implementation of Xu, Romanovsky & Randell (ICDCS 1998).
 //!
-//! A [`System`] hosts participating threads, each on its own OS thread bound
-//! to a network partition (the paper's architecture, Figure 8). Threads
+//! A [`System`] hosts participating threads, each bound to a network
+//! partition (the paper's architecture, Figure 8) and each a blocking
+//! closure on a stack of its own: [`System::run`] drives them as
+//! run-to-block fibers on the calling thread, so a simulated system costs
+//! no OS thread and a hand-off between participants no system call. Threads
 //! enter [`ActionDef`]s — Coordinated Atomic actions — through
 //! [`Ctx::enter`], cooperate via role-to-role messages and transactional
 //! [`SharedObject`]s, and recover from exceptions through:
@@ -100,7 +103,6 @@ mod error;
 pub mod membership;
 pub mod objects;
 pub mod observe;
-mod pool;
 pub mod protocol;
 mod rounds;
 mod system;

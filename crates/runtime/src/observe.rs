@@ -251,8 +251,10 @@ impl fmt::Display for Event {
 
 /// Receives runtime [`Event`]s from every participating thread.
 ///
-/// Implementations must be thread-safe: participants invoke the observer
-/// concurrently from their own OS threads.
+/// Implementations must be thread-safe: a system may be built on one
+/// thread and run on another, and one observer may serve the systems of
+/// several sweep workers. (Within one system, participants invoke it one
+/// at a time, from the thread that called `System::run`.)
 pub trait Observer: Send + Sync {
     /// Called synchronously at each observable step.
     fn on_event(&self, event: &Event);

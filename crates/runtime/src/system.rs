@@ -4,16 +4,28 @@
 //! §5.1: "For a given CA action, each participating thread is located in its
 //! own node (or partition) … Every partition has a copy of the run-time
 //! system, including the subsystems for concurrent exception handling and
-//! resolution." [`System::spawn`] creates exactly that: one OS thread per
-//! participant, bound 1:1 to a network partition, with the recovery driver
-//! (see [`crate::context`]) as its partition executive.
+//! resolution." [`System::spawn`] creates exactly that: one participant
+//! per network partition, bound 1:1, with the recovery driver (see
+//! [`crate::context`]) as its partition executive.
+//!
+//! The partitions are simulated, and so is their concurrency: the paper's
+//! results are all virtual-time facts, so what the host spends moving
+//! control between participants is pure overhead. [`System::run`] therefore
+//! hosts every participant as a run-to-block fiber ([`caa_fiber`]) on the
+//! calling thread — a participant runs until it blocks in the network,
+//! which suspends it, and the loop in `host` resumes whichever ones the
+//! network has since made runnable, in registration order. No OS thread is
+//! created, a hand-off is a user-space stack switch, and because the
+//! canonical trace is ordered by (virtual time, thread, sequence) the
+//! serial order changes nothing that is observed.
 
 use std::fmt;
 use std::sync::Arc;
 
-use caa_core::ids::ThreadId;
+use caa_core::ids::{PartitionId, ThreadId};
 use caa_core::message::Message;
 use caa_core::time::{VirtualDuration, VirtualInstant};
+use caa_fiber::{Fiber, Stack};
 use caa_simnet::{
     ClockMode, FaultPlan, LatencyModel, NetArena, NetConfig, NetStats, Network, SchedStats,
 };
@@ -22,7 +34,6 @@ use parking_lot::Mutex;
 use crate::context::Ctx;
 use crate::error::{RuntimeError, Step, Unwind};
 use crate::observe::Observer;
-use crate::pool::{spawn_pooled, TaskHandle};
 use crate::protocol::{ResolutionProtocol, XrrResolution};
 
 /// Run-wide counters maintained by the recovery driver.
@@ -84,20 +95,97 @@ pub(crate) struct SystemShared {
     pub(crate) observer: Option<Arc<dyn Observer>>,
 }
 
-/// A registered-but-not-yet-dispatched participant body.
+/// A registered-but-not-yet-started participant body.
 ///
 /// [`System::spawn`] registers the participant's network partition
 /// immediately (ids are assigned in spawn order, and a registered
-/// endpoint holds virtual time back), but hands the body to a pool
-/// thread only when [`System::run`] is called — by which point every
-/// participant is registered, so no start gate is needed and each worker
-/// begins executing its body directly instead of parking on a gate
-/// first. (The former gate cost one extra park/wake per participant per
-/// run — measurable at sweep rates.)
+/// endpoint holds virtual time back), but the body first runs when
+/// [`System::run`] puts it on a fiber — by which point every participant
+/// is registered, so no start gate is needed.
 type PendingBody = Box<dyn FnOnce() -> Result<(), RuntimeError> + Send + 'static>;
 
-/// A dispatched participant's join handle.
-type ParticipantHandle = TaskHandle<Result<(), RuntimeError>>;
+/// A spawned participant awaiting [`System::run`].
+struct Pending {
+    id: PartitionId,
+    name: Arc<str>,
+    body: PendingBody,
+}
+
+/// Usable stack per participant. The deepest bodies in the workspace (the
+/// production cell's controller, the nesting tests) peak at 47 KiB in a
+/// debug build and 9 KiB in a release sweep, and a panicking body that
+/// prints a full backtrace at 28 KiB, so this is a fivefold margin. Pages
+/// are committed only when touched, so the margin costs address space,
+/// not memory; running out hits the stack's guard region and kills the
+/// process rather than corrupting anything.
+const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
+
+/// Runs the participants to completion as fibers on the calling thread
+/// and returns their results in spawn order.
+///
+/// Run-to-block: a participant keeps the CPU until it blocks in the
+/// network (which suspends its fiber) or finishes. Each pass resumes, in
+/// registration order, the participants the network has marked runnable
+/// since they suspended — by a delivery, a doorbell, a time advance, or
+/// the deadlock broadcast. The network's advance arbiter guarantees that
+/// whenever every live endpoint is blocked at least one is woken, so a
+/// pass that resumes nobody means the network is also being driven from
+/// outside this loop, which a fiber-hosted system cannot wait for.
+fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<(), RuntimeError>)> {
+    enum Hosted {
+        Running(Fiber<Result<(), RuntimeError>>),
+        Done(Result<(), RuntimeError>),
+    }
+    let mut hosted: Vec<(PartitionId, Arc<str>, Hosted)> = pending
+        .into_iter()
+        .map(|p| {
+            let stack = net
+                .take_stack(p.id)
+                .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
+            (p.id, p.name, Hosted::Running(Fiber::new(stack, p.body)))
+        })
+        .collect();
+    let mut live = hosted.len();
+    while live > 0 {
+        let mut resumed = false;
+        for (id, _, participant) in &mut hosted {
+            let Hosted::Running(fiber) = participant else {
+                continue;
+            };
+            if !net.take_runnable(*id) {
+                continue;
+            }
+            resumed = true;
+            let Some(outcome) = fiber.resume() else {
+                continue; // blocked again
+            };
+            let result = outcome.unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
+            });
+            if let Hosted::Running(fiber) = std::mem::replace(participant, Hosted::Done(result)) {
+                net.park_stack(*id, fiber.into_stack());
+            }
+            live -= 1;
+        }
+        assert!(
+            resumed,
+            "{live} participants are blocked and none is runnable: the system's network is \
+             being driven from outside System::run, which cannot wait for another thread"
+        );
+    }
+    hosted
+        .into_iter()
+        .map(|(_, name, participant)| match participant {
+            Hosted::Done(result) => (name.to_string(), result),
+            Hosted::Running(_) => unreachable!("the loop ends when every participant is done"),
+        })
+        .collect()
+}
 
 /// A distributed object system hosting CA actions.
 ///
@@ -127,7 +215,7 @@ type ParticipantHandle = TaskHandle<Result<(), RuntimeError>>;
 pub struct System {
     net: Network<Message>,
     shared: Arc<SystemShared>,
-    pending: Vec<(Arc<str>, PendingBody)>,
+    pending: Vec<Pending>,
 }
 
 impl fmt::Debug for System {
@@ -161,11 +249,13 @@ impl System {
     /// Spawns a participating thread. Thread ids are assigned in spawn
     /// order starting from 0 — bind action roles accordingly.
     ///
-    /// The body runs on its own OS thread (drawn from a process-wide pool
-    /// of finished participants, so short-lived systems — e.g. sweep
-    /// seeds — do not pay a fresh thread spawn per participant) with a
-    /// dedicated network partition; it typically enters one or more CA
-    /// actions and propagates [`Flow`](crate::Flow) with `?`.
+    /// The body runs on a stack of its own (a fiber that [`System::run`]
+    /// drives on the calling thread) with a dedicated network partition;
+    /// it typically enters one or more CA actions and propagates
+    /// [`Flow`](crate::Flow) with `?`. It may block only through its
+    /// [`Ctx`]: the participants share one OS thread, so waiting for a peer
+    /// on anything the simulated network cannot see (a channel, a barrier)
+    /// waits forever.
     pub fn spawn(
         &mut self,
         name: impl Into<Arc<str>>,
@@ -177,13 +267,14 @@ impl System {
         // names — pay no allocation at all).
         let name = name.into();
         let endpoint = self.net.endpoint(Arc::clone(&name));
-        let me = ThreadId::new(endpoint.id().as_u32());
+        let id = endpoint.id();
+        let me = ThreadId::new(id.as_u32());
         let shared = Arc::clone(&self.shared);
         let thread_name = Arc::clone(&name);
         // Registration happens now (the endpoint above holds virtual time
-        // back); the body is dispatched to a pool thread by `run`, once
-        // every participant is registered.
-        let job: PendingBody = Box::new(move || {
+        // back); the body starts in `run`, once every participant is
+        // registered.
+        let body: PendingBody = Box::new(move || {
             let mut ctx = Ctx::new(me, thread_name, endpoint, shared);
             let result = body(&mut ctx);
             ctx.shutdown();
@@ -198,12 +289,22 @@ impl System {
                 },
             }
         });
-        self.pending.push((name, job));
+        self.pending.push(Pending { id, name, body });
         me
     }
 
-    /// Waits for every participating thread and collects the run's results
-    /// and statistics.
+    /// Runs every participating thread to completion and collects the
+    /// run's results and statistics. The participants run as fibers on the
+    /// calling thread, one at a time, each until it blocks in the network;
+    /// no OS thread is created, and the order is invisible in the results
+    /// (traces are ordered by virtual time, thread and sequence). A
+    /// participant that panics is reported as [`RuntimeError::Protocol`]
+    /// under its name; its endpoint retires as the panic unwinds, so its
+    /// peers conclude by timeout.
+    ///
+    /// # Panics
+    ///
+    /// When called from inside a participant body: systems do not nest.
     #[must_use]
     pub fn run(self) -> SystemReport {
         self.run_reclaiming().0
@@ -218,26 +319,7 @@ impl System {
     /// allocated once per worker instead of once per seed.
     #[must_use]
     pub fn run_reclaiming(mut self) -> (SystemReport, Option<NetArena<Message>>) {
-        let threads: Vec<(Arc<str>, ParticipantHandle)> = self
-            .pending
-            .drain(..)
-            .map(|(name, job)| (name, spawn_pooled(job)))
-            .collect();
-        let mut results = Vec::with_capacity(threads.len());
-        for (name, handle) in threads {
-            let result = match handle.join() {
-                Ok(r) => r,
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
-                }
-            };
-            results.push((name.to_string(), result));
-        }
+        let results = host(&self.net, std::mem::take(&mut self.pending));
         let report = SystemReport {
             elapsed: self.net.now().duration_since(VirtualInstant::EPOCH),
             net_stats: self.net.stats(),
@@ -256,13 +338,12 @@ impl System {
 }
 
 impl Drop for System {
-    /// Dispatches any never-run participant bodies when a `System` is
-    /// dropped without [`System::run`]: the bodies execute (and their
-    /// endpoints retire) exactly as they did under the former start-gate
-    /// design, where dropping the system opened the gate.
+    /// Runs any never-run participant bodies when a `System` is dropped
+    /// without [`System::run`]: the bodies execute (and their endpoints
+    /// retire) as they always have, their results discarded.
     fn drop(&mut self) {
-        for (_, job) in self.pending.drain(..) {
-            drop(spawn_pooled(job));
+        if !self.pending.is_empty() {
+            host(&self.net, std::mem::take(&mut self.pending));
         }
     }
 }
@@ -274,8 +355,8 @@ pub struct SystemReport {
     pub results: Vec<(String, Result<(), RuntimeError>)>,
     /// Message counters from the network.
     pub net_stats: NetStats,
-    /// Scheduler park/wake handoff counters (wall-clock facts about the
-    /// host scheduler, not deterministic — see [`SchedStats`]).
+    /// Scheduler park/wake hand-off counters: what the simulator did, not
+    /// the protocol — but a pure function of the seed (see [`SchedStats`]).
     pub sched_stats: SchedStats,
     /// Runtime counters.
     pub runtime_stats: RuntimeStats,
@@ -312,7 +393,6 @@ impl SystemReport {
 
 /// Builder for [`System`] ([C-BUILDER]).
 pub struct SystemBuilder {
-    mode: ClockMode,
     latency: LatencyModel,
     seed: u64,
     ack_timeout: Option<VirtualDuration>,
@@ -327,7 +407,6 @@ pub struct SystemBuilder {
 impl Default for SystemBuilder {
     fn default() -> Self {
         SystemBuilder {
-            mode: ClockMode::Virtual,
             latency: LatencyModel::default(),
             seed: 0,
             ack_timeout: None,
@@ -344,7 +423,6 @@ impl Default for SystemBuilder {
 impl fmt::Debug for SystemBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SystemBuilder")
-            .field("mode", &self.mode)
             .field("latency", &self.latency)
             .field("seed", &self.seed)
             .field("protocol", &self.protocol.name())
@@ -353,13 +431,6 @@ impl fmt::Debug for SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// Virtual (default) or real time.
-    #[must_use]
-    pub fn clock(mut self, mode: ClockMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Message latency model — the paper's `Tmmax` lives here.
     #[must_use]
     pub fn latency(mut self, latency: LatencyModel) -> Self {
@@ -437,7 +508,7 @@ impl SystemBuilder {
     pub fn build(self) -> System {
         let net = Network::new_reusing(
             NetConfig {
-                mode: self.mode,
+                mode: ClockMode::Virtual,
                 latency: self.latency,
                 seed: self.seed,
                 ack_timeout: self.ack_timeout,

@@ -13,8 +13,10 @@
 //! * **Deterministic latencies** via [`LatencyModel`] — the paper's `Tmmax`
 //!   parameter — plus the acknowledgment-timeout retransmission model that
 //!   reproduces the >1 s knee of Figure 10;
-//! * **Virtual time** ([`ClockMode::Virtual`]): endpoints are OS threads,
-//!   but time is simulated and advances only when all of them are blocked,
+//! * **Virtual time** ([`ClockMode::Virtual`]): endpoints are driven by
+//!   blocking code — fibers that `caa-runtime` runs one at a time on a
+//!   single thread, or plain OS threads — but time is simulated and
+//!   advances only when all of them are blocked,
 //!   so a 260-virtual-second experiment finishes in milliseconds and a
 //!   global deadlock is *detected and reported* rather than hanging the
 //!   test suite (the property Theorem 1 proves the protocols never
@@ -31,13 +33,15 @@
 //! function of per-link sequence numbers — so even unpinned
 //! ([`FaultSpec::any`]) loss/corruption rules affect the identical
 //! messages on every replay. The only nondeterminism OS scheduling can
-//! introduce is *wall-clock* interleaving of same-instant events, which
-//! never feeds back into virtual time.
+//! introduce — and only for endpoints driven by concurrent OS threads —
+//! is *wall-clock* interleaving of same-instant events, which never
+//! feeds back into virtual time.
 //!
 //! # Targeted wake-ups
 //!
 //! Scheduling is wake-targeted, not broadcast: every endpoint parks on
-//! its own slot, a delivery wakes only its (already-deliverable)
+//! its own slot (a runnable mark for its fiber's host, or a condvar when
+//! an OS thread drives it), a delivery wakes only its (already-deliverable)
 //! receiver, and a time advance wakes only the endpoints whose wake-up
 //! point was reached — the unique next runners instead of the herd. For
 //! wait conditions the network cannot see (e.g. the runtime's
@@ -46,8 +50,8 @@
 //! whoever *enables* the condition ring that thread's doorbell at a
 //! chosen virtual instant — wake-on-release rather than
 //! wake-every-quantum. Wake-up routing is pure wall-clock optimisation:
-//! it decides how threads sleep, never what they observe, so traces are
-//! byte-identical to the broadcast design's.
+//! it decides how participants sleep, never what they observe, so traces
+//! are byte-identical to the broadcast design's.
 //!
 //! # Examples
 //!

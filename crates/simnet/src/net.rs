@@ -11,16 +11,42 @@
 //!   reliable unless a [`FaultPlan`] injects losses or corruption;
 //! * latencies come from a deterministic [`LatencyModel`], optionally
 //!   inflated by the acknowledgment-timeout retransmission model;
-//! * in [`ClockMode::Virtual`] the network doubles as a conservative
-//!   virtual-time scheduler: virtual time advances only when every live
-//!   endpoint is blocked, directly to the earliest wake-up point. A global
-//!   block with no wake-up point is a genuine deadlock and is reported as
+//! * the network doubles as a conservative virtual-time scheduler:
+//!   virtual time advances only when every live endpoint is blocked,
+//!   directly to the earliest wake-up point. A global block with no
+//!   wake-up point is a genuine deadlock and is reported as
 //!   [`SimError::Deadlock`] to every participant — the property Theorem 1
 //!   says the resolution algorithm never triggers.
 //!
+//! # Two hosts, one blocking funnel
+//!
+//! Every blocking operation of an [`Endpoint`] ends in one private
+//! function, `block_until`, and the only thing that differs between the
+//! two ways of driving an endpoint is what that function does when its
+//! predicate does not hold yet:
+//!
+//! * called **inside a fiber** ([`caa_fiber::in_fiber`]) it releases the
+//!   scheduler lock and [suspends](caa_fiber::suspend) the fiber; wake
+//!   sites mark the endpoint runnable, and whoever resumes the fibers —
+//!   `caa-runtime`'s `System::run`, which hosts all participants of a
+//!   system on the calling thread — polls that mark with
+//!   [`Network::take_runnable`]. A hand-off is a user-space stack switch;
+//! * called **on a plain OS thread** (this crate's own tests and
+//!   doc-tests, the benchmark's ping-pong kernel) it waits on the
+//!   endpoint's private condvar and wake sites notify it. A hand-off is a
+//!   futex sleep and wake-up.
+//!
+//! The choice is made per block from where the caller runs — there is no
+//! option. The advance arbiter, heap keys, FIFO clamps and doorbell epochs
+//! are shared by both, so what an endpoint *observes* is the same either
+//! way; only how it sleeps differs.
+//!
 //! # Locking (the split hot path)
 //!
-//! State is split so that a send mostly touches the **receiver's shard**:
+//! The lock split below exists for thread-hosted endpoints, which run
+//! concurrently; fiber-hosted endpoints run one at a time and find every
+//! lock uncontended (and none is ever held across a suspend). State is
+//! split so that a send mostly touches the **receiver's shard**:
 //!
 //! * each endpoint owns a [`Mailbox`] behind its own mutex — the delivery
 //!   heap plus a *dense* per-source [`LinkState`] row (the per-pair FIFO
@@ -43,9 +69,11 @@
 //!
 //! Sweep drivers execute thousands of sub-millisecond simulations; a
 //! [`NetArena`] recycles the allocation-heavy parts (actor slots with
-//! their condvars, mailbox heaps, link rows) from one finished network
-//! into the next (see [`Network::new_reusing`] / [`Network::reclaim`]).
-//! Reuse is invisible to the simulation: recycled state is fully cleared.
+//! their condvars and fiber stacks, mailbox heaps, link rows) from one
+//! finished network into the next (see [`Network::new_reusing`] /
+//! [`Network::reclaim`]), so a warmed-up sweep worker neither allocates a
+//! slot nor maps a stack per seed. Reuse is invisible to the simulation:
+//! recycled state is fully cleared.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,6 +83,7 @@ use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
 use caa_core::time::{VirtualDuration, VirtualInstant};
+use caa_fiber::Stack;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::fault::FaultPlan;
@@ -62,7 +91,9 @@ use crate::latency::{effective_latency, LatencyModel};
 use crate::stats::{Classify, NetStats};
 use crate::tap::{NetTap, TapEvent};
 
-/// How the network experiences time.
+/// How the network experiences time. Virtual time is the only mode: a
+/// wall-clock mode existed for one smoke test and was the last reason a
+/// system needed OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
     /// Virtual time: delays are simulated; wall-clock speed is limited only
@@ -70,16 +101,12 @@ pub enum ClockMode {
     /// application.
     #[default]
     Virtual,
-    /// Real time: `sleep` and latencies consume wall-clock time. Used by
-    /// smoke tests to demonstrate the protocols do not depend on the
-    /// virtual-time machinery.
-    Real,
 }
 
 /// Configuration for a [`Network`].
 #[derive(Clone, Default)]
 pub struct NetConfig {
-    /// Virtual or real time.
+    /// How time passes (always virtual).
     pub mode: ClockMode,
     /// Per-message latency model (the paper's `Tmmax` lives here).
     pub latency: LatencyModel,
@@ -113,8 +140,7 @@ impl fmt::Debug for NetConfig {
 #[non_exhaustive]
 pub enum SimError {
     /// Every live endpoint is blocked with no pending wake-up: the system
-    /// can never make progress again. Only possible in
-    /// [`ClockMode::Virtual`].
+    /// can never make progress again.
     Deadlock(DeadlockInfo),
 }
 
@@ -218,11 +244,23 @@ struct ActorSlot {
     running: bool,
     blocked_on: BlockKind,
     wake_at: Option<VirtualInstant>,
-    /// This endpoint's private parking slot. Every blocking wait parks
-    /// here, and wake-ups are *targeted*: a delivery notifies only the
-    /// receiver, a time advance only the endpoints whose wake-up point was
-    /// reached, a doorbell only its owner — never the whole herd.
+    /// This endpoint's private parking slot when an OS thread drives it.
+    /// Every blocking wait parks here (or suspends, see `on_fiber`), and
+    /// wake-ups are *targeted*: a delivery wakes only the receiver, a time
+    /// advance only the endpoints whose wake-up point was reached, a
+    /// doorbell only its owner — never the whole herd.
     cv: Arc<Condvar>,
+    /// How the endpoint gave up the CPU when it last blocked: by
+    /// suspending the fiber it runs in (woken by setting `runnable`) or by
+    /// parking its OS thread on `cv` (woken by a notify).
+    on_fiber: bool,
+    /// For a fiber-hosted endpoint: a wake site has given it the CPU back
+    /// since it last suspended — or it has not started yet. Its host
+    /// polls and clears this through [`Network::take_runnable`].
+    runnable: bool,
+    /// The stack of the fiber hosting this endpoint, parked here between
+    /// runs so it is recycled with the slot ([`NetArena`]).
+    stack: Option<Stack>,
     /// Pending explicit wake-up, if any ([`Network::schedule_wake`]):
     /// consumed by [`Endpoint::park_wait`] when virtual time reaches it.
     doorbell: Option<VirtualInstant>,
@@ -237,7 +275,7 @@ struct ActorSlot {
 }
 
 impl ActorSlot {
-    fn fresh(name: Arc<str>, cv: Arc<Condvar>) -> ActorSlot {
+    fn fresh(name: Arc<str>, cv: Arc<Condvar>, stack: Option<Stack>) -> ActorSlot {
         ActorSlot {
             name,
             alive: true,
@@ -245,8 +283,24 @@ impl ActorSlot {
             blocked_on: BlockKind::Recv,
             wake_at: None,
             cv,
+            on_fiber: false,
+            runnable: true,
+            stack,
             doorbell: None,
             wait_epoch: 0,
+        }
+    }
+
+    /// Gives a blocked endpoint the CPU back. A suspended fiber is marked
+    /// runnable for its host; for a parked thread the condvar is returned,
+    /// for the caller to notify once it has let go of the scheduler lock
+    /// (or right away where it cannot).
+    fn wake(&mut self) -> Option<&Arc<Condvar>> {
+        if self.on_fiber {
+            self.runnable = true;
+            None
+        } else {
+            Some(&self.cv)
         }
     }
 }
@@ -355,6 +409,9 @@ struct Sched {
     now: VirtualInstant,
     actors: Vec<ActorSlot>,
     stats: NetStats,
+    /// Park/wake hand-off counters; every site that counts holds this
+    /// lock.
+    handoffs: SchedStats,
     deadlocked: Option<DeadlockInfo>,
     /// Recycled actor slots handed out by [`Network::endpoint`] before any
     /// fresh allocation (see [`NetArena`]).
@@ -378,39 +435,38 @@ struct Shared<M> {
     /// without a lock: virtual time only advances when every live endpoint
     /// is blocked, so no running reader can race an advance.
     now_ns: AtomicU64,
-    mode: ClockMode,
     latency: LatencyModel,
     seed: u64,
     ack_timeout: Option<VirtualDuration>,
     tap: Option<Arc<dyn NetTap>>,
-    start: std::time::Instant,
-    /// Condvar park count across all endpoints (see [`SchedStats`]).
-    /// Atomic, not under `sched`: wake sites run after dropping the
-    /// scheduler lock (senders never hold it while notifying).
-    parks: AtomicU64,
-    /// Condvar notify count across all wake sites (see [`SchedStats`]).
-    wakes: AtomicU64,
 }
 
-/// Scheduler self-metrics: condvar handoffs between the simulated
-/// threads. One `park` is one OS-level condvar wait (a futex sleep on
-/// Linux); one `wake` is one targeted `notify_one` (plus the broadcast on
-/// deadlock). These are **wall-clock facts about the host scheduler**, not
-/// virtual-time facts about the protocol: identical seeds produce
-/// identical traces but may park slightly differently depending on OS
-/// interleaving, so report these separately from deterministic metrics
-/// and gate them with ceilings, not equalities.
+/// Scheduler self-metrics: hand-offs of the CPU between endpoints. One
+/// `park` is one blocked endpoint giving up the CPU — a fiber suspend
+/// under `caa-runtime`'s `System::run`, a condvar wait (a futex sleep on
+/// Linux) for an endpoint driven by an OS thread; one `wake` is one wake
+/// site making one endpoint runnable again (each endpoint counted
+/// separately in the broadcast on deadlock).
+///
+/// These say what the *simulator* did, not what the protocol did, so
+/// report them apart from the protocol's metrics. Under `System::run`
+/// they are nonetheless a pure function of the seed: participants run to
+/// their next block one at a time, in registration order, so the same
+/// seed parks and wakes identically on every run and the counts may be
+/// gated by equality. Only endpoints driven by concurrently running OS
+/// threads park differently from run to run (same-instant events
+/// interleave as the OS pleases, which never reaches virtual time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Number of condvar waits entered by blocked endpoints.
+    /// Times a blocked endpoint gave up the CPU.
     pub parks: u64,
-    /// Number of condvar notifies issued by wake sites.
+    /// Times a wake site made an endpoint runnable.
     pub wakes: u64,
 }
 
 /// Recycled allocations of a finished [`Network`]: actor slots (with their
-/// condvar allocations) and mailbox shards (with their heap and link-row
-/// capacity). Obtained from [`Network::reclaim`], consumed by
+/// condvar allocations and any fiber stacks parked in them) and mailbox
+/// shards (with their heap and link-row capacity). Obtained from [`Network::reclaim`], consumed by
 /// [`Network::new_reusing`]. Purely an allocation cache — a network built
 /// from an arena is observably identical to a fresh one.
 pub struct NetArena<M> {
@@ -497,7 +553,6 @@ impl<M> fmt::Debug for Network<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let sched = self.shared.sched.lock();
         f.debug_struct("Network")
-            .field("mode", &self.shared.mode)
             .field("now", &sched.now)
             .field("endpoints", &sched.actors.len())
             .finish()
@@ -525,6 +580,7 @@ impl<M: Send + Classify> Network<M> {
                     now: VirtualInstant::EPOCH,
                     actors: Vec::new(),
                     stats: NetStats::default(),
+                    handoffs: SchedStats::default(),
                     deadlocked: None,
                     spare_slots: arena.slots,
                 }),
@@ -533,14 +589,10 @@ impl<M: Send + Classify> Network<M> {
                 faults: Mutex::new(config.faults),
                 has_faults,
                 now_ns: AtomicU64::new(VirtualInstant::EPOCH.as_nanos()),
-                mode: config.mode,
                 latency: config.latency,
                 seed: config.seed,
                 ack_timeout: config.ack_timeout,
                 tap: config.tap,
-                start: std::time::Instant::now(),
-                parks: AtomicU64::new(0),
-                wakes: AtomicU64::new(0),
             }),
         }
     }
@@ -556,11 +608,6 @@ impl<M: Send + Classify> Network<M> {
         let sched = shared.sched.into_inner();
         let mut slots = sched.actors;
         slots.extend(sched.spare_slots);
-        for slot in &mut slots {
-            slot.doorbell = None;
-            slot.wake_at = None;
-            slot.wait_epoch = 0;
-        }
         let mut mailboxes = Vec::new();
         for mut arc in shared
             .mailboxes
@@ -593,12 +640,8 @@ impl<M: Send + Classify> Network<M> {
         let id =
             PartitionId::new(u32::try_from(sched.actors.len()).expect("fewer than 2^32 endpoints"));
         let slot = match sched.spare_slots.pop() {
-            Some(mut slot) => {
-                let cv = Arc::clone(&slot.cv);
-                slot = ActorSlot::fresh(name, cv);
-                slot
-            }
-            None => ActorSlot::fresh(name, Arc::new(Condvar::new())),
+            Some(spare) => ActorSlot::fresh(name, spare.cv, spare.stack),
+            None => ActorSlot::fresh(name, Arc::new(Condvar::new()), None),
         };
         sched.actors.push(slot);
         drop(sched);
@@ -611,19 +654,14 @@ impl<M: Send + Classify> Network<M> {
         }
     }
 
-    /// Current time (virtual, or wall-clock since creation in real mode).
+    /// Current virtual time.
     ///
-    /// In virtual mode this is a lock-free atomic read: the clock only
-    /// moves while every live endpoint is blocked, so a running caller
-    /// always sees the exact current instant.
+    /// A lock-free atomic read: the clock only moves while every live
+    /// endpoint is blocked, so a running caller always sees the exact
+    /// current instant.
     #[must_use]
     pub fn now(&self) -> VirtualInstant {
-        match self.shared.mode {
-            ClockMode::Virtual => {
-                VirtualInstant::from_nanos(self.shared.now_ns.load(Ordering::Acquire))
-            }
-            ClockMode::Real => self.real_now(),
-        }
+        VirtualInstant::from_nanos(self.shared.now_ns.load(Ordering::Acquire))
     }
 
     /// Snapshot of the message counters.
@@ -632,25 +670,42 @@ impl<M: Send + Classify> Network<M> {
         self.shared.sched.lock().stats.clone()
     }
 
-    /// Snapshot of the scheduler's park/wake handoff counters (wall-clock
-    /// facts — see [`SchedStats`] for why these are not deterministic).
+    /// Snapshot of the scheduler's park/wake hand-off counters (see
+    /// [`SchedStats`]).
     #[must_use]
     pub fn sched_stats(&self) -> SchedStats {
-        SchedStats {
-            parks: self.shared.parks.load(Ordering::Relaxed),
-            wakes: self.shared.wakes.load(Ordering::Relaxed),
-        }
+        self.shared.sched.lock().handoffs
     }
 
-    fn real_now(&self) -> VirtualInstant {
-        let nanos = self.shared.start.elapsed().as_nanos();
-        VirtualInstant::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
+    /// For the host of fiber-driven endpoints: whether endpoint `id` has
+    /// been made runnable since it last suspended (or has yet to start),
+    /// clearing the mark. A `true` obliges the host to resume the
+    /// endpoint's fiber — the wake-up is consumed.
+    #[must_use]
+    pub fn take_runnable(&self, id: PartitionId) -> bool {
+        let mut sched = self.shared.sched.lock();
+        sched
+            .actors
+            .get_mut(id.index())
+            .is_some_and(|slot| std::mem::take(&mut slot.runnable))
     }
 
-    fn now_locked(&self, sched: &Sched) -> VirtualInstant {
-        match self.shared.mode {
-            ClockMode::Virtual => sched.now,
-            ClockMode::Real => self.real_now(),
+    /// Takes the fiber stack parked in endpoint `id`'s slot, if one was
+    /// left there by [`Network::park_stack`] — in this network or, through
+    /// a [`NetArena`], in an earlier one.
+    #[must_use]
+    pub fn take_stack(&self, id: PartitionId) -> Option<Stack> {
+        let mut sched = self.shared.sched.lock();
+        sched.actors.get_mut(id.index())?.stack.take()
+    }
+
+    /// Parks a fiber stack in endpoint `id`'s slot once its fiber has
+    /// finished, so that [`Network::reclaim`] carries it to the next
+    /// network with the slot. (An unknown `id` just drops the stack.)
+    pub fn park_stack(&self, id: PartitionId, stack: Stack) {
+        let mut sched = self.shared.sched.lock();
+        if let Some(slot) = sched.actors.get_mut(id.index()) {
+            slot.stack = Some(stack);
         }
     }
 
@@ -793,22 +848,16 @@ impl<M: Send + Classify> Network<M> {
                 // only a time advance can make it deliverable, and the
                 // advance arbiter wakes exactly the endpoints whose
                 // wake-up point was reached.
-                let now = self.now_locked(&sched);
+                let now = sched.now;
                 let slot = &mut sched.actors[dst.index()];
                 if slot.alive && !slot.running && slot.blocked_on.receives_messages() {
                     slot.wake_at = Some(match slot.wake_at {
                         Some(existing) => existing.min(deliver_at),
                         None => deliver_at,
                     });
-                    let deliverable = match self.shared.mode {
-                        ClockMode::Virtual => deliver_at <= now,
-                        // Real mode has no advance arbiter: the receiver
-                        // must wake to rearm its wall-clock wait for the
-                        // new delivery time.
-                        ClockMode::Real => true,
-                    };
-                    if deliverable {
-                        wake_dst = Some(Arc::clone(&slot.cv));
+                    if deliver_at <= now {
+                        wake_dst = slot.wake().map(Arc::clone);
+                        sched.handoffs.wakes += 1;
                     }
                 }
             }
@@ -821,7 +870,6 @@ impl<M: Send + Classify> Network<M> {
             }
         }
         if let Some(cv) = wake_dst {
-            self.shared.wakes.fetch_add(1, Ordering::Relaxed);
             cv.notify_one();
         }
     }
@@ -833,6 +881,13 @@ impl<M: Send + Classify> Network<M> {
     /// `wake_hint` tells the scheduler the earliest instant at which
     /// `pred` could become true (None = only a message or retirement can
     /// help).
+    ///
+    /// This is the one place an endpoint gives up the CPU, and the one
+    /// place that knows there are two ways to: inside a fiber the caller
+    /// suspends (its host resumes it once a wake site has marked it
+    /// runnable), on a plain OS thread it waits on its condvar. No lock is
+    /// held across a suspend — the host runs other endpoints on this very
+    /// thread, and they take the same locks.
     fn block_until<T>(
         &self,
         id: PartitionId,
@@ -841,15 +896,13 @@ impl<M: Send + Classify> Network<M> {
         mut pred: impl FnMut(&mut Sched, &mut Mailbox<M>, VirtualInstant) -> Option<T>,
         mut wake_hint: impl FnMut(&Sched, &Mailbox<M>, VirtualInstant) -> Option<VirtualInstant>,
     ) -> Result<T, SimError> {
+        let on_fiber = caa_fiber::in_fiber();
         let mut sched = self.shared.sched.lock();
-        // Each endpoint parks on its own slot; wake-ups are targeted at
-        // exactly the endpoints whose predicate may now hold.
-        let cv = Arc::clone(&sched.actors[id.index()].cv);
         loop {
             if let Some(info) = &sched.deadlocked {
                 return Err(SimError::Deadlock(info.clone()));
             }
-            let now = self.now_locked(&sched);
+            let now = sched.now;
             let hint = {
                 let mut mb = mailbox.lock();
                 if let Some(v) = pred(&mut sched, &mut mb, now) {
@@ -863,30 +916,30 @@ impl<M: Send + Classify> Network<M> {
                 slot.running = false;
                 slot.blocked_on = kind;
                 slot.wake_at = hint;
+                slot.on_fiber = on_fiber;
             }
-            match self.shared.mode {
-                ClockMode::Virtual => {
-                    // If our own blocking triggered an advance (or deadlock
-                    // detection), the notification fired before we could
-                    // wait — re-evaluate instead of waiting for it.
-                    let changed =
-                        advance_if_blocked(&mut sched, &self.shared.now_ns, &self.shared.wakes);
-                    if !changed && sched.deadlocked.is_none() {
-                        self.shared.parks.fetch_add(1, Ordering::Relaxed);
-                        cv.wait(&mut sched);
-                    }
-                }
-                ClockMode::Real => match hint {
-                    Some(t) => {
-                        let dur: std::time::Duration = t.duration_since(self.real_now()).into();
-                        self.shared.parks.fetch_add(1, Ordering::Relaxed);
-                        let _ = cv.wait_for(&mut sched, dur);
-                    }
-                    None => {
-                        self.shared.parks.fetch_add(1, Ordering::Relaxed);
-                        cv.wait(&mut sched);
-                    }
-                },
+            // If our own blocking triggered an advance (or deadlock
+            // detection), the wake-up fired before we could wait —
+            // re-evaluate instead of waiting for it.
+            let changed = advance_if_blocked(&mut sched, &self.shared.now_ns);
+            if changed || sched.deadlocked.is_some() {
+                continue;
+            }
+            sched.handoffs.parks += 1;
+            if on_fiber {
+                // Nothing ran between the predicate and here, so a mark
+                // still set is a leftover of a wake-up already acted on
+                // (our own advance above, on an earlier turn of the loop).
+                sched.actors[id.index()].runnable = false;
+                drop(sched);
+                caa_fiber::suspend();
+                sched = self.shared.sched.lock();
+            } else {
+                // Each endpoint parks on its own slot; wake-ups are
+                // targeted at exactly the endpoints whose predicate may
+                // now hold.
+                let cv = Arc::clone(&sched.actors[id.index()].cv);
+                cv.wait(&mut sched);
             }
         }
     }
@@ -900,9 +953,7 @@ impl<M: Send + Classify> Network<M> {
         }
         slot.alive = false;
         slot.running = false;
-        if self.shared.mode == ClockMode::Virtual {
-            advance_if_blocked(&mut sched, &self.shared.now_ns, &self.shared.wakes);
-        }
+        advance_if_blocked(&mut sched, &self.shared.now_ns);
     }
 
     /// Rings endpoint `id`'s doorbell at virtual instant `at`, replacing
@@ -930,7 +981,7 @@ impl<M: Send + Classify> Network<M> {
         if i >= sched.actors.len() || !sched.actors[i].alive {
             return;
         }
-        let now = self.now_locked(&sched);
+        let now = sched.now;
         let head = mailbox.as_ref().and_then(|mb| mb.lock().head_deliver_at());
         let slot = &mut sched.actors[i];
         if slot.wait_epoch != epoch {
@@ -945,21 +996,15 @@ impl<M: Send + Classify> Network<M> {
                 Some(h) => h.min(at),
                 None => at,
             });
-            let due = match self.shared.mode {
-                // Wake the owner only if the bell is already due — the
-                // advance arbiter will deliver future bells at `at`.
-                ClockMode::Virtual => at <= now,
-                // Real mode has no advance arbiter: the owner must wake to
-                // re-arm its wall-clock wait for the new bell.
-                ClockMode::Real => true,
-            };
-            if due {
-                wake = Some(Arc::clone(&slot.cv));
+            // Wake the owner only if the bell is already due — the
+            // advance arbiter will deliver future bells at `at`.
+            if at <= now {
+                wake = slot.wake().map(Arc::clone);
+                sched.handoffs.wakes += 1;
             }
         }
         drop(sched);
         if let Some(cv) = wake {
-            self.shared.wakes.fetch_add(1, Ordering::Relaxed);
             cv.notify_one();
         }
     }
@@ -1018,7 +1063,7 @@ impl<M: Send + Classify> Endpoint<M> {
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress (virtual mode only).
+    /// progress.
     pub fn recv(&mut self) -> Result<Received<M>, SimError> {
         self.net.block_until(
             self.id,
@@ -1039,8 +1084,7 @@ impl<M: Send + Classify> Endpoint<M> {
         if let Some(info) = &sched.deadlocked {
             return Err(SimError::Deadlock(info.clone()));
         }
-        let now = self.net.now_locked(&sched);
-        Ok(self.mailbox.lock().pop_ready(now))
+        Ok(self.mailbox.lock().pop_ready(sched.now))
     }
 
     /// Receives the next message, waiting at most `timeout`.
@@ -1216,9 +1260,7 @@ impl<M> Drop for Endpoint<M> {
             if slot.alive {
                 slot.alive = false;
                 slot.running = false;
-                if net.shared.mode == ClockMode::Virtual {
-                    advance_if_blocked(&mut sched, &net.shared.now_ns, &net.shared.wakes);
-                }
+                advance_if_blocked(&mut sched, &net.shared.now_ns);
             }
         }
     }
@@ -1226,12 +1268,12 @@ impl<M> Drop for Endpoint<M> {
 
 /// The virtual-time advance arbiter (callable without `M: Classify`, for
 /// `Drop`): if every live endpoint is blocked, advances time to the
-/// earliest wake-up point and notifies **only** the endpoints whose
+/// earliest wake-up point and wakes **only** the endpoints whose
 /// wake-up point was reached — the unique next runner(s), not the herd —
 /// or, with no wake-up point anywhere, declares deadlock and wakes
 /// everyone to report it. Returns whether it changed the world, so the
 /// calling blocker re-evaluates instead of missing its own wake-up.
-fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64, wakes: &AtomicU64) -> bool {
+fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64) -> bool {
     if sched.deadlocked.is_some() {
         return false;
     }
@@ -1255,10 +1297,12 @@ fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64, wakes: &AtomicU64) 
         Some(t) => {
             sched.now = t;
             now_ns.store(t.as_nanos(), Ordering::Release);
-            for actor in &sched.actors {
+            for actor in &mut sched.actors {
                 if actor.alive && !actor.running && actor.wake_at.is_some_and(|w| w <= t) {
-                    wakes.fetch_add(1, Ordering::Relaxed);
-                    actor.cv.notify_one();
+                    sched.handoffs.wakes += 1;
+                    if let Some(cv) = actor.wake() {
+                        cv.notify_one();
+                    }
                 }
             }
             true
@@ -1280,10 +1324,12 @@ fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64, wakes: &AtomicU64) 
             sched.deadlocked = Some(info);
             // Everyone must observe the deadlock: this is the one
             // remaining broadcast wake-up, and the simulation is over.
-            for actor in &sched.actors {
+            for actor in &mut sched.actors {
                 if actor.alive && !actor.running {
-                    wakes.fetch_add(1, Ordering::Relaxed);
-                    actor.cv.notify_one();
+                    sched.handoffs.wakes += 1;
+                    if let Some(cv) = actor.wake() {
+                        cv.notify_one();
+                    }
                 }
             }
             true
@@ -1530,31 +1576,6 @@ mod tests {
         // With b gone, a alone waiting forever is a deadlock.
         let r = a.recv();
         assert!(matches!(r, Err(SimError::Deadlock(_))));
-    }
-
-    #[test]
-    fn real_mode_delivers_with_wall_clock_delay() {
-        let net: Network<Msg> = Network::new(NetConfig {
-            mode: ClockMode::Real,
-            latency: LatencyModel::Fixed(VirtualDuration::from_millis(30)),
-            seed: 0,
-            ack_timeout: None,
-            faults: FaultPlan::new(),
-            tap: None,
-        });
-        let mut a = net.endpoint("a");
-        let b = net.endpoint("b");
-        let a_id = a.id();
-        let wall = std::time::Instant::now();
-        b.send(a_id, Msg(3));
-        let got = a.recv().unwrap();
-        assert_eq!(got.msg.unwrap(), Msg(3));
-        assert!(
-            wall.elapsed() >= std::time::Duration::from_millis(25),
-            "real mode must consume wall time"
-        );
-        a.retire();
-        b.retire();
     }
 
     #[test]

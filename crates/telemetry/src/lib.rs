@@ -29,7 +29,7 @@
 //! and [`MetricSet::merge`] is associative and commutative (bucket sums,
 //! counter sums, min/max). Callers that record only *virtual-time*
 //! quantities therefore get byte-deterministic serialized metrics per
-//! seed set. Wall-clock quantities (e.g. scheduler park/wake handoffs)
+//! seed set. Wall-clock quantities (e.g. driver stage timers)
 //! belong in a separate set that is reported but excluded from
 //! byte-identity claims — see `caa-harness`'s sweep metrics for the
 //! split.

@@ -5,14 +5,14 @@ use std::sync::Arc;
 
 use caa::baselines::{CrResolution, Rom96Resolution};
 use caa::core::exception::{Exception, ExceptionId};
-use caa::core::outcome::{ActionOutcome, HandlerVerdict};
+use caa::core::outcome::HandlerVerdict;
 use caa::core::time::secs;
 use caa::exgraph::generate::conjunction_lattice;
 use caa::exgraph::ExceptionGraphBuilder;
 use caa::prodcell::{CellFaultScripts, ControllerConfig, DeviceFault, FaultScript, ProductionCell};
 use caa::runtime::protocol::ResolutionProtocol;
 use caa::runtime::{ActionDef, System};
-use caa::simnet::{ClockMode, FaultPlan, FaultSpec, LatencyModel};
+use caa::simnet::{FaultPlan, FaultSpec, LatencyModel};
 
 /// The production cell keeps producing under every resolution protocol —
 /// the paper's claim that the protocol is a pluggable part of the CA-action
@@ -80,53 +80,6 @@ fn corrupted_network_message_raises_l_mes_in_the_cell() {
         "the corrupted message must have triggered coordinated recovery"
     );
     assert!(cell.audit_committed().is_consistent());
-}
-
-/// The whole stack also runs in real time (no virtual clock): protocols do
-/// not depend on the simulated-time machinery.
-#[test]
-fn real_clock_smoke_test() {
-    let graph = ExceptionGraphBuilder::new()
-        .resolves("both", ["a", "b"])
-        .build()
-        .unwrap();
-    let action = ActionDef::builder("real_time")
-        .role("left", 0u32)
-        .role("right", 1u32)
-        .graph(graph)
-        .handler("left", "both", |_| Ok(HandlerVerdict::Recovered))
-        .handler("right", "both", |_| Ok(HandlerVerdict::Recovered))
-        .build()
-        .unwrap();
-    let mut sys = System::builder()
-        .clock(ClockMode::Real)
-        .latency(LatencyModel::Fixed(caa::core::time::millis(5)))
-        .build();
-    let wall = std::time::Instant::now();
-    let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "left", |rc| {
-            rc.work(caa::core::time::millis(20))?;
-            rc.raise(Exception::new("a"))
-        })?;
-        assert_eq!(outcome, ActionOutcome::Success);
-        Ok(())
-    });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "right", |rc| {
-            rc.work(caa::core::time::millis(20))?;
-            rc.raise(Exception::new("b"))
-        })?;
-        assert_eq!(outcome, ActionOutcome::Success);
-        Ok(())
-    });
-    let report = sys.run();
-    report.expect_ok();
-    assert!(
-        wall.elapsed() >= std::time::Duration::from_millis(20),
-        "real mode consumes wall time"
-    );
-    assert_eq!(report.runtime_stats.resolutions_invoked, 1);
 }
 
 /// Determinism: the same virtual-time configuration produces the same
