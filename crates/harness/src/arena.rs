@@ -13,9 +13,15 @@
 //!   [`System::run_reclaiming`](caa_runtime::System::run_reclaiming) and
 //!   fed back through
 //!   [`SystemBuilder::net_arena`](caa_runtime::SystemBuilder::net_arena);
-//! * **trace buffers**: entry vectors handed back by
-//!   [`ExecutionArena::recycle_trace`] once a seed's trace has been
-//!   checked, so steady-state recording allocates nothing;
+//! * the **trace recorder and trace buffers**: one
+//!   [`TraceRecorder`] records every seed executed through the arena, and
+//!   entry vectors handed back by [`ExecutionArena::recycle_trace`] once a
+//!   seed's trace has been checked carry the next seed's trace out of it —
+//!   once both have grown to the worker's longest trace, recording and
+//!   hand-off allocate nothing. A trace that is *not* handed back costs
+//!   one allocation of exactly its length;
+//! * **interned names**: role and thread names as `Arc<str>`, which
+//!   definitions, endpoints and events clone by reference;
 //! * the **graph cache**: conjunction lattices are pure functions of an
 //!   action's declared exceptions, and scenario generation draws those
 //!   from a small space — the cache turns per-seed lattice construction
@@ -66,12 +72,21 @@ const MAX_TRACE_BUFS: usize = 2;
 #[derive(Default)]
 pub struct ExecutionArena {
     net: Option<NetArena<Message>>,
+    /// The recorder attached to every system executed through this arena;
+    /// empty between executions.
+    recorder: Arc<TraceRecorder>,
     trace_bufs: Vec<Vec<Entry>>,
     /// Resolution lattices keyed by `(action name, group)` — the inputs
     /// that determine an action's declared exceptions.
     graphs: HashMap<String, Arc<ExceptionGraph>>,
     /// Reusable key buffer for graph lookups.
     graph_key: String,
+    /// Interned role (`r<t>`) and thread (`T<t>`) names by thread id. Per
+    /// worker on purpose: definitions, endpoints and every `Enter` event
+    /// clone these, and names shared between workers would have them all
+    /// contend for the same reference counts.
+    role_names: Vec<Arc<str>>,
+    thread_names: Vec<Arc<str>>,
     /// Per-worker metrics recorder: pre-registered histogram handles plus
     /// reusable correlation scratch, so per-seed metric extraction is
     /// allocation-free in steady state (see [`crate::metrics`]).
@@ -105,13 +120,17 @@ impl ExecutionArena {
         }
     }
 
-    /// A recorder for the next execution: over a recycled buffer if one is
-    /// available, else a fresh one.
-    pub(crate) fn recorder(&mut self) -> Arc<TraceRecorder> {
-        match self.trace_bufs.pop() {
-            Some(buf) => TraceRecorder::with_buffer(buf),
-            None => TraceRecorder::new(),
-        }
+    /// The arena's recorder, to attach to the next execution's system.
+    pub(crate) fn recorder(&self) -> Arc<TraceRecorder> {
+        Arc::clone(&self.recorder)
+    }
+
+    /// Takes the finished execution's trace out of the arena's recorder:
+    /// into a recycled buffer if one is available, else into a fresh one
+    /// of exactly the trace's length.
+    pub(crate) fn take_trace(&mut self) -> Trace {
+        let buf = self.trace_bufs.pop().unwrap_or_default();
+        self.recorder.take_trace_into(buf)
     }
 
     /// The recycled network arena, if the previous execution reclaimed
@@ -152,6 +171,16 @@ impl ExecutionArena {
         graph
     }
 
+    /// The interned name of the role thread `thread` plays (`r<thread>`).
+    pub(crate) fn role_name(&mut self, thread: u32) -> Arc<str> {
+        interned(&mut self.role_names, 'r', thread)
+    }
+
+    /// The interned name of thread `thread` (`T<thread>`).
+    pub(crate) fn thread_name(&mut self, thread: u32) -> Arc<str> {
+        interned(&mut self.thread_names, 'T', thread)
+    }
+
     /// The per-worker metrics recorder (mutable: seed runners record each
     /// explored seed's artifacts through it).
     pub fn metrics_recorder(&mut self) -> &mut MetricsRecorder {
@@ -170,6 +199,14 @@ impl ExecutionArena {
     pub fn take_metrics(&mut self) -> SweepMetrics {
         self.metrics.take_metrics()
     }
+}
+
+/// `names[thread]`, the cache grown to cover `thread` first.
+fn interned(names: &mut Vec<Arc<str>>, prefix: char, thread: u32) -> Arc<str> {
+    for t in names.len()..=thread as usize {
+        names.push(format!("{prefix}{t}").into());
+    }
+    Arc::clone(&names[thread as usize])
 }
 
 #[cfg(test)]

@@ -32,28 +32,31 @@ pub struct RunArtifacts {
     pub report: SystemReport,
 }
 
-/// One action of the plan, compiled: its definition plus compiled phases.
+/// One action of the plan, compiled: its definition, and the compiled
+/// children of each of its phases. Everything else — durations, sends,
+/// listeners, object operations, the raise phase — is read from the
+/// action's [`ActionPlan`], which the run holds (see [`CompiledPlan`]) and
+/// the bodies walk side by side with this tree.
 struct ExecNode {
-    plan: ActionPlan,
     def: ActionDef,
-    phases: Vec<ExecPhase>,
+    /// Parallel to [`ActionPlan::phases`]: a nested phase's children in
+    /// plan order, nothing for a compute phase.
+    children: Vec<Vec<ExecNode>>,
 }
 
-enum ExecPhase {
-    Compute {
-        dur: VirtualDuration,
-        sends: Vec<(u32, u32)>,
-        listeners: Vec<u32>,
-        object_ops: Vec<ObjectOp>,
-    },
-    Nested {
-        children: Vec<Arc<ExecNode>>,
-    },
+/// What every participant body of one run shares: the plan, owned for the
+/// length of the run, its compiled top-level actions (parallel to
+/// [`ScenarioPlan::top`]) and the shared objects.
+struct CompiledPlan {
+    plan: ScenarioPlan,
+    nodes: Vec<ExecNode>,
+    objects: Vec<SharedObject<u64>>,
 }
 
-/// Pre-interned name caches: role and thread names are `r<t>` / `T<t>`
-/// for small `t`, and the execute hot path asks for them on every send,
-/// entry and spawn — a per-call `format!` was measurable sweep churn.
+/// Role names are `r<t>`; the bodies ask for one on every send and entry,
+/// where a per-call `format!` was measurable sweep churn. (The interned
+/// `Arc<str>` forms that definitions and endpoints keep come from the
+/// worker's [`ExecutionArena`].)
 const NAME_CACHE: usize = 64;
 
 fn role_name(thread: u32) -> &'static str {
@@ -83,19 +86,6 @@ fn oversized_role_name(thread: u32) -> &'static str {
         .or_insert_with(|| &*format!("r{thread}").leak())
 }
 
-fn thread_name(thread: u32) -> Arc<str> {
-    static NAMES: OnceLock<Vec<Arc<str>>> = OnceLock::new();
-    let names = NAMES.get_or_init(|| {
-        (0..NAME_CACHE as u32)
-            .map(|t| Arc::from(format!("T{t}").as_str()))
-            .collect()
-    });
-    match names.get(thread as usize) {
-        Some(name) => Arc::clone(name),
-        None => Arc::from(format!("T{thread}").as_str()),
-    }
-}
-
 /// Per-level separation factor for the crash-detecting bounded waits.
 ///
 /// A live participant of an action at depth `d` can lawfully lag behind
@@ -116,8 +106,9 @@ pub const TIMEOUT_SEPARATION: f64 = 100.0;
 fn build_node(
     plan: &ActionPlan,
     scenario: &ScenarioPlan,
+    max_depth: usize,
     arena: &mut ExecutionArena,
-) -> Arc<ExecNode> {
+) -> ExecNode {
     // The lattice is a pure function of (action name, group); the arena
     // caches it across seeds, turning per-seed graph construction into a
     // lookup for the recurring shapes the generator emits.
@@ -128,7 +119,7 @@ fn build_node(
             .collect()
     });
 
-    let levels_below = scenario.max_depth().saturating_sub(plan.depth) as i32;
+    let levels_below = max_depth.saturating_sub(plan.depth) as i32;
     let scale = TIMEOUT_SEPARATION.powi(levels_below);
     let mut builder = ActionDef::builder(plan.name.as_str())
         .graph_shared(graph)
@@ -136,19 +127,21 @@ fn build_node(
         .exit_timeout(secs(scenario.exit_timeout * scale))
         .resolution_timeout(secs(scenario.resolution_timeout * scale));
     for &t in &plan.group {
-        builder = builder.role(role_name(t), t);
+        builder = builder.role(arena.role_name(t), t);
     }
     let delta = secs(scenario.delta);
     for &(t, verdict) in &plan.verdicts {
-        let signal_exc = ExceptionId::new(plan.signal_exception());
-        builder = builder.fallback_handler(role_name(t), move |hc| {
+        let verdict = match verdict {
+            VerdictChoice::Recovered => HandlerVerdict::Recovered,
+            VerdictChoice::Undo => HandlerVerdict::Undo,
+            VerdictChoice::Fail => HandlerVerdict::Fail,
+            VerdictChoice::Signal => {
+                HandlerVerdict::Signal(ExceptionId::new(plan.signal_exception()))
+            }
+        };
+        builder = builder.fallback_handler(arena.role_name(t), move |hc| {
             hc.work(delta)?;
-            Ok(match verdict {
-                VerdictChoice::Recovered => HandlerVerdict::Recovered,
-                VerdictChoice::Undo => HandlerVerdict::Undo,
-                VerdictChoice::Fail => HandlerVerdict::Fail,
-                VerdictChoice::Signal => HandlerVerdict::Signal(signal_exc.clone()),
-            })
+            Ok(verdict.clone())
         });
     }
     if plan.depth > 0 {
@@ -158,7 +151,7 @@ fn build_node(
                 .abort_raises_eab
                 .contains(&t)
                 .then(|| ExceptionId::new(plan.eab_exception(t)));
-            builder = builder.abort_handler(role_name(t), move |ac| {
+            builder = builder.abort_handler(arena.role_name(t), move |ac| {
                 ac.work(t_abort)?;
                 Ok(eab.clone().map(Exception::new))
             });
@@ -168,35 +161,19 @@ fn build_node(
         .build()
         .expect("generated plans declare valid roles");
 
-    let phases = plan
+    let children = plan
         .phases
         .iter()
         .map(|phase| match phase {
-            Phase::Compute {
-                dur_ns,
-                sends,
-                listeners,
-                object_ops,
-            } => ExecPhase::Compute {
-                dur: VirtualDuration::from_nanos(*dur_ns),
-                sends: sends.clone(),
-                listeners: listeners.clone(),
-                object_ops: object_ops.clone(),
-            },
-            Phase::Nested { children } => ExecPhase::Nested {
-                children: children
-                    .iter()
-                    .map(|c| build_node(c, scenario, arena))
-                    .collect(),
-            },
+            Phase::Compute { .. } => Vec::new(),
+            Phase::Nested { children } => children
+                .iter()
+                .map(|c| build_node(c, scenario, max_depth, arena))
+                .collect(),
         })
         .collect();
 
-    Arc::new(ExecNode {
-        plan: plan.clone(),
-        def,
-        phases,
-    })
+    ExecNode { def, children }
 }
 
 /// Drains the role's app inbox for exactly `dur` of virtual time, so the
@@ -244,47 +221,55 @@ fn compute_with_ops(
     Ok(())
 }
 
-fn body_phases(rc: &mut Ctx, node: &ExecNode, me: u32, objects: &[SharedObject<u64>]) -> Step<()> {
-    for phase in &node.phases {
+fn body_phases(
+    rc: &mut Ctx,
+    plan: &ActionPlan,
+    node: &ExecNode,
+    me: u32,
+    objects: &[SharedObject<u64>],
+) -> Step<()> {
+    for (phase, compiled) in plan.phases.iter().zip(&node.children) {
         match phase {
-            ExecPhase::Compute {
-                dur,
+            Phase::Compute {
+                dur_ns,
                 sends,
                 listeners,
                 object_ops,
             } => {
+                let dur = VirtualDuration::from_nanos(*dur_ns);
                 for &(from, to) in sends {
                     if from == me {
                         rc.send_to_role(role_name(to), "app", u64::from(to))?;
                     }
                 }
                 if listeners.contains(&me) {
-                    listen(rc, *dur)?;
+                    listen(rc, dur)?;
                 } else {
                     let mut my_ops: Vec<&ObjectOp> =
                         object_ops.iter().filter(|op| op.thread == me).collect();
                     my_ops.sort_by_key(|op| op.delay_ns);
-                    compute_with_ops(rc, *dur, &my_ops, objects)?;
+                    compute_with_ops(rc, dur, &my_ops, objects)?;
                 }
             }
-            ExecPhase::Nested { children } => {
-                if let Some(child) = children.iter().find(|c| c.plan.group.contains(&me)) {
-                    let def = child.def.clone();
-                    let child = Arc::clone(child);
-                    let objects = objects.to_vec();
-                    rc.enter(&def, role_name(me), move |cc| {
-                        body_phases(cc, &child, me, &objects)
+            Phase::Nested { children } => {
+                let mine = children
+                    .iter()
+                    .zip(compiled)
+                    .find(|(child, _)| child.group.contains(&me));
+                if let Some((child, compiled)) = mine {
+                    rc.enter(&compiled.def, role_name(me), |cc| {
+                        body_phases(cc, child, compiled, me, objects)
                     })
                     .map(|_| ())?;
                 }
             }
         }
     }
-    if let Some(raise_phase) = &node.plan.raise {
+    if let Some(raise_phase) = &plan.raise {
         match raise_phase.raisers.iter().find(|(t, _)| *t == me) {
             Some(&(_, delay_ns)) => {
                 rc.work(VirtualDuration::from_nanos(delay_ns))?;
-                rc.raise(Exception::new(node.plan.raise_exception(me)))?;
+                rc.raise(Exception::new(plan.raise_exception(me)))?;
             }
             None => {
                 // Peers will raise; compute until their recovery interrupts.
@@ -304,25 +289,40 @@ pub fn execute(plan: &ScenarioPlan) -> RunArtifacts {
 }
 
 /// [`execute`] through a per-worker [`ExecutionArena`]: network storage,
-/// trace buffers and resolution lattices are recycled across calls, so a
-/// sweep worker stops paying per-seed setup/teardown allocation. Arena
-/// reuse is a pure allocation cache — traces stay byte-identical to a
-/// fresh execution's.
+/// the trace recorder and its buffers, and resolution lattices are
+/// recycled across calls, so a sweep worker stops paying per-seed
+/// setup/teardown allocation. Arena reuse is a pure allocation cache —
+/// traces stay byte-identical to a fresh execution's.
 #[must_use]
 pub fn execute_in(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> RunArtifacts {
-    let (trace, report) = run_plan(plan, arena);
-    RunArtifacts {
-        plan: plan.clone(),
-        trace,
-        report,
-    }
+    execute_owned(plan.clone(), arena)
 }
 
-/// [`execute_in`] taking the plan by value, so the artifacts reuse it
-/// instead of deep-cloning it per execution (the sweep driver's path).
+/// [`execute_in`] taking the plan by value (the sweep driver's path): the
+/// run's participant bodies share the plan itself, not copies of its
+/// parts, and the artifacts get it back once they are gone.
 #[must_use]
 pub(crate) fn execute_owned(plan: ScenarioPlan, arena: &mut ExecutionArena) -> RunArtifacts {
-    let (trace, report) = run_plan(&plan, arena);
+    let max_depth = plan.max_depth();
+    let nodes = plan
+        .top
+        .iter()
+        .map(|a| build_node(a, &plan, max_depth, arena))
+        .collect();
+    let objects = plan
+        .objects
+        .iter()
+        .map(|name| SharedObject::new(name.as_str(), 0u64))
+        .collect();
+    let compiled = Arc::new(CompiledPlan {
+        plan,
+        nodes,
+        objects,
+    });
+    let (trace, report) = run_plan(&compiled, arena);
+    // Every body ran to its end on its fiber and was dropped there, so
+    // this handle is the last one.
+    let plan = Arc::try_unwrap(compiled).map_or_else(|shared| shared.plan.clone(), |c| c.plan);
     RunArtifacts {
         plan,
         trace,
@@ -330,10 +330,10 @@ pub(crate) fn execute_owned(plan: ScenarioPlan, arena: &mut ExecutionArena) -> R
     }
 }
 
-/// Runs `plan` and returns only the recorded trace and report — the
-/// replay-check path, which needs neither a plan clone nor fresh
-/// allocations.
-pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trace, SystemReport) {
+/// Runs the compiled plan on a system recording into the arena's
+/// recorder, and takes the trace out of it.
+fn run_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> (Trace, SystemReport) {
+    let plan = &compiled.plan;
     let recorder = arena.recorder();
     let mut builder = System::builder()
         .latency(LatencyModel::UniformUpTo(secs(plan.t_mmax)))
@@ -341,31 +341,19 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
         .resolution_delay(secs(plan.t_reso))
         .faults(plan.fault_plan())
         .observer(Arc::clone(&recorder) as _)
-        .tap(Arc::clone(&recorder) as _);
+        .tap(recorder as _);
     if let Some(net) = arena.take_net() {
         builder = builder.net_arena(net);
     }
     let mut sys = builder.build();
 
-    let objects: Vec<SharedObject<u64>> = plan
-        .objects
-        .iter()
-        .map(|name| SharedObject::new(name.as_str(), 0u64))
-        .collect();
-    let nodes: Vec<Arc<ExecNode>> = plan
-        .top
-        .iter()
-        .map(|a| build_node(a, plan, arena))
-        .collect();
     for t in 0..plan.threads {
-        let my_crash = plan.crashes.iter().copied().find(|c| c.thread == t);
-        let nodes = nodes.clone();
-        let objects = objects.clone();
-        sys.spawn(thread_name(t), move |ctx| {
-            for (i, node) in nodes.iter().enumerate() {
-                let def = node.def.clone();
-                let node = Arc::clone(node);
-                let objects = objects.clone();
+        let shared = Arc::clone(compiled);
+        sys.spawn(arena.thread_name(t), move |ctx| {
+            let my_crash = shared.plan.crashes.iter().find(|c| c.thread == t);
+            let role = role_name(t);
+            let actions = shared.plan.top.iter().zip(&shared.nodes);
+            for (i, (action, node)) in actions.enumerate() {
                 match my_crash.filter(|c| i == c.top_action as usize) {
                     Some(c) => {
                         // The designated participant runs its real
@@ -375,9 +363,9 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                         // poll point at or after it, wherever the
                         // protocol then has it (body, collection,
                         // signalling or exit).
-                        let run = ctx.enter(&def, role_name(t), move |rc| {
+                        let run = ctx.enter(&node.def, role, |rc| {
                             rc.schedule_crash(VirtualDuration::from_nanos(c.delay_ns));
-                            body_phases(rc, &node, t, &objects)
+                            body_phases(rc, action, node, t, &shared.objects)
                         });
                         let flow = match run {
                             Err(flow) => flow,
@@ -407,7 +395,7 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                             return Err(flow);
                         };
                         ctx.restart_after(VirtualDuration::from_nanos(down_ns))?;
-                        if ctx.rejoin(&def, role_name(t))?.is_none() {
+                        if ctx.rejoin(&node.def, role)?.is_none() {
                             return Err(flow);
                         }
                         // Readmitted and concluded the crash action as a
@@ -415,8 +403,8 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                         // actions like any survivor.
                     }
                     None => {
-                        ctx.enter(&def, role_name(t), move |rc| {
-                            body_phases(rc, &node, t, &objects)
+                        ctx.enter(&node.def, role, |rc| {
+                            body_phases(rc, action, node, t, &shared.objects)
                         })
                         .map(|_| ())?;
                     }
@@ -429,7 +417,7 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
     if let Some(net) = net {
         arena.put_net(net);
     }
-    (recorder.take_trace(), report)
+    (arena.take_trace(), report)
 }
 
 #[cfg(test)]

@@ -68,6 +68,7 @@ pub mod arena;
 pub mod bisect;
 pub mod exec;
 pub mod fuzz;
+mod inthash;
 pub mod metrics;
 pub mod oracle;
 pub mod plan;

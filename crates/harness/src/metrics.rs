@@ -21,7 +21,6 @@
 //!   stage timers. Reported for regression ceilings, excluded from
 //!   byte-identity claims, and dropped by `metrics_merge`.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use caa_runtime::observe::EventKind;
@@ -30,6 +29,7 @@ use caa_telemetry::json::{self, Value};
 use caa_telemetry::{HistogramHandle, MetricSet};
 
 use crate::exec::RunArtifacts;
+use crate::inthash::{IntMap, IntSet};
 use crate::spans::{CriticalPathScratch, SegmentClass};
 use crate::trace::EntryKind;
 
@@ -327,15 +327,15 @@ pub struct MetricsRecorder {
     rejoin_catchup: HistogramHandle,
     run_virtual: HistogramHandle,
     // Per-run correlation scratch, cleared (capacity kept) between runs.
-    first_raise: HashMap<u64, u64>,
-    first_resolved: HashMap<u64, u64>,
-    resolved_rounds: HashMap<(u64, u32), u64>,
-    rounds_max: HashMap<u64, u64>,
-    exit_open: HashMap<(u64, u32), u64>,
-    rejoin_open: HashMap<(u64, u32), u64>,
-    fanout: HashMap<u64, u64>,
+    first_raise: IntMap<u64, u64>,
+    first_resolved: IntMap<u64, u64>,
+    resolved_rounds: IntMap<(u64, u32), u64>,
+    rounds_max: IntMap<u64, u64>,
+    exit_open: IntMap<(u64, u32), u64>,
+    rejoin_open: IntMap<(u64, u32), u64>,
+    fanout: IntMap<u64, u64>,
     crashes: Vec<(u32, u64)>,
-    detected: HashSet<(u32, u32)>,
+    detected: IntSet<(u32, u32)>,
     cp_scratch: CriticalPathScratch,
 }
 
@@ -373,15 +373,15 @@ impl MetricsRecorder {
             rejoin_restart,
             rejoin_catchup,
             run_virtual,
-            first_raise: HashMap::new(),
-            first_resolved: HashMap::new(),
-            resolved_rounds: HashMap::new(),
-            rounds_max: HashMap::new(),
-            exit_open: HashMap::new(),
-            rejoin_open: HashMap::new(),
-            fanout: HashMap::new(),
+            first_raise: IntMap::default(),
+            first_resolved: IntMap::default(),
+            resolved_rounds: IntMap::default(),
+            rounds_max: IntMap::default(),
+            exit_open: IntMap::default(),
+            rejoin_open: IntMap::default(),
+            fanout: IntMap::default(),
             crashes: Vec::new(),
-            detected: HashSet::new(),
+            detected: IntSet::default(),
             cp_scratch: CriticalPathScratch::new(),
         }
     }

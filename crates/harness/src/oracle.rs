@@ -55,6 +55,7 @@ use caa_runtime::observe::EventKind;
 use caa_runtime::SystemReport;
 
 use crate::exec::RunArtifacts;
+use crate::inthash::IntMap;
 use crate::plan::ScenarioPlan;
 use crate::trace::Trace;
 
@@ -414,7 +415,7 @@ pub fn check_invariants(report: &SystemReport, trace: &Trace) -> Vec<Violation> 
 fn invariant_violations(
     report: &SystemReport,
     views: &BTreeMap<u64, InstanceView>,
-    labels: &std::collections::HashMap<u64, usize>,
+    labels: &IntMap<u64, usize>,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     for (name, result) in &report.results {

@@ -43,13 +43,14 @@
 //! Every step clamps at the raise time, so the emitted segments are
 //! contiguous, disjoint and exactly cover the raise→resolve interval.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use caa_runtime::observe::EventKind;
 use caa_telemetry::json;
 use caa_telemetry::{Span, SpanTree};
 
+use crate::inthash::IntMap;
 use crate::trace::{Entry, EntryKind, Trace};
 
 /// What a critical-path segment's time was spent on.
@@ -177,10 +178,10 @@ struct SendRec {
 /// allocations to the pinned per-seed budget.
 #[derive(Debug, Default)]
 pub struct CriticalPathScratch {
-    first_raise: HashMap<u64, u64>,
+    first_raise: IntMap<u64, u64>,
     /// serial → (resolved at, thread, position in that thread's program
     /// order) of the first `Resolved`.
-    first_resolved: HashMap<u64, (u64, u32, u32)>,
+    first_resolved: IntMap<u64, (u64, u32, u32)>,
     /// Per-thread entry indices into the trace, in program order.
     thread_pos: Vec<Vec<u32>>,
     sends: Vec<SendRec>,
@@ -189,7 +190,7 @@ pub struct CriticalPathScratch {
     /// serial → canonical `A<n>` label (first-appearance order over the
     /// whole trace; mirrors `Trace::canonical_labels` without allocating
     /// a fresh map per run).
-    labels: HashMap<u64, u64>,
+    labels: IntMap<u64, u64>,
     path: InstancePath,
 }
 
@@ -414,21 +415,21 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
     let label = |serial: u64| labels[&serial] as u64;
     let mut tree = SpanTree::new();
     // Innermost-last stack of open action spans per thread.
-    let mut action_stack: HashMap<u32, Vec<(u64, u32)>> = HashMap::new();
-    let mut recovery_open: HashMap<Key, (u64, u64)> = HashMap::new();
-    let mut signalling_open: HashMap<Key, u32> = HashMap::new();
-    let mut handler_open: HashMap<Key, u32> = HashMap::new();
-    let mut exit_open: HashMap<Key, u32> = HashMap::new();
-    let mut catchup_open: HashMap<Key, u32> = HashMap::new();
-    let mut raise_open: HashMap<u64, u32> = HashMap::new();
+    let mut action_stack: IntMap<u32, Vec<(u64, u32)>> = IntMap::default();
+    let mut recovery_open: IntMap<Key, (u64, u64)> = IntMap::default();
+    let mut signalling_open: IntMap<Key, u32> = IntMap::default();
+    let mut handler_open: IntMap<Key, u32> = IntMap::default();
+    let mut exit_open: IntMap<Key, u32> = IntMap::default();
+    let mut catchup_open: IntMap<Key, u32> = IntMap::default();
+    let mut raise_open: IntMap<u64, u32> = IntMap::default();
     let mut detect_open: Vec<(u32, u32)> = Vec::new();
-    let mut last_crash: HashMap<u32, u64> = HashMap::new();
+    let mut last_crash: IntMap<u32, u64> = IntMap::default();
     let end_ns = trace.entries().last().map_or(0, |e| e.at_ns);
 
     // The innermost open action span on `thread` matching `serial`, or
     // the innermost of any serial (an observer event of a peer's
     // instance), or none.
-    let parent_of = |stacks: &HashMap<u32, Vec<(u64, u32)>>, thread: u32, serial: u64| {
+    let parent_of = |stacks: &IntMap<u32, Vec<(u64, u32)>>, thread: u32, serial: u64| {
         let stack = stacks.get(&thread)?;
         stack
             .iter()

@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 use caa_runtime::observe::EventKind;
 
 use crate::arena::ExecutionArena;
-use crate::exec::{execute_owned, run_plan, RunArtifacts};
+use crate::exec::{execute_owned, RunArtifacts};
+use crate::inthash::IntSet;
 use crate::metrics::{metrics_json, SweepMetrics};
 use crate::oracle::{check_replay, check_run, Violation};
 use crate::plan::{ScenarioConfig, ScenarioPlan};
@@ -254,10 +255,9 @@ impl PathCoverage {
     /// Counts one run's protocol-path hits from its canonical trace.
     #[must_use]
     pub fn from_trace(trace: &Trace) -> PathCoverage {
-        use std::collections::HashSet;
         let mut coverage = PathCoverage::default();
         // Threads currently inside an exit phase of an instance.
-        let mut exiting: HashSet<(u64, u32)> = HashSet::new();
+        let mut exiting: IntSet<(u64, u32)> = IntSet::default();
         for event in trace.runtime_events() {
             let key = (event.action.serial(), event.thread.as_u32());
             match &event.kind {
@@ -529,7 +529,7 @@ pub fn run_plan_checked(
 ) -> SeedResult {
     let seed = plan.seed;
     let t = Instant::now();
-    let artifacts = execute_owned(plan, arena);
+    let mut artifacts = execute_owned(plan, arena);
     let execute_ns = wall_ns(t.elapsed());
     let t = Instant::now();
     let mut violations = check_run(&artifacts);
@@ -541,7 +541,11 @@ pub fn run_plan_checked(
         // Replay wall time counts as execute; its comparison as oracle —
         // folded below so the recorder is touched once per stage.
         let t = Instant::now();
-        let (replayed, _report) = run_plan(&artifacts.plan, arena);
+        // The replay borrows the plan out of the artifacts and hands it
+        // back: no clone, and its trace leaves in a recycled buffer.
+        let replay = execute_owned(artifacts.plan, arena);
+        artifacts.plan = replay.plan;
+        let replayed = replay.trace;
         let replay_execute_ns = wall_ns(t.elapsed());
         let t = Instant::now();
         if let Some(v) = check_replay(&artifacts.trace, &replayed) {

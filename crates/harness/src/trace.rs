@@ -4,20 +4,30 @@
 //! [`caa_runtime::observe::Observer`] hook and the network's
 //! [`caa_simnet::NetTap`] hook, collecting every protocol-level
 //! step and every message send/loss/corruption of one simulated run. Events
-//! arrive in whatever order the host runs the participants;
-//! [`TraceRecorder::finish`] sorts them into the canonical order
+//! arrive in whatever order the host runs the participants, into one
+//! arrival-order buffer behind one mutex (the participants of a system
+//! share a thread, so the lock is never contended);
+//! [`TraceRecorder::take_trace`] sorts them into the canonical order
 //! `(virtual time, thread, per-thread sequence)`, which is fully
 //! deterministic for a deterministic run — the same seed renders the same
 //! byte-identical trace, which is exactly what the deterministic-replay
 //! oracle checks.
+//!
+//! One recorder serves every seed of a sweep worker (it lives in the
+//! worker's [`ExecutionArena`](crate::arena::ExecutionArena)): taking a
+//! trace empties the recorder but keeps its buffers, and the trace itself
+//! is moved into a recycled entry buffer. Once both have grown to the
+//! worker's longest trace, recording and hand-off allocate nothing.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use caa_runtime::observe::{Event, Observer};
 use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
+
+use crate::inthash::IntMap;
 
 /// What one trace entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,8 +157,8 @@ impl Trace {
     /// assigned in canonical-order of first appearance — the `A<n>` labels
     /// used by [`Trace::render`] and by oracle violation reports.
     #[must_use]
-    pub fn canonical_labels(&self) -> HashMap<u64, usize> {
-        let mut canonical: HashMap<u64, usize> = HashMap::new();
+    pub fn canonical_labels(&self) -> IntMap<u64, usize> {
+        let mut canonical: IntMap<u64, usize> = IntMap::default();
         for entry in &self.entries {
             let next = canonical.len();
             canonical.entry(entry.action_serial()).or_insert(next);
@@ -208,8 +218,8 @@ impl Trace {
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
         // Canonical labels are assigned in first-appearance order, so they
         // can be built incrementally while walking the entries.
-        let mut labels_a: HashMap<u64, usize> = HashMap::new();
-        let mut labels_b: HashMap<u64, usize> = HashMap::new();
+        let mut labels_a: IntMap<u64, usize> = IntMap::default();
+        let mut labels_b: IntMap<u64, usize> = IntMap::default();
         let mut line_a = String::new();
         let mut line_b = String::new();
         let common = self.entries.len().min(other.entries.len());
@@ -264,7 +274,7 @@ impl Trace {
         for entries in per_thread.values_mut() {
             entries.sort_by_key(|e| e.seq);
         }
-        let mut canonical: HashMap<u64, usize> = HashMap::new();
+        let mut canonical: IntMap<u64, usize> = IntMap::default();
         let mut out = String::with_capacity(self.entries.len() * 32);
         for (thread, entries) in &per_thread {
             for entry in entries {
@@ -325,26 +335,17 @@ pub fn fnv1a64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// How many per-thread shards a recorder keeps; thread ids beyond this
-/// fall back to a shared overflow shard with explicit per-thread
-/// counters (correct, just not contention-free — unreachable for the
-/// scenario spaces the harness generates).
-const RECORD_SHARDS: usize = 64;
-
-/// One thread's recording shard. Events from one thread arrive in that
-/// thread's program order, so the per-thread sequence number is simply the
-/// shard's length at push time — no shared counter map needed.
+/// What a recorder holds between [`TraceRecorder::take_trace`]s.
 #[derive(Default)]
-struct RecorderShard {
+struct Recording {
+    /// Entries in arrival order. Under `System::run` participants run one
+    /// at a time and virtual time never runs backwards, so this is already
+    /// non-decreasing in `at_ns`; only same-instant entries of different
+    /// threads can be out of canonical order.
     entries: Vec<Entry>,
-}
-
-/// Fallback shard for thread ids ≥ [`RECORD_SHARDS`]: a shared buffer
-/// with the pre-shard per-thread counter map.
-#[derive(Default)]
-struct OverflowShard {
-    entries: Vec<Entry>,
-    next_seq: HashMap<u32, u64>,
+    /// `next_seq[t]`: how many entries thread `t` has recorded — events of
+    /// one thread arrive in that thread's program order.
+    next_seq: Vec<u64>,
 }
 
 /// Collects runtime and network events from a running system.
@@ -363,37 +364,29 @@ struct OverflowShard {
 ///     .build();
 /// # drop(sys);
 /// ```
+///
+/// A recorder is reusable: taking the trace leaves it empty with its
+/// buffers' capacity in place, which is how an
+/// [`ExecutionArena`](crate::arena::ExecutionArena) records every seed of
+/// a sweep worker through one recorder.
+#[derive(Default)]
 pub struct TraceRecorder {
-    /// Sharded by originating thread id: each participant records into
-    /// its own slot, so pushes from different threads never contend, the
-    /// critical section is one `Vec::push`, and the per-thread sequence
-    /// number is the shard length — no shared counter map. The canonical
-    /// order is reconstructed by the merge sort in
-    /// [`TraceRecorder::take_trace`], exactly as before sharding.
-    shards: Vec<Mutex<RecorderShard>>,
-    /// Thread ids ≥ [`RECORD_SHARDS`] (unreachable for generated
-    /// scenarios) share this shard, which keeps explicit counters.
-    overflow: Mutex<OverflowShard>,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder {
-            shards: (0..RECORD_SHARDS)
-                .map(|_| Mutex::new(RecorderShard::default()))
-                .collect(),
-            overflow: Mutex::new(OverflowShard::default()),
-        }
-    }
+    recording: Mutex<Recording>,
 }
 
 impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let entries: usize = self.shards.iter().map(|s| s.lock().entries.len()).sum();
         f.debug_struct("TraceRecorder")
-            .field("entries", &entries)
+            .field("entries", &self.recording.lock().entries.len())
             .finish()
     }
+}
+
+/// The canonical order. The key is unique per entry (`seq` counts within
+/// `thread`), so an unstable sort yields the same order as a stable one —
+/// and sorts in place, without a scratch allocation.
+fn sort_canonically(entries: &mut [Entry]) {
+    entries.sort_unstable_by_key(|e| (e.at_ns, e.thread, e.seq));
 }
 
 impl TraceRecorder {
@@ -403,66 +396,55 @@ impl TraceRecorder {
         Arc::new(TraceRecorder::default())
     }
 
-    /// A fresh recorder recording into a recycled entry buffer (cleared,
-    /// capacity kept, assigned to thread 0's shard; other shards warm up
-    /// over the worker's first seeds).
-    #[must_use]
-    pub fn with_buffer(mut entries: Vec<Entry>) -> Arc<TraceRecorder> {
-        entries.clear();
-        let recorder = TraceRecorder::default();
-        *recorder.shards[0].lock() = RecorderShard { entries };
-        Arc::new(recorder)
-    }
-
     fn push(&self, at_ns: u64, thread: u32, kind: EntryKind) {
-        if let Some(shard) = self.shards.get(thread as usize) {
-            let mut shard = shard.lock();
-            let seq = shard.entries.len() as u64;
-            shard.entries.push(Entry {
-                at_ns,
-                thread,
-                seq,
-                kind,
-            });
-        } else {
-            let mut overflow = self.overflow.lock();
-            let seq = overflow.next_seq.entry(thread).or_insert(0);
-            let seq_now = *seq;
-            *seq += 1;
-            overflow.entries.push(Entry {
-                at_ns,
-                thread,
-                seq: seq_now,
-                kind,
-            });
+        let mut guard = self.recording.lock();
+        let rec = &mut *guard;
+        let t = thread as usize;
+        if rec.next_seq.len() <= t {
+            rec.next_seq.resize(t + 1, 0);
         }
+        let seq = rec.next_seq[t];
+        rec.next_seq[t] += 1;
+        rec.entries.push(Entry {
+            at_ns,
+            thread,
+            seq,
+            kind,
+        });
     }
 
-    /// Extracts the canonical trace recorded so far.
+    /// Extracts the canonical trace recorded so far, leaving the recording
+    /// in place.
     #[must_use]
     pub fn finish(&self) -> Trace {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.lock().entries.iter().cloned());
-        }
-        entries.extend(self.overflow.lock().entries.iter().cloned());
-        entries.sort_by_key(|e| (e.at_ns, e.thread, e.seq));
+        let mut entries = self.recording.lock().entries.clone();
+        sort_canonically(&mut entries);
         Trace { entries }
     }
 
     /// Like [`TraceRecorder::finish`], but *takes* the recorded entries
-    /// instead of cloning them — the cheap path for run drivers that are
-    /// done with the recorder.
+    /// instead of cloning them and leaves the recorder empty, ready for
+    /// the next run. The trace's buffer holds exactly its entries.
     #[must_use]
     pub fn take_trace(&self) -> Trace {
-        let total: usize = self.shards.iter().map(|s| s.lock().entries.len()).sum();
-        let mut entries = Vec::with_capacity(total + self.overflow.lock().entries.len());
-        for shard in &self.shards {
-            entries.append(&mut shard.lock().entries);
-        }
-        entries.append(&mut self.overflow.lock().entries);
-        entries.sort_by_key(|e| (e.at_ns, e.thread, e.seq));
-        Trace { entries }
+        self.take_trace_into(Vec::new())
+    }
+
+    /// [`TraceRecorder::take_trace`] into a recycled entry buffer: `buf` is
+    /// cleared and, when its capacity suffices, the trace is handed out
+    /// without allocating; otherwise it is regrown to exactly the trace's
+    /// length. The recording buffer itself — grown by doubling, so up to
+    /// twice the trace — never leaves the recorder: a driver that keeps
+    /// thousands of traces alive keeps no slack with them.
+    #[must_use]
+    pub fn take_trace_into(&self, mut buf: Vec<Entry>) -> Trace {
+        let mut guard = self.recording.lock();
+        guard.next_seq.clear();
+        sort_canonically(&mut guard.entries);
+        buf.clear();
+        buf.reserve_exact(guard.entries.len());
+        buf.append(&mut guard.entries);
+        Trace { entries: buf }
     }
 }
 
@@ -538,6 +520,51 @@ mod tests {
         // thread 1 recorded its @200 event before its @100 event.
         assert_eq!(trace.entries()[1].seq, 1);
         assert_eq!(trace.entries()[2].seq, 0);
+    }
+
+    #[test]
+    fn a_taken_trace_holds_exactly_its_entries_and_empties_the_recorder() {
+        // The recording buffer grows by doubling; a trace handed out with
+        // that slack would keep it for as long as the trace lives (the
+        // post-hoc readers keep thousands).
+        let rec = TraceRecorder::new();
+        for i in 0..37 {
+            rec.on_event(&runtime_event(1_000 - i, (i % 3) as u32));
+        }
+        let trace = rec.take_trace();
+        assert_eq!(trace.len(), 37);
+        assert!(trace
+            .entries()
+            .windows(2)
+            .all(|w| (w[0].at_ns, w[0].thread, w[0].seq) < (w[1].at_ns, w[1].thread, w[1].seq)));
+        let entries = trace.into_entries();
+        assert_eq!(entries.capacity(), entries.len());
+
+        // Re-armed: sequence numbers start over, nothing is left behind.
+        rec.on_event(&runtime_event(5, 2));
+        let again = rec.take_trace();
+        assert_eq!(again.len(), 1);
+        assert_eq!((again.entries()[0].thread, again.entries()[0].seq), (2, 0));
+        assert!(rec.take_trace().is_empty());
+    }
+
+    #[test]
+    fn a_large_thread_id_is_an_ordinary_thread() {
+        let rec = TraceRecorder::new();
+        rec.on_event(&runtime_event(300, 100));
+        rec.on_event(&runtime_event(100, 100));
+        rec.on_event(&runtime_event(100, 7));
+        rec.on_event(&runtime_event(100, 100));
+        let keys: Vec<(u64, u32, u64)> = rec
+            .take_trace()
+            .entries()
+            .iter()
+            .map(|e| (e.at_ns, e.thread, e.seq))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![(100, 7, 0), (100, 100, 1), (100, 100, 2), (300, 100, 0)]
+        );
     }
 
     #[test]

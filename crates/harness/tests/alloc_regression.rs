@@ -1,9 +1,9 @@
 //! Allocation-regression gate for the execute hot path.
 //!
-//! The arena / Arc-fan-out work (execution arenas, recycled trace
-//! buffers, shared resolution lattices, `Arc`'d broadcast bodies,
-//! interned names) exists to keep steady-state seed execution nearly
-//! allocation-free. Nothing in the type system stops a future change
+//! The arena / Arc-fan-out work (execution arenas with their one trace
+//! recorder, recycled trace buffers, shared resolution lattices, `Arc`'d
+//! broadcast bodies, interned names, plans compiled by reference) exists
+//! to keep steady-state seed execution nearly allocation-free. Nothing in the type system stops a future change
 //! from quietly re-introducing per-seed churn, so this test pins the
 //! allocation count of a fixed seed per benchmark configuration under a
 //! counting global allocator: execute the seed once through a warmed
@@ -86,27 +86,30 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
 }
 
 /// One pinned case: a fixed seed per bench configuration, with a ceiling
-/// ~3× the steady-state count. Last measured with the fiber host
-/// (PR 13): 313 / 567 / 562 — one or two fewer than with pooled OS
-/// threads (569 / 563 on the last two): a fiber costs its cell and its
-/// boxed body where a pooled task cost a job box, a result `Arc` and a
-/// channel node.
+/// ~3× the steady-state count. Last measured 217 / 375 / 398 (PR 14; the
+/// test prints them), down from 313 / 567 / 562 with the fiber host of
+/// PR 13: the arena's one recorder and the exact hand-off into a recycled
+/// buffer took 12 / 24 / 32 of those, compiling the plan by reference
+/// (no `ActionPlan` clones, interned role names, dense per-role handler
+/// tables) the rest.
 #[test]
 fn steady_state_seed_allocation_stays_bounded() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let cases = [
-        ("default", ScenarioConfig::default(), false, 7u64, 1_000u64),
-        ("default+replay", ScenarioConfig::default(), true, 7, 1_700),
+        ("default", ScenarioConfig::default(), false, 7u64, 650u64),
+        ("default+replay", ScenarioConfig::default(), true, 7, 1_100),
         (
             "object-heavy",
             ScenarioConfig::object_heavy(),
             false,
             7,
-            1_700,
+            1_200,
         ),
     ];
     for (name, scenario, check_replay, seed, ceiling) in cases {
         let allocs = allocs_for_seed(seed, &scenario, check_replay);
+        // For re-pinning: `cargo test --test alloc_regression -- --nocapture`.
+        println!("config {name}, seed {seed}: {allocs} allocations (ceiling {ceiling})");
         assert!(
             allocs <= ceiling,
             "config {name}, seed {seed}: {allocs} allocations in one warmed \
@@ -122,6 +125,67 @@ fn steady_state_seed_allocation_stays_bounded() {
             "config {name}: measured {allocs} allocations are far below the \
              ceiling {ceiling}; tighten the gate so regressions stay visible"
         );
+    }
+}
+
+/// Handing a trace out of the recorder into a recycled buffer is free:
+/// the canonical sort runs in place and the entries move into capacity
+/// that is already there. (With no buffer to recycle it costs exactly one
+/// allocation, of exactly the trace's length — `trace.rs` pins that.)
+#[test]
+fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
+    use caa_core::exception::ExceptionId;
+    use caa_core::ids::{ActionId, ThreadId};
+    use caa_core::time::VirtualInstant;
+    use caa_harness::trace::TraceRecorder;
+    use caa_runtime::observe::{Event, EventKind, Observer};
+
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let recorder = TraceRecorder::new();
+    let exception = ExceptionId::new("x");
+    let record = |round: u64| {
+        // 300 entries, far out of canonical order.
+        for i in 0..300u64 {
+            recorder.on_event(&Event {
+                at: VirtualInstant::from_nanos((i * 7919 + round) % 101),
+                thread: ThreadId::new((i % 5) as u32),
+                action: ActionId::top_level(1),
+                kind: EventKind::Raise {
+                    exception: exception.clone(),
+                },
+            });
+        }
+    };
+    record(0);
+    let buf = recorder.take_trace().into_entries();
+    record(1);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let trace = recorder.take_trace_into(buf);
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(trace.len(), 300);
+    assert_eq!(after - before, 0, "sort or hand-off allocated");
+}
+
+/// One recorder serves every execution of an arena; what an earlier seed
+/// recorded (entries, per-thread sequence numbers) must not leak into a
+/// later, different one.
+#[test]
+fn one_recorder_across_different_seeds_renders_like_fresh_ones() {
+    use caa_harness::exec::{execute, execute_in};
+    use caa_harness::plan::ScenarioPlan;
+
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let scenario = ScenarioConfig::default();
+    let mut arena = ExecutionArena::new();
+    for seed in [7, 1, 9, 7] {
+        let plan = ScenarioPlan::generate(seed, &scenario);
+        let shared = execute_in(&plan, &mut arena);
+        assert_eq!(
+            shared.trace.render(),
+            execute(&plan).trace.render(),
+            "seed {seed} recorded differently through a re-armed recorder"
+        );
+        arena.recycle_trace(shared.trace);
     }
 }
 

@@ -83,9 +83,11 @@ pub(crate) struct DefInner {
     pub(crate) graph: Arc<ExceptionGraph>,
     pub(crate) interface: Vec<ExceptionId>,
     pub(crate) handlers: HashMap<(RoleId, ExceptionId), Handler>,
-    pub(crate) fallback_handlers: HashMap<RoleId, Handler>,
-    pub(crate) abort_handlers: HashMap<RoleId, AbortHandler>,
-    pub(crate) undo_hooks: HashMap<RoleId, UndoHook>,
+    /// Per role (roles are dense [`RoleId`]s): the catch-all handler, the
+    /// abortion handler and the undo hook, where one was registered.
+    pub(crate) fallback_handlers: Vec<Option<Handler>>,
+    pub(crate) abort_handlers: Vec<Option<AbortHandler>>,
+    pub(crate) undo_hooks: Vec<Option<UndoHook>>,
     pub(crate) signal_timeout: Option<VirtualDuration>,
     pub(crate) exit_timeout: Option<VirtualDuration>,
     pub(crate) resolution_timeout: Option<VirtualDuration>,
@@ -117,7 +119,7 @@ impl DefInner {
     pub(crate) fn handler_for(&self, role: RoleId, exception: &ExceptionId) -> Option<Handler> {
         self.handlers
             .get(&(role, exception.clone()))
-            .or_else(|| self.fallback_handlers.get(&role))
+            .or(self.fallback_handlers[role.index()].as_ref())
             .cloned()
     }
 
@@ -245,10 +247,10 @@ pub struct ActionDefBuilder {
     roles: Vec<(Arc<str>, ThreadId)>,
     graph: Option<Arc<ExceptionGraph>>,
     interface: Vec<ExceptionId>,
-    handlers: Vec<(String, ExceptionId, Handler)>,
-    fallbacks: Vec<(String, Handler)>,
-    aborts: Vec<(String, AbortHandler)>,
-    undos: Vec<(String, UndoHook)>,
+    handlers: Vec<(Arc<str>, ExceptionId, Handler)>,
+    fallbacks: Vec<(Arc<str>, Handler)>,
+    aborts: Vec<(Arc<str>, AbortHandler)>,
+    undos: Vec<(Arc<str>, UndoHook)>,
     signal_timeout: Option<VirtualDuration>,
     exit_timeout: Option<VirtualDuration>,
     resolution_timeout: Option<VirtualDuration>,
@@ -266,6 +268,9 @@ impl fmt::Debug for ActionDefBuilder {
 
 impl ActionDefBuilder {
     /// Declares a role and binds it to the thread that will perform it.
+    /// Role names — here and in the handler registrations below — are
+    /// interned: a caller that already holds an `Arc<str>` (a sweep driver
+    /// with cached role names) pays no allocation for them.
     pub fn role(mut self, name: impl Into<Arc<str>>, thread: impl Into<ThreadId>) -> Self {
         self.roles.push((name.into(), thread.into()));
         self
@@ -301,7 +306,7 @@ impl ActionDefBuilder {
     /// Registers `role`'s handler for the resolving exception `exception`.
     pub fn handler(
         mut self,
-        role: impl Into<String>,
+        role: impl Into<Arc<str>>,
         exception: impl Into<ExceptionId>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
@@ -313,7 +318,7 @@ impl ActionDefBuilder {
     /// Registers `role`'s handler for the universal exception.
     pub fn universal_handler(
         self,
-        role: impl Into<String>,
+        role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.handler(role, ExceptionId::universal(), f)
@@ -323,7 +328,7 @@ impl ActionDefBuilder {
     /// for the resolving exception.
     pub fn fallback_handler(
         mut self,
-        role: impl Into<String>,
+        role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.fallbacks.push((role.into(), Arc::new(f)));
@@ -335,7 +340,7 @@ impl ActionDefBuilder {
     /// the enclosing action (§3.3.1).
     pub fn abort_handler(
         mut self,
-        role: impl Into<String>,
+        role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync + 'static,
     ) -> Self {
         self.aborts.push((role.into(), Arc::new(f)));
@@ -347,7 +352,7 @@ impl ActionDefBuilder {
     /// succeeded (§3.4).
     pub fn undo_hook(
         mut self,
-        role: impl Into<String>,
+        role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<bool> + Send + Sync + 'static,
     ) -> Self {
         self.undos.push((role.into(), Arc::new(f)));
@@ -449,17 +454,18 @@ impl ActionDefBuilder {
         for (role, exc, f) in self.handlers {
             handlers.insert((role_id_of(&role)?, exc), f);
         }
-        let mut fallback_handlers = HashMap::new();
+        // A later registration for the same role replaces an earlier one.
+        let mut fallback_handlers = vec![None; role_names.len()];
         for (role, f) in self.fallbacks {
-            fallback_handlers.insert(role_id_of(&role)?, f);
+            fallback_handlers[role_id_of(&role)?.index()] = Some(f);
         }
-        let mut abort_handlers = HashMap::new();
+        let mut abort_handlers = vec![None; role_names.len()];
         for (role, f) in self.aborts {
-            abort_handlers.insert(role_id_of(&role)?, f);
+            abort_handlers[role_id_of(&role)?.index()] = Some(f);
         }
-        let mut undo_hooks = HashMap::new();
+        let mut undo_hooks = vec![None; role_names.len()];
         for (role, f) in self.undos {
-            undo_hooks.insert(role_id_of(&role)?, f);
+            undo_hooks[role_id_of(&role)?.index()] = Some(f);
         }
 
         Ok(ActionDef {

@@ -892,7 +892,7 @@ impl Ctx {
         // during the handler extend the cascade.
         let mut deeper: Option<(ActionId, Option<Exception>)> = None;
         let mut eab = None;
-        if let Some(handler) = def.abort_handlers.get(&role).cloned() {
+        if let Some(handler) = def.abort_handlers[role.index()].clone() {
             match handler(self) {
                 Ok(result) => eab = result,
                 Err(flow) => match flow.unwind {
@@ -1466,7 +1466,7 @@ impl Ctx {
             (Arc::clone(&frame.id.def), frame.id.role)
         };
         let mut ok = true;
-        if let Some(hook) = def.undo_hooks.get(&role).cloned() {
+        if let Some(hook) = def.undo_hooks[role.index()].clone() {
             match hook(self) {
                 Ok(hook_ok) => ok &= hook_ok,
                 Err(_) => ok = false,

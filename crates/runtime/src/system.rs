@@ -27,7 +27,8 @@ use caa_core::message::Message;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::{Fiber, Stack};
 use caa_simnet::{
-    ClockMode, FaultPlan, LatencyModel, NetArena, NetConfig, NetStats, Network, SchedStats,
+    ClockMode, FaultPlan, LatencyModel, NetArena, NetConfig, NetStats, Network, Runnable,
+    SchedStats,
 };
 use parking_lot::Mutex;
 
@@ -108,6 +109,9 @@ type PendingBody = Box<dyn FnOnce() -> Result<(), RuntimeError> + Send + 'static
 struct Pending {
     id: PartitionId,
     name: Arc<str>,
+    /// The endpoint's wake-up mark: set by the network's wake sites, tested
+    /// by `host` without taking the network's lock.
+    runnable: Runnable,
     body: PendingBody,
 }
 
@@ -127,7 +131,9 @@ const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
 /// network (which suspends its fiber) or finishes. Each pass resumes, in
 /// registration order, the participants the network has marked runnable
 /// since they suspended — by a delivery, a doorbell, a time advance, or
-/// the deadlock broadcast. The network's advance arbiter guarantees that
+/// the deadlock broadcast — testing each one's mark when the pass reaches
+/// it, so a participant woken by one resumed earlier in the same pass runs
+/// in that pass. The network's advance arbiter guarantees that
 /// whenever every live endpoint is blocked at least one is woken, so a
 /// pass that resumes nobody means the network is also being driven from
 /// outside this loop, which a fiber-hosted system cannot wait for.
@@ -136,23 +142,24 @@ fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<()
         Running(Fiber<Result<(), RuntimeError>>),
         Done(Result<(), RuntimeError>),
     }
-    let mut hosted: Vec<(PartitionId, Arc<str>, Hosted)> = pending
+    let mut hosted: Vec<(PartitionId, Arc<str>, Runnable, Hosted)> = pending
         .into_iter()
         .map(|p| {
             let stack = net
                 .take_stack(p.id)
                 .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
-            (p.id, p.name, Hosted::Running(Fiber::new(stack, p.body)))
+            let fiber = Fiber::new(stack, p.body);
+            (p.id, p.name, p.runnable, Hosted::Running(fiber))
         })
         .collect();
     let mut live = hosted.len();
     while live > 0 {
         let mut resumed = false;
-        for (id, _, participant) in &mut hosted {
+        for (id, _, runnable, participant) in &mut hosted {
             let Hosted::Running(fiber) = participant else {
                 continue;
             };
-            if !net.take_runnable(*id) {
+            if !runnable.take() {
                 continue;
             }
             resumed = true;
@@ -180,7 +187,7 @@ fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<()
     }
     hosted
         .into_iter()
-        .map(|(_, name, participant)| match participant {
+        .map(|(_, name, _, participant)| match participant {
             Hosted::Done(result) => (name.to_string(), result),
             Hosted::Running(_) => unreachable!("the loop ends when every participant is done"),
         })
@@ -268,6 +275,7 @@ impl System {
         let name = name.into();
         let endpoint = self.net.endpoint(Arc::clone(&name));
         let id = endpoint.id();
+        let runnable = endpoint.runnable();
         let me = ThreadId::new(id.as_u32());
         let shared = Arc::clone(&self.shared);
         let thread_name = Arc::clone(&name);
@@ -289,7 +297,12 @@ impl System {
                 },
             }
         });
-        self.pending.push(Pending { id, name, body });
+        self.pending.push(Pending {
+            id,
+            name,
+            runnable,
+            body,
+        });
         me
     }
 

@@ -94,8 +94,8 @@ mod tap;
 pub use fault::{FaultPlan, FaultSpec};
 pub use latency::{effective_latency, LatencyModel};
 pub use net::{
-    ClockMode, DeadlockInfo, Endpoint, NetArena, NetConfig, Network, Parked, Received, SchedStats,
-    SimError,
+    ClockMode, DeadlockInfo, Endpoint, NetArena, NetConfig, Network, Parked, Received, Runnable,
+    SchedStats, SimError,
 };
 pub use stats::{Classify, NetStats};
 pub use tap::{NetTap, TapEvent};

@@ -27,10 +27,10 @@
 //!
 //! * called **inside a fiber** ([`caa_fiber::in_fiber`]) it releases the
 //!   scheduler lock and [suspends](caa_fiber::suspend) the fiber; wake
-//!   sites mark the endpoint runnable, and whoever resumes the fibers —
-//!   `caa-runtime`'s `System::run`, which hosts all participants of a
-//!   system on the calling thread — polls that mark with
-//!   [`Network::take_runnable`]. A hand-off is a user-space stack switch;
+//!   sites set the endpoint's [`Runnable`] mark, and whoever resumes the
+//!   fibers — `caa-runtime`'s `System::run`, which hosts all participants
+//!   of a system on the calling thread — tests that mark without taking
+//!   any lock. A hand-off is a user-space stack switch;
 //! * called **on a plain OS thread** (this crate's own tests and
 //!   doc-tests, the benchmark's ping-pong kernel) it waits on the
 //!   endpoint's private condvar and wake sites notify it. A hand-off is a
@@ -41,50 +41,49 @@
 //! are shared by both, so what an endpoint *observes* is the same either
 //! way; only how it sleeps differs.
 //!
-//! # Locking (the split hot path)
+//! # One owner, one lock
 //!
-//! The lock split below exists for thread-hosted endpoints, which run
-//! concurrently; fiber-hosted endpoints run one at a time and find every
-//! lock uncontended (and none is ever held across a suspend). State is
-//! split so that a send mostly touches the **receiver's shard**:
+//! All simulator state of a network — the clock, every endpoint's blocked
+//! state and wake-up point, every endpoint's `Mailbox` (delivery heap
+//! plus the dense per-source link row of FIFO clamps and sequence
+//! numbers), the fault budgets, the counters and the deadlock verdict —
+//! lives in one `Sched` behind one mutex, and each operation (`send`,
+//! `recv`, `try_recv`, `sleep`, `park_wait`, `begin_wait`,
+//! `schedule_wake`, `retire`) takes that mutex once — a blocking one once
+//! more each time it is resumed. Under `System::run` one thread runs every
+//! endpoint and the lock is never contended; it is never held across a
+//! suspend (the host runs other endpoints on this very thread, and they
+//! take the same lock), and taps are called after it is released.
 //!
-//! * each endpoint owns a [`Mailbox`] behind its own mutex — the delivery
-//!   heap plus a *dense* per-source [`LinkState`] row (the per-pair FIFO
-//!   and sequence matrix, distributed across receivers);
-//! * a small scheduler mutex guards the clock, the per-endpoint blocked
-//!   state/wake-up points, the message counters and deadlock detection —
-//!   the only cross-endpoint critical section a send enters;
-//! * the virtual clock is mirrored in an atomic so running threads read
-//!   `now` without any lock: time only advances when **every** live
-//!   endpoint is blocked, so a running sender can never race an advance.
-//!
-//! Lock order: the scheduler mutex may acquire a mailbox mutex (receive
-//! paths evaluate their predicate under both), but no thread ever holds a
-//! mailbox mutex while acquiring the scheduler mutex — senders release the
-//! shard before entering the scheduler section. Delivery order and
-//! time-advance order are byte-identical to the single-lock design: the
-//! heap keys, FIFO clamps and wake-up arbitration are unchanged.
+//! Two things exist only for endpoints driven by concurrently running OS
+//! threads: the per-endpoint condvar such a thread sleeps on, and the
+//! atomic mirror of the clock, which lets a running thread read `now`
+//! without the lock — time only advances when **every** live endpoint is
+//! blocked, so a running reader can never race an advance. Such endpoints
+//! serialise on the one mutex; what they observe does not depend on who
+//! wins it, because delivery order is decided by heap keys and per-link
+//! sequence numbers, not by lock order.
 //!
 //! # Arena reuse
 //!
 //! Sweep drivers execute thousands of sub-millisecond simulations; a
 //! [`NetArena`] recycles the allocation-heavy parts (actor slots with
-//! their condvars and fiber stacks, mailbox heaps, link rows) from one
-//! finished network into the next (see [`Network::new_reusing`] /
-//! [`Network::reclaim`]), so a warmed-up sweep worker neither allocates a
-//! slot nor maps a stack per seed. Reuse is invisible to the simulation:
-//! recycled state is fully cleared.
+//! their condvars, runnable marks and fiber stacks, mailbox heaps, link
+//! rows) from one finished network into the next (see
+//! [`Network::new_reusing`] / [`Network::reclaim`]), so a warmed-up sweep
+//! worker neither allocates a slot nor maps a stack per seed. Reuse is
+//! invisible to the simulation: recycled state is fully cleared.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::Stack;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use crate::fault::FaultPlan;
 use crate::latency::{effective_latency, LatencyModel};
@@ -238,7 +237,7 @@ impl BlockKind {
     }
 }
 
-struct ActorSlot {
+struct ActorSlot<M> {
     name: Arc<str>,
     alive: bool,
     running: bool,
@@ -255,9 +254,10 @@ struct ActorSlot {
     /// parking its OS thread on `cv` (woken by a notify).
     on_fiber: bool,
     /// For a fiber-hosted endpoint: a wake site has given it the CPU back
-    /// since it last suspended — or it has not started yet. Its host
-    /// polls and clears this through [`Network::take_runnable`].
-    runnable: bool,
+    /// since it last suspended — or it has not started yet. Shared with
+    /// the endpoint's host (see [`Runnable`]), which tests and clears it
+    /// without the scheduler lock; recycled with the slot like `cv`.
+    runnable: Runnable,
     /// The stack of the fiber hosting this endpoint, parked here between
     /// runs so it is recycled with the slot ([`NetArena`]).
     stack: Option<Stack>,
@@ -272,10 +272,20 @@ struct ActorSlot {
     /// started waiting elsewhere) cannot plant a stale doorbell into the
     /// new wait.
     wait_epoch: u64,
+    /// The endpoint's receive side: delivery heap and per-source link row.
+    mailbox: Mailbox<M>,
 }
 
-impl ActorSlot {
-    fn fresh(name: Arc<str>, cv: Arc<Condvar>, stack: Option<Stack>) -> ActorSlot {
+impl<M> ActorSlot<M> {
+    /// A slot for a newly registered endpoint, built over the allocations
+    /// of a `recycled` one where there is one: its condvar, runnable mark,
+    /// parked fiber stack and (cleared) mailbox capacity.
+    fn fresh(name: Arc<str>, recycled: Option<ActorSlot<M>>) -> ActorSlot<M> {
+        let (cv, runnable, stack, mailbox) = match recycled {
+            Some(old) => (old.cv, old.runnable, old.stack, old.mailbox),
+            None => Default::default(),
+        };
+        runnable.set(true);
         ActorSlot {
             name,
             alive: true,
@@ -284,10 +294,11 @@ impl ActorSlot {
             wake_at: None,
             cv,
             on_fiber: false,
-            runnable: true,
+            runnable,
             stack,
             doorbell: None,
             wait_epoch: 0,
+            mailbox,
         }
     }
 
@@ -297,7 +308,7 @@ impl ActorSlot {
     /// (or right away where it cannot).
     fn wake(&mut self) -> Option<&Arc<Condvar>> {
         if self.on_fiber {
-            self.runnable = true;
+            self.runnable.set(true);
             None
         } else {
             Some(&self.cv)
@@ -342,25 +353,24 @@ struct LinkState {
     last_delivery: VirtualInstant,
 }
 
-/// One endpoint's receive shard: the delivery heap plus the dense
+/// One endpoint's receive side: the delivery heap plus the dense
 /// per-source link row (`links_in[src]` is the `(src → this)` cell of the
-/// network's link matrix). Guarded by its own mutex so a send contends
-/// only with traffic for the *same* receiver.
+/// network's link matrix). Part of the endpoint's [`ActorSlot`].
 struct Mailbox<M> {
-    alive: bool,
     queue: BinaryHeap<Reverse<Envelope<M>>>,
     links_in: Vec<LinkState>,
 }
 
-impl<M> Mailbox<M> {
-    fn empty() -> Mailbox<M> {
+impl<M> Default for Mailbox<M> {
+    fn default() -> Mailbox<M> {
         Mailbox {
-            alive: true,
             queue: BinaryHeap::new(),
             links_in: Vec::new(),
         }
     }
+}
 
+impl<M> Mailbox<M> {
     /// The `(src → this)` link cell, grown on demand (dense by source
     /// index; sources register before they can send, so the row length is
     /// bounded by the endpoint count).
@@ -394,43 +404,34 @@ impl<M> Mailbox<M> {
         self.queue.peek().map(|Reverse(env)| env.deliver_at)
     }
 
-    /// Clears the shard for arena reuse, keeping heap and row capacity.
+    /// Clears the mailbox for arena reuse, keeping heap and row capacity.
     fn recycle(&mut self) {
-        self.alive = true;
         self.queue.clear();
         self.links_in.clear();
     }
 }
 
-/// The scheduler shard: clock, per-endpoint blocked state and wake-up
-/// points, counters, deadlock state — the single small cross-endpoint
-/// critical section of the hot path.
-struct Sched {
+/// Everything the simulator knows, under the network's one lock: clock,
+/// per-endpoint blocked state, wake-up points and mailboxes, fault
+/// budgets, counters, deadlock state.
+struct Sched<M> {
     now: VirtualInstant,
-    actors: Vec<ActorSlot>,
+    /// One slot per endpoint, in registration order.
+    actors: Vec<ActorSlot<M>>,
+    /// Scheduled losses and corruptions; budgets are per directed link,
+    /// so the order in which links consume them is free.
+    faults: FaultPlan,
     stats: NetStats,
-    /// Park/wake hand-off counters; every site that counts holds this
-    /// lock.
+    /// Park/wake hand-off counters.
     handoffs: SchedStats,
     deadlocked: Option<DeadlockInfo>,
-    /// Recycled actor slots handed out by [`Network::endpoint`] before any
-    /// fresh allocation (see [`NetArena`]).
-    spare_slots: Vec<ActorSlot>,
+    /// Recycled actor slots handed out by [`Network::endpoint`] before
+    /// any fresh allocation (see [`NetArena`]).
+    spare_slots: Vec<ActorSlot<M>>,
 }
 
 struct Shared<M> {
-    sched: Mutex<Sched>,
-    /// One shard per endpoint, in registration order. Senders take a brief
-    /// read lock to fetch the receiver's shard handle; endpoints cache
-    /// their own.
-    mailboxes: RwLock<Vec<Arc<Mutex<Mailbox<M>>>>>,
-    /// Recycled mailbox shards handed out before fresh allocation.
-    spare_mailboxes: Mutex<Vec<Arc<Mutex<Mailbox<M>>>>>,
-    /// Fault rules live outside the scheduler lock (budgets are per
-    /// directed link, so decision order across links is free); the flag
-    /// lets the fault-free common case skip the lock entirely.
-    faults: Mutex<FaultPlan>,
-    has_faults: bool,
+    sched: Mutex<Sched<M>>,
     /// Mirror of `Sched::now` in nanoseconds. Running threads read it
     /// without a lock: virtual time only advances when every live endpoint
     /// is blocked, so no running reader can race an advance.
@@ -446,16 +447,19 @@ struct Shared<M> {
 /// under `caa-runtime`'s `System::run`, a condvar wait (a futex sleep on
 /// Linux) for an endpoint driven by an OS thread; one `wake` is one wake
 /// site making one endpoint runnable again (each endpoint counted
-/// separately in the broadcast on deadlock).
+/// separately in the broadcast on deadlock). Every site that counts holds
+/// the network's lock.
 ///
 /// These say what the *simulator* did, not what the protocol did, so
 /// report them apart from the protocol's metrics. Under `System::run`
 /// they are nonetheless a pure function of the seed: participants run to
-/// their next block one at a time, in registration order, so the same
-/// seed parks and wakes identically on every run and the counts may be
-/// gated by equality. Only endpoints driven by concurrently running OS
-/// threads park differently from run to run (same-instant events
-/// interleave as the OS pleases, which never reaches virtual time).
+/// their next block one at a time, in registration order, each resumed
+/// when the host's pass reaches it with its [`Runnable`] mark set, so the
+/// same seed parks and wakes identically on every run and the counts may
+/// be gated by equality (the harness pins their sums over 150 seeds).
+/// Only endpoints driven by concurrently running OS threads park
+/// differently from run to run (same-instant events interleave as the OS
+/// pleases, which never reaches virtual time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Times a blocked endpoint gave up the CPU.
@@ -464,14 +468,40 @@ pub struct SchedStats {
     pub wakes: u64,
 }
 
-/// Recycled allocations of a finished [`Network`]: actor slots (with their
-/// condvar allocations and any fiber stacks parked in them) and mailbox
-/// shards (with their heap and link-row capacity). Obtained from [`Network::reclaim`], consumed by
-/// [`Network::new_reusing`]. Purely an allocation cache — a network built
-/// from an arena is observably identical to a fresh one.
+/// A fiber-hosted endpoint's wake-up mark, shared between the endpoint's
+/// scheduler slot and whoever resumes its fiber (obtained from
+/// [`Endpoint::runnable`] before the endpoint moves into its fiber). Wake
+/// sites set it while holding the network's lock; the host tests it with
+/// no lock at all, once per endpoint per pass.
+///
+/// The mark publishes no data of its own — a resumed endpoint re-takes the
+/// network's lock before it reads anything a waker wrote — so every access
+/// is `Relaxed`.
+#[derive(Debug, Clone, Default)]
+pub struct Runnable(Arc<AtomicBool>);
+
+impl Runnable {
+    /// Whether the endpoint has been made runnable since it last suspended
+    /// (or has yet to start), clearing the mark. A `true` obliges the host
+    /// to resume the endpoint's fiber — the wake-up is consumed.
+    #[must_use]
+    pub fn take(&self) -> bool {
+        self.0.load(Ordering::Relaxed) && self.0.swap(false, Ordering::Relaxed)
+    }
+
+    fn set(&self, on: bool) {
+        self.0.store(on, Ordering::Relaxed);
+    }
+}
+
+/// Recycled allocations of a finished [`Network`]: its actor slots, with
+/// their condvar and runnable-mark allocations, any fiber stacks parked in
+/// them, and their mailboxes' heap and link-row capacity. Obtained from
+/// [`Network::reclaim`], consumed by [`Network::new_reusing`]. Purely an
+/// allocation cache — a network built from an arena is observably
+/// identical to a fresh one.
 pub struct NetArena<M> {
-    slots: Vec<ActorSlot>,
-    mailboxes: Vec<Arc<Mutex<Mailbox<M>>>>,
+    slots: Vec<ActorSlot<M>>,
 }
 
 impl<M> NetArena<M> {
@@ -479,16 +509,13 @@ impl<M> NetArena<M> {
     /// [`Network::new_reusing`]).
     #[must_use]
     pub fn new() -> NetArena<M> {
-        NetArena {
-            slots: Vec::new(),
-            mailboxes: Vec::new(),
-        }
+        NetArena { slots: Vec::new() }
     }
 
     /// How many endpoint slots the arena currently caches.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len().min(self.mailboxes.len())
+        self.slots.len()
     }
 }
 
@@ -502,7 +529,6 @@ impl<M> fmt::Debug for NetArena<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetArena")
             .field("slots", &self.slots.len())
-            .field("mailboxes", &self.mailboxes.len())
             .finish()
     }
 }
@@ -573,21 +599,17 @@ impl<M: Send + Classify> Network<M> {
     #[must_use]
     pub fn new_reusing(config: NetConfig, arena: Option<NetArena<M>>) -> Self {
         let arena = arena.unwrap_or_default();
-        let has_faults = !config.faults.is_empty();
         Network {
             shared: Arc::new(Shared {
                 sched: Mutex::new(Sched {
                     now: VirtualInstant::EPOCH,
                     actors: Vec::new(),
+                    faults: config.faults,
                     stats: NetStats::default(),
                     handoffs: SchedStats::default(),
                     deadlocked: None,
                     spare_slots: arena.slots,
                 }),
-                mailboxes: RwLock::new(Vec::new()),
-                spare_mailboxes: Mutex::new(arena.mailboxes),
-                faults: Mutex::new(config.faults),
-                has_faults,
                 now_ns: AtomicU64::new(VirtualInstant::EPOCH.as_nanos()),
                 latency: config.latency,
                 seed: config.seed,
@@ -604,25 +626,13 @@ impl<M: Send + Classify> Network<M> {
     /// opportunistically after every run.
     #[must_use]
     pub fn reclaim(self) -> Option<NetArena<M>> {
-        let shared = Arc::try_unwrap(self.shared).ok()?;
-        let sched = shared.sched.into_inner();
+        let sched = Arc::try_unwrap(self.shared).ok()?.sched.into_inner();
         let mut slots = sched.actors;
         slots.extend(sched.spare_slots);
-        let mut mailboxes = Vec::new();
-        for mut arc in shared
-            .mailboxes
-            .into_inner()
-            .into_iter()
-            .chain(shared.spare_mailboxes.into_inner())
-        {
-            // A leaked endpoint keeps its shard alive; skip that shard
-            // rather than aliasing it into the next network.
-            if let Some(mailbox) = Arc::get_mut(&mut arc) {
-                mailbox.get_mut().recycle();
-                mailboxes.push(arc);
-            }
+        for slot in &mut slots {
+            slot.mailbox.recycle();
         }
-        Some(NetArena { slots, mailboxes })
+        Some(NetArena { slots })
     }
 
     /// Registers a new endpoint (one partition / participating thread).
@@ -632,25 +642,18 @@ impl<M: Send + Classify> Network<M> {
     /// past events the thread would have handled.
     pub fn endpoint(&self, name: impl Into<Arc<str>>) -> Endpoint<M> {
         let name = name.into();
-        let mailbox = match self.shared.spare_mailboxes.lock().pop() {
-            Some(arc) => arc,
-            None => Arc::new(Mutex::new(Mailbox::empty())),
-        };
         let mut sched = self.shared.sched.lock();
         let id =
             PartitionId::new(u32::try_from(sched.actors.len()).expect("fewer than 2^32 endpoints"));
-        let slot = match sched.spare_slots.pop() {
-            Some(spare) => ActorSlot::fresh(name, spare.cv, spare.stack),
-            None => ActorSlot::fresh(name, Arc::new(Condvar::new()), None),
-        };
+        let recycled = sched.spare_slots.pop();
+        let slot = ActorSlot::fresh(name, recycled);
+        let runnable = slot.runnable.clone();
         sched.actors.push(slot);
         drop(sched);
-        self.shared.mailboxes.write().push(Arc::clone(&mailbox));
         Endpoint {
             net: self.clone(),
             id,
-            mailbox,
-            retired: false,
+            runnable,
         }
     }
 
@@ -677,19 +680,6 @@ impl<M: Send + Classify> Network<M> {
         self.shared.sched.lock().handoffs
     }
 
-    /// For the host of fiber-driven endpoints: whether endpoint `id` has
-    /// been made runnable since it last suspended (or has yet to start),
-    /// clearing the mark. A `true` obliges the host to resume the
-    /// endpoint's fiber — the wake-up is consumed.
-    #[must_use]
-    pub fn take_runnable(&self, id: PartitionId) -> bool {
-        let mut sched = self.shared.sched.lock();
-        sched
-            .actors
-            .get_mut(id.index())
-            .is_some_and(|slot| std::mem::take(&mut slot.runnable))
-    }
-
     /// Takes the fiber stack parked in endpoint `id`'s slot, if one was
     /// left there by [`Network::park_stack`] — in this network or, through
     /// a [`NetArena`], in an earlier one.
@@ -709,164 +699,107 @@ impl<M: Send + Classify> Network<M> {
         }
     }
 
-    fn mailbox_of(&self, id: PartitionId) -> Option<Arc<Mutex<Mailbox<M>>>> {
-        self.shared.mailboxes.read().get(id.index()).map(Arc::clone)
-    }
-
     fn send_from(&self, src: PartitionId, dst: PartitionId, msg: M) {
         let class = msg.class();
         let correlation = msg.correlation();
-        let tap_event = |at, deliver_at, seq| TapEvent {
-            src,
-            dst,
-            class,
-            correlation,
-            at,
-            deliver_at,
-            seq,
-        };
+        let mut guard = self.shared.sched.lock();
+        let sched = &mut *guard;
         // Stable while we run: the sender's own endpoint is running, so
         // the advance arbiter cannot move the clock under us.
-        let now = self.now();
-
-        // Fault decisions are pure functions of per-link budgets; the
-        // common fault-free case skips the lock entirely.
-        let (lost, corrupted) = if self.shared.has_faults {
-            let mut faults = self.shared.faults.lock();
-            if faults.should_lose(src, dst, class) {
-                (true, false)
-            } else {
-                (false, faults.should_corrupt(src, dst, class))
-            }
-        } else {
-            (false, false)
-        };
-
-        let Some(mailbox) = self.mailbox_of(dst) else {
-            // Destination never registered: nothing to deliver to and no
-            // link row to book a per-link sequence on (ids normally only
-            // come from registration, so this needs a hand-built
-            // `PartitionId`). The message was still *accepted* — count it
-            // and surface it to the tap like a datagram to a dead host,
-            // with the link sequence pinned to 0.
-            let mut sched = self.shared.sched.lock();
-            if lost {
-                sched.stats.record_dropped(class);
-            } else {
-                sched.stats.record_sent(class);
-                if corrupted {
-                    sched.stats.record_corrupted(class);
-                }
-            }
-            drop(sched);
-            if let Some(tap) = &self.shared.tap {
-                let event = tap_event(now, now, 0);
-                if lost {
-                    tap.on_dropped(&event);
-                } else {
-                    tap.on_sent(&event);
-                    if corrupted {
-                        tap.on_corrupted(&event);
-                    }
-                }
-            }
-            return;
-        };
-
+        let now = sched.now;
+        // Fault decisions are pure functions of per-link budgets.
+        let lost = sched.faults.should_lose(src, dst, class);
+        let corrupted = !lost && sched.faults.should_corrupt(src, dst, class);
         if lost {
-            // A lost message still occupies its slot in the per-link
-            // sequence, so tap consumers see a unique (src, dst, seq) per
-            // message whether it was delivered or lost.
-            let seq = {
-                let mut mb = mailbox.lock();
-                let link = mb.link(src);
-                let seq = link.seq;
-                link.seq += 1;
-                seq
-            };
-            self.shared.sched.lock().stats.record_dropped(class);
-            if let Some(tap) = &self.shared.tap {
-                tap.on_dropped(&tap_event(now, now, seq));
-            }
-            return;
-        }
-
-        // Receiver shard: book the link slot, sample the latency, apply
-        // the per-link FIFO clamp and enqueue — all without touching any
-        // other endpoint's traffic.
-        let (seq, deliver_at, raw, eff, delivered) = {
-            let mut mb = mailbox.lock();
-            let alive = mb.alive;
-            let link = mb.link(src);
-            let seq = link.seq;
-            link.seq += 1;
-            let raw = self.shared.latency.sample(self.shared.seed, src, dst, seq);
-            let eff = effective_latency(raw, self.shared.ack_timeout);
-            let mut deliver_at = now.saturating_add(eff);
-            // Per-link FIFO (Assumption 2): never deliver before an
-            // earlier message on the same link.
-            if deliver_at <= link.last_delivery {
-                deliver_at = link
-                    .last_delivery
-                    .saturating_add(VirtualDuration::from_nanos(1));
-            }
-            link.last_delivery = deliver_at;
-            if alive {
-                mb.queue.push(Reverse(Envelope {
-                    deliver_at,
-                    src,
-                    seq,
-                    sent_at: now,
-                    msg: (!corrupted).then_some(msg),
-                }));
-            }
-            // A message to a retired endpoint is lost like a datagram to a
-            // dead host — but it was accepted, so counters and tap still
-            // see it.
-            (seq, deliver_at, raw, eff, alive)
-        };
-
-        // Scheduler shard: counters plus the blocked-receiver check — the
-        // small clock/blocked-state critical section.
-        let mut wake_dst = None;
-        {
-            let mut sched = self.shared.sched.lock();
+            sched.stats.record_dropped(class);
+        } else {
             sched.stats.record_sent(class);
             if corrupted {
                 sched.stats.record_corrupted(class);
             }
-            if eff > raw && !raw.is_zero() {
-                sched.stats.record_retransmissions(
-                    eff.as_nanos().saturating_sub(raw.as_nanos()) / raw.as_nanos().max(1),
-                );
-            }
-            if delivered {
-                // If the destination is blocked waiting for messages,
-                // ensure the scheduler knows when it becomes wakeable —
-                // and wake it (alone) if the message is already
-                // deliverable. A message still in flight needs no wake-up:
-                // only a time advance can make it deliverable, and the
-                // advance arbiter wakes exactly the endpoints whose
-                // wake-up point was reached.
-                let now = sched.now;
-                let slot = &mut sched.actors[dst.index()];
-                if slot.alive && !slot.running && slot.blocked_on.receives_messages() {
-                    slot.wake_at = Some(match slot.wake_at {
-                        Some(existing) => existing.min(deliver_at),
-                        None => deliver_at,
-                    });
-                    if deliver_at <= now {
-                        wake_dst = slot.wake().map(Arc::clone);
-                        sched.handoffs.wakes += 1;
+        }
+
+        // Book the link slot, sample the latency, apply the per-link FIFO
+        // clamp and enqueue. A lost message still occupies its slot in the
+        // per-link sequence, so tap consumers see a unique (src, dst, seq)
+        // per message whether it was delivered or lost. A destination that
+        // never registered has no link row to book a sequence on (ids
+        // normally only come from registration, so this needs a hand-built
+        // `PartitionId`): the message was still *accepted* — counted above
+        // and surfaced to the tap like a datagram to a dead host, with the
+        // link sequence pinned to 0.
+        let (mut seq, mut deliver_at, mut wake_dst) = (0, now, None);
+        if let Some(slot) = sched.actors.get_mut(dst.index()) {
+            let link = slot.mailbox.link(src);
+            seq = link.seq;
+            link.seq += 1;
+            if !lost {
+                let raw = self.shared.latency.sample(self.shared.seed, src, dst, seq);
+                let eff = effective_latency(raw, self.shared.ack_timeout);
+                deliver_at = now.saturating_add(eff);
+                // Per-link FIFO (Assumption 2): never deliver before an
+                // earlier message on the same link.
+                if deliver_at <= link.last_delivery {
+                    deliver_at = link
+                        .last_delivery
+                        .saturating_add(VirtualDuration::from_nanos(1));
+                }
+                link.last_delivery = deliver_at;
+                if eff > raw && !raw.is_zero() {
+                    sched.stats.record_retransmissions(
+                        eff.as_nanos().saturating_sub(raw.as_nanos()) / raw.as_nanos().max(1),
+                    );
+                }
+                // A message to a retired endpoint is lost like a datagram
+                // to a dead host — but it was accepted, so counters and
+                // tap still see it.
+                if slot.alive {
+                    slot.mailbox.queue.push(Reverse(Envelope {
+                        deliver_at,
+                        src,
+                        seq,
+                        sent_at: now,
+                        msg: (!corrupted).then_some(msg),
+                    }));
+                    // If the destination is blocked waiting for messages,
+                    // ensure the scheduler knows when it becomes wakeable
+                    // — and wake it (alone) if the message is already
+                    // deliverable. A message still in flight needs no
+                    // wake-up: only a time advance can make it
+                    // deliverable, and the advance arbiter wakes exactly
+                    // the endpoints whose wake-up point was reached.
+                    if !slot.running && slot.blocked_on.receives_messages() {
+                        slot.wake_at = Some(match slot.wake_at {
+                            Some(existing) => existing.min(deliver_at),
+                            None => deliver_at,
+                        });
+                        if deliver_at <= now {
+                            wake_dst = slot.wake().map(Arc::clone);
+                            sched.handoffs.wakes += 1;
+                        }
                     }
                 }
             }
         }
+        drop(guard);
+
         if let Some(tap) = &self.shared.tap {
-            let event = tap_event(now, deliver_at, seq);
-            tap.on_sent(&event);
-            if corrupted {
-                tap.on_corrupted(&event);
+            let event = TapEvent {
+                src,
+                dst,
+                class,
+                correlation,
+                at: now,
+                deliver_at,
+                seq,
+            };
+            if lost {
+                tap.on_dropped(&event);
+            } else {
+                tap.on_sent(&event);
+                if corrupted {
+                    tap.on_corrupted(&event);
+                }
             }
         }
         if let Some(cv) = wake_dst {
@@ -876,52 +809,45 @@ impl<M: Send + Classify> Network<M> {
 
     /// Core blocking primitive.
     ///
-    /// Re-evaluates `pred` under the scheduler lock (with the caller's own
-    /// mailbox shard locked beneath it) whenever woken; while blocked,
-    /// `wake_hint` tells the scheduler the earliest instant at which
-    /// `pred` could become true (None = only a message or retirement can
-    /// help).
+    /// Re-evaluates `pred` over the caller's own slot (mailbox included),
+    /// under the network's lock, whenever woken; while blocked, `wake_hint`
+    /// tells the scheduler the earliest instant at which `pred` could
+    /// become true (None = only a message or retirement can help).
     ///
     /// This is the one place an endpoint gives up the CPU, and the one
     /// place that knows there are two ways to: inside a fiber the caller
     /// suspends (its host resumes it once a wake site has marked it
-    /// runnable), on a plain OS thread it waits on its condvar. No lock is
-    /// held across a suspend — the host runs other endpoints on this very
-    /// thread, and they take the same locks.
+    /// runnable), on a plain OS thread it waits on its condvar. The lock is
+    /// not held across a suspend — the host runs other endpoints on this
+    /// very thread, and they take the same lock.
     fn block_until<T>(
         &self,
         id: PartitionId,
-        mailbox: &Mutex<Mailbox<M>>,
         kind: BlockKind,
-        mut pred: impl FnMut(&mut Sched, &mut Mailbox<M>, VirtualInstant) -> Option<T>,
-        mut wake_hint: impl FnMut(&Sched, &Mailbox<M>, VirtualInstant) -> Option<VirtualInstant>,
+        mut pred: impl FnMut(&mut ActorSlot<M>, VirtualInstant) -> Option<T>,
+        mut wake_hint: impl FnMut(&ActorSlot<M>) -> Option<VirtualInstant>,
     ) -> Result<T, SimError> {
         let on_fiber = caa_fiber::in_fiber();
-        let mut sched = self.shared.sched.lock();
+        let i = id.index();
+        let mut guard = self.shared.sched.lock();
         loop {
+            let sched = &mut *guard;
             if let Some(info) = &sched.deadlocked {
                 return Err(SimError::Deadlock(info.clone()));
             }
-            let now = sched.now;
-            let hint = {
-                let mut mb = mailbox.lock();
-                if let Some(v) = pred(&mut sched, &mut mb, now) {
-                    sched.actors[id.index()].running = true;
-                    return Ok(v);
-                }
-                wake_hint(&sched, &mb, now)
-            };
-            {
-                let slot = &mut sched.actors[id.index()];
-                slot.running = false;
-                slot.blocked_on = kind;
-                slot.wake_at = hint;
-                slot.on_fiber = on_fiber;
+            let slot = &mut sched.actors[i];
+            if let Some(v) = pred(slot, sched.now) {
+                slot.running = true;
+                return Ok(v);
             }
+            slot.running = false;
+            slot.blocked_on = kind;
+            slot.wake_at = wake_hint(slot);
+            slot.on_fiber = on_fiber;
             // If our own blocking triggered an advance (or deadlock
             // detection), the wake-up fired before we could wait —
             // re-evaluate instead of waiting for it.
-            let changed = advance_if_blocked(&mut sched, &self.shared.now_ns);
+            let changed = advance_if_blocked(sched, &self.shared.now_ns);
             if changed || sched.deadlocked.is_some() {
                 continue;
             }
@@ -930,30 +856,18 @@ impl<M: Send + Classify> Network<M> {
                 // Nothing ran between the predicate and here, so a mark
                 // still set is a leftover of a wake-up already acted on
                 // (our own advance above, on an earlier turn of the loop).
-                sched.actors[id.index()].runnable = false;
-                drop(sched);
+                sched.actors[i].runnable.set(false);
+                drop(guard);
                 caa_fiber::suspend();
-                sched = self.shared.sched.lock();
+                guard = self.shared.sched.lock();
             } else {
                 // Each endpoint parks on its own slot; wake-ups are
                 // targeted at exactly the endpoints whose predicate may
                 // now hold.
-                let cv = Arc::clone(&sched.actors[id.index()].cv);
-                cv.wait(&mut sched);
+                let cv = Arc::clone(&sched.actors[i].cv);
+                cv.wait(&mut guard);
             }
         }
-    }
-
-    fn retire_actor(&self, id: PartitionId, mailbox: &Mutex<Mailbox<M>>) {
-        mailbox.lock().alive = false;
-        let mut sched = self.shared.sched.lock();
-        let slot = &mut sched.actors[id.index()];
-        if !slot.alive {
-            return;
-        }
-        slot.alive = false;
-        slot.running = false;
-        advance_if_blocked(&mut sched, &self.shared.now_ns);
     }
 
     /// Rings endpoint `id`'s doorbell at virtual instant `at`, replacing
@@ -975,15 +889,11 @@ impl<M: Send + Classify> Network<M> {
     /// targeted wait has since ended — the doorbell would be stale, and
     /// is dropped. Unknown or retired endpoints are ignored too.
     pub fn schedule_wake(&self, id: PartitionId, at: VirtualInstant, epoch: u64) {
-        let mailbox = self.mailbox_of(id);
-        let mut sched = self.shared.sched.lock();
-        let i = id.index();
-        if i >= sched.actors.len() || !sched.actors[i].alive {
+        let mut guard = self.shared.sched.lock();
+        let sched = &mut *guard;
+        let Some(slot) = sched.actors.get_mut(id.index()).filter(|slot| slot.alive) else {
             return;
-        }
-        let now = sched.now;
-        let head = mailbox.as_ref().and_then(|mb| mb.lock().head_deliver_at());
-        let slot = &mut sched.actors[i];
+        };
         if slot.wait_epoch != epoch {
             return; // stale: computed against an earlier, finished wait
         }
@@ -992,18 +902,18 @@ impl<M: Send + Classify> Network<M> {
         if !slot.running && slot.blocked_on == BlockKind::Park {
             // Re-derive the park's wake hint (min of next delivery and the
             // new doorbell).
-            slot.wake_at = Some(match head {
+            slot.wake_at = Some(match slot.mailbox.head_deliver_at() {
                 Some(h) => h.min(at),
                 None => at,
             });
             // Wake the owner only if the bell is already due — the
             // advance arbiter will deliver future bells at `at`.
-            if at <= now {
+            if at <= sched.now {
                 wake = slot.wake().map(Arc::clone);
                 sched.handoffs.wakes += 1;
             }
         }
-        drop(sched);
+        drop(guard);
         if let Some(cv) = wake {
             cv.notify_one();
         }
@@ -1017,18 +927,12 @@ impl<M: Send + Classify> Network<M> {
 pub struct Endpoint<M> {
     net: Network<M>,
     id: PartitionId,
-    /// This endpoint's own receive shard (cached so the receive paths
-    /// never touch the shard directory).
-    mailbox: Arc<Mutex<Mailbox<M>>>,
-    retired: bool,
+    runnable: Runnable,
 }
 
 impl<M> fmt::Debug for Endpoint<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Endpoint")
-            .field("id", &self.id)
-            .field("retired", &self.retired)
-            .finish()
+        f.debug_struct("Endpoint").field("id", &self.id).finish()
     }
 }
 
@@ -1051,6 +955,14 @@ impl<M: Send + Classify> Endpoint<M> {
         self.net.now()
     }
 
+    /// This endpoint's wake-up mark, for whoever will resume the fiber it
+    /// runs in (see [`Runnable`]); take it before moving the endpoint into
+    /// that fiber. Unused by an endpoint an OS thread drives.
+    #[must_use]
+    pub fn runnable(&self) -> Runnable {
+        self.runnable.clone()
+    }
+
     /// Sends `msg` to `dst` asynchronously (fire and forget, like the
     /// paper's "asynchronous remote procedure calls (without out
     /// parameters)").
@@ -1067,10 +979,9 @@ impl<M: Send + Classify> Endpoint<M> {
     pub fn recv(&mut self) -> Result<Received<M>, SimError> {
         self.net.block_until(
             self.id,
-            &self.mailbox,
             BlockKind::Recv,
-            |_, mb, now| mb.pop_ready(now),
-            |_, mb, _| mb.head_deliver_at(),
+            |slot, now| slot.mailbox.pop_ready(now),
+            |slot| slot.mailbox.head_deliver_at(),
         )
     }
 
@@ -1080,11 +991,12 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the simulation already deadlocked.
     pub fn try_recv(&mut self) -> Result<Option<Received<M>>, SimError> {
-        let sched = self.net.shared.sched.lock();
+        let mut guard = self.net.shared.sched.lock();
+        let sched = &mut *guard;
         if let Some(info) = &sched.deadlocked {
             return Err(SimError::Deadlock(info.clone()));
         }
-        Ok(self.mailbox.lock().pop_ready(sched.now))
+        Ok(sched.actors[self.id.index()].mailbox.pop_ready(sched.now))
     }
 
     /// Receives the next message, waiting at most `timeout`.
@@ -1124,14 +1036,13 @@ impl<M: Send + Classify> Endpoint<M> {
     ) -> Result<Option<Received<M>>, SimError> {
         self.net.block_until(
             self.id,
-            &self.mailbox,
             BlockKind::Recv,
-            |_, mb, now| match mb.pop_ready(now) {
+            |slot, now| match slot.mailbox.pop_ready(now) {
                 Some(r) => Some(Some(r)),
                 None if now >= deadline => Some(None),
                 None => None,
             },
-            |_, mb, _| match mb.head_deliver_at() {
+            |slot| match slot.mailbox.head_deliver_at() {
                 Some(h) => Some(h.min(deadline)),
                 None => Some(deadline),
             },
@@ -1173,16 +1084,13 @@ impl<M: Send + Classify> Endpoint<M> {
         &mut self,
         deadline: Option<VirtualInstant>,
     ) -> Result<Parked<M>, SimError> {
-        let id = self.id;
         self.net.block_until(
-            id,
-            &self.mailbox,
+            self.id,
             BlockKind::Park,
-            |sched, mb, now| {
-                if let Some(received) = mb.pop_ready(now) {
+            |slot, now| {
+                if let Some(received) = slot.mailbox.pop_ready(now) {
                     return Some(Parked::Msg(received));
                 }
-                let slot = &mut sched.actors[id.index()];
                 if slot.doorbell.is_some_and(|at| at <= now) {
                     slot.doorbell = None;
                     return Some(Parked::Doorbell);
@@ -1192,9 +1100,9 @@ impl<M: Send + Classify> Endpoint<M> {
                 }
                 None
             },
-            |sched, mb, _| {
-                let head = mb.head_deliver_at();
-                let bell = sched.actors[id.index()].doorbell;
+            |slot| {
+                let head = slot.mailbox.head_deliver_at();
+                let bell = slot.doorbell;
                 let hint = match (head, bell) {
                     (Some(h), Some(b)) => Some(h.min(b)),
                     (head, bell) => head.or(bell),
@@ -1234,35 +1142,27 @@ impl<M: Send + Classify> Endpoint<M> {
         let deadline = self.net.now().saturating_add(dur);
         self.net.block_until(
             self.id,
-            &self.mailbox,
             BlockKind::Sleep,
-            |_, _, now| (now >= deadline).then_some(()),
-            |_, _, _| Some(deadline),
+            |_, now| (now >= deadline).then_some(()),
+            |_| Some(deadline),
         )
     }
 
     /// Retires the endpoint: the scheduler stops waiting for this
     /// participant and undelivered messages to it are discarded.
-    pub fn retire(mut self) {
-        self.retired = true;
-        self.net.retire_actor(self.id, &self.mailbox);
+    pub fn retire(self) {
+        drop(self);
     }
 }
 
 impl<M> Drop for Endpoint<M> {
     fn drop(&mut self) {
-        if !self.retired {
-            // Duplicate of retire() without the Classify bound.
-            self.mailbox.lock().alive = false;
-            let net = &self.net;
-            let mut sched = net.shared.sched.lock();
-            let slot = &mut sched.actors[self.id.index()];
-            if slot.alive {
-                slot.alive = false;
-                slot.running = false;
-                advance_if_blocked(&mut sched, &net.shared.now_ns);
-            }
-        }
+        let shared = &self.net.shared;
+        let mut sched = shared.sched.lock();
+        let slot = &mut sched.actors[self.id.index()];
+        slot.alive = false;
+        slot.running = false;
+        advance_if_blocked(&mut sched, &shared.now_ns);
     }
 }
 
@@ -1273,7 +1173,7 @@ impl<M> Drop for Endpoint<M> {
 /// or, with no wake-up point anywhere, declares deadlock and wakes
 /// everyone to report it. Returns whether it changed the world, so the
 /// calling blocker re-evaluates instead of missing its own wake-up.
-fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64) -> bool {
+fn advance_if_blocked<M>(sched: &mut Sched<M>, now_ns: &AtomicU64) -> bool {
     if sched.deadlocked.is_some() {
         return false;
     }
@@ -1704,6 +1604,104 @@ mod tests {
         let (reused, arena2) = exchange(Some(arena));
         assert_eq!(fresh, reused, "arena reuse must not change delivery");
         assert_eq!(arena2.capacity(), 2);
+    }
+
+    #[test]
+    fn concurrent_senders_keep_link_fifo_and_exact_counts() {
+        // Four OS threads send to one thread-hosted receiver at once, all
+        // through the network's single lock: whatever order they win it
+        // in, each link stays FIFO and every message is counted once.
+        const SENDERS: u64 = 4;
+        const EACH: u64 = 200;
+        let net = virtual_net(LatencyModel::UniformUpTo(secs(1.0)));
+        let mut rx = net.endpoint("rx");
+        let rx_id = rx.id();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(SENDERS as usize));
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|s| {
+                let tx = net.endpoint(format!("tx{s}"));
+                let start = std::sync::Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    for i in 0..EACH {
+                        tx.send(rx_id, Msg(s * EACH + i));
+                    }
+                    tx.retire();
+                })
+            })
+            .collect();
+        let receiver = thread::spawn(move || {
+            let mut next = [0u64; SENDERS as usize];
+            let mut last_delivery = VirtualInstant::EPOCH;
+            for _ in 0..SENDERS * EACH {
+                let got = rx.recv().unwrap();
+                assert!(got.delivered_at >= last_delivery, "delivery went back");
+                last_delivery = got.delivered_at;
+                let s = got.src.index() - 1; // rx registered first
+                let Msg(payload) = got.msg.unwrap();
+                assert_eq!(payload, s as u64 * EACH + next[s], "link {s} reordered");
+                next[s] += 1;
+            }
+            rx.retire();
+            next
+        });
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        assert_eq!(receiver.join().unwrap(), [EACH; SENDERS as usize]);
+        let stats = net.stats();
+        assert_eq!(stats.sent("Msg"), SENDERS * EACH);
+        assert_eq!(stats.total_sent(), SENDERS * EACH);
+        assert_eq!(stats.dropped("Msg") + stats.corrupted("Msg"), 0);
+    }
+
+    #[test]
+    fn sends_to_retired_and_unregistered_endpoints_are_counted_and_tapped() {
+        #[derive(Default)]
+        struct Sent(Mutex<Vec<TapEvent>>);
+        impl NetTap for Sent {
+            fn on_sent(&self, event: &TapEvent) {
+                self.0.lock().push(event.clone());
+            }
+        }
+        let tap = Arc::new(Sent::default());
+        let net: Network<Msg> = Network::new(NetConfig {
+            latency: LatencyModel::Fixed(secs(0.5)),
+            tap: Some(Arc::clone(&tap) as _),
+            ..NetConfig::default()
+        });
+        let a = net.endpoint("a");
+        let b = net.endpoint("b");
+        let (a_id, b_id) = (a.id(), b.id());
+        b.retire();
+        let nobody = PartitionId::new(9);
+        a.send(b_id, Msg(1));
+        a.send(b_id, Msg(2));
+        a.send(nobody, Msg(3));
+        a.retire();
+
+        assert_eq!(net.stats().sent("Msg"), 3, "accepted, so counted");
+        let at = VirtualInstant::EPOCH;
+        let event = |dst, deliver_at, seq| TapEvent {
+            src: a_id,
+            dst,
+            class: "Msg",
+            correlation: 0,
+            at,
+            deliver_at,
+            seq,
+        };
+        assert_eq!(
+            *tap.0.lock(),
+            vec![
+                // A retired destination still books its link: sequence
+                // numbers and the FIFO clamp advance as if it listened.
+                event(b_id, at + secs(0.5), 0),
+                event(b_id, at + secs(0.5) + VirtualDuration::from_nanos(1), 1),
+                // No link row to book on: sequence pinned to 0, no delay.
+                event(nobody, at, 0),
+            ]
+        );
     }
 
     #[test]
