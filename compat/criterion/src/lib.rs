@@ -2,8 +2,10 @@
 //!
 //! Supports the interface the workspace benches use —
 //! [`criterion_group!`]/[`criterion_main!`], benchmark groups,
-//! [`BenchmarkId`], `Bencher::iter` — and reports the mean wall-clock time
-//! per iteration instead of criterion's full statistical analysis. When the
+//! [`BenchmarkId`], [`Throughput`], `Bencher::iter`/`iter_custom` — and
+//! reports the mean wall-clock time per iteration (and per element, for a
+//! group with a throughput) instead of criterion's full statistical
+//! analysis. When the
 //! binary is invoked by `cargo test` (any `--test`-style argument present),
 //! every benchmark runs exactly once so test runs stay fast.
 
@@ -47,6 +49,14 @@ impl fmt::Display for BenchmarkId {
     }
 }
 
+/// How much work one iteration does — turns the per-iteration mean into a
+/// per-element one in the report.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// One iteration processes this many elements.
+    Elements(u64),
+}
+
 /// Measures one benchmark body.
 #[derive(Debug)]
 pub struct Bencher {
@@ -77,6 +87,15 @@ impl Bencher {
         let total = start.elapsed() + first;
         self.mean = Some(total / (n + 1));
     }
+
+    /// Lets `routine` do the timing: it runs the measured code `iters`
+    /// times and returns how long that took, leaving set-up it repeats per
+    /// iteration outside the clock. `iters` is the group's sample size
+    /// (one under `cargo test`).
+    pub fn iter_custom(&mut self, mut routine: impl FnMut(u64) -> Duration) {
+        let iters = self.iters.max(1);
+        self.mean = Some(routine(iters) / iters as u32);
+    }
 }
 
 /// A named collection of related benchmarks.
@@ -84,12 +103,19 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     name: String,
     criterion: &'a mut Criterion,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Sets the sample count (upper bound on iterations here).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.criterion.sample_size = n as u64;
+        self
+    }
+
+    /// Declares the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -103,9 +129,14 @@ impl BenchmarkGroup<'_> {
             mean: None,
         };
         body(&mut b);
-        match b.mean {
-            Some(mean) => println!("bench: {}/{label}: {mean:?}/iter", self.name),
-            None => println!("bench: {}/{label}: no measurement", self.name),
+        match (b.mean, self.throughput) {
+            (Some(mean), Some(Throughput::Elements(n))) => println!(
+                "bench: {}/{label}: {mean:?}/iter ({:.1} ns/elem)",
+                self.name,
+                mean.as_nanos() as f64 / n.max(1) as f64,
+            ),
+            (Some(mean), None) => println!("bench: {}/{label}: {mean:?}/iter", self.name),
+            (None, _) => println!("bench: {}/{label}: no measurement", self.name),
         }
     }
 
@@ -146,6 +177,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             criterion: self,
+            throughput: None,
         }
     }
 
@@ -202,8 +234,17 @@ mod tests {
         group.bench_with_input(BenchmarkId::new("with_input", 3), &3u32, |b, &x| {
             b.iter(|| x * 2);
         });
+        group.throughput(Throughput::Elements(4));
+        let mut timed = 0u64;
+        group.bench_function("custom", |b| {
+            b.iter_custom(|iters| {
+                timed += iters;
+                Duration::from_nanos(40 * iters)
+            });
+        });
         group.finish();
         assert!(runs >= 1);
+        assert!(timed >= 1);
     }
 
     #[test]

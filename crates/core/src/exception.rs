@@ -129,6 +129,22 @@ impl ExceptionId {
         self.name() == CRASH_NAME
     }
 
+    /// The text [`Display`](fmt::Display) writes: the paper's symbol for a
+    /// pre-defined exception (`µ`, `ƒ`, `universal`, `abortion`, `crash`),
+    /// the name itself otherwise. Borrowed, so renderers that write bytes
+    /// rather than going through a formatter can use it directly.
+    #[must_use]
+    pub fn display_name(&self) -> &str {
+        match self.name() {
+            UNDO_NAME => "µ",
+            FAILURE_NAME => "ƒ",
+            UNIVERSAL_NAME => "universal",
+            ABORTION_NAME => "abortion",
+            CRASH_NAME => "crash",
+            other => other,
+        }
+    }
+
     /// Whether this is one of the pre-defined exceptions (µ, ƒ, universal,
     /// abortion or crash).
     #[must_use]
@@ -143,14 +159,7 @@ impl ExceptionId {
 
 impl fmt::Display for ExceptionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.name() {
-            UNDO_NAME => f.write_str("µ"),
-            FAILURE_NAME => f.write_str("ƒ"),
-            UNIVERSAL_NAME => f.write_str("universal"),
-            ABORTION_NAME => f.write_str("abortion"),
-            CRASH_NAME => f.write_str("crash"),
-            other => f.write_str(other),
-        }
+        f.write_str(self.display_name())
     }
 }
 

@@ -15,11 +15,12 @@
 //!   [`SystemBuilder::net_arena`](caa_runtime::SystemBuilder::net_arena);
 //! * the **trace recorder and trace buffers**: one
 //!   [`TraceRecorder`] records every seed executed through the arena, and
-//!   entry vectors handed back by [`ExecutionArena::recycle_trace`] once a
-//!   seed's trace has been checked carry the next seed's trace out of it —
-//!   once both have grown to the worker's longest trace, recording and
-//!   hand-off allocate nothing. A trace that is *not* handed back costs
-//!   one allocation of exactly its length;
+//!   traces handed back by [`ExecutionArena::recycle_trace`] once they
+//!   have been checked lend their buffers (entries and index) to the next
+//!   seed's trace — once both have grown to the worker's longest trace,
+//!   recording and hand-off allocate nothing. A trace that is *not* handed
+//!   back costs three allocations of exactly its entries', member lists'
+//!   and instance table's lengths;
 //! * **interned names**: role and thread names as `Arc<str>`, which
 //!   definitions, endpoints and events clone by reference;
 //! * the **graph cache**: conjunction lattices are pure functions of an
@@ -43,11 +44,11 @@ use caa_exgraph::ExceptionGraph;
 use caa_simnet::NetArena;
 
 use crate::metrics::{MetricsRecorder, SweepMetrics};
-use crate::trace::{Entry, Trace, TraceRecorder};
+use crate::trace::{Trace, TraceRecorder};
 
-/// How many recycled trace buffers an arena keeps. An execution uses one
-/// buffer; a replay-checked seed uses two in flight. Anything beyond that
-/// is dead weight.
+/// How many recycled traces an arena keeps. An execution uses one; a
+/// replay-checked seed uses two in flight. Anything beyond that is dead
+/// weight.
 const MAX_TRACE_BUFS: usize = 2;
 
 /// Reusable execution state for one sweep worker (see the module docs).
@@ -75,7 +76,7 @@ pub struct ExecutionArena {
     /// The recorder attached to every system executed through this arena;
     /// empty between executions.
     recorder: Arc<TraceRecorder>,
-    trace_bufs: Vec<Vec<Entry>>,
+    trace_bufs: Vec<Trace>,
     /// Resolution lattices keyed by `(action name, group)` — the inputs
     /// that determine an action's declared exceptions.
     graphs: HashMap<String, Arc<ExceptionGraph>>,
@@ -110,13 +111,13 @@ impl ExecutionArena {
         ExecutionArena::default()
     }
 
-    /// Hands a finished trace's entry buffer back for the next execution.
+    /// Hands a finished trace's buffers back for the next execution.
     /// Call it once a seed's trace has been checked and is no longer
     /// needed; traces kept alive (violating seeds, golden comparisons)
     /// simply are not recycled.
     pub fn recycle_trace(&mut self, trace: Trace) {
         if self.trace_bufs.len() < MAX_TRACE_BUFS {
-            self.trace_bufs.push(trace.into_entries());
+            self.trace_bufs.push(trace);
         }
     }
 
@@ -126,11 +127,11 @@ impl ExecutionArena {
     }
 
     /// Takes the finished execution's trace out of the arena's recorder:
-    /// into a recycled buffer if one is available, else into a fresh one
-    /// of exactly the trace's length.
+    /// into a recycled trace's buffers if one is available, else into
+    /// fresh ones of exactly the needed lengths.
     pub(crate) fn take_trace(&mut self) -> Trace {
-        let buf = self.trace_bufs.pop().unwrap_or_default();
-        self.recorder.take_trace_into(buf)
+        let recycled = self.trace_bufs.pop().unwrap_or_default();
+        self.recorder.take_trace_into(recycled)
     }
 
     /// The recycled network arena, if the previous execution reclaimed

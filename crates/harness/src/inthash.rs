@@ -1,15 +1,13 @@
-//! A multiply-rotate hasher for maps keyed by integers the harness made
-//! itself (action serials, `(serial, thread)` pairs, thread ids). Such
-//! keys cannot be crafted to collide, so SipHash's protection buys
-//! nothing, and the trace readers hash once or twice per trace entry.
+//! A multiply-rotate hasher for the one map keyed by integers the harness
+//! made itself: raw action serial → canonical label, filled while a trace
+//! is indexed ([`crate::trace`]). Such keys cannot be crafted to collide,
+//! so SipHash's protection buys nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` under [`IntHasher`].
 pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-/// `HashSet` under [`IntHasher`].
-pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// Folds each integer in with an add and an odd multiply; `finish`
 /// rotates the well-mixed high bits down to where the table takes its

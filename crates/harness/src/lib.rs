@@ -73,6 +73,7 @@ pub mod metrics;
 pub mod oracle;
 pub mod plan;
 pub mod prodcell;
+mod render;
 pub mod rng;
 pub mod spans;
 pub mod sweep;

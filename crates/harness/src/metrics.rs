@@ -29,7 +29,6 @@ use caa_telemetry::json::{self, Value};
 use caa_telemetry::{HistogramHandle, MetricSet};
 
 use crate::exec::RunArtifacts;
-use crate::inthash::{IntMap, IntSet};
 use crate::spans::{CriticalPathScratch, SegmentClass};
 use crate::trace::EntryKind;
 
@@ -307,6 +306,29 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// What one thread has open inside one instance — a cell of the
+/// `(instance, thread)` table ([`TraceIndex::cell`](crate::trace::TraceIndex::cell)).
+#[derive(Debug, Clone, Default)]
+struct ThreadCell {
+    /// Start of the thread's open exit round.
+    exit_open: Option<u64>,
+    /// When the thread, a rejoiner, was readmitted (catch-up runs until
+    /// its exit).
+    rejoin_open: Option<u64>,
+    /// Bounded resolution waits that expired since the thread's last
+    /// `Resolved`.
+    resolution_timeouts: u64,
+}
+
+/// Per-instance tallies of one run.
+#[derive(Debug, Clone, Default)]
+struct InstanceRow {
+    /// `toBeSignalled` messages sent for the instance.
+    fanout: u64,
+    /// Resolution rounds of the instance's slowest thread.
+    rounds: u64,
+}
+
 /// Pre-registered histogram handles plus reusable correlation scratch: the
 /// per-worker metrics recorder stored in
 /// [`ExecutionArena`](crate::arena::ExecutionArena). Registration happens
@@ -326,16 +348,17 @@ pub struct MetricsRecorder {
     rejoin_restart: HistogramHandle,
     rejoin_catchup: HistogramHandle,
     run_virtual: HistogramHandle,
-    // Per-run correlation scratch, cleared (capacity kept) between runs.
-    first_raise: IntMap<u64, u64>,
-    first_resolved: IntMap<u64, u64>,
-    resolved_rounds: IntMap<(u64, u32), u64>,
-    rounds_max: IntMap<u64, u64>,
-    exit_open: IntMap<(u64, u32), u64>,
-    rejoin_open: IntMap<(u64, u32), u64>,
-    fanout: IntMap<u64, u64>,
+    /// `msg_sent_<class>` counter names by class label, built on first
+    /// sight of a class (there are ten) so that folding a run's message
+    /// counts allocates nothing.
+    msg_sent_names: Vec<(&'static str, String)>,
+    // Per-run correlation scratch, cleared (capacity kept) between runs:
+    // one cell per `(instance, thread)`, one row per instance.
+    cells: Vec<ThreadCell>,
+    instances: Vec<InstanceRow>,
     crashes: Vec<(u32, u64)>,
-    detected: IntSet<(u32, u32)>,
+    /// `(crashed, observer)` pairs whose detection latency is recorded.
+    detected: Vec<(u32, u32)>,
     cp_scratch: CriticalPathScratch,
 }
 
@@ -373,15 +396,11 @@ impl MetricsRecorder {
             rejoin_restart,
             rejoin_catchup,
             run_virtual,
-            first_raise: IntMap::default(),
-            first_resolved: IntMap::default(),
-            resolved_rounds: IntMap::default(),
-            rounds_max: IntMap::default(),
-            exit_open: IntMap::default(),
-            rejoin_open: IntMap::default(),
-            fanout: IntMap::default(),
+            msg_sent_names: Vec::new(),
+            cells: Vec::new(),
+            instances: Vec::new(),
             crashes: Vec::new(),
-            detected: IntSet::default(),
+            detected: Vec::new(),
             cp_scratch: CriticalPathScratch::new(),
         }
     }
@@ -410,132 +429,109 @@ impl MetricsRecorder {
     /// the canonical trace plus the report's counters. Purely a read —
     /// the artifacts (and their rendered bytes) are untouched.
     pub fn record_run(&mut self, artifacts: &RunArtifacts) {
-        self.first_raise.clear();
-        self.first_resolved.clear();
-        self.resolved_rounds.clear();
-        self.rounds_max.clear();
-        self.exit_open.clear();
-        self.rejoin_open.clear();
-        self.fanout.clear();
+        let trace = &artifacts.trace;
+        let index = trace.index();
+        self.cells.clear();
+        self.cells.resize(index.cells(), ThreadCell::default());
+        self.instances.clear();
+        self.instances
+            .resize(index.instances().len(), InstanceRow::default());
         self.crashes.clear();
         self.detected.clear();
+        let det = &mut self.metrics.deterministic;
 
-        for entry in artifacts.trace.entries() {
-            match &entry.kind {
-                EntryKind::Runtime(event) => {
-                    let serial = event.action.serial();
-                    let thread = event.thread.as_u32();
-                    let at = entry.at_ns;
-                    match &event.kind {
-                        EventKind::Raise { .. } => {
-                            self.first_raise.entry(serial).or_insert(at);
-                        }
-                        EventKind::Resolved { .. } => {
-                            self.first_resolved.entry(serial).or_insert(at);
-                            *self.resolved_rounds.entry((serial, thread)).or_insert(0) += 1;
-                        }
-                        EventKind::ExitStart { .. } => {
-                            self.exit_open.insert((serial, thread), at);
-                        }
-                        EventKind::Exit { .. } => {
-                            if let Some(start) = self.exit_open.remove(&(serial, thread)) {
-                                self.metrics
-                                    .deterministic
-                                    .record(self.exit_round, at.saturating_sub(start));
-                            }
-                            if let Some(readmitted) = self.rejoin_open.remove(&(serial, thread)) {
-                                self.metrics
-                                    .deterministic
-                                    .record(self.rejoin_catchup, at.saturating_sub(readmitted));
-                            }
-                        }
-                        EventKind::ObjectAcquired { waited_ns, .. } => {
-                            self.metrics
-                                .deterministic
-                                .record(self.object_wait, *waited_ns);
-                        }
-                        EventKind::Crash => {
-                            self.crashes.push((thread, at));
-                        }
-                        // Only the joiner's own Rejoin event opens the
-                        // catch-up window; survivor-side adoptions of the
-                        // same readmission are echoes of one handshake.
-                        EventKind::Rejoin {
-                            thread: rejoiner, ..
-                        } if rejoiner.as_u32() == thread => {
-                            self.rejoin_open.insert((serial, thread), at);
-                            if let Some(&(_, crash_at)) = self
-                                .crashes
-                                .iter()
-                                .rev()
-                                .find(|&&(crashed, _)| crashed == thread)
-                            {
-                                self.metrics
-                                    .deterministic
-                                    .record(self.rejoin_restart, at.saturating_sub(crash_at));
-                            }
-                        }
-                        EventKind::ResolutionTimeout { .. } => {
-                            self.metrics
-                                .deterministic
-                                .add_named("suspicion_resolution", 1);
-                        }
-                        EventKind::SignalTimeout { .. } => {
-                            self.metrics
-                                .deterministic
-                                .add_named("suspicion_signalling", 1);
-                        }
-                        EventKind::ExitTimeout { .. } => {
-                            self.metrics.deterministic.add_named("suspicion_exit", 1);
-                        }
-                        EventKind::ViewChange { removed, .. } => {
-                            for &(crashed, crash_at) in &self.crashes {
-                                if removed.iter().any(|t| t.as_u32() == crashed)
-                                    && self.detected.insert((crashed, thread))
-                                {
-                                    self.metrics
-                                        .deterministic
-                                        .record(self.crash_detect, at.saturating_sub(crash_at));
-                                }
-                            }
-                        }
-                        _ => {}
+        for entry in trace.entries() {
+            let row = &mut self.instances[entry.label as usize];
+            let event = match &entry.kind {
+                EntryKind::Runtime(event) => event,
+                EntryKind::NetSent(tap) => {
+                    row.fanout += u64::from(tap.class == "toBeSignalled");
+                    continue;
+                }
+                _ => continue,
+            };
+            let thread = entry.thread;
+            let at = entry.at_ns;
+            let cell = &mut self.cells[index.cell(entry.label, thread)];
+            match &event.kind {
+                EventKind::Resolved { .. } => {
+                    // This thread's resolution took one round plus one
+                    // re-run per bounded wait that expired on the way.
+                    row.rounds = row.rounds.max(1 + cell.resolution_timeouts);
+                    cell.resolution_timeouts = 0;
+                }
+                EventKind::ExitStart { .. } => cell.exit_open = Some(at),
+                EventKind::Exit { .. } => {
+                    if let Some(start) = cell.exit_open.take() {
+                        det.record(self.exit_round, at.saturating_sub(start));
+                    }
+                    if let Some(readmitted) = cell.rejoin_open.take() {
+                        det.record(self.rejoin_catchup, at.saturating_sub(readmitted));
                     }
                 }
-                EntryKind::NetSent(tap) if tap.class == "toBeSignalled" => {
-                    *self.fanout.entry(tap.correlation).or_insert(0) += 1;
+                EventKind::ObjectAcquired { waited_ns, .. } => {
+                    det.record(self.object_wait, *waited_ns);
+                }
+                EventKind::Crash => self.crashes.push((thread, at)),
+                // Only the joiner's own Rejoin event opens the
+                // catch-up window; survivor-side adoptions of the
+                // same readmission are echoes of one handshake.
+                EventKind::Rejoin {
+                    thread: rejoiner, ..
+                } if rejoiner.as_u32() == thread => {
+                    cell.rejoin_open = Some(at);
+                    if let Some(&(_, crash_at)) = self
+                        .crashes
+                        .iter()
+                        .rev()
+                        .find(|&&(crashed, _)| crashed == thread)
+                    {
+                        det.record(self.rejoin_restart, at.saturating_sub(crash_at));
+                    }
+                }
+                EventKind::ResolutionTimeout { .. } => {
+                    cell.resolution_timeouts += 1;
+                    det.add_named("suspicion_resolution", 1);
+                }
+                EventKind::SignalTimeout { .. } => det.add_named("suspicion_signalling", 1),
+                EventKind::ExitTimeout { .. } => det.add_named("suspicion_exit", 1),
+                EventKind::ViewChange { removed, .. } => {
+                    for &(crashed, crash_at) in &self.crashes {
+                        if removed.iter().any(|t| t.as_u32() == crashed)
+                            && !self.detected.contains(&(crashed, thread))
+                        {
+                            self.detected.push((crashed, thread));
+                            det.record(self.crash_detect, at.saturating_sub(crash_at));
+                        }
+                    }
                 }
                 _ => {}
             }
         }
 
-        // Fold the per-run correlation maps into the histograms. Map
-        // iteration order is arbitrary, which is fine: histogram recording
-        // is commutative, and the serialized form is order-independent.
+        // Fold the per-instance rows into the histograms.
         let crashed_plan = !artifacts.plan.crashes.is_empty();
         let latency_hist = if crashed_plan {
             self.resolution_crash
         } else {
             self.resolution_crashfree
         };
-        for (&serial, &resolved_at) in &self.first_resolved {
-            if let Some(&raised_at) = self.first_raise.get(&serial) {
-                self.metrics
-                    .deterministic
-                    .record(latency_hist, resolved_at.saturating_sub(raised_at));
+        for (instance, row) in index.instances().iter().zip(&self.instances) {
+            if let Some(resolved) = instance.first_resolved() {
+                if let Some(raised) = instance.first_raise() {
+                    let entries = trace.entries();
+                    det.record(
+                        latency_hist,
+                        entries[resolved]
+                            .at_ns
+                            .saturating_sub(entries[raised].at_ns),
+                    );
+                }
+                det.record(self.resolution_rounds, row.rounds);
             }
-        }
-        for (&(serial, _), &rounds) in &self.resolved_rounds {
-            let max = self.rounds_max.entry(serial).or_insert(0);
-            *max = (*max).max(rounds);
-        }
-        for &rounds in self.rounds_max.values() {
-            self.metrics
-                .deterministic
-                .record(self.resolution_rounds, rounds);
-        }
-        for &n in self.fanout.values() {
-            self.metrics.deterministic.record(self.signal_fanout, n);
+            if row.fanout > 0 {
+                det.record(self.signal_fanout, row.fanout);
+            }
         }
         self.metrics
             .deterministic
@@ -570,13 +566,17 @@ impl MetricsRecorder {
     /// Folds per-class message counters into the deterministic set
     /// (`msg_sent_<class>` in the serialized form).
     fn record_net_stats(&mut self, stats: &NetStats) {
-        // Cold path only on the first sight of a class label (there are
-        // eight); afterwards `add_named` is a map hit, no allocation.
         for (class, sent) in stats.iter_sent() {
-            let mut name = String::with_capacity("msg_sent_".len() + class.len());
-            name.push_str("msg_sent_");
-            name.push_str(class);
-            self.metrics.deterministic.add_named(&name, sent);
+            let known = self.msg_sent_names.iter().position(|(c, _)| *c == class);
+            let at = known.unwrap_or_else(|| {
+                self.msg_sent_names
+                    .push((class, format!("msg_sent_{class}")));
+                self.msg_sent_names.len() - 1
+            });
+            // A map hit from the second run on: no allocation.
+            self.metrics
+                .deterministic
+                .add_named(&self.msg_sent_names[at].1, sent);
         }
         if stats.retransmissions() > 0 {
             self.metrics
@@ -654,6 +654,28 @@ mod tests {
         assert!(summary.contains("messages sent:"), "{summary}");
         assert!(summary.contains("sched handoffs"), "{summary}");
         assert!(summary.contains("critical path ("), "{summary}");
+    }
+
+    #[test]
+    fn resolution_rounds_count_the_reruns_a_timeout_forces() {
+        let rounds_of = |seed| {
+            let mut recorder = MetricsRecorder::new();
+            record_seed(&mut recorder, seed, &ScenarioConfig::default());
+            let rounds = recorder
+                .metrics()
+                .deterministic
+                .histogram_named("resolution_rounds")
+                .unwrap()
+                .clone();
+            (rounds.count(), rounds.min(), rounds.max())
+        };
+        // Seed 3 resolves in two instances; nobody crashes.
+        assert_eq!(rounds_of(3), (2, 1, 1));
+        // Seed 56: two participants of one instance crash-stop; each
+        // survivor's collection wait expires twice (suspecting one, then
+        // the other) before the third round resolves — its other two
+        // resolved instances take one round each.
+        assert_eq!(rounds_of(56), (3, 1, 3));
     }
 
     #[test]

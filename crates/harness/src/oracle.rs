@@ -47,17 +47,14 @@
 //! with a crash-stop skip it too: the bounded resolution and exit waits
 //! stretch recoveries far past the crash-free bound by design.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use caa_runtime::observe::EventKind;
-
 use caa_runtime::SystemReport;
 
 use crate::exec::RunArtifacts;
-use crate::inthash::IntMap;
-use crate::plan::ScenarioPlan;
-use crate::trace::Trace;
+use crate::plan::{ActionPlan, Phase, ScenarioPlan};
+use crate::trace::{EntryKind, Trace};
 
 /// One oracle violation, carrying enough context to debug the seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,7 +273,9 @@ pub fn lemma1_bound(plan: &ScenarioPlan) -> f64 {
         + 1e-6
 }
 
-#[derive(Default)]
+/// What one thread did inside one instance — a cell of the
+/// `(instance, thread)` table ([`TraceIndex::cell`]).
+#[derive(Default, Clone)]
 struct PerThread {
     enters: usize,
     exits: usize,
@@ -287,114 +286,182 @@ struct PerThread {
     crashes: usize,
     recovery_starts: usize,
     resolved: usize,
+    /// Start instant of the thread's open exit phase, if it is in one.
+    open_exit: Option<u64>,
 }
 
-/// One membership step a thread observed, in trace order.
-enum ViewDelta {
-    /// A view change removed these members.
-    Remove(Vec<u32>),
-    /// A rejoin grant readmitted this member.
-    Readmit(u32),
+impl PerThread {
+    /// Whether the thread took part in the instance at all: the table has
+    /// a cell for every pair, and the per-thread oracles only concern the
+    /// threads that entered, left or recovered in the instance.
+    fn took_part(&self) -> bool {
+        self.enters + self.exits + self.aborts + self.crashes + self.recovery_starts + self.resolved
+            > 0
+    }
 }
 
-#[derive(Default)]
-struct InstanceView {
-    name: Option<std::sync::Arc<str>>,
-    /// The instance's nesting depth (0 = top level), from its action id.
-    depth: u32,
-    resolved: Vec<(u32, String)>,
+#[derive(Default, Clone)]
+struct InstanceView<'a> {
+    /// The first resolving exception any thread reported, and whether a
+    /// later report named a different one.
+    resolved: Option<&'a str>,
+    disagreement: bool,
     invocations: u64,
-    first_raise_ns: Option<u64>,
     last_handler_end_ns: Option<u64>,
     resolution_msgs: u64,
-    per_thread: BTreeMap<u32, PerThread>,
-    /// Membership steps per observing thread, in trace order.
-    view_deltas: Vec<(u32, ViewDelta)>,
-    /// Completed exit phases: `(thread, duration_ns)` from an `ExitStart`
-    /// to the thread's next protocol step for the instance (exit, abort,
-    /// timeout or recovery trigger) — the window the exit-timeout oracle
-    /// bounds.
-    exit_phases: Vec<(u32, u64)>,
+    /// Whether any thread observed a membership step (view change or
+    /// readmission): only then do the membership oracles have work.
+    membership_changed: bool,
 }
 
-/// One per-instance pass over the trace's runtime and network events.
-fn collect_views(trace: &Trace) -> BTreeMap<u64, InstanceView> {
-    let mut instances: BTreeMap<u64, InstanceView> = BTreeMap::new();
-    // Open exit phases per (instance serial, thread): start instant.
-    let mut open_exits: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-    for event in trace.runtime_events() {
-        let serial = event.action.serial();
-        let view = instances.entry(serial).or_default();
-        view.depth = event.action.depth();
-        let thread = event.thread.as_u32();
+/// The per-instance facts of one trace, in tables indexed by the trace's
+/// canonical labels.
+struct Views<'a> {
+    instances: Vec<InstanceView<'a>>,
+    threads: Vec<PerThread>,
+    /// Long exit phases in trace order: `(label, thread, seconds)` from an
+    /// `ExitStart` to the thread's next protocol step for the instance
+    /// (exit, abort, timeout or recovery trigger) — the window the
+    /// exit-timeout oracle bounds. Only those longer than the floor the
+    /// collector was given; in a healthy run, none.
+    long_exits: Vec<(u32, u32, f64)>,
+    /// Labels in ascending raw-serial order, the order violations are
+    /// reported in (instances of one definition in creation order).
+    by_serial: Vec<u32>,
+}
+
+/// One pass over the trace's runtime and network events. Exit phases
+/// longer than `exit_floor` seconds are kept for the exit-timeout oracle.
+fn collect_views(trace: &Trace, exit_floor: f64) -> Views<'_> {
+    let index = trace.index();
+    let mut views = Views {
+        instances: vec![InstanceView::default(); index.instances().len()],
+        threads: vec![PerThread::default(); index.cells()],
+        long_exits: Vec::new(),
+        by_serial: (0..index.instances().len() as u32).collect(),
+    };
+    views
+        .by_serial
+        .sort_unstable_by_key(|&label| index.instances()[label as usize].serial);
+    for entry in trace.entries() {
+        let view = &mut views.instances[entry.label as usize];
+        let event = match &entry.kind {
+            EntryKind::Runtime(event) => event,
+            EntryKind::NetSent(send) => {
+                if matches!(send.class, "Exception" | "Suspended" | "Commit") {
+                    view.resolution_msgs += 1;
+                }
+                continue;
+            }
+            _ => continue,
+        };
+        let at = entry.at_ns;
+        let counts = &mut views.threads[index.cell(entry.label, entry.thread)];
         // Any later step of the same thread on the same instance closes an
         // open exit phase (exits wait on votes only; nothing else is
         // observed in between).
-        if let Some(start) = open_exits.remove(&(serial, thread)) {
-            view.exit_phases
-                .push((thread, event.at.as_nanos().saturating_sub(start)));
+        if let Some(start) = counts.open_exit.take() {
+            let secs = at.saturating_sub(start) as f64 / 1e9;
+            if secs > exit_floor {
+                views.long_exits.push((entry.label, entry.thread, secs));
+            }
         }
         match &event.kind {
-            EventKind::Enter { name, .. } => {
-                view.name = Some(name.clone());
-                view.per_thread.entry(thread).or_default().enters += 1;
-            }
+            EventKind::Enter { .. } => counts.enters += 1,
             EventKind::Exit { outcome } => {
-                let counts = view.per_thread.entry(thread).or_default();
                 counts.exits += 1;
                 if matches!(outcome, caa_core::outcome::ActionOutcome::Failed) {
                     counts.failed_exits += 1;
                 }
             }
-            EventKind::Abort { .. } => {
-                view.per_thread.entry(thread).or_default().aborts += 1;
-            }
-            EventKind::Crash => {
-                view.per_thread.entry(thread).or_default().crashes += 1;
-            }
-            EventKind::ExitStart { .. } => {
-                open_exits.insert((serial, thread), event.at.as_nanos());
-            }
-            EventKind::Raise { .. } => {
-                let at = event.at.as_nanos();
-                view.first_raise_ns = Some(view.first_raise_ns.map_or(at, |v| v.min(at)));
-            }
-            EventKind::RecoveryStart { .. } => {
-                view.per_thread.entry(thread).or_default().recovery_starts += 1;
-            }
+            EventKind::Abort { .. } => counts.aborts += 1,
+            EventKind::Crash => counts.crashes += 1,
+            EventKind::ExitStart { .. } => counts.open_exit = Some(at),
+            EventKind::RecoveryStart { .. } => counts.recovery_starts += 1,
             EventKind::Resolved { exception } => {
-                view.resolved.push((thread, exception.name().to_owned()));
-                view.per_thread.entry(thread).or_default().resolved += 1;
+                counts.resolved += 1;
+                let first = *view.resolved.get_or_insert(exception.name());
+                view.disagreement |= first != exception.name();
             }
-            EventKind::ViewChange { removed, .. } => {
-                view.view_deltas.push((
-                    thread,
-                    ViewDelta::Remove(removed.iter().map(|t| t.as_u32()).collect()),
-                ));
-            }
-            EventKind::Rejoin { thread: joiner, .. } => {
-                view.view_deltas
-                    .push((thread, ViewDelta::Readmit(joiner.as_u32())));
+            EventKind::ViewChange { .. } | EventKind::Rejoin { .. } => {
+                view.membership_changed = true;
             }
             EventKind::ResolutionInvoked { invocations } => {
                 view.invocations += u64::from(*invocations);
             }
             EventKind::HandlerEnd { .. } => {
-                let at = event.at.as_nanos();
                 view.last_handler_end_ns = Some(view.last_handler_end_ns.map_or(at, |v| v.max(at)));
             }
             _ => {}
         }
     }
-    for send in trace.net_sends() {
-        if matches!(send.class, "Exception" | "Suspended" | "Commit") {
-            instances
-                .entry(send.correlation)
-                .or_default()
-                .resolution_msgs += 1;
+    views
+}
+
+/// Inserts `t` into the ascending, duplicate-free `set`.
+fn insert_sorted(set: &mut Vec<u32>, t: u32) {
+    if let Err(at) = set.binary_search(&t) {
+        set.insert(at, t);
+    }
+}
+
+fn is_subset(a: &[u32], b: &[u32]) -> bool {
+    a.iter().all(|t| b.binary_search(t).is_ok())
+}
+
+/// The membership history of one instance, replayed from its member
+/// entries: every observer's final removed set, and who was ever removed
+/// or readmitted. Thread sets are ascending vectors — they hold a handful
+/// of ids.
+struct Membership {
+    /// `(observer, final removed set)` in ascending observer order.
+    finals: Vec<(u32, Vec<u32>)>,
+    removed: Vec<u32>,
+    readmitted: Vec<u32>,
+}
+
+fn membership_of(trace: &Trace, label: usize) -> Membership {
+    let mut m = Membership {
+        finals: Vec::new(),
+        removed: Vec::new(),
+        readmitted: Vec::new(),
+    };
+    for &i in trace.index().members(label) {
+        let entry = &trace.entries()[i as usize];
+        let EntryKind::Runtime(event) = &entry.kind else {
+            continue;
+        };
+        if !matches!(
+            event.kind,
+            EventKind::ViewChange { .. } | EventKind::Rejoin { .. }
+        ) {
+            continue;
+        }
+        let at = match m.finals.binary_search_by_key(&entry.thread, |(t, _)| *t) {
+            Ok(at) => at,
+            Err(at) => {
+                m.finals.insert(at, (entry.thread, Vec::new()));
+                at
+            }
+        };
+        let set = &mut m.finals[at].1;
+        match &event.kind {
+            EventKind::ViewChange { removed, .. } => {
+                for t in removed.iter().map(|t| t.as_u32()) {
+                    insert_sorted(set, t);
+                    insert_sorted(&mut m.removed, t);
+                }
+            }
+            EventKind::Rejoin { thread, .. } => {
+                if let Ok(at) = set.binary_search(&thread.as_u32()) {
+                    set.remove(at);
+                }
+                insert_sorted(&mut m.readmitted, thread.as_u32());
+            }
+            _ => {}
         }
     }
-    instances
+    m
 }
 
 /// Checks the plan-independent protocol invariants — thread success,
@@ -407,16 +474,11 @@ fn collect_views(trace: &Trace) -> BTreeMap<u64, InstanceView> {
 /// built systems (e.g. the production cell) use this directly.
 #[must_use]
 pub fn check_invariants(report: &SystemReport, trace: &Trace) -> Vec<Violation> {
-    let labels = trace.canonical_labels();
-    let views = collect_views(trace);
-    invariant_violations(report, &views, &labels)
+    invariant_violations(report, trace, &collect_views(trace, f64::INFINITY))
 }
 
-fn invariant_violations(
-    report: &SystemReport,
-    views: &BTreeMap<u64, InstanceView>,
-    labels: &IntMap<u64, usize>,
-) -> Vec<Violation> {
+fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> Vec<Violation> {
+    let index = trace.index();
     let mut violations = Vec::new();
     for (name, result) in &report.results {
         if let Err(e) = result {
@@ -431,14 +493,30 @@ fn invariant_violations(
             });
         }
     }
-    for (&serial, view) in views {
-        let action = labels.get(&serial).copied().unwrap_or(usize::MAX) as u64;
+    for &label in &views.by_serial {
+        let view = &views.instances[label as usize];
+        let counts_of = |thread: u32| {
+            ((thread as usize) < index.threads()).then(|| &views.threads[index.cell(label, thread)])
+        };
+        let action = u64::from(label);
 
         // Resolution agreement (§3.3.2).
-        if view.resolved.windows(2).any(|w| w[0].1 != w[1].1) {
+        if view.disagreement {
             violations.push(Violation::ResolutionDisagreement {
                 action,
-                resolved: view.resolved.clone(),
+                resolved: index
+                    .members(label as usize)
+                    .iter()
+                    .filter_map(|&i| match &trace.entries()[i as usize].kind {
+                        EntryKind::Runtime(event) => match &event.kind {
+                            EventKind::Resolved { exception } => {
+                                Some((event.thread.as_u32(), exception.name().to_owned()))
+                            }
+                            _ => None,
+                        },
+                        _ => None,
+                    })
+                    .collect(),
             });
         }
 
@@ -456,7 +534,11 @@ fn invariant_violations(
         // except that a crashed-then-readmitted participant enters twice
         // (the crash closes the first entry, its exit closes the
         // re-entry), never more.
-        for (&thread, counts) in &view.per_thread {
+        for thread in 0..index.threads() as u32 {
+            let counts = &views.threads[index.cell(label, thread)];
+            if !counts.took_part() {
+                continue;
+            }
             let closed = counts.exits + counts.aborts + counts.crashes;
             if counts.enters == 0 || counts.enters != closed || counts.enters > 1 + counts.crashes {
                 violations.push(Violation::NestingInconsistent {
@@ -480,6 +562,11 @@ fn invariant_violations(
             }
         }
 
+        if !view.membership_changed {
+            continue;
+        }
+        let membership = membership_of(trace, label as usize);
+
         // Membership agreement, set-based: each thread's view evolves by
         // adopting removal sets (∪) and readmissions (−); epoch numbers
         // are per-thread step counters, so agreement is on the *sets* —
@@ -492,29 +579,14 @@ fn invariant_violations(
         // before the peer's announcement lands, so their views legally
         // disagree. A ƒ-failed thread must still be comparable with every
         // thread that kept coordinating.
-        let mut finals: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        for (observer, delta) in &view.view_deltas {
-            let set = finals.entry(*observer).or_default();
-            match delta {
-                ViewDelta::Remove(removed) => set.extend(removed.iter().copied()),
-                ViewDelta::Readmit(t) => {
-                    set.remove(t);
-                }
-            }
-        }
-        let failed = |t: u32| {
-            view.per_thread
-                .get(&t)
-                .is_some_and(|counts| counts.failed_exits > 0)
-        };
-        let observers: Vec<(u32, &BTreeSet<u32>)> = finals.iter().map(|(t, s)| (*t, s)).collect();
-        let mut divergent: Vec<&BTreeSet<u32>> = Vec::new();
-        for (i, &(a, set_a)) in observers.iter().enumerate() {
-            for &(b, set_b) in &observers[i + 1..] {
-                if set_a.is_subset(set_b) || set_b.is_subset(set_a) {
+        let failed = |t: u32| counts_of(t).is_some_and(|counts| counts.failed_exits > 0);
+        let mut divergent: Vec<&Vec<u32>> = Vec::new();
+        for (i, (a, set_a)) in membership.finals.iter().enumerate() {
+            for (b, set_b) in &membership.finals[i + 1..] {
+                if is_subset(set_a, set_b) || is_subset(set_b, set_a) {
                     continue;
                 }
-                if failed(a) && failed(b) {
+                if failed(*a) && failed(*b) {
                     continue;
                 }
                 for set in [set_a, set_b] {
@@ -528,10 +600,7 @@ fn invariant_violations(
             divergent.sort_by_key(|s| s.len());
             violations.push(Violation::ViewDisagreement {
                 action,
-                removed_sets: divergent
-                    .iter()
-                    .map(|s| s.iter().copied().collect())
-                    .collect(),
+                removed_sets: divergent.into_iter().cloned().collect(),
             });
         }
 
@@ -546,23 +615,11 @@ fn invariant_violations(
         // never come once the peers have moved on, so the abortion
         // handler undoes its work and raises the abortion exception in
         // the enclosing context instead of completing as a member.
-        let mut removed_union: BTreeSet<u32> = BTreeSet::new();
-        let mut readmitted: BTreeSet<u32> = BTreeSet::new();
-        for (_, delta) in &view.view_deltas {
-            match delta {
-                ViewDelta::Remove(removed) => removed_union.extend(removed.iter().copied()),
-                ViewDelta::Readmit(t) => {
-                    readmitted.insert(*t);
-                }
-            }
-        }
-        for &thread in &removed_union {
-            if readmitted.contains(&thread) {
+        for &thread in &membership.removed {
+            if membership.readmitted.binary_search(&thread).is_ok() {
                 continue;
             }
-            if view
-                .per_thread
-                .get(&thread)
+            if counts_of(thread)
                 .is_some_and(|counts| counts.exits.saturating_sub(counts.failed_exits) > 0)
             {
                 violations.push(Violation::FalseSuspicion { action, thread });
@@ -572,23 +629,44 @@ fn invariant_violations(
     violations
 }
 
+/// The plan's action called `name` (names encode the tree path, so they
+/// are unique).
+fn action_named<'p>(actions: &'p [ActionPlan], name: &str) -> Option<&'p ActionPlan> {
+    actions.iter().find_map(|action| {
+        if action.name == name {
+            return Some(action);
+        }
+        action.phases.iter().find_map(|phase| match phase {
+            Phase::Nested { children } => action_named(children, name),
+            Phase::Compute { .. } => None,
+        })
+    })
+}
+
 /// Checks every per-trace oracle against one plan-driven run: the
 /// invariants of [`check_invariants`] plus the plan-dependent Lemma 1
 /// completion bound and §3.3.3 message-complexity bound.
 #[must_use]
 pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
     let plan = &artifacts.plan;
-    let labels = artifacts.trace.canonical_labels();
-    let views = collect_views(&artifacts.trace);
-    let mut violations = invariant_violations(&artifacts.report, &views, &labels);
-
-    // Group-size lookup by action name (instances report their definition
-    // name in their Enter events).
-    let group_by_name: BTreeMap<&str, usize> = plan
-        .actions()
-        .iter()
-        .map(|a| (a.name.as_str(), a.group.len()))
-        .collect();
+    let trace = &artifacts.trace;
+    let index = trace.index();
+    // Exit-timeout bound: no exit phase outlives the bounded wait —
+    // crashed peers are resolved to abortion, not waited on forever.
+    // The executor separates the bounds hierarchically (each level's
+    // wait exceeds its sublevels' total bounded-wait budget, see
+    // [`crate::exec::TIMEOUT_SEPARATION`]), so the bound grows with
+    // the levels below an instance; the deepest level's is the floor.
+    // One `Tabort` of slack: an exit interrupted by an enclosing-level
+    // trigger closes on the `Abort` event, which is only emitted after
+    // the abortion handler's work.
+    let plan_depth = plan.max_depth() as u32;
+    let exit_bound = |depth: u32| {
+        let levels_below = plan_depth.saturating_sub(depth) as i32;
+        plan.exit_timeout * crate::exec::TIMEOUT_SEPARATION.powi(levels_below) + plan.t_abort + 1e-6
+    };
+    let views = collect_views(trace, exit_bound(plan_depth));
+    let mut violations = invariant_violations(&artifacts.report, trace, &views);
 
     let bound_secs = lemma1_bound(plan);
     // Object waits stretch compute phases by contention, and a crash-stop
@@ -596,13 +674,15 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
     // the premises of the Lemma 1 bound, so skip it for such plans (every
     // other oracle still applies).
     let check_lemma1 = !plan.has_objects() && plan.crashes.is_empty();
-    let plan_depth = plan.max_depth() as u32;
-    for (&serial, view) in &views {
-        let action = labels.get(&serial).copied().unwrap_or(usize::MAX) as u64;
+    for &label in &views.by_serial {
+        let view = &views.instances[label as usize];
+        let instance = &index.instances()[label as usize];
+        let action = u64::from(label);
 
         // Lemma 1 completion bound.
         if check_lemma1 {
-            if let (Some(raise), Some(done)) = (view.first_raise_ns, view.last_handler_end_ns) {
+            if let (Some(raise), Some(done)) = (instance.first_raise(), view.last_handler_end_ns) {
+                let raise = trace.entries()[raise].at_ns;
                 let measured = (done.saturating_sub(raise)) as f64 / 1e9;
                 if measured > bound_secs {
                     violations.push(Violation::Lemma1Exceeded {
@@ -614,20 +694,8 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
             }
         }
 
-        // Exit-timeout bound: no exit phase outlives the bounded wait —
-        // crashed peers are resolved to abortion, not waited on forever.
-        // The executor separates the bounds hierarchically (each level's
-        // wait exceeds its sublevels' total bounded-wait budget, see
-        // [`crate::exec::TIMEOUT_SEPARATION`]), so the bound grows with
-        // the levels below this instance. One `Tabort` of slack: an exit
-        // interrupted by an enclosing-level trigger closes on the `Abort`
-        // event, which is only emitted after the abortion handler's work.
-        let levels_below = plan_depth.saturating_sub(view.depth) as i32;
-        let exit_bound = plan.exit_timeout * crate::exec::TIMEOUT_SEPARATION.powi(levels_below)
-            + plan.t_abort
-            + 1e-6;
-        for &(thread, dur_ns) in &view.exit_phases {
-            let measured = dur_ns as f64 / 1e9;
+        let exit_bound = exit_bound(instance.depth);
+        for &(_, thread, measured) in views.long_exits.iter().filter(|p| p.0 == label) {
             if measured > exit_bound {
                 violations.push(Violation::ExitTimeoutExceeded {
                     action,
@@ -647,29 +715,25 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
         // readmitted thread earns one extra participant broadcast. Plans
         // without rejoins (all crash-free plans included) keep the exact
         // paper bound.
-        let group_size = view
+        let planned = instance
             .name
             .as_deref()
-            .and_then(|name| group_by_name.get(name).copied());
-        if let Some(n) = group_size {
-            let n = n as u64;
-            let readmissions = view
-                .view_deltas
-                .iter()
-                .filter_map(|(_, delta)| match delta {
-                    ViewDelta::Readmit(t) => Some(*t),
-                    ViewDelta::Remove(_) => None,
-                })
-                .collect::<BTreeSet<u32>>()
-                .len() as u64;
-            let bound = (n + 1).saturating_mul(n.saturating_sub(1))
-                + readmissions.saturating_mul(n.saturating_sub(1));
-            if view.resolution_msgs > bound {
-                violations.push(Violation::MessageBoundExceeded {
-                    action,
-                    messages: view.resolution_msgs,
-                    bound,
-                });
+            .and_then(|name| action_named(&plan.top, name));
+        if let Some(planned) = planned {
+            let n = planned.group.len() as u64;
+            let base = (n + 1).saturating_mul(n.saturating_sub(1));
+            // Readmissions only ever raise the bound: replay the
+            // instance's membership only once the paper's is exceeded.
+            if view.resolution_msgs > base {
+                let readmissions = membership_of(trace, label as usize).readmitted.len() as u64;
+                let bound = base + readmissions.saturating_mul(n.saturating_sub(1));
+                if view.resolution_msgs > bound {
+                    violations.push(Violation::MessageBoundExceeded {
+                        action,
+                        messages: view.resolution_msgs,
+                        bound,
+                    });
+                }
             }
         }
     }

@@ -398,11 +398,9 @@ impl ActionPlan {
     /// Whether this subtree contains any shared-object operation.
     #[must_use]
     pub fn uses_objects(&self) -> bool {
-        self.walk().iter().any(|a| {
-            a.phases.iter().any(|p| match p {
-                Phase::Compute { object_ops, .. } => !object_ops.is_empty(),
-                Phase::Nested { .. } => false,
-            })
+        self.phases.iter().any(|p| match p {
+            Phase::Compute { object_ops, .. } => !object_ops.is_empty(),
+            Phase::Nested { children } => children.iter().any(ActionPlan::uses_objects),
         })
     }
 }

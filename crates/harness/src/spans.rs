@@ -43,14 +43,13 @@
 //! Every step clamps at the raise time, so the emitted segments are
 //! contiguous, disjoint and exactly cover the raise→resolve interval.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use caa_runtime::observe::EventKind;
+use caa_simnet::TapEvent;
 use caa_telemetry::json;
 use caa_telemetry::{Span, SpanTree};
 
-use crate::inthash::IntMap;
 use crate::trace::{Entry, EntryKind, Trace};
 
 /// What a critical-path segment's time was spent on.
@@ -160,37 +159,15 @@ impl InstancePath {
     }
 }
 
-/// One recorded message send, indexed for the backward walk.
-#[derive(Debug, Clone, Copy)]
-struct SendRec {
-    deliver_ns: u64,
-    sent_ns: u64,
-    src: u32,
-    dst: u32,
-    /// Position of the `NetSent` entry in the sender's program order.
-    src_pos: u32,
-    correlation: u64,
-    seq: u64,
-}
-
 /// Reusable scratch for critical-path extraction: cleared (capacity
 /// kept) between runs, so a long-lived recorder adds no steady-state
-/// allocations to the pinned per-seed budget.
+/// allocations to the pinned per-seed budget. Everything the walk
+/// correlates — first raise and resolve per instance, an instance's
+/// messages — it reads from the trace's [`TraceIndex`](crate::trace::TraceIndex).
 #[derive(Debug, Default)]
 pub struct CriticalPathScratch {
-    first_raise: IntMap<u64, u64>,
-    /// serial → (resolved at, thread, position in that thread's program
-    /// order) of the first `Resolved`.
-    first_resolved: IntMap<u64, (u64, u32, u32)>,
-    /// Per-thread entry indices into the trace, in program order.
-    thread_pos: Vec<Vec<u32>>,
-    sends: Vec<SendRec>,
-    /// Resolved serials in deterministic (resolution-time) order.
-    order: Vec<u64>,
-    /// serial → canonical `A<n>` label (first-appearance order over the
-    /// whole trace; mirrors `Trace::canonical_labels` without allocating
-    /// a fresh map per run).
-    labels: IntMap<u64, u64>,
+    /// Labels of the resolved instances, in resolution order.
+    order: Vec<u32>,
     path: InstancePath,
 }
 
@@ -206,106 +183,37 @@ impl CriticalPathScratch {
     /// (resolution-time) order. The visited [`InstancePath`] borrows the
     /// scratch's reusable buffer — clone it to keep it.
     pub fn extract(&mut self, trace: &Trace, mut visit: impl FnMut(&InstancePath)) {
-        self.index_trace(trace);
-        let entries = trace.entries();
+        let instances = trace.index().instances();
+        let resolved = |label: u32| {
+            let instance = &instances[label as usize];
+            instance.first_raise().and(instance.first_resolved())
+        };
+        self.order.clear();
+        self.order
+            .extend((0..instances.len() as u32).filter(|&label| resolved(label).is_some()));
+        // Raw serials are process-global, so order by a canonical fact:
+        // the position of the first `Resolved` (resolution time, then
+        // thread, then program order).
+        self.order.sort_unstable_by_key(|&label| resolved(label));
         for i in 0..self.order.len() {
-            let serial = self.order[i];
-            let (resolved_at, thread, pos) = self.first_resolved[&serial];
-            let raised_at = self.first_raise[&serial].min(resolved_at);
-            let instance = self.labels[&serial];
-            self.walk(
-                entries,
-                serial,
-                instance,
-                raised_at,
-                resolved_at,
-                thread,
-                pos,
-            );
+            self.walk(trace, self.order[i]);
             visit(&self.path);
         }
-    }
-
-    /// One pass over the trace: program-order indices per thread, send
-    /// records sorted by delivery time, first raise/resolve per serial.
-    fn index_trace(&mut self, trace: &Trace) {
-        self.first_raise.clear();
-        self.first_resolved.clear();
-        for list in &mut self.thread_pos {
-            list.clear();
-        }
-        self.sends.clear();
-        self.order.clear();
-        self.labels.clear();
-        for (i, entry) in trace.entries().iter().enumerate() {
-            let next_label = u64::try_from(self.labels.len()).expect("label count fits u64");
-            self.labels
-                .entry(entry.action_serial())
-                .or_insert(next_label);
-            let thread = entry.thread as usize;
-            if thread >= self.thread_pos.len() {
-                self.thread_pos.resize_with(thread + 1, Vec::new);
-            }
-            let pos = u32::try_from(self.thread_pos[thread].len()).expect("entry count fits u32");
-            self.thread_pos[thread].push(u32::try_from(i).expect("entry count fits u32"));
-            match &entry.kind {
-                EntryKind::Runtime(event) => {
-                    let serial = event.action.serial();
-                    match &event.kind {
-                        EventKind::Raise { .. } => {
-                            self.first_raise.entry(serial).or_insert(entry.at_ns);
-                        }
-                        EventKind::Resolved { .. } => {
-                            self.first_resolved.entry(serial).or_insert((
-                                entry.at_ns,
-                                entry.thread,
-                                pos,
-                            ));
-                        }
-                        _ => {}
-                    }
-                }
-                EntryKind::NetSent(tap) => self.sends.push(SendRec {
-                    deliver_ns: tap.deliver_at.as_nanos(),
-                    sent_ns: entry.at_ns,
-                    src: entry.thread,
-                    dst: tap.dst.as_u32(),
-                    src_pos: pos,
-                    correlation: tap.correlation,
-                    seq: tap.seq,
-                }),
-                _ => {}
-            }
-        }
-        self.sends
-            .sort_unstable_by_key(|s| (s.deliver_ns, s.src, s.seq));
-        self.order.extend(
-            self.first_resolved
-                .iter()
-                .filter(|(serial, _)| self.first_raise.contains_key(serial))
-                .map(|(&serial, _)| serial),
-        );
-        // Raw serials are process-global, so order by canonical facts
-        // (resolution time, thread, program position) instead.
-        let resolved = &self.first_resolved;
-        self.order.sort_unstable_by_key(|serial| resolved[serial]);
     }
 
     /// The backward walk for one instance (see the module docs); fills
     /// `self.path` with chronological segments exactly covering
     /// `[raised_at, resolved_at]`.
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        &mut self,
-        entries: &[Entry],
-        serial: u64,
-        instance: u64,
-        raised_at: u64,
-        resolved_at: u64,
-        mut thread: u32,
-        mut pos: u32,
-    ) {
-        self.path.instance = instance;
+    fn walk(&mut self, trace: &Trace, label: u32) {
+        let entries = trace.entries();
+        let instance = &trace.index().instances()[label as usize];
+        let (Some(raise), Some(mut at)) = (instance.first_raise(), instance.first_resolved())
+        else {
+            return;
+        };
+        let resolved_at = entries[at].at_ns;
+        let raised_at = entries[raise].at_ns.min(resolved_at);
+        self.path.instance = u64::from(label);
         self.path.raised_at = raised_at;
         self.path.resolved_at = resolved_at;
         self.path.segments.clear();
@@ -320,7 +228,7 @@ impl CriticalPathScratch {
                 break;
             }
             guard -= 1;
-            let entry = &entries[self.thread_pos[thread as usize][pos as usize] as usize];
+            let entry = &entries[at];
             // 1. Object-wait tail.
             if let EntryKind::Runtime(event) = &entry.kind {
                 if let EventKind::ObjectAcquired { waited_ns, .. } = &event.kind {
@@ -333,23 +241,20 @@ impl CriticalPathScratch {
                 }
             }
             let base = base_class(entry);
-            let prev_at = if pos > 0 {
-                entries[self.thread_pos[thread as usize][pos as usize - 1] as usize].at_ns
-            } else {
-                0
-            };
-            let floor = prev_at.max(raised_at);
+            // The thread's previous entry in program order.
+            let prev = entries[..at].iter().rposition(|e| e.thread == entry.thread);
+            let floor = prev.map_or(0, |i| entries[i].at_ns).max(raised_at);
             // 2. Causal message edge into the window (latest delivery).
-            if let Some(send) = self.find_send(thread, serial, floor, cursor) {
-                self.push_segment(base, send.deliver_ns, cursor);
-                let sent = send.sent_ns.max(raised_at);
-                self.push_segment(SegmentClass::MessageWait, sent, send.deliver_ns);
+            if let Some((sent_at, send)) = find_send(trace, label, entry.thread, floor, cursor) {
+                let delivered = send.deliver_at.as_nanos();
+                self.push_segment(base, delivered, cursor);
+                let sent = entries[sent_at].at_ns.max(raised_at);
+                self.push_segment(SegmentClass::MessageWait, sent, delivered);
                 cursor = sent;
                 if cursor == raised_at {
                     break;
                 }
-                thread = send.src;
-                pos = send.src_pos;
+                at = sent_at;
                 continue;
             }
             // 3. Whole window gets the base class; step back.
@@ -358,23 +263,10 @@ impl CriticalPathScratch {
             if cursor == raised_at {
                 break;
             }
-            // floor == prev_at > raised_at, so a previous entry exists.
-            pos -= 1;
+            // floor > raised_at ≥ 0, so it is a previous entry's time.
+            at = prev.expect("a window floored above the raise has a previous entry");
         }
         self.path.segments.reverse();
-    }
-
-    /// The latest message of `serial` delivered to `thread` inside
-    /// `(floor, end]` and sent strictly before `end` (strict, so every
-    /// hop makes progress toward the raise).
-    fn find_send(&self, thread: u32, serial: u64, floor: u64, end: u64) -> Option<SendRec> {
-        let upper = self.sends.partition_point(|s| s.deliver_ns <= end);
-        self.sends[..upper]
-            .iter()
-            .rev()
-            .take_while(|s| s.deliver_ns > floor)
-            .find(|s| s.dst == thread && s.correlation == serial && s.sent_ns < end)
-            .copied()
     }
 
     /// Appends a backward-order segment, skipping empty intervals.
@@ -389,6 +281,35 @@ impl CriticalPathScratch {
     }
 }
 
+/// The latest message of instance `label` delivered to `thread` inside
+/// `(floor, end]` and sent strictly before `end` (strict, so every hop
+/// makes progress toward the raise): the index of its `NetSent` entry and
+/// the event. Ties in delivery time go to the larger `(src, seq)`.
+fn find_send(
+    trace: &Trace,
+    label: u32,
+    thread: u32,
+    floor: u64,
+    end: u64,
+) -> Option<(usize, &TapEvent)> {
+    let entries = trace.entries();
+    trace
+        .index()
+        .members(label as usize)
+        .iter()
+        .map(|&i| i as usize)
+        .take_while(|&i| entries[i].at_ns < end)
+        .filter_map(|i| match &entries[i].kind {
+            EntryKind::NetSent(tap) => Some((i, tap)),
+            _ => None,
+        })
+        .filter(|(_, tap)| {
+            let delivered = tap.deliver_at.as_nanos();
+            tap.dst.as_u32() == thread && floor < delivered && delivered <= end
+        })
+        .max_by_key(|(i, tap)| (tap.deliver_at, entries[*i].thread, tap.seq))
+}
+
 /// Convenience form of [`CriticalPathScratch::extract`]: every resolved
 /// instance's critical path, in deterministic order. Sweeps use the
 /// scratch directly; this is the one-shot API for tools and tests.
@@ -400,8 +321,40 @@ pub fn critical_paths(trace: &Trace) -> Vec<InstancePath> {
     paths
 }
 
-/// Per-(instance, thread) span bookkeeping key.
-type Key = (u64, u32);
+/// The spans one thread has open inside one instance — a cell of the
+/// `(instance, thread)` table.
+#[derive(Clone, Copy, Default)]
+struct OpenSpans {
+    /// `(start of the current resolution round, its number)`.
+    recovery: Option<(u64, u64)>,
+    signalling: Option<u32>,
+    handler: Option<u32>,
+    exit: Option<u32>,
+    catchup: Option<u32>,
+}
+
+impl OpenSpans {
+    /// The open spans a crash (or the end of the trace) cuts off.
+    fn drain(&mut self) -> impl Iterator<Item = u32> {
+        self.recovery = None;
+        [
+            self.signalling.take(),
+            self.handler.take(),
+            self.exit.take(),
+            self.catchup.take(),
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
+
+/// `{prefix}{rest}` without the formatter.
+fn named(prefix: &str, rest: &str) -> String {
+    let mut name = String::with_capacity(prefix.len() + rest.len());
+    name.push_str(prefix);
+    name.push_str(rest);
+    name
+}
 
 /// Reconstructs the run's span tree from its canonical trace: one span
 /// per protocol phase (see the module docs for the taxonomy). Spans are
@@ -411,30 +364,25 @@ type Key = (u64, u32);
 /// tree, byte for byte under [`SpanTree::render`].
 #[must_use]
 pub fn build_span_tree(trace: &Trace) -> SpanTree {
-    let labels = trace.canonical_labels();
-    let label = |serial: u64| labels[&serial] as u64;
+    let index = trace.index();
     let mut tree = SpanTree::new();
-    // Innermost-last stack of open action spans per thread.
-    let mut action_stack: IntMap<u32, Vec<(u64, u32)>> = IntMap::default();
-    let mut recovery_open: IntMap<Key, (u64, u64)> = IntMap::default();
-    let mut signalling_open: IntMap<Key, u32> = IntMap::default();
-    let mut handler_open: IntMap<Key, u32> = IntMap::default();
-    let mut exit_open: IntMap<Key, u32> = IntMap::default();
-    let mut catchup_open: IntMap<Key, u32> = IntMap::default();
-    let mut raise_open: IntMap<u64, u32> = IntMap::default();
+    // Innermost-last stack of open action spans `(label, span)` per thread.
+    let mut action_stack: Vec<Vec<(u32, u32)>> = vec![Vec::new(); index.threads()];
+    let mut open = vec![OpenSpans::default(); index.cells()];
+    let mut raise_open: Vec<Option<u32>> = vec![None; index.instances().len()];
     let mut detect_open: Vec<(u32, u32)> = Vec::new();
-    let mut last_crash: IntMap<u32, u64> = IntMap::default();
+    let mut last_crash: Vec<Option<u64>> = vec![None; index.threads()];
     let end_ns = trace.entries().last().map_or(0, |e| e.at_ns);
 
-    // The innermost open action span on `thread` matching `serial`, or
-    // the innermost of any serial (an observer event of a peer's
+    // The innermost open action span on `thread` matching `label`, or
+    // the innermost of any instance (an observer event of a peer's
     // instance), or none.
-    let parent_of = |stacks: &IntMap<u32, Vec<(u64, u32)>>, thread: u32, serial: u64| {
-        let stack = stacks.get(&thread)?;
+    let parent_of = |stacks: &[Vec<(u32, u32)>], thread: u32, label: u32| {
+        let stack = &stacks[thread as usize];
         stack
             .iter()
             .rev()
-            .find(|(s, _)| *s == serial)
+            .find(|(l, _)| *l == label)
             .or_else(|| stack.last())
             .map(|&(_, span)| span)
     };
@@ -442,172 +390,108 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
     for entry in trace.entries() {
         let at = entry.at_ns;
         let thread = entry.thread;
+        let label = entry.label;
         let EntryKind::Runtime(event) = &entry.kind else {
             continue;
         };
-        let serial = event.action.serial();
-        let instance = label(serial);
-        let key = (serial, thread);
+        let cell = index.cell(label, thread);
+        let span = |name: String, start_ns: u64, parent: Option<u32>| Span {
+            name,
+            start_ns,
+            end_ns: at,
+            thread,
+            instance: u64::from(label),
+            parent,
+        };
         match &event.kind {
             EventKind::Enter { name, .. } => {
-                let parent = parent_of(&action_stack, thread, serial);
-                let span = tree.push(Span {
-                    name: format!("action:{name}"),
-                    start_ns: at,
-                    end_ns: at,
-                    thread,
-                    instance,
-                    parent,
-                });
-                action_stack.entry(thread).or_default().push((serial, span));
+                let parent = parent_of(&action_stack, thread, label);
+                let id = tree.push(span(named("action:", name), at, parent));
+                action_stack[thread as usize].push((label, id));
             }
             EventKind::Exit { .. } | EventKind::Abort { .. } => {
-                if let Some(span) = exit_open.remove(&key) {
-                    tree.set_end(span, at);
+                for id in [open[cell].exit.take(), open[cell].catchup.take()]
+                    .into_iter()
+                    .flatten()
+                {
+                    tree.set_end(id, at);
                 }
-                if let Some(span) = catchup_open.remove(&key) {
-                    tree.set_end(span, at);
-                }
-                if let Some(stack) = action_stack.get_mut(&thread) {
-                    if let Some(i) = stack.iter().rposition(|(s, _)| *s == serial) {
-                        let (_, span) = stack.remove(i);
-                        tree.set_end(span, at);
-                    }
+                let stack = &mut action_stack[thread as usize];
+                if let Some(i) = stack.iter().rposition(|(l, _)| *l == label) {
+                    let (_, id) = stack.remove(i);
+                    tree.set_end(id, at);
                 }
             }
-            EventKind::Raise { exception } => {
-                raise_open.entry(serial).or_insert_with(|| {
-                    tree.push(Span {
-                        name: format!("raise\u{2192}resolve:{exception}"),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, serial),
-                    })
-                });
+            EventKind::Raise { exception } if raise_open[label as usize].is_none() => {
+                let parent = parent_of(&action_stack, thread, label);
+                let name = named("raise\u{2192}resolve:", exception.display_name());
+                raise_open[label as usize] = Some(tree.push(span(name, at, parent)));
             }
             EventKind::RecoveryStart { .. } => {
-                recovery_open.insert(key, (at, 1));
+                open[cell].recovery = Some((at, 1));
             }
             EventKind::Resolved { .. } => {
-                if let Some(span) = raise_open.remove(&serial) {
-                    tree.set_end(span, at);
+                if let Some(id) = raise_open[label as usize].take() {
+                    tree.set_end(id, at);
                 }
-                if let Some((start, round)) = recovery_open.get_mut(&key) {
-                    let span = tree.push(Span {
-                        name: format!("resolution:r{round}"),
-                        start_ns: *start,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, serial),
-                    });
-                    let _ = span;
+                let parent = parent_of(&action_stack, thread, label);
+                if let Some((start, round)) = &mut open[cell].recovery {
+                    tree.push(span(format!("resolution:r{round}"), *start, parent));
                     *start = at;
                     *round += 1;
                 }
-                if let Some(span) = signalling_open.remove(&key) {
-                    tree.set_end(span, at);
+                if let Some(id) = open[cell].signalling.take() {
+                    tree.set_end(id, at);
                 }
-                signalling_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: "signalling".to_owned(),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, serial),
-                    }),
-                );
+                open[cell].signalling = Some(tree.push(span("signalling".to_owned(), at, parent)));
             }
             EventKind::SignalOutcome { .. } => {
-                if let Some(span) = signalling_open.remove(&key) {
-                    tree.set_end(span, at);
+                if let Some(id) = open[cell].signalling.take() {
+                    tree.set_end(id, at);
                 }
             }
             EventKind::HandlerStart { exception } => {
-                handler_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: format!("handler:{exception}"),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, serial),
-                    }),
-                );
+                let parent = parent_of(&action_stack, thread, label);
+                let name = named("handler:", exception.display_name());
+                open[cell].handler = Some(tree.push(span(name, at, parent)));
             }
             EventKind::HandlerEnd { .. } => {
-                if let Some(span) = handler_open.remove(&key) {
-                    tree.set_end(span, at);
+                if let Some(id) = open[cell].handler.take() {
+                    tree.set_end(id, at);
                 }
             }
             EventKind::ObjectAcquired { object, waited_ns } if *waited_ns > 0 => {
-                tree.push(Span {
-                    name: format!("object-wait:{object}"),
-                    start_ns: at.saturating_sub(*waited_ns),
-                    end_ns: at,
-                    thread,
-                    instance,
-                    parent: parent_of(&action_stack, thread, serial),
-                });
-            }
-            EventKind::ExitStart { epoch } => {
-                if let Some(span) = exit_open.remove(&key) {
-                    tree.set_end(span, at);
-                }
-                exit_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: format!("exit:e{epoch}"),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, serial),
-                    }),
-                );
-            }
-            EventKind::Crash => {
-                last_crash.insert(thread, at);
-                // A crash closes everything the thread had open.
-                for (_, span) in action_stack.remove(&thread).unwrap_or_default() {
-                    tree.set_end(span, at);
-                }
-                for open in [&mut signalling_open, &mut handler_open, &mut exit_open] {
-                    open.retain(|&(_, t), span| {
-                        if t == thread {
-                            tree.set_end(*span, at);
-                        }
-                        t != thread
-                    });
-                }
-                recovery_open.retain(|&(_, t), _| t != thread);
-                catchup_open.retain(|&(_, t), span| {
-                    if t == thread {
-                        tree.set_end(*span, at);
-                    }
-                    t != thread
-                });
-                detect_open.push((
-                    thread,
-                    tree.push(Span {
-                        name: "crash-detect".to_owned(),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: None,
-                    }),
+                let parent = parent_of(&action_stack, thread, label);
+                tree.push(span(
+                    named("object-wait:", object),
+                    at.saturating_sub(*waited_ns),
+                    parent,
                 ));
             }
+            EventKind::ExitStart { epoch } => {
+                if let Some(id) = open[cell].exit.take() {
+                    tree.set_end(id, at);
+                }
+                let parent = parent_of(&action_stack, thread, label);
+                open[cell].exit = Some(tree.push(span(format!("exit:e{epoch}"), at, parent)));
+            }
+            EventKind::Crash => {
+                last_crash[thread as usize] = Some(at);
+                // A crash closes everything the thread had open.
+                for (_, id) in action_stack[thread as usize].drain(..) {
+                    tree.set_end(id, at);
+                }
+                for peer_label in 0..index.instances().len() as u32 {
+                    for id in open[index.cell(peer_label, thread)].drain() {
+                        tree.set_end(id, at);
+                    }
+                }
+                detect_open.push((thread, tree.push(span("crash-detect".to_owned(), at, None))));
+            }
             EventKind::ViewChange { removed, .. } => {
-                detect_open.retain(|&(crashed, span)| {
+                detect_open.retain(|&(crashed, id)| {
                     if removed.iter().any(|t| t.as_u32() == crashed) {
-                        tree.set_end(span, at);
+                        tree.set_end(id, at);
                         false
                     } else {
                         true
@@ -617,47 +501,26 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
             EventKind::Rejoin {
                 thread: rejoiner, ..
             } if rejoiner.as_u32() == thread => {
-                if let Some(&crash_at) = last_crash.get(&thread) {
-                    tree.push(Span {
-                        name: "rejoin-restart".to_owned(),
-                        start_ns: crash_at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: None,
-                    });
+                if let Some(crash_at) = last_crash[thread as usize] {
+                    tree.push(span("rejoin-restart".to_owned(), crash_at, None));
                 }
-                catchup_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: "rejoin-catchup".to_owned(),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, serial),
-                    }),
-                );
+                let parent = parent_of(&action_stack, thread, label);
+                open[cell].catchup = Some(tree.push(span("rejoin-catchup".to_owned(), at, parent)));
             }
             _ => {}
         }
     }
 
     // Close whatever the trace left open at its end.
-    for stack in action_stack.into_values() {
-        for (_, span) in stack {
-            tree.set_end(span, end_ns);
-        }
-    }
-    for span in signalling_open
-        .into_values()
-        .chain(handler_open.into_values())
-        .chain(exit_open.into_values())
-        .chain(catchup_open.into_values())
-        .chain(raise_open.into_values())
-        .chain(detect_open.into_iter().map(|(_, span)| span))
-    {
-        tree.set_end(span, end_ns);
+    let still_open = action_stack
+        .into_iter()
+        .flatten()
+        .map(|(_, id)| id)
+        .chain(open.iter_mut().flat_map(OpenSpans::drain))
+        .chain(raise_open.into_iter().flatten())
+        .chain(detect_open.into_iter().map(|(_, id)| id));
+    for id in still_open {
+        tree.set_end(id, end_ns);
     }
     tree
 }
@@ -687,7 +550,6 @@ fn base_class(entry: &Entry) -> SegmentClass {
 #[must_use]
 pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
     let tree = build_span_tree(trace);
-    let labels = trace.canonical_labels();
     let mut out = String::with_capacity(tree.len() * 128 + 4096);
     out.push_str("{\n\"displayTimeUnit\": \"ns\",\n");
     let _ = writeln!(out, "\"otherData\": {{\"seed\": {seed}}},");
@@ -711,8 +573,14 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
             ),
         );
     }
-    let threads: BTreeSet<u32> = trace.entries().iter().map(|e| e.thread).collect();
-    for thread in &threads {
+    let mut has_entries = vec![false; trace.index().threads()];
+    for entry in trace.entries() {
+        has_entries[entry.thread as usize] = true;
+    }
+    for thread in (0u32..)
+        .zip(has_entries)
+        .filter_map(|(t, seen)| seen.then_some(t))
+    {
         push_event(
             &mut out,
             format!(
@@ -749,7 +617,7 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
         })
         .enumerate()
     {
-        let instance = labels[&tap.correlation];
+        let instance = entry.label;
         let arrow = |ph: &str, bind: &str, ts: u64, tid: u32| {
             let mut body = String::with_capacity(96);
             body.push_str("{\"name\": ");

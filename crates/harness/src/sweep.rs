@@ -24,11 +24,10 @@ use caa_runtime::observe::EventKind;
 
 use crate::arena::ExecutionArena;
 use crate::exec::{execute_owned, RunArtifacts};
-use crate::inthash::IntSet;
 use crate::metrics::{metrics_json, SweepMetrics};
 use crate::oracle::{check_replay, check_run, Violation};
 use crate::plan::{ScenarioConfig, ScenarioPlan};
-use crate::trace::Trace;
+use crate::trace::{EntryKind, Trace};
 
 /// One shard of a deterministically split seed range: this process
 /// explores the seeds whose offset into the range satisfies
@@ -256,20 +255,20 @@ impl PathCoverage {
     #[must_use]
     pub fn from_trace(trace: &Trace) -> PathCoverage {
         let mut coverage = PathCoverage::default();
-        // Threads currently inside an exit phase of an instance.
-        let mut exiting: IntSet<(u64, u32)> = IntSet::default();
-        for event in trace.runtime_events() {
-            let key = (event.action.serial(), event.thread.as_u32());
+        let index = trace.index();
+        // Which `(instance, thread)` cells are inside an exit phase.
+        let mut exiting = vec![false; index.cells()];
+        for entry in trace.entries() {
+            let EntryKind::Runtime(event) = &entry.kind else {
+                continue;
+            };
+            let cell = index.cell(entry.label, entry.thread);
             match &event.kind {
                 EventKind::RecoveryStart { .. } => {
                     coverage.recoveries += 1;
-                    if exiting.remove(&key) {
-                        coverage.exit_races += 1;
-                    }
+                    coverage.exit_races += u64::from(std::mem::take(&mut exiting[cell]));
                 }
-                EventKind::ExitStart { .. } => {
-                    exiting.insert(key);
-                }
+                EventKind::ExitStart { .. } => exiting[cell] = true,
                 EventKind::SignalOutcome { signal } => match signal {
                     caa_core::Signal::Undo => coverage.undo_outcomes += 1,
                     caa_core::Signal::Failure => {

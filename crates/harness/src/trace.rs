@@ -1,4 +1,4 @@
-//! Structured trace recording.
+//! Structured trace recording, and the index every reader shares.
 //!
 //! A [`TraceRecorder`] implements both the runtime's
 //! [`caa_runtime::observe::Observer`] hook and the network's
@@ -16,18 +16,58 @@
 //! One recorder serves every seed of a sweep worker (it lives in the
 //! worker's [`ExecutionArena`](crate::arena::ExecutionArena)): taking a
 //! trace empties the recorder but keeps its buffers, and the trace itself
-//! is moved into a recycled entry buffer. Once both have grown to the
+//! is moved into a recycled trace's buffers. Once both have grown to the
 //! worker's longest trace, recording and hand-off allocate nothing.
+//!
+//! # The trace index
+//!
+//! Everything reported about a run — oracle verdicts, metrics, path
+//! coverage, span trees, critical paths, the rendering and its
+//! fingerprint — is derived from the trace *per action instance*, and
+//! every one of those readers used to start by rebuilding the same
+//! correlation from raw instance serials. The pass that sorts the entries
+//! now does it once, into a [`TraceIndex`] stored with the trace:
+//!
+//! * [`Entry::label`] — the entry's instance as a dense, run-independent
+//!   number assigned in canonical order of first appearance: the `A<n>` of
+//!   the rendering and of violation reports (raw serials incorporate
+//!   process-global definition ids and differ between two executions of
+//!   one seed);
+//! * [`TraceIndex::instances`] — per label: raw serial, nesting depth,
+//!   definition name, the first `Raise` and first `Resolved`, and the
+//!   instance's member entries ([`TraceIndex::members`]), which partition
+//!   the trace;
+//! * [`TraceIndex::threads`] — so that anything a reader keys by
+//!   `(instance, thread)` is a flat table indexed by
+//!   [`TraceIndex::cell`] instead of a map.
+//!
+//! The readers ([`crate::oracle`], [`crate::metrics`], [`crate::spans`],
+//! [`PathCoverage`](crate::sweep::PathCoverage), the renderers below) are
+//! pure functions of entries and index; none of them hashes a serial.
+//!
+//! The index is built **eagerly**, when the trace is made
+//! ([`TraceRecorder::take_trace_into`] and [`TraceRecorder::finish`] are
+//! the only two places), not lazily on first use: a trace is read by three
+//! to five readers and, in post-hoc analysis, over and over — a cache
+//! filled by whichever reader came first would charge that reader and
+//! hide the cost from every later pass. Built at take-time it is paid once
+//! per run, next to the sort.
+//!
+//! It is also **small**: a trace kept alive keeps its index, and a
+//! post-hoc analysis keeps thousands. The label lives in what was padding
+//! after [`Entry::thread`]; the rest is four bytes per entry (the member
+//! lists) plus 48 per instance, allocated to exactly their length — about
+//! 0.7 KiB for a default-space trace of 110 entries and 5 instances, under
+//! a budget of 1 KiB.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use caa_runtime::observe::{Event, Observer};
+use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
 
 use crate::inthash::IntMap;
+use crate::render;
 
 /// What one trace entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +90,10 @@ pub struct Entry {
     pub at_ns: u64,
     /// The thread (partition) the entry originates from.
     pub thread: u32,
+    /// The canonical label of the entry's action instance — an index into
+    /// [`TraceIndex::instances`], and the `A<n>` of the rendering. Assigned
+    /// when the trace is taken (see the module docs).
+    pub label: u32,
     /// Per-thread sequence number (program order within the thread).
     pub seq: u64,
     /// The recorded step.
@@ -57,7 +101,7 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// The action-instance serial this entry refers to.
+    /// The raw action-instance serial this entry refers to.
     #[must_use]
     pub fn action_serial(&self) -> u64 {
         match &self.kind {
@@ -68,46 +112,105 @@ impl Entry {
         }
     }
 
-    /// Renders one line. `act` is the canonical (run-independent) label of
-    /// the entry's action instance: raw instance serials incorporate
-    /// process-global definition ids and would differ between two
-    /// executions of the same seed.
-    fn render(&self, out: &mut String, act: usize) {
-        let _ = write!(
-            out,
-            "@{:>12} T{} #{:<4} A{act} ",
-            self.at_ns, self.thread, self.seq
-        );
+    /// Appends the entry's rendered line.
+    fn render(&self, out: &mut Vec<u8>) {
+        render::push_prefix(out, self.at_ns, self.thread, self.seq, self.label);
         match &self.kind {
-            EntryKind::Runtime(e) => {
-                let _ = write!(out, "{}", e.kind);
-            }
+            EntryKind::Runtime(e) => render::push_kind(out, &e.kind),
             EntryKind::NetSent(e) => {
-                let _ = write!(
-                    out,
-                    "net send {} {}->{} seq={} deliver@{}",
-                    e.class,
-                    e.src,
-                    e.dst,
-                    e.seq,
-                    e.deliver_at.as_nanos()
-                );
+                render::push_net(out, "net send ", e);
+                render::push_delivery(out, e);
             }
-            EntryKind::NetDropped(e) => {
-                let _ = write!(out, "net drop {} {}->{}", e.class, e.src, e.dst);
-            }
-            EntryKind::NetCorrupted(e) => {
-                let _ = write!(out, "net corrupt {} {}->{}", e.class, e.src, e.dst);
-            }
+            EntryKind::NetDropped(e) => render::push_net(out, "net drop ", e),
+            EntryKind::NetCorrupted(e) => render::push_net(out, "net corrupt ", e),
         }
-        out.push('\n');
+        out.push(b'\n');
     }
 }
 
-/// A completed, canonically ordered trace.
+/// "No such entry" in the index's `u32` columns.
+const NONE: u32 = u32::MAX;
+
+/// What the index knows about one action instance.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Instance {
+    /// The raw instance serial (process-global: never render it, never
+    /// order output by it unless the order is invisible).
+    pub serial: u64,
+    /// The definition name, from the instance's first `Enter` (`None` for
+    /// an instance only ever seen in network entries).
+    pub name: Option<Arc<str>>,
+    /// Nesting depth (0 = top level), from the instance's action id.
+    pub depth: u32,
+    first_raise: u32,
+    first_resolved: u32,
+    /// This instance's range of [`TraceIndex::members`].
+    members: (u32, u32),
+}
+
+impl Instance {
+    /// Index of the instance's first `Raise` entry.
+    #[must_use]
+    pub fn first_raise(&self) -> Option<usize> {
+        (self.first_raise != NONE).then_some(self.first_raise as usize)
+    }
+
+    /// Index of the instance's first `Resolved` entry.
+    #[must_use]
+    pub fn first_resolved(&self) -> Option<usize> {
+        (self.first_resolved != NONE).then_some(self.first_resolved as usize)
+    }
+}
+
+/// The per-instance correlation of one trace, built once when the trace is
+/// made (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TraceIndex {
+    threads: u32,
+    instances: Vec<Instance>,
+    /// Entry indices grouped by label, each group in canonical order.
+    members: Vec<u32>,
+}
+
+impl TraceIndex {
+    /// One more than the largest thread id an entry originates from.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads as usize
+    }
+
+    /// The instance table, indexed by [`Entry::label`].
+    #[must_use]
+    pub fn instances(&self) -> &[Instance] {
+        &self.instances
+    }
+
+    /// The entries of instance `label`, as indices into
+    /// [`Trace::entries`] in canonical order.
+    #[must_use]
+    pub fn members(&self, label: usize) -> &[u32] {
+        let (start, end) = self.instances[label].members;
+        &self.members[start as usize..end as usize]
+    }
+
+    /// Size of a flat `(instance, thread)` table.
+    #[must_use]
+    pub fn cells(&self) -> usize {
+        self.instances.len() * self.threads()
+    }
+
+    /// The slot of `(label, thread)` in such a table.
+    #[must_use]
+    pub fn cell(&self, label: u32, thread: u32) -> usize {
+        label as usize * self.threads() + thread as usize
+    }
+}
+
+/// A completed, canonically ordered trace with its [`TraceIndex`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     entries: Vec<Entry>,
+    index: TraceIndex,
 }
 
 impl Trace {
@@ -117,12 +220,10 @@ impl Trace {
         &self.entries
     }
 
-    /// Consumes the trace, returning its entry buffer — the recycling hook
-    /// for [`crate::arena::ExecutionArena`]: a sweep worker that is done
-    /// with a trace hands the allocation back instead of dropping it.
+    /// The trace's per-instance index.
     #[must_use]
-    pub fn into_entries(self) -> Vec<Entry> {
-        self.entries
+    pub fn index(&self) -> &TraceIndex {
+        &self.index
     }
 
     /// Number of entries.
@@ -145,59 +246,39 @@ impl Trace {
         })
     }
 
-    /// The network send events of the trace, in canonical order.
-    pub fn net_sends(&self) -> impl Iterator<Item = &TapEvent> {
-        self.entries.iter().filter_map(|e| match &e.kind {
-            EntryKind::NetSent(ev) => Some(ev),
-            _ => None,
-        })
-    }
-
-    /// Dense, run-independent labels for the trace's action instances,
-    /// assigned in canonical-order of first appearance — the `A<n>` labels
-    /// used by [`Trace::render`] and by oracle violation reports.
-    #[must_use]
-    pub fn canonical_labels(&self) -> IntMap<u64, usize> {
-        let mut canonical: IntMap<u64, usize> = IntMap::default();
-        for entry in &self.entries {
-            let next = canonical.len();
-            canonical.entry(entry.action_serial()).or_insert(next);
-        }
-        canonical
-    }
-
     /// Renders the whole trace as text: one line per entry, byte-identical
-    /// across replays of the same seed. Action-instance serials are
-    /// replaced by dense labels assigned in canonical-order of first
-    /// appearance ([`Trace::canonical_labels`]), so the rendering is
+    /// across replays of the same seed. Action instances appear under
+    /// their canonical labels ([`Entry::label`]), so the rendering is
     /// independent of process-global definition-id state.
     #[must_use]
     pub fn render(&self) -> String {
-        let canonical = self.canonical_labels();
-        let mut out = String::with_capacity(self.entries.len() * 64);
+        let mut out = Vec::with_capacity(self.entries.len() * 64);
         for entry in &self.entries {
-            entry.render(&mut out, canonical[&entry.action_serial()]);
+            entry.render(&mut out);
         }
-        out
+        String::from_utf8(out).expect("rendered fields are utf-8")
     }
 
     /// Streams the FNV-1a 64-bit fingerprint of [`Trace::render`] without
-    /// materialising the rendered `String`: each entry renders into one
-    /// reusable line buffer and folds into the running hash. By
-    /// construction `trace.render_fingerprint() ==
-    /// fnv1a64(trace.render().as_bytes())`, so fingerprints from hash-only
-    /// sweeps (`trace_hashes`, the golden-trace test, pre/post refactor
-    /// gates) stay comparable with fingerprints of rendered traces — at a
-    /// fraction of the allocation cost for large traces.
+    /// materialising the rendering: each entry renders into one reusable
+    /// line buffer and folds into the running hash. By construction
+    /// `trace.render_fingerprint() == fnv1a64(trace.render().as_bytes())`,
+    /// so fingerprints from hash-only sweeps (`trace_hashes`, the
+    /// golden-trace test, pre/post refactor gates) stay comparable with
+    /// fingerprints of rendered traces. The hash is byte-serial, which
+    /// makes it the floor of this function's cost (and hashing a whole
+    /// line at a time keeps it there: fed field by field, the formatter's
+    /// work lands on the hash's dependency chain and the total rises);
+    /// the formatter (the crate's `render` module) writes bytes by hand
+    /// to stay near it.
     #[must_use]
     pub fn render_fingerprint(&self) -> u64 {
-        let canonical = self.canonical_labels();
         let mut hash: u64 = FNV_OFFSET;
-        let mut line = String::with_capacity(96);
+        let mut line = Vec::with_capacity(128);
         for entry in &self.entries {
             line.clear();
-            entry.render(&mut line, canonical[&entry.action_serial()]);
-            hash = fnv1a64_fold(hash, line.as_bytes());
+            entry.render(&mut line);
+            hash = fnv1a64_fold(hash, &line);
         }
         hash
     }
@@ -209,32 +290,16 @@ impl Trace {
     /// anything: a structural fast path decides equality field-by-field
     /// (ignoring exactly the fields rendering ignores — raw action
     /// serials and tap correlations, which legitimately differ between
-    /// two executions of one seed), and only a structurally-unequal pair
-    /// falls back to rendering that single line pair to let
-    /// display-equal-but-structurally-different entries through. The
-    /// replay oracle's hot path thus stops materialising two full trace
-    /// strings per seed.
+    /// two executions of one seed; the canonical labels stand in for
+    /// them), and only a structurally-unequal pair falls back to rendering
+    /// that single line pair to let display-equal-but-structurally-
+    /// different entries through.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        // Canonical labels are assigned in first-appearance order, so they
-        // can be built incrementally while walking the entries.
-        let mut labels_a: IntMap<u64, usize> = IntMap::default();
-        let mut labels_b: IntMap<u64, usize> = IntMap::default();
-        let mut line_a = String::new();
-        let mut line_b = String::new();
-        let common = self.entries.len().min(other.entries.len());
-        for i in 0..common {
-            let (ea, eb) = (&self.entries[i], &other.entries[i]);
-            let next = labels_a.len();
-            let act_a = *labels_a.entry(ea.action_serial()).or_insert(next);
-            let next = labels_b.len();
-            let act_b = *labels_b.entry(eb.action_serial()).or_insert(next);
-            // A differing label prints as a differing `A<n>` no matter
-            // what else the line contains.
-            if act_a != act_b {
-                return Some(i);
-            }
-            if (ea.at_ns, ea.thread, ea.seq) == (eb.at_ns, eb.thread, eb.seq)
+        let mut line_a = Vec::new();
+        let mut line_b = Vec::new();
+        for (i, (ea, eb)) in self.entries.iter().zip(&other.entries).enumerate() {
+            if (ea.at_ns, ea.thread, ea.seq, ea.label) == (eb.at_ns, eb.thread, eb.seq, eb.label)
                 && kinds_render_equal(&ea.kind, &eb.kind)
             {
                 continue;
@@ -244,18 +309,20 @@ impl Trace {
             // identical in practice).
             line_a.clear();
             line_b.clear();
-            ea.render(&mut line_a, act_a);
-            eb.render(&mut line_b, act_b);
+            ea.render(&mut line_a);
+            eb.render(&mut line_b);
             if line_a != line_b {
                 return Some(i);
             }
         }
+        let common = self.entries.len().min(other.entries.len());
         (self.entries.len() != other.entries.len()).then_some(common)
     }
 
     /// Renders the timestamp-free, per-thread *protocol projection*: each
-    /// thread's sequence of runtime protocol steps, with canonical action
-    /// labels, no virtual times and no network events.
+    /// thread's sequence of runtime protocol steps, no virtual times and
+    /// no network events, with action labels assigned in the projection's
+    /// own order of first appearance.
     ///
     /// Every supported system — harness scenarios and the production cell
     /// alike — now replays byte-identically under [`Trace::render`]
@@ -265,27 +332,34 @@ impl Trace {
     /// tells apart timing-only drift from genuine protocol divergence.
     #[must_use]
     pub fn protocol_projection(&self) -> String {
-        let mut per_thread: BTreeMap<u32, Vec<&Entry>> = BTreeMap::new();
-        for entry in &self.entries {
-            if matches!(entry.kind, EntryKind::Runtime(_)) {
-                per_thread.entry(entry.thread).or_default().push(entry);
+        let mut steps: Vec<(&Entry, &EventKind)> = self
+            .entries
+            .iter()
+            .filter_map(|entry| match &entry.kind {
+                EntryKind::Runtime(e) => Some((entry, &e.kind)),
+                _ => None,
+            })
+            .collect();
+        steps.sort_by_key(|(entry, _)| (entry.thread, entry.seq));
+        // Canonical label → projection label.
+        let mut relabel = vec![NONE; self.index.instances.len()];
+        let mut next = 0;
+        let mut out = Vec::with_capacity(steps.len() * 32);
+        for (entry, kind) in steps {
+            let act = &mut relabel[entry.label as usize];
+            if *act == NONE {
+                *act = next;
+                next += 1;
             }
+            out.push(b'T');
+            render::push_u64(&mut out, u64::from(entry.thread));
+            out.extend_from_slice(b" A");
+            render::push_u64(&mut out, u64::from(*act));
+            out.push(b' ');
+            render::push_kind(&mut out, kind);
+            out.push(b'\n');
         }
-        for entries in per_thread.values_mut() {
-            entries.sort_by_key(|e| e.seq);
-        }
-        let mut canonical: IntMap<u64, usize> = IntMap::default();
-        let mut out = String::with_capacity(self.entries.len() * 32);
-        for (thread, entries) in &per_thread {
-            for entry in entries {
-                let next = canonical.len();
-                let act = *canonical.entry(entry.action_serial()).or_insert(next);
-                if let EntryKind::Runtime(e) = &entry.kind {
-                    let _ = writeln!(out, "T{thread} A{act} {}", e.kind);
-                }
-            }
-        }
-        out
+        String::from_utf8(out).expect("rendered fields are utf-8")
     }
 }
 
@@ -346,6 +420,106 @@ struct Recording {
     /// `next_seq[t]`: how many entries thread `t` has recorded — events of
     /// one thread arrive in that thread's program order.
     next_seq: Vec<u64>,
+    /// Index-building scratch, empty between takes: raw serial → label
+    /// (the one place a serial is hashed), and the instance table while
+    /// its final length is still unknown.
+    labels: IntMap<u64, u32>,
+    instances: Vec<Instance>,
+}
+
+impl Recording {
+    /// Sorts `entries` canonically, labels them and builds their index —
+    /// into `recycled`'s buffers where they suffice, else into buffers of
+    /// exactly the needed length: a driver that keeps thousands of traces
+    /// alive keeps no slack with them.
+    fn make_trace(&mut self, entries: &mut Vec<Entry>, recycled: Trace) -> Trace {
+        // The key is unique per entry (`seq` counts within `thread`), so an
+        // unstable sort yields the same order as a stable one — and sorts
+        // in place, without a scratch allocation.
+        entries.sort_unstable_by_key(|e| (e.at_ns, e.thread, e.seq));
+
+        // Pass 1: labels in order of first appearance, per-instance facts
+        // and member counts (in `members.1`).
+        let mut threads = 0;
+        let mut last: Option<(u64, u32)> = None;
+        for (i, entry) in entries.iter_mut().enumerate() {
+            let i = u32::try_from(i).expect("entry count fits u32");
+            let serial = entry.action_serial();
+            let label = match last {
+                Some((s, label)) if s == serial => label,
+                _ => {
+                    let next = u32::try_from(self.instances.len()).expect("label fits u32");
+                    let label = *self.labels.entry(serial).or_insert(next);
+                    if label == next {
+                        self.instances.push(Instance {
+                            serial,
+                            name: None,
+                            depth: 0,
+                            first_raise: NONE,
+                            first_resolved: NONE,
+                            members: (0, 0),
+                        });
+                    }
+                    last = Some((serial, label));
+                    label
+                }
+            };
+            entry.label = label;
+            threads = threads.max(entry.thread + 1);
+            let instance = &mut self.instances[label as usize];
+            instance.members.1 += 1;
+            if let EntryKind::Runtime(event) = &entry.kind {
+                instance.depth = event.action.depth();
+                match &event.kind {
+                    EventKind::Enter { name, .. } if instance.name.is_none() => {
+                        instance.name = Some(Arc::clone(name));
+                    }
+                    EventKind::Raise { .. } if instance.first_raise == NONE => {
+                        instance.first_raise = i;
+                    }
+                    EventKind::Resolved { .. } if instance.first_resolved == NONE => {
+                        instance.first_resolved = i;
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        // Counts → ranges; `members.1` restarts as each range's fill
+        // cursor and ends pass 2 back at the range's end.
+        let mut start = 0;
+        for instance in &mut self.instances {
+            let count = instance.members.1;
+            instance.members = (start, start);
+            start += count;
+        }
+
+        let Trace {
+            entries: mut buf,
+            mut index,
+        } = recycled;
+        index.members.clear();
+        index.members.reserve_exact(entries.len());
+        index.members.resize(entries.len(), 0);
+        for (i, entry) in entries.iter().enumerate() {
+            let cursor = &mut self.instances[entry.label as usize].members.1;
+            index.members[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        index.threads = threads;
+        index.instances.clear();
+        index.instances.reserve_exact(self.instances.len());
+        index.instances.append(&mut self.instances);
+        self.labels.clear();
+
+        buf.clear();
+        buf.reserve_exact(entries.len());
+        buf.append(entries);
+        Trace {
+            entries: buf,
+            index,
+        }
+    }
 }
 
 /// Collects runtime and network events from a running system.
@@ -382,13 +556,6 @@ impl std::fmt::Debug for TraceRecorder {
     }
 }
 
-/// The canonical order. The key is unique per entry (`seq` counts within
-/// `thread`), so an unstable sort yields the same order as a stable one —
-/// and sorts in place, without a scratch allocation.
-fn sort_canonically(entries: &mut [Entry]) {
-    entries.sort_unstable_by_key(|e| (e.at_ns, e.thread, e.seq));
-}
-
 impl TraceRecorder {
     /// A fresh recorder behind an `Arc`, ready to attach.
     #[must_use]
@@ -408,6 +575,7 @@ impl TraceRecorder {
         rec.entries.push(Entry {
             at_ns,
             thread,
+            label: 0,
             seq,
             kind,
         });
@@ -417,34 +585,34 @@ impl TraceRecorder {
     /// in place.
     #[must_use]
     pub fn finish(&self) -> Trace {
-        let mut entries = self.recording.lock().entries.clone();
-        sort_canonically(&mut entries);
-        Trace { entries }
+        let mut guard = self.recording.lock();
+        let mut entries = guard.entries.clone();
+        guard.make_trace(&mut entries, Trace::default())
     }
 
     /// Like [`TraceRecorder::finish`], but *takes* the recorded entries
     /// instead of cloning them and leaves the recorder empty, ready for
-    /// the next run. The trace's buffer holds exactly its entries.
+    /// the next run. The trace's buffers hold exactly their contents.
     #[must_use]
     pub fn take_trace(&self) -> Trace {
-        self.take_trace_into(Vec::new())
+        self.take_trace_into(Trace::default())
     }
 
-    /// [`TraceRecorder::take_trace`] into a recycled entry buffer: `buf` is
-    /// cleared and, when its capacity suffices, the trace is handed out
-    /// without allocating; otherwise it is regrown to exactly the trace's
-    /// length. The recording buffer itself — grown by doubling, so up to
-    /// twice the trace — never leaves the recorder: a driver that keeps
-    /// thousands of traces alive keeps no slack with them.
+    /// [`TraceRecorder::take_trace`] into the buffers of a trace that is no
+    /// longer needed: where `recycled`'s capacity suffices, the new trace
+    /// and its index are handed out without allocating; a buffer that is
+    /// too small is regrown to exactly the needed length. The recording
+    /// buffer itself — grown by doubling, so up to twice the trace — never
+    /// leaves the recorder.
     #[must_use]
-    pub fn take_trace_into(&self, mut buf: Vec<Entry>) -> Trace {
+    pub fn take_trace_into(&self, recycled: Trace) -> Trace {
         let mut guard = self.recording.lock();
-        guard.next_seq.clear();
-        sort_canonically(&mut guard.entries);
-        buf.clear();
-        buf.reserve_exact(guard.entries.len());
-        buf.append(&mut guard.entries);
-        Trace { entries: buf }
+        let rec = &mut *guard;
+        rec.next_seq.clear();
+        let mut entries = std::mem::take(&mut rec.entries);
+        let trace = rec.make_trace(&mut entries, recycled);
+        rec.entries = entries;
+        trace
     }
 }
 
@@ -524,9 +692,9 @@ mod tests {
 
     #[test]
     fn a_taken_trace_holds_exactly_its_entries_and_empties_the_recorder() {
-        // The recording buffer grows by doubling; a trace handed out with
-        // that slack would keep it for as long as the trace lives (the
-        // post-hoc readers keep thousands).
+        // The recording buffer grows by doubling; a trace (or an index)
+        // handed out with that slack would keep it for as long as the
+        // trace lives (the post-hoc readers keep thousands).
         let rec = TraceRecorder::new();
         for i in 0..37 {
             rec.on_event(&runtime_event(1_000 - i, (i % 3) as u32));
@@ -537,8 +705,12 @@ mod tests {
             .entries()
             .windows(2)
             .all(|w| (w[0].at_ns, w[0].thread, w[0].seq) < (w[1].at_ns, w[1].thread, w[1].seq)));
-        let entries = trace.into_entries();
-        assert_eq!(entries.capacity(), entries.len());
+        assert_eq!(trace.entries.capacity(), trace.entries.len());
+        assert_eq!(trace.index.members.capacity(), trace.index.members.len());
+        assert_eq!(
+            trace.index.instances.capacity(),
+            trace.index.instances.len()
+        );
 
         // Re-armed: sequence numbers start over, nothing is left behind.
         rec.on_event(&runtime_event(5, 2));
@@ -586,5 +758,140 @@ mod tests {
         assert!(text.contains("raise x"), "{text}");
         assert!(text.contains("net send Exception"), "{text}");
         assert_eq!(text, rec.finish().render());
+    }
+
+    /// What the index must say about `trace`, derived the slow way.
+    fn assert_index_matches_a_rescan(trace: &Trace, what: &str) {
+        let entries = trace.entries();
+        let index = trace.index();
+        // Labels are `canonical_labels`: dense, in order of first
+        // appearance of the raw serial.
+        let mut canonical: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        for entry in entries {
+            let next = canonical.len() as u32;
+            let label = *canonical.entry(entry.action_serial()).or_insert(next);
+            assert_eq!(entry.label, label, "{what}: label of {entry:?}");
+        }
+        assert_eq!(index.instances().len(), canonical.len(), "{what}");
+        let threads = entries.iter().map(|e| e.thread + 1).max().unwrap_or(0);
+        assert_eq!(index.threads(), threads as usize, "{what}");
+        assert_eq!(index.cells(), canonical.len() * threads as usize);
+
+        // The member lists partition the entries, each in trace order.
+        let mut seen = vec![false; entries.len()];
+        for (label, instance) in index.instances().iter().enumerate() {
+            assert_eq!(canonical[&instance.serial], label as u32, "{what}");
+            let members = index.members(label);
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "{what}: order");
+            for &i in members {
+                assert_eq!(entries[i as usize].label, label as u32, "{what}");
+                assert!(!std::mem::replace(&mut seen[i as usize], true), "{what}");
+            }
+            let events = || {
+                members
+                    .iter()
+                    .filter_map(|&i| match &entries[i as usize].kind {
+                        EntryKind::Runtime(event) => Some((i as usize, event)),
+                        _ => None,
+                    })
+            };
+            let first = |wanted: fn(&EventKind) -> bool| {
+                events().find(|(_, e)| wanted(&e.kind)).map(|(i, _)| i)
+            };
+            assert_eq!(
+                instance.first_raise(),
+                first(|k| matches!(k, EventKind::Raise { .. })),
+                "{what}"
+            );
+            assert_eq!(
+                instance.first_resolved(),
+                first(|k| matches!(k, EventKind::Resolved { .. })),
+                "{what}"
+            );
+            let name = events().find_map(|(_, e)| match &e.kind {
+                EventKind::Enter { name, .. } => Some(name.clone()),
+                _ => None,
+            });
+            assert_eq!(instance.name, name, "{what}");
+            let depth = events().next_back().map_or(0, |(_, e)| e.action.depth());
+            assert_eq!(instance.depth, depth, "{what}");
+        }
+        assert!(seen.iter().all(|&s| s), "{what}: every entry is a member");
+    }
+
+    #[test]
+    fn the_index_of_real_runs_matches_a_rescan() {
+        use crate::arena::ExecutionArena;
+        use crate::exec::execute_in;
+        use crate::plan::{ScenarioConfig, ScenarioPlan};
+        let mut arena = ExecutionArena::new();
+        for (space, scenario) in [
+            ("default", ScenarioConfig::default()),
+            ("object_heavy", ScenarioConfig::object_heavy()),
+            ("multi_crash", ScenarioConfig::multi_crash()),
+        ] {
+            for seed in 0..40 {
+                let run = execute_in(&ScenarioPlan::generate(seed, &scenario), &mut arena);
+                assert_index_matches_a_rescan(&run.trace, &format!("{space} seed {seed}"));
+                // The next index is built in this one's buffers.
+                arena.recycle_trace(run.trace);
+            }
+        }
+    }
+
+    #[test]
+    fn the_index_of_shuffled_recordings_matches_a_rescan() {
+        // Nothing a run would produce: times out of order, instances
+        // interleaved entry by entry, instances that only ever appear on
+        // the network, sparse thread ids — through one re-armed recorder,
+        // both ways of making a trace.
+        let mut rng = crate::rng::Rng::new(0x1dec);
+        let rec = TraceRecorder::new();
+        let mut recycled = Trace::default();
+        for round in 0..200 {
+            let serials = 1 + rng.below(6);
+            for _ in 0..rng.below(120) {
+                let at = rng.below(50);
+                let thread = [0, 1, 2, 9][rng.below(4) as usize];
+                let action = ActionId::with_depth(100 + rng.below(serials), thread % 3);
+                let kind = match rng.below(5) {
+                    0 => EventKind::Enter {
+                        name: format!("a{}", action.serial()).into(),
+                        role: "r".into(),
+                        depth: 1,
+                    },
+                    1 => EventKind::Raise {
+                        exception: ExceptionId::new("x"),
+                    },
+                    2 => EventKind::Resolved {
+                        exception: ExceptionId::new("x"),
+                    },
+                    3 => EventKind::Crash,
+                    _ => {
+                        rec.on_sent(&TapEvent {
+                            src: PartitionId::new(thread),
+                            dst: PartitionId::new(0),
+                            class: "Commit",
+                            correlation: 100 + rng.below(serials + 2),
+                            at: VirtualInstant::from_nanos(at),
+                            deliver_at: VirtualInstant::from_nanos(at + 3),
+                            seq: 0,
+                        });
+                        continue;
+                    }
+                };
+                rec.on_event(&Event {
+                    at: VirtualInstant::from_nanos(at),
+                    thread: ThreadId::new(thread),
+                    action,
+                    kind,
+                });
+            }
+            let finished = rec.finish();
+            assert_index_matches_a_rescan(&finished, &format!("round {round}, finished"));
+            recycled = rec.take_trace_into(recycled);
+            assert_index_matches_a_rescan(&recycled, &format!("round {round}, taken"));
+            assert_eq!(finished, recycled, "round {round}");
+        }
     }
 }

@@ -86,12 +86,14 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
 }
 
 /// One pinned case: a fixed seed per bench configuration, with a ceiling
-/// ~3× the steady-state count. Last measured 217 / 375 / 398 (PR 14; the
-/// test prints them), down from 313 / 567 / 562 with the fiber host of
-/// PR 13: the arena's one recorder and the exact hand-off into a recycled
-/// buffer took 12 / 24 / 32 of those, compiling the plan by reference
-/// (no `ActionPlan` clones, interned role names, dense per-role handler
-/// tables) the rest.
+/// ~3× the steady-state count. Last measured 197 / 344 / 356 (PR 15; the
+/// test prints them), down from 217 / 375 / 398 in PR 14: the oracles'
+/// per-instance maps and per-`Resolved` strings and the metrics
+/// recorder's per-class counter names are gone. (PR 14 itself came from
+/// 313 / 567 / 562 with the fiber host of PR 13: the arena's one recorder
+/// and the exact hand-off into a recycled buffer took 12 / 24 / 32 of
+/// those, compiling the plan by reference — no `ActionPlan` clones,
+/// interned role names, dense per-role handler tables — the rest.)
 #[test]
 fn steady_state_seed_allocation_stays_bounded() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -157,13 +159,91 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
         }
     };
     record(0);
-    let buf = recorder.take_trace().into_entries();
+    let recycled = recorder.take_trace();
     record(1);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let trace = recorder.take_trace_into(buf);
+    let trace = recorder.take_trace_into(recycled);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(trace.len(), 300);
     assert_eq!(after - before, 0, "sort or hand-off allocated");
+}
+
+/// The five post-run readers work off the trace's index in flat tables:
+/// what they allocate per trace is a handful of table vectors (and, for
+/// the span tree, one name per span) — not a map node per instance and
+/// thread, nor a string per event. Pinned per reader on a warmed metrics
+/// recorder, the sweep's steady state. Last measured (the test prints
+/// them): `check_run` 3, `record_run` 0, `PathCoverage::from_trace` 1,
+/// `build_span_tree` 11 to 16 + its spans, `render_fingerprint` 1.
+#[test]
+fn reading_a_warmed_trace_allocates_a_bounded_handful() {
+    use caa_harness::exec::execute_in;
+    use caa_harness::metrics::MetricsRecorder;
+    use caa_harness::oracle::check_run;
+    use caa_harness::plan::ScenarioPlan;
+    use caa_harness::spans::build_span_tree;
+    use caa_harness::sweep::PathCoverage;
+
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let mut arena = ExecutionArena::new();
+    let mut recorder = MetricsRecorder::new();
+    for (name, scenario) in [
+        ("default", ScenarioConfig::default()),
+        ("object-heavy", ScenarioConfig::object_heavy()),
+    ] {
+        let run = execute_in(&ScenarioPlan::generate(7, &scenario), &mut arena);
+        // Warm-up: scratch tables and first-sight counter names.
+        recorder.record_run(&run);
+        let count = |read: &mut dyn FnMut()| {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            read();
+            ALLOCS.load(Ordering::Relaxed) - before
+        };
+        let spans = build_span_tree(&run.trace).len() as u64;
+        let readers = [
+            (
+                "check_run",
+                count(&mut || assert!(check_run(&run).is_empty())),
+                6,
+            ),
+            ("record_run", count(&mut || recorder.record_run(&run)), 0),
+            (
+                "PathCoverage::from_trace",
+                count(&mut || {
+                    std::hint::black_box(PathCoverage::from_trace(&run.trace));
+                }),
+                2,
+            ),
+            // The tree owns its spans' names: one allocation each, plus
+            // its own growth and the open-span tables.
+            (
+                "build_span_tree",
+                count(&mut || {
+                    std::hint::black_box(build_span_tree(&run.trace));
+                }),
+                spans + 32,
+            ),
+            (
+                "render_fingerprint",
+                count(&mut || {
+                    std::hint::black_box(run.trace.render_fingerprint());
+                }),
+                2,
+            ),
+        ];
+        // For re-pinning: `cargo test --test alloc_regression -- --nocapture`.
+        println!(
+            "config {name}, seed 7 ({} entries, {spans} spans): {readers:?}",
+            run.trace.len()
+        );
+        for (reader, allocs, ceiling) in readers {
+            assert!(
+                allocs <= ceiling,
+                "config {name}: {reader} made {allocs} allocations reading one warmed trace \
+                 (ceiling {ceiling}) — a per-instance map or a per-event string is back"
+            );
+        }
+    }
 }
 
 /// One recorder serves every execution of an arena; what an earlier seed

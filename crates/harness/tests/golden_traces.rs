@@ -21,7 +21,6 @@ use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::trace::{fnv1a64 as fnv1a, Trace};
 
 fn acquired_lines(trace: &Trace) -> Vec<String> {
-    let canonical = trace.canonical_labels();
     trace
         .entries()
         .iter()
@@ -29,9 +28,7 @@ fn acquired_lines(trace: &Trace) -> Vec<String> {
             caa_harness::trace::EntryKind::Runtime(e) => match &e.kind {
                 caa_runtime::observe::EventKind::ObjectAcquired { object, .. } => Some(format!(
                     "@{} T{} A{} acquire {object}",
-                    entry.at_ns,
-                    entry.thread,
-                    canonical[&entry.action_serial()]
+                    entry.at_ns, entry.thread, entry.label
                 )),
                 _ => None,
             },
