@@ -28,7 +28,7 @@ const TRACES: u64 = 500;
 fn record_again(recorder: &TraceRecorder, trace: &Trace) {
     for entry in trace.entries() {
         match &entry.kind {
-            EntryKind::Runtime(event) => recorder.on_event(event),
+            EntryKind::Runtime(event) => recorder.on_event(event.clone()),
             EntryKind::NetSent(event) => recorder.on_sent(event),
             EntryKind::NetDropped(event) => recorder.on_dropped(event),
             EntryKind::NetCorrupted(event) => recorder.on_corrupted(event),

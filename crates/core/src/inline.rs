@@ -1,25 +1,35 @@
-//! Small-vector storage for the hot-path sets of the coordination
-//! protocols.
+//! Small-vector storage for the hot-path sets and tables of the
+//! coordination protocols.
 //!
-//! Recovery rounds snapshot an action's *live member set* (membership
-//! view, signalling group, exit group) once per protocol round; with
-//! `Vec<ThreadId>` every snapshot is a heap allocation on the execute hot
-//! path. Group sizes are tiny — the scenario model tops out well below a
-//! dozen participants — so [`InlineVec`] keeps up to `N` elements inline
-//! on the stack and only spills to a heap `Vec` beyond that. The spill
-//! path keeps full `Vec` semantics, so correctness never depends on the
-//! inline capacity; `N` is purely a performance knob.
+//! Every coordination round keeps a handful of per-participant facts: the
+//! *live member set* it ranges over (membership view, signalling group,
+//! exit group), and what each member said (the signalling announcements,
+//! the exit votes, the resolver's `LE` list). With `Vec` or a tree map
+//! every round of every frame is a heap allocation — or several — on the
+//! execute hot path. Group sizes are tiny — the scenario model tops out
+//! well below a dozen participants — so [`InlineVec`] keeps up to `N`
+//! elements inline in its owner and only spills to a heap `Vec` beyond
+//! that. The spill path keeps full `Vec` semantics, so correctness never
+//! depends on the inline capacity; `N` is purely a performance knob.
 //!
-//! The type is deliberately minimal: `Copy` elements, the handful of
-//! mutators the membership arithmetic needs (`push`, `retain`,
-//! `sort_unstable`, `dedup`, `extend_from_slice`, `clear`), and `Deref`
-//! to a slice for everything else. It is **not** a general-purpose
-//! `smallvec` replacement.
+//! The type is deliberately minimal: elements need `Default` (an unused
+//! inline slot holds one, which is what keeps the whole type in safe
+//! code), the handful of mutators the round arithmetic needs (`push`,
+//! `insert`, `retain`, `dedup`, `extend_from_slice`, `clear`), and `Deref`
+//! to a slice for everything else — sorting, searching, iteration. A
+//! table keyed by member is a vector of `(key, value)` pairs searched
+//! through the slice (linearly, or by `binary_search_by_key` when kept
+//! sorted with [`InlineVec::insert`]): at these sizes that beats any tree
+//! or hash. It is **not** a general-purpose `smallvec` replacement.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-/// A vector of `Copy` elements that stores up to `N` of them inline.
+/// A vector that stores up to `N` elements inline.
+///
+/// Elements may own heap data (an interned exception name, say): a slot
+/// that stops being live is reset to `T::default()`, so nothing an element
+/// owns outlives its removal.
 ///
 /// # Examples
 ///
@@ -35,31 +45,43 @@ use std::ops::{Deref, DerefMut};
 /// // Exceeding the inline capacity spills to the heap transparently.
 /// v.extend_from_slice(&[4, 5, 6]);
 /// assert_eq!(v.len(), 6);
+///
+/// // A small table keyed by its first component, kept sorted.
+/// let mut table: InlineVec<(u32, String), 4> = InlineVec::new();
+/// for (key, value) in [(7, "g"), (2, "b"), (5, "e")] {
+///     let at = table.binary_search_by_key(&key, |(k, _)| *k).unwrap_err();
+///     table.insert(at, (key, value.to_owned()));
+/// }
+/// assert_eq!(table.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [2, 5, 7]);
 /// ```
 #[derive(Clone)]
-pub struct InlineVec<T: Copy + Default, const N: usize> {
+pub struct InlineVec<T: Default, const N: usize> {
     /// Number of live elements. When `heap` is empty they live in
     /// `inline[..len]`; once spilled, `heap.len() == len` and `inline` is
-    /// dead storage.
+    /// dead storage. Slots of `inline` that are not live hold
+    /// `T::default()`.
     len: usize,
     inline: [T; N],
     heap: Vec<T>,
 }
 
-impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+impl<T: Default, const N: usize> InlineVec<T, N> {
     /// An empty vector (no heap allocation).
     #[must_use]
     pub fn new() -> Self {
         InlineVec {
             len: 0,
-            inline: [T::default(); N],
+            inline: std::array::from_fn(|_| T::default()),
             heap: Vec::new(),
         }
     }
 
-    /// Copies `slice` into a fresh vector (inline when it fits).
+    /// Clones `slice` into a fresh vector (inline when it fits).
     #[must_use]
-    pub fn from_slice(slice: &[T]) -> Self {
+    pub fn from_slice(slice: &[T]) -> Self
+    where
+        T: Clone,
+    {
         let mut v = InlineVec::new();
         v.extend_from_slice(slice);
         v
@@ -104,7 +126,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// Removes every element (keeps any heap capacity for reuse).
     pub fn clear(&mut self) {
-        self.len = 0;
+        self.truncate_inline(0);
         self.heap.clear();
     }
 
@@ -119,10 +141,25 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
-    /// Appends every element of `slice`.
-    pub fn extend_from_slice(&mut self, slice: &[T]) {
+    /// Inserts `value` at `index`, shifting the elements after it — with a
+    /// binary search for `index`, how a table stays sorted by key.
+    ///
+    /// # Panics
+    ///
+    /// If `index > len`.
+    pub fn insert(&mut self, index: usize, value: T) {
+        assert!(index <= self.len, "insertion index out of bounds");
+        self.push(value);
+        self.as_mut_slice()[index..].rotate_right(1);
+    }
+
+    /// Appends a clone of every element of `slice`.
+    pub fn extend_from_slice(&mut self, slice: &[T])
+    where
+        T: Clone,
+    {
         if self.heap.is_empty() && self.len + slice.len() <= N {
-            self.inline[self.len..self.len + slice.len()].copy_from_slice(slice);
+            self.inline[self.len..self.len + slice.len()].clone_from_slice(slice);
         } else {
             self.spill();
             self.heap.extend_from_slice(slice);
@@ -130,18 +167,17 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len += slice.len();
     }
 
-    /// Keeps only the elements for which `keep` returns true.
+    /// Keeps only the elements for which `keep` returns true, in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         if self.heap.is_empty() {
             let mut write = 0;
             for read in 0..self.len {
-                let v = self.inline[read];
-                if keep(&v) {
-                    self.inline[write] = v;
+                if keep(&self.inline[read]) {
+                    self.inline.swap(write, read);
                     write += 1;
                 }
             }
-            self.len = write;
+            self.truncate_inline(write);
         } else {
             self.heap.retain(|v| keep(v));
             self.len = self.heap.len();
@@ -158,33 +194,45 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             let mut write = 0;
             for read in 0..self.len {
                 if write == 0 || self.inline[write - 1] != self.inline[read] {
-                    self.inline[write] = self.inline[read];
+                    self.inline.swap(write, read);
                     write += 1;
                 }
             }
-            self.len = write;
+            self.truncate_inline(write);
         } else {
             self.heap.dedup();
             self.len = self.heap.len();
         }
     }
 
+    /// Shortens the inline part to `len` elements, resetting the slots
+    /// that stop being live so that nothing they own lingers.
+    fn truncate_inline(&mut self, len: usize) {
+        if self.heap.is_empty() {
+            for slot in &mut self.inline[len..self.len] {
+                *slot = T::default();
+            }
+        }
+        self.len = len;
+    }
+
     /// Moves the inline elements into the heap `Vec` (no-op once spilled).
     fn spill(&mut self) {
         if self.heap.is_empty() && self.len > 0 {
             self.heap.reserve(self.len + 1);
-            self.heap.extend_from_slice(&self.inline[..self.len]);
+            self.heap
+                .extend(self.inline[..self.len].iter_mut().map(std::mem::take));
         }
     }
 }
 
-impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
+impl<T: Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         InlineVec::new()
     }
 }
 
-impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
+impl<T: Default, const N: usize> Deref for InlineVec<T, N> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
@@ -192,37 +240,43 @@ impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> DerefMut for InlineVec<T, N> {
+impl<T: Default, const N: usize> DerefMut for InlineVec<T, N> {
     fn deref_mut(&mut self) -> &mut [T] {
         self.as_mut_slice()
     }
 }
 
-impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+impl<T: Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
-impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+impl<T: Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl<T: Copy + Default + Eq, const N: usize> Eq for InlineVec<T, N> {}
+impl<T: Default + Eq, const N: usize> Eq for InlineVec<T, N> {}
 
-impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for item in iter {
+            self.push(item);
+        }
+    }
+}
+
+impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = InlineVec::new();
-        for item in iter {
-            v.push(item);
-        }
+        v.extend(iter);
         v
     }
 }
 
-impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+impl<'a, T: Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;
 
@@ -290,6 +344,63 @@ mod tests {
         assert!(v.is_empty());
         v.push(9);
         assert_eq!(&v[..], &[9]);
+    }
+
+    #[test]
+    fn insert_keeps_a_table_sorted_inline_and_spilled() {
+        let mut table: InlineVec<(u32, &str), 3> = InlineVec::new();
+        for (key, value) in [(5, "e"), (1, "a"), (9, "i"), (3, "c"), (7, "g")] {
+            let at = table
+                .binary_search_by_key(&key, |(k, _)| *k)
+                .expect_err("distinct keys");
+            table.insert(at, (key, value));
+        }
+        assert!(table.spilled());
+        assert_eq!(
+            &table[..],
+            &[(1, "a"), (3, "c"), (5, "e"), (7, "g"), (9, "i")]
+        );
+        let mut ends: InlineVec<u32, 4> = InlineVec::from_slice(&[2]);
+        ends.insert(0, 1);
+        ends.insert(2, 3);
+        assert_eq!(&ends[..], &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "insertion index out of bounds")]
+    fn insert_past_the_end_panics() {
+        let mut v: InlineVec<u32, 4> = InlineVec::from_slice(&[1]);
+        v.insert(2, 9);
+    }
+
+    #[test]
+    fn elements_that_own_heap_data_are_released_when_removed() {
+        use std::rc::Rc;
+        // `Option<Rc<_>>` is `Default` but not `Copy`: the strong count
+        // shows whether a removed element still sits in a dead slot.
+        let token = Rc::new(());
+        let held =
+            |n: usize| -> Vec<Option<Rc<()>>> { (0..n).map(|_| Some(Rc::clone(&token))).collect() };
+        let mut v: InlineVec<Option<Rc<()>>, 4> = InlineVec::from_slice(&held(4));
+        assert!(!v.spilled());
+        assert_eq!(Rc::strong_count(&token), 5);
+        let mut keep = [true, false, true, false].into_iter();
+        v.retain(|_| keep.next().expect("four elements"));
+        assert_eq!((v.len(), Rc::strong_count(&token)), (2, 3));
+        v.dedup();
+        assert_eq!((v.len(), Rc::strong_count(&token)), (1, 2));
+        v.clear();
+        assert_eq!(Rc::strong_count(&token), 1);
+        // Spilling moves the elements out of the inline slots, and a
+        // clone owns its own references.
+        v.extend_from_slice(&held(5));
+        assert!(v.spilled());
+        assert_eq!(Rc::strong_count(&token), 6);
+        let copy = v.clone();
+        assert_eq!(Rc::strong_count(&token), 11);
+        drop(copy);
+        v.clear();
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]

@@ -158,9 +158,17 @@ impl<T> Fiber<T> {
     /// a fiber never leaves its thread.
     #[must_use]
     pub fn new(stack: Stack, body: impl FnOnce() -> T + 'static) -> Fiber<T> {
+        Fiber::from_boxed(stack, Box::new(body))
+    }
+
+    /// [`Fiber::new`] for a body that is already boxed — a host that keeps
+    /// its participants' bodies as trait objects hands them over as they
+    /// are, where `new` would box the box.
+    #[must_use]
+    pub fn from_boxed(stack: Stack, body: Box<dyn FnOnce() -> T>) -> Fiber<T> {
         let inner = Box::into_raw(Box::new(Inner {
             sp: ptr::null_mut(),
-            body: Some(Box::new(body)),
+            body: Some(body),
             result: None,
         }));
         // SAFETY: `stack.top()` is the 16-byte aligned end of a mapping

@@ -23,10 +23,11 @@
 //!   and instance table's lengths;
 //! * **interned names**: role and thread names as `Arc<str>`, which
 //!   definitions, endpoints and events clone by reference;
-//! * the **graph cache**: conjunction lattices are pure functions of an
-//!   action's declared exceptions, and scenario generation draws those
-//!   from a small space — the cache turns per-seed lattice construction
-//!   into a lookup.
+//! * the **shape cache**: an action's conjunction lattice and the
+//!   exception ids its members raise and signal are pure functions of its
+//!   name and group, and scenario generation draws those from a small
+//!   space — the cache turns per-seed lattice construction and per-use
+//!   name formatting into a lookup.
 //!
 //! Arenas are a pure allocation cache: executing a plan through an arena
 //! renders the byte-identical trace a fresh execution renders (the
@@ -44,12 +45,32 @@ use caa_exgraph::ExceptionGraph;
 use caa_simnet::NetArena;
 
 use crate::metrics::{MetricsRecorder, SweepMetrics};
+use crate::plan::ActionPlan;
 use crate::trace::{Trace, TraceRecorder};
 
 /// How many recycled traces an arena keeps. An execution uses one; a
 /// replay-checked seed uses two in flight. Anything beyond that is dead
 /// weight.
 const MAX_TRACE_BUFS: usize = 2;
+
+/// What compiling and running an action takes from its name and group
+/// alone: the resolution lattice and the interned ids of every exception
+/// its members can raise or signal. Cloning shares all of it.
+#[derive(Clone)]
+pub(crate) struct ActionShape {
+    /// The action's name, interned for its definition and `Enter` events.
+    pub(crate) name: Arc<str>,
+    /// The conjunction lattice over `raises`.
+    pub(crate) graph: Arc<ExceptionGraph>,
+    /// Parallel to the group: what each member raises
+    /// ([`ActionPlan::raise_exception`]).
+    pub(crate) raises: Arc<[ExceptionId]>,
+    /// Parallel to the group: each member's abortion-handler exception
+    /// ([`ActionPlan::eab_exception`]).
+    pub(crate) eabs: Arc<[ExceptionId]>,
+    /// What a `Signal` verdict reports ([`ActionPlan::signal_exception`]).
+    pub(crate) signal: ExceptionId,
+}
 
 /// Reusable execution state for one sweep worker (see the module docs).
 ///
@@ -77,11 +98,11 @@ pub struct ExecutionArena {
     /// empty between executions.
     recorder: Arc<TraceRecorder>,
     trace_bufs: Vec<Trace>,
-    /// Resolution lattices keyed by `(action name, group)` — the inputs
-    /// that determine an action's declared exceptions.
-    graphs: HashMap<String, Arc<ExceptionGraph>>,
-    /// Reusable key buffer for graph lookups.
-    graph_key: String,
+    /// Action shapes keyed by `(action name, group)` — the inputs that
+    /// determine an action's declared exceptions.
+    shapes: HashMap<String, ActionShape>,
+    /// Reusable key buffer for shape lookups.
+    shape_key: String,
     /// Interned role (`r<t>`) and thread (`T<t>`) names by thread id. Per
     /// worker on purpose: definitions, endpoints and every `Enter` event
     /// clone these, and names shared between workers would have them all
@@ -99,7 +120,7 @@ impl std::fmt::Debug for ExecutionArena {
         f.debug_struct("ExecutionArena")
             .field("net", &self.net.is_some())
             .field("trace_bufs", &self.trace_bufs.len())
-            .field("graphs", &self.graphs.len())
+            .field("shapes", &self.shapes.len())
             .finish()
     }
 }
@@ -145,31 +166,34 @@ impl ExecutionArena {
         self.net = Some(net);
     }
 
-    /// The conjunction lattice over `group`'s raise exceptions in action
-    /// `name` — cached across seeds (the lattice is a pure function of
-    /// the key). `prims` builds the exception list on a cache miss.
-    pub(crate) fn graph_for(
-        &mut self,
-        name: &str,
-        group: &[u32],
-        prims: impl FnOnce() -> Vec<ExceptionId>,
-    ) -> Arc<ExceptionGraph> {
-        self.graph_key.clear();
-        self.graph_key.push_str(name);
-        for &t in group {
-            let _ = write!(self.graph_key, ",{t}");
+    /// The shape of `plan` — its lattice and exception ids — cached across
+    /// seeds (a pure function of the action's name and group; everything
+    /// else about the plan is ignored).
+    pub(crate) fn shape_for(&mut self, plan: &ActionPlan) -> ActionShape {
+        self.shape_key.clear();
+        self.shape_key.push_str(&plan.name);
+        for &t in &plan.group {
+            let _ = write!(self.shape_key, ",{t}");
         }
-        if let Some(graph) = self.graphs.get(&self.graph_key) {
-            return Arc::clone(graph);
+        if let Some(shape) = self.shapes.get(&self.shape_key) {
+            return shape.clone();
         }
-        let prims = prims();
-        let graph = Arc::new(
-            conjunction_lattice(&prims, 2.min(prims.len()))
-                .expect("per-action raise exceptions are nonempty and distinct"),
-        );
-        self.graphs
-            .insert(self.graph_key.clone(), Arc::clone(&graph));
-        graph
+        let ids = |name: &dyn Fn(u32) -> String| -> Arc<[ExceptionId]> {
+            plan.group.iter().map(|&t| name(t).into()).collect()
+        };
+        let raises = ids(&|t| plan.raise_exception(t));
+        let shape = ActionShape {
+            name: plan.name.as_str().into(),
+            graph: Arc::new(
+                conjunction_lattice(&raises, 2.min(raises.len()))
+                    .expect("per-action raise exceptions are nonempty and distinct"),
+            ),
+            raises,
+            eabs: ids(&|t| plan.eab_exception(t)),
+            signal: plan.signal_exception().into(),
+        };
+        self.shapes.insert(self.shape_key.clone(), shape.clone());
+        shape
     }
 
     /// The interned name of the role thread `thread` plays (`r<thread>`).
@@ -214,17 +238,44 @@ fn interned(names: &mut Vec<Arc<str>>, prefix: char, thread: u32) -> Arc<str> {
 mod tests {
     use super::*;
 
+    fn action(name: &str, group: &[u32]) -> ActionPlan {
+        ActionPlan {
+            name: name.to_owned(),
+            group: group.to_vec(),
+            depth: 0,
+            phases: Vec::new(),
+            raise: None,
+            verdicts: Vec::new(),
+            abort_raises_eab: Vec::new(),
+        }
+    }
+
     #[test]
     fn graph_cache_hits_on_same_key() {
         let mut arena = ExecutionArena::new();
-        let prims = || vec![ExceptionId::new("a0_e0"), ExceptionId::new("a0_e1")];
-        let g1 = arena.graph_for("a0", &[0, 1], prims);
-        let g2 = arena.graph_for("a0", &[0, 1], prims);
-        assert!(Arc::ptr_eq(&g1, &g2), "same key must share one lattice");
-        let g3 = arena.graph_for("a0", &[0, 2], || {
-            vec![ExceptionId::new("a0_e0"), ExceptionId::new("a0_e2")]
-        });
-        assert!(!Arc::ptr_eq(&g1, &g3), "different groups, different graphs");
+        let s1 = arena.shape_for(&action("a0", &[0, 1]));
+        let s2 = arena.shape_for(&action("a0", &[0, 1]));
+        assert!(
+            Arc::ptr_eq(&s1.graph, &s2.graph) && Arc::ptr_eq(&s1.raises, &s2.raises),
+            "same key must share one lattice and one set of ids"
+        );
+        let s3 = arena.shape_for(&action("a0", &[0, 2]));
+        assert!(
+            !Arc::ptr_eq(&s1.graph, &s3.graph),
+            "different groups, different graphs"
+        );
+    }
+
+    #[test]
+    fn a_shape_names_its_exceptions_as_the_plan_does() {
+        let plan = action("a1.0", &[2, 5]);
+        let shape = ExecutionArena::new().shape_for(&plan);
+        for (at, &t) in plan.group.iter().enumerate() {
+            assert_eq!(shape.raises[at].name(), plan.raise_exception(t));
+            assert_eq!(shape.eabs[at].name(), plan.eab_exception(t));
+            assert!(shape.graph.contains(&shape.raises[at]));
+        }
+        assert_eq!(shape.signal.name(), plan.signal_exception());
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! the same plan renders a byte-identical [`Trace`] on every run.
 
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use caa_core::exception::{Exception, ExceptionId};
+use caa_core::inline::InlineVec;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
+use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::{ActionDef, Ctx, SharedObject, Step, System, SystemReport};
 use caa_simnet::LatencyModel;
 
@@ -39,9 +42,22 @@ pub struct RunArtifacts {
 /// the bodies walk side by side with this tree.
 struct ExecNode {
     def: ActionDef,
+    /// Parallel to [`ActionPlan::group`]: the exception each member raises
+    /// (shared with the arena's cached shape of the action).
+    raises: Arc<[ExceptionId]>,
     /// Parallel to [`ActionPlan::phases`]: a nested phase's children in
     /// plan order, nothing for a compute phase.
     children: Vec<Vec<ExecNode>>,
+}
+
+/// A per-member table a handler closure carries: `(thread, value)` rows,
+/// inline for the group sizes the generator emits.
+type PerMember<T> = InlineVec<(u32, T), 8>;
+
+fn of_member<T: Copy + Default>(table: &PerMember<T>, thread: u32) -> Option<T> {
+    table
+        .iter()
+        .find_map(|&(t, value)| (t == thread).then_some(value))
 }
 
 /// What every participant body of one run shares: the plan, owned for the
@@ -109,52 +125,65 @@ fn build_node(
     max_depth: usize,
     arena: &mut ExecutionArena,
 ) -> ExecNode {
-    // The lattice is a pure function of (action name, group); the arena
-    // caches it across seeds, turning per-seed graph construction into a
-    // lookup for the recurring shapes the generator emits.
-    let graph = arena.graph_for(&plan.name, &plan.group, || {
-        plan.group
-            .iter()
-            .map(|&t| ExceptionId::new(plan.raise_exception(t)))
-            .collect()
-    });
+    // The lattice and the exception ids are pure functions of (action
+    // name, group); the arena caches them across seeds, turning per-seed
+    // graph construction and per-use name formatting into a lookup for the
+    // recurring shapes the generator emits.
+    let shape = arena.shape_for(plan);
 
     let levels_below = max_depth.saturating_sub(plan.depth) as i32;
     let scale = TIMEOUT_SEPARATION.powi(levels_below);
-    let mut builder = ActionDef::builder(plan.name.as_str())
-        .graph_shared(graph)
+    let mut builder = ActionDef::builder(shape.name)
+        .graph_shared(shape.graph)
         .signal_timeout(secs(scenario.signal_timeout))
         .exit_timeout(secs(scenario.exit_timeout * scale))
         .resolution_timeout(secs(scenario.resolution_timeout * scale));
     for &t in &plan.group {
         builder = builder.role(arena.role_name(t), t);
     }
-    let delta = secs(scenario.delta);
-    for &(t, verdict) in &plan.verdicts {
-        let verdict = match verdict {
-            VerdictChoice::Recovered => HandlerVerdict::Recovered,
-            VerdictChoice::Undo => HandlerVerdict::Undo,
-            VerdictChoice::Fail => HandlerVerdict::Fail,
-            VerdictChoice::Signal => {
-                HandlerVerdict::Signal(ExceptionId::new(plan.signal_exception()))
-            }
-        };
-        builder = builder.fallback_handler(arena.role_name(t), move |hc| {
+    // One handler closure of each kind per action, shared by its roles:
+    // what differs between members is a table row looked up by the thread
+    // the handler finds itself running on.
+    if !plan.verdicts.is_empty() {
+        let delta = secs(scenario.delta);
+        let verdicts: PerMember<Option<VerdictChoice>> =
+            plan.verdicts.iter().map(|&(t, v)| (t, Some(v))).collect();
+        let signal = shape.signal;
+        let fallback: Handler = Arc::new(move |hc| {
             hc.work(delta)?;
-            Ok(verdict.clone())
+            let choice = of_member(&verdicts, hc.thread_id().as_u32())
+                .flatten()
+                .expect("registered for the roles the plan gives a verdict");
+            Ok(match choice {
+                VerdictChoice::Recovered => HandlerVerdict::Recovered,
+                VerdictChoice::Undo => HandlerVerdict::Undo,
+                VerdictChoice::Fail => HandlerVerdict::Fail,
+                VerdictChoice::Signal => HandlerVerdict::Signal(signal.clone()),
+            })
         });
+        for &(t, _) in &plan.verdicts {
+            builder = builder.fallback_handler_shared(arena.role_name(t), Arc::clone(&fallback));
+        }
     }
     if plan.depth > 0 {
         let t_abort = secs(scenario.t_abort);
+        // The members whose abortion handler raises, with their row of
+        // the shape's `Eab` ids.
+        let raisers: PerMember<usize> = plan
+            .group
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| plan.abort_raises_eab.contains(t))
+            .map(|(row, &t)| (t, row))
+            .collect();
+        let eabs = shape.eabs;
+        let abort: AbortHandler = Arc::new(move |ac| {
+            ac.work(t_abort)?;
+            Ok(of_member(&raisers, ac.thread_id().as_u32())
+                .map(|row| Exception::new(eabs[row].clone())))
+        });
         for &t in &plan.group {
-            let eab = plan
-                .abort_raises_eab
-                .contains(&t)
-                .then(|| ExceptionId::new(plan.eab_exception(t)));
-            builder = builder.abort_handler(arena.role_name(t), move |ac| {
-                ac.work(t_abort)?;
-                Ok(eab.clone().map(Exception::new))
-            });
+            builder = builder.abort_handler_shared(arena.role_name(t), Arc::clone(&abort));
         }
     }
     let def = builder
@@ -173,7 +202,11 @@ fn build_node(
         })
         .collect();
 
-    ExecNode { def, children }
+    ExecNode {
+        def,
+        raises: shape.raises,
+        children,
+    }
 }
 
 /// Drains the role's app inbox for exactly `dur` of virtual time, so the
@@ -269,7 +302,9 @@ fn body_phases(
         match raise_phase.raisers.iter().find(|(t, _)| *t == me) {
             Some(&(_, delay_ns)) => {
                 rc.work(VirtualDuration::from_nanos(delay_ns))?;
-                rc.raise(Exception::new(plan.raise_exception(me)))?;
+                let row = plan.group.iter().position(|&t| t == me);
+                let mine = &node.raises[row.expect("a raiser is a member of its action")];
+                rc.raise(Exception::new(mine.clone()))?;
             }
             None => {
                 // Peers will raise; compute until their recovery interrupts.
@@ -295,14 +330,42 @@ pub fn execute(plan: &ScenarioPlan) -> RunArtifacts {
 /// traces stay byte-identical to a fresh execution's.
 #[must_use]
 pub fn execute_in(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> RunArtifacts {
-    execute_owned(plan.clone(), arena)
+    execute_owned(plan.clone(), arena).0
+}
+
+/// What one execution cost on the wall clock, by stage; the stages add up
+/// to the whole of [`execute_owned`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ExecuteStages {
+    /// Compiling the plan (definitions, shared objects), building the
+    /// system and spawning its participants.
+    pub(crate) build: Duration,
+    /// `System::run`: every participant to completion, and the network
+    /// reclaimed.
+    pub(crate) run: Duration,
+    /// Taking the trace out of the recorder (sort and index) and dropping
+    /// the compiled plan.
+    pub(crate) teardown: Duration,
+}
+
+impl std::ops::AddAssign for ExecuteStages {
+    fn add_assign(&mut self, other: ExecuteStages) {
+        self.build += other.build;
+        self.run += other.run;
+        self.teardown += other.teardown;
+    }
 }
 
 /// [`execute_in`] taking the plan by value (the sweep driver's path): the
 /// run's participant bodies share the plan itself, not copies of its
-/// parts, and the artifacts get it back once they are gone.
+/// parts, and the artifacts get it back once they are gone. Also says
+/// where the wall-clock time went.
 #[must_use]
-pub(crate) fn execute_owned(plan: ScenarioPlan, arena: &mut ExecutionArena) -> RunArtifacts {
+pub(crate) fn execute_owned(
+    plan: ScenarioPlan,
+    arena: &mut ExecutionArena,
+) -> (RunArtifacts, ExecuteStages) {
+    let started = Instant::now();
     let max_depth = plan.max_depth();
     let nodes = plan
         .top
@@ -319,20 +382,34 @@ pub(crate) fn execute_owned(plan: ScenarioPlan, arena: &mut ExecutionArena) -> R
         nodes,
         objects,
     });
-    let (trace, report) = run_plan(&compiled, arena);
+    let sys = spawn_plan(&compiled, arena);
+    let built = Instant::now();
+    let (report, net) = sys.run_reclaiming();
+    if let Some(net) = net {
+        arena.put_net(net);
+    }
+    let ran = Instant::now();
+    let trace = arena.take_trace();
     // Every body ran to its end on its fiber and was dropped there, so
     // this handle is the last one.
     let plan = Arc::try_unwrap(compiled).map_or_else(|shared| shared.plan.clone(), |c| c.plan);
-    RunArtifacts {
+    let stages = ExecuteStages {
+        build: built - started,
+        run: ran - built,
+        teardown: ran.elapsed(),
+    };
+    let artifacts = RunArtifacts {
         plan,
         trace,
         report,
-    }
+    };
+    (artifacts, stages)
 }
 
-/// Runs the compiled plan on a system recording into the arena's
-/// recorder, and takes the trace out of it.
-fn run_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> (Trace, SystemReport) {
+/// Builds the system the compiled plan runs on — recording into the
+/// arena's recorder, on the arena's recycled network — and spawns its
+/// participants.
+fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> System {
     let plan = &compiled.plan;
     let recorder = arena.recorder();
     let mut builder = System::builder()
@@ -413,11 +490,7 @@ fn run_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> (Trace,
             Ok(())
         });
     }
-    let (report, net) = sys.run_reclaiming();
-    if let Some(net) = net {
-        arena.put_net(net);
-    }
-    (arena.take_trace(), report)
+    sys
 }
 
 #[cfg(test)]

@@ -161,7 +161,9 @@ impl SweepMetrics {
             shares.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
             let parts: Vec<String> = shares
                 .iter()
-                .map(|&(ns, label)| format!("{label} {}% ({})", ns * 100 / cp_total, fmt_ns(ns)))
+                .map(|&(ns, label)| {
+                    format!("{label} {}% ({})", share_pct(ns, cp_total), fmt_ns(ns))
+                })
                 .collect();
             let _ = writeln!(
                 out,
@@ -184,6 +186,19 @@ impl SweepMetrics {
                 "sched handoffs (wall-clock): {parks} parks, {wakes} wakes (~{per_seed} parks/seed)"
             );
         }
+        let stage = |label: &str, name: &str| {
+            let ns = self.wall_clock.counter_value(name);
+            (ns > 0).then(|| format!("{label} {}", fmt_ns(ns)))
+        };
+        // What `execute` is made of, in the order it happens.
+        let execute_parts: Vec<String> = [
+            ("build", "stage_execute_build_ns"),
+            ("run", "stage_execute_run_ns"),
+            ("teardown", "stage_execute_teardown_ns"),
+        ]
+        .iter()
+        .filter_map(|&(label, name)| stage(label, name))
+        .collect();
         let stages: Vec<String> = [
             ("generate", "stage_generate_ns"),
             ("execute", "stage_execute_ns"),
@@ -193,8 +208,12 @@ impl SweepMetrics {
         ]
         .iter()
         .filter_map(|&(label, name)| {
-            let ns = self.wall_clock.counter_value(name);
-            (ns > 0).then(|| format!("{label} {}", fmt_ns(ns)))
+            let line = stage(label, name)?;
+            Some(if label == "execute" && !execute_parts.is_empty() {
+                format!("{line} ({})", execute_parts.join(", "))
+            } else {
+                line
+            })
         })
         .collect();
         if !stages.is_empty() {
@@ -290,6 +309,14 @@ pub fn parse_metrics_json(text: &str) -> Result<(u64, SweepMetrics), String> {
             wall_clock,
         },
     ))
+}
+
+/// `part` as a whole percentage of `total` (which is not 0), rounded down.
+/// The product is taken in `u128`: presume-ƒ timeout slack puts ~2.7 × 10¹⁴
+/// virtual ns on the critical path per default seed, so `part * 100`
+/// leaves `u64` a little past 600 seeds.
+fn share_pct(part: u64, total: u64) -> u64 {
+    u64::try_from(u128::from(part) * 100 / u128::from(total)).unwrap_or(u64::MAX)
 }
 
 /// Virtual-time pretty printer for human summaries (never used in
@@ -418,11 +445,13 @@ impl MetricsRecorder {
         &self.metrics
     }
 
-    /// Takes the accumulated metrics, leaving the recorder empty (handles
-    /// and scratch capacity intact) — the end-of-worker merge hook.
+    /// Takes the accumulated metrics, leaving the recorder as a new one
+    /// starts — every histogram registered again under the handle it had,
+    /// scratch capacity intact — so recording goes on afterwards. The
+    /// end-of-worker merge hook.
     #[must_use]
     pub fn take_metrics(&mut self) -> SweepMetrics {
-        std::mem::take(&mut self.metrics)
+        std::mem::replace(&mut self.metrics, MetricsRecorder::new().metrics)
     }
 
     /// Extracts one run's metrics from its artifacts: a single pass over
@@ -706,6 +735,65 @@ mod tests {
         let (seeds, parsed) = parse_metrics_json(&doc).expect("parse own doc");
         assert_eq!(seeds, 12);
         assert_eq!(metrics_json(&parsed, seeds, true), doc);
+    }
+
+    #[test]
+    fn recording_after_a_take_reads_like_a_fresh_recorder() {
+        let scenario = ScenarioConfig::default();
+        let mut reused = MetricsRecorder::new();
+        for seed in 0..6 {
+            record_seed(&mut reused, seed, &scenario);
+        }
+        let first = reused.take_metrics();
+        assert_eq!(
+            first
+                .deterministic
+                .histogram_named("run_virtual_ns")
+                .map(|h| h.count()),
+            Some(6)
+        );
+        // The ten handles must still name their histograms: a crash plan
+        // and crash-free ones, so every one of them is recorded through.
+        let mut fresh = MetricsRecorder::new();
+        for seed in [1, 3, 7, 9, 56] {
+            record_seed(&mut reused, seed, &scenario);
+            record_seed(&mut fresh, seed, &scenario);
+        }
+        assert_eq!(
+            metrics_json(reused.metrics(), 5, true),
+            metrics_json(fresh.metrics(), 5, true)
+        );
+        assert_eq!(
+            metrics_json(&reused.take_metrics(), 5, false),
+            metrics_json(&fresh.take_metrics(), 5, false)
+        );
+    }
+
+    #[test]
+    fn critical_path_shares_survive_ten_thousand_seeds_of_timeout_slack() {
+        // 10⁴ default seeds' worth: ~2.7 × 10¹⁴ ns of presume-ƒ slack per
+        // seed. `ns * 100` in u64 wrapped from ~665 seeds on ("timeout-slack
+        // 0%" in release, a panic in debug).
+        let mut metrics = SweepMetrics::default();
+        let slack = 2_700_000_000_000_000_000_u64;
+        let waits = 200_000_000_000_000_000_u64;
+        assert!(slack.checked_mul(100).is_none() && waits.checked_mul(100).is_none());
+        let cp = &mut metrics.critical_path;
+        cp.add_named(SegmentClass::TimeoutSlack.counter_name(), slack);
+        cp.add_named(SegmentClass::MessageWait.counter_name(), waits);
+        cp.add_named(SegmentClass::Compute.counter_name(), 1_000);
+        cp.add_named("cp_total_ns", slack + waits + 1_000);
+        cp.add_named("cp_instances", 25_000);
+        let summary = metrics.summary();
+        let line = summary
+            .lines()
+            .find(|l| l.starts_with("critical path ("))
+            .expect("a critical-path line");
+        assert!(line.contains("timeout-slack 93% ("), "{line}");
+        assert!(line.contains("message-wait 6% ("), "{line}");
+        assert!(line.contains("compute 0% ("), "{line}");
+        assert_eq!(share_pct(u64::MAX, u64::MAX), 100);
+        assert_eq!(share_pct(u64::MAX - 1, u64::MAX), 99);
     }
 
     #[test]

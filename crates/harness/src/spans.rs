@@ -705,7 +705,7 @@ mod tests {
         let action = ActionId::top_level(7);
         let serial = action.serial();
         let rec = TraceRecorder::new();
-        rec.on_event(&event(
+        rec.on_event(event(
             100,
             0,
             action,
@@ -714,7 +714,7 @@ mod tests {
             },
         ));
         rec.on_sent(&send(100, 150, 0, 1, serial, 0));
-        rec.on_event(&event(
+        rec.on_event(event(
             170,
             1,
             action,
@@ -723,7 +723,7 @@ mod tests {
                 waited_ns: 20,
             },
         ));
-        rec.on_event(&event(
+        rec.on_event(event(
             180,
             1,
             action,

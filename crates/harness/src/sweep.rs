@@ -527,40 +527,43 @@ pub fn run_plan_checked(
     arena: &mut ExecutionArena,
 ) -> SeedResult {
     let seed = plan.seed;
-    let t = Instant::now();
-    let mut artifacts = execute_owned(plan, arena);
-    let execute_ns = wall_ns(t.elapsed());
+    let (mut artifacts, mut execute) = execute_owned(plan, arena);
     let t = Instant::now();
     let mut violations = check_run(&artifacts);
-    let oracle_ns = wall_ns(t.elapsed());
+    let mut oracle_ns = wall_ns(t.elapsed());
     let t = Instant::now();
     arena.metrics_recorder().record_run(&artifacts);
     let metrics_ns = wall_ns(t.elapsed());
     if check_replay_too {
-        // Replay wall time counts as execute; its comparison as oracle —
-        // folded below so the recorder is touched once per stage.
-        let t = Instant::now();
-        // The replay borrows the plan out of the artifacts and hands it
-        // back: no clone, and its trace leaves in a recycled buffer.
-        let replay = execute_owned(artifacts.plan, arena);
+        // Replay wall time counts as execute, its comparison as oracle. The
+        // replay borrows the plan out of the artifacts and hands it back:
+        // no clone, and its trace leaves in a recycled buffer.
+        let (replay, replay_execute) = execute_owned(artifacts.plan, arena);
+        execute += replay_execute;
         artifacts.plan = replay.plan;
         let replayed = replay.trace;
-        let replay_execute_ns = wall_ns(t.elapsed());
         let t = Instant::now();
         if let Some(v) = check_replay(&artifacts.trace, &replayed) {
             violations.push(v);
         }
         arena.recycle_trace(replayed);
-        let recorder = arena.metrics_recorder();
-        recorder.add_wall("stage_execute_ns", execute_ns + replay_execute_ns);
-        recorder.add_wall("stage_oracle_ns", oracle_ns + wall_ns(t.elapsed()));
-        recorder.add_wall("stage_metrics_ns", metrics_ns);
-    } else {
-        let recorder = arena.metrics_recorder();
-        recorder.add_wall("stage_execute_ns", execute_ns);
-        recorder.add_wall("stage_oracle_ns", oracle_ns);
-        recorder.add_wall("stage_metrics_ns", metrics_ns);
+        oracle_ns += wall_ns(t.elapsed());
     }
+    // `stage_execute_ns` is the whole of the executions (`caa-perf` reads
+    // it under that name); the three parts are measured off the same four
+    // instants and sum to it.
+    let (build_ns, run_ns, teardown_ns) = (
+        wall_ns(execute.build),
+        wall_ns(execute.run),
+        wall_ns(execute.teardown),
+    );
+    let recorder = arena.metrics_recorder();
+    recorder.add_wall("stage_execute_ns", build_ns + run_ns + teardown_ns);
+    recorder.add_wall("stage_execute_build_ns", build_ns);
+    recorder.add_wall("stage_execute_run_ns", run_ns);
+    recorder.add_wall("stage_execute_teardown_ns", teardown_ns);
+    recorder.add_wall("stage_oracle_ns", oracle_ns);
+    recorder.add_wall("stage_metrics_ns", metrics_ns);
     SeedResult {
         seed,
         violations,
@@ -815,6 +818,30 @@ mod tests {
         assert_eq!(report.executions_run, 16);
         assert!(report.executions_per_sec() > report.seeds_per_sec());
         assert!(report.summary().contains("over 16 executions"));
+    }
+
+    #[test]
+    fn the_execute_stage_is_the_sum_of_its_three_named_parts() {
+        for check_replay in [false, true] {
+            let report = sweep(&SweepConfig {
+                seeds: 12,
+                workers: 1,
+                check_replay,
+                ..SweepConfig::default()
+            });
+            let wall = |name: &str| report.metrics.wall_clock.counter_value(name);
+            let parts = [
+                wall("stage_execute_build_ns"),
+                wall("stage_execute_run_ns"),
+                wall("stage_execute_teardown_ns"),
+            ];
+            assert!(parts.iter().all(|&ns| ns > 0), "{parts:?}");
+            assert_eq!(wall("stage_execute_ns"), parts.iter().sum::<u64>());
+            let summary = report.metrics.summary();
+            for label in ["execute ", "build ", "run ", "teardown "] {
+                assert!(summary.contains(label), "{label}: {summary}");
+            }
+        }
     }
 
     #[test]

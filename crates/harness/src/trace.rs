@@ -617,11 +617,11 @@ impl TraceRecorder {
 }
 
 impl Observer for TraceRecorder {
-    fn on_event(&self, event: &Event) {
+    fn on_event(&self, event: Event) {
         self.push(
             event.at.as_nanos(),
             event.thread.as_u32(),
-            EntryKind::Runtime(event.clone()),
+            EntryKind::Runtime(event),
         );
     }
 }
@@ -674,9 +674,9 @@ mod tests {
     #[test]
     fn canonical_order_sorts_by_time_thread_seq() {
         let rec = TraceRecorder::new();
-        rec.on_event(&runtime_event(200, 1));
-        rec.on_event(&runtime_event(100, 1));
-        rec.on_event(&runtime_event(100, 0));
+        rec.on_event(runtime_event(200, 1));
+        rec.on_event(runtime_event(100, 1));
+        rec.on_event(runtime_event(100, 0));
         let trace = rec.finish();
         let keys: Vec<(u64, u32)> = trace
             .entries()
@@ -697,7 +697,7 @@ mod tests {
         // trace lives (the post-hoc readers keep thousands).
         let rec = TraceRecorder::new();
         for i in 0..37 {
-            rec.on_event(&runtime_event(1_000 - i, (i % 3) as u32));
+            rec.on_event(runtime_event(1_000 - i, (i % 3) as u32));
         }
         let trace = rec.take_trace();
         assert_eq!(trace.len(), 37);
@@ -713,7 +713,7 @@ mod tests {
         );
 
         // Re-armed: sequence numbers start over, nothing is left behind.
-        rec.on_event(&runtime_event(5, 2));
+        rec.on_event(runtime_event(5, 2));
         let again = rec.take_trace();
         assert_eq!(again.len(), 1);
         assert_eq!((again.entries()[0].thread, again.entries()[0].seq), (2, 0));
@@ -723,10 +723,10 @@ mod tests {
     #[test]
     fn a_large_thread_id_is_an_ordinary_thread() {
         let rec = TraceRecorder::new();
-        rec.on_event(&runtime_event(300, 100));
-        rec.on_event(&runtime_event(100, 100));
-        rec.on_event(&runtime_event(100, 7));
-        rec.on_event(&runtime_event(100, 100));
+        rec.on_event(runtime_event(300, 100));
+        rec.on_event(runtime_event(100, 100));
+        rec.on_event(runtime_event(100, 7));
+        rec.on_event(runtime_event(100, 100));
         let keys: Vec<(u64, u32, u64)> = rec
             .take_trace()
             .entries()
@@ -742,7 +742,7 @@ mod tests {
     #[test]
     fn render_is_stable_and_line_oriented() {
         let rec = TraceRecorder::new();
-        rec.on_event(&runtime_event(1, 0));
+        rec.on_event(runtime_event(1, 0));
         rec.on_sent(&TapEvent {
             src: PartitionId::new(0),
             dst: PartitionId::new(1),
@@ -880,7 +880,7 @@ mod tests {
                         continue;
                     }
                 };
-                rec.on_event(&Event {
+                rec.on_event(Event {
                     at: VirtualInstant::from_nanos(at),
                     thread: ThreadId::new(thread),
                     action,

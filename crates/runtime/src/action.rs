@@ -40,6 +40,14 @@ pub type UndoHook = Arc<dyn Fn(&mut Ctx) -> Step<bool> + Send + Sync>;
 
 static NEXT_DEF_ID: AtomicU32 = AtomicU32::new(1);
 
+thread_local! {
+    /// The default corruption exception, interned per thread: every
+    /// definition a thread builds shares one name instead of allocating
+    /// its own (per thread, so that building definitions on several
+    /// workers does not contend for one reference count).
+    static L_MES: ExceptionId = ExceptionId::new("l_mes");
+}
+
 /// Errors reported while building an [`ActionDef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -77,21 +85,47 @@ pub(crate) struct DefInner {
     pub(crate) def_id: u32,
     /// Interned: shared with every `Enter` event the runtime emits.
     pub(crate) role_names: Vec<Arc<str>>,
-    pub(crate) role_threads: Vec<ThreadId>,
+    /// Parallel to `role_names` (roles are dense [`RoleId`]s): the thread
+    /// bound to the role and what was registered for it regardless of the
+    /// exception.
+    pub(crate) roles: Vec<Role>,
     /// All participating threads, sorted ascending (the ordered group `GA`).
     pub(crate) group: Vec<ThreadId>,
     pub(crate) graph: Arc<ExceptionGraph>,
     pub(crate) interface: Vec<ExceptionId>,
     pub(crate) handlers: HashMap<(RoleId, ExceptionId), Handler>,
-    /// Per role (roles are dense [`RoleId`]s): the catch-all handler, the
-    /// abortion handler and the undo hook, where one was registered.
-    pub(crate) fallback_handlers: Vec<Option<Handler>>,
-    pub(crate) abort_handlers: Vec<Option<AbortHandler>>,
-    pub(crate) undo_hooks: Vec<Option<UndoHook>>,
     pub(crate) signal_timeout: Option<VirtualDuration>,
     pub(crate) exit_timeout: Option<VirtualDuration>,
     pub(crate) resolution_timeout: Option<VirtualDuration>,
     pub(crate) corruption_exception: ExceptionId,
+}
+
+/// One role of a definition: the thread bound to it, and its catch-all
+/// handler, abortion handler and undo hook, where one was registered.
+pub(crate) struct Role {
+    pub(crate) thread: ThreadId,
+    pub(crate) fallback: Option<Handler>,
+    pub(crate) abort: Option<AbortHandler>,
+    pub(crate) undo: Option<UndoHook>,
+}
+
+/// A per-role registration that names no exception.
+enum Registration {
+    Fallback(Handler),
+    Abort(AbortHandler),
+    Undo(UndoHook),
+}
+
+impl Registration {
+    /// Stores the registration in `role`, replacing an earlier one of its
+    /// kind.
+    fn apply(self, role: &mut Role) {
+        match self {
+            Registration::Fallback(f) => role.fallback = Some(f),
+            Registration::Abort(f) => role.abort = Some(f),
+            Registration::Undo(f) => role.undo = Some(f),
+        }
+    }
 }
 
 impl DefInner {
@@ -103,14 +137,14 @@ impl DefInner {
     }
 
     pub(crate) fn thread_of(&self, role: RoleId) -> ThreadId {
-        self.role_threads[role.index()]
+        self.roles[role.index()].thread
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn role_of_thread(&self, thread: ThreadId) -> Option<RoleId> {
-        self.role_threads
+        self.roles
             .iter()
-            .position(|&t| t == thread)
+            .position(|role| role.thread == thread)
             .map(|i| RoleId::new(u32::try_from(i).expect("role count bounded")))
     }
 
@@ -119,7 +153,7 @@ impl DefInner {
     pub(crate) fn handler_for(&self, role: RoleId, exception: &ExceptionId) -> Option<Handler> {
         self.handlers
             .get(&(role, exception.clone()))
-            .or(self.fallback_handlers[role.index()].as_ref())
+            .or(self.roles[role.index()].fallback.as_ref())
             .cloned()
     }
 
@@ -188,17 +222,16 @@ impl ActionDef {
     pub fn builder(name: impl Into<Arc<str>>) -> ActionDefBuilder {
         ActionDefBuilder {
             name: name.into(),
+            role_names: Vec::new(),
             roles: Vec::new(),
+            pending: Vec::new(),
             graph: None,
             interface: Vec::new(),
             handlers: Vec::new(),
-            fallbacks: Vec::new(),
-            aborts: Vec::new(),
-            undos: Vec::new(),
             signal_timeout: None,
             exit_timeout: None,
             resolution_timeout: None,
-            corruption_exception: ExceptionId::new("l_mes"),
+            corruption_exception: L_MES.with(ExceptionId::clone),
         }
     }
 
@@ -244,13 +277,16 @@ impl fmt::Debug for ActionDef {
 #[must_use = "builders do nothing until .build() is called"]
 pub struct ActionDefBuilder {
     name: Arc<str>,
-    roles: Vec<(Arc<str>, ThreadId)>,
+    /// The declared roles, as the definition will hold them: `build` moves
+    /// the two tables in as they are.
+    role_names: Vec<Arc<str>>,
+    roles: Vec<Role>,
+    /// Registrations naming a role that is not declared (yet): they take
+    /// effect when it is, and fail the build if it never is.
+    pending: Vec<(Arc<str>, Registration)>,
     graph: Option<Arc<ExceptionGraph>>,
     interface: Vec<ExceptionId>,
     handlers: Vec<(Arc<str>, ExceptionId, Handler)>,
-    fallbacks: Vec<(Arc<str>, Handler)>,
-    aborts: Vec<(Arc<str>, AbortHandler)>,
-    undos: Vec<(Arc<str>, UndoHook)>,
     signal_timeout: Option<VirtualDuration>,
     exit_timeout: Option<VirtualDuration>,
     resolution_timeout: Option<VirtualDuration>,
@@ -261,7 +297,7 @@ impl fmt::Debug for ActionDefBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ActionDefBuilder")
             .field("name", &self.name)
-            .field("roles", &self.roles)
+            .field("roles", &self.role_names)
             .finish()
     }
 }
@@ -272,7 +308,37 @@ impl ActionDefBuilder {
     /// interned: a caller that already holds an `Arc<str>` (a sweep driver
     /// with cached role names) pays no allocation for them.
     pub fn role(mut self, name: impl Into<Arc<str>>, thread: impl Into<ThreadId>) -> Self {
-        self.roles.push((name.into(), thread.into()));
+        let name = name.into();
+        let mut role = Role {
+            thread: thread.into(),
+            fallback: None,
+            abort: None,
+            undo: None,
+        };
+        // What was registered for the role before it was declared, in
+        // registration order (to a duplicate declaration nothing is owed:
+        // the build fails).
+        if !self.pending.is_empty() && !self.role_names.contains(&name) {
+            let (mine, others): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+                .into_iter()
+                .partition(|(registered_for, _)| *registered_for == name);
+            self.pending = others;
+            for (_, registration) in mine {
+                registration.apply(&mut role);
+            }
+        }
+        self.role_names.push(name);
+        self.roles.push(role);
+        self
+    }
+
+    /// Files a registration under `role`: straight into the role's entry
+    /// when it is declared already (the usual order), held back otherwise.
+    fn register(mut self, role: Arc<str>, registration: Registration) -> Self {
+        match self.role_names.iter().position(|name| *name == role) {
+            Some(declared) => registration.apply(&mut self.roles[declared]),
+            None => self.pending.push((role, registration)),
+        }
         self
     }
 
@@ -327,36 +393,48 @@ impl ActionDefBuilder {
     /// Registers a catch-all handler consulted when `role` has no handler
     /// for the resolving exception.
     pub fn fallback_handler(
-        mut self,
+        self,
         role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
-        self.fallbacks.push((role.into(), Arc::new(f)));
-        self
+        self.fallback_handler_shared(role, Arc::new(f))
+    }
+
+    /// [`ActionDefBuilder::fallback_handler`] with an already-shared
+    /// handler: roles (and definitions) registered with clones of one
+    /// [`Handler`] share one closure. A handler that behaves differently per
+    /// participant reads [`Ctx::thread_id`] — how a scenario executor
+    /// registers one closure per action instead of one per role.
+    pub fn fallback_handler_shared(self, role: impl Into<Arc<str>>, handler: Handler) -> Self {
+        self.register(role.into(), Registration::Fallback(handler))
     }
 
     /// Registers `role`'s abortion handler, run when an enclosing action
     /// aborts this one; it may return an exception `Eab` to be raised in
     /// the enclosing action (§3.3.1).
     pub fn abort_handler(
-        mut self,
+        self,
         role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync + 'static,
     ) -> Self {
-        self.aborts.push((role.into(), Arc::new(f)));
-        self
+        self.abort_handler_shared(role, Arc::new(f))
+    }
+
+    /// [`ActionDefBuilder::abort_handler`] with an already-shared handler
+    /// (see [`ActionDefBuilder::fallback_handler_shared`]).
+    pub fn abort_handler_shared(self, role: impl Into<Arc<str>>, handler: AbortHandler) -> Self {
+        self.register(role.into(), Registration::Abort(handler))
     }
 
     /// Registers `role`'s undo hook, executed during the undo round of the
     /// signalling algorithm; returns whether application-level compensation
     /// succeeded (§3.4).
     pub fn undo_hook(
-        mut self,
+        self,
         role: impl Into<Arc<str>>,
         f: impl Fn(&mut Ctx) -> Step<bool> + Send + Sync + 'static,
     ) -> Self {
-        self.undos.push((role.into(), Arc::new(f)));
-        self
+        self.register(role.into(), Registration::Undo(Arc::new(f)))
     }
 
     /// Bounds how long the signalling algorithm waits for each peer
@@ -414,22 +492,22 @@ impl ActionDefBuilder {
     ///
     /// See [`DefError`].
     pub fn build(self) -> Result<ActionDef, DefError> {
-        if self.roles.is_empty() {
+        let (role_names, roles) = (self.role_names, self.roles);
+        if roles.is_empty() {
             return Err(DefError::NoRoles);
         }
-        let mut role_names: Vec<Arc<str>> = Vec::with_capacity(self.roles.len());
-        let mut role_threads = Vec::with_capacity(self.roles.len());
-        for (name, thread) in &self.roles {
-            if role_names.contains(name) {
+        for (declared, (name, role)) in role_names.iter().zip(&roles).enumerate() {
+            if role_names[..declared].contains(name) {
                 return Err(DefError::DuplicateRole(name.to_string()));
             }
-            if role_threads.contains(thread) {
-                return Err(DefError::DuplicateThread(*thread));
+            if roles[..declared].iter().any(|r| r.thread == role.thread) {
+                return Err(DefError::DuplicateThread(role.thread));
             }
-            role_names.push(Arc::clone(name));
-            role_threads.push(*thread);
         }
-        let mut group = role_threads.clone();
+        if let Some((undeclared, _)) = self.pending.first() {
+            return Err(DefError::UnknownRole(undeclared.to_string()));
+        }
+        let mut group: Vec<ThreadId> = roles.iter().map(|role| role.thread).collect();
         group.sort_unstable();
 
         let graph = match self.graph {
@@ -454,33 +532,17 @@ impl ActionDefBuilder {
         for (role, exc, f) in self.handlers {
             handlers.insert((role_id_of(&role)?, exc), f);
         }
-        // A later registration for the same role replaces an earlier one.
-        let mut fallback_handlers = vec![None; role_names.len()];
-        for (role, f) in self.fallbacks {
-            fallback_handlers[role_id_of(&role)?.index()] = Some(f);
-        }
-        let mut abort_handlers = vec![None; role_names.len()];
-        for (role, f) in self.aborts {
-            abort_handlers[role_id_of(&role)?.index()] = Some(f);
-        }
-        let mut undo_hooks = vec![None; role_names.len()];
-        for (role, f) in self.undos {
-            undo_hooks[role_id_of(&role)?.index()] = Some(f);
-        }
 
         Ok(ActionDef {
             inner: Arc::new(DefInner {
                 name: self.name,
                 def_id: NEXT_DEF_ID.fetch_add(1, Ordering::Relaxed),
                 role_names,
-                role_threads,
+                roles,
                 group,
                 graph,
                 interface: self.interface,
                 handlers,
-                fallback_handlers,
-                abort_handlers,
-                undo_hooks,
                 signal_timeout: self.signal_timeout,
                 exit_timeout: self.exit_timeout,
                 resolution_timeout: self.resolution_timeout,
@@ -592,6 +654,59 @@ mod tests {
             .inner
             .handler_for(role, &ExceptionId::new("other"))
             .is_none());
+    }
+
+    #[test]
+    fn registrations_take_effect_in_order_wherever_the_role_is_declared() {
+        // Handlers are told apart by identity: none runs here.
+        let (first, second): (Handler, Handler) = (
+            Arc::new(|_| Ok(HandlerVerdict::Recovered)),
+            Arc::new(|_| Ok(HandlerVerdict::Fail)),
+        );
+        // Declared first: the later registration replaces the earlier.
+        let def = ActionDef::builder("x")
+            .role("a", ThreadId::new(0))
+            .fallback_handler_shared("a", Arc::clone(&first))
+            .fallback_handler_shared("a", Arc::clone(&second))
+            .build()
+            .unwrap();
+        let registered = def.inner.roles[0].fallback.as_ref().unwrap();
+        assert!(Arc::ptr_eq(registered, &second));
+        // Registered before the role is declared, and once more after.
+        let def = ActionDef::builder("x")
+            .fallback_handler_shared("a", Arc::clone(&second))
+            .abort_handler("a", |_| Ok(None))
+            .role("b", ThreadId::new(1))
+            .role("a", ThreadId::new(0))
+            .fallback_handler_shared("a", Arc::clone(&first))
+            .undo_hook("b", |_| Ok(true))
+            .build()
+            .unwrap();
+        let a = &def.inner.roles[def.inner.role_id("a").unwrap().index()];
+        assert!(Arc::ptr_eq(a.fallback.as_ref().unwrap(), &first));
+        assert!(a.abort.is_some() && a.undo.is_none());
+        let b = &def.inner.roles[def.inner.role_id("b").unwrap().index()];
+        assert!(b.fallback.is_none() && b.abort.is_none() && b.undo.is_some());
+        // One shared handler serves several roles.
+        let def = ActionDef::builder("x")
+            .role("a", ThreadId::new(0))
+            .role("b", ThreadId::new(1))
+            .fallback_handler_shared("a", Arc::clone(&first))
+            .fallback_handler_shared("b", Arc::clone(&first))
+            .build()
+            .unwrap();
+        assert!(def
+            .inner
+            .roles
+            .iter()
+            .all(|role| Arc::ptr_eq(role.fallback.as_ref().unwrap(), &first)));
+        // A role that is never declared fails the build.
+        let err = ActionDef::builder("x")
+            .role("a", ThreadId::new(0))
+            .abort_handler("ghost", |_| Ok(None))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, DefError::UnknownRole("ghost".into()));
     }
 
     #[test]

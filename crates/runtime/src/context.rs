@@ -54,11 +54,11 @@
 //! after announcing with `Ctx::broadcast`. The driver changes only if the
 //! round needs an effect no existing `RoundAction` names.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, PartitionId, RoleId, ThreadId};
+use caa_core::inline::InlineVec;
 use caa_core::message::{AppPayload, Message, SignalRound};
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{VirtualDuration, VirtualInstant};
@@ -70,7 +70,7 @@ use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnaps
 use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake};
 use crate::observe::{Event, EventKind};
 use crate::protocol::{ProtoActions, ProtoEvent};
-use crate::rounds::{corrupted, unframed, Frame, Round, RoundAction, RoundEnd};
+use crate::rounds::{corrupted, unframed, Collected, Frame, Round, RoundAction, RoundEnd};
 use crate::system::SystemShared;
 
 /// An application message delivered to a role.
@@ -114,11 +114,11 @@ pub struct Ctx {
     /// Per `(definition id, parent action serial)`: the next local instance
     /// number this thread will enter. Scoping instance numbers to the
     /// parent instance keeps ids aligned across threads even when recovery
-    /// made some of them skip nested actions.
-    entry_counts: BTreeMap<(u32, u64), u32>,
-    /// Serials of action instances this thread has finished or aborted;
-    /// their late messages are stragglers and are dropped.
-    finished: std::collections::HashSet<u64>,
+    /// made some of them skip nested actions. Sorted by key.
+    entry_counts: InlineVec<((u32, u64), u32), 8>,
+    /// Serials of action instances this thread has finished or aborted,
+    /// sorted; their late messages are stragglers and are dropped.
+    finished: InlineVec<u64, 8>,
     /// The outermost action a crash-stop discarded, recorded when the crash
     /// unwind pops it. [`Ctx::rejoin`] consumes this to know which instance
     /// a restarted participant should ask to re-enter.
@@ -190,8 +190,8 @@ impl Ctx {
             stack: Vec::new(),
             crash_at: None,
             retained: Vec::new(),
-            entry_counts: BTreeMap::new(),
-            finished: std::collections::HashSet::new(),
+            entry_counts: InlineVec::new(),
+            finished: InlineVec::new(),
             last_crash: None,
         }
     }
@@ -209,7 +209,7 @@ impl Ctx {
     /// pay nothing on the protocol's hot paths.
     fn observe(&self, action: ActionId, kind: impl FnOnce() -> EventKind) {
         if let Some(observer) = &self.system.observer {
-            observer.on_event(&Event {
+            observer.on_event(Event {
                 at: self.endpoint.now(),
                 thread: self.me,
                 action,
@@ -300,17 +300,17 @@ impl Ctx {
     /// Returns [`Flow`] when recovery interrupts this thread.
     pub fn work(&mut self, dur: VirtualDuration) -> Step {
         let deadline = self.now().saturating_add(dur);
-        loop {
-            self.poll()?;
-            let remaining = deadline.duration_since(self.now());
-            if remaining.is_zero() {
-                return Ok(());
-            }
+        // A blocking receive hands over what is deliverable now before it
+        // waits for anything later, in delivery order — the messages a
+        // `poll` would drain first — so only the end of the computation
+        // polls: for what arrives at the deadline instant itself.
+        while !deadline.duration_since(self.now()).is_zero() {
             match self.recv_until(Some(deadline))? {
-                None => return self.poll(),
+                None => break,
                 Some(received) => self.absorb_or_unwind(received)?,
             }
         }
+        self.poll()
     }
 
     /// Simulates a **crash-stop** of this participant: every open action
@@ -628,10 +628,15 @@ impl Ctx {
 
         let depth = u32::try_from(self.stack.len()).expect("nesting depth bounded");
         let parent_serial = self.stack.last().map_or(0, |f| f.id.action.serial());
-        let instance = self
-            .entry_counts
-            .entry((inner.def_id, parent_serial))
-            .or_insert(0);
+        let key = (inner.def_id, parent_serial);
+        let at = match self.entry_counts.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.entry_counts.insert(at, (key, 0));
+                at
+            }
+        };
+        let instance = &mut self.entry_counts[at].1;
         let action = make_action_id(inner.def_id, parent_serial, *instance, depth);
         *instance += 1;
         let resolver = self.system.protocol.new_state();
@@ -791,7 +796,7 @@ impl Ctx {
             "rejoin {} ({action}) at v{view_epoch} e{exit_epoch}",
             inner.name
         );
-        self.finished.remove(&action.serial());
+        self.finished.retain(|&serial| serial != action.serial());
         self.system.stats.lock().rejoins += 1;
         let resolver = self.system.protocol.new_state();
         let frame = Frame::new(action, Arc::clone(&inner), role_id, resolver);
@@ -892,7 +897,7 @@ impl Ctx {
         // during the handler extend the cascade.
         let mut deeper: Option<(ActionId, Option<Exception>)> = None;
         let mut eab = None;
-        if let Some(handler) = def.abort_handlers[role.index()].clone() {
+        if let Some(handler) = def.roles[role.index()].abort.clone() {
             match handler(self) {
                 Ok(result) => eab = result,
                 Err(flow) => match flow.unwind {
@@ -978,7 +983,10 @@ impl Ctx {
 
     fn pop_frame(&mut self) {
         if let Some(frame) = self.stack.pop() {
-            self.finished.insert(frame.id.action.serial());
+            let serial = frame.id.action.serial();
+            if let Err(at) = self.finished.binary_search(&serial) {
+                self.finished.insert(at, serial);
+            }
         }
     }
 
@@ -1010,7 +1018,7 @@ impl Ctx {
         };
         let verdict = self.run_handler(&resolved)?;
         let my_signal = self.run_signalling(verdict)?;
-        self.frame_mut().exit.epoch += 1;
+        self.frame_mut().exit.open_next_epoch();
         self.observe_top(|| EventKind::SignalOutcome {
             signal: my_signal.clone(),
         });
@@ -1079,8 +1087,7 @@ impl Ctx {
             raised: matches!(start, RecoveryStart::Raise(_)),
         });
         // Feed the stashed trigger(s) first, then our own transition.
-        let pending: Vec<Message> = self.frame_mut().inbox.control.drain(..).collect();
-        for msg in pending {
+        for msg in std::mem::take(&mut self.frame_mut().inbox.control) {
             self.absorb_active_control(msg)?;
         }
         if self.frame().view.evicted {
@@ -1438,11 +1445,11 @@ impl Ctx {
         }
 
         let collected = self.signal_round(SignalRound::First, my_signal.clone())?;
-        if self.frame().signals.failed(&collected) {
+        if self.frame().signals.failed(collected) {
             // Case 3: ƒ dominates — every thread signals ƒ.
             return Ok(Signal::Failure);
         }
-        if !collected.iter().any(|s| matches!(s, Signal::Undo)) {
+        if !collected.undo {
             // Case 1: everyone signals its own exception (or nothing).
             return Ok(my_signal);
         }
@@ -1450,7 +1457,7 @@ impl Ctx {
         self.system.stats.lock().undo_rounds += 1;
         let after_undo = self.perform_undo();
         let collected = self.signal_round(SignalRound::AfterUndo, after_undo)?;
-        if self.frame().signals.failed(&collected) {
+        if self.frame().signals.failed(collected) {
             Ok(Signal::Failure)
         } else {
             Ok(Signal::Undo)
@@ -1466,7 +1473,7 @@ impl Ctx {
             (Arc::clone(&frame.id.def), frame.id.role)
         };
         let mut ok = true;
-        if let Some(hook) = def.undo_hooks[role.index()].clone() {
+        if let Some(hook) = def.roles[role.index()].undo.clone() {
             match hook(self) {
                 Ok(hook_ok) => ok &= hook_ok,
                 Err(_) => ok = false,
@@ -1483,7 +1490,7 @@ impl Ctx {
     /// One exchange of the signalling algorithm: broadcast my signal for
     /// `round`, collect everyone's. A round that ends any other way than
     /// with the group's signals did not coordinate: ƒ.
-    fn signal_round(&mut self, round: SignalRound, mine: Signal) -> Step<Vec<Signal>> {
+    fn signal_round(&mut self, round: SignalRound, mine: Signal) -> Step<Collected> {
         let me = self.me;
         let frame = self.frame_mut();
         frame.signals.record(round, me, mine.clone());
@@ -1497,7 +1504,7 @@ impl Ctx {
         });
         match self.collect(Round::Signalling(round), timeout)? {
             RoundEnd::Signals(collected) => Ok(collected),
-            _ => Ok(vec![Signal::Failure]),
+            _ => Ok(Collected::FAILED),
         }
     }
 
@@ -1567,7 +1574,7 @@ impl Ctx {
         match self.stack.iter().position(|f| f.id.action == action) {
             Some(i) => (i, self.stack[i].absorb(msg, i + 1 == depth, round)),
             None => {
-                let finished = self.finished.contains(&action.serial());
+                let finished = self.finished.binary_search(&action.serial()).is_ok();
                 let retained = self.retained.len();
                 (depth, unframed(msg, round, self.me, finished, retained))
             }

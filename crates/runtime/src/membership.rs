@@ -71,7 +71,6 @@
 //! totally ordered by epoch — the same seed replays the same crashes, the
 //! same view sequence and the same byte-identical trace.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId};
@@ -80,11 +79,16 @@ use caa_core::inline::InlineVec;
 use caa_core::membership::{MembershipView, ViewChangeOutcome};
 use caa_core::message::no_removals;
 
+/// How many members a frame's per-participant tables (view snapshots,
+/// heard-from set, signalling table, exit votes, the resolver's `LE` list)
+/// hold inline. One constant, so a group that fits one table fits them all;
+/// bigger groups spill to the heap transparently.
+pub(crate) const GROUP_INLINE: usize = 8;
+
 /// A per-round snapshot of an action's live member set, kept on the stack
 /// (see [`caa_core::inline`]): protocol rounds snapshot the view once per
-/// round on the execute hot path, and groups beyond the inline capacity
-/// spill to the heap transparently.
-pub(crate) type ViewSnapshot = InlineVec<ThreadId, 8>;
+/// round on the execute hot path.
+pub(crate) type ViewSnapshot = InlineVec<ThreadId, GROUP_INLINE>;
 
 /// What a suspicion round decided about its silent peers (see
 /// [`FrameMembership::suspect`]).
@@ -115,8 +119,9 @@ pub(crate) struct FrameMembership {
     /// Liveness evidence for the eviction quorum gate: every peer this
     /// thread received a protocol message from within this instance
     /// (application traffic excluded — only recovery, signalling, exit and
-    /// membership messages prove a peer advanced the protocol).
-    pub(crate) heard_from: BTreeSet<ThreadId>,
+    /// membership messages prove a peer advanced the protocol). A set, in
+    /// order of first hearing.
+    heard_from: ViewSnapshot,
     /// A membership view change removed *this* thread (a peer's suspicion
     /// was wrong — we are alive), or the quorum gate refused this thread's
     /// own suspicion. The frame gives up locally and finalizes as
@@ -136,7 +141,7 @@ impl FrameMembership {
     pub(crate) fn new(group: &[ThreadId]) -> Self {
         FrameMembership {
             view: MembershipView::new(group),
-            heard_from: BTreeSet::new(),
+            heard_from: ViewSnapshot::new(),
             evicted: false,
             removed_cache: None,
         }
@@ -150,6 +155,19 @@ impl FrameMembership {
     /// The current membership epoch.
     pub(crate) fn epoch(&self) -> u32 {
         self.view.epoch()
+    }
+
+    /// Notes a protocol message from `peer`: it was alive within this
+    /// instance (see [`FrameMembership::suspect`]).
+    pub(crate) fn hear(&mut self, peer: ThreadId) {
+        if !self.heard(peer) {
+            self.heard_from.push(peer);
+        }
+    }
+
+    /// Whether a protocol message from `peer` was noted.
+    pub(crate) fn heard(&self, peer: ThreadId) -> bool {
+        self.heard_from.contains(&peer)
     }
 
     /// Every thread removed so far, ascending.
@@ -200,7 +218,7 @@ impl FrameMembership {
         let survivors = members.iter().filter(|t| !suspects.contains(t)).count();
         let recently_alive = suspects
             .iter()
-            .filter(|t| members.contains(t) && self.heard_from.contains(t))
+            .filter(|&&t| members.contains(&t) && self.heard(t))
             .count();
         if survivors < recently_alive {
             self.evicted = true;
@@ -229,7 +247,7 @@ impl FrameMembership {
     /// Returns the `(new_epoch, actually_removed)` pair when the view
     /// shrank, or `None` when the announcement carried nothing new.
     pub(crate) fn adopt_removals(&mut self, removed: &[ThreadId]) -> Option<(u32, Vec<ThreadId>)> {
-        let fresh: Vec<ThreadId> = removed
+        let fresh: ViewSnapshot = removed
             .iter()
             .copied()
             .filter(|t| self.view.contains(*t))
@@ -336,7 +354,8 @@ mod tests {
         // T0 heard from T1 and T2, then finds both silent: one survivor
         // against two recently-alive suspects indicts T0 itself.
         let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
-        m.heard_from.extend([t(1), t(2)]);
+        m.hear(t(1));
+        m.hear(t(2));
         assert_eq!(
             m.suspect(&[t(1), t(2)]),
             Ok(Eviction::Refused {
@@ -352,7 +371,7 @@ mod tests {
     fn quorum_gate_lets_a_tie_evict() {
         // Two-party recovery: one survivor, one recently-alive suspect.
         let mut m = FrameMembership::new(&[t(0), t(1)]);
-        m.heard_from.insert(t(1));
+        m.hear(t(1));
         assert!(matches!(
             m.suspect(&[t(1)]),
             Ok(Eviction::Evict { epoch: 1, .. })
@@ -366,7 +385,7 @@ mod tests {
         // A sole survivor still evicts a cohort that died before the
         // protocol ever reached it.
         let mut m = FrameMembership::new(&[t(0), t(1), t(2), t(3)]);
-        m.heard_from.insert(t(1));
+        m.hear(t(1));
         let recipients = ViewSnapshot::from_slice(m.members());
         assert_eq!(
             m.suspect(&[t(1), t(2), t(3)]),
@@ -376,6 +395,71 @@ mod tests {
             })
         );
         assert_eq!(m.members(), &[t(0)]);
+    }
+
+    #[test]
+    fn the_quorum_gate_counts_the_same_past_the_inline_capacity_and_over_sparse_ids() {
+        // Twelve members, more than a view snapshot or the heard-from set
+        // holds inline: T0 heard from seven of them and finds all eleven
+        // silent — one survivor against seven recently-alive suspects.
+        let group: Vec<ThreadId> = (0..12).map(t).collect();
+        let mut m = FrameMembership::new(&group);
+        for &peer in &group[1..8] {
+            m.hear(peer);
+            m.hear(peer); // a set: hearing twice counts once
+        }
+        assert_eq!(
+            m.suspect(&group[1..]),
+            Ok(Eviction::Refused {
+                survivors: 1,
+                recently_alive: 7
+            })
+        );
+        // Five of them silent, two of those heard from: seven survive.
+        let mut m = FrameMembership::new(&group);
+        m.hear(t(10));
+        m.hear(t(11));
+        let evicted = m.suspect(&group[7..]).expect("valid suspects");
+        assert!(
+            matches!(evicted, Eviction::Evict { epoch: 1, ref recipients } if recipients[..] == group[..])
+        );
+        assert_eq!(m.members(), &group[..7]);
+        // Ids are keys, not indices: {3, 70, 4000}.
+        let mut m = FrameMembership::new(&[t(3), t(70), t(4000)]);
+        m.hear(t(4000));
+        m.hear(t(70));
+        assert!(m.heard(t(70)) && m.heard(t(4000)) && !m.heard(t(3)) && !m.heard(t(0)));
+        assert_eq!(
+            m.suspect(&[t(70), t(4000)]),
+            Ok(Eviction::Refused {
+                survivors: 1,
+                recently_alive: 2
+            })
+        );
+    }
+
+    #[test]
+    fn the_heard_from_set_answers_like_the_tree_set_it_replaces() {
+        use std::collections::BTreeSet;
+        let mut rng = proptest::test_runner::TestRng::new(0x4ea2d);
+        for _ in 0..200 {
+            // Sparse ids, groups up to 14 (past the inline capacity).
+            let ids: Vec<ThreadId> = (0..1 + rng.below(14))
+                .map(|_| t(rng.below(5_000) as u32))
+                .collect();
+            let mut m = FrameMembership::new(&[t(0)]);
+            let mut reference: BTreeSet<ThreadId> = BTreeSet::new();
+            for _ in 0..rng.below(40) {
+                let peer = ids[rng.below(ids.len() as u64) as usize];
+                m.hear(peer);
+                reference.insert(peer);
+                let probe = ids[rng.below(ids.len() as u64) as usize];
+                assert_eq!(m.heard(probe), reference.contains(&probe));
+            }
+            let mut heard: Vec<ThreadId> = m.heard_from.to_vec();
+            heard.sort_unstable();
+            assert_eq!(heard, reference.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

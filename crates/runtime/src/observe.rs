@@ -257,7 +257,16 @@ impl fmt::Display for Event {
 /// at a time, from the thread that called `System::run`.)
 pub trait Observer: Send + Sync {
     /// Called synchronously at each observable step.
-    fn on_event(&self, event: &Event);
+    ///
+    /// The event is handed over **by value**: the runtime builds it for
+    /// this call alone and has no further use for it, and the consumer it
+    /// was built for — a trace recorder — keeps it. Several
+    /// [`EventKind`]s carry reference-counted names (action, role, object
+    /// and exception names) or member lists; behind a `&Event` a recorder
+    /// had to clone each one only for the runtime to drop the original
+    /// right after. An observer that only looks at the event ignores the
+    /// ownership and lets it drop.
+    fn on_event(&self, event: Event);
 }
 
 /// The default observer: ignores everything.
@@ -265,7 +274,7 @@ pub trait Observer: Send + Sync {
 pub struct NoopObserver;
 
 impl Observer for NoopObserver {
-    fn on_event(&self, _event: &Event) {}
+    fn on_event(&self, _event: Event) {}
 }
 
 #[cfg(test)]
@@ -294,6 +303,6 @@ mod tests {
             action: ActionId::top_level(1),
             kind: EventKind::RecoveryStart { raised: true },
         };
-        NoopObserver.on_event(&e);
+        NoopObserver.on_event(e);
     }
 }

@@ -8,14 +8,16 @@
 //! the CR algorithm by updating our algorithm and kept the rest of the CA
 //! action support unchanged" (§5.3).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::{ActionId, ThreadId};
+use caa_core::inline::InlineVec;
 use caa_core::message::{no_removals, Message};
 use caa_core::state::ParticipantState;
 use caa_exgraph::ExceptionGraph;
+
+use crate::membership::GROUP_INLINE;
 
 /// Static context a resolver state receives with every event.
 #[derive(Debug, Clone, Copy)]
@@ -93,9 +95,12 @@ pub trait ResolverState: Send {
     /// nothing, which makes a configured
     /// [`resolution timeout`](crate::ActionDefBuilder::resolution_timeout)
     /// a fatal protocol error on expiry rather than a silent misdiagnosis.
-    fn waiting_on(&self, ctx: &ProtoCtx<'_>) -> Vec<ThreadId> {
+    ///
+    /// The set comes back inline (see [`caa_core::inline`]): suspects are
+    /// members of one action's group.
+    fn waiting_on(&self, ctx: &ProtoCtx<'_>) -> InlineVec<ThreadId, 8> {
         let _ = ctx;
-        Vec::new()
+        InlineVec::new()
     }
 
     /// Applies a membership view change: `ctx.group` is already the
@@ -161,16 +166,44 @@ impl ResolutionProtocol for XrrResolution {
 #[derive(Debug, Default)]
 struct XrrState {
     state: ParticipantState,
-    /// The `LE` list: one entry per participant — either the exception it
-    /// raised or its suspension. `BTreeMap` keeps deterministic order.
-    entries: BTreeMap<ThreadId, Entry>,
+    entries: EntryList,
     resolved: Option<ExceptionId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 enum Entry {
     Exception(ExceptionId),
+    #[default]
     Suspended,
+}
+
+/// The `LE` list: one entry per participant — either the exception it
+/// raised or its suspension — sorted by thread, so the raised set reaches
+/// the resolution procedure in a deterministic order. Inline in the state
+/// up to [`GROUP_INLINE`] participants, like the frame's other tables.
+#[derive(Debug, Default)]
+struct EntryList(InlineVec<(ThreadId, Entry), GROUP_INLINE>);
+
+impl EntryList {
+    fn contains(&self, thread: ThreadId) -> bool {
+        self.0.binary_search_by_key(&thread, |(t, _)| *t).is_ok()
+    }
+
+    /// Records `thread`'s entry. A recorded one is replaced only when
+    /// `overwrite` — a suspension or a synthesized crash never demotes a
+    /// raise that was heard.
+    fn record(&mut self, thread: ThreadId, entry: Entry, overwrite: bool) {
+        match self.0.binary_search_by_key(&thread, |(t, _)| *t) {
+            Ok(at) if overwrite => self.0[at].1 = entry,
+            Ok(_) => {}
+            Err(at) => self.0.insert(at, (thread, entry)),
+        }
+    }
+
+    /// The entries, ascending by thread.
+    fn iter(&self) -> impl Iterator<Item = &(ThreadId, Entry)> {
+        self.0.iter()
+    }
 }
 
 impl XrrState {
@@ -188,7 +221,7 @@ impl XrrState {
             .entries
             .iter()
             .filter(|(t, e)| ctx.group.contains(t) && matches!(e, Entry::Exception(_)))
-            .map(|(&t, _)| t)
+            .map(|&(t, _)| t)
             .max();
         max_exceptional.or_else(|| ctx.group.last().copied())
     }
@@ -206,7 +239,7 @@ impl XrrState {
         if self.resolved.is_some() || actions.resolved.is_some() {
             return;
         }
-        if !ctx.group.iter().all(|t| self.entries.contains_key(t)) {
+        if !ctx.group.iter().all(|&t| self.entries.contains(t)) {
             return;
         }
         if self.elected(ctx) != Some(ctx.me) {
@@ -214,8 +247,8 @@ impl XrrState {
         }
         let raised: Vec<ExceptionId> = self
             .entries
-            .values()
-            .filter_map(|e| match e {
+            .iter()
+            .filter_map(|(_, e)| match e {
                 Entry::Exception(id) => Some(id.clone()),
                 Entry::Suspended => None,
             })
@@ -252,7 +285,7 @@ impl ResolverState for XrrState {
             ProtoEvent::LocalRaise(e) => {
                 self.state = ParticipantState::Exceptional;
                 self.entries
-                    .insert(ctx.me, Entry::Exception(e.id().clone()));
+                    .record(ctx.me, Entry::Exception(e.id().clone()), true);
                 for peer in ctx.peers() {
                     actions.outbound.push((
                         peer,
@@ -267,7 +300,7 @@ impl ResolverState for XrrState {
             ProtoEvent::LocalSuspend => {
                 if self.state == ParticipantState::Normal {
                     self.state = ParticipantState::Suspended;
-                    self.entries.insert(ctx.me, Entry::Suspended);
+                    self.entries.record(ctx.me, Entry::Suspended, true);
                     for peer in ctx.peers() {
                         actions.outbound.push((
                             peer,
@@ -284,11 +317,11 @@ impl ResolverState for XrrState {
                     from, exception, ..
                 } => {
                     self.entries
-                        .insert(*from, Entry::Exception(exception.id().clone()));
+                        .record(*from, Entry::Exception(exception.id().clone()), true);
                 }
                 Message::Suspended { from, .. } => {
                     // Never demote a raised exception to a suspension.
-                    self.entries.entry(*from).or_insert(Entry::Suspended);
+                    self.entries.record(*from, Entry::Suspended, false);
                 }
                 Message::Commit { resolved, .. } => {
                     self.resolved = Some(resolved.clone());
@@ -305,25 +338,23 @@ impl ResolverState for XrrState {
         self.state
     }
 
-    fn waiting_on(&self, ctx: &ProtoCtx<'_>) -> Vec<ThreadId> {
+    fn waiting_on(&self, ctx: &ProtoCtx<'_>) -> InlineVec<ThreadId, 8> {
+        let mut blocked_on = InlineVec::new();
         if self.resolved.is_some() {
-            return Vec::new();
+            return blocked_on;
         }
-        let missing: Vec<ThreadId> = ctx
-            .group
-            .iter()
-            .copied()
-            .filter(|t| !self.entries.contains_key(t))
-            .collect();
-        if !missing.is_empty() {
-            return missing;
+        blocked_on.extend(
+            ctx.group
+                .iter()
+                .copied()
+                .filter(|&t| !self.entries.contains(t)),
+        );
+        if blocked_on.is_empty() {
+            // Full quorum: the stall can only be the elected resolver's
+            // missing Commit.
+            blocked_on.extend(self.elected(ctx).filter(|&t| t != ctx.me));
         }
-        // Full quorum: the stall can only be the elected resolver's
-        // missing Commit.
-        match self.elected(ctx) {
-            Some(t) if t != ctx.me => vec![t],
-            _ => Vec::new(),
-        }
+        blocked_on
     }
 
     fn on_view_change(
@@ -340,8 +371,7 @@ impl ResolverState for XrrState {
             // (never demote a recorded raise).
             let origin = e.origin().expect("synthesized crashes carry their origin");
             self.entries
-                .entry(origin)
-                .or_insert_with(|| Entry::Exception(e.id().clone()));
+                .record(origin, Entry::Exception(e.id().clone()), false);
         }
         self.try_resolve(ctx, &mut actions);
         actions
@@ -380,10 +410,20 @@ mod tests {
         n: u32,
         raises: &[(u32, &str)],
     ) -> (Vec<ExceptionId>, usize, usize, usize, u32) {
-        let g = graph();
         let group: Vec<ThreadId> = (0..n).map(tid).collect();
-        let mut states: Vec<XrrState> = (0..n).map(|_| XrrState::default()).collect();
-        let mut resolved: Vec<Option<ExceptionId>> = vec![None; n as usize];
+        run_group_to_completion(&group, raises)
+    }
+
+    /// [`run_to_completion`] over any ascending `group`; `raises` names
+    /// raisers by thread id.
+    fn run_group_to_completion(
+        group: &[ThreadId],
+        raises: &[(u32, &str)],
+    ) -> (Vec<ExceptionId>, usize, usize, usize, u32) {
+        let g = graph();
+        let index_of = |thread: ThreadId| group.binary_search(&thread).expect("a group member");
+        let mut states: Vec<XrrState> = group.iter().map(|_| XrrState::default()).collect();
+        let mut resolved: Vec<Option<ExceptionId>> = vec![None; group.len()];
         let mut queue: Vec<(ThreadId, Message)> = Vec::new();
         let (mut exc, mut susp, mut commit) = (0usize, 0usize, 0usize);
         let mut invocations = 0u32;
@@ -391,11 +431,11 @@ mod tests {
         // Raisers raise.
         for &(who, name) in raises {
             let e = Exception::new(name).with_origin(tid(who));
-            let c = ctx(who, &group, &g);
-            let a = states[who as usize].on_event(&c, ProtoEvent::LocalRaise(&e));
+            let c = ctx(who, group, &g);
+            let a = states[index_of(tid(who))].on_event(&c, ProtoEvent::LocalRaise(&e));
             invocations += a.resolve_invocations;
             if let Some(r) = a.resolved {
-                resolved[who as usize] = Some(r);
+                resolved[index_of(tid(who))] = Some(r);
             }
             queue.extend(a.outbound);
         }
@@ -407,8 +447,8 @@ mod tests {
                 caa_core::MessageKind::Commit => commit += 1,
                 _ => {}
             }
-            let idx = to.index();
-            let c = ctx(to.as_u32(), &group, &g);
+            let idx = index_of(to);
+            let c = ctx(to.as_u32(), group, &g);
             // First delivery of an exception to a normal thread suspends it
             // (the runtime driver issues LocalSuspend on the trigger).
             let is_trigger = matches!(msg, Message::Exception { .. })
@@ -476,6 +516,96 @@ mod tests {
         assert_eq!(inv, 1);
         // e1 and e2 concurrently resolve to their covering exception.
         assert!(resolved.iter().all(|r| r == &ExceptionId::new("e1∩e2")));
+    }
+
+    #[test]
+    fn message_counts_hold_past_the_inline_capacity_and_over_sparse_ids() {
+        // Twelve participants — more than the `LE` list holds inline — and
+        // a group whose ids are nowhere near its positions: §3.3.3's
+        // (N+1)(N−1) and the single resolution hold for both.
+        let twelve: Vec<ThreadId> = (0..12).map(tid).collect();
+        let sparse = [tid(3), tid(70), tid(4000)];
+        for (group, raises) in [
+            (&twelve[..], &[(4, "e1"), (9, "e2")][..]),
+            (&twelve[..], &[(11, "e1")][..]),
+            (&sparse[..], &[(70, "e1"), (4000, "e2")][..]),
+            (&sparse[..], &[(3, "e2")][..]),
+        ] {
+            let n = group.len();
+            let (resolved, exc, susp, commit, inv) = run_group_to_completion(group, raises);
+            let expected = if raises.len() == 2 {
+                "e1∩e2"
+            } else {
+                raises[0].1
+            };
+            assert!(resolved.iter().all(|r| r == &ExceptionId::new(expected)));
+            assert_eq!(exc, raises.len() * (n - 1));
+            assert_eq!(susp, (n - raises.len()) * (n - 1));
+            assert_eq!(commit, n - 1);
+            assert_eq!(exc + susp + commit, (n + 1) * (n - 1));
+            assert_eq!(inv, 1, "resolution runs exactly once");
+        }
+    }
+
+    #[test]
+    fn waiting_on_names_the_silent_members_then_the_elected_resolver() {
+        let g = graph();
+        let group = [tid(3), tid(70), tid(4000)];
+        let mut t70 = XrrState::default();
+        let c = ctx(70, &group, &g);
+        t70.on_event(&c, ProtoEvent::LocalSuspend);
+        assert_eq!(&t70.waiting_on(&c)[..], [tid(3), tid(4000)]);
+        let raise = |from: u32| Message::Exception {
+            action: c.action,
+            from: tid(from),
+            exception: Exception::new("e1").with_origin(tid(from)),
+        };
+        t70.on_event(&c, ProtoEvent::Control(&raise(3)));
+        assert_eq!(&t70.waiting_on(&c)[..], [tid(4000)]);
+        t70.on_event(
+            &c,
+            ProtoEvent::Control(&Message::Suspended {
+                action: c.action,
+                from: tid(4000),
+            }),
+        );
+        // Full quorum; T3 is the only exceptional thread, so it resolves.
+        assert_eq!(&t70.waiting_on(&c)[..], [tid(3)]);
+    }
+
+    #[test]
+    fn the_entry_list_answers_like_the_tree_map_it_replaces() {
+        use std::collections::BTreeMap;
+        let mut rng = proptest::test_runner::TestRng::new(0x1e);
+        let entries = [
+            Entry::Suspended,
+            Entry::Exception(ExceptionId::new("e1")),
+            Entry::Exception(ExceptionId::new("e2")),
+        ];
+        for _ in 0..300 {
+            // Sparse ids, up to fourteen of them (past the inline capacity).
+            let ids: Vec<ThreadId> = (0..1 + rng.below(14))
+                .map(|_| tid(rng.below(5_000) as u32))
+                .collect();
+            let mut list = EntryList::default();
+            let mut tree: BTreeMap<ThreadId, Entry> = BTreeMap::new();
+            for _ in 0..rng.below(50) {
+                let thread = ids[rng.below(ids.len() as u64) as usize];
+                let entry = entries[rng.below(3) as usize].clone();
+                if rng.below(2) == 0 {
+                    list.record(thread, entry.clone(), true);
+                    tree.insert(thread, entry);
+                } else {
+                    list.record(thread, entry.clone(), false);
+                    tree.entry(thread).or_insert(entry);
+                }
+                let probe = ids[rng.below(ids.len() as u64) as usize];
+                assert_eq!(list.contains(probe), tree.contains_key(&probe));
+            }
+            let listed: Vec<(ThreadId, Entry)> = list.iter().cloned().collect();
+            let expected: Vec<(ThreadId, Entry)> = tree.into_iter().collect();
+            assert_eq!(listed, expected, "same entries, same (ascending) order");
+        }
     }
 
     #[test]

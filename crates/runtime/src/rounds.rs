@@ -13,21 +13,28 @@
 //! (The eviction quorum gate lives with the view it guards:
 //! [`FrameMembership::suspect`].)
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, RoleId, ThreadId};
+use caa_core::inline::InlineVec;
 use caa_core::message::{Message, SignalRound};
 
 use crate::action::DefInner;
 use crate::context::AppMsg;
 use crate::error::Unwind;
-use crate::membership::{FrameMembership, ViewSnapshot};
+use crate::membership::{FrameMembership, ViewSnapshot, GROUP_INLINE};
 use crate::objects::TxControl;
 use crate::protocol::{ProtoActions, ProtoCtx, ResolverState};
 
 /// One entry of the action stack (`SA`), grouped by responsibility.
+///
+/// What a round keeps per participant — announcements, votes, the peers
+/// heard from — lives inline in the frame ([`InlineVec`] tables keyed by
+/// the member, spilling to the heap only past [`GROUP_INLINE`] members), so
+/// entering an action, running its rounds and leaving it allocate nothing
+/// for them.
 pub(crate) struct Frame {
     pub(crate) id: Identity,
     pub(crate) inbox: Inboxes,
@@ -194,7 +201,7 @@ impl Frame {
         if !matches!(msg, Message::App { .. }) {
             // Protocol traffic proves the sender advanced this instance's
             // protocol: liveness evidence for the eviction quorum gate.
-            self.view.heard_from.insert(msg.from());
+            self.view.hear(msg.from());
         }
         let recovery = &self.recovery;
         match msg {
@@ -434,33 +441,79 @@ pub(crate) fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -
     }
 }
 
-/// Signalling announcements seen (§3.4), per exchange and thread.
+/// What a signalling exchange collected, reduced to what the case analysis
+/// of §3.4 reads off it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Collected {
+    /// Some member announced ƒ (or was silent at expiry, which counts as ƒ).
+    pub(crate) failure: bool,
+    /// Some member announced µ.
+    pub(crate) undo: bool,
+}
+
+impl Collected {
+    /// An exchange that did not coordinate: ƒ.
+    pub(crate) const FAILED: Collected = Collected {
+        failure: true,
+        undo: false,
+    };
+}
+
+/// Signalling announcements seen (§3.4): one row per announcing member,
+/// one slot per exchange.
 #[derive(Default)]
 pub(crate) struct SignalTable {
-    announced: BTreeMap<(SignalRound, ThreadId), Signal>,
+    announced: InlineVec<(ThreadId, [Option<Signal>; 2]), GROUP_INLINE>,
     /// A corrupted message arrived during a signalling collection.
     corrupted: bool,
 }
 
 impl SignalTable {
+    fn slot(round: SignalRound) -> usize {
+        match round {
+            SignalRound::First => 0,
+            SignalRound::AfterUndo => 1,
+        }
+    }
+
     /// Records `from`'s announcement for `round` (the latest one wins).
     pub(crate) fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
-        self.announced.insert((round, from), signal);
+        let row = match self.announced.iter().position(|(t, _)| *t == from) {
+            Some(row) => row,
+            None => {
+                self.announced.push((from, [None, None]));
+                self.announced.len() - 1
+            }
+        };
+        self.announced[row].1[Self::slot(round)] = Some(signal);
     }
 
-    /// The signals of `group` for `round`, once every member announced.
-    fn complete(&self, round: SignalRound, group: &[ThreadId]) -> Option<Vec<Signal>> {
-        group
-            .iter()
-            .all(|&t| self.announced.contains_key(&(round, t)))
-            .then(|| self.collected(round, group))
+    /// What `thread` announced for `round`, if anything yet.
+    fn announcement(&self, round: SignalRound, thread: ThreadId) -> Option<&Signal> {
+        let (_, slots) = self.announced.iter().find(|(t, _)| *t == thread)?;
+        slots[Self::slot(round)].as_ref()
     }
 
-    fn collected(&self, round: SignalRound, group: &[ThreadId]) -> Vec<Signal> {
-        group
-            .iter()
-            .map(|&t| self.announced[&(round, t)].clone())
-            .collect()
+    /// `group`'s announcements for `round`, in group order.
+    fn announcements<'a>(
+        &'a self,
+        round: SignalRound,
+        group: &'a [ThreadId],
+    ) -> impl Iterator<Item = Option<&'a Signal>> + 'a {
+        group.iter().map(move |&t| self.announcement(round, t))
+    }
+
+    /// What `group` announced for `round`, once every member has.
+    fn complete(&self, round: SignalRound, group: &[ThreadId]) -> Option<Collected> {
+        let mut collected = Collected::default();
+        for signal in self.announcements(round, group) {
+            match signal? {
+                Signal::Failure => collected.failure = true,
+                Signal::Undo => collected.undo = true,
+                Signal::None | Signal::Exception(_) => {}
+            }
+        }
+        Some(collected)
     }
 
     /// The wait expired: the silent members of `group`, and the conclusion.
@@ -475,30 +528,36 @@ impl SignalTable {
         round: SignalRound,
         group: &[ThreadId],
         me: ThreadId,
-    ) -> (Vec<ThreadId>, Vec<Signal>) {
-        let silent = group
-            .iter()
-            .copied()
-            .filter(|&t| t != me && !self.announced.contains_key(&(round, t)))
-            .collect();
+    ) -> (ViewSnapshot, Collected) {
+        let mut silent = ViewSnapshot::new();
         for &t in group {
-            self.announced.entry((round, t)).or_insert(Signal::Failure);
+            if self.announcement(round, t).is_none() {
+                if t != me {
+                    silent.push(t);
+                }
+                self.record(round, t, Signal::Failure);
+            }
         }
-        (silent, self.collected(round, group))
+        let collected = self
+            .complete(round, group)
+            .expect("every member announced or was filled in");
+        (silent, collected)
     }
 
     /// §3.4 case 3: some thread announced ƒ, or information was lost while
     /// collecting — ƒ dominates.
-    pub(crate) fn failed(&self, collected: &[Signal]) -> bool {
-        self.corrupted || collected.iter().any(|s| matches!(s, Signal::Failure))
+    pub(crate) fn failed(&self, collected: Collected) -> bool {
+        self.corrupted || collected.failure
     }
 }
 
 /// The synchronous exit protocol's vote barrier (§5.1).
 #[derive(Default)]
 pub(crate) struct ExitBarrier {
-    /// Exit votes seen, per epoch.
-    votes: BTreeMap<u32, BTreeSet<ThreadId>>,
+    /// Exit votes seen, as `(epoch, voter)` pairs of the current epoch and
+    /// later ones (a peer that recovered ahead of this thread votes in the
+    /// next epoch before this thread opens it).
+    votes: InlineVec<(u32, ThreadId), GROUP_INLINE>,
     /// The exit epoch this thread votes in next: 0 for normal completion,
     /// bumped by each completed recovery.
     pub(crate) epoch: u32,
@@ -512,9 +571,12 @@ pub(crate) struct ExitBarrier {
 }
 
 impl ExitBarrier {
-    /// Records `from`'s vote for `epoch`.
+    /// Records `from`'s vote for `epoch`. A vote of an epoch this thread
+    /// has left behind is never read again and is not kept.
     pub(crate) fn record(&mut self, epoch: u32, from: ThreadId) {
-        self.votes.entry(epoch).or_default().insert(from);
+        if epoch >= self.epoch && !self.voted(epoch, from) {
+            self.votes.push((epoch, from));
+        }
     }
 
     /// Casts this thread's own vote; returns the epoch it votes in.
@@ -523,8 +585,16 @@ impl ExitBarrier {
         self.epoch
     }
 
+    /// A completed recovery opens the next exit epoch: the votes of the
+    /// one it closes no longer count.
+    pub(crate) fn open_next_epoch(&mut self) {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.votes.retain(|&(e, _)| e >= epoch);
+    }
+
     fn voted(&self, epoch: u32, thread: ThreadId) -> bool {
-        self.votes.get(&epoch).is_some_and(|v| v.contains(&thread))
+        self.votes.contains(&(epoch, thread))
     }
 
     /// The members of `view` whose vote in the current epoch is missing.
@@ -562,7 +632,7 @@ pub(crate) enum RoundAction {
     /// them (if any), then conclude with `then` or — `None` — re-arm the
     /// deadline and keep collecting over the new view.
     Suspect {
-        suspects: Vec<ThreadId>,
+        suspects: ViewSnapshot,
         then: Option<RoundEnd>,
     },
     /// A rejoiner's exit wait expired: it gives up on the missing votes
@@ -592,8 +662,8 @@ pub(crate) enum RoundAction {
 pub(crate) enum RoundEnd {
     /// Resolution reached agreement on this exception.
     Resolved(ExceptionId),
-    /// The signalling exchange concluded with these signals (group order).
-    Signals(Vec<Signal>),
+    /// The signalling exchange concluded with these announcements.
+    Signals(Collected),
     /// Every member of the view voted to exit.
     Exited,
     /// A survivor granted the rejoin: its `JoinGrant`.
@@ -678,7 +748,7 @@ impl Round {
                 // round's suspicion).
                 let armed = frame.view.epoch() > 0 && !frame.view.evicted;
                 RoundAction::Suspect {
-                    suspects: if armed { silent } else { Vec::new() },
+                    suspects: if armed { silent } else { ViewSnapshot::new() },
                     then: Some(RoundEnd::Signals(collected)),
                 }
             }
@@ -744,6 +814,14 @@ mod tests {
 
     const FIRST: Round = Round::Signalling(SignalRound::First);
 
+    /// `group`'s announcements for the first exchange, in group order.
+    fn announced(table: &SignalTable, group: &[ThreadId]) -> Vec<Option<Signal>> {
+        table
+            .announcements(SignalRound::First, group)
+            .map(|s| s.cloned())
+            .collect()
+    }
+
     #[test]
     fn signalling_completes_over_a_shrunk_view() {
         let mut f = frame();
@@ -754,9 +832,61 @@ mod tests {
         // re-derived group is complete.
         f.view.adopt_removals(&[t(2)]).expect("T2 was live");
         match FIRST.status(Some(&f)) {
-            Some(RoundEnd::Signals(s)) => assert_eq!(s, [Signal::None, Signal::Undo]),
+            Some(RoundEnd::Signals(collected)) => assert_eq!(
+                collected,
+                Collected {
+                    failure: false,
+                    undo: true
+                }
+            ),
             other => panic!("expected the two survivors' signals, got {other:?}"),
         }
+        assert_eq!(
+            announced(&f.signals, &f.signalling_group()),
+            [Some(Signal::None), Some(Signal::Undo)]
+        );
+    }
+
+    #[test]
+    fn the_latest_announcement_wins_and_exchanges_do_not_mix() {
+        let mut table = SignalTable::default();
+        let group = [t(0), t(1)];
+        table.record(SignalRound::First, t(1), Signal::Undo);
+        table.record(SignalRound::First, t(0), Signal::None);
+        table.record(SignalRound::First, t(1), Signal::Failure);
+        assert_eq!(
+            announced(&table, &group),
+            [Some(Signal::None), Some(Signal::Failure)]
+        );
+        assert_eq!(
+            table.complete(SignalRound::First, &group),
+            Some(Collected {
+                failure: true,
+                undo: false
+            })
+        );
+        // The exchange after the undo starts from nothing.
+        assert!(table.complete(SignalRound::AfterUndo, &group).is_none());
+        table.record(SignalRound::AfterUndo, t(0), Signal::Undo);
+        table.record(SignalRound::AfterUndo, t(1), Signal::Undo);
+        assert_eq!(
+            table.complete(SignalRound::AfterUndo, &group),
+            Some(Collected {
+                failure: false,
+                undo: true
+            })
+        );
+        assert_eq!(
+            announced(&table, &group),
+            [Some(Signal::None), Some(Signal::Failure)],
+            "the first exchange is untouched by the second"
+        );
+        // An announcement from outside the group is never read.
+        table.record(SignalRound::First, t(9), Signal::Failure);
+        assert_eq!(
+            table.complete(SignalRound::First, &[t(0)]),
+            Some(Collected::default())
+        );
     }
 
     #[test]
@@ -769,14 +899,56 @@ mod tests {
         match FIRST.expired(Some(&mut f), t(0)) {
             RoundAction::Suspect {
                 suspects,
-                then: Some(RoundEnd::Signals(s)),
+                then: Some(RoundEnd::Signals(collected)),
             } => {
                 assert!(suspects.is_empty());
-                assert_eq!(s, [Signal::None, Signal::Failure, Signal::Failure]);
-                assert!(f.signals.failed(&s));
+                assert!(collected.failure && !collected.undo);
+                assert!(f.signals.failed(collected));
             }
             other => panic!("expected an ƒ-filled conclusion, got {other:?}"),
         }
+        assert_eq!(
+            announced(&f.signals, &[t(0), t(1), t(2)]),
+            [
+                Some(Signal::None),
+                Some(Signal::Failure),
+                Some(Signal::Failure)
+            ],
+            "the silent members read ƒ, in group order"
+        );
+    }
+
+    #[test]
+    fn expiry_names_the_silent_members_in_group_order_and_keeps_what_was_said() {
+        let mut table = SignalTable::default();
+        let group = [t(1), t(2), t(5), t(7)];
+        table.record(SignalRound::First, t(5), Signal::Undo);
+        // This thread (T2) never recorded its own announcement either: it
+        // is filled with ƒ like the others but is not its own suspect.
+        let (silent, collected) = table.expire(SignalRound::First, &group, t(2));
+        assert_eq!(&silent[..], [t(1), t(7)]);
+        assert_eq!(
+            collected,
+            Collected {
+                failure: true,
+                undo: true
+            }
+        );
+        assert_eq!(
+            announced(&table, &group),
+            [
+                Some(Signal::Failure),
+                Some(Signal::Failure),
+                Some(Signal::Undo),
+                Some(Signal::Failure)
+            ]
+        );
+        // A late announcement still replaces the presumed ƒ.
+        table.record(SignalRound::First, t(7), Signal::None);
+        assert_eq!(
+            table.announcement(SignalRound::First, t(7)),
+            Some(&Signal::None)
+        );
     }
 
     #[test]
@@ -786,8 +958,12 @@ mod tests {
         f.signals.record(SignalRound::First, t(0), Signal::None);
         match FIRST.expired(Some(&mut f), t(0)) {
             RoundAction::Suspect { suspects, then } => {
-                assert_eq!(suspects, [t(1)], "epoch > 0: silence is another crash");
-                assert!(matches!(then, Some(RoundEnd::Signals(s)) if s.len() == 2));
+                assert_eq!(&suspects[..], [t(1)], "epoch > 0: silence is another crash");
+                assert!(matches!(then, Some(RoundEnd::Signals(c)) if c.failure));
+                assert_eq!(
+                    announced(&f.signals, &[t(0), t(1)]),
+                    [Some(Signal::None), Some(Signal::Failure)]
+                );
             }
             other => panic!("expected suspicion, got {other:?}"),
         }
@@ -808,7 +984,7 @@ mod tests {
             corrupted(Some(&mut f), FIRST, t(0)),
             RoundAction::Continue
         ));
-        assert!(f.signals.failed(&[Signal::None]));
+        assert!(f.signals.failed(Collected::default()));
         // Elsewhere it is counted — or, in a body, raised.
         assert!(matches!(
             corrupted(Some(&mut f), Round::Exit, t(0)),
@@ -833,7 +1009,7 @@ mod tests {
                 suspects,
                 then: None,
             } => {
-                assert_eq!(suspects, [t(2)]);
+                assert_eq!(&suspects[..], [t(2)]);
                 assert!(matches!(
                     f.view.suspect(&suspects),
                     Ok(Eviction::Evict { .. })
@@ -866,6 +1042,31 @@ mod tests {
             Round::Exit.status(Some(&f)),
             Some(RoundEnd::Exited)
         ));
+    }
+
+    #[test]
+    fn votes_of_a_stale_epoch_do_not_count() {
+        let mut exit = ExitBarrier::default();
+        let view = [t(0), t(1), t(2)];
+        exit.vote(t(0));
+        exit.record(0, t(1));
+        // T2 recovered ahead of this thread and already votes in epoch 1.
+        exit.record(1, t(2));
+        assert_eq!(exit.silent(&view).collect::<Vec<_>>(), [t(2)]);
+        exit.open_next_epoch();
+        assert_eq!(exit.epoch, 1);
+        assert_eq!(
+            exit.silent(&view).collect::<Vec<_>>(),
+            [t(0), t(1)],
+            "epoch 0's votes are void, the early epoch-1 vote stands"
+        );
+        // A straggler of the closed epoch changes nothing.
+        exit.record(0, t(1));
+        assert!(!exit.voted(1, t(1)) && !exit.voted(0, t(1)));
+        assert_eq!(exit.vote(t(0)), 1);
+        exit.record(1, t(1));
+        exit.record(1, t(1));
+        assert_eq!(exit.silent(&view).next(), None);
     }
 
     #[test]
@@ -907,7 +1108,7 @@ mod tests {
             Some(Message::ExitVote { epoch: 0, from, .. }) if from == t(0)
         ));
         // A recovery opens the next exit epoch: the old vote does not count.
-        f.exit.epoch += 1;
+        f.exit.open_next_epoch();
         f.recovery.resolved_exception = Some(ExceptionId::new("e"));
         let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
         assert!(granted.revote.is_none());
@@ -960,6 +1161,295 @@ mod tests {
         ));
     }
 
+    // -- groups past the inline capacity, sparse ids ----------------------
+
+    /// Thread `group[0]`'s frame of an action over `group`.
+    fn frame_over(group: &[u32]) -> Frame {
+        let mut builder = ActionDef::builder("a");
+        for &thread in group {
+            builder = builder.role(format!("r{thread}"), thread);
+        }
+        let def = builder.build().expect("valid definition");
+        Frame::new(ACTION, def.inner, RoleId::new(0), XrrResolution.new_state())
+    }
+
+    /// Every per-participant table of a frame, driven through one
+    /// signalling exchange and one exit barrier over `group`: nothing
+    /// about them may depend on how many members there are or on what
+    /// their ids look like.
+    fn rounds_behave_over(group: &[u32]) {
+        let members: Vec<ThreadId> = group.iter().map(|&n| t(n)).collect();
+        let (me, last) = (members[0], *members.last().expect("nonempty"));
+        let mut f = frame_over(group);
+        assert_eq!(f.signalling_group()[..], members[..]);
+
+        // Signalling: complete only once the last member announced.
+        for &peer in &members[..members.len() - 1] {
+            f.signals.record(SignalRound::First, peer, Signal::None);
+            assert!(FIRST.status(Some(&f)).is_none());
+        }
+        f.signals.record(SignalRound::First, last, Signal::Undo);
+        assert!(matches!(
+            FIRST.status(Some(&f)),
+            Some(RoundEnd::Signals(Collected {
+                failure: false,
+                undo: true
+            }))
+        ));
+        // The second exchange expires with only this thread announced.
+        f.signals.record(SignalRound::AfterUndo, me, Signal::Undo);
+        match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), me) {
+            RoundAction::Suspect {
+                suspects,
+                then: Some(RoundEnd::Signals(collected)),
+            } => {
+                assert!(suspects.is_empty(), "pristine view: nobody is suspected");
+                assert!(collected.failure);
+            }
+            other => panic!("expected an ƒ-filled conclusion, got {other:?}"),
+        }
+        let filled: Vec<_> = f
+            .signals
+            .announcements(SignalRound::AfterUndo, &members)
+            .map(|s| s.cloned())
+            .collect();
+        assert_eq!(filled[0], Some(Signal::Undo));
+        assert!(filled[1..].iter().all(|s| *s == Some(Signal::Failure)));
+
+        // Exit: votes arrive in reverse order; the silent set is whoever
+        // is left, in view order; the last one is suspected at expiry.
+        f.exit.vote(me);
+        for (i, &peer) in members.iter().enumerate().skip(2).rev() {
+            f.exit.record(0, peer);
+            f.view.hear(peer);
+            assert_eq!(
+                f.exit.silent(f.view.members()).collect::<Vec<_>>(),
+                members[1..i]
+            );
+        }
+        match Round::Exit.expired(Some(&mut f), me) {
+            RoundAction::Suspect {
+                suspects,
+                then: None,
+            } => {
+                assert_eq!(&suspects[..], &members[1..2]);
+                assert!(matches!(
+                    f.view.suspect(&suspects),
+                    Ok(Eviction::Evict { epoch: 1, .. })
+                ));
+            }
+            other => panic!("expected suspicion of the one silent member, got {other:?}"),
+        }
+        assert!(matches!(
+            Round::Exit.status(Some(&f)),
+            Some(RoundEnd::Exited)
+        ));
+    }
+
+    #[test]
+    fn a_group_of_twelve_outgrows_the_inline_tables_and_nothing_else() {
+        let group: Vec<u32> = (0..12).collect();
+        assert!(group.len() > GROUP_INLINE);
+        rounds_behave_over(&group);
+    }
+
+    #[test]
+    fn a_sparse_group_is_keyed_by_member_not_by_index() {
+        rounds_behave_over(&[3, 70, 4000]);
+    }
+
+    // -- the tables against the maps they replace ------------------------
+
+    /// The tree-backed tables these replaced, kept as the reference the
+    /// inline ones are compared against.
+    mod reference {
+        use super::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        #[derive(Default)]
+        pub(super) struct SignalTable {
+            announced: BTreeMap<(SignalRound, ThreadId), Signal>,
+        }
+
+        impl SignalTable {
+            pub(super) fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
+                self.announced.insert((round, from), signal);
+            }
+
+            pub(super) fn complete(
+                &self,
+                round: SignalRound,
+                group: &[ThreadId],
+            ) -> Option<Vec<Signal>> {
+                group
+                    .iter()
+                    .all(|&t| self.announced.contains_key(&(round, t)))
+                    .then(|| self.collected(round, group))
+            }
+
+            fn collected(&self, round: SignalRound, group: &[ThreadId]) -> Vec<Signal> {
+                group
+                    .iter()
+                    .map(|&t| self.announced[&(round, t)].clone())
+                    .collect()
+            }
+
+            pub(super) fn expire(
+                &mut self,
+                round: SignalRound,
+                group: &[ThreadId],
+                me: ThreadId,
+            ) -> (Vec<ThreadId>, Vec<Signal>) {
+                let silent = group
+                    .iter()
+                    .copied()
+                    .filter(|&t| t != me && !self.announced.contains_key(&(round, t)))
+                    .collect();
+                for &t in group {
+                    self.announced.entry((round, t)).or_insert(Signal::Failure);
+                }
+                (silent, self.collected(round, group))
+            }
+        }
+
+        #[derive(Default)]
+        pub(super) struct ExitBarrier {
+            votes: BTreeMap<u32, BTreeSet<ThreadId>>,
+            pub(super) epoch: u32,
+        }
+
+        impl ExitBarrier {
+            pub(super) fn record(&mut self, epoch: u32, from: ThreadId) {
+                self.votes.entry(epoch).or_default().insert(from);
+            }
+
+            pub(super) fn voted(&self, epoch: u32, thread: ThreadId) -> bool {
+                self.votes.get(&epoch).is_some_and(|v| v.contains(&thread))
+            }
+
+            pub(super) fn silent(&self, view: &[ThreadId]) -> Vec<ThreadId> {
+                view.iter()
+                    .copied()
+                    .filter(|&t| !self.voted(self.epoch, t))
+                    .collect()
+            }
+        }
+    }
+
+    /// Up to fourteen distinct sparse ids, ascending — a group.
+    fn random_group(rng: &mut proptest::test_runner::TestRng) -> Vec<ThreadId> {
+        let mut ids: Vec<ThreadId> = (0..1 + rng.below(14))
+            .map(|_| t(rng.below(5_000) as u32))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    fn pick<T: Clone>(rng: &mut proptest::test_runner::TestRng, from: &[T]) -> T {
+        from[rng.below(from.len() as u64) as usize].clone()
+    }
+
+    fn summary(signals: &[Signal]) -> Collected {
+        Collected {
+            failure: signals.contains(&Signal::Failure),
+            undo: signals.contains(&Signal::Undo),
+        }
+    }
+
+    #[test]
+    fn the_signal_table_answers_like_the_tree_map_it_replaces() {
+        let mut rng = proptest::test_runner::TestRng::new(0x5167a1);
+        let signals = [
+            Signal::None,
+            Signal::Undo,
+            Signal::Failure,
+            Signal::Exception(ExceptionId::new("e")),
+        ];
+        let rounds = [SignalRound::First, SignalRound::AfterUndo];
+        for _ in 0..300 {
+            let ids = random_group(&mut rng);
+            let (mut table, mut tree) = (SignalTable::default(), reference::SignalTable::default());
+            for _ in 0..rng.below(60) {
+                let round = pick(&mut rng, &rounds);
+                // Any subset of the ids, in order: the view of the moment.
+                let group: Vec<ThreadId> =
+                    ids.iter().copied().filter(|_| rng.below(4) > 0).collect();
+                match rng.below(8) {
+                    0 => {
+                        let me = pick(&mut rng, &ids);
+                        let (silent, collected) = table.expire(round, &group, me);
+                        let (tree_silent, tree_signals) = tree.expire(round, &group, me);
+                        assert_eq!(&silent[..], &tree_silent[..]);
+                        assert_eq!(collected, summary(&tree_signals));
+                    }
+                    1 | 2 => {
+                        let expected = tree.complete(round, &group);
+                        assert_eq!(
+                            table.complete(round, &group),
+                            expected.as_deref().map(summary)
+                        );
+                        if let Some(expected) = expected {
+                            let in_order: Vec<Signal> = table
+                                .announcements(round, &group)
+                                .map(|s| s.expect("complete").clone())
+                                .collect();
+                            assert_eq!(in_order, expected);
+                        }
+                    }
+                    _ => {
+                        let (from, signal) = (pick(&mut rng, &ids), pick(&mut rng, &signals));
+                        table.record(round, from, signal.clone());
+                        tree.record(round, from, signal);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_exit_barrier_answers_like_the_tree_map_it_replaces() {
+        let mut rng = proptest::test_runner::TestRng::new(0xe817);
+        for _ in 0..300 {
+            let ids = random_group(&mut rng);
+            let (mut barrier, mut tree) =
+                (ExitBarrier::default(), reference::ExitBarrier::default());
+            for _ in 0..rng.below(80) {
+                match rng.below(10) {
+                    0 => {
+                        barrier.open_next_epoch();
+                        tree.epoch += 1;
+                    }
+                    1 => {
+                        let me = pick(&mut rng, &ids);
+                        assert_eq!(barrier.vote(me), tree.epoch);
+                        tree.record(tree.epoch, me);
+                    }
+                    _ => {
+                        // Votes of the epoch before, this one and the two
+                        // after it, duplicates included.
+                        let epoch = (barrier.epoch + rng.below(4) as u32).saturating_sub(1);
+                        let from = pick(&mut rng, &ids);
+                        barrier.record(epoch, from);
+                        tree.record(epoch, from);
+                    }
+                }
+                // What the rounds read: the current epoch's votes.
+                let view: Vec<ThreadId> =
+                    ids.iter().copied().filter(|_| rng.below(4) > 0).collect();
+                assert_eq!(
+                    barrier.silent(&view).collect::<Vec<_>>(),
+                    tree.silent(&view)
+                );
+                let probe = pick(&mut rng, &ids);
+                assert_eq!(
+                    barrier.voted(barrier.epoch, probe),
+                    tree.voted(tree.epoch, probe)
+                );
+            }
+        }
+    }
+
     // -- routing decisions -----------------------------------------------
 
     #[test]
@@ -999,7 +1489,7 @@ mod tests {
             RoundAction::Interrupt(Unwind::Outer { target, eab: None }) if target == ACTION
         ));
         assert_eq!(f.inbox.control.len(), 3, "stashed for the recovery driver");
-        assert!(f.view.heard_from.contains(&t(1)));
+        assert!(f.view.heard(t(1)));
         // Once recovered (or aborting) it is a straggler.
         f.recovery.recovered = true;
         assert!(matches!(

@@ -148,7 +148,7 @@ fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<()
             let stack = net
                 .take_stack(p.id)
                 .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
-            let fiber = Fiber::new(stack, p.body);
+            let fiber = Fiber::from_boxed(stack, p.body);
             (p.id, p.name, p.runnable, Hosted::Running(fiber))
         })
         .collect();

@@ -29,8 +29,8 @@ struct Collector {
 }
 
 impl Observer for Collector {
-    fn on_event(&self, event: &Event) {
-        self.events.lock().unwrap().push(event.clone());
+    fn on_event(&self, event: Event) {
+        self.events.lock().unwrap().push(event);
     }
 }
 
