@@ -1,7 +1,8 @@
 //! What three layers of a seed cost on their own, with no network, no
-//! system and no fiber under them — the microbenches ROADMAP item 2 asks
-//! for, to run before and after touching the layer (`caa-perf` is the
-//! end-to-end form; `readers` covers the read side of a trace):
+//! system and no fiber under them, and what a whole system costs with
+//! nothing above it — the microbenches ROADMAP item 2 asks for, to run
+//! before and after touching the layer (`caa-perf` is the end-to-end form;
+//! `readers` covers the read side of a trace):
 //!
 //! * **definitions/s** — `ActionDefBuilder` on a five-role nested action
 //!   with one shared fallback and one shared abortion handler, the shape a
@@ -10,10 +11,16 @@
 //!   `XrrResolution` states that all raise, their messages relayed through
 //!   an in-memory queue (the `LE` list, election and commit fan-out);
 //! * **trace entries/s** — runtime events pushed through a
-//!   `TraceRecorder` and taken out as a sorted, indexed trace.
+//!   `TraceRecorder` and taken out as a sorted, indexed trace;
+//! * **bare system, µs/run** — build + run + drop of the §5.3 scenario at
+//!   its base configuration (three participants, one simultaneous raise,
+//!   20 messages) with no harness: the fixed cost of a `System::run` next
+//!   to its messages. Also prints how many fiber stacks the runs mapped —
+//!   3 in all with the per-thread run pool, 3 per run without it.
 
 use std::sync::Arc;
 
+use caa_bench::{simultaneous_raise_xrr, SimultaneousRaiseParams};
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::{ActionId, ThreadId};
 use caa_core::message::Message;
@@ -153,5 +160,31 @@ fn bench_recorder(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_definitions, bench_resolver, bench_recorder);
+fn bench_bare_system(c: &mut Criterion) {
+    let mut group = c.benchmark_group("layers");
+    group.throughput(Throughput::Elements(1));
+    let stacks_before = caa_fiber::stacks_mapped();
+    let mut runs = 0u64;
+    group.bench_function("bare_system_simraise_n3", |b| {
+        b.iter(|| {
+            runs += 1;
+            let report = simultaneous_raise_xrr(SimultaneousRaiseParams::default());
+            assert!(report.is_ok(), "the §5.3 base configuration runs clean");
+            report
+        });
+    });
+    group.finish();
+    println!(
+        "layers/bare_system_simraise_n3: {} fiber stacks mapped over {runs} runs",
+        caa_fiber::stacks_mapped() - stacks_before
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_definitions,
+    bench_resolver,
+    bench_recorder,
+    bench_bare_system
+);
 criterion_main!(benches);

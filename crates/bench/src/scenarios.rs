@@ -9,12 +9,14 @@
 //! claims under reproduction are the *shapes*: linearity, relative
 //! coefficients, the >1 s knee, and the ours-vs-CR ordering.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use caa_core::exception::Exception;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
-use caa_exgraph::ExceptionGraphBuilder;
+use caa_exgraph::generate::conjunction_lattice;
+use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
 use caa_runtime::protocol::ResolutionProtocol;
 use caa_runtime::{ActionDef, System, SystemReport, XrrResolution};
 use caa_simnet::LatencyModel;
@@ -58,6 +60,37 @@ const NESTED_ABORT_WORK: f64 = 3.4;
 /// Handler computation `∆` per recovery.
 const HANDLER_WORK: f64 = 0.4;
 
+/// The §5.2 exception graph: `E1∩E3` covers the raised `E1` and the
+/// abortion handler's `E3`. No parameter reaches it, so every run in the
+/// process shares one.
+fn nested_abort_graph() -> Arc<ExceptionGraph> {
+    static GRAPH: OnceLock<Arc<ExceptionGraph>> = OnceLock::new();
+    Arc::clone(GRAPH.get_or_init(|| {
+        Arc::new(
+            ExceptionGraphBuilder::new()
+                .resolves("E1∩E3", ["E1", "E3"])
+                .build()
+                .expect("scenario graph"),
+        )
+    }))
+}
+
+/// The §5.3 exception graph: the full conjunction lattice over `e0 … e(n−1)`
+/// — a pure function of `n`, built once per `n` per process (2ⁿ − 1 nodes:
+/// at the paper's n = 3 a build costs as much as the run's messages).
+fn simultaneous_raise_graph(n: u32) -> Arc<ExceptionGraph> {
+    static LATTICES: Mutex<BTreeMap<u32, Arc<ExceptionGraph>>> = Mutex::new(BTreeMap::new());
+    // A panic under the lock can only come from `conjunction_lattice`,
+    // before the insert: the map is whole either way.
+    let mut lattices = LATTICES.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(lattices.entry(n).or_insert_with(|| {
+        let prims: Vec<caa_core::ExceptionId> = (0..n)
+            .map(|i| caa_core::ExceptionId::new(format!("e{i}")))
+            .collect();
+        Arc::new(conjunction_lattice(&prims, prims.len()).expect("conjunction lattice"))
+    }))
+}
+
 /// Runs the §5.2 scenario: "three threads take part in a CA action and two
 /// of them enter a further nested action … one thread of the containing
 /// action raises an exception and the nested action has to be aborted.
@@ -68,16 +101,11 @@ const HANDLER_WORK: f64 = 0.4;
 /// execution time".
 #[must_use]
 pub fn nested_abort(params: NestedAbortParams) -> SystemReport {
-    let graph = ExceptionGraphBuilder::new()
-        .resolves("E1∩E3", ["E1", "E3"])
-        .build()
-        .expect("scenario graph");
-
     let mut outer = ActionDef::builder("containing")
         .role("r0", 0u32)
         .role("r1", 1u32)
         .role("r2", 2u32)
-        .graph(graph);
+        .graph_shared(nested_abort_graph());
     for role in ["r0", "r1", "r2"] {
         outer = outer.fallback_handler(role, move |hc| {
             hc.work(secs(HANDLER_WORK))?;
@@ -179,17 +207,11 @@ pub fn simultaneous_raise(
     params: SimultaneousRaiseParams,
     protocol: Arc<dyn ResolutionProtocol>,
 ) -> SystemReport {
-    let prims: Vec<caa_core::ExceptionId> = (0..params.n)
-        .map(|i| caa_core::ExceptionId::new(format!("e{i}")))
-        .collect();
-    let graph = caa_exgraph::generate::conjunction_lattice(&prims, prims.len())
-        .expect("conjunction lattice");
-
     let mut action = ActionDef::builder("compare");
     for i in 0..params.n {
         action = action.role(format!("r{i}"), i);
     }
-    action = action.graph(graph);
+    action = action.graph_shared(simultaneous_raise_graph(params.n));
     for i in 0..params.n {
         action = action.fallback_handler(format!("r{i}"), move |hc| {
             hc.work(secs(HANDLER_WORK))?;

@@ -5,14 +5,14 @@
 //! network (actor slots, per-endpoint delivery heaps, the per-pair link
 //! matrix), the trace buffers and each action's resolution lattice from
 //! scratch — setup/teardown churn dominating the actual protocol work.
-//! An [`ExecutionArena`] is the per-worker recycling bin for all of it:
+//! An [`ExecutionArena`] is the per-worker recycling bin for the harness's
+//! share of it. (The network's share — actor slots with their
+//! participants' fiber stacks, mailbox heaps and link rows — is not held
+//! here: `caa-runtime` keeps it in a pool of its own per host thread, which
+//! [`System::run`](caa_runtime::System::run) refills and the next
+//! `SystemBuilder::build` on that thread drains, so a sweep worker's seeds
+//! recycle it without the harness handing anything over.)
 //!
-//! * the **network arena** ([`caa_simnet::NetArena`]): actor slots with
-//!   their participants' fiber stacks, mailbox heaps and link rows,
-//!   reclaimed by
-//!   [`System::run_reclaiming`](caa_runtime::System::run_reclaiming) and
-//!   fed back through
-//!   [`SystemBuilder::net_arena`](caa_runtime::SystemBuilder::net_arena);
 //! * the **trace recorder and trace buffers**: one
 //!   [`TraceRecorder`] records every seed executed through the arena, and
 //!   traces handed back by [`ExecutionArena::recycle_trace`] once they
@@ -39,10 +39,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use caa_core::exception::ExceptionId;
-use caa_core::message::Message;
 use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::ExceptionGraph;
-use caa_simnet::NetArena;
 
 use crate::metrics::{MetricsRecorder, SweepMetrics};
 use crate::plan::ActionPlan;
@@ -86,14 +84,14 @@ pub(crate) struct ActionShape {
 /// let first = execute_in(&plan, &mut arena);
 /// let first_render = first.trace.render();
 /// arena.recycle_trace(first.trace);
-/// // The second execution reuses the network, trace and graph
-/// // allocations — and renders the byte-identical trace.
+/// // The second execution reuses the trace and graph allocations (and,
+/// // through the runtime's per-thread pool, the network's) — and renders
+/// // the byte-identical trace.
 /// let second = execute_in(&plan, &mut arena);
 /// assert_eq!(second.trace.render(), first_render);
 /// ```
 #[derive(Default)]
 pub struct ExecutionArena {
-    net: Option<NetArena<Message>>,
     /// The recorder attached to every system executed through this arena;
     /// empty between executions.
     recorder: Arc<TraceRecorder>,
@@ -118,7 +116,6 @@ pub struct ExecutionArena {
 impl std::fmt::Debug for ExecutionArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutionArena")
-            .field("net", &self.net.is_some())
             .field("trace_bufs", &self.trace_bufs.len())
             .field("shapes", &self.shapes.len())
             .finish()
@@ -153,17 +150,6 @@ impl ExecutionArena {
     pub(crate) fn take_trace(&mut self) -> Trace {
         let recycled = self.trace_bufs.pop().unwrap_or_default();
         self.recorder.take_trace_into(recycled)
-    }
-
-    /// The recycled network arena, if the previous execution reclaimed
-    /// one.
-    pub(crate) fn take_net(&mut self) -> Option<NetArena<Message>> {
-        self.net.take()
-    }
-
-    /// Stores a reclaimed network arena for the next execution.
-    pub(crate) fn put_net(&mut self, net: NetArena<Message>) {
-        self.net = Some(net);
     }
 
     /// The shape of `plan` — its lattice and exception ids — cached across

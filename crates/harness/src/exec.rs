@@ -323,9 +323,10 @@ pub fn execute(plan: &ScenarioPlan) -> RunArtifacts {
     execute_in(plan, &mut ExecutionArena::new())
 }
 
-/// [`execute`] through a per-worker [`ExecutionArena`]: network storage,
-/// the trace recorder and its buffers, and resolution lattices are
-/// recycled across calls, so a sweep worker stops paying per-seed
+/// [`execute`] through a per-worker [`ExecutionArena`]: the trace recorder
+/// and its buffers and resolution lattices are recycled across calls (as
+/// network storage is by the runtime's per-thread run pool, arena or no
+/// arena), so a sweep worker stops paying per-seed
 /// setup/teardown allocation. Arena reuse is a pure allocation cache —
 /// traces stay byte-identical to a fresh execution's.
 #[must_use]
@@ -384,10 +385,7 @@ pub(crate) fn execute_owned(
     });
     let sys = spawn_plan(&compiled, arena);
     let built = Instant::now();
-    let (report, net) = sys.run_reclaiming();
-    if let Some(net) = net {
-        arena.put_net(net);
-    }
+    let report = sys.run();
     let ran = Instant::now();
     let trace = arena.take_trace();
     // Every body ran to its end on its fiber and was dropped there, so
@@ -407,22 +405,18 @@ pub(crate) fn execute_owned(
 }
 
 /// Builds the system the compiled plan runs on — recording into the
-/// arena's recorder, on the arena's recycled network — and spawns its
-/// participants.
+/// arena's recorder — and spawns its participants.
 fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> System {
     let plan = &compiled.plan;
     let recorder = arena.recorder();
-    let mut builder = System::builder()
+    let mut sys = System::builder()
         .latency(LatencyModel::UniformUpTo(secs(plan.t_mmax)))
         .seed(plan.seed)
         .resolution_delay(secs(plan.t_reso))
         .faults(plan.fault_plan())
         .observer(Arc::clone(&recorder) as _)
-        .tap(recorder as _);
-    if let Some(net) = arena.take_net() {
-        builder = builder.net_arena(net);
-    }
-    let mut sys = builder.build();
+        .tap(recorder as _)
+        .build();
 
     for t in 0..plan.threads {
         let shared = Arc::clone(compiled);

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use caa_runtime::observe::EventKind;
 use caa_simnet::{NetStats, SchedStats};
 use caa_telemetry::json::{self, Value};
-use caa_telemetry::{HistogramHandle, MetricSet};
+use caa_telemetry::{CounterHandle, HistogramHandle, MetricSet};
 
 use crate::exec::RunArtifacts;
 use crate::spans::{CriticalPathScratch, SegmentClass};
@@ -103,7 +103,7 @@ impl SweepMetrics {
                 let v = self
                     .deterministic
                     .counter_value(&format!("suspicion_{round}"));
-                (v > 0).then(|| format!("{round} {v}"))
+                (v > 0).then(|| format!("{round} {}", fmt_count(v)))
             })
             .collect();
         if !suspicions.is_empty() {
@@ -138,7 +138,7 @@ impl SweepMetrics {
             .into_iter()
             .filter_map(|(name, v)| {
                 name.strip_prefix("msg_sent_")
-                    .map(|class| format!("{class} {v}"))
+                    .map(|class| format!("{class} {}", fmt_count(v)))
             })
             .collect();
         if !msgs.is_empty() {
@@ -168,7 +168,7 @@ impl SweepMetrics {
             let _ = writeln!(
                 out,
                 "critical path ({} instances, {} attributed): {}",
-                self.critical_path.counter_value("cp_instances"),
+                fmt_count(self.critical_path.counter_value("cp_instances")),
                 fmt_ns(cp_total),
                 parts.join(" | "),
             );
@@ -179,11 +179,13 @@ impl SweepMetrics {
             .deterministic
             .counter_value("seeds_crashfree")
             .saturating_add(self.deterministic.counter_value("seeds_crash"));
-        if parks + wakes > 0 {
+        if parks > 0 || wakes > 0 {
             let per_seed = parks.checked_div(seeds).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "sched handoffs (wall-clock): {parks} parks, {wakes} wakes (~{per_seed} parks/seed)"
+                "sched handoffs (wall-clock): {} parks, {} wakes (~{per_seed} parks/seed)",
+                fmt_count(parks),
+                fmt_count(wakes),
             );
         }
         let stage = |label: &str, name: &str| {
@@ -319,11 +321,26 @@ fn share_pct(part: u64, total: u64) -> u64 {
     u64::try_from(u128::from(part) * 100 / u128::from(total)).unwrap_or(u64::MAX)
 }
 
+/// `≥` for a counter that sits at `u64::MAX`: counters saturate
+/// ([`MetricSet::add`]), so the true value is at least what is printed.
+fn saturated(v: u64) -> &'static str {
+    if v == u64::MAX {
+        "≥"
+    } else {
+        ""
+    }
+}
+
+/// A counter as a summary prints it.
+fn fmt_count(v: u64) -> String {
+    format!("{}{v}", saturated(v))
+}
+
 /// Virtual-time pretty printer for human summaries (never used in
 /// serialized output, which stays integer-only).
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
+        format!("{}{:.2}s", saturated(ns), ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
         format!("{:.2}ms", ns as f64 / 1e6)
     } else if ns >= 1_000 {
@@ -387,6 +404,19 @@ pub struct MetricsRecorder {
     /// `(crashed, observer)` pairs whose detection latency is recorded.
     detected: Vec<(u32, u32)>,
     cp_scratch: CriticalPathScratch,
+    cp_handles: CriticalPathHandles,
+}
+
+/// The `critical_path` counters, each resolved to its handle the first
+/// time a path adds to it — one label lookup per recorder, not one per
+/// class per instance — so a class no path ever spent time in still never
+/// registers.
+#[derive(Debug, Default)]
+struct CriticalPathHandles {
+    /// Parallel to [`SegmentClass::ALL`].
+    classes: [Option<CounterHandle>; SegmentClass::ALL.len()],
+    total: Option<CounterHandle>,
+    instances: Option<CounterHandle>,
 }
 
 impl Default for MetricsRecorder {
@@ -429,6 +459,7 @@ impl MetricsRecorder {
             crashes: Vec::new(),
             detected: Vec::new(),
             cp_scratch: CriticalPathScratch::new(),
+            cp_handles: CriticalPathHandles::default(),
         }
     }
 
@@ -447,10 +478,14 @@ impl MetricsRecorder {
 
     /// Takes the accumulated metrics, leaving the recorder as a new one
     /// starts — every histogram registered again under the handle it had,
-    /// scratch capacity intact — so recording goes on afterwards. The
+    /// no critical-path counter registered yet, scratch capacity intact —
+    /// so recording goes on afterwards. The
     /// end-of-worker merge hook.
     #[must_use]
     pub fn take_metrics(&mut self) -> SweepMetrics {
+        // The critical-path counters register on first use, so in the new
+        // set they are not registered yet.
+        self.cp_handles = CriticalPathHandles::default();
         std::mem::replace(&mut self.metrics, MetricsRecorder::new().metrics)
     }
 
@@ -580,15 +615,20 @@ impl MetricsRecorder {
         // stay byte-deterministic and shard-mergeable). Zero-valued
         // classes are skipped so absent segment kinds never register.
         let cp = &mut self.metrics.critical_path;
+        let handles = &mut self.cp_handles;
+        let mut add = |slot: &mut Option<CounterHandle>, name: &str, n: u64| {
+            let handle = *slot.get_or_insert_with(|| cp.counter(name));
+            cp.add(handle, n);
+        };
         self.cp_scratch.extract(&artifacts.trace, |path| {
-            for class in SegmentClass::ALL {
+            for (class, slot) in SegmentClass::ALL.into_iter().zip(&mut handles.classes) {
                 let ns = path.class_total_ns(class);
                 if ns > 0 {
-                    cp.add_named(class.counter_name(), ns);
+                    add(slot, class.counter_name(), ns);
                 }
             }
-            cp.add_named("cp_total_ns", path.total_ns());
-            cp.add_named("cp_instances", 1);
+            add(&mut handles.total, "cp_total_ns", path.total_ns());
+            add(&mut handles.instances, "cp_instances", 1);
         });
     }
 
@@ -794,6 +834,35 @@ mod tests {
         assert!(line.contains("compute 0% ("), "{line}");
         assert_eq!(share_pct(u64::MAX, u64::MAX), 100);
         assert_eq!(share_pct(u64::MAX - 1, u64::MAX), 99);
+    }
+
+    #[test]
+    fn a_saturated_counter_prints_as_a_lower_bound() {
+        // 70 000 default seeds' worth of the same slack: past `u64`, so the
+        // counters stop at its maximum and the summary says so.
+        let mut metrics = SweepMetrics::default();
+        let cp = &mut metrics.critical_path;
+        for _ in 0..70_000 {
+            cp.add_named(
+                SegmentClass::TimeoutSlack.counter_name(),
+                270_000_000_000_000,
+            );
+            cp.add_named("cp_total_ns", 270_000_000_001_000);
+            cp.add_named("cp_instances", 2);
+        }
+        let summary = metrics.summary();
+        let line = summary
+            .lines()
+            .find(|l| l.starts_with("critical path ("))
+            .expect("a critical-path line");
+        assert!(
+            line.starts_with("critical path (140000 instances, ≥18446744073.71s attributed)"),
+            "{line}"
+        );
+        assert!(
+            line.contains("timeout-slack 100% (≥18446744073.71s)"),
+            "{line}"
+        );
     }
 
     #[test]

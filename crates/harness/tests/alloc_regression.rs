@@ -23,12 +23,16 @@
 //!
 //! Fiber stacks are mapped, not allocated, so the allocator does not see
 //! them; the same warmed execution therefore also asserts that the
-//! process-wide count of mapped stacks stands still — the network arena
-//! hands every participant the stack its slot used last seed.
+//! process-wide count of mapped stacks stands still — the runtime's
+//! per-thread run pool hands every participant the stack its slot used
+//! last seed. The pool serves a bare `System::run` as it serves the
+//! harness, so the paper's scenarios (`caa_bench::scenarios`, no arena, no
+//! harness) are pinned here too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use caa_harness::arena::ExecutionArena;
 use caa_harness::plan::ScenarioConfig;
@@ -41,10 +45,21 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// the only thing that runs on one, and only under `System::run`.
 static RUN_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count: set by the test whose turn
+    /// it is (see `turn`), so that libtest's own bookkeeping on its main
+    /// thread — it reports one test while the next one measures — stays
+    /// out of the numbers.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
 fn count() {
+    // Loads of `const`-initialised thread-locals with no destructor:
+    // nothing that could allocate in turn, at any point of a thread's life.
+    if !COUNTED.get() {
+        return;
+    }
     ALLOCS.fetch_add(1, Ordering::Relaxed);
-    // One load of a `const`-initialised thread-local: nothing that could
-    // allocate in turn.
     if caa_fiber::in_fiber() {
         RUN_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
@@ -72,9 +87,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Both counters are process-wide; the tests of this file take turns so
-/// that neither counts the other's work.
+/// The counters (and `caa_fiber::stacks_mapped`) are process-wide; the
+/// tests of this file take turns so that neither counts the other's work.
 static TURN: Mutex<()> = Mutex::new(());
+
+/// Waits for the calling test's turn and starts counting its thread's
+/// allocations (a participant's too: fibers run on the thread that calls
+/// `System::run`). libtest gives every test its own thread, so nothing
+/// needs to stop the counting again.
+fn turn() -> MutexGuard<'static, ()> {
+    let turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    COUNTED.set(true);
+    turn
+}
 
 /// Executes `seed` once through a warmed arena and returns the
 /// allocation count of that execution (including plan generation and
@@ -82,7 +107,7 @@ static TURN: Mutex<()> = Mutex::new(());
 /// of those were made inside `System::run`.
 fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> (u64, u64) {
     let mut arena = ExecutionArena::new();
-    // Warm-up: populate the network arena, trace buffers and graph cache
+    // Warm-up: populate the run pool, trace buffers and graph cache
     // with this exact seed's shapes.
     for _ in 0..3 {
         let result = run_seed_in(seed, scenario, check_replay, &mut arena);
@@ -103,7 +128,7 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
     assert_eq!(
         caa_fiber::stacks_mapped(),
         stacks_before,
-        "a warmed execution mapped a fiber stack: the network arena no longer recycles them"
+        "a warmed execution mapped a fiber stack: the run pool no longer recycles them"
     );
     arena.recycle_trace(result.artifacts.trace);
     (after.0 - before.0, after.1 - before.1)
@@ -119,7 +144,7 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
 /// PR 13.
 #[test]
 fn steady_state_seed_allocation_stays_bounded() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     // (config, scenario, replay-checked, seed, ceiling, run-side ceiling)
     let cases = [
         (
@@ -177,6 +202,54 @@ fn steady_state_seed_allocation_stays_bounded() {
     }
 }
 
+/// A bare `System::run` recycles through the calling thread's run pool:
+/// once one run of each scenario has sized it, the paper's §5.2/§5.3
+/// scenarios map no fiber stack however often they run, and a warmed
+/// `simultaneous_raise` allocates a bounded handful (the definition, three
+/// bodies, the messages — no slots, heaps or lattice). Last measured 64.
+#[test]
+fn bare_paper_scenarios_recycle_through_the_run_pool() {
+    use caa_bench::{
+        nested_abort, simultaneous_raise_xrr, NestedAbortParams, SimultaneousRaiseParams,
+    };
+
+    let _turn = turn();
+    let raise = || simultaneous_raise_xrr(SimultaneousRaiseParams::default());
+    let abort = || nested_abort(NestedAbortParams::default());
+    // Warm-up: the pool's three slots and stacks, the per-process graphs.
+    raise().expect_ok();
+    abort().expect_ok();
+    let stacks_before = caa_fiber::stacks_mapped();
+    for _ in 0..200 {
+        raise().expect_ok();
+    }
+    for _ in 0..20 {
+        abort().expect_ok();
+    }
+    assert_eq!(
+        caa_fiber::stacks_mapped(),
+        stacks_before,
+        "a warmed bare run mapped a fiber stack: System::run no longer pools them"
+    );
+
+    const CEILING: u64 = 96;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let report = raise();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    report.expect_ok();
+    // For re-pinning: `cargo test --test alloc_regression -- --nocapture`.
+    println!("simultaneous_raise (n = 3), warmed: {allocs} allocations (ceiling {CEILING})");
+    assert!(
+        allocs <= CEILING,
+        "a warmed simultaneous_raise made {allocs} allocations (ceiling {CEILING}, 1.5× the \
+         last measurement): the run pool or the shared lattice regressed"
+    );
+    assert!(
+        allocs * 2 >= CEILING,
+        "measured {allocs} allocations are far below the ceiling {CEILING}; tighten the gate"
+    );
+}
+
 /// Handing a trace out of the recorder into a recycled buffer is free:
 /// the canonical sort runs in place and the entries move into capacity
 /// that is already there. (With no buffer to recycle it costs exactly one
@@ -189,7 +262,7 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
     use caa_harness::trace::TraceRecorder;
     use caa_runtime::observe::{Event, EventKind, Observer};
 
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     let recorder = TraceRecorder::new();
     let exception = ExceptionId::new("x");
     let record = |round: u64| {
@@ -231,7 +304,7 @@ fn reading_a_warmed_trace_allocates_a_bounded_handful() {
     use caa_harness::spans::build_span_tree;
     use caa_harness::sweep::PathCoverage;
 
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     let mut arena = ExecutionArena::new();
     let mut recorder = MetricsRecorder::new();
     for (name, scenario) in [
@@ -301,7 +374,7 @@ fn one_recorder_across_different_seeds_renders_like_fresh_ones() {
     use caa_harness::exec::{execute, execute_in};
     use caa_harness::plan::ScenarioPlan;
 
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     let scenario = ScenarioConfig::default();
     let mut arena = ExecutionArena::new();
     for seed in [7, 1, 9, 7] {
@@ -322,7 +395,7 @@ fn one_recorder_across_different_seeds_renders_like_fresh_ones() {
 /// both halves of the arena contract are asserted together.)
 #[test]
 fn warmed_arena_renders_identical_traces() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     let scenario = ScenarioConfig::default();
     let mut arena = ExecutionArena::new();
     let cold = run_seed_in(7, &scenario, false, &mut arena);

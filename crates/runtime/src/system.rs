@@ -18,7 +18,22 @@
 //! created, a hand-off is a user-space stack switch, and because the
 //! canonical trace is ordered by (virtual time, thread, sequence) the
 //! serial order changes nothing that is observed.
+//!
+//! # The run pool
+//!
+//! What a run needs besides its messages — one actor slot, mailbox heap,
+//! link row and 256 KiB guard-paged fiber stack per participant — outlives
+//! it: each host thread keeps the network arena of the last system it ran
+//! (`RUN_POOL`, a `thread_local!`), [`SystemBuilder::build`] takes it and
+//! [`System::run`] puts the reclaimed arena back. A second run on the same
+//! thread therefore maps no stack and allocates no slot, whoever the
+//! caller is. The pool is an allocation cache and nothing else: a recycled
+//! network is fully cleared ([`caa_simnet::Network::reclaim`]), so a run
+//! reports the same whether the pool was warm, cold or left empty by a
+//! run that could not be reclaimed. It holds at most the slots of the
+//! largest system the thread has run and is freed when the thread exits.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -113,6 +128,13 @@ struct Pending {
     /// by `host` without taking the network's lock.
     runnable: Runnable,
     body: PendingBody,
+}
+
+thread_local! {
+    /// The calling thread's idle network arena (see the module docs).
+    /// `None` while a system built on this thread holds it, after a run
+    /// that could not be reclaimed, and before the first run.
+    static RUN_POOL: Cell<Option<NetArena<Message>>> = const { Cell::new(None) };
 }
 
 /// Usable stack per participant. The deepest bodies in the workspace (the
@@ -319,19 +341,7 @@ impl System {
     ///
     /// When called from inside a participant body: systems do not nest.
     #[must_use]
-    pub fn run(self) -> SystemReport {
-        self.run_reclaiming().0
-    }
-
-    /// [`System::run`], additionally reclaiming the network's allocations
-    /// into a [`NetArena`] for the next system (see
-    /// [`SystemBuilder::net_arena`]). Returns `None` for the arena when a
-    /// clone of the network (or a leaked endpoint) is still alive — safe
-    /// to call unconditionally; sweep drivers thread the arena through
-    /// every seed so actor slots, delivery heaps and link rows are
-    /// allocated once per worker instead of once per seed.
-    #[must_use]
-    pub fn run_reclaiming(mut self) -> (SystemReport, Option<NetArena<Message>>) {
+    pub fn run(mut self) -> SystemReport {
         let results = host(&self.net, std::mem::take(&mut self.pending));
         let report = SystemReport {
             elapsed: self.net.now().duration_since(VirtualInstant::EPOCH),
@@ -342,11 +352,23 @@ impl System {
         };
         // `System` has a `Drop` impl, so the network cannot be moved out;
         // clone the (Arc-backed) handle, drop the system, then reclaim
-        // through the now-sole owner.
+        // through the now-sole owner. A clone of the network (or a leaked
+        // endpoint) still alive elsewhere means nothing is reclaimed and
+        // the pool stays empty until the next run refills it.
         let net = self.net.clone();
         drop(self);
-        let arena = net.reclaim();
-        (report, arena)
+        if let Some(arena) = net.reclaim() {
+            // The thread's destructors may already have run (a system run
+            // from another thread-local's `Drop`): the arena is then freed.
+            let _ = RUN_POOL.try_with(|pool| {
+                // Two systems built before either ran: keep the larger.
+                let idle = pool
+                    .take()
+                    .filter(|idle| idle.capacity() > arena.capacity());
+                pool.set(Some(idle.unwrap_or(arena)));
+            });
+        }
+        report
     }
 }
 
@@ -414,7 +436,6 @@ pub struct SystemBuilder {
     protocol: Arc<dyn ResolutionProtocol>,
     observer: Option<Arc<dyn Observer>>,
     tap: Option<Arc<dyn caa_simnet::NetTap>>,
-    net_arena: Option<NetArena<Message>>,
 }
 
 impl Default for SystemBuilder {
@@ -428,7 +449,6 @@ impl Default for SystemBuilder {
             protocol: Arc::new(XrrResolution),
             observer: None,
             tap: None,
-            net_arena: None,
         }
     }
 }
@@ -506,17 +526,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Recycles the allocations of a previous system's network (see
-    /// [`System::run_reclaiming`] and [`caa_simnet::NetArena`]). Purely an
-    /// allocation cache: a system built from an arena behaves — and
-    /// traces — byte-identically to a fresh one.
-    #[must_use]
-    pub fn net_arena(mut self, arena: NetArena<Message>) -> Self {
-        self.net_arena = Some(arena);
-        self
-    }
-
-    /// Builds the system.
+    /// Builds the system, over the calling thread's pooled network
+    /// allocations when a run has left some (see the module docs).
     #[must_use]
     pub fn build(self) -> System {
         let net = Network::new_reusing(
@@ -528,7 +539,7 @@ impl SystemBuilder {
                 faults: self.faults,
                 tap: self.tap,
             },
-            self.net_arena,
+            RUN_POOL.try_with(Cell::take).ok().flatten(),
         );
         System {
             net,
@@ -540,5 +551,193 @@ impl SystemBuilder {
             }),
             pending: Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Run-pool hygiene. libtest gives every test a thread of its own, so
+    //! each one starts on an empty pool and sees nobody else's.
+
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
+    use caa_core::exception::Exception;
+    use caa_core::outcome::HandlerVerdict;
+    use caa_core::time::secs;
+
+    use super::*;
+    use crate::action::ActionDef;
+
+    /// Slots idle in the calling thread's pool, `None` when it is empty.
+    fn pooled() -> Option<usize> {
+        RUN_POOL.with(|pool| {
+            let arena = pool.take();
+            let slots = arena.as_ref().map(NetArena::capacity);
+            pool.set(arena);
+            slots
+        })
+    }
+
+    /// `n` participants in one action over sampled latencies; the first
+    /// raises, everyone recovers. Not yet run.
+    fn ring(n: u32) -> System {
+        let mut def = ActionDef::builder("ring");
+        for t in 0..n {
+            def = def
+                .role(format!("r{t}"), t)
+                .fallback_handler(format!("r{t}"), |hc| {
+                    hc.work(secs(0.2))?;
+                    Ok(HandlerVerdict::Recovered)
+                });
+        }
+        let def = def.build().expect("ring definition");
+        let mut sys = System::builder()
+            .latency(LatencyModel::UniformUpTo(secs(0.3)))
+            .seed(u64::from(n))
+            .build();
+        for t in 0..n {
+            let def = def.clone();
+            sys.spawn(format!("T{t}"), move |ctx| {
+                ctx.enter(&def, &format!("r{t}"), |rc| {
+                    rc.work(secs(1.0))?;
+                    if t == 0 {
+                        rc.raise(Exception::new("oops"))?;
+                    }
+                    rc.work(secs(1.0))
+                })
+                .map(|_| ())
+            });
+        }
+        sys
+    }
+
+    /// Everything a run reports: results, message, scheduler and runtime
+    /// counters, virtual time.
+    fn report_of(sys: System) -> String {
+        format!("{:?}", sys.run())
+    }
+
+    /// The same system run where no pool exists yet.
+    fn fresh_report(n: u32) -> String {
+        std::thread::spawn(move || {
+            assert_eq!(pooled(), None);
+            report_of(ring(n))
+        })
+        .join()
+        .expect("a fresh thread runs the ring")
+    }
+
+    #[test]
+    fn six_then_two_then_six_report_as_on_fresh_threads() {
+        for (n, pooled_before) in [(6, None), (2, Some(6)), (6, Some(6))] {
+            assert_eq!(pooled(), pooled_before);
+            assert_eq!(report_of(ring(n)), fresh_report(n), "{n} participants");
+        }
+        assert_eq!(pooled(), Some(6), "the largest system's slots stay");
+    }
+
+    #[test]
+    fn a_panicking_participant_leaves_its_finished_stack_in_the_pool() {
+        let mut sys = ring(2);
+        sys.spawn("doomed", |_| panic!("boom"));
+        let report = sys.run();
+        assert!(
+            matches!(&report.results[2].1, Err(RuntimeError::Protocol(m)) if m.contains("boom"))
+        );
+        // The panic was caught at the fiber's entry: the fiber finished,
+        // so its stack is as reusable as the others'.
+        assert_eq!(pooled(), Some(3));
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+    }
+
+    #[test]
+    fn a_deadlocked_system_is_reclaimed_like_any_other() {
+        let def = ActionDef::builder("pair")
+            .role("a", 0u32)
+            .role("b", 1u32)
+            .build()
+            .expect("pair definition");
+        let mut sys = System::builder().build();
+        // Nobody plays `b`: the unbounded exit wait is a genuine deadlock.
+        sys.spawn("alone", move |ctx| {
+            ctx.enter(&def, "a", |rc| rc.work(secs(0.1))).map(|_| ())
+        });
+        let report = sys.run();
+        assert!(matches!(
+            report.results[0].1,
+            Err(RuntimeError::Deadlock(_))
+        ));
+        assert_eq!(pooled(), Some(1));
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        assert_eq!(pooled(), Some(3));
+    }
+
+    #[test]
+    fn a_system_dropped_unrun_takes_its_arena_with_it() {
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        assert_eq!(pooled(), Some(3));
+        drop(ring(3)); // bodies run in `Drop`; nothing is reclaimed
+        assert_eq!(pooled(), None);
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        assert_eq!(pooled(), Some(3));
+    }
+
+    #[test]
+    fn half_run_fibers_never_reach_the_pool() {
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        let sys = ring(3);
+        // An endpoint nobody drives counts as running, so virtual time
+        // never advances: the participants block and `host` gives up with
+        // their fibers suspended mid-body.
+        let outsider = sys.network().endpoint("outsider");
+        let gave_up = catch_unwind(AssertUnwindSafe(|| sys.run()));
+        assert!(
+            gave_up.is_err(),
+            "host must refuse to wait for another thread"
+        );
+        drop(outsider);
+        // `build` has no other source of stacks than the pool, and the
+        // abandoned network never reached it.
+        assert_eq!(pooled(), None, "a suspended fiber's stack was pooled");
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        assert_eq!(pooled(), Some(3));
+    }
+
+    #[test]
+    fn a_network_handle_held_across_run_leaves_the_pool_empty() {
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        let sys = ring(3);
+        let held = sys.network().clone();
+        let report = report_of(sys);
+        assert_eq!(pooled(), None, "reclaim needs sole ownership");
+        assert!(held.stats().total_sent() > 0, "the handle still reads");
+        assert_eq!(report, fresh_report(3));
+        drop(held);
+        assert_eq!(report_of(ring(3)), fresh_report(3));
+        assert_eq!(pooled(), Some(3));
+    }
+
+    #[test]
+    fn two_threads_pool_apart() {
+        let turn = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let first = report_of(ring(4));
+                assert_eq!(pooled(), Some(4));
+                turn.wait(); // the other thread starts with this pool warm
+                turn.wait(); // … and has run by now
+                assert_eq!(pooled(), Some(4), "the peer's run reached this pool");
+                assert_eq!(report_of(ring(4)), first);
+            });
+            scope.spawn(|| {
+                turn.wait();
+                assert_eq!(pooled(), None, "a peer's slots were handed out");
+                let report = report_of(ring(2));
+                assert_eq!(pooled(), Some(2));
+                turn.wait();
+                assert_eq!(report, fresh_report(2));
+            });
+        });
     }
 }

@@ -66,13 +66,18 @@
 //!
 //! # Arena reuse
 //!
-//! Sweep drivers execute thousands of sub-millisecond simulations; a
+//! Callers execute thousands of sub-millisecond simulations; a
 //! [`NetArena`] recycles the allocation-heavy parts (actor slots with
 //! their condvars, runnable marks and fiber stacks, mailbox heaps, link
 //! rows) from one finished network into the next (see
-//! [`Network::new_reusing`] / [`Network::reclaim`]), so a warmed-up sweep
-//! worker neither allocates a slot nor maps a stack per seed. Reuse is
-//! invisible to the simulation: recycled state is fully cleared.
+//! [`Network::new_reusing`] / [`Network::reclaim`]). This crate provides
+//! the mechanism and holds no arena itself: between networks the arena
+//! belongs to whoever reclaimed it. For `Network<Message>` that is
+//! `caa-runtime`, which keeps one per host thread — `System::run` puts it
+//! there, the next `SystemBuilder::build` on the thread takes it — so a
+//! warmed-up thread neither allocates a slot nor maps a stack per run,
+//! whatever runs the systems. Reuse is invisible to the simulation:
+//! recycled state is fully cleared.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -79,10 +79,14 @@ impl MetricSet {
         HistogramHandle(i)
     }
 
-    /// Adds `n` to a registered counter.
+    /// Adds `n` to a registered counter. A counter that would pass
+    /// `u64::MAX` stays there (as does any sum it is merged into): it then
+    /// reads "at least this much" instead of wrapping to a small lie — or
+    /// panicking, in a debug build.
     #[inline]
     pub fn add(&mut self, handle: CounterHandle, n: u64) {
-        self.counters[handle.0].1 += n;
+        let counter = &mut self.counters[handle.0].1;
+        *counter = counter.saturating_add(n);
     }
 
     /// Records one histogram sample.
@@ -346,6 +350,34 @@ mod tests {
         assert_eq!(a.counter_value("zeta"), 10);
         assert_eq!(a.counter_value("new"), 1);
         assert_eq!(a.histogram_named("alpha_ns").unwrap().count(), 5);
+    }
+
+    #[test]
+    fn counters_saturate_instead_of_wrapping() {
+        // Presume-ƒ timeout slack: ~2.7 × 10¹⁴ virtual ns per default
+        // seed, which leaves `u64` a little past 66 000 seeds.
+        let per_seed = 270_000_000_000_000_u64;
+        let mut set = MetricSet::new();
+        let slack = set.counter("cp_timeout_slack_ns");
+        for _ in 0..60_000 {
+            set.add(slack, per_seed);
+        }
+        assert_eq!(set.counter_value("cp_timeout_slack_ns"), 60_000 * per_seed);
+        for _ in 60_000..70_000 {
+            set.add(slack, per_seed);
+        }
+        assert_eq!(set.counter_value("cp_timeout_slack_ns"), u64::MAX);
+        // The merge path: two shards of 35 000 seeds each hold exact sums,
+        // their union saturates, and merging more on top stays put.
+        let mut shard = MetricSet::new();
+        shard.add_named("cp_timeout_slack_ns", 35_000 * per_seed);
+        let mut union = shard.clone();
+        union.merge(&shard);
+        assert_eq!(union.counter_value("cp_timeout_slack_ns"), u64::MAX);
+        union.merge(&set);
+        assert_eq!(union.counter_value("cp_timeout_slack_ns"), u64::MAX);
+        let back = MetricSet::from_json(&union.to_json()).expect("u64::MAX round-trips");
+        assert_eq!(back.counter_value("cp_timeout_slack_ns"), u64::MAX);
     }
 
     #[test]
