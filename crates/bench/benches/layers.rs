@@ -16,9 +16,23 @@
 //!   its base configuration (three participants, one simultaneous raise,
 //!   20 messages) with no harness: the fixed cost of a `System::run` next
 //!   to its messages. Also prints how many fiber stacks the runs mapped —
-//!   3 in all with the per-thread run pool, 3 per run without it.
+//!   3 in all with the per-thread run pool, 3 per run without it;
+//! * **a seed's cost model** — `execute` timed for 3 000 default seeds
+//!   (the best of three runs each, through one warmed arena) and fitted by
+//!   least squares, no intercept, to what the seed did: µs per message,
+//!   per scheduler park, per runtime event recorded and per action
+//!   instance, with the fit's R². The per-unit prices of a harness seed,
+//!   to set against the kernels above (as merged: 0.24 µs a message,
+//!   0.19 a park, 0.10 an event, 1.3 an instance, R² 0.986);
+//! * **readers, µs and allocations per trace** — each of the five post-run
+//!   readers over 500 stored default traces, and what it asked the
+//!   allocator for on a warmed thread: nothing, but for the one buffer a
+//!   span tree keeps its spans in.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use caa_bench::{simultaneous_raise_xrr, SimultaneousRaiseParams};
 use caa_core::exception::{Exception, ExceptionId};
@@ -27,7 +41,14 @@ use caa_core::message::Message;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualInstant};
 use caa_exgraph::generate::conjunction_lattice;
-use caa_harness::trace::{Trace, TraceRecorder};
+use caa_harness::arena::ExecutionArena;
+use caa_harness::exec::{execute_in, RunArtifacts};
+use caa_harness::metrics::MetricsRecorder;
+use caa_harness::oracle::check_run;
+use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
+use caa_harness::spans::build_span_tree;
+use caa_harness::sweep::PathCoverage;
+use caa_harness::trace::{EntryKind, Trace, TraceRecorder};
 use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
@@ -36,6 +57,39 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 const N: u32 = 5;
+
+thread_local! {
+    /// Allocations (and reallocations) this thread has made.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread for the reader rows.
+struct Counting;
+
+// SAFETY: every request is passed to `System` unchanged; the count is a
+// `const`-initialised thread-local without a destructor, which neither
+// allocates nor can be gone when a thread's last allocation is made.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.set(ALLOCS.get() + 1);
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.set(ALLOCS.get() + 1);
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 fn primitives() -> Vec<ExceptionId> {
     (0..N).map(|i| ExceptionId::new(format!("e{i}"))).collect()
@@ -180,11 +234,152 @@ fn bench_bare_system(c: &mut Criterion) {
     );
 }
 
+/// Solves the normal equations `XᵀX β = Xᵀy` of a four-term least-squares
+/// fit by Gaussian elimination with partial pivoting.
+fn least_squares(rows: &[([f64; 4], f64)]) -> [f64; 4] {
+    let mut m = [[0.0f64; 5]; 4];
+    for (x, y) in rows {
+        for i in 0..4 {
+            for j in 0..4 {
+                m[i][j] += x[i] * x[j];
+            }
+            m[i][4] += x[i] * y;
+        }
+    }
+    for col in 0..4 {
+        let pivot = (col..4)
+            .max_by(|&a, &b| m[a][col].abs().total_cmp(&m[b][col].abs()))
+            .expect("four rows");
+        m.swap(col, pivot);
+        assert!(m[col][col].abs() > 1e-9, "the seeds' counts are collinear");
+        let pivot_row = m[col];
+        for row in (0..4).filter(|&row| row != col) {
+            let factor = m[row][col] / pivot_row[col];
+            for (cell, pivot) in m[row].iter_mut().zip(pivot_row) {
+                *cell -= factor * pivot;
+            }
+        }
+    }
+    std::array::from_fn(|i| m[i][4] / m[i][i])
+}
+
+fn bench_seed_cost_model(c: &mut Criterion) {
+    const SEEDS_PER_ITER: u64 = 1_000;
+    let scenario = ScenarioConfig::default();
+    let mut group = c.benchmark_group("layers");
+    // Three "iterations" of a thousand seeds each; one under `cargo test`.
+    group.sample_size(3);
+    group.throughput(Throughput::Elements(SEEDS_PER_ITER));
+    group.bench_function("harness_execute_default_seed", |b| {
+        b.iter_custom(|iters| {
+            let mut arena = ExecutionArena::new();
+            let mut rows = Vec::new();
+            let mut timed = Duration::ZERO;
+            for seed in 0..iters * SEEDS_PER_ITER {
+                let plan = ScenarioPlan::generate(seed, &scenario);
+                let mut best = Duration::MAX;
+                let mut counts = [0.0; 4];
+                for _ in 0..3 {
+                    let started = Instant::now();
+                    let run = execute_in(&plan, &mut arena);
+                    best = best.min(started.elapsed());
+                    let events = run.trace.entries().iter();
+                    counts = [
+                        run.report.net_stats.total_sent() as f64,
+                        run.report.sched_stats.parks as f64,
+                        events
+                            .filter(|e| matches!(e.kind, EntryKind::Runtime(_)))
+                            .count() as f64,
+                        run.trace.index().instances().len() as f64,
+                    ];
+                    arena.recycle_trace(run.trace);
+                }
+                timed += best;
+                rows.push((counts, best.as_secs_f64() * 1e6));
+            }
+            let beta = least_squares(&rows);
+            let mean = rows.iter().map(|(_, y)| y).sum::<f64>() / rows.len() as f64;
+            let (mut residual, mut total) = (0.0, 0.0);
+            for (x, y) in &rows {
+                let fitted: f64 = x.iter().zip(&beta).map(|(x, b)| x * b).sum();
+                residual += (y - fitted).powi(2);
+                total += (y - mean).powi(2);
+            }
+            println!(
+                "layers/seed_cost_model: execute_us = {:.3}*messages + {:.3}*parks + \
+                 {:.3}*runtime_events + {:.3}*instances ({} default seeds, mean {mean:.1} us, \
+                 R^2 {:.3})",
+                beta[0],
+                beta[1],
+                beta[2],
+                beta[3],
+                rows.len(),
+                1.0 - residual / total,
+            );
+            timed
+        });
+    });
+    group.finish();
+}
+
+fn bench_readers(c: &mut Criterion) {
+    const TRACES: u64 = 500;
+    let mut arena = ExecutionArena::new();
+    let scenario = ScenarioConfig::default();
+    let runs: Vec<RunArtifacts> = (0..TRACES)
+        .map(|seed| execute_in(&ScenarioPlan::generate(seed, &scenario), &mut arena))
+        .collect();
+    let mut recorder = MetricsRecorder::new();
+    type Reader<'a> = Box<dyn FnMut(&RunArtifacts) -> u64 + 'a>;
+    let mut readers: [(&str, Reader); 5] = [
+        ("check_run", Box::new(|run| check_run(run).len() as u64)),
+        (
+            "record_run",
+            Box::new(move |run| {
+                recorder.record_run(run);
+                0
+            }),
+        ),
+        (
+            "path_coverage",
+            Box::new(|run| PathCoverage::from_trace(&run.trace).signature()),
+        ),
+        (
+            "build_span_tree",
+            Box::new(|run| build_span_tree(&run.trace).len() as u64),
+        ),
+        (
+            "render_fingerprint",
+            Box::new(|run| run.trace.render_fingerprint()),
+        ),
+    ];
+    let mut group = c.benchmark_group("layers/reader_per_trace");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(TRACES));
+    for (name, read) in &mut readers {
+        let mut pass = || runs.iter().fold(0, |acc, run| acc ^ read(run));
+        // The pass that sizes scratch and registers counters, then the
+        // counted one.
+        black_box(pass());
+        let before = ALLOCS.get();
+        black_box(pass());
+        let allocs = ALLOCS.get() - before;
+        group.bench_function(&**name, |b| b.iter(&mut pass));
+        println!(
+            "layers/reader_per_trace/{name}: {:.2} allocations/trace",
+            allocs as f64 / TRACES as f64
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_definitions,
     bench_resolver,
     bench_recorder,
-    bench_bare_system
+    bench_bare_system,
+    bench_seed_cost_model,
+    bench_readers
 );
 criterion_main!(benches);

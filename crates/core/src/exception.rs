@@ -12,7 +12,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::ids::ThreadId;
 
@@ -51,6 +51,25 @@ pub const CRASH_NAME: &str = "__crash";
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExceptionId(Arc<str>);
 
+/// The pre-defined exceptions — undo, failure, universal, abortion, crash —
+/// interned once per process: every coordinated outcome names one of
+/// them, and a fresh `Arc<str>` each time was an allocation per
+/// signalling conclusion, default verdict and synthesized crash.
+fn reserved(index: usize) -> ExceptionId {
+    static RESERVED: OnceLock<[ExceptionId; 5]> = OnceLock::new();
+    RESERVED.get_or_init(|| {
+        [
+            UNDO_NAME,
+            FAILURE_NAME,
+            UNIVERSAL_NAME,
+            ABORTION_NAME,
+            CRASH_NAME,
+        ]
+        .map(ExceptionId::new)
+    })[index]
+        .clone()
+}
+
 impl ExceptionId {
     /// Creates an exception id with the given name.
     ///
@@ -64,25 +83,25 @@ impl ExceptionId {
     /// The undo exception `µ`.
     #[must_use]
     pub fn undo() -> Self {
-        ExceptionId::new(UNDO_NAME)
+        reserved(0)
     }
 
     /// The failure exception `ƒ`.
     #[must_use]
     pub fn failure() -> Self {
-        ExceptionId::new(FAILURE_NAME)
+        reserved(1)
     }
 
     /// The universal exception, root of every exception graph (§3.2).
     #[must_use]
     pub fn universal() -> Self {
-        ExceptionId::new(UNIVERSAL_NAME)
+        reserved(2)
     }
 
     /// The abortion exception used to abort a nested action (§3.3.1).
     #[must_use]
     pub fn abortion() -> Self {
-        ExceptionId::new(ABORTION_NAME)
+        reserved(3)
     }
 
     /// The crash exception synthesized for a presumed-crashed participant
@@ -90,13 +109,20 @@ impl ExceptionId {
     /// graphs that do not declare it resolve it through the universal root.
     #[must_use]
     pub fn crash() -> Self {
-        ExceptionId::new(CRASH_NAME)
+        reserved(4)
     }
 
     /// The exception's name.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.0
+    }
+
+    /// The exception's name as the shared text the id holds — a reference
+    /// count, not a copy, for whoever keeps the name past the id.
+    #[must_use]
+    pub fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.0)
     }
 
     /// Whether this is the undo exception `µ`.
@@ -129,20 +155,29 @@ impl ExceptionId {
         self.name() == CRASH_NAME
     }
 
-    /// The text [`Display`](fmt::Display) writes: the paper's symbol for a
-    /// pre-defined exception (`µ`, `ƒ`, `universal`, `abortion`, `crash`),
-    /// the name itself otherwise. Borrowed, so renderers that write bytes
-    /// rather than going through a formatter can use it directly.
+    /// The paper's symbol for a pre-defined exception (`µ`, `ƒ`,
+    /// `universal`, `abortion`, `crash`); `None` for any other.
+    #[must_use]
+    pub fn symbol(&self) -> Option<&'static str> {
+        match self.name() {
+            UNDO_NAME => Some("µ"),
+            FAILURE_NAME => Some("ƒ"),
+            UNIVERSAL_NAME => Some("universal"),
+            ABORTION_NAME => Some("abortion"),
+            CRASH_NAME => Some("crash"),
+            _ => None,
+        }
+    }
+
+    /// The text [`Display`](fmt::Display) writes: the [symbol] of a
+    /// pre-defined exception, the name itself otherwise. Borrowed, so
+    /// renderers that write bytes rather than going through a formatter can
+    /// use it directly.
+    ///
+    /// [symbol]: ExceptionId::symbol
     #[must_use]
     pub fn display_name(&self) -> &str {
-        match self.name() {
-            UNDO_NAME => "µ",
-            FAILURE_NAME => "ƒ",
-            UNIVERSAL_NAME => "universal",
-            ABORTION_NAME => "abortion",
-            CRASH_NAME => "crash",
-            other => other,
-        }
+        self.symbol().unwrap_or(self.name())
     }
 
     /// Whether this is one of the pre-defined exceptions (µ, ƒ, universal,

@@ -88,12 +88,14 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
     }
 
     /// Number of elements.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the vector is empty.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -106,6 +108,7 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The elements as a slice.
+    #[inline]
     #[must_use]
     pub fn as_slice(&self) -> &[T] {
         if self.heap.is_empty() {
@@ -116,6 +119,7 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The elements as a mutable slice.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         if self.heap.is_empty() {
             &mut self.inline[..self.len]
@@ -235,12 +239,14 @@ impl<T: Default, const N: usize> Default for InlineVec<T, N> {
 impl<T: Default, const N: usize> Deref for InlineVec<T, N> {
     type Target = [T];
 
+    #[inline]
     fn deref(&self) -> &[T] {
         self.as_slice()
     }
 }
 
 impl<T: Default, const N: usize> DerefMut for InlineVec<T, N> {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
         self.as_mut_slice()
     }

@@ -92,6 +92,7 @@ thread_local! {
 
 /// Whether the caller is running inside a [`Fiber`] (as opposed to
 /// directly on an OS thread's own stack).
+#[inline]
 #[must_use]
 pub fn in_fiber() -> bool {
     !CURRENT.get().is_null()

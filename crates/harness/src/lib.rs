@@ -75,6 +75,7 @@ pub mod plan;
 pub mod prodcell;
 mod render;
 pub mod rng;
+mod scratch;
 pub mod spans;
 pub mod sweep;
 pub mod trace;

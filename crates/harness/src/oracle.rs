@@ -47,14 +47,17 @@
 //! with a crash-stop skip it too: the bounded resolution and exit waits
 //! stretch recoveries far past the crash-free bound by design.
 
+use std::cell::Cell;
 use std::fmt;
 
+use caa_core::inline::InlineVec;
 use caa_runtime::observe::EventKind;
 use caa_runtime::SystemReport;
 
 use crate::exec::RunArtifacts;
 use crate::plan::{ActionPlan, Phase, ScenarioPlan};
-use crate::trace::{EntryKind, Trace};
+use crate::scratch::{self, reset};
+use crate::trace::{Entry, EntryKind, Trace};
 
 /// One oracle violation, carrying enough context to debug the seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,10 +304,8 @@ impl PerThread {
 }
 
 #[derive(Default, Clone)]
-struct InstanceView<'a> {
-    /// The first resolving exception any thread reported, and whether a
-    /// later report named a different one.
-    resolved: Option<&'a str>,
+struct InstanceView {
+    /// Whether two threads reported different resolving exceptions.
     disagreement: bool,
     invocations: u64,
     last_handler_end_ns: Option<u64>,
@@ -315,9 +316,12 @@ struct InstanceView<'a> {
 }
 
 /// The per-instance facts of one trace, in tables indexed by the trace's
-/// canonical labels.
-struct Views<'a> {
-    instances: Vec<InstanceView<'a>>,
+/// canonical labels. The tables are the calling thread's, refilled for
+/// every trace it checks ([`scratch`]): checking a healthy run allocates
+/// nothing.
+#[derive(Default)]
+struct Views {
+    instances: Vec<InstanceView>,
     threads: Vec<PerThread>,
     /// Long exit phases in trace order: `(label, thread, seconds)` from an
     /// `ExitStart` to the thread's next protocol step for the instance
@@ -328,21 +332,38 @@ struct Views<'a> {
     /// Labels in ascending raw-serial order, the order violations are
     /// reported in (instances of one definition in creation order).
     by_serial: Vec<u32>,
+    /// The membership history of the instance under examination.
+    membership: Membership,
+}
+
+thread_local! {
+    static VIEWS: Cell<Views> = Cell::default();
+}
+
+/// The exception a `Resolved` entry names.
+fn resolved_name(entry: &Entry) -> Option<&str> {
+    match &entry.kind {
+        EntryKind::Runtime(event) => match &event.kind {
+            EventKind::Resolved { exception } => Some(exception.name()),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// One pass over the trace's runtime and network events. Exit phases
 /// longer than `exit_floor` seconds are kept for the exit-timeout oracle.
-fn collect_views(trace: &Trace, exit_floor: f64) -> Views<'_> {
+fn collect_views(views: &mut Views, trace: &Trace, exit_floor: f64) {
     let index = trace.index();
-    let mut views = Views {
-        instances: vec![InstanceView::default(); index.instances().len()],
-        threads: vec![PerThread::default(); index.cells()],
-        long_exits: Vec::new(),
-        by_serial: (0..index.instances().len() as u32).collect(),
-    };
+    let instances = index.instances();
+    reset(&mut views.instances, instances.len());
+    reset(&mut views.threads, index.cells());
+    views.long_exits.clear();
+    views.by_serial.clear();
+    views.by_serial.extend(0..instances.len() as u32);
     views
         .by_serial
-        .sort_unstable_by_key(|&label| index.instances()[label as usize].serial);
+        .sort_unstable_by_key(|&label| instances[label as usize].serial);
     for entry in trace.entries() {
         let view = &mut views.instances[entry.label as usize];
         let event = match &entry.kind {
@@ -380,8 +401,11 @@ fn collect_views(trace: &Trace, exit_floor: f64) -> Views<'_> {
             EventKind::RecoveryStart { .. } => counts.recovery_starts += 1,
             EventKind::Resolved { exception } => {
                 counts.resolved += 1;
-                let first = *view.resolved.get_or_insert(exception.name());
-                view.disagreement |= first != exception.name();
+                // Against the first one any thread reported.
+                let first = instances[entry.label as usize]
+                    .first_resolved()
+                    .and_then(|first| resolved_name(&trace.entries()[first]));
+                view.disagreement |= first != Some(exception.name());
             }
             EventKind::ViewChange { .. } | EventKind::Rejoin { .. } => {
                 view.membership_changed = true;
@@ -395,11 +419,14 @@ fn collect_views(trace: &Trace, exit_floor: f64) -> Views<'_> {
             _ => {}
         }
     }
-    views
 }
 
-/// Inserts `t` into the ascending, duplicate-free `set`.
-fn insert_sorted(set: &mut Vec<u32>, t: u32) {
+/// A set of thread ids, ascending and duplicate-free; inline up to the
+/// group sizes the scenario spaces reach.
+type ThreadSet = InlineVec<u32, 8>;
+
+/// Inserts `t` into `set`.
+fn insert_sorted(set: &mut ThreadSet, t: u32) {
     if let Err(at) = set.binary_search(&t) {
         set.insert(at, t);
     }
@@ -411,57 +438,42 @@ fn is_subset(a: &[u32], b: &[u32]) -> bool {
 
 /// The membership history of one instance, replayed from its member
 /// entries: every observer's final removed set, and who was ever removed
-/// or readmitted. Thread sets are ascending vectors — they hold a handful
-/// of ids.
+/// or readmitted.
+#[derive(Default)]
 struct Membership {
-    /// `(observer, final removed set)` in ascending observer order.
-    finals: Vec<(u32, Vec<u32>)>,
-    removed: Vec<u32>,
-    readmitted: Vec<u32>,
+    /// Final removed set by observing thread; empty for a thread that
+    /// observed no membership step (and so comparable with every other).
+    finals: Vec<ThreadSet>,
+    removed: ThreadSet,
+    readmitted: ThreadSet,
 }
 
-fn membership_of(trace: &Trace, label: usize) -> Membership {
-    let mut m = Membership {
-        finals: Vec::new(),
-        removed: Vec::new(),
-        readmitted: Vec::new(),
-    };
-    for &i in trace.index().members(label) {
-        let entry = &trace.entries()[i as usize];
-        let EntryKind::Runtime(event) = &entry.kind else {
-            continue;
-        };
-        if !matches!(
-            event.kind,
-            EventKind::ViewChange { .. } | EventKind::Rejoin { .. }
-        ) {
-            continue;
-        }
-        let at = match m.finals.binary_search_by_key(&entry.thread, |(t, _)| *t) {
-            Ok(at) => at,
-            Err(at) => {
-                m.finals.insert(at, (entry.thread, Vec::new()));
-                at
-            }
-        };
-        let set = &mut m.finals[at].1;
-        match &event.kind {
-            EventKind::ViewChange { removed, .. } => {
-                for t in removed.iter().map(|t| t.as_u32()) {
-                    insert_sorted(set, t);
-                    insert_sorted(&mut m.removed, t);
+impl Membership {
+    fn replay(&mut self, trace: &Trace, label: usize) {
+        reset(&mut self.finals, trace.index().threads());
+        self.removed.clear();
+        self.readmitted.clear();
+        for &i in trace.index().members(label) {
+            let entry = &trace.entries()[i as usize];
+            let EntryKind::Runtime(event) = &entry.kind else {
+                continue;
+            };
+            let set = &mut self.finals[entry.thread as usize];
+            match &event.kind {
+                EventKind::ViewChange { removed, .. } => {
+                    for t in removed.iter().map(|t| t.as_u32()) {
+                        insert_sorted(set, t);
+                        insert_sorted(&mut self.removed, t);
+                    }
                 }
-            }
-            EventKind::Rejoin { thread, .. } => {
-                if let Ok(at) = set.binary_search(&thread.as_u32()) {
-                    set.remove(at);
+                EventKind::Rejoin { thread, .. } => {
+                    set.retain(|&t| t != thread.as_u32());
+                    insert_sorted(&mut self.readmitted, thread.as_u32());
                 }
-                insert_sorted(&mut m.readmitted, thread.as_u32());
+                _ => {}
             }
-            _ => {}
         }
     }
-    m
 }
 
 /// Checks the plan-independent protocol invariants — thread success,
@@ -474,11 +486,21 @@ fn membership_of(trace: &Trace, label: usize) -> Membership {
 /// built systems (e.g. the production cell) use this directly.
 #[must_use]
 pub fn check_invariants(report: &SystemReport, trace: &Trace) -> Vec<Violation> {
-    invariant_violations(report, trace, &collect_views(trace, f64::INFINITY))
+    scratch::with(&VIEWS, |views| {
+        collect_views(views, trace, f64::INFINITY);
+        invariant_violations(report, trace, views)
+    })
 }
 
-fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> Vec<Violation> {
+fn invariant_violations(report: &SystemReport, trace: &Trace, views: &mut Views) -> Vec<Violation> {
     let index = trace.index();
+    let Views {
+        instances,
+        threads,
+        by_serial,
+        membership,
+        ..
+    } = views;
     let mut violations = Vec::new();
     for (name, result) in &report.results {
         if let Err(e) = result {
@@ -493,10 +515,10 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
             });
         }
     }
-    for &label in &views.by_serial {
-        let view = &views.instances[label as usize];
+    for &label in by_serial.iter() {
+        let view = &instances[label as usize];
         let counts_of = |thread: u32| {
-            ((thread as usize) < index.threads()).then(|| &views.threads[index.cell(label, thread)])
+            ((thread as usize) < index.threads()).then(|| &threads[index.cell(label, thread)])
         };
         let action = u64::from(label);
 
@@ -507,14 +529,9 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
                 resolved: index
                     .members(label as usize)
                     .iter()
-                    .filter_map(|&i| match &trace.entries()[i as usize].kind {
-                        EntryKind::Runtime(event) => match &event.kind {
-                            EventKind::Resolved { exception } => {
-                                Some((event.thread.as_u32(), exception.name().to_owned()))
-                            }
-                            _ => None,
-                        },
-                        _ => None,
+                    .filter_map(|&i| {
+                        let entry = &trace.entries()[i as usize];
+                        resolved_name(entry).map(|name| (entry.thread, name.to_owned()))
                     })
                     .collect(),
             });
@@ -535,7 +552,7 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
         // (the crash closes the first entry, its exit closes the
         // re-entry), never more.
         for thread in 0..index.threads() as u32 {
-            let counts = &views.threads[index.cell(label, thread)];
+            let counts = &threads[index.cell(label, thread)];
             if !counts.took_part() {
                 continue;
             }
@@ -565,7 +582,7 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
         if !view.membership_changed {
             continue;
         }
-        let membership = membership_of(trace, label as usize);
+        membership.replay(trace, label as usize);
 
         // Membership agreement, set-based: each thread's view evolves by
         // adopting removal sets (∪) and readmissions (−); epoch numbers
@@ -580,17 +597,17 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
         // disagree. A ƒ-failed thread must still be comparable with every
         // thread that kept coordinating.
         let failed = |t: u32| counts_of(t).is_some_and(|counts| counts.failed_exits > 0);
-        let mut divergent: Vec<&Vec<u32>> = Vec::new();
-        for (i, (a, set_a)) in membership.finals.iter().enumerate() {
-            for (b, set_b) in &membership.finals[i + 1..] {
+        let mut divergent: Vec<&[u32]> = Vec::new();
+        for (a, set_a) in (0u32..).zip(&membership.finals) {
+            for (b, set_b) in (a + 1..).zip(&membership.finals[a as usize + 1..]) {
                 if is_subset(set_a, set_b) || is_subset(set_b, set_a) {
                     continue;
                 }
-                if failed(*a) && failed(*b) {
+                if failed(a) && failed(b) {
                     continue;
                 }
                 for set in [set_a, set_b] {
-                    if !divergent.contains(&set) {
+                    if !divergent.contains(&&set[..]) {
                         divergent.push(set);
                     }
                 }
@@ -600,7 +617,7 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
             divergent.sort_by_key(|s| s.len());
             violations.push(Violation::ViewDisagreement {
                 action,
-                removed_sets: divergent.into_iter().cloned().collect(),
+                removed_sets: divergent.into_iter().map(<[u32]>::to_vec).collect(),
             });
         }
 
@@ -615,7 +632,7 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &Views) -> 
         // never come once the peers have moved on, so the abortion
         // handler undoes its work and raises the abortion exception in
         // the enclosing context instead of completing as a member.
-        for &thread in &membership.removed {
+        for &thread in membership.removed.iter() {
             if membership.readmitted.binary_search(&thread).is_ok() {
                 continue;
             }
@@ -648,6 +665,10 @@ fn action_named<'p>(actions: &'p [ActionPlan], name: &str) -> Option<&'p ActionP
 /// completion bound and §3.3.3 message-complexity bound.
 #[must_use]
 pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
+    scratch::with(&VIEWS, |views| run_violations(artifacts, views))
+}
+
+fn run_violations(artifacts: &RunArtifacts, views: &mut Views) -> Vec<Violation> {
     let plan = &artifacts.plan;
     let trace = &artifacts.trace;
     let index = trace.index();
@@ -665,8 +686,8 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
         let levels_below = plan_depth.saturating_sub(depth) as i32;
         plan.exit_timeout * crate::exec::TIMEOUT_SEPARATION.powi(levels_below) + plan.t_abort + 1e-6
     };
-    let views = collect_views(trace, exit_bound(plan_depth));
-    let mut violations = invariant_violations(&artifacts.report, trace, &views);
+    collect_views(views, trace, exit_bound(plan_depth));
+    let mut violations = invariant_violations(&artifacts.report, trace, views);
 
     let bound_secs = lemma1_bound(plan);
     // Object waits stretch compute phases by contention, and a crash-stop
@@ -725,7 +746,8 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
             // Readmissions only ever raise the bound: replay the
             // instance's membership only once the paper's is exceeded.
             if view.resolution_msgs > base {
-                let readmissions = membership_of(trace, label as usize).readmitted.len() as u64;
+                views.membership.replay(trace, label as usize);
+                let readmissions = views.membership.readmitted.len() as u64;
                 let bound = base + readmissions.saturating_mul(n.saturating_sub(1));
                 if view.resolution_msgs > bound {
                     violations.push(Violation::MessageBoundExceeded {

@@ -4,16 +4,24 @@
 //! A rendered trace line is a handful of integers, a few fixed words and a
 //! name or two. Going through `core::fmt` for that — a `write!` with width
 //! arguments for the prefix, one `Display` dispatch per field — cost three
-//! times what hashing the line does. This module writes the same bytes
-//! directly: digits into a stack buffer, words with `extend_from_slice`.
+//! times what hashing the line does; appending field by field to a `Vec`
+//! still paid a capacity check and a call into libc's `memmove` per field,
+//! ten a line. This module assembles the same bytes in a [`Line`]: a fixed
+//! buffer on the caller's stack and a cursor. A number becomes text in a
+//! register and lands as one store of known width, so does a fixed word,
+//! and the finished line is hashed, or appended to the rendering, in one
+//! piece. A line that does not fit — a very long action or exception name —
+//! is not patched up field by field: the cursor sticks past the end, every
+//! later field is a no-op, and the caller renders that one line through
+//! `Display` instead ([`Line::or_display`]).
 //!
 //! The text itself is pinned three ways: the unit tests below compare every
-//! [`EventKind`] variant (and the padding edge cases) against the
-//! `Display` rendering, the golden traces pin whole renderings, and the
-//! 12k-seed digest pins their hashes. An event kind this module does not
-//! know (the enum is `#[non_exhaustive]`) falls back to its `Display`.
+//! [`EventKind`] variant, every kind of entry and the padding edge cases
+//! against the `Display` rendering, the golden traces pin whole renderings,
+//! and the 12k-seed digest pins their hashes. An event kind this module does
+//! not know (the enum is `#[non_exhaustive]`) falls back to its `Display`.
 
-use std::io::Write as _;
+use std::fmt::Write as _;
 
 use caa_core::exception::Signal;
 use caa_core::ids::ThreadId;
@@ -21,213 +29,320 @@ use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_runtime::observe::EventKind;
 use caa_simnet::TapEvent;
 
-/// Two decimal digits per step: `PAIRS[2 * n..][..2]` is `n` (< 100)
-/// zero-padded.
-const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
+/// Eight ASCII `0`s.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
 
-/// Writes `n` in decimal into `buf` so that it ends just before `end`;
-/// returns the index of its first digit (`u64::MAX` has 20 digits).
-fn digits_before(buf: &mut [u8], end: usize, mut n: u64) -> usize {
-    let mut at = end;
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        buf[at] = b'0' + n as u8;
-    }
-    at
-}
-
-/// `{n}`.
-pub(crate) fn push_u64(out: &mut Vec<u8>, n: u64) {
-    let mut buf = [0; 20];
-    let at = digits_before(&mut buf, 20, n);
-    out.extend_from_slice(&buf[at..]);
-}
-
-fn push_str(out: &mut Vec<u8>, text: &str) {
-    out.extend_from_slice(text.as_bytes());
-}
-
-/// `" {t}"` for each thread — the tail of the suspicion events.
-fn push_threads(out: &mut Vec<u8>, threads: &[ThreadId]) {
-    for t in threads {
-        push_str(out, " T");
-        push_u64(out, u64::from(t.as_u32()));
-    }
-}
-
-/// The line prefix `@{at_ns:>12} T{thread} #{seq:<4} A{label} `: both
-/// paddings in spaces, neither ever truncating.
+/// `n` (< 10⁸) as eight ASCII digits, zero-padded, the most significant
+/// in the lowest byte — `to_le_bytes` is the text.
 ///
-/// Assembled back to front in one stack buffer — a field's width is only
-/// known once its digits are out — and appended in one go: eight little
-/// appends per line were a third of the formatter's cost.
-pub(crate) fn push_prefix(out: &mut Vec<u8>, at_ns: u64, thread: u32, seq: u64, label: u32) {
-    const LEN: usize = 1 + 20 + 2 + 10 + 2 + 20 + 2 + 10 + 1;
-    let mut buf = [b' '; LEN];
-    // The last byte stays the separating space.
-    let mut at = digits_before(&mut buf, LEN - 1, u64::from(label));
-    buf[at - 2..at].copy_from_slice(b" A");
-    at -= 2;
-    // Left-aligned in 4: digits first, so shorter ones move left over the
-    // spaces that then follow them.
-    let first = digits_before(&mut buf, at, seq);
-    let pad = 4usize.saturating_sub(at - first);
-    buf.copy_within(first..at, first - pad);
-    buf[at - pad..at].fill(b' ');
-    at = first - pad;
-    buf[at - 2..at].copy_from_slice(b" #");
-    at = digits_before(&mut buf, at - 2, u64::from(thread));
-    buf[at - 2..at].copy_from_slice(b" T");
-    // Right-aligned in 12: the buffer is spaces already.
-    at = digits_before(&mut buf, at - 2, at_ns).min(at - 2 - 12);
-    buf[at - 1] = b'@';
-    out.extend_from_slice(&buf[at - 1..]);
+/// Computed in one register, halving: two 4-digit numbers in the 32-bit
+/// halves, four 2-digit numbers in the 16-bit quarters, eight digits in
+/// the bytes; each division is a multiplication by a reciprocal that is
+/// exact over its lane's range, and no lane's product reaches the next.
+/// No table and no store a later load would have to wait for.
+fn eight_digits(n: u64) -> u64 {
+    debug_assert!(n < 100_000_000);
+    let halves = (n / 10_000) | ((n % 10_000) << 32);
+    // x / 100 for x < 10⁴.
+    let hundreds = ((halves * 5_243) >> 19) & 0x0000_007f_0000_007f;
+    let quarters = hundreds | ((halves - hundreds * 100) << 16);
+    // x / 10 for x < 100.
+    let tens = ((quarters * 103) >> 10) & 0x000f_000f_000f_000f;
+    tens | ((quarters - tens * 10) << 8) | ZEROS
 }
 
-/// `{verb}{class} {src}->{dst}` — the shared head of the three network
-/// lines.
-pub(crate) fn push_net(out: &mut Vec<u8>, verb: &str, event: &TapEvent) {
-    push_str(out, verb);
-    push_str(out, event.class);
-    push_str(out, " node");
-    push_u64(out, u64::from(event.src.as_u32()));
-    push_str(out, "->node");
-    push_u64(out, u64::from(event.dst.as_u32()));
+/// Eight digits without their leading zeros (`0` keeps one): the rest,
+/// lowest byte first, and how many they are.
+fn significant(digits: u64) -> (u64, usize) {
+    let zeros = ((digits ^ ZEROS).trailing_zeros() as usize / 8).min(7);
+    (digits >> (8 * zeros), 8 - zeros)
 }
 
-/// ` seq={seq} deliver@{deliver_at}` — the tail only a `net send` carries.
-pub(crate) fn push_delivery(out: &mut Vec<u8>, event: &TapEvent) {
-    push_str(out, " seq=");
-    push_u64(out, event.seq);
-    push_str(out, " deliver@");
-    push_u64(out, event.deliver_at.as_nanos());
+/// Bytes a [`Line`] assembles in place: a default-space line is 40 to 90
+/// bytes, its fixed part at most 69 of them.
+const INLINE: usize = 256;
+
+/// The widest store of known width ([`Line::push_window`]).
+const WINDOW: usize = 12;
+
+/// Where the cursor sticks once a field did not fit.
+const OVERFLOWED: usize = usize::MAX;
+
+/// One rendered line under assembly.
+pub(crate) struct Line {
+    /// The cursor: bytes written so far, or [`OVERFLOWED`].
+    len: usize,
+    /// A window's width past `INLINE`, so that a cursor inside the line has
+    /// room for a whole window without a second look.
+    buf: [u8; INLINE + WINDOW],
+    /// The line, when it took the `Display` path.
+    spill: String,
 }
 
-/// Exactly what `write!(out, "{kind}")` writes.
-pub(crate) fn push_kind(out: &mut Vec<u8>, kind: &EventKind) {
-    match kind {
-        EventKind::Enter { name, role, depth } => {
-            push_str(out, "enter ");
-            push_str(out, name);
-            push_str(out, " as ");
-            push_str(out, role);
-            push_str(out, " depth=");
-            push_u64(out, *depth as u64);
+impl Line {
+    pub(crate) fn new() -> Line {
+        Line {
+            len: 0,
+            buf: [0; INLINE + WINDOW],
+            spill: String::new(),
         }
-        EventKind::Exit { outcome } => {
-            push_str(out, "exit ");
-            match outcome {
-                ActionOutcome::Success => push_str(out, "success"),
-                ActionOutcome::Signalled(id) => {
-                    push_str(out, "signalled ");
-                    push_str(out, id.display_name());
+    }
+
+    /// Starts the next line.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Closes the line: if a field of it did not fit the buffer, the line
+    /// is `display` instead — the same text, by the formatter, on the heap.
+    #[inline]
+    pub(crate) fn or_display(&mut self, display: impl FnOnce() -> String) {
+        if self.len > INLINE {
+            self.spill = display();
+        }
+    }
+
+    /// The closed line.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        if self.len <= INLINE {
+            &self.buf[..self.len]
+        } else {
+            self.spill.as_bytes()
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push_str(&mut self, text: &str) {
+        let fits = self.len <= INLINE && text.len() <= INLINE - self.len;
+        if fits {
+            self.buf[self.len..][..text.len()].copy_from_slice(text.as_bytes());
+            self.len += text.len();
+        } else {
+            self.len = OVERFLOWED;
+        }
+    }
+
+    #[inline]
+    pub(crate) fn push_byte(&mut self, byte: u8) {
+        self.push_window(&[byte], 1);
+    }
+
+    /// Appends the first `used` of `bytes` by storing all `N` of them, in
+    /// one store of known width — the next append starts `used` further on
+    /// and overwrites the rest.
+    #[inline]
+    fn push_window<const N: usize>(&mut self, bytes: &[u8; N], used: usize) {
+        const { assert!(N <= WINDOW) };
+        debug_assert!(used <= N);
+        if self.len <= INLINE {
+            self.buf[self.len..][..N].copy_from_slice(bytes);
+            self.len += used;
+        }
+    }
+
+    /// `{n}`.
+    #[inline]
+    pub(crate) fn push_u64(&mut self, n: u64) {
+        if n < 10 {
+            self.push_byte(b'0' + n as u8);
+        } else {
+            self.push_padded::<0>(n);
+        }
+    }
+
+    /// `{n:>WIDTH}`, padded with spaces (`WIDTH` ≤ 12).
+    #[inline]
+    fn push_padded<const WIDTH: usize>(&mut self, n: u64) {
+        const E8: u64 = 100_000_000;
+        // In chunks of eight digits, of which `u64::MAX` has three; the
+        // leading zeros of the first are not text.
+        let (high, mid, low) = (n / (E8 * E8), n / E8 % E8, n % E8);
+        let (first, chunks) = match (high, mid) {
+            (0, 0) => (low, 1),
+            (0, _) => (mid, 2),
+            _ => (high, 3),
+        };
+        let (text, digits) = significant(eight_digits(first));
+        if WIDTH > 0 {
+            let width = digits + 8 * (chunks - 1);
+            self.push_window(b"            ", WIDTH.saturating_sub(width));
+        }
+        self.push_window(&text.to_le_bytes(), digits);
+        if chunks == 3 {
+            self.push_window(&eight_digits(mid).to_le_bytes(), 8);
+        }
+        if chunks >= 2 {
+            self.push_window(&eight_digits(low).to_le_bytes(), 8);
+        }
+    }
+
+    /// `" T{t}"` for each thread — the tail of the suspicion events.
+    fn push_threads(&mut self, threads: &[ThreadId]) {
+        for t in threads {
+            self.push_str(" T");
+            self.push_u64(u64::from(t.as_u32()));
+        }
+    }
+
+    /// The line prefix `@{at_ns:>12} T{thread} #{seq:<4} A{label} `: both
+    /// paddings in spaces, neither ever truncating.
+    pub(crate) fn push_prefix(&mut self, at_ns: u64, thread: u32, seq: u64, label: u32) {
+        self.push_byte(b'@');
+        self.push_padded::<12>(at_ns);
+        self.push_str(" T");
+        self.push_u64(u64::from(thread));
+        self.push_str(" #");
+        self.push_u64(seq);
+        // Left-aligned in 4.
+        let pad = usize::from(seq < 10) + usize::from(seq < 100) + usize::from(seq < 1000);
+        self.push_window(b"   ", pad);
+        self.push_str(" A");
+        self.push_u64(u64::from(label));
+        self.push_byte(b' ');
+    }
+
+    /// `{verb}{class} {src}->{dst}` — the shared head of the three network
+    /// lines.
+    pub(crate) fn push_net(&mut self, verb: &str, event: &TapEvent) {
+        self.push_str(verb);
+        self.push_str(event.class);
+        self.push_str(" node");
+        self.push_u64(u64::from(event.src.as_u32()));
+        self.push_str("->node");
+        self.push_u64(u64::from(event.dst.as_u32()));
+    }
+
+    /// ` seq={seq} deliver@{deliver_at}` — the tail only a `net send`
+    /// carries.
+    pub(crate) fn push_delivery(&mut self, event: &TapEvent) {
+        self.push_str(" seq=");
+        self.push_u64(event.seq);
+        self.push_str(" deliver@");
+        self.push_u64(event.deliver_at.as_nanos());
+    }
+
+    /// Exactly what `write!(out, "{kind}")` writes.
+    pub(crate) fn push_kind(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::Enter { name, role, depth } => {
+                self.push_str("enter ");
+                self.push_str(name);
+                self.push_str(" as ");
+                self.push_str(role);
+                self.push_str(" depth=");
+                self.push_u64(*depth as u64);
+            }
+            EventKind::Exit { outcome } => {
+                self.push_str("exit ");
+                match outcome {
+                    ActionOutcome::Success => self.push_str("success"),
+                    ActionOutcome::Signalled(id) => {
+                        self.push_str("signalled ");
+                        self.push_str(id.display_name());
+                    }
+                    ActionOutcome::Undone => self.push_str("undone (µ)"),
+                    ActionOutcome::Failed => self.push_str("failed (ƒ)"),
                 }
-                ActionOutcome::Undone => push_str(out, "undone (µ)"),
-                ActionOutcome::Failed => push_str(out, "failed (ƒ)"),
+            }
+            EventKind::Abort { eab: Some(e) } => {
+                self.push_str("abort eab=");
+                self.push_str(e.display_name());
+            }
+            EventKind::Abort { eab: None } => self.push_str("abort"),
+            EventKind::Raise { exception } => {
+                self.push_str("raise ");
+                self.push_str(exception.display_name());
+            }
+            EventKind::RecoveryStart { raised: true } => self.push_str("recovery raise"),
+            EventKind::RecoveryStart { raised: false } => self.push_str("recovery suspend"),
+            EventKind::ResolutionInvoked { invocations } => {
+                self.push_str("resolve-invoked x");
+                self.push_u64(u64::from(*invocations));
+            }
+            EventKind::Resolved { exception } => {
+                self.push_str("resolved ");
+                self.push_str(exception.display_name());
+            }
+            EventKind::HandlerStart { exception } => {
+                self.push_str("handler-start ");
+                self.push_str(exception.display_name());
+            }
+            // The two `{:?}` fields: their unit variants are plain words; a
+            // variant carrying an exception prints its name `str`-escaped,
+            // which is the formatter's business.
+            EventKind::HandlerEnd { verdict } => {
+                self.push_str("handler-end ");
+                match verdict {
+                    HandlerVerdict::Recovered => self.push_str("Recovered"),
+                    HandlerVerdict::Undo => self.push_str("Undo"),
+                    HandlerVerdict::Fail => self.push_str("Fail"),
+                    HandlerVerdict::Signal(_) => {
+                        let _ = write!(self, "{verdict:?}");
+                    }
+                }
+            }
+            EventKind::SignalOutcome { signal } => {
+                self.push_str("signal ");
+                match signal {
+                    Signal::None => self.push_str("None"),
+                    Signal::Undo => self.push_str("Undo"),
+                    Signal::Failure => self.push_str("Failure"),
+                    Signal::Exception(_) => {
+                        let _ = write!(self, "{signal:?}");
+                    }
+                }
+            }
+            EventKind::ObjectAcquired { object, .. } => {
+                self.push_str("object acquire ");
+                self.push_str(object);
+            }
+            EventKind::ExitStart { epoch } => {
+                self.push_str("exit start e");
+                self.push_u64(u64::from(*epoch));
+            }
+            EventKind::ExitTimeout { epoch } => {
+                self.push_str("exit timeout e");
+                self.push_u64(u64::from(*epoch));
+            }
+            EventKind::ResolutionTimeout { suspects } => {
+                self.push_str("resolution timeout suspects");
+                self.push_threads(suspects);
+            }
+            EventKind::ViewChange { epoch, removed } => {
+                self.push_str("view change v");
+                self.push_u64(u64::from(*epoch));
+                self.push_str(" -");
+                self.push_threads(removed);
+            }
+            EventKind::SignalTimeout { round, suspects } => {
+                let _ = write!(self, "signal timeout {round} suspects");
+                self.push_threads(suspects);
+            }
+            EventKind::Crash => self.push_str("crash-stop"),
+            EventKind::JoinRequested { to } => {
+                self.push_str("join request");
+                self.push_threads(std::slice::from_ref(to));
+            }
+            EventKind::Rejoin { epoch, thread } => {
+                self.push_str("rejoin v");
+                self.push_u64(u64::from(*epoch));
+                self.push_str(" +");
+                self.push_threads(std::slice::from_ref(thread));
+            }
+            other => {
+                let _ = write!(self, "{other}");
             }
         }
-        EventKind::Abort { eab: Some(e) } => {
-            push_str(out, "abort eab=");
-            push_str(out, e.display_name());
-        }
-        EventKind::Abort { eab: None } => push_str(out, "abort"),
-        EventKind::Raise { exception } => {
-            push_str(out, "raise ");
-            push_str(out, exception.display_name());
-        }
-        EventKind::RecoveryStart { raised: true } => push_str(out, "recovery raise"),
-        EventKind::RecoveryStart { raised: false } => push_str(out, "recovery suspend"),
-        EventKind::ResolutionInvoked { invocations } => {
-            push_str(out, "resolve-invoked x");
-            push_u64(out, u64::from(*invocations));
-        }
-        EventKind::Resolved { exception } => {
-            push_str(out, "resolved ");
-            push_str(out, exception.display_name());
-        }
-        EventKind::HandlerStart { exception } => {
-            push_str(out, "handler-start ");
-            push_str(out, exception.display_name());
-        }
-        // The two `{:?}` fields: their unit variants are plain words; a
-        // variant carrying an exception prints its name `str`-escaped,
-        // which is the formatter's business.
-        EventKind::HandlerEnd { verdict } => {
-            push_str(out, "handler-end ");
-            match verdict {
-                HandlerVerdict::Recovered => push_str(out, "Recovered"),
-                HandlerVerdict::Undo => push_str(out, "Undo"),
-                HandlerVerdict::Fail => push_str(out, "Fail"),
-                HandlerVerdict::Signal(_) => {
-                    let _ = write!(out, "{verdict:?}");
-                }
-            }
-        }
-        EventKind::SignalOutcome { signal } => {
-            push_str(out, "signal ");
-            match signal {
-                Signal::None => push_str(out, "None"),
-                Signal::Undo => push_str(out, "Undo"),
-                Signal::Failure => push_str(out, "Failure"),
-                Signal::Exception(_) => {
-                    let _ = write!(out, "{signal:?}");
-                }
-            }
-        }
-        EventKind::ObjectAcquired { object, .. } => {
-            push_str(out, "object acquire ");
-            push_str(out, object);
-        }
-        EventKind::ExitStart { epoch } => {
-            push_str(out, "exit start e");
-            push_u64(out, u64::from(*epoch));
-        }
-        EventKind::ExitTimeout { epoch } => {
-            push_str(out, "exit timeout e");
-            push_u64(out, u64::from(*epoch));
-        }
-        EventKind::ResolutionTimeout { suspects } => {
-            push_str(out, "resolution timeout suspects");
-            push_threads(out, suspects);
-        }
-        EventKind::ViewChange { epoch, removed } => {
-            push_str(out, "view change v");
-            push_u64(out, u64::from(*epoch));
-            push_str(out, " -");
-            push_threads(out, removed);
-        }
-        EventKind::SignalTimeout { round, suspects } => {
-            let _ = write!(out, "signal timeout {round} suspects");
-            push_threads(out, suspects);
-        }
-        EventKind::Crash => push_str(out, "crash-stop"),
-        EventKind::JoinRequested { to } => {
-            push_str(out, "join request");
-            push_threads(out, std::slice::from_ref(to));
-        }
-        EventKind::Rejoin { epoch, thread } => {
-            push_str(out, "rejoin v");
-            push_u64(out, u64::from(*epoch));
-            push_str(out, " +");
-            push_threads(out, std::slice::from_ref(thread));
-        }
-        other => {
-            let _ = write!(out, "{other}");
-        }
+    }
+}
+
+/// For the few fields that do go through the formatter.
+impl std::fmt::Write for Line {
+    fn write_str(&mut self, text: &str) -> std::fmt::Result {
+        self.push_str(text);
+        Ok(())
     }
 }
 
@@ -239,10 +354,15 @@ mod tests {
     use caa_core::message::SignalRound;
     use caa_core::time::VirtualInstant;
 
+    /// What `write` assembles, as text.
+    fn line(write: impl FnOnce(&mut Line)) -> String {
+        let mut line = Line::new();
+        write(&mut line);
+        String::from_utf8(line.bytes().to_vec()).expect("rendered lines are utf-8")
+    }
+
     fn kind_bytes(kind: &EventKind) -> String {
-        let mut out = Vec::new();
-        push_kind(&mut out, kind);
-        String::from_utf8(out).expect("rendered kinds are utf-8")
+        line(|l| l.push_kind(kind))
     }
 
     /// Every variant, with the payloads that take a different branch: the
@@ -421,10 +541,8 @@ mod tests {
         for at_ns in ats {
             for seq in seqs {
                 for (thread, label) in [(0, 0), (7, 12), (100, 4_321), (u32::MAX, u32::MAX)] {
-                    let mut out = Vec::new();
-                    push_prefix(&mut out, at_ns, thread, seq, label);
                     assert_eq!(
-                        String::from_utf8(out).unwrap(),
+                        line(|l| l.push_prefix(at_ns, thread, seq, label)),
                         format!("@{at_ns:>12} T{thread} #{seq:<4} A{label} "),
                     );
                 }
@@ -441,10 +559,17 @@ mod tests {
             samples.extend([n - 1, n, n + 1, n / 2 * 3]);
             power = n.checked_mul(10);
         }
+        // Every value of the lanes the digits are computed in (two digits,
+        // four digits), and a walk over all three eight-digit chunks.
+        samples.extend(0..=10_000);
+        let mut walk = 1u64;
+        for _ in 0..20_000 {
+            walk = walk.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            samples.extend([walk, walk >> 11, walk >> 38, walk % 100_000_000]);
+        }
         for n in samples {
-            let mut out = Vec::new();
-            push_u64(&mut out, n);
-            assert_eq!(String::from_utf8(out).unwrap(), n.to_string());
+            assert_eq!(line(|l| l.push_u64(n)), n.to_string());
+            assert_eq!(line(|l| l.push_padded::<12>(n)), format!("{n:>12}"));
         }
     }
 
@@ -464,11 +589,11 @@ mod tests {
                 deliver_at: VirtualInstant::from_nanos(deliver),
                 seq,
             };
-            let mut out = Vec::new();
-            push_net(&mut out, "net send ", &e);
-            push_delivery(&mut out, &e);
             assert_eq!(
-                String::from_utf8(out).unwrap(),
+                line(|l| {
+                    l.push_net("net send ", &e);
+                    l.push_delivery(&e);
+                }),
                 format!(
                     "net send {} {}->{} seq={} deliver@{}",
                     e.class,
@@ -478,12 +603,146 @@ mod tests {
                     e.deliver_at.as_nanos()
                 ),
             );
-            let mut out = Vec::new();
-            push_net(&mut out, "net drop ", &e);
             assert_eq!(
-                String::from_utf8(out).unwrap(),
+                line(|l| l.push_net("net drop ", &e)),
                 format!("net drop {} {}->{}", e.class, e.src, e.dst),
             );
+        }
+    }
+
+    /// Whole lines of every kind of entry, through a recorder and
+    /// `Trace::render`, against the format strings the module replaces.
+    #[test]
+    fn whole_lines_of_every_entry_kind_render_like_display() {
+        use crate::trace::{fnv1a64, EntryKind, TraceRecorder};
+        use caa_core::ids::ActionId;
+        use caa_runtime::observe::{Event, Observer};
+        use caa_simnet::NetTap;
+
+        let rec = TraceRecorder::new();
+        // Instants of every width up to 17 digits: five past the pad.
+        let mut events = 0u32;
+        let mut next_at = || {
+            events += 1;
+            10u64.pow(events % 17) + u64::from(events)
+        };
+        for (i, kind) in every_kind().into_iter().enumerate() {
+            rec.on_event(Event {
+                at: VirtualInstant::from_nanos(next_at()),
+                thread: ThreadId::new(i as u32 % 11),
+                action: ActionId::top_level(1 + i as u64 % 13),
+                kind,
+            });
+        }
+        for (i, tap) in [NetTap::on_sent, NetTap::on_dropped, NetTap::on_corrupted]
+            .into_iter()
+            .cycle()
+            .take(12)
+            .enumerate()
+        {
+            let at = next_at();
+            tap(
+                rec.as_ref(),
+                &TapEvent {
+                    src: PartitionId::new(i as u32 % 5),
+                    dst: PartitionId::new(40 + i as u32),
+                    class: ["Exception", "toBeSignalled", "App"][i % 3],
+                    correlation: 1 + i as u64 % 13,
+                    at: VirtualInstant::from_nanos(at),
+                    deliver_at: VirtualInstant::from_nanos(at + 1_000_000 * i as u64),
+                    seq: [0, 9_999, 10_000][i % 3],
+                },
+            );
+        }
+        let trace = rec.finish();
+        let mut expected = String::new();
+        for e in trace.entries() {
+            let (at_ns, thread, seq, label) = (e.at_ns, e.thread, e.seq, e.label);
+            let _ = write!(expected, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ");
+            let _ = match &e.kind {
+                EntryKind::Runtime(ev) => writeln!(expected, "{}", ev.kind),
+                EntryKind::NetSent(t) => writeln!(
+                    expected,
+                    "net send {} {}->{} seq={} deliver@{}",
+                    t.class,
+                    t.src,
+                    t.dst,
+                    t.seq,
+                    t.deliver_at.as_nanos()
+                ),
+                EntryKind::NetDropped(t) => {
+                    writeln!(expected, "net drop {} {}->{}", t.class, t.src, t.dst)
+                }
+                EntryKind::NetCorrupted(t) => {
+                    writeln!(expected, "net corrupt {} {}->{}", t.class, t.src, t.dst)
+                }
+            };
+        }
+        assert_eq!(trace.render(), expected);
+        assert_eq!(trace.render_fingerprint(), fnv1a64(expected.as_bytes()));
+        assert_eq!(trace.first_divergence(&rec.finish()), None);
+    }
+
+    /// A line that outgrows the buffer — at whichever field — is rendered
+    /// by the formatter instead, and the next line is assembled in place
+    /// again.
+    #[test]
+    fn an_over_long_line_takes_the_display_path_and_renders_the_same() {
+        use crate::trace::{Entry, EntryKind};
+        use caa_core::ids::ActionId;
+        use caa_runtime::observe::Event;
+
+        for len in [
+            0,
+            1,
+            INLINE - 70,
+            INLINE - 40,
+            INLINE - 1,
+            INLINE,
+            INLINE + 1,
+            300,
+            5_000,
+        ] {
+            let name: String = "nµ".chars().cycle().take(len).collect();
+            let kinds = [
+                EventKind::Enter {
+                    name: name.as_str().into(),
+                    role: name.as_str().into(),
+                    depth: 2,
+                },
+                EventKind::Raise {
+                    exception: ExceptionId::new(&name),
+                },
+                EventKind::HandlerEnd {
+                    verdict: HandlerVerdict::Signal(ExceptionId::new(&name)),
+                },
+                EventKind::Crash,
+            ];
+            let mut shared = Line::new();
+            for kind in kinds {
+                let expected = format!("@{:>12} T3 #{:<4} A7 {kind}\n", 5, 6);
+                let entry = Entry {
+                    at_ns: 5,
+                    thread: 3,
+                    label: 7,
+                    seq: 6,
+                    kind: EntryKind::Runtime(Event {
+                        at: VirtualInstant::from_nanos(5),
+                        thread: ThreadId::new(3),
+                        action: ActionId::top_level(1),
+                        kind,
+                    }),
+                };
+                assert_eq!(format!("{entry}\n"), expected);
+                entry.render(&mut shared);
+                assert_eq!(
+                    std::str::from_utf8(shared.bytes()),
+                    Ok(&*expected),
+                    "name of {len} chars"
+                );
+                let fitted = expected.len() <= INLINE;
+                assert_eq!(shared.len <= INLINE, fitted, "name of {len} chars");
+            }
         }
     }
 }

@@ -43,13 +43,17 @@
 //! Every step clamps at the raise time, so the emitted segments are
 //! contiguous, disjoint and exactly cover the raise→resolve interval.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
+use caa_core::exception::ExceptionId;
 use caa_runtime::observe::EventKind;
 use caa_simnet::TapEvent;
 use caa_telemetry::json;
-use caa_telemetry::{Span, SpanTree};
+use caa_telemetry::{Span, SpanName, SpanTree};
 
+use crate::scratch::{self, reset};
 use crate::trace::{Entry, EntryKind, Trace};
 
 /// What a critical-path segment's time was spent on.
@@ -348,12 +352,38 @@ impl OpenSpans {
     }
 }
 
-/// `{prefix}{rest}` without the formatter.
-fn named(prefix: &str, rest: &str) -> String {
-    let mut name = String::with_capacity(prefix.len() + rest.len());
-    name.push_str(prefix);
-    name.push_str(rest);
-    name
+/// What [`build_span_tree`] keeps open while it walks a trace, recycled
+/// from one trace to the next through the calling thread's scratch: a tree
+/// costs the allocation that holds its spans and nothing else.
+#[derive(Default)]
+struct SpanScratch {
+    /// Open action spans `(thread, label, span)` in the order they opened:
+    /// those of one thread are its stack, innermost last.
+    actions: Vec<(u32, u32, u32)>,
+    /// Per `(instance, thread)` cell.
+    open: Vec<OpenSpans>,
+    /// Per instance: its open raise→resolve span.
+    raise_open: Vec<Option<u32>>,
+    /// `(crashed thread, its crash-detect span)`.
+    detect_open: Vec<(u32, u32)>,
+    /// Per thread: when it last crashed.
+    last_crash: Vec<Option<u64>>,
+    /// The most spans any tree built on this thread had — what the next
+    /// tree reserves, so that it seldom grows.
+    most_spans: usize,
+}
+
+thread_local! {
+    static SPAN_SCRATCH: Cell<SpanScratch> = Cell::default();
+}
+
+/// `{prefix}{exception}` as the exception displays: by symbol when it is
+/// pre-defined, else by its own name, shared.
+fn exception_span(prefix: &'static str, exception: &ExceptionId) -> SpanName {
+    match exception.symbol() {
+        Some(symbol) => SpanName::word(prefix, symbol),
+        None => SpanName::shared(prefix, exception.shared_name()),
+    }
 }
 
 /// Reconstructs the run's span tree from its canonical trace: one span
@@ -364,27 +394,37 @@ fn named(prefix: &str, rest: &str) -> String {
 /// tree, byte for byte under [`SpanTree::render`].
 #[must_use]
 pub fn build_span_tree(trace: &Trace) -> SpanTree {
+    scratch::with(&SPAN_SCRATCH, |scratch| span_tree(trace, scratch))
+}
+
+fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
+    let SpanScratch {
+        actions,
+        open,
+        raise_open,
+        detect_open,
+        last_crash,
+        most_spans,
+    } = scratch;
     let index = trace.index();
-    let mut tree = SpanTree::new();
-    // Innermost-last stack of open action spans `(label, span)` per thread.
-    let mut action_stack: Vec<Vec<(u32, u32)>> = vec![Vec::new(); index.threads()];
-    let mut open = vec![OpenSpans::default(); index.cells()];
-    let mut raise_open: Vec<Option<u32>> = vec![None; index.instances().len()];
-    let mut detect_open: Vec<(u32, u32)> = Vec::new();
-    let mut last_crash: Vec<Option<u64>> = vec![None; index.threads()];
+    // No entry opens more than two spans.
+    let mut tree = SpanTree::with_capacity((*most_spans).min(2 * trace.len()));
+    actions.clear();
+    reset(open, index.cells());
+    reset(raise_open, index.instances().len());
+    detect_open.clear();
+    reset(last_crash, index.threads());
     let end_ns = trace.entries().last().map_or(0, |e| e.at_ns);
 
     // The innermost open action span on `thread` matching `label`, or
     // the innermost of any instance (an observer event of a peer's
     // instance), or none.
-    let parent_of = |stacks: &[Vec<(u32, u32)>], thread: u32, label: u32| {
-        let stack = &stacks[thread as usize];
-        stack
-            .iter()
-            .rev()
-            .find(|(l, _)| *l == label)
-            .or_else(|| stack.last())
-            .map(|&(_, span)| span)
+    let parent_of = |actions: &[(u32, u32, u32)], thread: u32, label: u32| {
+        let stack = || actions.iter().rev().filter(|(t, ..)| *t == thread);
+        stack()
+            .find(|(_, l, _)| *l == label)
+            .or_else(|| stack().next())
+            .map(|&(.., span)| span)
     };
 
     for entry in trace.entries() {
@@ -395,7 +435,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
             continue;
         };
         let cell = index.cell(label, thread);
-        let span = |name: String, start_ns: u64, parent: Option<u32>| Span {
+        let span = |name: SpanName, start_ns: u64, parent: Option<u32>| Span {
             name,
             start_ns,
             end_ns: at,
@@ -405,9 +445,10 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
         };
         match &event.kind {
             EventKind::Enter { name, .. } => {
-                let parent = parent_of(&action_stack, thread, label);
-                let id = tree.push(span(named("action:", name), at, parent));
-                action_stack[thread as usize].push((label, id));
+                let parent = parent_of(actions, thread, label);
+                let name = SpanName::shared("action:", Arc::clone(name));
+                let id = tree.push(span(name, at, parent));
+                actions.push((thread, label, id));
             }
             EventKind::Exit { .. } | EventKind::Abort { .. } => {
                 for id in [open[cell].exit.take(), open[cell].catchup.take()]
@@ -416,15 +457,17 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 {
                     tree.set_end(id, at);
                 }
-                let stack = &mut action_stack[thread as usize];
-                if let Some(i) = stack.iter().rposition(|(l, _)| *l == label) {
-                    let (_, id) = stack.remove(i);
+                let innermost = actions
+                    .iter()
+                    .rposition(|&(t, l, _)| (t, l) == (thread, label));
+                if let Some(i) = innermost {
+                    let (.., id) = actions.remove(i);
                     tree.set_end(id, at);
                 }
             }
             EventKind::Raise { exception } if raise_open[label as usize].is_none() => {
-                let parent = parent_of(&action_stack, thread, label);
-                let name = named("raise\u{2192}resolve:", exception.display_name());
+                let parent = parent_of(actions, thread, label);
+                let name = exception_span("raise\u{2192}resolve:", exception);
                 raise_open[label as usize] = Some(tree.push(span(name, at, parent)));
             }
             EventKind::RecoveryStart { .. } => {
@@ -434,16 +477,18 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 if let Some(id) = raise_open[label as usize].take() {
                     tree.set_end(id, at);
                 }
-                let parent = parent_of(&action_stack, thread, label);
+                let parent = parent_of(actions, thread, label);
                 if let Some((start, round)) = &mut open[cell].recovery {
-                    tree.push(span(format!("resolution:r{round}"), *start, parent));
+                    let name = SpanName::numbered("resolution:r", *round);
+                    tree.push(span(name, *start, parent));
                     *start = at;
                     *round += 1;
                 }
                 if let Some(id) = open[cell].signalling.take() {
                     tree.set_end(id, at);
                 }
-                open[cell].signalling = Some(tree.push(span("signalling".to_owned(), at, parent)));
+                let name = SpanName::plain("signalling");
+                open[cell].signalling = Some(tree.push(span(name, at, parent)));
             }
             EventKind::SignalOutcome { .. } => {
                 if let Some(id) = open[cell].signalling.take() {
@@ -451,8 +496,8 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 }
             }
             EventKind::HandlerStart { exception } => {
-                let parent = parent_of(&action_stack, thread, label);
-                let name = named("handler:", exception.display_name());
+                let parent = parent_of(actions, thread, label);
+                let name = exception_span("handler:", exception);
                 open[cell].handler = Some(tree.push(span(name, at, parent)));
             }
             EventKind::HandlerEnd { .. } => {
@@ -461,32 +506,34 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 }
             }
             EventKind::ObjectAcquired { object, waited_ns } if *waited_ns > 0 => {
-                let parent = parent_of(&action_stack, thread, label);
-                tree.push(span(
-                    named("object-wait:", object),
-                    at.saturating_sub(*waited_ns),
-                    parent,
-                ));
+                let parent = parent_of(actions, thread, label);
+                let name = SpanName::shared("object-wait:", Arc::clone(object));
+                tree.push(span(name, at.saturating_sub(*waited_ns), parent));
             }
             EventKind::ExitStart { epoch } => {
                 if let Some(id) = open[cell].exit.take() {
                     tree.set_end(id, at);
                 }
-                let parent = parent_of(&action_stack, thread, label);
-                open[cell].exit = Some(tree.push(span(format!("exit:e{epoch}"), at, parent)));
+                let parent = parent_of(actions, thread, label);
+                let name = SpanName::numbered("exit:e", u64::from(*epoch));
+                open[cell].exit = Some(tree.push(span(name, at, parent)));
             }
             EventKind::Crash => {
                 last_crash[thread as usize] = Some(at);
                 // A crash closes everything the thread had open.
-                for (_, id) in action_stack[thread as usize].drain(..) {
-                    tree.set_end(id, at);
-                }
+                actions.retain(|&(t, _, id)| {
+                    if t == thread {
+                        tree.set_end(id, at);
+                    }
+                    t != thread
+                });
                 for peer_label in 0..index.instances().len() as u32 {
                     for id in open[index.cell(peer_label, thread)].drain() {
                         tree.set_end(id, at);
                     }
                 }
-                detect_open.push((thread, tree.push(span("crash-detect".to_owned(), at, None))));
+                let id = tree.push(span(SpanName::plain("crash-detect"), at, None));
+                detect_open.push((thread, id));
             }
             EventKind::ViewChange { removed, .. } => {
                 detect_open.retain(|&(crashed, id)| {
@@ -502,26 +549,25 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 thread: rejoiner, ..
             } if rejoiner.as_u32() == thread => {
                 if let Some(crash_at) = last_crash[thread as usize] {
-                    tree.push(span("rejoin-restart".to_owned(), crash_at, None));
+                    tree.push(span(SpanName::plain("rejoin-restart"), crash_at, None));
                 }
-                let parent = parent_of(&action_stack, thread, label);
-                open[cell].catchup = Some(tree.push(span("rejoin-catchup".to_owned(), at, parent)));
+                let parent = parent_of(actions, thread, label);
+                let name = SpanName::plain("rejoin-catchup");
+                open[cell].catchup = Some(tree.push(span(name, at, parent)));
             }
             _ => {}
         }
     }
 
     // Close whatever the trace left open at its end.
-    let still_open = action_stack
-        .into_iter()
-        .flatten()
-        .map(|(_, id)| id)
+    let still_open = (actions.iter().map(|&(.., id)| id))
         .chain(open.iter_mut().flat_map(OpenSpans::drain))
-        .chain(raise_open.into_iter().flatten())
-        .chain(detect_open.into_iter().map(|(_, id)| id));
+        .chain(raise_open.iter().flatten().copied())
+        .chain(detect_open.iter().map(|&(_, id)| id));
     for id in still_open {
         tree.set_end(id, end_ns);
     }
+    *most_spans = tree.len().max(*most_spans);
     tree
 }
 
@@ -591,10 +637,13 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
     }
 
     // Derived spans as complete events.
+    let mut name = String::new();
     for span in tree.spans() {
         let mut body = String::with_capacity(96);
         body.push_str("{\"name\": ");
-        json::write_str(&mut body, &span.name);
+        name.clear();
+        let _ = write!(name, "{}", span.name);
+        json::write_str(&mut body, &name);
         let _ = write!(
             body,
             ", \"cat\": \"span\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 0, \

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use caa_core::inline::InlineVec;
 use caa_runtime::observe::EventKind;
 
 use crate::arena::ExecutionArena;
@@ -256,19 +257,24 @@ impl PathCoverage {
     pub fn from_trace(trace: &Trace) -> PathCoverage {
         let mut coverage = PathCoverage::default();
         let index = trace.index();
-        // Which `(instance, thread)` cells are inside an exit phase.
-        let mut exiting = vec![false; index.cells()];
+        // Which `(instance, thread)` cells are inside an exit phase: one
+        // bit each, 256 of them inline.
+        let mut exiting: InlineVec<u64, 4> = InlineVec::new();
+        exiting.extend(std::iter::repeat_n(0, index.cells().div_ceil(64)));
+        let exiting = exiting.as_mut_slice();
         for entry in trace.entries() {
             let EntryKind::Runtime(event) = &entry.kind else {
                 continue;
             };
             let cell = index.cell(entry.label, entry.thread);
+            let (word, bit) = (cell / 64, 1u64 << (cell % 64));
             match &event.kind {
                 EventKind::RecoveryStart { .. } => {
                     coverage.recoveries += 1;
-                    coverage.exit_races += u64::from(std::mem::take(&mut exiting[cell]));
+                    coverage.exit_races += u64::from(exiting[word] & bit != 0);
+                    exiting[word] &= !bit;
                 }
-                EventKind::ExitStart { .. } => exiting[cell] = true,
+                EventKind::ExitStart { .. } => exiting[word] |= bit,
                 EventKind::SignalOutcome { signal } => match signal {
                     caa_core::Signal::Undo => coverage.undo_outcomes += 1,
                     caa_core::Signal::Failure => {

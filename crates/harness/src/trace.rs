@@ -67,7 +67,7 @@ use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
 
 use crate::inthash::IntMap;
-use crate::render;
+use crate::render::Line;
 
 /// What one trace entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,19 +112,42 @@ impl Entry {
         }
     }
 
-    /// Appends the entry's rendered line.
-    fn render(&self, out: &mut Vec<u8>) {
-        render::push_prefix(out, self.at_ns, self.thread, self.seq, self.label);
+    /// Starts `line` over with the entry's rendered line.
+    pub(crate) fn render(&self, line: &mut Line) {
+        line.clear();
+        line.push_prefix(self.at_ns, self.thread, self.seq, self.label);
         match &self.kind {
-            EntryKind::Runtime(e) => render::push_kind(out, &e.kind),
+            EntryKind::Runtime(e) => line.push_kind(&e.kind),
             EntryKind::NetSent(e) => {
-                render::push_net(out, "net send ", e);
-                render::push_delivery(out, e);
+                line.push_net("net send ", e);
+                line.push_delivery(e);
             }
-            EntryKind::NetDropped(e) => render::push_net(out, "net drop ", e),
-            EntryKind::NetCorrupted(e) => render::push_net(out, "net corrupt ", e),
+            EntryKind::NetDropped(e) => line.push_net("net drop ", e),
+            EntryKind::NetCorrupted(e) => line.push_net("net corrupt ", e),
         }
-        out.push(b'\n');
+        line.push_byte(b'\n');
+        line.or_display(|| format!("{self}\n"));
+    }
+}
+
+/// The rendered line, without its newline — what [`Trace::render`] writes
+/// for the entry, here by the formatter.
+impl std::fmt::Display for Entry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (at_ns, thread, seq, label) = (self.at_ns, self.thread, self.seq, self.label);
+        write!(f, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ")?;
+        let net = |f: &mut std::fmt::Formatter<'_>, verb: &str, e: &TapEvent| {
+            write!(f, "net {verb} {} {}->{}", e.class, e.src, e.dst)
+        };
+        match &self.kind {
+            EntryKind::Runtime(e) => write!(f, "{}", e.kind),
+            EntryKind::NetSent(e) => {
+                net(f, "send", e)?;
+                write!(f, " seq={} deliver@{}", e.seq, e.deliver_at.as_nanos())
+            }
+            EntryKind::NetDropped(e) => net(f, "drop", e),
+            EntryKind::NetCorrupted(e) => net(f, "corrupt", e),
+        }
     }
 }
 
@@ -253,15 +276,17 @@ impl Trace {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = Vec::with_capacity(self.entries.len() * 64);
+        let mut line = Line::new();
         for entry in &self.entries {
-            entry.render(&mut out);
+            entry.render(&mut line);
+            out.extend_from_slice(line.bytes());
         }
         String::from_utf8(out).expect("rendered fields are utf-8")
     }
 
     /// Streams the FNV-1a 64-bit fingerprint of [`Trace::render`] without
-    /// materialising the rendering: each entry renders into one reusable
-    /// line buffer and folds into the running hash. By construction
+    /// materialising the rendering: each entry renders into one line
+    /// buffer on the stack and folds into the running hash. By construction
     /// `trace.render_fingerprint() == fnv1a64(trace.render().as_bytes())`,
     /// so fingerprints from hash-only sweeps (`trace_hashes`, the
     /// golden-trace test, pre/post refactor gates) stay comparable with
@@ -274,11 +299,10 @@ impl Trace {
     #[must_use]
     pub fn render_fingerprint(&self) -> u64 {
         let mut hash: u64 = FNV_OFFSET;
-        let mut line = Vec::with_capacity(128);
+        let mut line = Line::new();
         for entry in &self.entries {
-            line.clear();
             entry.render(&mut line);
-            hash = fnv1a64_fold(hash, &line);
+            hash = fnv1a64_fold(hash, line.bytes());
         }
         hash
     }
@@ -296,8 +320,8 @@ impl Trace {
     /// different entries through.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        let mut line_a = Vec::new();
-        let mut line_b = Vec::new();
+        let mut line_a = Line::new();
+        let mut line_b = Line::new();
         for (i, (ea, eb)) in self.entries.iter().zip(&other.entries).enumerate() {
             if (ea.at_ns, ea.thread, ea.seq, ea.label) == (eb.at_ns, eb.thread, eb.seq, eb.label)
                 && kinds_render_equal(&ea.kind, &eb.kind)
@@ -307,11 +331,9 @@ impl Trace {
             // Structurally unequal: confirm by rendering this line pair
             // (exact, and cold — replays of one seed are structurally
             // identical in practice).
-            line_a.clear();
-            line_b.clear();
             ea.render(&mut line_a);
             eb.render(&mut line_b);
-            if line_a != line_b {
+            if line_a.bytes() != line_b.bytes() {
                 return Some(i);
             }
         }
@@ -345,19 +367,23 @@ impl Trace {
         let mut relabel = vec![NONE; self.index.instances.len()];
         let mut next = 0;
         let mut out = Vec::with_capacity(steps.len() * 32);
+        let mut line = Line::new();
         for (entry, kind) in steps {
             let act = &mut relabel[entry.label as usize];
             if *act == NONE {
                 *act = next;
                 next += 1;
             }
-            out.push(b'T');
-            render::push_u64(&mut out, u64::from(entry.thread));
-            out.extend_from_slice(b" A");
-            render::push_u64(&mut out, u64::from(*act));
-            out.push(b' ');
-            render::push_kind(&mut out, kind);
-            out.push(b'\n');
+            line.clear();
+            line.push_byte(b'T');
+            line.push_u64(u64::from(entry.thread));
+            line.push_str(" A");
+            line.push_u64(u64::from(*act));
+            line.push_byte(b' ');
+            line.push_kind(kind);
+            line.push_byte(b'\n');
+            line.or_display(|| format!("T{} A{act} {kind}\n", entry.thread));
+            out.extend_from_slice(line.bytes());
         }
         String::from_utf8(out).expect("rendered fields are utf-8")
     }

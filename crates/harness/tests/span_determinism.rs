@@ -8,12 +8,16 @@
 //! * every instance's critical-path segments are contiguous and sum
 //!   exactly to its raise→resolve latency (the attribution invariant);
 //! * deriving spans does not touch the trace: fingerprints before and
-//!   after derivation are identical.
+//!   after derivation are identical;
+//! * the rendered trees and Perfetto exports of 3 × 200 seeds are, byte for
+//!   byte, those of the tree that named every span with a `String`
+//!   (`tests/golden/span_trees_600.digest`, blessed on that tree).
 
 use caa_harness::exec::execute;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::{build_span_tree, critical_paths, trace_event_json, SegmentClass};
 use caa_harness::sweep::{sweep, Shard, SweepConfig, SweepReport};
+use caa_harness::trace::{fnv1a64, fnv1a64_fold};
 
 fn run(seeds: u64, workers: usize, shard: Option<Shard>) -> SweepReport {
     let report = sweep(&SweepConfig {
@@ -50,6 +54,46 @@ fn same_seed_derives_byte_identical_spans_and_paths() {
             "seed {seed}: exported trace-event JSON must be byte-identical"
         );
     }
+}
+
+/// `SpanTree::render` shows every name, interval, thread, instance and
+/// parent link; `trace_event_json` shows the names JSON-escaped. The golden
+/// file was written by the commit before span names stopped being heap
+/// strings (`CAA_GOLDEN_BLESS=1` re-blesses; only a deliberate change of
+/// the span taxonomy may).
+#[test]
+fn span_trees_of_600_seeds_render_like_the_string_named_tree() {
+    const SEEDS: u64 = 200;
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/span_trees_600.digest"
+    );
+    let mut digest = String::new();
+    for (name, config) in [
+        ("default", ScenarioConfig::default()),
+        ("object_heavy", ScenarioConfig::object_heavy()),
+        ("multi_crash", ScenarioConfig::multi_crash()),
+    ] {
+        let (mut render, mut json) = (fnv1a64(b""), fnv1a64(b""));
+        let mut spans = 0;
+        for seed in 0..SEEDS {
+            let trace = execute(&ScenarioPlan::generate(seed, &config)).trace;
+            let tree = build_span_tree(&trace);
+            spans += tree.len();
+            render = fnv1a64_fold(render, tree.render().as_bytes());
+            json = fnv1a64_fold(json, trace_event_json(&trace, seed).as_bytes());
+        }
+        digest += &format!(
+            "{name} seeds 0..{SEEDS} spans {spans} render {render:016x} trace_event_json {json:016x}\n"
+        );
+    }
+    if std::env::var_os("CAA_GOLDEN_BLESS").is_some() {
+        std::fs::write(path, &digest).expect("write golden digest");
+        return;
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden digest present (bless once with CAA_GOLDEN_BLESS=1)");
+    assert_eq!(digest, golden, "span trees drifted from {path}");
 }
 
 #[test]

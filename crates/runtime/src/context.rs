@@ -32,7 +32,7 @@
 //! quorum gate, view change, announcement) and re-arms or concludes. What
 //! a round *decides* at each of those points is pure `event → action`
 //! state in the private `rounds` module (in the shape of
-//! [`ResolverState::on_event`](crate::protocol::ResolverState::on_event)):
+//! [`ResolverState::on_event`]):
 //! `Round::status`, `Round::expired`, and — for a message — `Frame::absorb`
 //! of the frame it addresses, each answering with a `RoundAction`. That
 //! module never touches the endpoint, the system or this context; `Ctx` is
@@ -69,7 +69,7 @@ use crate::error::{Flow, RuntimeError, Step, Unwind};
 use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot};
 use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake};
 use crate::observe::{Event, EventKind};
-use crate::protocol::{ProtoActions, ProtoEvent};
+use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolverState};
 use crate::rounds::{corrupted, unframed, Collected, Frame, Round, RoundAction, RoundEnd};
 use crate::system::SystemShared;
 
@@ -639,9 +639,8 @@ impl Ctx {
         let instance = &mut self.entry_counts[at].1;
         let action = make_action_id(inner.def_id, parent_serial, *instance, depth);
         *instance += 1;
-        let resolver = self.system.protocol.new_state();
         self.stack
-            .push(Frame::new(action, Arc::clone(&inner), role_id, resolver));
+            .push(Frame::new(action, Arc::clone(&inner), role_id));
 
         // "if Ti enters A then <A> → SAi; consume messages having arrived".
         let mut initial: Option<RecoveryStart> = None;
@@ -798,8 +797,7 @@ impl Ctx {
         );
         self.finished.retain(|&serial| serial != action.serial());
         self.system.stats.lock().rejoins += 1;
-        let resolver = self.system.protocol.new_state();
-        let frame = Frame::new(action, Arc::clone(&inner), role_id, resolver);
+        let frame = Frame::new(action, Arc::clone(&inner), role_id);
         self.stack.push(frame.rejoined(view, exit_epoch, resolved));
         self.observe(action, || EventKind::Rejoin {
             epoch: view_epoch,
@@ -1124,9 +1122,14 @@ impl Ctx {
         Ok(Some(resolved))
     }
 
+    /// The active frame's resolver (made on first use) and its context.
+    fn resolver(&mut self) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
+        let frame = self.stack.last_mut().expect("frame active");
+        frame.proto_ctx(self.me, &*self.system.protocol)
+    }
+
     fn feed_resolver(&mut self, event: ProtoEvent<'_>) -> Step {
-        let me = self.me;
-        let (resolver, ctx) = self.frame_mut().proto_ctx(me);
+        let (resolver, ctx) = self.resolver();
         let actions = resolver.on_event(&ctx, event);
         self.dispatch_proto_actions(actions)
     }
@@ -1204,7 +1207,8 @@ impl Ctx {
                 None => {
                     trace!(self, "{round:?}: bounded wait expired");
                     let top = self.stack.len().saturating_sub(1);
-                    (top, round.expired(self.stack.last_mut(), self.me))
+                    let protocol = &*self.system.protocol;
+                    (top, round.expired(self.stack.last_mut(), self.me, protocol))
                 }
             };
             match self.perform(round, index, action)? {
@@ -1391,8 +1395,7 @@ impl Ctx {
     /// participant may now hold the quorum and the election).
     fn feed_view_change(&mut self, removed: &[ThreadId]) -> Step {
         let synthesized = synthesize_crashes(removed);
-        let me = self.me;
-        let (resolver, ctx) = self.frame_mut().proto_ctx(me);
+        let (resolver, ctx) = self.resolver();
         let actions = resolver.on_view_change(&ctx, removed, &synthesized);
         self.dispatch_proto_actions(actions)
     }

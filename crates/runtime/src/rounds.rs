@@ -26,7 +26,7 @@ use crate::context::AppMsg;
 use crate::error::Unwind;
 use crate::membership::{FrameMembership, ViewSnapshot, GROUP_INLINE};
 use crate::objects::TxControl;
-use crate::protocol::{ProtoActions, ProtoCtx, ResolverState};
+use crate::protocol::{ProtoActions, ProtoCtx, ResolutionProtocol, ResolverState};
 
 /// One entry of the action stack (`SA`), grouped by responsibility.
 ///
@@ -71,8 +71,10 @@ pub(crate) struct Inboxes {
 
 /// A frame's progress through coordinated recovery.
 pub(crate) struct Recovery {
-    /// Protocol state for this frame's resolution.
-    pub(crate) resolver: Box<dyn ResolverState>,
+    /// Protocol state for this frame's resolution, made when the frame
+    /// first takes part in one ([`Frame::proto_ctx`]): most frames never
+    /// recover, and their state was a boxed allocation per entry.
+    pub(crate) resolver: Option<Box<dyn ResolverState>>,
     /// Resolution completed — later Exception/Suspended messages for this
     /// instance are stragglers and are dropped (termination model: nothing
     /// new can be raised within the action after handlers start).
@@ -99,18 +101,13 @@ pub(crate) struct Recovery {
 
 impl Frame {
     /// A frame freshly entered over the action's full group.
-    pub(crate) fn new(
-        action: ActionId,
-        def: Arc<DefInner>,
-        role: RoleId,
-        resolver: Box<dyn ResolverState>,
-    ) -> Self {
+    pub(crate) fn new(action: ActionId, def: Arc<DefInner>, role: RoleId) -> Self {
         Frame {
             view: FrameMembership::new(&def.group),
             id: Identity { action, def, role },
             inbox: Inboxes::default(),
             recovery: Recovery {
-                resolver,
+                resolver: None,
                 recovered: false,
                 aborting: false,
                 in_handler: None,
@@ -157,17 +154,25 @@ impl Frame {
         }
     }
 
-    /// The frame's resolver together with the static context its events
-    /// take: this thread, the instance, the *current* view and the
-    /// action's exception graph.
-    pub(crate) fn proto_ctx(&mut self, me: ThreadId) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
+    /// The frame's resolver — a fresh state of `protocol` the first time —
+    /// together with the static context its events take: this thread, the
+    /// instance, the *current* view and the action's exception graph.
+    pub(crate) fn proto_ctx(
+        &mut self,
+        me: ThreadId,
+        protocol: &dyn ResolutionProtocol,
+    ) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
         let ctx = ProtoCtx {
             me,
             action: self.id.action,
             group: self.view.members(),
             graph: &self.id.def.graph,
         };
-        (self.recovery.resolver.as_mut(), ctx)
+        let resolver = self
+            .recovery
+            .resolver
+            .get_or_insert_with(|| protocol.new_state());
+        (resolver.as_mut(), ctx)
     }
 
     /// Stamps this frame's membership view into the `Commit`s a resolver is
@@ -710,7 +715,14 @@ impl Round {
     }
 
     /// The round's deadline expired: who is silent, and what follows.
-    pub(crate) fn expired(self, frame: Option<&mut Frame>, me: ThreadId) -> RoundAction {
+    /// (`protocol` for a resolution wait that expires on a frame no event
+    /// was fed to yet: its fresh state still names whom it waits on.)
+    pub(crate) fn expired(
+        self,
+        frame: Option<&mut Frame>,
+        me: ThreadId,
+        protocol: &dyn ResolutionProtocol,
+    ) -> RoundAction {
         let Some(frame) = frame else {
             // The grant wait: no survivor answered.
             return RoundAction::End(RoundEnd::Excluded);
@@ -719,7 +731,7 @@ impl Round {
             // Presume the peers the resolver is blocked on crashed; the
             // applied view change opens a fresh round for the shrunken view.
             Round::Resolution => {
-                let (resolver, ctx) = frame.proto_ctx(me);
+                let (resolver, ctx) = frame.proto_ctx(me, protocol);
                 let suspects = resolver.waiting_on(&ctx);
                 if suspects.is_empty() {
                     return RoundAction::Violation(
@@ -771,7 +783,8 @@ mod tests {
     use super::*;
     use crate::action::ActionDef;
     use crate::membership::Eviction;
-    use crate::protocol::{ResolutionProtocol, XrrResolution};
+    use crate::protocol::{ProtoEvent, XrrResolution};
+    use caa_core::state::ParticipantState;
 
     fn t(n: u32) -> ThreadId {
         ThreadId::new(n)
@@ -787,7 +800,7 @@ mod tests {
             .role("r2", 2u32)
             .build()
             .expect("valid definition");
-        Frame::new(ACTION, def.inner, RoleId::new(0), XrrResolution.new_state())
+        Frame::new(ACTION, def.inner, RoleId::new(0))
     }
 
     fn exception(from: u32) -> Message {
@@ -896,7 +909,7 @@ mod tests {
         // Pristine view (epoch 0): a missing announcement is a §3.4 loss,
         // nobody is suspected, and the round concludes with ƒ for the
         // silent members of the group at expiry.
-        match FIRST.expired(Some(&mut f), t(0)) {
+        match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
             RoundAction::Suspect {
                 suspects,
                 then: Some(RoundEnd::Signals(collected)),
@@ -956,7 +969,7 @@ mod tests {
         let mut f = frame();
         f.view.adopt_removals(&[t(2)]).expect("T2 was live");
         f.signals.record(SignalRound::First, t(0), Signal::None);
-        match FIRST.expired(Some(&mut f), t(0)) {
+        match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
             RoundAction::Suspect { suspects, then } => {
                 assert_eq!(&suspects[..], [t(1)], "epoch > 0: silence is another crash");
                 assert!(matches!(then, Some(RoundEnd::Signals(c)) if c.failure));
@@ -972,7 +985,7 @@ mod tests {
         f.view.adopt_removals(&[t(2)]).expect("T2 was live");
         f.view.evicted = true;
         assert!(matches!(
-            FIRST.expired(Some(&mut f), t(0)),
+            FIRST.expired(Some(&mut f), t(0), &XrrResolution),
             RoundAction::Suspect { suspects, .. } if suspects.is_empty()
         ));
     }
@@ -996,6 +1009,78 @@ mod tests {
         ));
     }
 
+    // -- the resolver, made on first use ---------------------------------
+
+    #[test]
+    fn a_frame_that_never_recovers_holds_no_resolver_state() {
+        let mut f = frame();
+        assert!(f.recovery.resolver.is_none());
+        // A whole crash-free life: application traffic, the exit barrier,
+        // one expiry of its wait.
+        let app = Message::App {
+            action: ACTION,
+            from: t(1),
+            tag: "work",
+            payload: caa_core::message::AppPayload::new(7u32),
+        };
+        assert!(matches!(
+            f.absorb(app, true, Round::Body),
+            RoundAction::Continue
+        ));
+        f.exit.vote(t(0));
+        f.exit.record(0, t(1));
+        assert!(matches!(
+            Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
+            RoundAction::Suspect { .. }
+        ));
+        f.exit.record(0, t(2));
+        assert!(matches!(
+            Round::Exit.status(Some(&f)),
+            Some(RoundEnd::Exited)
+        ));
+        assert!(f.recovery.resolver.is_none());
+    }
+
+    #[test]
+    fn a_resolution_timeout_on_a_never_fed_frame_asks_a_fresh_state() {
+        // The state is made for the question: nobody has an entry yet, so
+        // everybody is silent.
+        let mut f = frame();
+        match Round::Resolution.expired(Some(&mut f), t(0), &XrrResolution) {
+            RoundAction::Suspect {
+                suspects,
+                then: None,
+            } => assert_eq!(&suspects[..], [t(0), t(1), t(2)]),
+            other => panic!("expected the whole group as suspects, got {other:?}"),
+        }
+        assert!(f.recovery.resolver.is_some());
+
+        // A protocol without membership support names nobody: still the
+        // violation it always was.
+        #[derive(Debug)]
+        struct Mute;
+        impl ResolverState for Mute {
+            fn on_event(&mut self, _: &ProtoCtx<'_>, _: ProtoEvent<'_>) -> ProtoActions {
+                ProtoActions::default()
+            }
+            fn participant_state(&self) -> ParticipantState {
+                ParticipantState::Normal
+            }
+        }
+        impl ResolutionProtocol for Mute {
+            fn name(&self) -> &'static str {
+                "mute"
+            }
+            fn new_state(&self) -> Box<dyn ResolverState> {
+                Box::new(Mute)
+            }
+        }
+        assert!(matches!(
+            Round::Resolution.expired(Some(&mut frame()), t(0), &Mute),
+            RoundAction::Violation(_)
+        ));
+    }
+
     // -- exit barrier ----------------------------------------------------
 
     #[test]
@@ -1004,7 +1089,7 @@ mod tests {
         assert_eq!(f.exit.vote(t(0)), 0);
         f.exit.record(0, t(1));
         assert!(Round::Exit.status(Some(&f)).is_none(), "T2 has not voted");
-        match Round::Exit.expired(Some(&mut f), t(0)) {
+        match Round::Exit.expired(Some(&mut f), t(0), &XrrResolution) {
             RoundAction::Suspect {
                 suspects,
                 then: None,
@@ -1076,7 +1161,7 @@ mod tests {
         assert!(f.recovery.recovered);
         assert_eq!(f.exit.vote(t(0)), 1, "votes in the granter's exit epoch");
         assert!(matches!(
-            Round::Exit.expired(Some(&mut f), t(0)),
+            Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
             RoundAction::GiveUp
         ));
     }
@@ -1156,7 +1241,7 @@ mod tests {
             RoundAction::Continue
         ));
         assert!(matches!(
-            join.expired(None, t(0)),
+            join.expired(None, t(0), &XrrResolution),
             RoundAction::End(RoundEnd::Excluded)
         ));
     }
@@ -1170,7 +1255,7 @@ mod tests {
             builder = builder.role(format!("r{thread}"), thread);
         }
         let def = builder.build().expect("valid definition");
-        Frame::new(ACTION, def.inner, RoleId::new(0), XrrResolution.new_state())
+        Frame::new(ACTION, def.inner, RoleId::new(0))
     }
 
     /// Every per-participant table of a frame, driven through one
@@ -1198,7 +1283,7 @@ mod tests {
         ));
         // The second exchange expires with only this thread announced.
         f.signals.record(SignalRound::AfterUndo, me, Signal::Undo);
-        match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), me) {
+        match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), me, &XrrResolution) {
             RoundAction::Suspect {
                 suspects,
                 then: Some(RoundEnd::Signals(collected)),
@@ -1227,7 +1312,7 @@ mod tests {
                 members[1..i]
             );
         }
-        match Round::Exit.expired(Some(&mut f), me) {
+        match Round::Exit.expired(Some(&mut f), me, &XrrResolution) {
             RoundAction::Suspect {
                 suspects,
                 then: None,

@@ -210,6 +210,7 @@ impl FaultPlan {
     }
 
     /// Decides whether the given message is lost. Mutates rule budgets.
+    #[inline]
     pub(crate) fn should_lose(
         &mut self,
         src: PartitionId,
@@ -220,6 +221,7 @@ impl FaultPlan {
     }
 
     /// Decides whether the given message is corrupted. Mutates rule budgets.
+    #[inline]
     pub(crate) fn should_corrupt(
         &mut self,
         src: PartitionId,

@@ -46,6 +46,7 @@ impl LatencyModel {
     /// The latency of the `seq`-th message from `src` to `dst`.
     ///
     /// Pure and deterministic in all four arguments.
+    #[inline]
     #[must_use]
     pub fn sample(
         &self,
@@ -109,6 +110,7 @@ impl Default for LatencyModel {
 /// );
 /// assert_eq!(effective_latency(secs(1.5), None), secs(1.5));
 /// ```
+#[inline]
 #[must_use]
 pub fn effective_latency(
     raw: VirtualDuration,

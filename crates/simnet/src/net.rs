@@ -489,11 +489,13 @@ impl Runnable {
     /// Whether the endpoint has been made runnable since it last suspended
     /// (or has yet to start), clearing the mark. A `true` obliges the host
     /// to resume the endpoint's fiber — the wake-up is consumed.
+    #[inline]
     #[must_use]
     pub fn take(&self) -> bool {
         self.0.load(Ordering::Relaxed) && self.0.swap(false, Ordering::Relaxed)
     }
 
+    #[inline]
     fn set(&self, on: bool) {
         self.0.store(on, Ordering::Relaxed);
     }
@@ -849,11 +851,16 @@ impl<M: Send + Classify> Network<M> {
             slot.blocked_on = kind;
             slot.wake_at = wake_hint(slot);
             slot.on_fiber = on_fiber;
-            // If our own blocking triggered an advance (or deadlock
-            // detection), the wake-up fired before we could wait —
-            // re-evaluate instead of waiting for it.
-            let changed = advance_if_blocked(sched, &self.shared.now_ns);
-            if changed || sched.deadlocked.is_some() {
+            // If our own blocking triggered an advance that reached our
+            // wake-up point (or deadlock detection), the wake-up fired
+            // before we could wait — re-evaluate instead of waiting for it.
+            // An advance that stopped short of it woke somebody else:
+            // nothing changed for this endpoint (the lock was held
+            // throughout, its hint still lies ahead, and a second scan
+            // would only find the endpoint just woken), so it parks now.
+            let advanced = advance_if_blocked(sched, &self.shared.now_ns);
+            let reached = sched.actors[i].wake_at.is_some_and(|w| w <= sched.now);
+            if advanced && reached || sched.deadlocked.is_some() {
                 continue;
             }
             sched.handoffs.parks += 1;

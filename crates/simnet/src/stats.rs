@@ -86,6 +86,7 @@ struct ClassCounts {
 
 impl NetStats {
     /// `class`'s row, added (all zero) on first sight.
+    #[inline]
     fn row(&mut self, class: &'static str) -> &mut ClassCounts {
         // A label is a literal, so the row of the message before — same
         // class, same literal — is found by address, without comparing a
@@ -115,21 +116,25 @@ impl NetStats {
     }
 
     /// Records a successfully enqueued message of the given class.
+    #[inline]
     pub fn record_sent(&mut self, class: &'static str) {
         self.row(class).sent += 1;
     }
 
     /// Records a message lost by fault injection.
+    #[inline]
     pub fn record_dropped(&mut self, class: &'static str) {
         self.row(class).dropped += 1;
     }
 
     /// Records a message corrupted by fault injection.
+    #[inline]
     pub fn record_corrupted(&mut self, class: &'static str) {
         self.row(class).corrupted += 1;
     }
 
     /// Records `n` ack-timeout retransmissions.
+    #[inline]
     pub fn record_retransmissions(&mut self, n: u64) {
         self.retransmissions += n;
     }

@@ -45,4 +45,4 @@ mod span;
 
 pub use hist::Histogram;
 pub use set::{CounterHandle, HistogramHandle, MetricSet};
-pub use span::{Span, SpanTree};
+pub use span::{Span, SpanName, SpanTree};

@@ -58,6 +58,7 @@ impl MetricSet {
     }
 
     /// Registers (or finds) the counter labeled `name`.
+    #[inline]
     pub fn counter(&mut self, name: &str) -> CounterHandle {
         if let Some(&i) = self.counter_index.get(name) {
             return CounterHandle(i);

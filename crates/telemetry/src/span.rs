@@ -13,7 +13,122 @@
 //! [`SpanTree::render`] output on any machine, which is what the harness's
 //! span-determinism tests assert.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
+
+/// A span's name, held in the parts it is made of instead of as assembled
+/// text: a fixed prefix (`action:`, `exit:e`, or the whole of a fixed name
+/// such as `signalling`) and what follows it — a word, a name shared with
+/// whatever the span is about (an action definition, an exception, an
+/// object), or a number. Naming a span therefore copies two words and at
+/// most bumps a reference count; the text exists only where it is shown
+/// ([`fmt::Display`]).
+///
+/// Two names are equal when their texts are, however they were put
+/// together.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use caa_telemetry::SpanName;
+///
+/// let payment: Arc<str> = Arc::from("payment");
+/// assert_eq!(SpanName::shared("action:", payment).to_string(), "action:payment");
+/// assert_eq!(SpanName::numbered("resolution:r", 2).to_string(), "resolution:r2");
+/// assert_eq!(SpanName::word("handler:", "µ"), SpanName::plain("handler:µ"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct SpanName {
+    prefix: &'static str,
+    rest: Rest,
+}
+
+#[derive(Debug, Clone)]
+enum Rest {
+    Nothing,
+    Word(&'static str),
+    Shared(Arc<str>),
+    Number(u64),
+}
+
+impl SpanName {
+    /// A fixed name: `signalling`, `crash-detect`.
+    #[must_use]
+    pub fn plain(name: &'static str) -> SpanName {
+        SpanName {
+            prefix: name,
+            rest: Rest::Nothing,
+        }
+    }
+
+    /// `{prefix}{word}`, both fixed text.
+    #[must_use]
+    pub fn word(prefix: &'static str, word: &'static str) -> SpanName {
+        SpanName {
+            prefix,
+            rest: Rest::Word(word),
+        }
+    }
+
+    /// `{prefix}{name}`, the name shared with its owner.
+    #[must_use]
+    pub fn shared(prefix: &'static str, name: Arc<str>) -> SpanName {
+        SpanName {
+            prefix,
+            rest: Rest::Shared(name),
+        }
+    }
+
+    /// `{prefix}{n}`.
+    #[must_use]
+    pub fn numbered(prefix: &'static str, n: u64) -> SpanName {
+        SpanName {
+            prefix,
+            rest: Rest::Number(n),
+        }
+    }
+
+    /// The text after the prefix; a number's digits are written to `digits`.
+    fn rest<'a>(&'a self, digits: &'a mut [u8; 20]) -> &'a str {
+        match &self.rest {
+            Rest::Nothing => "",
+            Rest::Word(word) => word,
+            Rest::Shared(name) => name,
+            Rest::Number(n) => {
+                let mut at = digits.len();
+                let mut n = *n;
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII")
+            }
+        }
+    }
+}
+
+impl fmt::Display for SpanName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.prefix)?;
+        f.write_str(self.rest(&mut [0; 20]))
+    }
+}
+
+impl PartialEq for SpanName {
+    fn eq(&self, other: &SpanName) -> bool {
+        fn text<'a>(name: &'a SpanName, digits: &'a mut [u8; 20]) -> impl Iterator<Item = u8> + 'a {
+            name.prefix.bytes().chain(name.rest(digits).bytes())
+        }
+        text(self, &mut [0; 20]).eq(text(other, &mut [0; 20]))
+    }
+}
+
+impl Eq for SpanName {}
 
 /// A named virtual-time interval on one thread, attributed to one action
 /// instance.
@@ -21,7 +136,7 @@ use std::fmt::Write as _;
 pub struct Span {
     /// What the interval covers (e.g. `action:payment`, `resolution:r1`,
     /// `object-wait:ledger`).
-    pub name: String,
+    pub name: SpanName,
     /// Virtual start, nanoseconds.
     pub start_ns: u64,
     /// Virtual end, nanoseconds (`>= start_ns`).
@@ -54,6 +169,14 @@ impl SpanTree {
     #[must_use]
     pub fn new() -> SpanTree {
         SpanTree::default()
+    }
+
+    /// An empty tree with room for `spans` spans.
+    #[must_use]
+    pub fn with_capacity(spans: usize) -> SpanTree {
+        SpanTree {
+            spans: Vec::with_capacity(spans),
+        }
     }
 
     /// Appends a span and returns its index (usable as a child's
@@ -134,7 +257,7 @@ mod tests {
     fn push_set_end_and_depth() {
         let mut tree = SpanTree::new();
         let root = tree.push(Span {
-            name: "action:a".into(),
+            name: SpanName::plain("action:a"),
             start_ns: 0,
             end_ns: 0,
             thread: 0,
@@ -142,7 +265,7 @@ mod tests {
             parent: None,
         });
         let child = tree.push(Span {
-            name: "resolution:r1".into(),
+            name: SpanName::numbered("resolution:r", 1),
             start_ns: 10,
             end_ns: 40,
             thread: 0,
@@ -158,10 +281,47 @@ mod tests {
     }
 
     #[test]
+    fn a_name_shows_as_the_text_it_stands_for() {
+        let shared = |text: &str| -> Arc<str> { Arc::from(text) };
+        for (name, text) in [
+            (SpanName::plain("signalling"), "signalling".to_owned()),
+            (SpanName::plain(""), String::new()),
+            (SpanName::word("handler:", "µ"), format!("handler:{}", "µ")),
+            (
+                SpanName::shared("raise\u{2192}resolve:", shared("a0.1_e3")),
+                format!("raise\u{2192}resolve:{}", "a0.1_e3"),
+            ),
+            (
+                SpanName::shared("object-wait:", shared("")),
+                "object-wait:".to_owned(),
+            ),
+            (SpanName::numbered("exit:e", 0), format!("exit:e{}", 0)),
+            (
+                SpanName::numbered("resolution:r", 10),
+                format!("resolution:r{}", 10),
+            ),
+            (
+                SpanName::numbered("exit:e", u64::MAX),
+                format!("exit:e{}", u64::MAX),
+            ),
+        ] {
+            assert_eq!(name.to_string(), text);
+            // Equality is on the text, not on how it was put together.
+            assert_eq!(name, SpanName::shared("", shared(&text)));
+            assert_ne!(name, SpanName::shared("", shared(&format!("{text}0"))));
+        }
+        assert_ne!(
+            SpanName::numbered("exit:e", 1),
+            SpanName::numbered("exit:e", 10)
+        );
+        assert_eq!(SpanName::numbered("r", 12), SpanName::word("r1", "2"));
+    }
+
+    #[test]
     fn render_is_indented_and_stable() {
         let mut tree = SpanTree::new();
         let root = tree.push(Span {
-            name: "action:a".into(),
+            name: SpanName::plain("action:a"),
             start_ns: 0,
             end_ns: 50,
             thread: 1,
@@ -169,7 +329,7 @@ mod tests {
             parent: None,
         });
         tree.push(Span {
-            name: "handler:x".into(),
+            name: SpanName::shared("handler:", Arc::from("x")),
             start_ns: 5,
             end_ns: 25,
             thread: 1,
