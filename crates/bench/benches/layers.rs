@@ -17,6 +17,13 @@
 //!   20 messages) with no harness: the fixed cost of a `System::run` next
 //!   to its messages. Also prints how many fiber stacks the runs mapped —
 //!   3 in all with the per-thread run pool, 3 per run without it;
+//! * **simnet ping-pong, µs per round trip** — two endpoints bouncing one
+//!   message over a 1 ms link, hosted both ways: by two OS threads (the
+//!   thread host; what `caa-perf`'s `simnet.pingpong_rt_us` times) and by
+//!   two fibers resumed the way `System::run` resumes them (the fiber
+//!   host; what a system pays). Each round trip is two deliveries, each a
+//!   time advance and a hand-off — a futex sleep and wake-up on threads, a
+//!   stack switch on fibers;
 //! * **a seed's cost model** — `execute` timed for 3 000 default seeds
 //!   (the best of three runs each, through one warmed arena) and fitted by
 //!   least squares, no intercept, to what the seed did: µs per message,
@@ -53,6 +60,7 @@ use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
 use caa_runtime::{ActionDef, XrrResolution};
+use caa_simnet::{Classify, FiberNetwork, LatencyModel, NetConfig, Network};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -234,6 +242,91 @@ fn bench_bare_system(c: &mut Criterion) {
     );
 }
 
+#[derive(Debug)]
+struct Ping;
+
+impl Classify for Ping {
+    fn class(&self) -> &'static str {
+        "Ping"
+    }
+}
+
+fn pingpong_config() -> NetConfig {
+    NetConfig {
+        latency: LatencyModel::Fixed(caa_core::time::millis(1)),
+        seed: 1,
+        ..NetConfig::default()
+    }
+}
+
+/// `round_trips` round trips between two thread-hosted endpoints, one per
+/// OS thread.
+fn pingpong_on_threads(round_trips: u64) -> Duration {
+    let net: Network<Ping> = Network::new(pingpong_config());
+    let (mut a, mut b) = (net.endpoint("a"), net.endpoint("b"));
+    let (a_id, b_id) = (a.id(), b.id());
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for _ in 0..round_trips {
+                b.recv().expect("ping delivered");
+                b.send(a_id, Ping);
+            }
+        });
+        for _ in 0..round_trips {
+            a.send(b_id, Ping);
+            a.recv().expect("pong delivered");
+        }
+    });
+    started.elapsed()
+}
+
+/// The same exchange between two fiber-hosted endpoints, resumed as
+/// `System::run` resumes participants: passes in registration order over
+/// whoever the network has marked runnable.
+fn pingpong_on_fibers(round_trips: u64) -> Duration {
+    const STACK_BYTES: usize = 64 * 1024;
+    let net: FiberNetwork<Ping> = Network::new(pingpong_config());
+    let (mut a, mut b) = (net.endpoint("a"), net.endpoint("b"));
+    let (a_id, b_id) = (a.id(), b.id());
+    let ping = caa_fiber::Fiber::new(caa_fiber::Stack::new(STACK_BYTES), move || {
+        for _ in 0..round_trips {
+            a.send(b_id, Ping);
+            a.recv().expect("pong delivered");
+        }
+    });
+    let pong = caa_fiber::Fiber::new(caa_fiber::Stack::new(STACK_BYTES), move || {
+        for _ in 0..round_trips {
+            b.recv().expect("ping delivered");
+            b.send(a_id, Ping);
+        }
+    });
+    let mut hosted = [(a_id, ping, false), (b_id, pong, false)];
+    let started = Instant::now();
+    while hosted.iter().any(|(_, _, done)| !done) {
+        for (id, fiber, done) in &mut hosted {
+            if !*done && net.take_runnable(*id) {
+                *done = fiber.resume().is_some();
+            }
+        }
+    }
+    started.elapsed()
+}
+
+fn bench_simnet_pingpong(c: &mut Criterion) {
+    /// Per timed call, so that starting the second thread is noise.
+    const ROUND_TRIPS: u64 = 200;
+    let mut group = c.benchmark_group("layers");
+    group.throughput(Throughput::Elements(ROUND_TRIPS));
+    group.bench_function("simnet_pingpong_threads", |b| {
+        b.iter_custom(|calls| (0..calls).map(|_| pingpong_on_threads(ROUND_TRIPS)).sum());
+    });
+    group.bench_function("simnet_pingpong_fibers", |b| {
+        b.iter_custom(|calls| (0..calls).map(|_| pingpong_on_fibers(ROUND_TRIPS)).sum());
+    });
+    group.finish();
+}
+
 /// Solves the normal equations `XᵀX β = Xᵀy` of a four-term least-squares
 /// fit by Gaussian elimination with partial pivoting.
 fn least_squares(rows: &[([f64; 4], f64)]) -> [f64; 4] {
@@ -379,6 +472,7 @@ criterion_group!(
     bench_resolver,
     bench_recorder,
     bench_bare_system,
+    bench_simnet_pingpong,
     bench_seed_cost_model,
     bench_readers
 );

@@ -5,10 +5,10 @@
 //!
 //! This is what lets `caa-runtime`'s `System::run` host every
 //! participant of a simulated system on the calling thread while the
-//! role-facing API stays blocking closures: simnet's one blocking funnel
-//! suspends the current fiber where a thread would wait on a condvar, and
-//! a loop in `System::run` resumes whichever participants the scheduler
-//! has made runnable.
+//! role-facing API stays blocking closures: simnet's fiber host suspends
+//! the current fiber where its thread host waits on a condvar, and a loop
+//! in `System::run` resumes whichever participants the scheduler has made
+//! runnable.
 //!
 //! The model is deliberately minimal:
 //!
@@ -102,9 +102,16 @@ pub fn in_fiber() -> bool {
 /// [`Fiber::resume`] call that last resumed it, and this call returns when
 /// the fiber is resumed again.
 ///
+/// Inlined into its caller: a switch leaves the CPU's return predictor
+/// holding the other stack's call chain, so every frame a resumed fiber
+/// returns through before it calls again is a mispredicted return — the
+/// fewer frames between here and the code that uses the wake-up, the
+/// cheaper a hand-off.
+///
 /// # Panics
 ///
 /// When called outside a fiber — there is nobody to hand the CPU to.
+#[inline]
 pub fn suspend() {
     let slot = CURRENT.get();
     assert!(

@@ -54,6 +54,7 @@
 //! after announcing with `Ctx::broadcast`. The driver changes only if the
 //! round needs an effect no existing `RoundAction` names.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId, Signal};
@@ -62,7 +63,7 @@ use caa_core::inline::InlineVec;
 use caa_core::message::{AppPayload, Message, SignalRound};
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_simnet::{Endpoint, Parked, Received};
+use caa_simnet::{FiberEndpoint, Parked, Received};
 
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
@@ -101,8 +102,8 @@ enum RecoveryStart {
 pub struct Ctx {
     me: ThreadId,
     name: Arc<str>,
-    endpoint: Endpoint<Message>,
-    system: Arc<SystemShared>,
+    endpoint: FiberEndpoint<Message>,
+    system: Rc<SystemShared>,
     stack: Vec<Frame>,
     /// A scheduled crash-stop instant ([`Ctx::schedule_crash`]): the
     /// thread dies at the first poll point at or after it — mid-body,
@@ -179,8 +180,8 @@ impl Ctx {
     pub(crate) fn new(
         me: ThreadId,
         name: Arc<str>,
-        endpoint: Endpoint<Message>,
-        system: Arc<SystemShared>,
+        endpoint: FiberEndpoint<Message>,
+        system: Rc<SystemShared>,
     ) -> Self {
         Ctx {
             me,
@@ -364,6 +365,7 @@ impl Ctx {
     /// # Errors
     ///
     /// [`Flow`] on a scheduled crash or a simulation error.
+    #[inline(always)] // a resumed fiber returns through here: see `Network::block_on`
     fn recv_until(&mut self, deadline: Option<VirtualInstant>) -> Step<Option<Received<Message>>> {
         self.crash_check()?;
         let effective = match (deadline, self.crash_at) {
@@ -644,11 +646,17 @@ impl Ctx {
 
         // "if Ti enters A then <A> → SAi; consume messages having arrived".
         let mut initial: Option<RecoveryStart> = None;
-        let (arrived, retained): (Vec<Message>, Vec<Message>) = std::mem::take(&mut self.retained)
-            .into_iter()
-            .partition(|msg| msg.action() == action);
-        self.retained = retained;
-        for msg in arrived {
+        // In place and in arrival order: the messages retained before this
+        // entry are looked at once each, and whatever handling one of them
+        // retains lands behind them (usually there is none, and no list).
+        let (mut at, mut unseen) = (0, self.retained.len());
+        while unseen > 0 {
+            unseen -= 1;
+            if self.retained[at].action() != action {
+                at += 1;
+                continue;
+            }
+            let msg = self.retained.remove(at);
             // Signals, votes and application traffic are buffered as usual;
             // a retained trigger is stashed and starts the action in
             // recovery (any other outcome is as moot as the message).
@@ -796,7 +804,7 @@ impl Ctx {
             inner.name
         );
         self.finished.retain(|&serial| serial != action.serial());
-        self.system.stats.lock().rejoins += 1;
+        self.system.stats.borrow_mut().rejoins += 1;
         let frame = Frame::new(action, Arc::clone(&inner), role_id);
         self.stack.push(frame.rejoined(view, exit_epoch, resolved));
         self.observe(action, || EventKind::Rejoin {
@@ -881,7 +889,7 @@ impl Ctx {
     /// Aborts the top frame: rolls back its objects, runs its abortion
     /// handler (which may produce `Eab`), and pops it.
     fn abort_current_frame(&mut self) -> Result<Option<Exception>, Flow> {
-        self.system.stats.lock().aborts += 1;
+        self.system.stats.borrow_mut().aborts += 1;
         let (def, role) = {
             let frame = self.frame_mut();
             // From here on, recovery messages for this instance are
@@ -1007,7 +1015,7 @@ impl Ctx {
 
     /// One full recovery: resolution, handling, signalling, exit.
     fn phase_recover(&mut self, start: RecoveryStart) -> Step<ActionOutcome> {
-        self.system.stats.lock().recoveries += 1;
+        self.system.stats.borrow_mut().recoveries += 1;
         let resolved = match self.run_recovery(start)? {
             Some(resolved) => resolved,
             // A concurrent view change evicted this thread: the survivors
@@ -1095,7 +1103,7 @@ impl Ctx {
         }
         match &start {
             RecoveryStart::Raise(e) => {
-                self.system.stats.lock().exceptions_raised += 1;
+                self.system.stats.borrow_mut().exceptions_raised += 1;
                 // "inform external objects (used by Ti within A) of the
                 // exception".
                 let frame = self.frame();
@@ -1143,7 +1151,8 @@ impl Ctx {
             self.send(to, msg);
         }
         if actions.resolve_invocations > 0 {
-            self.system.stats.lock().resolutions_invoked += u64::from(actions.resolve_invocations);
+            self.system.stats.borrow_mut().resolutions_invoked +=
+                u64::from(actions.resolve_invocations);
             self.observe_top(|| EventKind::ResolutionInvoked {
                 invocations: actions.resolve_invocations,
             });
@@ -1231,7 +1240,7 @@ impl Ctx {
                 return Ok(then.map_or(Performed::Rearm, Performed::End));
             }
             RoundAction::GiveUp => {
-                self.system.stats.lock().exit_give_ups += 1;
+                self.system.stats.borrow_mut().exit_give_ups += 1;
                 self.observe_timeout(round, &[]);
                 return Ok(Performed::End(RoundEnd::Excluded));
             }
@@ -1249,8 +1258,8 @@ impl Ctx {
             }
             RoundAction::Grant(joiner) => self.grant_join(index, joiner),
             RoundAction::Retain(msg) => self.retained.push(msg),
-            RoundAction::CapDropped => self.system.stats.lock().retained_dropped += 1,
-            RoundAction::CountCorrupted => self.system.stats.lock().corrupted_ignored += 1,
+            RoundAction::CapDropped => self.system.stats.borrow_mut().retained_dropped += 1,
+            RoundAction::CountCorrupted => self.system.stats.borrow_mut().corrupted_ignored += 1,
             RoundAction::Interrupt(unwind) => return Err(Flow::new(unwind)),
             RoundAction::Violation(what) => return Err(protocol_error(what)),
         }
@@ -1281,12 +1290,12 @@ impl Ctx {
                     "suspicion refused: {survivors} survivor(s) vs \
                      {recently_alive} recently-alive suspect(s); giving up"
                 );
-                self.system.stats.lock().suspicions_refused += 1;
+                self.system.stats.borrow_mut().suspicions_refused += 1;
                 return Ok(());
             }
             Eviction::Evict { epoch, recipients } => (epoch, recipients),
         };
-        self.system.stats.lock().view_changes += 1;
+        self.system.stats.borrow_mut().view_changes += 1;
         self.observe_top(|| EventKind::ViewChange {
             epoch,
             removed: suspects.to_vec(),
@@ -1313,7 +1322,7 @@ impl Ctx {
     fn observe_timeout(&self, round: Round, suspects: &[ThreadId]) {
         let suspects = suspects.to_vec();
         let epoch = self.frame().exit.epoch;
-        let mut stats = self.system.stats.lock();
+        let mut stats = self.system.stats.borrow_mut();
         let kind = match round {
             Round::Resolution => {
                 stats.resolution_timeouts += 1;
@@ -1348,7 +1357,7 @@ impl Ctx {
         }
         let action = frame.id.action;
         trace!(self, "adopt view change v{epoch}: -{fresh:?}");
-        self.system.stats.lock().view_changes += 1;
+        self.system.stats.borrow_mut().view_changes += 1;
         self.observe(action, || EventKind::ViewChange {
             epoch,
             removed: fresh.clone(),
@@ -1457,7 +1466,7 @@ impl Ctx {
             return Ok(my_signal);
         }
         // Case 2: µ requested — all threads undo, then exchange again.
-        self.system.stats.lock().undo_rounds += 1;
+        self.system.stats.borrow_mut().undo_rounds += 1;
         let after_undo = self.perform_undo();
         let collected = self.signal_round(SignalRound::AfterUndo, after_undo)?;
         if self.frame().signals.failed(collected) {

@@ -19,22 +19,36 @@
 //! canonical trace is ordered by (virtual time, thread, sequence) the
 //! serial order changes nothing that is observed.
 //!
+//! One thread is all a system ever has, and its types say so: the network
+//! is a [`FiberNetwork`] (the simulator's plain core in an `Rc<RefCell<_>>`
+//! — no mutex, condvar or atomic), the state the participants share is an
+//! `Rc`, the run-wide counters are plain integers, and [`System`] and
+//! [`Ctx`] are `!Send`. What still synchronises on a run's path does so on
+//! purpose: an [`Observer`] and a [`caa_simnet::NetTap`] are `Send + Sync`
+//! (they outlive the run and are read from other threads; the harness's
+//! recorder takes its lock once per event), and a
+//! [`SharedObject`](crate::SharedObject) guards its state with a mutex of
+//! its own, since a role body may move it anywhere.
+//!
 //! # The run pool
 //!
 //! What a run needs besides its messages — one actor slot, mailbox heap,
 //! link row and 256 KiB guard-paged fiber stack per participant — outlives
-//! it: each host thread keeps the network arena of the last system it ran
-//! (`RUN_POOL`, a `thread_local!`), [`SystemBuilder::build`] takes it and
-//! [`System::run`] puts the reclaimed arena back. A second run on the same
-//! thread therefore maps no stack and allocates no slot, whoever the
-//! caller is. The pool is an allocation cache and nothing else: a recycled
-//! network is fully cleared ([`caa_simnet::Network::reclaim`]), so a run
-//! reports the same whether the pool was warm, cold or left empty by a
-//! run that could not be reclaimed. It holds at most the slots of the
-//! largest system the thread has run and is freed when the thread exits.
+//! it: each host thread keeps the network arena of the last system it
+//! finished (`RUN_POOL`, a `thread_local!`), [`SystemBuilder::build`]
+//! takes it and a [`System`] puts the reclaimed arena back when it is
+//! dropped — at the end of [`System::run`], or un-run, once its bodies
+//! have run. A second run on the same thread therefore maps no stack and
+//! allocates no slot, whoever the caller is. The pool is an allocation
+//! cache and nothing else: a recycled network is fully cleared
+//! ([`caa_simnet::Network::reclaim`]), so a run reports the same whether
+//! the pool was warm, cold or left empty by a run that could not be
+//! reclaimed. It holds at most the slots of the largest system the thread
+//! has run and is freed when the thread exits.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use caa_core::ids::{PartitionId, ThreadId};
@@ -42,10 +56,8 @@ use caa_core::message::Message;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::{Fiber, Stack};
 use caa_simnet::{
-    ClockMode, FaultPlan, LatencyModel, NetArena, NetConfig, NetStats, Network, Runnable,
-    SchedStats,
+    ClockMode, FaultPlan, FiberNetwork, LatencyModel, NetArena, NetConfig, NetStats, SchedStats,
 };
-use parking_lot::Mutex;
 
 use crate::context::Ctx;
 use crate::error::{RuntimeError, Step, Unwind};
@@ -101,13 +113,14 @@ pub struct RuntimeStats {
     pub exit_give_ups: u64,
 }
 
-/// State shared between all participants of one [`System`].
+/// State shared between all participants of one [`System`] — fibers of one
+/// thread, so shared by `Rc` and counted in plain integers.
 pub(crate) struct SystemShared {
     pub(crate) protocol: Arc<dyn ResolutionProtocol>,
     /// The paper's `Treso`: virtual time charged per invocation of the
     /// resolution procedure.
     pub(crate) resolution_delay: VirtualDuration,
-    pub(crate) stats: Mutex<RuntimeStats>,
+    pub(crate) stats: RefCell<RuntimeStats>,
     pub(crate) observer: Option<Arc<dyn Observer>>,
 }
 
@@ -118,15 +131,12 @@ pub(crate) struct SystemShared {
 /// endpoint holds virtual time back), but the body first runs when
 /// [`System::run`] puts it on a fiber — by which point every participant
 /// is registered, so no start gate is needed.
-type PendingBody = Box<dyn FnOnce() -> Result<(), RuntimeError> + Send + 'static>;
+type PendingBody = Box<dyn FnOnce() -> Result<(), RuntimeError>>;
 
 /// A spawned participant awaiting [`System::run`].
 struct Pending {
     id: PartitionId,
     name: Arc<str>,
-    /// The endpoint's wake-up mark: set by the network's wake sites, tested
-    /// by `host` without taking the network's lock.
-    runnable: Runnable,
     body: PendingBody,
 }
 
@@ -153,35 +163,38 @@ const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
 /// network (which suspends its fiber) or finishes. Each pass resumes, in
 /// registration order, the participants the network has marked runnable
 /// since they suspended — by a delivery, a doorbell, a time advance, or
-/// the deadlock broadcast — testing each one's mark when the pass reaches
-/// it, so a participant woken by one resumed earlier in the same pass runs
-/// in that pass. The network's advance arbiter guarantees that
+/// the deadlock broadcast — testing each one's mark (a flag in its slot of
+/// the network's core) when the pass reaches it, so a participant woken by
+/// one resumed earlier in the same pass runs in that pass. The network's advance arbiter guarantees that
 /// whenever every live endpoint is blocked at least one is woken, so a
 /// pass that resumes nobody means the network is also being driven from
 /// outside this loop, which a fiber-hosted system cannot wait for.
-fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<(), RuntimeError>)> {
+fn host(
+    net: &FiberNetwork<Message>,
+    pending: Vec<Pending>,
+) -> Vec<(String, Result<(), RuntimeError>)> {
     enum Hosted {
         Running(Fiber<Result<(), RuntimeError>>),
         Done(Result<(), RuntimeError>),
     }
-    let mut hosted: Vec<(PartitionId, Arc<str>, Runnable, Hosted)> = pending
+    let mut hosted: Vec<(PartitionId, Arc<str>, Hosted)> = pending
         .into_iter()
         .map(|p| {
             let stack = net
                 .take_stack(p.id)
                 .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
             let fiber = Fiber::from_boxed(stack, p.body);
-            (p.id, p.name, p.runnable, Hosted::Running(fiber))
+            (p.id, p.name, Hosted::Running(fiber))
         })
         .collect();
     let mut live = hosted.len();
     while live > 0 {
         let mut resumed = false;
-        for (id, _, runnable, participant) in &mut hosted {
+        for (id, _, participant) in &mut hosted {
             let Hosted::Running(fiber) = participant else {
                 continue;
             };
-            if !runnable.take() {
+            if !net.take_runnable(*id) {
                 continue;
             }
             resumed = true;
@@ -209,7 +222,7 @@ fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<()
     }
     hosted
         .into_iter()
-        .map(|(_, name, _, participant)| match participant {
+        .map(|(_, name, participant)| match participant {
             Hosted::Done(result) => (name.to_string(), result),
             Hosted::Running(_) => unreachable!("the loop ends when every participant is done"),
         })
@@ -241,9 +254,13 @@ fn host(net: &Network<Message>, pending: Vec<Pending>) -> Vec<(String, Result<()
 /// # Ok(())
 /// # }
 /// ```
+///
+/// A system lives on one thread: it is built, spawned into, run and dropped
+/// there, and it is `!Send` (so is the [`Ctx`] it hands each body).
 pub struct System {
-    net: Network<Message>,
-    shared: Arc<SystemShared>,
+    /// Present until `Drop` takes it apart.
+    net: Option<FiberNetwork<Message>>,
+    shared: Rc<SystemShared>,
     pending: Vec<Pending>,
 }
 
@@ -265,14 +282,14 @@ impl System {
 
     /// The underlying network (message counters, current virtual time).
     #[must_use]
-    pub fn network(&self) -> &Network<Message> {
-        &self.net
+    pub fn network(&self) -> &FiberNetwork<Message> {
+        self.net.as_ref().expect("the network leaves in Drop")
     }
 
     /// Snapshot of the runtime counters.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        self.shared.stats.lock().clone()
+        self.shared.stats.borrow().clone()
     }
 
     /// Spawns a participating thread. Thread ids are assigned in spawn
@@ -295,11 +312,10 @@ impl System {
         // hold an `Arc<str>` — e.g. sweep drivers with cached thread
         // names — pay no allocation at all).
         let name = name.into();
-        let endpoint = self.net.endpoint(Arc::clone(&name));
+        let endpoint = self.network().endpoint(Arc::clone(&name));
         let id = endpoint.id();
-        let runnable = endpoint.runnable();
         let me = ThreadId::new(id.as_u32());
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let thread_name = Arc::clone(&name);
         // Registration happens now (the endpoint above holds virtual time
         // back); the body starts in `run`, once every participant is
@@ -319,12 +335,7 @@ impl System {
                 },
             }
         });
-        self.pending.push(Pending {
-            id,
-            name,
-            runnable,
-            body,
-        });
+        self.pending.push(Pending { id, name, body });
         me
     }
 
@@ -342,43 +353,45 @@ impl System {
     /// When called from inside a participant body: systems do not nest.
     #[must_use]
     pub fn run(mut self) -> SystemReport {
-        let results = host(&self.net, std::mem::take(&mut self.pending));
-        let report = SystemReport {
-            elapsed: self.net.now().duration_since(VirtualInstant::EPOCH),
-            net_stats: self.net.stats(),
-            sched_stats: self.net.sched_stats(),
-            runtime_stats: self.shared.stats.lock().clone(),
+        let pending = std::mem::take(&mut self.pending);
+        let net = self.network();
+        let results = host(net, pending);
+        SystemReport {
+            elapsed: net.now().duration_since(VirtualInstant::EPOCH),
+            net_stats: net.stats(),
+            sched_stats: net.sched_stats(),
+            runtime_stats: self.stats(),
             results,
-        };
-        // `System` has a `Drop` impl, so the network cannot be moved out;
-        // clone the (Arc-backed) handle, drop the system, then reclaim
-        // through the now-sole owner. A clone of the network (or a leaked
-        // endpoint) still alive elsewhere means nothing is reclaimed and
-        // the pool stays empty until the next run refills it.
-        let net = self.net.clone();
-        drop(self);
-        if let Some(arena) = net.reclaim() {
-            // The thread's destructors may already have run (a system run
-            // from another thread-local's `Drop`): the arena is then freed.
-            let _ = RUN_POOL.try_with(|pool| {
-                // Two systems built before either ran: keep the larger.
-                let idle = pool
-                    .take()
-                    .filter(|idle| idle.capacity() > arena.capacity());
-                pool.set(Some(idle.unwrap_or(arena)));
-            });
         }
-        report
+        // Dropping the system returns its network to the run pool.
     }
 }
 
 impl Drop for System {
     /// Runs any never-run participant bodies when a `System` is dropped
-    /// without [`System::run`]: the bodies execute (and their endpoints
-    /// retire) as they always have, their results discarded.
+    /// without [`System::run`] — the bodies execute (and their endpoints
+    /// retire) as they always have, their results discarded — and hands the
+    /// network's allocations to the calling thread's run pool. A clone of
+    /// the network (or a leaked endpoint, or the suspended fibers of a run
+    /// that `host` abandoned) still alive elsewhere means nothing is
+    /// reclaimed: the pool stays empty until the next system refills it.
     fn drop(&mut self) {
+        let Some(net) = self.net.take() else {
+            return;
+        };
         if !self.pending.is_empty() {
-            host(&self.net, std::mem::take(&mut self.pending));
+            host(&net, std::mem::take(&mut self.pending));
+        }
+        if let Some(arena) = net.reclaim() {
+            // The thread's destructors may already have run (a system run
+            // from another thread-local's `Drop`): the arena is then freed.
+            let _ = RUN_POOL.try_with(|pool| {
+                // Two systems built before either finished: keep the larger.
+                let idle = pool
+                    .take()
+                    .filter(|idle| idle.capacity() > arena.capacity());
+                pool.set(Some(idle.unwrap_or(arena)));
+            });
         }
     }
 }
@@ -530,7 +543,7 @@ impl SystemBuilder {
     /// allocations when a run has left some (see the module docs).
     #[must_use]
     pub fn build(self) -> System {
-        let net = Network::new_reusing(
+        let net = FiberNetwork::new_reusing(
             NetConfig {
                 mode: ClockMode::Virtual,
                 latency: self.latency,
@@ -542,11 +555,11 @@ impl SystemBuilder {
             RUN_POOL.try_with(Cell::take).ok().flatten(),
         );
         System {
-            net,
-            shared: Arc::new(SystemShared {
+            net: Some(net),
+            shared: Rc::new(SystemShared {
                 protocol: self.protocol,
                 resolution_delay: self.resolution_delay,
-                stats: Mutex::new(RuntimeStats::default()),
+                stats: RefCell::new(RuntimeStats::default()),
                 observer: self.observer,
             }),
             pending: Vec::new(),
@@ -674,11 +687,13 @@ mod tests {
     }
 
     #[test]
-    fn a_system_dropped_unrun_takes_its_arena_with_it() {
+    fn a_system_dropped_unrun_returns_its_arena() {
         assert_eq!(report_of(ring(3)), fresh_report(3));
         assert_eq!(pooled(), Some(3));
-        drop(ring(3)); // bodies run in `Drop`; nothing is reclaimed
-        assert_eq!(pooled(), None);
+        let unrun = ring(3);
+        assert_eq!(pooled(), None, "the un-run system holds the arena");
+        drop(unrun); // bodies run in `Drop`, then the network is reclaimed
+        assert_eq!(pooled(), Some(3));
         assert_eq!(report_of(ring(3)), fresh_report(3));
         assert_eq!(pooled(), Some(3));
     }
@@ -691,11 +706,11 @@ mod tests {
         // never advances: the participants block and `host` gives up with
         // their fibers suspended mid-body.
         let outsider = sys.network().endpoint("outsider");
-        let gave_up = catch_unwind(AssertUnwindSafe(|| sys.run()));
-        assert!(
-            gave_up.is_err(),
-            "host must refuse to wait for another thread"
-        );
+        let gave_up = catch_unwind(AssertUnwindSafe(|| sys.run()))
+            .expect_err("host must refuse to wait for another thread");
+        // … in its own words, not the network's `RefCell`'s.
+        let said = gave_up.downcast_ref::<String>().expect("a formatted panic");
+        assert!(said.contains("none is runnable"), "{said}");
         drop(outsider);
         // `build` has no other source of stacks than the pool, and the
         // abandoned network never reached it.

@@ -15,8 +15,9 @@
 //!   reproduces the >1 s knee of Figure 10;
 //! * **Virtual time** ([`ClockMode::Virtual`]): endpoints are driven by
 //!   blocking code — fibers that `caa-runtime` runs one at a time on a
-//!   single thread, or plain OS threads — but time is simulated and
-//!   advances only when all of them are blocked,
+//!   single thread ([`FiberNetwork`]), or plain OS threads ([`Network`]
+//!   as is) — but time is simulated and advances only when all of them
+//!   are blocked,
 //!   so a 260-virtual-second experiment finishes in milliseconds and a
 //!   global deadlock is *detected and reported* rather than hanging the
 //!   test suite (the property Theorem 1 proves the protocols never
@@ -37,11 +38,25 @@
 //! is *wall-clock* interleaving of same-instant events, which never
 //! feeds back into virtual time.
 //!
+//! # One core, two hosts
+//!
+//! The simulator is one plain single-owner value — clock, mailboxes,
+//! fault budgets, counters, the advance arbiter — with no lock, atomic or
+//! condvar in it. [`Network`] and [`Endpoint`] are written once over a
+//! *host* that supplies exclusive access to that core and a way to give
+//! up the CPU: [`Fibers`] keeps it in an `Rc<RefCell<_>>` and suspends
+//! the calling fiber ([`FiberNetwork`], [`FiberEndpoint`]: `!Send`, what
+//! a `caa-runtime` `System` runs on); [`Threads`], the default, keeps it
+//! behind a mutex and parks the calling OS thread on its endpoint's
+//! condvar (`Network<M>`, `Endpoint<M>`: `Send`). What an endpoint
+//! observes is the same under both.
+//!
 //! # Targeted wake-ups
 //!
 //! Scheduling is wake-targeted, not broadcast: every endpoint parks on
-//! its own slot (a runnable mark for its fiber's host, or a condvar when
-//! an OS thread drives it), a delivery wakes only its (already-deliverable)
+//! its own slot (a runnable mark that its fiber's host reads, which the
+//! thread host turns into a notification of that endpoint's condvar), a
+//! delivery wakes only its (already-deliverable)
 //! receiver, and a time advance wakes only the endpoints whose wake-up
 //! point was reached — the unique next runners instead of the herd. For
 //! wait conditions the network cannot see (e.g. the runtime's
@@ -86,16 +101,22 @@
 #![forbid(unsafe_code)]
 
 mod fault;
+mod host;
 mod latency;
 mod net;
+mod simcore;
 mod stats;
 mod tap;
+mod threads;
 
 pub use fault::{FaultPlan, FaultSpec};
+pub use host::Fibers;
 pub use latency::{effective_latency, LatencyModel};
 pub use net::{
-    ClockMode, DeadlockInfo, Endpoint, NetArena, NetConfig, Network, Parked, Received, Runnable,
-    SchedStats, SimError,
+    ClockMode, DeadlockInfo, Endpoint, FiberEndpoint, FiberNetwork, NetConfig, Network, Parked,
+    Received, SimError,
 };
+pub use simcore::{NetArena, SchedStats};
 pub use stats::{Classify, NetStats};
 pub use tap::{NetTap, TapEvent};
+pub use threads::Threads;

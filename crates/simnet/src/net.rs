@@ -18,82 +18,75 @@
 //!   [`SimError::Deadlock`] to every participant — the property Theorem 1
 //!   says the resolution algorithm never triggers.
 //!
-//! # Two hosts, one blocking funnel
+//! # One core, two hosts at the edge
 //!
-//! Every blocking operation of an [`Endpoint`] ends in one private
-//! function, `block_until`, and the only thing that differs between the
-//! two ways of driving an endpoint is what that function does when its
-//! predicate does not hold yet:
+//! All simulator state of a network, and everything the simulator does
+//! with it, is one plain single-owner value (`simcore::Core`): `&mut self`
+//! methods over ordinary fields, with no lock, no atomic, no condvar and
+//! no notion of what runs the endpoints. A blocking operation is, to the
+//! core, a sequence of *turns*, each answering "ready, with this value" or
+//! "park" — the endpoint is then marked blocked, its wake-up point is
+//! published, and wake sites (a delivery, a doorbell, the advance arbiter)
+//! will mark it runnable.
 //!
-//! * called **inside a fiber** ([`caa_fiber::in_fiber`]) it releases the
-//!   scheduler lock and [suspends](caa_fiber::suspend) the fiber; wake
-//!   sites set the endpoint's [`Runnable`] mark, and whoever resumes the
-//!   fibers — `caa-runtime`'s `System::run`, which hosts all participants
-//!   of a system on the calling thread — tests that mark without taking
-//!   any lock. A hand-off is a user-space stack switch;
-//! * called **on a plain OS thread** (this crate's own tests and
-//!   doc-tests, the benchmark's ping-pong kernel) it waits on the
-//!   endpoint's private condvar and wake sites notify it. A hand-off is a
-//!   futex sleep and wake-up.
+//! The operations of [`Network`] and [`Endpoint`] are written once, in
+//! this file, over a *host* — the type parameter `H` — which supplies the
+//! two things the core cannot: exclusive access to it, and a way to give
+//! up the CPU between turns. There are two:
 //!
-//! The choice is made per block from where the caller runs — there is no
-//! option. The advance arbiter, heap keys, FIFO clamps and doorbell epochs
-//! are shared by both, so what an endpoint *observes* is the same either
-//! way; only how it sleeps differs.
+//! * [`Fibers`] ([`FiberNetwork`], [`FiberEndpoint`]) keeps the core in an
+//!   `Rc<RefCell<_>>`. Every endpoint runs as a fiber of one thread; a
+//!   blocked one [suspends](caa_fiber::suspend), and whoever resumes the
+//!   fibers — `caa-runtime`'s `System::run`, the only user — asks
+//!   [`take_runnable`](Network::take_runnable) which to resume. An
+//!   operation costs a borrow flag, a hand-off is a user-space stack
+//!   switch, and the types are `!Send`: a system's network holds no
+//!   mutex, condvar or atomic *by construction*;
+//! * [`Threads`] — the default, so plain `Network<M>` and `Endpoint<M>` —
+//!   keeps the core behind one mutex, taken once per operation and once
+//!   more each time a blocked operation is woken, with one condvar per
+//!   endpoint for its thread to sleep on. A hand-off is a futex sleep and
+//!   wake-up. This crate's thread tests and doc-tests and the benchmark's
+//!   two simnet kernels run on it, `Send` endpoints and all; once those
+//!   kernels move onto fibers it can be deleted with its file.
 //!
-//! # One owner, one lock
-//!
-//! All simulator state of a network — the clock, every endpoint's blocked
-//! state and wake-up point, every endpoint's `Mailbox` (delivery heap
-//! plus the dense per-source link row of FIFO clamps and sequence
-//! numbers), the fault budgets, the counters and the deadlock verdict —
-//! lives in one `Sched` behind one mutex, and each operation (`send`,
-//! `recv`, `try_recv`, `sleep`, `park_wait`, `begin_wait`,
-//! `schedule_wake`, `retire`) takes that mutex once — a blocking one once
-//! more each time it is resumed. Under `System::run` one thread runs every
-//! endpoint and the lock is never contended; it is never held across a
-//! suspend (the host runs other endpoints on this very thread, and they
-//! take the same lock), and taps are called after it is released.
-//!
-//! Two things exist only for endpoints driven by concurrently running OS
-//! threads: the per-endpoint condvar such a thread sleeps on, and the
-//! atomic mirror of the clock, which lets a running thread read `now`
-//! without the lock — time only advances when **every** live endpoint is
-//! blocked, so a running reader can never race an advance. Such endpoints
-//! serialise on the one mutex; what they observe does not depend on who
-//! wins it, because delivery order is decided by heap keys and per-link
-//! sequence numbers, not by lock order.
+//! The host is chosen by type — there is no option. The advance arbiter,
+//! heap keys, FIFO clamps, doorbell epochs and every counter belong to the
+//! core, so what an endpoint *observes* is the same under either host
+//! (`tests::both_hosts_observe_the_same` drives one script under both);
+//! only how it sleeps differs. Neither host holds the core across a
+//! suspend or a wait, and taps are called after it is released.
 //!
 //! # Arena reuse
 //!
 //! Callers execute thousands of sub-millisecond simulations; a
 //! [`NetArena`] recycles the allocation-heavy parts (actor slots with
-//! their condvars, runnable marks and fiber stacks, mailbox heaps, link
-//! rows) from one finished network into the next (see
-//! [`Network::new_reusing`] / [`Network::reclaim`]). This crate provides
-//! the mechanism and holds no arena itself: between networks the arena
-//! belongs to whoever reclaimed it. For `Network<Message>` that is
-//! `caa-runtime`, which keeps one per host thread — `System::run` puts it
-//! there, the next `SystemBuilder::build` on the thread takes it — so a
-//! warmed-up thread neither allocates a slot nor maps a stack per run,
-//! whatever runs the systems. Reuse is invisible to the simulation:
-//! recycled state is fully cleared.
+//! the fiber stacks parked in them, mailbox heaps, link rows) from one
+//! finished network into the next (see [`Network::new_reusing`] /
+//! [`Network::reclaim`]). This crate provides the mechanism and holds no
+//! arena itself: between networks the arena belongs to whoever reclaimed
+//! it. For `FiberNetwork<Message>` that is `caa-runtime`, which keeps one
+//! per host thread — a finished `System` puts it there, the next
+//! `SystemBuilder::build` on the thread takes it — so a warmed-up thread
+//! neither allocates a slot nor maps a stack per run, whatever runs the
+//! systems. Reuse is invisible to the simulation: recycled state is fully
+//! cleared.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::Stack;
-use parking_lot::{Condvar, Mutex};
 
 use crate::fault::FaultPlan;
-use crate::latency::{effective_latency, LatencyModel};
+use crate::host::{Fibers, Host};
+use crate::latency::LatencyModel;
+use crate::simcore::{Core, NetArena, SchedStats, Turn};
 use crate::stats::{Classify, NetStats};
 use crate::tap::{NetTap, TapEvent};
+use crate::threads::Threads;
 
 /// How the network experiences time. Virtual time is the only mode: a
 /// wall-clock mode existed for one smoke test and was the last reason a
@@ -217,330 +210,11 @@ pub enum Parked<M> {
     Deadline,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockKind {
-    Recv,
-    Sleep,
-    /// [`Endpoint::park_wait`]: blocked until a message is deliverable or
-    /// the endpoint's doorbell rings (see [`Network::schedule_wake`]).
-    Park,
-}
-
-impl BlockKind {
-    fn label(self) -> &'static str {
-        match self {
-            BlockKind::Recv => "recv",
-            BlockKind::Sleep => "sleep",
-            BlockKind::Park => "park",
-        }
-    }
-
-    /// Whether an endpoint blocked this way re-evaluates its predicate
-    /// when a message becomes deliverable.
-    fn receives_messages(self) -> bool {
-        matches!(self, BlockKind::Recv | BlockKind::Park)
-    }
-}
-
-struct ActorSlot<M> {
-    name: Arc<str>,
-    alive: bool,
-    running: bool,
-    blocked_on: BlockKind,
-    wake_at: Option<VirtualInstant>,
-    /// This endpoint's private parking slot when an OS thread drives it.
-    /// Every blocking wait parks here (or suspends, see `on_fiber`), and
-    /// wake-ups are *targeted*: a delivery wakes only the receiver, a time
-    /// advance only the endpoints whose wake-up point was reached, a
-    /// doorbell only its owner — never the whole herd.
-    cv: Arc<Condvar>,
-    /// How the endpoint gave up the CPU when it last blocked: by
-    /// suspending the fiber it runs in (woken by setting `runnable`) or by
-    /// parking its OS thread on `cv` (woken by a notify).
-    on_fiber: bool,
-    /// For a fiber-hosted endpoint: a wake site has given it the CPU back
-    /// since it last suspended — or it has not started yet. Shared with
-    /// the endpoint's host (see [`Runnable`]), which tests and clears it
-    /// without the scheduler lock; recycled with the slot like `cv`.
-    runnable: Runnable,
-    /// The stack of the fiber hosting this endpoint, parked here between
-    /// runs so it is recycled with the slot ([`NetArena`]).
-    stack: Option<Stack>,
-    /// Pending explicit wake-up, if any ([`Network::schedule_wake`]):
-    /// consumed by [`Endpoint::park_wait`] when virtual time reaches it.
-    doorbell: Option<VirtualInstant>,
-    /// Monotonic counter identifying the endpoint's *current* parked wait
-    /// ([`Endpoint::begin_wait`]). [`Network::schedule_wake`] carries the
-    /// epoch its computation was based on and is ignored when it does not
-    /// match — a scheduler that raced against the end of an earlier wait
-    /// (e.g. an object releaser whose winner was cancelled and has since
-    /// started waiting elsewhere) cannot plant a stale doorbell into the
-    /// new wait.
-    wait_epoch: u64,
-    /// The endpoint's receive side: delivery heap and per-source link row.
-    mailbox: Mailbox<M>,
-}
-
-impl<M> ActorSlot<M> {
-    /// A slot for a newly registered endpoint, built over the allocations
-    /// of a `recycled` one where there is one: its condvar, runnable mark,
-    /// parked fiber stack and (cleared) mailbox capacity.
-    fn fresh(name: Arc<str>, recycled: Option<ActorSlot<M>>) -> ActorSlot<M> {
-        let (cv, runnable, stack, mailbox) = match recycled {
-            Some(old) => (old.cv, old.runnable, old.stack, old.mailbox),
-            None => Default::default(),
-        };
-        runnable.set(true);
-        ActorSlot {
-            name,
-            alive: true,
-            running: true,
-            blocked_on: BlockKind::Recv,
-            wake_at: None,
-            cv,
-            on_fiber: false,
-            runnable,
-            stack,
-            doorbell: None,
-            wait_epoch: 0,
-            mailbox,
-        }
-    }
-
-    /// Gives a blocked endpoint the CPU back. A suspended fiber is marked
-    /// runnable for its host; for a parked thread the condvar is returned,
-    /// for the caller to notify once it has let go of the scheduler lock
-    /// (or right away where it cannot).
-    fn wake(&mut self) -> Option<&Arc<Condvar>> {
-        if self.on_fiber {
-            self.runnable.set(true);
-            None
-        } else {
-            Some(&self.cv)
-        }
-    }
-}
-
-struct Envelope<M> {
-    deliver_at: VirtualInstant,
-    src: PartitionId,
-    seq: u64,
-    sent_at: VirtualInstant,
-    msg: Option<M>,
-}
-
-impl<M> Envelope<M> {
-    fn key(&self) -> (VirtualInstant, u32, u64) {
-        (self.deliver_at, self.src.as_u32(), self.seq)
-    }
-}
-
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for Envelope<M> {}
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Envelope<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-#[derive(Default, Clone, Copy)]
-struct LinkState {
-    seq: u64,
-    last_delivery: VirtualInstant,
-}
-
-/// One endpoint's receive side: the delivery heap plus the dense
-/// per-source link row (`links_in[src]` is the `(src → this)` cell of the
-/// network's link matrix). Part of the endpoint's [`ActorSlot`].
-struct Mailbox<M> {
-    queue: BinaryHeap<Reverse<Envelope<M>>>,
-    links_in: Vec<LinkState>,
-}
-
-impl<M> Default for Mailbox<M> {
-    fn default() -> Mailbox<M> {
-        Mailbox {
-            queue: BinaryHeap::new(),
-            links_in: Vec::new(),
-        }
-    }
-}
-
-impl<M> Mailbox<M> {
-    /// The `(src → this)` link cell, grown on demand (dense by source
-    /// index; sources register before they can send, so the row length is
-    /// bounded by the endpoint count).
-    fn link(&mut self, src: PartitionId) -> &mut LinkState {
-        let i = src.index();
-        if self.links_in.len() <= i {
-            self.links_in.resize(i + 1, LinkState::default());
-        }
-        &mut self.links_in[i]
-    }
-
-    fn pop_ready(&mut self, now: VirtualInstant) -> Option<Received<M>> {
-        if self
-            .queue
-            .peek()
-            .is_some_and(|Reverse(env)| env.deliver_at <= now)
-        {
-            let Reverse(env) = self.queue.pop().expect("peeked");
-            Some(Received {
-                src: env.src,
-                sent_at: env.sent_at,
-                delivered_at: env.deliver_at,
-                msg: env.msg,
-            })
-        } else {
-            None
-        }
-    }
-
-    fn head_deliver_at(&self) -> Option<VirtualInstant> {
-        self.queue.peek().map(|Reverse(env)| env.deliver_at)
-    }
-
-    /// Clears the mailbox for arena reuse, keeping heap and row capacity.
-    fn recycle(&mut self) {
-        self.queue.clear();
-        self.links_in.clear();
-    }
-}
-
-/// Everything the simulator knows, under the network's one lock: clock,
-/// per-endpoint blocked state, wake-up points and mailboxes, fault
-/// budgets, counters, deadlock state.
-struct Sched<M> {
-    now: VirtualInstant,
-    /// One slot per endpoint, in registration order.
-    actors: Vec<ActorSlot<M>>,
-    /// Scheduled losses and corruptions; budgets are per directed link,
-    /// so the order in which links consume them is free.
-    faults: FaultPlan,
-    stats: NetStats,
-    /// Park/wake hand-off counters.
-    handoffs: SchedStats,
-    deadlocked: Option<DeadlockInfo>,
-    /// Recycled actor slots handed out by [`Network::endpoint`] before
-    /// any fresh allocation (see [`NetArena`]).
-    spare_slots: Vec<ActorSlot<M>>,
-}
-
-struct Shared<M> {
-    sched: Mutex<Sched<M>>,
-    /// Mirror of `Sched::now` in nanoseconds. Running threads read it
-    /// without a lock: virtual time only advances when every live endpoint
-    /// is blocked, so no running reader can race an advance.
-    now_ns: AtomicU64,
-    latency: LatencyModel,
-    seed: u64,
-    ack_timeout: Option<VirtualDuration>,
-    tap: Option<Arc<dyn NetTap>>,
-}
-
-/// Scheduler self-metrics: hand-offs of the CPU between endpoints. One
-/// `park` is one blocked endpoint giving up the CPU — a fiber suspend
-/// under `caa-runtime`'s `System::run`, a condvar wait (a futex sleep on
-/// Linux) for an endpoint driven by an OS thread; one `wake` is one wake
-/// site making one endpoint runnable again (each endpoint counted
-/// separately in the broadcast on deadlock). Every site that counts holds
-/// the network's lock.
-///
-/// These say what the *simulator* did, not what the protocol did, so
-/// report them apart from the protocol's metrics. Under `System::run`
-/// they are nonetheless a pure function of the seed: participants run to
-/// their next block one at a time, in registration order, each resumed
-/// when the host's pass reaches it with its [`Runnable`] mark set, so the
-/// same seed parks and wakes identically on every run and the counts may
-/// be gated by equality (the harness pins their sums over 150 seeds).
-/// Only endpoints driven by concurrently running OS threads park
-/// differently from run to run (same-instant events interleave as the OS
-/// pleases, which never reaches virtual time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Times a blocked endpoint gave up the CPU.
-    pub parks: u64,
-    /// Times a wake site made an endpoint runnable.
-    pub wakes: u64,
-}
-
-/// A fiber-hosted endpoint's wake-up mark, shared between the endpoint's
-/// scheduler slot and whoever resumes its fiber (obtained from
-/// [`Endpoint::runnable`] before the endpoint moves into its fiber). Wake
-/// sites set it while holding the network's lock; the host tests it with
-/// no lock at all, once per endpoint per pass.
-///
-/// The mark publishes no data of its own — a resumed endpoint re-takes the
-/// network's lock before it reads anything a waker wrote — so every access
-/// is `Relaxed`.
-#[derive(Debug, Clone, Default)]
-pub struct Runnable(Arc<AtomicBool>);
-
-impl Runnable {
-    /// Whether the endpoint has been made runnable since it last suspended
-    /// (or has yet to start), clearing the mark. A `true` obliges the host
-    /// to resume the endpoint's fiber — the wake-up is consumed.
-    #[inline]
-    #[must_use]
-    pub fn take(&self) -> bool {
-        self.0.load(Ordering::Relaxed) && self.0.swap(false, Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn set(&self, on: bool) {
-        self.0.store(on, Ordering::Relaxed);
-    }
-}
-
-/// Recycled allocations of a finished [`Network`]: its actor slots, with
-/// their condvar and runnable-mark allocations, any fiber stacks parked in
-/// them, and their mailboxes' heap and link-row capacity. Obtained from
-/// [`Network::reclaim`], consumed by [`Network::new_reusing`]. Purely an
-/// allocation cache — a network built from an arena is observably
-/// identical to a fresh one.
-pub struct NetArena<M> {
-    slots: Vec<ActorSlot<M>>,
-}
-
-impl<M> NetArena<M> {
-    /// An empty arena (equivalent to passing `None` to
-    /// [`Network::new_reusing`]).
-    #[must_use]
-    pub fn new() -> NetArena<M> {
-        NetArena { slots: Vec::new() }
-    }
-
-    /// How many endpoint slots the arena currently caches.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-impl<M> Default for NetArena<M> {
-    fn default() -> Self {
-        NetArena::new()
-    }
-}
-
-impl<M> fmt::Debug for NetArena<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetArena")
-            .field("slots", &self.slots.len())
-            .finish()
-    }
-}
-
-/// The simulated network (and, in virtual mode, the time scheduler).
+/// The simulated network (and, in virtual mode, the time scheduler), hosted
+/// by `H`: OS threads unless said otherwise ([`Threads`]), or the fibers of
+/// one thread ([`FiberNetwork`]). The operations are the same under
+/// either — they are written once, over the host — and so is everything
+/// an endpoint observes; only how a blocked endpoint sleeps differs.
 ///
 /// Cheap to clone; all clones share state.
 ///
@@ -570,29 +244,48 @@ impl<M> fmt::Debug for NetArena<M> {
 /// assert_eq!(handle.join().unwrap(), 7);
 /// # assert_eq!(net.stats().sent("Ping"), 1);
 /// ```
-pub struct Network<M> {
-    shared: Arc<Shared<M>>,
+pub struct Network<M, H: Host<M> = Threads<M>> {
+    host: H,
+    /// `M` is the host's business; the handle is as `Send` as the host.
+    msg: PhantomData<fn(M)>,
 }
 
-impl<M> Clone for Network<M> {
+/// A network whose endpoints all run as fibers of one thread — `!Send`,
+/// and free of locks and atomics (see [`Fibers`]).
+pub type FiberNetwork<M> = Network<M, Fibers<M>>;
+
+/// An endpoint of a [`FiberNetwork`]. `!Send`.
+pub type FiberEndpoint<M> = Endpoint<M, Fibers<M>>;
+
+impl<M, H: Host<M>> Clone for Network<M, H> {
     fn clone(&self) -> Self {
         Network {
-            shared: Arc::clone(&self.shared),
+            host: self.host.clone(),
+            msg: PhantomData,
         }
     }
 }
 
-impl<M> fmt::Debug for Network<M> {
+impl<M, H: Host<M>> fmt::Debug for Network<M, H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sched = self.shared.sched.lock();
-        f.debug_struct("Network")
-            .field("now", &sched.now)
-            .field("endpoints", &sched.actors.len())
-            .finish()
+        self.host
+            .with(|core| f.debug_tuple("Network").field(core).finish())
     }
 }
 
-impl<M: Send + Classify> Network<M> {
+impl<M> FiberNetwork<M> {
+    /// Whether endpoint `id` has been made runnable since it last
+    /// suspended (or has yet to start), clearing the mark. A `true`
+    /// obliges the caller — whoever resumes the endpoints' fibers — to
+    /// resume that endpoint's fiber: the wake-up is consumed.
+    #[inline]
+    #[must_use]
+    pub fn take_runnable(&self, id: PartitionId) -> bool {
+        self.host.with(|core| core.take_runnable(id))
+    }
+}
+
+impl<M: Classify, H: Host<M>> Network<M, H> {
     /// Creates a network with the given configuration.
     #[must_use]
     pub fn new(config: NetConfig) -> Self {
@@ -600,29 +293,15 @@ impl<M: Send + Classify> Network<M> {
     }
 
     /// [`Network::new`], recycling the allocations of a previously
-    /// [`reclaim`](Network::reclaim)ed network. The arena is an allocation
-    /// cache only: the new network starts from a fully cleared state and
-    /// behaves byte-identically to a fresh one.
+    /// [`reclaim`](Network::reclaim)ed network (of either host). The arena
+    /// is an allocation cache only: the new network starts from a fully
+    /// cleared state and behaves byte-identically to a fresh one.
     #[must_use]
-    pub fn new_reusing(config: NetConfig, arena: Option<NetArena<M>>) -> Self {
-        let arena = arena.unwrap_or_default();
+    pub fn new_reusing(mut config: NetConfig, arena: Option<NetArena<M>>) -> Self {
+        let tap = config.tap.take();
         Network {
-            shared: Arc::new(Shared {
-                sched: Mutex::new(Sched {
-                    now: VirtualInstant::EPOCH,
-                    actors: Vec::new(),
-                    faults: config.faults,
-                    stats: NetStats::default(),
-                    handoffs: SchedStats::default(),
-                    deadlocked: None,
-                    spare_slots: arena.slots,
-                }),
-                now_ns: AtomicU64::new(VirtualInstant::EPOCH.as_nanos()),
-                latency: config.latency,
-                seed: config.seed,
-                ack_timeout: config.ack_timeout,
-                tap: config.tap,
-            }),
+            host: H::new(Core::new(config, arena.unwrap_or_default()), tap),
+            msg: PhantomData,
         }
     }
 
@@ -633,13 +312,7 @@ impl<M: Send + Classify> Network<M> {
     /// opportunistically after every run.
     #[must_use]
     pub fn reclaim(self) -> Option<NetArena<M>> {
-        let sched = Arc::try_unwrap(self.shared).ok()?.sched.into_inner();
-        let mut slots = sched.actors;
-        slots.extend(sched.spare_slots);
-        for slot in &mut slots {
-            slot.mailbox.recycle();
-        }
-        Some(NetArena { slots })
+        self.host.into_core().map(Core::into_arena)
     }
 
     /// Registers a new endpoint (one partition / participating thread).
@@ -647,44 +320,33 @@ impl<M: Send + Classify> Network<M> {
     /// The endpoint is counted as *running* from this moment, so register it
     /// before handing it to its thread — otherwise virtual time may advance
     /// past events the thread would have handled.
-    pub fn endpoint(&self, name: impl Into<Arc<str>>) -> Endpoint<M> {
+    pub fn endpoint(&self, name: impl Into<Arc<str>>) -> Endpoint<M, H> {
         let name = name.into();
-        let mut sched = self.shared.sched.lock();
-        let id =
-            PartitionId::new(u32::try_from(sched.actors.len()).expect("fewer than 2^32 endpoints"));
-        let recycled = sched.spare_slots.pop();
-        let slot = ActorSlot::fresh(name, recycled);
-        let runnable = slot.runnable.clone();
-        sched.actors.push(slot);
-        drop(sched);
         Endpoint {
+            id: self.host.with(|core| core.register(name)),
             net: self.clone(),
-            id,
-            runnable,
         }
     }
 
-    /// Current virtual time.
-    ///
-    /// A lock-free atomic read: the clock only moves while every live
+    /// Current virtual time. The clock only moves while every live
     /// endpoint is blocked, so a running caller always sees the exact
     /// current instant.
     #[must_use]
     pub fn now(&self) -> VirtualInstant {
-        VirtualInstant::from_nanos(self.shared.now_ns.load(Ordering::Acquire))
+        self.host.with(|core| core.now())
     }
 
     /// Snapshot of the message counters.
     #[must_use]
     pub fn stats(&self) -> NetStats {
-        self.shared.sched.lock().stats.clone()
+        self.host.with(|core| core.stats().clone())
     }
 
     /// Snapshot of the scheduler's park/wake hand-off counters (see
     /// [`SchedStats`]).
     #[must_use]
     pub fn sched_stats(&self) -> SchedStats {
-        self.shared.sched.lock().handoffs
+        self.host.with(|core| core.sched_stats())
     }
 
     /// Takes the fiber stack parked in endpoint `id`'s slot, if one was
@@ -692,192 +354,61 @@ impl<M: Send + Classify> Network<M> {
     /// a [`NetArena`], in an earlier one.
     #[must_use]
     pub fn take_stack(&self, id: PartitionId) -> Option<Stack> {
-        let mut sched = self.shared.sched.lock();
-        sched.actors.get_mut(id.index())?.stack.take()
+        self.host.with(|core| core.take_stack(id))
     }
 
     /// Parks a fiber stack in endpoint `id`'s slot once its fiber has
     /// finished, so that [`Network::reclaim`] carries it to the next
     /// network with the slot. (An unknown `id` just drops the stack.)
     pub fn park_stack(&self, id: PartitionId, stack: Stack) {
-        let mut sched = self.shared.sched.lock();
-        if let Some(slot) = sched.actors.get_mut(id.index()) {
-            slot.stack = Some(stack);
-        }
+        self.host.with(|core| core.park_stack(id, stack));
     }
 
     fn send_from(&self, src: PartitionId, dst: PartitionId, msg: M) {
-        let class = msg.class();
-        let correlation = msg.correlation();
-        let mut guard = self.shared.sched.lock();
-        let sched = &mut *guard;
-        // Stable while we run: the sender's own endpoint is running, so
-        // the advance arbiter cannot move the clock under us.
-        let now = sched.now;
-        // Fault decisions are pure functions of per-link budgets.
-        let lost = sched.faults.should_lose(src, dst, class);
-        let corrupted = !lost && sched.faults.should_corrupt(src, dst, class);
-        if lost {
-            sched.stats.record_dropped(class);
-        } else {
-            sched.stats.record_sent(class);
-            if corrupted {
-                sched.stats.record_corrupted(class);
-            }
-        }
-
-        // Book the link slot, sample the latency, apply the per-link FIFO
-        // clamp and enqueue. A lost message still occupies its slot in the
-        // per-link sequence, so tap consumers see a unique (src, dst, seq)
-        // per message whether it was delivered or lost. A destination that
-        // never registered has no link row to book a sequence on (ids
-        // normally only come from registration, so this needs a hand-built
-        // `PartitionId`): the message was still *accepted* — counted above
-        // and surfaced to the tap like a datagram to a dead host, with the
-        // link sequence pinned to 0.
-        let (mut seq, mut deliver_at, mut wake_dst) = (0, now, None);
-        if let Some(slot) = sched.actors.get_mut(dst.index()) {
-            let link = slot.mailbox.link(src);
-            seq = link.seq;
-            link.seq += 1;
-            if !lost {
-                let raw = self.shared.latency.sample(self.shared.seed, src, dst, seq);
-                let eff = effective_latency(raw, self.shared.ack_timeout);
-                deliver_at = now.saturating_add(eff);
-                // Per-link FIFO (Assumption 2): never deliver before an
-                // earlier message on the same link.
-                if deliver_at <= link.last_delivery {
-                    deliver_at = link
-                        .last_delivery
-                        .saturating_add(VirtualDuration::from_nanos(1));
-                }
-                link.last_delivery = deliver_at;
-                if eff > raw && !raw.is_zero() {
-                    sched.stats.record_retransmissions(
-                        eff.as_nanos().saturating_sub(raw.as_nanos()) / raw.as_nanos().max(1),
-                    );
-                }
-                // A message to a retired endpoint is lost like a datagram
-                // to a dead host — but it was accepted, so counters and
-                // tap still see it.
-                if slot.alive {
-                    slot.mailbox.queue.push(Reverse(Envelope {
-                        deliver_at,
-                        src,
-                        seq,
-                        sent_at: now,
-                        msg: (!corrupted).then_some(msg),
-                    }));
-                    // If the destination is blocked waiting for messages,
-                    // ensure the scheduler knows when it becomes wakeable
-                    // — and wake it (alone) if the message is already
-                    // deliverable. A message still in flight needs no
-                    // wake-up: only a time advance can make it
-                    // deliverable, and the advance arbiter wakes exactly
-                    // the endpoints whose wake-up point was reached.
-                    if !slot.running && slot.blocked_on.receives_messages() {
-                        slot.wake_at = Some(match slot.wake_at {
-                            Some(existing) => existing.min(deliver_at),
-                            None => deliver_at,
-                        });
-                        if deliver_at <= now {
-                            wake_dst = slot.wake().map(Arc::clone);
-                            sched.handoffs.wakes += 1;
-                        }
-                    }
-                }
-            }
-        }
-        drop(guard);
-
-        if let Some(tap) = &self.shared.tap {
+        let tapped = self.host.tap().map(|tap| (tap, msg.correlation()));
+        let sent = self.host.with(|core| core.send(src, dst, msg));
+        // The core is released: a tap may look at the network.
+        if let Some((tap, correlation)) = tapped {
             let event = TapEvent {
                 src,
                 dst,
-                class,
+                class: sent.class,
                 correlation,
-                at: now,
-                deliver_at,
-                seq,
+                at: sent.at,
+                deliver_at: sent.deliver_at,
+                seq: sent.seq,
             };
-            if lost {
+            if sent.lost {
                 tap.on_dropped(&event);
             } else {
                 tap.on_sent(&event);
-                if corrupted {
+                if sent.corrupted {
                     tap.on_corrupted(&event);
                 }
             }
         }
-        if let Some(cv) = wake_dst {
-            cv.notify_one();
-        }
     }
 
-    /// Core blocking primitive.
+    /// Takes turns at endpoint `id`'s blocking operation until one is
+    /// ready. This is the one place an endpoint gives up the CPU — how is
+    /// the host's business.
     ///
-    /// Re-evaluates `pred` over the caller's own slot (mailbox included),
-    /// under the network's lock, whenever woken; while blocked, `wake_hint`
-    /// tells the scheduler the earliest instant at which `pred` could
-    /// become true (None = only a message or retirement can help).
-    ///
-    /// This is the one place an endpoint gives up the CPU, and the one
-    /// place that knows there are two ways to: inside a fiber the caller
-    /// suspends (its host resumes it once a wake site has marked it
-    /// runnable), on a plain OS thread it waits on its condvar. The lock is
-    /// not held across a suspend — the host runs other endpoints on this
-    /// very thread, and they take the same lock.
-    fn block_until<T>(
+    /// Always inlined, like the blocking operations that call it and the
+    /// fiber host's `turn`: a fiber resumes in the middle of this loop with
+    /// the CPU's return predictor holding its host's call chain, so each
+    /// frame between the suspend and the caller that uses the value costs
+    /// a mispredicted return on every hand-off (a tenth of a bare run's
+    /// wall clock when the chain was four frames deep; a plain `#[inline]`
+    /// does not persuade the compiler).
+    #[inline(always)]
+    fn block_on<T>(
         &self,
         id: PartitionId,
-        kind: BlockKind,
-        mut pred: impl FnMut(&mut ActorSlot<M>, VirtualInstant) -> Option<T>,
-        mut wake_hint: impl FnMut(&ActorSlot<M>) -> Option<VirtualInstant>,
+        mut turn: impl FnMut(&mut Core<M>) -> Turn<T>,
     ) -> Result<T, SimError> {
-        let on_fiber = caa_fiber::in_fiber();
-        let i = id.index();
-        let mut guard = self.shared.sched.lock();
         loop {
-            let sched = &mut *guard;
-            if let Some(info) = &sched.deadlocked {
-                return Err(SimError::Deadlock(info.clone()));
-            }
-            let slot = &mut sched.actors[i];
-            if let Some(v) = pred(slot, sched.now) {
-                slot.running = true;
-                return Ok(v);
-            }
-            slot.running = false;
-            slot.blocked_on = kind;
-            slot.wake_at = wake_hint(slot);
-            slot.on_fiber = on_fiber;
-            // If our own blocking triggered an advance that reached our
-            // wake-up point (or deadlock detection), the wake-up fired
-            // before we could wait — re-evaluate instead of waiting for it.
-            // An advance that stopped short of it woke somebody else:
-            // nothing changed for this endpoint (the lock was held
-            // throughout, its hint still lies ahead, and a second scan
-            // would only find the endpoint just woken), so it parks now.
-            let advanced = advance_if_blocked(sched, &self.shared.now_ns);
-            let reached = sched.actors[i].wake_at.is_some_and(|w| w <= sched.now);
-            if advanced && reached || sched.deadlocked.is_some() {
-                continue;
-            }
-            sched.handoffs.parks += 1;
-            if on_fiber {
-                // Nothing ran between the predicate and here, so a mark
-                // still set is a leftover of a wake-up already acted on
-                // (our own advance above, on an earlier turn of the loop).
-                sched.actors[i].runnable.set(false);
-                drop(guard);
-                caa_fiber::suspend();
-                guard = self.shared.sched.lock();
-            } else {
-                // Each endpoint parks on its own slot; wake-ups are
-                // targeted at exactly the endpoints whose predicate may
-                // now hold.
-                let cv = Arc::clone(&sched.actors[i].cv);
-                cv.wait(&mut guard);
+            if let Some(done) = self.host.turn(id, &mut turn) {
+                return done;
             }
         }
     }
@@ -901,34 +432,7 @@ impl<M: Send + Classify> Network<M> {
     /// targeted wait has since ended — the doorbell would be stale, and
     /// is dropped. Unknown or retired endpoints are ignored too.
     pub fn schedule_wake(&self, id: PartitionId, at: VirtualInstant, epoch: u64) {
-        let mut guard = self.shared.sched.lock();
-        let sched = &mut *guard;
-        let Some(slot) = sched.actors.get_mut(id.index()).filter(|slot| slot.alive) else {
-            return;
-        };
-        if slot.wait_epoch != epoch {
-            return; // stale: computed against an earlier, finished wait
-        }
-        slot.doorbell = Some(at);
-        let mut wake = None;
-        if !slot.running && slot.blocked_on == BlockKind::Park {
-            // Re-derive the park's wake hint (min of next delivery and the
-            // new doorbell).
-            slot.wake_at = Some(match slot.mailbox.head_deliver_at() {
-                Some(h) => h.min(at),
-                None => at,
-            });
-            // Wake the owner only if the bell is already due — the
-            // advance arbiter will deliver future bells at `at`.
-            if at <= sched.now {
-                wake = slot.wake().map(Arc::clone);
-                sched.handoffs.wakes += 1;
-            }
-        }
-        drop(guard);
-        if let Some(cv) = wake {
-            cv.notify_one();
-        }
+        self.host.with(|core| core.schedule_wake(id, at, epoch));
     }
 }
 
@@ -936,19 +440,18 @@ impl<M: Send + Classify> Network<M> {
 ///
 /// Sending is `&self`; receiving is `&mut self` (an endpoint has a single
 /// consumer: its owning thread). Dropping the endpoint retires it.
-pub struct Endpoint<M> {
-    net: Network<M>,
+pub struct Endpoint<M, H: Host<M> = Threads<M>> {
+    net: Network<M, H>,
     id: PartitionId,
-    runnable: Runnable,
 }
 
-impl<M> fmt::Debug for Endpoint<M> {
+impl<M, H: Host<M>> fmt::Debug for Endpoint<M, H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Endpoint").field("id", &self.id).finish()
     }
 }
 
-impl<M: Send + Classify> Endpoint<M> {
+impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// This endpoint's partition id.
     #[must_use]
     pub fn id(&self) -> PartitionId {
@@ -957,7 +460,7 @@ impl<M: Send + Classify> Endpoint<M> {
 
     /// The network this endpoint belongs to.
     #[must_use]
-    pub fn network(&self) -> &Network<M> {
+    pub fn network(&self) -> &Network<M, H> {
         &self.net
     }
 
@@ -965,14 +468,6 @@ impl<M: Send + Classify> Endpoint<M> {
     #[must_use]
     pub fn now(&self) -> VirtualInstant {
         self.net.now()
-    }
-
-    /// This endpoint's wake-up mark, for whoever will resume the fiber it
-    /// runs in (see [`Runnable`]); take it before moving the endpoint into
-    /// that fiber. Unused by an endpoint an OS thread drives.
-    #[must_use]
-    pub fn runnable(&self) -> Runnable {
-        self.runnable.clone()
     }
 
     /// Sends `msg` to `dst` asynchronously (fire and forget, like the
@@ -988,13 +483,12 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
     /// progress.
+    #[inline(always)]
     pub fn recv(&mut self) -> Result<Received<M>, SimError> {
-        self.net.block_until(
-            self.id,
-            BlockKind::Recv,
-            |slot, now| slot.mailbox.pop_ready(now),
-            |slot| slot.mailbox.head_deliver_at(),
-        )
+        let id = self.id;
+        self.net
+            .block_on(id, |core| core.recv_turn(id, None))
+            .map(|received| received.expect("a receive with no deadline ends with a message"))
     }
 
     /// Receives the next message if one is already deliverable.
@@ -1003,12 +497,7 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the simulation already deadlocked.
     pub fn try_recv(&mut self) -> Result<Option<Received<M>>, SimError> {
-        let mut guard = self.net.shared.sched.lock();
-        let sched = &mut *guard;
-        if let Some(info) = &sched.deadlocked {
-            return Err(SimError::Deadlock(info.clone()));
-        }
-        Ok(sched.actors[self.id.index()].mailbox.pop_ready(sched.now))
+        self.net.host.with(|core| core.try_recv(self.id))
     }
 
     /// Receives the next message, waiting at most `timeout`.
@@ -1042,23 +531,14 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
     /// progress.
+    #[inline(always)]
     pub fn recv_deadline(
         &mut self,
         deadline: VirtualInstant,
     ) -> Result<Option<Received<M>>, SimError> {
-        self.net.block_until(
-            self.id,
-            BlockKind::Recv,
-            |slot, now| match slot.mailbox.pop_ready(now) {
-                Some(r) => Some(Some(r)),
-                None if now >= deadline => Some(None),
-                None => None,
-            },
-            |slot| match slot.mailbox.head_deliver_at() {
-                Some(h) => Some(h.min(deadline)),
-                None => Some(deadline),
-            },
-        )
+        let id = self.id;
+        self.net
+            .block_on(id, |core| core.recv_turn(id, Some(deadline)))
     }
 
     /// Parks until a message becomes deliverable or this endpoint's
@@ -1092,39 +572,13 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
     /// progress.
+    #[inline(always)]
     pub fn park_wait_until(
         &mut self,
         deadline: Option<VirtualInstant>,
     ) -> Result<Parked<M>, SimError> {
-        self.net.block_until(
-            self.id,
-            BlockKind::Park,
-            |slot, now| {
-                if let Some(received) = slot.mailbox.pop_ready(now) {
-                    return Some(Parked::Msg(received));
-                }
-                if slot.doorbell.is_some_and(|at| at <= now) {
-                    slot.doorbell = None;
-                    return Some(Parked::Doorbell);
-                }
-                if deadline.is_some_and(|at| at <= now) {
-                    return Some(Parked::Deadline);
-                }
-                None
-            },
-            |slot| {
-                let head = slot.mailbox.head_deliver_at();
-                let bell = slot.doorbell;
-                let hint = match (head, bell) {
-                    (Some(h), Some(b)) => Some(h.min(b)),
-                    (head, bell) => head.or(bell),
-                };
-                match (hint, deadline) {
-                    (Some(h), Some(d)) => Some(h.min(d)),
-                    (hint, deadline) => hint.or(deadline),
-                }
-            },
-        )
+        let id = self.id;
+        self.net.block_on(id, |core| core.park_turn(id, deadline))
     }
 
     /// Opens a new parked wait: discards any doorbell left over from an
@@ -1135,11 +589,7 @@ impl<M: Send + Classify> Endpoint<M> {
     /// raced against the end of the previous wait cannot ring a stale
     /// bell into this one.
     pub fn begin_wait(&self) -> u64 {
-        let mut sched = self.net.shared.sched.lock();
-        let slot = &mut sched.actors[self.id.index()];
-        slot.doorbell = None;
-        slot.wait_epoch += 1;
-        slot.wait_epoch
+        self.net.host.with(|core| core.begin_wait(self.id))
     }
 
     /// Sleeps for `dur` — models local computation taking virtual time.
@@ -1147,17 +597,14 @@ impl<M: Send + Classify> Endpoint<M> {
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the simulation deadlocked while sleeping.
+    #[inline(always)]
     pub fn sleep(&self, dur: VirtualDuration) -> Result<(), SimError> {
         if dur.is_zero() {
             return Ok(());
         }
+        let id = self.id;
         let deadline = self.net.now().saturating_add(dur);
-        self.net.block_until(
-            self.id,
-            BlockKind::Sleep,
-            |_, now| (now >= deadline).then_some(()),
-            |_| Some(deadline),
-        )
+        self.net.block_on(id, |core| core.sleep_turn(id, deadline))
     }
 
     /// Retires the endpoint: the scheduler stops waiting for this
@@ -1167,85 +614,9 @@ impl<M: Send + Classify> Endpoint<M> {
     }
 }
 
-impl<M> Drop for Endpoint<M> {
+impl<M, H: Host<M>> Drop for Endpoint<M, H> {
     fn drop(&mut self) {
-        let shared = &self.net.shared;
-        let mut sched = shared.sched.lock();
-        let slot = &mut sched.actors[self.id.index()];
-        slot.alive = false;
-        slot.running = false;
-        advance_if_blocked(&mut sched, &shared.now_ns);
-    }
-}
-
-/// The virtual-time advance arbiter (callable without `M: Classify`, for
-/// `Drop`): if every live endpoint is blocked, advances time to the
-/// earliest wake-up point and wakes **only** the endpoints whose
-/// wake-up point was reached — the unique next runner(s), not the herd —
-/// or, with no wake-up point anywhere, declares deadlock and wakes
-/// everyone to report it. Returns whether it changed the world, so the
-/// calling blocker re-evaluates instead of missing its own wake-up.
-fn advance_if_blocked<M>(sched: &mut Sched<M>, now_ns: &AtomicU64) -> bool {
-    if sched.deadlocked.is_some() {
-        return false;
-    }
-    let live = sched.actors.iter().filter(|a| a.alive);
-    let mut min_wake: Option<VirtualInstant> = None;
-    for actor in live {
-        if actor.running {
-            return false; // someone can still make progress right now
-        }
-        if let Some(w) = actor.wake_at {
-            if w <= sched.now {
-                return false; // already wakeable; it was notified
-            }
-            min_wake = Some(match min_wake {
-                Some(m) => m.min(w),
-                None => w,
-            });
-        }
-    }
-    match min_wake {
-        Some(t) => {
-            sched.now = t;
-            now_ns.store(t.as_nanos(), Ordering::Release);
-            for actor in &mut sched.actors {
-                if actor.alive && !actor.running && actor.wake_at.is_some_and(|w| w <= t) {
-                    sched.handoffs.wakes += 1;
-                    if let Some(cv) = actor.wake() {
-                        cv.notify_one();
-                    }
-                }
-            }
-            true
-        }
-        None => {
-            let any_live = sched.actors.iter().any(|a| a.alive);
-            if !any_live {
-                return false; // everyone retired: nothing to schedule
-            }
-            let info = DeadlockInfo {
-                at: sched.now,
-                blocked: sched
-                    .actors
-                    .iter()
-                    .filter(|a| a.alive)
-                    .map(|a| (a.name.to_string(), a.blocked_on.label()))
-                    .collect(),
-            };
-            sched.deadlocked = Some(info);
-            // Everyone must observe the deadlock: this is the one
-            // remaining broadcast wake-up, and the simulation is over.
-            for actor in &mut sched.actors {
-                if actor.alive && !actor.running {
-                    sched.handoffs.wakes += 1;
-                    if let Some(cv) = actor.wake() {
-                        cv.notify_one();
-                    }
-                }
-            }
-            true
-        }
+        self.net.host.with(|core| core.retire(self.id));
     }
 }
 
@@ -1253,6 +624,8 @@ fn advance_if_blocked<M>(sched: &mut Sched<M>, now_ns: &AtomicU64) -> bool {
 mod tests {
     use super::*;
     use caa_core::time::secs;
+    use caa_fiber::Fiber;
+    use parking_lot::Mutex;
     use std::thread;
 
     #[derive(Debug, PartialEq)]
@@ -1582,7 +955,7 @@ mod tests {
         // The same two-party exchange, fresh vs. recycled: every delivery
         // instant must match, and the arena must actually be reclaimed.
         let exchange = |arena: Option<NetArena<Msg>>| {
-            let net = Network::new_reusing(
+            let net: Network<Msg> = Network::new_reusing(
                 NetConfig {
                     mode: ClockMode::Virtual,
                     latency: LatencyModel::UniformUpTo(secs(1.0)),
@@ -1621,7 +994,7 @@ mod tests {
     #[test]
     fn concurrent_senders_keep_link_fifo_and_exact_counts() {
         // Four OS threads send to one thread-hosted receiver at once, all
-        // through the network's single lock: whatever order they win it
+        // through the thread host's single lock: whatever order they win it
         // in, each link stays FIFO and every message is counted once.
         const SENDERS: u64 = 4;
         const EACH: u64 = 200;
@@ -1722,5 +1095,222 @@ mod tests {
         let clone = net.clone();
         assert!(net.reclaim().is_none(), "a live clone blocks reclamation");
         drop(clone);
+    }
+
+    // ------------------------------------------------------------------
+    // The two hosts
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn thread_hosted_endpoints_are_send_and_fiber_hosted_ones_are_not() {
+        fn assert_send<T: Send>() {}
+        // What `perf/src/surface.rs` relies on when it moves endpoints
+        // into scoped threads.
+        assert_send::<Endpoint<Msg>>();
+        assert_send::<Network<Msg>>();
+        assert_send::<NetArena<Msg>>();
+
+        // `T: !Send`, statically: with both impls applicable (`T: Send`)
+        // the call below would be ambiguous and fail to compile.
+        trait AmbiguousIfSend<A> {
+            fn check() {}
+        }
+        impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+        impl<T: ?Sized + Send> AmbiguousIfSend<u8> for T {}
+        <FiberEndpoint<Msg> as AmbiguousIfSend<_>>::check();
+        <FiberNetwork<Msg> as AmbiguousIfSend<_>>::check();
+    }
+
+    /// What one participant of the script below observed, line by line.
+    type Log = Vec<String>;
+    type Role<H> = fn(Endpoint<Msg, H>, [PartitionId; 3]) -> Log;
+
+    fn at(instant: VirtualInstant) -> u64 {
+        instant.as_nanos()
+    }
+
+    fn seen(log: &mut Log, what: &str, got: &Received<Msg>) {
+        log.push(format!(
+            "{what}: {:?} from {} sent {} delivered {}",
+            got.msg,
+            got.src.index(),
+            at(got.sent_at),
+            at(got.delivered_at)
+        ));
+    }
+
+    fn script_config() -> NetConfig {
+        let [a, b] = [0, 1].map(PartitionId::new);
+        NetConfig {
+            latency: LatencyModel::UniformUpTo(secs(0.4)),
+            seed: 11,
+            faults: FaultPlan::new()
+                .lose(crate::FaultSpec::link(a, b).skip(1).count(1))
+                .corrupt(crate::FaultSpec::link(b, a).count(1)),
+            ..NetConfig::default()
+        }
+    }
+
+    /// Sends (one of them lost), a corrupted reply, a `recv_deadline` that
+    /// expires, a parked wait that a stale doorbell must not end and a
+    /// current one does, then a wait for nothing.
+    fn alice<H: Host<Msg>>(mut ep: Endpoint<Msg, H>, [_, b, c]: [PartitionId; 3]) -> Log {
+        let mut log = Log::new();
+        let stale = ep.begin_wait();
+        let current = ep.begin_wait();
+        assert_eq!((stale, current), (1, 2), "carol rings by these numbers");
+        for payload in 1..=3 {
+            ep.send(b, Msg(payload)); // the second is lost
+        }
+        ep.send(c, Msg(4));
+        ep.send(c, Msg(5)); // still in flight when carol retires
+        seen(&mut log, "reply", &ep.recv().unwrap());
+        let deadline = ep.now() + secs(0.01);
+        let nothing = ep.recv_deadline(deadline).unwrap();
+        log.push(format!("deadline: {nothing:?} at {}", at(ep.now())));
+        let parked = ep.park_wait().unwrap();
+        log.push(format!("parked: {parked:?} at {}", at(ep.now())));
+        log.push(format!("end: {:?}", ep.recv().unwrap_err()));
+        log
+    }
+
+    fn bob<H: Host<Msg>>(mut ep: Endpoint<Msg, H>, [a, _, _]: [PartitionId; 3]) -> Log {
+        let mut log = Log::new();
+        for _ in 0..2 {
+            seen(&mut log, "got", &ep.recv().unwrap());
+        }
+        ep.send(a, Msg(10)); // corrupted
+        ep.sleep(secs(0.25)).unwrap();
+        log.push(format!("slept until {}", at(ep.now())));
+        log.push(format!("try: {:?}", ep.try_recv().unwrap().is_some()));
+        log.push(format!("end: {:?}", ep.recv().unwrap_err()));
+        log
+    }
+
+    fn carol<H: Host<Msg>>(mut ep: Endpoint<Msg, H>, [a, _, _]: [PartitionId; 3]) -> Log {
+        let mut log = Log::new();
+        seen(&mut log, "got", &ep.recv().unwrap());
+        let net = ep.network();
+        net.schedule_wake(a, VirtualInstant::EPOCH + secs(1.0), 1); // stale
+        net.schedule_wake(a, VirtualInstant::EPOCH + secs(2.0), 2);
+        ep.retire(); // with Msg(5) on its way here
+        log
+    }
+
+    fn roles<H: Host<Msg>>() -> [Role<H>; 3] {
+        [alice::<H>, bob::<H>, carol::<H>]
+    }
+
+    /// Everything the script's outcome consists of: each participant's
+    /// log, the message counters and the final instant.
+    fn outcome<H: Host<Msg>>(logs: Vec<Log>, net: &Network<Msg, H>) -> String {
+        let logs: Vec<String> = logs.iter().map(|log| log.join("\n")).collect();
+        let (stats, end) = (net.stats(), at(net.now()));
+        format!("{}\n{stats:?}\nended at {end}", logs.join("\n--\n"))
+    }
+
+    fn script_on_threads() -> String {
+        let net: Network<Msg> = Network::new(script_config());
+        let endpoints = ["alice", "bob", "carol"].map(|name| net.endpoint(name));
+        let ids = [0, 1, 2].map(|i| endpoints[i].id());
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .zip(roles())
+            .map(|(ep, role)| thread::spawn(move || role(ep, ids)))
+            .collect();
+        let logs = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        outcome(logs, &net)
+    }
+
+    /// Runs `bodies` as fibers the way `caa-runtime`'s host does: passes in
+    /// registration order, resuming whoever the network marked runnable.
+    fn run_fibers(net: &FiberNetwork<Msg>, bodies: Vec<(PartitionId, Fiber<Log>)>) -> Vec<Log> {
+        let mut hosted: Vec<_> = bodies
+            .into_iter()
+            .map(|(id, fiber)| (id, fiber, None))
+            .collect();
+        while hosted.iter().any(|(_, _, log)| log.is_none()) {
+            let mut resumed = false;
+            for (id, fiber, log) in &mut hosted {
+                if log.is_none() && net.take_runnable(*id) {
+                    resumed = true;
+                    *log = fiber.resume().map(|body| body.expect("no panic"));
+                }
+            }
+            assert!(resumed, "blocked fibers and none runnable");
+        }
+        hosted.into_iter().filter_map(|(_, _, log)| log).collect()
+    }
+
+    fn script_on_fibers() -> String {
+        let net: FiberNetwork<Msg> = Network::new(script_config());
+        let endpoints = ["alice", "bob", "carol"].map(|name| net.endpoint(name));
+        let ids = [0, 1, 2].map(|i| endpoints[i].id());
+        let bodies = endpoints
+            .into_iter()
+            .zip(roles())
+            .map(|(ep, role)| {
+                let stack = Stack::new(256 * 1024);
+                (ep.id(), Fiber::new(stack, move || role(ep, ids)))
+            })
+            .collect();
+        let logs = run_fibers(&net, bodies);
+        outcome(logs, &net)
+    }
+
+    #[test]
+    fn both_hosts_observe_the_same() {
+        let on_threads = script_on_threads();
+        assert_eq!(on_threads, script_on_fibers());
+        // The script did what it set out to.
+        for line in [
+            "reply: None from 1",             // the corrupted reply
+            "deadline: None at",              // recv_deadline expired
+            "parked: Doorbell at 2000000000", // not the stale bell at 1 s
+            "got: Some(Msg(3)) from 0",       // Msg(2) was lost
+            "try: false",
+            r#"blocked: [("alice", "recv"), ("bob", "recv")]"#,
+        ] {
+            assert!(on_threads.contains(line), "{line:?} not in\n{on_threads}");
+        }
+        assert_eq!(
+            on_threads.matches("end: Deadlock").count(),
+            2,
+            "{on_threads}"
+        );
+    }
+
+    #[test]
+    fn a_tap_may_look_at_the_fiber_hosted_network_it_taps() {
+        // A tap is `Send + Sync` and the network it is about to be
+        // attached to is not, so it finds the network in a thread-local.
+        thread_local! {
+            static TAPPED: std::cell::RefCell<Option<FiberNetwork<Msg>>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        #[derive(Default)]
+        struct Curious(Mutex<Vec<(u64, VirtualInstant)>>);
+        impl NetTap for Curious {
+            fn on_sent(&self, _: &TapEvent) {
+                TAPPED.with_borrow(|net| {
+                    let net = net.as_ref().expect("set before the first send");
+                    // Both take the core: taps run after it is released.
+                    self.0.lock().push((net.stats().total_sent(), net.now()));
+                });
+            }
+        }
+        let tap = Arc::new(Curious::default());
+        let net: FiberNetwork<Msg> = Network::new(NetConfig {
+            tap: Some(Arc::clone(&tap) as _),
+            ..NetConfig::default()
+        });
+        TAPPED.set(Some(net.clone()));
+        let a = net.endpoint("a");
+        let b = net.endpoint("b");
+        a.send(b.id(), Msg(1));
+        a.send(b.id(), Msg(2));
+        TAPPED.set(None);
+        let epoch = VirtualInstant::EPOCH;
+        assert_eq!(*tap.0.lock(), vec![(1, epoch), (2, epoch)]);
     }
 }

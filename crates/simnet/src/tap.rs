@@ -8,11 +8,14 @@
 //! message counts for the paper's §3.3.3 complexity bounds; it is equally
 //! useful for ad-hoc wire diagnostics.
 //!
-//! Taps are invoked from sending threads after the network's internal lock
-//! is released: implementations must be `Send + Sync`, should be cheap, and
-//! must not call back into the network. Events from different senders
-//! interleave in arbitrary wall-clock order; per-link `(src, dst, seq)` is
-//! deterministic and totally ordered.
+//! Taps are invoked by the sender after the network's core has been
+//! released — the thread host's mutex unlocked, the fiber host's borrow
+//! ended — so a tap may read the network it taps (its counters, its
+//! clock); it should be cheap and must not send. Implementations are
+//! `Send + Sync` whichever host the network has: the thread host calls
+//! them from concurrently running senders, whose events interleave in
+//! arbitrary wall-clock order; per-link `(src, dst, seq)` is deterministic
+//! and totally ordered.
 
 use caa_core::ids::PartitionId;
 use caa_core::time::VirtualInstant;

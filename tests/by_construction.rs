@@ -1,0 +1,127 @@
+//! Source scans for two things the workspace promises *by construction*
+//! (CI's `check` job also runs them as a step of their own):
+//!
+//! * the network a `System` runs on, and the runtime that drives it, are
+//!   single-threaded code — outside their unit tests, the simulator's core
+//!   and the runtime's context, rounds, system and membership modules
+//!   name no `Mutex`, `Condvar`, atomic or `parking_lot` item;
+//! * `unsafe` is written in `crates/fiber` and nowhere else in library
+//!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
+//!   bench targets are outside the scan: two of them wrap the global
+//!   allocator to count allocations.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+const SINGLE_THREADED: [&str; 5] = [
+    "crates/simnet/src/simcore.rs",
+    "crates/runtime/src/context.rs",
+    "crates/runtime/src/rounds.rs",
+    "crates/runtime/src/system.rs",
+    "crates/runtime/src/membership.rs",
+];
+
+const THREAD_ITEMS: [&str; 4] = ["Mutex", "Condvar", "Atomic", "parking_lot"];
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("a readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `line` uses the `unsafe` keyword (a block, function, impl,
+/// trait, extern block or attribute) — not `unsafe_code` in a lint
+/// attribute, and not the word in prose.
+fn uses_unsafe(line: &str) -> bool {
+    line.match_indices("unsafe").any(|(at, word)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + word.len()..].trim_start();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            && (after.starts_with(['{', '('])
+                || ["fn ", "impl", "extern", "trait "]
+                    .iter()
+                    .any(|keyword| after.starts_with(keyword)))
+    })
+}
+
+#[test]
+fn the_core_and_the_runtime_name_no_thread_primitive() {
+    for file in SINGLE_THREADED {
+        let source = fs::read_to_string(root().join(file)).expect(file);
+        // A file's unit tests are its trailing `#[cfg(test)] mod`.
+        let code = source
+            .rfind("\n#[cfg(test)]\n")
+            .map_or(&*source, |tests| &source[..tests]);
+        for (number, line) in code.lines().enumerate() {
+            for item in THREAD_ITEMS {
+                assert!(
+                    !line.contains(item),
+                    "{file}:{}: `{item}` in code that is single-threaded by construction: {line}",
+                    number + 1
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn unsafe_is_written_in_the_fiber_crate_only() {
+    let mut files = Vec::new();
+    for tree in ["crates", "compat"] {
+        for member in fs::read_dir(root().join(tree)).expect(tree) {
+            let member = member.expect("a readable directory entry").path();
+            if !member.ends_with("fiber") {
+                rust_files(&member.join("src"), &mut files);
+            }
+        }
+    }
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("perf/src"), &mut files);
+    assert!(files.len() > 50, "the scan found the sources: {files:?}");
+    for file in files {
+        let source = fs::read_to_string(&file).expect("a readable source file");
+        for (number, line) in source.lines().enumerate() {
+            assert!(
+                !uses_unsafe(line),
+                "{}:{}: `unsafe` outside crates/fiber: {line}",
+                file.display(),
+                number + 1
+            );
+        }
+    }
+}
+
+#[test]
+fn the_unsafe_scan_sees_what_it_looks_for() {
+    for line in [
+        "    unsafe { arch::switch(slot, *slot) };",
+        "pub(crate) unsafe fn prepare(top: *mut u8) {}",
+        "unsafe impl Send for Stack {}",
+        "#[unsafe(naked)]",
+        "unsafe extern \"C\" fn entry() {}",
+    ] {
+        assert!(uses_unsafe(line), "{line}");
+    }
+    for line in [
+        "#![forbid(unsafe_code)]",
+        "#![deny(unsafe_op_in_unsafe_fn)]",
+        "//! no `unsafe` outside `crates/fiber`",
+    ] {
+        assert!(!uses_unsafe(line), "{line}");
+    }
+    let fiber = fs::read_to_string(root().join("crates/fiber/src/lib.rs")).expect("fiber");
+    assert!(fiber.lines().any(uses_unsafe), "the fiber crate has some");
+}
