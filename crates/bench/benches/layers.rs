@@ -1,8 +1,9 @@
 //! What three layers of a seed cost on their own, with no network, no
 //! system and no fiber under them, and what a whole system costs with
 //! nothing above it — the microbenches ROADMAP item 2 asks for, to run
-//! before and after touching the layer (`caa-perf` is the end-to-end form;
-//! `readers` covers the read side of a trace):
+//! before and after touching the layer (`caa-perf` is the end-to-end form).
+//! Each line is the mean wall-clock time of one iteration, and of one
+//! element of it, over a sample of at most 200 ms:
 //!
 //! * **definitions/s** — `ActionDefBuilder` on a five-role nested action
 //!   with one shared fallback and one shared abortion handler, the shape a
@@ -61,10 +62,40 @@ use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
 use caa_runtime::{ActionDef, XrrResolution};
 use caa_simnet::{Classify, FiberNetwork, LatencyModel, NetConfig, Network};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 const N: u32 = 5;
+
+/// How long a line samples for, at most.
+const SAMPLE_TIME: Duration = Duration::from_millis(200);
+
+fn report(name: &str, elements: u64, mean: Duration) {
+    println!(
+        "bench: layers/{name}: {mean:?}/iter ({:.1} ns/elem)",
+        mean.as_nanos() as f64 / elements as f64
+    );
+}
+
+/// Times `body` — which works through `elements` elements — once to size
+/// the sample, then up to `samples` times more within [`SAMPLE_TIME`].
+fn bench<R>(name: &str, elements: u64, samples: u32, mut body: impl FnMut() -> R) {
+    let started = Instant::now();
+    black_box(body());
+    let first = started.elapsed().max(Duration::from_nanos(1));
+    let fitting = (SAMPLE_TIME.as_nanos() / first.as_nanos()).max(1);
+    let n = fitting.min(u128::from(samples)) as u32;
+    let started = Instant::now();
+    for _ in 0..n {
+        black_box(body());
+    }
+    report(name, elements, (started.elapsed() + first) / (n + 1));
+}
+
+/// [`bench`] for a routine that keeps set-up it repeats per iteration off
+/// the clock: it runs `samples` iterations and says how long they took.
+fn bench_timed(name: &str, elements: u64, samples: u32, routine: impl FnOnce(u64) -> Duration) {
+    report(name, elements, routine(u64::from(samples)) / samples);
+}
 
 thread_local! {
     /// Allocations (and reallocations) this thread has made.
@@ -103,7 +134,7 @@ fn primitives() -> Vec<ExceptionId> {
     (0..N).map(|i| ExceptionId::new(format!("e{i}"))).collect()
 }
 
-fn bench_definitions(c: &mut Criterion) {
+fn bench_definitions() {
     let prims = primitives();
     let graph = Arc::new(conjunction_lattice(&prims, 2).expect("distinct primitives"));
     let roles: Vec<Arc<str>> = (0..N).map(|t| format!("r{t}").into()).collect();
@@ -116,30 +147,25 @@ fn bench_definitions(c: &mut Criterion) {
         ac.work(secs(0.1))?;
         Ok(None)
     });
-    let mut group = c.benchmark_group("layers");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("action_def_build_n5", |b| {
-        b.iter(|| {
-            let mut builder = ActionDef::builder(Arc::clone(&name))
-                .graph_shared(Arc::clone(&graph))
-                .signal_timeout(secs(2.0))
-                .exit_timeout(secs(200.0))
-                .resolution_timeout(secs(200.0));
-            for (t, role) in roles.iter().enumerate() {
-                builder = builder.role(Arc::clone(role), t as u32);
-            }
-            for role in &roles {
-                builder = builder
-                    .fallback_handler_shared(Arc::clone(role), Arc::clone(&fallback))
-                    .abort_handler_shared(Arc::clone(role), Arc::clone(&abort));
-            }
-            black_box(builder.build().expect("five distinct roles"))
-        });
+    bench("action_def_build_n5", 1, 100, || {
+        let mut builder = ActionDef::builder(Arc::clone(&name))
+            .graph_shared(Arc::clone(&graph))
+            .signal_timeout(secs(2.0))
+            .exit_timeout(secs(200.0))
+            .resolution_timeout(secs(200.0));
+        for (t, role) in roles.iter().enumerate() {
+            builder = builder.role(Arc::clone(role), t as u32);
+        }
+        for role in &roles {
+            builder = builder
+                .fallback_handler_shared(Arc::clone(role), Arc::clone(&fallback))
+                .abort_handler_shared(Arc::clone(role), Arc::clone(&abort));
+        }
+        builder.build().expect("five distinct roles")
     });
-    group.finish();
 }
 
-fn bench_resolver(c: &mut Criterion) {
+fn bench_resolver() {
     let prims = primitives();
     let graph = conjunction_lattice(&prims, prims.len()).expect("distinct primitives");
     let group_of: Vec<ThreadId> = (0..N).map(ThreadId::new).collect();
@@ -156,31 +182,26 @@ fn bench_resolver(c: &mut Criterion) {
     };
     // One round: N local raises, N(N−1) exceptions and N−1 commits fed.
     let events_per_round = u64::from(N + N * (N - 1) + (N - 1));
-    let mut group = c.benchmark_group("layers");
-    group.throughput(Throughput::Elements(events_per_round));
-    group.bench_function("resolver_round_n5", |b| {
-        let mut queue: Vec<(ThreadId, Message)> = Vec::new();
-        b.iter(|| {
-            let mut states: Vec<Box<dyn ResolverState>> =
-                group_of.iter().map(|_| XrrResolution.new_state()).collect();
-            let mut resolved = 0u32;
-            for (i, e) in raised.iter().enumerate() {
-                let actions = states[i].on_event(&ctx(group_of[i]), ProtoEvent::LocalRaise(e));
-                resolved += u32::from(actions.resolved.is_some());
-                queue.extend(actions.outbound);
-            }
-            while let Some((to, msg)) = queue.pop() {
-                let actions = states[to.index()].on_event(&ctx(to), ProtoEvent::Control(&msg));
-                resolved += u32::from(actions.resolved.is_some());
-                queue.extend(actions.outbound);
-            }
-            assert_eq!(black_box(resolved), N, "every state must resolve");
-        });
+    let mut queue: Vec<(ThreadId, Message)> = Vec::new();
+    bench("resolver_round_n5", events_per_round, 100, || {
+        let mut states: Vec<Box<dyn ResolverState>> =
+            group_of.iter().map(|_| XrrResolution.new_state()).collect();
+        let mut resolved = 0u32;
+        for (i, e) in raised.iter().enumerate() {
+            let actions = states[i].on_event(&ctx(group_of[i]), ProtoEvent::LocalRaise(e));
+            resolved += u32::from(actions.resolved.is_some());
+            queue.extend(actions.outbound);
+        }
+        while let Some((to, msg)) = queue.pop() {
+            let actions = states[to.index()].on_event(&ctx(to), ProtoEvent::Control(&msg));
+            resolved += u32::from(actions.resolved.is_some());
+            queue.extend(actions.outbound);
+        }
+        assert_eq!(black_box(resolved), N, "every state must resolve");
     });
-    group.finish();
 }
 
-fn bench_recorder(c: &mut Criterion) {
+fn bench_recorder() {
     const ENTRIES: u64 = 200;
     let name: Arc<str> = "a0".into();
     let role: Arc<str> = "r0".into();
@@ -201,41 +222,31 @@ fn bench_recorder(c: &mut Criterion) {
         },
         _ => EventKind::ExitStart { epoch: 0 },
     };
-    let mut group = c.benchmark_group("layers");
-    group.throughput(Throughput::Elements(ENTRIES));
-    group.bench_function("trace_record_and_take", |b| {
-        let recorder = TraceRecorder::new();
-        let mut recycled = Trace::default();
-        b.iter(|| {
-            for i in 0..ENTRIES {
-                recorder.on_event(Event {
-                    at: VirtualInstant::from_nanos(i / N as u64),
-                    thread: ThreadId::new((i % N as u64) as u32),
-                    action: ActionId::top_level(1 + i % 3),
-                    kind: kind(i),
-                });
-            }
-            recycled = recorder.take_trace_into(std::mem::take(&mut recycled));
-            assert_eq!(recycled.len() as u64, ENTRIES);
-        });
+    let recorder = TraceRecorder::new();
+    let mut recycled = Trace::default();
+    bench("trace_record_and_take", ENTRIES, 100, || {
+        for i in 0..ENTRIES {
+            recorder.on_event(Event {
+                at: VirtualInstant::from_nanos(i / N as u64),
+                thread: ThreadId::new((i % N as u64) as u32),
+                action: ActionId::top_level(1 + i % 3),
+                kind: kind(i),
+            });
+        }
+        recycled = recorder.take_trace_into(std::mem::take(&mut recycled));
+        assert_eq!(recycled.len() as u64, ENTRIES);
     });
-    group.finish();
 }
 
-fn bench_bare_system(c: &mut Criterion) {
-    let mut group = c.benchmark_group("layers");
-    group.throughput(Throughput::Elements(1));
+fn bench_bare_system() {
     let stacks_before = caa_fiber::stacks_mapped();
     let mut runs = 0u64;
-    group.bench_function("bare_system_simraise_n3", |b| {
-        b.iter(|| {
-            runs += 1;
-            let report = simultaneous_raise_xrr(SimultaneousRaiseParams::default());
-            assert!(report.is_ok(), "the §5.3 base configuration runs clean");
-            report
-        });
+    bench("bare_system_simraise_n3", 1, 100, || {
+        runs += 1;
+        let report = simultaneous_raise_xrr(SimultaneousRaiseParams::default());
+        assert!(report.is_ok(), "the §5.3 base configuration runs clean");
+        report
     });
-    group.finish();
     println!(
         "layers/bare_system_simraise_n3: {} fiber stacks mapped over {runs} runs",
         caa_fiber::stacks_mapped() - stacks_before
@@ -313,18 +324,15 @@ fn pingpong_on_fibers(round_trips: u64) -> Duration {
     started.elapsed()
 }
 
-fn bench_simnet_pingpong(c: &mut Criterion) {
+fn bench_simnet_pingpong() {
     /// Per timed call, so that starting the second thread is noise.
     const ROUND_TRIPS: u64 = 200;
-    let mut group = c.benchmark_group("layers");
-    group.throughput(Throughput::Elements(ROUND_TRIPS));
-    group.bench_function("simnet_pingpong_threads", |b| {
-        b.iter_custom(|calls| (0..calls).map(|_| pingpong_on_threads(ROUND_TRIPS)).sum());
+    bench_timed("simnet_pingpong_threads", ROUND_TRIPS, 100, |calls| {
+        (0..calls).map(|_| pingpong_on_threads(ROUND_TRIPS)).sum()
     });
-    group.bench_function("simnet_pingpong_fibers", |b| {
-        b.iter_custom(|calls| (0..calls).map(|_| pingpong_on_fibers(ROUND_TRIPS)).sum());
+    bench_timed("simnet_pingpong_fibers", ROUND_TRIPS, 100, |calls| {
+        (0..calls).map(|_| pingpong_on_fibers(ROUND_TRIPS)).sum()
     });
-    group.finish();
 }
 
 /// Solves the normal equations `XᵀX β = Xᵀy` of a four-term least-squares
@@ -356,66 +364,60 @@ fn least_squares(rows: &[([f64; 4], f64)]) -> [f64; 4] {
     std::array::from_fn(|i| m[i][4] / m[i][i])
 }
 
-fn bench_seed_cost_model(c: &mut Criterion) {
+fn bench_seed_cost_model() {
     const SEEDS_PER_ITER: u64 = 1_000;
     let scenario = ScenarioConfig::default();
-    let mut group = c.benchmark_group("layers");
-    // Three "iterations" of a thousand seeds each; one under `cargo test`.
-    group.sample_size(3);
-    group.throughput(Throughput::Elements(SEEDS_PER_ITER));
-    group.bench_function("harness_execute_default_seed", |b| {
-        b.iter_custom(|iters| {
-            let mut arena = ExecutionArena::new();
-            let mut rows = Vec::new();
-            let mut timed = Duration::ZERO;
-            for seed in 0..iters * SEEDS_PER_ITER {
-                let plan = ScenarioPlan::generate(seed, &scenario);
-                let mut best = Duration::MAX;
-                let mut counts = [0.0; 4];
-                for _ in 0..3 {
-                    let started = Instant::now();
-                    let run = execute_in(&plan, &mut arena);
-                    best = best.min(started.elapsed());
-                    let events = run.trace.entries().iter();
-                    counts = [
-                        run.report.net_stats.total_sent() as f64,
-                        run.report.sched_stats.parks as f64,
-                        events
-                            .filter(|e| matches!(e.kind, EntryKind::Runtime(_)))
-                            .count() as f64,
-                        run.trace.index().instances().len() as f64,
-                    ];
-                    arena.recycle_trace(run.trace);
-                }
-                timed += best;
-                rows.push((counts, best.as_secs_f64() * 1e6));
+    // Three "iterations" of a thousand seeds each.
+    bench_timed("harness_execute_default_seed", SEEDS_PER_ITER, 3, |iters| {
+        let mut arena = ExecutionArena::new();
+        let mut rows = Vec::new();
+        let mut timed = Duration::ZERO;
+        for seed in 0..iters * SEEDS_PER_ITER {
+            let plan = ScenarioPlan::generate(seed, &scenario);
+            let mut best = Duration::MAX;
+            let mut counts = [0.0; 4];
+            for _ in 0..3 {
+                let started = Instant::now();
+                let run = execute_in(&plan, &mut arena);
+                best = best.min(started.elapsed());
+                let events = run.trace.entries().iter();
+                counts = [
+                    run.report.net_stats.total_sent() as f64,
+                    run.report.sched_stats.parks as f64,
+                    events
+                        .filter(|e| matches!(e.kind, EntryKind::Runtime(_)))
+                        .count() as f64,
+                    run.trace.index().instances().len() as f64,
+                ];
+                arena.recycle_trace(run.trace);
             }
-            let beta = least_squares(&rows);
-            let mean = rows.iter().map(|(_, y)| y).sum::<f64>() / rows.len() as f64;
-            let (mut residual, mut total) = (0.0, 0.0);
-            for (x, y) in &rows {
-                let fitted: f64 = x.iter().zip(&beta).map(|(x, b)| x * b).sum();
-                residual += (y - fitted).powi(2);
-                total += (y - mean).powi(2);
-            }
-            println!(
-                "layers/seed_cost_model: execute_us = {:.3}*messages + {:.3}*parks + \
-                 {:.3}*runtime_events + {:.3}*instances ({} default seeds, mean {mean:.1} us, \
-                 R^2 {:.3})",
-                beta[0],
-                beta[1],
-                beta[2],
-                beta[3],
-                rows.len(),
-                1.0 - residual / total,
-            );
-            timed
-        });
+            timed += best;
+            rows.push((counts, best.as_secs_f64() * 1e6));
+        }
+        let beta = least_squares(&rows);
+        let mean = rows.iter().map(|(_, y)| y).sum::<f64>() / rows.len() as f64;
+        let (mut residual, mut total) = (0.0, 0.0);
+        for (x, y) in &rows {
+            let fitted: f64 = x.iter().zip(&beta).map(|(x, b)| x * b).sum();
+            residual += (y - fitted).powi(2);
+            total += (y - mean).powi(2);
+        }
+        println!(
+            "layers/seed_cost_model: execute_us = {:.3}*messages + {:.3}*parks + \
+             {:.3}*runtime_events + {:.3}*instances ({} default seeds, mean {mean:.1} us, \
+             R^2 {:.3})",
+            beta[0],
+            beta[1],
+            beta[2],
+            beta[3],
+            rows.len(),
+            1.0 - residual / total,
+        );
+        timed
     });
-    group.finish();
 }
 
-fn bench_readers(c: &mut Criterion) {
+fn bench_readers() {
     const TRACES: u64 = 500;
     let mut arena = ExecutionArena::new();
     let scenario = ScenarioConfig::default();
@@ -446,9 +448,6 @@ fn bench_readers(c: &mut Criterion) {
             Box::new(|run| run.trace.render_fingerprint()),
         ),
     ];
-    let mut group = c.benchmark_group("layers/reader_per_trace");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(TRACES));
     for (name, read) in &mut readers {
         let mut pass = || runs.iter().fold(0, |acc, run| acc ^ read(run));
         // The pass that sizes scratch and registers counters, then the
@@ -457,23 +456,20 @@ fn bench_readers(c: &mut Criterion) {
         let before = ALLOCS.get();
         black_box(pass());
         let allocs = ALLOCS.get() - before;
-        group.bench_function(&**name, |b| b.iter(&mut pass));
+        bench(&format!("reader_per_trace/{name}"), TRACES, 20, &mut pass);
         println!(
             "layers/reader_per_trace/{name}: {:.2} allocations/trace",
             allocs as f64 / TRACES as f64
         );
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_definitions,
-    bench_resolver,
-    bench_recorder,
-    bench_bare_system,
-    bench_simnet_pingpong,
-    bench_seed_cost_model,
-    bench_readers
-);
-criterion_main!(benches);
+fn main() {
+    bench_definitions();
+    bench_resolver();
+    bench_recorder();
+    bench_bare_system();
+    bench_simnet_pingpong();
+    bench_seed_cost_model();
+    bench_readers();
+}

@@ -1,18 +1,17 @@
-//! `profile_diff` — compare two `metrics.json` documents and gate on
+//! `caa diff` — compare two `metrics.json` documents and gate on
 //! regressions.
 //!
-//! The attribution counterpart of `trace_hashes`: where the hash gate
-//! proves *behaviour* is unchanged, this tool quantifies how the
-//! *profile* moved — histogram quantile deltas (p50/p90/p99), counter
-//! ratios, and critical-path segment-share shifts — between a baseline
-//! and a candidate document, and exits non-zero when a configured
-//! threshold is crossed. It is the tool a scheduler or transport rework
-//! uses to prove its wins, and the guard CI uses to catch
-//! observability-visible regressions.
+//! The attribution counterpart of `caa hashes`: where the hash gate proves
+//! *behaviour* is unchanged, this command quantifies how the *profile*
+//! moved — histogram quantile deltas (p50/p90/p99), counter ratios, and
+//! critical-path segment-share shifts — between a baseline and a
+//! candidate document, and exits 1 when a configured threshold is
+//! crossed. It is the tool a scheduler or transport rework uses to prove
+//! its wins, and the guard CI uses to catch observability-visible
+//! regressions.
 //!
 //! ```text
-//! cargo run -p caa-bench --release --bin profile_diff -- \
-//!     baseline/metrics.json candidate/metrics.json \
+//! caa diff baseline/metrics.json candidate/metrics.json \
 //!     [--max-quantile-pct 10] [--max-counter-pct 20] [--max-cp-shift-pp 5]
 //! ```
 //!
@@ -30,11 +29,15 @@
 //!   points in either direction.
 //!
 //! Comparing a document against itself prints zero deltas and exits 0
-//! (the tier-1 smoke). Exit status: `2` usage/parse errors, `1` at least
-//! one threshold crossed, `0` within thresholds.
+//! (the tier-1 smoke).
+
+use std::fmt::Write as _;
+use std::io::{self, Write};
 
 use caa_harness::metrics::{parse_metrics_json, SweepMetrics};
 use caa_telemetry::MetricSet;
+
+use super::{read_file, usage_error, Args, Run};
 
 /// Thresholds, all overridable from the command line.
 struct Gates {
@@ -43,15 +46,9 @@ struct Gates {
     max_cp_shift_pp: f64,
 }
 
-fn load(path: &str) -> (u64, SweepMetrics) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse_metrics_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
+fn load(path: &str) -> io::Result<(u64, SweepMetrics)> {
+    parse_metrics_json(&read_file(path)?)
+        .map_err(|e| usage_error(format!("cannot parse {path}: {e}")))
 }
 
 /// Percent change from `base` to `cand` (`+` = increase). `None` when the
@@ -65,20 +62,31 @@ fn pct_change(base: u64, cand: u64) -> Option<f64> {
     }
 }
 
+/// The names labelling an entry of either listing, sorted.
+fn either<'s, A, B>(base: Vec<(&'s str, A)>, cand: Vec<(&'s str, B)>) -> Vec<&'s str> {
+    let mut names: Vec<&str> = base.iter().map(|(name, _)| *name).collect();
+    names.extend(cand.iter().map(|(name, _)| *name));
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
 /// Compares the quantiles of every histogram present in either set.
 /// Returns the number of regressions.
-fn diff_histograms(label: &str, base: &MetricSet, cand: &MetricSet, gates: &Gates) -> u64 {
+fn diff_histograms(
+    out: &mut String,
+    label: &str,
+    base: &MetricSet,
+    cand: &MetricSet,
+    gates: &Gates,
+) -> u64 {
     let mut regressions = 0;
-    let mut names: Vec<&str> = base.histograms_sorted().iter().map(|&(n, _)| n).collect();
-    for (name, _) in cand.histograms_sorted() {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    names.sort_unstable();
-    for name in names {
+    for name in either(base.histograms_sorted(), cand.histograms_sorted()) {
         let (Some(b), Some(c)) = (base.histogram_named(name), cand.histogram_named(name)) else {
-            println!("{label} histogram {name}: present in only one document (REGRESSION)");
+            let _ = writeln!(
+                out,
+                "{label} histogram {name}: present in only one document (REGRESSION)"
+            );
             regressions += 1;
             continue;
         };
@@ -94,7 +102,10 @@ fn diff_histograms(label: &str, base: &MetricSet, cand: &MetricSet, gates: &Gate
                 } else {
                     ""
                 };
-                println!("{label} {name} {q}: {bv} -> {cv} ({pct:+.1}%){verdict}");
+                let _ = writeln!(
+                    out,
+                    "{label} {name} {q}: {bv} -> {cv} ({pct:+.1}%){verdict}"
+                );
             }
         }
     }
@@ -103,16 +114,15 @@ fn diff_histograms(label: &str, base: &MetricSet, cand: &MetricSet, gates: &Gate
 
 /// Compares every counter present in either set. Returns the number of
 /// regressions.
-fn diff_counters(label: &str, base: &MetricSet, cand: &MetricSet, gates: &Gates) -> u64 {
+fn diff_counters(
+    out: &mut String,
+    label: &str,
+    base: &MetricSet,
+    cand: &MetricSet,
+    gates: &Gates,
+) -> u64 {
     let mut regressions = 0;
-    let mut names: Vec<&str> = base.counters_sorted().iter().map(|&(n, _)| n).collect();
-    for (name, _) in cand.counters_sorted() {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    names.sort_unstable();
-    for name in names {
+    for name in either(base.counters_sorted(), cand.counters_sorted()) {
         let (bv, cv) = (base.counter_value(name), cand.counter_value(name));
         let pct = pct_change(bv, cv).unwrap_or(f64::INFINITY);
         if pct != 0.0 {
@@ -122,7 +132,7 @@ fn diff_counters(label: &str, base: &MetricSet, cand: &MetricSet, gates: &Gates)
             } else {
                 ""
             };
-            println!("{label} {name}: {bv} -> {cv} ({pct:+.1}%){verdict}");
+            let _ = writeln!(out, "{label} {name}: {bv} -> {cv} ({pct:+.1}%){verdict}");
         }
     }
     regressions
@@ -131,14 +141,15 @@ fn diff_counters(label: &str, base: &MetricSet, cand: &MetricSet, gates: &Gates)
 /// Compares critical-path segment *shares* (each class's percentage of
 /// `cp_total_ns`) — the decomposition shape, independent of how many
 /// seeds each document covers. Returns the number of regressions.
-fn diff_cp_shares(base: &MetricSet, cand: &MetricSet, gates: &Gates) -> u64 {
+fn diff_cp_shares(out: &mut String, base: &MetricSet, cand: &MetricSet, gates: &Gates) -> u64 {
     let (bt, ct) = (
         base.counter_value("cp_total_ns"),
         cand.counter_value("cp_total_ns"),
     );
     if bt == 0 || ct == 0 {
         if bt != ct {
-            println!(
+            let _ = writeln!(
+                out,
                 "critical-path total: {bt} -> {ct} (attribution appeared/vanished) (REGRESSION)"
             );
             return 1;
@@ -158,7 +169,8 @@ fn diff_cp_shares(base: &MetricSet, cand: &MetricSet, gates: &Gates) -> u64 {
             } else {
                 ""
             };
-            println!(
+            let _ = writeln!(
+                out,
                 "critical-path share {}: {b_share:.1}% -> {c_share:.1}% ({shift:+.1}pp){verdict}",
                 class.label(),
             );
@@ -167,71 +179,32 @@ fn diff_cp_shares(base: &MetricSet, cand: &MetricSet, gates: &Gates) -> u64 {
     regressions
 }
 
-fn main() {
-    let usage = "usage: profile_diff <baseline.json> <candidate.json> \
-                 [--max-quantile-pct X] [--max-counter-pct X] [--max-cp-shift-pp X]";
-    let mut paths: Vec<String> = Vec::new();
-    let mut gates = Gates {
-        max_quantile_pct: 10.0,
-        max_counter_pct: 20.0,
-        max_cp_shift_pp: 5.0,
+pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
+    let gates = Gates {
+        max_quantile_pct: args.get_or("--max-quantile-pct", 10.0)?,
+        max_counter_pct: args.get_or("--max-counter-pct", 20.0)?,
+        max_cp_shift_pp: args.get_or("--max-cp-shift-pp", 5.0)?,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> f64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{flag} needs a numeric value\n{usage}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--max-quantile-pct" => gates.max_quantile_pct = value("--max-quantile-pct"),
-            "--max-counter-pct" => gates.max_counter_pct = value("--max-counter-pct"),
-            "--max-cp-shift-pp" => gates.max_cp_shift_pp = value("--max-cp-shift-pp"),
-            other if other.starts_with("--") => {
-                eprintln!("unknown argument {other}\n{usage}");
-                std::process::exit(2);
-            }
-            path => paths.push(path.to_owned()),
-        }
-    }
-    let [baseline_path, candidate_path] = paths.as_slice() else {
-        eprintln!("{usage}");
-        std::process::exit(2);
+    let [baseline_path, candidate_path] = args.positional.as_slice() else {
+        return Err(usage_error("give a baseline and a candidate document"));
     };
-    let (base_seeds, base) = load(baseline_path);
-    let (cand_seeds, cand) = load(candidate_path);
-    println!(
+    let (base_seeds, base) = load(baseline_path)?;
+    let (cand_seeds, cand) = load(candidate_path)?;
+    let mut report = format!(
         "baseline {baseline_path} ({base_seeds} seeds) vs candidate {candidate_path} \
-         ({cand_seeds} seeds)"
+         ({cand_seeds} seeds)\n"
     );
 
     let mut regressions = 0;
-    regressions += diff_histograms(
-        "deterministic",
-        &base.deterministic,
-        &cand.deterministic,
-        &gates,
-    );
-    regressions += diff_counters(
-        "deterministic",
-        &base.deterministic,
-        &cand.deterministic,
-        &gates,
-    );
-    regressions += diff_histograms(
-        "critical-path",
-        &base.critical_path,
-        &cand.critical_path,
-        &gates,
-    );
-    regressions += diff_counters(
-        "critical-path",
-        &base.critical_path,
-        &cand.critical_path,
-        &gates,
-    );
-    regressions += diff_cp_shares(&base.critical_path, &cand.critical_path, &gates);
+    for (label, base, cand) in [
+        ("deterministic", &base.deterministic, &cand.deterministic),
+        ("critical-path", &base.critical_path, &cand.critical_path),
+    ] {
+        regressions += diff_histograms(&mut report, label, base, cand, &gates);
+        regressions += diff_counters(&mut report, label, base, cand, &gates);
+    }
+    let (base_cp, cand_cp) = (&base.critical_path, &cand.critical_path);
+    regressions += diff_cp_shares(&mut report, base_cp, cand_cp, &gates);
 
     // Wall-clock counters are host facts: print the deltas, never gate.
     if !base.wall_clock.is_empty() || !cand.wall_clock.is_empty() {
@@ -240,8 +213,10 @@ fn main() {
             max_counter_pct: f64::INFINITY,
             max_cp_shift_pp: f64::INFINITY,
         };
-        let _ = diff_counters(
-            "wall-clock (informational)",
+        let label = "wall-clock (informational)";
+        diff_counters(
+            &mut report,
+            label,
             &base.wall_clock,
             &cand.wall_clock,
             &permissive,
@@ -249,11 +224,14 @@ fn main() {
     }
 
     if regressions > 0 {
-        println!("{regressions} regression(s) beyond thresholds");
-        std::process::exit(1);
+        let _ = writeln!(report, "{regressions} regression(s) beyond thresholds");
+    } else {
+        let _ = writeln!(
+            report,
+            "no regressions (thresholds: quantiles +{}%, counters ±{}%, cp shares ±{}pp)",
+            gates.max_quantile_pct, gates.max_counter_pct, gates.max_cp_shift_pp
+        );
     }
-    println!(
-        "no regressions (thresholds: quantiles +{}%, counters ±{}%, cp shares ±{}pp)",
-        gates.max_quantile_pct, gates.max_counter_pct, gates.max_cp_shift_pp
-    );
+    out.write_all(report.as_bytes())?;
+    Ok(i32::from(regressions > 0))
 }

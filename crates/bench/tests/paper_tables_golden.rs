@@ -1,4 +1,4 @@
-//! The paper's evaluation as a tier-1 gate: `paper_tables all` (Figures 9,
+//! The paper's evaluation as a tier-1 gate: `caa tables all` (Figures 9,
 //! 10, 12, 13, the §3.3.3 message counts, the signalling table and
 //! Lemma 1, each measured next to the paper's printed value) must equal
 //! the committed `tests/golden/paper_tables.txt`.
@@ -12,21 +12,13 @@
 //! CAA_GOLDEN_BLESS=1 cargo test -p caa-bench --test paper_tables_golden
 //! ```
 
-use std::process::Command;
-
 #[test]
 fn paper_tables_match_the_committed_golden_output() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/paper_tables.txt");
-    let out = Command::new(env!("CARGO_BIN_EXE_paper_tables"))
-        .arg("all")
-        .output()
-        .expect("run paper_tables");
-    assert!(
-        out.status.success(),
-        "paper_tables all failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let tables = String::from_utf8(out.stdout).expect("utf8 output");
+    let mut out = Vec::new();
+    let status = caa_bench::cli::run(&["tables".to_owned(), "all".to_owned()], &mut out);
+    assert_eq!(status, 0, "caa tables all failed");
+    let tables = String::from_utf8(out).expect("utf8 output");
     if std::env::var_os("CAA_GOLDEN_BLESS").is_some() {
         std::fs::write(path, &tables).expect("write golden tables");
         eprintln!("blessed {path}");
@@ -41,7 +33,7 @@ fn paper_tables_match_the_committed_golden_output() {
             .take_while(|(g, t)| g == t)
             .count();
         panic!(
-            "paper_tables drifted from {path} at line {}:\n  golden: {}\n  now:    {}",
+            "caa tables drifted from {path} at line {}:\n  golden: {}\n  now:    {}",
             line + 1,
             golden.lines().nth(line).unwrap_or("<end of file>"),
             tables.lines().nth(line).unwrap_or("<end of output>"),

@@ -1,4 +1,4 @@
-//! The 12k-seed pre/post trace gate as a tier-1 test: `trace_hashes
+//! The 12k-seed pre/post trace gate as a tier-1 test: `caa hashes
 //! --digest` (12 000 default-config seeds + 32 production-cell runs, one
 //! FNV-1a line per section and 1 000-seed block) must equal the committed
 //! `tests/golden/trace_hashes_12k.digest`.
@@ -14,19 +14,12 @@
 //! CAA_GOLDEN_BLESS=1 cargo test -p caa-bench --test trace_hashes_digest
 //! ```
 
-use std::process::Command;
-
 fn run(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_trace_hashes"))
-        .args(args)
-        .output()
-        .expect("run trace_hashes");
-    assert!(
-        out.status.success(),
-        "trace_hashes {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 output")
+    let args: Vec<String> = args.iter().map(|arg| (*arg).to_owned()).collect();
+    let mut out = Vec::new();
+    let status = caa_bench::cli::run(&args, &mut out);
+    assert_eq!(status, 0, "caa {args:?} failed");
+    String::from_utf8(out).expect("utf8 output")
 }
 
 #[test]
@@ -35,7 +28,7 @@ fn twelve_k_seed_digest_matches_the_committed_golden_file() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/trace_hashes_12k.digest"
     );
-    let digest = run(&["--digest"]);
+    let digest = run(&["hashes", "--digest"]);
     if std::env::var_os("CAA_GOLDEN_BLESS").is_some() {
         std::fs::write(path, &digest).expect("write golden digest");
         eprintln!("blessed {path}");
@@ -51,7 +44,7 @@ fn twelve_k_seed_digest_matches_the_committed_golden_file() {
         .filter(|line| !golden.lines().any(|g| g == *line))
         .collect();
     let listing_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/trace_hashes_12k.listing.txt");
-    std::fs::write(listing_path, run(&[])).expect("write per-seed listing");
+    std::fs::write(listing_path, run(&["hashes"])).expect("write per-seed listing");
     panic!(
         "trace digest drift in {} block(s) ({} golden vs {} now):\n  {}\n\
          full per-seed listing written to {listing_path}",

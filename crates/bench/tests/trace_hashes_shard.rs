@@ -1,32 +1,26 @@
-//! `trace_hashes --shard k/n` contract: shards are disjoint, and the
+//! `caa hashes --shard k/n` contract: shards are disjoint, and the
 //! sorted union of all shards' seed lines equals the unsharded output —
 //! so a 12k-seed hash gate can split across CI jobs exactly like
-//! `sweep_bench` does. (The prodcell section is emitted by shard 0 only;
+//! `caa bench` does. (The prodcell section is emitted by shard 0 only;
 //! it is not seed-range work.)
 
 use std::collections::BTreeMap;
-use std::process::Command;
-
 fn run(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_trace_hashes"))
-        .args(args)
-        .output()
-        .expect("run trace_hashes");
-    assert!(
-        out.status.success(),
-        "trace_hashes {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 output")
+    let args: Vec<String> = args.iter().map(|arg| (*arg).to_owned()).collect();
+    let mut out = Vec::new();
+    let status = caa_bench::cli::run(&args, &mut out);
+    assert_eq!(status, 0, "caa {args:?} failed");
+    String::from_utf8(out).expect("utf8 output")
 }
 
 #[test]
 fn sharded_hash_runs_union_to_the_unsharded_output() {
-    let full = run(&["--seeds", "48", "--prodcell", "2"]);
+    let full = run(&["hashes", "--seeds", "48", "--prodcell", "2"]);
     let mut union: BTreeMap<u64, String> = BTreeMap::new();
     let mut prodcell_lines = Vec::new();
     for index in 0..3 {
         let shard = run(&[
+            "hashes",
             "--seeds",
             "48",
             "--prodcell",

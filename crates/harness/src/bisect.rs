@@ -1,21 +1,28 @@
-//! Automatic fault-schedule bisection for a violating seed.
+//! Automatic plan bisection for a violating seed.
 //!
-//! A violating seed's plan typically carries more chaos than the bug
-//! needs: several loss/corruption rules plus a crash-stop, of which only
-//! one or two actually matter. This module shrinks the plan's **fault and
-//! crash schedule** to a minimal still-violating subset by greedy delta
-//! debugging: repeatedly drop one fault rule (or the crash-stop) and keep
-//! the removal whenever the violation survives, until the schedule is
-//! 1-minimal — removing any single remaining element makes the violation
-//! disappear. Everything else about the plan (topology, workload, timing)
-//! is untouched, so the minimized plan replays deterministically.
+//! A violating seed's plan typically carries more than the bug needs:
+//! several loss/corruption rules plus a crash-stop, of which only one or
+//! two actually matter, around a workload most of which is bystanders.
+//! This module shrinks the plan to a **1-minimal** still-violating one by
+//! greedy delta debugging over one grammar of reduction steps,
+//! [`WorkloadStep`]: repeatedly apply one step — drop a crash-stop, a
+//! fault rule, a top-level action, the last thread, a raise, a raiser, a
+//! phase, a nested child, an object operation — and keep it whenever the
+//! violation survives, until no single step does. The chaos schedule goes
+//! first (`drop-crash`, `drop-fault`), so a bug that needs only part of it
+//! is left with exactly that part. Every step preserves plan validity, so
+//! the minimized plan replays deterministically.
 //!
 //! The result persists next to the seed's corpus entry
-//! ([`write_corpus_entry`]) as a parseable [`Schedule`], so a minimized
-//! repro survives the session that found it:
+//! ([`write_workload_entry`]) as a parseable step list
+//! (`<seed>-workload/workload.txt`, which
+//! [`load_corpus_plan`](crate::fuzz::load_corpus_plan) reads back), so a
+//! minimized repro survives the session that found it and replays like
+//! any other entry:
 //!
 //! ```text
-//! cargo run -p caa-harness --example replay -- 42 --bisect
+//! cargo run --release -p caa-bench --bin caa -- replay 42 --bisect
+//! cargo run --release -p caa-bench --bin caa -- replay --corpus target/caa-corpus/42-workload
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -24,183 +31,6 @@ use crate::arena::ExecutionArena;
 use crate::exec::execute_in;
 use crate::oracle::check_run;
 use crate::plan::{ActionPlan, Phase, ScenarioPlan};
-
-/// Which parts of a plan's chaos schedule are kept: indices into the
-/// original [`ScenarioPlan::faults`] list plus indices into its crash
-/// list. Serialises to a line-oriented text form that round-trips
-/// through [`Schedule::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schedule {
-    /// Indices (into the *original* plan's fault list) of the rules kept.
-    pub fault_indices: Vec<usize>,
-    /// Indices (into the *original* plan's crash list) of the crash-stop
-    /// participants kept.
-    pub crash_indices: Vec<usize>,
-}
-
-impl Schedule {
-    /// The full schedule of `plan` (nothing dropped).
-    #[must_use]
-    pub fn full(plan: &ScenarioPlan) -> Schedule {
-        Schedule {
-            fault_indices: (0..plan.faults.len()).collect(),
-            crash_indices: (0..plan.crashes.len()).collect(),
-        }
-    }
-
-    /// Number of schedule elements (fault rules + crashes).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.fault_indices.len() + self.crash_indices.len()
-    }
-
-    /// Whether the schedule keeps nothing at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Applies the schedule to `plan`: drops every fault rule and every
-    /// crash-stop not listed.
-    #[must_use]
-    pub fn apply(&self, plan: &ScenarioPlan) -> ScenarioPlan {
-        let mut out = plan.clone();
-        out.faults = self
-            .fault_indices
-            .iter()
-            .filter_map(|&i| plan.faults.get(i).cloned())
-            .collect();
-        out.crashes = self
-            .crash_indices
-            .iter()
-            .filter_map(|&i| plan.crashes.get(i).copied())
-            .collect();
-        out
-    }
-
-    /// The persisted line-oriented form (`fault <i>` per kept rule, then
-    /// `crash <i>` per kept crash, or `no-crash` when none survive).
-    #[must_use]
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for &i in &self.fault_indices {
-            let _ = writeln!(out, "fault {i}");
-        }
-        if self.crash_indices.is_empty() {
-            let _ = writeln!(out, "no-crash");
-        } else {
-            for &i in &self.crash_indices {
-                let _ = writeln!(out, "crash {i}");
-            }
-        }
-        out
-    }
-
-    /// Parses the form written by [`Schedule::render`]. The pre-multi-crash
-    /// forms still load: a bare `crash` line means crash 0 is kept, and
-    /// `no-crash` keeps none, so corpus entries written before crash lists
-    /// replay unchanged.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the offending line.
-    pub fn parse(text: &str) -> Result<Schedule, String> {
-        let mut schedule = Schedule {
-            fault_indices: Vec::new(),
-            crash_indices: Vec::new(),
-        };
-        for line in text.lines() {
-            let line = line.trim();
-            match line {
-                "" => {}
-                "crash" => schedule.crash_indices.push(0),
-                "no-crash" => {}
-                other => {
-                    if let Some(i) = other.strip_prefix("fault ") {
-                        schedule.fault_indices.push(
-                            i.trim()
-                                .parse()
-                                .map_err(|e| format!("bad fault index: {e}"))?,
-                        );
-                    } else if let Some(i) = other.strip_prefix("crash ") {
-                        schedule.crash_indices.push(
-                            i.trim()
-                                .parse()
-                                .map_err(|e| format!("bad crash index: {e}"))?,
-                        );
-                    } else {
-                        return Err(format!("unrecognised schedule line: {other:?}"));
-                    }
-                }
-            }
-        }
-        Ok(schedule)
-    }
-}
-
-/// Outcome of one bisection run.
-#[derive(Debug)]
-pub struct BisectOutcome {
-    /// The minimal still-violating schedule (indices into the original
-    /// plan's fault list).
-    pub schedule: Schedule,
-    /// The minimized plan ([`Schedule::apply`] of `schedule`).
-    pub plan: ScenarioPlan,
-    /// How many candidate executions the bisection performed.
-    pub attempts: u64,
-}
-
-/// Shrinks `plan`'s fault/crash schedule to a minimal subset for which
-/// `still_violates` holds. Returns `None` when the *full* plan does not
-/// violate (nothing to bisect). The predicate is called once per
-/// candidate; the greedy loop is `O(n²)` in the schedule size, which is
-/// single digits for generated plans.
-#[must_use]
-pub fn bisect_schedule(
-    plan: &ScenarioPlan,
-    mut still_violates: impl FnMut(&ScenarioPlan) -> bool,
-) -> Option<BisectOutcome> {
-    let mut attempts = 1;
-    if !still_violates(plan) {
-        return None;
-    }
-    let mut schedule = Schedule::full(plan);
-    loop {
-        let mut progressed = false;
-        for drop_at in 0..schedule.fault_indices.len() {
-            let mut candidate = schedule.clone();
-            candidate.fault_indices.remove(drop_at);
-            attempts += 1;
-            if still_violates(&candidate.apply(plan)) {
-                schedule = candidate;
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            for drop_at in 0..schedule.crash_indices.len() {
-                let mut candidate = schedule.clone();
-                candidate.crash_indices.remove(drop_at);
-                attempts += 1;
-                if still_violates(&candidate.apply(plan)) {
-                    schedule = candidate;
-                    progressed = true;
-                    break;
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    let plan = schedule.apply(plan);
-    Some(BisectOutcome {
-        schedule,
-        plan,
-        attempts,
-    })
-}
 
 /// The default violation predicate: execute the plan and check every
 /// run oracle (the same verdicts a sweep applies, minus the replay
@@ -214,46 +44,11 @@ pub fn plan_violates(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> bool {
     violating
 }
 
-/// Persists a bisection outcome under `<dir>/<seed>-bisect/`: the
-/// parseable minimized [`Schedule`], the minimized plan's description and
-/// the minimized plan's kept fault rules (debug form). Returns the entry
-/// path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_corpus_entry(dir: &Path, outcome: &BisectOutcome) -> std::io::Result<PathBuf> {
-    use std::fmt::Write as _;
-    let entry = dir.join(format!("{}-bisect", outcome.plan.seed));
-    std::fs::create_dir_all(&entry)?;
-    std::fs::write(entry.join("schedule.txt"), outcome.schedule.render())?;
-    let mut plan = outcome.plan.describe();
-    plan.push('\n');
-    let _ = writeln!(plan, "bisection attempts: {}", outcome.attempts);
-    for (i, fault) in outcome.plan.faults.iter().enumerate() {
-        let _ = writeln!(plan, "kept fault {i}: {fault:?}");
-    }
-    if outcome.plan.crashes.is_empty() {
-        let _ = writeln!(plan, "crash dropped");
-    } else {
-        for (i, c) in outcome.plan.crashes.iter().enumerate() {
-            let _ = writeln!(plan, "kept crash {i}: {c:?}");
-        }
-    }
-    std::fs::write(entry.join("plan.txt"), plan)?;
-    Ok(entry)
-}
-
-// ---------------------------------------------------------------------------
-// Workload bisection: shrinking the *plan*, not just its chaos schedule.
-// ---------------------------------------------------------------------------
-
-/// One structural reduction of a plan's workload. Unlike [`Schedule`]
-/// (which only masks the chaos schedule), workload steps rewrite the
-/// plan itself: dropping whole top-level actions, phases, nested
-/// children, raises, object operations, even the last participant. Each
-/// step names its target against the plan it was applied to, so a
-/// recorded step sequence replays with [`apply_steps`].
+/// One structural reduction of a plan: dropping a crash-stop or a fault
+/// rule of its chaos schedule, or rewriting its workload — whole top-level
+/// actions, phases, nested children, raises, object operations, even the
+/// last participant. Each step names its target against the plan it was
+/// applied to, so a recorded step sequence replays with [`apply_steps`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkloadStep {
     /// Drop crash-stop `i` (index into the current plan's crash list).
@@ -766,86 +561,36 @@ mod tests {
     #[test]
     fn bisection_minimises_against_a_synthetic_predicate() {
         let plan = rich_plan();
-        // The "bug" needs exactly fault rule 1 and the crash.
+        // The "bug" needs exactly fault rule 1 and a crash.
         let needs = |p: &ScenarioPlan| {
             !p.crashes.is_empty()
                 && p.faults
                     .iter()
                     .any(|f| plan.faults.get(1).is_some_and(|orig| f == orig))
         };
-        let outcome = bisect_schedule(&plan, needs).expect("full plan violates");
-        assert_eq!(outcome.schedule.fault_indices, vec![1]);
-        assert_eq!(outcome.schedule.crash_indices.len(), 1);
-        assert_eq!(outcome.plan.faults.len(), 1);
+        let outcome = bisect_workload(&plan, needs).expect("full plan violates");
+        assert_eq!(outcome.plan.faults, vec![plan.faults[1].clone()]);
         assert_eq!(outcome.plan.crashes.len(), 1);
         // 1-minimality: dropping either remaining element stops the
         // violation.
-        assert!(!needs(
-            &Schedule {
-                fault_indices: vec![],
-                crash_indices: outcome.schedule.crash_indices.clone(),
-            }
-            .apply(&plan)
-        ));
-        assert!(!needs(
-            &Schedule {
-                fault_indices: vec![1],
-                crash_indices: vec![],
-            }
-            .apply(&plan)
-        ));
+        for step in [WorkloadStep::DropFault(0), WorkloadStep::DropCrash(0)] {
+            let without = apply_step(&outcome.plan, &step).expect("the element is there");
+            assert!(!needs(&without), "{} kept the violation", step.render());
+        }
     }
 
     #[test]
     fn bisection_reports_nothing_for_a_passing_plan() {
         let plan = rich_plan();
-        assert!(bisect_schedule(&plan, |_| false).is_none());
+        assert!(bisect_workload(&plan, |_| false).is_none());
     }
 
     #[test]
     fn bisection_can_drop_everything_for_schedule_independent_bugs() {
         let plan = rich_plan();
-        let outcome = bisect_schedule(&plan, |_| true).expect("always violating");
-        assert!(outcome.schedule.is_empty(), "{:?}", outcome.schedule);
-        assert!(outcome.plan.faults.is_empty());
-        assert!(outcome.plan.crashes.is_empty());
-    }
-
-    #[test]
-    fn schedule_round_trips_through_text() {
-        let schedule = Schedule {
-            fault_indices: vec![0, 2],
-            crash_indices: vec![0, 1],
-        };
-        assert_eq!(Schedule::parse(&schedule.render()), Ok(schedule));
-        let none = Schedule {
-            fault_indices: vec![],
-            crash_indices: vec![],
-        };
-        assert_eq!(Schedule::parse(&none.render()), Ok(none));
-        assert!(Schedule::parse("nonsense").is_err());
-        // Pre-multi-crash corpus entries: a bare `crash` keeps crash 0.
-        assert_eq!(
-            Schedule::parse("fault 1\ncrash\n"),
-            Ok(Schedule {
-                fault_indices: vec![1],
-                crash_indices: vec![0],
-            })
-        );
-    }
-
-    #[test]
-    fn corpus_entry_persists_the_minimized_schedule() {
-        let plan = rich_plan();
-        let outcome = bisect_schedule(&plan, |p| !p.crashes.is_empty()).expect("violates");
-        let dir = std::env::temp_dir().join(format!("caa-bisect-test-{}", std::process::id()));
-        let entry = write_corpus_entry(&dir, &outcome).expect("persist");
-        let text = std::fs::read_to_string(entry.join("schedule.txt")).unwrap();
-        assert_eq!(Schedule::parse(&text), Ok(outcome.schedule.clone()));
-        assert!(std::fs::read_to_string(entry.join("plan.txt"))
-            .unwrap()
-            .contains("bisection attempts"));
-        std::fs::remove_dir_all(&dir).ok();
+        let outcome = bisect_workload(&plan, |_| true).expect("always violating");
+        assert!(outcome.plan.faults.is_empty(), "{:?}", outcome.steps);
+        assert!(outcome.plan.crashes.is_empty(), "{:?}", outcome.steps);
     }
 
     #[test]

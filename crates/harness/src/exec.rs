@@ -9,7 +9,7 @@
 //! crash-stop participant dies at its plan-determined virtual instant — so
 //! the same plan renders a byte-identical [`Trace`] on every run.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caa_core::exception::{Exception, ExceptionId};
@@ -62,44 +62,14 @@ fn of_member<T: Copy + Default>(table: &PerMember<T>, thread: u32) -> Option<T> 
 
 /// What every participant body of one run shares: the plan, owned for the
 /// length of the run, its compiled top-level actions (parallel to
-/// [`ScenarioPlan::top`]) and the shared objects.
+/// [`ScenarioPlan::top`]), the shared objects and the role names.
 struct CompiledPlan {
     plan: ScenarioPlan,
     nodes: Vec<ExecNode>,
     objects: Vec<SharedObject<u64>>,
-}
-
-/// Role names are `r<t>`; the bodies ask for one on every send and entry,
-/// where a per-call `format!` was measurable sweep churn. (The interned
-/// `Arc<str>` forms that definitions and endpoints keep come from the
-/// worker's [`ExecutionArena`].)
-const NAME_CACHE: usize = 64;
-
-fn role_name(thread: u32) -> &'static str {
-    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
-    let names = NAMES.get_or_init(|| {
-        (0..NAME_CACHE as u32)
-            .map(|t| &*format!("r{t}").leak())
-            .collect()
-    });
-    match names.get(thread as usize) {
-        Some(name) => name,
-        None => oversized_role_name(thread),
-    }
-}
-
-/// Cold path for thread ids beyond the inline cache (unreachable for
-/// generated scenarios): memoized, so the leaked storage stays bounded by
-/// the number of *distinct* oversized ids, not by call count.
-fn oversized_role_name(thread: u32) -> &'static str {
-    use std::collections::HashMap;
-    static OVERSIZED: OnceLock<parking_lot::Mutex<HashMap<u32, &'static str>>> = OnceLock::new();
-    let mut names = OVERSIZED
-        .get_or_init(|| parking_lot::Mutex::new(HashMap::new()))
-        .lock();
-    names
-        .entry(thread)
-        .or_insert_with(|| &*format!("r{thread}").leak())
+    /// `r<t>` by thread id, as the worker's [`ExecutionArena`] interns
+    /// them: the bodies name a role on every send and entry.
+    roles: Vec<Arc<str>>,
 }
 
 /// Per-level separation factor for the crash-detecting bounded waits.
@@ -259,7 +229,7 @@ fn body_phases(
     plan: &ActionPlan,
     node: &ExecNode,
     me: u32,
-    objects: &[SharedObject<u64>],
+    shared: &CompiledPlan,
 ) -> Step<()> {
     for (phase, compiled) in plan.phases.iter().zip(&node.children) {
         match phase {
@@ -272,7 +242,7 @@ fn body_phases(
                 let dur = VirtualDuration::from_nanos(*dur_ns);
                 for &(from, to) in sends {
                     if from == me {
-                        rc.send_to_role(role_name(to), "app", u64::from(to))?;
+                        rc.send_to_role(&shared.roles[to as usize], "app", u64::from(to))?;
                     }
                 }
                 if listeners.contains(&me) {
@@ -281,7 +251,7 @@ fn body_phases(
                     let mut my_ops: Vec<&ObjectOp> =
                         object_ops.iter().filter(|op| op.thread == me).collect();
                     my_ops.sort_by_key(|op| op.delay_ns);
-                    compute_with_ops(rc, dur, &my_ops, objects)?;
+                    compute_with_ops(rc, dur, &my_ops, &shared.objects)?;
                 }
             }
             Phase::Nested { children } => {
@@ -290,8 +260,8 @@ fn body_phases(
                     .zip(compiled)
                     .find(|(child, _)| child.group.contains(&me));
                 if let Some((child, compiled)) = mine {
-                    rc.enter(&compiled.def, role_name(me), |cc| {
-                        body_phases(cc, child, compiled, me, objects)
+                    rc.enter(&compiled.def, &shared.roles[me as usize], |cc| {
+                        body_phases(cc, child, compiled, me, shared)
                     })
                     .map(|_| ())?;
                 }
@@ -378,10 +348,12 @@ pub(crate) fn execute_owned(
         .iter()
         .map(|name| SharedObject::new(name.as_str(), 0u64))
         .collect();
+    let roles = (0..plan.threads).map(|t| arena.role_name(t)).collect();
     let compiled = Arc::new(CompiledPlan {
         plan,
         nodes,
         objects,
+        roles,
     });
     let sys = spawn_plan(&compiled, arena);
     let built = Instant::now();
@@ -422,7 +394,7 @@ fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> Syste
         let shared = Arc::clone(compiled);
         sys.spawn(arena.thread_name(t), move |ctx| {
             let my_crash = shared.plan.crashes.iter().find(|c| c.thread == t);
-            let role = role_name(t);
+            let role = &*shared.roles[t as usize];
             let actions = shared.plan.top.iter().zip(&shared.nodes);
             for (i, (action, node)) in actions.enumerate() {
                 match my_crash.filter(|c| i == c.top_action as usize) {
@@ -436,7 +408,7 @@ fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> Syste
                         // signalling or exit).
                         let run = ctx.enter(&node.def, role, |rc| {
                             rc.schedule_crash(VirtualDuration::from_nanos(c.delay_ns));
-                            body_phases(rc, action, node, t, &shared.objects)
+                            body_phases(rc, action, node, t, &shared)
                         });
                         let flow = match run {
                             Err(flow) => flow,
@@ -475,7 +447,7 @@ fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> Syste
                     }
                     None => {
                         ctx.enter(&node.def, role, |rc| {
-                            body_phases(rc, action, node, t, &shared.objects)
+                            body_phases(rc, action, node, t, &shared)
                         })
                         .map(|_| ())?;
                     }

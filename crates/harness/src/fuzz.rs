@@ -21,7 +21,7 @@
 //! described by its [`Lineage`] — the base scenario seed plus the ordered
 //! list of mutation seeds — and [`Lineage::materialize`] rebuilds the
 //! exact plan from scratch. Corpus entries persist the lineage
-//! (`lineage.txt`), so `replay --corpus <entry>` re-derives the mutated
+//! (`lineage.txt`), so `caa replay --corpus <entry>` re-derives the mutated
 //! plan and rechecks the recorded trace byte-exactly. Worker count never
 //! affects outcomes: mutation seeds derive from a global child counter,
 //! parents are selected *between* generations on insertion-ordered state,
@@ -49,13 +49,10 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use caa_telemetry::json::{self, Value};
 
-use crate::arena::ExecutionArena;
 use crate::metrics::SweepMetrics;
 use crate::plan::{
     gen_subtree, plan_object_depth, rename_subtree, validate_plan, with_action_mut, ActionPlan,
@@ -64,8 +61,8 @@ use crate::plan::{
 };
 use crate::rng::Rng;
 use crate::sweep::{
-    effective_workers, merge_signatures, run_plan_checked, sweep, write_corpus_files, PathCoverage,
-    SeedResult, SignatureMap, SweepConfig, SweepReport,
+    merge_signatures, run_plan_checked, run_workers, sweep, wall_ns, write_corpus_files,
+    PathCoverage, SeedResult, SignatureMap, SweepConfig, SweepReport, CAA,
 };
 
 /// Schema tag of `coverage.json` documents ([`CoverageDoc`]).
@@ -188,7 +185,7 @@ fn fnv32(text: &str) -> u32 {
 /// (sweep entries). When the entry also records a workload-bisection
 /// step sequence (`workload.txt`), the steps replay on top — so a
 /// 1-minimal shrunk violation rechecks byte-exactly through the same
-/// `replay --corpus` path as any other entry. Returns the materialized
+/// `caa replay --corpus` path as any other entry. Returns the materialized
 /// plan and the config.
 ///
 /// # Errors
@@ -1077,11 +1074,7 @@ impl FuzzReport {
                 let _ = writeln!(out, "    - {v}");
             }
             if let Some(entry) = &violation.corpus {
-                let _ = writeln!(
-                    out,
-                    "    replay: cargo run -p caa-harness --example replay -- --corpus {}",
-                    entry.display()
-                );
+                let _ = writeln!(out, "    replay: {CAA} replay --corpus {}", entry.display());
             }
         }
         out.push_str(&self.metrics.summary());
@@ -1106,72 +1099,50 @@ struct ChildOutcome {
     result: Option<SeedResult>,
 }
 
-/// Executes `plans` across worker threads and returns outcomes **in input
+/// Executes `plans` on the worker pool and returns outcomes **in input
 /// order** — the order in which the caller commits them to frontier and
 /// novelty state, which is what makes the loop worker-count-invariant.
+/// Each worker's metrics fold into `metrics` once the batch is drained.
 fn run_batch(
-    plans: Vec<ScenarioPlan>,
+    plans: &[&ScenarioPlan],
     workers: usize,
     check_replay: bool,
-    metrics: &Mutex<SweepMetrics>,
+    metrics: &mut SweepMetrics,
 ) -> Vec<ChildOutcome> {
-    let n = plans.len();
-    let slots: Vec<Mutex<Option<ChildOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let tasks: Vec<Mutex<Option<ScenarioPlan>>> =
-        plans.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..effective_workers(workers).min(n.max(1)) {
-            scope.spawn(|| {
-                let mut arena = ExecutionArena::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        // Batch drained: fold this worker's metrics into
-                        // the loop-wide set (one lock per worker, not per
-                        // plan).
-                        metrics
-                            .lock()
-                            .expect("metrics collector")
-                            .merge(&arena.take_metrics());
-                        return;
-                    }
-                    let plan = tasks[i]
-                        .lock()
-                        .expect("task slot")
-                        .take()
-                        .expect("each task is taken once");
-                    let busy = Instant::now();
-                    let result = run_plan_checked(plan, check_replay, &mut arena);
-                    let coverage = PathCoverage::from_trace(&result.artifacts.trace);
-                    let signature = coverage.signature();
-                    let result = if result.violations.is_empty() {
-                        arena.recycle_trace(result.artifacts.trace);
-                        None
-                    } else {
-                        Some(result)
-                    };
-                    arena.metrics_recorder().add_wall(
-                        "worker_busy_ns",
-                        u64::try_from(busy.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                    *slots[i].lock().expect("outcome slot") = Some(ChildOutcome {
-                        signature,
-                        coverage,
-                        result,
-                    });
-                }
-            });
+    let per_worker = run_workers(plans.len() as u64, workers, None, |arena, tickets| {
+        let mut outcomes = Vec::new();
+        for i in tickets {
+            let busy = Instant::now();
+            let result = run_plan_checked(plans[i as usize].clone(), check_replay, arena);
+            let coverage = PathCoverage::from_trace(&result.artifacts.trace);
+            let signature = coverage.signature();
+            let result = if result.violations.is_empty() {
+                arena.recycle_trace(result.artifacts.trace);
+                None
+            } else {
+                Some(result)
+            };
+            arena
+                .metrics_recorder()
+                .add_wall("worker_busy_ns", wall_ns(busy.elapsed()));
+            outcomes.push((
+                i,
+                ChildOutcome {
+                    signature,
+                    coverage,
+                    result,
+                },
+            ));
         }
+        (outcomes, arena.take_metrics())
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("outcome slot")
-                .expect("every slot filled")
-        })
-        .collect()
+    let mut in_order = Vec::with_capacity(plans.len());
+    for (outcomes, worker_metrics) in per_worker {
+        metrics.merge(&worker_metrics);
+        in_order.extend(outcomes);
+    }
+    in_order.sort_by_key(|&(i, _)| i);
+    in_order.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Derives the mutation seed of global child `index` from the master fuzz
@@ -1273,7 +1244,7 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         novel_from_mutation: 0,
     };
     let mut child_index = 0u64;
-    let metrics: Mutex<SweepMetrics> = Mutex::new(SweepMetrics::default());
+    let mut metrics = SweepMetrics::default();
 
     // Generation 0: fresh seeds.
     let initial = config.initial_seeds.min(config.executions).max(1);
@@ -1287,10 +1258,10 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         })
         .collect();
     let outcomes = run_batch(
-        gen0.iter().map(|(_, p)| p.clone()).collect(),
+        &gen0.iter().map(|(_, p)| p).collect::<Vec<_>>(),
         config.workers,
         config.check_replay,
-        &metrics,
+        &mut metrics,
     );
     for ((lineage, plan), outcome) in gen0.into_iter().zip(outcomes) {
         state.commit(config, lineage, plan, outcome, None);
@@ -1317,18 +1288,13 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         }
         // Parent selection plus mutation is the frontier stage.
         metrics
-            .lock()
-            .expect("metrics collector")
             .wall_clock
-            .add_named(
-                "stage_mutation_ns",
-                u64::try_from(mutation_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            .add_named("stage_mutation_ns", wall_ns(mutation_started.elapsed()));
         let outcomes = run_batch(
-            children.iter().map(|(_, _, p)| p.clone()).collect(),
+            &children.iter().map(|(_, _, p)| p).collect::<Vec<_>>(),
             config.workers,
             config.check_replay,
-            &metrics,
+            &mut metrics,
         );
         for ((parent, lineage, plan), outcome) in children.into_iter().zip(outcomes) {
             state.commit(config, lineage, plan, outcome, Some(parent));
@@ -1361,7 +1327,7 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         signatures: state.seen,
         violations: state.violations,
         fresh,
-        metrics: metrics.into_inner().expect("metrics collector"),
+        metrics,
         wall: started.elapsed(),
     }
 }
@@ -1587,10 +1553,7 @@ impl CoverageDoc {
     /// A human-readable message when the text is not a coverage document.
     pub fn parse(text: &str) -> Result<CoverageDoc, String> {
         let doc = json::parse(text)?;
-        match doc.get("schema") {
-            Some(Value::Str(s)) if s == COVERAGE_SCHEMA => {}
-            other => return Err(format!("unsupported coverage schema: {other:?}")),
-        }
+        json::expect_schema(&doc, COVERAGE_SCHEMA)?;
         let mode = match doc.get("mode") {
             Some(Value::Str(s)) => s.clone(),
             other => return Err(format!("bad \"mode\": {other:?}")),
@@ -1763,6 +1726,7 @@ impl CoverageDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ExecutionArena;
 
     #[test]
     fn mutation_is_a_pure_function_of_plan_and_seed() {

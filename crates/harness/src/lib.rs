@@ -29,7 +29,12 @@
 //!   completion bound, §3.3.3 message complexity, nesting/abortion/crash
 //!   consistency, the exit-timeout liveness bound and byte-exact replay;
 //! * [`mod@sweep`] — fans thousands of seeds across OS threads and reports any
-//!   violating seed for one-command replay;
+//!   violating seed for one-command replay; owns the tooling's one worker
+//!   pool;
+//! * [`bisect`] — shrinks a violating plan to a 1-minimal one over one
+//!   grammar of reduction steps;
+//! * [`mod@fuzz`] — coverage-guided mutation of plans toward protocol paths
+//!   fresh seeds starve;
 //! * [`prodcell`] — the §4 production cell driven as a harness scenario,
 //!   replay-checked byte-exactly.
 //!
@@ -58,6 +63,14 @@
 //! let artifacts = exec::execute(&plan);
 //! assert!(oracle::check_run(&artifacts).is_empty());
 //! println!("{}", artifacts.trace.render());
+//! ```
+//!
+//! From a shell, every way in is a subcommand of the one `caa` binary
+//! (`crates/bench/src/cli.rs`):
+//!
+//! ```text
+//! cargo run --release -p caa-bench --bin caa -- replay 7
+//! cargo run --release -p caa-bench --bin caa -- sweep --seeds 10000 --shard 2/8
 //! ```
 
 #![warn(missing_docs)]

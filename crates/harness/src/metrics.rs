@@ -14,12 +14,12 @@
 //! * **deterministic** — virtual-time histograms and protocol counters.
 //!   Pure functions of the explored seed set: the same sweep serializes
 //!   to byte-identical JSON on any machine, and the shard-merged union
-//!   (`metrics_merge`) is byte-identical to the unsharded run.
+//!   (`caa merge`) is byte-identical to the unsharded run.
 //! * **wall_clock** — facts about the simulator, not the protocol: the
 //!   [`SchedStats`] park/wake hand-offs (exact per seed since participants
 //!   run as fibers, but a property of the host loop) and the driver's
 //!   stage timers. Reported for regression ceilings, excluded from
-//!   byte-identity claims, and dropped by `metrics_merge`.
+//!   byte-identity claims, and dropped by `caa merge`.
 
 use std::fmt::Write as _;
 
@@ -253,7 +253,7 @@ impl SweepMetrics {
 }
 
 /// Serializes a `metrics.json` document. With `include_wall_clock` the
-/// document carries both sets; without it (the `metrics_merge`
+/// document carries both sets; without it (the `caa merge`
 /// normalization) only the deterministic set, so merged shard unions
 /// compare byte-for-byte against the merged unsharded run.
 #[must_use]

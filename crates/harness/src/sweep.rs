@@ -5,19 +5,24 @@
 //! Each seed is an independent, fully deterministic simulation; the sweep
 //! is embarrassingly parallel and scales with the host's cores while the
 //! simulated time stays virtual. A violating seed reproduces exactly with
-//! [`run_seed`] (or `cargo run -p caa-harness --example replay -- <seed>`).
+//! [`run_seed`] (or `cargo run --release -p caa-bench --bin caa -- replay
+//! <seed>`; `caa sweep --seeds N` is this module from the command line).
 //! Beyond one host, a seed range splits across processes or machines with
-//! [`SweepConfig::shard`] (`--shard k/n` on the sweep CLIs): shards are
-//! disjoint, deterministic and together cover the range exactly. Every
-//! sweep also aggregates a [`PathCoverage`] report counting which protocol
-//! paths (undo rounds, ƒ cascades, exit races, exit/resolution timeouts,
-//! view changes, …) the explored traces actually hit, so untested paths
-//! are visible instead of silently assumed covered.
+//! [`SweepConfig::shard`] (`--shard k/n` on `caa sweep|bench|fuzz|hashes`):
+//! shards are disjoint, deterministic and together cover the range exactly.
+//! Every sweep also aggregates a [`PathCoverage`] report counting which
+//! protocol paths (undo rounds, ƒ cascades, exit races, exit/resolution
+//! timeouts, view changes, …) the explored traces actually hit, so untested
+//! paths are visible instead of silently assumed covered.
+//!
+//! This module also owns the tooling's one worker pool, [`run_workers`]:
+//! the scoped threads, the atomic ticket, the worker count and the
+//! [`Shard`] filter. [`sweep`], the fuzz loop's batches and `caa hashes`
+//! each hand it the body one worker runs with its own [`ExecutionArena`].
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use caa_core::inline::InlineVec;
@@ -28,7 +33,7 @@ use crate::exec::{execute_owned, RunArtifacts};
 use crate::metrics::{metrics_json, SweepMetrics};
 use crate::oracle::{check_replay, check_run, Violation};
 use crate::plan::{ScenarioConfig, ScenarioPlan};
-use crate::trace::{EntryKind, Trace};
+use crate::trace::{fnv1a64, EntryKind, Trace};
 
 /// One shard of a deterministically split seed range: this process
 /// explores the seeds whose offset into the range satisfies
@@ -43,13 +48,12 @@ pub struct Shard {
     pub count: u64,
 }
 
-impl Shard {
-    /// Parses the `k/n` form used by the CLI flags (e.g. `--shard 2/8`).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the malformed value.
-    pub fn parse(text: &str) -> Result<Shard, String> {
+/// Parses the `k/n` form used by the CLI flags (e.g. `--shard 2/8`); the
+/// error is a human-readable description of the malformed value.
+impl std::str::FromStr for Shard {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Shard, String> {
         let (index, count) = text
             .split_once('/')
             .ok_or_else(|| format!("expected k/n, got {text:?}"))?;
@@ -90,8 +94,7 @@ pub struct SweepConfig {
     /// (`<dir>/<seed>/` with the scenario config, plan summary, trace
     /// bytes and violations). `None` disables persistence. The default
     /// (`target/caa-corpus`, relative to the working directory) makes
-    /// every violating sweep reproducible via
-    /// `cargo run -p caa-harness --example replay -- --corpus <entry>`,
+    /// every violating sweep reproducible via `caa replay --corpus <entry>`,
     /// custom [`ScenarioConfig`]s included.
     pub corpus_dir: Option<PathBuf>,
     /// Restrict this process to one shard of the seed range (`None` runs
@@ -114,6 +117,9 @@ impl Default for SweepConfig {
         }
     }
 }
+
+/// How the reports spell the `caa` binary in the commands they print.
+pub(crate) const CAA: &str = "cargo run --release -p caa-bench --bin caa --";
 
 /// The outcome of one seed.
 #[derive(Debug)]
@@ -147,11 +153,8 @@ impl SeedResult {
     #[must_use]
     pub fn replay_command(&self) -> String {
         match &self.corpus {
-            Some(entry) => format!(
-                "cargo run -p caa-harness --example replay -- --corpus {}",
-                entry.display()
-            ),
-            None => format!("cargo run -p caa-harness --example replay -- {}", self.seed),
+            Some(entry) => format!("{CAA} replay --corpus {}", entry.display()),
+            None => format!("{CAA} replay {}", self.seed),
         }
     }
 }
@@ -162,8 +165,8 @@ impl SeedResult {
 ///
 /// Entries never clobber a *different* config's repro: when `<dir>/<seed>`
 /// already records another config (two sweeps sharing a corpus dir), the
-/// entry lands at `<dir>/<seed>-<config hash>` instead. The replay
-/// example parses the seed from the leading digits, so both forms load.
+/// entry lands at `<dir>/<seed>-<config hash>` instead. `caa replay
+/// --corpus` parses the seed from the leading digits, so both forms load.
 fn dump_corpus(
     dir: &Path,
     scenario: &ScenarioConfig,
@@ -175,11 +178,7 @@ fn dump_corpus(
         Ok(existing) if existing != kv => {
             // FNV-1a over the config: a stable, collision-resistant-enough
             // discriminator for a handful of configs per corpus dir.
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in kv.as_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            let hash = fnv1a64(kv.as_bytes());
             entry = dir.join(format!("{}-{:08x}", result.seed, hash as u32));
         }
         _ => {}
@@ -481,7 +480,7 @@ impl SweepReport {
     /// The sweep's `metrics.json` document: deterministic (virtual-time)
     /// metrics plus the wall-clock scheduler section. For the same seed
     /// range and scenario, the deterministic section is byte-identical on
-    /// any machine; `metrics_merge` over shard documents reproduces the
+    /// any machine; `caa merge` over shard documents reproduces the
     /// unsharded document's deterministic section byte-for-byte.
     #[must_use]
     pub fn metrics_json(&self) -> String {
@@ -518,7 +517,7 @@ pub fn run_seed_in(
 
 /// Wall-clock duration as nanoseconds for the stage-timer counters
 /// (saturating — a stage will not run for 584 years).
-fn wall_ns(d: std::time::Duration) -> u64 {
+pub(crate) fn wall_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -583,7 +582,8 @@ pub fn run_plan_checked(
 /// blocks in the kernel, so a second worker per core would only contend.
 /// (Worker count never affects traces; it only schedules which seed runs
 /// where.)
-pub(crate) fn effective_workers(workers: usize) -> usize {
+#[must_use]
+pub fn effective_workers(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -591,102 +591,137 @@ pub(crate) fn effective_workers(workers: usize) -> usize {
     }
 }
 
+/// The tooling's worker pool. Runs `body` once on each of
+/// [`effective_workers`]`(workers)` scoped threads (never more than there
+/// are tickets), each with an [`ExecutionArena`] of its own and a supply of
+/// tickets: every `next` claims the lowest unclaimed ticket of `0..tickets`
+/// that is in `shard`, so each in-shard ticket is handed to exactly one
+/// worker. Returns what the bodies returned, one per worker — what a worker
+/// accumulated over its tickets is merged by the caller once per worker,
+/// not per ticket.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic on the calling thread.
+pub fn run_workers<R: Send>(
+    tickets: u64,
+    workers: usize,
+    shard: Option<Shard>,
+    body: impl Fn(&mut ExecutionArena, &mut dyn Iterator<Item = u64>) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicU64::new(0);
+    let claim = || loop {
+        let ticket = next.fetch_add(1, Ordering::Relaxed);
+        if ticket >= tickets {
+            return None;
+        }
+        if shard.is_none_or(|s| ticket % s.count == s.index) {
+            return Some(ticket);
+        }
+    };
+    let workers =
+        effective_workers(workers).min(usize::try_from(tickets.max(1)).unwrap_or(usize::MAX));
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| body(&mut ExecutionArena::new(), &mut std::iter::from_fn(claim)))
+            })
+            .collect();
+        spawned
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// What one sweep worker accumulated over its seeds.
+#[derive(Default)]
+struct WorkerTally {
+    seeds_run: u64,
+    entries: u64,
+    virtual_ns: u64,
+    coverage: PathCoverage,
+    signatures: SignatureMap,
+    failures: Vec<SeedResult>,
+    metrics: SweepMetrics,
+}
+
 /// Explores `config.seeds` seeds across worker threads.
 #[must_use]
 pub fn sweep(config: &SweepConfig) -> SweepReport {
     let started = Instant::now();
-    let workers = effective_workers(config.workers);
-    let next = AtomicU64::new(0);
-    let failures: Mutex<Vec<SeedResult>> = Mutex::new(Vec::new());
-    let coverage: Mutex<PathCoverage> = Mutex::new(PathCoverage::default());
-    let signatures: Mutex<SignatureMap> = Mutex::new(SignatureMap::new());
-    let metrics: Mutex<SweepMetrics> = Mutex::new(SweepMetrics::default());
-    let entries = AtomicU64::new(0);
-    let virtual_ns = AtomicU64::new(0);
-    let seeds_run = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Per-worker arena: network storage, trace buffers and
-                // resolution lattices recycle across this worker's seeds,
-                // so steady-state exploration allocates almost nothing.
-                let mut arena = ExecutionArena::new();
-                let mut local_coverage = PathCoverage::default();
-                let mut local_signatures = SignatureMap::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= config.seeds {
-                        coverage
-                            .lock()
-                            .expect("coverage collector")
-                            .merge(&local_coverage);
-                        merge_signatures(
-                            &mut signatures.lock().expect("signature collector"),
-                            &local_signatures,
-                        );
-                        metrics
-                            .lock()
-                            .expect("metrics collector")
-                            .merge(&arena.take_metrics());
-                        return;
-                    }
-                    if let Some(shard) = config.shard {
-                        if i % shard.count != shard.index {
-                            continue;
-                        }
-                    }
-                    let seed = config.start_seed + i;
-                    let busy = Instant::now();
-                    let result =
-                        run_seed_in(seed, &config.scenario, config.check_replay, &mut arena);
-                    seeds_run.fetch_add(1, Ordering::Relaxed);
-                    entries.fetch_add(result.artifacts.trace.len() as u64, Ordering::Relaxed);
-                    virtual_ns.fetch_add(
-                        result.artifacts.report.elapsed.as_nanos(),
-                        Ordering::Relaxed,
-                    );
-                    let run_coverage = PathCoverage::from_trace(&result.artifacts.trace);
-                    *local_signatures
-                        .entry(run_coverage.signature())
-                        .or_insert(0) += 1;
-                    local_coverage.merge(&run_coverage);
-                    if result.passed() {
-                        // Done with this trace: hand its buffer back.
-                        arena.recycle_trace(result.artifacts.trace);
-                    } else {
-                        failures.lock().expect("sweep collector").push(result);
-                    }
-                    // Worker utilization: wall time spent on seed work
-                    // (vs. blocked on the shared collectors or starved).
-                    arena
-                        .metrics_recorder()
-                        .add_wall("worker_busy_ns", wall_ns(busy.elapsed()));
+    let per_worker = run_workers(
+        config.seeds,
+        config.workers,
+        config.shard,
+        |arena, tickets| {
+            let mut tally = WorkerTally::default();
+            for i in tickets {
+                let seed = config.start_seed + i;
+                let busy = Instant::now();
+                let result = run_seed_in(seed, &config.scenario, config.check_replay, arena);
+                tally.seeds_run += 1;
+                tally.entries += result.artifacts.trace.len() as u64;
+                // Crash plans idle through simulated hours: the sum may
+                // wrap, and must not be a debug-build overflow panic.
+                tally.virtual_ns = tally
+                    .virtual_ns
+                    .wrapping_add(result.artifacts.report.elapsed.as_nanos());
+                let run_coverage = PathCoverage::from_trace(&result.artifacts.trace);
+                *tally
+                    .signatures
+                    .entry(run_coverage.signature())
+                    .or_insert(0) += 1;
+                tally.coverage.merge(&run_coverage);
+                if result.passed() {
+                    // Done with this trace: hand its buffer back.
+                    arena.recycle_trace(result.artifacts.trace);
+                } else {
+                    tally.failures.push(result);
                 }
-            });
-        }
-    });
+                // Worker utilization: wall time spent on seed work (vs.
+                // starved of tickets).
+                arena
+                    .metrics_recorder()
+                    .add_wall("worker_busy_ns", wall_ns(busy.elapsed()));
+            }
+            tally.metrics = arena.take_metrics();
+            tally
+        },
+    );
 
-    let mut failures = failures.into_inner().expect("sweep collector");
-    failures.sort_by_key(|f| f.seed);
+    let mut total = WorkerTally::default();
+    for tally in per_worker {
+        total.seeds_run += tally.seeds_run;
+        total.entries += tally.entries;
+        total.virtual_ns = total.virtual_ns.wrapping_add(tally.virtual_ns);
+        total.coverage.merge(&tally.coverage);
+        merge_signatures(&mut total.signatures, &tally.signatures);
+        total.failures.extend(tally.failures);
+        total.metrics.merge(&tally.metrics);
+    }
+    total.failures.sort_by_key(|f| f.seed);
     if let Some(dir) = &config.corpus_dir {
-        for failure in &mut failures {
+        for failure in &mut total.failures {
             match dump_corpus(dir, &config.scenario, failure) {
                 Ok(entry) => failure.corpus = Some(entry),
                 Err(e) => eprintln!("corpus dump for seed {} failed: {e}", failure.seed),
             }
         }
     }
-    let seeds_run = seeds_run.into_inner();
     SweepReport {
-        seeds_run,
-        executions_run: seeds_run * if config.check_replay { 2 } else { 1 },
-        failures,
-        trace_entries: entries.into_inner(),
-        virtual_secs: virtual_ns.into_inner() as f64 / 1e9,
-        coverage: coverage.into_inner().expect("coverage collector"),
-        signatures: signatures.into_inner().expect("signature collector"),
-        metrics: metrics.into_inner().expect("metrics collector"),
+        seeds_run: total.seeds_run,
+        executions_run: total.seeds_run * if config.check_replay { 2 } else { 1 },
+        failures: total.failures,
+        trace_entries: total.entries,
+        virtual_secs: total.virtual_ns as f64 / 1e9,
+        coverage: total.coverage,
+        signatures: total.signatures,
+        metrics: total.metrics,
         wall: started.elapsed(),
     }
 }
@@ -778,11 +813,12 @@ mod tests {
 
     #[test]
     fn shard_parses_the_cli_form() {
-        assert_eq!(Shard::parse("2/8"), Ok(Shard { index: 2, count: 8 }));
-        assert!(Shard::parse("8/8").is_err(), "index must be < count");
-        assert!(Shard::parse("0/0").is_err());
-        assert!(Shard::parse("nope").is_err());
-        assert!(Shard::parse("a/b").is_err());
+        let parse = str::parse::<Shard>;
+        assert_eq!(parse("2/8"), Ok(Shard { index: 2, count: 8 }));
+        assert!(parse("8/8").is_err(), "index must be < count");
+        assert!(parse("0/0").is_err());
+        assert!(parse("nope").is_err());
+        assert!(parse("a/b").is_err());
     }
 
     #[test]
@@ -809,7 +845,7 @@ mod tests {
     #[test]
     fn run_seed_exposes_replay_command() {
         let result = run_seed(3, &ScenarioConfig::default(), false);
-        assert!(result.replay_command().contains("-- 3"));
+        assert!(result.replay_command().ends_with("-- replay 3"));
     }
 
     #[test]

@@ -288,7 +288,7 @@ impl Trace {
     /// materialising the rendering: each entry renders into one line
     /// buffer on the stack and folds into the running hash. By construction
     /// `trace.render_fingerprint() == fnv1a64(trace.render().as_bytes())`,
-    /// so fingerprints from hash-only sweeps (`trace_hashes`, the
+    /// so fingerprints from hash-only sweeps (`caa hashes`, the
     /// golden-trace test, pre/post refactor gates) stay comparable with
     /// fingerprints of rendered traces. The hash is byte-serial, which
     /// makes it the floor of this function's cost (and hashing a whole
@@ -413,7 +413,7 @@ fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
 
 /// FNV-1a 64-bit over arbitrary bytes: the canonical, dependency-free
 /// fingerprint for rendered traces. The golden-trace regression test and
-/// the `trace_hashes` pre/post comparison tool both hash
+/// the `caa hashes` pre/post comparison tool both hash
 /// [`Trace::render`] output through this exact function — fingerprints
 /// from different tools stay comparable.
 #[must_use]

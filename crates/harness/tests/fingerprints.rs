@@ -2,7 +2,7 @@
 //! ([`Trace::render_fingerprint`]) and the streaming replay comparison
 //! ([`Trace::first_divergence`]) must agree byte-for-byte with the
 //! rendered-string reference implementations across a seed sweep — they
-//! are the hot paths the `trace_hashes` gate and the replay oracle stand
+//! are the hot paths the `caa hashes` gate and the replay oracle stand
 //! on.
 
 use caa_harness::arena::ExecutionArena;

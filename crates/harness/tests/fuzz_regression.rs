@@ -9,7 +9,7 @@
 //! every round, per-instance eviction accounting, and set-based view
 //! agreement, the whole scenario class must hold every oracle — and a
 //! minimized lineage from the class must keep replaying byte-exactly
-//! through the same corpus path (`replay --corpus`) as any fuzz find.
+//! through the same corpus path (`caa replay --corpus`) as any fuzz find.
 
 use caa_harness::arena::ExecutionArena;
 use caa_harness::exec::execute_in;
@@ -108,7 +108,7 @@ fn a_minimized_find_lineage_replays_byte_exactly_from_its_corpus_entry() {
     );
 
     // Persist the entry the way the fuzz loop lays it out, then reload
-    // and re-execute through the `replay --corpus` path: the re-derived
+    // and re-execute through the `caa replay --corpus` path: the re-derived
     // plan's trace must match the recorded bytes exactly.
     let dir = std::env::temp_dir().join(format!("caa-fuzz-regression-{}", std::process::id()));
     let entry = dir.join(lineage.entry_name());

@@ -4,7 +4,7 @@
 //!   `metrics.json` is a pure function of the seed set — two runs of the
 //!   same sweep serialize byte-identically, whatever the worker count;
 //! * sharding a sweep and merging the shards' metrics reproduces the
-//!   unsharded document byte for byte (the `metrics_merge` contract);
+//!   unsharded document byte for byte (the `caa merge` contract);
 //! * scheduler hand-offs (parks and wakes) are a pure function of the
 //!   seed now that a seed's participants run to block one at a time —
 //!   executing a seed twice counts the same — and per seed they stay
@@ -105,7 +105,7 @@ fn four_shard_merge_equals_unsharded() {
     );
 }
 
-/// The `metrics_merge` bin's parse→merge→serialize path, in process:
+/// `caa merge`'s parse→merge→serialize path for metrics, in process:
 /// round-tripping shard documents through the JSON interchange form and
 /// merging the parsed metrics still reproduces the unsharded bytes.
 #[test]

@@ -2,7 +2,7 @@
 //! fuzz subsystem): a shrunk violation's corpus entry — `workload.txt`
 //! reduction steps next to the usual `config.txt`/`trace.txt` — rebuilds
 //! the exact 1-minimal plan through [`load_corpus_plan`] and re-executes
-//! to byte-identical trace bytes, the same `replay --corpus` path fuzz
+//! to byte-identical trace bytes, the same `caa replay --corpus` path fuzz
 //! lineage entries take.
 
 use caa_harness::arena::ExecutionArena;
@@ -49,7 +49,7 @@ fn shrunk_workload_entry_replays_byte_exactly_from_disk() {
     let replayed = apply_steps(&plan, &outcome.steps).expect("recorded steps re-apply");
     assert_eq!(format!("{replayed:?}"), format!("{:?}", outcome.plan));
 
-    // Persist the full entry the way `replay --bisect-workload` does:
+    // Persist the full entry the way `caa replay --bisect` does:
     // steps + plan description from the bisector, then the scenario
     // config and the minimal plan's trace bytes.
     let dir = std::env::temp_dir().join(format!("caa-workload-replay-{}", std::process::id()));

@@ -7,8 +7,11 @@
 //! value; floats would reintroduce platform-dependent formatting and
 //! break the byte-identity guarantee shard merging relies on), plus
 //! `true`/`false`/`null` for forward compatibility. Parsing is strict —
-//! anything outside the subset is a descriptive `Err`, not a silent
-//! coercion.
+//! anything that is not JSON is a descriptive `Err`, and a number with a
+//! sign, a fraction or an exponent is a [`Value::Dec`] kept as written,
+//! which no metric reader accepts in place of an integer: never a silent
+//! coercion. (Documents other tools write — the committed `BENCH*.json`
+//! — carry such numbers, and a tier-1 test parses them here.)
 
 use std::fmt::Write as _;
 
@@ -17,6 +20,8 @@ use std::fmt::Write as _;
 pub enum Value {
     /// An unsigned integer (the only number form metrics use).
     Num(u128),
+    /// Any other number, as written (see the module docs).
+    Dec(String),
     /// A string.
     Str(String),
     /// `true` / `false`.
@@ -119,13 +124,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         Some(b'{') => parse_obj(bytes, pos),
         Some(b'[') => parse_arr(bytes, pos),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b'0'..=b'9') => parse_num(bytes, pos),
+        Some(b'0'..=b'9' | b'-') => parse_num(bytes, pos),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(b'-') => Err(format!(
-            "negative number at byte {pos}: metrics JSON carries unsigned integers only"
-        )),
         other => Err(format!(
             "expected a value at byte {pos} (found {:?})",
             other.map(|&b| char::from(b))
@@ -144,19 +146,35 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<V
 
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        if *pos == from {
+            return Err(format!("expected a digit at byte {from}"));
+        }
+        Ok(())
+    };
+    *pos += usize::from(bytes[*pos] == b'-');
+    digits(pos)?;
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        digits(pos)?;
     }
-    if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E')) {
-        return Err(format!(
-            "non-integer number at byte {start}: metrics JSON carries integers only"
-        ));
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        *pos += usize::from(matches!(bytes.get(*pos), Some(b'+' | b'-')));
+        digits(pos)?;
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .expect("digits are ASCII")
-        .parse::<u128>()
-        .map(Value::Num)
-        .map_err(|e| format!("bad number at byte {start}: {e}"))
+    let text = std::str::from_utf8(&bytes[start..*pos]).expect("a number is ASCII");
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        text.parse::<u128>()
+            .map(Value::Num)
+            .map_err(|e| format!("bad number at byte {start}: {e}"))
+    } else {
+        Ok(Value::Dec(text.to_owned()))
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -286,108 +304,6 @@ pub fn expect_schema(doc: &Value, want: &str) -> Result<(), String> {
     }
 }
 
-/// Parsed command line of a canonical-document merge CLI (`metrics_merge`,
-/// `coverage_merge`): input paths, the `--out` destination, and any
-/// tool-specific value flags. The read/parse/fold/emit plumbing those
-/// tools used to duplicate lives here once.
-#[derive(Debug, Default, Clone)]
-pub struct MergeCli {
-    /// Input document paths, in command-line order.
-    pub inputs: Vec<String>,
-    /// `--out PATH` destination; `None` writes the merged document to
-    /// stdout.
-    pub out: Option<String>,
-    /// Tool-specific `--flag value` pairs (the flags listed in
-    /// [`MergeCli::parse`]'s `value_flags`), in command-line order.
-    pub extra: Vec<(String, String)>,
-}
-
-impl MergeCli {
-    /// Parses `<input>... [--out PATH]` plus the tool's own `value_flags`
-    /// (each expecting one value). Unknown `--flags` and a missing value
-    /// are errors; callers print the message with their usage line and
-    /// exit 2.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the offending argument.
-    pub fn parse(
-        args: impl Iterator<Item = String>,
-        value_flags: &[&str],
-    ) -> Result<MergeCli, String> {
-        let mut cli = MergeCli::default();
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match arg.as_str() {
-                "--out" => cli.out = Some(value("--out")?),
-                flag if value_flags.contains(&flag) => {
-                    let v = value(flag)?;
-                    cli.extra.push((flag.to_owned(), v));
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown argument {other}"));
-                }
-                path => cli.inputs.push(path.to_owned()),
-            }
-        }
-        Ok(cli)
-    }
-
-    /// The last value given for a tool-specific flag, if any.
-    #[must_use]
-    pub fn extra_value(&self, flag: &str) -> Option<&str> {
-        self.extra
-            .iter()
-            .rev()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Reads every input, parses it with `parse`, and folds the documents
-    /// with `merge` (first document is the accumulator). Errors carry the
-    /// offending path.
-    ///
-    /// # Errors
-    ///
-    /// When there are no inputs, a file cannot be read, or `parse`
-    /// rejects a document.
-    pub fn fold<D>(
-        &self,
-        mut parse: impl FnMut(&str) -> Result<D, String>,
-        mut merge: impl FnMut(&mut D, D),
-    ) -> Result<D, String> {
-        let mut merged: Option<D> = None;
-        for path in &self.inputs {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let doc = parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-            match &mut merged {
-                None => merged = Some(doc),
-                Some(into) => merge(into, doc),
-            }
-        }
-        merged.ok_or_else(|| "no input documents".to_owned())
-    }
-
-    /// Writes the merged document to `--out` (reporting the destination on
-    /// stderr) or prints it to stdout.
-    ///
-    /// # Errors
-    ///
-    /// When the `--out` file cannot be written.
-    pub fn emit(&self, doc: &str) -> Result<(), String> {
-        match &self.out {
-            Some(path) => {
-                std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("merged {} document(s) into {path}", self.inputs.len());
-            }
-            None => print!("{doc}"),
-        }
-        Ok(())
-    }
-}
-
 /// Appends `text` as a JSON string literal (with the escapes the parser
 /// understands).
 pub fn write_str(out: &mut String, text: &str) {
@@ -432,8 +348,19 @@ mod tests {
 
     #[test]
     fn rejects_what_metrics_never_emit() {
-        assert!(parse("-3").unwrap_err().contains("unsigned"));
-        assert!(parse("1.5").unwrap_err().contains("integers only"));
+        // Signed, fractional and exponent numbers parse, but not as
+        // anything a metric reader takes for an integer.
+        for text in ["-3", "1.5", "2e9", "-0.25E-3"] {
+            let value = parse(text).unwrap();
+            assert_eq!(value, Value::Dec(text.into()));
+            assert_eq!((value.as_u64(), value.as_u128()), (None, None));
+        }
+        let set = r#"{"counters": {"sent": 1.0}, "histograms": {}}"#;
+        let err = crate::MetricSet::from_json(set).unwrap_err();
+        assert!(err.contains("not a u64"), "{err}");
+        for text in ["-", "1.", ".5", "1e", "1e+", "--1"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
         assert!(parse("{\"a\": 1} junk").unwrap_err().contains("trailing"));
         assert!(parse("{\"a\"").is_err());
         assert!(parse("[1, ]").is_err());
@@ -453,54 +380,6 @@ mod tests {
         let err = expect_schema(&doc, "caa-coverage/v1").unwrap_err();
         assert!(err.contains("caa-coverage/v1"), "{err}");
         assert!(expect_schema(&parse("{}").unwrap(), "x").is_err());
-    }
-
-    #[test]
-    fn merge_cli_parses_folds_and_reports_errors() {
-        let cli = MergeCli::parse(
-            ["a.json", "--out", "m.json", "--triage", "t.md", "b.json"]
-                .iter()
-                .map(|s| (*s).to_owned()),
-            &["--triage"],
-        )
-        .unwrap();
-        assert_eq!(cli.inputs, vec!["a.json", "b.json"]);
-        assert_eq!(cli.out.as_deref(), Some("m.json"));
-        assert_eq!(cli.extra_value("--triage"), Some("t.md"));
-        assert!(MergeCli::parse(["--bogus".to_owned()].into_iter(), &[]).is_err());
-        assert!(MergeCli::parse(["--out".to_owned()].into_iter(), &[]).is_err());
-
-        // fold: reads real files, parses, folds; errors carry the path.
-        let dir = std::env::temp_dir().join(format!("caa-merge-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let (pa, pb) = (dir.join("a.json"), dir.join("b.json"));
-        std::fs::write(&pa, "3").unwrap();
-        std::fs::write(&pb, "4").unwrap();
-        let files = MergeCli {
-            inputs: vec![
-                pa.to_string_lossy().into_owned(),
-                pb.to_string_lossy().into_owned(),
-            ],
-            ..MergeCli::default()
-        };
-        let sum = files
-            .fold(
-                |text| parse(text)?.as_u64().ok_or_else(|| "not a number".into()),
-                |a, b| *a += b,
-            )
-            .unwrap();
-        assert_eq!(sum, 7);
-        let missing = MergeCli {
-            inputs: vec![dir.join("nope.json").to_string_lossy().into_owned()],
-            ..MergeCli::default()
-        };
-        let err = missing.fold(|_| Ok(0u64), |_, _| {}).unwrap_err();
-        assert!(err.contains("nope.json"), "{err}");
-        assert!(MergeCli::default()
-            .fold(|_| Ok(0u64), |_, _| {})
-            .unwrap_err()
-            .contains("no input"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   `metrics.json` interchange format: serialization is canonical
 //!   (sorted labels, integer-only values), which is what makes
 //!   "merge of shards k/n == unsharded run" a *byte* equality, the same
-//!   guarantee `trace_hashes --shard` gives for trace fingerprints.
+//!   guarantee `caa hashes --shard` gives for trace fingerprints.
 //!
 //! # Determinism contract
 //!

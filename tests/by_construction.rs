@@ -1,4 +1,4 @@
-//! Source scans for two things the workspace promises *by construction*
+//! Source scans for three things the workspace promises *by construction*
 //! (CI's `check` job also runs them as a step of their own):
 //!
 //! * the network a `System` runs on, and the runtime that drives it, are
@@ -8,7 +8,10 @@
 //! * `unsafe` is written in `crates/fiber` and nowhere else in library
 //!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
 //!   bench targets are outside the scan: two of them wrap the global
-//!   allocator to count allocations.
+//!   allocator to count allocations;
+//! * the tooling has one front door: one `caa` binary over one argument
+//!   parser, one worker pool, one bench target, two `compat/` shims — and
+//!   every committed `BENCH*.json` parses.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,6 +45,50 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// A source file's code outside its unit tests (its trailing
+/// `#[cfg(test)] mod`).
+fn outside_unit_tests(source: &str) -> &str {
+    source
+        .rfind("\n#[cfg(test)]\n")
+        .map_or(source, |tests| &source[..tests])
+}
+
+/// The files under the `dirs` whose code outside unit tests names `item`,
+/// relative to the workspace root and sorted.
+fn files_naming(item: &str, dirs: &[&str]) -> Vec<String> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut naming: Vec<String> = files
+        .iter()
+        .filter(|file| {
+            let source = fs::read_to_string(file).expect("a readable source file");
+            outside_unit_tests(&source).contains(item)
+        })
+        .map(|file| {
+            let relative = file.strip_prefix(root()).expect("under the root");
+            relative.to_string_lossy().into_owned()
+        })
+        .collect();
+    naming.sort();
+    naming
+}
+
+/// The names in `dir`, sorted.
+fn entries(dir: &str) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(root().join(dir))
+        .map(|entries| {
+            entries
+                .map(|entry| entry.expect("a readable directory entry").file_name())
+                .map(|name| name.to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default();
+    names.sort();
+    names
+}
+
 /// Whether `line` uses the `unsafe` keyword (a block, function, impl,
 /// trait, extern block or attribute) — not `unsafe_code` in a lint
 /// attribute, and not the word in prose.
@@ -61,11 +108,7 @@ fn uses_unsafe(line: &str) -> bool {
 fn the_core_and_the_runtime_name_no_thread_primitive() {
     for file in SINGLE_THREADED {
         let source = fs::read_to_string(root().join(file)).expect(file);
-        // A file's unit tests are its trailing `#[cfg(test)] mod`.
-        let code = source
-            .rfind("\n#[cfg(test)]\n")
-            .map_or(&*source, |tests| &source[..tests]);
-        for (number, line) in code.lines().enumerate() {
+        for (number, line) in outside_unit_tests(&source).lines().enumerate() {
             for item in THREAD_ITEMS {
                 assert!(
                     !line.contains(item),
@@ -124,4 +167,44 @@ fn the_unsafe_scan_sees_what_it_looks_for() {
     }
     let fiber = fs::read_to_string(root().join("crates/fiber/src/lib.rs")).expect("fiber");
     assert!(fiber.lines().any(uses_unsafe), "the fiber crate has some");
+}
+
+#[test]
+fn the_tooling_has_one_front_door() {
+    assert_eq!(entries("crates/bench/src/bin"), ["caa.rs"]);
+    assert_eq!(entries("crates/bench/benches"), ["layers.rs"]);
+    assert_eq!(
+        entries("crates/harness/examples"),
+        [""; 0],
+        "the harness's command line is `caa`, not an example"
+    );
+    assert_eq!(entries("compat"), ["README.md", "parking_lot", "proptest"]);
+    assert_eq!(
+        files_naming("env::args", &["crates"]),
+        ["crates/bench/src/bin/caa.rs"],
+        "one argument parser, fed by one binary"
+    );
+    assert_eq!(
+        files_naming("thread::scope", &["crates/harness/src", "crates/bench/src"]),
+        ["crates/harness/src/sweep.rs"],
+        "one worker pool"
+    );
+}
+
+#[test]
+fn every_committed_bench_document_parses() {
+    let documents: Vec<String> = entries("")
+        .into_iter()
+        .filter(|name| name.starts_with("BENCH") && name.ends_with(".json"))
+        .collect();
+    assert!(
+        documents.len() >= 3 && documents.iter().any(|name| name == "BENCHMARK.json"),
+        "{documents:?}"
+    );
+    for name in documents {
+        let text = fs::read_to_string(root().join(&name)).expect("a readable document");
+        if let Err(e) = caa_telemetry::json::parse(&text) {
+            panic!("{name} does not parse: {e}");
+        }
+    }
 }
