@@ -31,7 +31,10 @@
 //!   per scheduler park, per runtime event recorded and per action
 //!   instance, with the fit's R². The per-unit prices of a harness seed,
 //!   to set against the kernels above (as merged: 0.24 µs a message,
-//!   0.19 a park, 0.10 an event, 1.3 an instance, R² 0.986);
+//!   0.19 a park, 0.10 an event, 1.3 an instance, R² 0.986). Next to its
+//!   µs the row prints what a warmed worker's whole per-seed loop asks the
+//!   allocator for (the plan it generates, and little else) and how
+//!   `execute` splits into build, run and teardown;
 //! * **readers, µs and allocations per trace** — each of the five post-run
 //!   readers over 500 stored default traces, and what it asked the
 //!   allocator for on a warmed thread: nothing, but for the one buffer a
@@ -55,7 +58,7 @@ use caa_harness::metrics::MetricsRecorder;
 use caa_harness::oracle::check_run;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::build_span_tree;
-use caa_harness::sweep::PathCoverage;
+use caa_harness::sweep::{run_seed_in, PathCoverage};
 use caa_harness::trace::{EntryKind, Trace, TraceRecorder};
 use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{Event, EventKind, Observer};
@@ -415,6 +418,33 @@ fn bench_seed_cost_model() {
         );
         timed
     });
+    // The same seeds through a sweep worker's whole loop, warmed by a pass
+    // before the counted one: allocations per seed, and where `execute`'s
+    // time goes (the stage timers the sweep summary prints).
+    let mut arena = ExecutionArena::new();
+    let pass = |arena: &mut ExecutionArena| {
+        for seed in 0..SEEDS_PER_ITER {
+            let result = run_seed_in(seed, &scenario, false, arena);
+            arena.recycle_trace(result.artifacts.trace);
+        }
+    };
+    pass(&mut arena);
+    drop(arena.take_metrics());
+    let before = ALLOCS.get();
+    pass(&mut arena);
+    let allocs = ALLOCS.get() - before;
+    let wall = &arena.metrics().wall_clock;
+    let stage = |name: &str| wall.counter_value(name) as f64;
+    let execute = stage("stage_execute_ns").max(1.0);
+    println!(
+        "layers/harness_execute_default_seed: {:.1} allocations/seed (generate to readers, \
+         {SEEDS_PER_ITER} warmed default seeds); execute = build {:.1} % + run {:.1} % + \
+         teardown {:.1} %",
+        allocs as f64 / SEEDS_PER_ITER as f64,
+        100.0 * stage("stage_execute_build_ns") / execute,
+        100.0 * stage("stage_execute_run_ns") / execute,
+        100.0 * stage("stage_execute_teardown_ns") / execute,
+    );
 }
 
 fn bench_readers() {

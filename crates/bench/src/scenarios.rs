@@ -18,7 +18,7 @@ use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
 use caa_runtime::protocol::ResolutionProtocol;
-use caa_runtime::{ActionDef, System, SystemReport, XrrResolution};
+use caa_runtime::{ActionDef, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 /// Parameters of the §5.2 experiment (Figure 9/10).
@@ -207,6 +207,15 @@ pub fn simultaneous_raise(
     params: SimultaneousRaiseParams,
     protocol: Arc<dyn ResolutionProtocol>,
 ) -> SystemReport {
+    run_simultaneous_raise(params, Some(protocol))
+}
+
+/// [`simultaneous_raise`], under `protocol` or — `None` — the system's
+/// default, the paper's algorithm.
+fn run_simultaneous_raise(
+    params: SimultaneousRaiseParams,
+    protocol: Option<Arc<dyn ResolutionProtocol>>,
+) -> SystemReport {
     let mut action = ActionDef::builder("compare");
     for i in 0..params.n {
         action = action.role(format!("r{i}"), i);
@@ -220,12 +229,14 @@ pub fn simultaneous_raise(
     }
     let action = action.build().expect("comparison action definition");
 
-    let mut sys = System::builder()
+    let mut builder = System::builder()
         .latency(LatencyModel::UniformUpTo(secs(params.t_mmax)))
         .seed(params.seed)
-        .resolution_delay(secs(params.t_res))
-        .protocol(protocol)
-        .build();
+        .resolution_delay(secs(params.t_res));
+    if let Some(protocol) = protocol {
+        builder = builder.protocol(protocol);
+    }
+    let mut sys = builder.build();
     for i in 0..params.n {
         let a = action.clone();
         sys.spawn(format!("T{i}"), move |ctx| {
@@ -239,10 +250,12 @@ pub fn simultaneous_raise(
     sys.run()
 }
 
-/// Convenience: the §5.3 scenario under the paper's own algorithm.
+/// Convenience: the §5.3 scenario under the paper's own algorithm — the
+/// one a system runs when it is given none, which is also the one whose
+/// resolver states a thread's run pool keeps from run to run.
 #[must_use]
 pub fn simultaneous_raise_xrr(params: SimultaneousRaiseParams) -> SystemReport {
-    simultaneous_raise(params, Arc::new(XrrResolution))
+    run_simultaneous_raise(params, None)
 }
 
 /// Total messages attributable to the resolution algorithm in a report.

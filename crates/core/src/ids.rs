@@ -116,7 +116,7 @@ numeric_id!(
 /// assert!(inner.depth() > outer.depth());
 /// assert_ne!(inner, outer);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActionId {
     serial: u64,
     depth: u32,

@@ -51,14 +51,75 @@ impl fmt::Display for SignalRound {
 /// The coordination protocols never inspect application payloads; they only
 /// count them (the paper's complexity results exclude application traffic).
 /// Payloads are `Any + Send` because the whole system runs in one process;
-/// a wire format would replace this with serialized bytes.
-pub struct AppPayload(Box<dyn Any + Send>);
+/// a wire format would replace this with serialized bytes. A payload of one
+/// of the common scalar types (a counter, an index, a flag) is held inline;
+/// any other value is boxed.
+pub struct AppPayload(Repr);
+
+/// Declares [`Repr`]: one inline variant per listed scalar type, and the
+/// box for everything else.
+macro_rules! payload_repr {
+    ($($variant:ident($scalar:ty)),* $(,)?) => {
+        enum Repr {
+            $($variant($scalar),)*
+            Boxed(Box<dyn Any + Send>),
+        }
+
+        impl Repr {
+            fn new<T: Any + Send>(value: T) -> Repr {
+                // `Option<T>` behind `dyn Any` is how a generic value is
+                // moved out as the concrete type it turns out to be.
+                let mut value = Some(value);
+                $(
+                    let slot: &mut dyn Any = &mut value;
+                    if let Some(scalar) = slot.downcast_mut::<Option<$scalar>>() {
+                        return Repr::$variant(scalar.take().expect("wrapped above"));
+                    }
+                )*
+                Repr::Boxed(Box::new(value.take().expect("no scalar type took it")))
+            }
+
+            fn as_any(&self) -> &dyn Any {
+                match self {
+                    $(Repr::$variant(scalar) => scalar,)*
+                    Repr::Boxed(boxed) => &**boxed,
+                }
+            }
+
+            fn downcast<T: Any + Send>(self) -> Result<T, Repr> {
+                match self {
+                    $(Repr::$variant(scalar) => {
+                        let mut scalar = Some(scalar);
+                        let slot: &mut dyn Any = &mut scalar;
+                        match slot.downcast_mut::<Option<T>>() {
+                            Some(value) => Ok(value.take().expect("wrapped above")),
+                            None => Err(Repr::$variant(scalar.expect("not taken"))),
+                        }
+                    })*
+                    Repr::Boxed(boxed) => boxed.downcast::<T>().map(|b| *b).map_err(Repr::Boxed),
+                }
+            }
+        }
+    };
+}
+
+payload_repr!(
+    U8(u8),
+    U16(u16),
+    U32(u32),
+    U64(u64),
+    Usize(usize),
+    I32(i32),
+    I64(i64),
+    Bool(bool),
+    F64(f64),
+);
 
 impl AppPayload {
     /// Wraps a value as an application payload.
     #[must_use]
     pub fn new<T: Any + Send>(value: T) -> Self {
-        AppPayload(Box::new(value))
+        AppPayload(Repr::new(value))
     }
 
     /// Recovers the payload by type, or returns `self` unchanged.
@@ -68,16 +129,13 @@ impl AppPayload {
     /// Returns `Err(self)` when the payload is not a `T`, so the caller can
     /// try another type.
     pub fn downcast<T: Any + Send>(self) -> Result<T, AppPayload> {
-        match self.0.downcast::<T>() {
-            Ok(boxed) => Ok(*boxed),
-            Err(original) => Err(AppPayload(original)),
-        }
+        self.0.downcast().map_err(AppPayload)
     }
 
     /// Borrows the payload by type, if it is a `T`.
     #[must_use]
     pub fn downcast_ref<T: Any + Send>(&self) -> Option<&T> {
-        self.0.downcast_ref::<T>()
+        self.0.as_any().downcast_ref::<T>()
     }
 }
 
@@ -510,6 +568,26 @@ mod tests {
         assert!(p.downcast_ref::<String>().is_some());
         let p = p.downcast::<u32>().unwrap_err();
         assert_eq!(p.downcast::<String>().unwrap(), "blank#3");
+    }
+
+    #[test]
+    fn a_scalar_payload_answers_like_a_boxed_one() {
+        // Held inline, told apart by type exactly as a box would be.
+        let p = AppPayload::new(7u64);
+        assert_eq!(p.downcast_ref::<u64>(), Some(&7));
+        assert!(p.downcast_ref::<u32>().is_none());
+        let p = p.downcast::<i64>().unwrap_err();
+        let p = p.downcast::<usize>().unwrap_err();
+        assert_eq!(p.downcast::<u64>().unwrap(), 7);
+        assert!(AppPayload::new(true).downcast::<bool>().unwrap());
+        assert_eq!(AppPayload::new(2.5f64).downcast::<f64>().unwrap(), 2.5);
+        assert_eq!(AppPayload::new(3u8).downcast::<u8>().unwrap(), 3);
+        // Not a listed scalar: boxed, same contract.
+        assert_eq!(AppPayload::new(9i8).downcast::<i8>().unwrap(), 9);
+        assert_eq!(
+            AppPayload::new((1u64, 2u64)).downcast_ref::<(u64, u64)>(),
+            Some(&(1, 2))
+        );
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! set include every raised exception?". Precomputing each node's descendant
 //! set as a bitset turns that into a handful of word operations.
 
-/// Fixed-capacity bitset over node indices.
+use caa_core::inline::InlineVec;
+
+/// Fixed-capacity bitset over node indices: the words of a graph of up to
+/// 128 nodes are inline, so the target set of a resolution is made on the
+/// stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BitSet {
-    words: Vec<u64>,
+    words: InlineVec<u64, 2>,
     capacity: usize,
 }
 
@@ -15,7 +19,7 @@ impl BitSet {
     /// Creates an empty bitset able to hold `capacity` bits.
     pub(crate) fn new(capacity: usize) -> Self {
         BitSet {
-            words: vec![0; capacity.div_ceil(64)],
+            words: std::iter::repeat_n(0, capacity.div_ceil(64)).collect(),
             capacity,
         }
     }

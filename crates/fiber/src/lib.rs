@@ -22,7 +22,9 @@
 //!   resumer as the payload, exactly like joining a panicked thread;
 //! * the [`Stack`] outlives the fiber and is handed back by
 //!   [`Fiber::into_stack`] for the next one, so steady-state code maps
-//!   none.
+//!   none — and allocates none: what a fiber shares with its resumer (the
+//!   body until it starts, the result once it ends) lives at the top of
+//!   the stack itself, above the body's frames.
 //!
 //! # Why this crate may use `unsafe`
 //!
@@ -31,8 +33,8 @@
 //! guarded stack without the `libc` crate), so that one capability lives
 //! here, behind a safe API, and nowhere else: two naked assembly routines
 //! per supported architecture (`arch.rs`), three C-library calls
-//! (`stack.rs`), and the raw-pointer cell a fiber shares with its resumer
-//! (this file). Every `unsafe` block states why its requirements hold
+//! (`stack.rs`), and the raw-pointer cell a fiber shares with its resumer,
+//! placed in the stack's own memory (this file). Every `unsafe` block states why its requirements hold
 //! (`clippy::undocumented_unsafe_blocks` is denied), and CI runs this
 //! crate's tests on both x86-64 and AArch64.
 //!
@@ -127,22 +129,38 @@ pub fn suspend() {
     unsafe { arch::switch(slot, *slot) };
 }
 
-/// The cell a fiber shares with its resumer. Both sides reach it through
-/// the raw pointer only (never through a long-lived reference), one at a
-/// time: the resumer while the fiber is suspended, the fiber while the
-/// resumer is blocked in [`Fiber::resume`].
+/// The head of the cell a fiber shares with its resumer. Both sides reach
+/// it through the raw pointer only (never through a long-lived reference),
+/// one at a time: the resumer while the fiber is suspended, the fiber while
+/// the resumer is blocked in [`Fiber::resume`].
+#[repr(C)]
 struct Inner<T> {
     /// The stack pointer of whichever side is *not* running.
     sp: *mut u8,
-    body: Option<Box<dyn FnOnce() -> T>>,
     /// Set by the entry function just before its final switch.
     result: Option<std::thread::Result<T>>,
+}
+
+/// The whole cell: the head, then the body until the fiber starts.
+/// `repr(C)` puts the head first, so a pointer to a cell is a pointer to
+/// its head whatever `F` is — which is how [`Fiber<T>`] does without
+/// naming it. The cell lives at the top of the fiber's stack, above the
+/// entry frame: made by [`Fiber::new`], dropped in place before the stack
+/// is handed on ([`Fiber::release`]).
+#[repr(C)]
+struct Shared<F, T> {
+    inner: Inner<T>,
+    body: Option<F>,
 }
 
 /// A blocking closure on a stack of its own. See the [crate docs](crate).
 pub struct Fiber<T> {
     inner: NonNull<Inner<T>>,
-    /// `Some` until [`Fiber::into_stack`] (or a leaking drop) takes it.
+    /// Drops the cell `inner` heads, in place, as the `Shared<F, T>` it
+    /// was made as.
+    drop_shared: unsafe fn(NonNull<Inner<T>>),
+    /// `Some` until [`Fiber::into_stack`] (or a leaking drop) takes it;
+    /// while it is, the cell is live.
     stack: Option<Stack>,
     state: State,
 }
@@ -159,32 +177,46 @@ enum State {
 
 impl<T> Fiber<T> {
     /// Prepares `body` to run on `stack`. Nothing runs until the first
-    /// [`Fiber::resume`].
+    /// [`Fiber::resume`], and nothing is allocated: `body` is moved to the
+    /// top of `stack`, and its frames start below it.
     ///
     /// `body` must be `'static` (it runs on another stack and may be
     /// resumed after the creating frame is gone) but need not be `Send`:
     /// a fiber never leaves its thread.
+    ///
+    /// # Panics
+    ///
+    /// If `body` (what it captures) takes more than half of `stack`.
     #[must_use]
-    pub fn new(stack: Stack, body: impl FnOnce() -> T + 'static) -> Fiber<T> {
-        Fiber::from_boxed(stack, Box::new(body))
-    }
-
-    /// [`Fiber::new`] for a body that is already boxed — a host that keeps
-    /// its participants' bodies as trait objects hands them over as they
-    /// are, where `new` would box the box.
-    #[must_use]
-    pub fn from_boxed(stack: Stack, body: Box<dyn FnOnce() -> T>) -> Fiber<T> {
-        let inner = Box::into_raw(Box::new(Inner {
-            sp: ptr::null_mut(),
-            body: Some(body),
-            result: None,
-        }));
-        // SAFETY: `stack.top()` is the 16-byte aligned end of a mapping
-        // with at least 64 KiB usable, owned by this fiber from here on;
-        // `inner` was just allocated and is valid for the write.
-        unsafe { (*inner).sp = arch::prepare(stack.top(), entry::<T>, inner.cast()) };
+    pub fn new<F: FnOnce() -> T + 'static>(stack: Stack, body: F) -> Fiber<T> {
+        // A page-aligned top less a multiple of the alignment is aligned
+        // for the cell, and — a multiple of 16 — for the entry frame.
+        let align = std::mem::align_of::<Shared<F, T>>().max(16);
+        let room = std::mem::size_of::<Shared<F, T>>().next_multiple_of(align);
+        assert!(
+            align <= 4096 && room <= stack.usable_bytes() / 2,
+            "a fiber body of {room} bytes (alignment {align}) does not fit its stack"
+        );
+        // SAFETY: `room` bytes below `stack.top()` are inside the usable
+        // part of a mapping this fiber owns from here on, aligned as
+        // computed above and used by nothing else, so the cell may be
+        // written there; below it, `prepare` finds the (far more than 256)
+        // writable bytes it needs under a 16-byte aligned top.
+        let inner = unsafe {
+            let shared = stack.top().sub(room).cast::<Shared<F, T>>();
+            shared.write(Shared {
+                inner: Inner {
+                    sp: ptr::null_mut(),
+                    result: None,
+                },
+                body: Some(body),
+            });
+            (*shared).inner.sp = arch::prepare(shared.cast(), entry::<F, T>, shared.cast());
+            NonNull::new_unchecked(shared.cast::<Inner<T>>())
+        };
         Fiber {
-            inner: NonNull::new(inner).expect("Box::into_raw is never null"),
+            inner,
+            drop_shared: drop_shared::<F, T>,
             stack: Some(stack),
             state: State::Fresh,
         }
@@ -209,7 +241,8 @@ impl<T> Fiber<T> {
             "Fiber::resume() called on a finished fiber"
         );
         let inner = self.inner.as_ptr();
-        // SAFETY: `inner` is the live allocation made in `new`.
+        // SAFETY: an unfinished fiber still holds its stack, so `inner` is
+        // the live cell written in `new`.
         let slot = unsafe { &raw mut (*inner).sp };
         CURRENT.set(slot);
         self.state = State::Suspended;
@@ -240,24 +273,34 @@ impl<T> Fiber<T> {
             self.state != State::Suspended,
             "Fiber::into_stack() on a fiber suspended inside its body"
         );
-        self.stack.take().expect("the stack leaves only here")
+        self.release().expect("the stack leaves only here")
+    }
+
+    /// Drops the cell (an unrun body, an untaken result) and gives up the
+    /// stack it lived in. `None` when that has happened already.
+    fn release(&mut self) -> Option<Stack> {
+        let stack = self.stack.take()?;
+        // SAFETY: `stack` was still here, so the cell written in `new` is
+        // live, its memory mapped, and this is the one time it is dropped;
+        // the callers rule out a suspended body, so no fiber frame that
+        // knows the cell is alive (the fiber never ran, or ran to its
+        // final switch).
+        unsafe { (self.drop_shared)(self.inner) };
+        Some(stack)
     }
 }
 
 impl<T> Drop for Fiber<T> {
     fn drop(&mut self) {
         if self.state == State::Suspended {
-            // The body's frames hold live values, and the entry frame
-            // holds a pointer to `inner`: freeing either would leave them
-            // dangling if anything the body shared is still reachable.
-            // Dropping a half-run fiber is a leak, like `mem::forget`.
+            // The body's frames hold live values, and the cell above them
+            // whatever the body shared: unmapping the stack would leave
+            // anything still reachable from them dangling. Dropping a
+            // half-run fiber is a leak, like `mem::forget`.
             std::mem::forget(self.stack.take());
             return;
         }
-        // SAFETY: `inner` came from `Box::into_raw` in `new`, is freed
-        // only here, and no fiber frame that knows it is alive (the fiber
-        // never ran, or ran to its final switch).
-        drop(unsafe { Box::from_raw(self.inner.as_ptr()) });
+        drop(self.release());
     }
 }
 
@@ -269,23 +312,36 @@ impl<T> fmt::Debug for Fiber<T> {
     }
 }
 
+/// Drops, in place, the `Shared<F, T>` that `inner` heads.
+///
+/// # Safety
+///
+/// `inner` must point at the head of a live `Shared<F, T>` of exactly
+/// these `F` and `T` that nothing else is using, and the cell must not be
+/// used afterwards.
+unsafe fn drop_shared<F, T>(inner: NonNull<Inner<T>>) {
+    // SAFETY: the caller's contract; `repr(C)` makes the head's address
+    // the cell's.
+    unsafe { ptr::drop_in_place(inner.as_ptr().cast::<Shared<F, T>>()) };
+}
+
 /// Where a fiber's first resume lands (through the trampoline): runs the
 /// body, publishes its outcome and switches away for the last time.
-unsafe extern "C" fn entry<T>(inner: *mut u8) -> ! {
-    let inner = inner.cast::<Inner<T>>();
-    // SAFETY: `inner` is the pointer `Fiber::new` passed to `prepare`; the
+unsafe extern "C" fn entry<F: FnOnce() -> T, T>(shared: *mut u8) -> ! {
+    let shared = shared.cast::<Shared<F, T>>();
+    // SAFETY: `shared` is the pointer `Fiber::new` passed to `prepare`; the
     // resumer is blocked in `resume` and does not touch it while we run.
-    let body = unsafe { (*inner).body.take() }.expect("a fiber is entered once");
+    let body = unsafe { (*shared).body.take() }.expect("a fiber is entered once");
     // The closure is consumed here and its captures are not observed after
     // a panic, which is all `AssertUnwindSafe` waives. Catching matters
     // for soundness, not just reporting: there is no frame to unwind into
     // above this one.
     let result: Result<T, Box<dyn Any + Send>> = catch_unwind(AssertUnwindSafe(body));
-    // SAFETY: as above for `inner`; `sp` holds the resumer's stack pointer
+    // SAFETY: as above for `shared`; `sp` holds the resumer's stack pointer
     // from the `resume` that is waiting for us.
     unsafe {
-        (*inner).result = Some(result);
-        let slot = &raw mut (*inner).sp;
+        (*shared).inner.result = Some(result);
+        let slot = &raw mut (*shared).inner.sp;
         arch::switch(slot, *slot);
     }
     unreachable!("a finished fiber was resumed")
@@ -397,6 +453,61 @@ mod tests {
         let fiber = Fiber::new(Stack::new(TEST_STACK), move || drop(held));
         let _stack = fiber.into_stack();
         assert_eq!(Rc::strong_count(&token), 1, "the unrun body was dropped");
+    }
+
+    #[test]
+    fn a_body_lives_on_its_stack_whatever_its_size_and_alignment() {
+        #[repr(align(256))]
+        struct Aligned([u8; 256]);
+        let stack = Stack::new(TEST_STACK);
+        let (low, high) = (stack.top() as usize - TEST_STACK, stack.top() as usize);
+        let big = [7u8; 20_000];
+        let aligned = Aligned([3; 256]);
+        let mut fiber = Fiber::new(stack, move || {
+            // Where the captures are is where the body was put.
+            let (at, aligned_at) = (big.as_ptr() as usize, &raw const aligned as usize);
+            suspend();
+            let sum = big.iter().map(|&b| u64::from(b)).sum::<u64>();
+            (at, aligned_at, sum + u64::from(aligned.0[255]))
+        });
+        assert!(fiber.resume().is_none());
+        let (at, aligned_at, sum) = fiber.resume().expect("finished").unwrap();
+        assert!((low..high).contains(&at), "the body is not on its stack");
+        assert_eq!(aligned_at % 256, 0, "an over-aligned capture is misplaced");
+        assert_eq!(sum, 7 * 20_000 + 3);
+        // The stack is as reusable as after any other body.
+        let mut next = Fiber::new(fiber.into_stack(), || 1);
+        assert_eq!(next.resume().unwrap().unwrap(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit its stack")]
+    fn a_body_that_takes_most_of_the_stack_is_refused() {
+        let huge = [0u8; 200 * 1024];
+        let _ = Fiber::new(Stack::new(TEST_STACK), move || huge.len());
+    }
+
+    #[test]
+    fn a_result_nobody_took_is_dropped_with_the_fiber() {
+        // The body's value waits in the cell on the stack: dropping the
+        // fiber (or taking its stack) must drop it, exactly once.
+        let token = Rc::new(());
+        let held = Rc::clone(&token);
+        let mut fiber = Fiber::new(Stack::new(TEST_STACK), move || held);
+        let taken = fiber.resume().expect("finished").unwrap();
+        assert_eq!(Rc::strong_count(&token), 2);
+        drop(taken);
+        drop(fiber);
+        assert_eq!(Rc::strong_count(&token), 1);
+        let held = Rc::clone(&token);
+        let panicking: Fiber<()> = Fiber::new(Stack::new(TEST_STACK), move || {
+            let _held = held;
+            panic!("the payload stays in the cell");
+        });
+        let mut panicking = panicking;
+        let _untaken = panicking.resume();
+        let _stack = panicking.into_stack();
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl Stack {
     }
 
     /// Usable bytes above the guard region.
-    fn usable_bytes(&self) -> usize {
+    pub(crate) fn usable_bytes(&self) -> usize {
         self.len - GUARD_BYTES
     }
 }

@@ -17,31 +17,51 @@
 //!   [`TraceRecorder`] records every seed executed through the arena, and
 //!   traces handed back by [`ExecutionArena::recycle_trace`] once they
 //!   have been checked lend their buffers (entries and index) to the next
-//!   seed's trace — once both have grown to the worker's longest trace,
-//!   recording and hand-off allocate nothing. A trace that is *not* handed
+//!   seed's trace — a finished trace *leaves in* the buffer it was
+//!   recorded in, and the recorder goes on in the recycled one — so once
+//!   the buffers have grown to the worker's longest trace, recording and
+//!   hand-off allocate and copy nothing. A trace that is *not* handed
 //!   back costs three allocations of exactly its entries', member lists'
 //!   and instance table's lengths;
 //! * **interned names**: role and thread names as `Arc<str>`, which
 //!   definitions, endpoints and events clone by reference;
-//! * the **shape cache**: an action's conjunction lattice and the
-//!   exception ids its members raise and signal are pure functions of its
-//!   name and group, and scenario generation draws those from a small
-//!   space — the cache turns per-seed lattice construction and per-use
-//!   name formatting into a lookup.
+//! * the **shape and definition cache**: an action's conjunction lattice
+//!   and the exception ids its members raise and signal are pure functions
+//!   of its name and group, and so is its whole [`ActionDef`] once the
+//!   timeouts and the members with a planned verdict are given — and
+//!   scenario generation draws all of those from a small space. The cache
+//!   turns per-seed lattice and definition construction and per-use name
+//!   formatting into a lookup that formats and hashes no string: a cached
+//!   definition is *reissued* ([`ActionDef::reissued`]: the same roles,
+//!   graph and handlers under a definition id of its own), which is all
+//!   that building it again would have changed;
+//! * the **handler pair**: what differs between the handlers of two roles,
+//!   actions or seeds is data — a verdict, an exception to return — that
+//!   the running plan holds, so one fallback handler and one abortion
+//!   handler, made with the arena, serve every definition it ever builds
+//!   (they look their data up in the plan the calling thread is running);
+//! * the **compiled plan**: the flat tables a plan is compiled into
+//!   (actions in preorder, each phase's object operations sorted by
+//!   offset), the shared objects and the role list are *refilled* by each
+//!   execution, not rebuilt: a table is cleared and keeps its buffer, an
+//!   object is reset to its initial state, the role list only grows.
 //!
 //! Arenas are a pure allocation cache: executing a plan through an arena
 //! renders the byte-identical trace a fresh execution renders (the
 //! allocation-regression test and the 12k-seed hash gate both pin this).
 //! An arena is single-threaded state — each sweep worker owns one.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::hash::Hasher as _;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use caa_core::exception::ExceptionId;
 use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::ExceptionGraph;
+use caa_runtime::ActionDef;
 
+use crate::exec::{CompiledPlan, DefKey, Handlers};
+use crate::inthash::{IntHasher, IntMap};
 use crate::metrics::{MetricsRecorder, SweepMetrics};
 use crate::plan::ActionPlan;
 use crate::trace::{Trace, TraceRecorder};
@@ -53,21 +73,55 @@ const MAX_TRACE_BUFS: usize = 2;
 
 /// What compiling and running an action takes from its name and group
 /// alone: the resolution lattice and the interned ids of every exception
-/// its members can raise or signal. Cloning shares all of it.
-#[derive(Clone)]
+/// its members can raise or signal. Shared (`Rc`) between the cache and the
+/// compiled plans that use it.
 pub(crate) struct ActionShape {
     /// The action's name, interned for its definition and `Enter` events.
     pub(crate) name: Arc<str>,
+    /// The group the ids below are parallel to.
+    group: Box<[u32]>,
     /// The conjunction lattice over `raises`.
     pub(crate) graph: Arc<ExceptionGraph>,
     /// Parallel to the group: what each member raises
     /// ([`ActionPlan::raise_exception`]).
-    pub(crate) raises: Arc<[ExceptionId]>,
+    pub(crate) raises: Box<[ExceptionId]>,
     /// Parallel to the group: each member's abortion-handler exception
     /// ([`ActionPlan::eab_exception`]).
-    pub(crate) eabs: Arc<[ExceptionId]>,
+    pub(crate) eabs: Box<[ExceptionId]>,
     /// What a `Signal` verdict reports ([`ActionPlan::signal_exception`]).
     pub(crate) signal: ExceptionId,
+}
+
+impl ActionShape {
+    fn of(plan: &ActionPlan) -> ActionShape {
+        let ids = |name: &dyn Fn(u32) -> String| -> Box<[ExceptionId]> {
+            plan.group.iter().map(|&t| name(t).into()).collect()
+        };
+        let raises = ids(&|t| plan.raise_exception(t));
+        ActionShape {
+            name: plan.name.as_str().into(),
+            group: plan.group.as_slice().into(),
+            graph: Arc::new(
+                conjunction_lattice(&raises, 2.min(raises.len()))
+                    .expect("per-action raise exceptions are nonempty and distinct"),
+            ),
+            raises,
+            eabs: ids(&|t| plan.eab_exception(t)),
+            signal: plan.signal_exception().into(),
+        }
+    }
+}
+
+/// One entry of the shape cache: the shape, and the definitions built over
+/// it so far.
+struct CachedShape {
+    shape: Rc<ActionShape>,
+    /// Each with what it was built from (a shape meets a handful of keys:
+    /// the timeouts scale with the plan's depth). An action is compiled to
+    /// a reissue of its definition ([`ActionDef::reissued`]), so every
+    /// action of every execution numbers its instances under an id of its
+    /// own, exactly as when each was built from scratch.
+    defs: Vec<(DefKey, ActionDef)>,
 }
 
 /// Reusable execution state for one sweep worker (see the module docs).
@@ -84,9 +138,9 @@ pub(crate) struct ActionShape {
 /// let first = execute_in(&plan, &mut arena);
 /// let first_render = first.trace.render();
 /// arena.recycle_trace(first.trace);
-/// // The second execution reuses the trace and graph allocations (and,
-/// // through the runtime's per-thread pool, the network's) — and renders
-/// // the byte-identical trace.
+/// // The second execution reuses the trace, graph and definition
+/// // allocations (and, through the runtime's per-thread pool, the
+/// // network's) — and renders the byte-identical trace.
 /// let second = execute_in(&plan, &mut arena);
 /// assert_eq!(second.trace.render(), first_render);
 /// ```
@@ -96,17 +150,20 @@ pub struct ExecutionArena {
     /// empty between executions.
     recorder: Arc<TraceRecorder>,
     trace_bufs: Vec<Trace>,
-    /// Action shapes keyed by `(action name, group)` — the inputs that
-    /// determine an action's declared exceptions.
-    shapes: HashMap<String, ActionShape>,
-    /// Reusable key buffer for shape lookups.
-    shape_key: String,
+    /// Action shapes by the hash of `(action name, group)` — the inputs
+    /// that determine an action's declared exceptions. A bucket holds the
+    /// shapes that share a hash: one, bar a collision.
+    shapes: IntMap<u64, Vec<CachedShape>>,
     /// Interned role (`r<t>`) and thread (`T<t>`) names by thread id. Per
     /// worker on purpose: definitions, endpoints and every `Enter` event
     /// clone these, and names shared between workers would have them all
     /// contend for the same reference counts.
     role_names: Vec<Arc<str>>,
     thread_names: Vec<Arc<str>>,
+    /// The one handler pair every definition of this arena registers.
+    handlers: Handlers,
+    /// The last execution's compiled plan, for the next one to refill.
+    compiled: Option<Rc<CompiledPlan>>,
     /// Per-worker metrics recorder: pre-registered histogram handles plus
     /// reusable correlation scratch, so per-seed metric extraction is
     /// allocation-free in steady state (see [`crate::metrics`]).
@@ -152,34 +209,73 @@ impl ExecutionArena {
         self.recorder.take_trace_into(recycled)
     }
 
-    /// The shape of `plan` — its lattice and exception ids — cached across
-    /// seeds (a pure function of the action's name and group; everything
-    /// else about the plan is ignored).
-    pub(crate) fn shape_for(&mut self, plan: &ActionPlan) -> ActionShape {
-        self.shape_key.clear();
-        self.shape_key.push_str(&plan.name);
+    /// The compiled plan to refill for the next execution: the last one's
+    /// tables, unless something still shares them (a participant that never
+    /// finished).
+    pub(crate) fn take_compiled(&mut self) -> Rc<CompiledPlan> {
+        self.compiled
+            .take()
+            .filter(|compiled| Rc::strong_count(compiled) == 1)
+            .unwrap_or_default()
+    }
+
+    /// Hands the compiled plan back once its execution is over.
+    pub(crate) fn put_compiled(&mut self, compiled: Rc<CompiledPlan>) {
+        self.compiled = Some(compiled);
+    }
+
+    /// The cache entry of `plan`'s shape (a pure function of the action's
+    /// name and group; everything else about the plan is ignored). Found
+    /// without formatting or hashing a string: by a hash of the name's
+    /// bytes and the group, verified against both on a hit.
+    fn cached_shape(&mut self, plan: &ActionPlan) -> &mut CachedShape {
+        let mut hasher = IntHasher::default();
+        hasher.write(plan.name.as_bytes());
         for &t in &plan.group {
-            let _ = write!(self.shape_key, ",{t}");
+            // Offset, so that a member is told from a byte of the name.
+            hasher.write_u64(u64::from(t) + 256);
         }
-        if let Some(shape) = self.shapes.get(&self.shape_key) {
-            return shape.clone();
+        let bucket = self.shapes.entry(hasher.finish()).or_default();
+        let known = bucket
+            .iter()
+            .position(|c| *c.shape.name == *plan.name && *c.shape.group == *plan.group);
+        let at = known.unwrap_or_else(|| {
+            bucket.push(CachedShape {
+                shape: Rc::new(ActionShape::of(plan)),
+                defs: Vec::new(),
+            });
+            bucket.len() - 1
+        });
+        &mut bucket[at]
+    }
+
+    /// `plan`'s shape and, when one was built from `key` for the shape,
+    /// that definition reissued.
+    pub(crate) fn definition(
+        &mut self,
+        plan: &ActionPlan,
+        key: &DefKey,
+    ) -> (Rc<ActionShape>, Option<ActionDef>) {
+        let cached = self.cached_shape(plan);
+        let built = cached.defs.iter().find(|(built_from, _)| built_from == key);
+        let def = built.map(|(_, def)| def.reissued());
+        (Rc::clone(&cached.shape), def)
+    }
+
+    /// Keeps `def`, just built from `key` for `plan`'s shape, for later
+    /// compilations.
+    pub(crate) fn keep_definition(&mut self, plan: &ActionPlan, key: DefKey, def: &ActionDef) {
+        let defs = &mut self.cached_shape(plan).defs;
+        if defs.is_empty() {
+            // Most shapes only ever meet one key.
+            defs.reserve_exact(1);
         }
-        let ids = |name: &dyn Fn(u32) -> String| -> Arc<[ExceptionId]> {
-            plan.group.iter().map(|&t| name(t).into()).collect()
-        };
-        let raises = ids(&|t| plan.raise_exception(t));
-        let shape = ActionShape {
-            name: plan.name.as_str().into(),
-            graph: Arc::new(
-                conjunction_lattice(&raises, 2.min(raises.len()))
-                    .expect("per-action raise exceptions are nonempty and distinct"),
-            ),
-            raises,
-            eabs: ids(&|t| plan.eab_exception(t)),
-            signal: plan.signal_exception().into(),
-        };
-        self.shapes.insert(self.shape_key.clone(), shape.clone());
-        shape
+        defs.push((key, def.clone()));
+    }
+
+    /// The one handler pair this arena's definitions register.
+    pub(crate) fn handlers(&self) -> &Handlers {
+        &self.handlers
     }
 
     /// The interned name of the role thread `thread` plays (`r<thread>`).
@@ -224,6 +320,11 @@ fn interned(names: &mut Vec<Arc<str>>, prefix: char, thread: u32) -> Arc<str> {
 mod tests {
     use super::*;
 
+    /// The shape of `plan` — its lattice and exception ids — as cached.
+    fn shape_for(arena: &mut ExecutionArena, plan: &ActionPlan) -> Rc<ActionShape> {
+        Rc::clone(&arena.cached_shape(plan).shape)
+    }
+
     fn action(name: &str, group: &[u32]) -> ActionPlan {
         ActionPlan {
             name: name.to_owned(),
@@ -239,23 +340,26 @@ mod tests {
     #[test]
     fn graph_cache_hits_on_same_key() {
         let mut arena = ExecutionArena::new();
-        let s1 = arena.shape_for(&action("a0", &[0, 1]));
-        let s2 = arena.shape_for(&action("a0", &[0, 1]));
+        let s1 = shape_for(&mut arena, &action("a0", &[0, 1]));
+        let s2 = shape_for(&mut arena, &action("a0", &[0, 1]));
         assert!(
-            Arc::ptr_eq(&s1.graph, &s2.graph) && Arc::ptr_eq(&s1.raises, &s2.raises),
+            Rc::ptr_eq(&s1, &s2),
             "same key must share one lattice and one set of ids"
         );
-        let s3 = arena.shape_for(&action("a0", &[0, 2]));
+        let s3 = shape_for(&mut arena, &action("a0", &[0, 2]));
         assert!(
             !Arc::ptr_eq(&s1.graph, &s3.graph),
             "different groups, different graphs"
         );
+        // Same members under another name: another shape.
+        let s4 = shape_for(&mut arena, &action("a1", &[0, 1]));
+        assert!(!Rc::ptr_eq(&s1, &s4) && &*s4.name == "a1");
     }
 
     #[test]
     fn a_shape_names_its_exceptions_as_the_plan_does() {
         let plan = action("a1.0", &[2, 5]);
-        let shape = ExecutionArena::new().shape_for(&plan);
+        let shape = shape_for(&mut ExecutionArena::new(), &plan);
         for (at, &t) in plan.group.iter().enumerate() {
             assert_eq!(shape.raises[at].name(), plan.raise_exception(t));
             assert_eq!(shape.eabs[at].name(), plan.eab_exception(t));

@@ -9,10 +9,12 @@
 //! crash-stop participant dies at its plan-determined virtual instant — so
 //! the same plan renders a byte-identical [`Trace`] on every run.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use caa_core::exception::{Exception, ExceptionId};
+use caa_core::exception::Exception;
 use caa_core::inline::InlineVec;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
@@ -20,7 +22,7 @@ use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::{ActionDef, Ctx, SharedObject, Step, System, SystemReport};
 use caa_simnet::LatencyModel;
 
-use crate::arena::ExecutionArena;
+use crate::arena::{ActionShape, ExecutionArena};
 use crate::plan::{ActionPlan, ObjectOp, Phase, ScenarioPlan, VerdictChoice};
 use crate::trace::Trace;
 
@@ -35,23 +37,30 @@ pub struct RunArtifacts {
     pub report: SystemReport,
 }
 
-/// One action of the plan, compiled: its definition, and the compiled
-/// children of each of its phases. Everything else — durations, sends,
-/// listeners, object operations, the raise phase — is read from the
+/// One action of the plan, compiled: its definition, and what its handlers
+/// look up by the thread they find themselves running on. Everything else
+/// — durations, sends, listeners, the raise phase — is read from the
 /// action's [`ActionPlan`], which the run holds (see [`CompiledPlan`]) and
-/// the bodies walk side by side with this tree.
+/// the bodies walk side by side with these nodes.
 struct ExecNode {
     def: ActionDef,
-    /// Parallel to [`ActionPlan::group`]: the exception each member raises
-    /// (shared with the arena's cached shape of the action).
-    raises: Arc<[ExceptionId]>,
-    /// Parallel to [`ActionPlan::phases`]: a nested phase's children in
-    /// plan order, nothing for a compute phase.
-    children: Vec<Vec<ExecNode>>,
+    /// The arena's cached shape of the action: the exceptions its members
+    /// raise and signal.
+    shape: Rc<ActionShape>,
+    /// The handler verdict planned for each member that has one.
+    verdicts: PerMember<Option<VerdictChoice>>,
+    /// The members whose abortion handler raises, with their row of the
+    /// shape's `Eab` ids.
+    eab_rows: PerMember<usize>,
+    /// How many nodes the action's subtree takes in
+    /// [`CompiledPlan::nodes`], itself included.
+    subtree: u32,
+    /// Where the action's phases start in [`CompiledPlan::phase_ops`].
+    first_phase: u32,
 }
 
-/// A per-member table a handler closure carries: `(thread, value)` rows,
-/// inline for the group sizes the generator emits.
+/// A per-member table: `(thread, value)` rows, inline for the group sizes
+/// the generator emits.
 type PerMember<T> = InlineVec<(u32, T), 8>;
 
 fn of_member<T: Copy + Default>(table: &PerMember<T>, thread: u32) -> Option<T> {
@@ -60,15 +69,43 @@ fn of_member<T: Copy + Default>(table: &PerMember<T>, thread: u32) -> Option<T> 
         .find_map(|&(t, value)| (t == thread).then_some(value))
 }
 
-/// What every participant body of one run shares: the plan, owned for the
-/// length of the run, its compiled top-level actions (parallel to
-/// [`ScenarioPlan::top`]), the shared objects and the role names.
-struct CompiledPlan {
+/// What a definition is built from besides its action's shape: a cached
+/// definition serves any action of the shape that has the same key (see
+/// [`ExecutionArena::definition`]).
+#[derive(PartialEq)]
+pub(crate) struct DefKey {
+    signal_timeout: VirtualDuration,
+    exit_timeout: VirtualDuration,
+    resolution_timeout: VirtualDuration,
+    /// The members that get the fallback handler — those a verdict is
+    /// planned for — as a bit per position in the group (of at most 64).
+    handled: u64,
+    /// Whether the members get the abortion handler (nested actions only).
+    nested: bool,
+}
+
+/// What every participant body and handler of one run shares: the plan,
+/// owned for the length of the run, and its compilation — flat tables that
+/// an [`ExecutionArena`] keeps between executions and the next one refills,
+/// so compiling a plan allocates only what no earlier plan needed.
+#[derive(Default)]
+pub(crate) struct CompiledPlan {
     plan: ScenarioPlan,
+    /// The plan's actions, each followed by its subtree: the top-level
+    /// actions in order, an action's children in phase order.
     nodes: Vec<ExecNode>,
+    /// Per phase of every node, in node order: its range of `ops`.
+    phase_ops: Vec<(u32, u32)>,
+    /// The object operations of every compute phase, each phase's sorted by
+    /// offset (stably: a thread's own operations keep their plan order).
+    ops: Vec<ObjectOp>,
+    /// Parallel to [`ScenarioPlan::objects`]; an object is returned to its
+    /// initial state for every execution, and made only when a plan names
+    /// one no earlier plan did.
     objects: Vec<SharedObject<u64>>,
     /// `r<t>` by thread id, as the worker's [`ExecutionArena`] interns
-    /// them: the bodies name a role on every send and entry.
+    /// them (the bodies name a role on every send and entry), for every
+    /// thread id a plan has had so far.
     roles: Vec<Arc<str>>,
 }
 
@@ -89,93 +126,191 @@ struct CompiledPlan {
 /// crash-free traces.
 pub const TIMEOUT_SEPARATION: f64 = 100.0;
 
-fn build_node(
-    plan: &ActionPlan,
-    scenario: &ScenarioPlan,
-    max_depth: usize,
-    arena: &mut ExecutionArena,
-) -> ExecNode {
-    // The lattice and the exception ids are pure functions of (action
-    // name, group); the arena caches them across seeds, turning per-seed
-    // graph construction and per-use name formatting into a lookup for the
-    // recurring shapes the generator emits.
-    let shape = arena.shape_for(plan);
+impl CompiledPlan {
+    /// Compiles `plan` into these tables, in place of what they held.
+    fn refill(&mut self, plan: ScenarioPlan, arena: &mut ExecutionArena) {
+        self.nodes.clear();
+        self.phase_ops.clear();
+        self.ops.clear();
+        let max_depth = plan.max_depth();
+        for action in &plan.top {
+            self.compile(action, &plan, max_depth, arena);
+        }
+        for (at, name) in plan.objects.iter().enumerate() {
+            match self.objects.get(at) {
+                Some(object) if object.name() == name => object.reset(0),
+                _ => {
+                    self.objects.truncate(at);
+                    self.objects.push(SharedObject::new(name.as_str(), 0u64));
+                }
+            }
+        }
+        for t in self.roles.len()..plan.threads as usize {
+            self.roles.push(arena.role_name(t as u32));
+        }
+        self.plan = plan;
+    }
 
-    let levels_below = max_depth.saturating_sub(plan.depth) as i32;
-    let scale = TIMEOUT_SEPARATION.powi(levels_below);
-    let mut builder = ActionDef::builder(shape.name)
-        .graph_shared(shape.graph)
-        .signal_timeout(secs(scenario.signal_timeout))
-        .exit_timeout(secs(scenario.exit_timeout * scale))
-        .resolution_timeout(secs(scenario.resolution_timeout * scale));
-    for &t in &plan.group {
+    /// Appends `action` and its subtree to the tables.
+    fn compile(
+        &mut self,
+        action: &ActionPlan,
+        scenario: &ScenarioPlan,
+        max_depth: usize,
+        arena: &mut ExecutionArena,
+    ) {
+        let first_phase = self.phase_ops.len();
+        for phase in &action.phases {
+            let start = self.ops.len();
+            if let Phase::Compute { object_ops, .. } = phase {
+                self.ops.extend_from_slice(object_ops);
+                self.ops[start..].sort_by_key(|op| op.delay_ns);
+            }
+            self.phase_ops.push((start as u32, self.ops.len() as u32));
+        }
+
+        let levels_below = max_depth.saturating_sub(action.depth) as i32;
+        let scale = TIMEOUT_SEPARATION.powi(levels_below);
+        let key = DefKey {
+            signal_timeout: secs(scenario.signal_timeout),
+            exit_timeout: secs(scenario.exit_timeout * scale),
+            resolution_timeout: secs(scenario.resolution_timeout * scale),
+            handled: action.verdicts.iter().fold(0, |handled, (t, _)| {
+                let member = action.group.iter().position(|member| member == t);
+                handled | 1u64 << member.expect("a verdict is planned for a member of the group")
+            }),
+            nested: action.depth > 0,
+        };
+        // The lattice and the exception ids are pure functions of (action
+        // name, group), and so is the definition once the timeouts and the
+        // handled members are given: the arena caches them across seeds,
+        // turning per-seed graph and definition construction and per-use
+        // name formatting into a lookup for the recurring shapes the
+        // generator emits.
+        let (shape, cached) = arena.definition(action, &key);
+        let def = cached.unwrap_or_else(|| {
+            let def = build_definition(&shape, action, &key, arena);
+            arena.keep_definition(action, key, &def);
+            def
+        });
+        let at = self.nodes.len();
+        self.nodes.push(ExecNode {
+            def,
+            shape,
+            verdicts: action.verdicts.iter().map(|&(t, v)| (t, Some(v))).collect(),
+            eab_rows: action
+                .group
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| action.abort_raises_eab.contains(t))
+                .map(|(row, &t)| (t, row))
+                .collect(),
+            subtree: 0,
+            first_phase: first_phase as u32,
+        });
+        for phase in &action.phases {
+            if let Phase::Nested { children } = phase {
+                for child in children {
+                    self.compile(child, scenario, max_depth, arena);
+                }
+            }
+        }
+        self.nodes[at].subtree = (self.nodes.len() - at) as u32;
+    }
+
+    /// The node of the action named `name`.
+    fn node_named(&self, name: Option<&str>) -> &ExecNode {
+        self.nodes
+            .iter()
+            .find(|node| Some(node.def.name()) == name)
+            .expect("a handler runs inside an action of the running plan")
+    }
+}
+
+/// Builds the definition of an action of `shape` from `key`: every member
+/// a role, one handler pair for all of them.
+fn build_definition(
+    shape: &ActionShape,
+    action: &ActionPlan,
+    key: &DefKey,
+    arena: &mut ExecutionArena,
+) -> ActionDef {
+    let mut builder = ActionDef::builder(Arc::clone(&shape.name))
+        .graph_shared(Arc::clone(&shape.graph))
+        .signal_timeout(key.signal_timeout)
+        .exit_timeout(key.exit_timeout)
+        .resolution_timeout(key.resolution_timeout);
+    for &t in &action.group {
         builder = builder.role(arena.role_name(t), t);
     }
-    // One handler closure of each kind per action, shared by its roles:
-    // what differs between members is a table row looked up by the thread
-    // the handler finds itself running on.
-    if !plan.verdicts.is_empty() {
-        let delta = secs(scenario.delta);
-        let verdicts: PerMember<Option<VerdictChoice>> =
-            plan.verdicts.iter().map(|&(t, v)| (t, Some(v))).collect();
-        let signal = shape.signal;
-        let fallback: Handler = Arc::new(move |hc| {
-            hc.work(delta)?;
-            let choice = of_member(&verdicts, hc.thread_id().as_u32())
-                .flatten()
-                .expect("registered for the roles the plan gives a verdict");
-            Ok(match choice {
-                VerdictChoice::Recovered => HandlerVerdict::Recovered,
-                VerdictChoice::Undo => HandlerVerdict::Undo,
-                VerdictChoice::Fail => HandlerVerdict::Fail,
-                VerdictChoice::Signal => HandlerVerdict::Signal(signal.clone()),
-            })
-        });
-        for &(t, _) in &plan.verdicts {
-            builder = builder.fallback_handler_shared(arena.role_name(t), Arc::clone(&fallback));
+    // One handler of each kind for every role of every action: what
+    // differs between members and actions is looked up, in the running
+    // plan, by the action and thread the handler finds itself in.
+    for (member, &t) in action.group.iter().enumerate() {
+        if key.handled & 1u64 << member != 0 {
+            let fallback = Arc::clone(&arena.handlers().fallback);
+            builder = builder.fallback_handler_shared(arena.role_name(t), fallback);
         }
     }
-    if plan.depth > 0 {
-        let t_abort = secs(scenario.t_abort);
-        // The members whose abortion handler raises, with their row of
-        // the shape's `Eab` ids.
-        let raisers: PerMember<usize> = plan
-            .group
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| plan.abort_raises_eab.contains(t))
-            .map(|(row, &t)| (t, row))
-            .collect();
-        let eabs = shape.eabs;
-        let abort: AbortHandler = Arc::new(move |ac| {
-            ac.work(t_abort)?;
-            Ok(of_member(&raisers, ac.thread_id().as_u32())
-                .map(|row| Exception::new(eabs[row].clone())))
-        });
-        for &t in &plan.group {
-            builder = builder.abort_handler_shared(arena.role_name(t), Arc::clone(&abort));
+    if key.nested {
+        for &t in &action.group {
+            let abort = Arc::clone(&arena.handlers().abort);
+            builder = builder.abort_handler_shared(arena.role_name(t), abort);
         }
     }
-    let def = builder
+    builder
         .build()
-        .expect("generated plans declare valid roles");
+        .expect("generated plans declare valid roles")
+}
 
-    let children = plan
-        .phases
-        .iter()
-        .map(|phase| match phase {
-            Phase::Compute { .. } => Vec::new(),
-            Phase::Nested { children } => children
-                .iter()
-                .map(|c| build_node(c, scenario, max_depth, arena))
-                .collect(),
-        })
-        .collect();
+thread_local! {
+    /// The compiled plan whose participants the calling thread is running
+    /// ([`execute_owned`] sets it around `System::run`): where the handler
+    /// pair finds the verdicts and exceptions of the action it runs in. A
+    /// handler is shared by every definition of an arena and outlives any
+    /// one plan, so it cannot capture them.
+    static RUNNING: RefCell<Option<Rc<CompiledPlan>>> = const { RefCell::new(None) };
+}
 
-    ExecNode {
-        def,
-        raises: shape.raises,
-        children,
+/// The running plan (see [`RUNNING`]).
+fn running() -> Rc<CompiledPlan> {
+    RUNNING
+        .with(|running| running.borrow().clone())
+        .expect("a handler runs under execute_owned")
+}
+
+/// The fallback handler and the abortion handler that every definition an
+/// [`ExecutionArena`] builds registers for every role.
+pub(crate) struct Handlers {
+    fallback: Handler,
+    abort: AbortHandler,
+}
+
+impl Default for Handlers {
+    fn default() -> Self {
+        Handlers {
+            fallback: Arc::new(|hc| {
+                let shared = running();
+                hc.work(secs(shared.plan.delta))?;
+                let node = shared.node_named(hc.action_name());
+                let choice = of_member(&node.verdicts, hc.thread_id().as_u32())
+                    .flatten()
+                    .expect("registered for the roles the plan gives a verdict");
+                Ok(match choice {
+                    VerdictChoice::Recovered => HandlerVerdict::Recovered,
+                    VerdictChoice::Undo => HandlerVerdict::Undo,
+                    VerdictChoice::Fail => HandlerVerdict::Fail,
+                    VerdictChoice::Signal => HandlerVerdict::Signal(node.shape.signal.clone()),
+                })
+            }),
+            abort: Arc::new(|ac| {
+                let shared = running();
+                ac.work(secs(shared.plan.t_abort))?;
+                let node = shared.node_named(ac.action_name());
+                Ok(of_member(&node.eab_rows, ac.thread_id().as_u32())
+                    .map(|row| Exception::new(node.shape.eabs[row].clone())))
+            }),
+        }
     }
 }
 
@@ -196,10 +331,10 @@ fn listen(rc: &mut Ctx, dur: VirtualDuration) -> Step<()> {
 /// Computes through one phase, issuing this thread's object operations at
 /// their fixed offsets. Acquisition waits extend the phase beyond `dur`
 /// (deterministically); the trailing work is clamped to the deadline.
-fn compute_with_ops(
+fn compute_with_ops<'a>(
     rc: &mut Ctx,
     dur: VirtualDuration,
-    ops: &[&ObjectOp],
+    ops: impl Iterator<Item = &'a ObjectOp>,
     objects: &[SharedObject<u64>],
 ) -> Step<()> {
     let start = rc.now();
@@ -224,20 +359,28 @@ fn compute_with_ops(
     Ok(())
 }
 
+/// Thread `me`'s part of `plan`, the action compiled at `shared.nodes[at]`.
 fn body_phases(
     rc: &mut Ctx,
     plan: &ActionPlan,
-    node: &ExecNode,
+    at: usize,
     me: u32,
     shared: &CompiledPlan,
 ) -> Step<()> {
-    for (phase, compiled) in plan.phases.iter().zip(&node.children) {
+    let node = &shared.nodes[at];
+    // Where the next child action's subtree starts.
+    let mut next_child = at + 1;
+    for (phase, &(first_op, end_op)) in plan
+        .phases
+        .iter()
+        .zip(&shared.phase_ops[node.first_phase as usize..])
+    {
         match phase {
             Phase::Compute {
                 dur_ns,
                 sends,
                 listeners,
-                object_ops,
+                ..
             } => {
                 let dur = VirtualDuration::from_nanos(*dur_ns);
                 for &(from, to) in sends {
@@ -248,20 +391,25 @@ fn body_phases(
                 if listeners.contains(&me) {
                     listen(rc, dur)?;
                 } else {
-                    let mut my_ops: Vec<&ObjectOp> =
-                        object_ops.iter().filter(|op| op.thread == me).collect();
-                    my_ops.sort_by_key(|op| op.delay_ns);
-                    compute_with_ops(rc, dur, &my_ops, &shared.objects)?;
+                    let my_ops = shared.ops[first_op as usize..end_op as usize]
+                        .iter()
+                        .filter(|op| op.thread == me);
+                    compute_with_ops(rc, dur, my_ops, &shared.objects)?;
                 }
             }
             Phase::Nested { children } => {
-                let mine = children
-                    .iter()
-                    .zip(compiled)
-                    .find(|(child, _)| child.group.contains(&me));
-                if let Some((child, compiled)) = mine {
-                    rc.enter(&compiled.def, &shared.roles[me as usize], |cc| {
-                        body_phases(cc, child, compiled, me, shared)
+                let mut mine = None;
+                for child in children {
+                    let child_at = next_child;
+                    next_child += shared.nodes[child_at].subtree as usize;
+                    if mine.is_none() && child.group.contains(&me) {
+                        mine = Some((child, child_at));
+                    }
+                }
+                if let Some((child, child_at)) = mine {
+                    let def = &shared.nodes[child_at].def;
+                    rc.enter(def, &shared.roles[me as usize], |cc| {
+                        body_phases(cc, child, child_at, me, shared)
                     })
                     .map(|_| ())?;
                 }
@@ -273,7 +421,7 @@ fn body_phases(
             Some(&(_, delay_ns)) => {
                 rc.work(VirtualDuration::from_nanos(delay_ns))?;
                 let row = plan.group.iter().position(|&t| t == me);
-                let mine = &node.raises[row.expect("a raiser is a member of its action")];
+                let mine = &node.shape.raises[row.expect("a raiser is a member of its action")];
                 rc.raise(Exception::new(mine.clone()))?;
             }
             None => {
@@ -294,14 +442,15 @@ pub fn execute(plan: &ScenarioPlan) -> RunArtifacts {
 }
 
 /// [`execute`] through a per-worker [`ExecutionArena`]: the trace recorder
-/// and its buffers and resolution lattices are recycled across calls (as
+/// and its buffers, the compiled plan's tables and the definitions and
+/// resolution lattices of recurring actions are recycled across calls (as
 /// network storage is by the runtime's per-thread run pool, arena or no
 /// arena), so a sweep worker stops paying per-seed
 /// setup/teardown allocation. Arena reuse is a pure allocation cache —
 /// traces stay byte-identical to a fresh execution's.
 #[must_use]
 pub fn execute_in(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> RunArtifacts {
-    execute_owned(plan.clone(), arena).0
+    execute_owned(plan.clone(), arena, Instant::now()).0
 }
 
 /// What one execution cost on the wall clock, by stage; the stages add up
@@ -314,8 +463,8 @@ pub(crate) struct ExecuteStages {
     /// `System::run`: every participant to completion, and the network
     /// reclaimed.
     pub(crate) run: Duration,
-    /// Taking the trace out of the recorder (sort and index) and dropping
-    /// the compiled plan.
+    /// Taking the trace out of the recorder (order check and index) and
+    /// the plan out of its compilation.
     pub(crate) teardown: Duration,
 }
 
@@ -327,58 +476,63 @@ impl std::ops::AddAssign for ExecuteStages {
     }
 }
 
+/// Clears [`RUNNING`] when the run it was set for ends, however it ends.
+struct RunningGuard;
+
+impl Drop for RunningGuard {
+    fn drop(&mut self) {
+        RUNNING.with(|running| running.borrow_mut().take());
+    }
+}
+
 /// [`execute_in`] taking the plan by value (the sweep driver's path): the
 /// run's participant bodies share the plan itself, not copies of its
-/// parts, and the artifacts get it back once they are gone. Also says
-/// where the wall-clock time went.
+/// parts, and the artifacts get it back once they are gone. The execution
+/// starts at `started` — an instant the caller has read already — and says
+/// where the wall-clock time went and when it ended.
 #[must_use]
 pub(crate) fn execute_owned(
     plan: ScenarioPlan,
     arena: &mut ExecutionArena,
-) -> (RunArtifacts, ExecuteStages) {
-    let started = Instant::now();
-    let max_depth = plan.max_depth();
-    let nodes = plan
-        .top
-        .iter()
-        .map(|a| build_node(a, &plan, max_depth, arena))
-        .collect();
-    let objects = plan
-        .objects
-        .iter()
-        .map(|name| SharedObject::new(name.as_str(), 0u64))
-        .collect();
-    let roles = (0..plan.threads).map(|t| arena.role_name(t)).collect();
-    let compiled = Arc::new(CompiledPlan {
-        plan,
-        nodes,
-        objects,
-        roles,
-    });
+    started: Instant,
+) -> (RunArtifacts, ExecuteStages, Instant) {
+    let mut compiled = arena.take_compiled();
+    Rc::get_mut(&mut compiled)
+        .expect("the arena hands out a compilation nothing shares")
+        .refill(plan, arena);
     let sys = spawn_plan(&compiled, arena);
     let built = Instant::now();
-    let report = sys.run();
+    let report = {
+        RUNNING.with(|running| running.replace(Some(Rc::clone(&compiled))));
+        let _running = RunningGuard;
+        sys.run()
+    };
     let ran = Instant::now();
     let trace = arena.take_trace();
     // Every body ran to its end on its fiber and was dropped there, so
     // this handle is the last one.
-    let plan = Arc::try_unwrap(compiled).map_or_else(|shared| shared.plan.clone(), |c| c.plan);
+    let plan = match Rc::get_mut(&mut compiled) {
+        Some(compiled) => std::mem::take(&mut compiled.plan),
+        None => compiled.plan.clone(),
+    };
+    arena.put_compiled(compiled);
+    let ended = Instant::now();
     let stages = ExecuteStages {
         build: built - started,
         run: ran - built,
-        teardown: ran.elapsed(),
+        teardown: ended - ran,
     };
     let artifacts = RunArtifacts {
         plan,
         trace,
         report,
     };
-    (artifacts, stages)
+    (artifacts, stages, ended)
 }
 
 /// Builds the system the compiled plan runs on — recording into the
 /// arena's recorder — and spawns its participants.
-fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> System {
+fn spawn_plan(compiled: &Rc<CompiledPlan>, arena: &mut ExecutionArena) -> System {
     let plan = &compiled.plan;
     let recorder = arena.recorder();
     let mut sys = System::builder()
@@ -391,12 +545,16 @@ fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> Syste
         .build();
 
     for t in 0..plan.threads {
-        let shared = Arc::clone(compiled);
+        let shared = Rc::clone(compiled);
         sys.spawn(arena.thread_name(t), move |ctx| {
             let my_crash = shared.plan.crashes.iter().find(|c| c.thread == t);
             let role = &*shared.roles[t as usize];
-            let actions = shared.plan.top.iter().zip(&shared.nodes);
-            for (i, (action, node)) in actions.enumerate() {
+            // Where the next top-level action's subtree starts.
+            let mut at = 0;
+            for (i, action) in shared.plan.top.iter().enumerate() {
+                let node = &shared.nodes[at];
+                let this = at;
+                at += node.subtree as usize;
                 match my_crash.filter(|c| i == c.top_action as usize) {
                     Some(c) => {
                         // The designated participant runs its real
@@ -408,7 +566,7 @@ fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> Syste
                         // signalling or exit).
                         let run = ctx.enter(&node.def, role, |rc| {
                             rc.schedule_crash(VirtualDuration::from_nanos(c.delay_ns));
-                            body_phases(rc, action, node, t, &shared)
+                            body_phases(rc, action, this, t, &shared)
                         });
                         let flow = match run {
                             Err(flow) => flow,
@@ -447,7 +605,7 @@ fn spawn_plan(compiled: &Arc<CompiledPlan>, arena: &mut ExecutionArena) -> Syste
                     }
                     None => {
                         ctx.enter(&node.def, role, |rc| {
-                            body_phases(rc, action, node, t, &shared)
+                            body_phases(rc, action, this, t, &shared)
                         })
                         .map(|_| ())?;
                     }

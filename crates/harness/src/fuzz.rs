@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use caa_telemetry::json::{self, Value};
 
-use crate::metrics::SweepMetrics;
+use crate::metrics::{SweepMetrics, WallCounter};
 use crate::plan::{
     gen_subtree, plan_object_depth, rename_subtree, validate_plan, with_action_mut, ActionPlan,
     CrashChoice, FaultChoice, ObjectOp, Phase, RaisePhase, ScenarioConfig, ScenarioPlan,
@@ -1124,7 +1124,7 @@ fn run_batch(
             };
             arena
                 .metrics_recorder()
-                .add_wall("worker_busy_ns", wall_ns(busy.elapsed()));
+                .add_wall(WallCounter::WorkerBusy, wall_ns(busy.elapsed()));
             outcomes.push((
                 i,
                 ChildOutcome {

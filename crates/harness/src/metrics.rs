@@ -392,10 +392,7 @@ pub struct MetricsRecorder {
     rejoin_restart: HistogramHandle,
     rejoin_catchup: HistogramHandle,
     run_virtual: HistogramHandle,
-    /// `msg_sent_<class>` counter names by class label, built on first
-    /// sight of a class (there are ten) so that folding a run's message
-    /// counts allocates nothing.
-    msg_sent_names: Vec<(&'static str, String)>,
+    counters: CounterHandles,
     // Per-run correlation scratch, cleared (capacity kept) between runs:
     // one cell per `(instance, thread)`, one row per instance.
     cells: Vec<ThreadCell>,
@@ -404,19 +401,107 @@ pub struct MetricsRecorder {
     /// `(crashed, observer)` pairs whose detection latency is recorded.
     detected: Vec<(u32, u32)>,
     cp_scratch: CriticalPathScratch,
-    cp_handles: CriticalPathHandles,
 }
 
-/// The `critical_path` counters, each resolved to its handle the first
-/// time a path adds to it — one label lookup per recorder, not one per
-/// class per instance — so a class no path ever spent time in still never
-/// registers.
+/// A counter resolved to its handle the first time it is added to — one
+/// label lookup per recorder, not one per seed — so a counter nothing ever
+/// adds to still never registers (and never serializes as a zero).
+#[derive(Debug, Default, Clone, Copy)]
+struct LazyCounter(Option<CounterHandle>);
+
+impl LazyCounter {
+    #[inline]
+    fn add(&mut self, set: &mut MetricSet, name: &str, n: u64) {
+        let handle = *self.0.get_or_insert_with(|| set.counter(name));
+        set.add(handle, n);
+    }
+}
+
+/// The wall-clock counters the drivers and the recorder add to, by handle
+/// ([`MetricsRecorder::add_wall`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WallCounter {
+    /// `stage_generate_ns`: generating plans.
+    StageGenerate,
+    /// `stage_execute_ns`: executions, build to teardown.
+    StageExecute,
+    /// `stage_execute_build_ns`.
+    StageExecuteBuild,
+    /// `stage_execute_run_ns`.
+    StageExecuteRun,
+    /// `stage_execute_teardown_ns`.
+    StageExecuteTeardown,
+    /// `stage_oracle_ns`: oracle checks and replay comparisons.
+    StageOracle,
+    /// `stage_metrics_ns`: [`MetricsRecorder::record_run`].
+    StageMetrics,
+    /// `worker_busy_ns`: a worker's wall time spent on seed work.
+    WorkerBusy,
+    /// `sched_parks`: scheduler park hand-offs.
+    SchedParks,
+    /// `sched_wakes`: scheduler wake hand-offs.
+    SchedWakes,
+}
+
+impl WallCounter {
+    /// How many there are (`SchedWakes` is the last).
+    const COUNT: usize = WallCounter::SchedWakes as usize + 1;
+
+    /// The counter's label in the `wall_clock` section.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WallCounter::StageGenerate => "stage_generate_ns",
+            WallCounter::StageExecute => "stage_execute_ns",
+            WallCounter::StageExecuteBuild => "stage_execute_build_ns",
+            WallCounter::StageExecuteRun => "stage_execute_run_ns",
+            WallCounter::StageExecuteTeardown => "stage_execute_teardown_ns",
+            WallCounter::StageOracle => "stage_oracle_ns",
+            WallCounter::StageMetrics => "stage_metrics_ns",
+            WallCounter::WorkerBusy => "worker_busy_ns",
+            WallCounter::SchedParks => "sched_parks",
+            WallCounter::SchedWakes => "sched_wakes",
+        }
+    }
+}
+
+/// Every counter the recorder adds to per seed, as handles into the three
+/// sets of its current [`SweepMetrics`]; started over by
+/// [`MetricsRecorder::take_metrics`].
 #[derive(Debug, Default)]
-struct CriticalPathHandles {
+struct CounterHandles {
+    /// Indexed by [`WallCounter`].
+    wall: [LazyCounter; WallCounter::COUNT],
+    seeds_crash: LazyCounter,
+    seeds_crashfree: LazyCounter,
+    suspicion_resolution: LazyCounter,
+    suspicion_signalling: LazyCounter,
+    suspicion_exit: LazyCounter,
+    retransmissions: LazyCounter,
+    /// `msg_sent_<class>` by class label, found by the label's address
+    /// (a class is a literal) and registered on its first sight — there
+    /// are ten.
+    msg_sent: Vec<(&'static str, CounterHandle)>,
     /// Parallel to [`SegmentClass::ALL`].
-    classes: [Option<CounterHandle>; SegmentClass::ALL.len()],
-    total: Option<CounterHandle>,
-    instances: Option<CounterHandle>,
+    cp_classes: [LazyCounter; SegmentClass::ALL.len()],
+    cp_total: LazyCounter,
+    cp_instances: LazyCounter,
+}
+
+impl CounterHandles {
+    /// The handle of `msg_sent_<class>` in `det`.
+    fn msg_sent(&mut self, det: &mut MetricSet, class: &'static str) -> CounterHandle {
+        let by_address = |&(c, _): &(&'static str, _)| std::ptr::eq(c, class);
+        let known = self.msg_sent.iter().position(by_address);
+        let at = known
+            .or_else(|| self.msg_sent.iter().position(|&(c, _)| c == class))
+            .unwrap_or_else(|| {
+                let handle = det.counter(&format!("msg_sent_{class}"));
+                self.msg_sent.push((class, handle));
+                self.msg_sent.len() - 1
+            });
+        self.msg_sent[at].1
+    }
 }
 
 impl Default for MetricsRecorder {
@@ -453,21 +538,21 @@ impl MetricsRecorder {
             rejoin_restart,
             rejoin_catchup,
             run_virtual,
-            msg_sent_names: Vec::new(),
+            counters: CounterHandles::default(),
             cells: Vec::new(),
             instances: Vec::new(),
             crashes: Vec::new(),
             detected: Vec::new(),
             cp_scratch: CriticalPathScratch::new(),
-            cp_handles: CriticalPathHandles::default(),
         }
     }
 
-    /// Adds `n` to the wall-clock counter labeled `name` — the hook the
-    /// sweep/fuzz drivers use for their stage timers and
-    /// worker-utilization counters (never part of byte-identity claims).
-    pub fn add_wall(&mut self, name: &str, n: u64) {
-        self.metrics.wall_clock.add_named(name, n);
+    /// Adds `n` to a wall-clock counter — the hook the sweep/fuzz drivers
+    /// use for their stage timers and worker-utilization counters (never
+    /// part of byte-identity claims). By handle: the label is looked up
+    /// once per recorder.
+    pub fn add_wall(&mut self, counter: WallCounter, n: u64) {
+        self.counters.wall[counter as usize].add(&mut self.metrics.wall_clock, counter.name(), n);
     }
 
     /// The metrics accumulated so far.
@@ -478,14 +563,13 @@ impl MetricsRecorder {
 
     /// Takes the accumulated metrics, leaving the recorder as a new one
     /// starts — every histogram registered again under the handle it had,
-    /// no critical-path counter registered yet, scratch capacity intact —
-    /// so recording goes on afterwards. The
-    /// end-of-worker merge hook.
+    /// no counter registered yet, scratch capacity intact — so recording
+    /// goes on afterwards. The end-of-worker merge hook.
     #[must_use]
     pub fn take_metrics(&mut self) -> SweepMetrics {
-        // The critical-path counters register on first use, so in the new
-        // set they are not registered yet.
-        self.cp_handles = CriticalPathHandles::default();
+        // The counters register on first use, so in the new sets they are
+        // not registered yet.
+        self.counters = CounterHandles::default();
         std::mem::replace(&mut self.metrics, MetricsRecorder::new().metrics)
     }
 
@@ -503,6 +587,7 @@ impl MetricsRecorder {
         self.crashes.clear();
         self.detected.clear();
         let det = &mut self.metrics.deterministic;
+        let counters = &mut self.counters;
 
         for entry in trace.entries() {
             let row = &mut self.instances[entry.label as usize];
@@ -555,10 +640,18 @@ impl MetricsRecorder {
                 }
                 EventKind::ResolutionTimeout { .. } => {
                     cell.resolution_timeouts += 1;
-                    det.add_named("suspicion_resolution", 1);
+                    counters
+                        .suspicion_resolution
+                        .add(det, "suspicion_resolution", 1);
                 }
-                EventKind::SignalTimeout { .. } => det.add_named("suspicion_signalling", 1),
-                EventKind::ExitTimeout { .. } => det.add_named("suspicion_exit", 1),
+                EventKind::SignalTimeout { .. } => {
+                    counters
+                        .suspicion_signalling
+                        .add(det, "suspicion_signalling", 1);
+                }
+                EventKind::ExitTimeout { .. } => {
+                    counters.suspicion_exit.add(det, "suspicion_exit", 1);
+                }
                 EventKind::ViewChange { removed, .. } => {
                     for &(crashed, crash_at) in &self.crashes {
                         if removed.iter().any(|t| t.as_u32() == crashed)
@@ -597,16 +690,12 @@ impl MetricsRecorder {
                 det.record(self.signal_fanout, row.fanout);
             }
         }
-        self.metrics
-            .deterministic
-            .record(self.run_virtual, artifacts.report.elapsed.as_nanos());
-
-        let seed_class = if crashed_plan {
-            "seeds_crash"
+        det.record(self.run_virtual, artifacts.report.elapsed.as_nanos());
+        if crashed_plan {
+            counters.seeds_crash.add(det, "seeds_crash", 1);
         } else {
-            "seeds_crashfree"
-        };
-        self.metrics.deterministic.add_named(seed_class, 1);
+            counters.seeds_crashfree.add(det, "seeds_crashfree", 1);
+        }
         self.record_net_stats(&artifacts.report.net_stats);
         self.record_sched_stats(artifacts.report.sched_stats);
 
@@ -615,53 +704,38 @@ impl MetricsRecorder {
         // stay byte-deterministic and shard-mergeable). Zero-valued
         // classes are skipped so absent segment kinds never register.
         let cp = &mut self.metrics.critical_path;
-        let handles = &mut self.cp_handles;
-        let mut add = |slot: &mut Option<CounterHandle>, name: &str, n: u64| {
-            let handle = *slot.get_or_insert_with(|| cp.counter(name));
-            cp.add(handle, n);
-        };
+        let handles = &mut self.counters;
         self.cp_scratch.extract(&artifacts.trace, |path| {
-            for (class, slot) in SegmentClass::ALL.into_iter().zip(&mut handles.classes) {
+            for (class, slot) in SegmentClass::ALL.into_iter().zip(&mut handles.cp_classes) {
                 let ns = path.class_total_ns(class);
                 if ns > 0 {
-                    add(slot, class.counter_name(), ns);
+                    slot.add(cp, class.counter_name(), ns);
                 }
             }
-            add(&mut handles.total, "cp_total_ns", path.total_ns());
-            add(&mut handles.instances, "cp_instances", 1);
+            handles.cp_total.add(cp, "cp_total_ns", path.total_ns());
+            handles.cp_instances.add(cp, "cp_instances", 1);
         });
     }
 
     /// Folds per-class message counters into the deterministic set
     /// (`msg_sent_<class>` in the serialized form).
     fn record_net_stats(&mut self, stats: &NetStats) {
+        let det = &mut self.metrics.deterministic;
         for (class, sent) in stats.iter_sent() {
-            let known = self.msg_sent_names.iter().position(|(c, _)| *c == class);
-            let at = known.unwrap_or_else(|| {
-                self.msg_sent_names
-                    .push((class, format!("msg_sent_{class}")));
-                self.msg_sent_names.len() - 1
-            });
-            // A map hit from the second run on: no allocation.
-            self.metrics
-                .deterministic
-                .add_named(&self.msg_sent_names[at].1, sent);
+            let handle = self.counters.msg_sent(det, class);
+            det.add(handle, sent);
         }
         if stats.retransmissions() > 0 {
-            self.metrics
-                .deterministic
-                .add_named("retransmissions", stats.retransmissions());
+            self.counters
+                .retransmissions
+                .add(det, "retransmissions", stats.retransmissions());
         }
     }
 
     /// Folds the scheduler handoff counters into the wall-clock set.
     fn record_sched_stats(&mut self, stats: SchedStats) {
-        self.metrics
-            .wall_clock
-            .add_named("sched_parks", stats.parks);
-        self.metrics
-            .wall_clock
-            .add_named("sched_wakes", stats.wakes);
+        self.add_wall(WallCounter::SchedParks, stats.parks);
+        self.add_wall(WallCounter::SchedWakes, stats.wakes);
     }
 }
 

@@ -510,7 +510,7 @@ fn invariant_violations(report: &SystemReport, trace: &Trace, views: &mut Views)
                 continue;
             }
             violations.push(Violation::ThreadFailure {
-                thread: name.clone(),
+                thread: name.to_string(),
                 error: e.to_string(),
             });
         }

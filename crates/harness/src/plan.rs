@@ -406,8 +406,8 @@ impl ActionPlan {
 }
 
 /// A fully determined scenario: everything needed to execute and to check
-/// one simulated run.
-#[derive(Debug, Clone)]
+/// one simulated run. (The default is the empty plan: no thread, no action.)
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioPlan {
     /// The generating seed.
     pub seed: u64,

@@ -30,7 +30,7 @@ use caa_runtime::observe::EventKind;
 
 use crate::arena::ExecutionArena;
 use crate::exec::{execute_owned, RunArtifacts};
-use crate::metrics::{metrics_json, SweepMetrics};
+use crate::metrics::{metrics_json, SweepMetrics, WallCounter};
 use crate::oracle::{check_replay, check_run, Violation};
 use crate::plan::{ScenarioConfig, ScenarioPlan};
 use crate::trace::{fnv1a64, EntryKind, Trace};
@@ -507,12 +507,26 @@ pub fn run_seed_in(
     check_replay_too: bool,
     arena: &mut ExecutionArena,
 ) -> SeedResult {
-    let t = Instant::now();
+    run_seed_from(Instant::now(), seed, scenario, check_replay_too, arena)
+}
+
+/// [`run_seed_in`] for a caller that has read the clock already: the seed's
+/// work starts at `started`. The stage timers are cut at shared instants —
+/// the end of one stage is the start of the next — so a seed reads the
+/// clock once per stage boundary, not twice per stage.
+fn run_seed_from(
+    started: Instant,
+    seed: u64,
+    scenario: &ScenarioConfig,
+    check_replay_too: bool,
+    arena: &mut ExecutionArena,
+) -> SeedResult {
     let plan = ScenarioPlan::generate(seed, scenario);
+    let generated = Instant::now();
     arena
         .metrics_recorder()
-        .add_wall("stage_generate_ns", wall_ns(t.elapsed()));
-    run_plan_checked(plan, check_replay_too, arena)
+        .add_wall(WallCounter::StageGenerate, wall_ns(generated - started));
+    run_plan_from(generated, plan, check_replay_too, arena)
 }
 
 /// Wall-clock duration as nanoseconds for the stage-timer counters
@@ -531,28 +545,38 @@ pub fn run_plan_checked(
     check_replay_too: bool,
     arena: &mut ExecutionArena,
 ) -> SeedResult {
+    run_plan_from(Instant::now(), plan, check_replay_too, arena)
+}
+
+/// [`run_plan_checked`] starting at `started` (see [`run_seed_from`]).
+fn run_plan_from(
+    started: Instant,
+    plan: ScenarioPlan,
+    check_replay_too: bool,
+    arena: &mut ExecutionArena,
+) -> SeedResult {
     let seed = plan.seed;
-    let (mut artifacts, mut execute) = execute_owned(plan, arena);
-    let t = Instant::now();
+    let (mut artifacts, mut execute, executed) = execute_owned(plan, arena, started);
     let mut violations = check_run(&artifacts);
-    let mut oracle_ns = wall_ns(t.elapsed());
-    let t = Instant::now();
+    let checked = Instant::now();
+    let mut oracle = checked - executed;
     arena.metrics_recorder().record_run(&artifacts);
-    let metrics_ns = wall_ns(t.elapsed());
+    let mut ended = Instant::now();
+    let metrics = ended - checked;
     if check_replay_too {
         // Replay wall time counts as execute, its comparison as oracle. The
         // replay borrows the plan out of the artifacts and hands it back:
         // no clone, and its trace leaves in a recycled buffer.
-        let (replay, replay_execute) = execute_owned(artifacts.plan, arena);
+        let (replay, replay_execute, replayed_at) = execute_owned(artifacts.plan, arena, ended);
         execute += replay_execute;
         artifacts.plan = replay.plan;
         let replayed = replay.trace;
-        let t = Instant::now();
         if let Some(v) = check_replay(&artifacts.trace, &replayed) {
             violations.push(v);
         }
         arena.recycle_trace(replayed);
-        oracle_ns += wall_ns(t.elapsed());
+        ended = Instant::now();
+        oracle += ended - replayed_at;
     }
     // `stage_execute_ns` is the whole of the executions (`caa-perf` reads
     // it under that name); the three parts are measured off the same four
@@ -563,12 +587,12 @@ pub fn run_plan_checked(
         wall_ns(execute.teardown),
     );
     let recorder = arena.metrics_recorder();
-    recorder.add_wall("stage_execute_ns", build_ns + run_ns + teardown_ns);
-    recorder.add_wall("stage_execute_build_ns", build_ns);
-    recorder.add_wall("stage_execute_run_ns", run_ns);
-    recorder.add_wall("stage_execute_teardown_ns", teardown_ns);
-    recorder.add_wall("stage_oracle_ns", oracle_ns);
-    recorder.add_wall("stage_metrics_ns", metrics_ns);
+    recorder.add_wall(WallCounter::StageExecute, build_ns + run_ns + teardown_ns);
+    recorder.add_wall(WallCounter::StageExecuteBuild, build_ns);
+    recorder.add_wall(WallCounter::StageExecuteRun, run_ns);
+    recorder.add_wall(WallCounter::StageExecuteTeardown, teardown_ns);
+    recorder.add_wall(WallCounter::StageOracle, wall_ns(oracle));
+    recorder.add_wall(WallCounter::StageMetrics, wall_ns(metrics));
     SeedResult {
         seed,
         violations,
@@ -660,10 +684,12 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         config.shard,
         |arena, tickets| {
             let mut tally = WorkerTally::default();
+            // Worker utilization: wall time spent on seed work (vs. starved
+            // of tickets), cut where one seed ends and the next begins.
+            let mut at = Instant::now();
             for i in tickets {
                 let seed = config.start_seed + i;
-                let busy = Instant::now();
-                let result = run_seed_in(seed, &config.scenario, config.check_replay, arena);
+                let result = run_seed_from(at, seed, &config.scenario, config.check_replay, arena);
                 tally.seeds_run += 1;
                 tally.entries += result.artifacts.trace.len() as u64;
                 // Crash plans idle through simulated hours: the sum may
@@ -678,16 +704,24 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
                     .or_insert(0) += 1;
                 tally.coverage.merge(&run_coverage);
                 if result.passed() {
-                    // Done with this trace: hand its buffer back.
-                    arena.recycle_trace(result.artifacts.trace);
+                    // Done with this trace: hand its buffer back — and with
+                    // the plan and the report, dropped here so that the
+                    // next seed's first stage does not pay for it.
+                    let RunArtifacts {
+                        trace,
+                        plan,
+                        report,
+                    } = result.artifacts;
+                    arena.recycle_trace(trace);
+                    drop((plan, report));
                 } else {
                     tally.failures.push(result);
                 }
-                // Worker utilization: wall time spent on seed work (vs.
-                // starved of tickets).
+                let done = Instant::now();
                 arena
                     .metrics_recorder()
-                    .add_wall("worker_busy_ns", wall_ns(busy.elapsed()));
+                    .add_wall(WallCounter::WorkerBusy, wall_ns(done - at));
+                at = done;
             }
             tally.metrics = arena.take_metrics();
             tally

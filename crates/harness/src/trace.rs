@@ -453,16 +453,62 @@ struct Recording {
     instances: Vec<Instance>,
 }
 
+/// What [`canonicalize`] found the arrival order to be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrival {
+    /// Canonical as recorded.
+    InOrder,
+    /// Non-decreasing in time; some same-instant runs were put in
+    /// `(thread, seq)` order, each on its own.
+    Repaired,
+    /// Time ran backwards somewhere: sorted as a whole.
+    Sorted,
+}
+
+/// Puts `entries` in canonical `(at_ns, thread, seq)` order. Under
+/// `System::run` participants run one at a time and virtual time never
+/// runs backwards, so a recording is already non-decreasing in `at_ns` and
+/// only entries of one instant — recorded by different threads — can be out
+/// of order: one pass checks that and sorts just those runs. Anything else
+/// (a recorder driven by hand) falls back to sorting the lot. The key is
+/// unique per entry (`seq` counts within `thread`), so the unstable sorts
+/// yield the one canonical order, in place.
+fn canonicalize(entries: &mut [Entry]) -> Arrival {
+    let mut arrival = Arrival::InOrder;
+    // The same-instant run being scanned starts here; `ordered` while it
+    // has been in `(thread, seq)` order so far.
+    let (mut start, mut ordered) = (0, true);
+    for i in 1..=entries.len() {
+        let same_instant = match entries.get(i) {
+            Some(entry) if entry.at_ns < entries[i - 1].at_ns => {
+                entries.sort_unstable_by_key(|e| (e.at_ns, e.thread, e.seq));
+                return Arrival::Sorted;
+            }
+            Some(entry) => entry.at_ns == entries[i - 1].at_ns,
+            None => false,
+        };
+        if same_instant {
+            let (a, b) = (&entries[i - 1], &entries[i]);
+            ordered &= (a.thread, a.seq) < (b.thread, b.seq);
+        } else {
+            if !ordered {
+                entries[start..i].sort_unstable_by_key(|e| (e.thread, e.seq));
+                arrival = Arrival::Repaired;
+            }
+            (start, ordered) = (i, true);
+        }
+    }
+    arrival
+}
+
 impl Recording {
-    /// Sorts `entries` canonically, labels them and builds their index —
-    /// into `recycled`'s buffers where they suffice, else into buffers of
-    /// exactly the needed length: a driver that keeps thousands of traces
-    /// alive keeps no slack with them.
+    /// Puts `entries` in canonical order, labels them and builds their
+    /// index — in `recycled`'s buffers where they suffice, else in buffers
+    /// of exactly the needed length: a driver that keeps thousands of
+    /// traces alive keeps no slack with them. `entries` comes back empty,
+    /// over whichever buffer the trace did not take.
     fn make_trace(&mut self, entries: &mut Vec<Entry>, recycled: Trace) -> Trace {
-        // The key is unique per entry (`seq` counts within `thread`), so an
-        // unstable sort yields the same order as a stable one — and sorts
-        // in place, without a scratch allocation.
-        entries.sort_unstable_by_key(|e| (e.at_ns, e.thread, e.seq));
+        canonicalize(entries);
 
         // Pass 1: labels in order of first appearance, per-instance facts
         // and member counts (in `members.1`).
@@ -539,8 +585,15 @@ impl Recording {
         self.labels.clear();
 
         buf.clear();
-        buf.reserve_exact(entries.len());
-        buf.append(entries);
+        if buf.capacity() >= entries.len() && buf.capacity() > 0 {
+            // A recycled buffer that fits: trade places with it instead of
+            // copying into it — the trace keeps the buffer it was recorded
+            // in, and the next recording goes into the recycled one.
+            std::mem::swap(&mut buf, entries);
+        } else {
+            buf.reserve_exact(entries.len());
+            buf.append(entries);
+        }
         Trace {
             entries: buf,
             index,
@@ -626,10 +679,12 @@ impl TraceRecorder {
 
     /// [`TraceRecorder::take_trace`] into the buffers of a trace that is no
     /// longer needed: where `recycled`'s capacity suffices, the new trace
-    /// and its index are handed out without allocating; a buffer that is
-    /// too small is regrown to exactly the needed length. The recording
-    /// buffer itself — grown by doubling, so up to twice the trace — never
-    /// leaves the recorder.
+    /// and its index are handed out without allocating — the entries
+    /// without being copied: the trace takes the buffer they were recorded
+    /// in and the recorder goes on in `recycled`'s. A buffer that is too
+    /// small (a default-constructed trace's) is regrown to exactly the
+    /// needed length, and the recording buffer — grown by doubling, so up
+    /// to twice the trace — then stays with the recorder.
     #[must_use]
     pub fn take_trace_into(&self, recycled: Trace) -> Trace {
         let mut guard = self.recording.lock();
@@ -784,6 +839,132 @@ mod tests {
         assert!(text.contains("raise x"), "{text}");
         assert!(text.contains("net send Exception"), "{text}");
         assert_eq!(text, rec.finish().render());
+    }
+
+    /// The three ways a recording can arrive, and the one trace they make.
+    #[test]
+    fn a_repaired_order_is_the_sorted_order() {
+        // Per thread, events in program order at non-decreasing times,
+        // many of them at the same instant as other threads' events.
+        let mut rng = crate::rng::Rng::new(0x5a3e);
+        for round in 0..100 {
+            let threads = 2 + rng.below(4) as u32;
+            let mut streams: Vec<Vec<Event>> = (0..threads)
+                .map(|thread| {
+                    let mut at = 0;
+                    (0..rng.below(30))
+                        .map(|i| {
+                            at += [0, 0, 1, 5][rng.below(4) as usize];
+                            let mut event = runtime_event(at, thread);
+                            event.action = ActionId::top_level(5 + (i + rng.below(2)) % 3);
+                            event
+                        })
+                        .collect()
+                })
+                .collect();
+            let total: usize = streams.iter().map(Vec::len).sum();
+            // (a) merged by time, the threads of one instant in canonical
+            // order: nothing to repair; (b) merged by time, the threads of
+            // one instant in whatever order: repaired run by run; (c) one
+            // thread after the other, time running backwards in between:
+            // sorted as a whole.
+            let merged = |rng: &mut crate::rng::Rng, shuffle: bool| {
+                let mut heads = vec![0; streams.len()];
+                let mut order = Vec::with_capacity(total);
+                while order.len() < total {
+                    let next_at = (0..streams.len())
+                        .filter_map(|t| streams[t].get(heads[t]).map(|e| e.at))
+                        .min()
+                        .expect("an event is left");
+                    let mut ready: Vec<usize> = (0..streams.len())
+                        .filter(|&t| streams[t].get(heads[t]).is_some_and(|e| e.at == next_at))
+                        .collect();
+                    let t = if shuffle {
+                        ready.swap_remove(rng.below(ready.len() as u64) as usize)
+                    } else {
+                        // Canonical: a thread's whole run of this instant
+                        // before the next thread's.
+                        ready[0]
+                    };
+                    order.push(streams[t][heads[t]].clone());
+                    heads[t] += 1;
+                }
+                order
+            };
+            let in_order = merged(&mut rng, false);
+            let shuffled = merged(&mut rng, true);
+            let by_thread: Vec<Event> = streams.drain(..).flatten().collect();
+
+            let record = |events: &[Event]| {
+                let rec = TraceRecorder::new();
+                for event in events {
+                    rec.on_event(event.clone());
+                }
+                let mut entries = rec.recording.lock().entries.clone();
+                (canonicalize(&mut entries), rec.take_trace())
+            };
+            let (arrival_a, reference) = record(&in_order);
+            let (arrival_b, repaired) = record(&shuffled);
+            let (arrival_c, sorted) = record(&by_thread);
+            assert_eq!(arrival_a, Arrival::InOrder, "round {round}");
+            assert_ne!(arrival_b, Arrival::Sorted, "round {round}");
+            if threads > 1 && by_thread.windows(2).any(|w| w[1].at < w[0].at) {
+                assert_eq!(arrival_c, Arrival::Sorted, "round {round}");
+            }
+            // Entries, labels and index alike (`Trace: Eq` covers all).
+            assert_eq!(repaired, reference, "round {round}: repaired");
+            assert_eq!(sorted, reference, "round {round}: sorted");
+            assert_index_matches_a_rescan(&repaired, &format!("round {round}"));
+        }
+    }
+
+    #[test]
+    fn a_same_instant_run_out_of_order_is_repaired_in_place() {
+        let rec = TraceRecorder::new();
+        for (at, thread) in [(1, 0), (5, 2), (5, 0), (5, 1), (5, 0), (9, 1), (9, 0)] {
+            rec.on_event(runtime_event(at, thread));
+        }
+        let mut entries = rec.recording.lock().entries.clone();
+        assert_eq!(canonicalize(&mut entries), Arrival::Repaired);
+        let keys: Vec<(u64, u32, u64)> =
+            entries.iter().map(|e| (e.at_ns, e.thread, e.seq)).collect();
+        assert_eq!(
+            keys,
+            [
+                (1, 0, 0),
+                (5, 0, 1),
+                (5, 0, 2),
+                (5, 1, 0),
+                (5, 2, 0),
+                (9, 0, 3),
+                (9, 1, 1)
+            ]
+        );
+        assert_eq!(canonicalize(&mut entries), Arrival::InOrder);
+    }
+
+    #[test]
+    fn a_recycled_buffer_that_fits_trades_places_with_the_recording() {
+        let rec = TraceRecorder::new();
+        let record = |n: u64| (0..n).for_each(|i| rec.on_event(runtime_event(i, 0)));
+        record(40);
+        // Nothing to recycle: exact lengths, the recording buffer stays.
+        let first = rec.take_trace();
+        assert_eq!(first.entries.capacity(), 40);
+        let recording = rec.recording.lock().entries.capacity();
+        assert!(recording >= 40);
+        // A recycled trace that fits: the new trace leaves in the buffer it
+        // was recorded in, and the recorder goes on in the recycled one.
+        record(30);
+        let second = rec.take_trace_into(first);
+        assert_eq!((second.len(), second.entries.capacity()), (30, recording));
+        assert_eq!(rec.recording.lock().entries.capacity(), 40);
+        // One that does not: regrown to exactly the trace, as ever.
+        record(50);
+        let mut small = Trace::default();
+        small.entries.reserve_exact(8);
+        let third = rec.take_trace_into(small);
+        assert_eq!((third.len(), third.entries.capacity()), (50, 50));
     }
 
     /// What the index must say about `trace`, derived the slow way.

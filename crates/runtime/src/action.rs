@@ -25,6 +25,7 @@ use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
 
 use crate::context::Ctx;
 use crate::error::Step;
+use crate::membership::ViewSnapshot;
 
 /// Exception-handler body: attempts forward recovery for the resolving
 /// exception the thread was committed to, then reports a verdict.
@@ -39,6 +40,9 @@ pub type AbortHandler = Arc<dyn Fn(&mut Ctx) -> Step<Option<Exception>> + Send +
 pub type UndoHook = Arc<dyn Fn(&mut Ctx) -> Step<bool> + Send + Sync>;
 
 static NEXT_DEF_ID: AtomicU32 = AtomicU32::new(1);
+
+/// How many roles a definition's table is first sized for.
+const USUAL_ROLES: usize = 4;
 
 thread_local! {
     /// The default corruption exception, interned per thread: every
@@ -82,15 +86,12 @@ impl std::error::Error for DefError {}
 pub(crate) struct DefInner {
     /// Interned: shared with every `Enter` event the runtime emits.
     pub(crate) name: Arc<str>,
-    pub(crate) def_id: u32,
-    /// Interned: shared with every `Enter` event the runtime emits.
-    pub(crate) role_names: Vec<Arc<str>>,
-    /// Parallel to `role_names` (roles are dense [`RoleId`]s): the thread
-    /// bound to the role and what was registered for it regardless of the
-    /// exception.
+    /// The declared roles in declaration order (roles are dense
+    /// [`RoleId`]s): one table, one allocation.
     pub(crate) roles: Vec<Role>,
-    /// All participating threads, sorted ascending (the ordered group `GA`).
-    pub(crate) group: Vec<ThreadId>,
+    /// All participating threads, sorted ascending (the ordered group
+    /// `GA`); inline like every table keyed by a member.
+    pub(crate) group: ViewSnapshot,
     pub(crate) graph: Arc<ExceptionGraph>,
     pub(crate) interface: Vec<ExceptionId>,
     pub(crate) handlers: HashMap<(RoleId, ExceptionId), Handler>,
@@ -100,9 +101,12 @@ pub(crate) struct DefInner {
     pub(crate) corruption_exception: ExceptionId,
 }
 
-/// One role of a definition: the thread bound to it, and its catch-all
-/// handler, abortion handler and undo hook, where one was registered.
+/// One role of a definition: its name, the thread bound to it, and its
+/// catch-all handler, abortion handler and undo hook, where one was
+/// registered.
 pub(crate) struct Role {
+    /// Interned: shared with every `Enter` event the runtime emits.
+    pub(crate) name: Arc<str>,
     pub(crate) thread: ThreadId,
     pub(crate) fallback: Option<Handler>,
     pub(crate) abort: Option<AbortHandler>,
@@ -130,9 +134,9 @@ impl Registration {
 
 impl DefInner {
     pub(crate) fn role_id(&self, name: &str) -> Option<RoleId> {
-        self.role_names
+        self.roles
             .iter()
-            .position(|r| &**r == name)
+            .position(|r| &*r.name == name)
             .map(|i| RoleId::new(u32::try_from(i).expect("role count bounded")))
     }
 
@@ -177,10 +181,15 @@ impl fmt::Debug for DefInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ActionDef")
             .field("name", &self.name)
-            .field("roles", &self.role_names)
+            .field("roles", &role_names(&self.roles))
             .field("group", &self.group)
             .finish()
     }
+}
+
+/// The names of `roles`, in declaration order (for `Debug`).
+fn role_names(roles: &[Role]) -> Vec<&str> {
+    roles.iter().map(|role| &*role.name).collect()
 }
 
 /// An immutable CA action definition; cheap to clone and share between
@@ -209,12 +218,16 @@ impl fmt::Debug for DefInner {
 ///     .build()?;
 /// assert_eq!(def.name(), "Move_Loaded_Table");
 /// assert_eq!(def.roles().len(), 2);
+/// assert_eq!(def.roles().next().map(|name| &**name), Some("table"));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone)]
 pub struct ActionDef {
     pub(crate) inner: Arc<DefInner>,
+    /// What tells this definition's instances from those of any other in
+    /// the process (see [`make_action_id`]); clones share it.
+    pub(crate) def_id: u32,
 }
 
 impl ActionDef {
@@ -222,7 +235,6 @@ impl ActionDef {
     pub fn builder(name: impl Into<Arc<str>>) -> ActionDefBuilder {
         ActionDefBuilder {
             name: name.into(),
-            role_names: Vec::new(),
             roles: Vec::new(),
             pending: Vec::new(),
             graph: None,
@@ -242,9 +254,8 @@ impl ActionDef {
     }
 
     /// The declared role names, in declaration order.
-    #[must_use]
-    pub fn roles(&self) -> &[Arc<str>] {
-        &self.inner.role_names
+    pub fn roles(&self) -> impl ExactSizeIterator<Item = &Arc<str>> + '_ {
+        self.inner.roles.iter().map(|role| &role.name)
     }
 
     /// The participating threads, sorted ascending.
@@ -265,6 +276,20 @@ impl ActionDef {
     pub fn interface(&self) -> &[ExceptionId] {
         &self.inner.interface
     }
+
+    /// This definition again, as if it had been built a second time: the
+    /// same roles, graph, handlers and timeouts (shared, not copied) under
+    /// a definition id of its own, so the instances entered through the
+    /// result are numbered apart from those entered through `self`. What a
+    /// driver that keeps definitions between systems uses in place of a
+    /// rebuild.
+    #[must_use]
+    pub fn reissued(&self) -> ActionDef {
+        ActionDef {
+            inner: Arc::clone(&self.inner),
+            def_id: NEXT_DEF_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
 }
 
 impl fmt::Debug for ActionDef {
@@ -278,8 +303,7 @@ impl fmt::Debug for ActionDef {
 pub struct ActionDefBuilder {
     name: Arc<str>,
     /// The declared roles, as the definition will hold them: `build` moves
-    /// the two tables in as they are.
-    role_names: Vec<Arc<str>>,
+    /// the table in as it is.
     roles: Vec<Role>,
     /// Registrations naming a role that is not declared (yet): they take
     /// effect when it is, and fail the build if it never is.
@@ -297,7 +321,7 @@ impl fmt::Debug for ActionDefBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ActionDefBuilder")
             .field("name", &self.name)
-            .field("roles", &self.role_names)
+            .field("roles", &role_names(&self.roles))
             .finish()
     }
 }
@@ -310,6 +334,7 @@ impl ActionDefBuilder {
     pub fn role(mut self, name: impl Into<Arc<str>>, thread: impl Into<ThreadId>) -> Self {
         let name = name.into();
         let mut role = Role {
+            name: Arc::clone(&name),
             thread: thread.into(),
             fallback: None,
             abort: None,
@@ -318,7 +343,7 @@ impl ActionDefBuilder {
         // What was registered for the role before it was declared, in
         // registration order (to a duplicate declaration nothing is owed:
         // the build fails).
-        if !self.pending.is_empty() && !self.role_names.contains(&name) {
+        if !self.pending.is_empty() && !self.roles.iter().any(|r| r.name == name) {
             let (mine, others): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
                 .into_iter()
                 .partition(|(registered_for, _)| *registered_for == name);
@@ -327,7 +352,10 @@ impl ActionDefBuilder {
                 registration.apply(&mut role);
             }
         }
-        self.role_names.push(name);
+        if self.roles.is_empty() {
+            // The table is allocated here, for a group of the usual size.
+            self.roles.reserve(USUAL_ROLES);
+        }
         self.roles.push(role);
         self
     }
@@ -335,7 +363,7 @@ impl ActionDefBuilder {
     /// Files a registration under `role`: straight into the role's entry
     /// when it is declared already (the usual order), held back otherwise.
     fn register(mut self, role: Arc<str>, registration: Registration) -> Self {
-        match self.role_names.iter().position(|name| *name == role) {
+        match self.roles.iter().position(|declared| declared.name == role) {
             Some(declared) => registration.apply(&mut self.roles[declared]),
             None => self.pending.push((role, registration)),
         }
@@ -492,22 +520,23 @@ impl ActionDefBuilder {
     ///
     /// See [`DefError`].
     pub fn build(self) -> Result<ActionDef, DefError> {
-        let (role_names, roles) = (self.role_names, self.roles);
+        let roles = self.roles;
         if roles.is_empty() {
             return Err(DefError::NoRoles);
         }
-        for (declared, (name, role)) in role_names.iter().zip(&roles).enumerate() {
-            if role_names[..declared].contains(name) {
-                return Err(DefError::DuplicateRole(name.to_string()));
+        for (declared, role) in roles.iter().enumerate() {
+            let earlier = &roles[..declared];
+            if earlier.iter().any(|r| r.name == role.name) {
+                return Err(DefError::DuplicateRole(role.name.to_string()));
             }
-            if roles[..declared].iter().any(|r| r.thread == role.thread) {
+            if earlier.iter().any(|r| r.thread == role.thread) {
                 return Err(DefError::DuplicateThread(role.thread));
             }
         }
         if let Some((undeclared, _)) = self.pending.first() {
             return Err(DefError::UnknownRole(undeclared.to_string()));
         }
-        let mut group: Vec<ThreadId> = roles.iter().map(|role| role.thread).collect();
+        let mut group: ViewSnapshot = roles.iter().map(|role| role.thread).collect();
         group.sort_unstable();
 
         let graph = match self.graph {
@@ -521,9 +550,9 @@ impl ActionDefBuilder {
         };
 
         let role_id_of = |name: &str| -> Result<RoleId, DefError> {
-            role_names
+            roles
                 .iter()
-                .position(|r| &**r == name)
+                .position(|r| &*r.name == name)
                 .map(|i| RoleId::new(u32::try_from(i).expect("bounded")))
                 .ok_or_else(|| DefError::UnknownRole(name.to_owned()))
         };
@@ -534,10 +563,9 @@ impl ActionDefBuilder {
         }
 
         Ok(ActionDef {
+            def_id: NEXT_DEF_ID.fetch_add(1, Ordering::Relaxed),
             inner: Arc::new(DefInner {
                 name: self.name,
-                def_id: NEXT_DEF_ID.fetch_add(1, Ordering::Relaxed),
-                role_names,
                 roles,
                 group,
                 graph,
@@ -615,7 +643,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(def.group(), &[ThreadId::new(2), ThreadId::new(5)]);
-        assert_eq!(def.roles(), &[Arc::from("b"), Arc::from("a")]);
+        let declared: Vec<&str> = def.roles().map(|name| &**name).collect();
+        assert_eq!(declared, ["b", "a"]);
     }
 
     #[test]
@@ -751,7 +780,12 @@ mod tests {
             .role("r", ThreadId::new(0))
             .build()
             .unwrap();
-        assert_ne!(a.inner.def_id, b.inner.def_id);
+        assert_ne!(a.def_id, b.def_id);
+        // A reissue shares everything but the id; a clone shares the id too.
+        let again = a.reissued();
+        assert!(Arc::ptr_eq(&a.inner, &again.inner));
+        assert_ne!(a.def_id, again.def_id);
+        assert_eq!(a.def_id, a.clone().def_id);
     }
 
     #[test]

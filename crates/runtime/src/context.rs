@@ -9,7 +9,7 @@
 //! realises, per action frame:
 //!
 //! * the resolution algorithm of §3.3.2 (delegated to the system's
-//!   [`ResolutionProtocol`](crate::protocol::ResolutionProtocol)), with
+//!   [`ResolutionProtocol`]), with
 //!   the crash-aware bounded wait of the membership extension
 //!   ([`crate::membership`]): a silent peer is presumed crashed, removed
 //!   from the frame's membership view and resolved as a synthesized crash
@@ -68,10 +68,12 @@ use caa_simnet::{FiberEndpoint, Parked, Received};
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
 use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot};
-use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake};
+use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake, CHAIN_INLINE};
 use crate::observe::{Event, EventKind};
-use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolverState};
-use crate::rounds::{corrupted, unframed, Collected, Frame, Round, RoundAction, RoundEnd};
+use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
+use crate::rounds::{
+    corrupted, unframed, Collected, Frame, FrameParts, Round, RoundAction, RoundEnd,
+};
 use crate::system::SystemShared;
 
 /// An application message delivered to a role.
@@ -94,6 +96,21 @@ enum RecoveryStart {
     Suspend,
 }
 
+/// What a participant's context keeps on the heap, as one run's context
+/// leaves it for the next run's ([`Ctx::shutdown`]): every list empty, its
+/// capacity kept. A system hands these out from the host thread's run pool
+/// (see [`crate::system`]), so a warmed participant sizes nothing.
+#[derive(Default)]
+pub(crate) struct CtxScratch {
+    stack: Vec<Frame>,
+    retained: Vec<Message>,
+    /// What the frames popped so far left for the next ones.
+    spare: Vec<FrameParts>,
+    /// The protocol that made the resolver states among `spare`: they
+    /// serve a system of that protocol only.
+    protocol: Option<Arc<dyn ResolutionProtocol>>,
+}
+
 /// The execution context of one participating thread.
 ///
 /// Obtained inside [`System::spawn`](crate::System::spawn). All blocking
@@ -105,6 +122,10 @@ pub struct Ctx {
     endpoint: FiberEndpoint<Message>,
     system: Rc<SystemShared>,
     stack: Vec<Frame>,
+    /// What popped frames left for the next ones to be made over, and the
+    /// protocol their resolver states are of (the system's own).
+    spare: Vec<FrameParts>,
+    spare_protocol: Option<Arc<dyn ResolutionProtocol>>,
     /// A scheduled crash-stop instant ([`Ctx::schedule_crash`]): the
     /// thread dies at the first poll point at or after it — mid-body,
     /// mid-collection, mid-signalling or mid-exit alike.
@@ -183,14 +204,32 @@ impl Ctx {
         endpoint: FiberEndpoint<Message>,
         system: Rc<SystemShared>,
     ) -> Self {
+        // The one this thread id's context left last run, so that a
+        // participant meets lists sized by its own history.
+        let left = system
+            .scratch
+            .borrow_mut()
+            .get_mut(me.index())
+            .map(std::mem::take);
+        let mut scratch = left.unwrap_or_default();
+        let same_protocol = |made_by| Arc::ptr_eq(made_by, &system.protocol);
+        if !scratch.protocol.as_ref().is_some_and(same_protocol) {
+            scratch
+                .spare
+                .iter_mut()
+                .for_each(FrameParts::forget_resolver);
+            scratch.protocol = Some(Arc::clone(&system.protocol));
+        }
         Ctx {
             me,
             name,
             endpoint,
             system,
-            stack: Vec::new(),
+            stack: scratch.stack,
+            spare: scratch.spare,
+            spare_protocol: scratch.protocol,
             crash_at: None,
-            retained: Vec::new(),
+            retained: scratch.retained,
             entry_counts: InlineVec::new(),
             finished: InlineVec::new(),
             last_crash: None,
@@ -532,7 +571,8 @@ impl Ctx {
         if self.stack.is_empty() {
             return Err(RuntimeError::NoActiveAction("object access").into());
         }
-        let chain: Vec<ActionId> = self.stack.iter().map(|fr| fr.id.action).collect();
+        let chain: InlineVec<ActionId, CHAIN_INLINE> =
+            self.stack.iter().map(|fr| fr.id.action).collect();
         let action = *chain.last().expect("stack nonempty");
         // Open a fresh parked wait (discarding any stale doorbell; the
         // returned epoch tags every wake computed for this request), then
@@ -630,7 +670,7 @@ impl Ctx {
 
         let depth = u32::try_from(self.stack.len()).expect("nesting depth bounded");
         let parent_serial = self.stack.last().map_or(0, |f| f.id.action.serial());
-        let key = (inner.def_id, parent_serial);
+        let key = (def.def_id, parent_serial);
         let at = match self.entry_counts.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(at) => at,
             Err(at) => {
@@ -639,10 +679,11 @@ impl Ctx {
             }
         };
         let instance = &mut self.entry_counts[at].1;
-        let action = make_action_id(inner.def_id, parent_serial, *instance, depth);
+        let action = make_action_id(def.def_id, parent_serial, *instance, depth);
         *instance += 1;
+        let parts = self.spare.pop().unwrap_or_default();
         self.stack
-            .push(Frame::new(action, Arc::clone(&inner), role_id));
+            .push(Frame::new(action, Arc::clone(&inner), role_id, parts));
 
         // "if Ti enters A then <A> → SAi; consume messages having arrived".
         let mut initial: Option<RecoveryStart> = None;
@@ -713,7 +754,7 @@ impl Ctx {
     fn observe_enter(&self, action: ActionId, def: &DefInner, role: RoleId) {
         self.observe(action, || EventKind::Enter {
             name: Arc::clone(&def.name),
-            role: Arc::clone(&def.role_names[role.index()]),
+            role: Arc::clone(&def.roles[role.index()].name),
             depth: self.stack.len(),
         });
     }
@@ -805,7 +846,8 @@ impl Ctx {
         );
         self.finished.retain(|&serial| serial != action.serial());
         self.system.stats.borrow_mut().rejoins += 1;
-        let frame = Frame::new(action, Arc::clone(&inner), role_id);
+        let parts = self.spare.pop().unwrap_or_default();
+        let frame = Frame::new(action, Arc::clone(&inner), role_id, parts);
         self.stack.push(frame.rejoined(view, exit_epoch, resolved));
         self.observe(action, || EventKind::Rejoin {
             epoch: view_epoch,
@@ -937,6 +979,13 @@ impl Ctx {
         (frame.id.action, now, std::mem::take(&mut frame.objects))
     }
 
+    /// Gives the (released) list [`Ctx::take_objects`] took back to the top
+    /// frame, emptied: the list keeps its capacity for the frames to come.
+    fn return_objects(&mut self, mut objects: Vec<Box<dyn TxControl>>) {
+        objects.clear();
+        self.frame_mut().objects = objects;
+    }
+
     /// Rolls the top frame's layer back on every object it registered —
     /// tainting instead where the object is irreversible (ƒ semantics) — and
     /// forwards each release's wake-up to the next waiter. Returns `false`
@@ -956,6 +1005,7 @@ impl Ctx {
                 Err(ObjectError::NotAcquired { .. }) => {}
             }
         }
+        self.return_objects(objects);
         undone
     }
 
@@ -967,6 +1017,7 @@ impl Ctx {
                 self.forward_wake(wake);
             }
         }
+        self.return_objects(objects);
         self.observe_top(|| EventKind::Abort { eab: None });
         self.pop_frame();
     }
@@ -993,6 +1044,7 @@ impl Ctx {
             if let Err(at) = self.finished.binary_search(&serial) {
                 self.finished.insert(at, serial);
             }
+            self.spare.push(frame.into_parts());
         }
     }
 
@@ -1067,6 +1119,7 @@ impl Ctx {
                 self.forward_wake(wake);
             }
         }
+        self.return_objects(objects);
         self.observe_top(|| EventKind::Exit {
             outcome: outcome.clone(),
         });
@@ -1093,7 +1146,9 @@ impl Ctx {
             raised: matches!(start, RecoveryStart::Raise(_)),
         });
         // Feed the stashed trigger(s) first, then our own transition.
-        for msg in std::mem::take(&mut self.frame_mut().inbox.control) {
+        // (One at a time, so the inbox keeps its buffer; nothing stashes
+        // into it while recovery is under way.)
+        while let Some(msg) = self.frame_mut().inbox.control.pop_front() {
             self.absorb_active_control(msg)?;
         }
         if self.frame().view.evicted {
@@ -1147,8 +1202,11 @@ impl Ctx {
     /// resolution invocation and records the resolved exception, if any.
     fn dispatch_proto_actions(&mut self, mut actions: ProtoActions) -> Step {
         self.frame_mut().stamp_commits(&mut actions);
-        for (to, msg) in actions.outbound {
+        for (to, msg) in actions.outbound.drain(..) {
             self.send(to, msg);
+        }
+        if let Some(resolver) = &mut self.frame_mut().recovery.resolver {
+            resolver.recycle(actions.outbound);
         }
         if actions.resolve_invocations > 0 {
             self.system.stats.borrow_mut().resolutions_invoked +=
@@ -1393,9 +1451,13 @@ impl Ctx {
     fn flush_pending_joins(&mut self) {
         let top = self.stack.len() - 1;
         self.stack[top].recovery.cohort = None;
-        for joiner in std::mem::take(&mut self.stack[top].inbox.joins) {
+        // (By index, so the list keeps its buffer; with the cohort gone a
+        // request is granted on arrival, not queued here.)
+        for at in 0..self.stack[top].inbox.joins.len() {
+            let joiner = self.stack[top].inbox.joins[at];
             self.grant_join(top, joiner);
         }
+        self.stack[top].inbox.joins.clear();
     }
 
     /// Notifies the resolver of an applied view change: `removed` threads
@@ -1594,8 +1656,22 @@ impl Ctx {
     }
 
     /// Called by the system when the thread body finishes: release the
-    /// endpoint.
-    pub(crate) fn shutdown(self) {
+    /// endpoint, and leave the context's lists to the next run's.
+    pub(crate) fn shutdown(mut self) {
         self.endpoint.retire();
+        // A body that ended inside an action (it can only have panicked
+        // its way out) leaves frames behind: they are not recycled.
+        self.stack.clear();
+        self.retained.clear();
+        let mut all = self.system.scratch.borrow_mut();
+        if all.len() <= self.me.index() {
+            all.resize_with(self.me.index() + 1, CtxScratch::default);
+        }
+        all[self.me.index()] = CtxScratch {
+            stack: self.stack,
+            retained: self.retained,
+            spare: self.spare,
+            protocol: self.spare_protocol,
+        };
     }
 }

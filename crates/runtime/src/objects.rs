@@ -79,6 +79,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use caa_core::ids::{ActionId, ThreadId};
+use caa_core::inline::InlineVec;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use parking_lot::Mutex;
 
@@ -143,6 +144,10 @@ impl fmt::Display for ObjectError {
 
 impl std::error::Error for ObjectError {}
 
+/// How many action ids a chain (a requester's open actions, outermost
+/// first) holds inline.
+pub(crate) const CHAIN_INLINE: usize = 4;
+
 struct TxLayer<T> {
     owner: ActionId,
     working: T,
@@ -162,8 +167,9 @@ struct Waiter {
     /// last). A waiter only competes for a grant while every open layer
     /// belongs to its chain; incompatible waiters do not block compatible
     /// ones (otherwise a competing queue-head would deadlock against the
-    /// current holder's own re-accesses).
-    chain: Vec<ActionId>,
+    /// current holder's own re-accesses). Inline up to the nesting depths
+    /// that occur.
+    chain: InlineVec<ActionId, CHAIN_INLINE>,
     /// The wait epoch the requester parks under
     /// ([`caa_simnet::Endpoint::begin_wait`]); carried in every [`Wake`]
     /// computed for this waiter so stale wakes cannot target a later wait.
@@ -372,6 +378,23 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         Ok(f(&mut inner.committed))
     }
 
+    /// Returns the object to the state [`SharedObject::new`] would make it
+    /// in with `initial` — nothing open, nobody waiting, not tainted, no
+    /// instant of an earlier system remembered — keeping its allocations.
+    /// For a driver that runs system after system over the same objects:
+    /// call it between runs, never while an action holds the object.
+    pub fn reset(&self, initial: T) {
+        let mut inner = self.shared.state.lock();
+        inner.committed = initial;
+        inner.layers.clear();
+        inner.informed.clear();
+        inner.tainted = false;
+        inner.waiters.clear();
+        inner.last_grant_at = None;
+        inner.last_release_at = None;
+        inner.last_cancel_at = None;
+    }
+
     /// Whether a failure exception left possibly-erroneous state behind.
     #[must_use]
     pub fn is_tainted(&self) -> bool {
@@ -409,7 +432,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
             None => inner.waiters.push(Waiter {
                 registered_at: now,
                 thread,
-                chain: chain.to_vec(),
+                chain: InlineVec::from_slice(chain),
                 epoch,
             }),
         }
@@ -740,6 +763,39 @@ mod tests {
     }
 
     const NOW: VirtualInstant = VirtualInstant::EPOCH;
+
+    #[test]
+    fn a_reset_object_is_as_new() {
+        let obj = SharedObject::new("o", 1u64);
+        let (t1, t2) = (ThreadId::new(1), ThreadId::new(2));
+        // Held by one action, waited for by another, informed and tainted.
+        assert!(obj.enqueue_waiter(t1, at(5), &[aid(1)], 0).is_some());
+        let mut bump = Some(|v: &mut u64, dirty: &mut bool| {
+            *v += 1;
+            *dirty = true;
+        });
+        assert!(matches!(
+            obj.try_access(t1, at(6), &[aid(1)], &mut bump),
+            AccessOutcome::Done { .. }
+        ));
+        let _ = obj.enqueue_waiter(t2, at(7), &[aid(2)], 0);
+        obj.inform_exception(aid(1), "e");
+        obj.commit_tainted(aid(1), at(8)).expect("held");
+        assert!(obj.is_tainted() && obj.committed() == 2);
+        obj.reset(1);
+        assert_eq!(
+            format!("{obj:?}"),
+            format!("{:?}", SharedObject::new("o", 1u64))
+        );
+        assert!(obj.informed_exceptions().is_empty());
+        // No instant of the earlier use gates the first grant of the next:
+        // a request at the epoch is scheduled as on a new object.
+        let fresh = SharedObject::new("o", 1u64);
+        assert_eq!(
+            obj.enqueue_waiter(t1, NOW, &[aid(3)], 0),
+            fresh.enqueue_waiter(t1, NOW, &[aid(3)], 0)
+        );
+    }
 
     #[test]
     fn acquire_modify_commit() {

@@ -123,6 +123,24 @@ pub trait ResolverState: Send {
         let _ = (ctx, removed, synthesized);
         ProtoActions::default()
     }
+
+    /// Returns the state to what
+    /// [`new_state`](ResolutionProtocol::new_state) made it — nothing
+    /// recorded, nothing resolved — keeping its allocations, and says
+    /// whether it did. A state that answers `true` serves the next action
+    /// instance its participant recovers in; one that answers `false` (the
+    /// default) is dropped and a new one is made.
+    fn reset(&mut self) -> bool {
+        false
+    }
+
+    /// Takes back the (emptied) `outbound` list of a [`ProtoActions`] this
+    /// state returned, once the driver has sent what was in it: a state
+    /// that keeps it fills it again for its next broadcast instead of
+    /// allocating one. The default drops it.
+    fn recycle(&mut self, outbound: Vec<(ThreadId, Message)>) {
+        drop(outbound);
+    }
 }
 
 /// Factory for [`ResolverState`]s — one strategy per system.
@@ -168,6 +186,14 @@ struct XrrState {
     state: ParticipantState,
     entries: EntryList,
     resolved: Option<ExceptionId>,
+    /// Scratch for the raised set handed to the resolution procedure;
+    /// empty between resolutions, its capacity kept across [`reset`]s.
+    ///
+    /// [`reset`]: ResolverState::reset
+    raised: Vec<ExceptionId>,
+    /// The outbound list the driver handed back last
+    /// ([`ResolverState::recycle`]), for the next event's actions.
+    outbound: Vec<(ThreadId, Message)>,
 }
 
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -245,18 +271,16 @@ impl XrrState {
         if self.elected(ctx) != Some(ctx.me) {
             return;
         }
-        let raised: Vec<ExceptionId> = self
-            .entries
-            .iter()
-            .filter_map(|(_, e)| match e {
-                Entry::Exception(id) => Some(id.clone()),
-                Entry::Suspended => None,
-            })
-            .collect();
-        if raised.is_empty() {
+        let raised = self.entries.iter().filter_map(|(_, e)| match e {
+            Entry::Exception(id) => Some(id.clone()),
+            Entry::Suspended => None,
+        });
+        self.raised.extend(raised);
+        if self.raised.is_empty() {
             return;
         }
-        let resolved = ctx.graph.resolve(&raised);
+        let resolved = ctx.graph.resolve(&self.raised);
+        self.raised.clear();
         actions.resolve_invocations += 1;
         for peer in ctx.peers() {
             // The recovery driver fills `view_epoch`/`view_removed` in
@@ -278,9 +302,19 @@ impl XrrState {
     }
 }
 
+impl XrrState {
+    /// Nothing to do yet, over the recycled outbound list.
+    fn actions(&mut self) -> ProtoActions {
+        ProtoActions {
+            outbound: std::mem::take(&mut self.outbound),
+            ..ProtoActions::default()
+        }
+    }
+}
+
 impl ResolverState for XrrState {
     fn on_event(&mut self, ctx: &ProtoCtx<'_>, event: ProtoEvent<'_>) -> ProtoActions {
-        let mut actions = ProtoActions::default();
+        let mut actions = self.actions();
         match event {
             ProtoEvent::LocalRaise(e) => {
                 self.state = ParticipantState::Exceptional;
@@ -363,7 +397,7 @@ impl ResolverState for XrrState {
         removed: &[ThreadId],
         synthesized: &[Exception],
     ) -> ProtoActions {
-        let mut actions = ProtoActions::default();
+        let mut actions = self.actions();
         let _ = removed;
         for e in synthesized {
             // A silent peer becomes its synthesized crash exception; a
@@ -375,6 +409,18 @@ impl ResolverState for XrrState {
         }
         self.try_resolve(ctx, &mut actions);
         actions
+    }
+
+    fn reset(&mut self) -> bool {
+        self.state = ParticipantState::default();
+        self.entries.0.clear();
+        self.resolved = None;
+        true
+    }
+
+    fn recycle(&mut self, mut outbound: Vec<(ThreadId, Message)>) {
+        outbound.clear();
+        self.outbound = outbound;
     }
 }
 
@@ -724,6 +770,35 @@ mod tests {
         let a2 = t2.on_event(&c2, ProtoEvent::LocalSuspend);
         assert!(a2.outbound.is_empty(), "suspend broadcast happens once");
         assert_eq!(t2.participant_state(), ParticipantState::Suspended);
+    }
+
+    #[test]
+    fn a_reset_state_resolves_the_next_instance_like_a_new_one() {
+        let g = graph();
+        let group: Vec<ThreadId> = (0..2).map(tid).collect();
+        let c1 = ctx(1, &group, &g);
+        let mut recycled = XrrResolution.new_state();
+        // One recovery to its end: T1 raises e2, T0 raised e1.
+        recycled.on_event(&c1, ProtoEvent::LocalRaise(&Exception::new("e2")));
+        let a = recycled.on_event(
+            &c1,
+            ProtoEvent::Control(&Message::Exception {
+                action: c1.action,
+                from: tid(0),
+                exception: Exception::new("e1").with_origin(tid(0)),
+            }),
+        );
+        assert_eq!(a.resolved, Some(ExceptionId::new("e1∩e2")));
+        assert!(recycled.reset(), "the paper's state is reusable");
+        // The next one, side by side with a state made for it.
+        let mut fresh = XrrResolution.new_state();
+        for state in [&mut recycled, &mut fresh] {
+            assert_eq!(state.participant_state(), ParticipantState::Normal);
+            assert_eq!(&state.waiting_on(&c1)[..], [tid(0), tid(1)]);
+            let a = state.on_event(&c1, ProtoEvent::LocalSuspend);
+            assert_eq!(a.outbound.len(), 1);
+            assert!(a.resolved.is_none());
+        }
     }
 
     #[test]

@@ -32,9 +32,11 @@ use crate::protocol::{ProtoActions, ProtoCtx, ResolutionProtocol, ResolverState}
 ///
 /// What a round keeps per participant — announcements, votes, the peers
 /// heard from — lives inline in the frame ([`InlineVec`] tables keyed by
-/// the member, spilling to the heap only past [`GROUP_INLINE`] members), so
-/// entering an action, running its rounds and leaving it allocate nothing
-/// for them.
+/// the member, spilling to the heap only past [`GROUP_INLINE`] members),
+/// and what has to be on the heap — the inboxes, the list of touched
+/// objects, the resolver's state — is made over the [`FrameParts`] an
+/// earlier frame of the participant left, so entering an action, running
+/// its rounds and leaving it allocate nothing for them.
 pub(crate) struct Frame {
     pub(crate) id: Identity,
     pub(crate) inbox: Inboxes,
@@ -55,6 +57,23 @@ pub(crate) struct Identity {
     pub(crate) role: RoleId,
 }
 
+/// The heap-backed parts of a frame, as one frame leaves them for the next
+/// ([`Frame::into_parts`]): emptied, their capacity kept, the resolver
+/// state reset. A default one is what a participant's first frames get.
+#[derive(Default)]
+pub(crate) struct FrameParts {
+    inbox: Inboxes,
+    objects: Vec<Box<dyn TxControl>>,
+    resolver: Option<Box<dyn ResolverState>>,
+}
+
+impl FrameParts {
+    /// Drops the resolver state: it was made by another system's protocol.
+    pub(crate) fn forget_resolver(&mut self) {
+        self.resolver = None;
+    }
+}
+
 /// What arrived for a frame and waits to be consumed.
 #[derive(Default)]
 pub(crate) struct Inboxes {
@@ -71,9 +90,11 @@ pub(crate) struct Inboxes {
 
 /// A frame's progress through coordinated recovery.
 pub(crate) struct Recovery {
-    /// Protocol state for this frame's resolution, made when the frame
-    /// first takes part in one ([`Frame::proto_ctx`]): most frames never
-    /// recover, and their state was a boxed allocation per entry.
+    /// Protocol state for this frame's resolution: the (reset) one an
+    /// earlier frame of this participant left, else made when the frame
+    /// first takes part in a resolution ([`Frame::proto_ctx`]) — most
+    /// frames never recover, and their state was a boxed allocation per
+    /// entry.
     pub(crate) resolver: Option<Box<dyn ResolverState>>,
     /// Resolution completed — later Exception/Suspended messages for this
     /// instance are stragglers and are dropped (termination model: nothing
@@ -100,14 +121,20 @@ pub(crate) struct Recovery {
 }
 
 impl Frame {
-    /// A frame freshly entered over the action's full group.
-    pub(crate) fn new(action: ActionId, def: Arc<DefInner>, role: RoleId) -> Self {
+    /// A frame freshly entered over the action's full group, made over
+    /// `parts`.
+    pub(crate) fn new(
+        action: ActionId,
+        def: Arc<DefInner>,
+        role: RoleId,
+        parts: FrameParts,
+    ) -> Self {
         Frame {
             view: FrameMembership::new(&def.group),
             id: Identity { action, def, role },
-            inbox: Inboxes::default(),
+            inbox: parts.inbox,
             recovery: Recovery {
-                resolver: None,
+                resolver: parts.resolver,
                 recovered: false,
                 aborting: false,
                 in_handler: None,
@@ -116,8 +143,25 @@ impl Frame {
             },
             signals: SignalTable::default(),
             exit: ExitBarrier::default(),
-            objects: Vec::new(),
+            objects: parts.objects,
         }
+    }
+
+    /// What a popped frame leaves for the next one: its inboxes and object
+    /// list emptied, its resolver state reset (dropped if it cannot be).
+    pub(crate) fn into_parts(self) -> FrameParts {
+        let mut resolver = self.recovery.resolver;
+        resolver.take_if(|state| !state.reset());
+        let mut parts = FrameParts {
+            inbox: self.inbox,
+            objects: self.objects,
+            resolver,
+        };
+        parts.inbox.control.clear();
+        parts.inbox.app.clear();
+        parts.inbox.joins.clear();
+        parts.objects.clear();
+        parts
     }
 
     /// Fast-forwards a fresh frame to the state a `JoinGrant` describes: the
@@ -800,7 +844,7 @@ mod tests {
             .role("r2", 2u32)
             .build()
             .expect("valid definition");
-        Frame::new(ACTION, def.inner, RoleId::new(0))
+        Frame::new(ACTION, def.inner, RoleId::new(0), FrameParts::default())
     }
 
     fn exception(from: u32) -> Message {
@@ -1255,7 +1299,7 @@ mod tests {
             builder = builder.role(format!("r{thread}"), thread);
         }
         let def = builder.build().expect("valid definition");
-        Frame::new(ACTION, def.inner, RoleId::new(0))
+        Frame::new(ACTION, def.inner, RoleId::new(0), FrameParts::default())
     }
 
     /// Every per-participant table of a frame, driven through one

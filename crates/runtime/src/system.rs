@@ -33,18 +33,23 @@
 //! # The run pool
 //!
 //! What a run needs besides its messages — one actor slot, mailbox heap,
-//! link row and 256 KiB guard-paged fiber stack per participant — outlives
-//! it: each host thread keeps the network arena of the last system it
-//! finished (`RUN_POOL`, a `thread_local!`), [`SystemBuilder::build`]
-//! takes it and a [`System`] puts the reclaimed arena back when it is
-//! dropped — at the end of [`System::run`], or un-run, once its bodies
-//! have run. A second run on the same thread therefore maps no stack and
-//! allocates no slot, whoever the caller is. The pool is an allocation
+//! link row and 256 KiB guard-paged fiber stack per participant, the lists
+//! a participant's context keeps (frame stack, inboxes, retained messages,
+//! resolver states) and the host's own table of participants — outlives
+//! it: each host thread keeps those of the last system it finished
+//! (`RUN_POOL`, a `thread_local!`), [`SystemBuilder::build`] takes them
+//! and a [`System`] puts them back when it is dropped — at the end of
+//! [`System::run`], or un-run, once its bodies have run. A second run on
+//! the same thread therefore maps no stack and allocates no slot, whoever
+//! the caller is — nor a participant's body or the cell its fiber shares
+//! with the host, which live on the fiber's stack ([`caa_fiber::Fiber`]). The pool is an allocation
 //! cache and nothing else: a recycled network is fully cleared
 //! ([`caa_simnet::Network::reclaim`]), so a run reports the same whether
 //! the pool was warm, cold or left empty by a run that could not be
-//! reclaimed. It holds at most the slots of the largest system the thread
-//! has run and is freed when the thread exits.
+//! reclaimed; a context's lists come back empty, and a resolver state is
+//! reused only by a system of the protocol that made it. It holds at most
+//! the slots of the largest system the thread has run and is freed when
+//! the thread exits.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -59,7 +64,7 @@ use caa_simnet::{
     ClockMode, FaultPlan, FiberNetwork, LatencyModel, NetArena, NetConfig, NetStats, SchedStats,
 };
 
-use crate::context::Ctx;
+use crate::context::{Ctx, CtxScratch};
 use crate::error::{RuntimeError, Step, Unwind};
 use crate::observe::Observer;
 use crate::protocol::{ResolutionProtocol, XrrResolution};
@@ -122,29 +127,51 @@ pub(crate) struct SystemShared {
     pub(crate) resolution_delay: VirtualDuration,
     pub(crate) stats: RefCell<RuntimeStats>,
     pub(crate) observer: Option<Arc<dyn Observer>>,
+    /// What earlier participants' contexts left for this system's to be
+    /// made over, by thread id ([`Ctx::new`] takes its thread's,
+    /// [`Ctx::shutdown`] puts it back).
+    pub(crate) scratch: RefCell<Vec<CtxScratch>>,
 }
 
-/// A registered-but-not-yet-started participant body.
+/// A spawned participant: its body on a fiber, until it ends.
 ///
 /// [`System::spawn`] registers the participant's network partition
 /// immediately (ids are assigned in spawn order, and a registered
-/// endpoint holds virtual time back), but the body first runs when
-/// [`System::run`] puts it on a fiber — by which point every participant
-/// is registered, so no start gate is needed.
-type PendingBody = Box<dyn FnOnce() -> Result<(), RuntimeError>>;
-
-/// A spawned participant awaiting [`System::run`].
-struct Pending {
+/// endpoint holds virtual time back) and puts the body on its fiber, but
+/// the fiber is first resumed by [`System::run`] — by which point every
+/// participant is registered, so no start gate is needed.
+struct Participant {
     id: PartitionId,
     name: Arc<str>,
-    body: PendingBody,
+    state: Hosted,
+}
+
+enum Hosted {
+    Running(Fiber<Result<(), RuntimeError>>),
+    Done(Result<(), RuntimeError>),
+}
+
+/// What a finished system leaves for the next one built on its thread
+/// (see the module docs).
+#[derive(Default)]
+struct RunPool {
+    arena: NetArena<Message>,
+    scratch: Vec<CtxScratch>,
+    /// Empty: the host's table of participants, for its capacity.
+    participants: Vec<Participant>,
 }
 
 thread_local! {
-    /// The calling thread's idle network arena (see the module docs).
-    /// `None` while a system built on this thread holds it, after a run
-    /// that could not be reclaimed, and before the first run.
-    static RUN_POOL: Cell<Option<NetArena<Message>>> = const { Cell::new(None) };
+    /// The calling thread's idle run pool (see the module docs). `None`
+    /// while a system built on this thread holds it, after a run that
+    /// could not be reclaimed, and before the first run.
+    static RUN_POOL: Cell<Option<RunPool>> = const { Cell::new(None) };
+
+    /// The default protocol, one per thread: a system that names none
+    /// shares it, so building one allocates nothing for it and the
+    /// resolver states a participant's context keeps between runs stay
+    /// valid from one such system to the next.
+    static XRR: Arc<dyn ResolutionProtocol> = Arc::new(XrrResolution);
 }
 
 /// Usable stack per participant. The deepest bodies in the workspace (the
@@ -156,8 +183,8 @@ thread_local! {
 /// process rather than corrupting anything.
 const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
 
-/// Runs the participants to completion as fibers on the calling thread
-/// and returns their results in spawn order.
+/// Runs the participants to completion as fibers on the calling thread,
+/// leaving each one's result in its place.
 ///
 /// Run-to-block: a participant keeps the CPU until it blocks in the
 /// network (which suspends its fiber) or finishes. Each pass resumes, in
@@ -169,32 +196,15 @@ const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
 /// whenever every live endpoint is blocked at least one is woken, so a
 /// pass that resumes nobody means the network is also being driven from
 /// outside this loop, which a fiber-hosted system cannot wait for.
-fn host(
-    net: &FiberNetwork<Message>,
-    pending: Vec<Pending>,
-) -> Vec<(String, Result<(), RuntimeError>)> {
-    enum Hosted {
-        Running(Fiber<Result<(), RuntimeError>>),
-        Done(Result<(), RuntimeError>),
-    }
-    let mut hosted: Vec<(PartitionId, Arc<str>, Hosted)> = pending
-        .into_iter()
-        .map(|p| {
-            let stack = net
-                .take_stack(p.id)
-                .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
-            let fiber = Fiber::from_boxed(stack, p.body);
-            (p.id, p.name, Hosted::Running(fiber))
-        })
-        .collect();
-    let mut live = hosted.len();
+fn host(net: &FiberNetwork<Message>, participants: &mut [Participant]) {
+    let mut live = participants.len();
     while live > 0 {
         let mut resumed = false;
-        for (id, _, participant) in &mut hosted {
-            let Hosted::Running(fiber) = participant else {
+        for participant in participants.iter_mut() {
+            let Hosted::Running(fiber) = &mut participant.state else {
                 continue;
             };
-            if !net.take_runnable(*id) {
+            if !net.take_runnable(participant.id) {
                 continue;
             }
             resumed = true;
@@ -209,8 +219,9 @@ fn host(
                     .unwrap_or_else(|| "non-string panic payload".to_owned());
                 Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
             });
-            if let Hosted::Running(fiber) = std::mem::replace(participant, Hosted::Done(result)) {
-                net.park_stack(*id, fiber.into_stack());
+            let finished = std::mem::replace(&mut participant.state, Hosted::Done(result));
+            if let Hosted::Running(fiber) = finished {
+                net.park_stack(participant.id, fiber.into_stack());
             }
             live -= 1;
         }
@@ -220,13 +231,6 @@ fn host(
              being driven from outside System::run, which cannot wait for another thread"
         );
     }
-    hosted
-        .into_iter()
-        .map(|(_, name, participant)| match participant {
-            Hosted::Done(result) => (name.to_string(), result),
-            Hosted::Running(_) => unreachable!("the loop ends when every participant is done"),
-        })
-        .collect()
 }
 
 /// A distributed object system hosting CA actions.
@@ -261,13 +265,15 @@ pub struct System {
     /// Present until `Drop` takes it apart.
     net: Option<FiberNetwork<Message>>,
     shared: Rc<SystemShared>,
-    pending: Vec<Pending>,
+    /// The spawned participants, none of them started, until `run` (or
+    /// `Drop`) hosts them.
+    participants: Vec<Participant>,
 }
 
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field("threads", &self.pending.len())
+            .field("threads", &self.participants.len())
             .field("protocol", &self.shared.protocol.name())
             .finish()
     }
@@ -305,22 +311,27 @@ impl System {
     pub fn spawn(
         &mut self,
         name: impl Into<Arc<str>>,
-        body: impl FnOnce(&mut Ctx) -> Step + Send + 'static,
+        body: impl FnOnce(&mut Ctx) -> Step + 'static,
     ) -> ThreadId {
         // One interning per participant: the endpoint, the context and the
         // report label all share the same text (and callers that already
         // hold an `Arc<str>` — e.g. sweep drivers with cached thread
         // names — pay no allocation at all).
         let name = name.into();
-        let endpoint = self.network().endpoint(Arc::clone(&name));
+        let net = self.network();
+        let endpoint = net.endpoint(Arc::clone(&name));
         let id = endpoint.id();
         let me = ThreadId::new(id.as_u32());
         let shared = Rc::clone(&self.shared);
         let thread_name = Arc::clone(&name);
         // Registration happens now (the endpoint above holds virtual time
         // back); the body starts in `run`, once every participant is
-        // registered.
-        let body: PendingBody = Box::new(move || {
+        // registered. It waits on the stack it will run on — the one its
+        // slot's last tenant left, when there was one.
+        let stack = net
+            .take_stack(id)
+            .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
+        let fiber = Fiber::new(stack, move || {
             let mut ctx = Ctx::new(me, thread_name, endpoint, shared);
             let result = body(&mut ctx);
             ctx.shutdown();
@@ -335,7 +346,11 @@ impl System {
                 },
             }
         });
-        self.pending.push(Pending { id, name, body });
+        self.participants.push(Participant {
+            id,
+            name,
+            state: Hosted::Running(fiber),
+        });
         me
     }
 
@@ -353,9 +368,19 @@ impl System {
     /// When called from inside a participant body: systems do not nest.
     #[must_use]
     pub fn run(mut self) -> SystemReport {
-        let pending = std::mem::take(&mut self.pending);
+        // Out of `self` while they run: a host that gives up leaves them
+        // (suspended mid-body) to be dropped before the network is.
+        let mut participants = std::mem::take(&mut self.participants);
+        host(self.network(), &mut participants);
+        let results = participants
+            .drain(..)
+            .map(|participant| match participant.state {
+                Hosted::Done(result) => (participant.name, result),
+                Hosted::Running(_) => unreachable!("host ends when every participant is done"),
+            })
+            .collect();
+        self.participants = participants;
         let net = self.network();
-        let results = host(net, pending);
         SystemReport {
             elapsed: net.now().duration_since(VirtualInstant::EPOCH),
             net_stats: net.stats(),
@@ -379,18 +404,23 @@ impl Drop for System {
         let Some(net) = self.net.take() else {
             return;
         };
-        if !self.pending.is_empty() {
-            host(&net, std::mem::take(&mut self.pending));
-        }
+        let mut participants = std::mem::take(&mut self.participants);
+        host(&net, &mut participants);
+        participants.clear();
         if let Some(arena) = net.reclaim() {
+            let scratch = self.shared.scratch.take();
             // The thread's destructors may already have run (a system run
-            // from another thread-local's `Drop`): the arena is then freed.
+            // from another thread-local's `Drop`): the pool is then freed.
             let _ = RUN_POOL.try_with(|pool| {
                 // Two systems built before either finished: keep the larger.
                 let idle = pool
                     .take()
-                    .filter(|idle| idle.capacity() > arena.capacity());
-                pool.set(Some(idle.unwrap_or(arena)));
+                    .filter(|idle| idle.arena.capacity() > arena.capacity());
+                pool.set(Some(idle.unwrap_or(RunPool {
+                    arena,
+                    scratch,
+                    participants,
+                })));
             });
         }
     }
@@ -399,8 +429,9 @@ impl Drop for System {
 /// Outcome of a whole system run.
 #[derive(Debug)]
 pub struct SystemReport {
-    /// Per-thread results in spawn order.
-    pub results: Vec<(String, Result<(), RuntimeError>)>,
+    /// Per-thread results in spawn order, each under the name its thread
+    /// was spawned with.
+    pub results: Vec<(Arc<str>, Result<(), RuntimeError>)>,
     /// Message counters from the network.
     pub net_stats: NetStats,
     /// Scheduler park/wake hand-off counters: what the simulator did, not
@@ -459,7 +490,7 @@ impl Default for SystemBuilder {
             ack_timeout: None,
             faults: FaultPlan::new(),
             resolution_delay: VirtualDuration::ZERO,
-            protocol: Arc::new(XrrResolution),
+            protocol: XRR.with(Arc::clone),
             observer: None,
             tap: None,
         }
@@ -543,6 +574,11 @@ impl SystemBuilder {
     /// allocations when a run has left some (see the module docs).
     #[must_use]
     pub fn build(self) -> System {
+        let pool = RUN_POOL
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
         let net = FiberNetwork::new_reusing(
             NetConfig {
                 mode: ClockMode::Virtual,
@@ -552,7 +588,7 @@ impl SystemBuilder {
                 faults: self.faults,
                 tap: self.tap,
             },
-            RUN_POOL.try_with(Cell::take).ok().flatten(),
+            Some(pool.arena),
         );
         System {
             net: Some(net),
@@ -561,8 +597,9 @@ impl SystemBuilder {
                 resolution_delay: self.resolution_delay,
                 stats: RefCell::new(RuntimeStats::default()),
                 observer: self.observer,
+                scratch: RefCell::new(pool.scratch),
             }),
-            pending: Vec::new(),
+            participants: pool.participants,
         }
     }
 }
@@ -585,16 +622,30 @@ mod tests {
     /// Slots idle in the calling thread's pool, `None` when it is empty.
     fn pooled() -> Option<usize> {
         RUN_POOL.with(|pool| {
-            let arena = pool.take();
-            let slots = arena.as_ref().map(NetArena::capacity);
-            pool.set(arena);
+            let idle = pool.take();
+            let slots = idle.as_ref().map(|idle| idle.arena.capacity());
+            pool.set(idle);
             slots
         })
+    }
+
+    /// The builder of [`ring`]'s system.
+    fn ring_builder(n: u32) -> SystemBuilder {
+        System::builder()
+            .latency(LatencyModel::UniformUpTo(secs(0.3)))
+            .seed(u64::from(n))
     }
 
     /// `n` participants in one action over sampled latencies; the first
     /// raises, everyone recovers. Not yet run.
     fn ring(n: u32) -> System {
+        let mut sys = ring_builder(n).build();
+        spawn_ring(&mut sys, n);
+        sys
+    }
+
+    /// Spawns [`ring`]'s participants into `sys`.
+    fn spawn_ring(sys: &mut System, n: u32) {
         let mut def = ActionDef::builder("ring");
         for t in 0..n {
             def = def
@@ -605,10 +656,6 @@ mod tests {
                 });
         }
         let def = def.build().expect("ring definition");
-        let mut sys = System::builder()
-            .latency(LatencyModel::UniformUpTo(secs(0.3)))
-            .seed(u64::from(n))
-            .build();
         for t in 0..n {
             let def = def.clone();
             sys.spawn(format!("T{t}"), move |ctx| {
@@ -622,7 +669,6 @@ mod tests {
                 .map(|_| ())
             });
         }
-        sys
     }
 
     /// Everything a run reports: results, message, scheduler and runtime
@@ -731,6 +777,79 @@ mod tests {
         drop(held);
         assert_eq!(report_of(ring(3)), fresh_report(3));
         assert_eq!(pooled(), Some(3));
+    }
+
+    #[test]
+    fn a_resolver_state_serves_only_systems_of_the_protocol_that_made_it() {
+        use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolverState};
+        use caa_core::inline::InlineVec;
+
+        thread_local! {
+            /// The tag of the system whose run is under way.
+            static RUNNING: Cell<u32> = const { Cell::new(0) };
+            /// States made, and states reused after a reset.
+            static MADE: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
+        }
+        /// The paper's protocol, its states marked with the system they
+        /// were made for — and recyclable, like the paper's own.
+        #[derive(Debug)]
+        struct Tagged(u32);
+        struct TaggedState(u32, Box<dyn ResolverState>);
+        impl ResolutionProtocol for Tagged {
+            fn name(&self) -> &'static str {
+                "tagged"
+            }
+            fn new_state(&self) -> Box<dyn ResolverState> {
+                MADE.set((MADE.get().0 + 1, MADE.get().1));
+                Box::new(TaggedState(self.0, XrrResolution.new_state()))
+            }
+        }
+        impl ResolverState for TaggedState {
+            fn on_event(&mut self, ctx: &ProtoCtx<'_>, event: ProtoEvent<'_>) -> ProtoActions {
+                assert_eq!(
+                    self.0,
+                    RUNNING.get(),
+                    "a state crossed over to another protocol"
+                );
+                self.1.on_event(ctx, event)
+            }
+            fn participant_state(&self) -> caa_core::state::ParticipantState {
+                self.1.participant_state()
+            }
+            fn waiting_on(&self, ctx: &ProtoCtx<'_>) -> InlineVec<ThreadId, 8> {
+                self.1.waiting_on(ctx)
+            }
+            fn reset(&mut self) -> bool {
+                MADE.set((MADE.get().0, MADE.get().1 + 1));
+                self.1.reset()
+            }
+        }
+        let run = |protocol: &Arc<dyn ResolutionProtocol>, tag: u32| {
+            RUNNING.set(tag);
+            let mut sys = ring_builder(3).protocol(Arc::clone(protocol)).build();
+            spawn_ring(&mut sys, 3);
+            format!("{:?}", sys.run())
+        };
+        let one: Arc<dyn ResolutionProtocol> = Arc::new(Tagged(1));
+        let two: Arc<dyn ResolutionProtocol> = Arc::new(Tagged(2));
+        let first = run(&one, 1);
+        assert_eq!(
+            MADE.get(),
+            (3, 3),
+            "one state a participant, each left reset"
+        );
+        // The same protocol again: its states are taken up where they were
+        // left, none is made.
+        assert_eq!(run(&one, 1), first);
+        assert_eq!(MADE.get().0, 3, "a warmed run made a resolver state");
+        // Another protocol (here even of the same type and name): the states
+        // in the pool are not its own, and it makes new ones.
+        assert_eq!(run(&two, 2), first);
+        assert_eq!(MADE.get().0, 6);
+        assert_eq!(run(&two, 2), first);
+        assert_eq!(MADE.get().0, 6);
+        // And the default protocol's report is the same as ever.
+        assert_eq!(report_of(ring(3)), fresh_report(3));
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn crash_stop_mid_exit_evicts_the_peer_within_bound() {
     let errors: Vec<_> = report
         .results
         .iter()
-        .map(|(name, r)| (name.as_str(), r.clone()))
+        .map(|(name, r)| (&**name, r.clone()))
         .collect();
     assert_eq!(errors[0].1, Ok(()), "survivor must complete: {errors:?}");
     assert_eq!(

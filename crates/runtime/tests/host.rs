@@ -40,9 +40,9 @@ fn a_panicking_participant_is_reported_by_name_and_its_peers_conclude() {
     let [(n0, r0), (n1, r1), (n2, r2)] = &report.results[..] else {
         panic!("three participants, three results: {:?}", report.results);
     };
-    assert_eq!((n0.as_str(), r0), ("first", &Ok(())));
+    assert_eq!((&**n0, r0), ("first", &Ok(())));
     assert_eq!(
-        (n1.as_str(), r1),
+        (&**n1, r1),
         (
             "second",
             &Err(RuntimeError::Protocol(
@@ -50,7 +50,7 @@ fn a_panicking_participant_is_reported_by_name_and_its_peers_conclude() {
             ))
         )
     );
-    assert_eq!((n2.as_str(), r2), ("third", &Ok(())));
+    assert_eq!((&**n2, r2), ("third", &Ok(())));
     // The survivors did not wait for the dead participant's vote forever:
     // its endpoint retired as the panic unwound, the bounded exit wait
     // expired, and they concluded over the shrunken view.

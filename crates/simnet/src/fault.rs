@@ -15,12 +15,11 @@
 //! exactly; `skip(n).count(m)` reads as "on every matching link, let `n`
 //! matching messages through, then affect the next `m`".
 
-use std::collections::HashMap;
-
 use caa_core::ids::PartitionId;
+use caa_core::inline::InlineVec;
 
 /// Remaining skip/count budget of one rule on one directed link.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct LinkBudget {
     skip: u64,
     count: u64,
@@ -53,8 +52,9 @@ pub struct FaultSpec {
     skip: u64,
     count: u64,
     /// Live budget per directed link, lazily instantiated from
-    /// `skip`/`count` on the link's first matching message.
-    budgets: HashMap<(u32, u32), LinkBudget>,
+    /// `skip`/`count` on the link's first matching message: a row per
+    /// link, inline for the few links a rule sees.
+    budgets: InlineVec<((u32, u32), LinkBudget), 8>,
 }
 
 impl FaultSpec {
@@ -67,7 +67,7 @@ impl FaultSpec {
             class: None,
             skip: 0,
             count: u64::MAX,
-            budgets: HashMap::new(),
+            budgets: InlineVec::new(),
         }
     }
 
@@ -144,13 +144,19 @@ impl FaultSpec {
         if self.count == 0 || !self.matches(src, dst, class) {
             return false;
         }
-        let budget = self
-            .budgets
-            .entry((src.as_u32(), dst.as_u32()))
-            .or_insert(LinkBudget {
-                skip: self.skip,
-                count: self.count,
-            });
+        let link = (src.as_u32(), dst.as_u32());
+        let row = match self.budgets.iter().position(|&(l, _)| l == link) {
+            Some(row) => row,
+            None => {
+                let fresh = LinkBudget {
+                    skip: self.skip,
+                    count: self.count,
+                };
+                self.budgets.push((link, fresh));
+                self.budgets.len() - 1
+            }
+        };
+        let budget = &mut self.budgets[row].1;
         if budget.skip > 0 {
             budget.skip -= 1;
             return false;

@@ -250,6 +250,10 @@ pub struct SchedStats {
 /// is observably identical to a fresh one.
 pub struct NetArena<M> {
     slots: Vec<ActorSlot<M>>,
+    /// An empty vector with room for as many slots again: the next
+    /// network registers its endpoints into it as it takes them out of
+    /// `slots`, and the two trade places when that network is reclaimed.
+    registered: Vec<ActorSlot<M>>,
 }
 
 impl<M> NetArena<M> {
@@ -257,7 +261,10 @@ impl<M> NetArena<M> {
     /// [`Network::new_reusing`](crate::Network::new_reusing)).
     #[must_use]
     pub fn new() -> NetArena<M> {
-        NetArena { slots: Vec::new() }
+        NetArena {
+            slots: Vec::new(),
+            registered: Vec::new(),
+        }
     }
 
     /// How many endpoint slots the arena currently caches.
@@ -335,7 +342,7 @@ impl<M> Core<M> {
     pub fn new(config: NetConfig, arena: NetArena<M>) -> Core<M> {
         Core {
             now: VirtualInstant::EPOCH,
-            actors: Vec::new(),
+            actors: arena.registered,
             faults: config.faults,
             stats: NetStats::default(),
             handoffs: SchedStats::default(),
@@ -349,12 +356,12 @@ impl<M> Core<M> {
 
     /// Takes the finished network apart into its recyclable allocations.
     pub fn into_arena(self) -> NetArena<M> {
-        let mut slots = self.actors;
-        slots.extend(self.spare_slots);
+        let (mut slots, mut registered) = (self.actors, self.spare_slots);
+        slots.append(&mut registered);
         for slot in &mut slots {
             slot.mailbox.recycle();
         }
-        NetArena { slots }
+        NetArena { slots, registered }
     }
 
     /// Registers a new endpoint, counted as running from this moment.

@@ -1,4 +1,4 @@
-//! Source scans for three things the workspace promises *by construction*
+//! Source scans for four things the workspace promises *by construction*
 //! (CI's `check` job also runs them as a step of their own):
 //!
 //! * the network a `System` runs on, and the runtime that drives it, are
@@ -9,6 +9,11 @@
 //!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
 //!   bench targets are outside the scan: two of them wrap the global
 //!   allocator to count allocations;
+//! * a sweep worker's per-seed path formats, copies and hashes no string:
+//!   the seed runners, the worker loop, the scenario executor and the
+//!   metrics recorder's per-run functions name no `format!`, `to_string`,
+//!   `to_owned` or by-name counter, and nothing in the harness adds to a
+//!   wall-clock counter by name;
 //! * the tooling has one front door: one `caa` binary over one argument
 //!   parser, one worker pool, one bench target, two `compat/` shims — and
 //!   every committed `BENCH*.json` parses.
@@ -167,6 +172,70 @@ fn the_unsafe_scan_sees_what_it_looks_for() {
     }
     let fiber = fs::read_to_string(root().join("crates/fiber/src/lib.rs")).expect("fiber");
     assert!(fiber.lines().any(uses_unsafe), "the fiber crate has some");
+}
+
+/// The body of `fn name` in `source`: from its signature's opening brace
+/// to the matching one.
+fn function_body<'a>(source: &'a str, name: &str) -> &'a str {
+    let at = source
+        .find(&format!("fn {name}("))
+        .or_else(|| source.find(&format!("fn {name}<")))
+        .unwrap_or_else(|| panic!("no `fn {name}`"));
+    let open = at + source[at..].find(" {\n").expect("a body") + 1;
+    let mut depth = 0;
+    for (offset, byte) in source[open..].bytes().enumerate() {
+        match byte {
+            b'{' => depth += 1,
+            b'}' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return &source[open..=open + offset];
+        }
+    }
+    panic!("`fn {name}` never closes");
+}
+
+#[test]
+fn the_per_seed_path_names_no_string_work() {
+    const STRING_WORK: [&str; 4] = ["add_named", "format!", "to_string", "to_owned"];
+    let read = |file: &str| fs::read_to_string(root().join(file)).expect(file);
+    let sweep = read("crates/harness/src/sweep.rs");
+    let metrics = read("crates/harness/src/metrics.rs");
+    let exec = read("crates/harness/src/exec.rs");
+    let mut scanned: Vec<(String, &str)> =
+        vec![("harness::exec".to_owned(), outside_unit_tests(&exec))];
+    // The public seed runners, what they delegate to, and the worker loop
+    // (the whole of `sweep`: what follows the loop runs once per sweep).
+    for name in [
+        "run_seed_in",
+        "run_seed_from",
+        "run_plan_checked",
+        "run_plan_from",
+        "sweep",
+    ] {
+        scanned.push((format!("sweep::{name}"), function_body(&sweep, name)));
+    }
+    for name in ["record_run", "record_net_stats", "record_sched_stats"] {
+        let body = function_body(&metrics, name);
+        scanned.push((format!("MetricsRecorder::{name}"), body));
+    }
+    for (what, code) in scanned {
+        assert!(code.lines().count() >= 3, "{what}: scanned {code:?}");
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for word in STRING_WORK {
+                assert!(
+                    !line.contains(word),
+                    "{what} names `{word}` on the per-seed path: {line}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        files_naming("add_wall(\"", &["crates/harness/src"]),
+        [""; 0],
+        "wall-clock counters are added to by handle (`WallCounter`)"
+    );
 }
 
 #[test]
