@@ -119,7 +119,7 @@ impl CrState {
             // Announce the local decision: with every thread resolving for
             // itself, the group synchronises on the recovery line by
             // exchanging decisions rather than by a single Commit.
-            let decision = self.resolved.clone().expect("resolved above");
+            let decision = self.resolved.expect("resolved above");
             self.agreed.insert(ctx.me);
             for peer in ctx.peers() {
                 actions.outbound.push((
@@ -128,13 +128,13 @@ impl CrState {
                         action: ctx.action,
                         from: ctx.me,
                         stage: CR_AGREE,
-                        exception: decision.clone(),
+                        exception: decision,
                     },
                 ));
             }
         }
         if self.decided && self.agreed.len() == ctx.group.len() {
-            actions.resolved = self.resolved.clone();
+            actions.resolved = self.resolved;
         }
     }
 }
@@ -145,8 +145,8 @@ impl ResolverState for CrState {
         match event {
             ProtoEvent::LocalRaise(e) => {
                 self.state = ParticipantState::Exceptional;
-                self.direct.insert(ctx.me, Entry::Exception(e.id().clone()));
-                self.exceptions.insert(ctx.me, e.id().clone());
+                self.direct.insert(ctx.me, Entry::Exception(*e.id()));
+                self.exceptions.insert(ctx.me, *e.id());
                 for peer in ctx.peers() {
                     actions.outbound.push((
                         peer,
@@ -178,14 +178,14 @@ impl ResolverState for CrState {
                     from, exception, ..
                 } => {
                     let origin = exception.origin().unwrap_or(*from);
-                    self.exceptions.insert(origin, exception.id().clone());
+                    self.exceptions.insert(origin, *exception.id());
                     if *from == origin {
                         // Direct copy: record, re-broadcast to all third
                         // parties (the CR flooding step), and re-resolve.
                         let new_direct =
                             !matches!(self.direct.get(&origin), Some(Entry::Exception(_)));
                         self.direct
-                            .insert(origin, Entry::Exception(exception.id().clone()));
+                            .insert(origin, Entry::Exception(*exception.id()));
                         for peer in ctx.peers() {
                             if peer != origin {
                                 actions.outbound.push((

@@ -63,8 +63,8 @@ impl Rom96State {
             let raised: Vec<ExceptionId> = self.announced.values().flatten().cloned().collect();
             let proposal = ctx.graph.resolve(&raised);
             actions.resolve_invocations += 1;
-            self.my_proposal = Some(proposal.clone());
-            self.proposals.insert(ctx.me, proposal.clone());
+            self.my_proposal = Some(proposal);
+            self.proposals.insert(ctx.me, proposal);
             for peer in ctx.peers() {
                 actions.outbound.push((
                     peer,
@@ -72,18 +72,19 @@ impl Rom96State {
                         action: ctx.action,
                         from: ctx.me,
                         stage: PROPOSE,
-                        exception: proposal.clone(),
+                        exception: proposal,
                     },
                 ));
             }
         }
         // Phase 3: all proposals in (and identical, by determinism) →
         // confirm once.
-        if !self.confirmed && self.my_proposal.is_some() && self.proposals.len() == ctx.group.len()
+        if let Some(proposal) = self
+            .my_proposal
+            .filter(|_| !self.confirmed && self.proposals.len() == ctx.group.len())
         {
             self.confirmed = true;
             self.confirms.insert(ctx.me);
-            let proposal = self.my_proposal.clone().expect("proposed above");
             for peer in ctx.peers() {
                 actions.outbound.push((
                     peer,
@@ -91,15 +92,15 @@ impl Rom96State {
                         action: ctx.action,
                         from: ctx.me,
                         stage: CONFIRM,
-                        exception: proposal.clone(),
+                        exception: proposal,
                     },
                 ));
             }
         }
         // Decision: all confirmations in.
         if self.resolved.is_none() && self.confirmed && self.confirms.len() == ctx.group.len() {
-            self.resolved = self.my_proposal.clone();
-            actions.resolved = self.resolved.clone();
+            self.resolved = self.my_proposal;
+            actions.resolved = self.resolved;
         }
     }
 }
@@ -110,7 +111,7 @@ impl ResolverState for Rom96State {
         match event {
             ProtoEvent::LocalRaise(e) => {
                 self.state = ParticipantState::Exceptional;
-                self.announced.insert(ctx.me, Some(e.id().clone()));
+                self.announced.insert(ctx.me, Some(*e.id()));
                 for peer in ctx.peers() {
                     actions.outbound.push((
                         peer,
@@ -141,7 +142,7 @@ impl ResolverState for Rom96State {
                 Message::Exception {
                     from, exception, ..
                 } => {
-                    self.announced.insert(*from, Some(exception.id().clone()));
+                    self.announced.insert(*from, Some(*exception.id()));
                 }
                 Message::Suspended { from, .. } => {
                     self.announced.entry(*from).or_insert(None);
@@ -153,7 +154,7 @@ impl ResolverState for Rom96State {
                     ..
                 } => match *stage {
                     PROPOSE => {
-                        self.proposals.insert(*from, exception.clone());
+                        self.proposals.insert(*from, *exception);
                     }
                     CONFIRM => {
                         self.confirms.insert(*from);

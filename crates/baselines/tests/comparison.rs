@@ -34,7 +34,7 @@ fn all_raise(
         builder = builder.fallback_handler(format!("r{i}"), move |hc| {
             log.lock()
                 .unwrap()
-                .push(hc.handling().expect("inside handler").clone());
+                .push(*hc.handling().expect("inside handler"));
             Ok(HandlerVerdict::Recovered)
         });
     }

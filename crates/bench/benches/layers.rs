@@ -18,6 +18,13 @@
 //!   20 messages) with no harness: the fixed cost of a `System::run` next
 //!   to its messages. Also prints how many fiber stacks the runs mapped —
 //!   3 in all with the per-thread run pool, 3 per run without it;
+//! * **bare system, µs per §5.2 iteration** — the `nested_abort` scenario
+//!   at its base configuration, per iteration (an outer and a nested
+//!   instance, a raise, an abort and a recovery: the per-instance path),
+//!   with what a warmed iteration asks the allocator for;
+//! * **sizes** — `size_of` of the types the hot paths move by value (a
+//!   `Message`, an observed `Event`, a trace `Entry`), so that a change
+//!   that grows one shows up in the log;
 //! * **simnet ping-pong, µs per round trip** — two endpoints bouncing one
 //!   message over a 1 ms link, hosted both ways: by two OS threads (the
 //!   thread host; what `caa-perf`'s `simnet.pingpong_rt_us` times) and by
@@ -45,10 +52,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use caa_bench::{simultaneous_raise_xrr, SimultaneousRaiseParams};
+use caa_bench::{nested_abort, simultaneous_raise_xrr, NestedAbortParams, SimultaneousRaiseParams};
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::{ActionId, ThreadId};
 use caa_core::message::Message;
+use caa_core::name::Name;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualInstant};
 use caa_exgraph::generate::conjunction_lattice;
@@ -59,7 +67,7 @@ use caa_harness::oracle::check_run;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::build_span_tree;
 use caa_harness::sweep::{run_seed_in, PathCoverage};
-use caa_harness::trace::{EntryKind, Trace, TraceRecorder};
+use caa_harness::trace::{Entry, EntryKind, Trace, TraceRecorder};
 use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
@@ -140,8 +148,8 @@ fn primitives() -> Vec<ExceptionId> {
 fn bench_definitions() {
     let prims = primitives();
     let graph = Arc::new(conjunction_lattice(&prims, 2).expect("distinct primitives"));
-    let roles: Vec<Arc<str>> = (0..N).map(|t| format!("r{t}").into()).collect();
-    let name: Arc<str> = "a0.1".into();
+    let roles: Vec<Name> = (0..N).map(|t| format!("r{t}").into()).collect();
+    let name = Name::new("a0.1");
     let fallback: Handler = Arc::new(|hc| {
         hc.work(secs(0.1))?;
         Ok(HandlerVerdict::Recovered)
@@ -151,18 +159,18 @@ fn bench_definitions() {
         Ok(None)
     });
     bench("action_def_build_n5", 1, 100, || {
-        let mut builder = ActionDef::builder(Arc::clone(&name))
+        let mut builder = ActionDef::builder(name)
             .graph_shared(Arc::clone(&graph))
             .signal_timeout(secs(2.0))
             .exit_timeout(secs(200.0))
             .resolution_timeout(secs(200.0));
-        for (t, role) in roles.iter().enumerate() {
-            builder = builder.role(Arc::clone(role), t as u32);
+        for (t, &role) in roles.iter().enumerate() {
+            builder = builder.role(role, t as u32);
         }
-        for role in &roles {
+        for &role in &roles {
             builder = builder
-                .fallback_handler_shared(Arc::clone(role), Arc::clone(&fallback))
-                .abort_handler_shared(Arc::clone(role), Arc::clone(&abort));
+                .fallback_handler_shared(role, Arc::clone(&fallback))
+                .abort_handler_shared(role, Arc::clone(&abort));
         }
         builder.build().expect("five distinct roles")
     });
@@ -175,7 +183,7 @@ fn bench_resolver() {
     let raised: Vec<Exception> = group_of
         .iter()
         .zip(&prims)
-        .map(|(&t, e)| Exception::new(e.clone()).with_origin(t))
+        .map(|(&t, &e)| Exception::new(e).with_origin(t))
         .collect();
     let ctx = |me: ThreadId| ProtoCtx {
         me,
@@ -206,23 +214,18 @@ fn bench_resolver() {
 
 fn bench_recorder() {
     const ENTRIES: u64 = 200;
-    let name: Arc<str> = "a0".into();
-    let role: Arc<str> = "r0".into();
+    let (name, role) = (Name::new("a0"), Name::new("r0"));
     let exception = ExceptionId::new("a0_e0");
-    // The mix a seed records: entries carrying shared names, entries
-    // carrying an exception id, plain ones.
+    // The mix a seed records: entries carrying names, entries carrying an
+    // exception id, plain ones.
     let kind = |i: u64| match i % 4 {
         0 => EventKind::Enter {
-            name: Arc::clone(&name),
-            role: Arc::clone(&role),
+            name,
+            role,
             depth: 1,
         },
-        1 => EventKind::Raise {
-            exception: exception.clone(),
-        },
-        2 => EventKind::Resolved {
-            exception: exception.clone(),
-        },
+        1 => EventKind::Raise { exception },
+        2 => EventKind::Resolved { exception },
         _ => EventKind::ExitStart { epoch: 0 },
     };
     let recorder = TraceRecorder::new();
@@ -253,6 +256,33 @@ fn bench_bare_system() {
     println!(
         "layers/bare_system_simraise_n3: {} fiber stacks mapped over {runs} runs",
         caa_fiber::stacks_mapped() - stacks_before
+    );
+
+    let params = NestedAbortParams::default();
+    let iterations = u64::from(params.iterations);
+    // A run to size the pool, then one counted.
+    nested_abort(params).expect_ok();
+    let before = ALLOCS.get();
+    nested_abort(params).expect_ok();
+    let allocs = ALLOCS.get() - before;
+    bench("bare_system_nested_abort", iterations, 100, || {
+        let report = nested_abort(params);
+        assert!(report.is_ok(), "the §5.2 base configuration runs clean");
+        report
+    });
+    println!(
+        "layers/bare_system_nested_abort: {:.2} allocations/iteration ({iterations} iterations \
+         a run, warmed)",
+        allocs as f64 / iterations as f64
+    );
+}
+
+fn print_sizes() {
+    println!(
+        "layers/sizes: Message {} B, Event {} B, trace Entry {} B",
+        std::mem::size_of::<Message>(),
+        std::mem::size_of::<Event>(),
+        std::mem::size_of::<Entry>(),
     );
 }
 
@@ -495,6 +525,7 @@ fn bench_readers() {
 }
 
 fn main() {
+    print_sizes();
     bench_definitions();
     bench_resolver();
     bench_recorder();

@@ -12,9 +12,10 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::ids::ThreadId;
+use crate::name::Name;
 
 /// Reserved name of the undo exception `µ`.
 pub const UNDO_NAME: &str = "__undo";
@@ -31,12 +32,36 @@ pub const ABORTION_NAME: &str = "__abortion";
 /// another exception" to be resolved concurrently).
 pub const CRASH_NAME: &str = "__crash";
 
-/// An interned exception name.
+/// The pre-defined exceptions' names, in the order of [`SYMBOLS`]. The
+/// interning table starts out holding these very `&'static str`s, so a
+/// pre-defined id is made without a lookup — and equals the id of its
+/// name made any other way.
+pub(crate) static RESERVED: [&str; 5] = [
+    UNDO_NAME,
+    FAILURE_NAME,
+    UNIVERSAL_NAME,
+    ABORTION_NAME,
+    CRASH_NAME,
+];
+
+/// The paper's symbols for the pre-defined exceptions, parallel to
+/// [`RESERVED`].
+const SYMBOLS: [&str; 5] = ["µ", "ƒ", "universal", "abortion", "crash"];
+
+/// Indices into [`RESERVED`] and [`SYMBOLS`].
+const UNDO: usize = 0;
+const FAILURE: usize = 1;
+const UNIVERSAL: usize = 2;
+const ABORTION: usize = 3;
+const CRASH: usize = 4;
+
+/// An exception's identity: its name, interned.
 ///
 /// Exception identity is by name, matching the paper's model where "the types
 /// common to all participating threads … [include] names of all the
-/// exceptions" (§5.1). Cloning is cheap (reference-counted). The `Ord`
-/// implementation (lexicographic) gives protocols a deterministic tie-break.
+/// exceptions" (§5.1). An id is a [`Name`]: `Copy`, compared by pointer,
+/// ordered and hashed by its text — so the `Ord` implementation
+/// (lexicographic) gives protocols a deterministic tie-break.
 ///
 /// # Examples
 ///
@@ -47,28 +72,10 @@ pub const CRASH_NAME: &str = "__crash";
 /// assert_eq!(vm_stop.name(), "vm_stop");
 /// assert!(!vm_stop.is_special());
 /// assert!(ExceptionId::undo().is_undo());
+/// assert_eq!(ExceptionId::new("__undo"), ExceptionId::undo());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ExceptionId(Arc<str>);
-
-/// The pre-defined exceptions — undo, failure, universal, abortion, crash —
-/// interned once per process: every coordinated outcome names one of
-/// them, and a fresh `Arc<str>` each time was an allocation per
-/// signalling conclusion, default verdict and synthesized crash.
-fn reserved(index: usize) -> ExceptionId {
-    static RESERVED: OnceLock<[ExceptionId; 5]> = OnceLock::new();
-    RESERVED.get_or_init(|| {
-        [
-            UNDO_NAME,
-            FAILURE_NAME,
-            UNIVERSAL_NAME,
-            ABORTION_NAME,
-            CRASH_NAME,
-        ]
-        .map(ExceptionId::new)
-    })[index]
-        .clone()
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ExceptionId(Name);
 
 impl ExceptionId {
     /// Creates an exception id with the given name.
@@ -76,32 +83,43 @@ impl ExceptionId {
     /// Names starting with `__` are reserved for the pre-defined exceptions;
     /// use the dedicated constructors ([`ExceptionId::undo`] etc.) for those.
     #[must_use]
-    pub fn new(name: impl AsRef<str>) -> Self {
-        ExceptionId(Arc::from(name.as_ref()))
+    pub fn new(name: impl Into<Name>) -> Self {
+        ExceptionId(name.into())
+    }
+
+    fn reserved(which: usize) -> Self {
+        ExceptionId(Name::reserved(RESERVED[which]))
+    }
+
+    /// Which pre-defined exception this is, if any.
+    fn which_reserved(self) -> Option<usize> {
+        RESERVED
+            .iter()
+            .position(|&reserved| self.0 == Name::reserved(reserved))
     }
 
     /// The undo exception `µ`.
     #[must_use]
     pub fn undo() -> Self {
-        reserved(0)
+        ExceptionId::reserved(UNDO)
     }
 
     /// The failure exception `ƒ`.
     #[must_use]
     pub fn failure() -> Self {
-        reserved(1)
+        ExceptionId::reserved(FAILURE)
     }
 
     /// The universal exception, root of every exception graph (§3.2).
     #[must_use]
     pub fn universal() -> Self {
-        reserved(2)
+        ExceptionId::reserved(UNIVERSAL)
     }
 
     /// The abortion exception used to abort a nested action (§3.3.1).
     #[must_use]
     pub fn abortion() -> Self {
-        reserved(3)
+        ExceptionId::reserved(ABORTION)
     }
 
     /// The crash exception synthesized for a presumed-crashed participant
@@ -109,74 +127,60 @@ impl ExceptionId {
     /// graphs that do not declare it resolve it through the universal root.
     #[must_use]
     pub fn crash() -> Self {
-        reserved(4)
+        ExceptionId::reserved(CRASH)
     }
 
     /// The exception's name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.0
-    }
-
-    /// The exception's name as the shared text the id holds — a reference
-    /// count, not a copy, for whoever keeps the name past the id.
-    #[must_use]
-    pub fn shared_name(&self) -> Arc<str> {
-        Arc::clone(&self.0)
+    pub fn name(&self) -> &'static str {
+        self.0.as_str()
     }
 
     /// Whether this is the undo exception `µ`.
     #[must_use]
     pub fn is_undo(&self) -> bool {
-        self.name() == UNDO_NAME
+        *self == ExceptionId::undo()
     }
 
     /// Whether this is the failure exception `ƒ`.
     #[must_use]
     pub fn is_failure(&self) -> bool {
-        self.name() == FAILURE_NAME
+        *self == ExceptionId::failure()
     }
 
     /// Whether this is the universal exception.
     #[must_use]
     pub fn is_universal(&self) -> bool {
-        self.name() == UNIVERSAL_NAME
+        *self == ExceptionId::universal()
     }
 
     /// Whether this is the abortion exception.
     #[must_use]
     pub fn is_abortion(&self) -> bool {
-        self.name() == ABORTION_NAME
+        *self == ExceptionId::abortion()
     }
 
     /// Whether this is the synthesized crash exception.
     #[must_use]
     pub fn is_crash(&self) -> bool {
-        self.name() == CRASH_NAME
+        *self == ExceptionId::crash()
     }
 
     /// The paper's symbol for a pre-defined exception (`µ`, `ƒ`,
     /// `universal`, `abortion`, `crash`); `None` for any other.
     #[must_use]
     pub fn symbol(&self) -> Option<&'static str> {
-        match self.name() {
-            UNDO_NAME => Some("µ"),
-            FAILURE_NAME => Some("ƒ"),
-            UNIVERSAL_NAME => Some("universal"),
-            ABORTION_NAME => Some("abortion"),
-            CRASH_NAME => Some("crash"),
-            _ => None,
-        }
+        self.which_reserved().map(|which| SYMBOLS[which])
     }
 
     /// The text [`Display`](fmt::Display) writes: the [symbol] of a
-    /// pre-defined exception, the name itself otherwise. Borrowed, so
-    /// renderers that write bytes rather than going through a formatter can
-    /// use it directly.
+    /// pre-defined exception, the name itself otherwise. `'static`, so
+    /// renderers that write bytes rather than going through a formatter —
+    /// and span names — can use it directly.
     ///
     /// [symbol]: ExceptionId::symbol
     #[must_use]
-    pub fn display_name(&self) -> &str {
+    pub fn display_name(&self) -> &'static str {
         self.symbol().unwrap_or(self.name())
     }
 
@@ -184,11 +188,7 @@ impl ExceptionId {
     /// abortion or crash).
     #[must_use]
     pub fn is_special(&self) -> bool {
-        self.is_undo()
-            || self.is_failure()
-            || self.is_universal()
-            || self.is_abortion()
-            || self.is_crash()
+        self.which_reserved().is_some()
     }
 }
 
@@ -206,7 +206,7 @@ impl From<&str> for ExceptionId {
 
 impl From<String> for ExceptionId {
     fn from(name: String) -> Self {
-        ExceptionId(Arc::from(name.as_str()))
+        ExceptionId::new(name)
     }
 }
 
@@ -243,8 +243,9 @@ impl AsRef<str> for ExceptionId {
 pub struct Exception {
     id: ExceptionId,
     origin: Option<ThreadId>,
-    /// Interned so cloning an exception — which the resolution algorithm
-    /// does once per broadcast recipient — never copies the text.
+    /// Free text, so not a [`Name`] (the interning table only grows):
+    /// shared, so cloning an exception — which the resolution algorithm
+    /// does once per broadcast recipient — never copies it.
     detail: Option<Arc<str>>,
 }
 
@@ -355,7 +356,7 @@ impl Signal {
     pub fn exception_id(&self) -> Option<ExceptionId> {
         match self {
             Signal::None => None,
-            Signal::Exception(id) => Some(id.clone()),
+            Signal::Exception(id) => Some(*id),
             Signal::Undo => Some(ExceptionId::undo()),
             Signal::Failure => Some(ExceptionId::failure()),
         }

@@ -27,7 +27,7 @@ use std::ops::{Deref, DerefMut};
 
 /// A vector that stores up to `N` elements inline.
 ///
-/// Elements may own heap data (an interned exception name, say): a slot
+/// Elements may own heap data (a shared member list, say): a slot
 /// that stops being live is reset to `T::default()`, so nothing an element
 /// owns outlives its removal.
 ///

@@ -10,6 +10,8 @@
 //! * [`exception`] — exception identities, the pre-defined exceptions `µ`
 //!   (undo), `ƒ` (failure), universal and abortion, and the [`Signal`]s of
 //!   the signalling algorithm;
+//! * [`name`] — interned names: `Copy` handles, one copy of each text per
+//!   process, compared by pointer;
 //! * [`inline`] — small-vector storage keeping the protocols' tiny live
 //!   sets off the heap on the execute hot path;
 //! * [`state`] — the N/X/S participant states of the resolution algorithm;
@@ -60,6 +62,7 @@ pub mod ids;
 pub mod inline;
 pub mod membership;
 pub mod message;
+pub mod name;
 pub mod outcome;
 pub mod state;
 pub mod time;
@@ -69,6 +72,7 @@ pub use ids::{ActionId, PartitionId, RoleId, ThreadId};
 pub use inline::InlineVec;
 pub use membership::{MembershipView, ViewChangeOutcome};
 pub use message::{AppPayload, Message, MessageKind, SignalRound};
+pub use name::Name;
 pub use outcome::{ActionOutcome, HandlerVerdict};
 pub use state::ParticipantState;
 pub use time::{millis, secs, VirtualDuration, VirtualInstant};

@@ -19,11 +19,15 @@ use crate::ids::{ActionId, ThreadId};
 /// A shared, empty removed-thread set — the `view_removed` payload of
 /// every crash-free [`Message::Commit`]. Cloning the returned `Arc` is
 /// allocation-free, so the common case (no view changes) costs nothing
-/// per recipient *or* per message.
+/// per recipient *or* per message. One set per thread, not per process:
+/// the sweep workers' crash-free commits would otherwise all count
+/// references on one cache line.
 #[must_use]
 pub fn no_removals() -> Arc<[ThreadId]> {
-    static EMPTY: std::sync::OnceLock<Arc<[ThreadId]>> = std::sync::OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new())))
+    thread_local! {
+        static EMPTY: Arc<[ThreadId]> = Arc::from([]);
+    }
+    EMPTY.with(Arc::clone)
 }
 
 /// Round number of the signalling algorithm: the first exchange, or the

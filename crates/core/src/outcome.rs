@@ -64,7 +64,7 @@ impl ActionOutcome {
     pub fn exception_id(&self) -> Option<ExceptionId> {
         match self {
             ActionOutcome::Success => None,
-            ActionOutcome::Signalled(id) => Some(id.clone()),
+            ActionOutcome::Signalled(id) => Some(*id),
             ActionOutcome::Undone => Some(ExceptionId::undo()),
             ActionOutcome::Failed => Some(ExceptionId::failure()),
         }
@@ -134,7 +134,7 @@ impl HandlerVerdict {
     pub fn to_signal(&self) -> Signal {
         match self {
             HandlerVerdict::Recovered => Signal::None,
-            HandlerVerdict::Signal(id) => Signal::from(id.clone()),
+            HandlerVerdict::Signal(id) => Signal::from(*id),
             HandlerVerdict::Undo => Signal::Undo,
             HandlerVerdict::Fail => Signal::Failure,
         }

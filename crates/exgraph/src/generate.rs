@@ -82,25 +82,25 @@ pub fn conjunction_lattice(
 ) -> Result<ExceptionGraph, GraphError> {
     let mut builder = ExceptionGraphBuilder::new();
     for p in primitives {
-        builder = builder.exception(p.clone());
+        builder = builder.exception(*p);
     }
     let n = primitives.len();
     let max_combo = max_combo.min(n);
     // Materialise levels bottom-up; at each size k, a combination covers its
     // (k-1)-sized sub-combinations.
     let mut previous: Vec<(Vec<usize>, ExceptionId)> =
-        (0..n).map(|i| (vec![i], primitives[i].clone())).collect();
+        (0..n).map(|i| (vec![i], primitives[i])).collect();
     for size in 2..=max_combo {
         let combos = combinations(n, size);
         let mut current = Vec::with_capacity(combos.len());
         for combo in combos {
-            let id = conjunction_name(combo.iter().map(|&i| primitives[i].clone()));
+            let id = conjunction_name(combo.iter().map(|&i| primitives[i]));
             let covered: Vec<ExceptionId> = previous
                 .iter()
                 .filter(|(sub, _)| sub.iter().all(|i| combo.contains(i)))
-                .map(|(_, id)| id.clone())
+                .map(|(_, id)| *id)
                 .collect();
-            builder = builder.resolves(id.clone(), covered);
+            builder = builder.resolves(id, covered);
             current.push((combo, id));
         }
         previous = current;
@@ -218,14 +218,8 @@ mod tests {
     fn lattice_resolves_pairs_and_triples() {
         let p = prims(4);
         let g = conjunction_lattice(&p, 4).unwrap();
-        assert_eq!(
-            g.resolve(&[p[0].clone(), p[2].clone()]),
-            ExceptionId::new("e1∩e3")
-        );
-        assert_eq!(
-            g.resolve(&[p[3].clone(), p[1].clone(), p[0].clone()]),
-            ExceptionId::new("e1∩e2∩e4")
-        );
+        assert_eq!(g.resolve(&[p[0], p[2]]), ExceptionId::new("e1∩e3"));
+        assert_eq!(g.resolve(&[p[3], p[1], p[0]]), ExceptionId::new("e1∩e2∩e4"));
         assert_eq!(g.resolve(&p), ExceptionId::new("e1∩e2∩e3∩e4"));
     }
 
@@ -235,13 +229,8 @@ mod tests {
         // raised"; three or more resolve to the universal exception.
         let p = prims(4);
         let g = conjunction_lattice(&p, 2).unwrap();
-        assert_eq!(
-            g.resolve(&[p[0].clone(), p[1].clone()]),
-            ExceptionId::new("e1∩e2")
-        );
-        assert!(g
-            .resolve(&[p[0].clone(), p[1].clone(), p[2].clone()])
-            .is_universal());
+        assert_eq!(g.resolve(&[p[0], p[1]]), ExceptionId::new("e1∩e2"));
+        assert!(g.resolve(&[p[0], p[1], p[2]]).is_universal());
     }
 
     #[test]

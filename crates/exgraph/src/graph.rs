@@ -202,7 +202,7 @@ impl ExceptionGraph {
     #[must_use]
     pub fn resolve_detailed(&self, raised: &[ExceptionId]) -> Resolution {
         let universal = || Resolution {
-            exception: self.nodes[self.root].clone(),
+            exception: self.nodes[self.root],
             all_known: false,
             candidates: 0,
         };
@@ -232,7 +232,7 @@ impl ExceptionGraph {
         }
         let chosen = best.expect("the universal root covers every declared exception");
         Resolution {
-            exception: self.nodes[chosen].clone(),
+            exception: self.nodes[chosen],
             all_known: true,
             candidates,
         }
@@ -262,17 +262,14 @@ impl ExceptionGraph {
     /// primitive exception; [`GraphError::UnknownNode`] if it is not in the
     /// graph.
     pub fn without(&self, id: &ExceptionId) -> Result<ExceptionGraph, GraphError> {
-        let &idx = self
-            .index
-            .get(id)
-            .ok_or_else(|| GraphError::UnknownNode(id.clone()))?;
+        let &idx = self.index.get(id).ok_or(GraphError::UnknownNode(*id))?;
         if idx == self.root || self.children[idx].is_empty() {
-            return Err(GraphError::CannotRemove(id.clone()));
+            return Err(GraphError::CannotRemove(*id));
         }
         let mut builder = ExceptionGraphBuilder::new();
         for (i, node) in self.nodes.iter().enumerate() {
             if i != idx {
-                builder = builder.exception(node.clone());
+                builder = builder.exception(*node);
             }
         }
         for (parent, children) in self.children.iter().enumerate() {
@@ -283,14 +280,10 @@ impl ExceptionGraph {
                 if child == idx {
                     // Re-attach the removed node's children to this parent.
                     for &grandchild in &self.children[idx] {
-                        builder = builder.edge_if_new(
-                            self.nodes[parent].clone(),
-                            self.nodes[grandchild].clone(),
-                        );
+                        builder = builder.edge_if_new(self.nodes[parent], self.nodes[grandchild]);
                     }
                 } else {
-                    builder =
-                        builder.edge_if_new(self.nodes[parent].clone(), self.nodes[child].clone());
+                    builder = builder.edge_if_new(self.nodes[parent], self.nodes[child]);
                 }
             }
         }
@@ -306,10 +299,7 @@ impl ExceptionGraph {
                 .children
                 .iter()
                 .enumerate()
-                .flat_map(|(p, cs)| {
-                    cs.iter()
-                        .map(move |&c| (self.nodes[p].clone(), self.nodes[c].clone()))
-                })
+                .flat_map(|(p, cs)| cs.iter().map(move |&c| (self.nodes[p], self.nodes[c])))
                 .collect(),
         }
     }
@@ -439,11 +429,11 @@ impl ExceptionGraphBuilder {
         T: Into<ExceptionId>,
     {
         let hi = resolver.into();
-        self = self.declare_if_new(hi.clone());
+        self = self.declare_if_new(hi);
         for lo in covered {
             let lo = lo.into();
-            self = self.declare_if_new(lo.clone());
-            self.edges.push((hi.clone(), lo));
+            self = self.declare_if_new(lo);
+            self.edges.push((hi, lo));
         }
         self
     }
@@ -452,8 +442,8 @@ impl ExceptionGraphBuilder {
     /// exceptions.
     pub fn edge(mut self, high: impl Into<ExceptionId>, low: impl Into<ExceptionId>) -> Self {
         let (hi, lo) = (high.into(), low.into());
-        self = self.declare_if_new(hi.clone());
-        self = self.declare_if_new(lo.clone());
+        self = self.declare_if_new(hi);
+        self = self.declare_if_new(lo);
         self.edges.push((hi, lo));
         self
     }
@@ -466,7 +456,7 @@ impl ExceptionGraphBuilder {
     }
 
     fn edge_if_new(mut self, high: ExceptionId, low: ExceptionId) -> Self {
-        if !self.edges.contains(&(high.clone(), low.clone())) {
+        if !self.edges.contains(&(high, low)) {
             self.edges.push((high, low));
         }
         self
@@ -496,13 +486,10 @@ impl ExceptionGraphBuilder {
         let mut nodes = self.nodes;
         let universal = ExceptionId::universal();
         if !nodes.contains(&universal) {
-            nodes.push(universal.clone());
+            nodes.push(universal);
         }
-        let index: HashMap<ExceptionId, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), i))
-            .collect();
+        let index: HashMap<ExceptionId, usize> =
+            nodes.iter().enumerate().map(|(i, id)| (*id, i)).collect();
         let root = index[&universal];
 
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
@@ -510,10 +497,10 @@ impl ExceptionGraphBuilder {
         for (hi, lo) in &self.edges {
             let (&h, &l) = (&index[hi], &index[lo]);
             if h == l {
-                return Err(GraphError::SelfEdge(hi.clone()));
+                return Err(GraphError::SelfEdge(*hi));
             }
             if children[h].contains(&l) {
-                return Err(GraphError::DuplicateEdge(hi.clone(), lo.clone()));
+                return Err(GraphError::DuplicateEdge(*hi, *lo));
             }
             children[h].push(l);
             parents[l].push(h);
@@ -544,7 +531,7 @@ impl ExceptionGraphBuilder {
             let culprit = (0..nodes.len())
                 .find(|&i| in_deg[i] > 0)
                 .expect("cycle implies a node with unresolved in-degree");
-            return Err(GraphError::Cycle(nodes[culprit].clone()));
+            return Err(GraphError::Cycle(nodes[culprit]));
         }
 
         // Descendant bitsets and levels, children before parents.
@@ -592,7 +579,7 @@ mod tests {
     }
 
     fn ids(names: &[&str]) -> Vec<ExceptionId> {
-        names.iter().map(ExceptionId::new).collect()
+        names.iter().map(|&name| ExceptionId::new(name)).collect()
     }
 
     #[test]
@@ -771,7 +758,7 @@ mod tests {
         );
         assert_eq!(
             g.without(g.root()).unwrap_err(),
-            GraphError::CannotRemove(g.root().clone())
+            GraphError::CannotRemove(*g.root())
         );
         assert!(matches!(
             g.without(&"ghost".into()).unwrap_err(),

@@ -67,11 +67,11 @@ fn build(dag: &RandomDag) -> ExceptionGraph {
 /// over `children_of`.
 fn reachable(g: &ExceptionGraph, from: &ExceptionId) -> HashSet<ExceptionId> {
     let mut seen = HashSet::new();
-    let mut stack = vec![from.clone()];
+    let mut stack = vec![*from];
     while let Some(node) = stack.pop() {
-        if seen.insert(node.clone()) {
+        if seen.insert(node) {
             for child in g.children_of(&node) {
-                stack.push(child.clone());
+                stack.push(*child);
             }
         }
     }
@@ -91,7 +91,7 @@ fn oracle_resolve(g: &ExceptionGraph, raised: &[ExceptionId]) -> ExceptionId {
             raised_set
                 .iter()
                 .all(|r| desc.contains(*r))
-                .then(|| (desc.len(), g.level(candidate).unwrap(), candidate.clone()))
+                .then(|| (desc.len(), g.level(candidate).unwrap(), *candidate))
         })
         .min()
         .map(|(_, _, id)| id)
@@ -112,11 +112,11 @@ proptest! {
         for id in &all {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             if s.is_multiple_of(3) {
-                raised.push(id.clone());
+                raised.push(*id);
             }
         }
         if raised.is_empty() {
-            raised.push(all[0].clone());
+            raised.push(all[0]);
         }
         prop_assert_eq!(g.resolve(&raised), oracle_resolve(&g, &raised));
     }
@@ -130,11 +130,11 @@ proptest! {
         for id in &prims {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             if s.is_multiple_of(2) {
-                raised.push(id.clone());
+                raised.push(*id);
             }
         }
         if raised.is_empty() {
-            raised.push(prims[0].clone());
+            raised.push(prims[0]);
         }
         let resolved = g.resolve(&raised);
         for r in &raised {
@@ -149,7 +149,7 @@ proptest! {
     fn single_known_exception_resolves_to_itself(dag in random_dag(), pick in any::<prop::sample::Index>()) {
         let g = build(&dag);
         let all: Vec<ExceptionId> = g.iter().cloned().collect();
-        let chosen = all[pick.index(all.len())].clone();
+        let chosen = all[pick.index(all.len())];
         prop_assert_eq!(g.resolve(std::slice::from_ref(&chosen)), chosen);
     }
 
@@ -163,11 +163,11 @@ proptest! {
         for id in &prims {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             if s.is_multiple_of(2) {
-                raised.push(id.clone());
+                raised.push(*id);
             }
         }
         if raised.is_empty() {
-            raised.push(prims[0].clone());
+            raised.push(prims[0]);
         }
         prop_assert_eq!(g.resolve(&raised), g2.resolve(&raised));
     }
@@ -179,7 +179,7 @@ proptest! {
         let g = conjunction_lattice(&prims, n).unwrap();
         for i in 0..n {
             for j in (i + 1)..n {
-                let raised = [prims[i].clone(), prims[j].clone()];
+                let raised = [prims[i], prims[j]];
                 let resolved = g.resolve(&raised);
                 prop_assert!(resolved.name().contains(prims[i].name()));
                 prop_assert!(resolved.name().contains(prims[j].name()));
@@ -201,7 +201,7 @@ proptest! {
         let g2 = g.without(&victim).unwrap();
         for i in 0..n {
             for j in (i + 1)..n {
-                let raised = [prims[i].clone(), prims[j].clone()];
+                let raised = [prims[i], prims[j]];
                 let resolved = g2.resolve(&raised);
                 prop_assert!(g2.covers(&resolved, &raised[0]));
                 prop_assert!(g2.covers(&resolved, &raised[1]));

@@ -23,8 +23,6 @@
 //!   hand-off allocate and copy nothing. A trace that is *not* handed
 //!   back costs three allocations of exactly its entries', member lists'
 //!   and instance table's lengths;
-//! * **interned names**: role and thread names as `Arc<str>`, which
-//!   definitions, endpoints and events clone by reference;
 //! * the **shape and definition cache**: an action's conjunction lattice
 //!   and the exception ids its members raise and signal are pure functions
 //!   of its name and group, and so is its whole [`ActionDef`] once the
@@ -42,9 +40,10 @@
 //!   (they look their data up in the plan the calling thread is running);
 //! * the **compiled plan**: the flat tables a plan is compiled into
 //!   (actions in preorder, each phase's object operations sorted by
-//!   offset), the shared objects and the role list are *refilled* by each
-//!   execution, not rebuilt: a table is cleared and keeps its buffer, an
-//!   object is reset to its initial state, the role list only grows.
+//!   offset), the shared objects and the role and thread names are
+//!   *refilled* by each execution, not rebuilt: a table is cleared and
+//!   keeps its buffer, an object is reset to its initial state, the names
+//!   only grow.
 //!
 //! Arenas are a pure allocation cache: executing a plan through an arena
 //! renders the byte-identical trace a fresh execution renders (the
@@ -56,6 +55,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use caa_core::exception::ExceptionId;
+use caa_core::name::Name;
 use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::ExceptionGraph;
 use caa_runtime::ActionDef;
@@ -76,8 +76,8 @@ const MAX_TRACE_BUFS: usize = 2;
 /// its members can raise or signal. Shared (`Rc`) between the cache and the
 /// compiled plans that use it.
 pub(crate) struct ActionShape {
-    /// The action's name, interned for its definition and `Enter` events.
-    pub(crate) name: Arc<str>,
+    /// The action's name.
+    pub(crate) name: Name,
     /// The group the ids below are parallel to.
     group: Box<[u32]>,
     /// The conjunction lattice over `raises`.
@@ -99,7 +99,7 @@ impl ActionShape {
         };
         let raises = ids(&|t| plan.raise_exception(t));
         ActionShape {
-            name: plan.name.as_str().into(),
+            name: Name::new(&plan.name),
             group: plan.group.as_slice().into(),
             graph: Arc::new(
                 conjunction_lattice(&raises, 2.min(raises.len()))
@@ -154,12 +154,6 @@ pub struct ExecutionArena {
     /// that determine an action's declared exceptions. A bucket holds the
     /// shapes that share a hash: one, bar a collision.
     shapes: IntMap<u64, Vec<CachedShape>>,
-    /// Interned role (`r<t>`) and thread (`T<t>`) names by thread id. Per
-    /// worker on purpose: definitions, endpoints and every `Enter` event
-    /// clone these, and names shared between workers would have them all
-    /// contend for the same reference counts.
-    role_names: Vec<Arc<str>>,
-    thread_names: Vec<Arc<str>>,
     /// The one handler pair every definition of this arena registers.
     handlers: Handlers,
     /// The last execution's compiled plan, for the next one to refill.
@@ -278,16 +272,6 @@ impl ExecutionArena {
         &self.handlers
     }
 
-    /// The interned name of the role thread `thread` plays (`r<thread>`).
-    pub(crate) fn role_name(&mut self, thread: u32) -> Arc<str> {
-        interned(&mut self.role_names, 'r', thread)
-    }
-
-    /// The interned name of thread `thread` (`T<thread>`).
-    pub(crate) fn thread_name(&mut self, thread: u32) -> Arc<str> {
-        interned(&mut self.thread_names, 'T', thread)
-    }
-
     /// The per-worker metrics recorder (mutable: seed runners record each
     /// explored seed's artifacts through it).
     pub fn metrics_recorder(&mut self) -> &mut MetricsRecorder {
@@ -306,14 +290,6 @@ impl ExecutionArena {
     pub fn take_metrics(&mut self) -> SweepMetrics {
         self.metrics.take_metrics()
     }
-}
-
-/// `names[thread]`, the cache grown to cover `thread` first.
-fn interned(names: &mut Vec<Arc<str>>, prefix: char, thread: u32) -> Arc<str> {
-    for t in names.len()..=thread as usize {
-        names.push(format!("{prefix}{t}").into());
-    }
-    Arc::clone(&names[thread as usize])
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use caa_core::exception::Exception;
 use caa_core::inline::InlineVec;
+use caa_core::name::Name;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
 use caa_runtime::action::{AbortHandler, Handler};
@@ -23,7 +24,9 @@ use caa_runtime::{ActionDef, Ctx, SharedObject, Step, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 use crate::arena::{ActionShape, ExecutionArena};
-use crate::plan::{ActionPlan, ObjectOp, Phase, ScenarioPlan, VerdictChoice};
+use crate::plan::{
+    role_name, thread_name, ActionPlan, ObjectOp, Phase, ScenarioPlan, VerdictChoice,
+};
 use crate::trace::Trace;
 
 /// Everything produced by one scenario execution.
@@ -103,10 +106,11 @@ pub(crate) struct CompiledPlan {
     /// initial state for every execution, and made only when a plan names
     /// one no earlier plan did.
     objects: Vec<SharedObject<u64>>,
-    /// `r<t>` by thread id, as the worker's [`ExecutionArena`] interns
-    /// them (the bodies name a role on every send and entry), for every
-    /// thread id a plan has had so far.
-    roles: Vec<Arc<str>>,
+    /// By thread id, for every thread id a plan has had so far: the role
+    /// each thread plays ([`role_name`]; the bodies name one on every send
+    /// and entry) and the name it is spawned under ([`thread_name`]).
+    roles: Vec<Name>,
+    threads: Vec<Name>,
 }
 
 /// Per-level separation factor for the crash-detecting bounded waits.
@@ -132,21 +136,22 @@ impl CompiledPlan {
         self.nodes.clear();
         self.phase_ops.clear();
         self.ops.clear();
+        for t in self.roles.len() as u32..plan.threads {
+            self.roles.push(role_name(t).into());
+            self.threads.push(thread_name(t).into());
+        }
         let max_depth = plan.max_depth();
         for action in &plan.top {
             self.compile(action, &plan, max_depth, arena);
         }
         for (at, name) in plan.objects.iter().enumerate() {
             match self.objects.get(at) {
-                Some(object) if object.name() == name => object.reset(0),
+                Some(object) if object.name().as_str() == name => object.reset(0),
                 _ => {
                     self.objects.truncate(at);
                     self.objects.push(SharedObject::new(name.as_str(), 0u64));
                 }
             }
-        }
-        for t in self.roles.len()..plan.threads as usize {
-            self.roles.push(arena.role_name(t as u32));
         }
         self.plan = plan;
     }
@@ -189,7 +194,7 @@ impl CompiledPlan {
         // generator emits.
         let (shape, cached) = arena.definition(action, &key);
         let def = cached.unwrap_or_else(|| {
-            let def = build_definition(&shape, action, &key, arena);
+            let def = build_definition(&shape, action, &key, &self.roles, arena.handlers());
             arena.keep_definition(action, key, &def);
             def
         });
@@ -228,34 +233,36 @@ impl CompiledPlan {
 }
 
 /// Builds the definition of an action of `shape` from `key`: every member
-/// a role, one handler pair for all of them.
+/// a role (named by `roles`, by thread id), one handler pair for all of
+/// them.
 fn build_definition(
     shape: &ActionShape,
     action: &ActionPlan,
     key: &DefKey,
-    arena: &mut ExecutionArena,
+    roles: &[Name],
+    handlers: &Handlers,
 ) -> ActionDef {
-    let mut builder = ActionDef::builder(Arc::clone(&shape.name))
+    let mut builder = ActionDef::builder(shape.name)
         .graph_shared(Arc::clone(&shape.graph))
         .signal_timeout(key.signal_timeout)
         .exit_timeout(key.exit_timeout)
         .resolution_timeout(key.resolution_timeout);
     for &t in &action.group {
-        builder = builder.role(arena.role_name(t), t);
+        builder = builder.role(roles[t as usize], t);
     }
     // One handler of each kind for every role of every action: what
     // differs between members and actions is looked up, in the running
     // plan, by the action and thread the handler finds itself in.
     for (member, &t) in action.group.iter().enumerate() {
         if key.handled & 1u64 << member != 0 {
-            let fallback = Arc::clone(&arena.handlers().fallback);
-            builder = builder.fallback_handler_shared(arena.role_name(t), fallback);
+            let fallback = Arc::clone(&handlers.fallback);
+            builder = builder.fallback_handler_shared(roles[t as usize], fallback);
         }
     }
     if key.nested {
         for &t in &action.group {
-            let abort = Arc::clone(&arena.handlers().abort);
-            builder = builder.abort_handler_shared(arena.role_name(t), abort);
+            let abort = Arc::clone(&handlers.abort);
+            builder = builder.abort_handler_shared(roles[t as usize], abort);
         }
     }
     builder
@@ -300,7 +307,7 @@ impl Default for Handlers {
                     VerdictChoice::Recovered => HandlerVerdict::Recovered,
                     VerdictChoice::Undo => HandlerVerdict::Undo,
                     VerdictChoice::Fail => HandlerVerdict::Fail,
-                    VerdictChoice::Signal => HandlerVerdict::Signal(node.shape.signal.clone()),
+                    VerdictChoice::Signal => HandlerVerdict::Signal(node.shape.signal),
                 })
             }),
             abort: Arc::new(|ac| {
@@ -308,7 +315,7 @@ impl Default for Handlers {
                 ac.work(secs(shared.plan.t_abort))?;
                 let node = shared.node_named(ac.action_name());
                 Ok(of_member(&node.eab_rows, ac.thread_id().as_u32())
-                    .map(|row| Exception::new(node.shape.eabs[row].clone())))
+                    .map(|row| Exception::new(node.shape.eabs[row])))
             }),
         }
     }
@@ -421,8 +428,8 @@ fn body_phases(
             Some(&(_, delay_ns)) => {
                 rc.work(VirtualDuration::from_nanos(delay_ns))?;
                 let row = plan.group.iter().position(|&t| t == me);
-                let mine = &node.shape.raises[row.expect("a raiser is a member of its action")];
-                rc.raise(Exception::new(mine.clone()))?;
+                let mine = node.shape.raises[row.expect("a raiser is a member of its action")];
+                rc.raise(Exception::new(mine))?;
             }
             None => {
                 // Peers will raise; compute until their recovery interrupts.
@@ -546,9 +553,9 @@ fn spawn_plan(compiled: &Rc<CompiledPlan>, arena: &mut ExecutionArena) -> System
 
     for t in 0..plan.threads {
         let shared = Rc::clone(compiled);
-        sys.spawn(arena.thread_name(t), move |ctx| {
+        sys.spawn(compiled.threads[t as usize], move |ctx| {
             let my_crash = shared.plan.crashes.iter().find(|c| c.thread == t);
-            let role = &*shared.roles[t as usize];
+            let role = shared.roles[t as usize].as_str();
             // Where the next top-level action's subtree starts.
             let mut at = 0;
             for (i, action) in shared.plan.top.iter().enumerate() {

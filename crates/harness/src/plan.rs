@@ -331,12 +331,24 @@ pub struct CrashChoice {
     pub rejoin_delay_ns: Option<u64>,
 }
 
+/// The role thread `thread` plays in every action it is a member of.
+#[must_use]
+pub fn role_name(thread: u32) -> String {
+    format!("r{thread}")
+}
+
+/// The name thread `thread` is spawned under.
+#[must_use]
+pub fn thread_name(thread: u32) -> String {
+    format!("T{thread}")
+}
+
 /// One CA action of the scenario (a node of the action tree).
 #[derive(Debug, Clone)]
 pub struct ActionPlan {
     /// Unique name (`a0`, `a0.1`, …) encoding the tree path.
     pub name: String,
-    /// Member threads (each playing role `r<thread>`).
+    /// Member threads (each playing role [`role_name`]`(thread)`).
     pub group: Vec<u32>,
     /// Nesting depth: top-level actions are 0.
     pub depth: usize,

@@ -461,22 +461,14 @@ mod tests {
         for e in exceptions {
             kinds.extend([
                 EventKind::Exit {
-                    outcome: ActionOutcome::Signalled(e.clone()),
+                    outcome: ActionOutcome::Signalled(e),
                 },
-                EventKind::Abort {
-                    eab: Some(e.clone()),
-                },
-                EventKind::Raise {
-                    exception: e.clone(),
-                },
-                EventKind::Resolved {
-                    exception: e.clone(),
-                },
-                EventKind::HandlerStart {
-                    exception: e.clone(),
-                },
+                EventKind::Abort { eab: Some(e) },
+                EventKind::Raise { exception: e },
+                EventKind::Resolved { exception: e },
+                EventKind::HandlerStart { exception: e },
                 EventKind::HandlerEnd {
-                    verdict: HandlerVerdict::Signal(e.clone()),
+                    verdict: HandlerVerdict::Signal(e),
                 },
                 EventKind::SignalOutcome {
                     signal: Signal::Exception(e),
@@ -711,10 +703,10 @@ mod tests {
                     depth: 2,
                 },
                 EventKind::Raise {
-                    exception: ExceptionId::new(&name),
+                    exception: ExceptionId::new(name.as_str()),
                 },
                 EventKind::HandlerEnd {
-                    verdict: HandlerVerdict::Signal(ExceptionId::new(&name)),
+                    verdict: HandlerVerdict::Signal(ExceptionId::new(name.as_str())),
                 },
                 EventKind::Crash,
             ];

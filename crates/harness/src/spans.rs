@@ -45,9 +45,7 @@
 
 use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use caa_core::exception::ExceptionId;
 use caa_runtime::observe::EventKind;
 use caa_simnet::TapEvent;
 use caa_telemetry::json;
@@ -377,15 +375,6 @@ thread_local! {
     static SPAN_SCRATCH: Cell<SpanScratch> = Cell::default();
 }
 
-/// `{prefix}{exception}` as the exception displays: by symbol when it is
-/// pre-defined, else by its own name, shared.
-fn exception_span(prefix: &'static str, exception: &ExceptionId) -> SpanName {
-    match exception.symbol() {
-        Some(symbol) => SpanName::word(prefix, symbol),
-        None => SpanName::shared(prefix, exception.shared_name()),
-    }
-}
-
 /// Reconstructs the run's span tree from its canonical trace: one span
 /// per protocol phase (see the module docs for the taxonomy). Spans are
 /// pushed in canonical-trace order, parents before children; spans still
@@ -446,7 +435,7 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
         match &event.kind {
             EventKind::Enter { name, .. } => {
                 let parent = parent_of(actions, thread, label);
-                let name = SpanName::shared("action:", Arc::clone(name));
+                let name = SpanName::word("action:", name.as_str());
                 let id = tree.push(span(name, at, parent));
                 actions.push((thread, label, id));
             }
@@ -467,7 +456,7 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
             }
             EventKind::Raise { exception } if raise_open[label as usize].is_none() => {
                 let parent = parent_of(actions, thread, label);
-                let name = exception_span("raise\u{2192}resolve:", exception);
+                let name = SpanName::word("raise\u{2192}resolve:", exception.display_name());
                 raise_open[label as usize] = Some(tree.push(span(name, at, parent)));
             }
             EventKind::RecoveryStart { .. } => {
@@ -497,7 +486,7 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
             }
             EventKind::HandlerStart { exception } => {
                 let parent = parent_of(actions, thread, label);
-                let name = exception_span("handler:", exception);
+                let name = SpanName::word("handler:", exception.display_name());
                 open[cell].handler = Some(tree.push(span(name, at, parent)));
             }
             EventKind::HandlerEnd { .. } => {
@@ -507,7 +496,7 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
             }
             EventKind::ObjectAcquired { object, waited_ns } if *waited_ns > 0 => {
                 let parent = parent_of(actions, thread, label);
-                let name = SpanName::shared("object-wait:", Arc::clone(object));
+                let name = SpanName::word("object-wait:", object.as_str());
                 tree.push(span(name, at.saturating_sub(*waited_ns), parent));
             }
             EventKind::ExitStart { epoch } => {

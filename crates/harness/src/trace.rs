@@ -62,6 +62,7 @@
 
 use std::sync::Arc;
 
+use caa_core::name::Name;
 use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
@@ -162,7 +163,7 @@ pub struct Instance {
     pub serial: u64,
     /// The definition name, from the instance's first `Enter` (`None` for
     /// an instance only ever seen in network entries).
-    pub name: Option<Arc<str>>,
+    pub name: Option<Name>,
     /// Nesting depth (0 = top level), from the instance's action id.
     pub depth: u32,
     first_raise: u32,
@@ -544,7 +545,7 @@ impl Recording {
                 instance.depth = event.action.depth();
                 match &event.kind {
                     EventKind::Enter { name, .. } if instance.name.is_none() => {
-                        instance.name = Some(Arc::clone(name));
+                        instance.name = Some(*name);
                     }
                     EventKind::Raise { .. } if instance.first_raise == NONE => {
                         instance.first_raise = i;
@@ -1016,7 +1017,7 @@ mod tests {
                 "{what}"
             );
             let name = events().find_map(|(_, e)| match &e.kind {
-                EventKind::Enter { name, .. } => Some(name.clone()),
+                EventKind::Enter { name, .. } => Some(*name),
                 _ => None,
             });
             assert_eq!(instance.name, name, "{what}");

@@ -320,9 +320,11 @@ fn a_warmed_seed_says_where_it_allocates() {
 /// instance, per recovery and per message on a warmed context. Pinned as
 /// the cost of iterations 9 to 16 of a run, which the first eight have
 /// sized everything for but the lists that grow with a thread's history
-/// (the instances it finished, its entry counts: a doubling now and then).
-/// Last measured 20 for the eight: two exceptions an iteration that the
-/// scenario's own closures name by a string, and the doublings.
+/// (the instances it finished, its entry counts: a doubling now and then),
+/// and as the whole of a warmed 16-iteration run. Last measured 6 for the
+/// eight — the doublings — and 39 for the run (PR 25; before, 20 and 83:
+/// the two exceptions an iteration that the scenario's own closures name
+/// by a string each cost an `Arc` until names were interned).
 #[test]
 fn nested_abort_allocates_a_constant_per_iteration() {
     use caa_bench::{nested_abort, NestedAbortParams};
@@ -342,24 +344,26 @@ fn nested_abort_allocates_a_constant_per_iteration() {
         allocs
     };
     let (four, eight, sixteen) = (allocs_of(4), allocs_of(8), allocs_of(16));
-    const EIGHT_MORE_CEILING: u64 = 30;
+    const EIGHT_MORE_CEILING: u64 = 9;
+    const SIXTEEN_CEILING: u64 = 58;
     let eight_more = sixteen - eight;
     // For re-pinning: `cargo test --test alloc_regression -- --nocapture`.
     println!(
         "nested_abort, warmed: {four} / {eight} / {sixteen} allocations at 4 / 8 / 16 \
-         iterations: {:.1} an iteration over the last eight (ceiling {EIGHT_MORE_CEILING} \
-         for the eight)",
+         iterations (ceiling {SIXTEEN_CEILING} for 16): {:.2} an iteration over the last \
+         eight (ceiling {EIGHT_MORE_CEILING} for the eight)",
         eight_more as f64 / 8.0
     );
-    assert!(
-        eight_more <= EIGHT_MORE_CEILING,
-        "iterations 9 to 16 of nested_abort make {eight_more} allocations (ceiling \
-         {EIGHT_MORE_CEILING}, 1.5× the last measurement): an action instance, a recovery \
-         or a message allocates again"
+    pinned(
+        "iterations 9 to 16 of nested_abort (an action instance, a recovery or a message \
+         allocates again?)",
+        eight_more,
+        EIGHT_MORE_CEILING,
     );
-    assert!(
-        eight_more * 2 >= EIGHT_MORE_CEILING,
-        "measured {eight_more} for eight iterations is far below the ceiling; tighten the gate"
+    pinned(
+        "a warmed 16-iteration nested_abort",
+        sixteen,
+        SIXTEEN_CEILING,
     );
     assert!(
         eight_more <= 2 * (eight - four) + 2,
@@ -372,8 +376,8 @@ fn nested_abort_allocates_a_constant_per_iteration() {
 /// scenarios map no fiber stack however often they run, and a warmed
 /// `simultaneous_raise` allocates a bounded handful (the definition and the
 /// names the scenario formats for its roles, threads and exceptions — no
-/// slots, heaps, lattice, bodies or resolver states). Last measured 36
-/// (64 before PR 22).
+/// slots, heaps, lattice, bodies or resolver states). Last measured 23
+/// (36 before PR 25 interned names, 64 before PR 22).
 #[test]
 fn bare_paper_scenarios_recycle_through_the_run_pool() {
     use caa_bench::{
@@ -399,21 +403,32 @@ fn bare_paper_scenarios_recycle_through_the_run_pool() {
         "a warmed bare run mapped a fiber stack: System::run no longer pools them"
     );
 
-    const CEILING: u64 = 54;
+    const CEILING: u64 = 34;
     let before = ALLOCS.load(Ordering::Relaxed);
     let report = raise();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     report.expect_ok();
     // For re-pinning: `cargo test --test alloc_regression -- --nocapture`.
     println!("simultaneous_raise (n = 3), warmed: {allocs} allocations (ceiling {CEILING})");
+    pinned(
+        "a warmed simultaneous_raise (the run pool or the shared lattice regressed?)",
+        allocs,
+        CEILING,
+    );
+}
+
+/// `measured` allocations of `what` are under their pinned `ceiling` (1.5×
+/// the last measurement) — and not so far under it that the gate would
+/// miss a regression.
+fn pinned(what: &str, measured: u64, ceiling: u64) {
     assert!(
-        allocs <= CEILING,
-        "a warmed simultaneous_raise made {allocs} allocations (ceiling {CEILING}, 1.5× the \
-         last measurement): the run pool or the shared lattice regressed"
+        measured <= ceiling,
+        "{what}: {measured} allocations (ceiling {ceiling}, 1.5× the last measurement)"
     );
     assert!(
-        allocs * 2 >= CEILING,
-        "measured {allocs} allocations are far below the ceiling {CEILING}; tighten the gate"
+        measured * 2 >= ceiling,
+        "{what}: measured {measured} allocations are far below the ceiling {ceiling}; tighten \
+         the gate"
     );
 }
 
@@ -439,9 +454,7 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
                 at: VirtualInstant::from_nanos((i * 7919 + round) % 101),
                 thread: ThreadId::new((i % 5) as u32),
                 action: ActionId::top_level(1),
-                kind: EventKind::Raise {
-                    exception: exception.clone(),
-                },
+                kind: EventKind::Raise { exception },
             });
         }
     };

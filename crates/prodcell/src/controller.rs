@@ -231,7 +231,7 @@ impl Definitions {
         ] {
             let c = cell.clone();
             unload = unload.fallback_handler(role, move |hc| {
-                let resolved = hc.handling().expect("in handler").clone();
+                let resolved = *hc.handling().expect("in handler");
                 let name = resolved.name().to_owned();
                 if name.contains("l_plate") || name.contains(L_PLATE_SIGNAL) || name == "plate_gone"
                 {
@@ -267,7 +267,7 @@ impl Definitions {
         // Shared recovery policy: a lost plate is signalled as L_PLATE,
         // sensor trouble as NCS_FAIL; anything else requests µ.
         let micro_policy = |hc: &mut Ctx| {
-            let resolved = hc.handling().expect("in handler").clone();
+            let resolved = *hc.handling().expect("in handler");
             match resolved.name() {
                 "l_plate" => Ok(HandlerVerdict::Signal(ExceptionId::new(L_PLATE_SIGNAL))),
                 "s_stuck" | "sensor_failure_or_lplate" | "table_and_sensor_failures" => {
@@ -621,7 +621,7 @@ fn mlt_style_recovery(
     is_table_role: bool,
     goal: MotionGoal,
 ) -> Step<HandlerVerdict> {
-    let resolved = hc.handling().expect("in handler").clone();
+    let resolved = *hc.handling().expect("in handler");
     let name = resolved.name().to_owned();
     let motorish = [
         "vm_stop",
@@ -701,7 +701,7 @@ fn pressing_recovery(
     cell: &ProductionCell,
     is_press_role: bool,
 ) -> Step<HandlerVerdict> {
-    let resolved = hc.handling().expect("in handler").clone();
+    let resolved = *hc.handling().expect("in handler");
     if resolved.name() == "l_plate" {
         return Ok(HandlerVerdict::Signal(ExceptionId::new(L_PLATE_SIGNAL)));
     }
@@ -744,7 +744,7 @@ fn remove_plate_recovery(
     cell: &ProductionCell,
     is_robot_role: bool,
 ) -> Step<HandlerVerdict> {
-    let resolved = hc.handling().expect("in handler").clone();
+    let resolved = *hc.handling().expect("in handler");
     if resolved.name() == "l_plate" {
         return Ok(HandlerVerdict::Signal(ExceptionId::new(L_PLATE_SIGNAL)));
     }
@@ -794,7 +794,7 @@ fn remove_plate_recovery(
 /// (counting every abandoned plate as lost), repairs sensors/motors, and
 /// the table lane classifies the cycle in the metrics.
 fn tpr_repair(hc: &mut Ctx, cell: &ProductionCell, is_table_role: bool) -> Step<HandlerVerdict> {
-    let resolved = hc.handling().expect("in handler").clone();
+    let resolved = *hc.handling().expect("in handler");
     let name = resolved.name().to_owned();
     let thread = hc.thread_id().as_u32();
 

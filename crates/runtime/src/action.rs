@@ -12,13 +12,13 @@
 //! resolution, the interface exceptions `ε` that may be signalled, and the
 //! per-role handlers: exception handlers, abortion handlers and undo hooks.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::{ActionId, RoleId, ThreadId};
+use caa_core::name::Name;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::VirtualDuration;
 use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
@@ -43,14 +43,6 @@ static NEXT_DEF_ID: AtomicU32 = AtomicU32::new(1);
 
 /// How many roles a definition's table is first sized for.
 const USUAL_ROLES: usize = 4;
-
-thread_local! {
-    /// The default corruption exception, interned per thread: every
-    /// definition a thread builds shares one name instead of allocating
-    /// its own (per thread, so that building definitions on several
-    /// workers does not contend for one reference count).
-    static L_MES: ExceptionId = ExceptionId::new("l_mes");
-}
 
 /// Errors reported while building an [`ActionDef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +76,8 @@ impl fmt::Display for DefError {
 impl std::error::Error for DefError {}
 
 pub(crate) struct DefInner {
-    /// Interned: shared with every `Enter` event the runtime emits.
-    pub(crate) name: Arc<str>,
+    /// Copied into every `Enter` event the runtime emits.
+    pub(crate) name: Name,
     /// The declared roles in declaration order (roles are dense
     /// [`RoleId`]s): one table, one allocation.
     pub(crate) roles: Vec<Role>,
@@ -94,7 +86,9 @@ pub(crate) struct DefInner {
     pub(crate) group: ViewSnapshot,
     pub(crate) graph: Arc<ExceptionGraph>,
     pub(crate) interface: Vec<ExceptionId>,
-    pub(crate) handlers: HashMap<(RoleId, ExceptionId), Handler>,
+    /// The handlers registered for a (role, exception) pair, one per pair:
+    /// a handful, searched by comparing ids (two pointer compares a row).
+    pub(crate) handlers: Vec<(RoleId, ExceptionId, Handler)>,
     pub(crate) signal_timeout: Option<VirtualDuration>,
     pub(crate) exit_timeout: Option<VirtualDuration>,
     pub(crate) resolution_timeout: Option<VirtualDuration>,
@@ -105,8 +99,8 @@ pub(crate) struct DefInner {
 /// catch-all handler, abortion handler and undo hook, where one was
 /// registered.
 pub(crate) struct Role {
-    /// Interned: shared with every `Enter` event the runtime emits.
-    pub(crate) name: Arc<str>,
+    /// Copied into every `Enter` event the runtime emits.
+    pub(crate) name: Name,
     pub(crate) thread: ThreadId,
     pub(crate) fallback: Option<Handler>,
     pub(crate) abort: Option<AbortHandler>,
@@ -136,7 +130,7 @@ impl DefInner {
     pub(crate) fn role_id(&self, name: &str) -> Option<RoleId> {
         self.roles
             .iter()
-            .position(|r| &*r.name == name)
+            .position(|r| *r.name == *name)
             .map(|i| RoleId::new(u32::try_from(i).expect("role count bounded")))
     }
 
@@ -154,11 +148,12 @@ impl DefInner {
 
     /// Handler lookup: exact (role, exception) match, then the role's
     /// fallback. Returns `None` when the default policy applies.
-    pub(crate) fn handler_for(&self, role: RoleId, exception: &ExceptionId) -> Option<Handler> {
+    pub(crate) fn handler_for(&self, role: RoleId, exception: ExceptionId) -> Option<&Handler> {
         self.handlers
-            .get(&(role, exception.clone()))
+            .iter()
+            .find(|(r, e, _)| *r == role && *e == exception)
+            .map(|(.., handler)| handler)
             .or(self.roles[role.index()].fallback.as_ref())
-            .cloned()
     }
 
     /// The default verdict when no handler exists: the universal exception
@@ -166,13 +161,13 @@ impl DefInner {
     /// (§3.2), and an unhandled exception "will be propagated" (§2.1). An
     /// unhandled crash exception is presume-ƒ: the action failed and the
     /// dead participant's effects cannot be assumed undone.
-    pub(crate) fn default_verdict(exception: &ExceptionId) -> HandlerVerdict {
+    pub(crate) fn default_verdict(exception: ExceptionId) -> HandlerVerdict {
         if exception.is_universal() {
             HandlerVerdict::Undo
         } else if exception.is_crash() {
             HandlerVerdict::Fail
         } else {
-            HandlerVerdict::Signal(exception.clone())
+            HandlerVerdict::Signal(exception)
         }
     }
 }
@@ -188,8 +183,8 @@ impl fmt::Debug for DefInner {
 }
 
 /// The names of `roles`, in declaration order (for `Debug`).
-fn role_names(roles: &[Role]) -> Vec<&str> {
-    roles.iter().map(|role| &*role.name).collect()
+fn role_names(roles: &[Role]) -> Vec<Name> {
+    roles.iter().map(|role| role.name).collect()
 }
 
 /// An immutable CA action definition; cheap to clone and share between
@@ -218,7 +213,7 @@ fn role_names(roles: &[Role]) -> Vec<&str> {
 ///     .build()?;
 /// assert_eq!(def.name(), "Move_Loaded_Table");
 /// assert_eq!(def.roles().len(), 2);
-/// assert_eq!(def.roles().next().map(|name| &**name), Some("table"));
+/// assert_eq!(def.roles().next().map(|name| name.as_str()), Some("table"));
 /// # Ok(())
 /// # }
 /// ```
@@ -232,7 +227,7 @@ pub struct ActionDef {
 
 impl ActionDef {
     /// Starts building an action definition.
-    pub fn builder(name: impl Into<Arc<str>>) -> ActionDefBuilder {
+    pub fn builder(name: impl Into<Name>) -> ActionDefBuilder {
         ActionDefBuilder {
             name: name.into(),
             roles: Vec::new(),
@@ -243,19 +238,19 @@ impl ActionDef {
             signal_timeout: None,
             exit_timeout: None,
             resolution_timeout: None,
-            corruption_exception: L_MES.with(ExceptionId::clone),
+            corruption_exception: ExceptionId::new("l_mes"),
         }
     }
 
     /// The action's name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.inner.name
+    pub fn name(&self) -> &'static str {
+        self.inner.name.as_str()
     }
 
     /// The declared role names, in declaration order.
-    pub fn roles(&self) -> impl ExactSizeIterator<Item = &Arc<str>> + '_ {
-        self.inner.roles.iter().map(|role| &role.name)
+    pub fn roles(&self) -> impl ExactSizeIterator<Item = Name> + '_ {
+        self.inner.roles.iter().map(|role| role.name)
     }
 
     /// The participating threads, sorted ascending.
@@ -301,16 +296,16 @@ impl fmt::Debug for ActionDef {
 /// Builder for [`ActionDef`] ([C-BUILDER]).
 #[must_use = "builders do nothing until .build() is called"]
 pub struct ActionDefBuilder {
-    name: Arc<str>,
+    name: Name,
     /// The declared roles, as the definition will hold them: `build` moves
     /// the table in as it is.
     roles: Vec<Role>,
     /// Registrations naming a role that is not declared (yet): they take
     /// effect when it is, and fail the build if it never is.
-    pending: Vec<(Arc<str>, Registration)>,
+    pending: Vec<(Name, Registration)>,
     graph: Option<Arc<ExceptionGraph>>,
     interface: Vec<ExceptionId>,
-    handlers: Vec<(Arc<str>, ExceptionId, Handler)>,
+    handlers: Vec<(Name, ExceptionId, Handler)>,
     signal_timeout: Option<VirtualDuration>,
     exit_timeout: Option<VirtualDuration>,
     resolution_timeout: Option<VirtualDuration>,
@@ -329,12 +324,12 @@ impl fmt::Debug for ActionDefBuilder {
 impl ActionDefBuilder {
     /// Declares a role and binds it to the thread that will perform it.
     /// Role names — here and in the handler registrations below — are
-    /// interned: a caller that already holds an `Arc<str>` (a sweep driver
-    /// with cached role names) pays no allocation for them.
-    pub fn role(mut self, name: impl Into<Arc<str>>, thread: impl Into<ThreadId>) -> Self {
+    /// interned [`Name`]s: a caller that holds one already (a sweep driver
+    /// with its role names) pays no lookup for them.
+    pub fn role(mut self, name: impl Into<Name>, thread: impl Into<ThreadId>) -> Self {
         let name = name.into();
         let mut role = Role {
-            name: Arc::clone(&name),
+            name,
             thread: thread.into(),
             fallback: None,
             abort: None,
@@ -362,7 +357,7 @@ impl ActionDefBuilder {
 
     /// Files a registration under `role`: straight into the role's entry
     /// when it is declared already (the usual order), held back otherwise.
-    fn register(mut self, role: Arc<str>, registration: Registration) -> Self {
+    fn register(mut self, role: Name, registration: Registration) -> Self {
         match self.roles.iter().position(|declared| declared.name == role) {
             Some(declared) => registration.apply(&mut self.roles[declared]),
             None => self.pending.push((role, registration)),
@@ -400,7 +395,7 @@ impl ActionDefBuilder {
     /// Registers `role`'s handler for the resolving exception `exception`.
     pub fn handler(
         mut self,
-        role: impl Into<Arc<str>>,
+        role: impl Into<Name>,
         exception: impl Into<ExceptionId>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
@@ -412,7 +407,7 @@ impl ActionDefBuilder {
     /// Registers `role`'s handler for the universal exception.
     pub fn universal_handler(
         self,
-        role: impl Into<Arc<str>>,
+        role: impl Into<Name>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.handler(role, ExceptionId::universal(), f)
@@ -422,7 +417,7 @@ impl ActionDefBuilder {
     /// for the resolving exception.
     pub fn fallback_handler(
         self,
-        role: impl Into<Arc<str>>,
+        role: impl Into<Name>,
         f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.fallback_handler_shared(role, Arc::new(f))
@@ -433,7 +428,7 @@ impl ActionDefBuilder {
     /// [`Handler`] share one closure. A handler that behaves differently per
     /// participant reads [`Ctx::thread_id`] — how a scenario executor
     /// registers one closure per action instead of one per role.
-    pub fn fallback_handler_shared(self, role: impl Into<Arc<str>>, handler: Handler) -> Self {
+    pub fn fallback_handler_shared(self, role: impl Into<Name>, handler: Handler) -> Self {
         self.register(role.into(), Registration::Fallback(handler))
     }
 
@@ -442,7 +437,7 @@ impl ActionDefBuilder {
     /// the enclosing action (§3.3.1).
     pub fn abort_handler(
         self,
-        role: impl Into<Arc<str>>,
+        role: impl Into<Name>,
         f: impl Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync + 'static,
     ) -> Self {
         self.abort_handler_shared(role, Arc::new(f))
@@ -450,7 +445,7 @@ impl ActionDefBuilder {
 
     /// [`ActionDefBuilder::abort_handler`] with an already-shared handler
     /// (see [`ActionDefBuilder::fallback_handler_shared`]).
-    pub fn abort_handler_shared(self, role: impl Into<Arc<str>>, handler: AbortHandler) -> Self {
+    pub fn abort_handler_shared(self, role: impl Into<Name>, handler: AbortHandler) -> Self {
         self.register(role.into(), Registration::Abort(handler))
     }
 
@@ -459,7 +454,7 @@ impl ActionDefBuilder {
     /// succeeded (§3.4).
     pub fn undo_hook(
         self,
-        role: impl Into<Arc<str>>,
+        role: impl Into<Name>,
         f: impl Fn(&mut Ctx) -> Step<bool> + Send + Sync + 'static,
     ) -> Self {
         self.register(role.into(), Registration::Undo(Arc::new(f)))
@@ -549,17 +544,26 @@ impl ActionDefBuilder {
             ),
         };
 
-        let role_id_of = |name: &str| -> Result<RoleId, DefError> {
+        let role_id_of = |name: Name| -> Result<RoleId, DefError> {
             roles
                 .iter()
-                .position(|r| &*r.name == name)
+                .position(|r| r.name == name)
                 .map(|i| RoleId::new(u32::try_from(i).expect("bounded")))
-                .ok_or_else(|| DefError::UnknownRole(name.to_owned()))
+                .ok_or_else(|| DefError::UnknownRole(name.to_string()))
         };
 
-        let mut handlers = HashMap::new();
+        // A later registration for a (role, exception) pair replaces an
+        // earlier one.
+        let mut handlers: Vec<(RoleId, ExceptionId, Handler)> = Vec::new();
         for (role, exc, f) in self.handlers {
-            handlers.insert((role_id_of(&role)?, exc), f);
+            let role = role_id_of(role)?;
+            match handlers
+                .iter_mut()
+                .find(|(r, e, _)| (*r, *e) == (role, exc))
+            {
+                Some(registered) => registered.2 = f,
+                None => handlers.push((role, exc, f)),
+            }
         }
 
         Ok(ActionDef {
@@ -643,7 +647,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(def.group(), &[ThreadId::new(2), ThreadId::new(5)]);
-        let declared: Vec<&str> = def.roles().map(|name| &**name).collect();
+        let declared: Vec<&str> = def.roles().map(Name::as_str).collect();
         assert_eq!(declared, ["b", "a"]);
     }
 
@@ -668,12 +672,12 @@ mod tests {
         let role = RoleId::new(0);
         assert!(def
             .inner
-            .handler_for(role, &ExceptionId::new("e1"))
+            .handler_for(role, ExceptionId::new("e1"))
             .is_some());
         // Unknown exception falls back to the role's fallback handler.
         assert!(def
             .inner
-            .handler_for(role, &ExceptionId::new("other"))
+            .handler_for(role, ExceptionId::new("other"))
             .is_some());
         let bare = ActionDef::builder("y")
             .role("a", ThreadId::new(0))
@@ -681,7 +685,7 @@ mod tests {
             .unwrap();
         assert!(bare
             .inner
-            .handler_for(role, &ExceptionId::new("other"))
+            .handler_for(role, ExceptionId::new("other"))
             .is_none());
     }
 
@@ -741,11 +745,11 @@ mod tests {
     #[test]
     fn default_verdicts() {
         assert_eq!(
-            DefInner::default_verdict(&ExceptionId::universal()),
+            DefInner::default_verdict(ExceptionId::universal()),
             HandlerVerdict::Undo
         );
         assert_eq!(
-            DefInner::default_verdict(&ExceptionId::new("L_PLATE")),
+            DefInner::default_verdict(ExceptionId::new("L_PLATE")),
             HandlerVerdict::Signal(ExceptionId::new("L_PLATE"))
         );
     }

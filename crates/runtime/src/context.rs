@@ -61,6 +61,7 @@ use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, PartitionId, RoleId, ThreadId};
 use caa_core::inline::InlineVec;
 use caa_core::message::{AppPayload, Message, SignalRound};
+use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_simnet::{FiberEndpoint, Parked, Received};
@@ -71,9 +72,7 @@ use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnaps
 use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake, CHAIN_INLINE};
 use crate::observe::{Event, EventKind};
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
-use crate::rounds::{
-    corrupted, unframed, Collected, Frame, FrameParts, Round, RoundAction, RoundEnd,
-};
+use crate::rounds::{corrupted, unframed, Collected, Frame, Frames, Round, RoundAction, RoundEnd};
 use crate::system::SystemShared;
 
 /// An application message delivered to a role.
@@ -102,10 +101,11 @@ enum RecoveryStart {
 /// (see [`crate::system`]), so a warmed participant sizes nothing.
 #[derive(Default)]
 pub(crate) struct CtxScratch {
-    stack: Vec<Frame>,
+    stack: Frames,
     retained: Vec<Message>,
-    /// What the frames popped so far left for the next ones.
-    spare: Vec<FrameParts>,
+    /// The frames popped so far, left ([`Frame::leave`]) for the next
+    /// entries to re-enter.
+    spare: Frames,
     /// The protocol that made the resolver states among `spare`: they
     /// serve a system of that protocol only.
     protocol: Option<Arc<dyn ResolutionProtocol>>,
@@ -118,13 +118,15 @@ pub(crate) struct CtxScratch {
 /// coordinated recovery takes over — propagate it with `?`.
 pub struct Ctx {
     me: ThreadId,
-    name: Arc<str>,
+    name: Name,
     endpoint: FiberEndpoint<Message>,
     system: Rc<SystemShared>,
-    stack: Vec<Frame>,
-    /// What popped frames left for the next ones to be made over, and the
+    /// The action stack, innermost last. Boxed, so that entering and
+    /// leaving move a pointer, not a frame.
+    stack: Frames,
+    /// Popped frames, left for the next entries to re-enter, and the
     /// protocol their resolver states are of (the system's own).
-    spare: Vec<FrameParts>,
+    spare: Frames,
     spare_protocol: Option<Arc<dyn ResolutionProtocol>>,
     /// A scheduled crash-stop instant ([`Ctx::schedule_crash`]): the
     /// thread dies at the first poll point at or after it — mid-body,
@@ -200,7 +202,7 @@ enum Performed {
 impl Ctx {
     pub(crate) fn new(
         me: ThreadId,
-        name: Arc<str>,
+        name: Name,
         endpoint: FiberEndpoint<Message>,
         system: Rc<SystemShared>,
     ) -> Self {
@@ -214,10 +216,9 @@ impl Ctx {
         let mut scratch = left.unwrap_or_default();
         let same_protocol = |made_by| Arc::ptr_eq(made_by, &system.protocol);
         if !scratch.protocol.as_ref().is_some_and(same_protocol) {
-            scratch
-                .spare
-                .iter_mut()
-                .for_each(FrameParts::forget_resolver);
+            for frame in &mut scratch.spare {
+                frame.recovery.resolver = None;
+            }
             scratch.protocol = Some(Arc::clone(&system.protocol));
         }
         Ctx {
@@ -284,7 +285,7 @@ impl Ctx {
     /// The name of the active action, if any.
     #[must_use]
     pub fn action_name(&self) -> Option<&str> {
-        self.stack.last().map(|f| &*f.id.def.name)
+        self.stack.last().map(|f| f.id.def.name.as_str())
     }
 
     /// The resolving exception currently being handled, if this thread is
@@ -635,7 +636,7 @@ impl Ctx {
             }
         }
         if opened > 0 {
-            let object = obj.name_shared();
+            let object = obj.name();
             let waited_ns = self.now().as_nanos().saturating_sub(wait_start.as_nanos());
             self.observe(action, || EventKind::ObjectAcquired { object, waited_ns });
         }
@@ -665,8 +666,8 @@ impl Ctx {
         role: &str,
         body: impl FnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
-        let inner = Arc::clone(&def.inner);
-        let role_id = self.bind_role(&inner, role)?;
+        let inner = &def.inner;
+        let role_id = self.bind_role(inner, role)?;
 
         let depth = u32::try_from(self.stack.len()).expect("nesting depth bounded");
         let parent_serial = self.stack.last().map_or(0, |f| f.id.action.serial());
@@ -681,9 +682,7 @@ impl Ctx {
         let instance = &mut self.entry_counts[at].1;
         let action = make_action_id(def.def_id, parent_serial, *instance, depth);
         *instance += 1;
-        let parts = self.spare.pop().unwrap_or_default();
-        self.stack
-            .push(Frame::new(action, Arc::clone(&inner), role_id, parts));
+        self.push_frame(action, inner, role_id);
 
         // "if Ti enters A then <A> → SAi; consume messages having arrived".
         let mut initial: Option<RecoveryStart> = None;
@@ -711,8 +710,8 @@ impl Ctx {
         }
 
         trace!(self, "enter {} as {} ({})", inner.name, role, action);
-        self.observe_enter(action, &inner, role_id);
-        let outcome = self.drive(initial, body);
+        self.observe_enter(action, inner, role_id);
+        let outcome = self.drive(inner, initial, body);
         match &outcome {
             Ok(o) => trace!(self, "leave {} ({action}): {o}", inner.name),
             Err(f) => trace!(
@@ -751,10 +750,19 @@ impl Ctx {
         Ok(role_id)
     }
 
+    /// Pushes a frame for instance `action` of `def`, played as `role`: a
+    /// spare one re-entered, or — while the participant has none — a new
+    /// one.
+    fn push_frame(&mut self, action: ActionId, def: &Arc<DefInner>, role: RoleId) {
+        let mut frame = self.spare.pop().unwrap_or_else(|| Frame::new(def));
+        frame.reenter(action, def, role);
+        self.stack.push(frame);
+    }
+
     fn observe_enter(&self, action: ActionId, def: &DefInner, role: RoleId) {
         self.observe(action, || EventKind::Enter {
-            name: Arc::clone(&def.name),
-            role: Arc::clone(&def.roles[role.index()].name),
+            name: def.name,
+            role: def.roles[role.index()].name,
             depth: self.stack.len(),
         });
     }
@@ -809,8 +817,8 @@ impl Ctx {
                 "rejoin requires an empty action stack (top-level restart)",
             ));
         }
-        let inner = Arc::clone(&def.inner);
-        let role_id = self.bind_role(&inner, role)?;
+        let inner = &def.inner;
+        let role_id = self.bind_role(inner, role)?;
         trace!(self, "rejoin request for {} ({action})", inner.name);
         let me = self.me;
         self.broadcast(&inner.group, |peer| {
@@ -846,34 +854,39 @@ impl Ctx {
         );
         self.finished.retain(|&serial| serial != action.serial());
         self.system.stats.borrow_mut().rejoins += 1;
-        let parts = self.spare.pop().unwrap_or_default();
-        let frame = Frame::new(action, Arc::clone(&inner), role_id, parts);
-        self.stack.push(frame.rejoined(view, exit_epoch, resolved));
+        self.push_frame(action, inner, role_id);
+        self.frame_mut().rejoin(view, exit_epoch, resolved);
         self.observe(action, || EventKind::Rejoin {
             epoch: view_epoch,
             thread: me,
         });
-        self.observe_enter(action, &inner, role_id);
+        self.observe_enter(action, inner, role_id);
         // The catch-up body is trivial: the rejoiner's pre-crash work is
         // lost (its transaction layers were broken at the crash) and must
         // not be redone — what remains is finishing the protocol rounds as
         // a member: join any in-flight recovery, vote, exit.
-        let outcome = self.drive(None, |_| Ok(()))?;
+        let outcome = self.drive(inner, None, |_| Ok(()))?;
         Ok(Some(outcome))
     }
 
     /// Runs the action's phases until an outcome is reached, recovering as
     /// many times as enclosing-level aborts demand. The frame is always
     /// popped before returning.
+    ///
+    /// `def` is the active frame's definition, borrowed from the caller for
+    /// as long as the frame is active: what the phases run of it — the
+    /// role's handlers, abortion handler and undo hook — is called through
+    /// this borrow, not through a reference count taken on the frame's.
     fn drive(
         &mut self,
+        def: &DefInner,
         initial: Option<RecoveryStart>,
         body: impl FnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
         let mut attempt = match initial {
-            Some(start) => self.phase_recover(start),
+            Some(start) => self.phase_recover(def, start),
             None => match body(self) {
-                Ok(()) => self.phase_exit(),
+                Ok(()) => self.phase_exit(def),
                 Err(flow) => Err(flow),
             },
         };
@@ -881,8 +894,8 @@ impl Ctx {
             match attempt {
                 Ok(outcome) => return Ok(outcome),
                 Err(flow) => {
-                    let start = self.flow_to_start(flow)?;
-                    attempt = self.phase_recover(start);
+                    let start = self.flow_to_start(def, flow)?;
+                    attempt = self.phase_recover(def, start);
                 }
             }
         }
@@ -891,7 +904,7 @@ impl Ctx {
     /// Converts an unwinding [`Flow`] into a recovery start for the current
     /// frame, or performs this frame's part of the abortion cascade and
     /// re-propagates.
-    fn flow_to_start(&mut self, flow: Flow) -> Result<RecoveryStart, Flow> {
+    fn flow_to_start(&mut self, def: &DefInner, flow: Flow) -> Result<RecoveryStart, Flow> {
         match flow.unwind {
             Unwind::Raise(e) => Ok(RecoveryStart::Raise(e)),
             Unwind::Suspend => Ok(RecoveryStart::Suspend),
@@ -906,7 +919,7 @@ impl Ctx {
                     }
                 } else {
                     // This frame is being aborted on the way out.
-                    let my_eab = self.abort_current_frame()?;
+                    let my_eab = self.abort_current_frame(def)?;
                     Err(Flow::new(Unwind::Outer {
                         target,
                         eab: my_eab,
@@ -928,24 +941,22 @@ impl Ctx {
         Flow { unwind }
     }
 
-    /// Aborts the top frame: rolls back its objects, runs its abortion
-    /// handler (which may produce `Eab`), and pops it.
-    fn abort_current_frame(&mut self) -> Result<Option<Exception>, Flow> {
+    /// Aborts the top frame (an instance of `def`): rolls back its objects,
+    /// runs its abortion handler (which may produce `Eab`), and pops it.
+    fn abort_current_frame(&mut self, def: &DefInner) -> Result<Option<Exception>, Flow> {
         self.system.stats.borrow_mut().aborts += 1;
-        let (def, role) = {
-            let frame = self.frame_mut();
-            // From here on, recovery messages for this instance are
-            // stragglers: its own recovery (if any) is abandoned in favour
-            // of the enclosing level's.
-            frame.recovery.aborting = true;
-            (Arc::clone(&frame.id.def), frame.id.role)
-        };
+        let frame = self.frame_mut();
+        // From here on, recovery messages for this instance are
+        // stragglers: its own recovery (if any) is abandoned in favour of
+        // the enclosing level's.
+        frame.recovery.aborting = true;
+        let role = frame.id.role;
         // Run the abortion handler while the frame is still active so it
         // can use the context (work, app messages). Deeper-outer triggers
         // during the handler extend the cascade.
         let mut deeper: Option<(ActionId, Option<Exception>)> = None;
         let mut eab = None;
-        if let Some(handler) = def.roles[role.index()].abort.clone() {
+        if let Some(handler) = &def.roles[role.index()].abort {
             match handler(self) {
                 Ok(result) => eab = result,
                 Err(flow) => match flow.unwind {
@@ -961,7 +972,7 @@ impl Ctx {
         // taint the object (ƒ semantics).
         self.release_rollback_or_taint();
         self.observe_top(|| EventKind::Abort {
-            eab: eab.as_ref().map(|e| e.id().clone()),
+            eab: eab.as_ref().map(|e| *e.id()),
         });
         self.pop_frame();
         if let Some((target, e)) = deeper {
@@ -1039,12 +1050,13 @@ impl Ctx {
     }
 
     fn pop_frame(&mut self) {
-        if let Some(frame) = self.stack.pop() {
+        if let Some(mut frame) = self.stack.pop() {
             let serial = frame.id.action.serial();
             if let Err(at) = self.finished.binary_search(&serial) {
                 self.finished.insert(at, serial);
             }
-            self.spare.push(frame.into_parts());
+            frame.leave();
+            self.spare.push(frame);
         }
     }
 
@@ -1054,10 +1066,10 @@ impl Ctx {
 
     /// Exit protocol after a body that completed normally, then finalize
     /// `Success` if no recovery begins.
-    fn phase_exit(&mut self) -> Step<ActionOutcome> {
+    fn phase_exit(&mut self, def: &DefInner) -> Step<ActionOutcome> {
         match self.run_exit()? {
             RoundEnd::Exited => self.finalize(ActionOutcome::Success),
-            RoundEnd::Recover => self.phase_recover(RecoveryStart::Suspend),
+            RoundEnd::Recover => self.phase_recover(def, RecoveryStart::Suspend),
             // A peer's view change removed this thread (or a rejoiner gave
             // up): the survivors conclude without us — resolve locally to
             // abortion (ƒ) so objects are tainted, not left hanging.
@@ -1066,7 +1078,7 @@ impl Ctx {
     }
 
     /// One full recovery: resolution, handling, signalling, exit.
-    fn phase_recover(&mut self, start: RecoveryStart) -> Step<ActionOutcome> {
+    fn phase_recover(&mut self, def: &DefInner, start: RecoveryStart) -> Step<ActionOutcome> {
         self.system.stats.borrow_mut().recoveries += 1;
         let resolved = match self.run_recovery(start)? {
             Some(resolved) => resolved,
@@ -1074,8 +1086,8 @@ impl Ctx {
             // resolve among themselves, we give up locally (ƒ).
             None => return self.finalize(ActionOutcome::Failed),
         };
-        let verdict = self.run_handler(&resolved)?;
-        let my_signal = self.run_signalling(verdict)?;
+        let verdict = self.run_handler(def, resolved)?;
+        let my_signal = self.run_signalling(def, verdict)?;
         self.frame_mut().exit.open_next_epoch();
         self.observe_top(|| EventKind::SignalOutcome {
             signal: my_signal.clone(),
@@ -1166,9 +1178,7 @@ impl Ctx {
                 for obj in &frame.objects {
                     obj.inform_exception(action, e.id().name());
                 }
-                self.observe_top(|| EventKind::Raise {
-                    exception: e.id().clone(),
-                });
+                self.observe_top(|| EventKind::Raise { exception: *e.id() });
                 self.feed_resolver(ProtoEvent::LocalRaise(e))?;
             }
             RecoveryStart::Suspend => self.feed_resolver(ProtoEvent::LocalSuspend)?,
@@ -1180,7 +1190,7 @@ impl Ctx {
         trace!(self, "resolved: {resolved}");
         self.frame_mut().recovery.recovered = true;
         self.observe_top(|| EventKind::Resolved {
-            exception: resolved.clone(),
+            exception: resolved,
         });
         Ok(Some(resolved))
     }
@@ -1266,7 +1276,7 @@ impl Ctx {
     fn collect(&mut self, round: Round, timeout: Option<VirtualDuration>) -> Step<RoundEnd> {
         let mut deadline = self.deadline_in(timeout);
         loop {
-            if let Some(end) = round.status(self.stack.last()) {
+            if let Some(end) = round.status(self.stack.last().map(Box::as_ref)) {
                 return Ok(end);
             }
             let (index, action) = match self.recv_until(deadline)? {
@@ -1275,7 +1285,10 @@ impl Ctx {
                     trace!(self, "{round:?}: bounded wait expired");
                     let top = self.stack.len().saturating_sub(1);
                     let protocol = &*self.system.protocol;
-                    (top, round.expired(self.stack.last_mut(), self.me, protocol))
+                    (
+                        top,
+                        round.expired(self.stack.last_mut().map(Box::as_mut), self.me, protocol),
+                    )
                 }
             };
             match self.perform(round, index, action)? {
@@ -1475,12 +1488,12 @@ impl Ctx {
     // Recovery: handling
     // ------------------------------------------------------------------
 
-    fn run_handler(&mut self, resolved: &ExceptionId) -> Step<HandlerVerdict> {
+    fn run_handler(&mut self, def: &DefInner, resolved: ExceptionId) -> Step<HandlerVerdict> {
         let frame = self.frame_mut();
-        frame.recovery.in_handler = Some(resolved.clone());
-        let handler = frame.id.def.handler_for(frame.id.role, resolved);
+        frame.recovery.in_handler = Some(resolved);
+        let handler = def.handler_for(frame.id.role, resolved);
         self.observe_top(|| EventKind::HandlerStart {
-            exception: resolved.clone(),
+            exception: resolved,
         });
         let verdict = match handler {
             Some(h) => h(self),
@@ -1500,7 +1513,7 @@ impl Ctx {
     // Recovery: signalling (§3.4)
     // ------------------------------------------------------------------
 
-    fn run_signalling(&mut self, verdict: HandlerVerdict) -> Step<Signal> {
+    fn run_signalling(&mut self, def: &DefInner, verdict: HandlerVerdict) -> Step<Signal> {
         let my_signal = verdict.to_signal();
         if self.frame().view.evicted {
             // Removed from the view: the survivors no longer expect our
@@ -1513,7 +1526,7 @@ impl Ctx {
         if self.frame().signalling_group().len() == 1 {
             // No coordination needed; µ still requires the local undo.
             return match my_signal {
-                Signal::Undo => Ok(self.perform_undo()),
+                Signal::Undo => Ok(self.perform_undo(def)),
                 other => Ok(other),
             };
         }
@@ -1529,7 +1542,7 @@ impl Ctx {
         }
         // Case 2: µ requested — all threads undo, then exchange again.
         self.system.stats.borrow_mut().undo_rounds += 1;
-        let after_undo = self.perform_undo();
+        let after_undo = self.perform_undo(def);
         let collected = self.signal_round(SignalRound::AfterUndo, after_undo)?;
         if self.frame().signals.failed(collected) {
             Ok(Signal::Failure)
@@ -1539,15 +1552,13 @@ impl Ctx {
     }
 
     /// Undoes this thread's effects: rolls back every object it touched and
-    /// runs the role's undo hook. Returns the signal to announce (µ on
-    /// success, ƒ when some undo operation failed).
-    fn perform_undo(&mut self) -> Signal {
-        let (def, role) = {
-            let frame = self.frame();
-            (Arc::clone(&frame.id.def), frame.id.role)
-        };
+    /// runs the role's undo hook (of `def`, the top frame's definition).
+    /// Returns the signal to announce (µ on success, ƒ when some undo
+    /// operation failed).
+    fn perform_undo(&mut self, def: &DefInner) -> Signal {
+        let role = self.frame().id.role;
         let mut ok = true;
-        if let Some(hook) = def.roles[role.index()].undo.clone() {
+        if let Some(hook) = &def.roles[role.index()].undo {
             match hook(self) {
                 Ok(hook_ok) => ok &= hook_ok,
                 Err(_) => ok = false,
@@ -1635,7 +1646,10 @@ impl Ctx {
         let depth = self.stack.len();
         let Some(msg) = received.msg else {
             let top = depth.saturating_sub(1);
-            return (top, corrupted(self.stack.last_mut(), round, self.me));
+            return (
+                top,
+                corrupted(self.stack.last_mut().map(Box::as_mut), round, self.me),
+            );
         };
         trace!(
             self,
@@ -1673,5 +1687,89 @@ impl Ctx {
             spare: self.spare,
             protocol: self.spare_protocol,
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use caa_core::outcome::{ActionOutcome, HandlerVerdict};
+    use caa_core::state::ParticipantState;
+    use caa_core::time::secs;
+
+    use super::*;
+    use crate::rounds::tests::snapshot;
+    use crate::System;
+
+    thread_local! {
+        /// The address of action A's frame, once its undo hook saw the
+        /// frame in the middle of a recovery.
+        static A_FRAME: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    fn address(frame: &Frame) -> usize {
+        std::ptr::from_ref(frame) as usize
+    }
+
+    /// A frame a participant re-enters from its spare pool is, field for
+    /// field, the frame a first entry makes — after serving an instance
+    /// that went through object traffic, buffered application messages,
+    /// resolution, a handler and both signalling exchanges of an undo.
+    #[test]
+    fn a_frame_left_after_an_undo_is_reentered_as_new() {
+        let undo = |_: &mut Ctx| Ok(HandlerVerdict::Undo);
+        let a = ActionDef::builder("a")
+            .role("a0", 0u32)
+            .role("a1", 1u32)
+            .fallback_handler("a0", undo)
+            .fallback_handler("a1", undo)
+            .undo_hook("a0", |uc| {
+                let frame = uc.frame();
+                let recovery = &frame.recovery;
+                assert!(recovery.recovered && recovery.cohort.is_some());
+                assert!(recovery.resolved_exception.is_some());
+                assert!(!frame.objects.is_empty() && !frame.inbox.app.is_empty());
+                A_FRAME.set(Some(address(frame)));
+                Ok(true)
+            })
+            .build()
+            .expect("action A");
+        let b = ActionDef::builder("b")
+            .role("b0", 0u32)
+            .build()
+            .expect("action B");
+        let object = SharedObject::new("o", 0u32);
+        let mut sys = System::builder().build();
+        let a1 = a.clone();
+        sys.spawn("T0", move |ctx| {
+            let outcome = ctx.enter(&a, "a0", |rc| {
+                rc.update(&object, |v| *v += 1)?;
+                rc.work(secs(1.0))?;
+                rc.raise(Exception::new("e"))
+            })?;
+            assert_eq!(outcome, ActionOutcome::Undone);
+            assert_eq!(ctx.spare.len(), 1, "A's frame was left to the pool");
+            ctx.enter(&b, "b0", |bc| {
+                let frame = bc.frame();
+                let a_frame = A_FRAME.take().expect("A recovered through its undo");
+                assert_eq!(address(frame), a_frame, "B re-entered A's frame");
+                let mut new = Frame::new(&b.inner);
+                new.reenter(frame.id.action, &b.inner, frame.id.role);
+                assert_eq!(snapshot(frame), snapshot(&new));
+                let resolver = frame.recovery.resolver.as_ref();
+                assert!(resolver.is_none_or(|r| r.participant_state() == ParticipantState::Normal));
+                Ok(())
+            })
+            .map(drop)
+        });
+        sys.spawn("T1", move |ctx| {
+            ctx.enter(&a1, "a1", |rc| {
+                rc.send_to_role("a0", "unread", 1u32)?;
+                rc.work(secs(10.0))
+            })
+            .map(drop)
+        });
+        sys.run().expect_ok();
     }
 }

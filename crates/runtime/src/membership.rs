@@ -132,7 +132,7 @@ pub(crate) struct FrameMembership {
     /// The cumulative removed set as a shared slice, cached per epoch:
     /// stamping `N − 1` outgoing `Commit`s clones one `Arc` per recipient
     /// instead of materialising the set per message (and the crash-free
-    /// case reuses the global empty set, allocating nothing at all).
+    /// case reuses the thread's empty set, allocating nothing at all).
     removed_cache: Option<(u32, Arc<[ThreadId]>)>,
 }
 
@@ -145,6 +145,12 @@ impl FrameMembership {
             evicted: false,
             removed_cache: None,
         }
+    }
+
+    /// Back to the initial full view over `group`, in place (a frame's
+    /// view when it is re-entered).
+    pub(crate) fn reset(&mut self, group: &[ThreadId]) {
+        *self = FrameMembership::new(group);
     }
 
     /// The live members, sorted ascending.

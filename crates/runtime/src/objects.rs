@@ -80,6 +80,7 @@ use std::sync::Arc;
 
 use caa_core::ids::{ActionId, ThreadId};
 use caa_core::inline::InlineVec;
+use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use parking_lot::Mutex;
 
@@ -205,8 +206,8 @@ struct ObjectInner<T> {
 }
 
 struct ObjectShared<T> {
-    /// Interned: shared with every `ObjectAcquired` event.
-    name: Arc<str>,
+    /// Copied into every `ObjectAcquired` event.
+    name: Name,
     undoable: bool,
     state: Mutex<ObjectInner<T>>,
 }
@@ -320,7 +321,7 @@ fn new_inner<T>(initial: T) -> ObjectInner<T> {
 impl<T: Clone + Send + 'static> SharedObject<T> {
     /// Creates an undoable object with the given committed state.
     #[must_use]
-    pub fn new(name: impl Into<Arc<str>>, initial: T) -> Self {
+    pub fn new(name: impl Into<Name>, initial: T) -> Self {
         SharedObject {
             shared: Arc::new(ObjectShared {
                 name: name.into(),
@@ -332,15 +333,8 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
 
     /// The object's name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.shared.name
-    }
-
-    /// The object's name as a shared reference (cheap to clone into
-    /// events).
-    #[must_use]
-    pub(crate) fn name_shared(&self) -> Arc<str> {
-        Arc::clone(&self.shared.name)
+    pub fn name(&self) -> Name {
+        self.shared.name
     }
 
     /// Whether rollback of this object can succeed.
@@ -738,7 +732,7 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
 /// ```
 #[must_use]
 pub fn irreversible<T: Clone + Send + 'static>(
-    name: impl Into<Arc<str>>,
+    name: impl Into<Name>,
     initial: T,
 ) -> SharedObject<T> {
     SharedObject {

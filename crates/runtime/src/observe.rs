@@ -20,11 +20,11 @@
 //! the harness's trace recorder does.
 
 use std::fmt;
-use std::sync::Arc;
 
 use caa_core::exception::{ExceptionId, Signal};
 use caa_core::ids::{ActionId, ThreadId};
 use caa_core::message::SignalRound;
+use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::VirtualInstant;
 
@@ -48,11 +48,10 @@ pub enum EventKind {
     /// The thread entered an action, playing `role` at nesting `depth`
     /// (1 = top level).
     Enter {
-        /// Action (definition) name (shared with the definition — building
-        /// the event clones a reference, not the text).
-        name: Arc<str>,
-        /// Role the thread performs (shared with the definition).
-        role: Arc<str>,
+        /// Action (definition) name.
+        name: Name,
+        /// Role the thread performs.
+        role: Name,
         /// Nesting depth after entry; top-level actions are depth 1.
         depth: usize,
     },
@@ -112,9 +111,8 @@ pub enum EventKind {
     /// at least one transaction layer). Grant order is deterministic — see
     /// the `caa-runtime` objects module — so these events byte-replay.
     ObjectAcquired {
-        /// The object's name (shared with the object — building the event
-        /// clones a reference, not the text).
-        object: Arc<str>,
+        /// The object's name.
+        object: Name,
         /// Virtual nanoseconds the thread waited for the grant, from
         /// enqueueing the request to acquisition. Deterministic (virtual
         /// time), but deliberately **not rendered** into the trace text:
@@ -261,10 +259,9 @@ pub trait Observer: Send + Sync {
     /// The event is handed over **by value**: the runtime builds it for
     /// this call alone and has no further use for it, and the consumer it
     /// was built for — a trace recorder — keeps it. Several
-    /// [`EventKind`]s carry reference-counted names (action, role, object
-    /// and exception names) or member lists; behind a `&Event` a recorder
-    /// had to clone each one only for the runtime to drop the original
-    /// right after. An observer that only looks at the event ignores the
+    /// [`EventKind`]s carry member lists; behind a `&Event` a recorder had
+    /// to clone each one only for the runtime to drop the original right
+    /// after. An observer that only looks at the event ignores the
     /// ownership and lets it drop.
     fn on_event(&self, event: Event);
 }

@@ -272,7 +272,7 @@ impl XrrState {
             return;
         }
         let raised = self.entries.iter().filter_map(|(_, e)| match e {
-            Entry::Exception(id) => Some(id.clone()),
+            Entry::Exception(id) => Some(*id),
             Entry::Suspended => None,
         });
         self.raised.extend(raised);
@@ -291,13 +291,13 @@ impl XrrState {
                 Message::Commit {
                     action: ctx.action,
                     from: ctx.me,
-                    resolved: resolved.clone(),
+                    resolved,
                     view_epoch: 0,
                     view_removed: no_removals(),
                 },
             ));
         }
-        self.resolved = Some(resolved.clone());
+        self.resolved = Some(resolved);
         actions.resolved = Some(resolved);
     }
 }
@@ -318,8 +318,7 @@ impl ResolverState for XrrState {
         match event {
             ProtoEvent::LocalRaise(e) => {
                 self.state = ParticipantState::Exceptional;
-                self.entries
-                    .record(ctx.me, Entry::Exception(e.id().clone()), true);
+                self.entries.record(ctx.me, Entry::Exception(*e.id()), true);
                 for peer in ctx.peers() {
                     actions.outbound.push((
                         peer,
@@ -351,15 +350,15 @@ impl ResolverState for XrrState {
                     from, exception, ..
                 } => {
                     self.entries
-                        .record(*from, Entry::Exception(exception.id().clone()), true);
+                        .record(*from, Entry::Exception(*exception.id()), true);
                 }
                 Message::Suspended { from, .. } => {
                     // Never demote a raised exception to a suspension.
                     self.entries.record(*from, Entry::Suspended, false);
                 }
                 Message::Commit { resolved, .. } => {
-                    self.resolved = Some(resolved.clone());
-                    actions.resolved = Some(resolved.clone());
+                    self.resolved = Some(*resolved);
+                    actions.resolved = Some(*resolved);
                 }
                 _ => {}
             },
@@ -405,7 +404,7 @@ impl ResolverState for XrrState {
             // (never demote a recorded raise).
             let origin = e.origin().expect("synthesized crashes carry their origin");
             self.entries
-                .record(origin, Entry::Exception(e.id().clone()), false);
+                .record(origin, Entry::Exception(*e.id()), false);
         }
         self.try_resolve(ctx, &mut actions);
         actions

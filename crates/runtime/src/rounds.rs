@@ -34,9 +34,12 @@ use crate::protocol::{ProtoActions, ProtoCtx, ResolutionProtocol, ResolverState}
 /// heard from — lives inline in the frame ([`InlineVec`] tables keyed by
 /// the member, spilling to the heap only past [`GROUP_INLINE`] members),
 /// and what has to be on the heap — the inboxes, the list of touched
-/// objects, the resolver's state — is made over the [`FrameParts`] an
-/// earlier frame of the participant left, so entering an action, running
-/// its rounds and leaving it allocate nothing for them.
+/// objects, the resolver's state — keeps its allocation from one instance
+/// to the next: a frame is boxed once and then stays put, *left* in place
+/// when its action ends ([`Frame::leave`]) and *re-entered* in place by the
+/// participant's next action ([`Frame::reenter`]). Entering an action,
+/// running its rounds and leaving it allocate nothing, and move a pointer
+/// where they used to move the kilobyte the frame is.
 pub(crate) struct Frame {
     pub(crate) id: Identity,
     pub(crate) inbox: Inboxes,
@@ -50,28 +53,20 @@ pub(crate) struct Frame {
     pub(crate) objects: Vec<Box<dyn TxControl>>,
 }
 
+/// A participant's frames — its action stack, its spare pool — by box:
+/// a frame is over a kilobyte, and entering or leaving an action moves a
+/// pointer to it, never the frame.
+#[allow(clippy::vec_box)]
+pub(crate) type Frames = Vec<Box<Frame>>;
+
 /// Which instance a frame is and how this thread is bound to it.
 pub(crate) struct Identity {
     pub(crate) action: ActionId,
+    /// The definition — kept by a left frame until it is re-entered, so
+    /// that re-entering the same action (the usual case: a participant
+    /// loops over the same actions) touches no reference count.
     pub(crate) def: Arc<DefInner>,
     pub(crate) role: RoleId,
-}
-
-/// The heap-backed parts of a frame, as one frame leaves them for the next
-/// ([`Frame::into_parts`]): emptied, their capacity kept, the resolver
-/// state reset. A default one is what a participant's first frames get.
-#[derive(Default)]
-pub(crate) struct FrameParts {
-    inbox: Inboxes,
-    objects: Vec<Box<dyn TxControl>>,
-    resolver: Option<Box<dyn ResolverState>>,
-}
-
-impl FrameParts {
-    /// Drops the resolver state: it was made by another system's protocol.
-    pub(crate) fn forget_resolver(&mut self) {
-        self.resolver = None;
-    }
 }
 
 /// What arrived for a frame and waits to be consumed.
@@ -89,12 +84,12 @@ pub(crate) struct Inboxes {
 }
 
 /// A frame's progress through coordinated recovery.
+#[derive(Default)]
 pub(crate) struct Recovery {
     /// Protocol state for this frame's resolution: the (reset) one an
-    /// earlier frame of this participant left, else made when the frame
-    /// first takes part in a resolution ([`Frame::proto_ctx`]) — most
-    /// frames never recover, and their state was a boxed allocation per
-    /// entry.
+    /// earlier instance of the frame left, else made when the frame first
+    /// takes part in a resolution ([`Frame::proto_ctx`]) — most frames
+    /// never recover, and their state was a boxed allocation per entry.
     pub(crate) resolver: Option<Box<dyn ResolverState>>,
     /// Resolution completed — later Exception/Suspended messages for this
     /// instance are stragglers and are dropped (termination model: nothing
@@ -121,65 +116,74 @@ pub(crate) struct Recovery {
 }
 
 impl Frame {
-    /// A frame freshly entered over the action's full group, made over
-    /// `parts`.
-    pub(crate) fn new(
-        action: ActionId,
-        def: Arc<DefInner>,
-        role: RoleId,
-        parts: FrameParts,
-    ) -> Self {
-        Frame {
-            view: FrameMembership::new(&def.group),
-            id: Identity { action, def, role },
-            inbox: parts.inbox,
-            recovery: Recovery {
-                resolver: parts.resolver,
-                recovered: false,
-                aborting: false,
-                in_handler: None,
-                cohort: None,
-                resolved_exception: None,
+    /// A new frame for `def`'s actions, as [`Frame::leave`] leaves one:
+    /// [`Frame::reenter`] it before use.
+    pub(crate) fn new(def: &Arc<DefInner>) -> Box<Frame> {
+        Box::new(Frame {
+            id: Identity {
+                action: ActionId::top_level(0),
+                def: Arc::clone(def),
+                role: RoleId::new(0),
             },
+            inbox: Inboxes::default(),
+            recovery: Recovery::default(),
             signals: SignalTable::default(),
             exit: ExitBarrier::default(),
-            objects: parts.objects,
+            view: FrameMembership::new(&def.group),
+            objects: Vec::new(),
+        })
+    }
+
+    /// Binds a left frame to instance `action` of `def`, played as `role`,
+    /// over the action's full group — the only way a frame is entered.
+    pub(crate) fn reenter(&mut self, action: ActionId, def: &Arc<DefInner>, role: RoleId) {
+        if !Arc::ptr_eq(&self.id.def, def) {
+            self.id.def = Arc::clone(def);
         }
+        self.id.action = action;
+        self.id.role = role;
+        self.view.reset(&def.group);
     }
 
-    /// What a popped frame leaves for the next one: its inboxes and object
-    /// list emptied, its resolver state reset (dropped if it cannot be).
-    pub(crate) fn into_parts(self) -> FrameParts {
-        let mut resolver = self.recovery.resolver;
-        resolver.take_if(|state| !state.reset());
-        let mut parts = FrameParts {
-            inbox: self.inbox,
-            objects: self.objects,
-            resolver,
-        };
-        parts.inbox.control.clear();
-        parts.inbox.app.clear();
-        parts.inbox.joins.clear();
-        parts.objects.clear();
-        parts
+    /// Ends the frame's instance in place: its inboxes and object list
+    /// emptied (their capacity kept), its resolver state reset (dropped if
+    /// it cannot be), its rounds and recovery back to where an entry starts
+    /// them. Only the identity and the view are left to
+    /// [`Frame::reenter`].
+    pub(crate) fn leave(&mut self) {
+        self.inbox.control.clear();
+        self.inbox.app.clear();
+        self.inbox.joins.clear();
+        self.objects.clear();
+        let recovery = &mut self.recovery;
+        recovery.resolver.take_if(|state| !state.reset());
+        recovery.recovered = false;
+        recovery.aborting = false;
+        recovery.in_handler = None;
+        recovery.cohort = None;
+        recovery.resolved_exception = None;
+        self.signals.announced.clear();
+        self.signals.corrupted = false;
+        self.exit.votes.clear();
+        self.exit.epoch = 0;
+        self.exit.is_rejoiner = false;
     }
 
-    /// Fast-forwards a fresh frame to the state a `JoinGrant` describes: the
-    /// granter's view, its exit epoch, and — when recovery already resolved
-    /// — the resolved exception, so the restarted participant skips
-    /// straight to the exit protocol.
-    pub(crate) fn rejoined(
-        mut self,
+    /// Fast-forwards a just-entered frame to the state a `JoinGrant`
+    /// describes: the granter's view, its exit epoch, and — when recovery
+    /// already resolved — the resolved exception, so the restarted
+    /// participant skips straight to the exit protocol.
+    pub(crate) fn rejoin(
+        &mut self,
         view: FrameMembership,
         exit_epoch: u32,
         resolved: Option<ExceptionId>,
-    ) -> Self {
+    ) {
         self.view = view;
         self.exit.epoch = exit_epoch;
         self.exit.is_rejoiner = true;
         self.recovery.recovered = resolved.is_some();
         self.recovery.resolved_exception = resolved;
-        self
     }
 
     /// The members the signalling rounds range over: the recovery cohort
@@ -409,7 +413,7 @@ impl Frame {
                 epoch: self.view.epoch(),
                 removed: self.view.removed_shared(),
                 exit_epoch,
-                resolved: self.recovery.resolved_exception.clone(),
+                resolved: self.recovery.resolved_exception,
             },
             revote: self
                 .exit
@@ -472,7 +476,7 @@ pub(crate) fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -
         (Round::Body, Some(frame))
             if frame.recovery.in_handler.is_none() && !frame.recovery.recovered =>
         {
-            let e = Exception::new(frame.id.def.corruption_exception.clone())
+            let e = Exception::new(frame.id.def.corruption_exception)
                 .with_origin(me)
                 .with_detail("corrupted message delivered");
             RoundAction::Interrupt(Unwind::Raise(e))
@@ -739,11 +743,7 @@ impl Round {
             // commit whose membership moved on): the survivors go on among
             // themselves.
             Round::Resolution | Round::Exit if frame.view.evicted => Some(RoundEnd::Excluded),
-            Round::Resolution => frame
-                .recovery
-                .resolved_exception
-                .clone()
-                .map(RoundEnd::Resolved),
+            Round::Resolution => frame.recovery.resolved_exception.map(RoundEnd::Resolved),
             Round::Signalling(round) => frame
                 .signals
                 .complete(round, &frame.signalling_group())
@@ -823,18 +823,47 @@ impl Round {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::action::ActionDef;
     use crate::membership::Eviction;
     use crate::protocol::{ProtoEvent, XrrResolution};
     use caa_core::state::ParticipantState;
 
+    /// Every field of `frame` but the resolver state, as text: what the
+    /// frame-reuse test compares a re-entered frame and a new one by. (A
+    /// re-entered frame keeps the reset resolver state of an earlier
+    /// instance, which a new frame makes on first use.)
+    pub(crate) fn snapshot(frame: &Frame) -> String {
+        let (id, inbox, recovery) = (&frame.id, &frame.inbox, &frame.recovery);
+        let (signals, exit) = (&frame.signals, &frame.exit);
+        format!(
+            "{:?}",
+            (
+                (id.action, id.role, Arc::as_ptr(&id.def)),
+                (inbox.control.len(), inbox.app.len(), inbox.joins.len()),
+                frame.objects.len(),
+                (recovery.recovered, recovery.aborting, recovery.in_handler),
+                (&recovery.cohort, recovery.resolved_exception),
+                (&signals.announced, signals.corrupted),
+                (&exit.votes, exit.epoch, exit.is_rejoiner),
+                &frame.view,
+            )
+        )
+    }
+
     fn t(n: u32) -> ThreadId {
         ThreadId::new(n)
     }
 
     const ACTION: ActionId = ActionId::top_level(7);
+
+    /// The frame thread 0 enters for `def`'s first role.
+    fn entered(def: &ActionDef) -> Frame {
+        let mut frame = Frame::new(&def.inner);
+        frame.reenter(ACTION, &def.inner, RoleId::new(0));
+        *frame
+    }
 
     /// Thread 0's frame of a three-party action: no network, no system.
     fn frame() -> Frame {
@@ -844,7 +873,7 @@ mod tests {
             .role("r2", 2u32)
             .build()
             .expect("valid definition");
-        Frame::new(ACTION, def.inner, RoleId::new(0), FrameParts::default())
+        entered(&def)
     }
 
     fn exception(from: u32) -> Message {
@@ -1201,7 +1230,8 @@ mod tests {
     #[test]
     fn rejoiner_gives_up_and_never_suspects() {
         let view = FrameMembership::new(&[t(0), t(1), t(2)]);
-        let mut f = frame().rejoined(view, 1, Some(ExceptionId::new("e")));
+        let mut f = frame();
+        f.rejoin(view, 1, Some(ExceptionId::new("e")));
         assert!(f.recovery.recovered);
         assert_eq!(f.exit.vote(t(0)), 1, "votes in the granter's exit epoch");
         assert!(matches!(
@@ -1299,7 +1329,7 @@ mod tests {
             builder = builder.role(format!("r{thread}"), thread);
         }
         let def = builder.build().expect("valid definition");
-        Frame::new(ACTION, def.inner, RoleId::new(0), FrameParts::default())
+        entered(&def)
     }
 
     /// Every per-participant table of a frame, driven through one

@@ -58,6 +58,7 @@ use std::sync::Arc;
 
 use caa_core::ids::{PartitionId, ThreadId};
 use caa_core::message::Message;
+use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::{Fiber, Stack};
 use caa_simnet::{
@@ -142,7 +143,7 @@ pub(crate) struct SystemShared {
 /// participant is registered, so no start gate is needed.
 struct Participant {
     id: PartitionId,
-    name: Arc<str>,
+    name: Name,
     state: Hosted,
 }
 
@@ -310,20 +311,18 @@ impl System {
     /// waits forever.
     pub fn spawn(
         &mut self,
-        name: impl Into<Arc<str>>,
+        name: impl Into<Name>,
         body: impl FnOnce(&mut Ctx) -> Step + 'static,
     ) -> ThreadId {
-        // One interning per participant: the endpoint, the context and the
-        // report label all share the same text (and callers that already
-        // hold an `Arc<str>` — e.g. sweep drivers with cached thread
-        // names — pay no allocation at all).
+        // One interning per participant (none for a caller that holds the
+        // name already): the endpoint, the context and the report label
+        // all copy it.
         let name = name.into();
         let net = self.network();
-        let endpoint = net.endpoint(Arc::clone(&name));
+        let endpoint = net.endpoint(name);
         let id = endpoint.id();
         let me = ThreadId::new(id.as_u32());
         let shared = Rc::clone(&self.shared);
-        let thread_name = Arc::clone(&name);
         // Registration happens now (the endpoint above holds virtual time
         // back); the body starts in `run`, once every participant is
         // registered. It waits on the stack it will run on — the one its
@@ -332,7 +331,7 @@ impl System {
             .take_stack(id)
             .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
         let fiber = Fiber::new(stack, move || {
-            let mut ctx = Ctx::new(me, thread_name, endpoint, shared);
+            let mut ctx = Ctx::new(me, name, endpoint, shared);
             let result = body(&mut ctx);
             ctx.shutdown();
             match result {
@@ -431,7 +430,7 @@ impl Drop for System {
 pub struct SystemReport {
     /// Per-thread results in spawn order, each under the name its thread
     /// was spawned with.
-    pub results: Vec<(Arc<str>, Result<(), RuntimeError>)>,
+    pub results: Vec<(Name, Result<(), RuntimeError>)>,
     /// Message counters from the network.
     pub net_stats: NetStats,
     /// Scheduler park/wake hand-off counters: what the simulator did, not

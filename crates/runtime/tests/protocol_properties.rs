@@ -57,7 +57,7 @@ proptest! {
         for i in 0..sc.n {
             let log = Arc::clone(&handled);
             builder = builder.fallback_handler(format!("r{i}"), move |hc| {
-                log.lock().unwrap().push(hc.handling().unwrap().clone());
+                log.lock().unwrap().push(*hc.handling().unwrap());
                 Ok(HandlerVerdict::Recovered)
             });
         }

@@ -77,6 +77,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
+use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::Stack;
 
@@ -320,7 +321,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// The endpoint is counted as *running* from this moment, so register it
     /// before handing it to its thread — otherwise virtual time may advance
     /// past events the thread would have handled.
-    pub fn endpoint(&self, name: impl Into<Arc<str>>) -> Endpoint<M, H> {
+    pub fn endpoint(&self, name: impl Into<Name>) -> Endpoint<M, H> {
         let name = name.into();
         Endpoint {
             id: self.host.with(|core| core.register(name)),

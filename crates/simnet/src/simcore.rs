@@ -11,15 +11,13 @@
 //! notifies, and nothing knows what drives the endpoints: how callers get
 //! their exclusive access and what a parked endpoint does until it is
 //! marked runnable again is the business of a [`Host`](crate::host::Host).
-//! The only `std::sync` item in this file is the `Arc<str>` an endpoint's
-//! name arrives in.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
+use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_fiber::Stack;
 
@@ -61,7 +59,7 @@ impl BlockKind {
 }
 
 struct ActorSlot<M> {
-    name: Arc<str>,
+    name: Name,
     alive: bool,
     running: bool,
     blocked_on: BlockKind,
@@ -94,7 +92,7 @@ impl<M> ActorSlot<M> {
     /// A slot for a newly registered endpoint, built over the allocations
     /// of a `recycled` one where there is one: its parked fiber stack and
     /// (cleared) mailbox capacity.
-    fn fresh(name: Arc<str>, recycled: Option<ActorSlot<M>>) -> ActorSlot<M> {
+    fn fresh(name: Name, recycled: Option<ActorSlot<M>>) -> ActorSlot<M> {
         let (stack, mailbox) = match recycled {
             Some(old) => (old.stack, old.mailbox),
             None => Default::default(),
@@ -365,7 +363,7 @@ impl<M> Core<M> {
     }
 
     /// Registers a new endpoint, counted as running from this moment.
-    pub fn register(&mut self, name: Arc<str>) -> PartitionId {
+    pub fn register(&mut self, name: Name) -> PartitionId {
         let id =
             PartitionId::new(u32::try_from(self.actors.len()).expect("fewer than 2^32 endpoints"));
         let recycled = self.spare_slots.pop();

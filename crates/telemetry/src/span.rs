@@ -14,14 +14,13 @@
 //! span-determinism tests assert.
 
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 
 /// A span's name, held in the parts it is made of instead of as assembled
 /// text: a fixed prefix (`action:`, `exit:e`, or the whole of a fixed name
-/// such as `signalling`) and what follows it — a word, a name shared with
-/// whatever the span is about (an action definition, an exception, an
-/// object), or a number. Naming a span therefore copies two words and at
-/// most bumps a reference count; the text exists only where it is shown
+/// such as `signalling`) and what follows it — a word (whatever the span is
+/// about names itself by an interned, `'static` text: an action
+/// definition, an exception, an object) or a number. Naming a span
+/// therefore copies a few words; the text exists only where it is shown
 /// ([`fmt::Display`]).
 ///
 /// Two names are equal when their texts are, however they were put
@@ -30,25 +29,22 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
 /// use caa_telemetry::SpanName;
 ///
-/// let payment: Arc<str> = Arc::from("payment");
-/// assert_eq!(SpanName::shared("action:", payment).to_string(), "action:payment");
+/// assert_eq!(SpanName::word("action:", "payment").to_string(), "action:payment");
 /// assert_eq!(SpanName::numbered("resolution:r", 2).to_string(), "resolution:r2");
 /// assert_eq!(SpanName::word("handler:", "µ"), SpanName::plain("handler:µ"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpanName {
     prefix: &'static str,
     rest: Rest,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Rest {
     Nothing,
     Word(&'static str),
-    Shared(Arc<str>),
     Number(u64),
 }
 
@@ -62,21 +58,12 @@ impl SpanName {
         }
     }
 
-    /// `{prefix}{word}`, both fixed text.
+    /// `{prefix}{word}`, both fixed (or interned) text.
     #[must_use]
     pub fn word(prefix: &'static str, word: &'static str) -> SpanName {
         SpanName {
             prefix,
             rest: Rest::Word(word),
-        }
-    }
-
-    /// `{prefix}{name}`, the name shared with its owner.
-    #[must_use]
-    pub fn shared(prefix: &'static str, name: Arc<str>) -> SpanName {
-        SpanName {
-            prefix,
-            rest: Rest::Shared(name),
         }
     }
 
@@ -94,7 +81,6 @@ impl SpanName {
         match &self.rest {
             Rest::Nothing => "",
             Rest::Word(word) => word,
-            Rest::Shared(name) => name,
             Rest::Number(n) => {
                 let mut at = digits.len();
                 let mut n = *n;
@@ -282,17 +268,19 @@ mod tests {
 
     #[test]
     fn a_name_shows_as_the_text_it_stands_for() {
-        let shared = |text: &str| -> Arc<str> { Arc::from(text) };
+        // A `'static` copy of a text made at run time, as an interned name
+        // is.
+        let leaked = |text: &str| -> &'static str { Box::leak(text.into()) };
         for (name, text) in [
             (SpanName::plain("signalling"), "signalling".to_owned()),
             (SpanName::plain(""), String::new()),
             (SpanName::word("handler:", "µ"), format!("handler:{}", "µ")),
             (
-                SpanName::shared("raise\u{2192}resolve:", shared("a0.1_e3")),
+                SpanName::word("raise\u{2192}resolve:", leaked("a0.1_e3")),
                 format!("raise\u{2192}resolve:{}", "a0.1_e3"),
             ),
             (
-                SpanName::shared("object-wait:", shared("")),
+                SpanName::word("object-wait:", leaked("")),
                 "object-wait:".to_owned(),
             ),
             (SpanName::numbered("exit:e", 0), format!("exit:e{}", 0)),
@@ -307,8 +295,8 @@ mod tests {
         ] {
             assert_eq!(name.to_string(), text);
             // Equality is on the text, not on how it was put together.
-            assert_eq!(name, SpanName::shared("", shared(&text)));
-            assert_ne!(name, SpanName::shared("", shared(&format!("{text}0"))));
+            assert_eq!(name, SpanName::word("", leaked(&text)));
+            assert_ne!(name, SpanName::word("", leaked(&format!("{text}0"))));
         }
         assert_ne!(
             SpanName::numbered("exit:e", 1),
@@ -329,7 +317,7 @@ mod tests {
             parent: None,
         });
         tree.push(Span {
-            name: SpanName::shared("handler:", Arc::from("x")),
+            name: SpanName::word("handler:", "x"),
             start_ns: 5,
             end_ns: 25,
             thread: 1,

@@ -16,7 +16,12 @@
 //!   wall-clock counter by name;
 //! * the tooling has one front door: one `caa` binary over one argument
 //!   parser, one worker pool, one bench target, two `compat/` shims — and
-//!   every committed `BENCH*.json` parses.
+//!   every committed `BENCH*.json` parses;
+//! * names are interned symbols: outside their unit tests the core, the
+//!   simulator, the runtime, the harness and the telemetry crate hold no
+//!   reference-counted text but the free-text detail an `Exception` may
+//!   carry, `ExceptionId` and `Name` are `Copy`, and what managed the
+//!   counts before (the frame's parts, shared span names) is gone.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -276,4 +281,56 @@ fn every_committed_bench_document_parses() {
             panic!("{name} does not parse: {e}");
         }
     }
+}
+
+/// Where a run's names live; `Exception::detail` is free text, not a name.
+const NAMED: [&str; 5] = [
+    "crates/core/src",
+    "crates/simnet/src",
+    "crates/runtime/src",
+    "crates/harness/src",
+    "crates/telemetry/src",
+];
+
+#[test]
+fn names_are_symbols_not_reference_counts() {
+    let mut files = Vec::new();
+    for dir in NAMED {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(files.len() > 40, "the scan found the sources: {files:?}");
+    let mut counted: Vec<String> = Vec::new();
+    for file in &files {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        let relative = file.strip_prefix(root()).expect("under the root");
+        for line in outside_unit_tests(&source).lines() {
+            if line.contains("Arc<str>") {
+                counted.push(format!("{}: {}", relative.display(), line.trim()));
+            }
+        }
+    }
+    assert_eq!(
+        counted,
+        ["crates/core/src/exception.rs: detail: Option<Arc<str>>,"],
+        "a name held as reference-counted text: intern it (`caa_core::name::Name`)"
+    );
+    for gone in [
+        "FrameParts",
+        "into_parts",
+        "shared_name",
+        "SpanName::shared",
+    ] {
+        assert_eq!(
+            files_naming(gone, &["crates", "src", "examples"]),
+            [""; 0],
+            "`{gone}` managed what frames reset in place and interned names replaced"
+        );
+    }
+}
+
+#[test]
+fn exception_ids_and_names_are_copy() {
+    fn copy<T: Copy>() {}
+    copy::<caa_core::exception::ExceptionId>();
+    copy::<caa_core::name::Name>();
 }
