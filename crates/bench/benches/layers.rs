@@ -45,7 +45,11 @@
 //! * **readers, µs and allocations per trace** — each of the five post-run
 //!   readers over 500 stored default traces, and what it asked the
 //!   allocator for on a warmed thread: nothing, but for the one buffer a
-//!   span tree keeps its spans in.
+//!   span tree keeps its spans in;
+//! * **the trace hash, ns/byte** — `hash64` over one rendered default
+//!   trace of mean length (≈ 7.3 KB), printed after
+//!   `reader_per_trace/render_fingerprint`: the fingerprint less this is
+//!   what the formatter costs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,7 +71,7 @@ use caa_harness::oracle::check_run;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::build_span_tree;
 use caa_harness::sweep::{run_seed_in, PathCoverage};
-use caa_harness::trace::{Entry, EntryKind, Trace, TraceRecorder};
+use caa_harness::trace::{hash64, Entry, EntryKind, Trace, TraceRecorder};
 use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{Event, EventKind, Observer};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
@@ -522,6 +526,29 @@ fn bench_readers() {
             allocs as f64 / TRACES as f64
         );
     }
+    // The hash alone, over the rendering of a trace of mean length: what
+    // `render_fingerprint` pays beyond the formatter.
+    let renderings: Vec<String> = runs.iter().map(|run| run.trace.render()).collect();
+    let mean = renderings.iter().map(String::len).sum::<usize>() / renderings.len();
+    let typical = renderings
+        .iter()
+        .min_by_key(|text| text.len().abs_diff(mean))
+        .expect("traces were run");
+    let bytes = typical.len() as u64;
+    let mut per_byte = 0.0;
+    bench_timed("hash64_trace", bytes, 2_000, |n| {
+        let started = Instant::now();
+        for _ in 0..n {
+            black_box(hash64(black_box(typical.as_bytes())));
+        }
+        let took = started.elapsed();
+        per_byte = took.as_nanos() as f64 / (n * bytes) as f64;
+        took
+    });
+    println!(
+        "layers/hash64_trace: {per_byte:.3} ns/byte over one {bytes} B default rendering \
+         (mean {mean} B)"
+    );
 }
 
 fn main() {

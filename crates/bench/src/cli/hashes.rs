@@ -2,25 +2,26 @@
 //! comparison.
 //!
 //! Prints one line per seed: the seed, whether the generated plan contains
-//! a crash-stop participant (`crashfree` / `crash`), and the FNV-1a hash of
-//! the canonical rendered trace. Protocol refactors that must keep
-//! crash-free behaviour byte-identical run this before and after the
-//! change and diff the `crashfree` lines (crash seeds are allowed to move
-//! when the crash model itself changes). A trailing section hashes
+//! a crash-stop participant (`crashfree` / `crash`), and the XXH64 hash
+//! ([`hash64`](caa_harness::trace::hash64)) of the canonical rendered
+//! trace. Protocol refactors that must keep crash-free behaviour
+//! byte-identical run this before and after the change and diff the
+//! `crashfree` lines (crash seeds are allowed to move when the crash model
+//! itself changes). A trailing section hashes
 //! production-cell runs the same way.
 //!
 //! Fingerprints are computed by streaming
 //! ([`Trace::render_fingerprint`](caa_harness::trace::Trace::render_fingerprint)):
-//! each entry renders into one reusable line buffer and folds into the
-//! running hash, so a hash-gate sweep never materialises a full rendered
-//! trace — by construction the value equals `fnv1a64(render())`, keeping
-//! old and new hash files comparable.
+//! the rendering goes into a per-thread scratch buffer and is hashed once,
+//! so a hash-gate sweep allocates no rendered trace — by construction the
+//! value equals `hash64(render())`, keeping old and new hash files
+//! comparable.
 //!
 //! ```text
 //! caa hashes [--seeds N] [--prodcell N] [--workers N] [--shard k/n] [--digest] > hashes.txt
 //! ```
 //!
-//! `--digest` folds the listing instead of printing it: one FNV-1a line
+//! `--digest` hashes the listing instead of printing it: one `hash64` line
 //! per (section, 1 000-seed block), sections being `crashfree`, `crash` and
 //! `prodcell`. The default 12 000-seed + 32-prodcell run digests to a few
 //! dozen lines, small enough to commit — the tier-1 test
@@ -41,7 +42,7 @@ use std::io::{self, Write};
 use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::sweep::{run_workers, Shard};
-use caa_harness::trace::{fnv1a64, fnv1a64_fold};
+use caa_harness::trace::Hash64;
 
 use super::{Args, Run};
 
@@ -52,20 +53,23 @@ const DIGEST_BLOCK: u64 = 1_000;
 type Line = (u64, &'static str, String);
 
 /// Prints one line per (section, block) of `lines` (already in listing
-/// order): how many listing lines fell into it and the FNV-1a fold of
-/// those lines, newline-terminated, in listing order.
+/// order): how many listing lines fell into it and the hash of those
+/// lines, newline-terminated, in listing order.
 fn print_digest(out: &mut dyn Write, lines: &[Line]) -> io::Result<()> {
     for section in ["crashfree", "crash", "prodcell"] {
-        let mut blocks: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut blocks: BTreeMap<u64, (u64, Hash64)> = BTreeMap::new();
         for (seed, _, line) in lines.iter().filter(|(_, s, _)| *s == section) {
-            let (count, hash) = blocks
-                .entry(seed / DIGEST_BLOCK)
-                .or_insert((0, fnv1a64(b"")));
+            let (count, hash) = blocks.entry(seed / DIGEST_BLOCK).or_default();
             *count += 1;
-            *hash = fnv1a64_fold(fnv1a64_fold(*hash, line.as_bytes()), b"\n");
+            hash.write(line.as_bytes());
+            hash.write(b"\n");
         }
         for (block, (count, hash)) in blocks {
-            writeln!(out, "{section} block {block} lines {count} fnv {hash:016x}")?;
+            let hash = hash.finish();
+            writeln!(
+                out,
+                "{section} block {block} lines {count} xxh64 {hash:016x}"
+            )?;
         }
     }
     Ok(())

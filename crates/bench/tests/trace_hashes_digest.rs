@@ -1,6 +1,6 @@
 //! The 12k-seed pre/post trace gate as a tier-1 test: `caa hashes
 //! --digest` (12 000 default-config seeds + 32 production-cell runs, one
-//! FNV-1a line per section and 1 000-seed block) must equal the committed
+//! `hash64` line per section and 1 000-seed block) must equal the committed
 //! `tests/golden/trace_hashes_12k.digest`.
 //!
 //! Every crash-free, crash and prodcell trace is a pure function of its

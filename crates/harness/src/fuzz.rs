@@ -166,17 +166,9 @@ impl Lineage {
         if self.mutations.is_empty() {
             return self.seed.to_string();
         }
-        format!("{}-m{:08x}", self.seed, fnv32(&self.render()))
+        let hash = crate::trace::hash64(self.render().as_bytes());
+        format!("{}-m{:08x}", self.seed, hash as u32)
     }
-}
-
-fn fnv32(text: &str) -> u32 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash as u32
 }
 
 /// Loads a corpus entry's plan: the persisted [`ScenarioConfig`]

@@ -4,16 +4,16 @@
 //! A rendered trace line is a handful of integers, a few fixed words and a
 //! name or two. Going through `core::fmt` for that — a `write!` with width
 //! arguments for the prefix, one `Display` dispatch per field — cost three
-//! times what hashing the line does; appending field by field to a `Vec`
-//! still paid a capacity check and a call into libc's `memmove` per field,
-//! ten a line. This module assembles the same bytes in a [`Line`]: a fixed
-//! buffer on the caller's stack and a cursor. A number becomes text in a
-//! register and lands as one store of known width, so does a fixed word,
-//! and the finished line is hashed, or appended to the rendering, in one
-//! piece. A line that does not fit — a very long action or exception name —
-//! is not patched up field by field: the cursor sticks past the end, every
-//! later field is a no-op, and the caller renders that one line through
-//! `Display` instead ([`Line::or_display`]).
+//! times what hashing the line byte by byte did; appending field by field
+//! to a `Vec` still paid a capacity check and a call into libc's `memmove`
+//! per field, ten a line. This module assembles the same bytes in a
+//! [`Line`]: a fixed buffer on the caller's stack and a cursor. A number
+//! becomes text in a register and lands as one store of known width, so
+//! does a fixed word, and the finished line is appended to the rendering
+//! in one piece. A line that does not fit — a very long action or exception
+//! name — is not patched up field by field: the cursor sticks past the end,
+//! every later field is a no-op, and the caller renders that one line
+//! through `Display` instead ([`Line::or_display`]).
 //!
 //! The text itself is pinned three ways: the unit tests below compare every
 //! [`EventKind`] variant, every kind of entry and the padding edge cases
@@ -606,7 +606,7 @@ mod tests {
     /// `Trace::render`, against the format strings the module replaces.
     #[test]
     fn whole_lines_of_every_entry_kind_render_like_display() {
-        use crate::trace::{fnv1a64, EntryKind, TraceRecorder};
+        use crate::trace::{hash64, EntryKind, TraceRecorder};
         use caa_core::ids::ActionId;
         use caa_runtime::observe::{Event, Observer};
         use caa_simnet::NetTap;
@@ -671,7 +671,7 @@ mod tests {
             };
         }
         assert_eq!(trace.render(), expected);
-        assert_eq!(trace.render_fingerprint(), fnv1a64(expected.as_bytes()));
+        assert_eq!(trace.render_fingerprint(), hash64(expected.as_bytes()));
         assert_eq!(trace.first_divergence(&rec.finish()), None);
     }
 

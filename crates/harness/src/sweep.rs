@@ -33,7 +33,7 @@ use crate::exec::{execute_owned, RunArtifacts};
 use crate::metrics::{metrics_json, SweepMetrics, WallCounter};
 use crate::oracle::{check_replay, check_run, Violation};
 use crate::plan::{ScenarioConfig, ScenarioPlan};
-use crate::trace::{fnv1a64, EntryKind, Trace};
+use crate::trace::{hash64, EntryKind, Trace};
 
 /// One shard of a deterministically split seed range: this process
 /// explores the seeds whose offset into the range satisfies
@@ -176,9 +176,9 @@ fn dump_corpus(
     let mut entry = dir.join(result.seed.to_string());
     match std::fs::read_to_string(entry.join("config.txt")) {
         Ok(existing) if existing != kv => {
-            // FNV-1a over the config: a stable, collision-resistant-enough
+            // The config's hash: a stable, collision-resistant-enough
             // discriminator for a handful of configs per corpus dir.
-            let hash = fnv1a64(kv.as_bytes());
+            let hash = hash64(kv.as_bytes());
             entry = dir.join(format!("{}-{:08x}", result.seed, hash as u32));
         }
         _ => {}

@@ -60,6 +60,7 @@
 //! 0.7 KiB for a default-space trace of 110 entries and 5 instances, under
 //! a budget of 1 KiB.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use caa_core::name::Name;
@@ -69,6 +70,7 @@ use parking_lot::Mutex;
 
 use crate::inthash::IntMap;
 use crate::render::Line;
+use crate::scratch;
 
 /// What one trace entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -277,35 +279,34 @@ impl Trace {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = Vec::with_capacity(self.entries.len() * 64);
+        self.render_into(&mut out);
+        String::from_utf8(out).expect("rendered fields are utf-8")
+    }
+
+    /// Appends [`Trace::render`]'s bytes to `out`, each line assembled in
+    /// one line buffer on the stack.
+    fn render_into(&self, out: &mut Vec<u8>) {
         let mut line = Line::new();
         for entry in &self.entries {
             entry.render(&mut line);
             out.extend_from_slice(line.bytes());
         }
-        String::from_utf8(out).expect("rendered fields are utf-8")
     }
 
-    /// Streams the FNV-1a 64-bit fingerprint of [`Trace::render`] without
-    /// materialising the rendering: each entry renders into one line
-    /// buffer on the stack and folds into the running hash. By construction
-    /// `trace.render_fingerprint() == fnv1a64(trace.render().as_bytes())`,
-    /// so fingerprints from hash-only sweeps (`caa hashes`, the
-    /// golden-trace test, pre/post refactor gates) stay comparable with
-    /// fingerprints of rendered traces. The hash is byte-serial, which
-    /// makes it the floor of this function's cost (and hashing a whole
-    /// line at a time keeps it there: fed field by field, the formatter's
-    /// work lands on the hash's dependency chain and the total rises);
-    /// the formatter (the crate's `render` module) writes bytes by hand
-    /// to stay near it.
+    /// The trace's identity: `hash64(trace.render().as_bytes())`, which
+    /// fingerprints from hash-only sweeps (`caa hashes`, the golden-trace
+    /// test, pre/post refactor gates) share with rendered traces. The
+    /// rendering goes into the calling thread's scratch buffer, not a new
+    /// string, and is hashed in one pass: a warmed thread allocates
+    /// nothing, and what the call costs is mostly the formatter (the
+    /// crate's `render` module).
     #[must_use]
     pub fn render_fingerprint(&self) -> u64 {
-        let mut hash: u64 = FNV_OFFSET;
-        let mut line = Line::new();
-        for entry in &self.entries {
-            entry.render(&mut line);
-            hash = fnv1a64_fold(hash, line.bytes());
-        }
-        hash
+        scratch::with(&RENDERED, |rendered| {
+            rendered.clear();
+            self.render_into(rendered);
+            hash64(rendered)
+        })
     }
 
     /// Streaming byte-exact comparison of two traces' renderings: returns
@@ -412,28 +413,139 @@ fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
     }
 }
 
-/// FNV-1a 64-bit over arbitrary bytes: the canonical, dependency-free
-/// fingerprint for rendered traces. The golden-trace regression test and
-/// the `caa hashes` pre/post comparison tool both hash
-/// [`Trace::render`] output through this exact function — fingerprints
-/// from different tools stay comparable.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_fold(FNV_OFFSET, bytes)
+thread_local! {
+    /// [`Trace::render_fingerprint`]'s rendering, kept at the longest
+    /// trace this thread fingerprinted.
+    static RENDERED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a 64-bit hash — the incremental form
-/// behind [`fnv1a64`] and [`Trace::render_fingerprint`]: feeding chunks in
-/// sequence yields exactly the hash of their concatenation.
+/// XXH64 (seed 0) of `bytes`: the workspace's one hash of bytes — trace
+/// fingerprints, the digests committed under `tests/golden/`, corpus
+/// entry names. Published, with fixed test vectors, and stable across
+/// toolchains (`std`'s `DefaultHasher` is not, so it cannot back a
+/// committed digest).
 #[must_use]
-pub fn fnv1a64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+pub fn hash64(bytes: &[u8]) -> u64 {
+    let mut hash = Hash64::default();
+    hash.write(bytes);
+    hash.finish()
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// [`hash64`] fed in pieces: the result of [`Hash64::finish`] is the hash
+/// of everything written, however it was chunked. Four lanes take a 32-byte
+/// stripe at a time, each 8 bytes through an independent multiply.
+#[derive(Debug, Clone)]
+pub struct Hash64 {
+    lanes: [u64; 4],
+    /// The start of a stripe not yet complete.
+    tail: [u8; 32],
+    tail_len: usize,
+    total: u64,
+}
+
+impl Default for Hash64 {
+    fn default() -> Hash64 {
+        Hash64 {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            tail: [0; 32],
+            tail_len: 0,
+            total: 0,
+        }
     }
-    hash
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
+}
+
+fn round(lane: u64, input: u64) -> u64 {
+    lane.wrapping_add(input.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+impl Hash64 {
+    fn stripe(&mut self, stripe: &[u8]) {
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            *lane = round(*lane, word(&stripe[8 * i..]));
+        }
+    }
+
+    /// Appends `bytes` to the hashed input.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = bytes.len().min(32 - self.tail_len);
+            self.tail[self.tail_len..][..take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 32 {
+                return;
+            }
+            let tail = self.tail;
+            self.stripe(&tail);
+            self.tail_len = 0;
+        }
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            self.stripe(stripe);
+        }
+        let rest = stripes.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// The hash of everything written so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        let [v1, v2, v3, v4] = self.lanes;
+        let mut hash = if self.total >= 32 {
+            let mut hash = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            for lane in self.lanes {
+                hash = (hash ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            hash
+        } else {
+            P5
+        };
+        hash = hash.wrapping_add(self.total);
+        let mut rest = &self.tail[..self.tail_len];
+        while rest.len() >= 8 {
+            hash = (hash ^ round(0, word(rest)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let half = u32::from_le_bytes(rest[..4].try_into().expect("four bytes"));
+            hash = (hash ^ u64::from(half).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &byte in rest {
+            hash = (hash ^ u64::from(byte).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(P2);
+        hash ^= hash >> 29;
+        hash = hash.wrapping_mul(P3);
+        hash ^ (hash >> 32)
+    }
 }
 
 /// What a recorder holds between [`TraceRecorder::take_trace`]s.
@@ -1100,6 +1212,40 @@ mod tests {
             recycled = rec.take_trace_into(recycled);
             assert_index_matches_a_rescan(&recycled, &format!("round {round}, taken"));
             assert_eq!(finished, recycled, "round {round}");
+        }
+    }
+
+    #[test]
+    fn hash64_matches_the_published_xxh64_vectors() {
+        assert_eq!(hash64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(hash64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(hash64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 43 bytes: one whole stripe, then the 8-, 1-byte tails.
+        assert_eq!(
+            hash64(b"The quick brown fox jumps over the lazy dog"),
+            0x0b24_2d36_1fda_71bc
+        );
+    }
+
+    /// However the input is cut into `Hash64::write` calls — empty pieces,
+    /// pieces that straddle a stripe, pieces of several stripes — the hash
+    /// is that of the whole.
+    #[test]
+    fn hash64_does_not_depend_on_the_chunking() {
+        let mut rng = crate::rng::Rng::new(0x0c4a);
+        let input: Vec<u8> = (0..700).map(|_| rng.below(256) as u8).collect();
+        for _ in 0..2_000 {
+            let whole = &input[..rng.below(input.len() as u64 + 1) as usize];
+            let mut hash = Hash64::default();
+            let mut rest = whole;
+            while !rest.is_empty() {
+                let longest = [8, 40, 100][rng.below(3) as usize];
+                let cut = rng.below(longest) as usize;
+                let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                hash.write(piece);
+                rest = tail;
+            }
+            assert_eq!(hash.finish(), hash64(whole), "{} bytes", whole.len());
         }
     }
 }

@@ -472,13 +472,15 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
 /// but the one buffer that holds a span tree's spans: the tables they fill
 /// are the calling thread's scratch (oracles, span tree), inline (coverage)
 /// or the recorder's own (metrics), a span's name is shared with what it
-/// names, and a line is rendered on the stack. Pinned per reader over seeds
-/// of three spaces (crash plans replay memberships, object plans have the
-/// longest traces), after one warm-up pass that sizes the scratch. A span
-/// tree is allowed three: its buffer, and twice growing it when a trace
-/// has more spans than any this thread read before. Before: `check_run` 3
-/// to 5, `PathCoverage::from_trace` 1, `build_span_tree` 11 to 16 plus one
-/// per span (46 a trace on average), `render_fingerprint` 1.
+/// names, a line is rendered on the stack and a fingerprinted rendering
+/// goes into the thread's scratch buffer. Pinned per reader over seeds of
+/// three spaces (crash plans replay memberships, object plans have the
+/// longest traces), after one warm-up pass through every reader that sizes
+/// the scratch. A span tree is allowed three: its buffer, and twice
+/// growing it when a trace has more spans than any this thread read
+/// before. Before: `check_run` 3 to 5, `PathCoverage::from_trace` 1,
+/// `build_span_tree` 11 to 16 plus one per span (46 a trace on average),
+/// `render_fingerprint` 1.
 #[test]
 fn reading_a_warmed_trace_allocates_a_bounded_handful() {
     use caa_harness::exec::execute_in;
@@ -502,11 +504,12 @@ fn reading_a_warmed_trace_allocates_a_bounded_handful() {
     })
     .map(|(name, seed, plan)| (name, seed, execute_in(&plan, &mut arena)))
     .collect();
-    // Warm-up: scratch tables and first-sight counter names.
+    // Warm-up: scratch tables and buffers, and first-sight counter names.
     for (_, _, run) in &runs {
         assert!(check_run(run).is_empty());
         recorder.record_run(run);
         std::hint::black_box(build_span_tree(&run.trace));
+        std::hint::black_box(run.trace.render_fingerprint());
     }
     let count = |read: &mut dyn FnMut()| {
         let before = ALLOCS.load(Ordering::Relaxed);
@@ -574,7 +577,7 @@ fn reading_a_warmed_trace_allocates_a_bounded_handful() {
 fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
     use caa_core::ids::{ActionId, ThreadId};
     use caa_core::time::VirtualInstant;
-    use caa_harness::trace::{fnv1a64, TraceRecorder};
+    use caa_harness::trace::{hash64, TraceRecorder};
     use caa_runtime::observe::{Event, EventKind, Observer};
 
     let _turn = turn();
@@ -604,7 +607,7 @@ fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
     let before = ALLOCS.load(Ordering::Relaxed);
     let fingerprint = trace.render_fingerprint();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(fingerprint, fnv1a64(expected.as_bytes()));
+    assert_eq!(fingerprint, hash64(expected.as_bytes()));
     assert!(
         allocs > 0,
         "a 300-byte name cannot have fitted the stack buffer"

@@ -8,7 +8,7 @@
 use caa_harness::arena::ExecutionArena;
 use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
-use caa_harness::trace::fnv1a64;
+use caa_harness::trace::hash64;
 
 #[test]
 fn streamed_fingerprint_equals_hash_of_rendered_trace_across_a_sweep() {
@@ -16,13 +16,14 @@ fn streamed_fingerprint_equals_hash_of_rendered_trace_across_a_sweep() {
     for (config, seeds) in [
         (ScenarioConfig::default(), 0..120u64),
         (ScenarioConfig::object_heavy(), 0..40u64),
+        (ScenarioConfig::multi_crash(), 0..40u64),
     ] {
         for seed in seeds {
             let plan = ScenarioPlan::generate(seed, &config);
             let artifacts = execute_in(&plan, &mut arena);
             assert_eq!(
                 artifacts.trace.render_fingerprint(),
-                fnv1a64(artifacts.trace.render().as_bytes()),
+                hash64(artifacts.trace.render().as_bytes()),
                 "seed {seed}: streamed fingerprint diverges from rendered hash"
             );
             arena.recycle_trace(artifacts.trace);

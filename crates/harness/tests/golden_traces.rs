@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use caa_harness::exec::execute;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
-use caa_harness::trace::{fnv1a64 as fnv1a, Trace};
+use caa_harness::trace::Trace;
 
 fn acquired_lines(trace: &Trace) -> Vec<String> {
     trace
@@ -42,7 +42,7 @@ fn acquired_lines(trace: &Trace) -> Vec<String> {
 /// handful of heavily contended seeds.
 fn golden_report() -> String {
     let mut out = String::new();
-    out.push_str("# golden traces: replay hash = fnv1a64(Trace::render())\n");
+    out.push_str("# golden traces: replay hash = hash64(Trace::render())\n");
 
     out.push_str("[default-config]\n");
     for seed in 0..96u64 {
@@ -51,7 +51,7 @@ fn golden_report() -> String {
         let _ = writeln!(
             out,
             "seed {seed} hash {:016x} entries {} acquired {}",
-            fnv1a(artifacts.trace.render().as_bytes()),
+            artifacts.trace.render_fingerprint(),
             artifacts.trace.len(),
             acquired_lines(&artifacts.trace).len(),
         );
@@ -65,7 +65,7 @@ fn golden_report() -> String {
         let _ = writeln!(
             out,
             "seed {seed} hash {:016x} entries {} acquired {}",
-            fnv1a(artifacts.trace.render().as_bytes()),
+            artifacts.trace.render_fingerprint(),
             artifacts.trace.len(),
             acquired_lines(&artifacts.trace).len(),
         );

@@ -2,8 +2,8 @@
 //! `object_heavy` and `multi_crash` spaces, everything the post-run passes
 //! derive from a trace — oracle verdicts, the metrics document, path
 //! coverage, the Perfetto export (span tree, message arrows, critical-path
-//! lanes) and the critical paths themselves — folds to one line of FNV-1a
-//! hashes per space, compared against the committed
+//! lanes) and the critical paths themselves — folds to one line of hashes
+//! (`hash64`) per space, compared against the committed
 //! `tests/golden/readers_1500.digest`.
 //!
 //! The file was blessed on the commit *before* the readers moved onto the
@@ -34,7 +34,7 @@ use caa_harness::oracle::check_run;
 use caa_harness::plan::{ActionPlan, Phase, ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::{critical_paths, trace_event_json};
 use caa_harness::sweep::PathCoverage;
-use caa_harness::trace::{fnv1a64, fnv1a64_fold};
+use caa_harness::trace::{hash64, Hash64};
 
 const SEEDS: u64 = 500;
 
@@ -64,31 +64,34 @@ fn tampered(plan: &ScenarioPlan) -> ScenarioPlan {
     plan
 }
 
-fn fold_line(hash: u64, text: &str) -> u64 {
-    fnv1a64_fold(fnv1a64_fold(hash, text.as_bytes()), b"\n")
+fn fold_line(hash: &mut Hash64, text: &str) {
+    hash.write(text.as_bytes());
+    hash.write(b"\n");
 }
 
 /// One space's digest line.
 fn space_line(name: &str, scenario: &ScenarioConfig) -> String {
     let mut arena = ExecutionArena::new();
     let mut recorder = MetricsRecorder::new();
-    let empty = fnv1a64(b"");
-    let (mut violations, mut tampered_violations, mut coverage, mut spans, mut paths) =
-        (empty, empty, empty, empty, empty);
+    let [mut violations, mut tampered_violations, mut coverage, mut spans, mut paths] =
+        std::array::from_fn(|_| Hash64::default());
     let mut tampered_count = 0usize;
     for seed in 0..SEEDS {
         let plan = ScenarioPlan::generate(seed, scenario);
         let artifacts = execute_in(&plan, &mut arena);
         for v in check_run(&artifacts) {
-            violations = fold_line(violations, &format!("{seed}: {v}"));
+            fold_line(&mut violations, &format!("{seed}: {v}"));
         }
         recorder.record_run(&artifacts);
-        coverage = fold_line(
-            coverage,
+        fold_line(
+            &mut coverage,
             &format!("{:?}", PathCoverage::from_trace(&artifacts.trace)),
         );
-        spans = fold_line(spans, &trace_event_json(&artifacts.trace, seed));
-        paths = fold_line(paths, &format!("{:?}", critical_paths(&artifacts.trace)));
+        fold_line(&mut spans, &trace_event_json(&artifacts.trace, seed));
+        fold_line(
+            &mut paths,
+            &format!("{:?}", critical_paths(&artifacts.trace)),
+        );
 
         let RunArtifacts {
             plan,
@@ -102,7 +105,7 @@ fn space_line(name: &str, scenario: &ScenarioConfig) -> String {
         };
         for v in check_run(&bent) {
             tampered_count += 1;
-            tampered_violations = fold_line(tampered_violations, &format!("{seed}: {v}"));
+            fold_line(&mut tampered_violations, &format!("{seed}: {v}"));
         }
         arena.recycle_trace(bent.trace);
     }
@@ -119,10 +122,14 @@ fn space_line(name: &str, scenario: &ScenarioConfig) -> String {
             doc
         });
     format!(
-        "{name} seeds 0..{SEEDS} violations {violations:016x} tampered {tampered_violations:016x} \
-         metrics {:016x} coverage {coverage:016x} trace_event_json {spans:016x} \
-         critical_paths {paths:016x}\n",
-        fnv1a64(metrics.as_bytes()),
+        "{name} seeds 0..{SEEDS} violations {:016x} tampered {:016x} metrics {:016x} \
+         coverage {:016x} trace_event_json {:016x} critical_paths {:016x}\n",
+        violations.finish(),
+        tampered_violations.finish(),
+        hash64(metrics.as_bytes()),
+        coverage.finish(),
+        spans.finish(),
+        paths.finish(),
     )
 }
 

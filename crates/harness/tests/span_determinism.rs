@@ -17,7 +17,7 @@ use caa_harness::exec::execute;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::{build_span_tree, critical_paths, trace_event_json, SegmentClass};
 use caa_harness::sweep::{sweep, Shard, SweepConfig, SweepReport};
-use caa_harness::trace::{fnv1a64, fnv1a64_fold};
+use caa_harness::trace::Hash64;
 
 fn run(seeds: u64, workers: usize, shard: Option<Shard>) -> SweepReport {
     let report = sweep(&SweepConfig {
@@ -74,17 +74,19 @@ fn span_trees_of_600_seeds_render_like_the_string_named_tree() {
         ("object_heavy", ScenarioConfig::object_heavy()),
         ("multi_crash", ScenarioConfig::multi_crash()),
     ] {
-        let (mut render, mut json) = (fnv1a64(b""), fnv1a64(b""));
+        let (mut render, mut json) = (Hash64::default(), Hash64::default());
         let mut spans = 0;
         for seed in 0..SEEDS {
             let trace = execute(&ScenarioPlan::generate(seed, &config)).trace;
             let tree = build_span_tree(&trace);
             spans += tree.len();
-            render = fnv1a64_fold(render, tree.render().as_bytes());
-            json = fnv1a64_fold(json, trace_event_json(&trace, seed).as_bytes());
+            render.write(tree.render().as_bytes());
+            json.write(trace_event_json(&trace, seed).as_bytes());
         }
         digest += &format!(
-            "{name} seeds 0..{SEEDS} spans {spans} render {render:016x} trace_event_json {json:016x}\n"
+            "{name} seeds 0..{SEEDS} spans {spans} render {:016x} trace_event_json {:016x}\n",
+            render.finish(),
+            json.finish(),
         );
     }
     if std::env::var_os("CAA_GOLDEN_BLESS").is_some() {

@@ -1,4 +1,4 @@
-//! Source scans for four things the workspace promises *by construction*
+//! Source scans for the things the workspace promises *by construction*
 //! (CI's `check` job also runs them as a step of their own):
 //!
 //! * the network a `System` runs on, and the runtime that drives it, are
@@ -21,7 +21,10 @@
 //!   simulator, the runtime, the harness and the telemetry crate hold no
 //!   reference-counted text but the free-text detail an `Exception` may
 //!   carry, `ExceptionId` and `Name` are `Copy`, and what managed the
-//!   counts before (the frame's parts, shared span names) is gone.
+//!   counts before (the frame's parts, shared span names) is gone;
+//! * the workspace hashes bytes one way: no FNV-1a identifier or offset
+//!   constant is left in any crate's `src` (`caa_harness::trace::hash64`
+//!   is the one hash; `perf/` keeps its own round digest).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -333,4 +336,24 @@ fn exception_ids_and_names_are_copy() {
     fn copy<T: Copy>() {}
     copy::<caa_core::exception::ExceptionId>();
     copy::<caa_core::name::Name>();
+}
+
+#[test]
+fn the_workspace_hashes_bytes_one_way() {
+    let sources: Vec<String> = entries("crates")
+        .iter()
+        .map(|krate| format!("crates/{krate}/src"))
+        .collect();
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    assert!(
+        files_naming("", &sources).len() > 50,
+        "the scan found the sources"
+    );
+    for fnv in ["fnv1a", "0xcbf2_9ce4_8422_2325"] {
+        assert_eq!(
+            files_naming(fnv, &sources),
+            [""; 0],
+            "bytes are hashed by `caa_harness::trace::hash64`, not `{fnv}`"
+        );
+    }
 }
