@@ -1,11 +1,14 @@
 //! `caa fuzz` — the coverage-guided exploration driver.
 //!
 //! Runs the harness's fuzz loop ([`caa_harness::fuzz::fuzz`]): generation 0
-//! executes fresh seeds, then every generation mutates energy-weighted
-//! frontier plans toward novel protocol-path signatures. Fully
-//! deterministic for a fixed flag set — worker count only changes wall
-//! clock, and any find replays from its persisted lineage via
-//! `caa replay --corpus`.
+//! executes fresh seeds, then every generation draws one edit
+//! ([`caa_harness::edit::draw`]) of each energy-weighted frontier pick
+//! toward novel protocol-path signatures. Fully deterministic for a fixed
+//! flag set — worker count only changes wall clock. Each find persists as
+//! a corpus entry whose `recipe.txt` (the seed plus the edits drawn on
+//! the way) replays it via `caa replay --corpus <entry>`, and
+//! `caa replay --corpus <entry> --bisect` shrinks it into another entry
+//! of the same format.
 //!
 //! ```text
 //! # The nightly shape: a budget, a fresh-seed baseline, a shard split,
@@ -123,7 +126,7 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
         }
     }
     if !report.violations.is_empty() {
-        eprintln!("{} violating lineage(s) found", report.violations.len());
+        eprintln!("{} violating recipe(s) found", report.violations.len());
         failed = true;
     }
     Ok(i32::from(failed))

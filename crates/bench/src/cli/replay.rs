@@ -9,41 +9,38 @@
 //! # lanes) — open it at https://ui.perfetto.dev:
 //! caa replay 42 [--bisect] [--spans-out trace.json]
 //!
-//! # Replay a persisted corpus entry (the sweep's exact — possibly
-//! # custom — config, plus a byte-exact check against the recorded
-//! # trace). Fuzz entries carry a lineage.txt; the recorded mutation
-//! # seeds re-derive the exact mutated plan before the comparison:
+//! # Replay a persisted corpus entry: its config.txt and recipe.txt (a
+//! # base seed plus an edit list) rebuild the exact plan — a sweep's
+//! # violating seed, a fuzz find and a shrunk find alike — and the run
+//! # is compared byte for byte with the recorded trace:
 //! caa replay --corpus target/caa-corpus/42
 //! ```
 //!
 //! `--bisect` shrinks a violating plan — chaos schedule, top actions,
 //! phases, raises, participants — to a 1-minimal still-violating scenario
-//! ([`caa_harness::bisect`]) and persists the reduction steps as
-//! `target/caa-corpus/<seed>-workload`, together with the scenario config
-//! and the minimal plan's trace bytes, so the shrunk violation rechecks
-//! byte-exactly via `caa replay --corpus <entry>`.
+//! ([`caa_harness::edit::shrink`]) and persists it as an ordinary corpus
+//! entry, `target/caa-corpus/<seed>-r<hash>`: the source recipe plus the
+//! accepted drops, with the config and the minimal plan's trace bytes, so
+//! the shrunk violation rechecks byte-exactly via `caa replay --corpus
+//! <entry>`. The name hashes the whole recipe, so two shrinks never share
+//! an entry.
 
 use std::io::Write;
 use std::path::Path;
 
 use caa_harness::arena::ExecutionArena;
-use caa_harness::bisect::{bisect_workload, plan_violates, write_workload_entry};
-use caa_harness::fuzz::load_corpus_plan;
+use caa_harness::edit::{load_corpus_plan, plan_violates, shrink, Recipe};
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::trace_event_json;
-use caa_harness::sweep::run_plan_checked;
+use caa_harness::sweep::{run_plan_checked, write_corpus_files};
 
 use super::{usage_error, write_file, Args, Run};
 
 pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
-    let (plan, config, entry) = match (args.value("--corpus"), args.positional.as_slice()) {
+    let (plan, config, recipe, entry) = match (args.value("--corpus"), args.positional.as_slice()) {
         (Some(entry), []) => {
-            // `load_corpus_plan` understands both entry layouts: plain
-            // sweep entries (`<seed>[-<config hash>]`, plan regenerated
-            // from the seed) and fuzz entries (a `lineage.txt` whose
-            // recorded mutation seeds re-derive the exact mutated plan).
             let entry = Path::new(entry);
-            let (plan, config) = load_corpus_plan(entry)
+            let (plan, config, recipe) = load_corpus_plan(entry)
                 .map_err(|e| usage_error(format!("cannot load corpus entry {entry:?}: {e}")))?;
             writeln!(
                 out,
@@ -51,7 +48,7 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
                 entry.display(),
                 plan.seed
             )?;
-            (plan, config, Some(entry))
+            (plan, config, recipe, Some(entry))
         }
         (Some(_), [_, ..]) => return Err(usage_error("give a seed or --corpus, not both")),
         (None, seed) => {
@@ -62,11 +59,11 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
                 None => 0,
             };
             let config = ScenarioConfig::default();
-            (ScenarioPlan::generate(seed, &config), config, None)
+            let plan = ScenarioPlan::generate(seed, &config);
+            (plan, config, Recipe::base(seed), None)
         }
     };
     let recorded = entry.and_then(|e| std::fs::read_to_string(e.join("trace.txt")).ok());
-    let lineage = entry.and_then(|e| std::fs::read_to_string(e.join("lineage.txt")).ok());
 
     let seed = plan.seed;
     writeln!(out, "{}", plan.describe())?;
@@ -103,7 +100,7 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
         }
         ok = false;
         if args.switch("--bisect") {
-            bisect(&plan, &config, lineage.as_deref(), &mut arena, out)?;
+            bisect(&plan, &config, recipe, &mut arena, out)?;
         }
     }
     Ok(i32::from(!ok))
@@ -114,11 +111,11 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
 fn bisect(
     plan: &ScenarioPlan,
     config: &ScenarioConfig,
-    lineage: Option<&str>,
+    mut recipe: Recipe,
     arena: &mut ExecutionArena,
     out: &mut dyn Write,
 ) -> std::io::Result<()> {
-    let Some(outcome) = bisect_workload(plan, |candidate| plan_violates(candidate, arena)) else {
+    let Some(shrunk) = shrink(plan, |candidate| plan_violates(candidate, arena)) else {
         return writeln!(
             out,
             "--bisect: the violation does not reproduce deterministically \
@@ -127,22 +124,17 @@ fn bisect(
     };
     writeln!(
         out,
-        "--bisect: plan minimised via {} reduction step(s) in {} execution(s)",
-        outcome.steps.len(),
-        outcome.attempts,
+        "--bisect: plan minimised via {} drop(s) in {} execution(s)",
+        shrunk.edits.len(),
+        shrunk.attempts,
     )?;
-    for step in &outcome.steps {
-        writeln!(out, "  {}", step.render())?;
+    for edit in &shrunk.edits {
+        writeln!(out, "  {edit}")?;
     }
-    writeln!(out, "minimal plan:\n{}", outcome.plan.describe())?;
-    let entry = write_workload_entry(Path::new("target/caa-corpus"), &outcome)?;
-    write_file(entry.join("config.txt"), &config.to_kv())?;
-    // A fuzz find's steps shrink the *mutated* plan, so the entry must
-    // re-derive it the same way.
-    if let Some(text) = lineage {
-        write_file(entry.join("lineage.txt"), text)?;
-    }
-    let minimal = run_plan_checked(outcome.plan.clone(), false, arena);
-    write_file(entry.join("trace.txt"), &minimal.artifacts.trace.render())?;
-    writeln!(out, "  minimised workload written to {}", entry.display())
+    writeln!(out, "minimal plan:\n{}", shrunk.plan.describe())?;
+    recipe.edits.extend(shrunk.edits);
+    let minimal = run_plan_checked(shrunk.plan, false, arena);
+    let entry = Path::new("target/caa-corpus").join(recipe.entry_name());
+    write_corpus_files(&entry, &config.to_kv(), &recipe, &minimal)?;
+    writeln!(out, "  minimised plan written to {}", entry.display())
 }

@@ -1,4 +1,4 @@
-//! **caa-fuzz** — coverage-guided scenario exploration: mutate corpus
+//! **caa-fuzz** — coverage-guided scenario exploration: edit corpus
 //! plans toward protocol paths fresh-seed sampling starves.
 //!
 //! Fresh-seed sweeps saturate the common protocol paths quickly and then
@@ -8,57 +8,30 @@
 //! knob re-rolls independently per seed. This module closes the loop the
 //! ROADMAP asks for: it keys **novelty** on the
 //! [`PathCoverage::signature`] of each run, keeps a **frontier** of plans
-//! whose traces minted novel signatures, and schedules structured
-//! **mutations** of frontier plans — small, validity-preserving edits that
+//! whose traces minted novel signatures, and schedules single **edits**
+//! of frontier plans ([`draw`]) — small, validity-preserving changes that
 //! hold everything else fixed, so one knob moves at a time and the
 //! neighbourhood of an interesting scenario actually gets explored.
 //!
-//! ## Mutation reproducibility contract
-//!
-//! [`mutate_plan`] is a **pure function** of `(parent plan, mutation
-//! seed)`: the mutation seed feeds a private [`Rng`] stream that picks the
-//! mutator and all of its choices. A fuzz find is therefore fully
-//! described by its [`Lineage`] — the base scenario seed plus the ordered
-//! list of mutation seeds — and [`Lineage::materialize`] rebuilds the
-//! exact plan from scratch. Corpus entries persist the lineage
-//! (`lineage.txt`), so `caa replay --corpus <entry>` re-derives the mutated
-//! plan and rechecks the recorded trace byte-exactly. Worker count never
-//! affects outcomes: mutation seeds derive from a global child counter,
-//! parents are selected *between* generations on insertion-ordered state,
-//! and batch results are committed in child-index order.
-//!
-//! ## Validity
-//!
-//! Every mutator preserves the generator's invariants
-//! ([`validate_plan`]): the single-object-depth discipline, the timeout
-//! hierarchy separation, full-group top actions, disjoint nested groups,
-//! raiser-delay bounds. Mutated plans are thus judged by the *same*
-//! oracles as fresh ones — a fuzz "finding" is a protocol bug, never a
-//! malformed scenario.
-//!
-//! ## Adding a mutator
-//!
-//! Write a `fn(&mut ScenarioPlan, &mut Rng) -> bool` that either commits
-//! a complete edit (returning `true`) or leaves the plan untouched
-//! (returning `false` when inapplicable), append it to [`MUTATORS`], and
-//! extend the property test in `tests/fuzz_mutators.rs` if the edit
-//! explores a new structural dimension. Mutators run against a clone, so
-//! a `false` return after partial work is a correctness bug only for the
-//! mutator's own determinism, not for the plan — but keep edits atomic
-//! anyway: the retry loop assumes `false` consumed only rng draws.
+//! Every plan the loop executes is a [`Recipe`]: its base seed plus the
+//! concrete edits drawn on the way, each of which applies only inside
+//! [`validate_plan`](crate::plan::validate_plan)'s envelope — so edited
+//! plans meet the same oracles as fresh ones, and a find is a protocol bug,
+//! never a malformed scenario. A violating plan persists as a corpus entry
+//! that `caa replay --corpus` rechecks byte-exactly and `--bisect` shrinks
+//! with the same grammar ([`crate::edit`]). Worker count never affects
+//! outcomes: parents are picked and edits drawn *between* generations
+//! from one rng, and batch results commit in child-index order.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use caa_telemetry::json::{self, Value};
 
+use crate::edit::{apply, draw, Recipe};
 use crate::metrics::{SweepMetrics, WallCounter};
-use crate::plan::{
-    gen_subtree, plan_object_depth, rename_subtree, validate_plan, with_action_mut, ActionPlan,
-    CrashChoice, FaultChoice, ObjectOp, Phase, RaisePhase, ScenarioConfig, ScenarioPlan,
-    VerdictChoice,
-};
+use crate::plan::{ScenarioConfig, ScenarioPlan};
 use crate::rng::Rng;
 use crate::sweep::{
     merge_signatures, run_plan_checked, run_workers, sweep, wall_ns, write_corpus_files,
@@ -67,855 +40,6 @@ use crate::sweep::{
 
 /// Schema tag of `coverage.json` documents ([`CoverageDoc`]).
 pub const COVERAGE_SCHEMA: &str = "caa-coverage/v1";
-
-// ---------------------------------------------------------------------------
-// Lineage: the reproducibility unit of a fuzz find.
-// ---------------------------------------------------------------------------
-
-/// How a plan came to be: the base scenario seed plus the ordered mutation
-/// seeds applied to it. Together with the [`ScenarioConfig`] this is a
-/// complete, byte-exact recipe for the plan ([`Lineage::materialize`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lineage {
-    /// The base scenario seed ([`ScenarioPlan::generate`]).
-    pub seed: u64,
-    /// Mutation seeds, applied in order via [`mutate_plan`].
-    pub mutations: Vec<u64>,
-}
-
-impl Lineage {
-    /// An unmutated base seed.
-    #[must_use]
-    pub fn base(seed: u64) -> Lineage {
-        Lineage {
-            seed,
-            mutations: Vec::new(),
-        }
-    }
-
-    /// This lineage extended by one more mutation.
-    #[must_use]
-    pub fn child(&self, mutation_seed: u64) -> Lineage {
-        let mut mutations = self.mutations.clone();
-        mutations.push(mutation_seed);
-        Lineage {
-            seed: self.seed,
-            mutations,
-        }
-    }
-
-    /// Rebuilds the exact plan this lineage describes: generate the base
-    /// seed under `config`, then replay every mutation seed through the
-    /// pure [`mutate_plan`].
-    #[must_use]
-    pub fn materialize(&self, config: &ScenarioConfig) -> ScenarioPlan {
-        let mut plan = ScenarioPlan::generate(self.seed, config);
-        for &mutation_seed in &self.mutations {
-            plan = mutate_plan(&plan, mutation_seed).plan;
-        }
-        plan
-    }
-
-    /// The persisted line-oriented form (`seed <n>`, then one
-    /// `mutate 0x<hex>` line per mutation, in order).
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = format!("seed {}\n", self.seed);
-        for m in &self.mutations {
-            let _ = writeln!(out, "mutate {m:#018x}");
-        }
-        out
-    }
-
-    /// Parses the form written by [`Lineage::render`].
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the offending line.
-    pub fn parse(text: &str) -> Result<Lineage, String> {
-        let mut seed: Option<u64> = None;
-        let mut mutations = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(s) = line.strip_prefix("seed ") {
-                seed = Some(s.trim().parse().map_err(|e| format!("bad seed: {e}"))?);
-            } else if let Some(m) = line.strip_prefix("mutate ") {
-                let m = m.trim();
-                let m = m.strip_prefix("0x").unwrap_or(m);
-                mutations
-                    .push(u64::from_str_radix(m, 16).map_err(|e| format!("bad mutation: {e}"))?);
-            } else {
-                return Err(format!("unrecognised lineage line: {line:?}"));
-            }
-        }
-        Ok(Lineage {
-            seed: seed.ok_or("lineage has no seed line")?,
-            mutations,
-        })
-    }
-
-    /// The corpus-entry directory name for this lineage: the bare seed
-    /// for unmutated plans (the sweep's existing convention), or
-    /// `<seed>-m<hash>` for mutated ones — the seed stays in the leading
-    /// digits, so every existing seed-parsing consumer keeps working.
-    #[must_use]
-    pub fn entry_name(&self) -> String {
-        if self.mutations.is_empty() {
-            return self.seed.to_string();
-        }
-        let hash = crate::trace::hash64(self.render().as_bytes());
-        format!("{}-m{:08x}", self.seed, hash as u32)
-    }
-}
-
-/// Loads a corpus entry's plan: the persisted [`ScenarioConfig`]
-/// (`config.txt`), plus either the [`Lineage`] (`lineage.txt`, fuzz
-/// entries) or the seed parsed from the directory name's leading digits
-/// (sweep entries). When the entry also records a workload-bisection
-/// step sequence (`workload.txt`), the steps replay on top — so a
-/// 1-minimal shrunk violation rechecks byte-exactly through the same
-/// `caa replay --corpus` path as any other entry. Returns the materialized
-/// plan and the config.
-///
-/// # Errors
-///
-/// A human-readable message when the entry is unreadable or malformed.
-pub fn load_corpus_plan(entry: &Path) -> Result<(ScenarioPlan, ScenarioConfig), String> {
-    let config = match std::fs::read_to_string(entry.join("config.txt")) {
-        Ok(text) => ScenarioConfig::from_kv(&text)?,
-        Err(e) => return Err(format!("cannot read {:?}: {e}", entry.join("config.txt"))),
-    };
-    let lineage = match std::fs::read_to_string(entry.join("lineage.txt")) {
-        Ok(text) => Lineage::parse(&text)?,
-        Err(_) => {
-            let name = entry
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or_else(|| format!("corpus entry has no usable name: {entry:?}"))?;
-            let digits: String = name.chars().take_while(char::is_ascii_digit).collect();
-            let seed = digits
-                .parse()
-                .map_err(|_| format!("corpus entry name {name:?} does not start with a seed"))?;
-            Lineage::base(seed)
-        }
-    };
-    let mut plan = lineage.materialize(&config);
-    if let Ok(text) = std::fs::read_to_string(entry.join("workload.txt")) {
-        let steps = crate::bisect::parse_steps(&text)?;
-        plan = crate::bisect::apply_steps(&plan, &steps).ok_or_else(|| {
-            format!("recorded workload steps no longer apply to the entry's plan: {entry:?}")
-        })?;
-    }
-    Ok((plan, config))
-}
-
-// ---------------------------------------------------------------------------
-// Mutators.
-// ---------------------------------------------------------------------------
-
-/// The result of one [`mutate_plan`] application.
-#[derive(Debug, Clone)]
-pub struct Mutated {
-    /// The mutated plan (always [`validate_plan`]-clean).
-    pub plan: ScenarioPlan,
-    /// Which mutator applied (for triage and tests).
-    pub mutator: &'static str,
-}
-
-type Mutator = fn(&mut ScenarioPlan, &mut Rng) -> bool;
-
-/// The mutator table, each entry a named validity-preserving plan edit.
-/// Order matters only for reproducibility: the mutation seed indexes into
-/// this table **modulo its length**, so *any* size change remaps what a
-/// recorded mutation seed picks. A persisted lineage therefore replays
-/// byte-exactly only under the table that recorded it; regression
-/// lineages checked into tests must be re-derived when the table grows
-/// (reordering or removing entries is never OK — append and re-pin).
-pub const MUTATORS: &[(&str, Mutator)] = &[
-    ("shift_raise", shift_raise),
-    ("widen_raise", widen_raise),
-    ("retarget_raise", retarget_raise),
-    ("drop_raise", drop_raise),
-    ("add_raise", add_raise),
-    ("move_crash", move_crash),
-    ("retarget_crash", retarget_crash),
-    ("add_crash", add_crash),
-    ("drop_crash", drop_crash),
-    ("perturb_fault", perturb_fault),
-    ("add_fault", add_fault),
-    ("drop_fault", drop_fault),
-    ("perturb_timing", perturb_timing),
-    ("perturb_timeouts", perturb_timeouts),
-    ("redepth_top", redepth_top),
-    ("regen_child", regen_child),
-    ("dup_top_action", dup_top_action),
-    ("perturb_compute", perturb_compute),
-    ("perturb_object_op", perturb_object_op),
-    ("perturb_verdict", perturb_verdict),
-    ("toggle_eab", toggle_eab),
-    // Appended after the multi-crash/rejoin rework — new entries go below
-    // these (append-only keeps old lineages replayable).
-    ("add_second_crash", add_second_crash),
-    ("add_rejoin", add_rejoin),
-    ("drop_rejoin", drop_rejoin),
-    ("perturb_rejoin", perturb_rejoin),
-];
-
-/// Applies one structured mutation to `plan`, chosen and parameterised by
-/// `mutation_seed` alone — a **pure function**, the reproducibility
-/// anchor of every fuzz find (see the module docs). Inapplicable picks
-/// (e.g. `drop_crash` on a crash-free plan) retry deterministically;
-/// always-applicable mutators (`perturb_timing`) guarantee termination.
-#[must_use]
-pub fn mutate_plan(plan: &ScenarioPlan, mutation_seed: u64) -> Mutated {
-    let mut rng = Rng::new(mutation_seed);
-    for _ in 0..256 {
-        let (name, mutator) = MUTATORS[rng.below(MUTATORS.len() as u64) as usize];
-        let mut candidate = plan.clone();
-        if mutator(&mut candidate, &mut rng) {
-            if let Err(e) = validate_plan(&candidate) {
-                // A mutator that emits an invalid plan is a harness bug;
-                // fall through to the always-valid fallback in release
-                // builds rather than feeding the oracles garbage.
-                debug_assert!(false, "mutator {name} broke plan validity: {e}");
-                break;
-            }
-            return Mutated {
-                plan: candidate,
-                mutator: name,
-            };
-        }
-    }
-    let mut candidate = plan.clone();
-    let applied = perturb_timing(&mut candidate, &mut rng);
-    debug_assert!(applied, "perturb_timing applies to every plan");
-    Mutated {
-        plan: candidate,
-        mutator: "perturb_timing",
-    }
-}
-
-/// Uniformly picks the preorder index of an action satisfying `pred`.
-fn pick_action(
-    plan: &ScenarioPlan,
-    rng: &mut Rng,
-    pred: impl Fn(&ActionPlan) -> bool,
-) -> Option<usize> {
-    let candidates: Vec<usize> = plan
-        .actions()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| pred(a))
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.below(candidates.len() as u64) as usize])
-}
-
-/// Raiser delays stay inside the generator's concurrency window: far
-/// below the exit-timeout scale, so a delayed raise never reads as a
-/// crash.
-const RAISE_WINDOW_NS: u64 = 200_000_000;
-
-fn shift_raise(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| a.raise.is_some()) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let raise = a.raise.as_mut().expect("picked for its raise phase");
-        let k = rng.below(raise.raisers.len() as u64) as usize;
-        raise.raisers[k].1 = rng.below(RAISE_WINDOW_NS);
-    })
-    .is_some()
-}
-
-fn widen_raise(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| {
-        a.raise
-            .as_ref()
-            .is_some_and(|r| r.raisers.len() < a.group.len())
-    }) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let raisers: Vec<u32> = a
-            .raise
-            .as_ref()
-            .expect("picked for its raise phase")
-            .raisers
-            .iter()
-            .map(|&(t, _)| t)
-            .collect();
-        let free: Vec<u32> = a
-            .group
-            .iter()
-            .copied()
-            .filter(|t| !raisers.contains(t))
-            .collect();
-        let t = free[rng.below(free.len() as u64) as usize];
-        a.raise
-            .as_mut()
-            .expect("picked for its raise phase")
-            .raisers
-            .push((t, rng.below(RAISE_WINDOW_NS)));
-    })
-    .is_some()
-}
-
-fn retarget_raise(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| {
-        a.raise
-            .as_ref()
-            .is_some_and(|r| r.raisers.len() < a.group.len())
-    }) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let raisers: Vec<u32> = a
-            .raise
-            .as_ref()
-            .expect("picked for its raise phase")
-            .raisers
-            .iter()
-            .map(|&(t, _)| t)
-            .collect();
-        let free: Vec<u32> = a
-            .group
-            .iter()
-            .copied()
-            .filter(|t| !raisers.contains(t))
-            .collect();
-        let to = free[rng.below(free.len() as u64) as usize];
-        let raise = a.raise.as_mut().expect("picked for its raise phase");
-        let k = rng.below(raise.raisers.len() as u64) as usize;
-        raise.raisers[k].0 = to;
-    })
-    .is_some()
-}
-
-fn drop_raise(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| a.raise.is_some()) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let raise = a.raise.as_mut().expect("picked for its raise phase");
-        if raise.raisers.len() > 1 {
-            let k = rng.below(raise.raisers.len() as u64) as usize;
-            raise.raisers.remove(k);
-        } else {
-            a.raise = None;
-        }
-    })
-    .is_some()
-}
-
-fn add_raise(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| a.raise.is_none()) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let mut pool = a.group.clone();
-        let first = pool.remove(rng.below(pool.len() as u64) as usize);
-        let mut raisers = vec![(first, rng.below(RAISE_WINDOW_NS))];
-        if !pool.is_empty() && rng.chance(0.4) {
-            let second = pool[rng.below(pool.len() as u64) as usize];
-            raisers.push((second, rng.below(RAISE_WINDOW_NS)));
-        }
-        a.raise = Some(RaisePhase { raisers });
-    })
-    .is_some()
-}
-
-/// Uniformly picks a crash index. Single-crash plans (everything an old
-/// lineage can reach) consume **no** rng draw, so pre-multi-crash
-/// lineages keep materializing byte-identically.
-fn pick_crash(plan: &ScenarioPlan, rng: &mut Rng) -> Option<usize> {
-    match plan.crashes.len() {
-        0 => None,
-        1 => Some(0),
-        n => Some(rng.below(n as u64) as usize),
-    }
-}
-
-fn move_crash(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(k) = pick_crash(plan, rng) else {
-        return false;
-    };
-    let mut crash = plan.crashes[k];
-    if rng.chance(0.5) {
-        crash.delay_ns = rng.below(2_000_000_000);
-    } else {
-        // Snap the crash instant onto a cumulative compute-phase boundary
-        // of the crash action (± a small jitter): the instants where the
-        // protocol transitions between rounds, which uniform sampling
-        // essentially never lands on.
-        let action = &plan.top[crash.top_action as usize];
-        let mut boundaries = vec![0u64];
-        let mut acc = 0u64;
-        for phase in &action.phases {
-            if let Phase::Compute { dur_ns, .. } = phase {
-                acc += dur_ns;
-                boundaries.push(acc);
-            }
-        }
-        let boundary = boundaries[rng.below(boundaries.len() as u64) as usize];
-        let jitter = rng.below(2_000_000);
-        crash.delay_ns = if rng.chance(0.5) {
-            boundary.saturating_sub(jitter)
-        } else {
-            boundary + jitter
-        };
-    }
-    plan.crashes[k] = crash;
-    true
-}
-
-fn retarget_crash(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(k) = pick_crash(plan, rng) else {
-        return false;
-    };
-    let mut crash = plan.crashes[k];
-    if rng.chance(0.5) {
-        // Threads already claimed by *other* crashes are off limits (the
-        // validator forbids double-crashing a thread). For single-crash
-        // plans the free list is every thread in ascending order, so the
-        // draw maps to the same thread the pre-multi-crash mutator chose.
-        let free: Vec<u32> = (0..plan.threads)
-            .filter(|&t| {
-                plan.crashes
-                    .iter()
-                    .enumerate()
-                    .all(|(i, c)| i == k || c.thread != t)
-            })
-            .collect();
-        crash.thread = free[rng.below(free.len() as u64) as usize];
-    } else {
-        crash.top_action = rng.below(plan.top.len() as u64) as u32;
-    }
-    plan.crashes[k] = crash;
-    true
-}
-
-fn add_crash(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    if !plan.crashes.is_empty() {
-        return false;
-    }
-    plan.crashes.push(CrashChoice {
-        thread: rng.below(u64::from(plan.threads)) as u32,
-        top_action: rng.below(plan.top.len() as u64) as u32,
-        delay_ns: rng.below(1_500_000_000),
-        rejoin_delay_ns: None,
-    });
-    true
-}
-
-fn drop_crash(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(k) = pick_crash(plan, rng) else {
-        return false;
-    };
-    plan.crashes.remove(k);
-    true
-}
-
-fn add_second_crash(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    // Needs an existing crash, and leaves at least one survivor.
-    if plan.crashes.is_empty() || plan.crashes.len() + 1 >= plan.threads as usize {
-        return false;
-    }
-    let free: Vec<u32> = (0..plan.threads)
-        .filter(|&t| plan.crashes.iter().all(|c| c.thread != t))
-        .collect();
-    if free.is_empty() {
-        return false;
-    }
-    plan.crashes.push(CrashChoice {
-        thread: free[rng.below(free.len() as u64) as usize],
-        top_action: rng.below(plan.top.len() as u64) as u32,
-        delay_ns: rng.below(1_500_000_000),
-        rejoin_delay_ns: rng.chance(0.5).then(|| rng.below(30_000_000_000)),
-    });
-    true
-}
-
-fn add_rejoin(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let candidates: Vec<usize> = plan
-        .crashes
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.rejoin_delay_ns.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        return false;
-    }
-    let k = candidates[rng.below(candidates.len() as u64) as usize];
-    plan.crashes[k].rejoin_delay_ns = Some(rng.below(30_000_000_000));
-    true
-}
-
-fn drop_rejoin(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let candidates: Vec<usize> = plan
-        .crashes
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.rejoin_delay_ns.is_some())
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        return false;
-    }
-    let k = candidates[rng.below(candidates.len() as u64) as usize];
-    plan.crashes[k].rejoin_delay_ns = None;
-    true
-}
-
-fn perturb_rejoin(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let candidates: Vec<usize> = plan
-        .crashes
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.rejoin_delay_ns.is_some())
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        return false;
-    }
-    let k = candidates[rng.below(candidates.len() as u64) as usize];
-    // Half the rolls race the restart against detection (inside the
-    // signalling-timeout window), half land anywhere in the patience band.
-    plan.crashes[k].rejoin_delay_ns = Some(if rng.chance(0.5) {
-        rng.below(2_000_000_000)
-    } else {
-        rng.below(60_000_000_000)
-    });
-    true
-}
-
-fn perturb_fault(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    if plan.faults.is_empty() {
-        return false;
-    }
-    let threads = plan.threads;
-    let i = rng.below(plan.faults.len() as u64) as usize;
-    let fault = &mut plan.faults[i];
-    // Unbounded (signalling-crash) rules stay loss rules with bounded
-    // perturbation surface: skip and source only.
-    let choices = if fault.count == u64::MAX { 2 } else { 4 };
-    match rng.below(choices) {
-        0 => fault.skip = rng.below(30),
-        1 => {
-            fault.src = if rng.chance(0.7) {
-                Some(rng.below(u64::from(threads)) as u32)
-            } else {
-                None
-            };
-            if fault.count == u64::MAX && fault.src.is_none() {
-                // An unbounded rule losing *everyone's* announcements
-                // starves the whole signalling plane; keep it pinned.
-                fault.src = Some(rng.below(u64::from(threads)) as u32);
-            }
-        }
-        2 => fault.count = rng.range(1, 3),
-        _ => fault.lose = !fault.lose,
-    }
-    true
-}
-
-fn add_fault(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    if plan.faults.len() >= 6 {
-        return false;
-    }
-    let unbounded = plan.faults.iter().filter(|f| f.count == u64::MAX).count();
-    let make_unbounded = unbounded == 0 && rng.chance(0.2);
-    plan.faults.push(FaultChoice {
-        class: if make_unbounded || rng.chance(0.5) {
-            "toBeSignalled"
-        } else {
-            "App"
-        },
-        lose: make_unbounded || rng.chance(0.5),
-        src: if make_unbounded || rng.chance(0.7) {
-            Some(rng.below(u64::from(plan.threads)) as u32)
-        } else {
-            None
-        },
-        skip: rng.below(30),
-        count: if make_unbounded {
-            u64::MAX
-        } else {
-            rng.range(1, 3)
-        },
-    });
-    true
-}
-
-fn drop_fault(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    if plan.faults.is_empty() {
-        return false;
-    }
-    let i = rng.below(plan.faults.len() as u64) as usize;
-    plan.faults.remove(i);
-    true
-}
-
-fn perturb_timing(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    match rng.below(4) {
-        0 => plan.t_mmax = rng.f64_range(0.05, 1.0),
-        1 => plan.t_reso = rng.f64_range(0.0, 0.3),
-        2 => plan.delta = rng.f64_range(0.0, 0.3),
-        _ => plan.t_abort = rng.f64_range(0.0, 0.3),
-    }
-    true
-}
-
-fn perturb_timeouts(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    // Scale the whole hierarchy together: the signalling timeout moves
-    // within a safe band (well above any live peer's announcement delay),
-    // and the bounded exit/resolution waits keep at least the generator's
-    // 10x separation above it — so mutated timeouts stretch or squeeze
-    // the protocol's patience without ever suspecting a live peer.
-    plan.signal_timeout = rng.f64_range(30.0, 90.0);
-    plan.exit_timeout = plan.signal_timeout * rng.f64_range(10.0, 40.0);
-    plan.resolution_timeout = plan.signal_timeout * rng.f64_range(10.0, 40.0);
-    true
-}
-
-/// The single object depth new subtrees may place operations at: the
-/// plan's existing depth when any operations exist, an rng-chosen one
-/// when the plan has an (unused) object pool, `None` when it has no pool.
-fn subtree_object_depth(plan: &ScenarioPlan, rng: &mut Rng, max_depth: usize) -> Option<usize> {
-    if plan.objects.is_empty() {
-        return None;
-    }
-    plan_object_depth(plan).or_else(|| Some(rng.below(max_depth as u64 + 1) as usize))
-}
-
-fn redepth_top(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let i = rng.below(plan.top.len() as u64) as usize;
-    let max_depth = (plan.max_depth() + 1).min(3);
-    let object_depth = subtree_object_depth(plan, rng, max_depth);
-    let name = plan.top[i].name.clone();
-    let group = plan.top[i].group.clone();
-    plan.top[i] = gen_subtree(rng, name, group, 0, max_depth, object_depth);
-    true
-}
-
-fn regen_child(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| {
-        a.phases.iter().any(|p| matches!(p, Phase::Nested { .. }))
-    }) else {
-        return false;
-    };
-    let max_depth = (plan.max_depth() + 1).min(3);
-    let object_depth = subtree_object_depth(plan, rng, max_depth);
-    with_action_mut(plan, i, |a| {
-        let nested: Vec<usize> = a
-            .phases
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Phase::Nested { .. }))
-            .map(|(p, _)| p)
-            .collect();
-        let p = nested[rng.below(nested.len() as u64) as usize];
-        let Phase::Nested { children } = &mut a.phases[p] else {
-            unreachable!("filtered to nested phases");
-        };
-        let c = rng.below(children.len() as u64) as usize;
-        let child = &children[c];
-        children[c] = gen_subtree(
-            rng,
-            child.name.clone(),
-            child.group.clone(),
-            child.depth,
-            max_depth.max(child.depth),
-            object_depth,
-        );
-    })
-    .is_some()
-}
-
-fn dup_top_action(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    if plan.top.len() >= 4 {
-        return false;
-    }
-    let i = rng.below(plan.top.len() as u64) as usize;
-    let mut clone = plan.top[i].clone();
-    // Find a fresh root name: duplicated subtrees must keep globally
-    // unique action names for handler/exception identities to stay
-    // distinct.
-    let mut k = plan.top.len();
-    while plan.top.iter().any(|a| a.name == format!("a{k}")) {
-        k += 1;
-    }
-    rename_subtree(&mut clone, &format!("a{k}"));
-    plan.top.push(clone);
-    true
-}
-
-fn perturb_compute(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| {
-        a.phases.iter().any(|p| matches!(p, Phase::Compute { .. }))
-    }) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let group = a.group.clone();
-        let computes: Vec<usize> = a
-            .phases
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Phase::Compute { .. }))
-            .map(|(p, _)| p)
-            .collect();
-        let p = computes[rng.below(computes.len() as u64) as usize];
-        let Phase::Compute {
-            dur_ns,
-            sends,
-            listeners,
-            object_ops,
-        } = &mut a.phases[p]
-        else {
-            unreachable!("filtered to compute phases");
-        };
-        match rng.below(3) {
-            0 => {
-                // Re-roll the duration within the generator's band; never
-                // below any scheduled object operation's offset.
-                let floor = object_ops
-                    .iter()
-                    .map(|op| op.delay_ns + 1)
-                    .max()
-                    .unwrap_or(0);
-                *dur_ns = ((rng.f64_range(0.02, 0.4) * 1e9) as u64).max(floor);
-            }
-            1 if group.len() >= 2 => {
-                if sends.is_empty() || rng.chance(0.5) {
-                    let from = group[rng.below(group.len() as u64) as usize];
-                    let peers: Vec<u32> = group.iter().copied().filter(|&t| t != from).collect();
-                    let to = peers[rng.below(peers.len() as u64) as usize];
-                    sends.push((from, to));
-                } else {
-                    let k = rng.below(sends.len() as u64) as usize;
-                    sends.remove(k);
-                }
-            }
-            _ => {
-                let t = group[rng.below(group.len() as u64) as usize];
-                if let Some(pos) = listeners.iter().position(|&l| l == t) {
-                    listeners.remove(pos);
-                } else {
-                    listeners.push(t);
-                    // Listeners drain the inbox instead of computing:
-                    // their scheduled object operations go with them.
-                    object_ops.retain(|op| op.thread != t);
-                }
-            }
-        }
-    })
-    .is_some()
-}
-
-fn perturb_object_op(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| {
-        a.phases.iter().any(|p| match p {
-            Phase::Compute { object_ops, .. } => !object_ops.is_empty(),
-            Phase::Nested { .. } => false,
-        })
-    }) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let group = a.group.clone();
-        let with_ops: Vec<usize> = a
-            .phases
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| match p {
-                Phase::Compute { object_ops, .. } => !object_ops.is_empty(),
-                Phase::Nested { .. } => false,
-            })
-            .map(|(p, _)| p)
-            .collect();
-        let p = with_ops[rng.below(with_ops.len() as u64) as usize];
-        let Phase::Compute {
-            dur_ns,
-            listeners,
-            object_ops,
-            ..
-        } = &mut a.phases[p]
-        else {
-            unreachable!("filtered to compute phases with ops");
-        };
-        let k = rng.below(object_ops.len() as u64) as usize;
-        match rng.below(4) {
-            0 => object_ops[k].delay_ns = rng.below(*dur_ns),
-            1 => object_ops[k].update = !object_ops[k].update,
-            2 => {
-                // Contend harder: copy the operation onto another
-                // non-listener member (same object — the single-object-
-                // per-action rule — same depth by construction).
-                let eligible: Vec<u32> = group
-                    .iter()
-                    .copied()
-                    .filter(|t| !listeners.contains(t))
-                    .collect();
-                if !eligible.is_empty() {
-                    let op = ObjectOp {
-                        thread: eligible[rng.below(eligible.len() as u64) as usize],
-                        delay_ns: rng.below(*dur_ns),
-                        object: object_ops[k].object,
-                        update: rng.chance(0.7),
-                    };
-                    object_ops.push(op);
-                }
-            }
-            _ => {
-                object_ops.remove(k);
-            }
-        }
-    })
-    .is_some()
-}
-
-fn perturb_verdict(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |_| true) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let k = rng.below(a.verdicts.len() as u64) as usize;
-        let roll = rng.unit_f64();
-        a.verdicts[k].1 = if roll < 0.40 {
-            VerdictChoice::Recovered
-        } else if roll < 0.65 {
-            VerdictChoice::Undo
-        } else if roll < 0.85 {
-            VerdictChoice::Signal
-        } else {
-            VerdictChoice::Fail
-        };
-    })
-    .is_some()
-}
-
-fn toggle_eab(plan: &mut ScenarioPlan, rng: &mut Rng) -> bool {
-    let Some(i) = pick_action(plan, rng, |a| a.depth > 0) else {
-        return false;
-    };
-    with_action_mut(plan, i, |a| {
-        let t = a.group[rng.below(a.group.len() as u64) as usize];
-        if let Some(pos) = a.abort_raises_eab.iter().position(|&e| e == t) {
-            a.abort_raises_eab.remove(pos);
-        } else {
-            a.abort_raises_eab.push(t);
-        }
-    })
-    .is_some()
-}
 
 // ---------------------------------------------------------------------------
 // The coverage-guided loop.
@@ -938,7 +62,7 @@ pub struct FuzzConfig {
     /// accounting happen at generation boundaries, so the batch size
     /// trades scheduling freshness against parallel occupancy.
     pub batch: u64,
-    /// Master seed of the mutation/selection streams. Two runs with the
+    /// Seed of the one selection-and-edit stream. Two runs with the
     /// same `(scenario, executions, initial_seeds, start_seed, batch,
     /// fuzz_seed)` are identical regardless of worker count.
     pub fuzz_seed: u64,
@@ -946,8 +70,8 @@ pub struct FuzzConfig {
     pub workers: usize,
     /// Execute every plan twice and require byte-identical traces.
     pub check_replay: bool,
-    /// Where violating lineages persist corpus entries (sweep layout plus
-    /// `lineage.txt`). `None` disables persistence.
+    /// Where violating plans persist corpus entries (named by
+    /// [`Recipe::entry_name`]). `None` disables persistence.
     pub corpus_dir: Option<PathBuf>,
     /// Also run a fresh-seed sweep of the same execution budget and
     /// record its signature map — the baseline the ≥20 %-more-paths
@@ -972,11 +96,11 @@ impl Default for FuzzConfig {
     }
 }
 
-/// One violating lineage found by a fuzz run.
+/// One violating plan found by a fuzz run.
 #[derive(Debug, Clone)]
 pub struct FuzzViolation {
     /// The find's full reproduction recipe.
-    pub lineage: Lineage,
+    pub recipe: Recipe,
     /// Rendered oracle violations.
     pub violations: Vec<String>,
     /// The persisted corpus entry, when
@@ -1012,7 +136,7 @@ pub struct FuzzReport {
     pub coverage: PathCoverage,
     /// Distinct signatures hit, with per-signature run counts.
     pub signatures: SignatureMap,
-    /// Violating lineages, in discovery order.
+    /// Violating recipes, in discovery order.
     pub violations: Vec<FuzzViolation>,
     /// The fresh-seed baseline, when one was run.
     pub fresh: Option<FreshBaseline>,
@@ -1042,7 +166,7 @@ impl FuzzReport {
     pub fn summary(&self) -> String {
         let mut out = format!(
             "fuzzed {} executions in {:.2?}: {} initial seeds, {} mutated generation(s), \
-             {} distinct path signatures ({} minted by mutation), {} violating lineage(s)\n",
+             {} distinct path signatures ({} minted by mutation), {} violating recipe(s)\n",
             self.executions,
             self.wall,
             self.initial_seeds,
@@ -1061,7 +185,7 @@ impl FuzzReport {
             );
         }
         for violation in &self.violations {
-            let _ = writeln!(out, "  lineage {}:", violation.lineage.entry_name());
+            let _ = writeln!(out, "  recipe {}:", violation.recipe.entry_name());
             for v in &violation.violations {
                 let _ = writeln!(out, "    - {v}");
             }
@@ -1079,7 +203,7 @@ impl FuzzReport {
 /// novelty, so productive neighbourhoods get revisited.
 #[derive(Debug)]
 struct FrontierEntry {
-    lineage: Lineage,
+    recipe: Recipe,
     plan: ScenarioPlan,
     energy: u64,
 }
@@ -1137,13 +261,6 @@ fn run_batch(
     in_order.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
-/// Derives the mutation seed of global child `index` from the master fuzz
-/// seed — a pure function, so any child's mutation replays from its
-/// lineage without re-running the loop.
-fn derive_mutation_seed(fuzz_seed: u64, index: u64) -> u64 {
-    Rng::new(fuzz_seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64()
-}
-
 /// Energy-weighted parent pick over the frontier (insertion order fixed,
 /// so the draw is deterministic).
 fn pick_parent(frontier: &[FrontierEntry], rng: &mut Rng) -> usize {
@@ -1174,7 +291,7 @@ impl LoopState {
     fn commit(
         &mut self,
         config: &FuzzConfig,
-        lineage: Lineage,
+        recipe: Recipe,
         plan: ScenarioPlan,
         outcome: ChildOutcome,
         parent: Option<usize>,
@@ -1189,29 +306,24 @@ impl LoopState {
                 self.frontier[p].energy += 2;
             }
             self.frontier.push(FrontierEntry {
-                lineage: lineage.clone(),
+                recipe: recipe.clone(),
                 plan,
                 energy: 3,
             });
         }
         if let Some(result) = outcome.result {
             let corpus = config.corpus_dir.as_ref().and_then(|dir| {
-                let entry = dir.join(lineage.entry_name());
-                let dump = write_corpus_files(&entry, &config.scenario.to_kv(), &result)
-                    .and_then(|()| std::fs::write(entry.join("lineage.txt"), lineage.render()));
-                match dump {
+                let entry = dir.join(recipe.entry_name());
+                match write_corpus_files(&entry, &config.scenario.to_kv(), &recipe, &result) {
                     Ok(()) => Some(entry),
                     Err(e) => {
-                        eprintln!(
-                            "corpus dump for lineage {} failed: {e}",
-                            lineage.entry_name()
-                        );
+                        eprintln!("corpus dump for recipe {} failed: {e}", recipe.entry_name());
                         None
                     }
                 }
             });
             self.violations.push(FuzzViolation {
-                lineage,
+                recipe,
                 violations: result.violations.iter().map(|v| v.to_string()).collect(),
                 corpus,
             });
@@ -1235,16 +347,15 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         executed: 0,
         novel_from_mutation: 0,
     };
-    let mut child_index = 0u64;
     let mut metrics = SweepMetrics::default();
 
     // Generation 0: fresh seeds.
     let initial = config.initial_seeds.min(config.executions).max(1);
-    let gen0: Vec<(Lineage, ScenarioPlan)> = (0..initial)
+    let gen0: Vec<(Recipe, ScenarioPlan)> = (0..initial)
         .map(|i| {
             let seed = config.start_seed + i;
             (
-                Lineage::base(seed),
+                Recipe::base(seed),
                 ScenarioPlan::generate(seed, &config.scenario),
             )
         })
@@ -1255,30 +366,31 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         config.check_replay,
         &mut metrics,
     );
-    for ((lineage, plan), outcome) in gen0.into_iter().zip(outcomes) {
-        state.commit(config, lineage, plan, outcome, None);
+    for ((recipe, plan), outcome) in gen0.into_iter().zip(outcomes) {
+        state.commit(config, recipe, plan, outcome, None);
     }
 
-    // Mutated generations: select, mutate, execute, commit in order.
-    let mut selector = Rng::new(config.fuzz_seed);
+    // Mutated generations: select, draw an edit, execute, commit in order.
+    let mut rng = Rng::new(config.fuzz_seed);
     let mut generations = 0u64;
     while state.executed < config.executions && !state.frontier.is_empty() {
         generations += 1;
         let batch = config.batch.max(1).min(config.executions - state.executed);
         let mutation_started = Instant::now();
-        let mut children: Vec<(usize, Lineage, ScenarioPlan)> = Vec::with_capacity(batch as usize);
+        let mut children: Vec<(usize, Recipe, ScenarioPlan)> = Vec::with_capacity(batch as usize);
         for _ in 0..batch {
-            let parent = pick_parent(&state.frontier, &mut selector);
-            let mutation_seed = derive_mutation_seed(config.fuzz_seed, child_index);
-            child_index += 1;
-            let mutated = mutate_plan(&state.frontier[parent].plan, mutation_seed);
-            children.push((
-                parent,
-                state.frontier[parent].lineage.child(mutation_seed),
-                mutated.plan,
-            ));
+            let parent = pick_parent(&state.frontier, &mut rng);
+            let entry = &state.frontier[parent];
+            let edit = draw(&entry.plan, &mut rng);
+            let Some(plan) = apply(&entry.plan, &edit) else {
+                debug_assert!(false, "drawn edit `{edit}` left the validity envelope");
+                continue;
+            };
+            let mut recipe = entry.recipe.clone();
+            recipe.edits.push(edit);
+            children.push((parent, recipe, plan));
         }
-        // Parent selection plus mutation is the frontier stage.
+        // Parent selection plus drawing edits is the frontier stage.
         metrics
             .wall_clock
             .add_named("stage_mutation_ns", wall_ns(mutation_started.elapsed()));
@@ -1288,8 +400,8 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
             config.check_replay,
             &mut metrics,
         );
-        for ((parent, lineage, plan), outcome) in children.into_iter().zip(outcomes) {
-            state.commit(config, lineage, plan, outcome, Some(parent));
+        for ((parent, recipe, plan), outcome) in children.into_iter().zip(outcomes) {
+            state.commit(config, recipe, plan, outcome, Some(parent));
         }
     }
 
@@ -1458,7 +570,7 @@ impl CoverageDoc {
         let mut violations = Vec::new();
         for find in &report.violations {
             for v in &find.violations {
-                violations.push(format!("lineage {}: {v}", find.lineage.entry_name()));
+                violations.push(format!("recipe {}: {v}", find.recipe.entry_name()));
             }
         }
         let (fresh_executions, fresh_signatures) = match &report.fresh {
@@ -1723,11 +835,9 @@ mod tests {
     #[test]
     fn mutation_is_a_pure_function_of_plan_and_seed() {
         let plan = ScenarioPlan::generate(11, &ScenarioConfig::default());
-        for mutation_seed in 0..50 {
-            let a = mutate_plan(&plan, mutation_seed);
-            let b = mutate_plan(&plan, mutation_seed);
-            assert_eq!(a.mutator, b.mutator);
-            assert_eq!(format!("{:?}", a.plan), format!("{:?}", b.plan));
+        for seed in 0..50 {
+            let a = draw(&plan, &mut Rng::new(seed));
+            assert_eq!(a, draw(&plan, &mut Rng::new(seed)));
         }
     }
 
@@ -1736,30 +846,13 @@ mod tests {
         let plan = ScenarioPlan::generate(11, &ScenarioConfig::default());
         let base = format!("{plan:?}");
         let changed = (0..50)
-            .filter(|&s| format!("{:?}", mutate_plan(&plan, s).plan) != base)
+            .map(|s| apply(&plan, &draw(&plan, &mut Rng::new(s))).expect("drawn edits apply"))
+            .filter(|edited| format!("{edited:?}") != base)
             .count();
         assert!(
             changed >= 45,
             "only {changed}/50 mutations changed the plan"
         );
-    }
-
-    #[test]
-    fn lineage_round_trips_and_materializes_deterministically() {
-        let lineage = Lineage {
-            seed: 42,
-            mutations: vec![7, 0xdead_beef, u64::MAX],
-        };
-        assert_eq!(Lineage::parse(&lineage.render()), Ok(lineage.clone()));
-        assert!(Lineage::parse("mutate 0x1").is_err(), "seed line required");
-        let cfg = ScenarioConfig::default();
-        let a = lineage.materialize(&cfg);
-        let b = lineage.materialize(&cfg);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(validate_plan(&a).is_ok());
-        assert_eq!(a.seed, 42, "lineage keeps the base seed");
-        assert!(lineage.entry_name().starts_with("42-m"));
-        assert_eq!(Lineage::base(9).entry_name(), "9");
     }
 
     #[test]
@@ -1817,23 +910,27 @@ mod tests {
         // Force a violation without needing a real protocol bug: fuzz a
         // tiny budget, then fabricate the corpus write path directly.
         let dir = std::env::temp_dir().join(format!("caa-fuzz-corpus-{}", std::process::id()));
-        let lineage = Lineage::base(11).child(derive_mutation_seed(1, 0));
         let cfg = ScenarioConfig::default();
-        let plan = lineage.materialize(&cfg);
+        let mut recipe = Recipe::base(11);
+        recipe
+            .edits
+            .push(draw(&ScenarioPlan::generate(11, &cfg), &mut Rng::new(1)));
+        let plan = recipe.materialize(&cfg).expect("drawn edits apply");
         let mut arena = ExecutionArena::new();
         let result = run_plan_checked(plan, false, &mut arena);
-        let entry = dir.join(lineage.entry_name());
-        write_corpus_files(&entry, &cfg.to_kv(), &result).expect("corpus files");
-        std::fs::write(entry.join("lineage.txt"), lineage.render()).expect("lineage");
+        let entry = dir.join(recipe.entry_name());
+        write_corpus_files(&entry, &cfg.to_kv(), &recipe, &result).expect("corpus files");
 
-        let (loaded, loaded_cfg) = load_corpus_plan(&entry).expect("load corpus entry");
+        let (loaded, loaded_cfg, loaded_recipe) =
+            crate::edit::load_corpus_plan(&entry).expect("load corpus entry");
         assert_eq!(format!("{loaded_cfg:?}"), format!("{cfg:?}"));
+        assert_eq!(loaded_recipe, recipe);
         let recorded = std::fs::read_to_string(entry.join("trace.txt")).unwrap();
         let replay = run_plan_checked(loaded, false, &mut arena);
         assert_eq!(
             replay.artifacts.trace.render(),
             recorded,
-            "lineage replay must reproduce the recorded trace byte-exactly"
+            "recipe replay must reproduce the recorded trace byte-exactly"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -31,10 +31,11 @@
 //! * [`mod@sweep`] — fans thousands of seeds across OS threads and reports any
 //!   violating seed for one-command replay; owns the tooling's one worker
 //!   pool;
-//! * [`bisect`] — shrinks a violating plan to a 1-minimal one over one
-//!   grammar of reduction steps;
-//! * [`mod@fuzz`] — coverage-guided mutation of plans toward protocol paths
-//!   fresh seeds starve;
+//! * [`edit`] — the one edit grammar for plans: concrete `add` / `drop` /
+//!   `set` edits, the fuzzer's draw, the shrinker (1-minimal drop lists),
+//!   and the one corpus format, a seed plus an edit list ([`Recipe`]);
+//! * [`mod@fuzz`] — coverage-guided exploration: draws edits of frontier
+//!   plans toward protocol paths fresh seeds starve;
 //! * [`prodcell`] — the §4 production cell driven as a harness scenario,
 //!   replay-checked byte-exactly.
 //!
@@ -78,7 +79,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod bisect;
+pub mod edit;
 pub mod exec;
 pub mod fuzz;
 mod inthash;
@@ -94,11 +95,9 @@ pub mod sweep;
 pub mod trace;
 
 pub use arena::ExecutionArena;
+pub use edit::{apply, load_corpus_plan, Edit, Recipe};
 pub use exec::{execute, execute_in, RunArtifacts};
-pub use fuzz::{
-    fuzz, load_corpus_plan, mutate_plan, CoverageDoc, FuzzConfig, FuzzReport, Lineage,
-    COVERAGE_SCHEMA,
-};
+pub use fuzz::{fuzz, CoverageDoc, FuzzConfig, FuzzReport, COVERAGE_SCHEMA};
 pub use oracle::{check_invariants, check_replay, check_replay_protocol, check_run, Violation};
 pub use plan::{validate_plan, ScenarioConfig, ScenarioPlan};
 pub use sweep::{

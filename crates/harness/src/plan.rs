@@ -683,8 +683,8 @@ impl ScenarioPlan {
 }
 
 /// Checks every structural invariant the generator guarantees by
-/// construction — the **validity contract** mutated plans
-/// ([`mod@crate::fuzz`]) must also satisfy, so the oracles' premises hold for
+/// construction — the **validity contract** edited plans
+/// ([`crate::edit::apply`]) must also satisfy, so the oracles' premises hold for
 /// fuzzed scenarios exactly as they do for fresh-seed ones:
 ///
 /// * every top-level action is entered by **all** threads (the executor
@@ -997,45 +997,6 @@ fn validate_action<'p>(
     Ok(())
 }
 
-/// Applies `f` to the `index`-th action of the plan in the same preorder
-/// [`ScenarioPlan::actions`] uses. Returns `None` when `index` is out of
-/// range. The mutable cousin of indexing `actions()` — mutators pick a
-/// node by deterministic index and edit it in place.
-pub fn with_action_mut<R>(
-    plan: &mut ScenarioPlan,
-    index: usize,
-    f: impl FnOnce(&mut ActionPlan) -> R,
-) -> Option<R> {
-    fn locate<'a>(
-        action: &'a mut ActionPlan,
-        counter: &mut usize,
-        target: usize,
-    ) -> Option<&'a mut ActionPlan> {
-        if *counter == target {
-            return Some(action);
-        }
-        *counter += 1;
-        for phase in &mut action.phases {
-            if let Phase::Nested { children } = phase {
-                for child in children {
-                    if let Some(found) = locate(child, counter, target) {
-                        return Some(found);
-                    }
-                }
-            }
-        }
-        None
-    }
-    let mut counter = 0;
-    for top in &mut plan.top {
-        if let Some(found) = locate(top, &mut counter, index) {
-            return Some(f(found));
-        }
-        // `locate` consumed the subtree's indices; continue after it.
-    }
-    None
-}
-
 /// Renames `action`'s whole subtree so its root becomes `new_name`,
 /// preserving the path-encoded suffixes (`a0.1` under root `a0` becomes
 /// `a2.1` under root `a2`). Used when duplicating a subtree: names must
@@ -1057,9 +1018,9 @@ pub(crate) fn rename_subtree(action: &mut ActionPlan, new_name: &str) {
     rewrite(action, &old, new_name);
 }
 
-/// Generates a fresh action subtree with the generator's own logic — the
-/// re-depth mutator's workhorse: a regenerated subtree is valid by the
-/// same construction argument as a fresh plan's.
+/// Generates a fresh action subtree with the generator's own logic — what
+/// a `set top` / `set child` edit writes ([`crate::edit`]): a regenerated
+/// subtree is valid by the same construction argument as a fresh plan's.
 pub(crate) fn gen_subtree(
     rng: &mut Rng,
     name: String,

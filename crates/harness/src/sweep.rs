@@ -29,6 +29,7 @@ use caa_core::inline::InlineVec;
 use caa_runtime::observe::EventKind;
 
 use crate::arena::ExecutionArena;
+use crate::edit::Recipe;
 use crate::exec::{execute_owned, RunArtifacts};
 use crate::metrics::{metrics_json, SweepMetrics, WallCounter};
 use crate::oracle::{check_replay, check_run, Violation};
@@ -159,14 +160,12 @@ impl SeedResult {
     }
 }
 
-/// Persists one violating seed's corpus entry under `<dir>/<seed>/`:
-/// the scenario config (key=value, [`ScenarioConfig::from_kv`]-loadable),
-/// the plan summary, the canonical trace bytes and the oracle verdicts.
+/// Persists one violating seed's corpus entry under `<dir>/<seed>/`
+/// ([`write_corpus_files`], an unedited recipe).
 ///
 /// Entries never clobber a *different* config's repro: when `<dir>/<seed>`
 /// already records another config (two sweeps sharing a corpus dir), the
-/// entry lands at `<dir>/<seed>-<config hash>` instead. `caa replay
-/// --corpus` parses the seed from the leading digits, so both forms load.
+/// entry lands at `<dir>/<seed>-<config hash>` instead.
 fn dump_corpus(
     dir: &Path,
     scenario: &ScenarioConfig,
@@ -183,22 +182,32 @@ fn dump_corpus(
         }
         _ => {}
     }
-    write_corpus_files(&entry, &kv, result)?;
+    write_corpus_files(&entry, &kv, &Recipe::base(result.seed), result)?;
     Ok(entry)
 }
 
-/// Writes the corpus entry's file set (config, plan summary, trace bytes,
-/// oracle verdicts) into `entry`, creating it. Shared between the sweep's
-/// violating-seed dumps and the fuzz loop's lineage entries (which add a
-/// `lineage.txt` on top).
-pub(crate) fn write_corpus_files(
+/// Writes a corpus entry into `entry`, creating it: what rebuilds the
+/// plan (`config.txt`, `recipe.txt` — [`load_corpus_plan`] reads them
+/// back) and what the run produced (plan summary, trace bytes, oracle
+/// verdicts). The one writer of the one corpus format: the sweep's
+/// violating seeds, the fuzz loop's finds and `caa replay --bisect`'s
+/// shrunk plans all go through it.
+///
+/// [`load_corpus_plan`]: crate::edit::load_corpus_plan
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_corpus_files(
     entry: &Path,
     config_kv: &str,
+    recipe: &Recipe,
     result: &SeedResult,
 ) -> std::io::Result<()> {
     use std::fmt::Write as _;
     std::fs::create_dir_all(entry)?;
     std::fs::write(entry.join("config.txt"), config_kv)?;
+    std::fs::write(entry.join("recipe.txt"), recipe.to_string())?;
     let mut plan = result.artifacts.plan.describe();
     plan.push('\n');
     std::fs::write(entry.join("plan.txt"), plan)?;
@@ -934,13 +943,12 @@ mod tests {
         let entry = dump_corpus(&dir, &scenario, &result).expect("corpus dump");
         assert_eq!(entry, dir.join("5"));
 
-        // The config round-trips through its persisted form...
-        let kv = std::fs::read_to_string(entry.join("config.txt")).unwrap();
-        let loaded = ScenarioConfig::from_kv(&kv).expect("parse persisted config");
+        // The entry reloads through the one corpus path...
+        let (plan, loaded, _) = crate::edit::load_corpus_plan(&entry).expect("load entry");
         assert_eq!(format!("{loaded:?}"), format!("{scenario:?}"));
-        // ...and the recorded trace bytes reproduce exactly under it.
+        // ...and the recorded trace bytes reproduce exactly.
         let recorded = std::fs::read_to_string(entry.join("trace.txt")).unwrap();
-        let replayed = run_seed(5, &loaded, false);
+        let replayed = run_plan_checked(plan, false, &mut ExecutionArena::new());
         assert_eq!(
             replayed.artifacts.trace.render(),
             recorded,

@@ -2,12 +2,14 @@
 //! subsystem): the whole run — mutated plans, traces, coverage
 //! signatures, the rendered coverage document — is a pure function of the
 //! [`FuzzConfig`], with the worker count changing wall clock only. This
-//! is what makes a nightly fuzz find reportable as a `(corpus entry,
-//! mutation seed)` pair instead of a flaky one-off.
+//! is what makes a nightly fuzz find reportable as a corpus entry (a
+//! config plus a recipe) instead of a flaky one-off.
 
 use caa_harness::arena::ExecutionArena;
-use caa_harness::fuzz::{fuzz, CoverageDoc, FuzzConfig, Lineage};
+use caa_harness::edit::{draw, Recipe};
+use caa_harness::fuzz::{fuzz, CoverageDoc, FuzzConfig};
 use caa_harness::plan::ScenarioConfig;
+use caa_harness::rng::Rng;
 use caa_harness::sweep::{run_plan_checked, PathCoverage};
 
 fn config(workers: usize) -> FuzzConfig {
@@ -55,18 +57,20 @@ fn repeated_runs_are_identical() {
     assert!(a == b, "two identical fuzz runs diverged:\n{a}\n---\n{b}");
 }
 
-/// A lineage's materialised plan executes to byte-identical traces across
+/// A recipe's materialised plan executes to byte-identical traces across
 /// independent arenas — the execution half of the reproducibility
-/// contract (the mutation half lives in `fuzz_mutators.rs`).
+/// contract (the edit half lives in `fuzz_mutators.rs`).
 #[test]
 fn lineage_executions_render_byte_identical_traces() {
     let config = ScenarioConfig::default();
     for base_seed in [3u64, 77, 1042] {
-        let mut lineage = Lineage::base(base_seed);
-        for i in 0..4u64 {
-            lineage = lineage.child(base_seed.wrapping_mul(0x9e37_79b9) ^ i);
+        let mut recipe = Recipe::base(base_seed);
+        let mut rng = Rng::new(base_seed.wrapping_mul(0x9e37_79b9));
+        for _ in 0..4 {
+            let plan = recipe.materialize(&config).expect("drawn edits apply");
+            recipe.edits.push(draw(&plan, &mut rng));
         }
-        let plan = lineage.materialize(&config);
+        let plan = recipe.materialize(&config).expect("drawn edits apply");
         let mut arena_a = ExecutionArena::new();
         let mut arena_b = ExecutionArena::new();
         let a = run_plan_checked(plan.clone(), false, &mut arena_a);
@@ -74,8 +78,8 @@ fn lineage_executions_render_byte_identical_traces() {
         let (ta, tb) = (a.artifacts.trace.render(), b.artifacts.trace.render());
         assert!(
             ta == tb,
-            "lineage {} diverged across arenas:\n{ta}\n---\n{tb}",
-            lineage.entry_name()
+            "recipe {} diverged across arenas:\n{ta}\n---\n{tb}",
+            recipe.entry_name()
         );
         assert_eq!(
             PathCoverage::from_trace(&a.artifacts.trace).signature(),

@@ -1,87 +1,141 @@
-//! Mutator property tests (satellite of the coverage-guided fuzz
-//! subsystem): every structured mutation must leave the plan inside the
-//! generator's validity envelope — [`validate_plan`]-clean — because the
-//! fuzz loop executes mutated plans through the exact pipeline fresh
-//! seeds use, with no second validation layer to catch a malformed one.
+//! The edit grammar's property tests: the fuzzer's mutations are drawn
+//! edits ([`draw`]) and the shrinker's candidates are `drop` edits at
+//! [`sites`], and every one of them must leave the plan inside the
+//! generator's validity envelope — [`validate_plan`]-clean — because both
+//! execute their plans through the exact pipeline fresh seeds use. Every
+//! edit must also survive its text form, which is all a corpus entry
+//! keeps.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-use caa_harness::fuzz::{mutate_plan, Lineage, MUTATORS};
+use caa_harness::edit::{apply, draw, sites, Edit, Kind, Recipe};
 use caa_harness::plan::{validate_plan, ScenarioConfig, ScenarioPlan};
+use caa_harness::rng::Rng;
 
-/// 10 000 single mutations (200 base seeds × 50 mutation seeds): every
-/// mutated plan passes the generator invariants, and the whole mutator
-/// table actually fires — a mutator that never applies is dead weight
-/// the reproducibility contract still has to carry forever.
+/// Every (kind, target) class of the grammar, as the text form names it.
+const CLASSES: [&str; 31] = [
+    "add crash",
+    "drop crash",
+    "set crash",
+    "add fault",
+    "drop fault",
+    "set fault",
+    "add top",
+    "drop top",
+    "set top",
+    "drop thread",
+    "set timing",
+    "set timeouts",
+    "add raise",
+    "drop raise",
+    "add raiser",
+    "drop raiser",
+    "set raiser",
+    "drop phase",
+    "set phase",
+    "drop child",
+    "set child",
+    "add op",
+    "drop op",
+    "set op",
+    "add send",
+    "drop send",
+    "add listener",
+    "drop listener",
+    "set verdict",
+    "add eab",
+    "drop eab",
+];
+
+fn class(edit: &Edit) -> String {
+    let text = edit.to_string();
+    text.split_whitespace()
+        .take(2)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// 10 000 draws (200 base seeds × 50): every drawn edit applies to a
+/// valid plan and round-trips through its text form, every (kind, target)
+/// class fires, and every shrink candidate of every base plan is valid
+/// too — a class that never fires is grammar nobody exercises.
 #[test]
 fn ten_thousand_mutations_preserve_plan_validity() {
     let config = ScenarioConfig::default();
-    let mut fired: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut fired: BTreeMap<String, u64> = BTreeMap::new();
     for base_seed in 0..200u64 {
         let plan = ScenarioPlan::generate(base_seed, &config);
         validate_plan(&plan).expect("generated plans are valid");
-        for i in 0..50u64 {
-            // Decorrelate the mutation seed from the base seed the same
-            // way the fuzz loop decorrelates child indices.
-            let mutation_seed = (base_seed * 50 + i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mutated = mutate_plan(&plan, mutation_seed);
-            if let Err(e) = validate_plan(&mutated.plan) {
-                panic!(
-                    "mutator {} broke validity on base seed {base_seed}, \
-                     mutation seed {mutation_seed:#018x}: {e}\n{}",
-                    mutated.mutator,
-                    mutated.plan.describe()
-                );
+        for (kind, site) in sites(&plan) {
+            if kind == Kind::Drop {
+                let edit = Edit {
+                    kind,
+                    site,
+                    value: None,
+                };
+                let shrunk = apply(&plan, &edit)
+                    .unwrap_or_else(|| panic!("base seed {base_seed}: `{edit}` does not apply"));
+                validate_plan(&shrunk).expect("apply ends in validate_plan");
             }
-            *fired.entry(mutated.mutator).or_default() += 1;
+        }
+        for i in 0..50u64 {
+            let edit = draw(&plan, &mut Rng::new((base_seed * 50 + i) ^ 0x5eed));
+            let edited = apply(&plan, &edit)
+                .unwrap_or_else(|| panic!("`{edit}` broke validity on base seed {base_seed}"));
+            validate_plan(&edited).expect("apply ends in validate_plan");
+            let text = edit.to_string();
+            assert_eq!(text.parse::<Edit>(), Ok(edit.clone()), "{text}");
+            *fired.entry(class(&edit)).or_default() += 1;
         }
     }
-    let named: HashSet<&str> = MUTATORS.iter().map(|(name, _)| *name).collect();
-    for name in &named {
+    for name in CLASSES {
         assert!(
             fired.contains_key(name),
-            "mutator {name} never applied across 10k samples: {fired:?}"
+            "class `{name}` never drawn across 10k samples: {fired:?}"
         );
     }
     for name in fired.keys() {
-        assert!(named.contains(name), "unknown mutator name {name}");
+        assert!(CLASSES.contains(&name.as_str()), "unknown class {name}");
     }
 }
 
-/// Deep mutation chains stay valid: the fuzz frontier routinely stacks
-/// dozens of mutations onto one ancestor, so validity must be closed
-/// under composition, not just preserved by single steps.
+/// Deep chains stay valid: the fuzz frontier stacks dozens of edits onto
+/// one ancestor, so validity must be closed under composition — and the
+/// recipe's text alone rebuilds the end of a 20-deep chain.
 #[test]
 fn mutation_chains_stay_valid_at_depth() {
     let config = ScenarioConfig::default();
     for base_seed in (0..50u64).map(|i| i * 131 + 7) {
-        let mut lineage = Lineage::base(base_seed);
+        let mut rng = Rng::new(base_seed);
+        let mut recipe = Recipe {
+            seed: base_seed,
+            edits: Vec::new(),
+        };
         let mut plan = ScenarioPlan::generate(base_seed, &config);
-        for depth in 0..20u64 {
-            let mutation_seed = (base_seed << 8 | depth).wrapping_mul(0x2545_f491_4f6c_dd1d);
-            let mutated = mutate_plan(&plan, mutation_seed);
-            validate_plan(&mutated.plan).unwrap_or_else(|e| {
-                panic!(
-                    "chain depth {depth} (mutator {}) broke base seed {base_seed}: {e}",
-                    mutated.mutator
-                )
+        for depth in 0..20 {
+            let edit = draw(&plan, &mut rng);
+            plan = apply(&plan, &edit).unwrap_or_else(|| {
+                panic!("chain depth {depth}: `{edit}` broke base seed {base_seed}")
             });
-            lineage = lineage.child(mutation_seed);
-            plan = mutated.plan;
+            recipe.edits.push(edit);
         }
-        // The recorded lineage rebuilds the exact end-of-chain plan.
-        let rebuilt = lineage.materialize(&config);
+        let text = recipe.to_string();
+        let rebuilt = text
+            .parse::<Recipe>()
+            .and_then(|parsed| parsed.materialize(&config))
+            .unwrap_or_else(|e| panic!("base seed {base_seed}: {e}\n{text}"));
         assert_eq!(
             format!("{rebuilt:?}"),
             format!("{plan:?}"),
-            "lineage materialisation diverged from the live chain at base seed {base_seed}"
+            "render → parse → materialize diverged from the live chain at base seed {base_seed}"
         );
     }
 }
 
-/// Mutation is a pure function of `(plan, mutation_seed)` across
-/// independently generated inputs — the anchor that lets a corpus entry
-/// replay a find from nothing but its lineage.
+/// A drawn edit is a pure function of the plan and the rng state, and its
+/// parsed text applies to an independently generated copy of the plan
+/// exactly as the edit itself does — the anchor that lets a corpus entry
+/// replay a find from nothing but its recipe.
 #[test]
 fn mutations_are_reproducible_from_the_recorded_seed() {
     let config = ScenarioConfig::default();
@@ -89,14 +143,14 @@ fn mutations_are_reproducible_from_the_recorded_seed() {
         let plan_a = ScenarioPlan::generate(base_seed, &config);
         let plan_b = ScenarioPlan::generate(base_seed, &config);
         for i in 0..10u64 {
-            let mutation_seed = base_seed ^ (i << 32) ^ 0xCAAF;
-            let a = mutate_plan(&plan_a, mutation_seed);
-            let b = mutate_plan(&plan_b, mutation_seed);
-            assert_eq!(a.mutator, b.mutator, "mutator choice diverged");
+            let rng_seed = base_seed ^ (i << 32) ^ 0xCAAF;
+            let a = draw(&plan_a, &mut Rng::new(rng_seed));
+            assert_eq!(a, draw(&plan_b, &mut Rng::new(rng_seed)), "draw diverged");
+            let b: Edit = a.to_string().parse().expect("text form parses");
             assert_eq!(
-                format!("{:?}", a.plan),
-                format!("{:?}", b.plan),
-                "seed {base_seed} mutation {mutation_seed:#x} is not reproducible"
+                format!("{:?}", apply(&plan_a, &a)),
+                format!("{:?}", apply(&plan_b, &b)),
+                "seed {base_seed}: `{a}` is not reproducible from its text"
             );
         }
     }

@@ -24,7 +24,12 @@
 //!   counts before (the frame's parts, shared span names) is gone;
 //! * the workspace hashes bytes one way: no FNV-1a identifier or offset
 //!   constant is left in any crate's `src` (`caa_harness::trace::hash64`
-//!   is the one hash; `perf/` keeps its own round digest).
+//!   is the one hash; `perf/` keeps its own round digest);
+//! * plans are edited one way: `caa_harness::edit` is the one grammar the
+//!   fuzzer draws from and the shrinker drops from, and a recipe the one
+//!   corpus format — the mutator table, the shrink-step type, the mutation
+//!   seed list, index-addressed action edits, their two files and the
+//!   shrinker's old module are gone.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -338,12 +343,17 @@ fn exception_ids_and_names_are_copy() {
     copy::<caa_core::name::Name>();
 }
 
-#[test]
-fn the_workspace_hashes_bytes_one_way() {
-    let sources: Vec<String> = entries("crates")
+/// Every crate's `src` directory.
+fn crate_sources() -> Vec<String> {
+    entries("crates")
         .iter()
         .map(|krate| format!("crates/{krate}/src"))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn the_workspace_hashes_bytes_one_way() {
+    let sources = crate_sources();
     let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
     assert!(
         files_naming("", &sources).len() > 50,
@@ -356,4 +366,32 @@ fn the_workspace_hashes_bytes_one_way() {
             "bytes are hashed by `caa_harness::trace::hash64`, not `{fnv}`"
         );
     }
+}
+
+#[test]
+fn plans_are_edited_one_way() {
+    let sources = crate_sources();
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    assert!(
+        files_naming("edit::", &sources).len() > 2,
+        "the scan found the edit grammar's users"
+    );
+    for gone in [
+        "MUTATORS",
+        "WorkloadStep",
+        "Lineage",
+        "with_action_mut",
+        "lineage.txt",
+        "workload.txt",
+    ] {
+        assert_eq!(
+            files_naming(gone, &sources),
+            [""; 0],
+            "`{gone}` belongs to an edit vocabulary `caa_harness::edit` replaced"
+        );
+    }
+    assert!(
+        !root().join("crates/harness/src/bisect.rs").exists(),
+        "shrinking lives in `caa_harness::edit`"
+    );
 }
