@@ -1141,6 +1141,23 @@ mod tests {
         assert_eq!(format!("{rebuilt:?}"), format!("{min:?}"));
     }
 
+    /// Every shrink candidate — a `drop` at any site of any generated
+    /// plan — applies, so it ends inside the validity envelope.
+    #[test]
+    fn workload_reductions_preserve_plan_validity() {
+        let cfg = ScenarioConfig::default();
+        for seed in 0..200 {
+            let plan = ScenarioPlan::generate(seed, &cfg);
+            for (_, site) in sites(&plan).into_iter().filter(|s| s.0 == Kind::Drop) {
+                let edit = Edit::drop(site);
+                let shrunk = apply(&plan, &edit);
+                let shrunk =
+                    shrunk.unwrap_or_else(|| panic!("seed {seed}: `{edit}` does not apply"));
+                validate_plan(&shrunk).unwrap_or_else(|e| panic!("seed {seed}, `{edit}`: {e}"));
+            }
+        }
+    }
+
     #[test]
     fn edits_round_trip_through_text() {
         for line in [

@@ -1,14 +1,13 @@
 //! The edit grammar's property tests: the fuzzer's mutations are drawn
-//! edits ([`draw`]) and the shrinker's candidates are `drop` edits at
-//! [`sites`], and every one of them must leave the plan inside the
-//! generator's validity envelope — [`validate_plan`]-clean — because both
-//! execute their plans through the exact pipeline fresh seeds use. Every
-//! edit must also survive its text form, which is all a corpus entry
-//! keeps.
+//! edits ([`draw`]), and every one of them must leave the plan inside the
+//! generator's validity envelope — [`validate_plan`]-clean — because the
+//! fuzzer executes its plans through the exact pipeline fresh seeds use.
+//! Every edit must also survive its text form, which is all a corpus
+//! entry keeps.
 
 use std::collections::BTreeMap;
 
-use caa_harness::edit::{apply, draw, sites, Edit, Kind, Recipe};
+use caa_harness::edit::{apply, draw, Edit, Recipe};
 use caa_harness::plan::{validate_plan, ScenarioConfig, ScenarioPlan};
 use caa_harness::rng::Rng;
 
@@ -56,9 +55,10 @@ fn class(edit: &Edit) -> String {
 }
 
 /// 10 000 draws (200 base seeds × 50): every drawn edit applies to a
-/// valid plan and round-trips through its text form, every (kind, target)
-/// class fires, and every shrink candidate of every base plan is valid
-/// too — a class that never fires is grammar nobody exercises.
+/// valid plan and round-trips through its text form, and every
+/// (kind, target) class fires — a class that never fires is grammar
+/// nobody exercises. The shrinker's `drop` candidates are checked by
+/// `edit::tests::workload_reductions_preserve_plan_validity`.
 #[test]
 fn ten_thousand_mutations_preserve_plan_validity() {
     let config = ScenarioConfig::default();
@@ -66,18 +66,6 @@ fn ten_thousand_mutations_preserve_plan_validity() {
     for base_seed in 0..200u64 {
         let plan = ScenarioPlan::generate(base_seed, &config);
         validate_plan(&plan).expect("generated plans are valid");
-        for (kind, site) in sites(&plan) {
-            if kind == Kind::Drop {
-                let edit = Edit {
-                    kind,
-                    site,
-                    value: None,
-                };
-                let shrunk = apply(&plan, &edit)
-                    .unwrap_or_else(|| panic!("base seed {base_seed}: `{edit}` does not apply"));
-                validate_plan(&shrunk).expect("apply ends in validate_plan");
-            }
-        }
         for i in 0..50u64 {
             let edit = draw(&plan, &mut Rng::new((base_seed * 50 + i) ^ 0x5eed));
             let edited = apply(&plan, &edit)
