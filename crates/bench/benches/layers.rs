@@ -53,7 +53,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use caa_bench::{nested_abort, simultaneous_raise_xrr, NestedAbortParams, SimultaneousRaiseParams};
@@ -70,7 +70,7 @@ use caa_harness::metrics::MetricsRecorder;
 use caa_harness::oracle::check_run;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::build_span_tree;
-use caa_harness::sweep::{run_seed_in, PathCoverage};
+use caa_harness::sweep::{run_plan_checked, PathCoverage};
 use caa_harness::trace::{hash64, Entry, EntryKind, Trace, TraceRecorder};
 use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{Event, EventKind, Observer};
@@ -151,20 +151,20 @@ fn primitives() -> Vec<ExceptionId> {
 
 fn bench_definitions() {
     let prims = primitives();
-    let graph = Arc::new(conjunction_lattice(&prims, 2).expect("distinct primitives"));
+    let graph = Rc::new(conjunction_lattice(&prims, 2).expect("distinct primitives"));
     let roles: Vec<Name> = (0..N).map(|t| format!("r{t}").into()).collect();
     let name = Name::new("a0.1");
-    let fallback: Handler = Arc::new(|hc| {
+    let fallback: Handler = Rc::new(|hc| {
         hc.work(secs(0.1))?;
         Ok(HandlerVerdict::Recovered)
     });
-    let abort: AbortHandler = Arc::new(|ac| {
+    let abort: AbortHandler = Rc::new(|ac| {
         ac.work(secs(0.1))?;
         Ok(None)
     });
     bench("action_def_build_n5", 1, 100, || {
         let mut builder = ActionDef::builder(name)
-            .graph_shared(Arc::clone(&graph))
+            .graph_shared(Rc::clone(&graph))
             .signal_timeout(secs(2.0))
             .exit_timeout(secs(200.0))
             .resolution_timeout(secs(200.0));
@@ -173,8 +173,8 @@ fn bench_definitions() {
         }
         for &role in &roles {
             builder = builder
-                .fallback_handler_shared(role, Arc::clone(&fallback))
-                .abort_handler_shared(role, Arc::clone(&abort));
+                .fallback_handler_shared(role, Rc::clone(&fallback))
+                .abort_handler_shared(role, Rc::clone(&abort));
         }
         builder.build().expect("five distinct roles")
     });
@@ -458,7 +458,8 @@ fn bench_seed_cost_model() {
     let mut arena = ExecutionArena::new();
     let pass = |arena: &mut ExecutionArena| {
         for seed in 0..SEEDS_PER_ITER {
-            let result = run_seed_in(seed, &scenario, false, arena);
+            let plan = ScenarioPlan::generate(seed, &scenario);
+            let result = run_plan_checked(plan, false, arena);
             arena.recycle_trace(result.artifacts.trace);
         }
     };

@@ -9,8 +9,10 @@
 //! claims under reproduction are the *shapes*: linearity, relative
 //! coefficients, the >1 s knee, and the ours-vs-CR ordering.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use caa_core::exception::Exception;
 use caa_core::outcome::HandlerVerdict;
@@ -61,34 +63,37 @@ const NESTED_ABORT_WORK: f64 = 3.4;
 const HANDLER_WORK: f64 = 0.4;
 
 /// The §5.2 exception graph: `E1∩E3` covers the raised `E1` and the
-/// abortion handler's `E3`. No parameter reaches it, so every run in the
-/// process shares one.
-fn nested_abort_graph() -> Arc<ExceptionGraph> {
-    static GRAPH: OnceLock<Arc<ExceptionGraph>> = OnceLock::new();
-    Arc::clone(GRAPH.get_or_init(|| {
-        Arc::new(
+/// abortion handler's `E3`. No parameter reaches it, so every run on a
+/// thread shares one.
+fn nested_abort_graph() -> Rc<ExceptionGraph> {
+    thread_local! {
+        static GRAPH: Rc<ExceptionGraph> = Rc::new(
             ExceptionGraphBuilder::new()
                 .resolves("E1∩E3", ["E1", "E3"])
                 .build()
                 .expect("scenario graph"),
-        )
-    }))
+        );
+    }
+    GRAPH.with(Rc::clone)
 }
 
 /// The §5.3 exception graph: the full conjunction lattice over `e0 … e(n−1)`
-/// — a pure function of `n`, built once per `n` per process (2ⁿ − 1 nodes:
+/// — a pure function of `n`, built once per `n` per thread (2ⁿ − 1 nodes:
 /// at the paper's n = 3 a build costs as much as the run's messages).
-fn simultaneous_raise_graph(n: u32) -> Arc<ExceptionGraph> {
-    static LATTICES: Mutex<BTreeMap<u32, Arc<ExceptionGraph>>> = Mutex::new(BTreeMap::new());
-    // A panic under the lock can only come from `conjunction_lattice`,
-    // before the insert: the map is whole either way.
-    let mut lattices = LATTICES.lock().unwrap_or_else(PoisonError::into_inner);
-    Arc::clone(lattices.entry(n).or_insert_with(|| {
-        let prims: Vec<caa_core::ExceptionId> = (0..n)
-            .map(|i| caa_core::ExceptionId::new(format!("e{i}")))
-            .collect();
-        Arc::new(conjunction_lattice(&prims, prims.len()).expect("conjunction lattice"))
-    }))
+fn simultaneous_raise_graph(n: u32) -> Rc<ExceptionGraph> {
+    thread_local! {
+        static LATTICES: RefCell<BTreeMap<u32, Rc<ExceptionGraph>>> = const {
+            RefCell::new(BTreeMap::new())
+        };
+    }
+    LATTICES.with_borrow_mut(|lattices| {
+        Rc::clone(lattices.entry(n).or_insert_with(|| {
+            let prims: Vec<caa_core::ExceptionId> = (0..n)
+                .map(|i| caa_core::ExceptionId::new(format!("e{i}")))
+                .collect();
+            Rc::new(conjunction_lattice(&prims, prims.len()).expect("conjunction lattice"))
+        }))
+    })
 }
 
 /// Runs the §5.2 scenario: "three threads take part in a CA action and two

@@ -11,23 +11,22 @@
 
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::exception::{Exception, ExceptionId, Signal};
 use crate::ids::{ActionId, ThreadId};
 
 /// A shared, empty removed-thread set — the `view_removed` payload of
-/// every crash-free [`Message::Commit`]. Cloning the returned `Arc` is
+/// every crash-free [`Message::Commit`]. Cloning the returned `Rc` is
 /// allocation-free, so the common case (no view changes) costs nothing
-/// per recipient *or* per message. One set per thread, not per process:
-/// the sweep workers' crash-free commits would otherwise all count
-/// references on one cache line.
+/// per recipient *or* per message. One set per thread: a run's messages
+/// never leave the thread that runs it.
 #[must_use]
-pub fn no_removals() -> Arc<[ThreadId]> {
+pub fn no_removals() -> Rc<[ThreadId]> {
     thread_local! {
-        static EMPTY: Arc<[ThreadId]> = Arc::from([]);
+        static EMPTY: Rc<[ThreadId]> = Rc::from([]);
     }
-    EMPTY.with(Arc::clone)
+    EMPTY.with(Rc::clone)
 }
 
 /// Round number of the signalling algorithm: the first exchange, or the
@@ -54,10 +53,10 @@ impl fmt::Display for SignalRound {
 ///
 /// The coordination protocols never inspect application payloads; they only
 /// count them (the paper's complexity results exclude application traffic).
-/// Payloads are `Any + Send` because the whole system runs in one process;
-/// a wire format would replace this with serialized bytes. A payload of one
-/// of the common scalar types (a counter, an index, a flag) is held inline;
-/// any other value is boxed.
+/// Payloads are `Any` because the whole system runs on one thread of one
+/// process; a wire format would replace this with serialized bytes. A
+/// payload of one of the common scalar types (a counter, an index, a flag)
+/// is held inline; any other value is boxed.
 pub struct AppPayload(Repr);
 
 /// Declares [`Repr`]: one inline variant per listed scalar type, and the
@@ -66,11 +65,11 @@ macro_rules! payload_repr {
     ($($variant:ident($scalar:ty)),* $(,)?) => {
         enum Repr {
             $($variant($scalar),)*
-            Boxed(Box<dyn Any + Send>),
+            Boxed(Box<dyn Any>),
         }
 
         impl Repr {
-            fn new<T: Any + Send>(value: T) -> Repr {
+            fn new<T: Any>(value: T) -> Repr {
                 // `Option<T>` behind `dyn Any` is how a generic value is
                 // moved out as the concrete type it turns out to be.
                 let mut value = Some(value);
@@ -90,7 +89,7 @@ macro_rules! payload_repr {
                 }
             }
 
-            fn downcast<T: Any + Send>(self) -> Result<T, Repr> {
+            fn downcast<T: Any>(self) -> Result<T, Repr> {
                 match self {
                     $(Repr::$variant(scalar) => {
                         let mut scalar = Some(scalar);
@@ -122,7 +121,7 @@ payload_repr!(
 impl AppPayload {
     /// Wraps a value as an application payload.
     #[must_use]
-    pub fn new<T: Any + Send>(value: T) -> Self {
+    pub fn new<T: Any>(value: T) -> Self {
         AppPayload(Repr::new(value))
     }
 
@@ -132,13 +131,13 @@ impl AppPayload {
     ///
     /// Returns `Err(self)` when the payload is not a `T`, so the caller can
     /// try another type.
-    pub fn downcast<T: Any + Send>(self) -> Result<T, AppPayload> {
+    pub fn downcast<T: Any>(self) -> Result<T, AppPayload> {
         self.0.downcast().map_err(AppPayload)
     }
 
     /// Borrows the payload by type, if it is a `T`.
     #[must_use]
-    pub fn downcast_ref<T: Any + Send>(&self) -> Option<&T> {
+    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.0.as_any().downcast_ref::<T>()
     }
 }
@@ -205,10 +204,10 @@ pub enum Message {
         /// The resolver's membership epoch at commit time.
         view_epoch: u32,
         /// Every thread the resolver's view removed since epoch 0. Shared
-        /// (`Arc`) so a commit broadcast to `N − 1` peers clones one
+        /// (`Rc`) so a commit broadcast to `N − 1` peers clones one
         /// reference per recipient instead of deep-copying the set; use
         /// [`no_removals`] for the crash-free (empty) case.
-        view_removed: Arc<[ThreadId]>,
+        view_removed: Rc<[ThreadId]>,
     },
     /// Auxiliary agreement message used by *baseline* resolution protocols
     /// (e.g. the propose/confirm rounds of Romanovsky et al. 1996). The
@@ -251,9 +250,9 @@ pub enum Message {
         /// The new membership epoch (the initial full view is epoch 0).
         epoch: u32,
         /// The threads presumed crashed and removed by this view change.
-        /// Shared (`Arc`) so the announcement broadcast clones a reference
+        /// Shared (`Rc`) so the announcement broadcast clones a reference
         /// per survivor instead of deep-copying the set.
-        removed: Arc<[ThreadId]>,
+        removed: Rc<[ThreadId]>,
     },
     /// Epoch-numbered rejoin, step 1: a restarted participant asks the
     /// survivors of the action instance for the current membership view
@@ -286,9 +285,9 @@ pub enum Message {
         /// State summary: the granter's cumulative removed set *after*
         /// re-admission (`thread` is no longer in it), so the rejoiner
         /// fast-forwards a fresh full view straight to the granter's
-        /// post-grant view. Shared (`Arc`): the broadcast clones a
+        /// post-grant view. Shared (`Rc`): the broadcast clones a
         /// reference per recipient.
-        removed: Arc<[ThreadId]>,
+        removed: Rc<[ThreadId]>,
         /// State summary: the frame's current exit epoch, so the rejoiner
         /// votes in the exit round the survivors are (or will be) in.
         exit_epoch: u32,
@@ -497,7 +496,7 @@ mod tests {
                 action: a,
                 from: t,
                 epoch: 1,
-                removed: Arc::from(vec![ThreadId::new(2)]),
+                removed: Rc::from(vec![ThreadId::new(2)]),
             },
             Message::JoinRequest { action: a, from: t },
             Message::JoinGrant {
@@ -505,7 +504,7 @@ mod tests {
                 from: t,
                 thread: ThreadId::new(2),
                 epoch: 2,
-                removed: Arc::from(vec![ThreadId::new(2)]),
+                removed: Rc::from(vec![ThreadId::new(2)]),
                 exit_epoch: 1,
                 resolved: Some(ExceptionId::new("e1")),
             },

@@ -37,7 +37,8 @@
 //!   actions or seeds is data — a verdict, an exception to return — that
 //!   the running plan holds, so one fallback handler and one abortion
 //!   handler, made with the arena, serve every definition it ever builds
-//!   (they look their data up in the plan the calling thread is running);
+//!   (they look their data up in the plan the arena is running, which
+//!   they find in the arena's plan slot);
 //! * the **compiled plan**: the flat tables a plan is compiled into
 //!   (actions in preorder, each phase's object operations sorted by
 //!   offset), the shared objects and the role and thread names are
@@ -60,7 +61,7 @@ use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::ExceptionGraph;
 use caa_runtime::ActionDef;
 
-use crate::exec::{CompiledPlan, DefKey, Handlers};
+use crate::exec::{DefKey, Handlers, PlanSlot};
 use crate::inthash::{IntHasher, IntMap};
 use crate::metrics::{MetricsRecorder, SweepMetrics};
 use crate::plan::ActionPlan;
@@ -81,7 +82,7 @@ pub(crate) struct ActionShape {
     /// The group the ids below are parallel to.
     group: Box<[u32]>,
     /// The conjunction lattice over `raises`.
-    pub(crate) graph: Arc<ExceptionGraph>,
+    pub(crate) graph: Rc<ExceptionGraph>,
     /// Parallel to the group: what each member raises
     /// ([`ActionPlan::raise_exception`]).
     pub(crate) raises: Box<[ExceptionId]>,
@@ -101,7 +102,7 @@ impl ActionShape {
         ActionShape {
             name: Name::new(&plan.name),
             group: plan.group.as_slice().into(),
-            graph: Arc::new(
+            graph: Rc::new(
                 conjunction_lattice(&raises, 2.min(raises.len()))
                     .expect("per-action raise exceptions are nonempty and distinct"),
             ),
@@ -144,7 +145,6 @@ struct CachedShape {
 /// let second = execute_in(&plan, &mut arena);
 /// assert_eq!(second.trace.render(), first_render);
 /// ```
-#[derive(Default)]
 pub struct ExecutionArena {
     /// The recorder attached to every system executed through this arena;
     /// empty between executions.
@@ -156,8 +156,8 @@ pub struct ExecutionArena {
     shapes: IntMap<u64, Vec<CachedShape>>,
     /// The one handler pair every definition of this arena registers.
     handlers: Handlers,
-    /// The last execution's compiled plan, for the next one to refill.
-    compiled: Option<Rc<CompiledPlan>>,
+    /// The compiled plan, where the handler pair reads it.
+    compiled: PlanSlot,
     /// Per-worker metrics recorder: pre-registered histogram handles plus
     /// reusable correlation scratch, so per-seed metric extraction is
     /// allocation-free in steady state (see [`crate::metrics`]).
@@ -170,6 +170,21 @@ impl std::fmt::Debug for ExecutionArena {
             .field("trace_bufs", &self.trace_bufs.len())
             .field("shapes", &self.shapes.len())
             .finish()
+    }
+}
+
+impl Default for ExecutionArena {
+    /// An empty arena; warms up over the first seed or two.
+    fn default() -> ExecutionArena {
+        let compiled = PlanSlot::default();
+        ExecutionArena {
+            recorder: Arc::default(),
+            trace_bufs: Vec::new(),
+            shapes: IntMap::default(),
+            handlers: Handlers::reading(&compiled),
+            compiled,
+            metrics: MetricsRecorder::default(),
+        }
     }
 }
 
@@ -203,19 +218,10 @@ impl ExecutionArena {
         self.recorder.take_trace_into(recycled)
     }
 
-    /// The compiled plan to refill for the next execution: the last one's
-    /// tables, unless something still shares them (a participant that never
-    /// finished).
-    pub(crate) fn take_compiled(&mut self) -> Rc<CompiledPlan> {
-        self.compiled
-            .take()
-            .filter(|compiled| Rc::strong_count(compiled) == 1)
-            .unwrap_or_default()
-    }
-
-    /// Hands the compiled plan back once its execution is over.
-    pub(crate) fn put_compiled(&mut self, compiled: Rc<CompiledPlan>) {
-        self.compiled = Some(compiled);
+    /// Where the compiled plan is kept: refilled by each execution, and
+    /// read by the handler pair while it runs.
+    pub(crate) fn plan_slot(&self) -> &PlanSlot {
+        &self.compiled
     }
 
     /// The cache entry of `plan`'s shape (a pure function of the action's
@@ -324,7 +330,7 @@ mod tests {
         );
         let s3 = shape_for(&mut arena, &action("a0", &[0, 2]));
         assert!(
-            !Arc::ptr_eq(&s1.graph, &s3.graph),
+            !Rc::ptr_eq(&s1.graph, &s3.graph),
             "different groups, different graphs"
         );
         // Same members under another name: another shape.

@@ -10,7 +10,7 @@
 //! the same plan renders a byte-identical [`Trace`] on every run.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -112,6 +112,12 @@ pub(crate) struct CompiledPlan {
     roles: Vec<Name>,
     threads: Vec<Name>,
 }
+
+/// Where an [`ExecutionArena`] keeps its compiled plan: the last
+/// execution's between executions, for the next one to refill, and the
+/// running one during `System::run`, for the arena's handler pair to read
+/// (see [`Handlers`]).
+pub(crate) type PlanSlot = Rc<RefCell<Option<Rc<CompiledPlan>>>>;
 
 /// Per-level separation factor for the crash-detecting bounded waits.
 ///
@@ -243,7 +249,7 @@ fn build_definition(
     handlers: &Handlers,
 ) -> ActionDef {
     let mut builder = ActionDef::builder(shape.name)
-        .graph_shared(Arc::clone(&shape.graph))
+        .graph_shared(Rc::clone(&shape.graph))
         .signal_timeout(key.signal_timeout)
         .exit_timeout(key.exit_timeout)
         .resolution_timeout(key.resolution_timeout);
@@ -255,13 +261,13 @@ fn build_definition(
     // plan, by the action and thread the handler finds itself in.
     for (member, &t) in action.group.iter().enumerate() {
         if key.handled & 1u64 << member != 0 {
-            let fallback = Arc::clone(&handlers.fallback);
+            let fallback = Rc::clone(&handlers.fallback);
             builder = builder.fallback_handler_shared(roles[t as usize], fallback);
         }
     }
     if key.nested {
         for &t in &action.group {
-            let abort = Arc::clone(&handlers.abort);
+            let abort = Rc::clone(&handlers.abort);
             builder = builder.abort_handler_shared(roles[t as usize], abort);
         }
     }
@@ -270,34 +276,31 @@ fn build_definition(
         .expect("generated plans declare valid roles")
 }
 
-thread_local! {
-    /// The compiled plan whose participants the calling thread is running
-    /// ([`execute_owned`] sets it around `System::run`): where the handler
-    /// pair finds the verdicts and exceptions of the action it runs in. A
-    /// handler is shared by every definition of an arena and outlives any
-    /// one plan, so it cannot capture them.
-    static RUNNING: RefCell<Option<Rc<CompiledPlan>>> = const { RefCell::new(None) };
-}
-
-/// The running plan (see [`RUNNING`]).
-fn running() -> Rc<CompiledPlan> {
-    RUNNING
-        .with(|running| running.borrow().clone())
-        .expect("a handler runs under execute_owned")
+/// The plan running in the arena whose slot `slot` is.
+fn running(slot: &Weak<RefCell<Option<Rc<CompiledPlan>>>>) -> Rc<CompiledPlan> {
+    slot.upgrade()
+        .and_then(|slot| slot.borrow().clone())
+        .expect("a handler runs in a plan its arena executes")
 }
 
 /// The fallback handler and the abortion handler that every definition an
-/// [`ExecutionArena`] builds registers for every role.
+/// [`ExecutionArena`] builds registers for every role. A handler is shared
+/// by every definition of the arena and outlives any one plan, so it
+/// captures none: it finds the verdicts and exceptions of the action it
+/// runs in through the arena's [`PlanSlot`] — held weakly, because the
+/// plan in the slot holds the definitions that hold the handlers.
 pub(crate) struct Handlers {
     fallback: Handler,
     abort: AbortHandler,
 }
 
-impl Default for Handlers {
-    fn default() -> Self {
+impl Handlers {
+    /// The pair that reads the running plan from `slot`.
+    pub(crate) fn reading(slot: &PlanSlot) -> Handlers {
+        let (for_fallback, for_abort) = (Rc::downgrade(slot), Rc::downgrade(slot));
         Handlers {
-            fallback: Arc::new(|hc| {
-                let shared = running();
+            fallback: Rc::new(move |hc| {
+                let shared = running(&for_fallback);
                 hc.work(secs(shared.plan.delta))?;
                 let node = shared.node_named(hc.action_name());
                 let choice = of_member(&node.verdicts, hc.thread_id().as_u32())
@@ -310,8 +313,8 @@ impl Default for Handlers {
                     VerdictChoice::Signal => HandlerVerdict::Signal(node.shape.signal),
                 })
             }),
-            abort: Arc::new(|ac| {
-                let shared = running();
+            abort: Rc::new(move |ac| {
+                let shared = running(&for_abort);
                 ac.work(secs(shared.plan.t_abort))?;
                 let node = shared.node_named(ac.action_name());
                 Ok(of_member(&node.eab_rows, ac.thread_id().as_u32())
@@ -443,18 +446,14 @@ fn body_phases(
 /// Executes `plan` on a fresh virtual-time system, recording a canonical
 /// trace. The run is deterministic: the same plan produces byte-identical
 /// [`Trace::render`] output on every execution.
-#[must_use]
-pub fn execute(plan: &ScenarioPlan) -> RunArtifacts {
-    execute_in(plan, &mut ExecutionArena::new())
-}
-
-/// [`execute`] through a per-worker [`ExecutionArena`]: the trace recorder
-/// and its buffers, the compiled plan's tables and the definitions and
-/// resolution lattices of recurring actions are recycled across calls (as
-/// network storage is by the runtime's per-thread run pool, arena or no
-/// arena), so a sweep worker stops paying per-seed
-/// setup/teardown allocation. Arena reuse is a pure allocation cache —
-/// traces stay byte-identical to a fresh execution's.
+///
+/// The execution goes through `arena`: the trace recorder and its
+/// buffers, the compiled plan's tables and the definitions and resolution
+/// lattices of recurring actions are recycled across calls (as network
+/// storage is by the runtime's per-thread run pool), so a sweep worker
+/// stops paying per-seed setup/teardown allocation. Arena reuse is a pure
+/// allocation cache — traces stay byte-identical to a fresh execution's;
+/// a caller with no arena to keep passes `&mut ExecutionArena::default()`.
 #[must_use]
 pub fn execute_in(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> RunArtifacts {
     execute_owned(plan.clone(), arena, Instant::now()).0
@@ -483,15 +482,6 @@ impl std::ops::AddAssign for ExecuteStages {
     }
 }
 
-/// Clears [`RUNNING`] when the run it was set for ends, however it ends.
-struct RunningGuard;
-
-impl Drop for RunningGuard {
-    fn drop(&mut self) {
-        RUNNING.with(|running| running.borrow_mut().take());
-    }
-}
-
 /// [`execute_in`] taking the plan by value (the sweep driver's path): the
 /// run's participant bodies share the plan itself, not copies of its
 /// parts, and the artifacts get it back once they are gone. The execution
@@ -503,26 +493,32 @@ pub(crate) fn execute_owned(
     arena: &mut ExecutionArena,
     started: Instant,
 ) -> (RunArtifacts, ExecuteStages, Instant) {
-    let mut compiled = arena.take_compiled();
+    let slot = Rc::clone(arena.plan_slot());
+    // The last execution's tables, unless something still shares them (a
+    // participant that never finished).
+    let mut compiled = slot
+        .take()
+        .filter(|compiled| Rc::strong_count(compiled) == 1)
+        .unwrap_or_default();
     Rc::get_mut(&mut compiled)
-        .expect("the arena hands out a compilation nothing shares")
+        .expect("a compilation nothing shares")
         .refill(plan, arena);
     let sys = spawn_plan(&compiled, arena);
+    slot.replace(Some(compiled));
     let built = Instant::now();
-    let report = {
-        RUNNING.with(|running| running.replace(Some(Rc::clone(&compiled))));
-        let _running = RunningGuard;
-        sys.run()
-    };
+    let report = sys.run();
     let ran = Instant::now();
     let trace = arena.take_trace();
     // Every body ran to its end on its fiber and was dropped there, so
-    // this handle is the last one.
-    let plan = match Rc::get_mut(&mut compiled) {
-        Some(compiled) => std::mem::take(&mut compiled.plan),
-        None => compiled.plan.clone(),
+    // the slot's handle is the last one.
+    let plan = {
+        let mut running = slot.borrow_mut();
+        let compiled = running.as_mut().expect("filled above");
+        match Rc::get_mut(compiled) {
+            Some(compiled) => std::mem::take(&mut compiled.plan),
+            None => compiled.plan.clone(),
+        }
     };
-    arena.put_compiled(compiled);
     let ended = Instant::now();
     let stages = ExecuteStages {
         build: built - started,
@@ -632,7 +628,7 @@ mod tests {
     #[test]
     fn a_simple_seed_executes_cleanly() {
         let plan = ScenarioPlan::generate(1, &ScenarioConfig::default());
-        let artifacts = execute(&plan);
+        let artifacts = execute_in(&plan, &mut ExecutionArena::default());
         for (i, (name, result)) in artifacts.report.results.iter().enumerate() {
             let planned = plan.crashes.iter().find(|c| c.thread == i as u32);
             match result {
@@ -686,7 +682,7 @@ mod tests {
             if !plan.has_objects() {
                 continue;
             }
-            let artifacts = execute(&plan);
+            let artifacts = execute_in(&plan, &mut ExecutionArena::default());
             acquisitions += artifacts
                 .trace
                 .runtime_events()
@@ -714,7 +710,7 @@ mod tests {
                 continue;
             }
             found = true;
-            let artifacts = execute(&plan);
+            let artifacts = execute_in(&plan, &mut ExecutionArena::default());
             for (i, (name, result)) in artifacts.report.results.iter().enumerate() {
                 let planned = plan.crashes.iter().find(|c| c.thread == i as u32);
                 match (planned, result) {

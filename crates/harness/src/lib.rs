@@ -58,10 +58,10 @@
 //!
 //! ```
 //! use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
-//! use caa_harness::{exec, oracle};
+//! use caa_harness::{exec, oracle, ExecutionArena};
 //!
 //! let plan = ScenarioPlan::generate(7, &ScenarioConfig::default());
-//! let artifacts = exec::execute(&plan);
+//! let artifacts = exec::execute_in(&plan, &mut ExecutionArena::default());
 //! assert!(oracle::check_run(&artifacts).is_empty());
 //! println!("{}", artifacts.trace.render());
 //! ```
@@ -96,12 +96,12 @@ pub mod trace;
 
 pub use arena::ExecutionArena;
 pub use edit::{apply, load_corpus_plan, Edit, Recipe};
-pub use exec::{execute, execute_in, RunArtifacts};
+pub use exec::{execute_in, RunArtifacts};
 pub use fuzz::{fuzz, CoverageDoc, FuzzConfig, FuzzReport, COVERAGE_SCHEMA};
-pub use oracle::{check_invariants, check_replay, check_replay_protocol, check_run, Violation};
+pub use oracle::{check_invariants, check_replay, check_run, Violation};
 pub use plan::{validate_plan, ScenarioConfig, ScenarioPlan};
 pub use sweep::{
-    merge_signatures, run_plan_checked, run_seed, run_seed_in, sweep, PathCoverage, SeedResult,
-    Shard, SignatureMap, SweepConfig, SweepReport,
+    merge_signatures, run_plan_checked, sweep, PathCoverage, SeedResult, Shard, SignatureMap,
+    SweepConfig, SweepReport,
 };
 pub use trace::{Trace, TraceRecorder};

@@ -774,39 +774,11 @@ pub fn check_replay(original: &Trace, replay: &Trace) -> Option<Violation> {
         .map(|first_diff_line| Violation::ReplayDiverged { first_diff_line })
 }
 
-/// Compares the timestamp-free protocol projections of two traces (see
-/// [`Trace::protocol_projection`]).
-///
-/// Historical/diagnostic: before shared-object acquisition was arbitrated
-/// through the simulation, systems synchronising through objects (the
-/// production cell) could only be replay-checked on this weaker
-/// projection. Everything now replays byte-exactly under [`check_replay`];
-/// the projection remains useful for triaging *which* side of a divergence
-/// (timing vs protocol steps) a future regression sits on.
-#[must_use]
-pub fn check_replay_protocol(original: &Trace, replay: &Trace) -> Option<Violation> {
-    diff_renderings(
-        &original.protocol_projection(),
-        &replay.protocol_projection(),
-    )
-}
-
-fn diff_renderings(a: &str, b: &str) -> Option<Violation> {
-    if a == b {
-        return None;
-    }
-    let first_diff_line = a
-        .lines()
-        .zip(b.lines())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.lines().count().min(b.lines().count()));
-    Some(Violation::ReplayDiverged { first_diff_line })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::arena::ExecutionArena;
+    use crate::exec::execute_in;
     use crate::plan::ScenarioConfig;
 
     #[test]
@@ -814,7 +786,7 @@ mod tests {
         let cfg = ScenarioConfig::default();
         for seed in [0, 1, 2, 3] {
             let plan = ScenarioPlan::generate(seed, &cfg);
-            let artifacts = execute(&plan);
+            let artifacts = execute_in(&plan, &mut ExecutionArena::default());
             let violations = check_run(&artifacts);
             assert!(
                 violations.is_empty(),
@@ -834,10 +806,11 @@ mod tests {
     fn replay_check_accepts_identical_and_flags_divergent() {
         let cfg = ScenarioConfig::default();
         let plan = ScenarioPlan::generate(5, &cfg);
-        let a = execute(&plan);
-        let b = execute(&plan);
+        let mut arena = ExecutionArena::default();
+        let a = execute_in(&plan, &mut arena);
+        let b = execute_in(&plan, &mut arena);
         assert_eq!(check_replay(&a.trace, &b.trace), None);
-        let other = execute(&ScenarioPlan::generate(6, &cfg));
+        let other = execute_in(&ScenarioPlan::generate(6, &cfg), &mut arena);
         assert!(check_replay(&a.trace, &other.trace).is_some());
     }
 }

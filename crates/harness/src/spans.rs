@@ -703,7 +703,8 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::arena::ExecutionArena;
+    use crate::exec::execute_in;
     use crate::plan::{ScenarioConfig, ScenarioPlan};
     use crate::trace::TraceRecorder;
     use caa_core::exception::ExceptionId;
@@ -793,7 +794,7 @@ mod tests {
     fn segments_sum_exactly_to_latency_on_real_seeds() {
         for seed in 0..32u64 {
             let plan = ScenarioPlan::generate(seed, &ScenarioConfig::default());
-            let artifacts = execute(&plan);
+            let artifacts = execute_in(&plan, &mut ExecutionArena::default());
             for path in critical_paths(&artifacts.trace) {
                 let sum: u64 = path.segments.iter().map(Segment::duration_ns).sum();
                 assert_eq!(
@@ -812,7 +813,7 @@ mod tests {
     #[test]
     fn span_tree_covers_protocol_phases() {
         let plan = ScenarioPlan::generate(3, &ScenarioConfig::default());
-        let artifacts = execute(&plan);
+        let artifacts = execute_in(&plan, &mut ExecutionArena::default());
         let tree = build_span_tree(&artifacts.trace);
         assert!(!tree.is_empty());
         let text = tree.render();
@@ -836,7 +837,7 @@ mod tests {
         let mut scratch = CriticalPathScratch::new();
         for seed in [11u64, 12, 13] {
             let plan = ScenarioPlan::generate(seed, &ScenarioConfig::default());
-            let artifacts = execute(&plan);
+            let artifacts = execute_in(&plan, &mut ExecutionArena::default());
             let mut reused = Vec::new();
             scratch.extract(&artifacts.trace, |p| reused.push(p.clone()));
             assert_eq!(reused, critical_paths(&artifacts.trace), "seed {seed}");

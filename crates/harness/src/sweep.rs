@@ -5,8 +5,9 @@
 //! Each seed is an independent, fully deterministic simulation; the sweep
 //! is embarrassingly parallel and scales with the host's cores while the
 //! simulated time stays virtual. A violating seed reproduces exactly with
-//! [`run_seed`] (or `cargo run --release -p caa-bench --bin caa -- replay
-//! <seed>`; `caa sweep --seeds N` is this module from the command line).
+//! [`run_plan_checked`] over the plan its seed generates (or `cargo run
+//! --release -p caa-bench --bin caa -- replay <seed>`; `caa sweep --seeds
+//! N` is this module from the command line).
 //! Beyond one host, a seed range splits across processes or machines with
 //! [`SweepConfig::shard`] (`--shard k/n` on `caa sweep|bench|fuzz|hashes`):
 //! shards are disjoint, deterministic and together cover the range exactly.
@@ -149,8 +150,9 @@ impl SeedResult {
     /// including the sweep's (possibly non-default) [`ScenarioConfig`]
     /// and a byte-exact comparison against the recorded trace. Without
     /// one, the bare-seed form regenerates the plan under the **default**
-    /// config; a sweep run with a custom config but no corpus must call
-    /// [`run_seed`] with that same config to reproduce the seed.
+    /// config; a sweep run with a custom config but no corpus must
+    /// generate the seed's plan under that same config and run it with
+    /// [`run_plan_checked`] to reproduce the seed.
     #[must_use]
     pub fn replay_command(&self) -> String {
         match &self.corpus {
@@ -497,57 +499,20 @@ impl SweepReport {
     }
 }
 
-/// Runs one seed end to end: generate the plan, execute it, check every
-/// oracle — executing twice and comparing traces when `check_replay`.
-#[must_use]
-pub fn run_seed(seed: u64, scenario: &ScenarioConfig, check_replay_too: bool) -> SeedResult {
-    run_seed_in(seed, scenario, check_replay_too, &mut ExecutionArena::new())
-}
-
-/// [`run_seed`] through a per-worker [`ExecutionArena`]: both executions
-/// (run and replay check) recycle network storage, trace buffers and
-/// resolution lattices, and the replay comparison streams line by line
-/// instead of rendering two full trace strings. Allocation reuse is
-/// observably free: traces stay byte-identical to arena-less runs.
-#[must_use]
-pub fn run_seed_in(
-    seed: u64,
-    scenario: &ScenarioConfig,
-    check_replay_too: bool,
-    arena: &mut ExecutionArena,
-) -> SeedResult {
-    run_seed_from(Instant::now(), seed, scenario, check_replay_too, arena)
-}
-
-/// [`run_seed_in`] for a caller that has read the clock already: the seed's
-/// work starts at `started`. The stage timers are cut at shared instants —
-/// the end of one stage is the start of the next — so a seed reads the
-/// clock once per stage boundary, not twice per stage.
-fn run_seed_from(
-    started: Instant,
-    seed: u64,
-    scenario: &ScenarioConfig,
-    check_replay_too: bool,
-    arena: &mut ExecutionArena,
-) -> SeedResult {
-    let plan = ScenarioPlan::generate(seed, scenario);
-    let generated = Instant::now();
-    arena
-        .metrics_recorder()
-        .add_wall(WallCounter::StageGenerate, wall_ns(generated - started));
-    run_plan_from(generated, plan, check_replay_too, arena)
-}
-
 /// Wall-clock duration as nanoseconds for the stage-timer counters
 /// (saturating — a stage will not run for 584 years).
 pub(crate) fn wall_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs an **explicit plan** end to end — execute, check every oracle,
-/// optionally re-execute and compare traces — through a reusable arena.
-/// This is [`run_seed_in`] minus the generation step: the fuzz loop
-/// ([`mod@crate::fuzz`]) calls it with *mutated* plans no seed generates.
+/// Runs a plan end to end — execute, check every oracle, and, with
+/// `check_replay_too`, execute again and compare traces — through a
+/// reusable arena: both executions recycle network storage, trace buffers
+/// and resolution lattices, and the replay comparison streams line by line
+/// instead of rendering two full trace strings. The plan may be one a seed
+/// generates or one no seed does (the fuzz loop's edited plans, a corpus
+/// entry's recipe); a caller with no arena to keep passes
+/// `&mut ExecutionArena::default()`.
 #[must_use]
 pub fn run_plan_checked(
     plan: ScenarioPlan,
@@ -557,7 +522,10 @@ pub fn run_plan_checked(
     run_plan_from(Instant::now(), plan, check_replay_too, arena)
 }
 
-/// [`run_plan_checked`] starting at `started` (see [`run_seed_from`]).
+/// [`run_plan_checked`] for a caller that has read the clock already: the
+/// plan's work starts at `started`. The stage timers are cut at shared
+/// instants — the end of one stage is the start of the next — so a seed
+/// reads the clock once per stage boundary, not twice per stage.
 fn run_plan_from(
     started: Instant,
     plan: ScenarioPlan,
@@ -587,9 +555,8 @@ fn run_plan_from(
         ended = Instant::now();
         oracle += ended - replayed_at;
     }
-    // `stage_execute_ns` is the whole of the executions (`caa-perf` reads
-    // it under that name); the three parts are measured off the same four
-    // instants and sum to it.
+    // `stage_execute_ns` is the whole of the executions; the three parts
+    // are measured off the same four instants and sum to it.
     let (build_ns, run_ns, teardown_ns) = (
         wall_ns(execute.build),
         wall_ns(execute.run),
@@ -697,8 +664,12 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
             // of tickets), cut where one seed ends and the next begins.
             let mut at = Instant::now();
             for i in tickets {
-                let seed = config.start_seed + i;
-                let result = run_seed_from(at, seed, &config.scenario, config.check_replay, arena);
+                let plan = ScenarioPlan::generate(config.start_seed + i, &config.scenario);
+                let generated = Instant::now();
+                arena
+                    .metrics_recorder()
+                    .add_wall(WallCounter::StageGenerate, wall_ns(generated - at));
+                let result = run_plan_from(generated, plan, config.check_replay, arena);
                 tally.seeds_run += 1;
                 tally.entries += result.artifacts.trace.len() as u64;
                 // Crash plans idle through simulated hours: the sum may
@@ -887,7 +858,8 @@ mod tests {
 
     #[test]
     fn run_seed_exposes_replay_command() {
-        let result = run_seed(3, &ScenarioConfig::default(), false);
+        let plan = ScenarioPlan::generate(3, &ScenarioConfig::default());
+        let result = run_plan_checked(plan, false, &mut ExecutionArena::default());
         assert!(result.replay_command().ends_with("-- replay 3"));
     }
 
@@ -935,7 +907,8 @@ mod tests {
         let scenario = ScenarioConfig::object_heavy();
         // Fabricate a violation on a clean seed: corpus persistence is
         // about faithfully dumping whatever failed, not about how.
-        let mut result = run_seed(5, &scenario, false);
+        let mut arena = ExecutionArena::default();
+        let mut result = run_plan_checked(ScenarioPlan::generate(5, &scenario), false, &mut arena);
         result.violations.push(Violation::ThreadFailure {
             thread: "T0".into(),
             error: "injected for the corpus test".into(),
@@ -948,7 +921,7 @@ mod tests {
         assert_eq!(format!("{loaded:?}"), format!("{scenario:?}"));
         // ...and the recorded trace bytes reproduce exactly.
         let recorded = std::fs::read_to_string(entry.join("trace.txt")).unwrap();
-        let replayed = run_plan_checked(plan, false, &mut ExecutionArena::new());
+        let replayed = run_plan_checked(plan, false, &mut arena);
         assert_eq!(
             replayed.artifacts.trace.render(),
             recorded,
@@ -963,7 +936,8 @@ mod tests {
         // A different config failing on the same seed must not clobber
         // the recorded repro: it lands in a discriminated sibling entry.
         let other = ScenarioConfig::default();
-        let mut other_result = run_seed(5, &other, false);
+        let plan = ScenarioPlan::generate(5, &other);
+        let mut other_result = run_plan_checked(plan, false, &mut arena);
         other_result.violations.push(Violation::ThreadFailure {
             thread: "T0".into(),
             error: "second config".into(),

@@ -342,53 +342,6 @@ impl Trace {
         let common = self.entries.len().min(other.entries.len());
         (self.entries.len() != other.entries.len()).then_some(common)
     }
-
-    /// Renders the timestamp-free, per-thread *protocol projection*: each
-    /// thread's sequence of runtime protocol steps, no virtual times and
-    /// no network events, with action labels assigned in the projection's
-    /// own order of first appearance.
-    ///
-    /// Every supported system — harness scenarios and the production cell
-    /// alike — now replays byte-identically under [`Trace::render`]
-    /// (shared-object acquisition is arbitrated deterministically through
-    /// the simulation). The projection survives as a triage tool: when a
-    /// future regression makes full traces diverge, comparing projections
-    /// tells apart timing-only drift from genuine protocol divergence.
-    #[must_use]
-    pub fn protocol_projection(&self) -> String {
-        let mut steps: Vec<(&Entry, &EventKind)> = self
-            .entries
-            .iter()
-            .filter_map(|entry| match &entry.kind {
-                EntryKind::Runtime(e) => Some((entry, &e.kind)),
-                _ => None,
-            })
-            .collect();
-        steps.sort_by_key(|(entry, _)| (entry.thread, entry.seq));
-        // Canonical label → projection label.
-        let mut relabel = vec![NONE; self.index.instances.len()];
-        let mut next = 0;
-        let mut out = Vec::with_capacity(steps.len() * 32);
-        let mut line = Line::new();
-        for (entry, kind) in steps {
-            let act = &mut relabel[entry.label as usize];
-            if *act == NONE {
-                *act = next;
-                next += 1;
-            }
-            line.clear();
-            line.push_byte(b'T');
-            line.push_u64(u64::from(entry.thread));
-            line.push_str(" A");
-            line.push_u64(u64::from(*act));
-            line.push_byte(b' ');
-            line.push_kind(kind);
-            line.push_byte(b'\n');
-            line.or_display(|| format!("T{} A{act} {kind}\n", entry.thread));
-            out.extend_from_slice(line.bytes());
-        }
-        String::from_utf8(out).expect("rendered fields are utf-8")
-    }
 }
 
 /// Whether two entry kinds render to identical text, decided structurally

@@ -1,8 +1,8 @@
 //! Allocation-regression gate for the execute hot path.
 //!
-//! The arena / Arc-fan-out work (execution arenas with their one trace
+//! The arena / Rc-fan-out work (execution arenas with their one trace
 //! recorder, recycled trace buffers, cached action shapes and definitions,
-//! `Arc`'d broadcast bodies, interned names, plans compiled into refilled
+//! `Rc`'d broadcast bodies, interned names, plans compiled into refilled
 //! tables, one handler pair per arena), the runtime's inline round tables
 //! and its run pool (slots, stacks, a context's lists, resolver states)
 //! exist to keep steady-state seed execution allocation-free outside the
@@ -37,8 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use caa_harness::arena::ExecutionArena;
-use caa_harness::plan::ScenarioConfig;
-use caa_harness::sweep::run_seed_in;
+use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
+use caa_harness::sweep::{run_plan_checked, SeedResult};
 
 struct CountingAllocator;
 
@@ -116,6 +116,17 @@ fn turn() -> MutexGuard<'static, ()> {
     turn
 }
 
+/// Generates `seed`'s plan and runs it through `arena`: a sweep worker's
+/// per-seed loop.
+fn run_seed(
+    seed: u64,
+    scenario: &ScenarioConfig,
+    check_replay: bool,
+    arena: &mut ExecutionArena,
+) -> SeedResult {
+    run_plan_checked(ScenarioPlan::generate(seed, scenario), check_replay, arena)
+}
+
 /// Executes `seed` once through a warmed arena and returns the
 /// allocation count of that execution (including plan generation and
 /// oracle checks — the sweep worker's whole per-seed loop), and how many
@@ -125,7 +136,7 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
     // Warm-up: populate the run pool, trace buffers and definition cache
     // with this exact seed's shapes.
     for _ in 0..3 {
-        let result = run_seed_in(seed, scenario, check_replay, &mut arena);
+        let result = run_seed(seed, scenario, check_replay, &mut arena);
         assert!(result.passed(), "gate seed must be violation-free");
         arena.recycle_trace(result.artifacts.trace);
     }
@@ -137,7 +148,7 @@ fn allocs_for_seed(seed: u64, scenario: &ScenarioConfig, check_replay: bool) -> 
         )
     };
     let before = counters();
-    let result = run_seed_in(seed, scenario, check_replay, &mut arena);
+    let result = run_seed(seed, scenario, check_replay, &mut arena);
     let after = counters();
     assert!(result.passed());
     assert_eq!(
@@ -245,7 +256,6 @@ fn steady_state_seed_allocation_stays_bounded() {
 fn a_warmed_seed_says_where_it_allocates() {
     use caa_harness::exec::execute_in;
     use caa_harness::oracle::check_run;
-    use caa_harness::plan::ScenarioPlan;
     use caa_harness::sweep::PathCoverage;
 
     let _turn = turn();
@@ -486,7 +496,6 @@ fn reading_a_warmed_trace_allocates_a_bounded_handful() {
     use caa_harness::exec::execute_in;
     use caa_harness::metrics::MetricsRecorder;
     use caa_harness::oracle::check_run;
-    use caa_harness::plan::ScenarioPlan;
     use caa_harness::spans::build_span_tree;
     use caa_harness::sweep::PathCoverage;
 
@@ -619,8 +628,7 @@ fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
 /// later, different one.
 #[test]
 fn one_recorder_across_different_seeds_renders_like_fresh_ones() {
-    use caa_harness::exec::{execute, execute_in};
-    use caa_harness::plan::ScenarioPlan;
+    use caa_harness::exec::execute_in;
 
     let _turn = turn();
     let scenario = ScenarioConfig::default();
@@ -630,7 +638,7 @@ fn one_recorder_across_different_seeds_renders_like_fresh_ones() {
         let shared = execute_in(&plan, &mut arena);
         assert_eq!(
             shared.trace.render(),
-            execute(&plan).trace.render(),
+            execute_in(&plan, &mut ExecutionArena::new()).trace.render(),
             "seed {seed} recorded differently through a re-armed recorder"
         );
         arena.recycle_trace(shared.trace);
@@ -646,11 +654,11 @@ fn warmed_arena_renders_identical_traces() {
     let _turn = turn();
     let scenario = ScenarioConfig::default();
     let mut arena = ExecutionArena::new();
-    let cold = run_seed_in(7, &scenario, false, &mut arena);
+    let cold = run_seed(7, &scenario, false, &mut arena);
     let cold_render = cold.artifacts.trace.render();
     arena.recycle_trace(cold.artifacts.trace);
     for _ in 0..2 {
-        let warm = run_seed_in(7, &scenario, false, &mut arena);
+        let warm = run_seed(7, &scenario, false, &mut arena);
         assert_eq!(
             warm.artifacts.trace.render(),
             cold_render,

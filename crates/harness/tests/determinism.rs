@@ -3,7 +3,8 @@
 //! independent runs, and differing seeds explore differing scenarios and
 //! fault schedules.
 
-use caa_harness::exec::execute;
+use caa_harness::arena::ExecutionArena;
+use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 
 /// Identical seeds ⇒ byte-identical rendered traces, across independently
@@ -14,8 +15,12 @@ fn identical_seeds_render_byte_identical_traces() {
     let cfg = ScenarioConfig::default();
     for seed in (0..100).map(|i| i * 37 + 5) {
         let plan = ScenarioPlan::generate(seed, &cfg);
-        let first = execute(&plan).trace.render();
-        let second = execute(&plan).trace.render();
+        let first = execute_in(&plan, &mut ExecutionArena::default())
+            .trace
+            .render();
+        let second = execute_in(&plan, &mut ExecutionArena::default())
+            .trace
+            .render();
         assert!(
             first == second,
             "seed {seed} diverged:\n--- first ---\n{first}\n--- second ---\n{second}"
@@ -45,7 +50,11 @@ fn differing_seeds_explore_differing_fault_schedules() {
             }
         }
         schedules.insert(format!("{:?}", plan.faults));
-        traces.insert(execute(&plan).trace.render());
+        traces.insert(
+            execute_in(&plan, &mut ExecutionArena::default())
+                .trace
+                .render(),
+        );
     }
     assert!(
         traces.len() >= 99,

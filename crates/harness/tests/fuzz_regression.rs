@@ -14,6 +14,8 @@
 
 use caa_harness::arena::ExecutionArena;
 use caa_harness::edit::{apply, load_corpus_plan, Edit, Kind, Recipe, Site};
+use caa_harness::exec::execute_in;
+use caa_harness::oracle::{check_run, Violation};
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::sweep::{run_plan_checked, write_corpus_files};
 
@@ -117,4 +119,66 @@ fn a_minimized_find_lineage_replays_byte_exactly_from_its_corpus_entry() {
         recipe.entry_name()
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An open find of the 50k-execution gain gate (`caa fuzz --budget 50000
+/// --initial 2000 --batch 256 --baseline`, default config): two crashes
+/// and a rejoin in one top action, shrunk by `caa replay --corpus <entry>
+/// --bisect` to this 1-minimal recipe.
+const OPEN_VIEW_DISAGREEMENT: &str = "\
+seed 253
+add crash 0 2 0 1248194720 -
+add fault 2 toBeSignalled lose - 4 2
+add crash 1 1 0 526295310 9897024916
+drop fault 0
+drop fault 0
+drop raise a0.0
+drop raiser a0.0.0 0
+drop send a0 0 0
+drop send a0 0 0
+drop listener a0 0 0
+drop send a0 1 0
+drop listener a0 1 0
+drop send a0.0 0 0
+drop send a0.0 0 0
+drop listener a0.0 0 0
+drop eab a0.0 0
+drop eab a0.0 0
+drop send a0.0.0 0 0
+drop send a0.0.0 0 0
+drop listener a0.0.0 0 0
+drop listener a0.0.0 0 0
+drop listener a0.0.0 0 0
+drop send a0.0.0 1 0
+drop listener a0.0.0 1 0
+drop listener a0.0.0 1 0
+drop eab a0.0.0 0
+";
+
+/// Pins what the oracles say of that find today: the survivors' final
+/// removed sets are not inclusion-ordered. Whether the oracle or the
+/// runtime is wrong is ROADMAP items 2(d) and 8's to decide (the
+/// sanctioned-exception inventory and the executable model); a fix flips
+/// this assertion to an empty verdict.
+#[test]
+fn an_open_multi_crash_rejoin_find_reports_one_view_disagreement() {
+    let recipe: Recipe = OPEN_VIEW_DISAGREEMENT
+        .parse()
+        .expect("the pinned recipe parses");
+    assert_eq!(
+        recipe.to_string(),
+        OPEN_VIEW_DISAGREEMENT,
+        "the pin is canonical text"
+    );
+    let plan = recipe
+        .materialize(&ScenarioConfig::default())
+        .expect("the pinned recipe applies");
+    let artifacts = execute_in(&plan, &mut ExecutionArena::default());
+    assert_eq!(
+        check_run(&artifacts),
+        [Violation::ViewDisagreement {
+            action: 0,
+            removed_sets: vec![vec![2, 3], vec![0, 2]],
+        }]
+    );
 }

@@ -16,7 +16,8 @@
 
 use std::fmt::Write as _;
 
-use caa_harness::exec::execute;
+use caa_harness::arena::ExecutionArena;
+use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::trace::Trace;
 
@@ -47,7 +48,7 @@ fn golden_report() -> String {
     out.push_str("[default-config]\n");
     for seed in 0..96u64 {
         let plan = ScenarioPlan::generate(seed, &ScenarioConfig::default());
-        let artifacts = execute(&plan);
+        let artifacts = execute_in(&plan, &mut ExecutionArena::default());
         let _ = writeln!(
             out,
             "seed {seed} hash {:016x} entries {} acquired {}",
@@ -61,7 +62,7 @@ fn golden_report() -> String {
     let heavy = ScenarioConfig::object_heavy();
     for seed in 0..48u64 {
         let plan = ScenarioPlan::generate(seed, &heavy);
-        let artifacts = execute(&plan);
+        let artifacts = execute_in(&plan, &mut ExecutionArena::default());
         let _ = writeln!(
             out,
             "seed {seed} hash {:016x} entries {} acquired {}",
@@ -74,7 +75,7 @@ fn golden_report() -> String {
     out.push_str("[object-heavy grant order]\n");
     for seed in 0..8u64 {
         let plan = ScenarioPlan::generate(seed, &heavy);
-        let artifacts = execute(&plan);
+        let artifacts = execute_in(&plan, &mut ExecutionArena::default());
         let _ = writeln!(out, "seed {seed}");
         for line in acquired_lines(&artifacts.trace) {
             let _ = writeln!(out, "  {line}");

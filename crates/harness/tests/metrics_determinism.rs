@@ -11,7 +11,8 @@
 //!   under the CI ceiling (the ROADMAP's "~57 hand-offs per seed" as a
 //!   regression guard rather than prose).
 
-use caa_harness::exec::execute;
+use caa_harness::arena::ExecutionArena;
+use caa_harness::exec::execute_in;
 use caa_harness::metrics::{metrics_json, parse_metrics_json, SweepMetrics};
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::sweep::{sweep, Shard, SweepConfig, SweepReport};
@@ -190,8 +191,12 @@ fn handoff_counts_are_a_pure_function_of_the_seed() {
         let (mut parks, mut wakes) = (0, 0);
         for seed in 0..50 {
             let plan = ScenarioPlan::generate(seed, &scenario);
-            let first = execute(&plan).report.sched_stats;
-            let second = execute(&plan).report.sched_stats;
+            let first = execute_in(&plan, &mut ExecutionArena::default())
+                .report
+                .sched_stats;
+            let second = execute_in(&plan, &mut ExecutionArena::default())
+                .report
+                .sched_stats;
             assert_eq!(
                 first, second,
                 "{name} seed {seed}: two executions handed off differently"

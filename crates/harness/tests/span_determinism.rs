@@ -13,7 +13,8 @@
 //!   byte, those of the tree that named every span with a `String`
 //!   (`tests/golden/span_trees_600.digest`, blessed on that tree).
 
-use caa_harness::exec::execute;
+use caa_harness::arena::ExecutionArena;
+use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::{build_span_tree, critical_paths, trace_event_json, SegmentClass};
 use caa_harness::sweep::{sweep, Shard, SweepConfig, SweepReport};
@@ -36,8 +37,14 @@ fn run(seeds: u64, workers: usize, shard: Option<Shard>) -> SweepReport {
 fn same_seed_derives_byte_identical_spans_and_paths() {
     for seed in [0u64, 7, 42, 99] {
         let config = ScenarioConfig::default();
-        let first = execute(&ScenarioPlan::generate(seed, &config));
-        let second = execute(&ScenarioPlan::generate(seed, &config));
+        let first = execute_in(
+            &ScenarioPlan::generate(seed, &config),
+            &mut ExecutionArena::default(),
+        );
+        let second = execute_in(
+            &ScenarioPlan::generate(seed, &config),
+            &mut ExecutionArena::default(),
+        );
         assert_eq!(
             build_span_tree(&first.trace).render(),
             build_span_tree(&second.trace).render(),
@@ -77,7 +84,11 @@ fn span_trees_of_600_seeds_render_like_the_string_named_tree() {
         let (mut render, mut json) = (Hash64::default(), Hash64::default());
         let mut spans = 0;
         for seed in 0..SEEDS {
-            let trace = execute(&ScenarioPlan::generate(seed, &config)).trace;
+            let trace = execute_in(
+                &ScenarioPlan::generate(seed, &config),
+                &mut ExecutionArena::default(),
+            )
+            .trace;
             let tree = build_span_tree(&trace);
             spans += tree.len();
             render.write(tree.render().as_bytes());
@@ -100,7 +111,10 @@ fn span_trees_of_600_seeds_render_like_the_string_named_tree() {
 
 #[test]
 fn span_derivation_leaves_the_trace_untouched() {
-    let artifacts = execute(&ScenarioPlan::generate(11, &ScenarioConfig::default()));
+    let artifacts = execute_in(
+        &ScenarioPlan::generate(11, &ScenarioConfig::default()),
+        &mut ExecutionArena::default(),
+    );
     let before = artifacts.trace.render_fingerprint();
     let _ = build_span_tree(&artifacts.trace);
     let _ = critical_paths(&artifacts.trace);
@@ -146,7 +160,10 @@ fn four_shard_merge_reproduces_critical_path_section() {
 #[test]
 fn segments_partition_latency_across_many_seeds() {
     for seed in 0..48u64 {
-        let artifacts = execute(&ScenarioPlan::generate(seed, &ScenarioConfig::default()));
+        let artifacts = execute_in(
+            &ScenarioPlan::generate(seed, &ScenarioConfig::default()),
+            &mut ExecutionArena::default(),
+        );
         for path in critical_paths(&artifacts.trace) {
             let sum: u64 = path.segments.iter().map(|s| s.end_ns - s.start_ns).sum();
             assert_eq!(

@@ -46,7 +46,8 @@ fn violating_seeds_would_be_reported_with_replay_commands() {
     // Exercise the reporting path itself: the summary of a (hypothetical)
     // failure names the seed and a one-command replay. Run one seed and
     // format it as the sweep would.
-    let result = caa_harness::sweep::run_seed(99, &Default::default(), false);
+    let plan = caa_harness::ScenarioPlan::generate(99, &Default::default());
+    let result = caa_harness::run_plan_checked(plan, false, &mut Default::default());
     let command = result.replay_command();
     assert_eq!(
         command, "cargo run --release -p caa-bench --bin caa -- replay 99",

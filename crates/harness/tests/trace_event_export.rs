@@ -11,7 +11,8 @@
 
 use std::collections::HashMap;
 
-use caa_harness::exec::execute;
+use caa_harness::arena::ExecutionArena;
+use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::trace_event_json;
 use caa_telemetry::json::{parse, Value};
@@ -38,7 +39,10 @@ fn text<'a>(event: &'a Value, name: &str) -> &'a str {
 #[test]
 fn export_is_schema_valid_and_flows_pair() {
     for seed in [3u64, 42, 77] {
-        let artifacts = execute(&ScenarioPlan::generate(seed, &ScenarioConfig::default()));
+        let artifacts = execute_in(
+            &ScenarioPlan::generate(seed, &ScenarioConfig::default()),
+            &mut ExecutionArena::default(),
+        );
         let doc = trace_event_json(&artifacts.trace, seed);
         let parsed = parse(&doc)
             .unwrap_or_else(|e| panic!("seed {seed}: export must parse as strict JSON: {e}"));
@@ -127,8 +131,22 @@ fn export_is_schema_valid_and_flows_pair() {
 fn export_is_deterministic_per_seed() {
     let config = ScenarioConfig::default();
     for seed in [5u64, 42] {
-        let a = trace_event_json(&execute(&ScenarioPlan::generate(seed, &config)).trace, seed);
-        let b = trace_event_json(&execute(&ScenarioPlan::generate(seed, &config)).trace, seed);
+        let a = trace_event_json(
+            &execute_in(
+                &ScenarioPlan::generate(seed, &config),
+                &mut ExecutionArena::default(),
+            )
+            .trace,
+            seed,
+        );
+        let b = trace_event_json(
+            &execute_in(
+                &ScenarioPlan::generate(seed, &config),
+                &mut ExecutionArena::default(),
+            )
+            .trace,
+            seed,
+        );
         assert_eq!(a, b, "seed {seed}: export must be byte-identical");
     }
 }

@@ -79,7 +79,7 @@ impl Default for ControllerConfig {
 /// Performs one device operation inside an action: charges `op_time`,
 /// applies `f` transactionally, and raises the corresponding Figure 7
 /// exception when the device reports a fault.
-fn dev_op<T: Clone + Send + 'static, R>(
+fn dev_op<T: Clone + 'static, R>(
     rc: &mut Ctx,
     obj: &SharedObject<T>,
     op_time: VirtualDuration,

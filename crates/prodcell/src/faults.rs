@@ -4,8 +4,10 @@
 //! device D fails with fault F", so experiments are reproducible and tests
 //! can target exact recovery paths.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
 
 use caa_core::exception::ExceptionId;
 
@@ -150,24 +152,24 @@ impl FaultScript {
 /// events: once fired, they stay fired. All clones of a `ScriptHandle`
 /// (including the clones inside transaction layers) share one script.
 #[derive(Debug, Clone, Default)]
-pub struct ScriptHandle(std::sync::Arc<parking_lot::Mutex<FaultScript>>);
+pub struct ScriptHandle(Rc<RefCell<FaultScript>>);
 
 impl ScriptHandle {
     /// Wraps a script for shared consumption.
     #[must_use]
     pub fn new(script: FaultScript) -> Self {
-        ScriptHandle(std::sync::Arc::new(parking_lot::Mutex::new(script)))
+        ScriptHandle(Rc::new(RefCell::new(script)))
     }
 
     /// Consumes and returns the fault scheduled for `op_index`, if any.
     pub fn check(&self, op_index: u64) -> Option<DeviceFault> {
-        self.0.lock().check(op_index)
+        self.0.borrow_mut().check(op_index)
     }
 
     /// Whether any fault is still pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.0.borrow().is_empty()
     }
 }
 

@@ -13,8 +13,8 @@
 //! per-role handlers: exception handlers, abortion handlers and undo hooks.
 
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::{ActionId, RoleId, ThreadId};
@@ -29,15 +29,15 @@ use crate::membership::ViewSnapshot;
 
 /// Exception-handler body: attempts forward recovery for the resolving
 /// exception the thread was committed to, then reports a verdict.
-pub type Handler = Arc<dyn Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync>;
+pub type Handler = Rc<dyn Fn(&mut Ctx) -> Step<HandlerVerdict>>;
 
 /// Abortion-handler body: runs when an enclosing action aborts this action;
 /// may produce an exception `Eab` to be raised in the enclosing action.
-pub type AbortHandler = Arc<dyn Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync>;
+pub type AbortHandler = Rc<dyn Fn(&mut Ctx) -> Step<Option<Exception>>>;
 
 /// Undo hook: application-level compensation executed during the undo round
 /// of the signalling algorithm (§3.4). Returns whether undo succeeded.
-pub type UndoHook = Arc<dyn Fn(&mut Ctx) -> Step<bool> + Send + Sync>;
+pub type UndoHook = Rc<dyn Fn(&mut Ctx) -> Step<bool>>;
 
 static NEXT_DEF_ID: AtomicU32 = AtomicU32::new(1);
 
@@ -84,7 +84,7 @@ pub(crate) struct DefInner {
     /// All participating threads, sorted ascending (the ordered group
     /// `GA`); inline like every table keyed by a member.
     pub(crate) group: ViewSnapshot,
-    pub(crate) graph: Arc<ExceptionGraph>,
+    pub(crate) graph: Rc<ExceptionGraph>,
     pub(crate) interface: Vec<ExceptionId>,
     /// The handlers registered for a (role, exception) pair, one per pair:
     /// a handful, searched by comparing ids (two pointer compares a row).
@@ -188,7 +188,7 @@ fn role_names(roles: &[Role]) -> Vec<Name> {
 }
 
 /// An immutable CA action definition; cheap to clone and share between
-/// threads.
+/// the participants of a system.
 ///
 /// # Examples
 ///
@@ -219,7 +219,7 @@ fn role_names(roles: &[Role]) -> Vec<Name> {
 /// ```
 #[derive(Clone)]
 pub struct ActionDef {
-    pub(crate) inner: Arc<DefInner>,
+    pub(crate) inner: Rc<DefInner>,
     /// What tells this definition's instances from those of any other in
     /// the process (see [`make_action_id`]); clones share it.
     pub(crate) def_id: u32,
@@ -281,7 +281,7 @@ impl ActionDef {
     #[must_use]
     pub fn reissued(&self) -> ActionDef {
         ActionDef {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             def_id: NEXT_DEF_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -303,7 +303,7 @@ pub struct ActionDefBuilder {
     /// Registrations naming a role that is not declared (yet): they take
     /// effect when it is, and fail the build if it never is.
     pending: Vec<(Name, Registration)>,
-    graph: Option<Arc<ExceptionGraph>>,
+    graph: Option<Rc<ExceptionGraph>>,
     interface: Vec<ExceptionId>,
     handlers: Vec<(Name, ExceptionId, Handler)>,
     signal_timeout: Option<VirtualDuration>,
@@ -368,7 +368,7 @@ impl ActionDefBuilder {
     /// Sets the exception graph. Without one, every exception resolves
     /// through a minimal graph containing only the universal exception.
     pub fn graph(mut self, graph: ExceptionGraph) -> Self {
-        self.graph = Some(Arc::new(graph));
+        self.graph = Some(Rc::new(graph));
         self
     }
 
@@ -376,7 +376,7 @@ impl ActionDefBuilder {
     /// definitions built from the same graph share one allocation.
     /// Scenario executors cache resolution lattices across seeds this way
     /// (the lattice is a pure function of the declared exceptions).
-    pub fn graph_shared(mut self, graph: Arc<ExceptionGraph>) -> Self {
+    pub fn graph_shared(mut self, graph: Rc<ExceptionGraph>) -> Self {
         self.graph = Some(graph);
         self
     }
@@ -397,10 +397,10 @@ impl ActionDefBuilder {
         mut self,
         role: impl Into<Name>,
         exception: impl Into<ExceptionId>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
+        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + 'static,
     ) -> Self {
         self.handlers
-            .push((role.into(), exception.into(), Arc::new(f)));
+            .push((role.into(), exception.into(), Rc::new(f)));
         self
     }
 
@@ -408,7 +408,7 @@ impl ActionDefBuilder {
     pub fn universal_handler(
         self,
         role: impl Into<Name>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
+        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + 'static,
     ) -> Self {
         self.handler(role, ExceptionId::universal(), f)
     }
@@ -418,9 +418,9 @@ impl ActionDefBuilder {
     pub fn fallback_handler(
         self,
         role: impl Into<Name>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
+        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + 'static,
     ) -> Self {
-        self.fallback_handler_shared(role, Arc::new(f))
+        self.fallback_handler_shared(role, Rc::new(f))
     }
 
     /// [`ActionDefBuilder::fallback_handler`] with an already-shared
@@ -438,9 +438,9 @@ impl ActionDefBuilder {
     pub fn abort_handler(
         self,
         role: impl Into<Name>,
-        f: impl Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync + 'static,
+        f: impl Fn(&mut Ctx) -> Step<Option<Exception>> + 'static,
     ) -> Self {
-        self.abort_handler_shared(role, Arc::new(f))
+        self.abort_handler_shared(role, Rc::new(f))
     }
 
     /// [`ActionDefBuilder::abort_handler`] with an already-shared handler
@@ -455,9 +455,9 @@ impl ActionDefBuilder {
     pub fn undo_hook(
         self,
         role: impl Into<Name>,
-        f: impl Fn(&mut Ctx) -> Step<bool> + Send + Sync + 'static,
+        f: impl Fn(&mut Ctx) -> Step<bool> + 'static,
     ) -> Self {
-        self.register(role.into(), Registration::Undo(Arc::new(f)))
+        self.register(role.into(), Registration::Undo(Rc::new(f)))
     }
 
     /// Bounds how long the signalling algorithm waits for each peer
@@ -536,7 +536,7 @@ impl ActionDefBuilder {
 
         let graph = match self.graph {
             Some(g) => g,
-            None => Arc::new(
+            None => Rc::new(
                 ExceptionGraphBuilder::new()
                     .exception(ExceptionId::universal())
                     .build()
@@ -568,7 +568,7 @@ impl ActionDefBuilder {
 
         Ok(ActionDef {
             def_id: NEXT_DEF_ID.fetch_add(1, Ordering::Relaxed),
-            inner: Arc::new(DefInner {
+            inner: Rc::new(DefInner {
                 name: self.name,
                 roles,
                 group,
@@ -693,30 +693,30 @@ mod tests {
     fn registrations_take_effect_in_order_wherever_the_role_is_declared() {
         // Handlers are told apart by identity: none runs here.
         let (first, second): (Handler, Handler) = (
-            Arc::new(|_| Ok(HandlerVerdict::Recovered)),
-            Arc::new(|_| Ok(HandlerVerdict::Fail)),
+            Rc::new(|_| Ok(HandlerVerdict::Recovered)),
+            Rc::new(|_| Ok(HandlerVerdict::Fail)),
         );
         // Declared first: the later registration replaces the earlier.
         let def = ActionDef::builder("x")
             .role("a", ThreadId::new(0))
-            .fallback_handler_shared("a", Arc::clone(&first))
-            .fallback_handler_shared("a", Arc::clone(&second))
+            .fallback_handler_shared("a", Rc::clone(&first))
+            .fallback_handler_shared("a", Rc::clone(&second))
             .build()
             .unwrap();
         let registered = def.inner.roles[0].fallback.as_ref().unwrap();
-        assert!(Arc::ptr_eq(registered, &second));
+        assert!(Rc::ptr_eq(registered, &second));
         // Registered before the role is declared, and once more after.
         let def = ActionDef::builder("x")
-            .fallback_handler_shared("a", Arc::clone(&second))
+            .fallback_handler_shared("a", Rc::clone(&second))
             .abort_handler("a", |_| Ok(None))
             .role("b", ThreadId::new(1))
             .role("a", ThreadId::new(0))
-            .fallback_handler_shared("a", Arc::clone(&first))
+            .fallback_handler_shared("a", Rc::clone(&first))
             .undo_hook("b", |_| Ok(true))
             .build()
             .unwrap();
         let a = &def.inner.roles[def.inner.role_id("a").unwrap().index()];
-        assert!(Arc::ptr_eq(a.fallback.as_ref().unwrap(), &first));
+        assert!(Rc::ptr_eq(a.fallback.as_ref().unwrap(), &first));
         assert!(a.abort.is_some() && a.undo.is_none());
         let b = &def.inner.roles[def.inner.role_id("b").unwrap().index()];
         assert!(b.fallback.is_none() && b.abort.is_none() && b.undo.is_some());
@@ -724,15 +724,15 @@ mod tests {
         let def = ActionDef::builder("x")
             .role("a", ThreadId::new(0))
             .role("b", ThreadId::new(1))
-            .fallback_handler_shared("a", Arc::clone(&first))
-            .fallback_handler_shared("b", Arc::clone(&first))
+            .fallback_handler_shared("a", Rc::clone(&first))
+            .fallback_handler_shared("b", Rc::clone(&first))
             .build()
             .unwrap();
         assert!(def
             .inner
             .roles
             .iter()
-            .all(|role| Arc::ptr_eq(role.fallback.as_ref().unwrap(), &first)));
+            .all(|role| Rc::ptr_eq(role.fallback.as_ref().unwrap(), &first)));
         // A role that is never declared fails the build.
         let err = ActionDef::builder("x")
             .role("a", ThreadId::new(0))
@@ -787,7 +787,7 @@ mod tests {
         assert_ne!(a.def_id, b.def_id);
         // A reissue shares everything but the id; a clone shares the id too.
         let again = a.reissued();
-        assert!(Arc::ptr_eq(&a.inner, &again.inner));
+        assert!(Rc::ptr_eq(&a.inner, &again.inner));
         assert_ne!(a.def_id, again.def_id);
         assert_eq!(a.def_id, a.clone().def_id);
     }

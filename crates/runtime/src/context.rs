@@ -455,7 +455,7 @@ impl Ctx {
         &mut self,
         role: &str,
         tag: &'static str,
-        payload: impl std::any::Any + Send,
+        payload: impl std::any::Any,
     ) -> Step {
         self.poll()?;
         let frame = self
@@ -524,7 +524,7 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] on recovery interruption.
-    pub fn read<T: Clone + Send + 'static, R>(
+    pub fn read<T: Clone + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
         f: impl FnOnce(&T) -> R,
@@ -539,7 +539,7 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] on recovery interruption.
-    pub fn update<T: Clone + Send + 'static, R>(
+    pub fn update<T: Clone + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
         f: impl FnOnce(&mut T) -> R,
@@ -563,7 +563,7 @@ impl Ctx {
         }
     }
 
-    fn access<T: Clone + Send + 'static, R>(
+    fn access<T: Clone + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
         f: impl FnOnce(&mut T, &mut bool) -> R,
@@ -753,7 +753,7 @@ impl Ctx {
     /// Pushes a frame for instance `action` of `def`, played as `role`: a
     /// spare one re-entered, or — while the participant has none — a new
     /// one.
-    fn push_frame(&mut self, action: ActionId, def: &Arc<DefInner>, role: RoleId) {
+    fn push_frame(&mut self, action: ActionId, def: &Rc<DefInner>, role: RoleId) {
         let mut frame = self.spare.pop().unwrap_or_else(|| Frame::new(def));
         frame.reenter(action, def, role);
         self.stack.push(frame);
@@ -1374,13 +1374,13 @@ impl Ctx {
         // Announce before continuing the round: per-link FIFO then
         // guarantees every survivor sees the view change before any later
         // message this participant derives from it.
-        let removed: Arc<[ThreadId]> = Arc::from(suspects);
+        let removed: Rc<[ThreadId]> = Rc::from(suspects);
         let me = self.me;
         self.broadcast(&recipients, |_| Message::ViewChange {
             action,
             from: me,
             epoch,
-            removed: Arc::clone(&removed),
+            removed: Rc::clone(&removed),
         });
         match round {
             Round::Resolution => self.feed_view_change(suspects),

@@ -71,7 +71,7 @@
 //! totally ordered by epoch — the same seed replays the same crashes, the
 //! same view sequence and the same byte-identical trace.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::ThreadId;
@@ -130,10 +130,10 @@ pub(crate) struct FrameMembership {
     /// survivors no longer expect from it.
     pub(crate) evicted: bool,
     /// The cumulative removed set as a shared slice, cached per epoch:
-    /// stamping `N − 1` outgoing `Commit`s clones one `Arc` per recipient
+    /// stamping `N − 1` outgoing `Commit`s clones one `Rc` per recipient
     /// instead of materialising the set per message (and the crash-free
     /// case reuses the thread's empty set, allocating nothing at all).
-    removed_cache: Option<(u32, Arc<[ThreadId]>)>,
+    removed_cache: Option<(u32, Rc<[ThreadId]>)>,
 }
 
 impl FrameMembership {
@@ -183,18 +183,18 @@ impl FrameMembership {
     }
 
     /// [`FrameMembership::removed`] as a shared slice for message
-    /// stamping — cached per epoch, so broadcast fan-out clones an `Arc`
+    /// stamping — cached per epoch, so broadcast fan-out clones an `Rc`
     /// instead of copying the set per recipient.
-    pub(crate) fn removed_shared(&mut self) -> Arc<[ThreadId]> {
+    pub(crate) fn removed_shared(&mut self) -> Rc<[ThreadId]> {
         match &self.removed_cache {
-            Some((epoch, set)) if *epoch == self.view.epoch() => Arc::clone(set),
+            Some((epoch, set)) if *epoch == self.view.epoch() => Rc::clone(set),
             _ => {
-                let set: Arc<[ThreadId]> = if self.view.removed().is_empty() {
+                let set: Rc<[ThreadId]> = if self.view.removed().is_empty() {
                     no_removals()
                 } else {
-                    Arc::from(self.view.removed())
+                    Rc::from(self.view.removed())
                 };
-                self.removed_cache = Some((self.view.epoch(), Arc::clone(&set)));
+                self.removed_cache = Some((self.view.epoch(), Rc::clone(&set)));
                 set
             }
         }

@@ -41,12 +41,18 @@
 //! all same-instant registrations are present in the queue before any of
 //! them can be granted a quantum later, so the grant order is a pure
 //! function of `(registration virtual time, participant id)` —
-//! independent of wall-clock thread scheduling. Condition 3 makes decisions
-//! taken at instant *t* insensitive to the wall-clock order of other
-//! object operations happening at *t*: they are observed either as "still
-//! pending" or as "done at *t*", and both verdicts deny the grant. The
-//! access itself (the closure over the working state) executes under the
-//! same lock as the grant, so no competing operation can interleave.
+//! independent of the order in which the host resumes participants.
+//! Condition 3 makes decisions taken at instant *t* insensitive to the
+//! order of other object operations happening at *t*: they are observed
+//! either as "still pending" or as "done at *t*", and both verdicts deny
+//! the grant. The access itself (the closure over the working state)
+//! executes in the same borrow as the grant, so no competing operation can
+//! interleave.
+//!
+//! No lock guards any of it: the participants of a system are fibers of
+//! one thread, and the arbitration above, not mutual exclusion, is what
+//! orders their accesses. An object's state is a `RefCell` behind an
+//! `Rc`, and so an object serves the systems of the thread that made it.
 //!
 //! ## Wake-on-release scheduling
 //!
@@ -75,14 +81,14 @@
 //! the same final state in either wall-clock order, so the committed state
 //! is as replay-deterministic as the grant order.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use caa_core::ids::{ActionId, ThreadId};
 use caa_core::inline::InlineVec;
 use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use parking_lot::Mutex;
 
 /// Arbitration quantum: every access is granted on a tick of the
 /// requester's quantum grid (`registration + k·OBJECT_QUANTUM`, `k ≥ 1`),
@@ -209,7 +215,7 @@ struct ObjectShared<T> {
     /// Copied into every `ObjectAcquired` event.
     name: Name,
     undoable: bool,
-    state: Mutex<ObjectInner<T>>,
+    state: RefCell<ObjectInner<T>>,
 }
 
 /// Outcome of one arbitration attempt (see [`SharedObject`] internals).
@@ -281,20 +287,20 @@ fn winner_wake<T>(inner: &ObjectInner<T>, now: VirtualInstant) -> Wake {
 /// assert!(press_state.is_undoable());
 /// ```
 pub struct SharedObject<T> {
-    shared: Arc<ObjectShared<T>>,
+    shared: Rc<ObjectShared<T>>,
 }
 
 impl<T> Clone for SharedObject<T> {
     fn clone(&self) -> Self {
         SharedObject {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for SharedObject<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.shared.state.lock();
+        let inner = self.shared.state.borrow();
         f.debug_struct("SharedObject")
             .field("name", &self.shared.name)
             .field("committed", &inner.committed)
@@ -318,15 +324,15 @@ fn new_inner<T>(initial: T) -> ObjectInner<T> {
     }
 }
 
-impl<T: Clone + Send + 'static> SharedObject<T> {
+impl<T: Clone + 'static> SharedObject<T> {
     /// Creates an undoable object with the given committed state.
     #[must_use]
     pub fn new(name: impl Into<Name>, initial: T) -> Self {
         SharedObject {
-            shared: Arc::new(ObjectShared {
+            shared: Rc::new(ObjectShared {
                 name: name.into(),
                 undoable: true,
-                state: Mutex::new(new_inner(initial)),
+                state: RefCell::new(new_inner(initial)),
             }),
         }
     }
@@ -346,7 +352,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// Snapshot of the committed (outside-any-action) state.
     #[must_use]
     pub fn committed(&self) -> T {
-        self.shared.state.lock().committed.clone()
+        self.shared.state.borrow().committed.clone()
     }
 
     /// Mutates the committed state directly, outside any CA action — the
@@ -363,7 +369,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// [`ObjectError::NotAcquired`] when a CA action currently holds the
     /// object: mutating under an open transaction would violate isolation.
     pub fn mutate_committed<R>(&self, f: impl FnOnce(&mut T) -> R) -> Result<R, ObjectError> {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         if !inner.layers.is_empty() {
             return Err(ObjectError::NotAcquired {
                 object: self.shared.name.to_string(),
@@ -378,7 +384,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// For a driver that runs system after system over the same objects:
     /// call it between runs, never while an action holds the object.
     pub fn reset(&self, initial: T) {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         inner.committed = initial;
         inner.layers.clear();
         inner.informed.clear();
@@ -392,14 +398,14 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// Whether a failure exception left possibly-erroneous state behind.
     #[must_use]
     pub fn is_tainted(&self) -> bool {
-        self.shared.state.lock().tainted
+        self.shared.state.borrow().tainted
     }
 
     /// The exceptions this object has been informed of since its last
     /// top-level commit (diagnostics).
     #[must_use]
     pub fn informed_exceptions(&self) -> Vec<String> {
-        self.shared.state.lock().informed.clone()
+        self.shared.state.borrow().informed.clone()
     }
 
     /// Registers `thread` in the waiter queue at virtual time `now` with
@@ -420,7 +426,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         chain: &[ActionId],
         epoch: u64,
     ) -> Wake {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         match inner.waiters.iter_mut().find(|w| w.thread == thread) {
             Some(waiter) => waiter.epoch = epoch,
             None => inner.waiters.push(Waiter {
@@ -442,7 +448,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// eligible waiter (the cancelled thread may have been the scheduled
     /// winner).
     pub(crate) fn cancel_waiter(&self, thread: ThreadId, now: VirtualInstant) -> Wake {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         let before = inner.waiters.len();
         inner.waiters.retain(|w| w.thread != thread);
         if inner.waiters.len() == before {
@@ -456,7 +462,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// behalf of the action chain `chain` (outermost first, requesting
     /// action last — never empty). On grant the missing chain layers are
     /// opened, the waiter is dequeued, and `f` is taken and run over the
-    /// top working state — all under one lock, so the grant and the access
+    /// top working state — all in one borrow, so the grant and the access
     /// are atomic. `f` is left untouched when the attempt is denied.
     pub(crate) fn try_access<R, F: FnOnce(&mut T, &mut bool) -> R>(
         &self,
@@ -465,7 +471,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         chain: &[ActionId],
         f: &mut Option<F>,
     ) -> AccessOutcome<R> {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         // Instant gating: any same-instant grant, release or cancellation
         // (whether it already happened or is still to happen) denies this
         // attempt, making the verdict independent of wall-clock order.
@@ -541,7 +547,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
     /// tooling; runtime access goes through [`SharedObject::try_access`].
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn try_acquire(&self, action: ActionId, enclosing: &[ActionId]) -> bool {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         let chain: Vec<ActionId> = enclosing.iter().copied().chain([action]).collect();
         if inner
             .layers
@@ -561,7 +567,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         action: ActionId,
         f: impl FnOnce(&mut T, &mut bool) -> R,
     ) -> Result<R, ObjectError> {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         match inner.layers.last_mut() {
             Some(top) if top.owner == action => {
                 let mut dirty = top.dirty;
@@ -605,7 +611,7 @@ fn open_missing_layers<T: Clone>(inner: &mut ObjectInner<T>, chain: &[ActionId])
 /// operations return the [`Wake`] for the next eligible waiter; the
 /// calling [`Ctx`](crate::Ctx) forwards it to the network as a scheduled
 /// doorbell (wake-on-release).
-pub(crate) trait TxControl: Send {
+pub(crate) trait TxControl {
     /// Stable identity of the underlying object (names need not be
     /// unique): the shared allocation's address.
     fn object_id(&self) -> usize;
@@ -623,20 +629,20 @@ pub(crate) trait TxControl: Send {
     fn commit_tainted(&self, action: ActionId, now: VirtualInstant) -> Result<Wake, ObjectError>;
 }
 
-impl<T: Clone + Send + 'static> SharedObject<T> {
+impl<T: Clone + 'static> SharedObject<T> {
     /// Position of `action`'s layer, if open.
     fn layer_index(inner: &ObjectInner<T>, action: ActionId) -> Option<usize> {
         inner.layers.iter().position(|l| l.owner == action)
     }
 }
 
-impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
+impl<T: Clone + 'static> TxControl for SharedObject<T> {
     fn object_id(&self) -> usize {
-        Arc::as_ptr(&self.shared) as *const () as usize
+        Rc::as_ptr(&self.shared) as *const () as usize
     }
 
     fn commit(&self, action: ActionId, now: VirtualInstant) -> Result<Wake, ObjectError> {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         let Some(index) = Self::layer_index(&inner, action) else {
             return Err(ObjectError::NotAcquired {
                 object: self.shared.name.to_string(),
@@ -671,7 +677,7 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
     }
 
     fn rollback(&self, action: ActionId, now: VirtualInstant) -> Result<Wake, ObjectError> {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         let Some(index) = Self::layer_index(&inner, action) else {
             return Err(ObjectError::NotAcquired {
                 object: self.shared.name.to_string(),
@@ -703,7 +709,7 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
     }
 
     fn inform_exception(&self, action: ActionId, exception: &str) {
-        let mut inner = self.shared.state.lock();
+        let mut inner = self.shared.state.borrow_mut();
         if inner.layers.iter().any(|l| l.owner == action) {
             inner.informed.push(exception.to_owned());
         }
@@ -711,7 +717,7 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
 
     fn commit_tainted(&self, action: ActionId, now: VirtualInstant) -> Result<Wake, ObjectError> {
         {
-            let mut inner = self.shared.state.lock();
+            let mut inner = self.shared.state.borrow_mut();
             inner.tainted = true;
         }
         self.commit(action, now)
@@ -731,15 +737,12 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
 /// assert!(!forge.is_undoable());
 /// ```
 #[must_use]
-pub fn irreversible<T: Clone + Send + 'static>(
-    name: impl Into<Name>,
-    initial: T,
-) -> SharedObject<T> {
+pub fn irreversible<T: Clone + 'static>(name: impl Into<Name>, initial: T) -> SharedObject<T> {
     SharedObject {
-        shared: Arc::new(ObjectShared {
+        shared: Rc::new(ObjectShared {
             name: name.into(),
             undoable: false,
-            state: Mutex::new(new_inner(initial)),
+            state: RefCell::new(new_inner(initial)),
         }),
     }
 }
@@ -1027,7 +1030,7 @@ mod tests {
         ThreadId::new(t)
     }
 
-    fn grant<T: Clone + Send + 'static>(
+    fn grant<T: Clone + 'static>(
         obj: &SharedObject<T>,
         thread: ThreadId,
         now: VirtualInstant,

@@ -249,10 +249,9 @@ impl fmt::Display for Event {
 
 /// Receives runtime [`Event`]s from every participating thread.
 ///
-/// Implementations must be thread-safe: a system may be built on one
-/// thread and run on another, and one observer may serve the systems of
-/// several sweep workers. (Within one system, participants invoke it one
-/// at a time, from the thread that called `System::run`.)
+/// Implementations must be thread-safe: one observer may serve the
+/// systems of several sweep workers. (Within one system, participants
+/// invoke it one at a time, from the thread that called `System::run`.)
 pub trait Observer: Send + Sync {
     /// Called synchronously at each observable step.
     ///

@@ -76,7 +76,7 @@ pub struct ProtoActions {
 }
 
 /// Per-(thread, action-instance) protocol state.
-pub trait ResolverState: Send {
+pub trait ResolverState {
     /// Processes one event; returns messages to send and, eventually, the
     /// resolving exception.
     fn on_event(&mut self, ctx: &ProtoCtx<'_>, event: ProtoEvent<'_>) -> ProtoActions;
@@ -144,7 +144,7 @@ pub trait ResolverState: Send {
 }
 
 /// Factory for [`ResolverState`]s — one strategy per system.
-pub trait ResolutionProtocol: Send + Sync + fmt::Debug {
+pub trait ResolutionProtocol: fmt::Debug {
     /// Short name used in reports (e.g. `"xrr98"`, `"cr86"`).
     fn name(&self) -> &'static str;
 
@@ -804,12 +804,5 @@ mod tests {
     fn protocol_reports_name() {
         assert_eq!(XrrResolution.name(), "xrr98");
         let _state = XrrResolution.new_state();
-    }
-
-    #[test]
-    fn shareable_across_threads() {
-        fn assert_traits<T: Send + Sync>(_: &T) {}
-        let p: std::sync::Arc<dyn ResolutionProtocol> = std::sync::Arc::new(XrrResolution);
-        assert_traits(&p);
     }
 }

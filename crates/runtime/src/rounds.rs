@@ -14,7 +14,7 @@
 //! [`FrameMembership::suspect`].)
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, RoleId, ThreadId};
@@ -65,7 +65,7 @@ pub(crate) struct Identity {
     /// The definition — kept by a left frame until it is re-entered, so
     /// that re-entering the same action (the usual case: a participant
     /// loops over the same actions) touches no reference count.
-    pub(crate) def: Arc<DefInner>,
+    pub(crate) def: Rc<DefInner>,
     pub(crate) role: RoleId,
 }
 
@@ -118,11 +118,11 @@ pub(crate) struct Recovery {
 impl Frame {
     /// A new frame for `def`'s actions, as [`Frame::leave`] leaves one:
     /// [`Frame::reenter`] it before use.
-    pub(crate) fn new(def: &Arc<DefInner>) -> Box<Frame> {
+    pub(crate) fn new(def: &Rc<DefInner>) -> Box<Frame> {
         Box::new(Frame {
             id: Identity {
                 action: ActionId::top_level(0),
-                def: Arc::clone(def),
+                def: Rc::clone(def),
                 role: RoleId::new(0),
             },
             inbox: Inboxes::default(),
@@ -136,9 +136,9 @@ impl Frame {
 
     /// Binds a left frame to instance `action` of `def`, played as `role`,
     /// over the action's full group — the only way a frame is entered.
-    pub(crate) fn reenter(&mut self, action: ActionId, def: &Arc<DefInner>, role: RoleId) {
-        if !Arc::ptr_eq(&self.id.def, def) {
-            self.id.def = Arc::clone(def);
+    pub(crate) fn reenter(&mut self, action: ActionId, def: &Rc<DefInner>, role: RoleId) {
+        if !Rc::ptr_eq(&self.id.def, def) {
+            self.id.def = Rc::clone(def);
         }
         self.id.action = action;
         self.id.role = role;
@@ -241,7 +241,7 @@ impl Frame {
             } = msg
             {
                 *view_epoch = epoch;
-                *view_removed = Arc::clone(&removed);
+                *view_removed = Rc::clone(&removed);
             }
         }
     }
@@ -694,7 +694,7 @@ pub(crate) enum RoundAction {
     /// Feed the control message to the resolution machinery.
     Resolve(Message),
     /// Merge a peer's removal set into the addressed frame's view.
-    Adopt(Arc<[ThreadId]>),
+    Adopt(Rc<[ThreadId]>),
     /// Grant this restarted participant's rejoin at the addressed frame.
     Grant(ThreadId),
     /// For an action this thread has not entered yet: "retain the Exception
@@ -840,7 +840,7 @@ pub(crate) mod tests {
         format!(
             "{:?}",
             (
-                (id.action, id.role, Arc::as_ptr(&id.def)),
+                (id.action, id.role, Rc::as_ptr(&id.def)),
                 (inbox.control.len(), inbox.app.len(), inbox.joins.len()),
                 frame.objects.len(),
                 (recovery.recovered, recovery.aborting, recovery.in_handler),
@@ -890,7 +890,7 @@ pub(crate) mod tests {
             from: t(1),
             thread: t(thread),
             epoch: 2,
-            removed: Arc::from([]),
+            removed: Rc::from([]),
             exit_epoch: 1,
             resolved: None,
         }

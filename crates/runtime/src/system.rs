@@ -23,12 +23,14 @@
 //! is a [`FiberNetwork`] (the simulator's plain core in an `Rc<RefCell<_>>`
 //! — no mutex, condvar or atomic), the state the participants share is an
 //! `Rc`, the run-wide counters are plain integers, and [`System`] and
-//! [`Ctx`] are `!Send`. What still synchronises on a run's path does so on
-//! purpose: an [`Observer`] and a [`caa_simnet::NetTap`] are `Send + Sync`
-//! (they outlive the run and are read from other threads; the harness's
-//! recorder takes its lock once per event), and a
-//! [`SharedObject`](crate::SharedObject) guards its state with a mutex of
-//! its own, since a role body may move it anywhere.
+//! [`Ctx`] are `!Send`. So is everything a run's participants share: a
+//! definition with its graph and handlers, a message's removal sets, and
+//! a [`SharedObject`](crate::SharedObject), whose state is a `RefCell`
+//! that the objects layer's arbitration — not a lock — orders accesses
+//! to. What still synchronises on a run's path are the hooks: an
+//! [`Observer`] and a [`caa_simnet::NetTap`] are `Send + Sync` (the
+//! simulator's thread host calls a tap from concurrent senders; the
+//! harness's recorder takes its lock once per event).
 //!
 //! # The run pool
 //!

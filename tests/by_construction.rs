@@ -3,8 +3,17 @@
 //!
 //! * the network a `System` runs on, and the runtime that drives it, are
 //!   single-threaded code — outside their unit tests, the simulator's core
-//!   and the runtime's context, rounds, system and membership modules
-//!   name no `Mutex`, `Condvar`, atomic or `parking_lot` item;
+//!   and the runtime's context, rounds, system, membership, objects and
+//!   protocol modules name no `Mutex`, `Condvar`, atomic or `parking_lot`
+//!   item;
+//! * a run has one owner, and the types say so: outside unit tests and
+//!   comments, the core, the runtime and the production cell name `Send`
+//!   or `Sync` only where the observer hook is declared; no mutex is left
+//!   in the runtime, the bench crate or the production cell; `parking_lot`
+//!   is a dependency of the simulator (its thread host) and the harness
+//!   (the trace recorder) alone; the scenario executor keeps no
+//!   thread-local; and the harness has one entry point per job — one
+//!   execute function, one plan runner;
 //! * `unsafe` is written in `crates/fiber` and nowhere else in library
 //!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
 //!   bench targets are outside the scan: two of them wrap the global
@@ -34,12 +43,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const SINGLE_THREADED: [&str; 5] = [
+const SINGLE_THREADED: [&str; 7] = [
     "crates/simnet/src/simcore.rs",
     "crates/runtime/src/context.rs",
     "crates/runtime/src/rounds.rs",
     "crates/runtime/src/system.rs",
     "crates/runtime/src/membership.rs",
+    "crates/runtime/src/objects.rs",
+    "crates/runtime/src/protocol.rs",
 ];
 
 const THREAD_ITEMS: [&str; 4] = ["Mutex", "Condvar", "Atomic", "parking_lot"];
@@ -187,6 +198,133 @@ fn the_unsafe_scan_sees_what_it_looks_for() {
     assert!(fiber.lines().any(uses_unsafe), "the fiber crate has some");
 }
 
+/// Whether `line`, with any trailing comment cut off, names the `Send`
+/// or the `Sync` trait — the word, not `Sender` or `SyncError`.
+fn names_send_or_sync(line: &str) -> bool {
+    let code = line.split_once("//").map_or(line, |(code, _)| code);
+    ["Send", "Sync"].iter().any(|word| {
+        code.match_indices(word).any(|(at, _)| {
+            let before = code[..at].chars().next_back();
+            let after = code[at + word.len()..].chars().next();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                && !after.is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+    })
+}
+
+#[test]
+fn a_run_is_owned_by_one_thread_in_the_types() {
+    let mut files = Vec::new();
+    for dir in [
+        "crates/core/src",
+        "crates/runtime/src",
+        "crates/prodcell/src",
+    ] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(files.len() > 20, "the scan found the sources: {files:?}");
+    files.sort();
+    let mut bounds: Vec<String> = Vec::new();
+    for file in &files {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        let relative = file.strip_prefix(root()).expect("under the root");
+        for line in outside_unit_tests(&source).lines() {
+            if !line.trim_start().starts_with("//") && names_send_or_sync(line) {
+                bounds.push(format!("{}: {}", relative.display(), line.trim()));
+            }
+        }
+    }
+    assert_eq!(
+        bounds,
+        ["crates/runtime/src/observe.rs: pub trait Observer: Send + Sync {"],
+        "a run's participants are fibers of one thread: what they share needs no thread bound"
+    );
+    assert_eq!(
+        files_naming(
+            "Mutex",
+            &[
+                "crates/runtime/src",
+                "crates/bench/src",
+                "crates/prodcell/src"
+            ]
+        ),
+        [""; 0],
+        "the simulation orders what a run shares; no lock does"
+    );
+    let dependents: Vec<String> = entries("crates")
+        .into_iter()
+        .filter(|krate| {
+            let manifest = root().join("crates").join(krate).join("Cargo.toml");
+            fs::read_to_string(manifest).is_ok_and(|text| text.contains("parking_lot"))
+        })
+        .collect();
+    assert_eq!(
+        dependents,
+        ["harness", "simnet"],
+        "`parking_lot` serves the simulator's thread host and the trace recorder alone"
+    );
+    assert_eq!(
+        files_naming("thread_local!", &["crates/harness/src"]),
+        [
+            "crates/harness/src/oracle.rs",
+            "crates/harness/src/spans.rs",
+            "crates/harness/src/trace.rs",
+        ],
+        "the handlers find the running plan through their arena, not a thread-local"
+    );
+}
+
+#[test]
+fn the_bound_scan_sees_what_it_looks_for() {
+    for line in [
+        "pub trait ResolverState: Send {",
+        "pub type Handler = Rc<dyn Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync>;",
+        "impl<T: Clone + Send + 'static> SharedObject<T> {",
+        "fn assert_traits<T: Sync>(_: &T) {}",
+    ] {
+        assert!(names_send_or_sync(line), "{line}");
+    }
+    for line in [
+        "let (sender, receiver) = std::sync::mpsc::channel::<Sender>();",
+        "use std::sync::Arc;",
+        "fn send_to_role(&mut self) {} // not Send",
+        "SyncError::Poisoned",
+    ] {
+        assert!(!names_send_or_sync(line), "{line}");
+    }
+}
+
+/// The top-level `pub fn`s of `source`, outside its unit tests.
+fn public_functions(source: &str) -> Vec<&str> {
+    outside_unit_tests(source)
+        .lines()
+        .filter_map(|line| line.strip_prefix("pub fn "))
+        .map(|rest| rest.split(['(', '<']).next().expect("a name"))
+        .collect()
+}
+
+#[test]
+fn the_harness_has_one_entry_point_per_job() {
+    let read = |file: &str| fs::read_to_string(root().join(file)).expect(file);
+    assert_eq!(
+        public_functions(&read("crates/harness/src/exec.rs")),
+        ["execute_in"],
+        "one way to execute a plan; a caller with no arena passes a fresh one"
+    );
+    assert_eq!(
+        public_functions(&read("crates/harness/src/sweep.rs")),
+        [
+            "write_corpus_files",
+            "merge_signatures",
+            "run_plan_checked",
+            "effective_workers",
+            "run_workers",
+            "sweep",
+        ],
+        "one way to run and check a plan; a seed's plan is `ScenarioPlan::generate`'s"
+    );
+}
+
 /// The body of `fn name` in `source`: from its signature's opening brace
 /// to the matching one.
 fn function_body<'a>(source: &'a str, name: &str) -> &'a str {
@@ -218,15 +356,9 @@ fn the_per_seed_path_names_no_string_work() {
     let exec = read("crates/harness/src/exec.rs");
     let mut scanned: Vec<(String, &str)> =
         vec![("harness::exec".to_owned(), outside_unit_tests(&exec))];
-    // The public seed runners, what they delegate to, and the worker loop
+    // The public plan runner, what it delegates to, and the worker loop
     // (the whole of `sweep`: what follows the loop runs once per sweep).
-    for name in [
-        "run_seed_in",
-        "run_seed_from",
-        "run_plan_checked",
-        "run_plan_from",
-        "sweep",
-    ] {
+    for name in ["run_plan_checked", "run_plan_from", "sweep"] {
         scanned.push((format!("sweep::{name}"), function_body(&sweep, name)));
     }
     for name in ["record_run", "record_net_stats", "record_sched_stats"] {
