@@ -15,6 +15,11 @@
 //! every later field is a no-op, and the caller renders that one line
 //! through `Display` instead ([`Line::or_display`]).
 //!
+//! The assembler has one parameter, [`Numbers`]: how a number lands.
+//! [`Decimal`] writes its text, padded as `Display` pads. Every word, name
+//! and field, and their order, is the assembler's and shared by every
+//! `Numbers`.
+//!
 //! The text itself is pinned three ways: the unit tests below compare every
 //! [`EventKind`] variant, every kind of entry and the padding edge cases
 //! against the `Display` rendering, the golden traces pin whole renderings,
@@ -22,6 +27,7 @@
 //! not know (the enum is `#[non_exhaustive]`) falls back to its `Display`.
 
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 
 use caa_core::exception::Signal;
 use caa_core::ids::ThreadId;
@@ -68,8 +74,46 @@ const WINDOW: usize = 12;
 /// Where the cursor sticks once a field did not fit.
 const OVERFLOWED: usize = usize::MAX;
 
-/// One rendered line under assembly.
-pub(crate) struct Line {
+/// How a [`Line`] lands a number: the one thing two kinds of line differ
+/// in. The three columns are the three ways the rendering formats a number.
+pub(crate) trait Numbers: Sized {
+    /// `{n}`.
+    fn push(line: &mut Line<Self>, n: u64);
+    /// `{n:>12}` — the timestamp column.
+    fn push_right12(line: &mut Line<Self>, n: u64);
+    /// `{n:<4}` — the sequence column.
+    fn push_left4(line: &mut Line<Self>, n: u64);
+}
+
+/// Decimal text, padded with spaces as `Display` pads: what
+/// [`Trace::render`](crate::trace::Trace::render) writes.
+pub(crate) enum Decimal {}
+
+impl Numbers for Decimal {
+    #[inline]
+    fn push(line: &mut Line<Self>, n: u64) {
+        if n < 10 {
+            line.push_byte(b'0' + n as u8);
+        } else {
+            line.push_padded::<0>(n);
+        }
+    }
+
+    #[inline]
+    fn push_right12(line: &mut Line<Self>, n: u64) {
+        line.push_padded::<12>(n);
+    }
+
+    #[inline]
+    fn push_left4(line: &mut Line<Self>, n: u64) {
+        Decimal::push(line, n);
+        let pad = usize::from(n < 10) + usize::from(n < 100) + usize::from(n < 1000);
+        line.push_window(b"   ", pad);
+    }
+}
+
+/// One line under assembly, its numbers landing as `N` says.
+pub(crate) struct Line<N: Numbers> {
     /// The cursor: bytes written so far, or [`OVERFLOWED`].
     len: usize,
     /// A window's width past `INLINE`, so that a cursor inside the line has
@@ -77,14 +121,16 @@ pub(crate) struct Line {
     buf: [u8; INLINE + WINDOW],
     /// The line, when it took the `Display` path.
     spill: String,
+    numbers: PhantomData<N>,
 }
 
-impl Line {
-    pub(crate) fn new() -> Line {
+impl<N: Numbers> Line<N> {
+    pub(crate) fn new() -> Line<N> {
         Line {
             len: 0,
             buf: [0; INLINE + WINDOW],
             spill: String::new(),
+            numbers: PhantomData,
         }
     }
 
@@ -129,30 +175,26 @@ impl Line {
         self.push_window(&[byte], 1);
     }
 
-    /// Appends the first `used` of `bytes` by storing all `N` of them, in
+    /// Appends the first `used` of `bytes` by storing all `W` of them, in
     /// one store of known width — the next append starts `used` further on
     /// and overwrites the rest.
     #[inline]
-    fn push_window<const N: usize>(&mut self, bytes: &[u8; N], used: usize) {
-        const { assert!(N <= WINDOW) };
-        debug_assert!(used <= N);
+    fn push_window<const W: usize>(&mut self, bytes: &[u8; W], used: usize) {
+        const { assert!(W <= WINDOW) };
+        debug_assert!(used <= W);
         if self.len <= INLINE {
-            self.buf[self.len..][..N].copy_from_slice(bytes);
+            self.buf[self.len..][..W].copy_from_slice(bytes);
             self.len += used;
         }
     }
 
-    /// `{n}`.
+    /// `{n}`, as `N` lands it.
     #[inline]
     pub(crate) fn push_u64(&mut self, n: u64) {
-        if n < 10 {
-            self.push_byte(b'0' + n as u8);
-        } else {
-            self.push_padded::<0>(n);
-        }
+        N::push(self, n);
     }
 
-    /// `{n:>WIDTH}`, padded with spaces (`WIDTH` ≤ 12).
+    /// `{n:>WIDTH}` in decimal text, padded with spaces (`WIDTH` ≤ 12).
     #[inline]
     fn push_padded<const WIDTH: usize>(&mut self, n: u64) {
         const E8: u64 = 100_000_000;
@@ -190,14 +232,11 @@ impl Line {
     /// paddings in spaces, neither ever truncating.
     pub(crate) fn push_prefix(&mut self, at_ns: u64, thread: u32, seq: u64, label: u32) {
         self.push_byte(b'@');
-        self.push_padded::<12>(at_ns);
+        N::push_right12(self, at_ns);
         self.push_str(" T");
         self.push_u64(u64::from(thread));
         self.push_str(" #");
-        self.push_u64(seq);
-        // Left-aligned in 4.
-        let pad = usize::from(seq < 10) + usize::from(seq < 100) + usize::from(seq < 1000);
-        self.push_window(b"   ", pad);
+        N::push_left4(self, seq);
         self.push_str(" A");
         self.push_u64(u64::from(label));
         self.push_byte(b' ');
@@ -339,7 +378,7 @@ impl Line {
 }
 
 /// For the few fields that do go through the formatter.
-impl std::fmt::Write for Line {
+impl<N: Numbers> std::fmt::Write for Line<N> {
     fn write_str(&mut self, text: &str) -> std::fmt::Result {
         self.push_str(text);
         Ok(())
@@ -355,7 +394,7 @@ mod tests {
     use caa_core::time::VirtualInstant;
 
     /// What `write` assembles, as text.
-    fn line(write: impl FnOnce(&mut Line)) -> String {
+    fn line(write: impl FnOnce(&mut Line<Decimal>)) -> String {
         let mut line = Line::new();
         write(&mut line);
         String::from_utf8(line.bytes().to_vec()).expect("rendered lines are utf-8")
@@ -710,7 +749,7 @@ mod tests {
                 },
                 EventKind::Crash,
             ];
-            let mut shared = Line::new();
+            let mut shared = Line::<Decimal>::new();
             for kind in kinds {
                 let expected = format!("@{:>12} T3 #{:<4} A7 {kind}\n", 5, 6);
                 let entry = Entry {

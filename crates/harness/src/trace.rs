@@ -69,7 +69,7 @@ use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
 
 use crate::inthash::IntMap;
-use crate::render::Line;
+use crate::render::{Decimal, Line, Numbers};
 use crate::scratch;
 
 /// What one trace entry records.
@@ -115,8 +115,9 @@ impl Entry {
         }
     }
 
-    /// Starts `line` over with the entry's rendered line.
-    pub(crate) fn render(&self, line: &mut Line) {
+    /// Starts `line` over with the entry's line, its numbers landing as
+    /// `N` says.
+    pub(crate) fn render<N: Numbers>(&self, line: &mut Line<N>) {
         line.clear();
         line.push_prefix(self.at_ns, self.thread, self.seq, self.label);
         match &self.kind {
@@ -279,14 +280,14 @@ impl Trace {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = Vec::with_capacity(self.entries.len() * 64);
-        self.render_into(&mut out);
+        self.render_into::<Decimal>(&mut out);
         String::from_utf8(out).expect("rendered fields are utf-8")
     }
 
-    /// Appends [`Trace::render`]'s bytes to `out`, each line assembled in
-    /// one line buffer on the stack.
-    fn render_into(&self, out: &mut Vec<u8>) {
-        let mut line = Line::new();
+    /// Appends the trace's lines to `out`, their numbers landing as `N`
+    /// says, each line assembled in one line buffer on the stack.
+    fn render_into<N: Numbers>(&self, out: &mut Vec<u8>) {
+        let mut line = Line::<N>::new();
         for entry in &self.entries {
             entry.render(&mut line);
             out.extend_from_slice(line.bytes());
@@ -304,7 +305,7 @@ impl Trace {
     pub fn render_fingerprint(&self) -> u64 {
         scratch::with(&RENDERED, |rendered| {
             rendered.clear();
-            self.render_into(rendered);
+            self.render_into::<Decimal>(rendered);
             hash64(rendered)
         })
     }
@@ -322,8 +323,8 @@ impl Trace {
     /// different entries through.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        let mut line_a = Line::new();
-        let mut line_b = Line::new();
+        let mut line_a = Line::<Decimal>::new();
+        let mut line_b = Line::<Decimal>::new();
         for (i, (ea, eb)) in self.entries.iter().zip(&other.entries).enumerate() {
             if (ea.at_ns, ea.thread, ea.seq, ea.label) == (eb.at_ns, eb.thread, eb.seq, eb.label)
                 && kinds_render_equal(&ea.kind, &eb.kind)
