@@ -45,11 +45,14 @@
 //! * **readers, µs and allocations per trace** — each of the five post-run
 //!   readers over 500 stored default traces, and what it asked the
 //!   allocator for on a warmed thread: nothing, but for the one buffer a
-//!   span tree keeps its spans in;
-//! * **the trace hash, ns/byte** — `hash64` over one rendered default
-//!   trace of mean length (≈ 7.3 KB), printed after
-//!   `reader_per_trace/render_fingerprint`: the fingerprint less this is
-//!   what the formatter costs.
+//!   span tree keeps its spans in; and beside the fingerprint,
+//!   `reader_per_trace/render`, the text formatter alone (what the goldens,
+//!   `caa replay` and corpus dumps still use; its one allocation is the
+//!   string it returns);
+//! * **the trace hash, ns/byte** — `hash64` over the fingerprint's byte
+//!   stream of one default trace of mean length, with the stream's bytes
+//!   per trace: the fingerprint less this is what assembling its lines
+//!   costs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -491,7 +494,7 @@ fn bench_readers() {
         .collect();
     let mut recorder = MetricsRecorder::new();
     type Reader<'a> = Box<dyn FnMut(&RunArtifacts) -> u64 + 'a>;
-    let mut readers: [(&str, Reader); 5] = [
+    let mut readers: [(&str, Reader); 6] = [
         ("check_run", Box::new(|run| check_run(run).len() as u64)),
         (
             "record_run",
@@ -512,6 +515,7 @@ fn bench_readers() {
             "render_fingerprint",
             Box::new(|run| run.trace.render_fingerprint()),
         ),
+        ("render", Box::new(|run| run.trace.render().len() as u64)),
     ];
     for (name, read) in &mut readers {
         let mut pass = || runs.iter().fold(0, |acc, run| acc ^ read(run));
@@ -527,28 +531,31 @@ fn bench_readers() {
             allocs as f64 / TRACES as f64
         );
     }
-    // The hash alone, over the rendering of a trace of mean length: what
-    // `render_fingerprint` pays beyond the formatter.
-    let renderings: Vec<String> = runs.iter().map(|run| run.trace.render()).collect();
-    let mean = renderings.iter().map(String::len).sum::<usize>() / renderings.len();
-    let typical = renderings
+    // The hash alone, over the fingerprint's byte stream of a trace of mean
+    // length: what `render_fingerprint` pays beyond assembling its lines.
+    let streams: Vec<Vec<u8>> = runs
         .iter()
-        .min_by_key(|text| text.len().abs_diff(mean))
+        .map(|run| run.trace.fingerprint_bytes())
+        .collect();
+    let mean = streams.iter().map(Vec::len).sum::<usize>() / streams.len();
+    let typical = streams
+        .iter()
+        .min_by_key(|bytes| bytes.len().abs_diff(mean))
         .expect("traces were run");
     let bytes = typical.len() as u64;
     let mut per_byte = 0.0;
     bench_timed("hash64_trace", bytes, 2_000, |n| {
         let started = Instant::now();
         for _ in 0..n {
-            black_box(hash64(black_box(typical.as_bytes())));
+            black_box(hash64(black_box(typical)));
         }
         let took = started.elapsed();
         per_byte = took.as_nanos() as f64 / (n * bytes) as f64;
         took
     });
     println!(
-        "layers/hash64_trace: {per_byte:.3} ns/byte over one {bytes} B default rendering \
-         (mean {mean} B)"
+        "layers/hash64_trace: {per_byte:.3} ns/byte over one {bytes} B fingerprint stream \
+         (mean {mean} B per default trace)"
     );
 }
 

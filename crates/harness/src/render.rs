@@ -7,24 +7,32 @@
 //! times what hashing the line byte by byte did; appending field by field
 //! to a `Vec` still paid a capacity check and a call into libc's `memmove`
 //! per field, ten a line. This module assembles the same bytes in a
-//! [`Line`]: a fixed buffer on the caller's stack and a cursor. A number
-//! becomes text in a register and lands as one store of known width, so
-//! does a fixed word, and the finished line is appended to the rendering
-//! in one piece. A line that does not fit — a very long action or exception
-//! name — is not patched up field by field: the cursor sticks past the end,
-//! every later field is a no-op, and the caller renders that one line
-//! through `Display` instead ([`Line::or_display`]).
+//! [`Line`]: a cursor over a window of fixed size at the end of the
+//! rendering ([`Lines`]), so that a line is written where it stays. A
+//! number becomes text in a register and lands as one store of known
+//! width, so does a fixed word, and a name of up to 16 bytes is two stores.
+//! A line that does not fit — a very long action or exception name — is
+//! not patched up field by field: the cursor sticks past the end, every
+//! later field is a no-op, and that one line is rendered through `Display`
+//! instead ([`Lines::push`]).
 //!
 //! The assembler has one parameter, [`Numbers`]: how a number lands.
-//! [`Decimal`] writes its text, padded as `Display` pads. Every word, name
-//! and field, and their order, is the assembler's and shared by every
-//! `Numbers`.
+//! [`Decimal`] writes its text, padded as `Display` pads — the rendering.
+//! [`Compact`] writes its eight little-endian bytes, unpadded — what the
+//! fingerprint hashes: turning numbers into digits was most of what a
+//! fingerprint cost, and only the hash read them. Every word, name and
+//! field, and their order, is the assembler's and shared, so a fingerprint
+//! covers exactly the fields the rendering shows, and there is no second
+//! list of them to keep in step (the field-coverage tests below check
+//! both lines field by field). An over-long line spills to its `Display`
+//! text either way.
 //!
 //! The text itself is pinned three ways: the unit tests below compare every
 //! [`EventKind`] variant, every kind of entry and the padding edge cases
-//! against the `Display` rendering, the golden traces pin whole renderings,
-//! and the 12k-seed digest pins their hashes. An event kind this module does
-//! not know (the enum is `#[non_exhaustive]`) falls back to its `Display`.
+//! against the `Display` rendering, the golden traces pin the hash of whole
+//! renderings beside each fingerprint, and the 12k-seed digest pins the
+//! fingerprints. An event kind this module does not know (the enum is
+//! `#[non_exhaustive]`) falls back to its `Display`.
 
 use std::fmt::Write as _;
 use std::marker::PhantomData;
@@ -64,6 +72,31 @@ fn significant(digits: u64) -> (u64, usize) {
     (digits >> (8 * zeros), 8 - zeros)
 }
 
+/// `from` into `to`, of the same length. A name is rarely longer than 16
+/// bytes, and two overlapping stores of one width copy it with no call
+/// into `memcpy` (which a slice copy of unknown length is).
+#[inline]
+fn copy(to: &mut [u8], from: &[u8]) {
+    let n = from.len();
+    match n {
+        0 => {}
+        1 => to[0] = from[0],
+        2..=3 => {
+            to[..2].copy_from_slice(&from[..2]);
+            to[n - 2..].copy_from_slice(&from[n - 2..]);
+        }
+        4..=7 => {
+            to[..4].copy_from_slice(&from[..4]);
+            to[n - 4..].copy_from_slice(&from[n - 4..]);
+        }
+        8..=16 => {
+            to[..8].copy_from_slice(&from[..8]);
+            to[n - 8..].copy_from_slice(&from[n - 8..]);
+        }
+        _ => to.copy_from_slice(from),
+    }
+}
+
 /// Bytes a [`Line`] assembles in place: a default-space line is 40 to 90
 /// bytes, its fixed part at most 69 of them.
 const INLINE: usize = 256;
@@ -78,11 +111,11 @@ const OVERFLOWED: usize = usize::MAX;
 /// in. The three columns are the three ways the rendering formats a number.
 pub(crate) trait Numbers: Sized {
     /// `{n}`.
-    fn push(line: &mut Line<Self>, n: u64);
+    fn push(line: &mut Line<'_, Self>, n: u64);
     /// `{n:>12}` — the timestamp column.
-    fn push_right12(line: &mut Line<Self>, n: u64);
+    fn push_right12(line: &mut Line<'_, Self>, n: u64);
     /// `{n:<4}` — the sequence column.
-    fn push_left4(line: &mut Line<Self>, n: u64);
+    fn push_left4(line: &mut Line<'_, Self>, n: u64);
 }
 
 /// Decimal text, padded with spaces as `Display` pads: what
@@ -91,7 +124,7 @@ pub(crate) enum Decimal {}
 
 impl Numbers for Decimal {
     #[inline]
-    fn push(line: &mut Line<Self>, n: u64) {
+    fn push(line: &mut Line<'_, Self>, n: u64) {
         if n < 10 {
             line.push_byte(b'0' + n as u8);
         } else {
@@ -100,70 +133,136 @@ impl Numbers for Decimal {
     }
 
     #[inline]
-    fn push_right12(line: &mut Line<Self>, n: u64) {
+    fn push_right12(line: &mut Line<'_, Self>, n: u64) {
         line.push_padded::<12>(n);
     }
 
     #[inline]
-    fn push_left4(line: &mut Line<Self>, n: u64) {
+    fn push_left4(line: &mut Line<'_, Self>, n: u64) {
         Decimal::push(line, n);
         let pad = usize::from(n < 10) + usize::from(n < 100) + usize::from(n < 1000);
         line.push_window(b"   ", pad);
     }
 }
 
-/// One line under assembly, its numbers landing as `N` says.
-pub(crate) struct Line<N: Numbers> {
+/// The number's eight little-endian bytes, unpadded: what
+/// [`Trace::render_fingerprint`](crate::trace::Trace::render_fingerprint)
+/// hashes. A fixed width needs no padding and no delimiter to stay apart
+/// from the field after it.
+pub(crate) enum Compact {}
+
+impl Numbers for Compact {
+    #[inline]
+    fn push(line: &mut Line<'_, Self>, n: u64) {
+        line.push_window(&n.to_le_bytes(), 8);
+    }
+
+    #[inline]
+    fn push_right12(line: &mut Line<'_, Self>, n: u64) {
+        Compact::push(line, n);
+    }
+
+    #[inline]
+    fn push_left4(line: &mut Line<'_, Self>, n: u64) {
+        Compact::push(line, n);
+    }
+}
+
+/// Lines assembled in place, one after another, at the end of one byte
+/// buffer: a line's fields are written where the line will stay, and a
+/// closed line is not copied again. The buffer keeps its length between
+/// uses (`clear` only moves the end back), so a reused `Lines` assembles
+/// into memory that is already there.
+#[derive(Default)]
+pub(crate) struct Lines {
+    /// The closed lines (`..end`), then room for the next one.
+    buf: Vec<u8>,
+    end: usize,
+}
+
+impl Lines {
+    pub(crate) const fn new() -> Lines {
+        Lines {
+            buf: Vec::new(),
+            end: 0,
+        }
+    }
+
+    /// Lines whose first `bytes` need no allocation.
+    pub(crate) fn with_capacity(bytes: usize) -> Lines {
+        Lines {
+            buf: Vec::with_capacity(bytes),
+            end: 0,
+        }
+    }
+
+    /// Drops every line, keeping the buffer.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.end = 0;
+    }
+
+    /// The closed lines.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.buf[..self.end]
+    }
+
+    /// The closed lines, in a buffer cut to their length.
+    pub(crate) fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.truncate(self.end);
+        self.buf
+    }
+
+    /// Appends the line `write` assembles, its numbers landing as `N` says.
+    /// If a field of it did not fit a [`Line`], the line is `display`
+    /// instead — the same text, by the formatter, on the heap.
+    #[inline]
+    pub(crate) fn push<N: Numbers>(
+        &mut self,
+        write: impl FnOnce(&mut Line<'_, N>),
+        display: impl FnOnce() -> String,
+    ) {
+        let room = self.end + INLINE + WINDOW;
+        if self.buf.len() < room {
+            self.buf.resize(room.max(2 * self.buf.len()), 0);
+        }
+        let mut line = Line {
+            len: 0,
+            buf: (&mut self.buf[self.end..room])
+                .try_into()
+                .expect("a line's room"),
+            numbers: PhantomData,
+        };
+        write(&mut line);
+        let len = line.len;
+        if len <= INLINE {
+            self.end += len;
+        } else {
+            self.buf.truncate(self.end);
+            self.buf.extend_from_slice(display().as_bytes());
+            self.end = self.buf.len();
+        }
+    }
+}
+
+/// One line under assembly in [`Lines`]' buffer, its numbers landing as `N`
+/// says.
+pub(crate) struct Line<'a, N: Numbers> {
     /// The cursor: bytes written so far, or [`OVERFLOWED`].
     len: usize,
-    /// A window's width past `INLINE`, so that a cursor inside the line has
-    /// room for a whole window without a second look.
-    buf: [u8; INLINE + WINDOW],
-    /// The line, when it took the `Display` path.
-    spill: String,
+    /// Where the line goes: a window's width past `INLINE`, so that a cursor
+    /// inside the line has room for a whole window without a second look.
+    buf: &'a mut [u8; INLINE + WINDOW],
     numbers: PhantomData<N>,
 }
 
-impl<N: Numbers> Line<N> {
-    pub(crate) fn new() -> Line<N> {
-        Line {
-            len: 0,
-            buf: [0; INLINE + WINDOW],
-            spill: String::new(),
-            numbers: PhantomData,
-        }
-    }
-
-    /// Starts the next line.
-    #[inline]
-    pub(crate) fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Closes the line: if a field of it did not fit the buffer, the line
-    /// is `display` instead — the same text, by the formatter, on the heap.
-    #[inline]
-    pub(crate) fn or_display(&mut self, display: impl FnOnce() -> String) {
-        if self.len > INLINE {
-            self.spill = display();
-        }
-    }
-
-    /// The closed line.
-    #[inline]
-    pub(crate) fn bytes(&self) -> &[u8] {
-        if self.len <= INLINE {
-            &self.buf[..self.len]
-        } else {
-            self.spill.as_bytes()
-        }
-    }
-
+impl<N: Numbers> Line<'_, N> {
     #[inline]
     pub(crate) fn push_str(&mut self, text: &str) {
         let fits = self.len <= INLINE && text.len() <= INLINE - self.len;
         if fits {
-            self.buf[self.len..][..text.len()].copy_from_slice(text.as_bytes());
+            copy(&mut self.buf[self.len..][..text.len()], text.as_bytes());
             self.len += text.len();
         } else {
             self.len = OVERFLOWED;
@@ -378,7 +477,7 @@ impl<N: Numbers> Line<N> {
 }
 
 /// For the few fields that do go through the formatter.
-impl<N: Numbers> std::fmt::Write for Line<N> {
+impl<N: Numbers> std::fmt::Write for Line<'_, N> {
     fn write_str(&mut self, text: &str) -> std::fmt::Result {
         self.push_str(text);
         Ok(())
@@ -388,16 +487,19 @@ impl<N: Numbers> std::fmt::Write for Line<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{kinds_render_equal, Entry, EntryKind};
     use caa_core::exception::ExceptionId;
-    use caa_core::ids::PartitionId;
+    use caa_core::ids::{ActionId, PartitionId};
     use caa_core::message::SignalRound;
+    use caa_core::name::Name;
     use caa_core::time::VirtualInstant;
+    use caa_runtime::observe::Event;
 
     /// What `write` assembles, as text.
-    fn line(write: impl FnOnce(&mut Line<Decimal>)) -> String {
-        let mut line = Line::new();
-        write(&mut line);
-        String::from_utf8(line.bytes().to_vec()).expect("rendered lines are utf-8")
+    fn line(write: impl FnOnce(&mut Line<'_, Decimal>)) -> String {
+        let mut lines = Lines::new();
+        lines.push(write, || unreachable!("a test line fits"));
+        String::from_utf8(lines.into_bytes()).expect("rendered lines are utf-8")
     }
 
     fn kind_bytes(kind: &EventKind) -> String {
@@ -556,6 +658,318 @@ mod tests {
         });
     }
 
+    /// An entry's two lines: its rendering and what its fingerprint hashes.
+    fn both_lines(entry: &Entry) -> (Vec<u8>, Vec<u8>) {
+        let mut decimal = Lines::new();
+        let mut compact = Lines::new();
+        entry.render::<Decimal>(&mut decimal);
+        entry.render::<Compact>(&mut compact);
+        (decimal.into_bytes(), compact.into_bytes())
+    }
+
+    fn runtime_entry(kind: EventKind) -> Entry {
+        Entry {
+            at_ns: 5_000,
+            thread: 3,
+            label: 7,
+            seq: 12,
+            kind: EntryKind::Runtime(Event {
+                at: VirtualInstant::from_nanos(5_000),
+                thread: ThreadId::new(3),
+                action: ActionId::top_level(1),
+                kind,
+            }),
+        }
+    }
+
+    /// One entry of each network kind.
+    fn net_entries() -> [Entry; 3] {
+        let tap = TapEvent {
+            src: PartitionId::new(2),
+            dst: PartitionId::new(9),
+            class: "toBeSignalled",
+            correlation: 1,
+            at: VirtualInstant::from_nanos(5_000),
+            deliver_at: VirtualInstant::from_nanos(6_000_000),
+            seq: 40,
+        };
+        [
+            EntryKind::NetSent,
+            EntryKind::NetDropped,
+            EntryKind::NetCorrupted,
+        ]
+        .map(|kind| Entry {
+            kind: kind(tap.clone()),
+            ..runtime_entry(EventKind::Crash)
+        })
+    }
+
+    /// Copies of `kind`, each with one rendered field changed.
+    fn each_field_changed(kind: &EventKind) -> Vec<EventKind> {
+        // Every other value of a field.
+        fn others<T: PartialEq>(value: &T, all: Vec<T>) -> Vec<T> {
+            all.into_iter().filter(|v| v != value).collect()
+        }
+        let renamed = |name: &str| Name::from(format!("{name}'").as_str());
+        let other = |e: &ExceptionId| ExceptionId::new(format!("{}'", e.name()).as_str());
+        let thread = |t: &ThreadId| ThreadId::new(t.as_u32() ^ 1);
+        // One more, one changed, one fewer.
+        let lists = |threads: &[ThreadId]| {
+            let mut lists = vec![[threads, &[ThreadId::new(5)]].concat()];
+            if let Some(first) = threads.first() {
+                lists.push([&[thread(first)], &threads[1..]].concat());
+                lists.push(threads[1..].to_vec());
+            }
+            lists
+        };
+        let (x, y) = (ExceptionId::new("x"), ExceptionId::new("y"));
+        match kind {
+            EventKind::Enter { name, role, depth } => vec![
+                EventKind::Enter {
+                    name: renamed(name),
+                    role: *role,
+                    depth: *depth,
+                },
+                EventKind::Enter {
+                    name: *name,
+                    role: renamed(role),
+                    depth: *depth,
+                },
+                EventKind::Enter {
+                    name: *name,
+                    role: *role,
+                    depth: depth ^ 1,
+                },
+            ],
+            EventKind::Exit { outcome } => {
+                let all = vec![
+                    ActionOutcome::Success,
+                    ActionOutcome::Undone,
+                    ActionOutcome::Failed,
+                    ActionOutcome::Signalled(x),
+                    ActionOutcome::Signalled(y),
+                ];
+                others(outcome, all)
+                    .into_iter()
+                    .map(|outcome| EventKind::Exit { outcome })
+                    .collect()
+            }
+            EventKind::Abort { eab } => others(eab, vec![None, Some(x), Some(y)])
+                .into_iter()
+                .map(|eab| EventKind::Abort { eab })
+                .collect(),
+            EventKind::Raise { exception } => vec![EventKind::Raise {
+                exception: other(exception),
+            }],
+            EventKind::RecoveryStart { raised } => {
+                vec![EventKind::RecoveryStart { raised: !raised }]
+            }
+            EventKind::ResolutionInvoked { invocations } => vec![EventKind::ResolutionInvoked {
+                invocations: invocations ^ 1,
+            }],
+            EventKind::Resolved { exception } => vec![EventKind::Resolved {
+                exception: other(exception),
+            }],
+            EventKind::HandlerStart { exception } => vec![EventKind::HandlerStart {
+                exception: other(exception),
+            }],
+            EventKind::HandlerEnd { verdict } => {
+                let all = vec![
+                    HandlerVerdict::Recovered,
+                    HandlerVerdict::Undo,
+                    HandlerVerdict::Fail,
+                    HandlerVerdict::Signal(x),
+                    HandlerVerdict::Signal(y),
+                ];
+                others(verdict, all)
+                    .into_iter()
+                    .map(|verdict| EventKind::HandlerEnd { verdict })
+                    .collect()
+            }
+            EventKind::SignalOutcome { signal } => {
+                let all = vec![
+                    Signal::None,
+                    Signal::Undo,
+                    Signal::Failure,
+                    Signal::Exception(x),
+                    Signal::Exception(y),
+                ];
+                others(signal, all)
+                    .into_iter()
+                    .map(|signal| EventKind::SignalOutcome { signal })
+                    .collect()
+            }
+            EventKind::ObjectAcquired { object, waited_ns } => vec![EventKind::ObjectAcquired {
+                object: renamed(object),
+                waited_ns: *waited_ns,
+            }],
+            EventKind::ExitStart { epoch } => vec![EventKind::ExitStart { epoch: epoch ^ 1 }],
+            EventKind::ExitTimeout { epoch } => vec![EventKind::ExitTimeout { epoch: epoch ^ 1 }],
+            EventKind::SignalTimeout { round, suspects } => {
+                let mut changed = vec![EventKind::SignalTimeout {
+                    round: match round {
+                        SignalRound::First => SignalRound::AfterUndo,
+                        SignalRound::AfterUndo => SignalRound::First,
+                    },
+                    suspects: suspects.clone(),
+                }];
+                changed.extend(lists(suspects).into_iter().map(|suspects| {
+                    EventKind::SignalTimeout {
+                        round: *round,
+                        suspects,
+                    }
+                }));
+                changed
+            }
+            EventKind::ResolutionTimeout { suspects } => lists(suspects)
+                .into_iter()
+                .map(|suspects| EventKind::ResolutionTimeout { suspects })
+                .collect(),
+            EventKind::ViewChange { epoch, removed } => {
+                let mut changed = vec![EventKind::ViewChange {
+                    epoch: epoch ^ 1,
+                    removed: removed.clone(),
+                }];
+                changed.extend(
+                    lists(removed)
+                        .into_iter()
+                        .map(|removed| EventKind::ViewChange {
+                            epoch: *epoch,
+                            removed,
+                        }),
+                );
+                changed
+            }
+            EventKind::Crash => Vec::new(),
+            EventKind::JoinRequested { to } => vec![EventKind::JoinRequested { to: thread(to) }],
+            EventKind::Rejoin { epoch, thread: t } => vec![
+                EventKind::Rejoin {
+                    epoch: epoch ^ 1,
+                    thread: *t,
+                },
+                EventKind::Rejoin {
+                    epoch: *epoch,
+                    thread: thread(t),
+                },
+            ],
+            other => panic!("`each_field_changed` does not know {other:?} yet"),
+        }
+    }
+
+    /// `changed` differs from `entry` in a field the rendering shows: both
+    /// of its lines differ from `entry`'s.
+    fn assert_both_lines_move(entry: &Entry, changed: &Entry) {
+        let (decimal, compact) = both_lines(entry);
+        let (decimal2, compact2) = both_lines(changed);
+        assert_ne!(decimal, decimal2, "{changed:?}: the rendering missed it");
+        assert_ne!(compact, compact2, "{changed:?}: the fingerprint missed it");
+    }
+
+    /// `changed` differs from `entry` only where the rendering looks away:
+    /// neither line moves.
+    fn assert_neither_line_moves(entry: &Entry, changed: &Entry) {
+        assert_ne!(entry, changed, "nothing was changed");
+        assert_eq!(both_lines(entry), both_lines(changed), "{changed:?}");
+    }
+
+    /// The fingerprint covers the fields the rendering shows, no more and
+    /// no fewer: one assembler writes both lines, and only how a number
+    /// lands differs.
+    #[test]
+    fn a_fingerprint_line_moves_with_every_rendered_field_and_no_other() {
+        let mut entries: Vec<Entry> = every_kind().into_iter().map(runtime_entry).collect();
+        entries.extend(net_entries());
+        for entry in &entries {
+            // The prefix (an event's instant and thread are the entry's).
+            let mut prefixes = [entry.clone(), entry.clone(), entry.clone(), entry.clone()];
+            prefixes[0].at_ns ^= 1;
+            prefixes[1].thread ^= 1;
+            prefixes[2].seq ^= 1;
+            prefixes[3].label ^= 1;
+            if let EntryKind::Runtime(event) = &mut prefixes[0].kind {
+                event.at = VirtualInstant::from_nanos(prefixes[0].at_ns);
+            }
+            if let EntryKind::Runtime(event) = &mut prefixes[1].kind {
+                event.thread = ThreadId::new(prefixes[1].thread);
+            }
+            for changed in &prefixes {
+                assert_both_lines_move(entry, changed);
+            }
+
+            let mut unrendered = entry.clone();
+            match &mut unrendered.kind {
+                EntryKind::Runtime(event) => {
+                    for kind in each_field_changed(&event.kind) {
+                        assert_both_lines_move(entry, &runtime_entry(kind));
+                    }
+                    if let EventKind::ObjectAcquired { object, waited_ns } = event.kind.clone() {
+                        let waited = EventKind::ObjectAcquired {
+                            object,
+                            waited_ns: waited_ns + 1,
+                        };
+                        assert_neither_line_moves(entry, &runtime_entry(waited));
+                    }
+                    event.action = ActionId::top_level(2);
+                }
+                EntryKind::NetSent(t) | EntryKind::NetDropped(t) | EntryKind::NetCorrupted(t) => {
+                    let rebuilt = |t: TapEvent| Entry {
+                        kind: match entry.kind {
+                            EntryKind::NetSent(_) => EntryKind::NetSent(t),
+                            EntryKind::NetDropped(_) => EntryKind::NetDropped(t),
+                            _ => EntryKind::NetCorrupted(t),
+                        },
+                        ..entry.clone()
+                    };
+                    let fields: [fn(&mut TapEvent); 5] = [
+                        |t| t.class = "Commit",
+                        |t| t.src = PartitionId::new(t.src.as_u32() ^ 1),
+                        |t| t.dst = PartitionId::new(t.dst.as_u32() ^ 1),
+                        |t| t.seq ^= 1,
+                        |t| t.deliver_at = VirtualInstant::from_nanos(t.deliver_at.as_nanos() ^ 1),
+                    ];
+                    // A drop or a corruption shows no sequence number and
+                    // no delivery instant.
+                    let shown = if matches!(entry.kind, EntryKind::NetSent(_)) {
+                        5
+                    } else {
+                        3
+                    };
+                    for (i, change) in fields.into_iter().enumerate() {
+                        let mut changed = t.clone();
+                        change(&mut changed);
+                        if i < shown {
+                            assert_both_lines_move(entry, &rebuilt(changed));
+                        } else {
+                            assert_neither_line_moves(entry, &rebuilt(changed));
+                        }
+                    }
+                    t.correlation ^= 1;
+                    t.at = VirtualInstant::from_nanos(t.at.as_nanos() ^ 1);
+                }
+            }
+            assert_neither_line_moves(entry, &unrendered);
+        }
+    }
+
+    /// The replay oracle's structural fast path reads the same field list:
+    /// two entry kinds are render-equal exactly when their fingerprint
+    /// lines are equal.
+    #[test]
+    fn render_equal_kinds_are_the_kinds_with_equal_fingerprint_lines() {
+        let mut entries: Vec<Entry> = every_kind().into_iter().map(runtime_entry).collect();
+        entries.extend(net_entries());
+        let lines: Vec<Vec<u8>> = entries.iter().map(|e| both_lines(e).1).collect();
+        for (a, line_a) in entries.iter().zip(&lines) {
+            for (b, line_b) in entries.iter().zip(&lines) {
+                assert_eq!(
+                    kinds_render_equal(&a.kind, &b.kind),
+                    line_a == line_b,
+                    "{a:?} / {b:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn the_prefix_pads_like_the_width_arguments_it_replaces() {
         // `at_ns` past the 12-column pad (crash plans reach 16 digits),
@@ -710,8 +1124,16 @@ mod tests {
             };
         }
         assert_eq!(trace.render(), expected);
-        assert_eq!(trace.render_fingerprint(), hash64(expected.as_bytes()));
-        assert_eq!(trace.first_divergence(&rec.finish()), None);
+        // The fingerprint hashes the same lines with their numbers as bytes:
+        // equal for the same recording, and not the text's hash.
+        let again = rec.finish();
+        assert_eq!(trace.render_fingerprint(), again.render_fingerprint());
+        assert_eq!(
+            trace.render_fingerprint(),
+            hash64(&trace.fingerprint_bytes())
+        );
+        assert_ne!(trace.render_fingerprint(), hash64(expected.as_bytes()));
+        assert_eq!(trace.first_divergence(&again), None);
     }
 
     /// A line that outgrows the buffer — at whichever field — is rendered
@@ -749,7 +1171,7 @@ mod tests {
                 },
                 EventKind::Crash,
             ];
-            let mut shared = Line::<Decimal>::new();
+            let mut shared = Lines::new();
             for kind in kinds {
                 let expected = format!("@{:>12} T3 #{:<4} A7 {kind}\n", 5, 6);
                 let entry = Entry {
@@ -765,14 +1187,17 @@ mod tests {
                     }),
                 };
                 assert_eq!(format!("{entry}\n"), expected);
-                entry.render(&mut shared);
+                let start = shared.end;
+                entry.render::<Decimal>(&mut shared);
                 assert_eq!(
-                    std::str::from_utf8(shared.bytes()),
+                    std::str::from_utf8(&shared.bytes()[start..]),
                     Ok(&*expected),
                     "name of {len} chars"
                 );
+                // A line assembled in place leaves the rest of its room
+                // behind it; a spilled one was appended at the very end.
                 let fitted = expected.len() <= INLINE;
-                assert_eq!(shared.len <= INLINE, fitted, "name of {len} chars");
+                assert_eq!(shared.buf.len() > shared.end, fitted, "name of {len} chars");
             }
         }
     }

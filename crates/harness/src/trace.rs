@@ -69,7 +69,7 @@ use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
 
 use crate::inthash::IntMap;
-use crate::render::{Decimal, Line, Numbers};
+use crate::render::{Compact, Decimal, Lines, Numbers};
 use crate::scratch;
 
 /// What one trace entry records.
@@ -115,22 +115,25 @@ impl Entry {
         }
     }
 
-    /// Starts `line` over with the entry's line, its numbers landing as
-    /// `N` says.
-    pub(crate) fn render<N: Numbers>(&self, line: &mut Line<N>) {
-        line.clear();
-        line.push_prefix(self.at_ns, self.thread, self.seq, self.label);
-        match &self.kind {
-            EntryKind::Runtime(e) => line.push_kind(&e.kind),
-            EntryKind::NetSent(e) => {
-                line.push_net("net send ", e);
-                line.push_delivery(e);
-            }
-            EntryKind::NetDropped(e) => line.push_net("net drop ", e),
-            EntryKind::NetCorrupted(e) => line.push_net("net corrupt ", e),
-        }
-        line.push_byte(b'\n');
-        line.or_display(|| format!("{self}\n"));
+    /// Appends the entry's line to `lines`, its numbers landing as `N`
+    /// says.
+    pub(crate) fn render<N: Numbers>(&self, lines: &mut Lines) {
+        lines.push::<N>(
+            |line| {
+                line.push_prefix(self.at_ns, self.thread, self.seq, self.label);
+                match &self.kind {
+                    EntryKind::Runtime(e) => line.push_kind(&e.kind),
+                    EntryKind::NetSent(e) => {
+                        line.push_net("net send ", e);
+                        line.push_delivery(e);
+                    }
+                    EntryKind::NetDropped(e) => line.push_net("net drop ", e),
+                    EntryKind::NetCorrupted(e) => line.push_net("net corrupt ", e),
+                }
+                line.push_byte(b'\n');
+            },
+            || format!("{self}\n"),
+        );
     }
 }
 
@@ -279,35 +282,47 @@ impl Trace {
     /// independent of process-global definition-id state.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = Vec::with_capacity(self.entries.len() * 64);
-        self.render_into::<Decimal>(&mut out);
-        String::from_utf8(out).expect("rendered fields are utf-8")
+        let mut lines = Lines::with_capacity(self.entries.len() * 72);
+        self.render_into::<Decimal>(&mut lines);
+        String::from_utf8(lines.into_bytes()).expect("rendered fields are utf-8")
     }
 
-    /// Appends the trace's lines to `out`, their numbers landing as `N`
-    /// says, each line assembled in one line buffer on the stack.
-    fn render_into<N: Numbers>(&self, out: &mut Vec<u8>) {
-        let mut line = Line::<N>::new();
+    /// Appends the trace's lines to `lines`, their numbers landing as `N`
+    /// says.
+    fn render_into<N: Numbers>(&self, lines: &mut Lines) {
         for entry in &self.entries {
-            entry.render(&mut line);
-            out.extend_from_slice(line.bytes());
+            entry.render::<N>(lines);
         }
     }
 
-    /// The trace's identity: `hash64(trace.render().as_bytes())`, which
-    /// fingerprints from hash-only sweeps (`caa hashes`, the golden-trace
-    /// test, pre/post refactor gates) share with rendered traces. The
-    /// rendering goes into the calling thread's scratch buffer, not a new
-    /// string, and is hashed in one pass: a warmed thread allocates
-    /// nothing, and what the call costs is mostly the formatter (the
-    /// crate's `render` module).
+    /// The trace's identity, for hash-only sweeps (`caa hashes`, the
+    /// golden-trace test, pre/post refactor gates): the [`hash64`] of
+    /// [`Trace::fingerprint_bytes`] — the rendering's lines, word for word
+    /// and field for field, with each number as its eight bytes instead of
+    /// its digits. Two traces fingerprint equal exactly when they render
+    /// equal (barring a hash collision): both lines come from one assembler
+    /// (the crate's `render` module) that differs only in how a number
+    /// lands. The lines go into the calling thread's scratch buffer and are
+    /// hashed in one pass, so a warmed thread allocates nothing.
+    ///
+    /// A fingerprint is not `hash64(render())`, and fingerprints printed
+    /// before the two diverged are not comparable with today's.
     #[must_use]
     pub fn render_fingerprint(&self) -> u64 {
-        scratch::with(&RENDERED, |rendered| {
-            rendered.clear();
-            self.render_into::<Decimal>(rendered);
-            hash64(rendered)
+        scratch::with(&FINGERPRINTED, |lines| {
+            lines.clear();
+            self.render_into::<Compact>(lines);
+            hash64(lines.bytes())
         })
+    }
+
+    /// The byte stream [`Trace::render_fingerprint`] hashes, one line per
+    /// entry, in a new buffer.
+    #[must_use]
+    pub fn fingerprint_bytes(&self) -> Vec<u8> {
+        let mut lines = Lines::default();
+        self.render_into::<Compact>(&mut lines);
+        lines.into_bytes()
     }
 
     /// Streaming byte-exact comparison of two traces' renderings: returns
@@ -323,8 +338,8 @@ impl Trace {
     /// different entries through.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        let mut line_a = Line::<Decimal>::new();
-        let mut line_b = Line::<Decimal>::new();
+        let mut line_a = Lines::default();
+        let mut line_b = Lines::default();
         for (i, (ea, eb)) in self.entries.iter().zip(&other.entries).enumerate() {
             if (ea.at_ns, ea.thread, ea.seq, ea.label) == (eb.at_ns, eb.thread, eb.seq, eb.label)
                 && kinds_render_equal(&ea.kind, &eb.kind)
@@ -334,8 +349,10 @@ impl Trace {
             // Structurally unequal: confirm by rendering this line pair
             // (exact, and cold — replays of one seed are structurally
             // identical in practice).
-            ea.render(&mut line_a);
-            eb.render(&mut line_b);
+            line_a.clear();
+            line_b.clear();
+            ea.render::<Decimal>(&mut line_a);
+            eb.render::<Decimal>(&mut line_b);
             if line_a.bytes() != line_b.bytes() {
                 return Some(i);
             }
@@ -352,7 +369,7 @@ impl Trace {
 /// process-global serials that legitimately differ between two executions
 /// of the same seed (the canonical `A<n>` labels compare them instead) —
 /// so those fields are ignored here too.
-fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
+pub(crate) fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
     let tap_eq = |x: &TapEvent, y: &TapEvent| {
         (x.class, x.src, x.dst, x.seq, x.deliver_at) == (y.class, y.src, y.dst, y.seq, y.deliver_at)
     };
@@ -368,9 +385,9 @@ fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
 }
 
 thread_local! {
-    /// [`Trace::render_fingerprint`]'s rendering, kept at the longest
-    /// trace this thread fingerprinted.
-    static RENDERED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    /// [`Trace::render_fingerprint`]'s lines, kept at the longest trace
+    /// this thread fingerprinted.
+    static FINGERPRINTED: Cell<Lines> = const { Cell::new(Lines::new()) };
 }
 
 /// XXH64 (seed 0) of `bytes`: the workspace's one hash of bytes — trace

@@ -482,8 +482,8 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
 /// but the one buffer that holds a span tree's spans: the tables they fill
 /// are the calling thread's scratch (oracles, span tree), inline (coverage)
 /// or the recorder's own (metrics), a span's name is shared with what it
-/// names, a line is rendered on the stack and a fingerprinted rendering
-/// goes into the thread's scratch buffer. Pinned per reader over seeds of
+/// names, and a fingerprint's lines are assembled in place in the thread's
+/// scratch buffer. Pinned per reader over seeds of
 /// three spaces (crash plans replay memberships, object plans have the
 /// longest traces), after one warm-up pass through every reader that sizes
 /// the scratch. A span tree is allowed three: its buffer, and twice
@@ -580,8 +580,9 @@ fn reading_a_warmed_trace_allocates_a_bounded_handful() {
     );
 }
 
-/// A line that does not fit the renderer's stack buffer — here an action
-/// name of 300 bytes — takes the heap path: same text, same fingerprint.
+/// A line that does not fit the renderer's line buffer — here an action
+/// name of 300 bytes — takes the heap path: the same text, and in the
+/// fingerprint's byte stream that text too, stable from call to call.
 #[test]
 fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
     use caa_core::ids::{ActionId, ThreadId};
@@ -616,10 +617,24 @@ fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
     let before = ALLOCS.load(Ordering::Relaxed);
     let fingerprint = trace.render_fingerprint();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(fingerprint, hash64(expected.as_bytes()));
     assert!(
         allocs > 0,
-        "a 300-byte name cannot have fitted the stack buffer"
+        "a 300-byte name cannot have fitted the line buffer"
+    );
+    assert_eq!(fingerprint, trace.render_fingerprint());
+    let bytes = trace.fingerprint_bytes();
+    assert_eq!(fingerprint, hash64(&bytes));
+    let spilled = expected.split_inclusive('\n').next().expect("two lines");
+    let (first, rest) = bytes.split_at(spilled.len());
+    assert_eq!(
+        first,
+        spilled.as_bytes(),
+        "the over-long line is its text in the fingerprint too"
+    );
+    assert_ne!(
+        rest,
+        &expected.as_bytes()[spilled.len()..],
+        "the line that fits lands its numbers as bytes"
     );
 }
 

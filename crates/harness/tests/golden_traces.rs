@@ -13,13 +13,20 @@
 //! ```text
 //! CAA_GOLDEN_BLESS=1 cargo test -p caa-harness --test golden_traces
 //! ```
+//!
+//! Each seed's line carries two hashes: `hash`, the trace's fingerprint
+//! (what `caa hashes` and the 12k-seed digest print), and `text`, the hash
+//! of its rendered text. The fingerprint hashes the rendering's fields, not
+//! its digits, so `text` is what keeps `Trace::render` itself pinned: a
+//! change to the fingerprint's byte stream moves `hash` alone, a change to
+//! the text moves `text` (and, as a rule, `hash`).
 
 use std::fmt::Write as _;
 
 use caa_harness::arena::ExecutionArena;
 use caa_harness::exec::execute_in;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
-use caa_harness::trace::Trace;
+use caa_harness::trace::{hash64, Trace};
 
 fn acquired_lines(trace: &Trace) -> Vec<String> {
     trace
@@ -38,24 +45,33 @@ fn acquired_lines(trace: &Trace) -> Vec<String> {
         .collect()
 }
 
-/// Renders the golden report: per-seed replay hashes for the default and
-/// object-heavy configurations, plus the full grant-order listing for a
-/// handful of heavily contended seeds.
+/// One seed's line: its fingerprint, the hash of its text, its length and
+/// its grants.
+fn seed_line(out: &mut String, seed: u64, trace: &Trace) {
+    let _ = writeln!(
+        out,
+        "seed {seed} hash {:016x} text {:016x} entries {} acquired {}",
+        trace.render_fingerprint(),
+        hash64(trace.render().as_bytes()),
+        trace.len(),
+        acquired_lines(trace).len(),
+    );
+}
+
+/// Renders the golden report: per-seed fingerprints and text hashes for
+/// the default and object-heavy configurations, plus the full grant-order
+/// listing for a handful of heavily contended seeds.
 fn golden_report() -> String {
     let mut out = String::new();
-    out.push_str("# golden traces: replay hash = hash64(Trace::render())\n");
+    out.push_str(
+        "# golden traces: hash = Trace::render_fingerprint(), text = hash64(Trace::render())\n",
+    );
 
     out.push_str("[default-config]\n");
     for seed in 0..96u64 {
         let plan = ScenarioPlan::generate(seed, &ScenarioConfig::default());
         let artifacts = execute_in(&plan, &mut ExecutionArena::default());
-        let _ = writeln!(
-            out,
-            "seed {seed} hash {:016x} entries {} acquired {}",
-            artifacts.trace.render_fingerprint(),
-            artifacts.trace.len(),
-            acquired_lines(&artifacts.trace).len(),
-        );
+        seed_line(&mut out, seed, &artifacts.trace);
     }
 
     out.push_str("[object-heavy]\n");
@@ -63,13 +79,7 @@ fn golden_report() -> String {
     for seed in 0..48u64 {
         let plan = ScenarioPlan::generate(seed, &heavy);
         let artifacts = execute_in(&plan, &mut ExecutionArena::default());
-        let _ = writeln!(
-            out,
-            "seed {seed} hash {:016x} entries {} acquired {}",
-            artifacts.trace.render_fingerprint(),
-            artifacts.trace.len(),
-            acquired_lines(&artifacts.trace).len(),
-        );
+        seed_line(&mut out, seed, &artifacts.trace);
     }
 
     out.push_str("[object-heavy grant order]\n");
