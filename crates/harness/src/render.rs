@@ -10,11 +10,10 @@
 //! [`Line`]: a cursor over a window of fixed size at the end of the
 //! rendering ([`Lines`]), so that a line is written where it stays. A
 //! number becomes text in a register and lands as one store of known
-//! width, so does a fixed word, and a name of up to 16 bytes is two stores.
-//! A line that does not fit — a very long action or exception name — is
-//! not patched up field by field: the cursor sticks past the end, every
-//! later field is a no-op, and that one line is rendered through `Display`
-//! instead ([`Lines::push`]).
+//! width, and so does a fixed word. A line that does not fit — a very long
+//! action or exception name — is not patched up field by field: the cursor
+//! sticks past the end, every later field is a no-op, and that one line is
+//! rendered through `Display` instead ([`Lines::push`]).
 //!
 //! The assembler has one parameter, [`Numbers`]: how a number lands.
 //! [`Decimal`] writes its text, padded as `Display` pads — the rendering.
@@ -70,31 +69,6 @@ fn eight_digits(n: u64) -> u64 {
 fn significant(digits: u64) -> (u64, usize) {
     let zeros = ((digits ^ ZEROS).trailing_zeros() as usize / 8).min(7);
     (digits >> (8 * zeros), 8 - zeros)
-}
-
-/// `from` into `to`, of the same length. A name is rarely longer than 16
-/// bytes, and two overlapping stores of one width copy it with no call
-/// into `memcpy` (which a slice copy of unknown length is).
-#[inline]
-fn copy(to: &mut [u8], from: &[u8]) {
-    let n = from.len();
-    match n {
-        0 => {}
-        1 => to[0] = from[0],
-        2..=3 => {
-            to[..2].copy_from_slice(&from[..2]);
-            to[n - 2..].copy_from_slice(&from[n - 2..]);
-        }
-        4..=7 => {
-            to[..4].copy_from_slice(&from[..4]);
-            to[n - 4..].copy_from_slice(&from[n - 4..]);
-        }
-        8..=16 => {
-            to[..8].copy_from_slice(&from[..8]);
-            to[n - 8..].copy_from_slice(&from[n - 8..]);
-        }
-        _ => to.copy_from_slice(from),
-    }
 }
 
 /// Bytes a [`Line`] assembles in place: a default-space line is 40 to 90
@@ -181,6 +155,7 @@ pub(crate) struct Lines {
 }
 
 impl Lines {
+    /// No lines, and no buffer yet.
     pub(crate) const fn new() -> Lines {
         Lines {
             buf: Vec::new(),
@@ -191,7 +166,7 @@ impl Lines {
     /// Lines whose first `bytes` need no allocation.
     pub(crate) fn with_capacity(bytes: usize) -> Lines {
         Lines {
-            buf: Vec::with_capacity(bytes),
+            buf: Vec::with_capacity(bytes + INLINE + WINDOW),
             end: 0,
         }
     }
@@ -225,7 +200,9 @@ impl Lines {
     ) {
         let room = self.end + INLINE + WINDOW;
         if self.buf.len() < room {
-            self.buf.resize(room.max(2 * self.buf.len()), 0);
+            // Doubling, but within what is allocated while that lasts.
+            let grown = (2 * self.buf.len()).min(self.buf.capacity());
+            self.buf.resize(room.max(grown), 0);
         }
         let mut line = Line {
             len: 0,
@@ -262,7 +239,7 @@ impl<N: Numbers> Line<'_, N> {
     pub(crate) fn push_str(&mut self, text: &str) {
         let fits = self.len <= INLINE && text.len() <= INLINE - self.len;
         if fits {
-            copy(&mut self.buf[self.len..][..text.len()], text.as_bytes());
+            self.buf[self.len..][..text.len()].copy_from_slice(text.as_bytes());
             self.len += text.len();
         } else {
             self.len = OVERFLOWED;
@@ -872,14 +849,107 @@ mod tests {
         assert_eq!(both_lines(entry), both_lines(changed), "{changed:?}");
     }
 
+    /// Copies of `entry` with one field of its kind changed, each with
+    /// whether the rendering shows that field.
+    fn kind_changes(entry: &Entry) -> Vec<(Entry, bool)> {
+        let with_kind = |kind: EntryKind| Entry {
+            kind,
+            ..entry.clone()
+        };
+        match &entry.kind {
+            EntryKind::Runtime(event) => {
+                let with_event = |event: Event| with_kind(EntryKind::Runtime(event));
+                let mut changes: Vec<(Entry, bool)> = each_field_changed(&event.kind)
+                    .into_iter()
+                    .map(|kind| {
+                        (
+                            with_event(Event {
+                                kind,
+                                ..event.clone()
+                            }),
+                            true,
+                        )
+                    })
+                    .collect();
+                changes.push((
+                    with_event(Event {
+                        action: ActionId::top_level(2),
+                        ..event.clone()
+                    }),
+                    false,
+                ));
+                if let EventKind::ObjectAcquired { object, waited_ns } = event.kind {
+                    let kind = EventKind::ObjectAcquired {
+                        object,
+                        waited_ns: waited_ns + 1,
+                    };
+                    changes.push((
+                        with_event(Event {
+                            kind,
+                            ..event.clone()
+                        }),
+                        false,
+                    ));
+                }
+                changes
+            }
+            EntryKind::NetSent(tap) | EntryKind::NetDropped(tap) | EntryKind::NetCorrupted(tap) => {
+                let sent = matches!(entry.kind, EntryKind::NetSent(_));
+                // A drop or a corruption shows no sequence number and no
+                // delivery instant; no line shows the correlation or the
+                // send instant (the entry's own instant is the prefix's).
+                type Change = fn(&mut TapEvent);
+                let fields: [(Change, bool); 7] = [
+                    (|t| t.class = "Commit", true),
+                    (|t| t.src = PartitionId::new(t.src.as_u32() ^ 1), true),
+                    (|t| t.dst = PartitionId::new(t.dst.as_u32() ^ 1), true),
+                    (|t| t.seq ^= 1, sent),
+                    (
+                        |t| t.deliver_at = VirtualInstant::from_nanos(t.deliver_at.as_nanos() ^ 1),
+                        sent,
+                    ),
+                    (|t| t.correlation ^= 1, false),
+                    (
+                        |t| t.at = VirtualInstant::from_nanos(t.at.as_nanos() ^ 1),
+                        false,
+                    ),
+                ];
+                fields
+                    .into_iter()
+                    .map(|(change, shown)| {
+                        let mut tap = tap.clone();
+                        change(&mut tap);
+                        let kind = match entry.kind {
+                            EntryKind::NetSent(_) => EntryKind::NetSent(tap),
+                            EntryKind::NetDropped(_) => EntryKind::NetDropped(tap),
+                            _ => EntryKind::NetCorrupted(tap),
+                        };
+                        (with_kind(kind), shown)
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Every kind of entry, and each of them with one field changed.
+    fn entries_and_changes() -> Vec<(Entry, Vec<(Entry, bool)>)> {
+        let mut entries: Vec<Entry> = every_kind().into_iter().map(runtime_entry).collect();
+        entries.extend(net_entries());
+        entries
+            .into_iter()
+            .map(|entry| {
+                let changes = kind_changes(&entry);
+                (entry, changes)
+            })
+            .collect()
+    }
+
     /// The fingerprint covers the fields the rendering shows, no more and
     /// no fewer: one assembler writes both lines, and only how a number
     /// lands differs.
     #[test]
     fn a_fingerprint_line_moves_with_every_rendered_field_and_no_other() {
-        let mut entries: Vec<Entry> = every_kind().into_iter().map(runtime_entry).collect();
-        entries.extend(net_entries());
-        for entry in &entries {
+        for (entry, changes) in entries_and_changes() {
             // The prefix (an event's instant and thread are the entry's).
             let mut prefixes = [entry.clone(), entry.clone(), entry.clone(), entry.clone()];
             prefixes[0].at_ns ^= 1;
@@ -893,71 +963,30 @@ mod tests {
                 event.thread = ThreadId::new(prefixes[1].thread);
             }
             for changed in &prefixes {
-                assert_both_lines_move(entry, changed);
+                assert_both_lines_move(&entry, changed);
             }
-
-            let mut unrendered = entry.clone();
-            match &mut unrendered.kind {
-                EntryKind::Runtime(event) => {
-                    for kind in each_field_changed(&event.kind) {
-                        assert_both_lines_move(entry, &runtime_entry(kind));
-                    }
-                    if let EventKind::ObjectAcquired { object, waited_ns } = event.kind.clone() {
-                        let waited = EventKind::ObjectAcquired {
-                            object,
-                            waited_ns: waited_ns + 1,
-                        };
-                        assert_neither_line_moves(entry, &runtime_entry(waited));
-                    }
-                    event.action = ActionId::top_level(2);
-                }
-                EntryKind::NetSent(t) | EntryKind::NetDropped(t) | EntryKind::NetCorrupted(t) => {
-                    let rebuilt = |t: TapEvent| Entry {
-                        kind: match entry.kind {
-                            EntryKind::NetSent(_) => EntryKind::NetSent(t),
-                            EntryKind::NetDropped(_) => EntryKind::NetDropped(t),
-                            _ => EntryKind::NetCorrupted(t),
-                        },
-                        ..entry.clone()
-                    };
-                    let fields: [fn(&mut TapEvent); 5] = [
-                        |t| t.class = "Commit",
-                        |t| t.src = PartitionId::new(t.src.as_u32() ^ 1),
-                        |t| t.dst = PartitionId::new(t.dst.as_u32() ^ 1),
-                        |t| t.seq ^= 1,
-                        |t| t.deliver_at = VirtualInstant::from_nanos(t.deliver_at.as_nanos() ^ 1),
-                    ];
-                    // A drop or a corruption shows no sequence number and
-                    // no delivery instant.
-                    let shown = if matches!(entry.kind, EntryKind::NetSent(_)) {
-                        5
-                    } else {
-                        3
-                    };
-                    for (i, change) in fields.into_iter().enumerate() {
-                        let mut changed = t.clone();
-                        change(&mut changed);
-                        if i < shown {
-                            assert_both_lines_move(entry, &rebuilt(changed));
-                        } else {
-                            assert_neither_line_moves(entry, &rebuilt(changed));
-                        }
-                    }
-                    t.correlation ^= 1;
-                    t.at = VirtualInstant::from_nanos(t.at.as_nanos() ^ 1);
+            for (changed, shown) in &changes {
+                if *shown {
+                    assert_both_lines_move(&entry, changed);
+                } else {
+                    assert_neither_line_moves(&entry, changed);
                 }
             }
-            assert_neither_line_moves(entry, &unrendered);
         }
     }
 
     /// The replay oracle's structural fast path reads the same field list:
     /// two entry kinds are render-equal exactly when their fingerprint
-    /// lines are equal.
+    /// lines are equal — over every kind of entry and every one-field
+    /// change of it, shown or not.
     #[test]
     fn render_equal_kinds_are_the_kinds_with_equal_fingerprint_lines() {
-        let mut entries: Vec<Entry> = every_kind().into_iter().map(runtime_entry).collect();
-        entries.extend(net_entries());
+        let entries: Vec<Entry> = entries_and_changes()
+            .into_iter()
+            .flat_map(|(entry, changes)| {
+                std::iter::once(entry).chain(changes.into_iter().map(|(changed, _)| changed))
+            })
+            .collect();
         let lines: Vec<Vec<u8>> = entries.iter().map(|e| both_lines(e).1).collect();
         for (a, line_a) in entries.iter().zip(&lines) {
             for (b, line_b) in entries.iter().zip(&lines) {

@@ -282,7 +282,8 @@ impl Trace {
     /// independent of process-global definition-id state.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut lines = Lines::with_capacity(self.entries.len() * 72);
+        // A default-space line is 64 bytes on average.
+        let mut lines = Lines::with_capacity(self.entries.len() * 80);
         self.render_into::<Decimal>(&mut lines);
         String::from_utf8(lines.into_bytes()).expect("rendered fields are utf-8")
     }
@@ -320,7 +321,7 @@ impl Trace {
     /// entry, in a new buffer.
     #[must_use]
     pub fn fingerprint_bytes(&self) -> Vec<u8> {
-        let mut lines = Lines::default();
+        let mut lines = Lines::new();
         self.render_into::<Compact>(&mut lines);
         lines.into_bytes()
     }
@@ -338,8 +339,8 @@ impl Trace {
     /// different entries through.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        let mut line_a = Lines::default();
-        let mut line_b = Lines::default();
+        let mut line_a = Lines::new();
+        let mut line_b = Lines::new();
         for (i, (ea, eb)) in self.entries.iter().zip(&other.entries).enumerate() {
             if (ea.at_ns, ea.thread, ea.seq, ea.label) == (eb.at_ns, eb.thread, eb.seq, eb.label)
                 && kinds_render_equal(&ea.kind, &eb.kind)
@@ -363,18 +364,26 @@ impl Trace {
 }
 
 /// Whether two entry kinds render to identical text, decided structurally
-/// (the sufficient direction: structural equality over every *rendered*
-/// field implies display equality). Rendering ignores the runtime event's
-/// raw `action` id and the tap event's `correlation` — both are
-/// process-global serials that legitimately differ between two executions
-/// of the same seed (the canonical `A<n>` labels compare them instead) —
+/// over exactly the fields the rendering shows — which is also what the
+/// fingerprint hashes (the `render` module's tests hold the three to one
+/// field list). Rendering ignores the runtime event's raw `action` id and
+/// the tap event's `correlation`, process-global serials that legitimately
+/// differ between two executions of the same seed (the canonical `A<n>`
+/// labels compare them instead), as well as an acquisition's `waited_ns`
+/// and the tap event's send instant (the entry's own instant is rendered),
 /// so those fields are ignored here too.
 pub(crate) fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
     let tap_eq = |x: &TapEvent, y: &TapEvent| {
         (x.class, x.src, x.dst, x.seq, x.deliver_at) == (y.class, y.src, y.dst, y.seq, y.deliver_at)
     };
     match (a, b) {
-        (EntryKind::Runtime(x), EntryKind::Runtime(y)) => x.kind == y.kind,
+        (EntryKind::Runtime(x), EntryKind::Runtime(y)) => match (&x.kind, &y.kind) {
+            (
+                EventKind::ObjectAcquired { object: x, .. },
+                EventKind::ObjectAcquired { object: y, .. },
+            ) => x == y,
+            (x, y) => x == y,
+        },
         (EntryKind::NetSent(x), EntryKind::NetSent(y)) => tap_eq(x, y),
         (EntryKind::NetDropped(x), EntryKind::NetDropped(y))
         | (EntryKind::NetCorrupted(x), EntryKind::NetCorrupted(y)) => {
