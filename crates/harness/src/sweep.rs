@@ -430,6 +430,15 @@ pub struct SweepReport {
     /// self-metrics, aggregated over every explored seed (see
     /// [`crate::metrics`]).
     pub metrics: SweepMetrics,
+    /// Exit waits that rejoined participants gave up on, summed over every
+    /// explored seed's `RuntimeStats` (primary executions only, like
+    /// `trace_entries`).
+    pub exit_give_ups: u64,
+    /// Suspicion rounds the eviction quorum gate refused, summed likewise.
+    pub suspicions_refused: u64,
+    /// Messages for not-yet-entered instances dropped from a full retained
+    /// list, summed likewise.
+    pub retained_dropped: u64,
     /// Wall-clock duration of the sweep.
     pub wall: Duration,
 }
@@ -472,6 +481,12 @@ impl SweepReport {
         );
         let _ = writeln!(out, "paths hit: {}", self.coverage.summary());
         let _ = writeln!(out, "distinct path signatures: {}", self.signatures.len());
+        let _ = writeln!(
+            out,
+            "runtime give-ups: {} exit give-ups, {} suspicions refused, {} retained messages \
+             dropped",
+            self.exit_give_ups, self.suspicions_refused, self.retained_dropped,
+        );
         out.push_str(&self.metrics.summary());
         for failure in &self.failures {
             let _ = writeln!(
@@ -648,6 +663,9 @@ struct WorkerTally {
     signatures: SignatureMap,
     failures: Vec<SeedResult>,
     metrics: SweepMetrics,
+    exit_give_ups: u64,
+    suspicions_refused: u64,
+    retained_dropped: u64,
 }
 
 /// Explores `config.seeds` seeds across worker threads.
@@ -672,6 +690,10 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
                 let result = run_plan_from(generated, plan, config.check_replay, arena);
                 tally.seeds_run += 1;
                 tally.entries += result.artifacts.trace.len() as u64;
+                let stats = &result.artifacts.report.runtime_stats;
+                tally.exit_give_ups += stats.exit_give_ups;
+                tally.suspicions_refused += stats.suspicions_refused;
+                tally.retained_dropped += stats.retained_dropped;
                 // Crash plans idle through simulated hours: the sum may
                 // wrap, and must not be a debug-build overflow panic.
                 tally.virtual_ns = tally
@@ -717,6 +739,9 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         merge_signatures(&mut total.signatures, &tally.signatures);
         total.failures.extend(tally.failures);
         total.metrics.merge(&tally.metrics);
+        total.exit_give_ups += tally.exit_give_ups;
+        total.suspicions_refused += tally.suspicions_refused;
+        total.retained_dropped += tally.retained_dropped;
     }
     total.failures.sort_by_key(|f| f.seed);
     if let Some(dir) = &config.corpus_dir {
@@ -736,6 +761,9 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         coverage: total.coverage,
         signatures: total.signatures,
         metrics: total.metrics,
+        exit_give_ups: total.exit_give_ups,
+        suspicions_refused: total.suspicions_refused,
+        retained_dropped: total.retained_dropped,
         wall: started.elapsed(),
     }
 }
@@ -875,6 +903,51 @@ mod tests {
         assert_eq!(report.executions_run, 16);
         assert!(report.executions_per_sec() > report.seeds_per_sec());
         assert!(report.summary().contains("over 16 executions"));
+    }
+
+    /// The give-ups a multi-crash sweep prints are the sums of what each
+    /// seed's run counted.
+    #[test]
+    fn the_summary_prints_the_give_ups_each_seed_counted() {
+        use crate::exec::execute_in;
+
+        let scenario = ScenarioConfig::multi_crash();
+        let report = sweep(&SweepConfig {
+            seeds: 200,
+            workers: 2,
+            scenario: scenario.clone(),
+            check_replay: false,
+            corpus_dir: None,
+            ..SweepConfig::default()
+        });
+        let mut arena = ExecutionArena::default();
+        let mut sums = [0; 3];
+        for seed in 0..200 {
+            let run = execute_in(&ScenarioPlan::generate(seed, &scenario), &mut arena);
+            let stats = &run.report.runtime_stats;
+            sums[0] += stats.exit_give_ups;
+            sums[1] += stats.suspicions_refused;
+            sums[2] += stats.retained_dropped;
+            arena.recycle_trace(run.trace);
+        }
+        assert_eq!(
+            [
+                report.exit_give_ups,
+                report.suspicions_refused,
+                report.retained_dropped
+            ],
+            sums
+        );
+        let line = format!(
+            "runtime give-ups: {} exit give-ups, {} suspicions refused, {} retained messages \
+             dropped\n",
+            sums[0], sums[1], sums[2]
+        );
+        assert!(report.summary().contains(&line), "{}", report.summary());
+        assert!(
+            sums[..2].iter().all(|&n| n > 0),
+            "{sums:?}: nothing gave up"
+        );
     }
 
     #[test]
