@@ -2,20 +2,23 @@
 //! comparison.
 //!
 //! Prints one line per seed: the seed, whether the generated plan contains
-//! a crash-stop participant (`crashfree` / `crash`), and the XXH64 hash
-//! ([`hash64`](caa_harness::trace::hash64)) of the canonical rendered
-//! trace. Protocol refactors that must keep crash-free behaviour
-//! byte-identical run this before and after the change and diff the
-//! `crashfree` lines (crash seeds are allowed to move when the crash model
-//! itself changes). A trailing section hashes
-//! production-cell runs the same way.
-//!
-//! Fingerprints are computed by streaming
+//! a crash-stop participant (`crashfree` / `crash`), and the trace's
+//! fingerprint
 //! ([`Trace::render_fingerprint`](caa_harness::trace::Trace::render_fingerprint)):
-//! the rendering goes into a per-thread scratch buffer and is hashed once,
-//! so a hash-gate sweep allocates no rendered trace — by construction the
-//! value equals `hash64(render())`, keeping old and new hash files
-//! comparable.
+//! the XXH64 hash ([`hash64`](caa_harness::trace::hash64)) of the canonical
+//! rendering's lines with every number as its eight bytes instead of its
+//! digits. Two traces fingerprint equal exactly when they render equal.
+//! Protocol refactors that must keep crash-free behaviour byte-identical
+//! run this before and after the change and diff the `crashfree` lines
+//! (crash seeds are allowed to move when the crash model itself changes). A
+//! trailing section hashes production-cell runs the same way.
+//!
+//! The lines are assembled in a per-thread scratch buffer and hashed once,
+//! so a hash-gate sweep allocates no rendered trace. A fingerprint is not
+//! `hash64(render())`: listings (and digests) printed before the
+//! fingerprint stopped hashing decimal text are not comparable with
+//! today's, and a pre/post gate compares two listings made by the same
+//! fingerprint.
 //!
 //! ```text
 //! caa hashes [--seeds N] [--prodcell N] [--workers N] [--shard k/n] [--digest] > hashes.txt
