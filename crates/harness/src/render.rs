@@ -72,7 +72,8 @@ fn significant(digits: u64) -> (u64, usize) {
 }
 
 /// Bytes a [`Line`] assembles in place: a default-space line is 40 to 90
-/// bytes, its fixed part at most 69 of them.
+/// bytes of text, its fixed part at most 69 of them, and a fingerprint's
+/// line, whose numbers take 8 bytes each, about a third longer.
 const INLINE: usize = 256;
 
 /// The widest store of known width ([`Line::push_window`]).
