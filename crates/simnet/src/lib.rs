@@ -116,7 +116,7 @@ pub use net::{
     ClockMode, DeadlockInfo, Endpoint, FiberEndpoint, FiberNetwork, NetConfig, Network, Parked,
     Received, SimError,
 };
-pub use simcore::{NetArena, SchedStats};
+pub use simcore::{NetArena, SchedStats, Sent};
 pub use stats::{Classify, NetStats};
 pub use tap::{NetTap, TapEvent};
 pub use threads::Threads;

@@ -84,7 +84,7 @@ use caa_fiber::Stack;
 use crate::fault::FaultPlan;
 use crate::host::{Fibers, Host};
 use crate::latency::LatencyModel;
-use crate::simcore::{Core, NetArena, SchedStats, Turn};
+use crate::simcore::{Core, NetArena, SchedStats, Sent, Turn};
 use crate::stats::{Classify, NetStats};
 use crate::tap::{NetTap, TapEvent};
 use crate::threads::Threads;
@@ -365,7 +365,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
         self.host.with(|core| core.park_stack(id, stack));
     }
 
-    fn send_from(&self, src: PartitionId, dst: PartitionId, msg: M) {
+    fn send_from(&self, src: PartitionId, dst: PartitionId, msg: M) -> Sent {
         let tapped = self.host.tap().map(|tap| (tap, msg.correlation()));
         let sent = self.host.with(|core| core.send(src, dst, msg));
         // The core is released: a tap may look at the network.
@@ -388,6 +388,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
                 }
             }
         }
+        sent
     }
 
     /// Takes turns at endpoint `id`'s blocking operation until one is
@@ -473,9 +474,11 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
 
     /// Sends `msg` to `dst` asynchronously (fire and forget, like the
     /// paper's "asynchronous remote procedure calls (without out
-    /// parameters)").
-    pub fn send(&self, dst: PartitionId, msg: M) {
-        self.net.send_from(self.id, dst, msg);
+    /// parameters)"), and says what the network did with it: its class,
+    /// when it was sent and is due, its slot in the link's sequence, and
+    /// whether fault injection lost or corrupted it.
+    pub fn send(&self, dst: PartitionId, msg: M) -> Sent {
+        self.net.send_from(self.id, dst, msg)
     }
 
     /// Receives the next message, blocking until one is deliverable.

@@ -286,9 +286,9 @@ impl<M> fmt::Debug for NetArena<M> {
     }
 }
 
-/// What [`Core::send`] decided about one message — what a tap is told once
-/// the core has been released.
-#[derive(Debug)]
+/// What the network did with one message: what [`Core::send`] decided,
+/// handed back to the sender by [`Endpoint::send`](crate::Endpoint::send).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sent {
     /// The message's class label.
     pub class: &'static str,
