@@ -11,8 +11,8 @@
 //! * **resolver events/s** — complete §3.3.2 rounds among five
 //!   `XrrResolution` states that all raise, their messages relayed through
 //!   an in-memory queue (the `LE` list, election and commit fan-out);
-//! * **trace entries/s** — runtime events pushed through a
-//!   `TraceRecorder` and taken out as a sorted, indexed trace;
+//! * **trace entries/s** — runtime events appended to a run log and made
+//!   into a sorted, indexed trace;
 //! * **bare system, µs/run** — build + run + drop of the §5.3 scenario at
 //!   its base configuration (three participants, one simultaneous raise,
 //!   20 messages) with no harness: the fixed cost of a `System::run` next
@@ -74,9 +74,9 @@ use caa_harness::oracle::check_run;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::build_span_tree;
 use caa_harness::sweep::{run_plan_checked, PathCoverage};
-use caa_harness::trace::{hash64, Entry, EntryKind, Trace, TraceRecorder};
+use caa_harness::trace::{hash64, Entry, EntryKind, Trace};
 use caa_runtime::action::{AbortHandler, Handler};
-use caa_runtime::observe::{Event, EventKind, Observer};
+use caa_runtime::observe::{Event, EventKind, RunLog};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
 use caa_runtime::{ActionDef, XrrResolution};
 use caa_simnet::{Classify, FiberNetwork, LatencyModel, NetConfig, Network};
@@ -219,7 +219,7 @@ fn bench_resolver() {
     });
 }
 
-fn bench_recorder() {
+fn bench_trace_log() {
     const ENTRIES: u64 = 200;
     let (name, role) = (Name::new("a0"), Name::new("r0"));
     let exception = ExceptionId::new("a0_e0");
@@ -235,18 +235,18 @@ fn bench_recorder() {
         2 => EventKind::Resolved { exception },
         _ => EventKind::ExitStart { epoch: 0 },
     };
-    let recorder = TraceRecorder::new();
+    let mut log = RunLog::default();
     let mut recycled = Trace::default();
     bench("trace_record_and_take", ENTRIES, 100, || {
         for i in 0..ENTRIES {
-            recorder.on_event(Event {
+            log.push(EntryKind::Runtime(Event {
                 at: VirtualInstant::from_nanos(i / N as u64),
                 thread: ThreadId::new((i % N as u64) as u32),
                 action: ActionId::top_level(1 + i % 3),
                 kind: kind(i),
-            });
+            }));
         }
-        recycled = recorder.take_trace_into(std::mem::take(&mut recycled));
+        recycled = Trace::from_log(&mut log, std::mem::take(&mut recycled));
         assert_eq!(recycled.len() as u64, ENTRIES);
     });
 }
@@ -563,7 +563,7 @@ fn main() {
     print_sizes();
     bench_definitions();
     bench_resolver();
-    bench_recorder();
+    bench_trace_log();
     bench_bare_system();
     bench_simnet_pingpong();
     bench_seed_cost_model();

@@ -13,16 +13,15 @@
 //! `SystemBuilder::build` on that thread drains, so a sweep worker's seeds
 //! recycle it without the harness handing anything over.)
 //!
-//! * the **trace recorder and trace buffers**: one
-//!   [`TraceRecorder`] records every seed executed through the arena, and
-//!   traces handed back by [`ExecutionArena::recycle_trace`] once they
-//!   have been checked lend their buffers (entries and index) to the next
-//!   seed's trace — a finished trace *leaves in* the buffer it was
-//!   recorded in, and the recorder goes on in the recycled one — so once
-//!   the buffers have grown to the worker's longest trace, recording and
-//!   hand-off allocate and copy nothing. A trace that is *not* handed
-//!   back costs three allocations of exactly its entries', member lists'
-//!   and instance table's lengths;
+//! * the **run log and trace buffers**: every seed executed through the
+//!   arena records into one [`RunLog`], and traces handed back by
+//!   [`ExecutionArena::recycle_trace`] once they have been checked lend
+//!   their buffers (entries and index) to the next seed's trace — a
+//!   finished trace *leaves in* the buffer its run logged into, and the
+//!   log goes on in the recycled one — so once the buffers have grown to
+//!   the worker's longest trace, recording and hand-off allocate and copy
+//!   nothing. A trace that is *not* handed back costs three allocations of
+//!   exactly its entries', member lists' and instance table's lengths;
 //! * the **shape and definition cache**: an action's conjunction lattice
 //!   and the exception ids its members raise and signal are pure functions
 //!   of its name and group, and so is its whole [`ActionDef`] once the
@@ -53,19 +52,19 @@
 
 use std::hash::Hasher as _;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use caa_core::exception::ExceptionId;
 use caa_core::name::Name;
 use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::ExceptionGraph;
+use caa_runtime::observe::RunLog;
 use caa_runtime::ActionDef;
 
 use crate::exec::{DefKey, Handlers, PlanSlot};
 use crate::inthash::{IntHasher, IntMap};
 use crate::metrics::{MetricsRecorder, SweepMetrics};
 use crate::plan::ActionPlan;
-use crate::trace::{Trace, TraceRecorder};
+use crate::trace::Trace;
 
 /// How many recycled traces an arena keeps. An execution uses one; a
 /// replay-checked seed uses two in flight. Anything beyond that is dead
@@ -146,9 +145,9 @@ struct CachedShape {
 /// assert_eq!(second.trace.render(), first_render);
 /// ```
 pub struct ExecutionArena {
-    /// The recorder attached to every system executed through this arena;
+    /// The log every system executed through this arena records into;
     /// empty between executions.
-    recorder: Arc<TraceRecorder>,
+    log: RunLog,
     trace_bufs: Vec<Trace>,
     /// Action shapes by the hash of `(action name, group)` — the inputs
     /// that determine an action's declared exceptions. A bucket holds the
@@ -178,7 +177,7 @@ impl Default for ExecutionArena {
     fn default() -> ExecutionArena {
         let compiled = PlanSlot::default();
         ExecutionArena {
-            recorder: Arc::default(),
+            log: RunLog::default(),
             trace_bufs: Vec::new(),
             shapes: IntMap::default(),
             handlers: Handlers::reading(&compiled),
@@ -205,17 +204,18 @@ impl ExecutionArena {
         }
     }
 
-    /// The arena's recorder, to attach to the next execution's system.
-    pub(crate) fn recorder(&self) -> Arc<TraceRecorder> {
-        Arc::clone(&self.recorder)
+    /// The arena's log, for the next execution's system to record into.
+    pub(crate) fn take_log(&mut self) -> RunLog {
+        std::mem::take(&mut self.log)
     }
 
-    /// Takes the finished execution's trace out of the arena's recorder:
-    /// into a recycled trace's buffers if one is available, else into
-    /// fresh ones of exactly the needed lengths.
-    pub(crate) fn take_trace(&mut self) -> Trace {
+    /// The trace of the finished execution's `log`, which goes back to the
+    /// arena: into a recycled trace's buffers if one is available, else
+    /// into fresh ones of exactly the needed lengths.
+    pub(crate) fn take_trace(&mut self, log: RunLog) -> Trace {
+        self.log = log;
         let recycled = self.trace_bufs.pop().unwrap_or_default();
-        self.recorder.take_trace_into(recycled)
+        Trace::from_log(&mut self.log, recycled)
     }
 
     /// Where the compiled plan is kept: refilled by each execution, and

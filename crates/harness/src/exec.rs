@@ -1,7 +1,7 @@
 //! Scenario execution: materialises a [`ScenarioPlan`] into real
 //! [`ActionDef`]s, shared objects and participant bodies, runs them on the
-//! virtual-time network with a [`TraceRecorder`](crate::trace::TraceRecorder)
-//! attached, and returns the run's artifacts.
+//! virtual-time network with the run recorded into a log, and returns the
+//! run's artifacts, its [`Trace`] made from that log.
 //!
 //! Execution is deterministic end to end: message timing comes from the
 //! seeded latency model, object acquisition from the runtime's arbitrated
@@ -11,7 +11,6 @@
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caa_core::exception::Exception;
@@ -36,7 +35,8 @@ pub struct RunArtifacts {
     pub plan: ScenarioPlan,
     /// The canonical recorded trace.
     pub trace: Trace,
-    /// The system's own report (thread results, counters, elapsed time).
+    /// The system's own report (thread results, counters, elapsed time);
+    /// its log is empty, made into `trace`.
     pub report: SystemReport,
 }
 
@@ -447,7 +447,7 @@ fn body_phases(
 /// trace. The run is deterministic: the same plan produces byte-identical
 /// [`Trace::render`] output on every execution.
 ///
-/// The execution goes through `arena`: the trace recorder and its
+/// The execution goes through `arena`: the run log and the trace
 /// buffers, the compiled plan's tables and the definitions and resolution
 /// lattices of recurring actions are recycled across calls (as network
 /// storage is by the runtime's per-thread run pool), so a sweep worker
@@ -469,8 +469,8 @@ pub(crate) struct ExecuteStages {
     /// `System::run`: every participant to completion, and the network
     /// reclaimed.
     pub(crate) run: Duration,
-    /// Taking the trace out of the recorder (order check and index) and
-    /// the plan out of its compilation.
+    /// Making the trace from the run's log (order check and index) and
+    /// taking the plan out of its compilation.
     pub(crate) teardown: Duration,
 }
 
@@ -506,9 +506,9 @@ pub(crate) fn execute_owned(
     let sys = spawn_plan(&compiled, arena);
     slot.replace(Some(compiled));
     let built = Instant::now();
-    let report = sys.run();
+    let mut report = sys.run();
     let ran = Instant::now();
-    let trace = arena.take_trace();
+    let trace = arena.take_trace(std::mem::take(&mut report.log));
     // Every body ran to its end on its fiber and was dropped there, so
     // the slot's handle is the last one.
     let plan = {
@@ -534,17 +534,15 @@ pub(crate) fn execute_owned(
 }
 
 /// Builds the system the compiled plan runs on — recording into the
-/// arena's recorder — and spawns its participants.
+/// arena's log — and spawns its participants.
 fn spawn_plan(compiled: &Rc<CompiledPlan>, arena: &mut ExecutionArena) -> System {
     let plan = &compiled.plan;
-    let recorder = arena.recorder();
     let mut sys = System::builder()
         .latency(LatencyModel::UniformUpTo(secs(plan.t_mmax)))
         .seed(plan.seed)
         .resolution_delay(secs(plan.t_reso))
         .faults(plan.fault_plan())
-        .observer(Arc::clone(&recorder) as _)
-        .tap(recorder as _)
+        .record(arena.take_log())
         .build();
 
     for t in 0..plan.threads {

@@ -22,8 +22,8 @@
 //! * [`arena`] — per-worker execution arenas recycling network storage,
 //!   trace buffers and resolution lattices across seeds, so the sweep hot
 //!   path stops paying per-seed setup/teardown allocation;
-//! * [`trace`] — the structured event log captured through
-//!   [`caa_runtime::observe`] and [`caa_simnet::NetTap`] hooks, with a
+//! * [`trace`] — the structured event log a run records
+//!   ([`caa_runtime::observe`]), in canonical order and indexed, with a
 //!   canonical byte-stable rendering (object acquisitions included);
 //! * [`oracle`] — resolution agreement, single-resolution, the Lemma 1
 //!   completion bound, §3.3.3 message complexity, nesting/abortion/crash
@@ -104,4 +104,4 @@ pub use sweep::{
     merge_signatures, run_plan_checked, sweep, PathCoverage, SeedResult, Shard, SignatureMap,
     SweepConfig, SweepReport,
 };
-pub use trace::{Trace, TraceRecorder};
+pub use trace::Trace;

@@ -2,17 +2,16 @@
 //! device-fault schedules, trace recording and the generic oracles, plus
 //! the cell's own plate-conservation audit.
 
-use std::sync::Arc;
-
 use caa_prodcell::{
     spawn_controller, Audit, CellFaultScripts, ControllerConfig, DeviceFault, FaultScript,
     ProductionCell,
 };
+use caa_runtime::observe::RunLog;
 use caa_runtime::{System, SystemReport};
 
 use crate::oracle::{check_invariants, check_replay, Violation};
 use crate::rng::Rng;
-use crate::trace::{Trace, TraceRecorder};
+use crate::trace::Trace;
 
 /// Device faults random schedules may inject — Figure 7's nine primitives
 /// minus `LostMessage`, which is injected at the network layer instead.
@@ -74,17 +73,16 @@ fn execute(seed: u64, cycles: u32) -> (ProductionCell, SystemReport, Trace) {
         seed,
         ..ControllerConfig::default()
     };
-    let recorder = TraceRecorder::new();
     let mut sys = System::builder()
         .latency(config.latency)
         .seed(config.seed)
         .resolution_delay(config.resolution_delay)
-        .observer(Arc::clone(&recorder) as _)
-        .tap(Arc::clone(&recorder) as _)
+        .record(RunLog::default())
         .build();
     spawn_controller(&mut sys, &cell, &config);
-    let report = sys.run();
-    (cell, report, recorder.take_trace())
+    let mut report = sys.run();
+    let trace = Trace::from_log(&mut report.log, Trace::default());
+    (cell, report, trace)
 }
 
 /// Runs the production cell under a seeded device-fault schedule, checks

@@ -39,7 +39,7 @@ use std::marker::PhantomData;
 use caa_core::exception::Signal;
 use caa_core::ids::ThreadId;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
-use caa_runtime::observe::EventKind;
+use caa_runtime::observe::{Entry, EntryKind, EventKind};
 use caa_simnet::TapEvent;
 
 /// Eight ASCII `0`s.
@@ -194,7 +194,7 @@ impl Lines {
     /// If a field of it did not fit a [`Line`], the line is `display`
     /// instead — the same text, by the formatter, on the heap.
     #[inline]
-    pub(crate) fn push<N: Numbers>(
+    fn push<N: Numbers>(
         &mut self,
         write: impl FnOnce(&mut Line<'_, N>),
         display: impl FnOnce() -> String,
@@ -237,7 +237,7 @@ pub(crate) struct Line<'a, N: Numbers> {
 
 impl<N: Numbers> Line<'_, N> {
     #[inline]
-    pub(crate) fn push_str(&mut self, text: &str) {
+    fn push_str(&mut self, text: &str) {
         let fits = self.len <= INLINE && text.len() <= INLINE - self.len;
         if fits {
             self.buf[self.len..][..text.len()].copy_from_slice(text.as_bytes());
@@ -248,7 +248,7 @@ impl<N: Numbers> Line<'_, N> {
     }
 
     #[inline]
-    pub(crate) fn push_byte(&mut self, byte: u8) {
+    fn push_byte(&mut self, byte: u8) {
         self.push_window(&[byte], 1);
     }
 
@@ -267,7 +267,7 @@ impl<N: Numbers> Line<'_, N> {
 
     /// `{n}`, as `N` lands it.
     #[inline]
-    pub(crate) fn push_u64(&mut self, n: u64) {
+    fn push_u64(&mut self, n: u64) {
         N::push(self, n);
     }
 
@@ -307,7 +307,7 @@ impl<N: Numbers> Line<'_, N> {
 
     /// The line prefix `@{at_ns:>12} T{thread} #{seq:<4} A{label} `: both
     /// paddings in spaces, neither ever truncating.
-    pub(crate) fn push_prefix(&mut self, at_ns: u64, thread: u32, seq: u64, label: u32) {
+    fn push_prefix(&mut self, at_ns: u64, thread: u32, seq: u64, label: u32) {
         self.push_byte(b'@');
         N::push_right12(self, at_ns);
         self.push_str(" T");
@@ -321,7 +321,7 @@ impl<N: Numbers> Line<'_, N> {
 
     /// `{verb}{class} {src}->{dst}` — the shared head of the three network
     /// lines.
-    pub(crate) fn push_net(&mut self, verb: &str, event: &TapEvent) {
+    fn push_net(&mut self, verb: &str, event: &TapEvent) {
         self.push_str(verb);
         self.push_str(event.class);
         self.push_str(" node");
@@ -332,7 +332,7 @@ impl<N: Numbers> Line<'_, N> {
 
     /// ` seq={seq} deliver@{deliver_at}` — the tail only a `net send`
     /// carries.
-    pub(crate) fn push_delivery(&mut self, event: &TapEvent) {
+    fn push_delivery(&mut self, event: &TapEvent) {
         self.push_str(" seq=");
         self.push_u64(event.seq);
         self.push_str(" deliver@");
@@ -340,7 +340,7 @@ impl<N: Numbers> Line<'_, N> {
     }
 
     /// Exactly what `write!(out, "{kind}")` writes.
-    pub(crate) fn push_kind(&mut self, kind: &EventKind) {
+    fn push_kind(&mut self, kind: &EventKind) {
         match kind {
             EventKind::Enter { name, role, depth } => {
                 self.push_str("enter ");
@@ -452,6 +452,26 @@ impl<N: Numbers> Line<'_, N> {
             }
         }
     }
+}
+
+/// Appends `entry`'s line to `lines`, its numbers landing as `N` says.
+pub(crate) fn entry<N: Numbers>(entry: &Entry, lines: &mut Lines) {
+    lines.push::<N>(
+        |line| {
+            line.push_prefix(entry.at_ns, entry.thread, entry.seq, entry.label);
+            match &entry.kind {
+                EntryKind::Runtime(e) => line.push_kind(&e.kind),
+                EntryKind::NetSent(e) => {
+                    line.push_net("net send ", e);
+                    line.push_delivery(e);
+                }
+                EntryKind::NetDropped(e) => line.push_net("net drop ", e),
+                EntryKind::NetCorrupted(e) => line.push_net("net corrupt ", e),
+            }
+            line.push_byte(b'\n');
+        },
+        || format!("{entry}\n"),
+    );
 }
 
 /// For the few fields that do go through the formatter.
@@ -640,8 +660,8 @@ mod tests {
     fn both_lines(entry: &Entry) -> (Vec<u8>, Vec<u8>) {
         let mut decimal = Lines::new();
         let mut compact = Lines::new();
-        entry.render::<Decimal>(&mut decimal);
-        entry.render::<Compact>(&mut compact);
+        super::entry::<Decimal>(entry, &mut decimal);
+        super::entry::<Compact>(entry, &mut compact);
         (decimal.into_bytes(), compact.into_bytes())
     }
 
@@ -1085,16 +1105,15 @@ mod tests {
         }
     }
 
-    /// Whole lines of every kind of entry, through a recorder and
+    /// Whole lines of every kind of entry, through a log and
     /// `Trace::render`, against the format strings the module replaces.
     #[test]
     fn whole_lines_of_every_entry_kind_render_like_display() {
-        use crate::trace::{hash64, EntryKind, TraceRecorder};
+        use crate::trace::{hash64, EntryKind, Trace};
         use caa_core::ids::ActionId;
-        use caa_runtime::observe::{Event, Observer};
-        use caa_simnet::NetTap;
+        use caa_runtime::observe::{Event, RunLog};
 
-        let rec = TraceRecorder::new();
+        let mut log = RunLog::default();
         // Instants of every width up to 17 digits: five past the pad.
         let mut events = 0u32;
         let mut next_at = || {
@@ -1102,34 +1121,31 @@ mod tests {
             10u64.pow(events % 17) + u64::from(events)
         };
         for (i, kind) in every_kind().into_iter().enumerate() {
-            rec.on_event(Event {
+            log.push(EntryKind::Runtime(Event {
                 at: VirtualInstant::from_nanos(next_at()),
                 thread: ThreadId::new(i as u32 % 11),
                 action: ActionId::top_level(1 + i as u64 % 13),
                 kind,
-            });
+            }));
         }
-        for (i, tap) in [NetTap::on_sent, NetTap::on_dropped, NetTap::on_corrupted]
-            .into_iter()
-            .cycle()
-            .take(12)
-            .enumerate()
-        {
+        let kinds: [fn(TapEvent) -> EntryKind; 3] = [
+            EntryKind::NetSent,
+            EntryKind::NetDropped,
+            EntryKind::NetCorrupted,
+        ];
+        for (i, kind) in kinds.into_iter().cycle().take(12).enumerate() {
             let at = next_at();
-            tap(
-                rec.as_ref(),
-                &TapEvent {
-                    src: PartitionId::new(i as u32 % 5),
-                    dst: PartitionId::new(40 + i as u32),
-                    class: ["Exception", "toBeSignalled", "App"][i % 3],
-                    correlation: 1 + i as u64 % 13,
-                    at: VirtualInstant::from_nanos(at),
-                    deliver_at: VirtualInstant::from_nanos(at + 1_000_000 * i as u64),
-                    seq: [0, 9_999, 10_000][i % 3],
-                },
-            );
+            log.push(kind(TapEvent {
+                src: PartitionId::new(i as u32 % 5),
+                dst: PartitionId::new(40 + i as u32),
+                class: ["Exception", "toBeSignalled", "App"][i % 3],
+                correlation: 1 + i as u64 % 13,
+                at: VirtualInstant::from_nanos(at),
+                deliver_at: VirtualInstant::from_nanos(at + 1_000_000 * i as u64),
+                seq: [0, 9_999, 10_000][i % 3],
+            }));
         }
-        let trace = rec.finish();
+        let trace = Trace::from_log(&mut log.clone(), Trace::default());
         let mut expected = String::new();
         for e in trace.entries() {
             let (at_ns, thread, seq, label) = (e.at_ns, e.thread, e.seq, e.label);
@@ -1155,8 +1171,8 @@ mod tests {
         }
         assert_eq!(trace.render(), expected);
         // The fingerprint hashes the same lines with their numbers as bytes:
-        // equal for the same recording, and not the text's hash.
-        let again = rec.finish();
+        // equal for the same log, and not the text's hash.
+        let again = Trace::from_log(&mut log, Trace::default());
         assert_eq!(trace.render_fingerprint(), again.render_fingerprint());
         assert_eq!(
             trace.render_fingerprint(),
@@ -1218,7 +1234,7 @@ mod tests {
                 };
                 assert_eq!(format!("{entry}\n"), expected);
                 let start = shared.end;
-                entry.render::<Decimal>(&mut shared);
+                super::entry::<Decimal>(&entry, &mut shared);
                 assert_eq!(
                     std::str::from_utf8(&shared.bytes()[start..]),
                     Ok(&*expected),

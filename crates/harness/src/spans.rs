@@ -706,24 +706,24 @@ mod tests {
     use crate::arena::ExecutionArena;
     use crate::exec::execute_in;
     use crate::plan::{ScenarioConfig, ScenarioPlan};
-    use crate::trace::TraceRecorder;
+    use crate::trace::{EntryKind, Trace};
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, PartitionId, ThreadId};
     use caa_core::time::VirtualInstant;
-    use caa_runtime::observe::{Event, Observer};
-    use caa_simnet::{NetTap, TapEvent};
+    use caa_runtime::observe::{Event, RunLog};
+    use caa_simnet::TapEvent;
 
-    fn event(at: u64, thread: u32, action: ActionId, kind: EventKind) -> Event {
-        Event {
+    fn event(at: u64, thread: u32, action: ActionId, kind: EventKind) -> EntryKind {
+        EntryKind::Runtime(Event {
             at: VirtualInstant::from_nanos(at),
             thread: ThreadId::new(thread),
             action,
             kind,
-        }
+        })
     }
 
-    fn send(at: u64, deliver: u64, src: u32, dst: u32, correlation: u64, seq: u64) -> TapEvent {
-        TapEvent {
+    fn send(at: u64, deliver: u64, src: u32, dst: u32, correlation: u64, seq: u64) -> EntryKind {
+        EntryKind::NetSent(TapEvent {
             src: PartitionId::new(src),
             dst: PartitionId::new(dst),
             class: "Exception",
@@ -731,7 +731,7 @@ mod tests {
             at: VirtualInstant::from_nanos(at),
             deliver_at: VirtualInstant::from_nanos(deliver),
             seq,
-        }
+        })
     }
 
     /// Hand-built trace with a known decomposition: T0 raises at 100 and
@@ -743,8 +743,8 @@ mod tests {
     fn critical_path_pins_a_known_decomposition() {
         let action = ActionId::top_level(7);
         let serial = action.serial();
-        let rec = TraceRecorder::new();
-        rec.on_event(event(
+        let mut log = RunLog::default();
+        log.push(event(
             100,
             0,
             action,
@@ -752,8 +752,8 @@ mod tests {
                 exception: ExceptionId::new("x"),
             },
         ));
-        rec.on_sent(&send(100, 150, 0, 1, serial, 0));
-        rec.on_event(event(
+        log.push(send(100, 150, 0, 1, serial, 0));
+        log.push(event(
             170,
             1,
             action,
@@ -762,7 +762,7 @@ mod tests {
                 waited_ns: 20,
             },
         ));
-        rec.on_event(event(
+        log.push(event(
             180,
             1,
             action,
@@ -770,7 +770,7 @@ mod tests {
                 exception: ExceptionId::new("x"),
             },
         ));
-        let trace = rec.finish();
+        let trace = Trace::from_log(&mut log, Trace::default());
         let paths = critical_paths(&trace);
         assert_eq!(paths.len(), 1);
         let path = &paths[0];

@@ -1,23 +1,21 @@
-//! Structured trace recording, and the index every reader shares.
+//! Structured traces, and the index every reader shares.
 //!
-//! A [`TraceRecorder`] implements both the runtime's
-//! [`caa_runtime::observe::Observer`] hook and the network's
-//! [`caa_simnet::NetTap`] hook, collecting every protocol-level
-//! step and every message send/loss/corruption of one simulated run. Events
-//! arrive in whatever order the host runs the participants, into one
-//! arrival-order buffer behind one mutex (the participants of a system
-//! share a thread, so the lock is never contended);
-//! [`TraceRecorder::take_trace`] sorts them into the canonical order
-//! `(virtual time, thread, per-thread sequence)`, which is fully
-//! deterministic for a deterministic run — the same seed renders the same
-//! byte-identical trace, which is exactly what the deterministic-replay
-//! oracle checks.
+//! A trace is a run's own log ([`caa_runtime::observe::RunLog`]): every
+//! protocol-level step and every message send/loss/corruption of one
+//! simulated run, appended by the participants in program order, each
+//! thread's entries numbered by its own sequence. [`Trace::from_log`] puts
+//! the entries into the canonical order `(virtual time, thread, per-thread
+//! sequence)`, which is fully deterministic for a deterministic run — the
+//! same seed renders the same byte-identical trace, which is exactly what
+//! the deterministic-replay oracle checks. The entry types are the
+//! runtime's ([`Entry`], [`EntryKind`]), re-exported here.
 //!
-//! One recorder serves every seed of a sweep worker (it lives in the
-//! worker's [`ExecutionArena`](crate::arena::ExecutionArena)): taking a
-//! trace empties the recorder but keeps its buffers, and the trace itself
-//! is moved into a recycled trace's buffers. Once both have grown to the
-//! worker's longest trace, recording and hand-off allocate nothing.
+//! One log serves every seed of a sweep worker (it lives in the worker's
+//! [`ExecutionArena`](crate::arena::ExecutionArena)): making a trace
+//! empties the log but keeps its buffers, and the trace takes the buffer
+//! the run logged into, trading it for a recycled trace's. Once both have
+//! grown to the worker's longest trace, recording and hand-off allocate
+//! and copy nothing.
 //!
 //! # The trace index
 //!
@@ -46,12 +44,11 @@
 //! pure functions of entries and index; none of them hashes a serial.
 //!
 //! The index is built **eagerly**, when the trace is made
-//! ([`TraceRecorder::take_trace_into`] and [`TraceRecorder::finish`] are
-//! the only two places), not lazily on first use: a trace is read by three
-//! to five readers and, in post-hoc analysis, over and over — a cache
-//! filled by whichever reader came first would charge that reader and
-//! hide the cost from every later pass. Built at take-time it is paid once
-//! per run, next to the sort.
+//! ([`Trace::from_log`] is the only place), not lazily on first use: a
+//! trace is read by three to five readers and, in post-hoc analysis, over
+//! and over — a cache filled by whichever reader came first would charge
+//! that reader and hide the cost from every later pass. Built at take-time
+//! it is paid once per run, next to the sort.
 //!
 //! It is also **small**: a trace kept alive keeps its index, and a
 //! post-hoc analysis keeps thousands. The label lives in what was padding
@@ -61,102 +58,15 @@
 //! a budget of 1 KiB.
 
 use std::cell::Cell;
-use std::sync::Arc;
 
 use caa_core::name::Name;
-use caa_runtime::observe::{Event, EventKind, Observer};
-use caa_simnet::{NetTap, TapEvent};
-use parking_lot::Mutex;
+pub use caa_runtime::observe::{Entry, EntryKind};
+use caa_runtime::observe::{Event, EventKind, RunLog};
+use caa_simnet::TapEvent;
 
 use crate::inthash::IntMap;
-use crate::render::{Compact, Decimal, Lines, Numbers};
+use crate::render::{self, Compact, Decimal, Lines, Numbers};
 use crate::scratch;
-
-/// What one trace entry records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EntryKind {
-    /// A runtime protocol step (entry/exit, raise, resolution, handler,
-    /// signalling, abortion).
-    Runtime(Event),
-    /// A message accepted by the network.
-    NetSent(TapEvent),
-    /// A message lost by fault injection.
-    NetDropped(TapEvent),
-    /// A message corrupted by fault injection.
-    NetCorrupted(TapEvent),
-}
-
-/// One entry of a recorded trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Entry {
-    /// Virtual timestamp in nanoseconds.
-    pub at_ns: u64,
-    /// The thread (partition) the entry originates from.
-    pub thread: u32,
-    /// The canonical label of the entry's action instance — an index into
-    /// [`TraceIndex::instances`], and the `A<n>` of the rendering. Assigned
-    /// when the trace is taken (see the module docs).
-    pub label: u32,
-    /// Per-thread sequence number (program order within the thread).
-    pub seq: u64,
-    /// The recorded step.
-    pub kind: EntryKind,
-}
-
-impl Entry {
-    /// The raw action-instance serial this entry refers to.
-    #[must_use]
-    pub fn action_serial(&self) -> u64 {
-        match &self.kind {
-            EntryKind::Runtime(e) => e.action.serial(),
-            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
-                e.correlation
-            }
-        }
-    }
-
-    /// Appends the entry's line to `lines`, its numbers landing as `N`
-    /// says.
-    pub(crate) fn render<N: Numbers>(&self, lines: &mut Lines) {
-        lines.push::<N>(
-            |line| {
-                line.push_prefix(self.at_ns, self.thread, self.seq, self.label);
-                match &self.kind {
-                    EntryKind::Runtime(e) => line.push_kind(&e.kind),
-                    EntryKind::NetSent(e) => {
-                        line.push_net("net send ", e);
-                        line.push_delivery(e);
-                    }
-                    EntryKind::NetDropped(e) => line.push_net("net drop ", e),
-                    EntryKind::NetCorrupted(e) => line.push_net("net corrupt ", e),
-                }
-                line.push_byte(b'\n');
-            },
-            || format!("{self}\n"),
-        );
-    }
-}
-
-/// The rendered line, without its newline — what [`Trace::render`] writes
-/// for the entry, here by the formatter.
-impl std::fmt::Display for Entry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (at_ns, thread, seq, label) = (self.at_ns, self.thread, self.seq, self.label);
-        write!(f, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ")?;
-        let net = |f: &mut std::fmt::Formatter<'_>, verb: &str, e: &TapEvent| {
-            write!(f, "net {verb} {} {}->{}", e.class, e.src, e.dst)
-        };
-        match &self.kind {
-            EntryKind::Runtime(e) => write!(f, "{}", e.kind),
-            EntryKind::NetSent(e) => {
-                net(f, "send", e)?;
-                write!(f, " seq={} deliver@{}", e.seq, e.deliver_at.as_nanos())
-            }
-            EntryKind::NetDropped(e) => net(f, "drop", e),
-            EntryKind::NetCorrupted(e) => net(f, "corrupt", e),
-        }
-    }
-}
 
 /// "No such entry" in the index's `u32` columns.
 const NONE: u32 = u32::MAX;
@@ -244,6 +154,42 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// The canonical trace of a run's `log` (see the module docs): its
+    /// entries in canonical order, labelled and indexed — in `recycled`'s
+    /// buffers where they suffice, so that a trace handed out into a
+    /// recycled one allocates nothing and copies no entry (the trace takes
+    /// the buffer the run logged into, and the log goes on in
+    /// `recycled`'s). A buffer that is too small (a default-constructed
+    /// trace's) is regrown to exactly the needed length, and the log's
+    /// buffer — grown by doubling, so up to twice the trace — then stays
+    /// with the log. The log comes back empty, ready for the next run.
+    ///
+    /// ```
+    /// use caa_core::time::secs;
+    /// use caa_harness::trace::Trace;
+    /// use caa_runtime::observe::RunLog;
+    /// use caa_runtime::{ActionDef, System};
+    ///
+    /// let action = ActionDef::builder("hello").role("solo", 0u32).build()?;
+    /// let mut sys = System::builder().record(RunLog::default()).build();
+    /// sys.spawn("T0", move |ctx| {
+    ///     ctx.enter(&action, "solo", |rc| rc.work(secs(1.0)))?;
+    ///     Ok(())
+    /// });
+    /// let mut report = sys.run();
+    /// let trace = Trace::from_log(&mut report.log, Trace::default());
+    /// assert!(trace.render().contains("T0 #0    A0 enter hello as solo"));
+    /// # Ok::<(), caa_runtime::DefError>(())
+    /// ```
+    #[must_use]
+    pub fn from_log(log: &mut RunLog, recycled: Trace) -> Trace {
+        let trace = scratch::with(&LABELLING, |labelling| {
+            labelling.make_trace(log.entries_mut(), recycled)
+        });
+        log.clear();
+        trace
+    }
+
     /// The entries in canonical order.
     #[must_use]
     pub fn entries(&self) -> &[Entry] {
@@ -292,7 +238,7 @@ impl Trace {
     /// says.
     fn render_into<N: Numbers>(&self, lines: &mut Lines) {
         for entry in &self.entries {
-            entry.render::<N>(lines);
+            render::entry::<N>(entry, lines);
         }
     }
 
@@ -352,8 +298,8 @@ impl Trace {
             // identical in practice).
             line_a.clear();
             line_b.clear();
-            ea.render::<Decimal>(&mut line_a);
-            eb.render::<Decimal>(&mut line_b);
+            render::entry::<Decimal>(ea, &mut line_a);
+            render::entry::<Decimal>(eb, &mut line_b);
             if line_a.bytes() != line_b.bytes() {
                 return Some(i);
             }
@@ -528,22 +474,19 @@ impl Hash64 {
     }
 }
 
-/// What a recorder holds between [`TraceRecorder::take_trace`]s.
+/// Index-building scratch, empty between traces: raw serial → label (the
+/// one place a serial is hashed), and the instance table while its final
+/// length is still unknown.
 #[derive(Default)]
-struct Recording {
-    /// Entries in arrival order. Under `System::run` participants run one
-    /// at a time and virtual time never runs backwards, so this is already
-    /// non-decreasing in `at_ns`; only same-instant entries of different
-    /// threads can be out of canonical order.
-    entries: Vec<Entry>,
-    /// `next_seq[t]`: how many entries thread `t` has recorded — events of
-    /// one thread arrive in that thread's program order.
-    next_seq: Vec<u64>,
-    /// Index-building scratch, empty between takes: raw serial → label
-    /// (the one place a serial is hashed), and the instance table while
-    /// its final length is still unknown.
+struct Labelling {
     labels: IntMap<u64, u32>,
     instances: Vec<Instance>,
+}
+
+thread_local! {
+    /// [`Trace::from_log`]'s scratch, kept at the most instances this
+    /// thread has indexed.
+    static LABELLING: Cell<Labelling> = Cell::default();
 }
 
 /// What [`canonicalize`] found the arrival order to be.
@@ -560,10 +503,10 @@ enum Arrival {
 
 /// Puts `entries` in canonical `(at_ns, thread, seq)` order. Under
 /// `System::run` participants run one at a time and virtual time never
-/// runs backwards, so a recording is already non-decreasing in `at_ns` and
-/// only entries of one instant — recorded by different threads — can be out
+/// runs backwards, so a run's log is already non-decreasing in `at_ns` and
+/// only entries of one instant — logged by different threads — can be out
 /// of order: one pass checks that and sorts just those runs. Anything else
-/// (a recorder driven by hand) falls back to sorting the lot. The key is
+/// (a log written by hand) falls back to sorting the lot. The key is
 /// unique per entry (`seq` counts within `thread`), so the unstable sorts
 /// yield the one canonical order, in place.
 fn canonicalize(entries: &mut [Entry]) -> Arrival {
@@ -594,7 +537,7 @@ fn canonicalize(entries: &mut [Entry]) -> Arrival {
     arrival
 }
 
-impl Recording {
+impl Labelling {
     /// Puts `entries` in canonical order, labels them and builds their
     /// index — in `recycled`'s buffers where they suffice, else in buffers
     /// of exactly the needed length: a driver that keeps thousands of
@@ -680,8 +623,8 @@ impl Recording {
         buf.clear();
         if buf.capacity() >= entries.len() && buf.capacity() > 0 {
             // A recycled buffer that fits: trade places with it instead of
-            // copying into it — the trace keeps the buffer it was recorded
-            // in, and the next recording goes into the recycled one.
+            // copying into it — the trace keeps the buffer the run logged
+            // into, and the next run logs into the recycled one.
             std::mem::swap(&mut buf, entries);
         } else {
             buf.reserve_exact(entries.len());
@@ -694,138 +637,6 @@ impl Recording {
     }
 }
 
-/// Collects runtime and network events from a running system.
-///
-/// Attach one recorder as both the system's observer and its network tap:
-///
-/// ```
-/// use std::sync::Arc;
-/// use caa_harness::trace::TraceRecorder;
-/// use caa_runtime::System;
-///
-/// let recorder = Arc::new(TraceRecorder::default());
-/// let sys = System::builder()
-///     .observer(Arc::clone(&recorder) as _)
-///     .tap(Arc::clone(&recorder) as _)
-///     .build();
-/// # drop(sys);
-/// ```
-///
-/// A recorder is reusable: taking the trace leaves it empty with its
-/// buffers' capacity in place, which is how an
-/// [`ExecutionArena`](crate::arena::ExecutionArena) records every seed of
-/// a sweep worker through one recorder.
-#[derive(Default)]
-pub struct TraceRecorder {
-    recording: Mutex<Recording>,
-}
-
-impl std::fmt::Debug for TraceRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRecorder")
-            .field("entries", &self.recording.lock().entries.len())
-            .finish()
-    }
-}
-
-impl TraceRecorder {
-    /// A fresh recorder behind an `Arc`, ready to attach.
-    #[must_use]
-    pub fn new() -> Arc<TraceRecorder> {
-        Arc::new(TraceRecorder::default())
-    }
-
-    fn push(&self, at_ns: u64, thread: u32, kind: EntryKind) {
-        let mut guard = self.recording.lock();
-        let rec = &mut *guard;
-        let t = thread as usize;
-        if rec.next_seq.len() <= t {
-            rec.next_seq.resize(t + 1, 0);
-        }
-        let seq = rec.next_seq[t];
-        rec.next_seq[t] += 1;
-        rec.entries.push(Entry {
-            at_ns,
-            thread,
-            label: 0,
-            seq,
-            kind,
-        });
-    }
-
-    /// Extracts the canonical trace recorded so far, leaving the recording
-    /// in place.
-    #[must_use]
-    pub fn finish(&self) -> Trace {
-        let mut guard = self.recording.lock();
-        let mut entries = guard.entries.clone();
-        guard.make_trace(&mut entries, Trace::default())
-    }
-
-    /// Like [`TraceRecorder::finish`], but *takes* the recorded entries
-    /// instead of cloning them and leaves the recorder empty, ready for
-    /// the next run. The trace's buffers hold exactly their contents.
-    #[must_use]
-    pub fn take_trace(&self) -> Trace {
-        self.take_trace_into(Trace::default())
-    }
-
-    /// [`TraceRecorder::take_trace`] into the buffers of a trace that is no
-    /// longer needed: where `recycled`'s capacity suffices, the new trace
-    /// and its index are handed out without allocating — the entries
-    /// without being copied: the trace takes the buffer they were recorded
-    /// in and the recorder goes on in `recycled`'s. A buffer that is too
-    /// small (a default-constructed trace's) is regrown to exactly the
-    /// needed length, and the recording buffer — grown by doubling, so up
-    /// to twice the trace — then stays with the recorder.
-    #[must_use]
-    pub fn take_trace_into(&self, recycled: Trace) -> Trace {
-        let mut guard = self.recording.lock();
-        let rec = &mut *guard;
-        rec.next_seq.clear();
-        let mut entries = std::mem::take(&mut rec.entries);
-        let trace = rec.make_trace(&mut entries, recycled);
-        rec.entries = entries;
-        trace
-    }
-}
-
-impl Observer for TraceRecorder {
-    fn on_event(&self, event: Event) {
-        self.push(
-            event.at.as_nanos(),
-            event.thread.as_u32(),
-            EntryKind::Runtime(event),
-        );
-    }
-}
-
-impl NetTap for TraceRecorder {
-    fn on_sent(&self, event: &TapEvent) {
-        self.push(
-            event.at.as_nanos(),
-            event.src.as_u32(),
-            EntryKind::NetSent(event.clone()),
-        );
-    }
-
-    fn on_dropped(&self, event: &TapEvent) {
-        self.push(
-            event.at.as_nanos(),
-            event.src.as_u32(),
-            EntryKind::NetDropped(event.clone()),
-        );
-    }
-
-    fn on_corrupted(&self, event: &TapEvent) {
-        self.push(
-            event.at.as_nanos(),
-            event.src.as_u32(),
-            EntryKind::NetCorrupted(event.clone()),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,6 +644,16 @@ mod tests {
     use caa_core::ids::{ActionId, PartitionId, ThreadId};
     use caa_core::time::VirtualInstant;
     use caa_runtime::observe::EventKind;
+
+    /// Appends `event` to `log`, as a participant's context does.
+    fn push(log: &mut RunLog, event: Event) {
+        log.push(EntryKind::Runtime(event));
+    }
+
+    /// The trace of a copy of `log`, which stays as it is.
+    fn trace_of(log: &RunLog) -> Trace {
+        Trace::from_log(&mut log.clone(), Trace::default())
+    }
 
     fn runtime_event(at: u64, thread: u32) -> Event {
         Event {
@@ -847,11 +668,11 @@ mod tests {
 
     #[test]
     fn canonical_order_sorts_by_time_thread_seq() {
-        let rec = TraceRecorder::new();
-        rec.on_event(runtime_event(200, 1));
-        rec.on_event(runtime_event(100, 1));
-        rec.on_event(runtime_event(100, 0));
-        let trace = rec.finish();
+        let mut log = RunLog::default();
+        push(&mut log, runtime_event(200, 1));
+        push(&mut log, runtime_event(100, 1));
+        push(&mut log, runtime_event(100, 0));
+        let trace = trace_of(&log);
         let keys: Vec<(u64, u32)> = trace
             .entries()
             .iter()
@@ -866,14 +687,14 @@ mod tests {
 
     #[test]
     fn a_taken_trace_holds_exactly_its_entries_and_empties_the_recorder() {
-        // The recording buffer grows by doubling; a trace (or an index)
+        // The log's buffer grows by doubling; a trace (or an index)
         // handed out with that slack would keep it for as long as the
         // trace lives (the post-hoc readers keep thousands).
-        let rec = TraceRecorder::new();
+        let mut log = RunLog::default();
         for i in 0..37 {
-            rec.on_event(runtime_event(1_000 - i, (i % 3) as u32));
+            push(&mut log, runtime_event(1_000 - i, (i % 3) as u32));
         }
-        let trace = rec.take_trace();
+        let trace = Trace::from_log(&mut log, Trace::default());
         assert_eq!(trace.len(), 37);
         assert!(trace
             .entries()
@@ -887,22 +708,21 @@ mod tests {
         );
 
         // Re-armed: sequence numbers start over, nothing is left behind.
-        rec.on_event(runtime_event(5, 2));
-        let again = rec.take_trace();
+        push(&mut log, runtime_event(5, 2));
+        let again = Trace::from_log(&mut log, Trace::default());
         assert_eq!(again.len(), 1);
         assert_eq!((again.entries()[0].thread, again.entries()[0].seq), (2, 0));
-        assert!(rec.take_trace().is_empty());
+        assert!(Trace::from_log(&mut log, Trace::default()).is_empty());
     }
 
     #[test]
     fn a_large_thread_id_is_an_ordinary_thread() {
-        let rec = TraceRecorder::new();
-        rec.on_event(runtime_event(300, 100));
-        rec.on_event(runtime_event(100, 100));
-        rec.on_event(runtime_event(100, 7));
-        rec.on_event(runtime_event(100, 100));
-        let keys: Vec<(u64, u32, u64)> = rec
-            .take_trace()
+        let mut log = RunLog::default();
+        push(&mut log, runtime_event(300, 100));
+        push(&mut log, runtime_event(100, 100));
+        push(&mut log, runtime_event(100, 7));
+        push(&mut log, runtime_event(100, 100));
+        let keys: Vec<(u64, u32, u64)> = Trace::from_log(&mut log, Trace::default())
             .entries()
             .iter()
             .map(|e| (e.at_ns, e.thread, e.seq))
@@ -915,9 +735,9 @@ mod tests {
 
     #[test]
     fn render_is_stable_and_line_oriented() {
-        let rec = TraceRecorder::new();
-        rec.on_event(runtime_event(1, 0));
-        rec.on_sent(&TapEvent {
+        let mut log = RunLog::default();
+        push(&mut log, runtime_event(1, 0));
+        log.push(EntryKind::NetSent(TapEvent {
             src: PartitionId::new(0),
             dst: PartitionId::new(1),
             class: "Exception",
@@ -925,16 +745,16 @@ mod tests {
             at: VirtualInstant::from_nanos(2),
             deliver_at: VirtualInstant::from_nanos(7),
             seq: 0,
-        });
-        let trace = rec.finish();
+        }));
+        let trace = trace_of(&log);
         let text = trace.render();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("raise x"), "{text}");
         assert!(text.contains("net send Exception"), "{text}");
-        assert_eq!(text, rec.finish().render());
+        assert_eq!(text, trace_of(&log).render());
     }
 
-    /// The three ways a recording can arrive, and the one trace they make.
+    /// The three ways a log can arrive, and the one trace they make.
     #[test]
     fn a_repaired_order_is_the_sorted_order() {
         // Per thread, events in program order at non-decreasing times,
@@ -989,12 +809,15 @@ mod tests {
             let by_thread: Vec<Event> = streams.drain(..).flatten().collect();
 
             let record = |events: &[Event]| {
-                let rec = TraceRecorder::new();
+                let mut log = RunLog::default();
                 for event in events {
-                    rec.on_event(event.clone());
+                    push(&mut log, event.clone());
                 }
-                let mut entries = rec.recording.lock().entries.clone();
-                (canonicalize(&mut entries), rec.take_trace())
+                let mut entries = log.entries().to_vec();
+                (
+                    canonicalize(&mut entries),
+                    Trace::from_log(&mut log, Trace::default()),
+                )
             };
             let (arrival_a, reference) = record(&in_order);
             let (arrival_b, repaired) = record(&shuffled);
@@ -1013,11 +836,11 @@ mod tests {
 
     #[test]
     fn a_same_instant_run_out_of_order_is_repaired_in_place() {
-        let rec = TraceRecorder::new();
+        let mut log = RunLog::default();
         for (at, thread) in [(1, 0), (5, 2), (5, 0), (5, 1), (5, 0), (9, 1), (9, 0)] {
-            rec.on_event(runtime_event(at, thread));
+            push(&mut log, runtime_event(at, thread));
         }
-        let mut entries = rec.recording.lock().entries.clone();
+        let mut entries = log.entries().to_vec();
         assert_eq!(canonicalize(&mut entries), Arrival::Repaired);
         let keys: Vec<(u64, u32, u64)> =
             entries.iter().map(|e| (e.at_ns, e.thread, e.seq)).collect();
@@ -1038,25 +861,25 @@ mod tests {
 
     #[test]
     fn a_recycled_buffer_that_fits_trades_places_with_the_recording() {
-        let rec = TraceRecorder::new();
-        let record = |n: u64| (0..n).for_each(|i| rec.on_event(runtime_event(i, 0)));
-        record(40);
-        // Nothing to recycle: exact lengths, the recording buffer stays.
-        let first = rec.take_trace();
+        let mut log = RunLog::default();
+        let record = |log: &mut RunLog, n: u64| (0..n).for_each(|i| push(log, runtime_event(i, 0)));
+        record(&mut log, 40);
+        // Nothing to recycle: exact lengths, the log's buffer stays.
+        let first = Trace::from_log(&mut log, Trace::default());
         assert_eq!(first.entries.capacity(), 40);
-        let recording = rec.recording.lock().entries.capacity();
-        assert!(recording >= 40);
+        let logged = log.entries_mut().capacity();
+        assert!(logged >= 40);
         // A recycled trace that fits: the new trace leaves in the buffer it
-        // was recorded in, and the recorder goes on in the recycled one.
-        record(30);
-        let second = rec.take_trace_into(first);
-        assert_eq!((second.len(), second.entries.capacity()), (30, recording));
-        assert_eq!(rec.recording.lock().entries.capacity(), 40);
+        // was logged in, and the log goes on in the recycled one.
+        record(&mut log, 30);
+        let second = Trace::from_log(&mut log, first);
+        assert_eq!((second.len(), second.entries.capacity()), (30, logged));
+        assert_eq!(log.entries_mut().capacity(), 40);
         // One that does not: regrown to exactly the trace, as ever.
-        record(50);
+        record(&mut log, 50);
         let mut small = Trace::default();
         small.entries.reserve_exact(8);
-        let third = rec.take_trace_into(small);
+        let third = Trace::from_log(&mut log, small);
         assert_eq!((third.len(), third.entries.capacity()), (50, 50));
     }
 
@@ -1143,10 +966,10 @@ mod tests {
     fn the_index_of_shuffled_recordings_matches_a_rescan() {
         // Nothing a run would produce: times out of order, instances
         // interleaved entry by entry, instances that only ever appear on
-        // the network, sparse thread ids — through one re-armed recorder,
-        // both ways of making a trace.
+        // the network, sparse thread ids — through one re-armed log, both
+        // ways of making a trace.
         let mut rng = crate::rng::Rng::new(0x1dec);
-        let rec = TraceRecorder::new();
+        let mut log = RunLog::default();
         let mut recycled = Trace::default();
         for round in 0..200 {
             let serials = 1 + rng.below(6);
@@ -1168,7 +991,7 @@ mod tests {
                     },
                     3 => EventKind::Crash,
                     _ => {
-                        rec.on_sent(&TapEvent {
+                        log.push(EntryKind::NetSent(TapEvent {
                             src: PartitionId::new(thread),
                             dst: PartitionId::new(0),
                             class: "Commit",
@@ -1176,20 +999,23 @@ mod tests {
                             at: VirtualInstant::from_nanos(at),
                             deliver_at: VirtualInstant::from_nanos(at + 3),
                             seq: 0,
-                        });
+                        }));
                         continue;
                     }
                 };
-                rec.on_event(Event {
-                    at: VirtualInstant::from_nanos(at),
-                    thread: ThreadId::new(thread),
-                    action,
-                    kind,
-                });
+                push(
+                    &mut log,
+                    Event {
+                        at: VirtualInstant::from_nanos(at),
+                        thread: ThreadId::new(thread),
+                        action,
+                        kind,
+                    },
+                );
             }
-            let finished = rec.finish();
+            let finished = trace_of(&log);
             assert_index_matches_a_rescan(&finished, &format!("round {round}, finished"));
-            recycled = rec.take_trace_into(recycled);
+            recycled = Trace::from_log(&mut log, recycled);
             assert_index_matches_a_rescan(&recycled, &format!("round {round}, taken"));
             assert_eq!(finished, recycled, "round {round}");
         }

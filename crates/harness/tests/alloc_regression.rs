@@ -1,7 +1,7 @@
 //! Allocation-regression gate for the execute hot path.
 //!
-//! The arena / Rc-fan-out work (execution arenas with their one trace
-//! recorder, recycled trace buffers, cached action shapes and definitions,
+//! The arena / Rc-fan-out work (execution arenas with their one run log,
+//! recycled trace buffers, cached action shapes and definitions,
 //! `Rc`'d broadcast bodies, interned names, plans compiled into refilled
 //! tables, one handler pair per arena), the runtime's inline round tables
 //! and its run pool (slots, stacks, a context's lists, resolver states)
@@ -442,37 +442,38 @@ fn pinned(what: &str, measured: u64, ceiling: u64) {
     );
 }
 
-/// Handing a trace out of the recorder into a recycled buffer is free:
-/// the canonical sort runs in place and the entries move into capacity
-/// that is already there. (With no buffer to recycle it costs exactly one
-/// allocation, of exactly the trace's length — `trace.rs` pins that.)
+/// Making a run log's trace in a recycled buffer is free: the canonical
+/// sort runs in place and the trace takes the buffer the entries were
+/// logged in, the log the recycled one. (With no buffer to recycle it
+/// costs exactly one allocation, of exactly the trace's length —
+/// `trace.rs` pins that.)
 #[test]
 fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, ThreadId};
     use caa_core::time::VirtualInstant;
-    use caa_harness::trace::TraceRecorder;
-    use caa_runtime::observe::{Event, EventKind, Observer};
+    use caa_harness::trace::{EntryKind, Trace};
+    use caa_runtime::observe::{Event, EventKind, RunLog};
 
     let _turn = turn();
-    let recorder = TraceRecorder::new();
+    let mut log = RunLog::default();
     let exception = ExceptionId::new("x");
-    let record = |round: u64| {
+    let record = |log: &mut RunLog, round: u64| {
         // 300 entries, far out of canonical order.
         for i in 0..300u64 {
-            recorder.on_event(Event {
+            log.push(EntryKind::Runtime(Event {
                 at: VirtualInstant::from_nanos((i * 7919 + round) % 101),
                 thread: ThreadId::new((i % 5) as u32),
                 action: ActionId::top_level(1),
                 kind: EventKind::Raise { exception },
-            });
+            }));
         }
     };
-    record(0);
-    let recycled = recorder.take_trace();
-    record(1);
+    record(&mut log, 0);
+    let recycled = Trace::from_log(&mut log, Trace::default());
+    record(&mut log, 1);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let trace = recorder.take_trace_into(recycled);
+    let trace = Trace::from_log(&mut log, recycled);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(trace.len(), 300);
     assert_eq!(after - before, 0, "sort or hand-off allocated");
@@ -587,19 +588,21 @@ fn reading_a_warmed_trace_allocates_a_bounded_handful() {
 fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
     use caa_core::ids::{ActionId, ThreadId};
     use caa_core::time::VirtualInstant;
-    use caa_harness::trace::{hash64, TraceRecorder};
-    use caa_runtime::observe::{Event, EventKind, Observer};
+    use caa_harness::trace::{hash64, EntryKind, Trace};
+    use caa_runtime::observe::{Event, EventKind, RunLog};
 
     let _turn = turn();
     let name = "n".repeat(300);
-    let recorder = TraceRecorder::new();
-    let event = |at: u64, kind: EventKind| Event {
-        at: VirtualInstant::from_nanos(at),
-        thread: ThreadId::new(2),
-        action: ActionId::top_level(1),
-        kind,
+    let mut log = RunLog::default();
+    let event = |at: u64, kind: EventKind| {
+        EntryKind::Runtime(Event {
+            at: VirtualInstant::from_nanos(at),
+            thread: ThreadId::new(2),
+            action: ActionId::top_level(1),
+            kind,
+        })
     };
-    recorder.on_event(event(
+    log.push(event(
         10,
         EventKind::Enter {
             name: name.as_str().into(),
@@ -607,8 +610,8 @@ fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
             depth: 1,
         },
     ));
-    recorder.on_event(event(20, EventKind::Crash));
-    let trace = recorder.finish();
+    log.push(event(20, EventKind::Crash));
+    let trace = Trace::from_log(&mut log, Trace::default());
     let expected = format!(
         "@          10 T2 #0    A0 enter {name} as r depth=1\n\
          @          20 T2 #1    A0 crash-stop\n"

@@ -37,7 +37,7 @@
 //! of the frame it addresses, each answering with a `RoundAction`. That
 //! module never touches the endpoint, the system or this context; `Ctx` is
 //! the thin driver that owns the endpoint and the frame stack, performs
-//! the actions (`Ctx::perform`) and reports to the observer. Poll points
+//! the actions (`Ctx::perform`) and appends to the run's log. Poll points
 //! of a role body go through the same two steps, as `Round::Body`.
 //!
 //! A frame is a constructor plus parts grouped by responsibility — identity
@@ -70,7 +70,7 @@ use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
 use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot};
 use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake, CHAIN_INLINE};
-use crate::observe::{Event, EventKind};
+use crate::observe::{EntryKind, Event, EventKind};
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
 use crate::rounds::{corrupted, unframed, Collected, Frame, Frames, Round, RoundAction, RoundEnd};
 use crate::system::SystemShared;
@@ -244,18 +244,19 @@ impl Ctx {
         self.me
     }
 
-    /// Reports one step to the system's observer, if any (see
+    /// Appends one step to the system's log, if the run is recorded (see
     /// [`crate::observe`]). The event payload is only built — and the
-    /// clock only read — when an observer is attached, so unobserved runs
-    /// pay nothing on the protocol's hot paths.
+    /// clock only read — when it is, so unrecorded runs pay nothing on the
+    /// protocol's hot paths.
     fn observe(&self, action: ActionId, kind: impl FnOnce() -> EventKind) {
-        if let Some(observer) = &self.system.observer {
-            observer.on_event(Event {
+        if let Some(log) = &self.system.log {
+            let event = Event {
                 at: self.endpoint.now(),
                 thread: self.me,
                 action,
                 kind: kind(),
-            });
+            };
+            log.borrow_mut().push(EntryKind::Runtime(event));
         }
     }
 
@@ -307,8 +308,18 @@ impl Ctx {
         self.stack.last_mut().expect("frame active")
     }
 
+    /// Sends `msg` to `to` — the runtime's one send site — and, if the run
+    /// is recorded, logs what the network did with it.
     fn send(&self, to: ThreadId, msg: Message) {
-        self.endpoint.send(PartitionId::new(to.as_u32()), msg);
+        let dst = PartitionId::new(to.as_u32());
+        let Some(log) = &self.system.log else {
+            self.endpoint.send(dst, msg);
+            return;
+        };
+        let action = msg.action();
+        let sent = self.endpoint.send(dst, msg);
+        log.borrow_mut()
+            .push_send(self.endpoint.id(), dst, action, sent);
     }
 
     /// Sends `msg(peer)` to every member of `view` but this thread, in view

@@ -1,32 +1,35 @@
-//! Observation hooks into the CA-action runtime.
+//! What a run records: one log of every protocol-significant step of
+//! every participating thread, and of every message it sent.
 //!
-//! A [`System`](crate::System) can carry an [`Observer`] (see
-//! [`SystemBuilder::observer`](crate::SystemBuilder::observer)) that is
-//! invoked synchronously at every protocol-significant step of every
-//! participating thread: action entry/exit, raises, recovery, resolution,
-//! handler execution, signalling and abortion. The simulation-testing
-//! harness (`caa-harness`) builds its structured traces and invariant
-//! oracles on these hooks; they are equally useful for ad-hoc diagnostics.
+//! A [`System`](crate::System) built with
+//! [`SystemBuilder::record`](crate::SystemBuilder::record) appends to its
+//! [`RunLog`] at every such step — action entry/exit, raises, recovery,
+//! resolution, handler execution, signalling, abortion, membership — and
+//! at every send, with what the network did with the message (sent, lost
+//! or corrupted, as [`Endpoint::send`](caa_simnet::Endpoint::send) reports
+//! it). [`System::run`](crate::System::run) hands the log back in the
+//! [`SystemReport`](crate::SystemReport). The simulation-testing harness
+//! (`caa-harness`) builds its structured traces and invariant oracles from
+//! it; it is equally useful for ad-hoc diagnostics. A system built without
+//! a log builds no event and reads no clock for one.
 //!
-//! Observers run on the participating threads themselves, inside the
-//! virtual-time simulation: they must be cheap, must not block on other
-//! participants, and must not call back into the observed
-//! [`Ctx`](crate::Ctx).
-//!
-//! Events from one thread arrive in that thread's execution order; events
-//! from different threads interleave in arbitrary *wall-clock* order even
-//! though their virtual timestamps are deterministic. Consumers that need a
-//! canonical order should sort by `(at, thread, per-thread sequence)` as
-//! the harness's trace recorder does.
+//! The participants of a system are fibers of one thread, run one at a
+//! time, so they append one at a time: each thread's entries are in its
+//! program order, numbered by a per-thread sequence ([`Entry::seq`]), and
+//! since virtual time never runs backwards the whole log is in
+//! non-decreasing time. Only entries of one instant recorded by different
+//! threads can be out of the canonical order `(at, thread, seq)`, which is
+//! fully deterministic for a deterministic run.
 
 use std::fmt;
 
 use caa_core::exception::{ExceptionId, Signal};
-use caa_core::ids::{ActionId, ThreadId};
+use caa_core::ids::{ActionId, PartitionId, ThreadId};
 use caa_core::message::SignalRound;
 use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::VirtualInstant;
+use caa_simnet::{Sent, TapEvent};
 
 /// One observed runtime step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,30 +250,153 @@ impl fmt::Display for Event {
     }
 }
 
-/// Receives runtime [`Event`]s from every participating thread.
-///
-/// Implementations must be thread-safe: one observer may serve the
-/// systems of several sweep workers. (Within one system, participants
-/// invoke it one at a time, from the thread that called `System::run`.)
-pub trait Observer: Send + Sync {
-    /// Called synchronously at each observable step.
-    ///
-    /// The event is handed over **by value**: the runtime builds it for
-    /// this call alone and has no further use for it, and the consumer it
-    /// was built for — a trace recorder — keeps it. Several
-    /// [`EventKind`]s carry member lists; behind a `&Event` a recorder had
-    /// to clone each one only for the runtime to drop the original right
-    /// after. An observer that only looks at the event ignores the
-    /// ownership and lets it drop.
-    fn on_event(&self, event: Event);
+/// What one log entry records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EntryKind {
+    /// A runtime protocol step (entry/exit, raise, resolution, handler,
+    /// signalling, abortion).
+    Runtime(Event),
+    /// A message accepted by the network.
+    NetSent(TapEvent),
+    /// A message lost by fault injection.
+    NetDropped(TapEvent),
+    /// A message corrupted by fault injection.
+    NetCorrupted(TapEvent),
 }
 
-/// The default observer: ignores everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
+/// One entry of a run's log, and of the trace made from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Entry {
+    /// Virtual timestamp in nanoseconds.
+    pub at_ns: u64,
+    /// The thread (partition) the entry originates from.
+    pub thread: u32,
+    /// The canonical label of the entry's action instance: 0 as logged,
+    /// assigned when a trace is made from the log (the `A<n>` of the
+    /// harness's rendering).
+    pub label: u32,
+    /// Per-thread sequence number (program order within the thread).
+    pub seq: u64,
+    /// The recorded step.
+    pub kind: EntryKind,
+}
 
-impl Observer for NoopObserver {
-    fn on_event(&self, _event: Event) {}
+impl Entry {
+    /// The raw action-instance serial this entry refers to.
+    #[must_use]
+    pub fn action_serial(&self) -> u64 {
+        match &self.kind {
+            EntryKind::Runtime(e) => e.action.serial(),
+            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
+                e.correlation
+            }
+        }
+    }
+}
+
+/// The entry's line of a rendered trace, without its newline.
+impl fmt::Display for Entry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (at_ns, thread, seq, label) = (self.at_ns, self.thread, self.seq, self.label);
+        write!(f, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ")?;
+        let net = |f: &mut fmt::Formatter<'_>, verb: &str, e: &TapEvent| {
+            write!(f, "net {verb} {} {}->{}", e.class, e.src, e.dst)
+        };
+        match &self.kind {
+            EntryKind::Runtime(e) => write!(f, "{}", e.kind),
+            EntryKind::NetSent(e) => {
+                net(f, "send", e)?;
+                write!(f, " seq={} deliver@{}", e.seq, e.deliver_at.as_nanos())
+            }
+            EntryKind::NetDropped(e) => net(f, "drop", e),
+            EntryKind::NetCorrupted(e) => net(f, "corrupt", e),
+        }
+    }
+}
+
+/// The log of one run, in the order its entries were appended (see the
+/// module docs).
+///
+/// A log is reusable: [`RunLog::clear`] empties it and keeps its buffers,
+/// so a caller that records run after run through one log — the harness
+/// keeps one per sweep worker — stops allocating for it once it has grown
+/// to the longest run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunLog {
+    entries: Vec<Entry>,
+    /// `next_seq[t]`: how many entries thread `t` has appended.
+    next_seq: Vec<u64>,
+}
+
+impl RunLog {
+    /// Appends `kind` as the next entry of the thread it originates from
+    /// (a runtime event's thread, a message's sender), at the instant it
+    /// happened.
+    pub fn push(&mut self, kind: EntryKind) {
+        let (at, thread) = match &kind {
+            EntryKind::Runtime(e) => (e.at, e.thread.as_u32()),
+            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
+                (e.at, e.src.as_u32())
+            }
+        };
+        let t = thread as usize;
+        if self.next_seq.len() <= t {
+            self.next_seq.resize(t + 1, 0);
+        }
+        let seq = self.next_seq[t];
+        self.next_seq[t] += 1;
+        self.entries.push(Entry {
+            at_ns: at.as_nanos(),
+            thread,
+            label: 0,
+            seq,
+            kind,
+        });
+    }
+
+    /// Appends what the network did with one message that `src` sent to
+    /// `dst` for `action`: a lost message as [`EntryKind::NetDropped`];
+    /// any other as [`EntryKind::NetSent`], followed by
+    /// [`EntryKind::NetCorrupted`] when fault injection corrupted it.
+    pub fn push_send(&mut self, src: PartitionId, dst: PartitionId, action: ActionId, sent: Sent) {
+        let event = TapEvent {
+            src,
+            dst,
+            class: sent.class,
+            correlation: action.serial(),
+            at: sent.at,
+            deliver_at: sent.deliver_at,
+            seq: sent.seq,
+        };
+        if sent.lost {
+            self.push(EntryKind::NetDropped(event));
+        } else if sent.corrupted {
+            self.push(EntryKind::NetSent(event.clone()));
+            self.push(EntryKind::NetCorrupted(event));
+        } else {
+            self.push(EntryKind::NetSent(event));
+        }
+    }
+
+    /// The entries, in the order they were appended.
+    #[must_use]
+    pub fn entries(&self) -> &[Entry] {
+        &self.entries
+    }
+
+    /// The entry buffer itself, for whoever turns a finished log into a
+    /// trace in place: sorting, labelling, trading the buffer for another.
+    /// Follow it with [`RunLog::clear`].
+    pub fn entries_mut(&mut self) -> &mut Vec<Entry> {
+        &mut self.entries
+    }
+
+    /// Empties the log, keeping its buffers: the next run's threads number
+    /// their entries from 0 again.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.next_seq.clear();
+    }
 }
 
 #[cfg(test)]
@@ -289,16 +415,5 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("raise vm_stop"), "{s}");
-    }
-
-    #[test]
-    fn noop_observer_is_callable() {
-        let e = Event {
-            at: VirtualInstant::EPOCH,
-            thread: ThreadId::new(0),
-            action: ActionId::top_level(1),
-            kind: EventKind::RecoveryStart { raised: true },
-        };
-        NoopObserver.on_event(e);
     }
 }

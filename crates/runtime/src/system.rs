@@ -27,10 +27,9 @@
 //! definition with its graph and handlers, a message's removal sets, and
 //! a [`SharedObject`](crate::SharedObject), whose state is a `RefCell`
 //! that the objects layer's arbitration — not a lock — orders accesses
-//! to. What still synchronises on a run's path are the hooks: an
-//! [`Observer`] and a [`caa_simnet::NetTap`] are `Send + Sync` (the
-//! simulator's thread host calls a tap from concurrent senders; the
-//! harness's recorder takes its lock once per event).
+//! to; and so is what a recorded run writes down: the participants append
+//! to one [`RunLog`] in a `RefCell`, which [`System::run`] hands back in
+//! the [`SystemReport`].
 //!
 //! # The run pool
 //!
@@ -69,7 +68,7 @@ use caa_simnet::{
 
 use crate::context::{Ctx, CtxScratch};
 use crate::error::{RuntimeError, Step, Unwind};
-use crate::observe::Observer;
+use crate::observe::RunLog;
 use crate::protocol::{ResolutionProtocol, XrrResolution};
 
 /// Run-wide counters maintained by the recovery driver.
@@ -129,7 +128,8 @@ pub(crate) struct SystemShared {
     /// resolution procedure.
     pub(crate) resolution_delay: VirtualDuration,
     pub(crate) stats: RefCell<RuntimeStats>,
-    pub(crate) observer: Option<Arc<dyn Observer>>,
+    /// The run's log, if it is recorded ([`SystemBuilder::record`]).
+    pub(crate) log: Option<RefCell<RunLog>>,
     /// What earlier participants' contexts left for this system's to be
     /// made over, by thread id ([`Ctx::new`] takes its thread's,
     /// [`Ctx::shutdown`] puts it back).
@@ -362,7 +362,8 @@ impl System {
     /// (traces are ordered by virtual time, thread and sequence). A
     /// participant that panics is reported as [`RuntimeError::Protocol`]
     /// under its name; its endpoint retires as the panic unwinds, so its
-    /// peers conclude by timeout.
+    /// peers conclude by timeout. A recorded run's log comes back in the
+    /// report.
     ///
     /// # Panics
     ///
@@ -388,6 +389,12 @@ impl System {
             sched_stats: net.sched_stats(),
             runtime_stats: self.stats(),
             results,
+            log: self
+                .shared
+                .log
+                .as_ref()
+                .map(RefCell::take)
+                .unwrap_or_default(),
         }
         // Dropping the system returns its network to the run pool.
     }
@@ -442,6 +449,9 @@ pub struct SystemReport {
     pub runtime_stats: RuntimeStats,
     /// Total (virtual) execution time.
     pub elapsed: VirtualDuration,
+    /// The run's log, when the system was built to record one
+    /// ([`SystemBuilder::record`]); empty, and unallocated, otherwise.
+    pub log: RunLog,
 }
 
 impl SystemReport {
@@ -479,8 +489,7 @@ pub struct SystemBuilder {
     faults: FaultPlan,
     resolution_delay: VirtualDuration,
     protocol: Arc<dyn ResolutionProtocol>,
-    observer: Option<Arc<dyn Observer>>,
-    tap: Option<Arc<dyn caa_simnet::NetTap>>,
+    log: Option<RunLog>,
 }
 
 impl Default for SystemBuilder {
@@ -492,8 +501,7 @@ impl Default for SystemBuilder {
             faults: FaultPlan::new(),
             resolution_delay: VirtualDuration::ZERO,
             protocol: XRR.with(Arc::clone),
-            observer: None,
-            tap: None,
+            log: None,
         }
     }
 }
@@ -554,20 +562,14 @@ impl SystemBuilder {
         self
     }
 
-    /// Attaches an [`Observer`] receiving every protocol-significant
-    /// runtime event (see [`crate::observe`]). Default: none — without an
-    /// observer the runtime skips event construction entirely.
+    /// Records the run into `log`: every protocol-significant runtime
+    /// event and every message send, loss and corruption, appended in each
+    /// thread's program order (see [`crate::observe`]); the log comes back
+    /// in [`SystemReport::log`]. Pass an empty log — a cleared one reuses
+    /// its buffers. Default: no log — the runtime then builds no event.
     #[must_use]
-    pub fn observer(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a network tap receiving every message send, loss and
-    /// corruption (see [`caa_simnet::NetTap`]). Default: none.
-    #[must_use]
-    pub fn tap(mut self, tap: Arc<dyn caa_simnet::NetTap>) -> Self {
-        self.tap = Some(tap);
+    pub fn record(mut self, log: RunLog) -> Self {
+        self.log = Some(log);
         self
     }
 
@@ -587,7 +589,6 @@ impl SystemBuilder {
                 seed: self.seed,
                 ack_timeout: self.ack_timeout,
                 faults: self.faults,
-                tap: self.tap,
             },
             Some(pool.arena),
         );
@@ -597,7 +598,7 @@ impl SystemBuilder {
                 protocol: self.protocol,
                 resolution_delay: self.resolution_delay,
                 stats: RefCell::new(RuntimeStats::default()),
-                observer: self.observer,
+                log: self.log.map(RefCell::new),
                 scratch: RefCell::new(pool.scratch),
             }),
             participants: pool.participants,
@@ -851,6 +852,103 @@ mod tests {
         assert_eq!(MADE.get().0, 6);
         // And the default protocol's report is the same as ever.
         assert_eq!(report_of(ring(3)), fresh_report(3));
+    }
+
+    /// A recorded run's log: every thread's entries in its program order,
+    /// a lost send as one `NetDropped`, a corrupted one as its `NetSent`
+    /// and then its `NetCorrupted`.
+    #[test]
+    fn a_recorded_run_logs_each_thread_in_program_order() {
+        use caa_simnet::FaultSpec;
+
+        use crate::observe::{Entry, EntryKind, RunLog};
+
+        let link = |src, dst| FaultSpec::link(PartitionId::new(src), PartitionId::new(dst));
+        let faults = FaultPlan::new()
+            .lose(link(0, 1).class("App").count(1))
+            .corrupt(link(0, 2).class("App").count(1));
+        let def = ActionDef::builder("trio")
+            .role("a", 0u32)
+            .role("b", 1u32)
+            .role("c", 2u32)
+            .build()
+            .expect("trio definition");
+        let mut sys = ring_builder(3)
+            .faults(faults)
+            .record(RunLog::default())
+            .build();
+        for (t, role) in ["a", "b", "c"].into_iter().enumerate() {
+            let def = def.clone();
+            sys.spawn(format!("T{t}"), move |ctx| {
+                ctx.enter(&def, role, |rc| {
+                    if t == 0 {
+                        rc.send_to_role("b", "lost", ())?;
+                        rc.send_to_role("c", "corrupted", ())?;
+                    }
+                    rc.work(secs(1.0))
+                })
+                .map(|_| ())
+            });
+        }
+        let report = sys.run();
+        report.expect_ok();
+        let entries = report.log.entries();
+
+        let mut next_seq = [0; 3];
+        for entry in entries {
+            let seq = &mut next_seq[entry.thread as usize];
+            assert_eq!(entry.seq, *seq, "{entry}");
+            *seq += 1;
+            assert_eq!(entry.label, 0, "labels are the trace's to assign");
+        }
+        assert!(next_seq.iter().all(|&n| n > 0), "{next_seq:?}");
+
+        let app = |kind: &EntryKind| match kind {
+            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
+                e.class == "App"
+            }
+            EntryKind::Runtime(_) => false,
+        };
+        let sends: Vec<_> = entries.iter().filter(|e| app(&e.kind)).collect();
+        let [lost, sent, corrupted] = sends.as_slice() else {
+            panic!("two App sends make three entries: {sends:?}");
+        };
+        let EntryKind::NetDropped(lost) = &lost.kind else {
+            panic!("the lost send is logged as dropped alone: {lost}");
+        };
+        assert_eq!((lost.src.as_u32(), lost.dst.as_u32()), (0, 1));
+        let (EntryKind::NetSent(event), EntryKind::NetCorrupted(again)) =
+            (&sent.kind, &corrupted.kind)
+        else {
+            panic!("a corrupted send is logged as sent, then corrupted: {sent} / {corrupted}");
+        };
+        assert_eq!((event.src.as_u32(), event.dst.as_u32()), (0, 2));
+        assert_eq!(
+            event, again,
+            "one message: the same record, link seq included"
+        );
+        let at = |wanted: &Entry| entries.iter().position(|e| std::ptr::eq(e, wanted));
+        assert_eq!(
+            at(corrupted),
+            at(sent).map(|i| i + 1),
+            "adjacent in the log"
+        );
+        assert_eq!(
+            (corrupted.thread, corrupted.seq),
+            (sent.thread, sent.seq + 1)
+        );
+        assert_eq!(report.net_stats.dropped("App"), 1);
+        assert_eq!(report.net_stats.corrupted("App"), 1);
+    }
+
+    #[test]
+    fn an_unrecorded_run_returns_an_empty_log_and_allocates_none_for_it() {
+        let mut report = ring(3).run();
+        report.expect_ok();
+        assert!(report.log.entries().is_empty());
+        // Nothing was ever pushed (a push grows this buffer first), so the
+        // per-thread counters were never sized either.
+        assert_eq!(report.log.entries_mut().capacity(), 0);
     }
 
     #[test]

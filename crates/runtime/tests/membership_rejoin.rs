@@ -5,39 +5,40 @@
 //! signalling and exit rounds lets the group survive more than one crash
 //! in a single action, shrinking the view one epoch per suspicion round.
 
-use std::sync::Mutex;
-
 use caa_core::exception::Exception;
 use caa_core::ids::ThreadId;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::ExceptionGraphBuilder;
-use caa_runtime::observe::{Event, EventKind, Observer};
-use caa_runtime::{ActionDef, RuntimeError, SharedObject, System};
+use caa_runtime::observe::{EntryKind, Event, EventKind, RunLog};
+use caa_runtime::{ActionDef, RuntimeError, SharedObject, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 const EXIT_TIMEOUT: f64 = 5.0;
 
-/// Collects every observed event for post-run assertions.
-#[derive(Default)]
+/// The runtime events of a recorded run, for post-run assertions.
 struct Collector {
-    events: Mutex<Vec<Event>>,
-}
-
-impl Observer for Collector {
-    fn on_event(&self, event: Event) {
-        self.events.lock().unwrap().push(event);
-    }
+    events: Vec<Event>,
 }
 
 impl Collector {
-    fn kinds(&self) -> Vec<EventKind> {
-        self.events
-            .lock()
-            .unwrap()
+    /// The events in `report`'s log.
+    fn of(report: &SystemReport) -> Collector {
+        let events = report
+            .log
+            .entries()
             .iter()
-            .map(|e| e.kind.clone())
-            .collect()
+            .filter_map(|entry| match &entry.kind {
+                EntryKind::Runtime(event) => Some(event.clone()),
+                _ => None,
+            });
+        Collector {
+            events: events.collect(),
+        }
+    }
+
+    fn kinds(&self) -> Vec<EventKind> {
+        self.events.iter().map(|e| e.kind.clone()).collect()
     }
 }
 
@@ -210,7 +211,6 @@ fn duplicate_grants_are_idempotent_and_state_stays_rolled_back() {
 /// bounds, with the coordinated ƒ outcome the missing signal forces.
 #[test]
 fn double_crash_is_survived_one_epoch_per_round() {
-    let collector = std::sync::Arc::new(Collector::default());
     let graph = ExceptionGraphBuilder::new()
         .resolves("r", ["e"])
         .build()
@@ -229,7 +229,7 @@ fn double_crash_is_survived_one_epoch_per_round() {
     let def = builder.build().unwrap();
     let mut sys = System::builder()
         .latency(LatencyModel::Fixed(secs(0.1)))
-        .observer(collector.clone() as _)
+        .record(RunLog::default())
         .build();
     let d = def.clone();
     sys.spawn("early-crasher", move |ctx| {
@@ -270,6 +270,7 @@ fn double_crash_is_survived_one_epoch_per_round() {
         Ok(())
     });
     let report = sys.run();
+    let collector = Collector::of(&report);
     assert_eq!(report.results[0].1, Err(RuntimeError::Crashed));
     assert_eq!(report.results[1].1, Err(RuntimeError::Crashed));
     assert_eq!(report.results[2].1, Ok(()), "{:?}", report.results);

@@ -9,46 +9,45 @@
 //! commit, and a crash racing a pair of concurrent raises into a ƒ
 //! outcome.
 
-use std::sync::Mutex;
-
 use caa_core::exception::Exception;
 use caa_core::ids::ThreadId;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::ExceptionGraphBuilder;
-use caa_runtime::observe::{Event, EventKind, Observer};
-use caa_runtime::{ActionDef, RuntimeError, System};
+use caa_runtime::observe::{EntryKind, Event, EventKind, RunLog};
+use caa_runtime::{ActionDef, RuntimeError, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 const RESOLUTION_TIMEOUT: f64 = 10.0;
 
-/// Collects every observed event for post-run assertions.
-#[derive(Default)]
+/// The runtime events of a recorded run, for post-run assertions.
 struct Collector {
-    events: Mutex<Vec<Event>>,
-}
-
-impl Observer for Collector {
-    fn on_event(&self, event: Event) {
-        self.events.lock().unwrap().push(event);
-    }
+    events: Vec<Event>,
 }
 
 impl Collector {
-    fn kinds(&self) -> Vec<EventKind> {
-        self.events
-            .lock()
-            .unwrap()
+    /// The events in `report`'s log.
+    fn of(report: &SystemReport) -> Collector {
+        let events = report
+            .log
+            .entries()
             .iter()
-            .map(|e| e.kind.clone())
-            .collect()
+            .filter_map(|entry| match &entry.kind {
+                EntryKind::Runtime(event) => Some(event.clone()),
+                _ => None,
+            });
+        Collector {
+            events: events.collect(),
+        }
+    }
+
+    fn kinds(&self) -> Vec<EventKind> {
+        self.events.iter().map(|e| e.kind.clone()).collect()
     }
 
     fn resolved_per_thread(&self) -> Vec<(u32, String)> {
         let mut out: Vec<(u32, String)> = self
             .events
-            .lock()
-            .unwrap()
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::Resolved { exception } => {
@@ -89,11 +88,10 @@ fn trio(verdict: HandlerVerdict, resolution_timeout: Option<f64>) -> ActionDef {
 /// survivors, with no exit-timeout ƒ.
 #[test]
 fn crashed_bystander_is_removed_and_survivors_succeed() {
-    let collector = std::sync::Arc::new(Collector::default());
     let def = trio(HandlerVerdict::Recovered, Some(RESOLUTION_TIMEOUT));
     let mut sys = System::builder()
         .latency(LatencyModel::Fixed(secs(0.1)))
-        .observer(collector.clone() as _)
+        .record(RunLog::default())
         .build();
     let d = def.clone();
     sys.spawn("crasher", move |ctx| {
@@ -124,6 +122,7 @@ fn crashed_bystander_is_removed_and_survivors_succeed() {
         Ok(())
     });
     let report = sys.run();
+    let collector = Collector::of(&report);
     assert_eq!(report.results[0].1, Err(RuntimeError::Crashed));
     assert_eq!(report.results[1].1, Ok(()), "{:?}", report.results);
     assert_eq!(report.results[2].1, Ok(()), "{:?}", report.results);
@@ -161,11 +160,10 @@ fn crashed_bystander_is_removed_and_survivors_succeed() {
 /// raiser's *real* exception still resolves the recovery.
 #[test]
 fn crashed_raiser_is_replaced_as_resolver() {
-    let collector = std::sync::Arc::new(Collector::default());
     let def = trio(HandlerVerdict::Recovered, Some(RESOLUTION_TIMEOUT));
     let mut sys = System::builder()
         .latency(LatencyModel::Fixed(secs(0.1)))
-        .observer(collector.clone() as _)
+        .record(RunLog::default())
         .build();
     let d = def.clone();
     sys.spawn("a", move |ctx| {
@@ -193,6 +191,7 @@ fn crashed_raiser_is_replaced_as_resolver() {
         .map(|_| ())
     });
     let report = sys.run();
+    let collector = Collector::of(&report);
     assert_eq!(report.results[0].1, Ok(()), "{:?}", report.results);
     assert_eq!(report.results[1].1, Ok(()), "{:?}", report.results);
     assert_eq!(report.results[2].1, Err(RuntimeError::Crashed));
@@ -213,11 +212,10 @@ fn crashed_raiser_is_replaced_as_resolver() {
 /// failure verdicts drive the survivors to a coordinated ƒ outcome.
 #[test]
 fn crash_racing_concurrent_raises_reaches_coordinated_failure() {
-    let collector = std::sync::Arc::new(Collector::default());
     let def = trio(HandlerVerdict::Fail, Some(RESOLUTION_TIMEOUT));
     let mut sys = System::builder()
         .latency(LatencyModel::Fixed(secs(0.05)))
-        .observer(collector.clone() as _)
+        .record(RunLog::default())
         .build();
     let d = def.clone();
     sys.spawn("raiser-0", move |ctx| {
@@ -248,6 +246,7 @@ fn crash_racing_concurrent_raises_reaches_coordinated_failure() {
         Ok(())
     });
     let report = sys.run();
+    let collector = Collector::of(&report);
     assert_eq!(report.results[1].1, Err(RuntimeError::Crashed));
     assert_eq!(report.results[0].1, Ok(()), "{:?}", report.results);
     assert_eq!(report.results[2].1, Ok(()), "{:?}", report.results);

@@ -2,30 +2,28 @@
 //! operations in [`crate::net`] need from whoever hosts them — exclusive
 //! access to the [`Core`], and a way to give up the CPU — and the host
 //! `caa-runtime` uses, [`Fibers`]. The thread host is [`crate::threads`].
+//!
+//! A host wraps the core and nothing else: what the core decides about a
+//! send goes back to the sender as the return value of
+//! [`Endpoint::send`](crate::Endpoint::send).
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
 
 use crate::simcore::Core;
-use crate::tap::NetTap;
 
 /// How the endpoints of one network reach its core and how a blocked one
 /// sleeps. A handle: clones share the network. Sealed — the two hosts are
 /// [`Threads`](crate::Threads) and [`Fibers`].
 pub trait Host<M>: Clone {
-    /// Wraps a new network's core. The tap stays outside the core's cell:
-    /// it is called after the core has been released.
-    fn new(core: Core<M>, tap: Option<Arc<dyn NetTap>>) -> Self;
+    /// Wraps a new network's core.
+    fn new(core: Core<M>) -> Self;
 
     /// The core back, if this is the last handle to it.
     fn into_core(self) -> Option<Core<M>>;
-
-    /// The network's tap, if any.
-    fn tap(&self) -> Option<&dyn NetTap>;
 
     /// Exclusive access to the core for the length of `f`, which must not
     /// call back into the network.
@@ -38,11 +36,6 @@ pub trait Host<M>: Clone {
     fn turn<T>(&self, id: PartitionId, turn: impl FnOnce(&mut Core<M>) -> Option<T>) -> Option<T>;
 }
 
-struct FiberShared<M> {
-    core: RefCell<Core<M>>,
-    tap: Option<Arc<dyn NetTap>>,
-}
-
 /// The host of a network whose endpoints all run as fibers of one thread
 /// ([`FiberNetwork`](crate::FiberNetwork), what `caa-runtime`'s
 /// `System::run` builds): the core sits in an `Rc<RefCell<_>>`, so such a
@@ -50,8 +43,8 @@ struct FiberShared<M> {
 /// flag, not a lock. A blocked endpoint [suspends](caa_fiber::suspend) its
 /// fiber; whoever resumes the fibers asks
 /// [`take_runnable`](crate::Network::take_runnable) which ones to resume.
-/// The borrow is never held across a suspend or a tap call.
-pub struct Fibers<M>(Rc<FiberShared<M>>);
+/// The borrow is never held across a suspend.
+pub struct Fibers<M>(Rc<RefCell<Core<M>>>);
 
 impl<M> Clone for Fibers<M> {
     fn clone(&self) -> Self {
@@ -66,24 +59,17 @@ impl<M> fmt::Debug for Fibers<M> {
 }
 
 impl<M> Host<M> for Fibers<M> {
-    fn new(core: Core<M>, tap: Option<Arc<dyn NetTap>>) -> Self {
-        Fibers(Rc::new(FiberShared {
-            core: RefCell::new(core),
-            tap,
-        }))
+    fn new(core: Core<M>) -> Self {
+        Fibers(Rc::new(RefCell::new(core)))
     }
 
     fn into_core(self) -> Option<Core<M>> {
-        Some(Rc::try_unwrap(self.0).ok()?.core.into_inner())
-    }
-
-    fn tap(&self) -> Option<&dyn NetTap> {
-        self.0.tap.as_deref()
+        Some(Rc::try_unwrap(self.0).ok()?.into_inner())
     }
 
     #[inline(always)]
     fn with<R>(&self, f: impl FnOnce(&mut Core<M>) -> R) -> R {
-        f(&mut self.0.core.borrow_mut())
+        f(&mut self.0.borrow_mut())
     }
 
     #[inline(always)]

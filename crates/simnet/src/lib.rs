@@ -118,5 +118,5 @@ pub use net::{
 };
 pub use simcore::{NetArena, SchedStats, Sent};
 pub use stats::{Classify, NetStats};
-pub use tap::{NetTap, TapEvent};
+pub use tap::TapEvent;
 pub use threads::Threads;

@@ -55,7 +55,9 @@
 //! core, so what an endpoint *observes* is the same under either host
 //! (`tests::both_hosts_observe_the_same` drives one script under both);
 //! only how it sleeps differs. Neither host holds the core across a
-//! suspend or a wait, and taps are called after it is released.
+//! suspend or a wait. What the core decided about a sent message goes back
+//! to its sender as the return value of [`Endpoint::send`]: the network
+//! calls nothing of its caller's.
 //!
 //! # Arena reuse
 //!
@@ -74,7 +76,6 @@
 
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use caa_core::ids::PartitionId;
 use caa_core::name::Name;
@@ -86,7 +87,6 @@ use crate::host::{Fibers, Host};
 use crate::latency::LatencyModel;
 use crate::simcore::{Core, NetArena, SchedStats, Sent, Turn};
 use crate::stats::{Classify, NetStats};
-use crate::tap::{NetTap, TapEvent};
 use crate::threads::Threads;
 
 /// How the network experiences time. Virtual time is the only mode: a
@@ -102,7 +102,7 @@ pub enum ClockMode {
 }
 
 /// Configuration for a [`Network`].
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
     /// How time passes (always virtual).
     pub mode: ClockMode,
@@ -115,22 +115,6 @@ pub struct NetConfig {
     pub ack_timeout: Option<VirtualDuration>,
     /// Scheduled message losses and corruptions.
     pub faults: FaultPlan,
-    /// Observation hook for sends, losses and corruptions (see
-    /// [`NetTap`]).
-    pub tap: Option<Arc<dyn NetTap>>,
-}
-
-impl fmt::Debug for NetConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetConfig")
-            .field("mode", &self.mode)
-            .field("latency", &self.latency)
-            .field("seed", &self.seed)
-            .field("ack_timeout", &self.ack_timeout)
-            .field("faults", &self.faults)
-            .field("tap", &self.tap.as_ref().map(|_| "<tap>"))
-            .finish()
-    }
 }
 
 /// Why a blocking network operation failed.
@@ -298,10 +282,9 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// is an allocation cache only: the new network starts from a fully
     /// cleared state and behaves byte-identically to a fresh one.
     #[must_use]
-    pub fn new_reusing(mut config: NetConfig, arena: Option<NetArena<M>>) -> Self {
-        let tap = config.tap.take();
+    pub fn new_reusing(config: NetConfig, arena: Option<NetArena<M>>) -> Self {
         Network {
-            host: H::new(Core::new(config, arena.unwrap_or_default()), tap),
+            host: H::new(Core::new(config, arena.unwrap_or_default())),
             msg: PhantomData,
         }
     }
@@ -363,32 +346,6 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// network with the slot. (An unknown `id` just drops the stack.)
     pub fn park_stack(&self, id: PartitionId, stack: Stack) {
         self.host.with(|core| core.park_stack(id, stack));
-    }
-
-    fn send_from(&self, src: PartitionId, dst: PartitionId, msg: M) -> Sent {
-        let tapped = self.host.tap().map(|tap| (tap, msg.correlation()));
-        let sent = self.host.with(|core| core.send(src, dst, msg));
-        // The core is released: a tap may look at the network.
-        if let Some((tap, correlation)) = tapped {
-            let event = TapEvent {
-                src,
-                dst,
-                class: sent.class,
-                correlation,
-                at: sent.at,
-                deliver_at: sent.deliver_at,
-                seq: sent.seq,
-            };
-            if sent.lost {
-                tap.on_dropped(&event);
-            } else {
-                tap.on_sent(&event);
-                if sent.corrupted {
-                    tap.on_corrupted(&event);
-                }
-            }
-        }
-        sent
     }
 
     /// Takes turns at endpoint `id`'s blocking operation until one is
@@ -478,7 +435,7 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// when it was sent and is due, its slot in the link's sequence, and
     /// whether fault injection lost or corrupted it.
     pub fn send(&self, dst: PartitionId, msg: M) -> Sent {
-        self.net.send_from(self.id, dst, msg)
+        self.net.host.with(|core| core.send(self.id, dst, msg))
     }
 
     /// Receives the next message, blocking until one is deliverable.
@@ -629,7 +586,6 @@ mod tests {
     use super::*;
     use caa_core::time::secs;
     use caa_fiber::Fiber;
-    use parking_lot::Mutex;
     use std::thread;
 
     #[derive(Debug, PartialEq)]
@@ -647,7 +603,6 @@ mod tests {
             seed: 42,
             ack_timeout: None,
             faults: FaultPlan::new(),
-            tap: None,
         })
     }
 
@@ -807,7 +762,6 @@ mod tests {
             seed: 1,
             ack_timeout: None,
             faults: FaultPlan::new().lose(crate::FaultSpec::any().count(1)),
-            tap: None,
         });
         let mut a = net.endpoint("a");
         let b = net.endpoint("b");
@@ -830,7 +784,6 @@ mod tests {
             seed: 1,
             ack_timeout: None,
             faults: FaultPlan::new().corrupt(crate::FaultSpec::any().count(1)),
-            tap: None,
         });
         let mut a = net.endpoint("a");
         let b = net.endpoint("b");
@@ -966,7 +919,6 @@ mod tests {
                     seed: 7,
                     ack_timeout: None,
                     faults: FaultPlan::new(),
-                    tap: None,
                 },
                 arena,
             );
@@ -1045,50 +997,42 @@ mod tests {
     }
 
     #[test]
-    fn sends_to_retired_and_unregistered_endpoints_are_counted_and_tapped() {
-        #[derive(Default)]
-        struct Sent(Mutex<Vec<TapEvent>>);
-        impl NetTap for Sent {
-            fn on_sent(&self, event: &TapEvent) {
-                self.0.lock().push(event.clone());
-            }
-        }
-        let tap = Arc::new(Sent::default());
+    fn sends_to_retired_and_unregistered_endpoints_are_counted_and_reported() {
         let net: Network<Msg> = Network::new(NetConfig {
             latency: LatencyModel::Fixed(secs(0.5)),
-            tap: Some(Arc::clone(&tap) as _),
             ..NetConfig::default()
         });
         let a = net.endpoint("a");
         let b = net.endpoint("b");
-        let (a_id, b_id) = (a.id(), b.id());
+        let b_id = b.id();
         b.retire();
         let nobody = PartitionId::new(9);
-        a.send(b_id, Msg(1));
-        a.send(b_id, Msg(2));
-        a.send(nobody, Msg(3));
+        let sent = [
+            a.send(b_id, Msg(1)),
+            a.send(b_id, Msg(2)),
+            a.send(nobody, Msg(3)),
+        ];
         a.retire();
 
         assert_eq!(net.stats().sent("Msg"), 3, "accepted, so counted");
         let at = VirtualInstant::EPOCH;
-        let event = |dst, deliver_at, seq| TapEvent {
-            src: a_id,
-            dst,
+        let record = |deliver_at, seq| Sent {
             class: "Msg",
-            correlation: 0,
             at,
             deliver_at,
             seq,
+            lost: false,
+            corrupted: false,
         };
         assert_eq!(
-            *tap.0.lock(),
-            vec![
+            sent,
+            [
                 // A retired destination still books its link: sequence
                 // numbers and the FIFO clamp advance as if it listened.
-                event(b_id, at + secs(0.5), 0),
-                event(b_id, at + secs(0.5) + VirtualDuration::from_nanos(1), 1),
+                record(at + secs(0.5), 0),
+                record(at + secs(0.5) + VirtualDuration::from_nanos(1), 1),
                 // No link row to book on: sequence pinned to 0, no delay.
-                event(nobody, at, 0),
+                record(at, 0),
             ]
         );
     }
@@ -1282,39 +1226,5 @@ mod tests {
             2,
             "{on_threads}"
         );
-    }
-
-    #[test]
-    fn a_tap_may_look_at_the_fiber_hosted_network_it_taps() {
-        // A tap is `Send + Sync` and the network it is about to be
-        // attached to is not, so it finds the network in a thread-local.
-        thread_local! {
-            static TAPPED: std::cell::RefCell<Option<FiberNetwork<Msg>>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        #[derive(Default)]
-        struct Curious(Mutex<Vec<(u64, VirtualInstant)>>);
-        impl NetTap for Curious {
-            fn on_sent(&self, _: &TapEvent) {
-                TAPPED.with_borrow(|net| {
-                    let net = net.as_ref().expect("set before the first send");
-                    // Both take the core: taps run after it is released.
-                    self.0.lock().push((net.stats().total_sent(), net.now()));
-                });
-            }
-        }
-        let tap = Arc::new(Curious::default());
-        let net: FiberNetwork<Msg> = Network::new(NetConfig {
-            tap: Some(Arc::clone(&tap) as _),
-            ..NetConfig::default()
-        });
-        TAPPED.set(Some(net.clone()));
-        let a = net.endpoint("a");
-        let b = net.endpoint("b");
-        a.send(b.id(), Msg(1));
-        a.send(b.id(), Msg(2));
-        TAPPED.set(None);
-        let epoch = VirtualInstant::EPOCH;
-        assert_eq!(*tap.0.lock(), vec![(1, epoch), (2, epoch)]);
     }
 }

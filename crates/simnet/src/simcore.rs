@@ -286,8 +286,9 @@ impl<M> fmt::Debug for NetArena<M> {
     }
 }
 
-/// What the network did with one message: what [`Core::send`] decided,
-/// handed back to the sender by [`Endpoint::send`](crate::Endpoint::send).
+/// What the network did with one message: what the simulator decided
+/// when it booked, timed and enqueued it, handed back to the sender by
+/// [`Endpoint::send`](crate::Endpoint::send).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sent {
     /// The message's class label.
@@ -335,8 +336,7 @@ impl<M> fmt::Debug for Core<M> {
 
 impl<M> Core<M> {
     /// A network at the epoch with no endpoints, over `arena`'s
-    /// allocations. `config.tap` is not the core's business: taps are
-    /// called by the host's shell once the core has been released.
+    /// allocations.
     pub fn new(config: NetConfig, arena: NetArena<M>) -> Core<M> {
         Core {
             now: VirtualInstant::EPOCH,
@@ -425,13 +425,13 @@ impl<M> Core<M> {
 
         // Book the link slot, sample the latency, apply the per-link FIFO
         // clamp and enqueue. A lost message still occupies its slot in the
-        // per-link sequence, so tap consumers see a unique (src, dst, seq)
-        // per message whether it was delivered or lost. A destination that
-        // never registered has no link row to book a sequence on (ids
-        // normally only come from registration, so this needs a hand-built
+        // per-link sequence, so every message has a unique (src, dst, seq)
+        // whether it was delivered or lost. A destination that never
+        // registered has no link row to book a sequence on (ids normally
+        // only come from registration, so this needs a hand-built
         // `PartitionId`): the message was still *accepted* — counted above
-        // and surfaced to the tap like a datagram to a dead host, with the
-        // link sequence pinned to 0.
+        // and reported to the sender like a datagram to a dead host, with
+        // the link sequence pinned to 0.
         let (mut seq, mut deliver_at) = (0, now);
         if let Some(slot) = self.actors.get_mut(dst.index()) {
             let link = slot.mailbox.link(src);
@@ -456,7 +456,7 @@ impl<M> Core<M> {
                 }
                 // A message to a retired endpoint is lost like a datagram
                 // to a dead host — but it was accepted, so counters and
-                // tap still see it.
+                // the sender's record still see it.
                 if slot.alive {
                     slot.mailbox.queue.push(Reverse(Envelope {
                         deliver_at,

@@ -16,14 +16,6 @@ use caa_core::inline::InlineVec;
 pub trait Classify {
     /// The class label under which this message is counted.
     fn class(&self) -> &'static str;
-
-    /// An optional correlation key reported to network taps
-    /// ([`crate::NetTap`]); defaults to 0. The CA-action runtime reports
-    /// the action-instance serial so traces can attribute protocol traffic
-    /// to action instances.
-    fn correlation(&self) -> u64 {
-        0
-    }
 }
 
 impl Classify for caa_core::Message {
@@ -43,11 +35,6 @@ impl Classify for caa_core::Message {
             caa_core::MessageKind::ExitVote => "ExitVote",
             caa_core::MessageKind::App => "App",
         }
-    }
-
-    /// Protocol messages correlate by the action instance they belong to.
-    fn correlation(&self) -> u64 {
-        self.action().serial()
     }
 }
 

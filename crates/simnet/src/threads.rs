@@ -12,7 +12,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::host::Host;
 use crate::simcore::Core;
-use crate::tap::NetTap;
 
 struct Locked<M> {
     core: Core<M>,
@@ -35,11 +34,6 @@ impl<M> Locked<M> {
     }
 }
 
-struct ThreadShared<M> {
-    locked: Mutex<Locked<M>>,
-    tap: Option<Arc<dyn NetTap>>,
-}
-
 /// The host of a network whose endpoints OS threads drive (the default:
 /// [`Network<M>`](crate::Network), [`Endpoint<M>`](crate::Endpoint)): the
 /// core sits behind one mutex, taken once per operation — a blocking one
@@ -49,9 +43,8 @@ struct ThreadShared<M> {
 ///
 /// Endpoints serialise on the one mutex; what they observe does not depend
 /// on who wins it, because delivery order is decided by heap keys and
-/// per-link sequence numbers, not by lock order. Taps are called after the
-/// mutex is released.
-pub struct Threads<M>(Arc<ThreadShared<M>>);
+/// per-link sequence numbers, not by lock order.
+pub struct Threads<M>(Arc<Mutex<Locked<M>>>);
 
 impl<M> Clone for Threads<M> {
     fn clone(&self) -> Self {
@@ -66,33 +59,26 @@ impl<M> fmt::Debug for Threads<M> {
 }
 
 impl<M> Host<M> for Threads<M> {
-    fn new(core: Core<M>, tap: Option<Arc<dyn NetTap>>) -> Self {
-        Threads(Arc::new(ThreadShared {
-            locked: Mutex::new(Locked {
-                core,
-                condvars: Vec::new(),
-            }),
-            tap,
-        }))
+    fn new(core: Core<M>) -> Self {
+        Threads(Arc::new(Mutex::new(Locked {
+            core,
+            condvars: Vec::new(),
+        })))
     }
 
     fn into_core(self) -> Option<Core<M>> {
-        Some(Arc::try_unwrap(self.0).ok()?.locked.into_inner().core)
-    }
-
-    fn tap(&self) -> Option<&dyn NetTap> {
-        self.0.tap.as_deref()
+        Some(Arc::try_unwrap(self.0).ok()?.into_inner().core)
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut Core<M>) -> R) -> R {
-        let mut locked = self.0.locked.lock();
+        let mut locked = self.0.lock();
         let result = f(&mut locked.core);
         locked.notify_woken();
         result
     }
 
     fn turn<T>(&self, id: PartitionId, turn: impl FnOnce(&mut Core<M>) -> Option<T>) -> Option<T> {
-        let mut locked = self.0.locked.lock();
+        let mut locked = self.0.lock();
         let ready = turn(&mut locked.core);
         // The turn may have been the block that let time advance.
         locked.notify_woken();

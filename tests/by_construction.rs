@@ -7,13 +7,16 @@
 //!   protocol modules name no `Mutex`, `Condvar`, atomic or `parking_lot`
 //!   item;
 //! * a run has one owner, and the types say so: outside unit tests and
-//!   comments, the core, the runtime and the production cell name `Send`
-//!   or `Sync` only where the observer hook is declared; no mutex is left
-//!   in the runtime, the bench crate or the production cell; `parking_lot`
-//!   is a dependency of the simulator (its thread host) and the harness
-//!   (the trace recorder) alone; the scenario executor keeps no
+//!   comments, the core, the runtime and the production cell name neither
+//!   `Send` nor `Sync`; no mutex is left in the runtime, the harness, the
+//!   bench crate or the production cell; `parking_lot` is a dependency of
+//!   the simulator (its thread host) alone; the scenario executor keeps no
 //!   thread-local; and the harness has one entry point per job — one
 //!   execute function, one plan runner;
+//! * a run records into its own log, which `System::run` hands back: no
+//!   library source names the observer and tap hooks or the trace
+//!   recorder that served them, and `SystemBuilder` has one setting for
+//!   it, `record`;
 //! * `unsafe` is written in `crates/fiber` and nowhere else in library
 //!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
 //!   bench targets are outside the scan: two of them wrap the global
@@ -235,8 +238,7 @@ fn a_run_is_owned_by_one_thread_in_the_types() {
         }
     }
     assert_eq!(
-        bounds,
-        ["crates/runtime/src/observe.rs: pub trait Observer: Send + Sync {"],
+        bounds, [""; 0],
         "a run's participants are fibers of one thread: what they share needs no thread bound"
     );
     assert_eq!(
@@ -244,6 +246,7 @@ fn a_run_is_owned_by_one_thread_in_the_types() {
             "Mutex",
             &[
                 "crates/runtime/src",
+                "crates/harness/src",
                 "crates/bench/src",
                 "crates/prodcell/src"
             ]
@@ -260,8 +263,8 @@ fn a_run_is_owned_by_one_thread_in_the_types() {
         .collect();
     assert_eq!(
         dependents,
-        ["harness", "simnet"],
-        "`parking_lot` serves the simulator's thread host and the trace recorder alone"
+        ["simnet"],
+        "`parking_lot` serves the simulator's thread host alone"
     );
     assert_eq!(
         files_naming("thread_local!", &["crates/harness/src"]),
@@ -271,6 +274,51 @@ fn a_run_is_owned_by_one_thread_in_the_types() {
             "crates/harness/src/trace.rs",
         ],
         "the handlers find the running plan through their arena, not a thread-local"
+    );
+}
+
+#[test]
+fn a_run_records_into_its_own_log_through_no_hook() {
+    let mut dirs: Vec<String> = ["crates", "compat"]
+        .iter()
+        .flat_map(|parent| {
+            entries(parent)
+                .into_iter()
+                .map(move |krate| format!("{parent}/{krate}/src"))
+        })
+        .collect();
+    dirs.extend(["perf/src".to_owned(), "src".to_owned()]);
+    let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+    assert!(dirs.len() > 10, "the scan found the crates: {dirs:?}");
+    for hook in ["Observer", "NetTap", "TraceRecorder"] {
+        assert_eq!(
+            files_naming(hook, &dirs),
+            [""; 0],
+            "`{hook}` is gone: a run appends to its own log and hands it back"
+        );
+    }
+    // One builder setting records a run.
+    let system = fs::read_to_string(root().join("crates/runtime/src/system.rs")).expect("system");
+    let builder = system
+        .split_once("impl SystemBuilder {")
+        .expect("the builder's methods")
+        .1;
+    let settings: Vec<&str> = builder
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("pub fn "))
+        .filter_map(|line| line.split_once("(mut self").map(|(name, _)| name))
+        .collect();
+    assert_eq!(
+        settings,
+        [
+            "latency",
+            "seed",
+            "ack_timeout",
+            "faults",
+            "resolution_delay",
+            "protocol",
+            "record"
+        ]
     );
 }
 
