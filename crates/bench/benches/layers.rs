@@ -23,7 +23,7 @@
 //!   instance, a raise, an abort and a recovery: the per-instance path),
 //!   with what a warmed iteration asks the allocator for;
 //! * **sizes** — `size_of` of the types the hot paths move by value (a
-//!   `Message`, an observed `Event`, a trace `Entry`), so that a change
+//!   `Message`, a log `Entry` and its `EntryKind`), so that a change
 //!   that grows one shows up in the log;
 //! * **simnet ping-pong, µs per round trip** — two endpoints bouncing one
 //!   message over a 1 ms link, hosted both ways: by two OS threads (the
@@ -76,7 +76,7 @@ use caa_harness::spans::build_span_tree;
 use caa_harness::sweep::{run_plan_checked, PathCoverage};
 use caa_harness::trace::{hash64, Entry, EntryKind, Trace};
 use caa_runtime::action::{AbortHandler, Handler};
-use caa_runtime::observe::{Event, EventKind, RunLog};
+use caa_runtime::observe::{EventKind, RunLog};
 use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
 use caa_runtime::{ActionDef, XrrResolution};
 use caa_simnet::{Classify, FiberNetwork, LatencyModel, NetConfig, Network};
@@ -239,12 +239,12 @@ fn bench_trace_log() {
     let mut recycled = Trace::default();
     bench("trace_record_and_take", ENTRIES, 100, || {
         for i in 0..ENTRIES {
-            log.push(EntryKind::Runtime(Event {
-                at: VirtualInstant::from_nanos(i / N as u64),
-                thread: ThreadId::new((i % N as u64) as u32),
-                action: ActionId::top_level(1 + i % 3),
-                kind: kind(i),
-            }));
+            log.push(
+                VirtualInstant::from_nanos(i / N as u64),
+                ThreadId::new((i % N as u64) as u32),
+                ActionId::top_level(1 + i % 3),
+                EntryKind::Runtime(kind(i)),
+            );
         }
         recycled = Trace::from_log(&mut log, std::mem::take(&mut recycled));
         assert_eq!(recycled.len() as u64, ENTRIES);
@@ -286,10 +286,10 @@ fn bench_bare_system() {
 
 fn print_sizes() {
     println!(
-        "layers/sizes: Message {} B, Event {} B, trace Entry {} B",
+        "layers/sizes: Message {} B, trace Entry {} B, EntryKind {} B",
         std::mem::size_of::<Message>(),
-        std::mem::size_of::<Event>(),
         std::mem::size_of::<Entry>(),
+        std::mem::size_of::<EntryKind>(),
     );
 }
 

@@ -646,12 +646,12 @@ mod tests {
         // that, and a thread that stayed down entered at most the actions
         // up to (and including) its crash action.
         let mut enters: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for e in artifacts.trace.runtime_events() {
+        for (entry, kind) in artifacts.trace.runtime_events() {
             if matches!(
-                e.kind,
+                kind,
                 caa_runtime::observe::EventKind::Enter { depth: 1, .. }
             ) {
-                *enters.entry(e.thread.as_u32()).or_default() += 1;
+                *enters.entry(entry.thread).or_default() += 1;
             }
         }
         for t in 0..plan.threads {
@@ -684,11 +684,8 @@ mod tests {
             acquisitions += artifacts
                 .trace
                 .runtime_events()
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        caa_runtime::observe::EventKind::ObjectAcquired { .. }
-                    )
+                .filter(|(_, kind)| {
+                    matches!(kind, caa_runtime::observe::EventKind::ObjectAcquired { .. })
                 })
                 .count();
         }

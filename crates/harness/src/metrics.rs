@@ -591,10 +591,10 @@ impl MetricsRecorder {
 
         for entry in trace.entries() {
             let row = &mut self.instances[entry.label as usize];
-            let event = match &entry.kind {
-                EntryKind::Runtime(event) => event,
-                EntryKind::NetSent(tap) => {
-                    row.fanout += u64::from(tap.class == "toBeSignalled");
+            let kind = match &entry.kind {
+                EntryKind::Runtime(kind) => kind,
+                EntryKind::NetSent(net) => {
+                    row.fanout += u64::from(net.class == "toBeSignalled");
                     continue;
                 }
                 _ => continue,
@@ -602,7 +602,7 @@ impl MetricsRecorder {
             let thread = entry.thread;
             let at = entry.at_ns;
             let cell = &mut self.cells[index.cell(entry.label, thread)];
-            match &event.kind {
+            match kind {
                 EventKind::Resolved { .. } => {
                     // This thread's resolution took one round plus one
                     // re-run per bounded wait that expired on the way.

@@ -343,10 +343,7 @@ thread_local! {
 /// The exception a `Resolved` entry names.
 fn resolved_name(entry: &Entry) -> Option<&str> {
     match &entry.kind {
-        EntryKind::Runtime(event) => match &event.kind {
-            EventKind::Resolved { exception } => Some(exception.name()),
-            _ => None,
-        },
+        EntryKind::Runtime(EventKind::Resolved { exception }) => Some(exception.name()),
         _ => None,
     }
 }
@@ -366,8 +363,8 @@ fn collect_views(views: &mut Views, trace: &Trace, exit_floor: f64) {
         .sort_unstable_by_key(|&label| instances[label as usize].serial);
     for entry in trace.entries() {
         let view = &mut views.instances[entry.label as usize];
-        let event = match &entry.kind {
-            EntryKind::Runtime(event) => event,
+        let kind = match &entry.kind {
+            EntryKind::Runtime(kind) => kind,
             EntryKind::NetSent(send) => {
                 if matches!(send.class, "Exception" | "Suspended" | "Commit") {
                     view.resolution_msgs += 1;
@@ -387,7 +384,7 @@ fn collect_views(views: &mut Views, trace: &Trace, exit_floor: f64) {
                 views.long_exits.push((entry.label, entry.thread, secs));
             }
         }
-        match &event.kind {
+        match kind {
             EventKind::Enter { .. } => counts.enters += 1,
             EventKind::Exit { outcome } => {
                 counts.exits += 1;
@@ -455,11 +452,11 @@ impl Membership {
         self.readmitted.clear();
         for &i in trace.index().members(label) {
             let entry = &trace.entries()[i as usize];
-            let EntryKind::Runtime(event) = &entry.kind else {
+            let EntryKind::Runtime(kind) = &entry.kind else {
                 continue;
             };
             let set = &mut self.finals[entry.thread as usize];
-            match &event.kind {
+            match kind {
                 EventKind::ViewChange { removed, .. } => {
                     for t in removed.iter().map(|t| t.as_u32()) {
                         insert_sorted(set, t);

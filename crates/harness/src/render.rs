@@ -39,8 +39,7 @@ use std::marker::PhantomData;
 use caa_core::exception::Signal;
 use caa_core::ids::ThreadId;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
-use caa_runtime::observe::{Entry, EntryKind, EventKind};
-use caa_simnet::TapEvent;
+use caa_runtime::observe::{Entry, EntryKind, EventKind, Net};
 
 /// Eight ASCII `0`s.
 const ZEROS: u64 = 0x3030_3030_3030_3030;
@@ -320,23 +319,23 @@ impl<N: Numbers> Line<'_, N> {
     }
 
     /// `{verb}{class} {src}->{dst}` — the shared head of the three network
-    /// lines.
-    fn push_net(&mut self, verb: &str, event: &TapEvent) {
+    /// lines; the sender is the entry's thread.
+    fn push_net(&mut self, verb: &str, src: u32, net: &Net) {
         self.push_str(verb);
-        self.push_str(event.class);
+        self.push_str(net.class);
         self.push_str(" node");
-        self.push_u64(u64::from(event.src.as_u32()));
+        self.push_u64(u64::from(src));
         self.push_str("->node");
-        self.push_u64(u64::from(event.dst.as_u32()));
+        self.push_u64(u64::from(net.dst.as_u32()));
     }
 
     /// ` seq={seq} deliver@{deliver_at}` — the tail only a `net send`
     /// carries.
-    fn push_delivery(&mut self, event: &TapEvent) {
+    fn push_delivery(&mut self, net: &Net) {
         self.push_str(" seq=");
-        self.push_u64(event.seq);
+        self.push_u64(net.seq);
         self.push_str(" deliver@");
-        self.push_u64(event.deliver_at.as_nanos());
+        self.push_u64(net.deliver_at.as_nanos());
     }
 
     /// Exactly what `write!(out, "{kind}")` writes.
@@ -459,14 +458,15 @@ pub(crate) fn entry<N: Numbers>(entry: &Entry, lines: &mut Lines) {
     lines.push::<N>(
         |line| {
             line.push_prefix(entry.at_ns, entry.thread, entry.seq, entry.label);
+            let src = entry.thread;
             match &entry.kind {
-                EntryKind::Runtime(e) => line.push_kind(&e.kind),
-                EntryKind::NetSent(e) => {
-                    line.push_net("net send ", e);
-                    line.push_delivery(e);
+                EntryKind::Runtime(kind) => line.push_kind(kind),
+                EntryKind::NetSent(net) => {
+                    line.push_net("net send ", src, net);
+                    line.push_delivery(net);
                 }
-                EntryKind::NetDropped(e) => line.push_net("net drop ", e),
-                EntryKind::NetCorrupted(e) => line.push_net("net corrupt ", e),
+                EntryKind::NetDropped(net) => line.push_net("net drop ", src, net),
+                EntryKind::NetCorrupted(net) => line.push_net("net corrupt ", src, net),
             }
             line.push_byte(b'\n');
         },
@@ -491,7 +491,6 @@ mod tests {
     use caa_core::message::SignalRound;
     use caa_core::name::Name;
     use caa_core::time::VirtualInstant;
-    use caa_runtime::observe::Event;
 
     /// What `write` assembles, as text.
     fn line(write: impl FnOnce(&mut Line<'_, Decimal>)) -> String {
@@ -668,26 +667,19 @@ mod tests {
     fn runtime_entry(kind: EventKind) -> Entry {
         Entry {
             at_ns: 5_000,
+            seq: 12,
+            action: ActionId::top_level(1),
             thread: 3,
             label: 7,
-            seq: 12,
-            kind: EntryKind::Runtime(Event {
-                at: VirtualInstant::from_nanos(5_000),
-                thread: ThreadId::new(3),
-                action: ActionId::top_level(1),
-                kind,
-            }),
+            kind: EntryKind::Runtime(kind),
         }
     }
 
     /// One entry of each network kind.
     fn net_entries() -> [Entry; 3] {
-        let tap = TapEvent {
-            src: PartitionId::new(2),
+        let net = Net {
             dst: PartitionId::new(9),
             class: "toBeSignalled",
-            correlation: 1,
-            at: VirtualInstant::from_nanos(5_000),
             deliver_at: VirtualInstant::from_nanos(6_000_000),
             seq: 40,
         };
@@ -697,7 +689,8 @@ mod tests {
             EntryKind::NetCorrupted,
         ]
         .map(|kind| Entry {
-            kind: kind(tap.clone()),
+            thread: 2,
+            kind: kind(net),
             ..runtime_entry(EventKind::Crash)
         })
     }
@@ -870,86 +863,63 @@ mod tests {
         assert_eq!(both_lines(entry), both_lines(changed), "{changed:?}");
     }
 
-    /// Copies of `entry` with one field of its kind changed, each with
-    /// whether the rendering shows that field.
+    /// Copies of `entry` with one field changed that is not in the line's
+    /// prefix, each with whether the rendering shows that field.
     fn kind_changes(entry: &Entry) -> Vec<(Entry, bool)> {
         let with_kind = |kind: EntryKind| Entry {
             kind,
             ..entry.clone()
         };
+        // The raw action id: the label stands in for it.
+        let mut changes = vec![(
+            Entry {
+                action: ActionId::top_level(2),
+                ..entry.clone()
+            },
+            false,
+        )];
         match &entry.kind {
-            EntryKind::Runtime(event) => {
-                let with_event = |event: Event| with_kind(EntryKind::Runtime(event));
-                let mut changes: Vec<(Entry, bool)> = each_field_changed(&event.kind)
-                    .into_iter()
-                    .map(|kind| {
-                        (
-                            with_event(Event {
-                                kind,
-                                ..event.clone()
-                            }),
-                            true,
-                        )
-                    })
-                    .collect();
-                changes.push((
-                    with_event(Event {
-                        action: ActionId::top_level(2),
-                        ..event.clone()
-                    }),
-                    false,
-                ));
-                if let EventKind::ObjectAcquired { object, waited_ns } = event.kind {
+            EntryKind::Runtime(kind) => {
+                changes.extend(
+                    each_field_changed(kind)
+                        .into_iter()
+                        .map(|kind| (with_kind(EntryKind::Runtime(kind)), true)),
+                );
+                if let EventKind::ObjectAcquired { object, waited_ns } = *kind {
                     let kind = EventKind::ObjectAcquired {
                         object,
                         waited_ns: waited_ns + 1,
                     };
-                    changes.push((
-                        with_event(Event {
-                            kind,
-                            ..event.clone()
-                        }),
-                        false,
-                    ));
+                    changes.push((with_kind(EntryKind::Runtime(kind)), false));
                 }
-                changes
             }
-            EntryKind::NetSent(tap) | EntryKind::NetDropped(tap) | EntryKind::NetCorrupted(tap) => {
+            EntryKind::NetSent(net) | EntryKind::NetDropped(net) | EntryKind::NetCorrupted(net) => {
                 let sent = matches!(entry.kind, EntryKind::NetSent(_));
                 // A drop or a corruption shows no sequence number and no
-                // delivery instant; no line shows the correlation or the
-                // send instant (the entry's own instant is the prefix's).
-                type Change = fn(&mut TapEvent);
-                let fields: [(Change, bool); 7] = [
-                    (|t| t.class = "Commit", true),
-                    (|t| t.src = PartitionId::new(t.src.as_u32() ^ 1), true),
-                    (|t| t.dst = PartitionId::new(t.dst.as_u32() ^ 1), true),
-                    (|t| t.seq ^= 1, sent),
+                // delivery instant.
+                type Change = fn(&mut Net);
+                let fields: [(Change, bool); 4] = [
+                    (|n| n.class = "Commit", true),
+                    (|n| n.dst = PartitionId::new(n.dst.as_u32() ^ 1), true),
+                    (|n| n.seq ^= 1, sent),
                     (
-                        |t| t.deliver_at = VirtualInstant::from_nanos(t.deliver_at.as_nanos() ^ 1),
+                        |n| n.deliver_at = VirtualInstant::from_nanos(n.deliver_at.as_nanos() ^ 1),
                         sent,
                     ),
-                    (|t| t.correlation ^= 1, false),
-                    (
-                        |t| t.at = VirtualInstant::from_nanos(t.at.as_nanos() ^ 1),
-                        false,
-                    ),
                 ];
-                fields
-                    .into_iter()
-                    .map(|(change, shown)| {
-                        let mut tap = tap.clone();
-                        change(&mut tap);
-                        let kind = match entry.kind {
-                            EntryKind::NetSent(_) => EntryKind::NetSent(tap),
-                            EntryKind::NetDropped(_) => EntryKind::NetDropped(tap),
-                            _ => EntryKind::NetCorrupted(tap),
-                        };
-                        (with_kind(kind), shown)
-                    })
-                    .collect()
+                changes.extend(fields.into_iter().map(|(change, shown)| {
+                    let mut net = *net;
+                    change(&mut net);
+                    let kind = match entry.kind {
+                        EntryKind::NetSent(_) => EntryKind::NetSent(net),
+                        EntryKind::NetDropped(_) => EntryKind::NetDropped(net),
+                        _ => EntryKind::NetCorrupted(net),
+                    };
+                    (with_kind(kind), shown)
+                }));
             }
         }
+        changes
     }
 
     /// Every kind of entry, and each of them with one field changed.
@@ -971,18 +941,12 @@ mod tests {
     #[test]
     fn a_fingerprint_line_moves_with_every_rendered_field_and_no_other() {
         for (entry, changes) in entries_and_changes() {
-            // The prefix (an event's instant and thread are the entry's).
+            // The prefix (a message's sender is the entry's thread).
             let mut prefixes = [entry.clone(), entry.clone(), entry.clone(), entry.clone()];
             prefixes[0].at_ns ^= 1;
             prefixes[1].thread ^= 1;
             prefixes[2].seq ^= 1;
             prefixes[3].label ^= 1;
-            if let EntryKind::Runtime(event) = &mut prefixes[0].kind {
-                event.at = VirtualInstant::from_nanos(prefixes[0].at_ns);
-            }
-            if let EntryKind::Runtime(event) = &mut prefixes[1].kind {
-                event.thread = ThreadId::new(prefixes[1].thread);
-            }
             for changed in &prefixes {
                 assert_both_lines_move(&entry, changed);
             }
@@ -1075,32 +1039,29 @@ mod tests {
             (12, 3, 9_999, 999_999_999_999),
             (4, 40, 10_000, 6_060_060_358_333_817),
         ] {
-            let e = TapEvent {
-                src: PartitionId::new(src),
+            let n = Net {
                 dst: PartitionId::new(dst),
                 class: "toBeSignalled",
-                correlation: 9,
-                at: VirtualInstant::from_nanos(2),
                 deliver_at: VirtualInstant::from_nanos(deliver),
                 seq,
             };
+            let from = PartitionId::new(src);
             assert_eq!(
                 line(|l| {
-                    l.push_net("net send ", &e);
-                    l.push_delivery(&e);
+                    l.push_net("net send ", src, &n);
+                    l.push_delivery(&n);
                 }),
                 format!(
-                    "net send {} {}->{} seq={} deliver@{}",
-                    e.class,
-                    e.src,
-                    e.dst,
-                    e.seq,
-                    e.deliver_at.as_nanos()
+                    "net send {} {from}->{} seq={} deliver@{}",
+                    n.class,
+                    n.dst,
+                    n.seq,
+                    n.deliver_at.as_nanos()
                 ),
             );
             assert_eq!(
-                line(|l| l.push_net("net drop ", &e)),
-                format!("net drop {} {}->{}", e.class, e.src, e.dst),
+                line(|l| l.push_net("net drop ", src, &n)),
+                format!("net drop {} {from}->{}", n.class, n.dst),
             );
         }
     }
@@ -1110,8 +1071,7 @@ mod tests {
     #[test]
     fn whole_lines_of_every_entry_kind_render_like_display() {
         use crate::trace::{hash64, EntryKind, Trace};
-        use caa_core::ids::ActionId;
-        use caa_runtime::observe::{Event, RunLog};
+        use caa_runtime::observe::RunLog;
 
         let mut log = RunLog::default();
         // Instants of every width up to 17 digits: five past the pad.
@@ -1121,51 +1081,53 @@ mod tests {
             10u64.pow(events % 17) + u64::from(events)
         };
         for (i, kind) in every_kind().into_iter().enumerate() {
-            log.push(EntryKind::Runtime(Event {
-                at: VirtualInstant::from_nanos(next_at()),
-                thread: ThreadId::new(i as u32 % 11),
-                action: ActionId::top_level(1 + i as u64 % 13),
-                kind,
-            }));
+            log.push(
+                VirtualInstant::from_nanos(next_at()),
+                ThreadId::new(i as u32 % 11),
+                ActionId::top_level(1 + i as u64 % 13),
+                EntryKind::Runtime(kind),
+            );
         }
-        let kinds: [fn(TapEvent) -> EntryKind; 3] = [
+        let kinds: [fn(Net) -> EntryKind; 3] = [
             EntryKind::NetSent,
             EntryKind::NetDropped,
             EntryKind::NetCorrupted,
         ];
         for (i, kind) in kinds.into_iter().cycle().take(12).enumerate() {
             let at = next_at();
-            log.push(kind(TapEvent {
-                src: PartitionId::new(i as u32 % 5),
-                dst: PartitionId::new(40 + i as u32),
-                class: ["Exception", "toBeSignalled", "App"][i % 3],
-                correlation: 1 + i as u64 % 13,
-                at: VirtualInstant::from_nanos(at),
-                deliver_at: VirtualInstant::from_nanos(at + 1_000_000 * i as u64),
-                seq: [0, 9_999, 10_000][i % 3],
-            }));
+            log.push(
+                VirtualInstant::from_nanos(at),
+                ThreadId::new(i as u32 % 5),
+                ActionId::top_level(1 + i as u64 % 13),
+                kind(Net {
+                    dst: PartitionId::new(40 + i as u32),
+                    class: ["Exception", "toBeSignalled", "App"][i % 3],
+                    deliver_at: VirtualInstant::from_nanos(at + 1_000_000 * i as u64),
+                    seq: [0, 9_999, 10_000][i % 3],
+                }),
+            );
         }
         let trace = Trace::from_log(&mut log.clone(), Trace::default());
         let mut expected = String::new();
         for e in trace.entries() {
             let (at_ns, thread, seq, label) = (e.at_ns, e.thread, e.seq, e.label);
             let _ = write!(expected, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ");
+            let src = PartitionId::new(thread);
             let _ = match &e.kind {
-                EntryKind::Runtime(ev) => writeln!(expected, "{}", ev.kind),
-                EntryKind::NetSent(t) => writeln!(
+                EntryKind::Runtime(kind) => writeln!(expected, "{kind}"),
+                EntryKind::NetSent(n) => writeln!(
                     expected,
-                    "net send {} {}->{} seq={} deliver@{}",
-                    t.class,
-                    t.src,
-                    t.dst,
-                    t.seq,
-                    t.deliver_at.as_nanos()
+                    "net send {} {src}->{} seq={} deliver@{}",
+                    n.class,
+                    n.dst,
+                    n.seq,
+                    n.deliver_at.as_nanos()
                 ),
-                EntryKind::NetDropped(t) => {
-                    writeln!(expected, "net drop {} {}->{}", t.class, t.src, t.dst)
+                EntryKind::NetDropped(n) => {
+                    writeln!(expected, "net drop {} {src}->{}", n.class, n.dst)
                 }
-                EntryKind::NetCorrupted(t) => {
-                    writeln!(expected, "net corrupt {} {}->{}", t.class, t.src, t.dst)
+                EntryKind::NetCorrupted(n) => {
+                    writeln!(expected, "net corrupt {} {src}->{}", n.class, n.dst)
                 }
             };
         }
@@ -1188,8 +1150,6 @@ mod tests {
     #[test]
     fn an_over_long_line_takes_the_display_path_and_renders_the_same() {
         use crate::trace::{Entry, EntryKind};
-        use caa_core::ids::ActionId;
-        use caa_runtime::observe::Event;
 
         for len in [
             0,
@@ -1222,15 +1182,11 @@ mod tests {
                 let expected = format!("@{:>12} T3 #{:<4} A7 {kind}\n", 5, 6);
                 let entry = Entry {
                     at_ns: 5,
+                    seq: 6,
+                    action: ActionId::top_level(1),
                     thread: 3,
                     label: 7,
-                    seq: 6,
-                    kind: EntryKind::Runtime(Event {
-                        at: VirtualInstant::from_nanos(5),
-                        thread: ThreadId::new(3),
-                        action: ActionId::top_level(1),
-                        kind,
-                    }),
+                    kind: EntryKind::Runtime(kind),
                 };
                 assert_eq!(format!("{entry}\n"), expected);
                 let start = shared.end;

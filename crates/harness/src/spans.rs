@@ -46,8 +46,7 @@
 use std::cell::Cell;
 use std::fmt::Write as _;
 
-use caa_runtime::observe::EventKind;
-use caa_simnet::TapEvent;
+use caa_runtime::observe::{EventKind, Net};
 use caa_telemetry::json;
 use caa_telemetry::{Span, SpanName, SpanTree};
 
@@ -232,14 +231,12 @@ impl CriticalPathScratch {
             guard -= 1;
             let entry = &entries[at];
             // 1. Object-wait tail.
-            if let EntryKind::Runtime(event) = &entry.kind {
-                if let EventKind::ObjectAcquired { waited_ns, .. } = &event.kind {
-                    let wait_start = cursor.saturating_sub(*waited_ns).max(raised_at);
-                    self.push_segment(SegmentClass::ObjectWait, wait_start, cursor);
-                    cursor = wait_start;
-                    if cursor == raised_at {
-                        break;
-                    }
+            if let EntryKind::Runtime(EventKind::ObjectAcquired { waited_ns, .. }) = &entry.kind {
+                let wait_start = cursor.saturating_sub(*waited_ns).max(raised_at);
+                self.push_segment(SegmentClass::ObjectWait, wait_start, cursor);
+                cursor = wait_start;
+                if cursor == raised_at {
+                    break;
                 }
             }
             let base = base_class(entry);
@@ -286,14 +283,14 @@ impl CriticalPathScratch {
 /// The latest message of instance `label` delivered to `thread` inside
 /// `(floor, end]` and sent strictly before `end` (strict, so every hop
 /// makes progress toward the raise): the index of its `NetSent` entry and
-/// the event. Ties in delivery time go to the larger `(src, seq)`.
+/// the message. Ties in delivery time go to the larger `(src, seq)`.
 fn find_send(
     trace: &Trace,
     label: u32,
     thread: u32,
     floor: u64,
     end: u64,
-) -> Option<(usize, &TapEvent)> {
+) -> Option<(usize, &Net)> {
     let entries = trace.entries();
     trace
         .index()
@@ -302,14 +299,14 @@ fn find_send(
         .map(|&i| i as usize)
         .take_while(|&i| entries[i].at_ns < end)
         .filter_map(|i| match &entries[i].kind {
-            EntryKind::NetSent(tap) => Some((i, tap)),
+            EntryKind::NetSent(net) => Some((i, net)),
             _ => None,
         })
-        .filter(|(_, tap)| {
-            let delivered = tap.deliver_at.as_nanos();
-            tap.dst.as_u32() == thread && floor < delivered && delivered <= end
+        .filter(|(_, net)| {
+            let delivered = net.deliver_at.as_nanos();
+            net.dst.as_u32() == thread && floor < delivered && delivered <= end
         })
-        .max_by_key(|(i, tap)| (tap.deliver_at, entries[*i].thread, tap.seq))
+        .max_by_key(|(i, net)| (net.deliver_at, entries[*i].thread, net.seq))
 }
 
 /// Convenience form of [`CriticalPathScratch::extract`]: every resolved
@@ -420,7 +417,7 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
         let at = entry.at_ns;
         let thread = entry.thread;
         let label = entry.label;
-        let EntryKind::Runtime(event) = &entry.kind else {
+        let EntryKind::Runtime(kind) = &entry.kind else {
             continue;
         };
         let cell = index.cell(label, thread);
@@ -432,7 +429,7 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
             instance: u64::from(label),
             parent,
         };
-        match &event.kind {
+        match kind {
             EventKind::Enter { name, .. } => {
                 let parent = parent_of(actions, thread, label);
                 let name = SpanName::word("action:", name.as_str());
@@ -564,13 +561,12 @@ fn span_tree(trace: &Trace, scratch: &mut SpanScratch) -> SpanTree {
 /// causal message edge splits it.
 fn base_class(entry: &Entry) -> SegmentClass {
     match &entry.kind {
-        EntryKind::Runtime(event) => match &event.kind {
+        EntryKind::Runtime(
             EventKind::ResolutionTimeout { .. }
             | EventKind::SignalTimeout { .. }
-            | EventKind::ExitTimeout { .. } => SegmentClass::TimeoutSlack,
-            EventKind::ViewChange { .. } => SegmentClass::SuspicionRound,
-            _ => SegmentClass::Compute,
-        },
+            | EventKind::ExitTimeout { .. },
+        ) => SegmentClass::TimeoutSlack,
+        EntryKind::Runtime(EventKind::ViewChange { .. }) => SegmentClass::SuspicionRound,
         _ => SegmentClass::Compute,
     }
 }
@@ -646,11 +642,11 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
     }
 
     // Causal message edges as paired flow arrows.
-    for (id, (entry, tap)) in trace
+    for (id, (entry, net)) in trace
         .entries()
         .iter()
         .filter_map(|e| match &e.kind {
-            EntryKind::NetSent(tap) => Some((e, tap)),
+            EntryKind::NetSent(net) => Some((e, net)),
             _ => None,
         })
         .enumerate()
@@ -659,7 +655,7 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
         let arrow = |ph: &str, bind: &str, ts: u64, tid: u32| {
             let mut body = String::with_capacity(96);
             body.push_str("{\"name\": ");
-            json::write_str(&mut body, &format!("msg:{}", tap.class));
+            json::write_str(&mut body, &format!("msg:{}", net.class));
             let _ = write!(
                 body,
                 ", \"cat\": \"net\", \"ph\": \"{ph}\"{bind}, \"id\": {id}, \"ts\": {ts}, \
@@ -672,8 +668,8 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
         let recv = arrow(
             "f",
             ", \"bp\": \"e\"",
-            tap.deliver_at.as_nanos(),
-            tap.dst.as_u32(),
+            net.deliver_at.as_nanos(),
+            net.dst.as_u32(),
         );
         push_event(&mut out, recv);
     }
@@ -710,28 +706,22 @@ mod tests {
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, PartitionId, ThreadId};
     use caa_core::time::VirtualInstant;
-    use caa_runtime::observe::{Event, RunLog};
-    use caa_simnet::TapEvent;
+    use caa_runtime::observe::RunLog;
 
-    fn event(at: u64, thread: u32, action: ActionId, kind: EventKind) -> EntryKind {
-        EntryKind::Runtime(Event {
-            at: VirtualInstant::from_nanos(at),
-            thread: ThreadId::new(thread),
-            action,
-            kind,
-        })
+    fn event(log: &mut RunLog, at: u64, thread: u32, action: ActionId, kind: EventKind) {
+        let at = VirtualInstant::from_nanos(at);
+        log.push(at, ThreadId::new(thread), action, EntryKind::Runtime(kind));
     }
 
-    fn send(at: u64, deliver: u64, src: u32, dst: u32, correlation: u64, seq: u64) -> EntryKind {
-        EntryKind::NetSent(TapEvent {
-            src: PartitionId::new(src),
+    fn send(log: &mut RunLog, at: u64, deliver: u64, (src, dst): (u32, u32), action: ActionId) {
+        let net = Net {
             dst: PartitionId::new(dst),
             class: "Exception",
-            correlation,
-            at: VirtualInstant::from_nanos(at),
             deliver_at: VirtualInstant::from_nanos(deliver),
-            seq,
-        })
+            seq: 0,
+        };
+        let at = VirtualInstant::from_nanos(at);
+        log.push(at, ThreadId::new(src), action, EntryKind::NetSent(net));
     }
 
     /// Hand-built trace with a known decomposition: T0 raises at 100 and
@@ -742,34 +732,20 @@ mod tests {
     #[test]
     fn critical_path_pins_a_known_decomposition() {
         let action = ActionId::top_level(7);
-        let serial = action.serial();
         let mut log = RunLog::default();
-        log.push(event(
-            100,
-            0,
-            action,
-            EventKind::Raise {
-                exception: ExceptionId::new("x"),
-            },
-        ));
-        log.push(send(100, 150, 0, 1, serial, 0));
-        log.push(event(
-            170,
-            1,
-            action,
-            EventKind::ObjectAcquired {
-                object: "ledger".into(),
-                waited_ns: 20,
-            },
-        ));
-        log.push(event(
-            180,
-            1,
-            action,
-            EventKind::Resolved {
-                exception: ExceptionId::new("x"),
-            },
-        ));
+        let x = ExceptionId::new("x");
+        let (raise, resolved) = (
+            EventKind::Raise { exception: x },
+            EventKind::Resolved { exception: x },
+        );
+        let acquired = EventKind::ObjectAcquired {
+            object: "ledger".into(),
+            waited_ns: 20,
+        };
+        event(&mut log, 100, 0, action, raise);
+        send(&mut log, 100, 150, (0, 1), action);
+        event(&mut log, 170, 1, action, acquired);
+        event(&mut log, 180, 1, action, resolved);
         let trace = Trace::from_log(&mut log, Trace::default());
         let paths = critical_paths(&trace);
         assert_eq!(paths.len(), 1);
@@ -822,7 +798,7 @@ mod tests {
         if artifacts
             .trace
             .runtime_events()
-            .any(|e| matches!(e.kind, EventKind::Raise { .. }))
+            .any(|(_, kind)| matches!(kind, EventKind::Raise { .. }))
         {
             assert!(text.contains("raise\u{2192}resolve:"), "{text}");
         }

@@ -273,12 +273,12 @@ impl PathCoverage {
         exiting.extend(std::iter::repeat_n(0, index.cells().div_ceil(64)));
         let exiting = exiting.as_mut_slice();
         for entry in trace.entries() {
-            let EntryKind::Runtime(event) = &entry.kind else {
+            let EntryKind::Runtime(kind) = &entry.kind else {
                 continue;
             };
             let cell = index.cell(entry.label, entry.thread);
             let (word, bit) = (cell / 64, 1u64 << (cell % 64));
-            match &event.kind {
+            match kind {
                 EventKind::RecoveryStart { .. } => {
                     coverage.recoveries += 1;
                     coverage.exit_races += u64::from(exiting[word] & bit != 0);
@@ -291,7 +291,7 @@ impl PathCoverage {
                         coverage.failure_outcomes += 1;
                         // A ƒ below the top level re-raises in the
                         // enclosing action: a cascade step.
-                        if event.action.depth() >= 1 {
+                        if entry.action.depth() >= 1 {
                             coverage.failure_cascades += 1;
                         }
                     }
@@ -301,7 +301,7 @@ impl PathCoverage {
                 EventKind::ResolutionTimeout { .. } => coverage.resolution_timeouts += 1,
                 EventKind::ViewChange { .. } => coverage.view_changes += 1,
                 EventKind::Crash => coverage.crash_stops += 1,
-                EventKind::Rejoin { thread, .. } if thread.as_u32() == event.thread.as_u32() => {
+                EventKind::Rejoin { thread, .. } if thread.as_u32() == entry.thread => {
                     coverage.rejoins += 1;
                 }
                 EventKind::Abort { .. } => coverage.aborts += 1,

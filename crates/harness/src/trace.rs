@@ -61,8 +61,7 @@ use std::cell::Cell;
 
 use caa_core::name::Name;
 pub use caa_runtime::observe::{Entry, EntryKind};
-use caa_runtime::observe::{Event, EventKind, RunLog};
-use caa_simnet::TapEvent;
+use caa_runtime::observe::{EventKind, RunLog};
 
 use crate::inthash::IntMap;
 use crate::render::{self, Compact, Decimal, Lines, Numbers};
@@ -214,10 +213,11 @@ impl Trace {
         self.entries.is_empty()
     }
 
-    /// The runtime events of the trace, in canonical order.
-    pub fn runtime_events(&self) -> impl Iterator<Item = &Event> {
+    /// The runtime entries of the trace with their events, in canonical
+    /// order.
+    pub fn runtime_events(&self) -> impl Iterator<Item = (&Entry, &EventKind)> {
         self.entries.iter().filter_map(|e| match &e.kind {
-            EntryKind::Runtime(ev) => Some(ev),
+            EntryKind::Runtime(kind) => Some((e, kind)),
             _ => None,
         })
     }
@@ -277,10 +277,10 @@ impl Trace {
     /// when the renderings are byte-identical. Equivalent to comparing
     /// [`Trace::render`] outputs line by line — but almost never formats
     /// anything: a structural fast path decides equality field-by-field
-    /// (ignoring exactly the fields rendering ignores — raw action
-    /// serials and tap correlations, which legitimately differ between
-    /// two executions of one seed; the canonical labels stand in for
-    /// them), and only a structurally-unequal pair falls back to rendering
+    /// (ignoring exactly the fields rendering ignores — the raw action
+    /// ids, which legitimately differ between two executions of one seed;
+    /// the canonical labels stand in for them), and only a
+    /// structurally-unequal pair falls back to rendering
     /// that single line pair to let display-equal-but-structurally-
     /// different entries through.
     #[must_use]
@@ -312,30 +312,20 @@ impl Trace {
 /// Whether two entry kinds render to identical text, decided structurally
 /// over exactly the fields the rendering shows — which is also what the
 /// fingerprint hashes (the `render` module's tests hold the three to one
-/// field list). Rendering ignores the runtime event's raw `action` id and
-/// the tap event's `correlation`, process-global serials that legitimately
-/// differ between two executions of the same seed (the canonical `A<n>`
-/// labels compare them instead), as well as an acquisition's `waited_ns`
-/// and the tap event's send instant (the entry's own instant is rendered),
-/// so those fields are ignored here too.
+/// field list). Rendering ignores an acquisition's `waited_ns`, and a drop
+/// or a corruption shows no link sequence number or delivery instant, so
+/// those fields are ignored here too.
 pub(crate) fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
-    let tap_eq = |x: &TapEvent, y: &TapEvent| {
-        (x.class, x.src, x.dst, x.seq, x.deliver_at) == (y.class, y.src, y.dst, y.seq, y.deliver_at)
-    };
     match (a, b) {
-        (EntryKind::Runtime(x), EntryKind::Runtime(y)) => match (&x.kind, &y.kind) {
-            (
-                EventKind::ObjectAcquired { object: x, .. },
-                EventKind::ObjectAcquired { object: y, .. },
-            ) => x == y,
-            (x, y) => x == y,
-        },
-        (EntryKind::NetSent(x), EntryKind::NetSent(y)) => tap_eq(x, y),
+        (
+            EntryKind::Runtime(EventKind::ObjectAcquired { object: x, .. }),
+            EntryKind::Runtime(EventKind::ObjectAcquired { object: y, .. }),
+        ) => x == y,
         (EntryKind::NetDropped(x), EntryKind::NetDropped(y))
         | (EntryKind::NetCorrupted(x), EntryKind::NetCorrupted(y)) => {
-            (x.class, x.src, x.dst) == (y.class, y.src, y.dst)
+            (x.class, x.dst) == (y.class, y.dst)
         }
-        _ => false,
+        (a, b) => a == b,
     }
 }
 
@@ -552,7 +542,7 @@ impl Labelling {
         let mut last: Option<(u64, u32)> = None;
         for (i, entry) in entries.iter_mut().enumerate() {
             let i = u32::try_from(i).expect("entry count fits u32");
-            let serial = entry.action_serial();
+            let serial = entry.action.serial();
             let label = match last {
                 Some((s, label)) if s == serial => label,
                 _ => {
@@ -576,9 +566,9 @@ impl Labelling {
             threads = threads.max(entry.thread + 1);
             let instance = &mut self.instances[label as usize];
             instance.members.1 += 1;
-            if let EntryKind::Runtime(event) = &entry.kind {
-                instance.depth = event.action.depth();
-                match &event.kind {
+            if let EntryKind::Runtime(kind) = &entry.kind {
+                instance.depth = entry.action.depth();
+                match kind {
                     EventKind::Enter { name, .. } if instance.name.is_none() => {
                         instance.name = Some(*name);
                     }
@@ -643,11 +633,13 @@ mod tests {
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, PartitionId, ThreadId};
     use caa_core::time::VirtualInstant;
-    use caa_runtime::observe::EventKind;
+    use caa_runtime::observe::Net;
 
-    /// Appends `event` to `log`, as a participant's context does.
-    fn push(log: &mut RunLog, event: Event) {
-        log.push(EntryKind::Runtime(event));
+    /// Appends `entry`'s step to `log`, as a participant's context does:
+    /// the log numbers it anew.
+    fn push(log: &mut RunLog, entry: Entry) {
+        let at = VirtualInstant::from_nanos(entry.at_ns);
+        log.push(at, ThreadId::new(entry.thread), entry.action, entry.kind);
     }
 
     /// The trace of a copy of `log`, which stays as it is.
@@ -655,14 +647,16 @@ mod tests {
         Trace::from_log(&mut log.clone(), Trace::default())
     }
 
-    fn runtime_event(at: u64, thread: u32) -> Event {
-        Event {
-            at: VirtualInstant::from_nanos(at),
-            thread: ThreadId::new(thread),
+    fn runtime_event(at: u64, thread: u32) -> Entry {
+        Entry {
+            at_ns: at,
+            seq: 0,
             action: ActionId::top_level(5),
-            kind: EventKind::Raise {
+            thread,
+            label: 0,
+            kind: EntryKind::Runtime(EventKind::Raise {
                 exception: ExceptionId::new("x"),
-            },
+            }),
         }
     }
 
@@ -737,15 +731,17 @@ mod tests {
     fn render_is_stable_and_line_oriented() {
         let mut log = RunLog::default();
         push(&mut log, runtime_event(1, 0));
-        log.push(EntryKind::NetSent(TapEvent {
-            src: PartitionId::new(0),
-            dst: PartitionId::new(1),
-            class: "Exception",
-            correlation: 9,
-            at: VirtualInstant::from_nanos(2),
-            deliver_at: VirtualInstant::from_nanos(7),
-            seq: 0,
-        }));
+        log.push(
+            VirtualInstant::from_nanos(2),
+            ThreadId::new(0),
+            ActionId::top_level(9),
+            EntryKind::NetSent(Net {
+                dst: PartitionId::new(1),
+                class: "Exception",
+                deliver_at: VirtualInstant::from_nanos(7),
+                seq: 0,
+            }),
+        );
         let trace = trace_of(&log);
         let text = trace.render();
         assert_eq!(text.lines().count(), 2);
@@ -762,7 +758,7 @@ mod tests {
         let mut rng = crate::rng::Rng::new(0x5a3e);
         for round in 0..100 {
             let threads = 2 + rng.below(4) as u32;
-            let mut streams: Vec<Vec<Event>> = (0..threads)
+            let mut streams: Vec<Vec<Entry>> = (0..threads)
                 .map(|thread| {
                     let mut at = 0;
                     (0..rng.below(30))
@@ -786,11 +782,11 @@ mod tests {
                 let mut order = Vec::with_capacity(total);
                 while order.len() < total {
                     let next_at = (0..streams.len())
-                        .filter_map(|t| streams[t].get(heads[t]).map(|e| e.at))
+                        .filter_map(|t| streams[t].get(heads[t]).map(|e| e.at_ns))
                         .min()
                         .expect("an event is left");
                     let mut ready: Vec<usize> = (0..streams.len())
-                        .filter(|&t| streams[t].get(heads[t]).is_some_and(|e| e.at == next_at))
+                        .filter(|&t| streams[t].get(heads[t]).is_some_and(|e| e.at_ns == next_at))
                         .collect();
                     let t = if shuffle {
                         ready.swap_remove(rng.below(ready.len() as u64) as usize)
@@ -806,9 +802,9 @@ mod tests {
             };
             let in_order = merged(&mut rng, false);
             let shuffled = merged(&mut rng, true);
-            let by_thread: Vec<Event> = streams.drain(..).flatten().collect();
+            let by_thread: Vec<Entry> = streams.drain(..).flatten().collect();
 
-            let record = |events: &[Event]| {
+            let record = |events: &[Entry]| {
                 let mut log = RunLog::default();
                 for event in events {
                     push(&mut log, event.clone());
@@ -824,7 +820,7 @@ mod tests {
             let (arrival_c, sorted) = record(&by_thread);
             assert_eq!(arrival_a, Arrival::InOrder, "round {round}");
             assert_ne!(arrival_b, Arrival::Sorted, "round {round}");
-            if threads > 1 && by_thread.windows(2).any(|w| w[1].at < w[0].at) {
+            if threads > 1 && by_thread.windows(2).any(|w| w[1].at_ns < w[0].at_ns) {
                 assert_eq!(arrival_c, Arrival::Sorted, "round {round}");
             }
             // Entries, labels and index alike (`Trace: Eq` covers all).
@@ -892,7 +888,7 @@ mod tests {
         let mut canonical: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
         for entry in entries {
             let next = canonical.len() as u32;
-            let label = *canonical.entry(entry.action_serial()).or_insert(next);
+            let label = *canonical.entry(entry.action.serial()).or_insert(next);
             assert_eq!(entry.label, label, "{what}: label of {entry:?}");
         }
         assert_eq!(index.instances().len(), canonical.len(), "{what}");
@@ -914,12 +910,12 @@ mod tests {
                 members
                     .iter()
                     .filter_map(|&i| match &entries[i as usize].kind {
-                        EntryKind::Runtime(event) => Some((i as usize, event)),
+                        EntryKind::Runtime(kind) => Some((i as usize, kind)),
                         _ => None,
                     })
             };
             let first = |wanted: fn(&EventKind) -> bool| {
-                events().find(|(_, e)| wanted(&e.kind)).map(|(i, _)| i)
+                events().find(|(_, kind)| wanted(kind)).map(|(i, _)| i)
             };
             assert_eq!(
                 instance.first_raise(),
@@ -931,12 +927,14 @@ mod tests {
                 first(|k| matches!(k, EventKind::Resolved { .. })),
                 "{what}"
             );
-            let name = events().find_map(|(_, e)| match &e.kind {
+            let name = events().find_map(|(_, kind)| match kind {
                 EventKind::Enter { name, .. } => Some(*name),
                 _ => None,
             });
             assert_eq!(instance.name, name, "{what}");
-            let depth = events().next_back().map_or(0, |(_, e)| e.action.depth());
+            let depth = events()
+                .next_back()
+                .map_or(0, |(i, _)| entries[i].action.depth());
             assert_eq!(instance.depth, depth, "{what}");
         }
         assert!(seen.iter().all(|&s| s), "{what}: every entry is a member");
@@ -991,27 +989,22 @@ mod tests {
                     },
                     3 => EventKind::Crash,
                     _ => {
-                        log.push(EntryKind::NetSent(TapEvent {
-                            src: PartitionId::new(thread),
-                            dst: PartitionId::new(0),
-                            class: "Commit",
-                            correlation: 100 + rng.below(serials + 2),
-                            at: VirtualInstant::from_nanos(at),
-                            deliver_at: VirtualInstant::from_nanos(at + 3),
-                            seq: 0,
-                        }));
+                        log.push(
+                            VirtualInstant::from_nanos(at),
+                            ThreadId::new(thread),
+                            ActionId::top_level(100 + rng.below(serials + 2)),
+                            EntryKind::NetSent(Net {
+                                dst: PartitionId::new(0),
+                                class: "Commit",
+                                deliver_at: VirtualInstant::from_nanos(at + 3),
+                                seq: 0,
+                            }),
+                        );
                         continue;
                     }
                 };
-                push(
-                    &mut log,
-                    Event {
-                        at: VirtualInstant::from_nanos(at),
-                        thread: ThreadId::new(thread),
-                        action,
-                        kind,
-                    },
-                );
+                let at = VirtualInstant::from_nanos(at);
+                log.push(at, ThreadId::new(thread), action, EntryKind::Runtime(kind));
             }
             let finished = trace_of(&log);
             assert_index_matches_a_rescan(&finished, &format!("round {round}, finished"));

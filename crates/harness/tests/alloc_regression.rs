@@ -453,7 +453,7 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
     use caa_core::ids::{ActionId, ThreadId};
     use caa_core::time::VirtualInstant;
     use caa_harness::trace::{EntryKind, Trace};
-    use caa_runtime::observe::{Event, EventKind, RunLog};
+    use caa_runtime::observe::{EventKind, RunLog};
 
     let _turn = turn();
     let mut log = RunLog::default();
@@ -461,12 +461,12 @@ fn taking_a_trace_into_a_recycled_buffer_allocates_nothing() {
     let record = |log: &mut RunLog, round: u64| {
         // 300 entries, far out of canonical order.
         for i in 0..300u64 {
-            log.push(EntryKind::Runtime(Event {
-                at: VirtualInstant::from_nanos((i * 7919 + round) % 101),
-                thread: ThreadId::new((i % 5) as u32),
-                action: ActionId::top_level(1),
-                kind: EventKind::Raise { exception },
-            }));
+            log.push(
+                VirtualInstant::from_nanos((i * 7919 + round) % 101),
+                ThreadId::new((i % 5) as u32),
+                ActionId::top_level(1),
+                EntryKind::Runtime(EventKind::Raise { exception }),
+            );
         }
     };
     record(&mut log, 0);
@@ -589,28 +589,29 @@ fn an_over_long_name_renders_and_fingerprints_through_the_spill_path() {
     use caa_core::ids::{ActionId, ThreadId};
     use caa_core::time::VirtualInstant;
     use caa_harness::trace::{hash64, EntryKind, Trace};
-    use caa_runtime::observe::{Event, EventKind, RunLog};
+    use caa_runtime::observe::{EventKind, RunLog};
 
     let _turn = turn();
     let name = "n".repeat(300);
     let mut log = RunLog::default();
-    let event = |at: u64, kind: EventKind| {
-        EntryKind::Runtime(Event {
-            at: VirtualInstant::from_nanos(at),
-            thread: ThreadId::new(2),
-            action: ActionId::top_level(1),
-            kind,
-        })
+    let mut event = |at: u64, kind: EventKind| {
+        let at = VirtualInstant::from_nanos(at);
+        log.push(
+            at,
+            ThreadId::new(2),
+            ActionId::top_level(1),
+            EntryKind::Runtime(kind),
+        );
     };
-    log.push(event(
+    event(
         10,
         EventKind::Enter {
             name: name.as_str().into(),
             role: "r".into(),
             depth: 1,
         },
-    ));
-    log.push(event(20, EventKind::Crash));
+    );
+    event(20, EventKind::Crash);
     let trace = Trace::from_log(&mut log, Trace::default());
     let expected = format!(
         "@          10 T2 #0    A0 enter {name} as r depth=1\n\

@@ -30,16 +30,12 @@ use caa_harness::trace::{hash64, Trace};
 
 fn acquired_lines(trace: &Trace) -> Vec<String> {
     trace
-        .entries()
-        .iter()
-        .filter_map(|entry| match &entry.kind {
-            caa_harness::trace::EntryKind::Runtime(e) => match &e.kind {
-                caa_runtime::observe::EventKind::ObjectAcquired { object, .. } => Some(format!(
-                    "@{} T{} A{} acquire {object}",
-                    entry.at_ns, entry.thread, entry.label
-                )),
-                _ => None,
-            },
+        .runtime_events()
+        .filter_map(|(entry, kind)| match kind {
+            caa_runtime::observe::EventKind::ObjectAcquired { object, .. } => Some(format!(
+                "@{} T{} A{} acquire {object}",
+                entry.at_ns, entry.thread, entry.label
+            )),
             _ => None,
         })
         .collect()

@@ -70,7 +70,7 @@ use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
 use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot};
 use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake, CHAIN_INLINE};
-use crate::observe::{EntryKind, Event, EventKind};
+use crate::observe::{EntryKind, EventKind};
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
 use crate::rounds::{corrupted, unframed, Collected, Frame, Frames, Round, RoundAction, RoundEnd};
 use crate::system::SystemShared;
@@ -250,13 +250,9 @@ impl Ctx {
     /// protocol's hot paths.
     fn observe(&self, action: ActionId, kind: impl FnOnce() -> EventKind) {
         if let Some(log) = &self.system.log {
-            let event = Event {
-                at: self.endpoint.now(),
-                thread: self.me,
-                action,
-                kind: kind(),
-            };
-            log.borrow_mut().push(EntryKind::Runtime(event));
+            let kind = EntryKind::Runtime(kind());
+            log.borrow_mut()
+                .push(self.endpoint.now(), self.me, action, kind);
         }
     }
 

@@ -13,6 +13,11 @@
 //! it; it is equally useful for ad-hoc diagnostics. A system built without
 //! a log builds no event and reads no clock for one.
 //!
+//! An [`Entry`] states each fact once: its instant, its thread (a
+//! message's sender) and its action instance are the entry's own fields,
+//! and its [`EntryKind`] holds only what the step or the message adds — an
+//! [`EventKind`], or a message's [`Net`] record.
+//!
 //! The participants of a system are fibers of one thread, run one at a
 //! time, so they append one at a time: each thread's entries are in its
 //! program order, numbered by a per-thread sequence ([`Entry::seq`]), and
@@ -29,20 +34,7 @@ use caa_core::message::SignalRound;
 use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::VirtualInstant;
-use caa_simnet::{Sent, TapEvent};
-
-/// One observed runtime step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Virtual time at which the step happened.
-    pub at: VirtualInstant,
-    /// The participating thread that performed the step.
-    pub thread: ThreadId,
-    /// The action instance the step belongs to.
-    pub action: ActionId,
-    /// What happened.
-    pub kind: EventKind,
-}
+use caa_simnet::Sent;
 
 /// The kinds of observable runtime steps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,14 +232,22 @@ impl fmt::Display for EventKind {
     }
 }
 
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {} {} {}",
-            self.at, self.thread, self.action, self.kind
-        )
-    }
+/// What the network did with one message, as its sender logged it. The
+/// sender is the entry's [`Entry::thread`], the send instant its
+/// [`Entry::at_ns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Net {
+    /// The destination partition.
+    pub dst: PartitionId,
+    /// The message's class label (see [`Classify`](caa_simnet::Classify)).
+    pub class: &'static str,
+    /// Scheduled virtual delivery time (equals the send instant for a lost
+    /// message).
+    pub deliver_at: VirtualInstant,
+    /// The message's slot in its link's FIFO sequence. Lost messages
+    /// consume a slot too, so `(sender, dst, seq)` identifies every
+    /// accepted-or-lost message.
+    pub seq: u64,
 }
 
 /// What one log entry records.
@@ -255,13 +255,13 @@ impl fmt::Display for Event {
 pub enum EntryKind {
     /// A runtime protocol step (entry/exit, raise, resolution, handler,
     /// signalling, abortion).
-    Runtime(Event),
+    Runtime(EventKind),
     /// A message accepted by the network.
-    NetSent(TapEvent),
+    NetSent(Net),
     /// A message lost by fault injection.
-    NetDropped(TapEvent),
+    NetDropped(Net),
     /// A message corrupted by fault injection.
-    NetCorrupted(TapEvent),
+    NetCorrupted(Net),
 }
 
 /// One entry of a run's log, and of the trace made from it.
@@ -269,29 +269,20 @@ pub enum EntryKind {
 pub struct Entry {
     /// Virtual timestamp in nanoseconds.
     pub at_ns: u64,
-    /// The thread (partition) the entry originates from.
+    /// Per-thread sequence number (program order within the thread).
+    pub seq: u64,
+    /// The action instance the entry belongs to: the step's, or the one
+    /// the message was sent for.
+    pub action: ActionId,
+    /// The thread (partition) the entry originates from: the step's, or
+    /// the message's sender.
     pub thread: u32,
     /// The canonical label of the entry's action instance: 0 as logged,
     /// assigned when a trace is made from the log (the `A<n>` of the
     /// harness's rendering).
     pub label: u32,
-    /// Per-thread sequence number (program order within the thread).
-    pub seq: u64,
     /// The recorded step.
     pub kind: EntryKind,
-}
-
-impl Entry {
-    /// The raw action-instance serial this entry refers to.
-    #[must_use]
-    pub fn action_serial(&self) -> u64 {
-        match &self.kind {
-            EntryKind::Runtime(e) => e.action.serial(),
-            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
-                e.correlation
-            }
-        }
-    }
 }
 
 /// The entry's line of a rendered trace, without its newline.
@@ -299,17 +290,17 @@ impl fmt::Display for Entry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (at_ns, thread, seq, label) = (self.at_ns, self.thread, self.seq, self.label);
         write!(f, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ")?;
-        let net = |f: &mut fmt::Formatter<'_>, verb: &str, e: &TapEvent| {
-            write!(f, "net {verb} {} {}->{}", e.class, e.src, e.dst)
+        let net = |f: &mut fmt::Formatter<'_>, verb: &str, n: &Net| {
+            write!(f, "net {verb} {} node{thread}->{}", n.class, n.dst)
         };
         match &self.kind {
-            EntryKind::Runtime(e) => write!(f, "{}", e.kind),
-            EntryKind::NetSent(e) => {
-                net(f, "send", e)?;
-                write!(f, " seq={} deliver@{}", e.seq, e.deliver_at.as_nanos())
+            EntryKind::Runtime(kind) => write!(f, "{kind}"),
+            EntryKind::NetSent(n) => {
+                net(f, "send", n)?;
+                write!(f, " seq={} deliver@{}", n.seq, n.deliver_at.as_nanos())
             }
-            EntryKind::NetDropped(e) => net(f, "drop", e),
-            EntryKind::NetCorrupted(e) => net(f, "corrupt", e),
+            EntryKind::NetDropped(n) => net(f, "drop", n),
+            EntryKind::NetCorrupted(n) => net(f, "corrupt", n),
         }
     }
 }
@@ -329,16 +320,16 @@ pub struct RunLog {
 }
 
 impl RunLog {
-    /// Appends `kind` as the next entry of the thread it originates from
-    /// (a runtime event's thread, a message's sender), at the instant it
-    /// happened.
-    pub fn push(&mut self, kind: EntryKind) {
-        let (at, thread) = match &kind {
-            EntryKind::Runtime(e) => (e.at, e.thread.as_u32()),
-            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
-                (e.at, e.src.as_u32())
-            }
-        };
+    /// Appends `kind` as the next entry of `thread`, which recorded it for
+    /// `action` at instant `at`.
+    pub fn push(
+        &mut self,
+        at: VirtualInstant,
+        thread: ThreadId,
+        action: ActionId,
+        kind: EntryKind,
+    ) {
+        let thread = thread.as_u32();
         let t = thread as usize;
         if self.next_seq.len() <= t {
             self.next_seq.resize(t + 1, 0);
@@ -347,9 +338,10 @@ impl RunLog {
         self.next_seq[t] += 1;
         self.entries.push(Entry {
             at_ns: at.as_nanos(),
+            seq,
+            action,
             thread,
             label: 0,
-            seq,
             kind,
         });
     }
@@ -359,22 +351,20 @@ impl RunLog {
     /// any other as [`EntryKind::NetSent`], followed by
     /// [`EntryKind::NetCorrupted`] when fault injection corrupted it.
     pub fn push_send(&mut self, src: PartitionId, dst: PartitionId, action: ActionId, sent: Sent) {
-        let event = TapEvent {
-            src,
+        let net = Net {
             dst,
             class: sent.class,
-            correlation: action.serial(),
-            at: sent.at,
             deliver_at: sent.deliver_at,
             seq: sent.seq,
         };
+        let mut push = |kind| self.push(sent.at, ThreadId::new(src.as_u32()), action, kind);
         if sent.lost {
-            self.push(EntryKind::NetDropped(event));
-        } else if sent.corrupted {
-            self.push(EntryKind::NetSent(event.clone()));
-            self.push(EntryKind::NetCorrupted(event));
+            push(EntryKind::NetDropped(net));
         } else {
-            self.push(EntryKind::NetSent(event));
+            push(EntryKind::NetSent(net));
+            if sent.corrupted {
+                push(EntryKind::NetCorrupted(net));
+            }
         }
     }
 
@@ -404,16 +394,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_render_compactly() {
-        let e = Event {
-            at: VirtualInstant::EPOCH,
-            thread: ThreadId::new(2),
-            action: ActionId::top_level(9),
-            kind: EventKind::Raise {
+    fn entries_render_as_trace_lines() {
+        let mut log = RunLog::default();
+        let action = ActionId::top_level(9);
+        log.push(
+            VirtualInstant::from_nanos(1_500),
+            ThreadId::new(2),
+            action,
+            EntryKind::Runtime(EventKind::Raise {
                 exception: ExceptionId::new("vm_stop"),
-            },
+            }),
+        );
+        let sent = |lost, corrupted| Sent {
+            class: "Exception",
+            at: VirtualInstant::from_nanos(2_000),
+            deliver_at: VirtualInstant::from_nanos(if lost { 2_000 } else { 9_000 }),
+            seq: 4,
+            lost,
+            corrupted,
         };
-        let s = e.to_string();
-        assert!(s.contains("raise vm_stop"), "{s}");
+        let (src, dst) = (PartitionId::new(2), PartitionId::new(0));
+        log.push_send(src, dst, action, sent(false, false));
+        log.push_send(src, dst, action, sent(true, false));
+        log.push_send(src, dst, action, sent(false, true));
+        let lines: Vec<String> = log.entries().iter().map(Entry::to_string).collect();
+        assert_eq!(
+            lines,
+            [
+                "@        1500 T2 #0    A0 raise vm_stop",
+                "@        2000 T2 #1    A0 net send Exception node2->node0 seq=4 deliver@9000",
+                "@        2000 T2 #2    A0 net drop Exception node2->node0",
+                "@        2000 T2 #3    A0 net send Exception node2->node0 seq=4 deliver@9000",
+                "@        2000 T2 #4    A0 net corrupt Exception node2->node0",
+            ]
+        );
+        assert!(log.entries().iter().all(|e| e.action == action));
+    }
+
+    /// An entry states each fact once; a trace keeps every entry of its
+    /// run alive, so the layout is pinned.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_entry_fits_in_88_bytes() {
+        assert!(
+            std::mem::size_of::<Entry>() <= 88,
+            "{} B",
+            std::mem::size_of::<Entry>()
+        );
     }
 }

@@ -904,8 +904,8 @@ mod tests {
         assert!(next_seq.iter().all(|&n| n > 0), "{next_seq:?}");
 
         let app = |kind: &EntryKind| match kind {
-            EntryKind::NetSent(e) | EntryKind::NetDropped(e) | EntryKind::NetCorrupted(e) => {
-                e.class == "App"
+            EntryKind::NetSent(n) | EntryKind::NetDropped(n) | EntryKind::NetCorrupted(n) => {
+                n.class == "App"
             }
             EntryKind::Runtime(_) => false,
         };
@@ -913,18 +913,19 @@ mod tests {
         let [lost, sent, corrupted] = sends.as_slice() else {
             panic!("two App sends make three entries: {sends:?}");
         };
-        let EntryKind::NetDropped(lost) = &lost.kind else {
+        let EntryKind::NetDropped(dropped) = &lost.kind else {
             panic!("the lost send is logged as dropped alone: {lost}");
         };
-        assert_eq!((lost.src.as_u32(), lost.dst.as_u32()), (0, 1));
+        assert_eq!((lost.thread, dropped.dst.as_u32()), (0, 1));
         let (EntryKind::NetSent(event), EntryKind::NetCorrupted(again)) =
             (&sent.kind, &corrupted.kind)
         else {
             panic!("a corrupted send is logged as sent, then corrupted: {sent} / {corrupted}");
         };
-        assert_eq!((event.src.as_u32(), event.dst.as_u32()), (0, 2));
+        assert_eq!((sent.thread, event.dst.as_u32()), (0, 2));
         assert_eq!(
-            event, again,
+            (sent.at_ns, sent.action, event),
+            (corrupted.at_ns, corrupted.action, again),
             "one message: the same record, link seq included"
         );
         let at = |wanted: &Entry| entries.iter().position(|e| std::ptr::eq(e, wanted));

@@ -10,35 +10,38 @@ use caa_core::ids::ThreadId;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::ExceptionGraphBuilder;
-use caa_runtime::observe::{EntryKind, Event, EventKind, RunLog};
+use caa_runtime::observe::{Entry, EntryKind, EventKind, RunLog};
 use caa_runtime::{ActionDef, RuntimeError, SharedObject, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 const EXIT_TIMEOUT: f64 = 5.0;
 
-/// The runtime events of a recorded run, for post-run assertions.
+/// The runtime entries of a recorded run, for post-run assertions.
 struct Collector {
-    events: Vec<Event>,
+    entries: Vec<Entry>,
 }
 
 impl Collector {
-    /// The events in `report`'s log.
+    /// The runtime entries of `report`'s log.
     fn of(report: &SystemReport) -> Collector {
-        let events = report
+        let entries = report
             .log
             .entries()
             .iter()
-            .filter_map(|entry| match &entry.kind {
-                EntryKind::Runtime(event) => Some(event.clone()),
-                _ => None,
-            });
+            .filter(|entry| matches!(entry.kind, EntryKind::Runtime(_)));
         Collector {
-            events: events.collect(),
+            entries: entries.cloned().collect(),
         }
     }
 
     fn kinds(&self) -> Vec<EventKind> {
-        self.events.iter().map(|e| e.kind.clone()).collect()
+        self.entries
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EntryKind::Runtime(kind) => Some(kind.clone()),
+                _ => None,
+            })
+            .collect()
     }
 }
 

@@ -14,44 +14,47 @@ use caa_core::ids::ThreadId;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::ExceptionGraphBuilder;
-use caa_runtime::observe::{EntryKind, Event, EventKind, RunLog};
+use caa_runtime::observe::{Entry, EntryKind, EventKind, RunLog};
 use caa_runtime::{ActionDef, RuntimeError, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 const RESOLUTION_TIMEOUT: f64 = 10.0;
 
-/// The runtime events of a recorded run, for post-run assertions.
+/// The runtime entries of a recorded run, for post-run assertions.
 struct Collector {
-    events: Vec<Event>,
+    entries: Vec<Entry>,
 }
 
 impl Collector {
-    /// The events in `report`'s log.
+    /// The runtime entries of `report`'s log.
     fn of(report: &SystemReport) -> Collector {
-        let events = report
+        let entries = report
             .log
             .entries()
             .iter()
-            .filter_map(|entry| match &entry.kind {
-                EntryKind::Runtime(event) => Some(event.clone()),
-                _ => None,
-            });
+            .filter(|entry| matches!(entry.kind, EntryKind::Runtime(_)));
         Collector {
-            events: events.collect(),
+            entries: entries.cloned().collect(),
         }
     }
 
     fn kinds(&self) -> Vec<EventKind> {
-        self.events.iter().map(|e| e.kind.clone()).collect()
+        self.entries
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EntryKind::Runtime(kind) => Some(kind.clone()),
+                _ => None,
+            })
+            .collect()
     }
 
     fn resolved_per_thread(&self) -> Vec<(u32, String)> {
         let mut out: Vec<(u32, String)> = self
-            .events
+            .entries
             .iter()
             .filter_map(|e| match &e.kind {
-                EventKind::Resolved { exception } => {
-                    Some((e.thread.as_u32(), exception.name().to_owned()))
+                EntryKind::Runtime(EventKind::Resolved { exception }) => {
+                    Some((e.thread, exception.name().to_owned()))
                 }
                 _ => None,
             })

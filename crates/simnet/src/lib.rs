@@ -106,7 +106,6 @@ mod latency;
 mod net;
 mod simcore;
 mod stats;
-mod tap;
 mod threads;
 
 pub use fault::{FaultPlan, FaultSpec};
@@ -118,5 +117,4 @@ pub use net::{
 };
 pub use simcore::{NetArena, SchedStats, Sent};
 pub use stats::{Classify, NetStats};
-pub use tap::TapEvent;
 pub use threads::Threads;

@@ -14,9 +14,10 @@
 //!   thread-local; and the harness has one entry point per job — one
 //!   execute function, one plan runner;
 //! * a run records into its own log, which `System::run` hands back: no
-//!   library source names the observer and tap hooks or the trace
-//!   recorder that served them, and `SystemBuilder` has one setting for
-//!   it, `record`;
+//!   library source names the observer and tap hooks, the trace recorder
+//!   that served them or the records they were called with (`Event`,
+//!   `TapEvent`, which stated an entry's instant, thread and action a
+//!   second time), and `SystemBuilder` has one setting for it, `record`;
 //! * `unsafe` is written in `crates/fiber` and nowhere else in library
 //!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
 //!   bench targets are outside the scan: two of them wrap the global
@@ -104,6 +105,25 @@ fn files_naming(item: &str, dirs: &[&str]) -> Vec<String> {
         })
         .collect();
     naming.sort();
+    naming
+}
+
+/// Whether `code` names `word` as a whole identifier: `Event`, not
+/// `EventKind` or `ProtoEvent`.
+fn names_word(code: &str, word: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices(word).any(|(at, _)| {
+        !ident(code[..at].chars().next_back()) && !ident(code[at + word.len()..].chars().next())
+    })
+}
+
+/// [`files_naming`] for `word` as a whole identifier.
+fn files_naming_word(word: &str, dirs: &[&str]) -> Vec<String> {
+    let mut naming = files_naming(word, dirs);
+    naming.retain(|file| {
+        let source = fs::read_to_string(root().join(file)).expect("a readable source file");
+        names_word(outside_unit_tests(&source), word)
+    });
     naming
 }
 
@@ -297,6 +317,20 @@ fn a_run_records_into_its_own_log_through_no_hook() {
             "`{hook}` is gone: a run appends to its own log and hands it back"
         );
     }
+    // A log entry states its instant, thread and action once: the hooks'
+    // records that carried them again are gone with the hooks.
+    for record in ["TapEvent", "action_serial"] {
+        assert_eq!(
+            files_naming(record, &dirs),
+            [""; 0],
+            "`{record}` is gone: an entry states each fact once"
+        );
+    }
+    assert_eq!(
+        files_naming_word("Event", &dirs),
+        [""; 0],
+        "`observe::Event` is gone: an entry states each fact once"
+    );
     // One builder setting records a run.
     let system = fs::read_to_string(root().join("crates/runtime/src/system.rs")).expect("system");
     let builder = system
@@ -320,6 +354,25 @@ fn a_run_records_into_its_own_log_through_no_hook() {
             "record"
         ]
     );
+}
+
+#[test]
+fn the_word_scan_sees_what_it_looks_for() {
+    for line in [
+        "use caa_runtime::observe::{Event, EventKind};",
+        "fn push(&mut self, event: observe::Event) {",
+        "Event",
+    ] {
+        assert!(names_word(line, "Event"), "{line}");
+    }
+    for line in [
+        "use caa_runtime::observe::{EntryKind, EventKind};",
+        "ProtoEvent::LocalRaise(e)",
+        "/// Events by value",
+        "fn events_of(trace: &Trace) {}",
+    ] {
+        assert!(!names_word(line, "Event"), "{line}");
+    }
 }
 
 #[test]
