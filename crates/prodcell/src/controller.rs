@@ -89,14 +89,6 @@ fn dev_op<T: Clone + 'static, R>(
     match rc.update(obj, f)? {
         Ok(r) => Ok(r),
         Err(fault) => {
-            if std::env::var_os("CAA_TRACE").is_some() {
-                eprintln!(
-                    "[dev_op {} in {:?}] {} fails: {fault}",
-                    obj.name(),
-                    rc.action_name(),
-                    rc.name(),
-                );
-            }
             rc.raise(Exception::new(fault.exception()).with_detail(fault.exception_name()))?;
             unreachable!("raise always transfers control")
         }
@@ -401,13 +393,6 @@ impl Definitions {
     }
 
     fn run_cycle_table(&self, ctx: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
-        if std::env::var_os("CAA_TRACE").is_some() {
-            eprintln!(
-                "[cycle start] table committed: {:?}, feed len {}",
-                cell.table.committed(),
-                cell.feed.committed().len()
-            );
-        }
         let d = self.clone();
         let c = cell.clone();
         ctx.enter(&self.tpr, "table", move |rc| {

@@ -159,22 +159,6 @@ impl std::fmt::Debug for Ctx {
     }
 }
 
-/// Emits a trace line when `CAA_TRACE` is set (diagnostics for protocol
-/// debugging; no-op otherwise).
-macro_rules! trace {
-    ($self:expr, $($arg:tt)*) => {
-        if crate::trace_enabled() {
-            eprintln!(
-                "[{} {} d{}] {}",
-                $self.endpoint.now(),
-                $self.name,
-                $self.stack.len(),
-                format_args!($($arg)*)
-            );
-        }
-    };
-}
-
 /// An internal inconsistency: fatal to the thread.
 fn protocol_error(what: impl Into<String>) -> Flow {
     RuntimeError::Protocol(what.into()).into()
@@ -716,20 +700,8 @@ impl Ctx {
             }
         }
 
-        trace!(self, "enter {} as {} ({})", inner.name, role, action);
         self.observe_enter(action, inner, role_id);
-        let outcome = self.drive(inner, initial, body);
-        match &outcome {
-            Ok(o) => trace!(self, "leave {} ({action}): {o}", inner.name),
-            Err(f) => trace!(
-                self,
-                "unwind from {} ({action}): {:?}",
-                inner.name,
-                f.unwind
-            ),
-        }
-
-        let outcome = outcome?;
+        let outcome = self.drive(inner, initial, body)?;
         if !outcome.is_success() && !self.stack.is_empty() {
             // Auto-raise the signalled exception in the enclosing
             // action (distributed signalling, §3.1).
@@ -826,7 +798,6 @@ impl Ctx {
         }
         let inner = &def.inner;
         let role_id = self.bind_role(inner, role)?;
-        trace!(self, "rejoin request for {} ({action})", inner.name);
         let me = self.me;
         self.broadcast(&inner.group, |peer| {
             self.observe(action, || EventKind::JoinRequested { to: peer });
@@ -848,17 +819,11 @@ impl Ctx {
             ..
         }) = self.collect(Round::Join { action }, Some(window))?
         else {
-            trace!(self, "rejoin window expired for {action}");
             return Ok(None);
         };
         let view = FrameMembership::sync_grant(&inner.group, epoch, &removed, me)
             .map_err(|reason| protocol_error(format!("join grant rejected: {reason}")))?;
         let view_epoch = view.epoch();
-        trace!(
-            self,
-            "rejoin {} ({action}) at v{view_epoch} e{exit_epoch}",
-            inner.name
-        );
         self.finished.retain(|&serial| serial != action.serial());
         self.system.stats.borrow_mut().rejoins += 1;
         self.push_frame(action, inner, role_id);
@@ -1154,7 +1119,6 @@ impl Ctx {
     /// evicts this thread (`Ok(None)`: the survivors resolve without us and
     /// the caller must give up locally).
     fn run_recovery(&mut self, start: RecoveryStart) -> Step<Option<ExceptionId>> {
-        trace!(self, "recovery start: {start:?}");
         let frame = self.frame_mut();
         // Open the join-deferral window and pin the signalling cohort:
         // the view must not grow while resolution or signalling ranges
@@ -1194,7 +1158,6 @@ impl Ctx {
         let RoundEnd::Resolved(resolved) = self.collect(Round::Resolution, timeout)? else {
             return Ok(None);
         };
-        trace!(self, "resolved: {resolved}");
         self.frame_mut().recovery.recovered = true;
         self.observe_top(|| EventKind::Resolved {
             exception: resolved,
@@ -1289,7 +1252,6 @@ impl Ctx {
             let (index, action) = match self.recv_until(deadline)? {
                 Some(received) => self.classify(received, round),
                 None => {
-                    trace!(self, "{round:?}: bounded wait expired");
                     let top = self.stack.len().saturating_sub(1);
                     let protocol = &*self.system.protocol;
                     (
@@ -1353,21 +1315,12 @@ impl Ctx {
     /// their own ƒ rules cover the silence.
     fn suspect_round(&mut self, round: Round, suspects: &[ThreadId]) -> Step {
         let action = self.frame().id.action;
-        trace!(self, "suspect in {round:?}: {suspects:?}");
         self.observe_timeout(round, suspects);
         let decision = self.frame_mut().view.suspect(suspects).map_err(|reason| {
             protocol_error(format!("membership view change rejected: {reason}"))
         })?;
         let (epoch, recipients) = match decision {
-            Eviction::Refused {
-                survivors,
-                recently_alive,
-            } => {
-                trace!(
-                    self,
-                    "suspicion refused: {survivors} survivor(s) vs \
-                     {recently_alive} recently-alive suspect(s); giving up"
-                );
+            Eviction::Refused { .. } => {
                 self.system.stats.borrow_mut().suspicions_refused += 1;
                 return Ok(());
             }
@@ -1434,7 +1387,6 @@ impl Ctx {
             frame.view.evicted = true;
         }
         let action = frame.id.action;
-        trace!(self, "adopt view change v{epoch}: -{fresh:?}");
         self.system.stats.borrow_mut().view_changes += 1;
         self.observe(action, || EventKind::ViewChange {
             epoch,
@@ -1453,7 +1405,6 @@ impl Ctx {
             return; // never part of this action's group; ignore
         };
         if let Some(epoch) = granted.readmitted {
-            trace!(self, "readmit {joiner} at v{epoch}");
             self.observe(action, || EventKind::Rejoin {
                 epoch,
                 thread: joiner,
@@ -1658,13 +1609,6 @@ impl Ctx {
                 corrupted(self.stack.last_mut().map(Box::as_mut), round, self.me),
             );
         };
-        trace!(
-            self,
-            "recv {} from {} for {}",
-            msg.kind(),
-            msg.from(),
-            msg.action()
-        );
         let action = msg.action();
         match self.stack.iter().position(|f| f.id.action == action) {
             Some(i) => (i, self.stack[i].absorb(msg, i + 1 == depth, round)),

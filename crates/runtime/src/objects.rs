@@ -516,13 +516,6 @@ impl<T: Clone + 'static> SharedObject<T> {
         inner.waiters.retain(|w| w.thread != thread);
         inner.last_grant_at = Some(now);
         let opened = open_missing_layers(&mut inner, chain);
-        if crate::trace_enabled() {
-            eprintln!(
-                "[obj {}] grant to {thread} for {action} at {now} (opened {opened}, depth {})",
-                self.shared.name,
-                inner.layers.len()
-            );
-        }
         let top = inner.layers.last_mut().expect("chain layer just ensured");
         debug_assert_eq!(top.owner, action);
         let mut dirty = top.dirty;
@@ -648,13 +641,6 @@ impl<T: Clone + 'static> TxControl for SharedObject<T> {
                 object: self.shared.name.to_string(),
             });
         };
-        if crate::trace_enabled() {
-            eprintln!(
-                "[obj {}] commit by {action} (layer {index} of {})",
-                self.shared.name,
-                inner.layers.len()
-            );
-        }
         // Splice the layer out wherever it sits and merge downward: pops of
         // a completing action's layers commute with pops of its enclosing
         // action's layers, so same-instant completions by different
@@ -683,13 +669,6 @@ impl<T: Clone + 'static> TxControl for SharedObject<T> {
                 object: self.shared.name.to_string(),
             });
         };
-        if crate::trace_enabled() {
-            eprintln!(
-                "[obj {}] rollback by {action} (layer {index} of {})",
-                self.shared.name,
-                inner.layers.len()
-            );
-        }
         if !self.shared.undoable && inner.layers[index..].iter().any(|l| l.dirty) {
             return Err(ObjectError::UndoImpossible {
                 object: self.shared.name.to_string(),

@@ -38,6 +38,12 @@
 //! * the workspace hashes bytes one way: no FNV-1a identifier or offset
 //!   constant is left in any crate's `src` (`caa_harness::trace::hash64`
 //!   is the one hash; `perf/` keeps its own round digest);
+//! * no crate's `src` reads an environment variable (`env::var`,
+//!   `var_os`) outside its unit tests: a run is seen through its log
+//!   (`caa replay <seed>`, or `SystemBuilder::record` and
+//!   `Trace::from_log(..).render()`), not a switch like the old
+//!   `CAA_TRACE`. `perf/src/host.rs` keeps its own re-exec variables and
+//!   is outside the scan;
 //! * plans are edited one way: `caa_harness::edit` is the one grammar the
 //!   fuzzer draws from and the shrinker drops from, and a recipe the one
 //!   corpus format — the mutator table, the shrink-step type, the mutation
@@ -597,6 +603,23 @@ fn the_workspace_hashes_bytes_one_way() {
             files_naming(fnv, &sources),
             [""; 0],
             "bytes are hashed by `caa_harness::trace::hash64`, not `{fnv}`"
+        );
+    }
+}
+
+#[test]
+fn no_library_crate_reads_an_environment_variable() {
+    let sources = crate_sources();
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    assert!(
+        files_naming("", &sources).len() > 50,
+        "the scan found the sources"
+    );
+    for read in ["env::var", "var_os"] {
+        assert_eq!(
+            files_naming(read, &sources),
+            [""; 0],
+            "a run is seen through its log, not through an environment switch"
         );
     }
 }
