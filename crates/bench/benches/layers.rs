@@ -23,8 +23,8 @@
 //!   instance, a raise, an abort and a recovery: the per-instance path),
 //!   with what a warmed iteration asks the allocator for;
 //! * **sizes** — `size_of` of the types the hot paths move by value (a
-//!   `Message`, a log `Entry` and its `EntryKind`), so that a change
-//!   that grows one shows up in the log;
+//!   `Message`, a log `Entry`, its `EntryKind` and `EventKind`, and a
+//!   `Name`), so that a change that grows one shows up in the log;
 //! * **simnet ping-pong, µs per round trip** — two endpoints bouncing one
 //!   message over a 1 ms link, hosted both ways: by two OS threads (the
 //!   thread host; what `caa-perf`'s `simnet.pingpong_rt_us` times) and by
@@ -286,10 +286,12 @@ fn bench_bare_system() {
 
 fn print_sizes() {
     println!(
-        "layers/sizes: Message {} B, trace Entry {} B, EntryKind {} B",
+        "layers/sizes: Message {} B, trace Entry {} B, EntryKind {} B, EventKind {} B, Name {} B",
         std::mem::size_of::<Message>(),
         std::mem::size_of::<Entry>(),
         std::mem::size_of::<EntryKind>(),
+        std::mem::size_of::<EventKind>(),
+        std::mem::size_of::<Name>(),
     );
 }
 

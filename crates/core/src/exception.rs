@@ -33,9 +33,9 @@ pub const ABORTION_NAME: &str = "__abortion";
 pub const CRASH_NAME: &str = "__crash";
 
 /// The pre-defined exceptions' names, in the order of [`SYMBOLS`]. The
-/// interning table starts out holding these very `&'static str`s, so a
-/// pre-defined id is made without a lookup — and equals the id of its
-/// name made any other way.
+/// interning table starts out holding these very slots, so a pre-defined
+/// id is a pointer to one of them, made without a lookup — and equals the
+/// id of its name made any other way.
 pub(crate) static RESERVED: [&str; 5] = [
     UNDO_NAME,
     FAILURE_NAME,
@@ -88,14 +88,14 @@ impl ExceptionId {
     }
 
     fn reserved(which: usize) -> Self {
-        ExceptionId(Name::reserved(RESERVED[which]))
+        ExceptionId(Name::reserved(&RESERVED[which]))
     }
 
     /// Which pre-defined exception this is, if any.
     fn which_reserved(self) -> Option<usize> {
         RESERVED
             .iter()
-            .position(|&reserved| self.0 == Name::reserved(reserved))
+            .position(|reserved| self.0 == Name::reserved(reserved))
     }
 
     /// The undo exception `µ`.

@@ -440,11 +440,12 @@ impl MessageKind {
                 | MessageKind::Resolve
         )
     }
-}
 
-impl fmt::Display for MessageKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The kind's class label: what the network counts a message of this
+    /// kind under, and what a trace shows of it.
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
             MessageKind::Exception => "Exception",
             MessageKind::Suspended => "Suspended",
             MessageKind::Commit => "Commit",
@@ -455,8 +456,13 @@ impl fmt::Display for MessageKind {
             MessageKind::ToBeSignalled => "toBeSignalled",
             MessageKind::ExitVote => "ExitVote",
             MessageKind::App => "App",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for MessageKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

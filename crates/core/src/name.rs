@@ -4,19 +4,20 @@
 //! exception comes from a small vocabulary all participants share (§5.1):
 //! `a0.1_e3`, `r2`, `T4`, `o1`, a scenario's literals. A [`Name`] is a
 //! `Copy` handle on the one copy of its text, leaked into a process-wide
-//! table when the text is first named: copying a name copies a pointer,
-//! and two names are equal when their pointers are — no reference count,
-//! no text compare. [`Ord`], [`Hash`], `Display` and `Debug` go by the
-//! text, as a `str`'s do, so ordered maps, `Borrow<str>` lookups (an
-//! `ExceptionId` is found by its `&str`) and rendered output cannot tell
-//! the difference.
+//! table when the text is first named. The table hands out one
+//! `&'static &'static str` per text, and that thin pointer is the whole
+//! name: copying a name copies one word (an `Option<Name>` too), and two
+//! names are equal when their pointers are — no reference count, no text
+//! compare. [`Ord`], [`Hash`], `Display` and `Debug` go by the text, as a
+//! `str`'s do, so ordered maps, `Borrow<str>` lookups (an `ExceptionId` is
+//! found by its `&str`) and rendered output cannot tell the difference.
 //!
 //! The table only grows, so names must come from bounded sets: never
 //! format a seed, a counter or free text into one ([`Name::interned`] is
 //! there to pin that).
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -24,18 +25,22 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::exception::RESERVED;
 
-/// Every text named so far: a tree, so that it can be a `static` — over
-/// the few hundred names a process makes a lookup is a few short compares.
-static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+/// Every text named so far, with the one pointer its names hold: a tree,
+/// so that it can be a `static` — over the few hundred names a process
+/// makes a lookup is a few short compares.
+type Table = BTreeMap<&'static str, &'static &'static str>;
+
+static TABLE: Mutex<Table> = Mutex::new(BTreeMap::new());
 
 /// The table, seeded on first use with the pre-defined exceptions' names —
-/// the very `&'static str`s [`Name::reserved`] wraps, so that those names
-/// are made without the table and still equal their interned texts.
-fn table() -> MutexGuard<'static, BTreeSet<&'static str>> {
+/// the very slots of [`RESERVED`] that [`Name::reserved`] points at, so
+/// that those names are made without the table and still equal their
+/// interned texts.
+fn table() -> MutexGuard<'static, Table> {
     // Nothing panics under the lock: a poisoned table is whole.
     let mut table = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
     if table.is_empty() {
-        table.extend(RESERVED);
+        table.extend(RESERVED.iter().map(|slot| (*slot, slot)));
     }
     table
 }
@@ -55,7 +60,7 @@ fn table() -> MutexGuard<'static, BTreeSet<&'static str>> {
 /// assert_eq!(format!("{a} {a:?}"), "r2 \"r2\"");
 /// ```
 #[derive(Clone, Copy)]
-pub struct Name(&'static str);
+pub struct Name(&'static &'static str);
 
 impl Name {
     /// The name of `text`, interning it if this is its first use.
@@ -65,16 +70,17 @@ impl Name {
         if let Some(&interned) = table.get(text) {
             return Name(interned);
         }
-        let interned = Box::leak(Box::<str>::from(text));
-        table.insert(interned);
+        let text: &'static str = Box::leak(Box::<str>::from(text));
+        let interned: &'static &'static str = Box::leak(Box::new(text));
+        table.insert(text, interned);
         Name(interned)
     }
 
-    /// One of the texts the table is seeded with ([`RESERVED`]): no
+    /// One of the slots the table is seeded with ([`RESERVED`]): no
     /// lookup, no lock.
-    pub(crate) fn reserved(text: &'static str) -> Name {
-        debug_assert!(RESERVED.iter().any(|r| std::ptr::eq(*r, text)));
-        Name(text)
+    pub(crate) fn reserved(slot: &'static &'static str) -> Name {
+        debug_assert!(RESERVED.iter().any(|r| std::ptr::eq(r, slot)));
+        Name(slot)
     }
 
     /// The text.
@@ -113,7 +119,7 @@ impl PartialOrd for Name {
 
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.as_str().hash(state);
     }
 }
 
@@ -127,13 +133,13 @@ impl Deref for Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self.0, f)
+        fmt::Display::fmt(self.as_str(), f)
     }
 }
 
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.0, f)
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -154,7 +160,7 @@ mod tests {
     use super::*;
     use crate::exception::ExceptionId;
     use std::collections::hash_map::DefaultHasher;
-    use std::collections::HashMap;
+    use std::collections::{BTreeSet, HashMap};
 
     #[test]
     fn equal_texts_are_one_pointer_and_different_texts_are_not() {

@@ -1,7 +1,7 @@
 //! A multiply-rotate hasher for the one map keyed by integers the harness
-//! made itself: raw action serial → canonical label, filled while a trace
-//! is indexed ([`crate::trace`]). Such keys cannot be crafted to collide,
-//! so SipHash's protection buys nothing.
+//! made itself: an arena's action shapes by the hash of their inputs
+//! ([`crate::arena`]). Such keys cannot be crafted to collide, so
+//! SipHash's protection buys nothing.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -23,6 +23,7 @@
 
 use std::fmt::Write as _;
 
+use caa_core::message::MessageKind;
 use caa_runtime::observe::EventKind;
 use caa_simnet::{NetStats, SchedStats};
 use caa_telemetry::json::{self, Value};
@@ -594,7 +595,7 @@ impl MetricsRecorder {
             let kind = match &entry.kind {
                 EntryKind::Runtime(kind) => kind,
                 EntryKind::NetSent(net) => {
-                    row.fanout += u64::from(net.class == "toBeSignalled");
+                    row.fanout += u64::from(net.kind == MessageKind::ToBeSignalled);
                     continue;
                 }
                 _ => continue,

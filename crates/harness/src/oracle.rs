@@ -51,6 +51,7 @@ use std::cell::Cell;
 use std::fmt;
 
 use caa_core::inline::InlineVec;
+use caa_core::message::MessageKind;
 use caa_runtime::observe::EventKind;
 use caa_runtime::SystemReport;
 
@@ -366,7 +367,10 @@ fn collect_views(views: &mut Views, trace: &Trace, exit_floor: f64) {
         let kind = match &entry.kind {
             EntryKind::Runtime(kind) => kind,
             EntryKind::NetSent(send) => {
-                if matches!(send.class, "Exception" | "Suspended" | "Commit") {
+                if matches!(
+                    send.kind,
+                    MessageKind::Exception | MessageKind::Suspended | MessageKind::Commit
+                ) {
                     view.resolution_msgs += 1;
                 }
                 continue;

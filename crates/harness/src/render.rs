@@ -306,13 +306,13 @@ impl<N: Numbers> Line<'_, N> {
 
     /// The line prefix `@{at_ns:>12} T{thread} #{seq:<4} A{label} `: both
     /// paddings in spaces, neither ever truncating.
-    fn push_prefix(&mut self, at_ns: u64, thread: u32, seq: u64, label: u32) {
+    fn push_prefix(&mut self, at_ns: u64, thread: u32, seq: u32, label: u32) {
         self.push_byte(b'@');
         N::push_right12(self, at_ns);
         self.push_str(" T");
         self.push_u64(u64::from(thread));
         self.push_str(" #");
-        N::push_left4(self, seq);
+        N::push_left4(self, u64::from(seq));
         self.push_str(" A");
         self.push_u64(u64::from(label));
         self.push_byte(b' ');
@@ -322,7 +322,7 @@ impl<N: Numbers> Line<'_, N> {
     /// lines; the sender is the entry's thread.
     fn push_net(&mut self, verb: &str, src: u32, net: &Net) {
         self.push_str(verb);
-        self.push_str(net.class);
+        self.push_str(net.kind.label());
         self.push_str(" node");
         self.push_u64(u64::from(src));
         self.push_str("->node");
@@ -488,7 +488,7 @@ mod tests {
     use crate::trace::{kinds_render_equal, Entry, EntryKind};
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, PartitionId};
-    use caa_core::message::SignalRound;
+    use caa_core::message::{MessageKind, SignalRound};
     use caa_core::name::Name;
     use caa_core::time::VirtualInstant;
 
@@ -519,7 +519,7 @@ mod tests {
             named("µ-like ƒ name"),
             named("quote\" back\\slash\ttab"),
         ];
-        let threads = |ids: &[u32]| ids.iter().map(|&t| ThreadId::new(t)).collect::<Vec<_>>();
+        let threads = |ids: &[u32]| ids.iter().map(|&t| ThreadId::new(t)).collect::<Box<[_]>>();
         let mut kinds = vec![
             EventKind::Enter {
                 name: "a0.1".into(),
@@ -668,7 +668,6 @@ mod tests {
         Entry {
             at_ns: 5_000,
             seq: 12,
-            action: ActionId::top_level(1),
             thread: 3,
             label: 7,
             kind: EntryKind::Runtime(kind),
@@ -679,7 +678,7 @@ mod tests {
     fn net_entries() -> [Entry; 3] {
         let net = Net {
             dst: PartitionId::new(9),
-            class: "toBeSignalled",
+            kind: MessageKind::ToBeSignalled,
             deliver_at: VirtualInstant::from_nanos(6_000_000),
             seq: 40,
         };
@@ -711,7 +710,7 @@ mod tests {
                 lists.push([&[thread(first)], &threads[1..]].concat());
                 lists.push(threads[1..].to_vec());
             }
-            lists
+            lists.into_iter().map(Vec::into_boxed_slice)
         };
         let (x, y) = (ExceptionId::new("x"), ExceptionId::new("y"));
         match kind {
@@ -804,16 +803,13 @@ mod tests {
                     },
                     suspects: suspects.clone(),
                 }];
-                changed.extend(lists(suspects).into_iter().map(|suspects| {
-                    EventKind::SignalTimeout {
-                        round: *round,
-                        suspects,
-                    }
+                changed.extend(lists(suspects).map(|suspects| EventKind::SignalTimeout {
+                    round: *round,
+                    suspects,
                 }));
                 changed
             }
             EventKind::ResolutionTimeout { suspects } => lists(suspects)
-                .into_iter()
                 .map(|suspects| EventKind::ResolutionTimeout { suspects })
                 .collect(),
             EventKind::ViewChange { epoch, removed } => {
@@ -821,14 +817,10 @@ mod tests {
                     epoch: epoch ^ 1,
                     removed: removed.clone(),
                 }];
-                changed.extend(
-                    lists(removed)
-                        .into_iter()
-                        .map(|removed| EventKind::ViewChange {
-                            epoch: *epoch,
-                            removed,
-                        }),
-                );
+                changed.extend(lists(removed).map(|removed| EventKind::ViewChange {
+                    epoch: *epoch,
+                    removed,
+                }));
                 changed
             }
             EventKind::Crash => Vec::new(),
@@ -870,14 +862,7 @@ mod tests {
             kind,
             ..entry.clone()
         };
-        // The raw action id: the label stands in for it.
-        let mut changes = vec![(
-            Entry {
-                action: ActionId::top_level(2),
-                ..entry.clone()
-            },
-            false,
-        )];
+        let mut changes = Vec::new();
         match &entry.kind {
             EntryKind::Runtime(kind) => {
                 changes.extend(
@@ -899,7 +884,7 @@ mod tests {
                 // delivery instant.
                 type Change = fn(&mut Net);
                 let fields: [(Change, bool); 4] = [
-                    (|n| n.class = "Commit", true),
+                    (|n| n.kind = MessageKind::Commit, true),
                     (|n| n.dst = PartitionId::new(n.dst.as_u32() ^ 1), true),
                     (|n| n.seq ^= 1, sent),
                     (
@@ -996,7 +981,7 @@ mod tests {
             6_060_060_358_333_817,
             u64::MAX,
         ];
-        let seqs = [0, 9, 10, 999, 1_000, 9_999, 10_000, 123_456_789, u64::MAX];
+        let seqs = [0, 9, 10, 999, 1_000, 9_999, 10_000, 123_456_789, u32::MAX];
         for at_ns in ats {
             for seq in seqs {
                 for (thread, label) in [(0, 0), (7, 12), (100, 4_321), (u32::MAX, u32::MAX)] {
@@ -1041,7 +1026,7 @@ mod tests {
         ] {
             let n = Net {
                 dst: PartitionId::new(dst),
-                class: "toBeSignalled",
+                kind: MessageKind::ToBeSignalled,
                 deliver_at: VirtualInstant::from_nanos(deliver),
                 seq,
             };
@@ -1053,7 +1038,7 @@ mod tests {
                 }),
                 format!(
                     "net send {} {from}->{} seq={} deliver@{}",
-                    n.class,
+                    n.kind,
                     n.dst,
                     n.seq,
                     n.deliver_at.as_nanos()
@@ -1061,7 +1046,7 @@ mod tests {
             );
             assert_eq!(
                 line(|l| l.push_net("net drop ", src, &n)),
-                format!("net drop {} {from}->{}", n.class, n.dst),
+                format!("net drop {} {from}->{}", n.kind, n.dst),
             );
         }
     }
@@ -1101,7 +1086,11 @@ mod tests {
                 ActionId::top_level(1 + i as u64 % 13),
                 kind(Net {
                     dst: PartitionId::new(40 + i as u32),
-                    class: ["Exception", "toBeSignalled", "App"][i % 3],
+                    kind: [
+                        MessageKind::Exception,
+                        MessageKind::ToBeSignalled,
+                        MessageKind::App,
+                    ][i % 3],
                     deliver_at: VirtualInstant::from_nanos(at + 1_000_000 * i as u64),
                     seq: [0, 9_999, 10_000][i % 3],
                 }),
@@ -1118,16 +1107,16 @@ mod tests {
                 EntryKind::NetSent(n) => writeln!(
                     expected,
                     "net send {} {src}->{} seq={} deliver@{}",
-                    n.class,
+                    n.kind,
                     n.dst,
                     n.seq,
                     n.deliver_at.as_nanos()
                 ),
                 EntryKind::NetDropped(n) => {
-                    writeln!(expected, "net drop {} {src}->{}", n.class, n.dst)
+                    writeln!(expected, "net drop {} {src}->{}", n.kind, n.dst)
                 }
                 EntryKind::NetCorrupted(n) => {
-                    writeln!(expected, "net corrupt {} {src}->{}", n.class, n.dst)
+                    writeln!(expected, "net corrupt {} {src}->{}", n.kind, n.dst)
                 }
             };
         }
@@ -1183,7 +1172,6 @@ mod tests {
                 let entry = Entry {
                     at_ns: 5,
                     seq: 6,
-                    action: ActionId::top_level(1),
                     thread: 3,
                     label: 7,
                     kind: EntryKind::Runtime(kind),

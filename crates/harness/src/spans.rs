@@ -655,7 +655,7 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
         let arrow = |ph: &str, bind: &str, ts: u64, tid: u32| {
             let mut body = String::with_capacity(96);
             body.push_str("{\"name\": ");
-            json::write_str(&mut body, &format!("msg:{}", net.class));
+            json::write_str(&mut body, &format!("msg:{}", net.kind));
             let _ = write!(
                 body,
                 ", \"cat\": \"net\", \"ph\": \"{ph}\"{bind}, \"id\": {id}, \"ts\": {ts}, \
@@ -705,6 +705,7 @@ mod tests {
     use crate::trace::{EntryKind, Trace};
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, PartitionId, ThreadId};
+    use caa_core::message::MessageKind;
     use caa_core::time::VirtualInstant;
     use caa_runtime::observe::RunLog;
 
@@ -716,7 +717,7 @@ mod tests {
     fn send(log: &mut RunLog, at: u64, deliver: u64, (src, dst): (u32, u32), action: ActionId) {
         let net = Net {
             dst: PartitionId::new(dst),
-            class: "Exception",
+            kind: MessageKind::Exception,
             deliver_at: VirtualInstant::from_nanos(deliver),
             seq: 0,
         };

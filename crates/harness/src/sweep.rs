@@ -291,7 +291,7 @@ impl PathCoverage {
                         coverage.failure_outcomes += 1;
                         // A ƒ below the top level re-raises in the
                         // enclosing action: a cascade step.
-                        if entry.action.depth() >= 1 {
+                        if index.instances()[entry.label as usize].depth >= 1 {
                             coverage.failure_cascades += 1;
                         }
                     }

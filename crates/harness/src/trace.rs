@@ -30,7 +30,10 @@
 //!   number assigned in canonical order of first appearance: the `A<n>` of
 //!   the rendering and of violation reports (raw serials incorporate
 //!   process-global definition ids and differ between two executions of
-//!   one seed);
+//!   one seed). The log already numbered the instances as it recorded
+//!   them, each [`ActionId`] once in its instance table
+//!   ([`RunLog::instances`]); making the trace remaps those numbers to
+//!   labels through an array;
 //! * [`TraceIndex::instances`] — per label: raw serial, nesting depth,
 //!   definition name, the first `Raise` and first `Resolved`, and the
 //!   instance's member entries ([`TraceIndex::members`]), which partition
@@ -41,7 +44,9 @@
 //!
 //! The readers ([`crate::oracle`], [`crate::metrics`], [`crate::spans`],
 //! [`PathCoverage`](crate::sweep::PathCoverage), the renderers below) are
-//! pure functions of entries and index; none of them hashes a serial.
+//! pure functions of entries and index. No hash map is left on the way
+//! from a log to its readers: none of them, nor the index build, hashes a
+//! serial.
 //!
 //! The index is built **eagerly**, when the trace is made
 //! ([`Trace::from_log`] is the only place), not lazily on first use: a
@@ -50,20 +55,22 @@
 //! that reader and hide the cost from every later pass. Built at take-time
 //! it is paid once per run, next to the sort.
 //!
-//! It is also **small**: a trace kept alive keeps its index, and a
-//! post-hoc analysis keeps thousands. The label lives in what was padding
-//! after [`Entry::thread`]; the rest is four bytes per entry (the member
-//! lists) plus 48 per instance, allocated to exactly their length — about
-//! 0.7 KiB for a default-space trace of 110 entries and 5 instances, under
-//! a budget of 1 KiB.
+//! It is also **small**: a trace kept alive keeps its entries and its
+//! index, and a post-hoc analysis keeps thousands. An [`Entry`] is 56
+//! bytes (see [`caa_runtime::observe`]); the index adds four bytes per
+//! entry (the member lists) and 40 per instance, all allocated to exactly
+//! their length. Over 500 default-space traces (≈ 114 entries and 5
+//! instances each) that is 61.2 bytes per entry, about 7 KiB a trace, and
+//! a unit test holds it to at most 64 (it was ≈ 94 while an entry carried
+//! its instance's `ActionId` and names were two words).
 
 use std::cell::Cell;
 
+use caa_core::ids::ActionId;
 use caa_core::name::Name;
 pub use caa_runtime::observe::{Entry, EntryKind};
 use caa_runtime::observe::{EventKind, RunLog};
 
-use crate::inthash::IntMap;
 use crate::render::{self, Compact, Decimal, Lines, Numbers};
 use crate::scratch;
 
@@ -183,7 +190,8 @@ impl Trace {
     #[must_use]
     pub fn from_log(log: &mut RunLog, recycled: Trace) -> Trace {
         let trace = scratch::with(&LABELLING, |labelling| {
-            labelling.make_trace(log.entries_mut(), recycled)
+            let (entries, instances) = log.parts_mut();
+            labelling.make_trace(entries, instances, recycled)
         });
         log.clear();
         trace
@@ -323,7 +331,7 @@ pub(crate) fn kinds_render_equal(a: &EntryKind, b: &EntryKind) -> bool {
         ) => x == y,
         (EntryKind::NetDropped(x), EntryKind::NetDropped(y))
         | (EntryKind::NetCorrupted(x), EntryKind::NetCorrupted(y)) => {
-            (x.class, x.dst) == (y.class, y.dst)
+            (x.kind, x.dst) == (y.kind, y.dst)
         }
         (a, b) => a == b,
     }
@@ -464,12 +472,14 @@ impl Hash64 {
     }
 }
 
-/// Index-building scratch, empty between traces: raw serial → label (the
-/// one place a serial is hashed), and the instance table while its final
-/// length is still unknown.
+/// Index-building scratch, empty between traces: the log's instance
+/// number → label, and the instance table while its final length is still
+/// unknown.
 #[derive(Default)]
 struct Labelling {
-    labels: IntMap<u64, u32>,
+    /// `labels[n]`: the label of the log's instance `n`, [`NONE`] until its
+    /// first entry in canonical order.
+    labels: Vec<u32>,
     instances: Vec<Instance>,
 }
 
@@ -528,46 +538,46 @@ fn canonicalize(entries: &mut [Entry]) -> Arrival {
 }
 
 impl Labelling {
-    /// Puts `entries` in canonical order, labels them and builds their
+    /// Puts `entries` — labelled by their slots in `actions`, the log's
+    /// instance table — in canonical order, relabels them and builds their
     /// index — in `recycled`'s buffers where they suffice, else in buffers
     /// of exactly the needed length: a driver that keeps thousands of
     /// traces alive keeps no slack with them. `entries` comes back empty,
     /// over whichever buffer the trace did not take.
-    fn make_trace(&mut self, entries: &mut Vec<Entry>, recycled: Trace) -> Trace {
+    fn make_trace(
+        &mut self,
+        entries: &mut Vec<Entry>,
+        actions: &[ActionId],
+        recycled: Trace,
+    ) -> Trace {
         canonicalize(entries);
 
         // Pass 1: labels in order of first appearance, per-instance facts
         // and member counts (in `members.1`).
+        self.labels.resize(actions.len(), NONE);
         let mut threads = 0;
-        let mut last: Option<(u64, u32)> = None;
         for (i, entry) in entries.iter_mut().enumerate() {
             let i = u32::try_from(i).expect("entry count fits u32");
-            let serial = entry.action.serial();
-            let label = match last {
-                Some((s, label)) if s == serial => label,
-                _ => {
-                    let next = u32::try_from(self.instances.len()).expect("label fits u32");
-                    let label = *self.labels.entry(serial).or_insert(next);
-                    if label == next {
-                        self.instances.push(Instance {
-                            serial,
-                            name: None,
-                            depth: 0,
-                            first_raise: NONE,
-                            first_resolved: NONE,
-                            members: (0, 0),
-                        });
-                    }
-                    last = Some((serial, label));
-                    label
-                }
-            };
+            let logged = entry.label as usize;
+            let mut label = self.labels[logged];
+            if label == NONE {
+                label = u32::try_from(self.instances.len()).expect("label fits u32");
+                self.labels[logged] = label;
+                let action = actions[logged];
+                self.instances.push(Instance {
+                    serial: action.serial(),
+                    name: None,
+                    depth: action.depth(),
+                    first_raise: NONE,
+                    first_resolved: NONE,
+                    members: (0, 0),
+                });
+            }
             entry.label = label;
             threads = threads.max(entry.thread + 1);
             let instance = &mut self.instances[label as usize];
             instance.members.1 += 1;
             if let EntryKind::Runtime(kind) = &entry.kind {
-                instance.depth = entry.action.depth();
                 match kind {
                     EventKind::Enter { name, .. } if instance.name.is_none() => {
                         instance.name = Some(*name);
@@ -629,17 +639,29 @@ impl Labelling {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use caa_core::exception::ExceptionId;
-    use caa_core::ids::{ActionId, PartitionId, ThreadId};
+    use caa_core::ids::{PartitionId, ThreadId};
+    use caa_core::message::MessageKind;
     use caa_core::time::VirtualInstant;
     use caa_runtime::observe::Net;
 
-    /// Appends `entry`'s step to `log`, as a participant's context does:
-    /// the log numbers it anew.
-    fn push(log: &mut RunLog, entry: Entry) {
-        let at = VirtualInstant::from_nanos(entry.at_ns);
-        log.push(at, ThreadId::new(entry.thread), entry.action, entry.kind);
+    /// One step a participant logs, and the instance it logs it for.
+    #[derive(Debug, Clone)]
+    struct Step {
+        at: u64,
+        thread: u32,
+        action: ActionId,
+        kind: EntryKind,
+    }
+
+    /// Appends `step` to `log`, as a participant's context does: the log
+    /// numbers it anew.
+    fn push(log: &mut RunLog, step: Step) {
+        let at = VirtualInstant::from_nanos(step.at);
+        log.push(at, ThreadId::new(step.thread), step.action, step.kind);
     }
 
     /// The trace of a copy of `log`, which stays as it is.
@@ -647,16 +669,50 @@ mod tests {
         Trace::from_log(&mut log.clone(), Trace::default())
     }
 
-    fn runtime_event(at: u64, thread: u32) -> Entry {
-        Entry {
-            at_ns: at,
-            seq: 0,
-            action: ActionId::top_level(5),
+    fn runtime_event(at: u64, thread: u32) -> Step {
+        Step {
+            at,
             thread,
-            label: 0,
+            action: ActionId::top_level(5),
             kind: EntryKind::Runtime(EventKind::Raise {
                 exception: ExceptionId::new("x"),
             }),
+        }
+    }
+
+    /// The instance each of `pushed` — `(thread, action)` in the order
+    /// they were logged — was logged for, by the `(thread, seq)` a trace
+    /// keeps of it.
+    fn logged_instances(
+        pushed: impl IntoIterator<Item = (u32, ActionId)>,
+    ) -> HashMap<(u32, u32), ActionId> {
+        let mut seqs: HashMap<u32, u32> = HashMap::new();
+        pushed
+            .into_iter()
+            .map(|(thread, action)| {
+                let seq = seqs.entry(thread).or_default();
+                *seq += 1;
+                ((thread, *seq - 1), action)
+            })
+            .collect()
+    }
+
+    /// Every entry's label names, in the index, the instance it was logged
+    /// for.
+    fn assert_labels_name_the_logged_instances(
+        trace: &Trace,
+        logged: &HashMap<(u32, u32), ActionId>,
+        what: &str,
+    ) {
+        assert_eq!(trace.len(), logged.len(), "{what}");
+        for entry in trace.entries() {
+            let action = logged[&(entry.thread, entry.seq)];
+            let instance = &trace.index().instances()[entry.label as usize];
+            assert_eq!(
+                (instance.serial, instance.depth),
+                (action.serial(), action.depth()),
+                "{what}: {entry:?}"
+            );
         }
     }
 
@@ -716,7 +772,7 @@ mod tests {
         push(&mut log, runtime_event(100, 100));
         push(&mut log, runtime_event(100, 7));
         push(&mut log, runtime_event(100, 100));
-        let keys: Vec<(u64, u32, u64)> = Trace::from_log(&mut log, Trace::default())
+        let keys: Vec<(u64, u32, u32)> = Trace::from_log(&mut log, Trace::default())
             .entries()
             .iter()
             .map(|e| (e.at_ns, e.thread, e.seq))
@@ -737,7 +793,7 @@ mod tests {
             ActionId::top_level(9),
             EntryKind::NetSent(Net {
                 dst: PartitionId::new(1),
-                class: "Exception",
+                kind: MessageKind::Exception,
                 deliver_at: VirtualInstant::from_nanos(7),
                 seq: 0,
             }),
@@ -758,7 +814,7 @@ mod tests {
         let mut rng = crate::rng::Rng::new(0x5a3e);
         for round in 0..100 {
             let threads = 2 + rng.below(4) as u32;
-            let mut streams: Vec<Vec<Entry>> = (0..threads)
+            let mut streams: Vec<Vec<Step>> = (0..threads)
                 .map(|thread| {
                     let mut at = 0;
                     (0..rng.below(30))
@@ -782,11 +838,11 @@ mod tests {
                 let mut order = Vec::with_capacity(total);
                 while order.len() < total {
                     let next_at = (0..streams.len())
-                        .filter_map(|t| streams[t].get(heads[t]).map(|e| e.at_ns))
+                        .filter_map(|t| streams[t].get(heads[t]).map(|e| e.at))
                         .min()
                         .expect("an event is left");
                     let mut ready: Vec<usize> = (0..streams.len())
-                        .filter(|&t| streams[t].get(heads[t]).is_some_and(|e| e.at_ns == next_at))
+                        .filter(|&t| streams[t].get(heads[t]).is_some_and(|e| e.at == next_at))
                         .collect();
                     let t = if shuffle {
                         ready.swap_remove(rng.below(ready.len() as u64) as usize)
@@ -802,9 +858,9 @@ mod tests {
             };
             let in_order = merged(&mut rng, false);
             let shuffled = merged(&mut rng, true);
-            let by_thread: Vec<Entry> = streams.drain(..).flatten().collect();
+            let by_thread: Vec<Step> = streams.drain(..).flatten().collect();
 
-            let record = |events: &[Entry]| {
+            let record = |events: &[Step]| {
                 let mut log = RunLog::default();
                 for event in events {
                     push(&mut log, event.clone());
@@ -820,13 +876,15 @@ mod tests {
             let (arrival_c, sorted) = record(&by_thread);
             assert_eq!(arrival_a, Arrival::InOrder, "round {round}");
             assert_ne!(arrival_b, Arrival::Sorted, "round {round}");
-            if threads > 1 && by_thread.windows(2).any(|w| w[1].at_ns < w[0].at_ns) {
+            if threads > 1 && by_thread.windows(2).any(|w| w[1].at < w[0].at) {
                 assert_eq!(arrival_c, Arrival::Sorted, "round {round}");
             }
             // Entries, labels and index alike (`Trace: Eq` covers all).
             assert_eq!(repaired, reference, "round {round}: repaired");
             assert_eq!(sorted, reference, "round {round}: sorted");
             assert_index_matches_a_rescan(&repaired, &format!("round {round}"));
+            let logged = logged_instances(shuffled.iter().map(|e| (e.thread, e.action)));
+            assert_labels_name_the_logged_instances(&repaired, &logged, &format!("round {round}"));
         }
     }
 
@@ -838,7 +896,7 @@ mod tests {
         }
         let mut entries = log.entries().to_vec();
         assert_eq!(canonicalize(&mut entries), Arrival::Repaired);
-        let keys: Vec<(u64, u32, u64)> =
+        let keys: Vec<(u64, u32, u32)> =
             entries.iter().map(|e| (e.at_ns, e.thread, e.seq)).collect();
         assert_eq!(
             keys,
@@ -863,14 +921,14 @@ mod tests {
         // Nothing to recycle: exact lengths, the log's buffer stays.
         let first = Trace::from_log(&mut log, Trace::default());
         assert_eq!(first.entries.capacity(), 40);
-        let logged = log.entries_mut().capacity();
+        let logged = log.parts_mut().0.capacity();
         assert!(logged >= 40);
         // A recycled trace that fits: the new trace leaves in the buffer it
         // was logged in, and the log goes on in the recycled one.
         record(&mut log, 30);
         let second = Trace::from_log(&mut log, first);
         assert_eq!((second.len(), second.entries.capacity()), (30, logged));
-        assert_eq!(log.entries_mut().capacity(), 40);
+        assert_eq!(log.parts_mut().0.capacity(), 40);
         // One that does not: regrown to exactly the trace, as ever.
         record(&mut log, 50);
         let mut small = Trace::default();
@@ -883,23 +941,28 @@ mod tests {
     fn assert_index_matches_a_rescan(trace: &Trace, what: &str) {
         let entries = trace.entries();
         let index = trace.index();
-        // Labels are `canonical_labels`: dense, in order of first
-        // appearance of the raw serial.
-        let mut canonical: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        // Labels are dense, in order of first appearance, and name
+        // distinct instances.
+        let mut labels = 0;
         for entry in entries {
-            let next = canonical.len() as u32;
-            let label = *canonical.entry(entry.action.serial()).or_insert(next);
-            assert_eq!(entry.label, label, "{what}: label of {entry:?}");
+            assert!(entry.label <= labels, "{what}: label of {entry:?}");
+            labels += u32::from(entry.label == labels);
         }
-        assert_eq!(index.instances().len(), canonical.len(), "{what}");
+        assert_eq!(index.instances().len(), labels as usize, "{what}");
+        let serials: std::collections::HashSet<u64> =
+            index.instances().iter().map(|i| i.serial).collect();
+        assert_eq!(
+            serials.len(),
+            labels as usize,
+            "{what}: one label per serial"
+        );
         let threads = entries.iter().map(|e| e.thread + 1).max().unwrap_or(0);
         assert_eq!(index.threads(), threads as usize, "{what}");
-        assert_eq!(index.cells(), canonical.len() * threads as usize);
+        assert_eq!(index.cells(), labels as usize * threads as usize);
 
         // The member lists partition the entries, each in trace order.
         let mut seen = vec![false; entries.len()];
         for (label, instance) in index.instances().iter().enumerate() {
-            assert_eq!(canonical[&instance.serial], label as u32, "{what}");
             let members = index.members(label);
             assert!(members.windows(2).all(|w| w[0] < w[1]), "{what}: order");
             for &i in members {
@@ -927,15 +990,15 @@ mod tests {
                 first(|k| matches!(k, EventKind::Resolved { .. })),
                 "{what}"
             );
-            let name = events().find_map(|(_, kind)| match kind {
-                EventKind::Enter { name, .. } => Some(*name),
+            let enter = events().find_map(|(_, kind)| match kind {
+                EventKind::Enter { name, depth, .. } => Some((*name, *depth)),
                 _ => None,
             });
-            assert_eq!(instance.name, name, "{what}");
-            let depth = events()
-                .next_back()
-                .map_or(0, |(i, _)| entries[i].action.depth());
-            assert_eq!(instance.depth, depth, "{what}");
+            assert_eq!(instance.name, enter.map(|(name, _)| name), "{what}");
+            // An `Enter` counts the levels after entry; an id, those above.
+            if let Some((_, depth)) = enter {
+                assert_eq!(instance.depth + 1, depth, "{what}");
+            }
         }
         assert!(seen.iter().all(|&s| s), "{what}: every entry is a member");
     }
@@ -969,17 +1032,20 @@ mod tests {
         let mut rng = crate::rng::Rng::new(0x1dec);
         let mut log = RunLog::default();
         let mut recycled = Trace::default();
+        // One serial, one depth: an instance's id is one fact of the run.
+        let action_of = |serial: u64| ActionId::with_depth(serial, (serial % 3) as u32);
         for round in 0..200 {
             let serials = 1 + rng.below(6);
+            let mut pushed = Vec::new();
             for _ in 0..rng.below(120) {
                 let at = rng.below(50);
                 let thread = [0, 1, 2, 9][rng.below(4) as usize];
-                let action = ActionId::with_depth(100 + rng.below(serials), thread % 3);
+                let action = action_of(100 + rng.below(serials));
                 let kind = match rng.below(5) {
                     0 => EventKind::Enter {
                         name: format!("a{}", action.serial()).into(),
                         role: "r".into(),
-                        depth: 1,
+                        depth: action.depth() + 1,
                     },
                     1 => EventKind::Raise {
                         exception: ExceptionId::new("x"),
@@ -989,13 +1055,15 @@ mod tests {
                     },
                     3 => EventKind::Crash,
                     _ => {
+                        let action = action_of(100 + rng.below(serials + 2));
+                        pushed.push((thread, action));
                         log.push(
                             VirtualInstant::from_nanos(at),
                             ThreadId::new(thread),
-                            ActionId::top_level(100 + rng.below(serials + 2)),
+                            action,
                             EntryKind::NetSent(Net {
                                 dst: PartitionId::new(0),
-                                class: "Commit",
+                                kind: MessageKind::Commit,
                                 deliver_at: VirtualInstant::from_nanos(at + 3),
                                 seq: 0,
                             }),
@@ -1003,15 +1071,63 @@ mod tests {
                         continue;
                     }
                 };
+                pushed.push((thread, action));
                 let at = VirtualInstant::from_nanos(at);
                 log.push(at, ThreadId::new(thread), action, EntryKind::Runtime(kind));
             }
             let finished = trace_of(&log);
             assert_index_matches_a_rescan(&finished, &format!("round {round}, finished"));
+            assert_labels_name_the_logged_instances(
+                &finished,
+                &logged_instances(pushed),
+                &format!("round {round}"),
+            );
             recycled = Trace::from_log(&mut log, recycled);
             assert_index_matches_a_rescan(&recycled, &format!("round {round}, taken"));
             assert_eq!(finished, recycled, "round {round}");
         }
+    }
+
+    /// A trace keeps every entry of its run alive, and a post-hoc analysis
+    /// keeps thousands of traces: what a kept trace holds per entry — its
+    /// entries, member lists and instance table, at their capacities — is
+    /// pinned, and so are the layouts it is made of.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_kept_trace_holds_at_most_64_bytes_an_entry() {
+        use std::mem::size_of;
+
+        use crate::arena::ExecutionArena;
+        use crate::exec::execute_in;
+        use crate::plan::{ScenarioConfig, ScenarioPlan};
+
+        assert!(size_of::<Entry>() <= 56, "Entry: {} B", size_of::<Entry>());
+        assert!(
+            size_of::<EntryKind>() <= 32,
+            "EntryKind: {} B",
+            size_of::<EntryKind>()
+        );
+        assert_eq!(size_of::<Name>(), 8, "a name is one pointer");
+        assert_eq!(size_of::<Option<ExceptionId>>(), 8, "and so is an id");
+
+        let mut arena = ExecutionArena::new();
+        let (mut bytes, mut entries) = (0, 0);
+        for seed in 0..500 {
+            let plan = ScenarioPlan::generate(seed, &ScenarioConfig::default());
+            let Trace {
+                entries: kept,
+                index,
+            } = execute_in(&plan, &mut arena).trace;
+            bytes += kept.capacity() * size_of::<Entry>()
+                + index.members.capacity() * size_of::<u32>()
+                + index.instances.capacity() * size_of::<Instance>();
+            entries += kept.len();
+        }
+        let per_entry = bytes as f64 / entries as f64;
+        assert!(
+            per_entry <= 64.0,
+            "{per_entry:.1} B an entry over {entries} entries"
+        );
     }
 
     #[test]

@@ -296,10 +296,10 @@ impl Ctx {
             self.endpoint.send(dst, msg);
             return;
         };
-        let action = msg.action();
+        let (action, kind) = (msg.action(), msg.kind());
         let sent = self.endpoint.send(dst, msg);
         log.borrow_mut()
-            .push_send(self.endpoint.id(), dst, action, sent);
+            .push_send(self.endpoint.id(), dst, action, kind, sent);
     }
 
     /// Sends `msg(peer)` to every member of `view` but this thread, in view
@@ -742,7 +742,7 @@ impl Ctx {
         self.observe(action, || EventKind::Enter {
             name: def.name,
             role: def.roles[role.index()].name,
-            depth: self.stack.len(),
+            depth: u32::try_from(self.stack.len()).expect("nesting depth fits u32"),
         });
     }
 
@@ -1329,7 +1329,7 @@ impl Ctx {
         self.system.stats.borrow_mut().view_changes += 1;
         self.observe_top(|| EventKind::ViewChange {
             epoch,
-            removed: suspects.to_vec(),
+            removed: suspects.into(),
         });
         // Announce before continuing the round: per-link FIFO then
         // guarantees every survivor sees the view change before any later
@@ -1351,7 +1351,7 @@ impl Ctx {
     /// Counts and reports the expiry of `round`'s bounded wait with
     /// `suspects` silent.
     fn observe_timeout(&self, round: Round, suspects: &[ThreadId]) {
-        let suspects = suspects.to_vec();
+        let suspects: Box<[ThreadId]> = suspects.into();
         let epoch = self.frame().exit.epoch;
         let mut stats = self.system.stats.borrow_mut();
         let kind = match round {
@@ -1390,7 +1390,7 @@ impl Ctx {
         self.system.stats.borrow_mut().view_changes += 1;
         self.observe(action, || EventKind::ViewChange {
             epoch,
-            removed: fresh.clone(),
+            removed: fresh.as_slice().into(),
         });
         Some(fresh)
     }

@@ -16,7 +16,14 @@
 //! An [`Entry`] states each fact once: its instant, its thread (a
 //! message's sender) and its action instance are the entry's own fields,
 //! and its [`EntryKind`] holds only what the step or the message adds — an
-//! [`EventKind`], or a message's [`Net`] record.
+//! [`EventKind`], or a message's [`Net`] record. An instance's
+//! [`ActionId`] is a fact of the run, not of each entry: the log numbers
+//! the instances as they first appear and keeps each id once, in its
+//! instance table ([`RunLog::instances`]), and an entry holds the number
+//! ([`Entry::label`]). A trace keeps every entry of its run alive, and a
+//! post-hoc analysis keeps thousands of traces, so an entry is held to 56
+//! bytes: a name or an exception id is one pointer, a message's class is
+//! its one-byte [`MessageKind`], and a suspect list is a boxed slice.
 //!
 //! The participants of a system are fibers of one thread, run one at a
 //! time, so they append one at a time: each thread's entries are in its
@@ -30,7 +37,7 @@ use std::fmt;
 
 use caa_core::exception::{ExceptionId, Signal};
 use caa_core::ids::{ActionId, PartitionId, ThreadId};
-use caa_core::message::SignalRound;
+use caa_core::message::{MessageKind, SignalRound};
 use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::VirtualInstant;
@@ -48,7 +55,7 @@ pub enum EventKind {
         /// Role the thread performs.
         role: Name,
         /// Nesting depth after entry; top-level actions are depth 1.
-        depth: usize,
+        depth: u32,
     },
     /// The action completed with `outcome` (objects committed or rolled
     /// back accordingly and the frame popped).
@@ -137,14 +144,14 @@ pub enum EventKind {
         /// Which signalling exchange timed out.
         round: SignalRound,
         /// The silent peers whose announcements never arrived.
-        suspects: Vec<ThreadId>,
+        suspects: Box<[ThreadId]>,
     },
     /// The bounded resolution wait expired: the thread suspects the listed
     /// peers crashed and initiates a membership view change (presume-ƒ —
     /// see `caa-runtime`'s `membership` module).
     ResolutionTimeout {
         /// The silent peers this thread's resolution was blocked on.
-        suspects: Vec<ThreadId>,
+        suspects: Box<[ThreadId]>,
     },
     /// The thread's membership view of this action advanced to `epoch`,
     /// removing `removed` — either by its own failure detector, by a
@@ -154,7 +161,7 @@ pub enum EventKind {
         /// The new membership epoch.
         epoch: u32,
         /// The threads this change removed from the view.
-        removed: Vec<ThreadId>,
+        removed: Box<[ThreadId]>,
     },
     /// The thread crash-stopped inside this action: the frame was
     /// discarded without handlers, messages or an exit.
@@ -204,21 +211,21 @@ impl fmt::Display for EventKind {
             EventKind::ExitTimeout { epoch } => write!(f, "exit timeout e{epoch}"),
             EventKind::ResolutionTimeout { suspects } => {
                 f.write_str("resolution timeout suspects")?;
-                for t in suspects {
+                for t in suspects.iter() {
                     write!(f, " {t}")?;
                 }
                 Ok(())
             }
             EventKind::ViewChange { epoch, removed } => {
                 write!(f, "view change v{epoch} -")?;
-                for t in removed {
+                for t in removed.iter() {
                     write!(f, " {t}")?;
                 }
                 Ok(())
             }
             EventKind::SignalTimeout { round, suspects } => {
                 write!(f, "signal timeout {round} suspects")?;
-                for t in suspects {
+                for t in suspects.iter() {
                     write!(f, " {t}")?;
                 }
                 Ok(())
@@ -239,8 +246,9 @@ impl fmt::Display for EventKind {
 pub struct Net {
     /// The destination partition.
     pub dst: PartitionId,
-    /// The message's class label (see [`Classify`](caa_simnet::Classify)).
-    pub class: &'static str,
+    /// The message's kind, which renders as the class label the network
+    /// counts it under ([`MessageKind::label`]).
+    pub kind: MessageKind,
     /// Scheduled virtual delivery time (equals the send instant for a lost
     /// message).
     pub deliver_at: VirtualInstant,
@@ -270,16 +278,14 @@ pub struct Entry {
     /// Virtual timestamp in nanoseconds.
     pub at_ns: u64,
     /// Per-thread sequence number (program order within the thread).
-    pub seq: u64,
-    /// The action instance the entry belongs to: the step's, or the one
-    /// the message was sent for.
-    pub action: ActionId,
+    pub seq: u32,
     /// The thread (partition) the entry originates from: the step's, or
     /// the message's sender.
     pub thread: u32,
-    /// The canonical label of the entry's action instance: 0 as logged,
-    /// assigned when a trace is made from the log (the `A<n>` of the
-    /// harness's rendering).
+    /// The action instance the entry belongs to — the step's, or the one
+    /// the message was sent for — as a dense number: in a log, the
+    /// instance's slot in [`RunLog::instances`]; in a trace made from the
+    /// log, its canonical label (the `A<n>` of the harness's rendering).
     pub label: u32,
     /// The recorded step.
     pub kind: EntryKind,
@@ -291,7 +297,7 @@ impl fmt::Display for Entry {
         let (at_ns, thread, seq, label) = (self.at_ns, self.thread, self.seq, self.label);
         write!(f, "@{at_ns:>12} T{thread} #{seq:<4} A{label} ")?;
         let net = |f: &mut fmt::Formatter<'_>, verb: &str, n: &Net| {
-            write!(f, "net {verb} {} node{thread}->{}", n.class, n.dst)
+            write!(f, "net {verb} {} node{thread}->{}", n.kind, n.dst)
         };
         match &self.kind {
             EntryKind::Runtime(kind) => write!(f, "{kind}"),
@@ -315,9 +321,15 @@ impl fmt::Display for Entry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunLog {
     entries: Vec<Entry>,
-    /// `next_seq[t]`: how many entries thread `t` has appended.
-    next_seq: Vec<u64>,
+    /// The run's action instances, each once, in order of first entry.
+    instances: Vec<ActionId>,
+    /// Per thread: how many entries it has appended, and the instance of
+    /// the last one ([`NO_INSTANCE`] before its first).
+    threads: Vec<(u32, u32)>,
 }
+
+/// "No instance yet" in [`RunLog`]'s per-thread column.
+const NO_INSTANCE: u32 = u32::MAX;
 
 impl RunLog {
     /// Appends `kind` as the next entry of `thread`, which recorded it for
@@ -331,29 +343,57 @@ impl RunLog {
     ) {
         let thread = thread.as_u32();
         let t = thread as usize;
-        if self.next_seq.len() <= t {
-            self.next_seq.resize(t + 1, 0);
+        if self.threads.len() <= t {
+            self.threads.resize(t + 1, (0, NO_INSTANCE));
         }
-        let seq = self.next_seq[t];
-        self.next_seq[t] += 1;
+        let (seq, last) = self.threads[t];
+        // A thread logs run after run of entries for one instance; only
+        // the first of a run searches the table, which holds the run's
+        // few instances, the most recent last.
+        let label = match self.instances.get(last as usize) {
+            Some(known) if known.serial() == action.serial() => last,
+            _ => self.instance(action),
+        };
+        self.threads[t] = (seq + 1, label);
         self.entries.push(Entry {
             at_ns: at.as_nanos(),
             seq,
-            action,
             thread,
-            label: 0,
+            label,
             kind,
         });
     }
 
-    /// Appends what the network did with one message that `src` sent to
-    /// `dst` for `action`: a lost message as [`EntryKind::NetDropped`];
-    /// any other as [`EntryKind::NetSent`], followed by
-    /// [`EntryKind::NetCorrupted`] when fault injection corrupted it.
-    pub fn push_send(&mut self, src: PartitionId, dst: PartitionId, action: ActionId, sent: Sent) {
+    /// The number of `action`'s instance, entered in the table if this is
+    /// its first entry.
+    fn instance(&mut self, action: ActionId) -> u32 {
+        let at = self
+            .instances
+            .iter()
+            .rposition(|known| known.serial() == action.serial())
+            .unwrap_or_else(|| {
+                self.instances.push(action);
+                self.instances.len() - 1
+            });
+        u32::try_from(at).expect("instance count fits u32")
+    }
+
+    /// Appends what the network did with one message of `kind` that `src`
+    /// sent to `dst` for `action`: a lost message as
+    /// [`EntryKind::NetDropped`]; any other as [`EntryKind::NetSent`],
+    /// followed by [`EntryKind::NetCorrupted`] when fault injection
+    /// corrupted it.
+    pub fn push_send(
+        &mut self,
+        src: PartitionId,
+        dst: PartitionId,
+        action: ActionId,
+        kind: MessageKind,
+        sent: Sent,
+    ) {
         let net = Net {
             dst,
-            class: sent.class,
+            kind,
             deliver_at: sent.deliver_at,
             seq: sent.seq,
         };
@@ -374,18 +414,27 @@ impl RunLog {
         &self.entries
     }
 
-    /// The entry buffer itself, for whoever turns a finished log into a
-    /// trace in place: sorting, labelling, trading the buffer for another.
-    /// Follow it with [`RunLog::clear`].
-    pub fn entries_mut(&mut self) -> &mut Vec<Entry> {
-        &mut self.entries
+    /// The run's action instances, each once, in order of first entry:
+    /// an entry's [`Entry::label`] indexes this.
+    #[must_use]
+    pub fn instances(&self) -> &[ActionId] {
+        &self.instances
+    }
+
+    /// The entry buffer itself, and the instance table its labels index,
+    /// for whoever turns a finished log into a trace in place: sorting,
+    /// relabelling, trading the buffer for another. Follow it with
+    /// [`RunLog::clear`].
+    pub fn parts_mut(&mut self) -> (&mut Vec<Entry>, &[ActionId]) {
+        (&mut self.entries, &self.instances)
     }
 
     /// Empties the log, keeping its buffers: the next run's threads number
-    /// their entries from 0 again.
+    /// their entries, and its instances, from 0 again.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.next_seq.clear();
+        self.instances.clear();
+        self.threads.clear();
     }
 }
 
@@ -406,7 +455,6 @@ mod tests {
             }),
         );
         let sent = |lost, corrupted| Sent {
-            class: "Exception",
             at: VirtualInstant::from_nanos(2_000),
             deliver_at: VirtualInstant::from_nanos(if lost { 2_000 } else { 9_000 }),
             seq: 4,
@@ -414,9 +462,10 @@ mod tests {
             corrupted,
         };
         let (src, dst) = (PartitionId::new(2), PartitionId::new(0));
-        log.push_send(src, dst, action, sent(false, false));
-        log.push_send(src, dst, action, sent(true, false));
-        log.push_send(src, dst, action, sent(false, true));
+        let kind = MessageKind::Exception;
+        log.push_send(src, dst, action, kind, sent(false, false));
+        log.push_send(src, dst, action, kind, sent(true, false));
+        log.push_send(src, dst, action, kind, sent(false, true));
         let lines: Vec<String> = log.entries().iter().map(Entry::to_string).collect();
         assert_eq!(
             lines,
@@ -428,18 +477,42 @@ mod tests {
                 "@        2000 T2 #4    A0 net corrupt Exception node2->node0",
             ]
         );
-        assert!(log.entries().iter().all(|e| e.action == action));
+        assert_eq!(log.instances(), [action], "the instance is kept once");
     }
 
-    /// An entry states each fact once; a trace keeps every entry of its
-    /// run alive, so the layout is pinned.
-    #[cfg(target_pointer_width = "64")]
+    /// Instances are numbered in order of first entry, whichever thread
+    /// logs them, and a thread going back to an older instance finds it.
     #[test]
-    fn an_entry_fits_in_88_bytes() {
-        assert!(
-            std::mem::size_of::<Entry>() <= 88,
-            "{} B",
-            std::mem::size_of::<Entry>()
+    fn instances_are_numbered_once_in_order_of_first_entry() {
+        let mut log = RunLog::default();
+        let (outer, inner) = (ActionId::top_level(70), ActionId::with_depth(3, 1));
+        let at = VirtualInstant::EPOCH;
+        let steps = [
+            (0, outer),
+            (1, outer),
+            (0, inner),
+            (1, inner),
+            (1, outer),
+            (2, inner),
+        ];
+        for (thread, action) in steps {
+            log.push(
+                at,
+                ThreadId::new(thread),
+                action,
+                EntryKind::Runtime(EventKind::Crash),
+            );
+        }
+        let labels: Vec<u32> = log.entries().iter().map(|e| e.label).collect();
+        assert_eq!(labels, [0, 0, 1, 1, 0, 1]);
+        assert_eq!(log.instances(), [outer, inner]);
+        log.clear();
+        log.push(
+            at,
+            ThreadId::new(1),
+            inner,
+            EntryKind::Runtime(EventKind::Crash),
         );
+        assert_eq!((log.entries()[0].label, log.instances()), (0, &[inner][..]));
     }
 }

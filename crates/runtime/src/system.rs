@@ -859,6 +859,7 @@ mod tests {
     /// and then its `NetCorrupted`.
     #[test]
     fn a_recorded_run_logs_each_thread_in_program_order() {
+        use caa_core::message::MessageKind;
         use caa_simnet::FaultSpec;
 
         use crate::observe::{Entry, EntryKind, RunLog};
@@ -899,13 +900,14 @@ mod tests {
             let seq = &mut next_seq[entry.thread as usize];
             assert_eq!(entry.seq, *seq, "{entry}");
             *seq += 1;
-            assert_eq!(entry.label, 0, "labels are the trace's to assign");
+            assert_eq!(entry.label, 0, "one instance, kept once");
         }
         assert!(next_seq.iter().all(|&n| n > 0), "{next_seq:?}");
+        assert_eq!(report.log.instances().len(), 1);
 
         let app = |kind: &EntryKind| match kind {
             EntryKind::NetSent(n) | EntryKind::NetDropped(n) | EntryKind::NetCorrupted(n) => {
-                n.class == "App"
+                n.kind == MessageKind::App
             }
             EntryKind::Runtime(_) => false,
         };
@@ -924,8 +926,8 @@ mod tests {
         };
         assert_eq!((sent.thread, event.dst.as_u32()), (0, 2));
         assert_eq!(
-            (sent.at_ns, sent.action, event),
-            (corrupted.at_ns, corrupted.action, again),
+            (sent.at_ns, sent.label, event),
+            (corrupted.at_ns, corrupted.label, again),
             "one message: the same record, link seq included"
         );
         let at = |wanted: &Entry| entries.iter().position(|e| std::ptr::eq(e, wanted));
@@ -949,7 +951,7 @@ mod tests {
         assert!(report.log.entries().is_empty());
         // Nothing was ever pushed (a push grows this buffer first), so the
         // per-thread counters were never sized either.
-        assert_eq!(report.log.entries_mut().capacity(), 0);
+        assert_eq!(report.log.parts_mut().0.capacity(), 0);
     }
 
     #[test]

@@ -286,14 +286,14 @@ fn double_crash_is_survived_one_epoch_per_round() {
     assert!(
         kinds.iter().any(|k| matches!(
             k,
-            EventKind::ViewChange { epoch: 1, removed } if removed.as_slice() == [ThreadId::new(0)]
+            EventKind::ViewChange { epoch: 1, removed } if **removed == [ThreadId::new(0)]
         )),
         "epoch 1 must evict the early crasher: {kinds:?}"
     );
     assert!(
         kinds.iter().any(|k| matches!(
             k,
-            EventKind::ViewChange { epoch: 2, removed } if removed.as_slice() == [ThreadId::new(1)]
+            EventKind::ViewChange { epoch: 2, removed } if **removed == [ThreadId::new(1)]
         )),
         "epoch 2 must evict the late crasher: {kinds:?}"
     );

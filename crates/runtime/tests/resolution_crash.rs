@@ -148,13 +148,13 @@ fn crashed_bystander_is_removed_and_survivors_succeed() {
     assert!(
         kinds.iter().any(|k| matches!(
             k,
-            EventKind::ViewChange { epoch: 1, removed } if removed == &[ThreadId::new(0)]
+            EventKind::ViewChange { epoch: 1, removed } if **removed == [ThreadId::new(0)]
         )),
         "expected a v1 view change removing T0"
     );
     assert!(kinds
         .iter()
-        .any(|k| matches!(k, EventKind::ResolutionTimeout { suspects } if suspects == &[ThreadId::new(0)])));
+        .any(|k| matches!(k, EventKind::ResolutionTimeout { suspects } if **suspects == [ThreadId::new(0)])));
 }
 
 /// The raiser broadcasts its exception and crash-stops before committing

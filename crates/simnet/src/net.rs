@@ -431,9 +431,9 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
 
     /// Sends `msg` to `dst` asynchronously (fire and forget, like the
     /// paper's "asynchronous remote procedure calls (without out
-    /// parameters)"), and says what the network did with it: its class,
-    /// when it was sent and is due, its slot in the link's sequence, and
-    /// whether fault injection lost or corrupted it.
+    /// parameters)"), and says what the network did with it: when it was
+    /// sent and is due, its slot in the link's sequence, and whether fault
+    /// injection lost or corrupted it.
     pub fn send(&self, dst: PartitionId, msg: M) -> Sent {
         self.net.host.with(|core| core.send(self.id, dst, msg))
     }
@@ -1017,7 +1017,6 @@ mod tests {
         assert_eq!(net.stats().sent("Msg"), 3, "accepted, so counted");
         let at = VirtualInstant::EPOCH;
         let record = |deliver_at, seq| Sent {
-            class: "Msg",
             at,
             deliver_at,
             seq,

@@ -291,8 +291,6 @@ impl<M> fmt::Debug for NetArena<M> {
 /// [`Endpoint::send`](crate::Endpoint::send).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sent {
-    /// The message's class label.
-    pub class: &'static str,
     /// Virtual send time.
     pub at: VirtualInstant,
     /// Scheduled delivery (equals `at` for a lost message).
@@ -483,7 +481,6 @@ impl<M> Core<M> {
             }
         }
         Sent {
-            class,
             at: now,
             deliver_at,
             seq,

@@ -23,18 +23,7 @@ impl Classify for caa_core::Message {
     /// names, so the §3.3.3 / §3.4 complexity results can be read straight
     /// off the counters.
     fn class(&self) -> &'static str {
-        match self.kind() {
-            caa_core::MessageKind::Exception => "Exception",
-            caa_core::MessageKind::Suspended => "Suspended",
-            caa_core::MessageKind::Commit => "Commit",
-            caa_core::MessageKind::Resolve => "Resolve",
-            caa_core::MessageKind::ViewChange => "ViewChange",
-            caa_core::MessageKind::JoinRequest => "JoinRequest",
-            caa_core::MessageKind::JoinGrant => "JoinGrant",
-            caa_core::MessageKind::ToBeSignalled => "toBeSignalled",
-            caa_core::MessageKind::ExitVote => "ExitVote",
-            caa_core::MessageKind::App => "App",
-        }
+        self.kind().label()
     }
 }
 

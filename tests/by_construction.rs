@@ -18,6 +18,12 @@
 //!   that served them or the records they were called with (`Event`,
 //!   `TapEvent`, which stated an entry's instant, thread and action a
 //!   second time), and `SystemBuilder` has one setting for it, `record`;
+//! * a log entry keeps each fact of its run once: `observe::Entry` names
+//!   no `ActionId` (the log keeps each instance's id once, and an entry
+//!   its number), `observe::Net` holds no `&'static str` (a message's
+//!   class is its `MessageKind`), and no harness reader — the oracles,
+//!   the metrics, the span tree, the path coverage — compares a message
+//!   class by its text;
 //! * `unsafe` is written in `crates/fiber` and nowhere else in library
 //!   sources (`crates/*/src`, `compat/*/src`, `perf/src`, `src`). Test and
 //!   bench targets are outside the scan: two of them wrap the global
@@ -362,6 +368,64 @@ fn a_run_records_into_its_own_log_through_no_hook() {
     );
 }
 
+/// Whether `line` is code that spells a message class as text: a quoted
+/// `MessageKind` label, which can only be compared with a class label.
+fn compares_a_class_by_text(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && caa_core::message::MessageKind::ALL
+            .iter()
+            .any(|kind| line.contains(&format!("\"{kind}\"")))
+}
+
+#[test]
+fn a_log_entry_keeps_each_fact_of_its_run_once() {
+    let read = |file: &str| fs::read_to_string(root().join(file)).expect(file);
+    let observe = read("crates/runtime/src/observe.rs");
+    let entry = struct_body(&observe, "Entry");
+    assert!(entry.contains("pub label: u32,"), "scanned {entry:?}");
+    assert!(
+        !names_word(entry, "ActionId"),
+        "an entry holds its instance's number; the log keeps each `ActionId` once: {entry}"
+    );
+    let net = struct_body(&observe, "Net");
+    assert!(net.contains("pub dst: PartitionId,"), "scanned {net:?}");
+    assert!(
+        !net.contains("&'static str"),
+        "a message's class is its `MessageKind`, not its label: {net}"
+    );
+    for reader in ["oracle", "metrics", "spans", "sweep"] {
+        let file = format!("crates/harness/src/{reader}.rs");
+        let source = read(&file);
+        let code = outside_unit_tests(&source);
+        assert!(code.lines().count() > 200, "scanned {file}");
+        for line in code.lines() {
+            assert!(
+                !compares_a_class_by_text(line),
+                "{file} compares a message class by its text (compare `Net::kind`): {line}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_class_scan_sees_what_it_looks_for() {
+    for line in [
+        "if matches!(send.class, \"Exception\" | \"Suspended\" | \"Commit\") {",
+        "row.fanout += u64::from(net.class == \"toBeSignalled\");",
+        "let app = class == \"App\";",
+    ] {
+        assert!(compares_a_class_by_text(line), "{line}");
+    }
+    for line in [
+        "row.fanout += u64::from(net.kind == MessageKind::ToBeSignalled);",
+        "json::write_str(&mut body, segment.class.label());",
+        "// the \"Commit\" broadcast",
+        "let name = \"Committed\";",
+    ] {
+        assert!(!compares_a_class_by_text(line), "{line}");
+    }
+}
+
 #[test]
 fn the_word_scan_sees_what_it_looks_for() {
     for line in [
@@ -439,6 +503,21 @@ fn function_body<'a>(source: &'a str, name: &str) -> &'a str {
         .find(&format!("fn {name}("))
         .or_else(|| source.find(&format!("fn {name}<")))
         .unwrap_or_else(|| panic!("no `fn {name}`"));
+    braced(source, at, &format!("fn {name}"))
+}
+
+/// The fields of `pub struct name` in `source`, braces included.
+fn struct_body<'a>(source: &'a str, name: &str) -> &'a str {
+    let header = format!("pub struct {name} {{\n");
+    let at = source
+        .find(&header)
+        .unwrap_or_else(|| panic!("no `{header}`"));
+    braced(source, at, &format!("struct {name}"))
+}
+
+/// From the first ` {` line end at or after `at` in `source` to the
+/// matching closing brace.
+fn braced<'a>(source: &'a str, at: usize, what: &str) -> &'a str {
     let open = at + source[at..].find(" {\n").expect("a body") + 1;
     let mut depth = 0;
     for (offset, byte) in source[open..].bytes().enumerate() {
@@ -451,7 +530,7 @@ fn function_body<'a>(source: &'a str, name: &str) -> &'a str {
             return &source[open..=open + offset];
         }
     }
-    panic!("`fn {name}` never closes");
+    panic!("`{what}` never closes");
 }
 
 #[test]
