@@ -19,26 +19,26 @@
 //! * the signalling algorithm of §3.4 with its µ/ƒ coordination;
 //! * the synchronous exit protocol (§5.1).
 //!
-//! # One collect round
+//! # One wait
 //!
 //! Recovery is a sequence of uniform coordination rounds — resolution, the
 //! two signalling exchanges, the exit barrier, and a restarted
 //! participant's wait for a rejoin grant ([`Ctx::rejoin`]): announce to the
 //! participants, wait until all have answered or the bound expires, treat
-//! silence as ƒ. `Ctx::collect` is the only loop that waits on a round: it
-//! polls the round's predicate over the view as it is *now*, receives
-//! until the round's deadline, routes what arrives, and on expiry asks the
-//! round for its silent set, runs suspicion on it (`Ctx::suspect_round`:
-//! quorum gate, view change, announcement) and re-arms or concludes. What
-//! a round *decides* at each of those points is pure `event → action`
-//! state in the private `rounds` module (in the shape of
-//! [`ResolverState::on_event`]):
-//! `Round::status`, `Round::expired`, and — for a message — `Frame::absorb`
-//! of the frame it addresses, each answering with a `RoundAction`. That
-//! module never touches the endpoint, the system or this context; `Ctx` is
-//! the thin driver that owns the endpoint and the frame stack, performs
-//! the actions (`Ctx::perform`) and appends to the run's log. Poll points
-//! of a role body go through the same two steps, as `Round::Body`.
+//! silence as ƒ. Every blocking point — those rounds (`Ctx::collect`), a
+//! body's computation and receives, a shared-object acquisition — is one
+//! `Ctx::wait` for the round it serves: until a message, the doorbell or
+//! the deadline (the round's or the crash instant), then performing what
+//! the round decides. On a collect round's expiry, suspicion runs on its
+//! silent set (`Ctx::suspect_round`: quorum gate, view change,
+//! announcement) before it re-arms or concludes. What a round *decides* is
+//! pure `event → action` state in the private `rounds` module:
+//! `Round::status`, `Round::expired`, `Frame::absorb` for a message, and
+//! between rounds where an unwind lands (§3.3.1's cascade) and how an
+//! action leaves — each a `RoundAction` or a named `Violation`. An object's
+//! arbitration lives with the object ([`crate::objects`]). `Ctx` is the
+//! thin driver that owns the endpoint and the frame stack, performs the
+//! actions (`Ctx::perform`) and appends to the run's log.
 //!
 //! A frame is a constructor plus parts grouped by responsibility — identity
 //! (`id`), inboxes (`inbox`), recovery state (`recovery`), signalling table
@@ -52,7 +52,10 @@
 //! expiry, what expiry concludes), keep what it collects in a frame part
 //! that `Frame::absorb` fills, and call `self.collect(Round::…, timeout)`
 //! after announcing with `Ctx::broadcast`. The driver changes only if the
-//! round needs an effect no existing `RoundAction` names.
+//! round needs an effect no existing `RoundAction` names. A round that a
+//! peer's doorbell ends, like the object round (`Round::Object`), keeps
+//! its state in a value of its own (`objects::Acquisition`) and loops over
+//! `Ctx::wait`, answering `Performed::Rang`.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -68,11 +71,13 @@ use caa_simnet::{FiberEndpoint, Parked, Received};
 
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
-use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot};
-use crate::objects::{AccessOutcome, ObjectError, SharedObject, TxControl, Wake, CHAIN_INLINE};
+use crate::membership::{synthesize_crashes, Eviction, ViewSnapshot};
+use crate::objects::{self, Acquisition, Release, SharedObject, TxControl};
 use crate::observe::{EntryKind, EventKind};
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
-use crate::rounds::{corrupted, unframed, Collected, Frame, Frames, Round, RoundAction, RoundEnd};
+use crate::rounds::{self, aborted, admit, leave, release_on_exit};
+use crate::rounds::{Collected, Frame, Frames, Landing, Leave, RecoveryStart};
+use crate::rounds::{Round, RoundAction, RoundEnd, Violation};
 use crate::system::SystemShared;
 
 /// An application message delivered to a role.
@@ -84,15 +89,6 @@ pub struct AppMsg {
     pub tag: &'static str,
     /// The payload.
     pub payload: AppPayload,
-}
-
-/// How a role body was started or restarted into recovery.
-#[derive(Debug)]
-enum RecoveryStart {
-    /// This thread raised the exception.
-    Raise(Exception),
-    /// This thread suspends because of peers' exceptions.
-    Suspend,
 }
 
 /// What a participant's context keeps on the heap, as one run's context
@@ -159,11 +155,6 @@ impl std::fmt::Debug for Ctx {
     }
 }
 
-/// An internal inconsistency: fatal to the thread.
-fn protocol_error(what: impl Into<String>) -> Flow {
-    RuntimeError::Protocol(what.into()).into()
-}
-
 /// Looks `role` up in `def`.
 fn role_id(def: &DefInner, role: &str) -> Result<RoleId, Flow> {
     def.role_id(role).ok_or_else(|| {
@@ -174,13 +165,16 @@ fn role_id(def: &DefInner, role: &str) -> Result<RoleId, Flow> {
     })
 }
 
-/// What [`Ctx::perform`] left the round in.
+/// What [`Ctx::perform`] left the round in — or, from [`Ctx::wait`], that
+/// the wait's doorbell rang.
 enum Performed {
     /// Keep collecting until the current deadline.
     Continue,
     /// Keep collecting; the view changed, so the bound starts afresh.
     Rearm,
     End(RoundEnd),
+    /// The doorbell of the object round's wait rang.
+    Rang,
 }
 
 impl Ctx {
@@ -332,15 +326,12 @@ impl Ctx {
     /// Returns [`Flow`] when recovery interrupts this thread.
     pub fn work(&mut self, dur: VirtualDuration) -> Step {
         let deadline = self.now().saturating_add(dur);
-        // A blocking receive hands over what is deliverable now before it
-        // waits for anything later, in delivery order — the messages a
-        // `poll` would drain first — so only the end of the computation
-        // polls: for what arrives at the deadline instant itself.
+        // A wait hands over what is deliverable now before it waits for
+        // anything later, in delivery order — the messages a `poll` would
+        // drain first — so only the end of the computation polls: for what
+        // arrives at the deadline instant itself.
         while !deadline.duration_since(self.now()).is_zero() {
-            match self.recv_until(Some(deadline))? {
-                None => break,
-                Some(received) => self.absorb_or_unwind(received)?,
-            }
+            self.wait(Round::Body, Some(deadline))?;
         }
         self.poll()
     }
@@ -387,32 +378,42 @@ impl Ctx {
         }
     }
 
-    /// Receives the next message, waiting at most until `deadline` (when
-    /// given). All protocol waits funnel through here so a scheduled
-    /// crash-stop bounds every one of them: reaching the crash instant
-    /// kills the thread, reaching the caller's deadline returns
-    /// `Ok(None)`.
+    /// Waits once for `round`: blocks until a message, the doorbell or the
+    /// deadline — `deadline` or the scheduled crash instant, whichever
+    /// comes first — and performs what the round decides about it
+    /// ([`Performed::Rang`] for the doorbell). Every blocking point of the
+    /// participant comes through here, so a scheduled crash-stop bounds
+    /// every one of them: reaching the crash instant kills the thread. A
+    /// round dies before it waits once that instant has passed — but for
+    /// the object round, which takes what is due at the instant first
+    /// ([`Round::Object`]).
     ///
     /// # Errors
     ///
-    /// [`Flow`] on a scheduled crash or a simulation error.
+    /// [`Flow`] on a scheduled crash, a simulation error, or a decision
+    /// that unwinds.
     #[inline(always)] // a resumed fiber returns through here: see `Network::block_on`
-    fn recv_until(&mut self, deadline: Option<VirtualInstant>) -> Step<Option<Received<Message>>> {
-        self.crash_check()?;
+    fn wait(&mut self, round: Round, deadline: Option<VirtualInstant>) -> Step<Performed> {
+        if round != Round::Object {
+            self.crash_check()?;
+        }
         let effective = match (deadline, self.crash_at) {
             (Some(d), Some(c)) => Some(d.min(c)),
             (d, c) => d.or(c),
         };
-        let received = match effective {
-            Some(at) => self.endpoint.recv_deadline(at)?,
-            None => Some(self.endpoint.recv()?),
+        let (index, action) = match self.endpoint.wait(effective)? {
+            Parked::Msg(received) => self.classify(received, round),
+            Parked::Doorbell => return Ok(Performed::Rang),
+            Parked::Deadline => {
+                // The crash instant takes precedence over the round's own.
+                self.crash_check()?;
+                let top = self.stack.len().saturating_sub(1);
+                let protocol = &*self.system.protocol;
+                let frame = self.stack.last_mut().map(Box::as_mut);
+                (top, round.expired(frame, self.me, protocol))
+            }
         };
-        if received.is_none() {
-            // Woke at the effective deadline: the crash instant takes
-            // precedence over the caller's timeout.
-            self.crash_check()?;
-        }
-        Ok(received)
+        self.perform(round, index, action)
     }
 
     /// Raises exception `e` in the active action (§3.1 *raise*). The
@@ -502,10 +503,7 @@ impl Ctx {
             if deadline.is_some_and(|d| d.duration_since(self.now()).is_zero()) {
                 return Ok(None);
             }
-            match self.recv_until(deadline)? {
-                Some(received) => self.absorb_or_unwind(received)?,
-                None => return Ok(None),
-            }
+            self.wait(Round::Body, deadline)?;
         }
     }
 
@@ -541,19 +539,10 @@ impl Ctx {
         })
     }
 
-    /// Forwards an arbitration-computed wake-up to the network as a
-    /// scheduled doorbell: the wake-on-release half of the object
-    /// scheduler (see [`crate::objects`] — every grant, release and
-    /// cancellation computes the next eligible waiter and its on-grid
-    /// attempt instant; this delivers it).
-    fn forward_wake(&self, wake: Wake) {
-        if let Some((thread, at, epoch)) = wake {
-            self.endpoint
-                .network()
-                .schedule_wake(PartitionId::new(thread.as_u32()), at, epoch);
-        }
-    }
-
+    /// The object round: registers the request, then waits — a poll point
+    /// — answering each doorbell with an attempt until one is granted, or
+    /// takes the request back when recovery or the crash instant ends the
+    /// wait first (see [`crate::objects`]).
     fn access<T: Clone + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
@@ -563,56 +552,21 @@ impl Ctx {
         if self.stack.is_empty() {
             return Err(RuntimeError::NoActiveAction("object access").into());
         }
-        let chain: InlineVec<ActionId, CHAIN_INLINE> =
-            self.stack.iter().map(|fr| fr.id.action).collect();
-        let action = *chain.last().expect("stack nonempty");
-        // Open a fresh parked wait (discarding any stale doorbell; the
-        // returned epoch tags every wake computed for this request), then
-        // register and park until the arbitration schedules this thread's
-        // next on-grid attempt (wake-on-release: the enabling event — a
-        // release, grant or cancellation elsewhere — computes and
-        // schedules it; `enqueue_waiter` seeds the first attempt when the
-        // requester is already the eligible minimum). The wait is a poll
-        // point: messages still arrive, and recovery can interrupt it (the
-        // request is then withdrawn).
-        let epoch = self.endpoint.begin_wait();
-        let wait_start = self.now();
-        self.forward_wake(obj.enqueue_waiter(self.me, wait_start, &chain, epoch));
+        let action = self.frame().id.action;
+        let chain = self.stack.iter().map(|frame| frame.id.action).collect();
+        let request = Acquisition::request(obj, self.me, chain, &self.endpoint);
         let mut f = Some(f);
         let (value, opened) = loop {
-            match self.endpoint.park_wait_until(self.crash_at) {
-                Ok(Parked::Deadline) => {
-                    // The scheduled crash instant arrived while parked:
-                    // withdraw the request and die.
-                    self.forward_wake(obj.cancel_waiter(self.me, self.now()));
-                    return Err(Flow::new(Unwind::Crash));
-                }
-                Ok(Parked::Doorbell) => {
-                    // A scheduled attempt instant arrived. `try_access` is
-                    // authoritative: a stale doorbell (the arbitration
-                    // moved on) simply fails and the thread re-parks until
-                    // the next event re-schedules it.
-                    match obj.try_access(self.me, self.now(), &chain, &mut f) {
-                        AccessOutcome::Done {
-                            value,
-                            opened,
-                            wake,
-                        } => {
-                            self.forward_wake(wake);
-                            break (value, opened);
-                        }
-                        AccessOutcome::NotYet => {}
+            match self.wait(Round::Object, None) {
+                Ok(Performed::Rang) => {
+                    if let Some(granted) = request.attempt(&mut f, &self.endpoint) {
+                        break granted;
                     }
                 }
-                Ok(Parked::Msg(received)) => {
-                    if let Err(flow) = self.absorb_or_unwind(received) {
-                        self.forward_wake(obj.cancel_waiter(self.me, self.now()));
-                        return Err(flow);
-                    }
-                }
-                Err(e) => {
-                    self.forward_wake(obj.cancel_waiter(self.me, self.now()));
-                    return Err(e.into());
+                Ok(_) => {}
+                Err(flow) => {
+                    request.withdraw(&self.endpoint);
+                    return Err(flow);
                 }
             }
         };
@@ -628,11 +582,15 @@ impl Ctx {
         }
         if opened > 0 {
             let object = obj.name();
-            let waited_ns = self.now().as_nanos().saturating_sub(wait_start.as_nanos());
+            let waited_ns = self
+                .now()
+                .as_nanos()
+                .saturating_sub(request.since.as_nanos());
             self.observe(action, || EventKind::ObjectAcquired { object, waited_ns });
         }
         Ok(value)
     }
+
     // ------------------------------------------------------------------
     // Entering actions
     // ------------------------------------------------------------------
@@ -782,8 +740,8 @@ impl Ctx {
     ///
     /// # Errors
     ///
-    /// Fatally on binding errors (unknown role, wrong thread, non-empty
-    /// stack) and on inconsistent grants.
+    /// Fatally on binding errors (unknown role, wrong thread,
+    /// [`RuntimeError::RejoinInAction`]) and on inconsistent grants.
     pub fn rejoin(&mut self, def: &ActionDef, role: &str) -> Step<Option<ActionOutcome>> {
         // The restart cancels whatever killed us; a stale schedule would
         // re-kill the rejoiner at its first poll point.
@@ -792,9 +750,7 @@ impl Ctx {
             return Ok(None);
         };
         if !self.stack.is_empty() {
-            return Err(protocol_error(
-                "rejoin requires an empty action stack (top-level restart)",
-            ));
+            return Err(RuntimeError::RejoinInAction.into());
         }
         let inner = &def.inner;
         let role_id = self.bind_role(inner, role)?;
@@ -811,18 +767,21 @@ impl Ctx {
             .signal_timeout
             .or(inner.exit_timeout)
             .unwrap_or_else(|| caa_core::time::secs(60.0));
+        let round = Round::Join { action };
         let RoundEnd::Granted(Message::JoinGrant {
             epoch,
             removed,
             exit_epoch,
             resolved,
             ..
-        }) = self.collect(Round::Join { action }, Some(window))?
+        }) = self.collect(round, Some(window))?
         else {
             return Ok(None);
         };
-        let view = FrameMembership::sync_grant(&inner.group, epoch, &removed, me)
-            .map_err(|reason| protocol_error(format!("join grant rejected: {reason}")))?;
+        let view = match admit(&inner.group, epoch, &removed, me) {
+            Ok(view) => view,
+            Err(violation) => return self.violated(round, violation),
+        };
         let view_epoch = view.epoch();
         self.finished.retain(|&serial| serial != action.serial());
         self.system.stats.borrow_mut().rejoins += 1;
@@ -858,7 +817,7 @@ impl Ctx {
         let mut attempt = match initial {
             Some(start) => self.phase_recover(def, start),
             None => match body(self) {
-                Ok(()) => self.phase_exit(def),
+                Ok(()) => self.phase_exit(def, None),
                 Err(flow) => Err(flow),
             },
         };
@@ -866,159 +825,68 @@ impl Ctx {
             match attempt {
                 Ok(outcome) => return Ok(outcome),
                 Err(flow) => {
-                    let start = self.flow_to_start(def, flow)?;
+                    let start = self.unwind_top(def, flow.unwind)?;
                     attempt = self.phase_recover(def, start);
                 }
             }
         }
     }
 
-    /// Converts an unwinding [`Flow`] into a recovery start for the current
-    /// frame, or performs this frame's part of the abortion cascade and
-    /// re-propagates.
-    fn flow_to_start(&mut self, def: &DefInner, flow: Flow) -> Result<RecoveryStart, Flow> {
-        match flow.unwind {
-            Unwind::Raise(e) => Ok(RecoveryStart::Raise(e)),
-            Unwind::Suspend => Ok(RecoveryStart::Suspend),
-            Unwind::Outer { target, eab } => {
-                if self.frame().id.action == target {
-                    // Recovery lands at this level: the abortion-handler
-                    // exception of the directly nested action (if any) is
-                    // raised here, else we suspend (§3.3.1).
-                    match eab {
-                        Some(e) => Ok(RecoveryStart::Raise(e)),
-                        None => Ok(RecoveryStart::Suspend),
+    /// Performs where `unwind` lands at the top frame, an instance of `def`
+    /// ([`rounds::land`]): the recovery that starts there, or — the frame
+    /// aborted on the way out or dead, and popped — the flow that carries
+    /// the unwind on (§3.3.1).
+    fn unwind_top(&mut self, def: &DefInner, unwind: Unwind) -> Result<RecoveryStart, Flow> {
+        let dead = match rounds::land(unwind, self.frame().id.action) {
+            Landing::Recover(start) => return Ok(start),
+            Landing::Abort { target } => {
+                self.system.stats.borrow_mut().aborts += 1;
+                // From here on, recovery messages for the instance are
+                // stragglers. Its abortion handler runs while the frame is
+                // still active, so it can use the context.
+                let frame = self.frame_mut();
+                frame.recovery.aborting = true;
+                let result = match &def.roles[frame.id.role.index()].abort {
+                    Some(handler) => handler(self).map_err(|flow| flow.unwind),
+                    None => Ok(None),
+                };
+                match aborted(result, target) {
+                    Ok((eab, next)) => {
+                        // Effects that cannot be undone taint the object.
+                        self.close_frame(Release::Undo, || EventKind::Abort { eab });
+                        return Err(Flow::new(next));
                     }
-                } else {
-                    // This frame is being aborted on the way out.
-                    let my_eab = self.abort_current_frame(def)?;
-                    Err(Flow::new(Unwind::Outer {
-                        target,
-                        eab: my_eab,
-                    }))
+                    Err(dead) => dead,
                 }
             }
-            dead @ (Unwind::Crash | Unwind::Fatal(_)) => Err(self.unwind_dead(dead)),
-        }
-    }
-
-    /// A crash-stop or fatal unwind passes through the top frame: no
-    /// handler runs, the frame is simply discarded.
-    fn unwind_dead(&mut self, unwind: Unwind) -> Flow {
-        match unwind {
-            // The process is "dead": unwind every frame silently.
-            Unwind::Crash => self.crash_current_frame(),
-            _ => self.discard_current_frame(),
-        }
-        Flow { unwind }
-    }
-
-    /// Aborts the top frame (an instance of `def`): rolls back its objects,
-    /// runs its abortion handler (which may produce `Eab`), and pops it.
-    fn abort_current_frame(&mut self, def: &DefInner) -> Result<Option<Exception>, Flow> {
-        self.system.stats.borrow_mut().aborts += 1;
-        let frame = self.frame_mut();
-        // From here on, recovery messages for this instance are
-        // stragglers: its own recovery (if any) is abandoned in favour of
-        // the enclosing level's.
-        frame.recovery.aborting = true;
-        let role = frame.id.role;
-        // Run the abortion handler while the frame is still active so it
-        // can use the context (work, app messages). Deeper-outer triggers
-        // during the handler extend the cascade.
-        let mut deeper: Option<(ActionId, Option<Exception>)> = None;
-        let mut eab = None;
-        if let Some(handler) = &def.roles[role.index()].abort {
-            match handler(self) {
-                Ok(result) => eab = result,
-                Err(flow) => match flow.unwind {
-                    // An abortion handler may report Eab by raising.
-                    Unwind::Raise(e) => eab = Some(e),
-                    Unwind::Suspend => {}
-                    Unwind::Outer { target, eab: e } => deeper = Some((target, e)),
-                    dead @ (Unwind::Crash | Unwind::Fatal(_)) => return Err(self.unwind_dead(dead)),
-                },
+            Landing::Dead(dead) => dead,
+        };
+        match dead {
+            // Like a process death: layers broken, no message sent, and a
+            // `Crash` entry for the never-closed one. Frames pop
+            // innermost-out, so the last one recorded is the outermost
+            // action the crash discarded — the one a restart rejoins.
+            Unwind::Crash => {
+                self.last_crash = Some(self.frame().id.action);
+                self.close_frame(Release::Undo, || EventKind::Crash);
             }
+            _ => self.close_frame(Release::Rollback, || EventKind::Abort { eab: None }),
         }
-        // Undo the aborted action's effects; effects that cannot be undone
-        // taint the object (ƒ semantics).
-        self.release_rollback_or_taint();
-        self.observe_top(|| EventKind::Abort {
-            eab: eab.as_ref().map(|e| *e.id()),
-        });
-        self.pop_frame();
-        if let Some((target, e)) = deeper {
-            // The cascade continues past the original target.
-            return Err(Flow::new(Unwind::Outer { target, eab: e }));
-        }
-        Ok(eab)
+        Err(Flow::new(dead))
     }
 
-    /// Takes the objects the top frame registered (each completion path
-    /// releases them exactly once), with its action and the release instant.
-    fn take_objects(&mut self) -> (ActionId, VirtualInstant, Vec<Box<dyn TxControl>>) {
-        let now = self.endpoint.now();
-        let frame = self.frame_mut();
-        (frame.id.action, now, std::mem::take(&mut frame.objects))
-    }
-
-    /// Gives the (released) list [`Ctx::take_objects`] took back to the top
-    /// frame, emptied: the list keeps its capacity for the frames to come.
-    fn return_objects(&mut self, mut objects: Vec<Box<dyn TxControl>>) {
-        objects.clear();
-        self.frame_mut().objects = objects;
-    }
-
-    /// Rolls the top frame's layer back on every object it registered —
-    /// tainting instead where the object is irreversible (ƒ semantics) — and
-    /// forwards each release's wake-up to the next waiter. Returns `false`
-    /// when some effect could not be undone.
-    fn release_rollback_or_taint(&mut self) -> bool {
-        let (action, now, objects) = self.take_objects();
-        let mut undone = true;
-        for obj in &objects {
-            match obj.rollback(action, now) {
-                Ok(wake) => self.forward_wake(wake),
-                Err(ObjectError::UndoImpossible { .. }) => {
-                    if let Ok(wake) = obj.commit_tainted(action, now) {
-                        self.forward_wake(wake);
-                    }
-                    undone = false;
-                }
-                Err(ObjectError::NotAcquired { .. }) => {}
-            }
-        }
-        self.return_objects(objects);
-        undone
-    }
-
-    /// Pops the top frame without ceremony (fatal-error path).
-    fn discard_current_frame(&mut self) {
-        let (action, now, objects) = self.take_objects();
-        for obj in &objects {
-            if let Ok(wake) = obj.rollback(action, now) {
-                self.forward_wake(wake);
-            }
-        }
-        self.return_objects(objects);
-        self.observe_top(|| EventKind::Abort { eab: None });
+    /// Ends the top frame: pops its layer on every object it registered as
+    /// `how` says, logs `end` and pops the frame.
+    fn close_frame(&mut self, how: Release, end: impl FnOnce() -> EventKind) {
+        self.release(how);
+        self.observe_top(end);
         self.pop_frame();
     }
 
-    /// Crash-stop: discards the top frame like a process death — objects
-    /// this thread registered are rolled back (the crashed node's
-    /// transaction layers are broken), no handlers run, no messages are
-    /// sent. Emits a [`EventKind::Crash`] event so traces and oracles can
-    /// account for the never-closed entry.
-    fn crash_current_frame(&mut self) {
-        self.release_rollback_or_taint();
-        let action = self.frame().id.action;
-        self.observe(action, || EventKind::Crash);
-        // The unwind pops frames innermost-out; the last one recorded
-        // is the outermost action the crash discarded — the instance a
-        // restart would ask to rejoin.
-        self.last_crash = Some(action);
-        self.pop_frame();
+    /// [`objects::release`] over the top frame's objects.
+    fn release(&mut self, how: Release) -> bool {
+        let frame = self.stack.last_mut().expect("frame active");
+        objects::release(&mut frame.objects, frame.id.action, how, &self.endpoint)
     }
 
     fn pop_frame(&mut self) {
@@ -1036,16 +904,19 @@ impl Ctx {
     // Phases
     // ------------------------------------------------------------------
 
-    /// Exit protocol after a body that completed normally, then finalize
-    /// `Success` if no recovery begins.
-    fn phase_exit(&mut self, def: &DefInner) -> Step<ActionOutcome> {
-        match self.run_exit()? {
-            RoundEnd::Exited => self.finalize(ActionOutcome::Success),
-            RoundEnd::Recover => self.phase_recover(def, RecoveryStart::Suspend),
-            // A peer's view change removed this thread (or a rejoiner gave
-            // up): the survivors conclude without us — resolve locally to
-            // abortion (ƒ) so objects are tainted, not left hanging.
-            _ => self.finalize(ActionOutcome::Failed),
+    /// The exit protocol, then leaving the action as [`rounds::leave`]
+    /// decides: `signalled` is what a recovery's signalling concluded,
+    /// `None` after a body that completed normally.
+    fn phase_exit(
+        &mut self,
+        def: &DefInner,
+        signalled: Option<ActionOutcome>,
+    ) -> Step<ActionOutcome> {
+        let end = self.run_exit()?;
+        match leave(end, signalled) {
+            Ok(Leave::Finalize(outcome)) => self.finalize(outcome),
+            Ok(Leave::Recover) => self.phase_recover(def, RecoveryStart::Suspend),
+            Err(violation) => self.violated(Round::Exit, violation),
         }
     }
 
@@ -1068,46 +939,14 @@ impl Ctx {
         // that asked to rejoin while they ran. Done after the new exit
         // epoch opens so grants carry the epoch the joiner must vote in.
         self.flush_pending_joins();
-        let outcome = match my_signal {
-            Signal::None => ActionOutcome::Success,
-            Signal::Exception(id) => ActionOutcome::Signalled(id),
-            Signal::Undo => ActionOutcome::Undone,
-            Signal::Failure => ActionOutcome::Failed,
-        };
-        match self.run_exit()? {
-            RoundEnd::Exited => self.finalize(outcome),
-            // Stragglers cannot re-trigger (the frame is marked recovered);
-            // a genuine trigger here is a protocol bug.
-            RoundEnd::Recover => Err(protocol_error("recovery re-triggered after signalling")),
-            // This thread was removed from the view between signalling and
-            // exit: ƒ dominates whatever the signalling round concluded.
-            _ => self.finalize(ActionOutcome::Failed),
-        }
+        self.phase_exit(def, Some(my_signal.into()))
     }
 
-    /// Commits or finalizes objects per outcome and pops the frame.
+    /// Releases the objects as `outcome` says and pops the frame.
     fn finalize(&mut self, outcome: ActionOutcome) -> Step<ActionOutcome> {
-        let (action, now, objects) = self.take_objects();
-        for obj in &objects {
-            let released = match &outcome {
-                // Forward recovery leaves objects in (new) valid states.
-                ActionOutcome::Success | ActionOutcome::Signalled(_) => obj.commit(action, now),
-                // Rollback already happened during the undo round; any
-                // layer still open (acquired after undo) is discarded.
-                ActionOutcome::Undone => obj.rollback(action, now),
-                // ƒ: effects may not have been undone; leave them visible
-                // and taint the objects.
-                ActionOutcome::Failed => obj.commit_tainted(action, now),
-            };
-            if let Ok(wake) = released {
-                self.forward_wake(wake);
-            }
-        }
-        self.return_objects(objects);
-        self.observe_top(|| EventKind::Exit {
+        self.close_frame(release_on_exit(&outcome), || EventKind::Exit {
             outcome: outcome.clone(),
         });
-        self.pop_frame();
         Ok(outcome)
     }
 
@@ -1240,28 +1079,17 @@ impl Ctx {
 
     /// The one bounded-collect round (see the module docs), entered after
     /// the caller announced to the view. Each pass polls `round`'s predicate
-    /// over the view as it is now, then receives until the round's deadline
-    /// — `timeout` from the last arming, unbounded when `None` — and
-    /// performs what the round decides about the arrival or the expiry.
+    /// over the view as it is now, then waits until the round's deadline —
+    /// `timeout` from the last arming, unbounded when `None` — for what the
+    /// round decides about the arrival or the expiry.
     fn collect(&mut self, round: Round, timeout: Option<VirtualDuration>) -> Step<RoundEnd> {
         let mut deadline = self.deadline_in(timeout);
         loop {
             if let Some(end) = round.status(self.stack.last().map(Box::as_ref)) {
                 return Ok(end);
             }
-            let (index, action) = match self.recv_until(deadline)? {
-                Some(received) => self.classify(received, round),
-                None => {
-                    let top = self.stack.len().saturating_sub(1);
-                    let protocol = &*self.system.protocol;
-                    (
-                        top,
-                        round.expired(self.stack.last_mut().map(Box::as_mut), self.me, protocol),
-                    )
-                }
-            };
-            match self.perform(round, index, action)? {
-                Performed::Continue => {}
+            match self.wait(round, deadline)? {
+                Performed::Continue | Performed::Rang => {}
                 Performed::Rearm => deadline = self.deadline_in(timeout),
                 Performed::End(end) => return Ok(end),
             }
@@ -1301,9 +1129,19 @@ impl Ctx {
             RoundAction::CapDropped => self.system.stats.borrow_mut().retained_dropped += 1,
             RoundAction::CountCorrupted => self.system.stats.borrow_mut().corrupted_ignored += 1,
             RoundAction::Interrupt(unwind) => return Err(Flow::new(unwind)),
-            RoundAction::Violation(what) => return Err(protocol_error(what)),
+            RoundAction::Violation(Violation(what)) => {
+                return Err(RuntimeError::Protocol(what).into());
+            }
         }
         Ok(Performed::Continue)
+    }
+
+    /// Performs a violation a round decided between waits: the thread ends
+    /// as [`Ctx::perform`] ends it.
+    fn violated<T>(&mut self, round: Round, violation: Violation) -> Step<T> {
+        let top = self.stack.len().saturating_sub(1);
+        self.perform(round, top, RoundAction::Violation(violation))?;
+        unreachable!("a violation ends the thread")
     }
 
     /// Round-agnostic suspicion: the bounded wait of `round` expired with
@@ -1316,9 +1154,10 @@ impl Ctx {
     fn suspect_round(&mut self, round: Round, suspects: &[ThreadId]) -> Step {
         let action = self.frame().id.action;
         self.observe_timeout(round, suspects);
-        let decision = self.frame_mut().view.suspect(suspects).map_err(|reason| {
-            protocol_error(format!("membership view change rejected: {reason}"))
-        })?;
+        let decision = match self.frame_mut().suspect(suspects) {
+            Ok(decision) => decision,
+            Err(violation) => return self.violated(round, violation),
+        };
         let (epoch, recipients) = match decision {
             Eviction::Refused { .. } => {
                 self.system.stats.borrow_mut().suspicions_refused += 1;
@@ -1368,7 +1207,7 @@ impl Ctx {
                 EventKind::ExitTimeout { epoch }
             }
             // Only rounds of a frame time out on peers.
-            Round::Body | Round::Join { .. } => return,
+            Round::Body | Round::Object | Round::Join { .. } => return,
         };
         drop(stats);
         self.observe_top(|| kind);
@@ -1522,7 +1361,7 @@ impl Ctx {
                 Err(_) => ok = false,
             }
         }
-        ok &= self.release_rollback_or_taint();
+        ok &= self.release(Release::Undo);
         if ok {
             Signal::Undo
         } else {
@@ -1580,44 +1419,29 @@ impl Ctx {
     // Message routing
     // ------------------------------------------------------------------
 
+    /// What `received` means while `round` is in progress
+    /// ([`rounds::classify`]), with the index of the frame it addresses.
+    fn classify(&mut self, received: Received<Message>, round: Round) -> (usize, RoundAction) {
+        let (finished, retained) = (&self.finished, self.retained.len());
+        rounds::classify(
+            received,
+            round,
+            &mut self.stack,
+            finished,
+            retained,
+            self.me,
+        )
+    }
+
     /// Non-blocking poll point: absorbs everything deliverable now; unwinds
     /// if recovery must take over (or a scheduled crash instant passed).
     fn poll(&mut self) -> Step {
         self.crash_check()?;
         while let Some(received) = self.endpoint.try_recv()? {
-            self.absorb_or_unwind(received)?;
+            let (index, action) = self.classify(received, Round::Body);
+            self.perform(Round::Body, index, action)?;
         }
         Ok(())
-    }
-
-    /// Routes one message during *body* execution: control messages for the
-    /// active action interrupt it.
-    fn absorb_or_unwind(&mut self, received: Received<Message>) -> Step {
-        let (index, action) = self.classify(received, Round::Body);
-        self.perform(Round::Body, index, action).map(drop)
-    }
-
-    /// Asks the frame of a received message's instance — or, when it has
-    /// none here, the retention rule — what the message means while `round`
-    /// is in progress. Returns the decision and the frame's index.
-    fn classify(&mut self, received: Received<Message>, round: Round) -> (usize, RoundAction) {
-        let depth = self.stack.len();
-        let Some(msg) = received.msg else {
-            let top = depth.saturating_sub(1);
-            return (
-                top,
-                corrupted(self.stack.last_mut().map(Box::as_mut), round, self.me),
-            );
-        };
-        let action = msg.action();
-        match self.stack.iter().position(|f| f.id.action == action) {
-            Some(i) => (i, self.stack[i].absorb(msg, i + 1 == depth, round)),
-            None => {
-                let finished = self.finished.binary_search(&action.serial()).is_ok();
-                let retained = self.retained.len();
-                (depth, unframed(msg, round, self.me, finished, retained))
-            }
-        }
     }
 
     /// Called by the system when the thread body finishes: release the

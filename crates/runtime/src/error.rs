@@ -104,6 +104,10 @@ pub enum RuntimeError {
     /// An operation that requires an active action was invoked outside any
     /// action (e.g. `raise` at a thread's top level).
     NoActiveAction(&'static str),
+    /// [`Ctx::rejoin`](crate::Ctx::rejoin) was invoked inside an action: a
+    /// restarted participant rejoins from its thread's top level, with an
+    /// empty action stack.
+    RejoinInAction,
     /// `raise` was invoked from within an exception handler; handlers must
     /// report failure through their verdict instead (termination model).
     RaiseInHandler,
@@ -130,6 +134,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::NoActiveAction(op) => {
                 write!(f, "{op} requires an active CA action")
+            }
+            RuntimeError::RejoinInAction => {
+                f.write_str("rejoin requires an empty action stack (top-level restart)")
             }
             RuntimeError::RaiseInHandler => {
                 f.write_str("handlers cannot raise; return a verdict instead")

@@ -13,8 +13,7 @@
 //! the detector is the same:
 //!
 //! 1. **Bounded wait.** The round waits on a per-round virtual-time
-//!    deadline (the
-//!    [`recv_deadline`](caa_simnet::Endpoint::recv_deadline) machinery):
+//!    deadline (the deadline of [`caa_simnet::Endpoint::wait`]):
 //!    resolution on the action's
 //!    [`resolution timeout`](crate::ActionDefBuilder::resolution_timeout),
 //!    signalling on its

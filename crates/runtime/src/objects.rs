@@ -58,8 +58,9 @@
 //!
 //! Conditions 1–3 only change at *arbitration events* — a grant, a layer
 //! pop (release), a cancellation, or a registration. Waiters therefore do
-//! **not** poll their quantum grid: they park on the simulation
-//! ([`caa_simnet::Endpoint::park_wait`]) and every event recomputes the
+//! **not** poll their quantum grid: they open a doorbell wait on the
+//! simulation ([`caa_simnet::Endpoint::begin_wait`]) and block in its one
+//! wait ([`caa_simnet::Endpoint::wait`]), and every event recomputes the
 //! one waiter that can now win — the minimum compatible waiter — and
 //! schedules a doorbell ([`caa_simnet::Network::schedule_wake`]) at the
 //! first tick of **that waiter's own grid** strictly after the event.
@@ -71,6 +72,11 @@
 //! invalidates simply fails its (authoritative) `try_access` re-check and
 //! re-parks; failed attempts set no gate and are invisible to traces,
 //! exactly as under polling.
+//!
+//! A context reaches all of this through an `Acquisition` (one request,
+//! from registration to grant or withdrawal) and `release` (an ending
+//! frame's layers); both ring the doorbells the events compute, and the
+//! context only waits.
 //!
 //! Layer pops are commutative under same-instant cross-thread races: a
 //! commit splices the owning action's layer out of the stack wherever it
@@ -85,10 +91,12 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use caa_core::ids::{ActionId, ThreadId};
+use caa_core::ids::{ActionId, PartitionId, ThreadId};
 use caa_core::inline::InlineVec;
+use caa_core::message::Message;
 use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
+use caa_simnet::FiberEndpoint;
 
 /// Arbitration quantum: every access is granted on a tick of the
 /// requester's quantum grid (`registration + k·OBJECT_QUANTUM`, `k ≥ 1`),
@@ -97,8 +105,8 @@ use caa_core::time::{VirtualDuration, VirtualInstant};
 pub(crate) const OBJECT_QUANTUM: VirtualDuration = VirtualDuration::from_millis(1);
 
 /// A wake-up the arbitration computed for the next eligible waiter:
-/// `(thread, instant, wait epoch)`, forwarded by the caller to
-/// [`caa_simnet::Network::schedule_wake`]. The epoch is the one the
+/// `(thread, instant, wait epoch)`, rung as a doorbell ([`ring`],
+/// [`caa_simnet::Network::schedule_wake`]). The epoch is the one the
 /// waiter registered with ([`caa_simnet::Endpoint::begin_wait`]), so a
 /// wake computed just before the waiter abandoned its request cannot
 /// ring into a later, unrelated wait. `None` when no waiter can
@@ -597,13 +605,147 @@ fn open_missing_layers<T: Clone>(inner: &mut ObjectInner<T>, chain: &[ActionId])
     opened
 }
 
+/// Rings the doorbell an arbitration event computed, if any
+/// (wake-on-release).
+fn ring(endpoint: &FiberEndpoint<Message>, wake: Wake) {
+    if let Some((thread, at, epoch)) = wake {
+        endpoint
+            .network()
+            .schedule_wake(PartitionId::new(thread.as_u32()), at, epoch);
+    }
+}
+
+/// One thread's request for an object, from registration to its end: the
+/// state of the object round ([`crate::rounds::Round::Object`]). Either
+/// end closes the doorbell wait ([`caa_simnet::Endpoint::end_wait`]), so
+/// no doorbell stays armed for the waits that follow.
+pub(crate) struct Acquisition<'o, T> {
+    object: &'o SharedObject<T>,
+    thread: ThreadId,
+    /// The requester's open actions, outermost first.
+    chain: InlineVec<ActionId, CHAIN_INLINE>,
+    /// When the request was registered: its grid's anchor, and where the
+    /// logged wait starts.
+    pub(crate) since: VirtualInstant,
+}
+
+impl<'o, T: Clone + 'static> Acquisition<'o, T> {
+    /// Registers `thread`'s request for `object` on behalf of `chain`
+    /// (outermost first, requesting action last) under a fresh doorbell
+    /// wait, whose epoch tags every wake computed for it, and rings the
+    /// requester's first attempt if it is already the eligible minimum.
+    pub(crate) fn request(
+        object: &'o SharedObject<T>,
+        thread: ThreadId,
+        chain: InlineVec<ActionId, CHAIN_INLINE>,
+        endpoint: &FiberEndpoint<Message>,
+    ) -> Self {
+        let epoch = endpoint.begin_wait();
+        let since = endpoint.now();
+        ring(
+            endpoint,
+            object.enqueue_waiter(thread, since, &chain, epoch),
+        );
+        Acquisition {
+            object,
+            thread,
+            chain,
+            since,
+        }
+    }
+
+    /// The doorbell rang: one attempt, authoritative — a stale doorbell
+    /// simply fails, and the requester waits on. On grant `f` has run: the
+    /// wait ends, the next eligible waiter is rung, and `f`'s value comes
+    /// back with the number of layers the grant opened.
+    pub(crate) fn attempt<R, F: FnOnce(&mut T, &mut bool) -> R>(
+        &self,
+        f: &mut Option<F>,
+        endpoint: &FiberEndpoint<Message>,
+    ) -> Option<(R, usize)> {
+        let now = endpoint.now();
+        match self.object.try_access(self.thread, now, &self.chain, f) {
+            AccessOutcome::NotYet => None,
+            AccessOutcome::Done {
+                value,
+                opened,
+                wake,
+            } => {
+                endpoint.end_wait();
+                ring(endpoint, wake);
+                Some((value, opened))
+            }
+        }
+    }
+
+    /// Recovery or the crash instant ended the wait first: takes the
+    /// request back — an event, so the next eligible waiter is rung — and
+    /// closes the wait.
+    pub(crate) fn withdraw(self, endpoint: &FiberEndpoint<Message>) {
+        ring(
+            endpoint,
+            self.object.cancel_waiter(self.thread, endpoint.now()),
+        );
+        endpoint.end_wait();
+    }
+}
+
+/// How an ending frame pops the layer it holds on each object it
+/// registered (the choice: [`crate::rounds::release_on_exit`] for an
+/// action that exits, [`Release::Undo`] for an abort or crash,
+/// [`Release::Rollback`] for a fatal end).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Release {
+    /// Commit into the layer below (forward recovery).
+    Commit,
+    /// Discard the layer; an effect that cannot be undone stays as it is.
+    Rollback,
+    /// Commit, and taint the object (ƒ: effects may not have been undone).
+    Taint,
+    /// Discard the layer, tainting instead where the object is
+    /// irreversible (ƒ semantics).
+    Undo,
+}
+
+/// Pops `action`'s layer on each of `objects` as `how` says — each ending
+/// path of a frame releases them exactly once, and the list is left empty,
+/// its capacity kept — ringing the doorbell each release computes. Returns
+/// `false` when some effect could not be undone (only [`Release::Undo`]
+/// can tell).
+pub(crate) fn release(
+    objects: &mut Vec<Box<dyn TxControl>>,
+    action: ActionId,
+    how: Release,
+    endpoint: &FiberEndpoint<Message>,
+) -> bool {
+    let now = endpoint.now();
+    let mut undone = true;
+    for obj in objects.drain(..) {
+        let released = match how {
+            Release::Commit => obj.commit(action, now),
+            Release::Rollback => obj.rollback(action, now),
+            Release::Taint => obj.commit_tainted(action, now),
+            Release::Undo => match obj.rollback(action, now) {
+                Err(ObjectError::UndoImpossible { .. }) => {
+                    undone = false;
+                    obj.commit_tainted(action, now)
+                }
+                rolled_back => rolled_back,
+            },
+        };
+        if let Ok(wake) = released {
+            ring(endpoint, wake);
+        }
+    }
+    undone
+}
+
 /// Action-facing transaction control, object-type erased so an action frame
 /// can track heterogeneous objects.
 ///
 /// Layer pops are *releases* — arbitration events — so the mutating
-/// operations return the [`Wake`] for the next eligible waiter; the
-/// calling [`Ctx`](crate::Ctx) forwards it to the network as a scheduled
-/// doorbell (wake-on-release).
+/// operations return the [`Wake`] for the next eligible waiter, which
+/// [`release`] rings as a scheduled doorbell (wake-on-release).
 pub(crate) trait TxControl {
     /// Stable identity of the underlying object (names need not be
     /// unique): the shared allocation's address.

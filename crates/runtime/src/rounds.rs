@@ -1,13 +1,21 @@
 //! Sans-IO round state: the action frame, and what each coordination
 //! round of the recovery protocol *decides*.
 //!
-//! `Ctx::collect` (see [`crate::context`]) runs the one bounded-collect
-//! loop; this module holds what differs between rounds, as pure
+//! `Ctx::wait` (see [`crate::context`]) is the one wait every round blocks
+//! in; this module holds what differs between rounds, as pure
 //! `event → action` state in the shape [`ResolverState::on_event`] has. A
 //! [`Round`] says whether it is complete ([`Round::status`]) and whom it
 //! found silent at its deadline ([`Round::expired`]); the frame it runs in
-//! says what an arriving message means ([`Frame::absorb`], [`unframed`],
-//! [`corrupted`]). Each answer is a [`RoundAction`] the driver executes.
+//! says what an arriving message means ([`classify`]: [`Frame::absorb`],
+//! [`unframed`], [`corrupted`]). Each answer is a [`RoundAction`] the
+//! driver executes.
+//! So are the decisions taken between rounds: where an unwind lands at a
+//! frame and what an abortion handler's result carries on (the §3.3.1
+//! cascade: [`land`], [`aborted`]), how an action leaves once its exit
+//! round ended ([`leave`]) and releases its objects ([`release_on_exit`]),
+//! whether a rejoin grant re-admits ([`admit`]) and whether a suspicion may
+//! change the view ([`Frame::suspect`]). A decision that no correct run
+//! takes is a [`RoundAction::Violation`], never an error made on the spot.
 //! Nothing here sends, receives, observes or reads a clock, so every
 //! decision is unit-tested below without a network, a system or a thread.
 //! (The eviction quorum gate lives with the view it guards:
@@ -20,12 +28,14 @@ use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, RoleId, ThreadId};
 use caa_core::inline::InlineVec;
 use caa_core::message::{Message, SignalRound};
+use caa_core::outcome::ActionOutcome;
+use caa_simnet::Received;
 
 use crate::action::DefInner;
 use crate::context::AppMsg;
 use crate::error::Unwind;
-use crate::membership::{FrameMembership, ViewSnapshot, GROUP_INLINE};
-use crate::objects::TxControl;
+use crate::membership::{Eviction, FrameMembership, ViewSnapshot, GROUP_INLINE};
+use crate::objects::{Release, TxControl};
 use crate::protocol::{ProtoActions, ProtoCtx, ResolutionProtocol, ResolverState};
 
 /// One entry of the action stack (`SA`), grouped by responsibility.
@@ -309,21 +319,21 @@ impl Frame {
                     });
                 }
                 if !is_top {
-                    return RoundAction::Violation(
+                    return RoundAction::Violation(Violation(
                         "resolution message received for enclosing action while nested".into(),
-                    );
+                    ));
                 }
                 match round {
                     Round::Resolution => RoundAction::Resolve(msg),
-                    Round::Body if trigger => {
+                    Round::Body | Round::Object if trigger => {
                         // Control for the active action interrupts its body.
                         self.inbox.control.push_back(msg);
                         RoundAction::Interrupt(Unwind::Suspend)
                     }
-                    Round::Body => RoundAction::Violation(format!(
+                    Round::Body | Round::Object => RoundAction::Violation(Violation(format!(
                         "unexpected {} while body running",
                         msg.kind()
-                    )),
+                    ))),
                     Round::Exit => match msg {
                         Message::Exception { .. } | Message::Suspended { .. } => {
                             // A peer started recovery while we were leaving:
@@ -338,10 +348,10 @@ impl Frame {
                         // full bounded wait to expire first). Adopt the
                         // removals and keep exiting over the new view.
                         Message::ViewChange { removed, .. } => RoundAction::Adopt(removed),
-                        other => RoundAction::Violation(format!(
+                        other => RoundAction::Violation(Violation(format!(
                             "unexpected {} during exit",
                             other.kind()
-                        )),
+                        ))),
                     },
                     // Unreachable in a signalling exchange (the frame is
                     // marked recovered) and in the grant wait (no frame).
@@ -386,6 +396,15 @@ impl Frame {
                 RoundAction::Continue
             }
         }
+    }
+
+    /// A bounded wait expired with `suspects` silent: the quorum gate
+    /// decides ([`FrameMembership::suspect`]); a view change that cannot
+    /// apply is a violation.
+    pub(crate) fn suspect(&mut self, suspects: &[ThreadId]) -> Result<Eviction, Violation> {
+        self.view
+            .suspect(suspects)
+            .map_err(|reason| Violation(format!("membership view change rejected: {reason}")))
     }
 
     /// Answers a restarted participant's `JoinRequest`: re-admits it into
@@ -437,6 +456,34 @@ pub(crate) struct JoinGranted {
     pub(crate) revote: Option<Message>,
 }
 
+/// What a received message means while `round` is in progress, with the
+/// index of the frame it addresses: asked of the frame of its instance on
+/// `stack`, or — when it has none here — of the retention rule
+/// ([`unframed`]; `finished` holds the sorted serials of the instances this
+/// thread left, `retained` how many messages it holds back).
+pub(crate) fn classify(
+    received: Received<Message>,
+    round: Round,
+    stack: &mut [Box<Frame>],
+    finished: &[u64],
+    retained: usize,
+    me: ThreadId,
+) -> (usize, RoundAction) {
+    let depth = stack.len();
+    let Some(msg) = received.msg else {
+        let top = depth.saturating_sub(1);
+        return (top, corrupted(stack.last_mut().map(Box::as_mut), round, me));
+    };
+    let action = msg.action();
+    match stack.iter().position(|f| f.id.action == action) {
+        Some(i) => (i, stack[i].absorb(msg, i + 1 == depth, round)),
+        None => {
+            let finished = finished.binary_search(&action.serial()).is_ok();
+            (depth, unframed(msg, round, me, finished, retained))
+        }
+    }
+}
+
 /// Upper bound on retained messages: instances a thread never enters (e.g.
 /// a peer's raise inside an action abandoned by recovery) would otherwise
 /// accumulate their triggers forever.
@@ -445,7 +492,7 @@ const RETAINED_CAP: usize = 4096;
 /// Decides what a message for an instance that has no frame here means:
 /// the grant a [`Round::Join`] wait is for, a straggler if the instance
 /// `finished` at this thread, else retained up to the cap.
-pub(crate) fn unframed(
+fn unframed(
     msg: Message,
     round: Round,
     me: ThreadId,
@@ -469,11 +516,11 @@ pub(crate) fn unframed(
 
 /// Decides what a corrupted message (payload unrecoverable) means to the
 /// active frame while `round` is in progress.
-pub(crate) fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -> RoundAction {
+fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -> RoundAction {
     match (round, frame) {
         // A corrupted message during normal computation raises the action's
         // corruption exception (Figure 7's `l_mes`).
-        (Round::Body, Some(frame))
+        (Round::Body | Round::Object, Some(frame))
             if frame.recovery.in_handler.is_none() && !frame.recovery.recovered =>
         {
             let e = Exception::new(frame.id.def.corruption_exception)
@@ -656,12 +703,18 @@ impl ExitBarrier {
     }
 }
 
-/// What a thread's receive loop is waiting on: one of the four
-/// bounded-collect rounds of the protocol, or nothing in particular.
+/// What a thread's wait serves: one of the four bounded-collect rounds of
+/// the protocol, a shared-object acquisition, or nothing in particular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Round {
     /// Not a round: a role body (or handler) at a poll point.
     Body,
+    /// A role body's shared-object acquisition
+    /// ([`crate::objects::Acquisition`]): a body poll point that also wakes
+    /// on its doorbell. A message means what it means to the body. The
+    /// scheduled crash instant is only the wait's deadline here, so what
+    /// is due at that instant — messages, the doorbell — is taken first.
+    Object,
     /// §3.3.2: every member's `Exception`/`Suspended` entry, then the
     /// elected resolver's `Commit`.
     Resolution,
@@ -707,8 +760,14 @@ pub(crate) enum RoundAction {
     /// Recovery takes over: unwind the role body.
     Interrupt(Unwind),
     /// The event cannot occur in a correct run.
-    Violation(String),
+    Violation(Violation),
 }
+
+/// A decision no correct run takes, named: the thread performing it ends
+/// with [`RuntimeError::Protocol`](crate::RuntimeError::Protocol) carrying
+/// the text.
+#[derive(Debug)]
+pub(crate) struct Violation(pub(crate) String);
 
 /// How a round ended.
 #[derive(Debug)]
@@ -754,7 +813,7 @@ impl Round {
                 .next()
                 .is_none()
                 .then_some(RoundEnd::Exited),
-            Round::Body | Round::Join { .. } => None,
+            Round::Body | Round::Object | Round::Join { .. } => None,
         }
     }
 
@@ -767,9 +826,12 @@ impl Round {
         me: ThreadId,
         protocol: &dyn ResolutionProtocol,
     ) -> RoundAction {
-        let Some(frame) = frame else {
+        let frame = match (self, frame) {
+            // A body's own deadline: nothing follows.
+            (Round::Body | Round::Object, _) => return RoundAction::Continue,
             // The grant wait: no survivor answered.
-            return RoundAction::End(RoundEnd::Excluded);
+            (_, None) => return RoundAction::End(RoundEnd::Excluded),
+            (_, Some(frame)) => frame,
         };
         match self {
             // Presume the peers the resolver is blocked on crashed; the
@@ -778,11 +840,11 @@ impl Round {
                 let (resolver, ctx) = frame.proto_ctx(me, protocol);
                 let suspects = resolver.waiting_on(&ctx);
                 if suspects.is_empty() {
-                    return RoundAction::Violation(
+                    return RoundAction::Violation(Violation(
                         "bounded resolution wait expired but the protocol reports no suspects \
                          (resolution protocol without membership support?)"
                             .into(),
-                    );
+                    ));
                 }
                 RoundAction::Suspect {
                     suspects,
@@ -817,9 +879,122 @@ impl Round {
                 suspects: frame.exit.silent(frame.view.members()).collect(),
                 then: None,
             },
-            Round::Body | Round::Join { .. } => RoundAction::Continue,
+            Round::Body | Round::Object | Round::Join { .. } => RoundAction::Continue,
         }
     }
+}
+
+/// How a role body was started or restarted into recovery.
+#[derive(Debug)]
+pub(crate) enum RecoveryStart {
+    /// This thread raised the exception.
+    Raise(Exception),
+    /// This thread suspends because of peers' exceptions.
+    Suspend,
+}
+
+/// Where an unwind that reached a frame lands (§3.3.1).
+#[derive(Debug)]
+pub(crate) enum Landing {
+    /// Recovery starts at this frame.
+    Recover(RecoveryStart),
+    /// Recovery lands further out, at `target`: this frame is aborted on
+    /// the way, and its abortion handler's result ([`aborted`]) carries the
+    /// cascade on.
+    Abort { target: ActionId },
+    /// A crash-stop or a fatal error passes through: the frame is discarded
+    /// with no handler.
+    Dead(Unwind),
+}
+
+/// Where `unwind` lands at the frame of instance `at`.
+pub(crate) fn land(unwind: Unwind, at: ActionId) -> Landing {
+    match unwind {
+        Unwind::Raise(e) => Landing::Recover(RecoveryStart::Raise(e)),
+        Unwind::Suspend => Landing::Recover(RecoveryStart::Suspend),
+        // Recovery lands here: the abortion-handler exception of the
+        // directly nested action (if any) is raised, else this thread
+        // suspends.
+        Unwind::Outer { target, eab } if target == at => Landing::Recover(match eab {
+            Some(e) => RecoveryStart::Raise(e),
+            None => RecoveryStart::Suspend,
+        }),
+        Unwind::Outer { target, .. } => Landing::Abort { target },
+        dead @ (Unwind::Crash | Unwind::Fatal(_)) => Landing::Dead(dead),
+    }
+}
+
+/// What the abortion handler of a frame aborted on the way to `target`
+/// came to: `Ok((eab, next))` — the frame is aborted reporting `eab`, and
+/// `next` carries the cascade on — or `Err(dead)` when the handler
+/// crash-stopped or failed fatally. A handler reports `Eab` by returning or
+/// raising it; a trigger for an action further out extends the cascade.
+pub(crate) fn aborted(
+    result: Result<Option<Exception>, Unwind>,
+    target: ActionId,
+) -> Result<(Option<ExceptionId>, Unwind), Unwind> {
+    let eab = match result {
+        Ok(eab) => eab,
+        Err(Unwind::Raise(e)) => Some(e),
+        Err(Unwind::Suspend) => None,
+        Err(outer @ Unwind::Outer { .. }) => return Ok((None, outer)),
+        Err(dead) => return Err(dead),
+    };
+    Ok((eab.as_ref().map(|e| *e.id()), Unwind::Outer { target, eab }))
+}
+
+/// How an action leaves once its exit round ended.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Leave {
+    Finalize(ActionOutcome),
+    /// A peer started recovery while this thread was leaving: join it.
+    Recover,
+}
+
+/// How an action leaves once its exit round ended with `end`; `signalled`
+/// is what its recovery's signalling concluded, `None` when the body
+/// completed normally.
+pub(crate) fn leave(end: RoundEnd, signalled: Option<ActionOutcome>) -> Result<Leave, Violation> {
+    match (end, signalled) {
+        (RoundEnd::Exited, outcome) => {
+            Ok(Leave::Finalize(outcome.unwrap_or(ActionOutcome::Success)))
+        }
+        (RoundEnd::Recover, None) => Ok(Leave::Recover),
+        // Stragglers cannot re-trigger (the frame is marked recovered).
+        (RoundEnd::Recover, Some(_)) => {
+            Err(Violation("recovery re-triggered after signalling".into()))
+        }
+        // A peer's view change removed this thread (or a rejoiner gave up):
+        // the survivors conclude without us. ƒ dominates whatever the
+        // signalling concluded, so objects are tainted, not left hanging.
+        _ => Ok(Leave::Finalize(ActionOutcome::Failed)),
+    }
+}
+
+/// How an action that ends with `outcome` releases its objects.
+pub(crate) fn release_on_exit(outcome: &ActionOutcome) -> Release {
+    match outcome {
+        // Forward recovery leaves objects in (new) valid states.
+        ActionOutcome::Success | ActionOutcome::Signalled(_) => Release::Commit,
+        // Rolled back in the undo round; a layer opened after it is
+        // discarded.
+        ActionOutcome::Undone => Release::Rollback,
+        ActionOutcome::Failed => Release::Taint,
+    }
+}
+
+/// The view a restarted participant re-enters `group` with, from the
+/// `epoch` and cumulative `removed` set of the grant that ended its grant
+/// wait ([`Round::Join`]). A grant that does not re-admit `me` is a
+/// violation.
+pub(crate) fn admit(
+    group: &[ThreadId],
+    epoch: u32,
+    removed: &[ThreadId],
+    me: ThreadId,
+) -> Result<FrameMembership, Violation> {
+    FrameMembership::sync_grant(group, epoch, removed, me)
+        .map_err(|reason| Violation(format!("join grant rejected: {reason}")))
 }
 
 #[cfg(test)]
@@ -1655,5 +1830,163 @@ pub(crate) mod tests {
             f.absorb(exception(1), true, Round::Exit),
             RoundAction::Continue
         ));
+    }
+
+    // -- between rounds: the cascade, leaving, releasing, violations -----
+
+    const OUTER: ActionId = ActionId::top_level(3);
+
+    fn raised(name: &str) -> Exception {
+        Exception::new(name).with_origin(t(0))
+    }
+
+    /// What a landing says, as text: the start, the target, or the unwind.
+    fn landed(unwind: Unwind) -> String {
+        format!("{:?}", land(unwind, ACTION))
+    }
+
+    #[test]
+    fn an_unwind_lands_where_section_3_3_1_says() {
+        assert!(landed(Unwind::Raise(raised("e"))).starts_with("Recover(Raise("));
+        assert_eq!(landed(Unwind::Suspend), "Recover(Suspend)");
+        // At its target, the nested action's `Eab` is raised here, or this
+        // thread suspends.
+        let eab = Some(raised("eab"));
+        let at_target = landed(Unwind::Outer {
+            target: ACTION,
+            eab,
+        });
+        assert!(at_target.starts_with("Recover(Raise(") && at_target.contains("eab"));
+        let at_target = landed(Unwind::Outer {
+            target: ACTION,
+            eab: None,
+        });
+        assert_eq!(at_target, "Recover(Suspend)");
+        // Past the frame: it is aborted on the way, whatever `Eab` was.
+        for eab in [None, Some(raised("eab"))] {
+            assert!(matches!(
+                land(Unwind::Outer { target: OUTER, eab }, ACTION),
+                Landing::Abort { target: OUTER }
+            ));
+        }
+        assert!(matches!(
+            land(Unwind::Crash, ACTION),
+            Landing::Dead(Unwind::Crash)
+        ));
+        let fatal = Unwind::Fatal(crate::RuntimeError::RaiseInHandler);
+        assert!(matches!(
+            land(fatal, ACTION),
+            Landing::Dead(Unwind::Fatal(_))
+        ));
+    }
+
+    #[test]
+    fn an_abortion_handler_reports_eab_or_carries_the_cascade_deeper() {
+        let eab_id = ExceptionId::new("eab");
+        let to_outer = |eab: Option<ExceptionId>| {
+            move |next: &Unwind| {
+                matches!(next, Unwind::Outer { target: OUTER, eab: e }
+                    if e.as_ref().map(|e| *e.id()) == eab)
+            }
+        };
+        // Returning or raising `Eab` reports it, and the cascade goes on
+        // toward the original target carrying it.
+        for result in [Ok(Some(raised("eab"))), Err(Unwind::Raise(raised("eab")))] {
+            let (eab, next) = aborted(result, OUTER).expect("aborted, not dead");
+            assert_eq!(eab, Some(eab_id));
+            assert!(to_outer(Some(eab_id))(&next));
+        }
+        // No `Eab`: returned none, or suspended.
+        for result in [Ok(None), Err(Unwind::Suspend)] {
+            let (eab, next) = aborted(result, OUTER).expect("aborted, not dead");
+            assert_eq!(eab, None);
+            assert!(to_outer(None)(&next));
+        }
+        // A trigger further out extends the cascade past the target; the
+        // frame itself reports no `Eab`.
+        let deeper = ActionId::top_level(1);
+        let (eab, next) = aborted(
+            Err(Unwind::Outer {
+                target: deeper,
+                eab: Some(raised("inner")),
+            }),
+            OUTER,
+        )
+        .expect("aborted, not dead");
+        assert_eq!(eab, None);
+        assert!(matches!(next, Unwind::Outer { target, eab: Some(_) } if target == deeper));
+        // A handler that crashes or fails fatally leaves the frame dead.
+        assert!(matches!(
+            aborted(Err(Unwind::Crash), OUTER),
+            Err(Unwind::Crash)
+        ));
+        let fatal = Unwind::Fatal(crate::RuntimeError::RaiseInHandler);
+        assert!(matches!(aborted(Err(fatal), OUTER), Err(Unwind::Fatal(_))));
+    }
+
+    #[test]
+    fn an_action_leaves_as_its_exit_round_ended() {
+        let signalled = ActionOutcome::Signalled(ExceptionId::new("s"));
+        let left = |end, signalled| leave(end, signalled).expect("no violation");
+        assert_eq!(
+            left(RoundEnd::Exited, None),
+            Leave::Finalize(ActionOutcome::Success)
+        );
+        assert_eq!(
+            left(RoundEnd::Exited, Some(signalled.clone())),
+            Leave::Finalize(signalled.clone())
+        );
+        assert_eq!(left(RoundEnd::Recover, None), Leave::Recover);
+        for signalled in [None, Some(signalled)] {
+            assert_eq!(
+                left(RoundEnd::Excluded, signalled),
+                Leave::Finalize(ActionOutcome::Failed)
+            );
+        }
+    }
+
+    #[test]
+    fn each_outcome_releases_its_objects_one_way() {
+        let signalled = ActionOutcome::Signalled(ExceptionId::new("s"));
+        for (outcome, release) in [
+            (ActionOutcome::Success, Release::Commit),
+            (signalled, Release::Commit),
+            (ActionOutcome::Undone, Release::Rollback),
+            (ActionOutcome::Failed, Release::Taint),
+        ] {
+            assert_eq!(release_on_exit(&outcome), release, "{outcome:?}");
+        }
+    }
+
+    fn violated<T: std::fmt::Debug>(decision: Result<T, Violation>) -> String {
+        decision.expect_err("a violation").0
+    }
+
+    #[test]
+    fn a_trigger_after_signalling_is_a_violation() {
+        let signalled = Some(ActionOutcome::Undone);
+        let Violation(what) = leave(RoundEnd::Recover, signalled).expect_err("a violation");
+        assert_eq!(what, "recovery re-triggered after signalling");
+    }
+
+    #[test]
+    fn a_grant_that_does_not_readmit_the_joiner_is_a_violation() {
+        let group = [t(0), t(1), t(2)];
+        let view = admit(&group, 1, &[t(2)], t(0)).expect("re-admits T0");
+        assert_eq!((view.epoch(), view.members()), (1, &[t(0), t(1)][..]));
+        let what = violated(admit(&group, 1, &[t(0)], t(0)));
+        assert!(what.starts_with("join grant rejected: "), "{what}");
+    }
+
+    #[test]
+    fn a_suspicion_the_view_cannot_apply_is_a_violation() {
+        let mut f = frame();
+        assert!(f.suspect(&[t(1)]).is_ok());
+        // T1 is gone already: removing it again applies nothing.
+        let what = violated(f.suspect(&[t(1)]));
+        assert!(
+            what.starts_with("membership view change rejected: "),
+            "{what}"
+        );
     }
 }

@@ -142,6 +142,24 @@ fn rejoin_after_the_group_concluded_gives_up_cleanly() {
     );
 }
 
+/// A rejoin is a restart at the thread's top level. Called with an action
+/// open it is the caller's misuse — a binding error, like `RoleMismatch` —
+/// not a protocol violation, and the thread ends with it.
+#[test]
+fn rejoin_inside_an_action_is_a_binding_error() {
+    let solo = ActionDef::builder("solo").role("s", 0u32).build().unwrap();
+    let host = ActionDef::builder("host").role("h", 0u32).build().unwrap();
+    let mut sys = System::builder().build();
+    sys.spawn("restarted", move |ctx| {
+        let crashed = ctx.enter(&solo, "s", |rc| rc.crash_stop());
+        assert!(crashed.is_err_and(|flow| flow.is_crash()));
+        ctx.enter(&host, "h", |rc| rc.rejoin(&solo, "s").map(drop))?;
+        Ok(())
+    });
+    let report = sys.run();
+    assert_eq!(report.results[0].1, Err(RuntimeError::RejoinInAction));
+}
+
 /// Rejoin with more than one granter: every survivor with the frame open
 /// answers the broadcast `JoinRequest` independently; the first grant
 /// readmits the joiner, the duplicates are dropped, and the rejoin is

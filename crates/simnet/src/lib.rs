@@ -60,8 +60,9 @@
 //! receiver, and a time advance wakes only the endpoints whose wake-up
 //! point was reached — the unique next runners instead of the herd. For
 //! wait conditions the network cannot see (e.g. the runtime's
-//! shared-object arbitration), [`Endpoint::park_wait`] parks a thread
-//! with no polling timer at all and [`Network::schedule_wake`] lets
+//! shared-object arbitration), a thread opens a doorbell wait
+//! ([`Endpoint::begin_wait`]) and blocks in the one [`Endpoint::wait`]
+//! with no polling timer at all, and [`Network::schedule_wake`] lets
 //! whoever *enables* the condition ring that thread's doorbell at a
 //! chosen virtual instant — wake-on-release rather than
 //! wake-every-quantum. Wake-up routing is pure wall-clock optimisation:

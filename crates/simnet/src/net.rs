@@ -177,21 +177,21 @@ impl<M> Received<M> {
     }
 }
 
-/// What ended an [`Endpoint::park_wait`].
+/// What ended an [`Endpoint::wait`].
 #[derive(Debug)]
 pub enum Parked<M> {
     /// A message became deliverable (always reported before a same-instant
-    /// doorbell, so parked waiters drain their inbox first).
+    /// doorbell, so a waiter drains its inbox first).
     Msg(Received<M>),
     /// The endpoint's doorbell rang: virtual time reached the instant a
     /// peer (or the endpoint itself) scheduled with
     /// [`Network::schedule_wake`] for the current wait epoch
     /// ([`Endpoint::begin_wait`]). The doorbell is consumed.
     Doorbell,
-    /// The caller-supplied deadline of [`Endpoint::park_wait_until`] was
-    /// reached (with no message and no doorbell due at the same instant).
-    /// The doorbell — which belongs to the wait's scheduler, e.g. an
-    /// object arbitration — is left untouched.
+    /// The wait's deadline was reached (with no message and no doorbell
+    /// due at the same instant). A doorbell armed for a later instant is
+    /// left to the wait's scheduler, e.g. an object arbitration, which
+    /// ends the wait ([`Endpoint::end_wait`]).
     Deadline,
 }
 
@@ -374,8 +374,8 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
 
     /// Rings endpoint `id`'s doorbell at virtual instant `at`, replacing
     /// any pending doorbell: the endpoint's next (or current)
-    /// [`Endpoint::park_wait`] returns [`Parked::Doorbell`] once virtual
-    /// time reaches `at`.
+    /// [`Endpoint::wait`] returns [`Parked::Doorbell`] once virtual time
+    /// reaches `at`.
     ///
     /// This is the targeted-wake hook for *wait-condition* scheduling
     /// above the network (the runtime's wake-on-release object
@@ -388,8 +388,9 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// `epoch` must be the wait epoch the computation was based on (the
     /// value of [`Endpoint::begin_wait`] that the target published to the
     /// scheduler, e.g. in an object's waiter entry). A mismatch means the
-    /// targeted wait has since ended — the doorbell would be stale, and
-    /// is dropped. Unknown or retired endpoints are ignored too.
+    /// targeted wait has since ended ([`Endpoint::end_wait`]) — the
+    /// doorbell would be stale, and is dropped. Unknown or retired
+    /// endpoints are ignored too.
     pub fn schedule_wake(&self, id: PartitionId, at: VirtualInstant, epoch: u64) {
         self.host.with(|core| core.schedule_wake(id, at, epoch));
     }
@@ -438,7 +439,9 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
         self.net.host.with(|core| core.send(self.id, dst, msg))
     }
 
-    /// Receives the next message, blocking until one is deliverable.
+    /// Receives the next message, blocking until one is deliverable: a
+    /// [`wait`](Endpoint::wait) with no deadline that goes on past a
+    /// doorbell.
     ///
     /// # Errors
     ///
@@ -446,10 +449,11 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// progress.
     #[inline(always)]
     pub fn recv(&mut self) -> Result<Received<M>, SimError> {
-        let id = self.id;
-        self.net
-            .block_on(id, |core| core.recv_turn(id, None))
-            .map(|received| received.expect("a receive with no deadline ends with a message"))
+        loop {
+            if let Parked::Msg(received) = self.wait(None)? {
+                return Ok(received);
+            }
+        }
     }
 
     /// Receives the next message if one is already deliverable.
@@ -461,88 +465,27 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
         self.net.host.with(|core| core.try_recv(self.id))
     }
 
-    /// Receives the next message, waiting at most `timeout`.
-    ///
-    /// Returns `Ok(None)` on timeout — the hook the runtime uses to treat
-    /// lost messages as the failure exception (§3.4).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress.
-    pub fn recv_timeout(
-        &mut self,
-        timeout: VirtualDuration,
-    ) -> Result<Option<Received<M>>, SimError> {
-        let deadline = self.net.now().saturating_add(timeout);
-        self.recv_deadline(deadline)
-    }
-
-    /// Receives the next message, waiting until `deadline` at the latest —
-    /// [`Endpoint::recv_timeout`] with an absolute instant instead of a
-    /// duration, so per-round protocol waits (the §3.4 signalling timeout,
-    /// the bounded exit wait, the membership extension's bounded resolution
-    /// wait) can share one deadline across many receive calls without the
-    /// caller re-deriving a remaining duration each time.
-    ///
-    /// Returns `Ok(None)` once virtual time reaches `deadline` with nothing
-    /// deliverable.
+    /// Waits for the first of: a deliverable message, this endpoint's
+    /// doorbell, and `deadline` (when given) — reported in that order when
+    /// they fall on one instant. The network's one blocking wait with a
+    /// deadline or a doorbell: a waiter whose condition only *another*
+    /// thread can enable opens a doorbell wait ([`Endpoint::begin_wait`])
+    /// and is woken by a targeted [`Network::schedule_wake`] — no polling
+    /// timer. While blocked, the endpoint's only wake-up points are its
+    /// next delivery, its doorbell and the deadline.
     ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress.
+    /// progress — which covers doorbell waits nobody will ever enable, a
+    /// wait-for cycle that a polling design would spin on forever.
     #[inline(always)]
-    pub fn recv_deadline(
-        &mut self,
-        deadline: VirtualInstant,
-    ) -> Result<Option<Received<M>>, SimError> {
+    pub fn wait(&mut self, deadline: Option<VirtualInstant>) -> Result<Parked<M>, SimError> {
         let id = self.id;
-        self.net
-            .block_on(id, |core| core.recv_turn(id, Some(deadline)))
+        self.net.block_on(id, |core| core.wait_turn(id, deadline))
     }
 
-    /// Parks until a message becomes deliverable or this endpoint's
-    /// doorbell rings — the wait-condition-driven counterpart of polling
-    /// with [`Endpoint::recv_timeout`]. While parked, the endpoint
-    /// contributes no wake-up point beyond its doorbell (if set) and its
-    /// next delivery (if any): a waiter whose condition can only be
-    /// enabled by *another* thread parks unboundedly and is woken by a
-    /// targeted [`Network::schedule_wake`] from whoever enables it.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress. With doorbell-less parked waiters this now also covers
-    /// waits nobody will ever enable — a wait-for cycle that the old
-    /// polling design would spin on forever.
-    pub fn park_wait(&mut self) -> Result<Parked<M>, SimError> {
-        self.park_wait_until(None)
-    }
-
-    /// Like [`Endpoint::park_wait`], but additionally wakes with
-    /// [`Parked::Deadline`] once virtual time reaches `deadline` (when one
-    /// is given). The deadline is independent of the doorbell: it belongs
-    /// to the *caller* (e.g. a scheduled crash-stop instant bounding an
-    /// object-acquisition wait), while the doorbell belongs to whatever
-    /// scheduler the wait's epoch was published to — a deadline wake-up
-    /// neither consumes nor reorders pending doorbells, and a message or
-    /// doorbell due at the same instant is reported first.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress.
-    #[inline(always)]
-    pub fn park_wait_until(
-        &mut self,
-        deadline: Option<VirtualInstant>,
-    ) -> Result<Parked<M>, SimError> {
-        let id = self.id;
-        self.net.block_on(id, |core| core.park_turn(id, deadline))
-    }
-
-    /// Opens a new parked wait: discards any doorbell left over from an
+    /// Opens a doorbell wait: discards any doorbell left over from an
     /// earlier wait and returns the wait's fresh epoch. Publish the epoch
     /// to whichever scheduler will compute this wait's wake-ups (e.g. an
     /// object's waiter queue); [`Network::schedule_wake`] calls carrying
@@ -550,7 +493,15 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// raced against the end of the previous wait cannot ring a stale
     /// bell into this one.
     pub fn begin_wait(&self) -> u64 {
-        self.net.host.with(|core| core.begin_wait(self.id))
+        self.net.host.with(|core| core.new_epoch(self.id))
+    }
+
+    /// Ends the doorbell wait [`Endpoint::begin_wait`] opened, whichever
+    /// way it ended: disarms its doorbell, and a
+    /// [`Network::schedule_wake`] still naming its epoch is ignored — the
+    /// waits that follow wake for their own messages and deadlines only.
+    pub fn end_wait(&self) {
+        self.net.host.with(|core| core.new_epoch(self.id));
     }
 
     /// Sleeps for `dur` — models local computation taking virtual time.
@@ -708,19 +659,19 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_returns_none_when_nothing_arrives() {
+    fn a_wait_ends_at_its_deadline_when_nothing_arrives() {
         let net = virtual_net(LatencyModel::default());
         let mut a = net.endpoint("a");
         // A timed wait has a wake-up point, so a lone endpoint is not a
-        // deadlock: virtual time advances straight to the timeout.
-        let got = a.recv_timeout(secs(2.0)).unwrap();
-        assert!(got.is_none());
+        // deadlock: virtual time advances straight to the deadline.
+        let got = a.wait(Some(VirtualInstant::EPOCH + secs(2.0))).unwrap();
+        assert!(matches!(got, Parked::Deadline));
         assert!(net.now() >= VirtualInstant::EPOCH + secs(2.0));
         a.retire();
     }
 
     #[test]
-    fn recv_timeout_returns_message_when_it_arrives_first() {
+    fn a_wait_returns_a_message_that_arrives_before_its_deadline() {
         let net = virtual_net(LatencyModel::Fixed(secs(0.3)));
         let mut a = net.endpoint("a");
         let b = net.endpoint("b");
@@ -729,8 +680,10 @@ mod tests {
             b.send(a_id, Msg(5));
             b.retire();
         });
-        let got = a.recv_timeout(secs(10.0)).unwrap();
-        assert_eq!(got.unwrap().msg.unwrap(), Msg(5));
+        match a.wait(Some(VirtualInstant::EPOCH + secs(10.0))).unwrap() {
+            Parked::Msg(got) => assert_eq!(got.msg.unwrap(), Msg(5)),
+            other => panic!("expected the message, got {other:?}"),
+        }
         tb.join().unwrap();
         a.retire();
     }
@@ -821,19 +774,19 @@ mod tests {
     }
 
     #[test]
-    fn park_wait_consumes_a_scheduled_doorbell_at_its_instant() {
+    fn a_wait_consumes_a_scheduled_doorbell_at_its_instant() {
         let net = virtual_net(LatencyModel::default());
         let mut a = net.endpoint("a");
         let epoch = a.begin_wait();
         net.schedule_wake(a.id(), VirtualInstant::EPOCH + secs(0.005), epoch);
-        match a.park_wait().unwrap() {
+        match a.wait(None).unwrap() {
             Parked::Doorbell => {}
             other => panic!("expected the doorbell, got {other:?}"),
         }
         assert_eq!(net.now(), VirtualInstant::EPOCH + secs(0.005));
-        // The bell is consumed: a further park has no wake-up point and,
+        // The bell is consumed: a further wait has no wake-up point and,
         // with no peers, is a detected deadlock (not a hang).
-        assert!(matches!(a.park_wait(), Err(SimError::Deadlock(_))));
+        assert!(matches!(a.wait(None), Err(SimError::Deadlock(_))));
     }
 
     #[test]
@@ -844,7 +797,7 @@ mod tests {
         let _current = a.begin_wait();
         net.schedule_wake(a.id(), VirtualInstant::EPOCH + secs(0.001), old);
         assert!(
-            matches!(a.park_wait(), Err(SimError::Deadlock(_))),
+            matches!(a.wait(None), Err(SimError::Deadlock(_))),
             "a doorbell computed for a finished wait must not wake the new one"
         );
     }
@@ -857,15 +810,15 @@ mod tests {
         let a_id = a.id();
         let epoch = a.begin_wait();
         // Bell and delivery land at the same virtual instant (1 ms): the
-        // park must drain the message first, then report the bell.
+        // wait must drain the message first, then report the bell.
         net.schedule_wake(a_id, VirtualInstant::EPOCH + secs(0.001), epoch);
         b.send(a_id, Msg(1));
         b.retire();
-        match a.park_wait().unwrap() {
+        match a.wait(None).unwrap() {
             Parked::Msg(m) => assert_eq!(m.msg.unwrap(), Msg(1)),
             other => panic!("message must be reported before the bell, got {other:?}"),
         }
-        match a.park_wait().unwrap() {
+        match a.wait(None).unwrap() {
             Parked::Doorbell => {}
             other => panic!("only one message was sent, got {other:?}"),
         }
@@ -1098,9 +1051,11 @@ mod tests {
         }
     }
 
-    /// Sends (one of them lost), a corrupted reply, a `recv_deadline` that
-    /// expires, a parked wait that a stale doorbell must not end and a
-    /// current one does, then a wait for nothing.
+    /// Sends (one of them lost), a corrupted reply, a wait that reaches its
+    /// deadline, a doorbell wait that a stale doorbell must not end and a
+    /// current one does, then — the doorbell wait ended, and a late wake
+    /// still naming its epoch — a receive that must not wake for that bell
+    /// and waits for nothing.
     fn alice<H: Host<Msg>>(mut ep: Endpoint<Msg, H>, [_, b, c]: [PartitionId; 3]) -> Log {
         let mut log = Log::new();
         let stale = ep.begin_wait();
@@ -1113,10 +1068,13 @@ mod tests {
         ep.send(c, Msg(5)); // still in flight when carol retires
         seen(&mut log, "reply", &ep.recv().unwrap());
         let deadline = ep.now() + secs(0.01);
-        let nothing = ep.recv_deadline(deadline).unwrap();
+        let nothing = ep.wait(Some(deadline)).unwrap();
         log.push(format!("deadline: {nothing:?} at {}", at(ep.now())));
-        let parked = ep.park_wait().unwrap();
+        let parked = ep.wait(None).unwrap();
         log.push(format!("parked: {parked:?} at {}", at(ep.now())));
+        ep.end_wait();
+        let late = ep.now() + secs(1.0);
+        ep.network().schedule_wake(ep.id(), late, current);
         log.push(format!("end: {:?}", ep.recv().unwrap_err()));
         log
     }
@@ -1212,11 +1170,14 @@ mod tests {
         // The script did what it set out to.
         for line in [
             "reply: None from 1",             // the corrupted reply
-            "deadline: None at",              // recv_deadline expired
+            "deadline: Deadline at",          // the wait's deadline passed
             "parked: Doorbell at 2000000000", // not the stale bell at 1 s
             "got: Some(Msg(3)) from 0",       // Msg(2) was lost
             "try: false",
             r#"blocked: [("alice", "recv"), ("bob", "recv")]"#,
+            // The late bell at 3 s woke nobody: the receive after the
+            // ended doorbell wait deadlocked where it began.
+            "ended at 2000000000",
         ] {
             assert!(on_threads.contains(line), "{line:?} not in\n{on_threads}");
         }

@@ -35,11 +35,11 @@ pub type Turn<T> = Option<Result<T, SimError>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockKind {
+    /// [`Core::wait_turn`]: blocked until a message is deliverable, the
+    /// endpoint's doorbell rings (see [`Core::schedule_wake`]) or the
+    /// wait's deadline passes.
     Recv,
     Sleep,
-    /// [`Core::park_turn`]: blocked until a message is deliverable or the
-    /// endpoint's doorbell rings (see [`Core::schedule_wake`]).
-    Park,
 }
 
 impl BlockKind {
@@ -47,14 +47,7 @@ impl BlockKind {
         match self {
             BlockKind::Recv => "recv",
             BlockKind::Sleep => "sleep",
-            BlockKind::Park => "park",
         }
-    }
-
-    /// Whether an endpoint blocked this way re-evaluates its predicate
-    /// when a message becomes deliverable.
-    fn receives_messages(self) -> bool {
-        matches!(self, BlockKind::Recv | BlockKind::Park)
     }
 }
 
@@ -75,14 +68,17 @@ struct ActorSlot<M> {
     /// runs so it is recycled with the slot ([`NetArena`]).
     stack: Option<Stack>,
     /// Pending explicit wake-up, if any ([`Core::schedule_wake`]): consumed
-    /// by [`Core::park_turn`] when virtual time reaches it.
+    /// by [`Core::wait_turn`] when virtual time reaches it. Armed only
+    /// while a doorbell wait is open ([`Core::new_epoch`] disarms it at
+    /// either end), so a wait that is not one never wakes for it.
     doorbell: Option<VirtualInstant>,
-    /// Monotonic counter identifying the endpoint's *current* parked wait
-    /// ([`Core::begin_wait`]). [`Core::schedule_wake`] carries the epoch
-    /// its computation was based on and is ignored when it does not match
-    /// — a scheduler that raced against the end of an earlier wait (e.g.
-    /// an object releaser whose winner was cancelled and has since started
-    /// waiting elsewhere) cannot plant a stale doorbell into the new wait.
+    /// Monotonic counter identifying the endpoint's *current* doorbell
+    /// wait ([`Core::new_epoch`]). [`Core::schedule_wake`] carries the
+    /// epoch its computation was based on and is ignored when it does not
+    /// match — a scheduler that raced against the end of an earlier wait
+    /// (e.g. an object releaser whose winner was cancelled and has since
+    /// started waiting elsewhere) cannot plant a stale doorbell into the
+    /// new wait, nor into a receive after it.
     wait_epoch: u64,
     /// The endpoint's receive side: delivery heap and per-source link row.
     mailbox: Mailbox<M>,
@@ -470,7 +466,7 @@ impl<M> Core<M> {
                     // wake-up: only a time advance can make it
                     // deliverable, and the advance arbiter wakes exactly
                     // the endpoints whose wake-up point was reached.
-                    if !slot.running && slot.blocked_on.receives_messages() {
+                    if !slot.running && slot.blocked_on == BlockKind::Recv {
                         slot.wake_at = earlier(slot.wake_at, Some(deliver_at));
                         if deliver_at <= now {
                             slot.runnable = true;
@@ -499,8 +495,8 @@ impl<M> Core<M> {
             return; // stale: computed against an earlier, finished wait
         }
         slot.doorbell = Some(at);
-        if !slot.running && slot.blocked_on == BlockKind::Park {
-            // Re-derive the park's wake hint (min of next delivery and the
+        if !slot.running && slot.blocked_on == BlockKind::Recv {
+            // Re-derive the wait's wake hint (min of next delivery and the
             // new doorbell).
             slot.wake_at = earlier(slot.mailbox.head_deliver_at(), Some(at));
             // Wake the owner only if the bell is already due — the
@@ -512,9 +508,10 @@ impl<M> Core<M> {
         }
     }
 
-    /// Opens a new parked wait for `id`: discards any doorbell left over
-    /// from an earlier wait and returns the wait's fresh epoch.
-    pub fn begin_wait(&mut self, id: PartitionId) -> u64 {
+    /// Starts a fresh wait epoch for `id` — what opens a doorbell wait and
+    /// what ends one: disarms the doorbell and makes every wake computed
+    /// against an earlier epoch stale. Returns the new epoch.
+    pub fn new_epoch(&mut self, id: PartitionId) -> u64 {
         let slot = &mut self.actors[id.index()];
         slot.doorbell = None;
         slot.wait_epoch += 1;
@@ -529,35 +526,16 @@ impl<M> Core<M> {
         Ok(self.actors[id.index()].mailbox.pop_ready(self.now))
     }
 
-    /// One turn of a receive: the next deliverable message, or `None` once
-    /// virtual time has reached `deadline` (when there is one).
-    pub fn recv_turn(
-        &mut self,
-        id: PartitionId,
-        deadline: Option<VirtualInstant>,
-    ) -> Turn<Option<Received<M>>> {
-        self.turn(
-            id,
-            BlockKind::Recv,
-            |slot, now| match slot.mailbox.pop_ready(now) {
-                Some(received) => Some(Some(received)),
-                None if deadline.is_some_and(|at| at <= now) => Some(None),
-                None => None,
-            },
-            |slot| earlier(slot.mailbox.head_deliver_at(), deadline),
-        )
-    }
-
-    /// One turn of a parked wait: a deliverable message first, then a due
-    /// doorbell (consumed), then the caller's `deadline`.
-    pub fn park_turn(
+    /// One turn of a wait: a deliverable message first, then a due
+    /// doorbell (consumed), then `deadline` (when there is one).
+    pub fn wait_turn(
         &mut self,
         id: PartitionId,
         deadline: Option<VirtualInstant>,
     ) -> Turn<Parked<M>> {
         self.turn(
             id,
-            BlockKind::Park,
+            BlockKind::Recv,
             |slot, now| {
                 if let Some(received) = slot.mailbox.pop_ready(now) {
                     return Some(Parked::Msg(received));
@@ -566,10 +544,9 @@ impl<M> Core<M> {
                     slot.doorbell = None;
                     return Some(Parked::Doorbell);
                 }
-                if deadline.is_some_and(|at| at <= now) {
-                    return Some(Parked::Deadline);
-                }
-                None
+                deadline
+                    .is_some_and(|at| at <= now)
+                    .then_some(Parked::Deadline)
             },
             |slot| {
                 earlier(

@@ -50,6 +50,15 @@
 //!   `Trace::from_log(..).render()`), not a switch like the old
 //!   `CAA_TRACE`. `perf/src/host.rs` keeps its own re-exec variables and
 //!   is outside the scan;
+//! * every wait is a round boundary: no source in the workspace names the
+//!   simulator's retired blocking calls (`park_wait`, `recv_deadline`,
+//!   `recv_timeout`) — an endpoint blocks in its one `wait`; the runtime's
+//!   context names no object-arbitration call (an object's arbitration
+//!   lives in `runtime::objects`), has no ad-hoc `protocol_error`, and
+//!   builds `RuntimeError::Protocol` in one place, `Ctx::perform`'s arm for
+//!   the `Violation`s the rounds return — beside which only `system.rs`'s
+//!   panic and unwind reports and `error.rs`'s conversion of a simulator
+//!   error build one;
 //! * plans are edited one way: `caa_harness::edit` is the one grammar the
 //!   fuzzer draws from and the shrinker drops from, and a recipe the one
 //!   corpus format — the mutator table, the shrink-step type, the mutation
@@ -728,5 +737,120 @@ fn plans_are_edited_one_way() {
     assert!(
         !root().join("crates/harness/src/bisect.rs").exists(),
         "shrinking lives in `caa_harness::edit`"
+    );
+}
+
+/// Every `.rs` file of the workspace's own code — crates, shims, the
+/// facade, tests, examples and the benchmark — but this scan's.
+fn workspace_sources() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for dir in [
+        "crates",
+        "compat",
+        "src",
+        "tests",
+        "examples",
+        "perf/src",
+        "perf/tests",
+    ] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    files.retain(|file| !file.ends_with("tests/by_construction.rs"));
+    files
+}
+
+#[test]
+fn an_endpoint_blocks_in_one_wait() {
+    let files = workspace_sources();
+    assert!(files.len() > 100, "the scan found the sources: {files:?}");
+    for file in &files {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        for gone in ["park_wait", "recv_deadline", "recv_timeout"] {
+            assert!(
+                !source.contains(gone),
+                "{}: `{gone}` — an endpoint blocks in its one `wait`",
+                file.display()
+            );
+        }
+    }
+}
+
+/// The runtime's context, whole (its unit tests too).
+fn context_source() -> String {
+    fs::read_to_string(root().join("crates/runtime/src/context.rs")).expect("context.rs")
+}
+
+#[test]
+fn the_context_leaves_object_arbitration_to_the_objects() {
+    let context = context_source();
+    for call in [
+        "enqueue_waiter",
+        "try_access",
+        "cancel_waiter",
+        "AccessOutcome",
+        "schedule_wake",
+    ] {
+        assert!(
+            !context.contains(call),
+            "context.rs names `{call}`: an object round is an `objects::Acquisition`"
+        );
+    }
+}
+
+#[test]
+fn a_protocol_error_is_a_violation_a_round_returns() {
+    assert_eq!(
+        files_naming("protocol_error", &["crates/runtime/src"]),
+        [""; 0],
+        "a decision no correct run takes is a `rounds::Violation`"
+    );
+    // Where runtime code builds `RuntimeError::Protocol` (a match arm that
+    // only reads one, like `Display`'s, builds nothing).
+    let mut built = Vec::new();
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/runtime/src"), &mut files);
+    for file in &files {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        let mut within = "";
+        for line in outside_unit_tests(&source).lines() {
+            let code = line.trim_start();
+            if let Some(at) = code.find("fn ") {
+                if !code.starts_with("//") {
+                    let name = &code[at + 3..];
+                    within = &name[..name.find(['(', '<']).unwrap_or(name.len())];
+                }
+            }
+            let builds = code.contains("RuntimeError::Protocol(") && !code.contains(") =>");
+            if builds && !code.starts_with("//") {
+                let name = file.file_name().expect("a file").to_string_lossy();
+                built.push(format!("{name}: {within}"));
+            }
+        }
+    }
+    built.sort();
+    assert_eq!(
+        built,
+        [
+            "context.rs: perform",
+            "error.rs: from",
+            "system.rs: host",
+            "system.rs: spawn",
+        ],
+        "`RuntimeError::Protocol` is built for a round's `Violation` (in \
+         `Ctx::perform`), a panic or an unwind that escaped (in `system.rs`) \
+         and a simulator error converted (in `error.rs`) only"
+    );
+    let context = context_source();
+    let perform = &context[context.find("fn perform(").expect("Ctx::perform")..];
+    let arm = perform
+        .lines()
+        .position(|line| line.contains("RuntimeError::Protocol("))
+        .expect("perform builds the error");
+    assert!(
+        perform
+            .lines()
+            .nth(arm - 1)
+            .is_some_and(|line| { line.contains("RoundAction::Violation(") }),
+        "`Ctx::perform` builds it in its `Violation` arm"
     );
 }
