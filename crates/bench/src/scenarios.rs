@@ -15,6 +15,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use caa_core::exception::Exception;
+use caa_core::message::MessageKind;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::generate::conjunction_lattice;
@@ -263,13 +264,16 @@ pub fn simultaneous_raise_xrr(params: SimultaneousRaiseParams) -> SystemReport {
     run_simultaneous_raise(params, None)
 }
 
-/// Total messages attributable to the resolution algorithm in a report.
+/// Total messages attributable to the resolution algorithm in a report:
+/// those of every kind that
+/// [counts for resolution](MessageKind::counts_for_resolution).
 #[must_use]
 pub fn resolution_messages(report: &SystemReport) -> u64 {
-    report.net_stats.sent("Exception")
-        + report.net_stats.sent("Suspended")
-        + report.net_stats.sent("Commit")
-        + report.net_stats.sent("Resolve")
+    MessageKind::ALL
+        .into_iter()
+        .filter(|kind| kind.counts_for_resolution())
+        .map(|kind| report.net_stats.sent(kind.label()))
+        .sum()
 }
 
 /// The Lemma 1 bound for the given parameters:

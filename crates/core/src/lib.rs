@@ -15,8 +15,6 @@
 //! * [`inline`] — small-vector storage keeping the protocols' tiny live
 //!   sets off the heap on the execute hot path;
 //! * [`state`] — the N/X/S participant states of the resolution algorithm;
-//! * [`membership`] — per-action-instance membership views (epoch + live
-//!   member set) for the crash-aware resolution extension;
 //! * [`message`] — the protocol messages (`Exception`, `Suspended`,
 //!   `Commit`, `ViewChange`, `toBeSignalled`, exit votes, application
 //!   payloads);
@@ -60,7 +58,6 @@
 pub mod exception;
 pub mod ids;
 pub mod inline;
-pub mod membership;
 pub mod message;
 pub mod name;
 pub mod outcome;
@@ -70,7 +67,6 @@ pub mod time;
 pub use exception::{Exception, ExceptionId, Signal};
 pub use ids::{ActionId, PartitionId, RoleId, ThreadId};
 pub use inline::InlineVec;
-pub use membership::{MembershipView, ViewChangeOutcome};
 pub use message::{AppPayload, Message, MessageKind, SignalRound};
 pub use name::Name;
 pub use outcome::{ActionOutcome, HandlerVerdict};

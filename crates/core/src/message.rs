@@ -187,13 +187,13 @@ pub enum Message {
     /// `Commit(A, E)`: sent by the resolving thread to all other threads once
     /// it completes resolution; `E` is the resolving exception (§3.3.1).
     ///
-    /// The crash-aware extension piggybacks the resolver's membership view
-    /// on the commit: `view_epoch` and the *cumulative* `view_removed` set
-    /// (both trivial — epoch 0, empty — for crash-free recoveries). A
-    /// receiver that learns the resolving exception before a racing
-    /// [`ViewChange`](Message::ViewChange) announcement reaches it still
-    /// adopts the shrunken view, so its signalling and exit rounds do not
-    /// wait on presumed-crashed peers.
+    /// The crash-aware extension piggybacks the resolver's *cumulative*
+    /// removed set on the commit, `view_removed` (empty for crash-free
+    /// recoveries). A receiver removes whatever of it is still live in
+    /// its own view, so one that learns the resolving exception before a
+    /// racing [`ViewChange`](Message::ViewChange) announcement reaches it
+    /// still stops waiting on presumed-crashed peers in its signalling and
+    /// exit rounds.
     Commit {
         /// The action being recovered.
         action: ActionId,
@@ -201,8 +201,6 @@ pub enum Message {
         from: ThreadId,
         /// The resolving exception every participant must handle.
         resolved: ExceptionId,
-        /// The resolver's membership epoch at commit time.
-        view_epoch: u32,
         /// Every thread the resolver's view removed since epoch 0. Shared
         /// (`Rc`) so a commit broadcast to `N − 1` peers clones one
         /// reference per recipient instead of deep-copying the set; use
@@ -236,19 +234,18 @@ pub enum Message {
         signal: Signal,
     },
     /// Membership view change of the crash-aware resolution extension: the
-    /// sender's bounded resolution wait expired, it presumes the `removed`
-    /// threads crashed, and it re-runs resolution over the shrunken view.
-    /// Receivers apply the same removal (synthesizing the crash exception
-    /// for each removed thread) so every survivor agrees on the membership
-    /// `epoch` — and therefore on the resolving exception — before any
-    /// handler starts.
+    /// sender's bounded wait expired, it presumes the `removed` threads
+    /// crashed, and it re-runs its round over the shrunken view. A receiver
+    /// removes whatever of `removed` is still live in its own view (in
+    /// resolution, synthesizing the crash exception for each), so the
+    /// survivors agree on the member *set* — and therefore on the resolving
+    /// exception — before any handler starts. Epochs are each thread's own
+    /// count of view steps and travel in no announcement.
     ViewChange {
         /// The action whose membership shrinks.
         action: ActionId,
         /// The thread announcing the view change.
         from: ThreadId,
-        /// The new membership epoch (the initial full view is epoch 0).
-        epoch: u32,
         /// The threads presumed crashed and removed by this view change.
         /// Shared (`Rc`) so the announcement broadcast clones a reference
         /// per survivor instead of deep-copying the set.
@@ -280,7 +277,8 @@ pub enum Message {
         from: ThreadId,
         /// The re-admitted thread.
         thread: ThreadId,
-        /// The granter's membership epoch *after* re-admitting `thread`.
+        /// The granter's membership epoch *after* re-admitting `thread`:
+        /// the rejoiner's epoch too, when `removed` is not empty.
         epoch: u32,
         /// State summary: the granter's cumulative removed set *after*
         /// re-admission (`thread` is no longer in it), so the rejoiner
@@ -489,7 +487,6 @@ mod tests {
                 action: a,
                 from: t,
                 resolved: ExceptionId::new("e1"),
-                view_epoch: 0,
                 view_removed: no_removals(),
             },
             Message::Resolve {
@@ -501,7 +498,6 @@ mod tests {
             Message::ViewChange {
                 action: a,
                 from: t,
-                epoch: 1,
                 removed: Rc::from(vec![ThreadId::new(2)]),
             },
             Message::JoinRequest { action: a, from: t },

@@ -51,7 +51,6 @@ use std::cell::Cell;
 use std::fmt;
 
 use caa_core::inline::InlineVec;
-use caa_core::message::MessageKind;
 use caa_runtime::observe::EventKind;
 use caa_runtime::SystemReport;
 
@@ -100,7 +99,7 @@ pub enum Violation {
     MessageBoundExceeded {
         /// Canonical action label.
         action: u64,
-        /// Observed Exception+Suspended+Commit sends.
+        /// Observed sends of the kinds that count for resolution.
         messages: u64,
         /// The `(N+1)(N−1)` bound.
         bound: u64,
@@ -367,10 +366,7 @@ fn collect_views(views: &mut Views, trace: &Trace, exit_floor: f64) {
         let kind = match &entry.kind {
             EntryKind::Runtime(kind) => kind,
             EntryKind::NetSent(send) => {
-                if matches!(
-                    send.kind,
-                    MessageKind::Exception | MessageKind::Suspended | MessageKind::Commit
-                ) {
+                if send.kind.counts_for_resolution() {
                     view.resolution_msgs += 1;
                 }
                 continue;

@@ -71,7 +71,7 @@ use caa_simnet::{FiberEndpoint, Parked, Received};
 
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
-use crate::membership::{synthesize_crashes, Eviction, ViewSnapshot};
+use crate::membership::{synthesize_crashes, Eviction, ViewSnapshot, ViewStep};
 use crate::objects::{self, Acquisition, Release, SharedObject, TxControl};
 use crate::observe::{EntryKind, EventKind};
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
@@ -1158,33 +1158,38 @@ impl Ctx {
             Ok(decision) => decision,
             Err(violation) => return self.violated(round, violation),
         };
-        let (epoch, recipients) = match decision {
+        let (step, recipients) = match decision {
             Eviction::Refused { .. } => {
                 self.system.stats.borrow_mut().suspicions_refused += 1;
                 return Ok(());
             }
-            Eviction::Evict { epoch, recipients } => (epoch, recipients),
+            Eviction::Evict { step, recipients } => (step, recipients),
         };
-        self.system.stats.borrow_mut().view_changes += 1;
-        self.observe_top(|| EventKind::ViewChange {
-            epoch,
-            removed: suspects.into(),
-        });
+        self.observe_view_step(action, &step);
         // Announce before continuing the round: per-link FIFO then
         // guarantees every survivor sees the view change before any later
         // message this participant derives from it.
-        let removed: Rc<[ThreadId]> = Rc::from(suspects);
+        let removed: Rc<[ThreadId]> = Rc::from(step.removed.as_slice());
         let me = self.me;
         self.broadcast(&recipients, |_| Message::ViewChange {
             action,
             from: me,
-            epoch,
             removed: Rc::clone(&removed),
         });
         match round {
-            Round::Resolution => self.feed_view_change(suspects),
+            Round::Resolution => self.feed_view_change(&step.removed),
             _ => Ok(()),
         }
+    }
+
+    /// Counts and logs one step of the view of `action`'s frame: a local
+    /// eviction or an adopted announcement.
+    fn observe_view_step(&self, action: ActionId, step: &ViewStep) {
+        self.system.stats.borrow_mut().view_changes += 1;
+        self.observe(action, || EventKind::ViewChange {
+            epoch: step.epoch,
+            removed: step.removed.as_slice().into(),
+        });
     }
 
     /// Counts and reports the expiry of `round`'s bounded wait with
@@ -1213,25 +1218,16 @@ impl Ctx {
         self.observe_top(|| kind);
     }
 
-    /// Merges a removal set announced by a peer — a `ViewChange` step set
-    /// or the cumulative set piggybacked on a `Commit` — into the view of
-    /// the frame at `index` (set-wise, see [`crate::membership`]) and
-    /// returns the freshly removed threads, if any. A removal naming this
-    /// thread itself marks the frame evicted: a peer suspected us wrongly —
-    /// we are alive — and the survivors have moved on without us.
+    /// Merges a removal set announced by a peer — a `ViewChange`'s set or
+    /// the cumulative set piggybacked on a `Commit` — into the view of the
+    /// frame at `index` (set-wise, see [`crate::membership`]) and returns
+    /// the freshly removed threads, if any.
     fn adopt_removal_set(&mut self, index: usize, removed: &[ThreadId]) -> Option<Vec<ThreadId>> {
         let frame = &mut self.stack[index];
-        let (epoch, fresh) = frame.view.adopt_removals(removed)?;
-        if fresh.contains(&self.me) {
-            frame.view.evicted = true;
-        }
+        let step = frame.view.adopt_removals(self.me, removed)?;
         let action = frame.id.action;
-        self.system.stats.borrow_mut().view_changes += 1;
-        self.observe(action, || EventKind::ViewChange {
-            epoch,
-            removed: fresh.as_slice().into(),
-        });
-        Some(fresh)
+        self.observe_view_step(action, &step);
+        Some(step.removed)
     }
 
     /// Answers a restarted participant's `JoinRequest` at the frame at

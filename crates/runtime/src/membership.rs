@@ -1,13 +1,13 @@
 //! The crash-aware membership subsystem: a deterministic,
 //! simulation-driven failure detector for *every* bounded round of the
 //! protocol — resolution, signalling and exit — plus the reverse
-//! direction, epoch-numbered rejoin.
+//! direction, rejoin.
 //!
 //! §3.4 of the paper bounds waits for the signalling algorithm, and the
 //! exit protocol reuses the same rule; this module generalises the
 //! machinery so any bounded round can suspect its silent peers. Each
-//! action frame carries a `FrameMembership` (crate-internal): the
-//! [`MembershipView`] (live members + epoch) this participant holds of the
+//! action frame carries a `FrameMembership` (crate-internal): the live
+//! members, the removed set and the epoch this participant holds of the
 //! instance, the peers it heard from, and whether it was itself evicted.
 //! Whatever round the one collect loop in [`crate::context`] is running,
 //! the detector is the same:
@@ -38,56 +38,67 @@
 //!    simply re-collect their round over the shrunken view, so survivors
 //!    conclude with real view-stamped outcomes instead of absorbing the
 //!    crash as an exit-timeout ƒ.
-//! 4. **View agreement.** The initiator broadcasts
+//! 4. **View agreement, set-wise.** The initiator broadcasts
 //!    [`Message::ViewChange`](caa_core::message::Message::ViewChange) with
-//!    the `(epoch, removed)` pair to its *pre-removal* view. Receivers
-//!    merge **set-wise** (`FrameMembership::adopt_removals`): whatever
-//!    subset of `removed` is still live locally is removed at the
-//!    receiver's own next epoch. Epoch numbers are thread-local counters;
-//!    agreement is on the member *sets*, which concurrent suspicions from
-//!    different rounds reach commutatively (the sweep oracle checks that
-//!    survivors' cumulative removed sets form a chain under ⊆). A `Commit`
-//!    also carries the resolver's cumulative removed set, merged the same
-//!    way, so a survivor that receives the commit before a racing
-//!    `ViewChange` announcement still stops waiting on the dead.
+//!    the `removed` set to its *pre-removal* view. A receiver removes
+//!    whatever subset of it is still live locally
+//!    (`FrameMembership::adopt_removals`). A `Commit` carries the
+//!    resolver's cumulative removed set, merged the same way, so a
+//!    survivor that receives the commit before a racing `ViewChange`
+//!    announcement still stops waiting on the dead. Agreement is on the
+//!    member *sets*, which concurrent suspicions from different rounds
+//!    reach commutatively (the sweep oracle checks that survivors'
+//!    cumulative removed sets form a chain under ⊆). No message carries
+//!    an epoch for this: an epoch is a thread-local count of the steps its
+//!    view took, each removal or readmission one step, and it is what the
+//!    log's `ViewChange` and `Rejoin` events show.
 //!
-//! **Epoch-numbered rejoin.** Views can also grow back. A restarted
-//! participant broadcasts
+//! **Rejoin.** Views can also grow back. A restarted participant
+//! broadcasts
 //! [`Message::JoinRequest`](caa_core::message::Message::JoinRequest) to
 //! every other member of the group; each survivor that still holds the
 //! frame open re-admits the joiner locally (`FrameMembership::adopt_rejoin`,
 //! epoch + 1) and answers it with a
 //! [`Message::JoinGrant`](caa_core::message::Message::JoinGrant) — its
-//! post-grant epoch, its cumulative removed set *after* re-admission, the
-//! exit epoch, and the resolved exception if any. The joiner acts on the
-//! first grant: it reconstructs its view from scratch with
+//! epoch, its cumulative removed set *after* re-admission, the exit epoch,
+//! and the resolved exception if any. The joiner acts on the first grant:
+//! it builds its view from the group and the grant's removed set with
 //! `FrameMembership::sync_grant` and re-enters the action at the granter's
-//! exit epoch. Rejoin epochs are ordinary membership epochs: a re-admitted
-//! member can crash again and be removed again.
+//! exit epoch. A re-admitted member can crash again and be removed again.
 //!
 //! Everything is deterministic: deadlines are virtual-time instants, the
-//! suspect set is a pure function of protocol state, and view changes are
-//! totally ordered by epoch — the same seed replays the same crashes, the
-//! same view sequence and the same byte-identical trace.
+//! suspect set is a pure function of protocol state, and each view step is
+//! taken in the order its cause arrived — the same seed replays the same
+//! crashes, the same view sequence and the same byte-identical trace.
 
 use std::rc::Rc;
 
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::ids::ThreadId;
 use caa_core::inline::InlineVec;
-use caa_core::membership::{MembershipView, ViewChangeOutcome};
 use caa_core::message::no_removals;
 
-/// How many members a frame's per-participant tables (view snapshots,
-/// heard-from set, signalling table, exit votes, the resolver's `LE` list)
-/// hold inline. One constant, so a group that fits one table fits them all;
-/// bigger groups spill to the heap transparently.
+/// How many members a frame's per-participant tables (the view and its
+/// removed set, view snapshots, heard-from set, signalling table, exit
+/// votes, the resolver's `LE` list) hold inline. One constant, so a group
+/// that fits one table fits them all; bigger groups spill to the heap
+/// transparently.
 pub(crate) const GROUP_INLINE: usize = 8;
 
 /// A per-round snapshot of an action's live member set, kept on the stack
 /// (see [`caa_core::inline`]): protocol rounds snapshot the view once per
 /// round on the execute hot path.
 pub(crate) type ViewSnapshot = InlineVec<ThreadId, GROUP_INLINE>;
+
+/// One step a frame's view took by removing threads: the epoch it
+/// advanced to and the threads it removed (a local eviction's in the order
+/// they were suspected, an adopted announcement's ascending) — what the
+/// context counts and logs as a view change.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct ViewStep {
+    pub(crate) epoch: u32,
+    pub(crate) removed: Vec<ThreadId>,
+}
 
 /// What a suspicion round decided about its silent peers (see
 /// [`FrameMembership::suspect`]).
@@ -100,12 +111,12 @@ pub(crate) enum Eviction {
         survivors: usize,
         recently_alive: usize,
     },
-    /// The suspects were removed at `epoch`; the change is announced to
+    /// The suspects were removed in `step`; the change is announced to
     /// `recipients`, the *pre-removal* view — so a falsely suspected (live)
     /// peer learns of its eviction and gives up instead of
     /// counter-suspecting the survivors.
     Evict {
-        epoch: u32,
+        step: ViewStep,
         recipients: ViewSnapshot,
     },
 }
@@ -114,7 +125,12 @@ pub(crate) enum Eviction {
 /// failure detector.
 #[derive(Debug, Clone)]
 pub(crate) struct FrameMembership {
-    view: MembershipView,
+    /// The live members, sorted ascending (the group is ordered, `GA`).
+    members: ViewSnapshot,
+    /// Every thread removed and not re-admitted since, sorted ascending.
+    removed: ViewSnapshot,
+    /// How many steps the view took: 0 is the full group.
+    epoch: u32,
     /// Liveness evidence for the eviction quorum gate: every peer this
     /// thread received a protocol message from within this instance
     /// (application traffic excluded — only recovery, signalling, exit and
@@ -138,8 +154,13 @@ pub(crate) struct FrameMembership {
 impl FrameMembership {
     /// The initial full view over the action's group.
     pub(crate) fn new(group: &[ThreadId]) -> Self {
+        let mut members = ViewSnapshot::from_slice(group);
+        members.sort_unstable();
+        members.dedup();
         FrameMembership {
-            view: MembershipView::new(group),
+            members,
+            removed: ViewSnapshot::new(),
+            epoch: 0,
             heard_from: ViewSnapshot::new(),
             evicted: false,
             removed_cache: None,
@@ -154,12 +175,25 @@ impl FrameMembership {
 
     /// The live members, sorted ascending.
     pub(crate) fn members(&self) -> &[ThreadId] {
-        self.view.members()
+        &self.members
     }
 
     /// The current membership epoch.
     pub(crate) fn epoch(&self) -> u32 {
-        self.view.epoch()
+        self.epoch
+    }
+
+    fn contains(&self, thread: ThreadId) -> bool {
+        self.members.binary_search(&thread).is_ok()
+    }
+
+    /// Moves the live members `gone` (in any order, repeats allowed) to
+    /// the removed set. The epoch is the caller's to set.
+    fn remove(&mut self, gone: &[ThreadId]) {
+        self.members.retain(|t| !gone.contains(t));
+        self.removed.extend_from_slice(gone);
+        self.removed.sort_unstable();
+        self.removed.dedup();
     }
 
     /// Notes a protocol message from `peer`: it was alive within this
@@ -178,7 +212,7 @@ impl FrameMembership {
     /// Every thread removed so far, ascending.
     #[cfg(test)]
     pub(crate) fn removed(&self) -> &[ThreadId] {
-        self.view.removed()
+        &self.removed
     }
 
     /// [`FrameMembership::removed`] as a shared slice for message
@@ -186,21 +220,22 @@ impl FrameMembership {
     /// instead of copying the set per recipient.
     pub(crate) fn removed_shared(&mut self) -> Rc<[ThreadId]> {
         match &self.removed_cache {
-            Some((epoch, set)) if *epoch == self.view.epoch() => Rc::clone(set),
+            Some((epoch, set)) if *epoch == self.epoch => Rc::clone(set),
             _ => {
-                let set: Rc<[ThreadId]> = if self.view.removed().is_empty() {
+                let set: Rc<[ThreadId]> = if self.removed.is_empty() {
                     no_removals()
                 } else {
-                    Rc::from(self.view.removed())
+                    Rc::from(&self.removed[..])
                 };
-                self.removed_cache = Some((self.view.epoch(), Rc::clone(&set)));
+                self.removed_cache = Some((self.epoch, Rc::clone(&set)));
                 set
             }
         }
     }
 
     /// Decides a suspicion round: the bounded wait expired with `suspects`
-    /// silent — evict them, or refuse.
+    /// silent — evict them, or refuse. An empty suspect set, or one naming
+    /// a thread that is not a live member, is an error.
     ///
     /// Quorum gate (primary-partition rule): when the suspects this
     /// thread has *heard from* within the instance outnumber the view
@@ -219,7 +254,7 @@ impl FrameMembership {
     /// sole survivor can still evict a genuinely dead cohort. A tie still
     /// evicts, which preserves two-party recovery.
     pub(crate) fn suspect(&mut self, suspects: &[ThreadId]) -> Result<Eviction, String> {
-        let members = self.view.members();
+        let members = &self.members;
         let survivors = members.iter().filter(|t| !suspects.contains(t)).count();
         let recently_alive = suspects
             .iter()
@@ -232,66 +267,83 @@ impl FrameMembership {
                 recently_alive,
             });
         }
-        let recipients = ViewSnapshot::from_slice(members);
-        let epoch = self.view.epoch() + 1;
-        match self.view.apply(epoch, suspects) {
-            ViewChangeOutcome::Applied { .. } => Ok(Eviction::Evict { epoch, recipients }),
-            ViewChangeOutcome::Duplicate => Err("local view change applied nothing".into()),
-            ViewChangeOutcome::Conflict { reason } => Err(reason),
+        if suspects.is_empty() {
+            return Err("a suspicion removes nobody".into());
         }
+        if let Some(t) = suspects.iter().find(|&&t| !self.contains(t)) {
+            return Err(format!("a suspicion removes {t}, not a live member"));
+        }
+        let recipients = ViewSnapshot::from_slice(&self.members);
+        self.remove(suspects);
+        self.epoch += 1;
+        let step = ViewStep {
+            epoch: self.epoch,
+            removed: suspects.to_vec(),
+        };
+        Ok(Eviction::Evict { step, recipients })
     }
 
     /// Merges a peer's removal announcement set-wise: removes whatever
     /// subset of `removed` is still live here, at this view's own next
-    /// epoch. Used for both a `ViewChange`'s step set and a `Commit`'s
-    /// cumulative set — under set-based agreement the distinction
-    /// disappears, and concurrent suspicions from different rounds merge
-    /// commutatively (no conflict is possible: already-removed threads
-    /// are simply skipped).
+    /// epoch. Used for both a `ViewChange`'s set and a `Commit`'s
+    /// cumulative set: already-removed threads are simply skipped, so
+    /// concurrent suspicions from different rounds merge commutatively.
+    /// A step that removes `me` marks the frame evicted: a peer suspected
+    /// this thread wrongly — it is alive — and the survivors have moved on
+    /// without it.
     ///
-    /// Returns the `(new_epoch, actually_removed)` pair when the view
-    /// shrank, or `None` when the announcement carried nothing new.
-    pub(crate) fn adopt_removals(&mut self, removed: &[ThreadId]) -> Option<(u32, Vec<ThreadId>)> {
+    /// Returns the step (its removals ascending), or `None` when the
+    /// announcement carried nothing new.
+    pub(crate) fn adopt_removals(
+        &mut self,
+        me: ThreadId,
+        removed: &[ThreadId],
+    ) -> Option<ViewStep> {
         let fresh: ViewSnapshot = removed
             .iter()
             .copied()
-            .filter(|t| self.view.contains(*t))
+            .filter(|&t| self.contains(t))
             .collect();
         if fresh.is_empty() {
             return None;
         }
-        let epoch = self.view.epoch() + 1;
-        match self.view.apply(epoch, &fresh) {
-            ViewChangeOutcome::Applied { removed } => Some((epoch, removed)),
-            // Unreachable by construction: `fresh` is a non-empty subset
-            // of the live members and `epoch` is exactly current + 1.
-            _ => None,
-        }
+        let mut removed = fresh.to_vec();
+        removed.sort_unstable();
+        removed.dedup();
+        self.evicted |= removed.contains(&me);
+        self.remove(&removed);
+        self.epoch += 1;
+        Some(ViewStep {
+            epoch: self.epoch,
+            removed,
+        })
     }
 
     /// Merges a rejoin: re-admits `thread` at this view's own next epoch.
-    /// Used by the granting survivor (locally, before broadcasting the
-    /// `JoinGrant`) and by every peer applying the broadcast. Returns the
-    /// new epoch, or `None` when the announcement is stale — `thread` is
-    /// already a live member here (duplicate grant) or was never removed.
+    /// Used by the granting survivor before it answers the `JoinRequest`.
+    /// Returns the new epoch, or `None` when `thread` is not in the removed
+    /// set — it is a live member here (a duplicate request) or was never
+    /// one.
     pub(crate) fn adopt_rejoin(&mut self, thread: ThreadId) -> Option<u32> {
-        if self.view.contains(thread) || !self.view.removed().contains(&thread) {
+        if !self.removed.contains(&thread) {
             return None;
         }
-        let epoch = self.view.epoch() + 1;
-        match self.view.rejoin(epoch, thread) {
-            ViewChangeOutcome::Applied { .. } => Some(epoch),
-            _ => None,
-        }
+        self.removed.retain(|&t| t != thread);
+        self.members.push(thread);
+        self.members.sort_unstable();
+        self.epoch += 1;
+        Some(self.epoch)
     }
 
-    /// Reconstructs the *joiner's* view from a `JoinGrant`: starts from
-    /// the original full group and fast-forwards to the granter's
-    /// post-grant view (`epoch`, cumulative `removed` — which no longer
-    /// contains the joiner). The never-suspected case (the granter never
-    /// removed the joiner, so the grant is `(0, [])` relative to a full
-    /// view) falls out uniformly. Fails if the grant still lists `me` as
-    /// removed — a granter must re-admit before granting.
+    /// Builds the *joiner's* view from a `JoinGrant`: the full group minus
+    /// the granter's cumulative `removed` set (which no longer names the
+    /// joiner), at the grant's `epoch`. A grant that removes nobody — the
+    /// granter never removed anyone, or re-admitted all it had — leaves
+    /// the joiner on the full group at epoch 0, whatever epoch it carries.
+    /// An epoch-0 grant may name outsiders (they are ignored) but no
+    /// member; a later one may name members only. Fails, too, if the
+    /// grant does not re-admit `me` — a granter must re-admit before
+    /// granting.
     pub(crate) fn sync_grant(
         group: &[ThreadId],
         epoch: u32,
@@ -299,11 +351,19 @@ impl FrameMembership {
         me: ThreadId,
     ) -> Result<Self, String> {
         let mut m = FrameMembership::new(group);
-        match m.view.sync_to(epoch, removed) {
-            ViewChangeOutcome::Applied { .. } | ViewChangeOutcome::Duplicate => {}
-            ViewChangeOutcome::Conflict { reason } => return Err(reason),
+        if epoch == 0 {
+            if let Some(t) = removed.iter().find(|&&t| m.contains(t)) {
+                return Err(format!("an epoch-0 grant removes member {t}"));
+            }
+        } else if let Some(t) = removed.iter().find(|&&t| !m.contains(t)) {
+            return Err(format!(
+                "grant (epoch {epoch}) removes {t}, not a member of the group"
+            ));
+        } else if !removed.is_empty() {
+            m.remove(removed);
+            m.epoch = epoch;
         }
-        if !m.view.contains(me) {
+        if !m.contains(me) {
             return Err(format!(
                 "join grant (epoch {epoch}, removed {removed:?}) does not re-admit {me}"
             ));
@@ -340,14 +400,12 @@ mod tests {
         let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
         assert_eq!(m.epoch(), 0);
         let evicted = m.suspect(&[t(1)]).expect("valid suspects");
+        let step = ViewStep {
+            epoch: 1,
+            removed: vec![t(1)],
+        };
         let recipients = ViewSnapshot::from_slice(&[t(0), t(1), t(2)]);
-        assert_eq!(
-            evicted,
-            Eviction::Evict {
-                epoch: 1,
-                recipients
-            }
-        );
+        assert_eq!(evicted, Eviction::Evict { step, recipients });
         assert_eq!(m.members(), &[t(0), t(2)]);
         assert_eq!(m.removed(), &[t(1)]);
         // Removing a thread that is already gone is a local logic error.
@@ -379,7 +437,10 @@ mod tests {
         m.hear(t(1));
         assert!(matches!(
             m.suspect(&[t(1)]),
-            Ok(Eviction::Evict { epoch: 1, .. })
+            Ok(Eviction::Evict {
+                step: ViewStep { epoch: 1, .. },
+                ..
+            })
         ));
         assert!(!m.evicted);
         assert_eq!(m.members(), &[t(0)]);
@@ -392,12 +453,13 @@ mod tests {
         let mut m = FrameMembership::new(&[t(0), t(1), t(2), t(3)]);
         m.hear(t(1));
         let recipients = ViewSnapshot::from_slice(m.members());
+        let step = ViewStep {
+            epoch: 1,
+            removed: vec![t(1), t(2), t(3)],
+        };
         assert_eq!(
             m.suspect(&[t(1), t(2), t(3)]),
-            Ok(Eviction::Evict {
-                epoch: 1,
-                recipients
-            })
+            Ok(Eviction::Evict { step, recipients })
         );
         assert_eq!(m.members(), &[t(0)]);
     }
@@ -426,7 +488,7 @@ mod tests {
         m.hear(t(11));
         let evicted = m.suspect(&group[7..]).expect("valid suspects");
         assert!(
-            matches!(evicted, Eviction::Evict { epoch: 1, ref recipients } if recipients[..] == group[..])
+            matches!(evicted, Eviction::Evict { step: ViewStep { epoch: 1, .. }, ref recipients } if recipients[..] == group[..])
         );
         assert_eq!(m.members(), &group[..7]);
         // Ids are keys, not indices: {3, 70, 4000}.
@@ -468,15 +530,44 @@ mod tests {
     }
 
     #[test]
+    fn initial_view_is_sorted_full_group_at_epoch_zero() {
+        let m = FrameMembership::new(&[t(3), t(1), t(2), t(1)]);
+        assert_eq!(state(&m), (ids(&[1, 2, 3]), vec![], 0));
+        assert!(!m.evicted);
+    }
+
+    #[test]
+    fn apply_removes_members_and_bumps_epoch() {
+        // A local eviction and an adopted announcement step one counter.
+        let mut m = FrameMembership::new(&[t(0), t(1), t(2), t(3)]);
+        m.suspect(&[t(2)]).expect("T2 was live");
+        assert_eq!(state(&m), (ids(&[0, 1, 3]), ids(&[2]), 1));
+        let step = m.adopt_removals(t(0), &[t(3)]).expect("T3 was live");
+        assert_eq!((step.epoch, step.removed), (2, ids(&[3])));
+        assert_eq!(state(&m), (ids(&[0, 1]), ids(&[2, 3]), 2));
+    }
+
+    #[test]
+    fn duplicate_announcements_are_idempotent() {
+        // A peer that detected the same crash concurrently announces it
+        // too; so does a resolver's commit: neither steps the view again.
+        let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
+        m.suspect(&[t(1)]).expect("T1 was live");
+        assert_eq!(m.adopt_removals(t(0), &[t(1)]), None);
+        assert_eq!(m.adopt_removals(t(0), &ids(&[1, 1])), None);
+        assert_eq!(state(&m), (ids(&[0, 2]), ids(&[1]), 1));
+    }
+
+    #[test]
     fn adopt_removals_merges_set_wise() {
         let mut m = FrameMembership::new(&[t(0), t(1), t(2), t(3)]);
         // A step announcement merges at our own next epoch.
-        assert_eq!(m.adopt_removals(&[t(2)]), Some((1, vec![t(2)])));
+        assert_eq!(adopt(&mut m, t(0), &[t(2)]), Some((1, vec![t(2)])));
         // Re-announcing the same removal carries nothing new.
-        assert_eq!(m.adopt_removals(&[t(2)]), None);
+        assert_eq!(adopt(&mut m, t(0), &[t(2)]), None);
         // A cumulative set from a peer that also removed T1 merges the
         // fresh subset only — no conflict is possible.
-        assert_eq!(m.adopt_removals(&[t(1), t(2)]), Some((2, vec![t(1)])));
+        assert_eq!(adopt(&mut m, t(0), &[t(1), t(2)]), Some((2, vec![t(1)])));
         assert_eq!(m.members(), &[t(0), t(3)]);
         assert_eq!(m.removed(), &[t(1), t(2)]);
         assert_eq!(m.epoch(), 2);
@@ -490,9 +581,40 @@ mod tests {
         assert_eq!(m.members(), &[t(0), t(1), t(2)]);
         // A duplicate grant broadcast is stale: T1 is already live.
         assert_eq!(m.adopt_rejoin(t(1)), None);
-        // A thread that was never a member cannot rejoin.
+        // Nor can a live member that was never removed, or a thread that
+        // was never a member.
+        assert_eq!(m.adopt_rejoin(t(0)), None);
         assert_eq!(m.adopt_rejoin(t(9)), None);
         assert_eq!(m.epoch(), 2);
+    }
+
+    #[test]
+    fn rejoin_conflicts_are_detected() {
+        // T1 and T3 crashed; T1 has rejoined. The conflicts a rejoin can
+        // still meet: a live member, a thread outside the group, and a
+        // repeat of a rejoin already granted.
+        let mut m = FrameMembership::new(&[t(0), t(1), t(2), t(3)]);
+        m.suspect(&[t(1), t(3)]).unwrap();
+        assert_eq!(m.adopt_rejoin(t(1)), Some(2));
+        let before = state(&m);
+        for conflict in [t(0), t(2), t(9), t(1)] {
+            assert_eq!(m.adopt_rejoin(conflict), None, "{conflict} cannot rejoin");
+        }
+        assert_eq!(state(&m), before, "conflicts leave the view untouched");
+        assert_eq!(before, (ids(&[0, 1, 2]), ids(&[3]), 2));
+        // The joiner side refuses a grant that never re-admitted it.
+        assert!(FrameMembership::sync_grant(&[t(0), t(1), t(2), t(3)], 2, &[t(3)], t(3)).is_err());
+    }
+
+    #[test]
+    fn rejoin_readmits_a_removed_member_at_the_next_epoch() {
+        let mut m = FrameMembership::new(&[t(0), t(1), t(2)]);
+        m.adopt_removals(t(0), &[t(1)]).expect("T1 was live");
+        assert_eq!(m.adopt_rejoin(t(1)), Some(2));
+        assert_eq!(state(&m), (ids(&[0, 1, 2]), vec![], 2));
+        // A re-admitted member can crash again, at a later epoch.
+        m.suspect(&[t(1)]).expect("T1 is live again");
+        assert_eq!(state(&m), (ids(&[0, 2]), ids(&[1]), 3));
     }
 
     #[test]
@@ -533,6 +655,153 @@ mod tests {
         assert!(FrameMembership::sync_grant(&group, 1, &[t(1)], t(1)).is_err());
         // A grant whose removed set names a thread outside the group.
         assert!(FrameMembership::sync_grant(&group, 1, &[t(9)], t(1)).is_err());
+    }
+
+    /// What a membership holds: live members, removed set, epoch.
+    fn state(m: &FrameMembership) -> (Vec<ThreadId>, Vec<ThreadId>, u32) {
+        (m.members().to_vec(), m.removed().to_vec(), m.epoch())
+    }
+
+    fn ids(ns: &[u32]) -> Vec<ThreadId> {
+        ns.iter().copied().map(t).collect()
+    }
+
+    #[test]
+    fn a_joiner_takes_the_grant_set_wise() {
+        // (grant epoch, grant's removed set, joiner) → the joiner's
+        // (members, removed, epoch), or `None` for a rejected grant; over
+        // the group {T0, T1, T2, T3}.
+        type Row = (
+            u32,
+            &'static [u32],
+            u32,
+            Option<(&'static [u32], &'static [u32], u32)>,
+        );
+        let full: &[u32] = &[0, 1, 2, 3];
+        let rows: [Row; 14] = [
+            // Epoch 0, nothing removed: the identity.
+            (0, &[], 1, Some((full, &[], 0))),
+            // Epoch 0 with removals: members are rejected, outsiders
+            // ignored.
+            (0, &[2], 1, None),
+            (0, &[9], 1, Some((full, &[], 0))),
+            (0, &[2, 9], 1, None),
+            // Epoch > 0, nothing removed: the joiner stays at epoch 0.
+            (3, &[], 1, Some((full, &[], 0))),
+            // Epoch > 0 with removals: the joiner lands on the grant's
+            // epoch and removed set.
+            (3, &[2], 1, Some((&[0, 1, 3], &[2], 3))),
+            (5, &[3, 2], 1, Some((&[0, 1], &[2, 3], 5))),
+            (2, &[2, 2], 1, Some((&[0, 1, 3], &[2], 2))),
+            // A removed set naming a thread outside the group.
+            (3, &[9], 1, None),
+            (3, &[2, 9], 1, None),
+            // A grant that does not re-admit the joiner.
+            (2, &[1], 1, None),
+            (0, &[1], 1, None),
+            (4, &[1, 2], 1, None),
+            (0, &[], 9, None),
+        ];
+        let group = ids(full);
+        for (epoch, removed, me, expect) in rows {
+            let removed = ids(removed);
+            let expect = expect.map(|(members, gone, epoch)| (ids(members), ids(gone), epoch));
+            let joined = FrameMembership::sync_grant(&group, epoch, &removed, t(me));
+            assert_eq!(
+                joined.as_ref().ok().map(state),
+                expect,
+                "grant (epoch {epoch}, removed {removed:?}) to T{me}"
+            );
+            let admitted = crate::rounds::admit(&group, epoch, &removed, t(me));
+            assert_eq!(admitted.as_ref().ok().map(state), expect);
+        }
+    }
+
+    #[test]
+    fn suspicion_evicts_at_the_next_epoch_or_refuses() {
+        // (heard from, suspects) over the group {T0, T1, T2} → the
+        // decision and the (members, removed, epoch) after it.
+        #[derive(Debug, PartialEq)]
+        enum Decided {
+            Evict(u32, Vec<ThreadId>),
+            Refused(usize, usize),
+            Violation,
+        }
+        type Row = (&'static [u32], &'static [u32], Decided, &'static [u32], u32);
+        let rows: [Row; 9] = [
+            (&[], &[1], Decided::Evict(1, ids(&[0, 1, 2])), &[0, 2], 1),
+            (&[], &[2, 1], Decided::Evict(1, ids(&[0, 1, 2])), &[0], 1),
+            (&[], &[1, 1], Decided::Evict(1, ids(&[0, 1, 2])), &[0, 2], 1),
+            // A tie evicts; a recently-alive majority is refused.
+            (&[1], &[1, 2], Decided::Evict(1, ids(&[0, 1, 2])), &[0], 1),
+            (&[1, 2], &[1, 2], Decided::Refused(1, 2), &[0, 1, 2], 0),
+            // The gate is asked before the suspects are checked.
+            (&[1, 2], &[1, 2, 9], Decided::Refused(1, 2), &[0, 1, 2], 0),
+            // No suspect, or one that is not a live member.
+            (&[], &[], Decided::Violation, &[0, 1, 2], 0),
+            (&[], &[9], Decided::Violation, &[0, 1, 2], 0),
+            (&[], &[1, 9], Decided::Violation, &[0, 1, 2], 0),
+        ];
+        for (heard, suspects, expect, members, epoch) in rows {
+            let mut m = FrameMembership::new(&ids(&[0, 1, 2]));
+            for &peer in heard {
+                m.hear(t(peer));
+            }
+            let decided = match m.suspect(&ids(suspects)) {
+                Ok(Eviction::Evict { step, recipients }) => {
+                    Decided::Evict(step.epoch, recipients.to_vec())
+                }
+                Ok(Eviction::Refused {
+                    survivors,
+                    recently_alive,
+                }) => Decided::Refused(survivors, recently_alive),
+                Err(_) => Decided::Violation,
+            };
+            assert_eq!(decided, expect, "heard {heard:?}, suspects {suspects:?}");
+            assert_eq!((m.members().to_vec(), m.epoch()), (ids(members), epoch));
+            assert_eq!(m.evicted, matches!(decided, Decided::Refused(..)));
+        }
+        // A suspect removed already is no live member either.
+        let mut m = FrameMembership::new(&ids(&[0, 1, 2]));
+        assert!(m.suspect(&[t(1)]).is_ok());
+        assert!(m.suspect(&[t(1)]).is_err());
+        assert_eq!(state(&m), (ids(&[0, 2]), ids(&[1]), 1));
+    }
+
+    #[test]
+    fn an_adopted_removal_set_steps_the_view_and_may_evict_this_thread() {
+        // T0's view of {T0, T1, T2, T3}: (announced set) → the step it
+        // takes (epoch, fresh removals), and whether T0 is evicted.
+        type Row = (&'static [u32], Option<(u32, &'static [u32])>, bool);
+        let rows: [Row; 7] = [
+            (&[2], Some((1, &[2])), false),
+            (&[], None, false),
+            (&[9], None, false),
+            (&[2, 2, 1], Some((1, &[1, 2])), false),
+            (&[3, 9], Some((1, &[3])), false),
+            (&[0], Some((1, &[0])), true),
+            (&[1, 0], Some((1, &[0, 1])), true),
+        ];
+        for (announced, expect, evicted) in rows {
+            let mut m = FrameMembership::new(&ids(&[0, 1, 2, 3]));
+            let step = adopt(&mut m, t(0), &ids(announced));
+            assert_eq!(
+                step,
+                expect.map(|(epoch, fresh)| (epoch, ids(fresh))),
+                "announced {announced:?}"
+            );
+            assert_eq!(m.evicted, evicted, "announced {announced:?}");
+        }
+    }
+
+    /// One adopted announcement at `me`'s frame: the step it took.
+    fn adopt(
+        m: &mut FrameMembership,
+        me: ThreadId,
+        removed: &[ThreadId],
+    ) -> Option<(u32, Vec<ThreadId>)> {
+        let step = m.adopt_removals(me, removed)?;
+        Some((step.epoch, step.removed))
     }
 
     #[test]

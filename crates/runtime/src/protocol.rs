@@ -283,16 +283,15 @@ impl XrrState {
         self.raised.clear();
         actions.resolve_invocations += 1;
         for peer in ctx.peers() {
-            // The recovery driver fills `view_epoch`/`view_removed` in
-            // from the frame's membership before the message leaves —
-            // resolver states only know the live group, not its history.
+            // The recovery driver fills `view_removed` in from the frame's
+            // membership before the message leaves — resolver states only
+            // know the live group, not its history.
             actions.outbound.push((
                 peer,
                 Message::Commit {
                     action: ctx.action,
                     from: ctx.me,
                     resolved,
-                    view_epoch: 0,
                     view_removed: no_removals(),
                 },
             ));
@@ -719,7 +718,6 @@ mod tests {
                 action: c0.action,
                 from: tid(1),
                 resolved: ExceptionId::new("e1∩e2"),
-                view_epoch: 0,
                 view_removed: no_removals(),
             }),
         );

@@ -233,24 +233,17 @@ impl Frame {
         (resolver.as_mut(), ctx)
     }
 
-    /// Stamps this frame's membership view into the `Commit`s a resolver is
-    /// about to send.
+    /// Stamps this frame's cumulative removed set into the `Commit`s a
+    /// resolver is about to send.
     pub(crate) fn stamp_commits(&mut self, actions: &mut ProtoActions) {
-        let epoch = self.view.epoch();
-        if epoch == 0 {
+        if self.view.epoch() == 0 {
             // Crash-free recoveries (epoch 0, nothing removed) keep the
             // resolver's pre-stamped empty set — no work at all.
             return;
         }
         let removed = self.view.removed_shared();
         for (_, msg) in &mut actions.outbound {
-            if let Message::Commit {
-                view_epoch,
-                view_removed,
-                ..
-            } = msg
-            {
-                *view_epoch = epoch;
+            if let Message::Commit { view_removed, .. } = msg {
                 *view_removed = Rc::clone(&removed);
             }
         }
@@ -1001,7 +994,7 @@ pub(crate) fn admit(
 pub(crate) mod tests {
     use super::*;
     use crate::action::ActionDef;
-    use crate::membership::Eviction;
+    use crate::membership::{Eviction, ViewStep};
     use crate::protocol::{ProtoEvent, XrrResolution};
     use caa_core::state::ParticipantState;
 
@@ -1091,7 +1084,7 @@ pub(crate) mod tests {
         assert!(FIRST.status(Some(&f)).is_none(), "T2 has not announced");
         // A view change adopted mid-round removes the silent member: the
         // re-derived group is complete.
-        f.view.adopt_removals(&[t(2)]).expect("T2 was live");
+        f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         match FIRST.status(Some(&f)) {
             Some(RoundEnd::Signals(collected)) => assert_eq!(
                 collected,
@@ -1215,7 +1208,7 @@ pub(crate) mod tests {
     #[test]
     fn signalling_expiry_suspects_only_against_a_degraded_view() {
         let mut f = frame();
-        f.view.adopt_removals(&[t(2)]).expect("T2 was live");
+        f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         f.signals.record(SignalRound::First, t(0), Signal::None);
         match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
             RoundAction::Suspect { suspects, then } => {
@@ -1230,7 +1223,7 @@ pub(crate) mod tests {
         }
         // An evicted frame suspects nobody, whatever the epoch.
         let mut f = frame();
-        f.view.adopt_removals(&[t(2)]).expect("T2 was live");
+        f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         f.view.evicted = true;
         assert!(matches!(
             FIRST.expired(Some(&mut f), t(0), &XrrResolution),
@@ -1569,7 +1562,10 @@ pub(crate) mod tests {
                 assert_eq!(&suspects[..], &members[1..2]);
                 assert!(matches!(
                     f.view.suspect(&suspects),
-                    Ok(Eviction::Evict { epoch: 1, .. })
+                    Ok(Eviction::Evict {
+                        step: ViewStep { epoch: 1, .. },
+                        ..
+                    })
                 ));
             }
             other => panic!("expected suspicion of the one silent member, got {other:?}"),

@@ -9,6 +9,7 @@
 
 use caa_core::exception::Exception;
 use caa_core::exception::ExceptionId;
+use caa_core::message::MessageKind;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::secs;
 use caa_exgraph::generate::conjunction_lattice;
@@ -53,9 +54,11 @@ fn run_scenario(n: u32, raisers: &[u32]) -> SystemReport {
 }
 
 fn resolution_messages(report: &SystemReport) -> u64 {
-    report.net_stats.sent("Exception")
-        + report.net_stats.sent("Suspended")
-        + report.net_stats.sent("Commit")
+    MessageKind::ALL
+        .into_iter()
+        .filter(|kind| kind.counts_for_resolution())
+        .map(|kind| report.net_stats.sent(kind.label()))
+        .sum()
 }
 
 #[test]

@@ -146,18 +146,6 @@ impl NetStats {
         self.retransmissions
     }
 
-    /// Sum of sent counts over the classes for which `filter` returns true.
-    ///
-    /// The §3.3.3 results count only `Exception`, `Suspended` and `Commit`
-    /// messages; this is the hook the harness uses to apply that filter.
-    #[must_use]
-    pub fn sent_matching(&self, mut filter: impl FnMut(&str) -> bool) -> u64 {
-        self.iter_sent()
-            .filter(|(class, _)| filter(class))
-            .map(|(_, n)| n)
-            .sum()
-    }
-
     /// Iterates `(class, sent-count)` pairs in lexicographic class order,
     /// over the classes a message was sent in (a class that only ever lost
     /// its messages is not among them).
@@ -190,16 +178,6 @@ mod tests {
         assert_eq!(s.corrupted("Commit"), 1);
         assert_eq!(s.total_sent(), 4);
         assert_eq!(s.retransmissions(), 2);
-    }
-
-    #[test]
-    fn sent_matching_filters_classes() {
-        let mut s = NetStats::default();
-        s.record_sent("Exception");
-        s.record_sent("Suspended");
-        s.record_sent("App");
-        let control = s.sent_matching(|c| c != "App");
-        assert_eq!(control, 2);
     }
 
     #[test]

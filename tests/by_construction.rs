@@ -64,6 +64,12 @@
 //!   corpus format — the mutator table, the shrink-step type, the mutation
 //!   seed list, index-addressed action edits, their two files and the
 //!   shrinker's old module are gone.
+//! * a view has one membership semantics, the set-wise one in
+//!   `runtime::membership`: no source names the epoch-step view
+//!   (`MembershipView`, `ViewChangeOutcome`, `sync_to`), the core has no
+//!   `membership` module, no message but a `JoinGrant` carries an epoch
+//!   (`Commit` has no `view_epoch`, `ViewChange` no `epoch`), and the
+//!   context counts a view step in one place.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -852,5 +858,59 @@ fn a_protocol_error_is_a_violation_a_round_returns() {
             .nth(arm - 1)
             .is_some_and(|line| { line.contains("RoundAction::Violation(") }),
         "`Ctx::perform` builds it in its `Violation` arm"
+    );
+}
+
+#[test]
+fn the_epoch_step_view_is_gone() {
+    for file in &workspace_sources() {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        for gone in ["MembershipView", "ViewChangeOutcome", "sync_to"] {
+            assert!(
+                !source.contains(gone),
+                "{}: `{gone}` — a view adopts removal sets and readmissions \
+                 (`runtime::membership::FrameMembership`)",
+                file.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn the_core_has_no_membership_module() {
+    let core = fs::read_to_string(root().join("crates/core/src/lib.rs")).expect("core lib.rs");
+    assert!(
+        !root().join("crates/core/src/membership.rs").exists() && !core.contains("mod membership"),
+        "a view is the runtime's (`runtime::membership`)"
+    );
+}
+
+#[test]
+fn no_message_but_a_join_grant_carries_an_epoch() {
+    let message =
+        fs::read_to_string(root().join("crates/core/src/message.rs")).expect("message.rs");
+    assert!(
+        !message.contains("view_epoch"),
+        "a `Commit` carries the removed set alone: no receiver reads an epoch"
+    );
+    let at = message
+        .find("    ViewChange {\n")
+        .expect("Message::ViewChange");
+    let fields = braced(&message, at, "Message::ViewChange");
+    assert!(
+        !fields
+            .lines()
+            .any(|line| line.trim_start().starts_with("epoch:")),
+        "a `ViewChange` carries the removed set alone: no receiver reads an epoch"
+    );
+}
+
+#[test]
+fn the_context_counts_a_view_step_in_one_place() {
+    assert_eq!(
+        context_source().matches("view_changes +=").count(),
+        1,
+        "context.rs counts a local eviction and an adopted announcement \
+         in one method"
     );
 }
