@@ -17,14 +17,14 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use crate::{
-    lemma1_bound, nested_abort, resolution_messages, simultaneous_raise, NestedAbortParams,
+    nested_abort, resolution_messages, simultaneous_raise, NestedAbortParams,
     SimultaneousRaiseParams,
 };
 use caa_baselines::{CrResolution, Rom96Resolution};
 use caa_core::exception::Exception;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::secs;
-use caa_runtime::protocol::ResolutionProtocol;
+use caa_runtime::protocol::{lemma1_bound, ResolutionProtocol};
 use caa_runtime::{ActionDef, System, SystemReport, XrrResolution};
 use caa_simnet::LatencyModel;
 

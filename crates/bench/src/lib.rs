@@ -27,6 +27,6 @@ pub mod cli;
 pub mod scenarios;
 
 pub use scenarios::{
-    lemma1_bound, nested_abort, resolution_messages, simultaneous_raise, simultaneous_raise_xrr,
+    nested_abort, resolution_messages, simultaneous_raise, simultaneous_raise_xrr,
     NestedAbortParams, SimultaneousRaiseParams,
 };

@@ -276,13 +276,6 @@ pub fn resolution_messages(report: &SystemReport) -> u64 {
         .sum()
 }
 
-/// The Lemma 1 bound for the given parameters:
-/// `T ≤ (2·nmax+3)·Tmmax + nmax·Tabort + (nmax+1)·(Treso + ∆max)`.
-#[must_use]
-pub fn lemma1_bound(nmax: f64, t_mmax: f64, t_abort: f64, t_reso: f64, delta: f64) -> f64 {
-    (2.0 * nmax + 3.0) * t_mmax + nmax * t_abort + (nmax + 1.0) * (t_reso + delta)
-}
-
 /// The handler computation constant `∆` used by the scenarios (exposed for
 /// bound computations in reports).
 #[must_use]

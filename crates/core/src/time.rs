@@ -119,13 +119,6 @@ impl VirtualDuration {
     pub const fn saturating_sub(self, rhs: VirtualDuration) -> VirtualDuration {
         VirtualDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Multiplies by a dimensionless factor, saturating on overflow and
-    /// clamping negative or NaN factors to zero.
-    #[must_use]
-    pub fn mul_f64(self, factor: f64) -> VirtualDuration {
-        VirtualDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
 }
 
 impl Add for VirtualDuration {

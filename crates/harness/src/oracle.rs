@@ -52,6 +52,7 @@ use std::fmt;
 
 use caa_core::inline::InlineVec;
 use caa_runtime::observe::EventKind;
+use caa_runtime::protocol;
 use caa_runtime::SystemReport;
 
 use crate::exec::RunArtifacts;
@@ -269,11 +270,8 @@ impl fmt::Display for Violation {
 #[must_use]
 pub fn lemma1_bound(plan: &ScenarioPlan) -> f64 {
     let nmax = plan.max_depth() as f64;
-    (2.0 * nmax + 3.0) * plan.t_mmax
-        + nmax * plan.t_abort
-        + (nmax + 1.0) * (plan.t_reso + plan.delta)
-        + plan.t_mmax
-        + 1e-6
+    let (t_mmax, t_abort, t_reso) = (plan.t_mmax, plan.t_abort, plan.t_reso);
+    protocol::lemma1_bound(nmax, t_mmax, t_abort, t_reso, plan.delta) + t_mmax + 1e-6
 }
 
 /// What one thread did inside one instance — a cell of the

@@ -404,15 +404,6 @@ impl ActionDefBuilder {
         self
     }
 
-    /// Registers `role`'s handler for the universal exception.
-    pub fn universal_handler(
-        self,
-        role: impl Into<Name>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + 'static,
-    ) -> Self {
-        self.handler(role, ExceptionId::universal(), f)
-    }
-
     /// Registers a catch-all handler consulted when `role` has no handler
     /// for the resolving exception.
     pub fn fallback_handler(

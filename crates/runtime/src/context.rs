@@ -29,33 +29,31 @@
 //! body's computation and receives, a shared-object acquisition — is one
 //! `Ctx::wait` for the round it serves: until a message, the doorbell or
 //! the deadline (the round's or the crash instant), then performing what
-//! the round decides. On a collect round's expiry, suspicion runs on its
-//! silent set (`Ctx::suspect_round`: quorum gate, view change,
-//! announcement) before it re-arms or concludes. What a round *decides* is
-//! pure `event → action` state in the private `rounds` module:
-//! `Round::status`, `Round::expired`, `Frame::absorb` for a message, and
-//! between rounds where an unwind lands (§3.3.1's cascade) and how an
-//! action leaves — each a `RoundAction` or a named `Violation`. An object's
-//! arbitration lives with the object ([`crate::objects`]). `Ctx` is the
-//! thin driver that owns the endpoint and the frame stack, performs the
-//! actions (`Ctx::perform`) and appends to the run's log.
+//! the round decides. What a round *decides* is pure `event → action`
+//! state in the private `rounds` module: `Round::status`; `Round::expired`
+//! (the quorum gate on the silent peers, the view step and its recipients,
+//! the conclusion); `Frame::absorb` for a message (a removal set adopted,
+//! and what the resolver hears); between rounds, where an unwind lands
+//! (§3.3.1's cascade), §3.4's cases (`rounds::signalling`) and how an
+//! action leaves. An object's arbitration lives with the object
+//! ([`crate::objects`]). `Ctx` is the thin driver that owns the endpoint
+//! and the frame stack and performs what it is told (`Ctx::perform`): it
+//! counts, logs, sends, feeds the resolver and runs the handlers.
 //!
-//! A frame is a constructor plus parts grouped by responsibility — identity
-//! (`id`), inboxes (`inbox`), recovery state (`recovery`), signalling table
-//! (`signals`), exit barrier (`exit`), view/liveness (`view`) and objects —
-//! reached through `Ctx::frame`/`Ctx::frame_mut`. Rounds range over the
-//! frame's *current view*, so a recovery that shrank the membership
-//! completes among the survivors.
+//! A frame (parts grouped by responsibility, see `rounds::Frame`) is
+//! reached through `Ctx::frame`/`Ctx::frame_mut`. Rounds range over its
+//! *current view*, so a shrunk membership completes among the survivors.
 //!
-//! **Adding a round:** add a `Round` variant with its `status` and
-//! `expired` arms in `rounds.rs` (what completes it, who is silent at
-//! expiry, what expiry concludes), keep what it collects in a frame part
-//! that `Frame::absorb` fills, and call `self.collect(Round::…, timeout)`
-//! after announcing with `Ctx::broadcast`. The driver changes only if the
-//! round needs an effect no existing `RoundAction` names. A round that a
-//! peer's doorbell ends, like the object round (`Round::Object`), keeps
-//! its state in a value of its own (`objects::Acquisition`) and loops over
-//! `Ctx::wait`, answering `Performed::Rang`.
+//! **Adding a round:** add a `Round` variant with its `status`, `expired`
+//! and `timed_out` arms in `rounds.rs` (what completes it, who is silent at
+//! expiry and what that concludes, what its timeout counts), keep what it
+//! collects in a frame part that `Frame::absorb` fills, and call
+//! `self.collect(Round::…, timeout)` after announcing with `Ctx::broadcast`.
+//! The driver changes only if the round needs an effect no `RoundAction`
+//! names. A round that a peer's doorbell ends, like the object round
+//! (`Round::Object`), keeps its state in a value of its own
+//! (`objects::Acquisition`) and loops over `Ctx::wait`, answering
+//! `Performed::Rang`.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -71,13 +69,13 @@ use caa_simnet::{FiberEndpoint, Parked, Received};
 
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
-use crate::membership::{synthesize_crashes, Eviction, ViewSnapshot, ViewStep};
+use crate::membership::{ViewSnapshot, ViewStep};
 use crate::objects::{self, Acquisition, Release, SharedObject, TxControl};
 use crate::observe::{EntryKind, EventKind};
-use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
-use crate::rounds::{self, aborted, admit, leave, release_on_exit};
-use crate::rounds::{Collected, Frame, Frames, Landing, Leave, RecoveryStart};
-use crate::rounds::{Round, RoundAction, RoundEnd, Violation};
+use crate::protocol::ResolutionProtocol;
+use crate::rounds::{self, aborted, admit, leave, release_on_exit, Collected, Feed, Frame};
+use crate::rounds::{Frames, Landing, Leave, RecoveryStart, Round, RoundAction, RoundEnd};
+use crate::rounds::{SignalStep, Signalled, Suspicion, Violation};
 use crate::system::SystemShared;
 
 /// An application message delivered to a role.
@@ -967,18 +965,20 @@ impl Ctx {
         self.observe_top(|| EventKind::RecoveryStart {
             raised: matches!(start, RecoveryStart::Raise(_)),
         });
-        // Feed the stashed trigger(s) first, then our own transition.
-        // (One at a time, so the inbox keeps its buffer; nothing stashes
-        // into it while recovery is under way.)
+        // The stashed triggers first, absorbed as if they arrived now, then
+        // our own transition. (One at a time, so the inbox keeps its buffer;
+        // nothing stashes into it while recovery is under way.)
         while let Some(msg) = self.frame_mut().inbox.control.pop_front() {
-            self.absorb_active_control(msg)?;
+            let top = self.stack.len() - 1;
+            let decision = self.frame_mut().absorb(msg, true, Round::Resolution);
+            self.perform(Round::Resolution, top, decision)?;
         }
         if self.frame().view.evicted {
             // A pending view change removed us before we ever announced
             // our own transition: stay silent and give up.
             return Ok(None);
         }
-        match &start {
+        let own = match start {
             RecoveryStart::Raise(e) => {
                 self.system.stats.borrow_mut().exceptions_raised += 1;
                 // "inform external objects (used by Ti within A) of the
@@ -989,10 +989,11 @@ impl Ctx {
                     obj.inform_exception(action, e.id().name());
                 }
                 self.observe_top(|| EventKind::Raise { exception: *e.id() });
-                self.feed_resolver(ProtoEvent::LocalRaise(e))?;
+                Feed::Raise(e)
             }
-            RecoveryStart::Suspend => self.feed_resolver(ProtoEvent::LocalSuspend)?,
-        }
+            RecoveryStart::Suspend => Feed::Suspend,
+        };
+        self.feed(own)?;
         let timeout = self.frame().id.def.resolution_timeout;
         let RoundEnd::Resolved(resolved) = self.collect(Round::Resolution, timeout)? else {
             return Ok(None);
@@ -1004,23 +1005,12 @@ impl Ctx {
         Ok(Some(resolved))
     }
 
-    /// The active frame's resolver (made on first use) and its context.
-    fn resolver(&mut self) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
+    /// Feeds the active frame's resolver ([`Frame::feed`]) and performs its
+    /// answer: sends its outbound messages and charges `Treso` per
+    /// resolution invocation.
+    fn feed(&mut self, feed: Feed) -> Step {
         let frame = self.stack.last_mut().expect("frame active");
-        frame.proto_ctx(self.me, &*self.system.protocol)
-    }
-
-    fn feed_resolver(&mut self, event: ProtoEvent<'_>) -> Step {
-        let (resolver, ctx) = self.resolver();
-        let actions = resolver.on_event(&ctx, event);
-        self.dispatch_proto_actions(actions)
-    }
-
-    /// Sends a resolver's outbound messages (with the frame's membership
-    /// view stamped into outgoing `Commit`s), charges `Treso` per
-    /// resolution invocation and records the resolved exception, if any.
-    fn dispatch_proto_actions(&mut self, mut actions: ProtoActions) -> Step {
-        self.frame_mut().stamp_commits(&mut actions);
+        let mut actions = frame.feed(&*self.system.protocol, feed);
         for (to, msg) in actions.outbound.drain(..) {
             self.send(to, msg);
         }
@@ -1038,43 +1028,7 @@ impl Ctx {
                 self.endpoint.sleep(delay)?;
             }
         }
-        if actions.resolved.is_some() {
-            self.frame_mut().recovery.resolved_exception = actions.resolved;
-        }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Recovery: membership (crash-aware resolution, see crate::membership)
-    // ------------------------------------------------------------------
-
-    /// Feeds one resolution-control message for the active frame to the
-    /// right machine: a `ViewChange` announcement goes to the membership
-    /// layer, everything else to the resolver — a `Commit` first adopts
-    /// the membership view piggybacked on it, so a commit racing ahead of
-    /// its `ViewChange` announcement still shrinks this frame's view.
-    fn absorb_active_control(&mut self, msg: Message) -> Step {
-        let top = self.stack.len() - 1;
-        match &msg {
-            Message::ViewChange { removed, .. } => {
-                return match self.adopt_removal_set(top, removed) {
-                    // Removals naming us mean the survivors resolve without
-                    // us; do not re-elect over a view we are not part of.
-                    Some(fresh) if !self.frame().view.evicted => self.feed_view_change(&fresh),
-                    _ => Ok(()),
-                };
-            }
-            Message::Commit { view_removed, .. } => {
-                self.adopt_removal_set(top, view_removed);
-                if self.frame().view.evicted {
-                    // The committed view excludes us: give up instead
-                    // of acting on a resolution we are not part of.
-                    return Ok(());
-                }
-            }
-            _ => {}
-        }
-        self.feed_resolver(ProtoEvent::Control(&msg))
     }
 
     /// The one bounded-collect round (see the module docs), entered after
@@ -1101,28 +1055,44 @@ impl Ctx {
         match action {
             RoundAction::Continue => {}
             RoundAction::End(end) => return Ok(Performed::End(end)),
-            RoundAction::Suspect { suspects, then } => {
-                if !suspects.is_empty() {
-                    self.suspect_round(round, &suspects)?;
+            RoundAction::Suspect(suspects, decided, then) => {
+                let (epoch, stats) = (self.frame().exit.epoch, &self.system.stats);
+                let timeout = round.timed_out(&suspects, epoch, &mut stats.borrow_mut());
+                if let Some(timeout) = timeout {
+                    self.observe_top(|| timeout);
+                }
+                match decided {
+                    Ok(Suspicion::Refused) => stats.borrow_mut().suspicions_refused += 1,
+                    Ok(Suspicion::GiveUp) => stats.borrow_mut().exit_give_ups += 1,
+                    Ok(Suspicion::Evict(step, recipients, feed)) => {
+                        self.observe_view_step(index, &step);
+                        // Announce first: per-link FIFO then shows every
+                        // survivor the change before what we derive from it.
+                        let (action, me) = (self.stack[index].id.action, self.me);
+                        let removed: Rc<[ThreadId]> = Rc::from(&step.removed[..]);
+                        self.broadcast(&recipients, |_| Message::ViewChange {
+                            action,
+                            from: me,
+                            removed: Rc::clone(&removed),
+                        });
+                        if feed {
+                            self.feed(Feed::ViewChange(step.removed))?;
+                        }
+                    }
+                    Err(violation) => return self.violated(round, violation),
                 }
                 return Ok(then.map_or(Performed::Rearm, Performed::End));
             }
-            RoundAction::GiveUp => {
-                self.system.stats.borrow_mut().exit_give_ups += 1;
-                self.observe_timeout(round, &[]);
-                return Ok(Performed::End(RoundEnd::Excluded));
-            }
-            RoundAction::Resolve(msg) => {
-                // An applied view change opens a fresh round for the
-                // shrunken view.
-                let view_change = matches!(msg, Message::ViewChange { .. });
-                self.absorb_active_control(msg)?;
-                if view_change {
+            RoundAction::Control { step, feed, rearm } => {
+                if let Some(step) = step {
+                    self.observe_view_step(index, &step);
+                }
+                if let Some(feed) = feed {
+                    self.feed(feed)?;
+                }
+                if rearm {
                     return Ok(Performed::Rearm);
                 }
-            }
-            RoundAction::Adopt(removed) => {
-                self.adopt_removal_set(index, &removed);
             }
             RoundAction::Grant(joiner) => self.grant_join(index, joiner),
             RoundAction::Retain(msg) => self.retained.push(msg),
@@ -1144,99 +1114,22 @@ impl Ctx {
         unreachable!("a violation ends the thread")
     }
 
-    /// Round-agnostic suspicion: the bounded wait of `round` expired with
-    /// the listed peers silent. Observes the round's timeout event and —
-    /// unless the quorum gate refuses — removes the suspects from the
-    /// active frame's view and announces the change. For resolution rounds
-    /// the resolver is then re-fed with a crash exception synthesized per
-    /// suspect (presume-ƒ); signalling and exit rounds need no synthesis —
-    /// their own ƒ rules cover the silence.
-    fn suspect_round(&mut self, round: Round, suspects: &[ThreadId]) -> Step {
-        let action = self.frame().id.action;
-        self.observe_timeout(round, suspects);
-        let decision = match self.frame_mut().suspect(suspects) {
-            Ok(decision) => decision,
-            Err(violation) => return self.violated(round, violation),
-        };
-        let (step, recipients) = match decision {
-            Eviction::Refused { .. } => {
-                self.system.stats.borrow_mut().suspicions_refused += 1;
-                return Ok(());
-            }
-            Eviction::Evict { step, recipients } => (step, recipients),
-        };
-        self.observe_view_step(action, &step);
-        // Announce before continuing the round: per-link FIFO then
-        // guarantees every survivor sees the view change before any later
-        // message this participant derives from it.
-        let removed: Rc<[ThreadId]> = Rc::from(step.removed.as_slice());
-        let me = self.me;
-        self.broadcast(&recipients, |_| Message::ViewChange {
-            action,
-            from: me,
-            removed: Rc::clone(&removed),
-        });
-        match round {
-            Round::Resolution => self.feed_view_change(&step.removed),
-            _ => Ok(()),
-        }
-    }
-
-    /// Counts and logs one step of the view of `action`'s frame: a local
-    /// eviction or an adopted announcement.
-    fn observe_view_step(&self, action: ActionId, step: &ViewStep) {
+    /// Counts and logs one step of the view of the frame at `index`: a
+    /// local eviction or an adopted removal set.
+    fn observe_view_step(&self, index: usize, step: &ViewStep) {
         self.system.stats.borrow_mut().view_changes += 1;
-        self.observe(action, || EventKind::ViewChange {
+        self.observe(self.stack[index].id.action, || EventKind::ViewChange {
             epoch: step.epoch,
-            removed: step.removed.as_slice().into(),
+            removed: step.removed[..].into(),
         });
-    }
-
-    /// Counts and reports the expiry of `round`'s bounded wait with
-    /// `suspects` silent.
-    fn observe_timeout(&self, round: Round, suspects: &[ThreadId]) {
-        let suspects: Box<[ThreadId]> = suspects.into();
-        let epoch = self.frame().exit.epoch;
-        let mut stats = self.system.stats.borrow_mut();
-        let kind = match round {
-            Round::Resolution => {
-                stats.resolution_timeouts += 1;
-                EventKind::ResolutionTimeout { suspects }
-            }
-            Round::Signalling(round) => {
-                stats.signal_timeouts += 1;
-                EventKind::SignalTimeout { round, suspects }
-            }
-            Round::Exit => {
-                stats.exit_timeouts += 1;
-                EventKind::ExitTimeout { epoch }
-            }
-            // Only rounds of a frame time out on peers.
-            Round::Body | Round::Object | Round::Join { .. } => return,
-        };
-        drop(stats);
-        self.observe_top(|| kind);
-    }
-
-    /// Merges a removal set announced by a peer — a `ViewChange`'s set or
-    /// the cumulative set piggybacked on a `Commit` — into the view of the
-    /// frame at `index` (set-wise, see [`crate::membership`]) and returns
-    /// the freshly removed threads, if any.
-    fn adopt_removal_set(&mut self, index: usize, removed: &[ThreadId]) -> Option<Vec<ThreadId>> {
-        let frame = &mut self.stack[index];
-        let step = frame.view.adopt_removals(self.me, removed)?;
-        let action = frame.id.action;
-        self.observe_view_step(action, &step);
-        Some(step.removed)
     }
 
     /// Answers a restarted participant's `JoinRequest` at the frame at
     /// `index` with the grant the frame builds ([`Frame::grant_join`]).
     fn grant_join(&mut self, index: usize, joiner: ThreadId) {
-        let me = self.me;
         let frame = &mut self.stack[index];
         let action = frame.id.action;
-        let Some(granted) = frame.grant_join(me, joiner) else {
+        let Some(granted) = frame.grant_join(joiner) else {
             return; // never part of this action's group; ignore
         };
         if let Some(epoch) = granted.readmitted {
@@ -1264,17 +1157,6 @@ impl Ctx {
             self.grant_join(top, joiner);
         }
         self.stack[top].inbox.joins.clear();
-    }
-
-    /// Notifies the resolver of an applied view change: `removed` threads
-    /// are gone, and a synthesized crash exception stands in for each one
-    /// that never announced anything. May conclude the resolution (this
-    /// participant may now hold the quorum and the election).
-    fn feed_view_change(&mut self, removed: &[ThreadId]) -> Step {
-        let synthesized = synthesize_crashes(removed);
-        let (resolver, ctx) = self.resolver();
-        let actions = resolver.on_view_change(&ctx, removed, &synthesized);
-        self.dispatch_proto_actions(actions)
     }
 
     // ------------------------------------------------------------------
@@ -1306,49 +1188,29 @@ impl Ctx {
     // Recovery: signalling (§3.4)
     // ------------------------------------------------------------------
 
+    /// Performs the steps of §3.4's case analysis ([`rounds::signalling`])
+    /// for a handler that came to `verdict`.
     fn run_signalling(&mut self, def: &DefInner, verdict: HandlerVerdict) -> Step<Signal> {
-        let my_signal = verdict.to_signal();
-        if self.frame().view.evicted {
-            // Removed from the view: the survivors no longer expect our
-            // announcements; any broadcast would only confuse their rounds.
-            return Ok(Signal::Failure);
-        }
-        // Coordinate over the current view: presumed-crashed members are
-        // not waited on (their silence would otherwise force ƒ through
-        // the signalling timeout even after recovery handled the crash).
-        if self.frame().signalling_group().len() == 1 {
-            // No coordination needed; µ still requires the local undo.
-            return match my_signal {
-                Signal::Undo => Ok(self.perform_undo(def)),
-                other => Ok(other),
-            };
-        }
-
-        let collected = self.signal_round(SignalRound::First, my_signal.clone())?;
-        if self.frame().signals.failed(collected) {
-            // Case 3: ƒ dominates — every thread signals ƒ.
-            return Ok(Signal::Failure);
-        }
-        if !collected.undo {
-            // Case 1: everyone signals its own exception (or nothing).
-            return Ok(my_signal);
-        }
-        // Case 2: µ requested — all threads undo, then exchange again.
-        self.system.stats.borrow_mut().undo_rounds += 1;
-        let after_undo = self.perform_undo(def);
-        let collected = self.signal_round(SignalRound::AfterUndo, after_undo)?;
-        if self.frame().signals.failed(collected) {
-            Ok(Signal::Failure)
-        } else {
-            Ok(Signal::Undo)
+        let mine = verdict.to_signal();
+        let mut at = Signalled::Handled;
+        loop {
+            at = match rounds::signalling(self.frame(), &mine, at) {
+                SignalStep::Done(signal) => return Ok(signal),
+                SignalStep::Undo { alone } => self.perform_undo(def, alone),
+                SignalStep::Exchange(round, signal) => {
+                    Signalled::Exchanged(round, self.signal_round(round, signal)?)
+                }
+            }
         }
     }
 
-    /// Undoes this thread's effects: rolls back every object it touched and
-    /// runs the role's undo hook (of `def`, the top frame's definition).
-    /// Returns the signal to announce (µ on success, ƒ when some undo
-    /// operation failed).
-    fn perform_undo(&mut self, def: &DefInner) -> Signal {
+    /// Undoes this thread's effects — case 2's undo round, counted, or the
+    /// local undo of a thread that signals `alone`: rolls back every object
+    /// it touched and runs the role's undo hook (of `def`, the top frame's
+    /// definition). It comes to µ on success, ƒ when some undo operation
+    /// failed.
+    fn perform_undo(&mut self, def: &DefInner, alone: bool) -> Signalled {
+        self.system.stats.borrow_mut().undo_rounds += u64::from(!alone);
         let role = self.frame().id.role;
         let mut ok = true;
         if let Some(hook) = &def.roles[role.index()].undo {
@@ -1358,11 +1220,8 @@ impl Ctx {
             }
         }
         ok &= self.release(Release::Undo);
-        if ok {
-            Signal::Undo
-        } else {
-            Signal::Failure
-        }
+        let signal = if ok { Signal::Undo } else { Signal::Failure };
+        Signalled::Undone { signal, alone }
     }
 
     /// One exchange of the signalling algorithm: broadcast my signal for

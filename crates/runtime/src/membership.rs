@@ -9,8 +9,8 @@
 //! action frame carries a `FrameMembership` (crate-internal): the live
 //! members, the removed set and the epoch this participant holds of the
 //! instance, the peers it heard from, and whether it was itself evicted.
-//! Whatever round the one collect loop in [`crate::context`] is running,
-//! the detector is the same:
+//! Every bounded round expires the same way, decided by the round state
+//! (the crate-internal `Round::expired`) and performed by [`crate::context`]:
 //!
 //! 1. **Bounded wait.** The round waits on a per-round virtual-time
 //!    deadline (the deadline of [`caa_simnet::Endpoint::wait`]):
@@ -97,7 +97,7 @@ pub(crate) type ViewSnapshot = InlineVec<ThreadId, GROUP_INLINE>;
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct ViewStep {
     pub(crate) epoch: u32,
-    pub(crate) removed: Vec<ThreadId>,
+    pub(crate) removed: ViewSnapshot,
 }
 
 /// What a suspicion round decided about its silent peers (see
@@ -278,7 +278,7 @@ impl FrameMembership {
         self.epoch += 1;
         let step = ViewStep {
             epoch: self.epoch,
-            removed: suspects.to_vec(),
+            removed: ViewSnapshot::from_slice(suspects),
         };
         Ok(Eviction::Evict { step, recipients })
     }
@@ -299,15 +299,14 @@ impl FrameMembership {
         me: ThreadId,
         removed: &[ThreadId],
     ) -> Option<ViewStep> {
-        let fresh: ViewSnapshot = removed
+        let mut removed: ViewSnapshot = removed
             .iter()
             .copied()
             .filter(|&t| self.contains(t))
             .collect();
-        if fresh.is_empty() {
+        if removed.is_empty() {
             return None;
         }
-        let mut removed = fresh.to_vec();
         removed.sort_unstable();
         removed.dedup();
         self.evicted |= removed.contains(&me);
@@ -402,7 +401,7 @@ mod tests {
         let evicted = m.suspect(&[t(1)]).expect("valid suspects");
         let step = ViewStep {
             epoch: 1,
-            removed: vec![t(1)],
+            removed: ViewSnapshot::from_slice(&[t(1)]),
         };
         let recipients = ViewSnapshot::from_slice(&[t(0), t(1), t(2)]);
         assert_eq!(evicted, Eviction::Evict { step, recipients });
@@ -455,7 +454,7 @@ mod tests {
         let recipients = ViewSnapshot::from_slice(m.members());
         let step = ViewStep {
             epoch: 1,
-            removed: vec![t(1), t(2), t(3)],
+            removed: ViewSnapshot::from_slice(&[t(1), t(2), t(3)]),
         };
         assert_eq!(
             m.suspect(&[t(1), t(2), t(3)]),
@@ -543,7 +542,7 @@ mod tests {
         m.suspect(&[t(2)]).expect("T2 was live");
         assert_eq!(state(&m), (ids(&[0, 1, 3]), ids(&[2]), 1));
         let step = m.adopt_removals(t(0), &[t(3)]).expect("T3 was live");
-        assert_eq!((step.epoch, step.removed), (2, ids(&[3])));
+        assert_eq!((step.epoch, step.removed.to_vec()), (2, ids(&[3])));
         assert_eq!(state(&m), (ids(&[0, 1]), ids(&[2, 3]), 2));
     }
 
@@ -801,7 +800,7 @@ mod tests {
         removed: &[ThreadId],
     ) -> Option<(u32, Vec<ThreadId>)> {
         let step = m.adopt_removals(me, removed)?;
-        Some((step.epoch, step.removed))
+        Some((step.epoch, step.removed.to_vec()))
     }
 
     #[test]

@@ -422,6 +422,14 @@ impl ResolverState for XrrState {
     }
 }
 
+/// Lemma 1: a thread that turns exceptional or suspended completes handling
+/// within `(2·nmax+3)·Tmmax + nmax·Tabort + (nmax+1)·(Treso + ∆max)` seconds
+/// (bounds on nesting depth and on message, abortion, resolution, handler time).
+#[must_use]
+pub fn lemma1_bound(nmax: f64, t_mmax: f64, t_abort: f64, t_reso: f64, delta: f64) -> f64 {
+    (2.0 * nmax + 3.0) * t_mmax + nmax * t_abort + (nmax + 1.0) * (t_reso + delta)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,22 +4,25 @@
 //! `Ctx::wait` (see [`crate::context`]) is the one wait every round blocks
 //! in; this module holds what differs between rounds, as pure
 //! `event → action` state in the shape [`ResolverState::on_event`] has. A
-//! [`Round`] says whether it is complete ([`Round::status`]) and whom it
-//! found silent at its deadline ([`Round::expired`]); the frame it runs in
-//! says what an arriving message means ([`classify`]: [`Frame::absorb`],
-//! [`unframed`], [`corrupted`]). Each answer is a [`RoundAction`] the
-//! driver executes.
+//! [`Round`] says whether it is complete ([`Round::status`]) and what its
+//! deadline decides ([`Round::expired`]: the quorum gate's verdict on the
+//! silent peers, then the conclusion; [`Round::timed_out`]: what the
+//! expiry counts and logs). The frame it runs in says what an arriving
+//! message means ([`classify`]: [`Frame::absorb`], [`unframed`],
+//! [`corrupted`]), adopting a removal set there and naming the view step
+//! and what the resolver hears ([`Feed`]). Each answer is a
+//! [`RoundAction`] the driver executes.
 //! So are the decisions taken between rounds: where an unwind lands at a
 //! frame and what an abortion handler's result carries on (the §3.3.1
-//! cascade: [`land`], [`aborted`]), how an action leaves once its exit
-//! round ended ([`leave`]) and releases its objects ([`release_on_exit`]),
-//! whether a rejoin grant re-admits ([`admit`]) and whether a suspicion may
-//! change the view ([`Frame::suspect`]). A decision that no correct run
-//! takes is a [`RoundAction::Violation`], never an error made on the spot.
-//! Nothing here sends, receives, observes or reads a clock, so every
+//! cascade: [`land`], [`aborted`]), §3.4's case analysis ([`signalling`]:
+//! exchange, undo or conclude), how an action leaves once its exit round
+//! ended ([`leave`]) and releases its objects ([`release_on_exit`]), and
+//! whether a rejoin grant re-admits ([`admit`]). A decision that no correct
+//! run takes is a [`RoundAction::Violation`], never an error made on the
+//! spot. Nothing here sends, receives, observes or reads a clock, so every
 //! decision is unit-tested below without a network, a system or a thread.
-//! (The eviction quorum gate lives with the view it guards:
-//! [`FrameMembership::suspect`].)
+//! (The quorum gate and the set-wise merge live with the view they guard:
+//! [`FrameMembership::suspect`], [`FrameMembership::adopt_removals`].)
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -34,9 +37,12 @@ use caa_simnet::Received;
 use crate::action::DefInner;
 use crate::context::AppMsg;
 use crate::error::Unwind;
-use crate::membership::{Eviction, FrameMembership, ViewSnapshot, GROUP_INLINE};
+use crate::membership::GROUP_INLINE;
+use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot, ViewStep};
 use crate::objects::{Release, TxControl};
-use crate::protocol::{ProtoActions, ProtoCtx, ResolutionProtocol, ResolverState};
+use crate::observe::EventKind;
+use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
+use crate::system::RuntimeStats;
 
 /// One entry of the action stack (`SA`), grouped by responsibility.
 ///
@@ -217,11 +223,10 @@ impl Frame {
     /// instance, the *current* view and the action's exception graph.
     pub(crate) fn proto_ctx(
         &mut self,
-        me: ThreadId,
         protocol: &dyn ResolutionProtocol,
     ) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
         let ctx = ProtoCtx {
-            me,
+            me: self.id.def.thread_of(self.id.role),
             action: self.id.action,
             group: self.view.members(),
             graph: &self.id.def.graph,
@@ -233,26 +238,11 @@ impl Frame {
         (resolver.as_mut(), ctx)
     }
 
-    /// Stamps this frame's cumulative removed set into the `Commit`s a
-    /// resolver is about to send.
-    pub(crate) fn stamp_commits(&mut self, actions: &mut ProtoActions) {
-        if self.view.epoch() == 0 {
-            // Crash-free recoveries (epoch 0, nothing removed) keep the
-            // resolver's pre-stamped empty set — no work at all.
-            return;
-        }
-        let removed = self.view.removed_shared();
-        for (_, msg) in &mut actions.outbound {
-            if let Message::Commit { view_removed, .. } = msg {
-                *view_removed = Rc::clone(&removed);
-            }
-        }
-    }
-
     /// Decides what one message addressed to this frame's instance means
     /// while `round` is in progress, recording whatever it carries for a
-    /// later round (signals, votes, application traffic, stashed triggers).
-    /// `is_top` tells whether the frame is the active one.
+    /// later round (signals, votes, application traffic, stashed triggers,
+    /// a removal set for the view). `is_top` tells whether the frame is
+    /// the active one.
     pub(crate) fn absorb(&mut self, msg: Message, is_top: bool, round: Round) -> RoundAction {
         if !matches!(msg, Message::App { .. }) {
             // Protocol traffic proves the sender advanced this instance's
@@ -278,23 +268,17 @@ impl Frame {
                 if recovery.recovered {
                     return match msg {
                         // Post-recovery suspicion from a peer's signalling
-                        // or exit wait (set-wise: already-known removals
-                        // are no-ops): adopt without disturbing whatever
-                        // round this frame is in — the rounds re-derive
-                        // their group from the view each pass.
-                        // Announcements from threads this view already
-                        // removed are adopted like any other: in a
-                        // symmetric mutual-eviction race (both sides time
-                        // out within one message latency and evict each
-                        // other) mutual adoption collapses both views into
-                        // one removal set covering both announcers — each
-                        // side observes its own eviction and steps aside
-                        // consistently. The asymmetric case (a partitioned
-                        // minority counter-evicting a recently-alive
-                        // majority) never reaches this point: the eviction
-                        // quorum gate refuses the suspicion on the
-                        // announcer's side before anything is broadcast.
-                        Message::ViewChange { removed, .. } => RoundAction::Adopt(removed),
+                        // or exit wait, adopted without disturbing the
+                        // round in progress: it re-derives its group from
+                        // the view each pass. An announcer this view
+                        // already removed is adopted too: in a symmetric
+                        // mutual-eviction race (both time out within one
+                        // latency) both views collapse into one removal set
+                        // naming both, and each side steps aside. The
+                        // asymmetric case (a minority counter-evicting a
+                        // recently-alive majority) never gets here: the
+                        // quorum gate refuses it before any broadcast.
+                        msg @ Message::ViewChange { .. } => self.control(msg, false),
                         // Straggler after commit: the termination model
                         // admits nothing new once handlers started.
                         _ => RoundAction::Continue,
@@ -317,7 +301,7 @@ impl Frame {
                     ));
                 }
                 match round {
-                    Round::Resolution => RoundAction::Resolve(msg),
+                    Round::Resolution => self.control(msg, true),
                     Round::Body | Round::Object if trigger => {
                         // Control for the active action interrupts its body.
                         self.inbox.control.push_back(msg);
@@ -335,12 +319,11 @@ impl Frame {
                             RoundAction::End(RoundEnd::Recover)
                         }
                         // A peer's exit wait expired and it suspected
-                        // someone — possibly us. This cannot be a missed
-                        // recovery: any trigger would have arrived long
-                        // before a suspicion announcement (suspicion needs a
-                        // full bounded wait to expire first). Adopt the
-                        // removals and keep exiting over the new view.
-                        Message::ViewChange { removed, .. } => RoundAction::Adopt(removed),
+                        // someone, maybe us — not a missed recovery: a
+                        // trigger arrives long before a suspicion, which
+                        // waits out a whole bound first. Adopt the removals
+                        // and keep exiting over the new view.
+                        msg @ Message::ViewChange { .. } => self.control(msg, false),
                         other => RoundAction::Violation(Violation(format!(
                             "unexpected {} during exit",
                             other.kind()
@@ -391,13 +374,73 @@ impl Frame {
         }
     }
 
-    /// A bounded wait expired with `suspects` silent: the quorum gate
-    /// decides ([`FrameMembership::suspect`]); a view change that cannot
-    /// apply is a violation.
-    pub(crate) fn suspect(&mut self, suspects: &[ThreadId]) -> Result<Eviction, Violation> {
-        self.view
-            .suspect(suspects)
-            .map_err(|reason| Violation(format!("membership view change rejected: {reason}")))
+    /// A control message in the resolution round (§3.3.2) if `resolving`,
+    /// else a view change for the exit round or a recovered frame. A
+    /// removal set is merged first, so a commit racing ahead of its
+    /// `ViewChange` still shrinks the view; the resolver then hears the
+    /// step or the message, and a `ViewChange` opens a fresh round.
+    fn control(&mut self, msg: Message, resolving: bool) -> RoundAction {
+        let (removed, view_change) = match &msg {
+            Message::ViewChange { removed, .. } => (Some(removed), true),
+            Message::Commit { view_removed, .. } => (Some(view_removed), false),
+            _ => (None, false),
+        };
+        let adopts = removed.is_some();
+        let me = self.id.def.thread_of(self.id.role);
+        let step = removed.and_then(|removed| self.view.adopt_removals(me, removed));
+        let hears = self.hears_steps(resolving);
+        let feed = match &step {
+            Some(step) if view_change && hears => Some(Feed::ViewChange(step.removed.clone())),
+            _ if view_change || adopts && !hears => None,
+            _ => Some(Feed::Control(msg)),
+        };
+        let rearm = resolving && view_change;
+        RoundAction::Control { step, feed, rearm }
+    }
+
+    /// The one rule for whether the resolver hears of a view step or a
+    /// commit: in resolution, while this thread is still in the view.
+    fn hears_steps(&self, resolving: bool) -> bool {
+        resolving && !self.view.evicted
+    }
+
+    /// A bounded wait — of the resolution round if `resolving` — expired
+    /// with `silent` peers: what the quorum gate decides
+    /// ([`FrameMembership::suspect`]).
+    fn suspect(&mut self, silent: &[ThreadId], resolving: bool) -> Result<Suspicion, Violation> {
+        let fed = self.hears_steps(resolving);
+        match self.view.suspect(silent) {
+            Ok(Eviction::Refused { .. }) => Ok(Suspicion::Refused),
+            Ok(Eviction::Evict { step, recipients }) => Ok(Suspicion::Evict(step, recipients, fed)),
+            Err(why) => Err(Violation(format!("membership view change rejected: {why}"))),
+        }
+    }
+
+    /// What the frame's resolver (made on first use) answers to `feed`, the
+    /// view stamped into its `Commit`s; a resolved exception is recorded.
+    pub(crate) fn feed(&mut self, protocol: &dyn ResolutionProtocol, feed: Feed) -> ProtoActions {
+        let (resolver, ctx) = self.proto_ctx(protocol);
+        let mut actions = match feed {
+            Feed::Raise(e) => resolver.on_event(&ctx, ProtoEvent::LocalRaise(&e)),
+            Feed::Suspend => resolver.on_event(&ctx, ProtoEvent::LocalSuspend),
+            Feed::Control(msg) => resolver.on_event(&ctx, ProtoEvent::Control(&msg)),
+            Feed::ViewChange(removed) => {
+                resolver.on_view_change(&ctx, &removed, &synthesize_crashes(&removed))
+            }
+        };
+        // Epoch 0 (crash-free): the resolver's pre-stamped empty set stands.
+        if self.view.epoch() > 0 {
+            let removed = self.view.removed_shared();
+            for (_, msg) in &mut actions.outbound {
+                if let Message::Commit { view_removed, .. } = msg {
+                    *view_removed = Rc::clone(&removed);
+                }
+            }
+        }
+        if actions.resolved.is_some() {
+            self.recovery.resolved_exception = actions.resolved;
+        }
+        actions
     }
 
     /// Answers a restarted participant's `JoinRequest`: re-admits it into
@@ -407,10 +450,11 @@ impl Frame {
     /// epoch, the vote is re-sent — the original broadcast went to the
     /// joiner's pre-crash endpoint and was discarded. `None` when `joiner`
     /// was never part of this action's group.
-    pub(crate) fn grant_join(&mut self, me: ThreadId, joiner: ThreadId) -> Option<JoinGranted> {
+    pub(crate) fn grant_join(&mut self, joiner: ThreadId) -> Option<JoinGranted> {
         if !self.id.def.group.contains(&joiner) {
             return None;
         }
+        let me = self.id.def.thread_of(self.id.role);
         // (A joiner the view never removed — it restarted before anyone
         // suspected it — simply gets its unchanged membership confirmed.)
         let readmitted = self.view.adopt_rejoin(joiner);
@@ -727,20 +771,18 @@ pub(crate) enum RoundAction {
     /// straggler. Keep collecting.
     Continue,
     End(RoundEnd),
-    /// The wait expired with `suspects` silent: run a suspicion round on
-    /// them (if any), then conclude with `then` or — `None` — re-arm the
-    /// deadline and keep collecting over the new view.
-    Suspect {
-        suspects: ViewSnapshot,
-        then: Option<RoundEnd>,
+    /// The wait expired with these suspects silent ([`Round::timed_out`]),
+    /// and the suspicion was decided; then conclude with the end or — `None`
+    /// — re-arm the deadline and keep collecting over the new view.
+    Suspect(ViewSnapshot, Result<Suspicion, Violation>, Option<RoundEnd>),
+    /// A message for the addressed frame's recovery: count and log the
+    /// `step` it made the view take, feed the active frame's resolver, and
+    /// — `rearm` — restart the round's bound.
+    Control {
+        step: Option<ViewStep>,
+        feed: Option<Feed>,
+        rearm: bool,
     },
-    /// A rejoiner's exit wait expired: it gives up on the missing votes
-    /// without suspecting anyone.
-    GiveUp,
-    /// Feed the control message to the resolution machinery.
-    Resolve(Message),
-    /// Merge a peer's removal set into the addressed frame's view.
-    Adopt(Rc<[ThreadId]>),
     /// Grant this restarted participant's rejoin at the addressed frame.
     Grant(ThreadId),
     /// For an action this thread has not entered yet: "retain the Exception
@@ -754,6 +796,28 @@ pub(crate) enum RoundAction {
     Interrupt(Unwind),
     /// The event cannot occur in a correct run.
     Violation(Violation),
+}
+
+/// What a bounded wait's expiry decided about its silent peers.
+#[derive(Debug)]
+pub(crate) enum Suspicion {
+    /// The quorum gate refused: the frame gives up, announcing nothing.
+    Refused,
+    /// A rejoiner gives up on the missing votes, suspecting nobody.
+    GiveUp,
+    /// The view took this step: announce it to the recipients (the
+    /// pre-removal view), then — `true` — feed the resolver the change.
+    Evict(ViewStep, ViewSnapshot, bool),
+}
+
+/// What a frame's resolver is fed ([`Frame::feed`]): this thread's raise or
+/// suspension, a control message, or a view step's removals (presume-ƒ).
+#[derive(Debug)]
+pub(crate) enum Feed {
+    Raise(Exception),
+    Suspend,
+    Control(Message),
+    ViewChange(ViewSnapshot),
 }
 
 /// A decision no correct run takes, named: the thread performing it ends
@@ -810,9 +874,10 @@ impl Round {
         }
     }
 
-    /// The round's deadline expired: who is silent, and what follows.
-    /// (`protocol` for a resolution wait that expires on a frame no event
-    /// was fed to yet: its fresh state still names whom it waits on.)
+    /// The round's deadline expired: who is silent, what the quorum gate
+    /// makes of them, and what follows. (`protocol` for a resolution wait
+    /// that expires on a frame no event was fed to yet: its fresh state
+    /// still names whom it waits on.)
     pub(crate) fn expired(
         self,
         frame: Option<&mut Frame>,
@@ -830,7 +895,7 @@ impl Round {
             // Presume the peers the resolver is blocked on crashed; the
             // applied view change opens a fresh round for the shrunken view.
             Round::Resolution => {
-                let (resolver, ctx) = frame.proto_ctx(me, protocol);
+                let (resolver, ctx) = frame.proto_ctx(protocol);
                 let suspects = resolver.waiting_on(&ctx);
                 if suspects.is_empty() {
                     return RoundAction::Violation(Violation(
@@ -839,41 +904,70 @@ impl Round {
                             .into(),
                     ));
                 }
-                RoundAction::Suspect {
-                    suspects,
-                    then: None,
-                }
+                let decided = frame.suspect(&suspects, true);
+                RoundAction::Suspect(suspects, decided, None)
             }
             // The §3.4 timeout is a per-round deadline — unrelated traffic
             // must not extend the wait — so expiry concludes the exchange.
             Round::Signalling(round) => {
                 let (silent, collected) =
                     frame.signals.expire(round, &frame.signalling_group(), me);
-                // When the view is already degraded — a crash was detected
-                // earlier in this action's life — a missing announcement is
-                // presumed another crash, not a §3.4-tolerated loss:
-                // suspect the silent peers so the exit protocol will not
-                // wait for them. Against a pristine view the two are
-                // indistinguishable and the pure ƒ rule stands alone (a
-                // genuinely crashed peer is still caught by the exit
-                // round's suspicion).
-                let armed = frame.view.epoch() > 0 && !frame.view.evicted;
-                RoundAction::Suspect {
-                    suspects: if armed { silent } else { ViewSnapshot::new() },
-                    then: Some(RoundEnd::Signals(collected)),
+                // Against a degraded view (a crash was detected earlier in
+                // this action) a missing announcement is presumed another
+                // crash, not a §3.4 loss: suspect the silent peers, so the
+                // exit round will not wait for them. Against a pristine view
+                // the ƒ rule stands alone (the exit round catches a crash).
+                let then = RoundEnd::Signals(collected);
+                if frame.view.epoch() > 0 && !frame.view.evicted && !silent.is_empty() {
+                    let decided = frame.suspect(&silent, false);
+                    RoundAction::Suspect(silent, decided, Some(then))
+                } else {
+                    RoundAction::End(then)
                 }
             }
-            Round::Exit if frame.exit.is_rejoiner => RoundAction::GiveUp,
+            Round::Exit if frame.exit.is_rejoiner => RoundAction::Suspect(
+                ViewSnapshot::new(),
+                Ok(Suspicion::GiveUp),
+                Some(RoundEnd::Excluded),
+            ),
             // Round-agnostic suspicion: presume the silent peers crashed
             // and keep collecting votes over the shrunken view — the action
             // concludes among the survivors instead of resolving to ƒ
             // wholesale.
-            Round::Exit => RoundAction::Suspect {
-                suspects: frame.exit.silent(frame.view.members()).collect(),
-                then: None,
-            },
+            Round::Exit => {
+                let silent: ViewSnapshot = frame.exit.silent(frame.view.members()).collect();
+                let decided = frame.suspect(&silent, false);
+                RoundAction::Suspect(silent, decided, None)
+            }
             Round::Body | Round::Object | Round::Join { .. } => RoundAction::Continue,
         }
+    }
+
+    /// Counts in `stats` that this round's wait expired with `suspects`
+    /// silent; the event that logs it (an exit timeout names the frame's
+    /// `exit_epoch`), `None` for a wait that is not a frame's round.
+    pub(crate) fn timed_out(
+        self,
+        suspects: &[ThreadId],
+        exit_epoch: u32,
+        stats: &mut RuntimeStats,
+    ) -> Option<EventKind> {
+        let suspects: Box<[ThreadId]> = suspects.into();
+        Some(match self {
+            Round::Resolution => {
+                stats.resolution_timeouts += 1;
+                EventKind::ResolutionTimeout { suspects }
+            }
+            Round::Signalling(round) => {
+                stats.signal_timeouts += 1;
+                EventKind::SignalTimeout { round, suspects }
+            }
+            Round::Exit => {
+                stats.exit_timeouts += 1;
+                EventKind::ExitTimeout { epoch: exit_epoch }
+            }
+            Round::Body | Round::Object | Round::Join { .. } => return None,
+        })
     }
 }
 
@@ -936,6 +1030,55 @@ pub(crate) fn aborted(
     Ok((eab.as_ref().map(|e| *e.id()), Unwind::Outer { target, eab }))
 }
 
+/// Where a frame's §3.4 signalling stands: the handler returned, this
+/// thread undid its effects as [`SignalStep::Undo`] asked (coming to µ,
+/// or ƒ if an undo operation failed), or an exchange collected.
+#[derive(Debug)]
+pub(crate) enum Signalled {
+    Handled,
+    Undone { signal: Signal, alone: bool },
+    Exchanged(SignalRound, Collected),
+}
+
+/// What §3.4's signalling asks of the driver next: an exchange of this
+/// signal, an undo — case 2's, or (`alone`) a lone thread's local one —,
+/// or the signal this thread leaves with.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum SignalStep {
+    Exchange(SignalRound, Signal),
+    Undo { alone: bool },
+    Done(Signal),
+}
+
+/// §3.4's case analysis for a thread whose handler came to `mine`, at
+/// `frame`, after `at`.
+pub(crate) fn signalling(frame: &Frame, mine: &Signal, at: Signalled) -> SignalStep {
+    match at {
+        // Removed from the view: the survivors no longer expect our
+        // announcements; any broadcast would only confuse their rounds.
+        Signalled::Handled if frame.view.evicted => SignalStep::Done(Signal::Failure),
+        // The group is the current view: presumed-crashed members are not
+        // waited on. Alone, no coordination is needed; µ still requires
+        // the local undo.
+        Signalled::Handled if frame.signalling_group().len() == 1 => match mine {
+            Signal::Undo => SignalStep::Undo { alone: true },
+            other => SignalStep::Done(other.clone()),
+        },
+        Signalled::Handled => SignalStep::Exchange(SignalRound::First, mine.clone()),
+        Signalled::Undone { signal, alone } if alone => SignalStep::Done(signal),
+        Signalled::Undone { signal, .. } => SignalStep::Exchange(SignalRound::AfterUndo, signal),
+        // Case 3: ƒ dominates — every thread signals ƒ.
+        Signalled::Exchanged(_, collected) if frame.signals.failed(collected) => {
+            SignalStep::Done(Signal::Failure)
+        }
+        // Case 1: everyone signals its own exception (or nothing).
+        Signalled::Exchanged(SignalRound::First, c) if !c.undo => SignalStep::Done(mine.clone()),
+        // Case 2: µ requested — all threads undo, then exchange again.
+        Signalled::Exchanged(SignalRound::First, _) => SignalStep::Undo { alone: false },
+        Signalled::Exchanged(SignalRound::AfterUndo, _) => SignalStep::Done(Signal::Undo),
+    }
+}
+
 /// How an action leaves once its exit round ended.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Leave {
@@ -994,7 +1137,6 @@ pub(crate) fn admit(
 pub(crate) mod tests {
     use super::*;
     use crate::action::ActionDef;
-    use crate::membership::{Eviction, ViewStep};
     use crate::protocol::{ProtoEvent, XrrResolution};
     use caa_core::state::ParticipantState;
 
@@ -1151,11 +1293,7 @@ pub(crate) mod tests {
         // nobody is suspected, and the round concludes with ƒ for the
         // silent members of the group at expiry.
         match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect {
-                suspects,
-                then: Some(RoundEnd::Signals(collected)),
-            } => {
-                assert!(suspects.is_empty());
+            RoundAction::End(RoundEnd::Signals(collected)) => {
                 assert!(collected.failure && !collected.undo);
                 assert!(f.signals.failed(collected));
             }
@@ -1211,8 +1349,12 @@ pub(crate) mod tests {
         f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         f.signals.record(SignalRound::First, t(0), Signal::None);
         match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect { suspects, then } => {
+            RoundAction::Suspect(suspects, Ok(Suspicion::Evict(step, _, feed)), then) => {
                 assert_eq!(&suspects[..], [t(1)], "epoch > 0: silence is another crash");
+                assert_eq!(
+                    (step.epoch, &step.removed[..], feed),
+                    (2, &[t(1)][..], false)
+                );
                 assert!(matches!(then, Some(RoundEnd::Signals(c)) if c.failure));
                 assert_eq!(
                     announced(&f.signals, &[t(0), t(1)]),
@@ -1227,7 +1369,7 @@ pub(crate) mod tests {
         f.view.evicted = true;
         assert!(matches!(
             FIRST.expired(Some(&mut f), t(0), &XrrResolution),
-            RoundAction::Suspect { suspects, .. } if suspects.is_empty()
+            RoundAction::End(RoundEnd::Signals(_))
         ));
     }
 
@@ -1272,7 +1414,7 @@ pub(crate) mod tests {
         f.exit.record(0, t(1));
         assert!(matches!(
             Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
-            RoundAction::Suspect { .. }
+            RoundAction::Suspect(..)
         ));
         f.exit.record(0, t(2));
         assert!(matches!(
@@ -1288,10 +1430,9 @@ pub(crate) mod tests {
         // everybody is silent.
         let mut f = frame();
         match Round::Resolution.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect {
-                suspects,
-                then: None,
-            } => assert_eq!(&suspects[..], [t(0), t(1), t(2)]),
+            RoundAction::Suspect(suspects, _, None) => {
+                assert_eq!(&suspects[..], [t(0), t(1), t(2)]);
+            }
             other => panic!("expected the whole group as suspects, got {other:?}"),
         }
         assert!(f.recovery.resolver.is_some());
@@ -1331,17 +1472,11 @@ pub(crate) mod tests {
         f.exit.record(0, t(1));
         assert!(Round::Exit.status(Some(&f)).is_none(), "T2 has not voted");
         match Round::Exit.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect {
-                suspects,
-                then: None,
-            } => {
+            RoundAction::Suspect(suspects, Ok(Suspicion::Evict(_, recipients, _)), None) => {
                 assert_eq!(&suspects[..], [t(2)]);
-                assert!(matches!(
-                    f.view.suspect(&suspects),
-                    Ok(Eviction::Evict { .. })
-                ));
+                assert_eq!(&recipients[..], [t(0), t(1), t(2)]);
             }
-            other => panic!("expected suspicion and a re-armed wait, got {other:?}"),
+            other => panic!("expected an eviction and a re-armed wait, got {other:?}"),
         }
         assert!(matches!(
             Round::Exit.status(Some(&f)),
@@ -1360,7 +1495,7 @@ pub(crate) mod tests {
             Some(RoundEnd::Exited)
         ));
         // A granted rejoin grows the view mid-round.
-        let granted = f.grant_join(t(0), t(2)).expect("T2 is in the group");
+        let granted = f.grant_join(t(2)).expect("T2 is in the group");
         assert_eq!(granted.readmitted, Some(2));
         assert!(Round::Exit.status(Some(&f)).is_none());
         f.exit.record(0, t(2));
@@ -1404,8 +1539,9 @@ pub(crate) mod tests {
         assert_eq!(f.exit.vote(t(0)), 1, "votes in the granter's exit epoch");
         assert!(matches!(
             Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
-            RoundAction::GiveUp
+            RoundAction::Suspect(_, Ok(Suspicion::GiveUp), Some(RoundEnd::Excluded))
         ));
+        assert_eq!(f.view.members(), [t(0), t(1), t(2)], "nobody suspected");
     }
 
     #[test]
@@ -1425,11 +1561,11 @@ pub(crate) mod tests {
     #[test]
     fn grant_revotes_only_if_already_voted_in_the_current_exit_epoch() {
         let mut f = frame();
-        let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
+        let granted = f.grant_join(t(1)).expect("T1 is in the group");
         assert_eq!(granted.readmitted, None, "T1 was never removed");
         assert!(granted.revote.is_none(), "no vote cast yet");
         f.exit.vote(t(0));
-        let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
+        let granted = f.grant_join(t(1)).expect("T1 is in the group");
         assert!(matches!(
             granted.revote,
             Some(Message::ExitVote { epoch: 0, from, .. }) if from == t(0)
@@ -1437,13 +1573,13 @@ pub(crate) mod tests {
         // A recovery opens the next exit epoch: the old vote does not count.
         f.exit.open_next_epoch();
         f.recovery.resolved_exception = Some(ExceptionId::new("e"));
-        let granted = f.grant_join(t(0), t(1)).expect("T1 is in the group");
+        let granted = f.grant_join(t(1)).expect("T1 is in the group");
         assert!(granted.revote.is_none());
         assert!(matches!(
             granted.grant,
             Message::JoinGrant { thread, exit_epoch: 1, resolved: Some(_), .. } if thread == t(1)
         ));
-        assert!(f.grant_join(t(0), t(9)).is_none(), "T9 is not in the group");
+        assert!(f.grant_join(t(9)).is_none(), "T9 is not in the group");
     }
 
     #[test]
@@ -1526,13 +1662,8 @@ pub(crate) mod tests {
         // The second exchange expires with only this thread announced.
         f.signals.record(SignalRound::AfterUndo, me, Signal::Undo);
         match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), me, &XrrResolution) {
-            RoundAction::Suspect {
-                suspects,
-                then: Some(RoundEnd::Signals(collected)),
-            } => {
-                assert!(suspects.is_empty(), "pristine view: nobody is suspected");
-                assert!(collected.failure);
-            }
+            // A pristine view: nobody is suspected.
+            RoundAction::End(RoundEnd::Signals(collected)) => assert!(collected.failure),
             other => panic!("expected an ƒ-filled conclusion, got {other:?}"),
         }
         let filled: Vec<_> = f
@@ -1555,18 +1686,9 @@ pub(crate) mod tests {
             );
         }
         match Round::Exit.expired(Some(&mut f), me, &XrrResolution) {
-            RoundAction::Suspect {
-                suspects,
-                then: None,
-            } => {
+            RoundAction::Suspect(suspects, Ok(Suspicion::Evict(step, ..)), None) => {
                 assert_eq!(&suspects[..], &members[1..2]);
-                assert!(matches!(
-                    f.view.suspect(&suspects),
-                    Ok(Eviction::Evict {
-                        step: ViewStep { epoch: 1, .. },
-                        ..
-                    })
-                ));
+                assert_eq!((step.epoch, &step.removed[..]), (1, &members[1..2]));
             }
             other => panic!("expected suspicion of the one silent member, got {other:?}"),
         }
@@ -1807,7 +1929,11 @@ pub(crate) mod tests {
         ));
         assert!(matches!(
             f.absorb(exception(1), true, Round::Resolution),
-            RoundAction::Resolve(_)
+            RoundAction::Control {
+                step: None,
+                feed: Some(Feed::Control(Message::Exception { .. })),
+                rearm: false,
+            }
         ));
         assert!(matches!(
             f.absorb(exception(1), true, Round::Exit),
@@ -1974,15 +2100,557 @@ pub(crate) mod tests {
         assert!(what.starts_with("join grant rejected: "), "{what}");
     }
 
+    /// A resolver that says it waits on a thread outside the group.
+    #[derive(Debug)]
+    struct Liar;
+
+    impl ResolverState for Liar {
+        fn on_event(&mut self, _: &ProtoCtx<'_>, _: ProtoEvent<'_>) -> ProtoActions {
+            ProtoActions::default()
+        }
+        fn participant_state(&self) -> ParticipantState {
+            ParticipantState::Suspended
+        }
+        fn waiting_on(&self, _: &ProtoCtx<'_>) -> InlineVec<ThreadId, 8> {
+            InlineVec::from_slice(&[t(9)])
+        }
+    }
+
+    impl ResolutionProtocol for Liar {
+        fn name(&self) -> &'static str {
+            "liar"
+        }
+        fn new_state(&self) -> Box<dyn ResolverState> {
+            Box::new(Liar)
+        }
+    }
+
     #[test]
     fn a_suspicion_the_view_cannot_apply_is_a_violation() {
         let mut f = frame();
-        assert!(f.suspect(&[t(1)]).is_ok());
-        // T1 is gone already: removing it again applies nothing.
-        let what = violated(f.suspect(&[t(1)]));
-        assert!(
-            what.starts_with("membership view change rejected: "),
-            "{what}"
+        match Round::Resolution.expired(Some(&mut f), t(0), &Liar) {
+            RoundAction::Suspect(suspects, Err(Violation(what)), None) => {
+                assert_eq!(&suspects[..], [t(9)], "the timeout still names them");
+                assert!(
+                    what.starts_with("membership view change rejected: "),
+                    "{what}"
+                );
+            }
+            other => panic!("expected a violation, got {other:?}"),
+        }
+        assert_eq!(f.view.epoch(), 0, "the view took no step");
+    }
+
+    fn numbers(threads: &[ThreadId]) -> Vec<u32> {
+        threads.iter().map(|t| t.as_u32()).collect()
+    }
+
+    fn ids(numbers: &[u32]) -> Rc<[ThreadId]> {
+        numbers.iter().map(|&n| t(n)).collect()
+    }
+
+    fn view_change(removed: &[u32]) -> Message {
+        Message::ViewChange {
+            action: ACTION,
+            from: t(1),
+            removed: ids(removed),
+        }
+    }
+
+    fn commit(removed: &[u32]) -> Message {
+        Message::Commit {
+            action: ACTION,
+            from: t(2),
+            resolved: ExceptionId::new("e"),
+            view_removed: ids(removed),
+        }
+    }
+
+    /// What an absorbed message asks of the driver, as text: the view step
+    /// (epoch and removals), what the resolver hears, whether the round
+    /// re-arms — or that the message is stashed or dropped.
+    fn route(action: RoundAction) -> String {
+        match action {
+            RoundAction::Control { step, feed, rearm } => {
+                let step = step.map_or("-".into(), |step| {
+                    format!("e{} {:?}", step.epoch, numbers(&step.removed))
+                });
+                let feed = match feed {
+                    None => "-".into(),
+                    Some(Feed::ViewChange(removed)) => format!("view {:?}", numbers(&removed)),
+                    Some(Feed::Control(msg)) => msg.kind().to_string(),
+                    Some(other) => format!("{other:?}"),
+                };
+                format!("{step} | {feed}{}", if rearm { " | rearm" } else { "" })
+            }
+            RoundAction::Interrupt(_) => "stash".into(),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn each_route_that_adopts_a_removal_set_names_its_step_and_feed() {
+        // T0's frame of {T0, T1, T2}: (round, is the frame on top,
+        // recovered, evicted before) and the message → what the driver is
+        // asked to do, and whether T0 is evicted after.
+        type Row = (Round, bool, bool, bool, Message, &'static str, bool);
+        let (res, exit) = (Round::Resolution, Round::Exit);
+        let rows: [Row; 20] = [
+            // Resolution: a view change is adopted, fed and re-arms the
+            // round — fed only when it stepped the view and left us in it.
+            (
+                res,
+                true,
+                false,
+                false,
+                view_change(&[2]),
+                "e1 [2] | view [2] | rearm",
+                false,
+            ),
+            (
+                res,
+                true,
+                false,
+                false,
+                view_change(&[2, 2, 1]),
+                "e1 [1, 2] | view [1, 2] | rearm",
+                false,
+            ),
+            (
+                res,
+                true,
+                false,
+                false,
+                view_change(&[0, 2]),
+                "e1 [0, 2] | - | rearm",
+                true,
+            ),
+            (
+                res,
+                true,
+                false,
+                false,
+                view_change(&[9]),
+                "- | - | rearm",
+                false,
+            ),
+            (
+                res,
+                true,
+                false,
+                true,
+                view_change(&[2]),
+                "e1 [2] | - | rearm",
+                true,
+            ),
+            // A commit's removal set is adopted, and the commit fed unless
+            // the committed view excludes us.
+            (
+                res,
+                true,
+                false,
+                false,
+                commit(&[2]),
+                "e1 [2] | Commit",
+                false,
+            ),
+            (res, true, false, false, commit(&[]), "- | Commit", false),
+            (res, true, false, false, commit(&[0]), "e1 [0] | -", true),
+            (res, true, false, true, commit(&[]), "- | -", true),
+            // Other control traffic is fed as it is, evicted or not.
+            (
+                res,
+                true,
+                false,
+                false,
+                exception(1),
+                "- | Exception",
+                false,
+            ),
+            (res, true, false, true, exception(1), "- | Exception", true),
+            // The exit round and a recovered frame adopt and feed nothing.
+            (
+                exit,
+                true,
+                false,
+                false,
+                view_change(&[2]),
+                "e1 [2] | -",
+                false,
+            ),
+            (
+                exit,
+                true,
+                false,
+                false,
+                view_change(&[0]),
+                "e1 [0] | -",
+                true,
+            ),
+            (exit, true, false, false, view_change(&[9]), "- | -", false),
+            (
+                FIRST,
+                true,
+                true,
+                false,
+                view_change(&[2]),
+                "e1 [2] | -",
+                false,
+            ),
+            (
+                res,
+                true,
+                true,
+                false,
+                view_change(&[0, 1]),
+                "e1 [0, 1] | -",
+                true,
+            ),
+            (
+                Round::Body,
+                false,
+                true,
+                false,
+                view_change(&[1]),
+                "e1 [1] | -",
+                false,
+            ),
+            (exit, true, true, false, commit(&[2]), "Continue", false),
+            // A body, or a nested frame's, stashes a view change unadopted
+            // for the recovery that drains it.
+            (
+                Round::Body,
+                true,
+                false,
+                false,
+                view_change(&[2]),
+                "stash",
+                false,
+            ),
+            (
+                Round::Object,
+                false,
+                false,
+                false,
+                view_change(&[2]),
+                "stash",
+                false,
+            ),
+        ];
+        for (round, is_top, recovered, before, msg, expect, evicted) in rows {
+            let mut f = frame();
+            f.recovery.recovered = recovered;
+            f.view.evicted = before;
+            let what = format!(
+                "{} in {round:?} (top {is_top}, recovered {recovered})",
+                msg.kind()
+            );
+            assert_eq!(route(f.absorb(msg, is_top, round)), expect, "{what}");
+            assert_eq!(f.view.evicted, evicted, "{what}");
+            assert_eq!(f.view.epoch() > 0, expect.starts_with('e'), "{what}");
+        }
+    }
+
+    /// What an expiry asks of the driver, as text: the timeout's suspects,
+    /// what the quorum gate decided, and whether the round ends or
+    /// re-arms.
+    fn expiry(action: RoundAction) -> String {
+        match action {
+            RoundAction::Suspect(suspects, decided, then) => {
+                let decided = match decided {
+                    Ok(Suspicion::Evict(step, recipients, feed)) => format!(
+                        "evict e{} {:?} to {:?}{}",
+                        step.epoch,
+                        numbers(&step.removed),
+                        numbers(&recipients),
+                        if feed { ", fed" } else { "" }
+                    ),
+                    Ok(other) => format!("{other:?}"),
+                    Err(Violation(what)) => what,
+                };
+                let then = if then.is_some() { "end" } else { "rearm" };
+                format!("{:?}: {decided}; {then}", numbers(&suspects))
+            }
+            RoundAction::End(_) => "end".into(),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_expiry_puts_the_silent_peers_through_the_quorum_gate() {
+        // T0's frame of {T0, T1, T2}, having heard from `heard`: the round
+        // that expires → the suspects, the gate's decision and what
+        // follows, and whether T0 gave up (evicted).
+        type Setup = fn(&mut Frame);
+        let resolving: Setup = |f| {
+            f.feed(&XrrResolution, Feed::Suspend);
+        };
+        let voted: Setup = |f| {
+            f.exit.vote(t(0));
+        };
+        let degraded: Setup = |f| {
+            f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
+            f.signals.record(SignalRound::First, t(0), Signal::None);
+        };
+        let pristine: Setup = |f| {
+            f.signals.record(SignalRound::First, t(0), Signal::None);
+        };
+        let rejoined: Setup = |f| {
+            f.rejoin(FrameMembership::new(&[t(0), t(1), t(2)]), 0, None);
+            f.exit.vote(t(0));
+        };
+        type Row = (Round, Setup, &'static [u32], &'static str, bool);
+        let rows: [Row; 10] = [
+            // Resolution: the peers the resolver waits on, evicted and fed —
+            // unless the gate finds a recently-alive majority silent.
+            (
+                Round::Resolution,
+                resolving,
+                &[],
+                "[1, 2]: evict e1 [1, 2] to [0, 1, 2], fed; rearm",
+                false,
+            ),
+            (
+                Round::Resolution,
+                resolving,
+                &[1],
+                "[1, 2]: evict e1 [1, 2] to [0, 1, 2], fed; rearm",
+                false,
+            ),
+            (
+                Round::Resolution,
+                resolving,
+                &[1, 2],
+                "[1, 2]: Refused; rearm",
+                true,
+            ),
+            // Signalling: against a degraded view the silent are evicted
+            // and the exchange ends; a pristine view suspects nobody.
+            (
+                FIRST,
+                degraded,
+                &[1],
+                "[1]: evict e2 [1] to [0, 1]; end",
+                false,
+            ),
+            (FIRST, pristine, &[1, 2], "end", false),
+            // Exit: the missing voters, or a refusal; a rejoiner gives up.
+            (
+                Round::Exit,
+                voted,
+                &[],
+                "[1, 2]: evict e1 [1, 2] to [0, 1, 2]; rearm",
+                false,
+            ),
+            (
+                Round::Exit,
+                voted,
+                &[2],
+                "[1, 2]: evict e1 [1, 2] to [0, 1, 2]; rearm",
+                false,
+            ),
+            (Round::Exit, voted, &[1, 2], "[1, 2]: Refused; rearm", true),
+            (Round::Exit, rejoined, &[1, 2], "[]: GiveUp; end", false),
+            // A body's own deadline decides nothing.
+            (Round::Body, voted, &[1, 2], "Continue", false),
+        ];
+        for (round, setup, heard, expect, evicted) in rows {
+            let mut f = frame();
+            setup(&mut f);
+            for &peer in heard {
+                f.view.hear(t(peer));
+            }
+            let what = format!("{round:?}, heard {heard:?}");
+            let decided = round.expired(Some(&mut f), t(0), &XrrResolution);
+            assert_eq!(expiry(decided), expect, "{what}");
+            assert_eq!(f.view.evicted, evicted, "{what}");
+        }
+    }
+
+    #[test]
+    fn a_timeout_counts_and_logs_by_round() {
+        let mut stats = RuntimeStats::default();
+        let rounds = [
+            Round::Resolution,
+            FIRST,
+            Round::Signalling(SignalRound::AfterUndo),
+            Round::Exit,
+            Round::Body,
+            Round::Object,
+            Round::Join { action: ACTION },
+        ];
+        let logged = rounds.map(|round| {
+            round
+                .timed_out(&[t(1), t(2)], 3, &mut stats)
+                .map(|e| e.to_string())
+        });
+        assert_eq!(
+            logged,
+            [
+                Some("resolution timeout suspects T1 T2".to_owned()),
+                Some("signal timeout round-1 suspects T1 T2".to_owned()),
+                Some("signal timeout round-2 suspects T1 T2".to_owned()),
+                Some("exit timeout e3".to_owned()),
+                None,
+                None,
+                None,
+            ]
         );
+        let counted = (
+            stats.resolution_timeouts,
+            stats.signal_timeouts,
+            stats.exit_timeouts,
+        );
+        assert_eq!(counted, (1, 2, 1));
+    }
+
+    #[test]
+    fn section_3_4_concludes_exchanges_or_undoes() {
+        use Signal::{Failure as F, Undo as U};
+        let e = Signal::Exception(ExceptionId::new("s"));
+        let (first, after) = (SignalRound::First, SignalRound::AfterUndo);
+        let ok = Collected::default();
+        let undo = Collected {
+            failure: false,
+            undo: true,
+        };
+        let failed = Collected::FAILED;
+        // (where signalling stands, this thread's handler signal, the
+        // frame evicted / alone in its group) → the step, without and with
+        // a corrupted message in the exchange (ƒ dominates the exchanges
+        // alone).
+        type Row = (Signalled, Signal, (bool, bool), SignalStep, SignalStep);
+        let done = SignalStep::Done;
+        let rows: [Row; 14] = [
+            (
+                Signalled::Handled,
+                e.clone(),
+                (true, false),
+                done(F),
+                done(F),
+            ),
+            (Signalled::Handled, U, (true, true), done(F), done(F)),
+            (
+                Signalled::Handled,
+                U,
+                (false, true),
+                SignalStep::Undo { alone: true },
+                SignalStep::Undo { alone: true },
+            ),
+            (
+                Signalled::Handled,
+                e.clone(),
+                (false, true),
+                done(e.clone()),
+                done(e.clone()),
+            ),
+            (
+                Signalled::Handled,
+                e.clone(),
+                (false, false),
+                SignalStep::Exchange(first, e.clone()),
+                SignalStep::Exchange(first, e.clone()),
+            ),
+            (
+                Signalled::Undone {
+                    signal: U,
+                    alone: true,
+                },
+                U,
+                (false, true),
+                done(U),
+                done(U),
+            ),
+            (
+                Signalled::Undone {
+                    signal: F,
+                    alone: true,
+                },
+                U,
+                (false, true),
+                done(F),
+                done(F),
+            ),
+            (
+                Signalled::Undone {
+                    signal: U,
+                    alone: false,
+                },
+                U,
+                (false, false),
+                SignalStep::Exchange(after, U),
+                SignalStep::Exchange(after, U),
+            ),
+            // Case 1, case 2 (µ), case 3 (ƒ) after the first exchange.
+            (
+                Signalled::Exchanged(first, ok),
+                e.clone(),
+                (false, false),
+                done(e.clone()),
+                done(F),
+            ),
+            (
+                Signalled::Exchanged(first, undo),
+                e.clone(),
+                (false, false),
+                SignalStep::Undo { alone: false },
+                done(F),
+            ),
+            (
+                Signalled::Exchanged(first, failed),
+                e.clone(),
+                (false, false),
+                done(F),
+                done(F),
+            ),
+            // After the undo exchange: µ, or ƒ.
+            (
+                Signalled::Exchanged(after, undo),
+                U,
+                (false, false),
+                done(U),
+                done(F),
+            ),
+            (
+                Signalled::Exchanged(after, ok),
+                U,
+                (false, false),
+                done(U),
+                done(F),
+            ),
+            (
+                Signalled::Exchanged(after, failed),
+                U,
+                (false, false),
+                done(F),
+                done(F),
+            ),
+        ];
+        for (at, mine, (evicted, alone), clean, corrupted) in rows {
+            let what = format!("{at:?}, mine {mine:?}, evicted {evicted}, alone {alone}");
+            for (is_corrupted, expect) in [(false, clean), (true, corrupted)] {
+                let mut f = frame();
+                if alone {
+                    f.view.adopt_removals(t(0), &[t(1), t(2)]).expect("live");
+                }
+                f.view.evicted = evicted;
+                f.signals.corrupted = is_corrupted;
+                let at = match &at {
+                    Signalled::Handled => Signalled::Handled,
+                    Signalled::Undone { signal, alone } => Signalled::Undone {
+                        signal: signal.clone(),
+                        alone: *alone,
+                    },
+                    Signalled::Exchanged(round, collected) => {
+                        Signalled::Exchanged(*round, *collected)
+                    }
+                };
+                assert_eq!(
+                    signalling(&f, &mine, at),
+                    expect,
+                    "{what}, corrupted {is_corrupted}"
+                );
+            }
+        }
     }
 }

@@ -15,6 +15,7 @@ use caa_core::exception::ExceptionId;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualInstant};
 use caa_exgraph::generate::conjunction_lattice;
+use caa_runtime::protocol::lemma1_bound;
 use caa_runtime::{ActionDef, System};
 use caa_simnet::LatencyModel;
 use proptest::prelude::*;
@@ -219,7 +220,7 @@ fn nested_recovery_respects_lemma1_bound() {
             .as_secs_f64();
         let measured = done - raised;
         let nmax = 1.0f64;
-        let bound = (2.0 * nmax + 3.0) * t_mmax + nmax * t_abort + (nmax + 1.0) * (t_reso + delta);
+        let bound = lemma1_bound(nmax, t_mmax, t_abort, t_reso, delta);
         assert!(
             measured <= bound + 1e-6,
             "measured {measured:.6}s exceeds bound {bound:.6}s \

@@ -117,12 +117,6 @@ impl MetricSet {
         self.hist_index.get(name).map(|&i| &self.hists[i].1)
     }
 
-    /// The histogram behind a handle.
-    #[must_use]
-    pub fn histogram_at(&self, handle: HistogramHandle) -> &Histogram {
-        &self.hists[handle.0].1
-    }
-
     /// Iterates `(label, value)` over all counters in label order.
     pub fn counters_sorted(&self) -> Vec<(&str, u64)> {
         let mut out: Vec<(&str, u64)> = self

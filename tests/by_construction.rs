@@ -69,7 +69,13 @@
 //!   (`MembershipView`, `ViewChangeOutcome`, `sync_to`), the core has no
 //!   `membership` module, no message but a `JoinGrant` carries an epoch
 //!   (`Commit` has no `view_epoch`, `ViewChange` no `epoch`), and the
-//!   context counts a view step in one place.
+//!   context counts a view step in one place;
+//! * `Ctx` performs, the frame decides: the runtime's context takes no
+//!   view step itself (it calls no `adopt_removals`, no `suspect(`, no
+//!   `synthesize_crashes`), has no route of its own for one (no
+//!   `adopt_removal_set`, `absorb_active_control`, `suspect_round` or
+//!   `observe_timeout`), and builds a `Message::ViewChange` at one site —
+//!   the announcement of an eviction `rounds` decided.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -912,5 +918,35 @@ fn the_context_counts_a_view_step_in_one_place() {
         1,
         "context.rs counts a local eviction and an adopted announcement \
          in one method"
+    );
+}
+
+#[test]
+fn the_context_performs_the_view_steps_the_frame_decides() {
+    let context = context_source();
+    for call in ["adopt_removals", "suspect(", "synthesize_crashes"] {
+        assert!(
+            !context.contains(call),
+            "context.rs names `{call}`: a view step is decided in `rounds` \
+             (`Frame::absorb`, `Round::expired`) and performed by `Ctx::perform`"
+        );
+    }
+    for route in [
+        "adopt_removal_set",
+        "absorb_active_control",
+        "suspect_round",
+        "observe_timeout",
+    ] {
+        assert!(
+            !context.contains(&format!("fn {route}")),
+            "context.rs defines `{route}`: a view step has one route, a \
+             `RoundAction` that `Ctx::perform` performs"
+        );
+    }
+    assert_eq!(
+        context.matches("Message::ViewChange").count(),
+        1,
+        "context.rs builds a `ViewChange` at one site, announcing an eviction \
+         the round decided, and matches on none"
     );
 }
