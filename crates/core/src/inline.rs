@@ -3,14 +3,21 @@
 //!
 //! Every coordination round keeps a handful of per-participant facts: the
 //! *live member set* it ranges over (membership view, signalling group,
-//! exit group), and what each member said (the signalling announcements,
-//! the exit votes, the resolver's `LE` list). With `Vec` or a tree map
-//! every round of every frame is a heap allocation — or several — on the
-//! execute hot path. Group sizes are tiny — the scenario model tops out
-//! well below a dozen participants — so [`InlineVec`] keeps up to `N`
+//! exit group), and what members said (the resolver's `LE` list of
+//! exceptions, the exit votes of an epoch not yet opened). With `Vec` or a
+//! tree map every round of every frame is a heap allocation — or several —
+//! on the execute hot path. Group sizes are tiny — the scenario model tops
+//! out well below a dozen participants — so [`InlineVec`] keeps up to `N`
 //! elements inline in its owner and only spills to a heap `Vec` beyond
 //! that. The spill path keeps full `Vec` semantics, so correctness never
 //! depends on the inline capacity; `N` is purely a performance knob.
+//!
+//! A round's *tallies* — who announced, who said ƒ or µ, who voted in the
+//! current exit epoch, who was heard from — are not tables of this type:
+//! each is a `ThreadSet` of the runtime's membership module, one bit per
+//! thread (itself an `InlineVec` of one word), so a round's completion
+//! asks each member of the view one bit. Pair tables remain for rows that
+//! carry a value, such as the `LE` list.
 //!
 //! The type is deliberately minimal: elements need `Default` (an unused
 //! inline slot holds one, which is what keeps the whole type in safe

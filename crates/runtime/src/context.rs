@@ -37,8 +37,9 @@
 //! (§3.3.1's cascade), §3.4's cases (`rounds::signalling`) and how an
 //! action leaves. An object's arbitration lives with the object
 //! ([`crate::objects`]). `Ctx` is the thin driver that owns the endpoint
-//! and the frame stack and performs what it is told (`Ctx::perform`): it
-//! counts, logs, sends, feeds the resolver and runs the handlers.
+//! and the frame stack and performs what it is told (`Ctx::perform`, and
+//! `Ctx::expire` for a deadline's `Expiry`): it counts, logs, sends, feeds
+//! the resolver and runs the handlers.
 //!
 //! A frame (parts grouped by responsibility, see `rounds::Frame`) is
 //! reached through `Ctx::frame`/`Ctx::frame_mut`. Rounds range over its
@@ -50,8 +51,8 @@
 //! collects in a frame part that `Frame::absorb` fills, and call
 //! `self.collect(Round::…, timeout)` after announcing with `Ctx::broadcast`.
 //! The driver changes only if the round needs an effect no `RoundAction`
-//! names. A round that a peer's doorbell ends, like the object round
-//! (`Round::Object`), keeps its state in a value of its own
+//! or `Expiry` names. A round that a peer's doorbell ends, like the object
+//! round (`Round::Object`), keeps its state in a value of its own
 //! (`objects::Acquisition`) and loops over `Ctx::wait`, answering
 //! `Performed::Rang`.
 
@@ -74,8 +75,8 @@ use crate::objects::{self, Acquisition, Release, SharedObject, TxControl};
 use crate::observe::{EntryKind, EventKind};
 use crate::protocol::ResolutionProtocol;
 use crate::rounds::{self, aborted, admit, leave, release_on_exit, Collected, Feed, Frame};
+use crate::rounds::{Expiry, SignalStep, Signalled, Suspicion, Violation};
 use crate::rounds::{Frames, Landing, Leave, RecoveryStart, Round, RoundAction, RoundEnd};
-use crate::rounds::{SignalStep, Signalled, Suspicion, Violation};
 use crate::system::SystemShared;
 
 /// An application message delivered to a role.
@@ -405,13 +406,13 @@ impl Ctx {
             Parked::Deadline => {
                 // The crash instant takes precedence over the round's own.
                 self.crash_check()?;
-                let top = self.stack.len().saturating_sub(1);
                 let protocol = &*self.system.protocol;
                 let frame = self.stack.last_mut().map(Box::as_mut);
-                (top, round.expired(frame, self.me, protocol))
+                let expiry = round.expired(frame, self.me, protocol);
+                return self.expire(round, expiry);
             }
         };
-        self.perform(round, index, action)
+        self.perform(index, action)
     }
 
     /// Raises exception `e` in the active action (§3.1 *raise*). The
@@ -649,7 +650,7 @@ impl Ctx {
             // recovery (any other outcome is as moot as the message).
             let top = self.stack.len() - 1;
             let decision = self.frame_mut().absorb(msg, true, Round::Body);
-            if let Err(flow) = self.perform(Round::Body, top, decision) {
+            if let Err(flow) = self.perform(top, decision) {
                 if matches!(flow.unwind, Unwind::Suspend) {
                     initial = Some(RecoveryStart::Suspend);
                 }
@@ -778,7 +779,7 @@ impl Ctx {
         };
         let view = match admit(&inner.group, epoch, &removed, me) {
             Ok(view) => view,
-            Err(violation) => return self.violated(round, violation),
+            Err(violation) => return self.violated(violation),
         };
         let view_epoch = view.epoch();
         self.finished.retain(|&serial| serial != action.serial());
@@ -914,7 +915,7 @@ impl Ctx {
         match leave(end, signalled) {
             Ok(Leave::Finalize(outcome)) => self.finalize(outcome),
             Ok(Leave::Recover) => self.phase_recover(def, RecoveryStart::Suspend),
-            Err(violation) => self.violated(Round::Exit, violation),
+            Err(violation) => self.violated(violation),
         }
     }
 
@@ -960,7 +961,7 @@ impl Ctx {
         // Open the join-deferral window and pin the signalling cohort:
         // the view must not grow while resolution or signalling ranges
         // over it (see `Recovery::cohort`).
-        frame.recovery.cohort = Some(ViewSnapshot::from_slice(frame.view.members()));
+        frame.recovery.cohort = Some(frame.view.members().iter().copied().collect());
         frame.recovery.resolved_exception = None;
         self.observe_top(|| EventKind::RecoveryStart {
             raised: matches!(start, RecoveryStart::Raise(_)),
@@ -971,7 +972,7 @@ impl Ctx {
         while let Some(msg) = self.frame_mut().inbox.control.pop_front() {
             let top = self.stack.len() - 1;
             let decision = self.frame_mut().absorb(msg, true, Round::Resolution);
-            self.perform(Round::Resolution, top, decision)?;
+            self.perform(top, decision)?;
         }
         if self.frame().view.evicted {
             // A pending view change removed us before we ever announced
@@ -1051,38 +1052,10 @@ impl Ctx {
     }
 
     /// Executes one round decision. `index` is the frame it addresses.
-    fn perform(&mut self, round: Round, index: usize, action: RoundAction) -> Step<Performed> {
+    fn perform(&mut self, index: usize, action: RoundAction) -> Step<Performed> {
         match action {
             RoundAction::Continue => {}
             RoundAction::End(end) => return Ok(Performed::End(end)),
-            RoundAction::Suspect(suspects, decided, then) => {
-                let (epoch, stats) = (self.frame().exit.epoch, &self.system.stats);
-                let timeout = round.timed_out(&suspects, epoch, &mut stats.borrow_mut());
-                if let Some(timeout) = timeout {
-                    self.observe_top(|| timeout);
-                }
-                match decided {
-                    Ok(Suspicion::Refused) => stats.borrow_mut().suspicions_refused += 1,
-                    Ok(Suspicion::GiveUp) => stats.borrow_mut().exit_give_ups += 1,
-                    Ok(Suspicion::Evict(step, recipients, feed)) => {
-                        self.observe_view_step(index, &step);
-                        // Announce first: per-link FIFO then shows every
-                        // survivor the change before what we derive from it.
-                        let (action, me) = (self.stack[index].id.action, self.me);
-                        let removed: Rc<[ThreadId]> = Rc::from(&step.removed[..]);
-                        self.broadcast(&recipients, |_| Message::ViewChange {
-                            action,
-                            from: me,
-                            removed: Rc::clone(&removed),
-                        });
-                        if feed {
-                            self.feed(Feed::ViewChange(step.removed))?;
-                        }
-                    }
-                    Err(violation) => return self.violated(round, violation),
-                }
-                return Ok(then.map_or(Performed::Rearm, Performed::End));
-            }
             RoundAction::Control { step, feed, rearm } => {
                 if let Some(step) = step {
                     self.observe_view_step(index, &step);
@@ -1106,11 +1079,50 @@ impl Ctx {
         Ok(Performed::Continue)
     }
 
+    /// Performs what `round`'s expired deadline decided: counts and logs
+    /// the timeout, performs the quorum gate's decision on the silent peers
+    /// at the active frame, then ends or re-arms the round.
+    fn expire(&mut self, round: Round, expiry: Expiry) -> Step<Performed> {
+        let (suspects, decided, then) = match expiry {
+            Expiry::Ignored => return Ok(Performed::Continue),
+            Expiry::End(end) => return Ok(Performed::End(end)),
+            Expiry::Suspect(suspects, decided, then) => (suspects, decided, then),
+            Expiry::Violation(violation) => return self.violated(violation),
+        };
+        let (epoch, stats) = (self.frame().exit.epoch, &self.system.stats);
+        let timeout = round.timed_out(&suspects, epoch, &mut stats.borrow_mut());
+        if let Some(timeout) = timeout {
+            self.observe_top(|| timeout);
+        }
+        match decided {
+            Ok(Suspicion::Refused) => stats.borrow_mut().suspicions_refused += 1,
+            Ok(Suspicion::GiveUp) => stats.borrow_mut().exit_give_ups += 1,
+            Ok(Suspicion::Evict(step, recipients, feed)) => {
+                let index = self.stack.len() - 1;
+                self.observe_view_step(index, &step);
+                // Announce first: per-link FIFO then shows every
+                // survivor the change before what we derive from it.
+                let (action, me) = (self.stack[index].id.action, self.me);
+                let removed: Rc<[ThreadId]> = Rc::from(&step.removed[..]);
+                self.broadcast(&recipients, |_| Message::ViewChange {
+                    action,
+                    from: me,
+                    removed: Rc::clone(&removed),
+                });
+                if feed {
+                    self.feed(Feed::ViewChange(step.removed))?;
+                }
+            }
+            Err(violation) => return self.violated(violation),
+        }
+        Ok(then.map_or(Performed::Rearm, Performed::End))
+    }
+
     /// Performs a violation a round decided between waits: the thread ends
     /// as [`Ctx::perform`] ends it.
-    fn violated<T>(&mut self, round: Round, violation: Violation) -> Step<T> {
+    fn violated<T>(&mut self, violation: Violation) -> Step<T> {
         let top = self.stack.len().saturating_sub(1);
-        self.perform(round, top, RoundAction::Violation(violation))?;
+        self.perform(top, RoundAction::Violation(violation))?;
         unreachable!("a violation ends the thread")
     }
 
@@ -1294,7 +1306,7 @@ impl Ctx {
         self.crash_check()?;
         while let Some(received) = self.endpoint.try_recv()? {
             let (index, action) = self.classify(received, Round::Body);
-            self.perform(Round::Body, index, action)?;
+            self.perform(index, action)?;
         }
         Ok(())
     }

@@ -78,17 +78,94 @@ use caa_core::ids::ThreadId;
 use caa_core::inline::InlineVec;
 use caa_core::message::no_removals;
 
-/// How many members a frame's per-participant tables (the view and its
-/// removed set, view snapshots, heard-from set, signalling table, exit
-/// votes, the resolver's `LE` list) hold inline. One constant, so a group
-/// that fits one table fits them all; bigger groups spill to the heap
-/// transparently.
+/// How many members a frame's member lists (the view and its removed set,
+/// view snapshots, the resolver's `LE` list) hold inline. One constant, so
+/// a group that fits one list fits them all; bigger groups spill to the
+/// heap transparently.
 pub(crate) const GROUP_INLINE: usize = 8;
 
 /// A per-round snapshot of an action's live member set, kept on the stack
 /// (see [`caa_core::inline`]): protocol rounds snapshot the view once per
 /// round on the execute hot path.
 pub(crate) type ViewSnapshot = InlineVec<ThreadId, GROUP_INLINE>;
+
+/// A set of threads: one bit per thread index, so asking whether a member
+/// is in it costs one load whatever the set holds. What a round tallies
+/// per member — who announced, who voted, who was heard from — is a set
+/// like this, and completing the round walks the view's member slice
+/// against it. Threads 0–63 fit the inline word; a higher index grows the
+/// set by whole words (a sparse id such as 4000 costs 63 of them).
+#[derive(Clone, Default)]
+pub(crate) struct ThreadSet {
+    /// Bit `i % 64` of word `i / 64` is thread `i`. Words are never
+    /// dropped: [`ThreadSet::clear`] zeroes them for the next use.
+    words: InlineVec<u64, 1>,
+}
+
+impl ThreadSet {
+    /// The word and the bit of `thread`.
+    fn bit(thread: ThreadId) -> (usize, u64) {
+        let index = thread.index();
+        (index / 64, 1 << (index % 64))
+    }
+
+    /// Whether `thread` is in the set.
+    pub(crate) fn contains(&self, thread: ThreadId) -> bool {
+        let (word, bit) = ThreadSet::bit(thread);
+        self.words.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Adds `thread`.
+    pub(crate) fn insert(&mut self, thread: ThreadId) {
+        let (word, bit) = ThreadSet::bit(thread);
+        while self.words.len() <= word {
+            self.words.push(0);
+        }
+        self.words[word] |= bit;
+    }
+
+    /// Adds `thread` if `member`, else removes it.
+    pub(crate) fn set(&mut self, thread: ThreadId, member: bool) {
+        let (word, bit) = ThreadSet::bit(thread);
+        if member {
+            self.insert(thread);
+        } else if let Some(w) = self.words.get_mut(word) {
+            *w &= !bit;
+        }
+    }
+
+    /// Empties the set, keeping its words.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The threads in the set, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        self.words.iter().enumerate().flat_map(|(word, &bits)| {
+            (0..64)
+                .filter(move |bit| bits & (1 << bit) != 0)
+                .map(move |bit| {
+                    ThreadId::new(u32::try_from(word * 64 + bit).expect("a thread index is a u32"))
+                })
+        })
+    }
+}
+
+impl FromIterator<ThreadId> for ThreadSet {
+    fn from_iter<I: IntoIterator<Item = ThreadId>>(threads: I) -> Self {
+        let mut set = ThreadSet::default();
+        for thread in threads {
+            set.insert(thread);
+        }
+        set
+    }
+}
+
+impl std::fmt::Debug for ThreadSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
 
 /// One step a frame's view took by removing threads: the epoch it
 /// advanced to and the threads it removed (a local eviction's in the order
@@ -134,9 +211,8 @@ pub(crate) struct FrameMembership {
     /// Liveness evidence for the eviction quorum gate: every peer this
     /// thread received a protocol message from within this instance
     /// (application traffic excluded — only recovery, signalling, exit and
-    /// membership messages prove a peer advanced the protocol). A set, in
-    /// order of first hearing.
-    heard_from: ViewSnapshot,
+    /// membership messages prove a peer advanced the protocol).
+    heard_from: ThreadSet,
     /// A membership view change removed *this* thread (a peer's suspicion
     /// was wrong — we are alive), or the quorum gate refused this thread's
     /// own suspicion. The frame gives up locally and finalizes as
@@ -161,16 +237,24 @@ impl FrameMembership {
             members,
             removed: ViewSnapshot::new(),
             epoch: 0,
-            heard_from: ViewSnapshot::new(),
+            heard_from: ThreadSet::default(),
             evicted: false,
             removed_cache: None,
         }
     }
 
-    /// Back to the initial full view over `group`, in place (a frame's
-    /// view when it is re-entered).
+    /// Back to the initial full view over `group` — an action's group,
+    /// sorted and free of duplicates already — in place (a frame's view
+    /// when it is re-entered).
     pub(crate) fn reset(&mut self, group: &[ThreadId]) {
-        *self = FrameMembership::new(group);
+        debug_assert!(group.is_sorted_by(|a, b| a < b), "a group is a sorted set");
+        self.members.clear();
+        self.members.extend_from_slice(group);
+        self.removed.clear();
+        self.epoch = 0;
+        self.heard_from.clear();
+        self.evicted = false;
+        self.removed_cache = None;
     }
 
     /// The live members, sorted ascending.
@@ -199,14 +283,12 @@ impl FrameMembership {
     /// Notes a protocol message from `peer`: it was alive within this
     /// instance (see [`FrameMembership::suspect`]).
     pub(crate) fn hear(&mut self, peer: ThreadId) {
-        if !self.heard(peer) {
-            self.heard_from.push(peer);
-        }
+        self.heard_from.insert(peer);
     }
 
     /// Whether a protocol message from `peer` was noted.
     pub(crate) fn heard(&self, peer: ThreadId) -> bool {
-        self.heard_from.contains(&peer)
+        self.heard_from.contains(peer)
     }
 
     /// Every thread removed so far, ascending.
@@ -522,9 +604,57 @@ mod tests {
                 let probe = ids[rng.below(ids.len() as u64) as usize];
                 assert_eq!(m.heard(probe), reference.contains(&probe));
             }
-            let mut heard: Vec<ThreadId> = m.heard_from.to_vec();
-            heard.sort_unstable();
+            let heard: Vec<ThreadId> = m.heard_from.iter().collect();
             assert_eq!(heard, reference.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_thread_set_holds_word_edges_sparse_ids_and_a_group_of_twelve() {
+        // (inserted, then removed) → the set, ascending.
+        type Row = (&'static [u32], &'static [u32], &'static [u32]);
+        let rows: [Row; 10] = [
+            (&[], &[], &[]),
+            (&[0], &[], &[0]),
+            // The inline word's last bit, and the first bit past it.
+            (&[63], &[], &[63]),
+            (&[64], &[], &[64]),
+            (&[4000, 70, 64, 63, 0], &[], &[0, 63, 64, 70, 4000]),
+            (&[0, 63, 64, 70, 4000], &[64, 4000], &[0, 63, 70]),
+            (&[70, 70], &[70], &[]),
+            // Removing a thread past the last word changes nothing.
+            (&[0], &[4000], &[0]),
+            (
+                &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+                &[],
+                &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            ),
+            (
+                &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+                &[3, 11, 12],
+                &[0, 1, 2, 4, 5, 6, 7, 8, 9, 10],
+            ),
+        ];
+        let probes = [0, 1, 3, 11, 12, 63, 64, 65, 70, 4000, 4001, 9_999];
+        for (inserted, removed, held) in rows {
+            let mut set: ThreadSet = ids(inserted).into_iter().collect();
+            for &gone in removed {
+                set.set(t(gone), false);
+            }
+            assert_eq!(
+                set.iter().collect::<Vec<_>>(),
+                ids(held),
+                "{inserted:?} - {removed:?}"
+            );
+            for probe in probes {
+                assert_eq!(set.contains(t(probe)), held.contains(&probe), "T{probe}");
+            }
+            // Cleared, it holds nothing and takes threads again.
+            set.clear();
+            assert_eq!(set.iter().count(), 0);
+            assert!(probes.iter().all(|&probe| !set.contains(t(probe))));
+            set.set(t(64), true);
+            assert_eq!(set.iter().collect::<Vec<_>>(), [t(64)]);
         }
     }
 

@@ -11,16 +11,16 @@
 //! message means ([`classify`]: [`Frame::absorb`], [`unframed`],
 //! [`corrupted`]), adopting a removal set there and naming the view step
 //! and what the resolver hears ([`Feed`]). Each answer is a
-//! [`RoundAction`] the driver executes.
+//! [`RoundAction`] the driver executes, or for a deadline an [`Expiry`].
 //! So are the decisions taken between rounds: where an unwind lands at a
 //! frame and what an abortion handler's result carries on (the §3.3.1
 //! cascade: [`land`], [`aborted`]), §3.4's case analysis ([`signalling`]:
 //! exchange, undo or conclude), how an action leaves once its exit round
 //! ended ([`leave`]) and releases its objects ([`release_on_exit`]), and
 //! whether a rejoin grant re-admits ([`admit`]). A decision that no correct
-//! run takes is a [`RoundAction::Violation`], never an error made on the
-//! spot. Nothing here sends, receives, observes or reads a clock, so every
-//! decision is unit-tested below without a network, a system or a thread.
+//! run takes is a [`Violation`], never an error made on the spot. Nothing
+//! here sends, receives, observes or reads a clock, so every decision is
+//! unit-tested below without a network, a system or a thread.
 //! (The quorum gate and the set-wise merge live with the view they guard:
 //! [`FrameMembership::suspect`], [`FrameMembership::adopt_removals`].)
 
@@ -37,8 +37,8 @@ use caa_simnet::Received;
 use crate::action::DefInner;
 use crate::context::AppMsg;
 use crate::error::Unwind;
-use crate::membership::GROUP_INLINE;
-use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ViewSnapshot, ViewStep};
+use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ThreadSet, ViewSnapshot};
+use crate::membership::{ViewStep, GROUP_INLINE};
 use crate::objects::{Release, TxControl};
 use crate::observe::EventKind;
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
@@ -47,13 +47,13 @@ use crate::system::RuntimeStats;
 /// One entry of the action stack (`SA`), grouped by responsibility.
 ///
 /// What a round keeps per participant — announcements, votes, the peers
-/// heard from — lives inline in the frame ([`InlineVec`] tables keyed by
-/// the member, spilling to the heap only past [`GROUP_INLINE`] members),
-/// and what has to be on the heap — the inboxes, the list of touched
-/// objects, the resolver's state — keeps its allocation from one instance
-/// to the next: a frame is boxed once and then stays put, *left* in place
-/// when its action ends ([`Frame::leave`]) and *re-entered* in place by the
-/// participant's next action ([`Frame::reenter`]). Entering an action,
+/// heard from — lives inline in the frame ([`ThreadSet`]s, spilling to the
+/// heap only for a thread index past 63), and what has to be on the heap —
+/// the inboxes, the list of touched objects, the resolver's state — keeps
+/// its allocation from one instance to the next: a frame is boxed once and
+/// then stays put, *left* in place when its action ends ([`Frame::leave`])
+/// and *re-entered* in place by the participant's next action
+/// ([`Frame::reenter`]). Entering an action,
 /// running its rounds and leaving it allocate nothing, and move a pointer
 /// where they used to move the kilobyte the frame is.
 pub(crate) struct Frame {
@@ -124,7 +124,7 @@ pub(crate) struct Recovery {
     /// handler verdict to announce. Also the join-deferral gate: rejoin
     /// grants are queued while this is `Some` and flushed before the exit
     /// protocol, so the view never grows mid-resolution or mid-signalling.
-    pub(crate) cohort: Option<ViewSnapshot>,
+    pub(crate) cohort: Option<ThreadSet>,
     /// The exception this frame's recovery resolved to (set the moment the
     /// resolver reports agreement), handed to rejoiners so a restarted
     /// participant knows recovery already happened.
@@ -178,11 +178,8 @@ impl Frame {
         recovery.in_handler = None;
         recovery.cohort = None;
         recovery.resolved_exception = None;
-        self.signals.announced.clear();
-        self.signals.corrupted = false;
-        self.exit.votes.clear();
-        self.exit.epoch = 0;
-        self.exit.is_rejoiner = false;
+        self.signals.clear();
+        self.exit.clear();
     }
 
     /// Fast-forwards a just-entered frame to the state a `JoinGrant`
@@ -202,20 +199,20 @@ impl Frame {
         self.recovery.resolved_exception = resolved;
     }
 
-    /// The members the signalling rounds range over: the recovery cohort
-    /// that is still live. Peers readmitted mid-recovery never took part in
-    /// this recovery's handling and have no verdict to announce, so they
-    /// are excluded; crash-free frames never shrink the view and the
-    /// cohort equals the full group.
+    /// The members the signalling rounds range over, ascending: the
+    /// recovery cohort that is still live. Peers readmitted mid-recovery
+    /// never took part in this recovery's handling and have no verdict to
+    /// announce, so they are excluded; crash-free frames never shrink the
+    /// view and the cohort equals the full group.
+    fn signalling_members(&self) -> impl Iterator<Item = &ThreadId> {
+        let cohort = self.recovery.cohort.as_ref();
+        let members = self.view.members().iter();
+        members.filter(move |&&t| cohort.is_none_or(|cohort| cohort.contains(t)))
+    }
+
+    /// [`Frame::signalling_members`], as a snapshot to announce to.
     pub(crate) fn signalling_group(&self) -> ViewSnapshot {
-        match &self.recovery.cohort {
-            Some(cohort) => cohort
-                .iter()
-                .copied()
-                .filter(|&t| self.view.members().contains(&t))
-                .collect(),
-            None => ViewSnapshot::from_slice(self.view.members()),
-        }
+        self.signalling_members().copied().collect()
     }
 
     /// The frame's resolver — a fresh state of `protocol` the first time —
@@ -596,13 +593,35 @@ impl Collected {
     };
 }
 
-/// Signalling announcements seen (§3.4): one row per announcing member,
-/// one slot per exchange.
-#[derive(Default)]
+/// Signalling announcements seen (§3.4), one [`Exchange`] per exchange.
+#[derive(Debug, Default)]
 pub(crate) struct SignalTable {
-    announced: InlineVec<(ThreadId, [Option<Signal>; 2]), GROUP_INLINE>,
+    exchanges: [Exchange; 2],
     /// A corrupted message arrived during a signalling collection.
     corrupted: bool,
+}
+
+/// One exchange's announcements, as what §3.4 reads of them: who
+/// announced, and who said ƒ and who said µ in their latest announcement.
+#[derive(Debug, Default)]
+struct Exchange {
+    announced: ThreadSet,
+    failure: ThreadSet,
+    undo: ThreadSet,
+}
+
+impl Exchange {
+    fn record(&mut self, from: ThreadId, signal: &Signal) {
+        self.announced.insert(from);
+        self.failure.set(from, *signal == Signal::Failure);
+        self.undo.set(from, *signal == Signal::Undo);
+    }
+
+    fn clear(&mut self) {
+        self.announced.clear();
+        self.failure.clear();
+        self.undo.clear();
+    }
 }
 
 impl SignalTable {
@@ -615,40 +634,23 @@ impl SignalTable {
 
     /// Records `from`'s announcement for `round` (the latest one wins).
     pub(crate) fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
-        let row = match self.announced.iter().position(|(t, _)| *t == from) {
-            Some(row) => row,
-            None => {
-                self.announced.push((from, [None, None]));
-                self.announced.len() - 1
-            }
-        };
-        self.announced[row].1[Self::slot(round)] = Some(signal);
-    }
-
-    /// What `thread` announced for `round`, if anything yet.
-    fn announcement(&self, round: SignalRound, thread: ThreadId) -> Option<&Signal> {
-        let (_, slots) = self.announced.iter().find(|(t, _)| *t == thread)?;
-        slots[Self::slot(round)].as_ref()
-    }
-
-    /// `group`'s announcements for `round`, in group order.
-    fn announcements<'a>(
-        &'a self,
-        round: SignalRound,
-        group: &'a [ThreadId],
-    ) -> impl Iterator<Item = Option<&'a Signal>> + 'a {
-        group.iter().map(move |&t| self.announcement(round, t))
+        self.exchanges[Self::slot(round)].record(from, &signal);
     }
 
     /// What `group` announced for `round`, once every member has.
-    fn complete(&self, round: SignalRound, group: &[ThreadId]) -> Option<Collected> {
+    fn complete<'a>(
+        &self,
+        round: SignalRound,
+        group: impl IntoIterator<Item = &'a ThreadId>,
+    ) -> Option<Collected> {
+        let exchange = &self.exchanges[Self::slot(round)];
         let mut collected = Collected::default();
-        for signal in self.announcements(round, group) {
-            match signal? {
-                Signal::Failure => collected.failure = true,
-                Signal::Undo => collected.undo = true,
-                Signal::None | Signal::Exception(_) => {}
+        for &t in group {
+            if !exchange.announced.contains(t) {
+                return None;
             }
+            collected.failure |= exchange.failure.contains(t);
+            collected.undo |= exchange.undo.contains(t);
         }
         Some(collected)
     }
@@ -666,13 +668,14 @@ impl SignalTable {
         group: &[ThreadId],
         me: ThreadId,
     ) -> (ViewSnapshot, Collected) {
+        let exchange = &mut self.exchanges[Self::slot(round)];
         let mut silent = ViewSnapshot::new();
         for &t in group {
-            if self.announcement(round, t).is_none() {
+            if !exchange.announced.contains(t) {
                 if t != me {
                     silent.push(t);
                 }
-                self.record(round, t, Signal::Failure);
+                exchange.record(t, &Signal::Failure);
             }
         }
         let collected = self
@@ -686,15 +689,25 @@ impl SignalTable {
     pub(crate) fn failed(&self, collected: Collected) -> bool {
         self.corrupted || collected.failure
     }
+
+    /// Forgets every announcement and the corruption mark.
+    fn clear(&mut self) {
+        for exchange in &mut self.exchanges {
+            exchange.clear();
+        }
+        self.corrupted = false;
+    }
 }
 
 /// The synchronous exit protocol's vote barrier (§5.1).
 #[derive(Default)]
 pub(crate) struct ExitBarrier {
-    /// Exit votes seen, as `(epoch, voter)` pairs of the current epoch and
-    /// later ones (a peer that recovered ahead of this thread votes in the
-    /// next epoch before this thread opens it).
-    votes: InlineVec<(u32, ThreadId), GROUP_INLINE>,
+    /// Who voted in the current epoch.
+    votes: ThreadSet,
+    /// Votes of later epochs, as `(epoch, voter)` pairs until their epoch
+    /// opens (a peer that recovered ahead of this thread votes in the next
+    /// epoch before this thread opens it).
+    early: InlineVec<(u32, ThreadId), GROUP_INLINE>,
     /// The exit epoch this thread votes in next: 0 for normal completion,
     /// bumped by each completed recovery.
     pub(crate) epoch: u32,
@@ -711,32 +724,52 @@ impl ExitBarrier {
     /// Records `from`'s vote for `epoch`. A vote of an epoch this thread
     /// has left behind is never read again and is not kept.
     pub(crate) fn record(&mut self, epoch: u32, from: ThreadId) {
-        if epoch >= self.epoch && !self.voted(epoch, from) {
-            self.votes.push((epoch, from));
+        if epoch == self.epoch {
+            self.votes.insert(from);
+        } else if epoch > self.epoch && !self.early.contains(&(epoch, from)) {
+            self.early.push((epoch, from));
         }
     }
 
     /// Casts this thread's own vote; returns the epoch it votes in.
     pub(crate) fn vote(&mut self, me: ThreadId) -> u32 {
-        self.record(self.epoch, me);
+        self.votes.insert(me);
         self.epoch
     }
 
     /// A completed recovery opens the next exit epoch: the votes of the
-    /// one it closes no longer count.
+    /// one it closes no longer count, the early ones for it do.
     pub(crate) fn open_next_epoch(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
-        self.votes.retain(|&(e, _)| e >= epoch);
+        self.votes.clear();
+        for &(e, voter) in self.early.iter() {
+            if e == epoch {
+                self.votes.insert(voter);
+            }
+        }
+        self.early.retain(|&(e, _)| e > epoch);
     }
 
     fn voted(&self, epoch: u32, thread: ThreadId) -> bool {
-        self.votes.contains(&(epoch, thread))
+        if epoch == self.epoch {
+            self.votes.contains(thread)
+        } else {
+            self.early.contains(&(epoch, thread))
+        }
     }
 
     /// The members of `view` whose vote in the current epoch is missing.
     fn silent<'a>(&'a self, view: &'a [ThreadId]) -> impl Iterator<Item = ThreadId> + 'a {
-        view.iter().copied().filter(|&t| !self.voted(self.epoch, t))
+        view.iter().copied().filter(|&t| !self.votes.contains(t))
+    }
+
+    /// Back to epoch 0 with no votes, for the frame's next instance.
+    fn clear(&mut self) {
+        self.votes.clear();
+        self.early.clear();
+        self.epoch = 0;
+        self.is_rejoiner = false;
     }
 }
 
@@ -771,10 +804,6 @@ pub(crate) enum RoundAction {
     /// straggler. Keep collecting.
     Continue,
     End(RoundEnd),
-    /// The wait expired with these suspects silent ([`Round::timed_out`]),
-    /// and the suspicion was decided; then conclude with the end or — `None`
-    /// — re-arm the deadline and keep collecting over the new view.
-    Suspect(ViewSnapshot, Result<Suspicion, Violation>, Option<RoundEnd>),
     /// A message for the addressed frame's recovery: count and log the
     /// `step` it made the view take, feed the active frame's resolver, and
     /// — `rearm` — restart the round's bound.
@@ -795,6 +824,25 @@ pub(crate) enum RoundAction {
     /// Recovery takes over: unwind the role body.
     Interrupt(Unwind),
     /// The event cannot occur in a correct run.
+    Violation(Violation),
+}
+
+/// What a round's deadline decides ([`Round::expired`]).
+///
+/// Made and performed once per expired deadline, and moved once: boxing
+/// the suspicion would add an allocation to every expiry.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub(crate) enum Expiry {
+    /// Nothing: a body's own deadline.
+    Ignored,
+    /// The round ends, suspecting nobody.
+    End(RoundEnd),
+    /// The wait expired with these suspects silent ([`Round::timed_out`]),
+    /// and the suspicion was decided; then conclude with the end or — `None`
+    /// — re-arm the deadline and keep collecting over the new view.
+    Suspect(ViewSnapshot, Result<Suspicion, Violation>, Option<RoundEnd>),
+    /// The expiry cannot occur in a correct run.
     Violation(Violation),
 }
 
@@ -862,7 +910,7 @@ impl Round {
             Round::Resolution => frame.recovery.resolved_exception.map(RoundEnd::Resolved),
             Round::Signalling(round) => frame
                 .signals
-                .complete(round, &frame.signalling_group())
+                .complete(round, frame.signalling_members())
                 .map(RoundEnd::Signals),
             Round::Exit => frame
                 .exit
@@ -883,12 +931,12 @@ impl Round {
         frame: Option<&mut Frame>,
         me: ThreadId,
         protocol: &dyn ResolutionProtocol,
-    ) -> RoundAction {
+    ) -> Expiry {
         let frame = match (self, frame) {
             // A body's own deadline: nothing follows.
-            (Round::Body | Round::Object, _) => return RoundAction::Continue,
+            (Round::Body | Round::Object, _) => return Expiry::Ignored,
             // The grant wait: no survivor answered.
-            (_, None) => return RoundAction::End(RoundEnd::Excluded),
+            (_, None) => return Expiry::End(RoundEnd::Excluded),
             (_, Some(frame)) => frame,
         };
         match self {
@@ -898,14 +946,14 @@ impl Round {
                 let (resolver, ctx) = frame.proto_ctx(protocol);
                 let suspects = resolver.waiting_on(&ctx);
                 if suspects.is_empty() {
-                    return RoundAction::Violation(Violation(
+                    return Expiry::Violation(Violation(
                         "bounded resolution wait expired but the protocol reports no suspects \
                          (resolution protocol without membership support?)"
                             .into(),
                     ));
                 }
                 let decided = frame.suspect(&suspects, true);
-                RoundAction::Suspect(suspects, decided, None)
+                Expiry::Suspect(suspects, decided, None)
             }
             // The §3.4 timeout is a per-round deadline — unrelated traffic
             // must not extend the wait — so expiry concludes the exchange.
@@ -920,12 +968,12 @@ impl Round {
                 let then = RoundEnd::Signals(collected);
                 if frame.view.epoch() > 0 && !frame.view.evicted && !silent.is_empty() {
                     let decided = frame.suspect(&silent, false);
-                    RoundAction::Suspect(silent, decided, Some(then))
+                    Expiry::Suspect(silent, decided, Some(then))
                 } else {
-                    RoundAction::End(then)
+                    Expiry::End(then)
                 }
             }
-            Round::Exit if frame.exit.is_rejoiner => RoundAction::Suspect(
+            Round::Exit if frame.exit.is_rejoiner => Expiry::Suspect(
                 ViewSnapshot::new(),
                 Ok(Suspicion::GiveUp),
                 Some(RoundEnd::Excluded),
@@ -937,9 +985,9 @@ impl Round {
             Round::Exit => {
                 let silent: ViewSnapshot = frame.exit.silent(frame.view.members()).collect();
                 let decided = frame.suspect(&silent, false);
-                RoundAction::Suspect(silent, decided, None)
+                Expiry::Suspect(silent, decided, None)
             }
-            Round::Body | Round::Object | Round::Join { .. } => RoundAction::Continue,
+            Round::Body | Round::Object | Round::Join { .. } => Expiry::Ignored,
         }
     }
 
@@ -1060,7 +1108,7 @@ pub(crate) fn signalling(frame: &Frame, mine: &Signal, at: Signalled) -> SignalS
         // The group is the current view: presumed-crashed members are not
         // waited on. Alone, no coordination is needed; µ still requires
         // the local undo.
-        Signalled::Handled if frame.signalling_group().len() == 1 => match mine {
+        Signalled::Handled if frame.signalling_members().count() == 1 => match mine {
             Signal::Undo => SignalStep::Undo { alone: true },
             other => SignalStep::Done(other.clone()),
         },
@@ -1155,8 +1203,8 @@ pub(crate) mod tests {
                 frame.objects.len(),
                 (recovery.recovered, recovery.aborting, recovery.in_handler),
                 (&recovery.cohort, recovery.resolved_exception),
-                (&signals.announced, signals.corrupted),
-                (&exit.votes, exit.epoch, exit.is_rejoiner),
+                signals,
+                (&exit.votes, &exit.early, exit.epoch, exit.is_rejoiner),
                 &frame.view,
             )
         )
@@ -1210,13 +1258,26 @@ pub(crate) mod tests {
 
     const FIRST: Round = Round::Signalling(SignalRound::First);
 
-    /// `group`'s announcements for the first exchange, in group order.
-    fn announced(table: &SignalTable, group: &[ThreadId]) -> Vec<Option<Signal>> {
-        table
-            .announcements(SignalRound::First, group)
-            .map(|s| s.cloned())
+    /// What the first exchange reads of each member of `group`, in group
+    /// order: `None` while it is silent, else whether it said ƒ or µ.
+    fn announced(table: &SignalTable, group: &[ThreadId]) -> Vec<Option<Collected>> {
+        group
+            .iter()
+            .map(|t| table.complete(SignalRound::First, [t]))
             .collect()
     }
+
+    /// What the rounds read of a member that announced nothing special
+    /// (no signal, or its own exception), ƒ, or µ.
+    const NONE: Collected = Collected {
+        failure: false,
+        undo: false,
+    };
+    const FAIL: Collected = Collected::FAILED;
+    const UNDO: Collected = Collected {
+        failure: false,
+        undo: true,
+    };
 
     #[test]
     fn signalling_completes_over_a_shrunk_view() {
@@ -1239,7 +1300,7 @@ pub(crate) mod tests {
         }
         assert_eq!(
             announced(&f.signals, &f.signalling_group()),
-            [Some(Signal::None), Some(Signal::Undo)]
+            [Some(NONE), Some(UNDO)]
         );
     }
 
@@ -1250,10 +1311,7 @@ pub(crate) mod tests {
         table.record(SignalRound::First, t(1), Signal::Undo);
         table.record(SignalRound::First, t(0), Signal::None);
         table.record(SignalRound::First, t(1), Signal::Failure);
-        assert_eq!(
-            announced(&table, &group),
-            [Some(Signal::None), Some(Signal::Failure)]
-        );
+        assert_eq!(announced(&table, &group), [Some(NONE), Some(FAIL)]);
         assert_eq!(
             table.complete(SignalRound::First, &group),
             Some(Collected {
@@ -1274,7 +1332,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             announced(&table, &group),
-            [Some(Signal::None), Some(Signal::Failure)],
+            [Some(NONE), Some(FAIL)],
             "the first exchange is untouched by the second"
         );
         // An announcement from outside the group is never read.
@@ -1293,7 +1351,7 @@ pub(crate) mod tests {
         // nobody is suspected, and the round concludes with ƒ for the
         // silent members of the group at expiry.
         match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::End(RoundEnd::Signals(collected)) => {
+            Expiry::End(RoundEnd::Signals(collected)) => {
                 assert!(collected.failure && !collected.undo);
                 assert!(f.signals.failed(collected));
             }
@@ -1301,11 +1359,7 @@ pub(crate) mod tests {
         }
         assert_eq!(
             announced(&f.signals, &[t(0), t(1), t(2)]),
-            [
-                Some(Signal::None),
-                Some(Signal::Failure),
-                Some(Signal::Failure)
-            ],
+            [Some(NONE), Some(FAIL), Some(FAIL)],
             "the silent members read ƒ, in group order"
         );
     }
@@ -1328,19 +1382,11 @@ pub(crate) mod tests {
         );
         assert_eq!(
             announced(&table, &group),
-            [
-                Some(Signal::Failure),
-                Some(Signal::Failure),
-                Some(Signal::Undo),
-                Some(Signal::Failure)
-            ]
+            [Some(FAIL), Some(FAIL), Some(UNDO), Some(FAIL)]
         );
         // A late announcement still replaces the presumed ƒ.
         table.record(SignalRound::First, t(7), Signal::None);
-        assert_eq!(
-            table.announcement(SignalRound::First, t(7)),
-            Some(&Signal::None)
-        );
+        assert_eq!(announced(&table, &[t(7)]), [Some(NONE)]);
     }
 
     #[test]
@@ -1349,7 +1395,7 @@ pub(crate) mod tests {
         f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         f.signals.record(SignalRound::First, t(0), Signal::None);
         match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect(suspects, Ok(Suspicion::Evict(step, _, feed)), then) => {
+            Expiry::Suspect(suspects, Ok(Suspicion::Evict(step, _, feed)), then) => {
                 assert_eq!(&suspects[..], [t(1)], "epoch > 0: silence is another crash");
                 assert_eq!(
                     (step.epoch, &step.removed[..], feed),
@@ -1358,7 +1404,7 @@ pub(crate) mod tests {
                 assert!(matches!(then, Some(RoundEnd::Signals(c)) if c.failure));
                 assert_eq!(
                     announced(&f.signals, &[t(0), t(1)]),
-                    [Some(Signal::None), Some(Signal::Failure)]
+                    [Some(NONE), Some(FAIL)]
                 );
             }
             other => panic!("expected suspicion, got {other:?}"),
@@ -1369,7 +1415,7 @@ pub(crate) mod tests {
         f.view.evicted = true;
         assert!(matches!(
             FIRST.expired(Some(&mut f), t(0), &XrrResolution),
-            RoundAction::End(RoundEnd::Signals(_))
+            Expiry::End(RoundEnd::Signals(_))
         ));
     }
 
@@ -1414,7 +1460,7 @@ pub(crate) mod tests {
         f.exit.record(0, t(1));
         assert!(matches!(
             Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
-            RoundAction::Suspect(..)
+            Expiry::Suspect(..)
         ));
         f.exit.record(0, t(2));
         assert!(matches!(
@@ -1430,7 +1476,7 @@ pub(crate) mod tests {
         // everybody is silent.
         let mut f = frame();
         match Round::Resolution.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect(suspects, _, None) => {
+            Expiry::Suspect(suspects, _, None) => {
                 assert_eq!(&suspects[..], [t(0), t(1), t(2)]);
             }
             other => panic!("expected the whole group as suspects, got {other:?}"),
@@ -1459,7 +1505,7 @@ pub(crate) mod tests {
         }
         assert!(matches!(
             Round::Resolution.expired(Some(&mut frame()), t(0), &Mute),
-            RoundAction::Violation(_)
+            Expiry::Violation(_)
         ));
     }
 
@@ -1472,7 +1518,7 @@ pub(crate) mod tests {
         f.exit.record(0, t(1));
         assert!(Round::Exit.status(Some(&f)).is_none(), "T2 has not voted");
         match Round::Exit.expired(Some(&mut f), t(0), &XrrResolution) {
-            RoundAction::Suspect(suspects, Ok(Suspicion::Evict(_, recipients, _)), None) => {
+            Expiry::Suspect(suspects, Ok(Suspicion::Evict(_, recipients, _)), None) => {
                 assert_eq!(&suspects[..], [t(2)]);
                 assert_eq!(&recipients[..], [t(0), t(1), t(2)]);
             }
@@ -1539,7 +1585,7 @@ pub(crate) mod tests {
         assert_eq!(f.exit.vote(t(0)), 1, "votes in the granter's exit epoch");
         assert!(matches!(
             Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
-            RoundAction::Suspect(_, Ok(Suspicion::GiveUp), Some(RoundEnd::Excluded))
+            Expiry::Suspect(_, Ok(Suspicion::GiveUp), Some(RoundEnd::Excluded))
         ));
         assert_eq!(f.view.members(), [t(0), t(1), t(2)], "nobody suspected");
     }
@@ -1593,7 +1639,7 @@ pub(crate) mod tests {
             f.absorb(request(), true, Round::Body),
             RoundAction::Grant(j) if j == t(2)
         ));
-        f.recovery.cohort = Some(ViewSnapshot::from_slice(f.view.members()));
+        f.recovery.cohort = Some(f.view.members().iter().copied().collect());
         assert!(matches!(
             f.absorb(request(), true, Round::Resolution),
             RoundAction::Continue
@@ -1620,7 +1666,7 @@ pub(crate) mod tests {
         ));
         assert!(matches!(
             join.expired(None, t(0), &XrrResolution),
-            RoundAction::End(RoundEnd::Excluded)
+            Expiry::End(RoundEnd::Excluded)
         ));
     }
 
@@ -1663,16 +1709,15 @@ pub(crate) mod tests {
         f.signals.record(SignalRound::AfterUndo, me, Signal::Undo);
         match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), me, &XrrResolution) {
             // A pristine view: nobody is suspected.
-            RoundAction::End(RoundEnd::Signals(collected)) => assert!(collected.failure),
+            Expiry::End(RoundEnd::Signals(collected)) => assert!(collected.failure),
             other => panic!("expected an ƒ-filled conclusion, got {other:?}"),
         }
-        let filled: Vec<_> = f
-            .signals
-            .announcements(SignalRound::AfterUndo, &members)
-            .map(|s| s.cloned())
+        let filled: Vec<_> = members
+            .iter()
+            .map(|t| f.signals.complete(SignalRound::AfterUndo, [t]))
             .collect();
-        assert_eq!(filled[0], Some(Signal::Undo));
-        assert!(filled[1..].iter().all(|s| *s == Some(Signal::Failure)));
+        assert_eq!(filled[0], Some(UNDO));
+        assert!(filled[1..].iter().all(|c| *c == Some(FAIL)));
 
         // Exit: votes arrive in reverse order; the silent set is whoever
         // is left, in view order; the last one is suspected at expiry.
@@ -1686,7 +1731,7 @@ pub(crate) mod tests {
             );
         }
         match Round::Exit.expired(Some(&mut f), me, &XrrResolution) {
-            RoundAction::Suspect(suspects, Ok(Suspicion::Evict(step, ..)), None) => {
+            Expiry::Suspect(suspects, Ok(Suspicion::Evict(step, ..)), None) => {
                 assert_eq!(&suspects[..], &members[1..2]);
                 assert_eq!((step.epoch, &step.removed[..]), (1, &members[1..2]));
             }
@@ -1779,6 +1824,12 @@ pub(crate) mod tests {
                 self.votes.get(&epoch).is_some_and(|v| v.contains(&thread))
             }
 
+            pub(super) fn voters(&self, epoch: u32) -> Vec<ThreadId> {
+                self.votes
+                    .get(&epoch)
+                    .map_or_else(Vec::new, |v| v.iter().copied().collect())
+            }
+
             pub(super) fn silent(&self, view: &[ThreadId]) -> Vec<ThreadId> {
                 view.iter()
                     .copied()
@@ -1841,12 +1892,13 @@ pub(crate) mod tests {
                             table.complete(round, &group),
                             expected.as_deref().map(summary)
                         );
-                        if let Some(expected) = expected {
-                            let in_order: Vec<Signal> = table
-                                .announcements(round, &group)
-                                .map(|s| s.expect("complete").clone())
-                                .collect();
-                            assert_eq!(in_order, expected);
+                        // What the round reads of each member alone.
+                        for t in &group {
+                            let expected = tree.complete(round, std::slice::from_ref(t));
+                            assert_eq!(
+                                table.complete(round, [t]),
+                                expected.as_deref().map(summary)
+                            );
                         }
                     }
                     _ => {
@@ -1898,8 +1950,31 @@ pub(crate) mod tests {
                     barrier.voted(barrier.epoch, probe),
                     tree.voted(tree.epoch, probe)
                 );
+                // The sets kept: this epoch's voters, and the early votes
+                // of the next two epochs.
+                assert_eq!(
+                    barrier.votes.iter().collect::<Vec<_>>(),
+                    tree.voters(tree.epoch)
+                );
+                for epoch in tree.epoch + 1..tree.epoch + 3 {
+                    let mut early: Vec<ThreadId> = barrier
+                        .early
+                        .iter()
+                        .filter(|&&(e, _)| e == epoch)
+                        .map(|&(_, voter)| voter)
+                        .collect();
+                    early.sort_unstable();
+                    assert_eq!(early, tree.voters(epoch), "epoch {epoch}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_round_action_stays_small() {
+        // Every delivered message's decision is moved through one (272
+        // bytes while it carried the expiry's payloads too).
+        assert_eq!(std::mem::size_of::<RoundAction>(), 152);
     }
 
     // -- routing decisions -----------------------------------------------
@@ -2129,7 +2204,7 @@ pub(crate) mod tests {
     fn a_suspicion_the_view_cannot_apply_is_a_violation() {
         let mut f = frame();
         match Round::Resolution.expired(Some(&mut f), t(0), &Liar) {
-            RoundAction::Suspect(suspects, Err(Violation(what)), None) => {
+            Expiry::Suspect(suspects, Err(Violation(what)), None) => {
                 assert_eq!(&suspects[..], [t(9)], "the timeout still names them");
                 assert!(
                     what.starts_with("membership view change rejected: "),
@@ -2354,9 +2429,9 @@ pub(crate) mod tests {
     /// What an expiry asks of the driver, as text: the timeout's suspects,
     /// what the quorum gate decided, and whether the round ends or
     /// re-arms.
-    fn expiry(action: RoundAction) -> String {
+    fn expiry(action: Expiry) -> String {
         match action {
-            RoundAction::Suspect(suspects, decided, then) => {
+            Expiry::Suspect(suspects, decided, then) => {
                 let decided = match decided {
                     Ok(Suspicion::Evict(step, recipients, feed)) => format!(
                         "evict e{} {:?} to {:?}{}",
@@ -2371,7 +2446,7 @@ pub(crate) mod tests {
                 let then = if then.is_some() { "end" } else { "rearm" };
                 format!("{:?}: {decided}; {then}", numbers(&suspects))
             }
-            RoundAction::End(_) => "end".into(),
+            Expiry::End(_) => "end".into(),
             other => format!("{other:?}"),
         }
     }
@@ -2452,7 +2527,7 @@ pub(crate) mod tests {
             (Round::Exit, voted, &[1, 2], "[1, 2]: Refused; rearm", true),
             (Round::Exit, rejoined, &[1, 2], "[]: GiveUp; end", false),
             // A body's own deadline decides nothing.
-            (Round::Body, voted, &[1, 2], "Continue", false),
+            (Round::Body, voted, &[1, 2], "Ignored", false),
         ];
         for (round, setup, heard, expect, evicted) in rows {
             let mut f = frame();

@@ -1,7 +1,7 @@
 //! The simulator itself: one plain, single-owner value.
 //!
 //! Everything a network knows — the clock, every endpoint's blocked state,
-//! wake-up point and `Mailbox` (delivery heap plus the dense per-source
+//! wake-up point and `Mailbox` (delivery queue plus the dense per-source
 //! link row of FIFO clamps and sequence numbers), the fault budgets, the
 //! counters, the deadlock verdict — is a field of one [`Core`], and
 //! everything it does is a `&mut self` method of it: a send, a non-blocking
@@ -12,8 +12,7 @@
 //! their exclusive access and what a parked endpoint does until it is
 //! marked runnable again is the business of a [`Host`](crate::host::Host).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use caa_core::ids::PartitionId;
@@ -80,7 +79,7 @@ struct ActorSlot<M> {
     /// started waiting elsewhere) cannot plant a stale doorbell into the
     /// new wait, nor into a receive after it.
     wait_epoch: u64,
-    /// The endpoint's receive side: delivery heap and per-source link row.
+    /// The endpoint's receive side: delivery queue and per-source link row.
     mailbox: Mailbox<M>,
 }
 
@@ -117,25 +116,9 @@ struct Envelope<M> {
 }
 
 impl<M> Envelope<M> {
+    /// The delivery order: unique per mailbox, since `(src, seq)` is.
     fn key(&self) -> (VirtualInstant, u32, u64) {
         (self.deliver_at, self.src.as_u32(), self.seq)
-    }
-}
-
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for Envelope<M> {}
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Envelope<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
     }
 }
 
@@ -145,18 +128,23 @@ struct LinkState {
     last_delivery: VirtualInstant,
 }
 
-/// One endpoint's receive side: the delivery heap plus the dense
+/// One endpoint's receive side: the delivery queue plus the dense
 /// per-source link row (`links_in[src]` is the `(src → this)` cell of the
 /// network's link matrix). Part of the endpoint's [`ActorSlot`].
+///
+/// The queue is kept sorted by [`Envelope::key`], so the next delivery is
+/// its front. A mailbox holds a few envelopes at a time, and per-link FIFO
+/// makes each send's place the back or close to it: a send finds it
+/// scanning from the back, and a receive pops the front.
 struct Mailbox<M> {
-    queue: BinaryHeap<Reverse<Envelope<M>>>,
+    queue: VecDeque<Envelope<M>>,
     links_in: Vec<LinkState>,
 }
 
 impl<M> Default for Mailbox<M> {
     fn default() -> Mailbox<M> {
         Mailbox {
-            queue: BinaryHeap::new(),
+            queue: VecDeque::new(),
             links_in: Vec::new(),
         }
     }
@@ -174,29 +162,32 @@ impl<M> Mailbox<M> {
         &mut self.links_in[i]
     }
 
-    fn pop_ready(&mut self, now: VirtualInstant) -> Option<Received<M>> {
-        if self
+    /// Queues `env` in delivery order.
+    fn push(&mut self, env: Envelope<M>) {
+        let key = env.key();
+        let at = self
             .queue
-            .peek()
-            .is_some_and(|Reverse(env)| env.deliver_at <= now)
-        {
-            let Reverse(env) = self.queue.pop().expect("peeked");
-            Some(Received {
-                src: env.src,
-                sent_at: env.sent_at,
-                delivered_at: env.deliver_at,
-                msg: env.msg,
-            })
-        } else {
-            None
-        }
+            .iter()
+            .rposition(|queued| queued.key() < key)
+            .map_or(0, |before| before + 1);
+        self.queue.insert(at, env);
+    }
+
+    fn pop_ready(&mut self, now: VirtualInstant) -> Option<Received<M>> {
+        let env = self.queue.pop_front_if(|env| env.deliver_at <= now)?;
+        Some(Received {
+            src: env.src,
+            sent_at: env.sent_at,
+            delivered_at: env.deliver_at,
+            msg: env.msg,
+        })
     }
 
     fn head_deliver_at(&self) -> Option<VirtualInstant> {
-        self.queue.peek().map(|Reverse(env)| env.deliver_at)
+        self.queue.front().map(|env| env.deliver_at)
     }
 
-    /// Clears the mailbox for arena reuse, keeping heap and row capacity.
+    /// Clears the mailbox for arena reuse, keeping queue and row capacity.
     fn recycle(&mut self) {
         self.queue.clear();
         self.links_in.clear();
@@ -237,7 +228,7 @@ pub struct SchedStats {
 }
 
 /// Recycled allocations of a finished network: its actor slots, with any
-/// fiber stacks parked in them and their mailboxes' heap and link-row
+/// fiber stacks parked in them and their mailboxes' queue and link-row
 /// capacity. Obtained from [`Network::reclaim`](crate::Network::reclaim),
 /// consumed by [`Network::new_reusing`](crate::Network::new_reusing), of
 /// either host. Purely an allocation cache — a network built from an arena
@@ -452,13 +443,13 @@ impl<M> Core<M> {
                 // to a dead host — but it was accepted, so counters and
                 // the sender's record still see it.
                 if slot.alive {
-                    slot.mailbox.queue.push(Reverse(Envelope {
+                    slot.mailbox.push(Envelope {
                         deliver_at,
                         src,
                         seq,
                         sent_at: now,
                         msg: (!corrupted).then_some(msg),
-                    }));
+                    });
                     // If the destination is blocked waiting for messages,
                     // ensure the scheduler knows when it becomes wakeable
                     // — and wake it (alone) if the message is already
@@ -681,6 +672,101 @@ impl<M> Core<M> {
                 }
                 true
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+    use crate::fault::FaultSpec;
+    use crate::net::ClockMode;
+
+    /// A message whose class says what the fault plan does to it.
+    struct Msg(&'static str);
+
+    impl Classify for Msg {
+        fn class(&self) -> &'static str {
+            self.0
+        }
+    }
+
+    /// What a delivery shows: when, from whom, and whether it was corrupted.
+    type Delivery = (VirtualInstant, PartitionId, bool);
+
+    /// The order the mailbox used to keep: a min-heap by key.
+    type Reference = BinaryHeap<Reverse<(VirtualInstant, PartitionId, u64, bool)>>;
+
+    #[test]
+    fn the_mailbox_delivers_in_the_order_of_the_heap_it_replaced() {
+        // Latencies of 1–4 ns over five senders to one endpoint: same-instant
+        // ties across links, FIFO clamps within one, and a lost message
+        // still taking its slot in the link's sequence.
+        let mut state = 0x6d61_696c_626f_7821_u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        for seed in 0..200 {
+            let faults = FaultPlan::new()
+                .lose(FaultSpec::any().class("lost"))
+                .corrupt(FaultSpec::any().class("corrupted"));
+            let config = NetConfig {
+                mode: ClockMode::Virtual,
+                latency: LatencyModel::UniformUpTo(VirtualDuration::from_nanos(4)),
+                seed,
+                ack_timeout: None,
+                faults,
+            };
+            let mut core: Core<Msg> = Core::new(config, NetArena::new());
+            let ids: Vec<PartitionId> = (0..5).map(|_| core.register(Name::new("n"))).collect();
+            let dst = ids[0];
+            let mut heap = Reference::new();
+            let mut sends = 0;
+            let pop = |core: &mut Core<Msg>, heap: &mut Reference, now| {
+                let got: Option<Delivery> = core.actors[dst.index()]
+                    .mailbox
+                    .pop_ready(now)
+                    .map(|r| (r.delivered_at, r.src, r.msg.is_none()));
+                let due = heap
+                    .peek()
+                    .is_some_and(|Reverse((at, ..))| *at <= now)
+                    .then(|| heap.pop().expect("peeked").0);
+                let want: Option<Delivery> =
+                    due.map(|(at, src, _, corrupted)| (at, src, corrupted));
+                assert_eq!(got, want, "seed {seed}, at {now:?}");
+                got.is_some()
+            };
+            for _ in 0..300 {
+                match next(8) {
+                    0 => {
+                        core.now = core
+                            .now
+                            .saturating_add(VirtualDuration::from_nanos(next(3)))
+                    }
+                    1 | 2 => {
+                        let now = core.now;
+                        pop(&mut core, &mut heap, now);
+                    }
+                    _ => {
+                        let src = ids[next(ids.len() as u64) as usize];
+                        let class = ["kept", "kept", "lost", "corrupted"][next(4) as usize];
+                        let sent = core.send(src, dst, Msg(class));
+                        assert_eq!(sent.lost, class == "lost");
+                        if !sent.lost {
+                            heap.push(Reverse((sent.deliver_at, src, sent.seq, sent.corrupted)));
+                            sends += 1;
+                        }
+                    }
+                }
+            }
+            while pop(&mut core, &mut heap, VirtualInstant::FAR_FUTURE) {}
+            assert!(heap.is_empty() && sends > 0);
         }
     }
 }

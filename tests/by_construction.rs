@@ -75,7 +75,12 @@
 //!   `synthesize_crashes`), has no route of its own for one (no
 //!   `adopt_removal_set`, `absorb_active_control`, `suspect_round` or
 //!   `observe_timeout`), and builds a `Message::ViewChange` at one site —
-//!   the announcement of an eviction `rounds` decided.
+//!   the announcement of an eviction `rounds` decided;
+//! * a delivered message meets no heap and no pair table: outside its unit
+//!   tests the simulator's core names no `BinaryHeap` (a mailbox is a
+//!   sorted deque), and the signal table, its exchanges and the exit
+//!   barrier declare no `InlineVec<(ThreadId, …)>` row (a round's tallies
+//!   are thread sets).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -527,9 +532,10 @@ fn function_body<'a>(source: &'a str, name: &str) -> &'a str {
     braced(source, at, &format!("fn {name}"))
 }
 
-/// The fields of `pub struct name` in `source`, braces included.
+/// The fields of `struct name` (of any visibility) in `source`, braces
+/// included.
 fn struct_body<'a>(source: &'a str, name: &str) -> &'a str {
-    let header = format!("pub struct {name} {{\n");
+    let header = format!("struct {name} {{\n");
     let at = source
         .find(&header)
         .unwrap_or_else(|| panic!("no `{header}`"));
@@ -940,7 +946,8 @@ fn the_context_performs_the_view_steps_the_frame_decides() {
         assert!(
             !context.contains(&format!("fn {route}")),
             "context.rs defines `{route}`: a view step has one route, a \
-             `RoundAction` that `Ctx::perform` performs"
+             `RoundAction` that `Ctx::perform` performs or an `Expiry` that \
+             `Ctx::expire` does"
         );
     }
     assert_eq!(
@@ -949,4 +956,23 @@ fn the_context_performs_the_view_steps_the_frame_decides() {
         "context.rs builds a `ViewChange` at one site, announcing an eviction \
          the round decided, and matches on none"
     );
+}
+
+#[test]
+fn a_delivered_message_meets_no_heap_and_no_pair_table() {
+    let simcore = fs::read_to_string(root().join("crates/simnet/src/simcore.rs")).expect("simcore");
+    assert!(
+        !outside_unit_tests(&simcore).contains("BinaryHeap"),
+        "simcore.rs names `BinaryHeap`: a mailbox is a `VecDeque` kept in \
+         delivery order, which a send enters from the back and a receive \
+         leaves at the front"
+    );
+    let rounds = fs::read_to_string(root().join("crates/runtime/src/rounds.rs")).expect("rounds");
+    for table in ["SignalTable", "ExitBarrier", "Exchange"] {
+        assert!(
+            !struct_body(&rounds, table).contains("InlineVec<(ThreadId"),
+            "`{table}` keeps a row per member: a round's tallies are \
+             `ThreadSet`s, asked one bit per member"
+        );
+    }
 }
