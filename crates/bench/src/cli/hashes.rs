@@ -26,7 +26,12 @@
 //!
 //! `--digest` hashes the listing instead of printing it: one `hash64` line
 //! per (section, 1 000-seed block), sections being `crashfree`, `crash` and
-//! `prodcell`. The default 12 000-seed + 32-prodcell run digests to a few
+//! `prodcell`, then `object-heavy` and `multi-crash` — the first
+//! [`SPACE_SEEDS`] seeds of [`ScenarioConfig::object_heavy`] and
+//! [`ScenarioConfig::multi_crash`], the spaces where object arbitration's
+//! doorbells and crash instants decide who the scheduler wakes. Those two
+//! sections are digest-only (a listing stays the default space's). The
+//! default 12 000-seed + 32-prodcell run digests to a few
 //! dozen lines, small enough to commit — the tier-1 test
 //! `crates/bench/tests/trace_hashes_digest.rs` compares it against
 //! `tests/golden/trace_hashes_12k.digest`, so the pre/post gate is a test
@@ -52,6 +57,9 @@ use super::{Args, Run};
 /// Seeds per `--digest` block.
 const DIGEST_BLOCK: u64 = 1_000;
 
+/// Seeds of each extra scenario space a `--digest` covers.
+const SPACE_SEEDS: u64 = 2_000;
+
 /// One listing line: its seed, its section and its text.
 type Line = (u64, &'static str, String);
 
@@ -59,7 +67,13 @@ type Line = (u64, &'static str, String);
 /// order): how many listing lines fell into it and the hash of those
 /// lines, newline-terminated, in listing order.
 fn print_digest(out: &mut dyn Write, lines: &[Line]) -> io::Result<()> {
-    for section in ["crashfree", "crash", "prodcell"] {
+    for section in [
+        "crashfree",
+        "crash",
+        "prodcell",
+        "object-heavy",
+        "multi-crash",
+    ] {
         let mut blocks: BTreeMap<u64, (u64, Hash64)> = BTreeMap::new();
         for (seed, _, line) in lines.iter().filter(|(_, s, _)| *s == section) {
             let (count, hash) = blocks.entry(seed / DIGEST_BLOCK).or_default();
@@ -83,26 +97,9 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
     let prodcell: u64 = args.get_or("--prodcell", 32)?;
     let workers: usize = args.get_or("--workers", 0)?;
     let shard: Option<Shard> = args.get("--shard")?;
+    let digest = args.switch("--digest");
 
-    let config = ScenarioConfig::default();
-    let per_worker = run_workers(seeds, workers, shard, |arena, tickets| {
-        let mut lines: Vec<Line> = Vec::new();
-        for seed in tickets {
-            let plan = ScenarioPlan::generate(seed, &config);
-            let tag = if plan.crashes.is_empty() {
-                "crashfree"
-            } else {
-                "crash"
-            };
-            let artifacts = execute_in(&plan, arena);
-            let hash = artifacts.trace.render_fingerprint();
-            arena.recycle_trace(artifacts.trace);
-            lines.push((seed, tag, format!("seed {seed} {tag} {hash:016x}")));
-        }
-        lines
-    });
-    let mut lines: Vec<Line> = per_worker.into_iter().flatten().collect();
-    lines.sort_by_key(|(seed, ..)| *seed);
+    let mut lines = listing(&ScenarioConfig::default(), None, seeds, workers, shard);
     if shard.is_none_or(|s| s.index == 0) {
         for seed in 0..prodcell {
             let run = caa_harness::prodcell::run_seed(seed, 2, false);
@@ -110,7 +107,13 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
             lines.push((seed, "prodcell", format!("prodcell {seed} {hash:016x}")));
         }
     }
-    if args.switch("--digest") {
+    if digest {
+        for (config, section) in [
+            (ScenarioConfig::object_heavy(), "object-heavy"),
+            (ScenarioConfig::multi_crash(), "multi-crash"),
+        ] {
+            lines.extend(listing(&config, Some(section), SPACE_SEEDS, workers, shard));
+        }
         print_digest(out, &lines)?;
     } else {
         for (.., line) in &lines {
@@ -118,4 +121,41 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
         }
     }
     Ok(0)
+}
+
+/// The listing lines of `config`'s first `seeds` seeds, in seed order:
+/// under `section`, or — the default space's — tagged `crashfree` or
+/// `crash` by whether the plan crashes a participant.
+fn listing(
+    config: &ScenarioConfig,
+    section: Option<&'static str>,
+    seeds: u64,
+    workers: usize,
+    shard: Option<Shard>,
+) -> Vec<Line> {
+    let per_worker = run_workers(seeds, workers, shard, |arena, tickets| {
+        let mut lines: Vec<Line> = Vec::new();
+        for seed in tickets {
+            let plan = ScenarioPlan::generate(seed, config);
+            let artifacts = execute_in(&plan, arena);
+            let hash = artifacts.trace.render_fingerprint();
+            arena.recycle_trace(artifacts.trace);
+            let line = match section {
+                Some(section) => (seed, section, format!("{section} {seed} {hash:016x}")),
+                None => {
+                    let tag = if plan.crashes.is_empty() {
+                        "crashfree"
+                    } else {
+                        "crash"
+                    };
+                    (seed, tag, format!("seed {seed} {tag} {hash:016x}"))
+                }
+            };
+            lines.push(line);
+        }
+        lines
+    });
+    let mut lines: Vec<Line> = per_worker.into_iter().flatten().collect();
+    lines.sort_by_key(|(seed, ..)| *seed);
+    lines
 }

@@ -1,14 +1,15 @@
 //! The 12k-seed pre/post trace gate as a tier-1 test: `caa hashes
-//! --digest` (12 000 default-config seeds + 32 production-cell runs, one
+//! --digest` (12 000 default-config seeds + 32 production-cell runs, then
+//! 2 000 seeds each of the object-heavy and multi-crash spaces; one
 //! `hash64` line per section and 1 000-seed block) must equal the committed
 //! `tests/golden/trace_hashes_12k.digest`.
 //!
-//! Every crash-free, crash and prodcell trace is a pure function of its
-//! seed, so a runtime, simnet or harness refactor that claims unchanged
-//! behaviour keeps this file untouched. On a mismatch the test names the
-//! differing blocks and writes the full per-seed listing under `target/`
-//! for diffing against a listing from the parent commit. Only a deliberate
-//! behaviour change may re-bless it:
+//! Every crash-free, crash, prodcell, object-heavy and multi-crash trace is
+//! a pure function of its seed, so a runtime, simnet or harness refactor
+//! that claims unchanged behaviour keeps this file untouched. On a mismatch
+//! the test names the differing blocks and writes the default space's
+//! per-seed listing under `target/` for diffing against a listing from the
+//! parent commit. Only a deliberate behaviour change may re-bless it:
 //!
 //! ```text
 //! CAA_GOLDEN_BLESS=1 cargo test -p caa-bench --test trace_hashes_digest
