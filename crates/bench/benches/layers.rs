@@ -335,8 +335,7 @@ fn pingpong_on_threads(round_trips: u64) -> Duration {
 }
 
 /// The same exchange between two fiber-hosted endpoints, resumed as
-/// `System::run` resumes participants: passes in registration order over
-/// whoever the network has marked runnable.
+/// `System::run` resumes participants: whoever the network says runs next.
 fn pingpong_on_fibers(round_trips: u64) -> Duration {
     const STACK_BYTES: usize = 64 * 1024;
     let net: FiberNetwork<Ping> = Network::new(pingpong_config());
@@ -354,14 +353,12 @@ fn pingpong_on_fibers(round_trips: u64) -> Duration {
             b.send(a_id, Ping);
         }
     });
-    let mut hosted = [(a_id, ping, false), (b_id, pong, false)];
+    let mut hosted = [(ping, false), (pong, false)];
     let started = Instant::now();
-    while hosted.iter().any(|(_, _, done)| !done) {
-        for (id, fiber, done) in &mut hosted {
-            if !*done && net.take_runnable(*id) {
-                *done = fiber.resume().is_some();
-            }
-        }
+    while hosted.iter().any(|(_, done)| !done) {
+        let next = net.next_runnable().expect("one of the two is woken");
+        let (fiber, done) = &mut hosted[next.index()];
+        *done = fiber.resume().is_some();
     }
     started.elapsed()
 }

@@ -227,10 +227,16 @@ impl<T> Fiber<T> {
     /// payload if it panicked — the contract of
     /// [`std::thread::JoinHandle::join`]).
     ///
+    /// Always inlined into its caller, for the reason [`suspend`] is: a
+    /// fiber that suspends leaves the CPU's return predictor holding its
+    /// own call chain, so a frame between the switch and the resuming loop
+    /// is one more mispredicted return on every hand-off.
+    ///
     /// # Panics
     ///
     /// When called from inside a fiber (fibers do not nest), or on a
     /// fiber that has already finished.
+    #[inline(always)]
     pub fn resume(&mut self) -> Option<std::thread::Result<T>> {
         assert!(
             !in_fiber(),

@@ -138,7 +138,7 @@ impl DefInner {
         self.roles[role.index()].thread
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn role_of_thread(&self, thread: ThreadId) -> Option<RoleId> {
         self.roles
             .iter()

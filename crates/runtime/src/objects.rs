@@ -544,9 +544,9 @@ impl<T: Clone + 'static> SharedObject<T> {
     /// actions missing one) when no competing action holds the object.
     /// Returns `false` if a competing layer exists.
     ///
-    /// This is the unarbitrated path used by unit tests and internal
-    /// tooling; runtime access goes through [`SharedObject::try_access`].
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The unarbitrated path of the unit tests; runtime access goes
+    /// through [`SharedObject::try_access`].
+    #[cfg(test)]
     pub(crate) fn try_acquire(&self, action: ActionId, enclosing: &[ActionId]) -> bool {
         let mut inner = self.shared.state.borrow_mut();
         let chain: Vec<ActionId> = enclosing.iter().copied().chain([action]).collect();
@@ -561,8 +561,8 @@ impl<T: Clone + 'static> SharedObject<T> {
         true
     }
 
-    /// Reads through the layer owned by `action`.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Reads through the layer owned by `action` (unit tests).
+    #[cfg(test)]
     pub(crate) fn with_working<R>(
         &self,
         action: ActionId,

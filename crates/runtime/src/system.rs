@@ -13,11 +13,11 @@
 //! control between participants is pure overhead. [`System::run`] therefore
 //! hosts every participant as a run-to-block fiber ([`caa_fiber`]) on the
 //! calling thread — a participant runs until it blocks in the network,
-//! which suspends it, and the loop in `host` resumes whichever ones the
-//! network has since made runnable, in registration order. No OS thread is
-//! created, a hand-off is a user-space stack switch, and because the
-//! canonical trace is ordered by (virtual time, thread, sequence) the
-//! serial order changes nothing that is observed.
+//! which suspends it, and `host` resumes whichever one the network says
+//! runs next ([`FiberNetwork::next_runnable`]). No OS thread is created, a
+//! hand-off is a user-space stack switch, and because the canonical trace
+//! is ordered by (virtual time, thread, sequence) the serial order changes
+//! nothing that is observed.
 //!
 //! One thread is all a system ever has, and its types say so: the network
 //! is a [`FiberNetwork`] (the simulator's plain core in an `Rc<RefCell<_>>`
@@ -33,7 +33,7 @@
 //!
 //! # The run pool
 //!
-//! What a run needs besides its messages — one actor slot, mailbox heap,
+//! What a run needs besides its messages — one actor slot, mailbox queue,
 //! link row and 256 KiB guard-paged fiber stack per participant, the lists
 //! a participant's context keeps (frame stack, inboxes, retained messages,
 //! resolver states) and the host's own table of participants — outlives
@@ -159,6 +159,8 @@ enum Hosted {
 #[derive(Default)]
 struct RunPool {
     arena: NetArena<Message>,
+    /// Finished participants' fiber stacks.
+    stacks: Vec<Stack>,
     scratch: Vec<CtxScratch>,
     /// Empty: the host's table of participants, for its capacity.
     participants: Vec<Participant>,
@@ -187,52 +189,45 @@ thread_local! {
 const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
 
 /// Runs the participants to completion as fibers on the calling thread,
-/// leaving each one's result in its place.
+/// leaving each one's result in its place and its stack in `stacks`.
 ///
 /// Run-to-block: a participant keeps the CPU until it blocks in the
-/// network (which suspends its fiber) or finishes. Each pass resumes, in
-/// registration order, the participants the network has marked runnable
-/// since they suspended — by a delivery, a doorbell, a time advance, or
-/// the deadlock broadcast — testing each one's mark (a flag in its slot of
-/// the network's core) when the pass reaches it, so a participant woken by
-/// one resumed earlier in the same pass runs in that pass. The network's advance arbiter guarantees that
-/// whenever every live endpoint is blocked at least one is woken, so a
-/// pass that resumes nobody means the network is also being driven from
-/// outside this loop, which a fiber-hosted system cannot wait for.
-fn host(net: &FiberNetwork<Message>, participants: &mut [Participant]) {
+/// network (which suspends its fiber) or finishes; the network says who
+/// runs next. Its advance arbiter guarantees that whenever every live
+/// endpoint is blocked at least one is woken, so when it names nobody the
+/// network is also being driven from outside this loop, which a
+/// fiber-hosted system cannot wait for.
+fn host(net: &FiberNetwork<Message>, participants: &mut [Participant], stacks: &mut Vec<Stack>) {
     let mut live = participants.len();
     while live > 0 {
-        let mut resumed = false;
-        for participant in participants.iter_mut() {
-            let Hosted::Running(fiber) = &mut participant.state else {
-                continue;
-            };
-            if !net.take_runnable(participant.id) {
-                continue;
-            }
-            resumed = true;
-            let Some(outcome) = fiber.resume() else {
-                continue; // blocked again
-            };
-            let result = outcome.unwrap_or_else(|panic| {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
-            });
-            let finished = std::mem::replace(&mut participant.state, Hosted::Done(result));
-            if let Hosted::Running(fiber) = finished {
-                net.park_stack(participant.id, fiber.into_stack());
-            }
-            live -= 1;
+        let Some(id) = net.next_runnable() else {
+            panic!(
+                "{live} participants are blocked and none is runnable: the system's network is \
+                 being driven from outside System::run, which cannot wait for another thread"
+            );
+        };
+        let Some(participant) = participants.iter_mut().find(|p| p.id == id) else {
+            continue; // an endpoint registered outside `spawn`
+        };
+        let Hosted::Running(fiber) = &mut participant.state else {
+            continue;
+        };
+        let Some(outcome) = fiber.resume() else {
+            continue; // blocked again
+        };
+        let result = outcome.unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
+        });
+        let finished = std::mem::replace(&mut participant.state, Hosted::Done(result));
+        if let Hosted::Running(fiber) = finished {
+            stacks.push(fiber.into_stack());
         }
-        assert!(
-            resumed,
-            "{live} participants are blocked and none is runnable: the system's network is \
-             being driven from outside System::run, which cannot wait for another thread"
-        );
+        live -= 1;
     }
 }
 
@@ -271,6 +266,8 @@ pub struct System {
     /// The spawned participants, none of them started, until `run` (or
     /// `Drop`) hosts them.
     participants: Vec<Participant>,
+    /// Stacks for participants yet to spawn, and those of finished ones.
+    stacks: Vec<Stack>,
 }
 
 impl fmt::Debug for System {
@@ -327,10 +324,11 @@ impl System {
         let shared = Rc::clone(&self.shared);
         // Registration happens now (the endpoint above holds virtual time
         // back); the body starts in `run`, once every participant is
-        // registered. It waits on the stack it will run on — the one its
-        // slot's last tenant left, when there was one.
-        let stack = net
-            .take_stack(id)
+        // registered. It waits on the stack it will run on — a finished
+        // participant's, when there is one.
+        let stack = self
+            .stacks
+            .pop()
             .unwrap_or_else(|| Stack::new(PARTICIPANT_STACK_BYTES));
         let fiber = Fiber::new(stack, move || {
             let mut ctx = Ctx::new(me, name, endpoint, shared);
@@ -373,7 +371,8 @@ impl System {
         // Out of `self` while they run: a host that gives up leaves them
         // (suspended mid-body) to be dropped before the network is.
         let mut participants = std::mem::take(&mut self.participants);
-        host(self.network(), &mut participants);
+        let net = self.net.as_ref().expect("the network leaves in Drop");
+        host(net, &mut participants, &mut self.stacks);
         let results = participants
             .drain(..)
             .map(|participant| match participant.state {
@@ -382,7 +381,6 @@ impl System {
             })
             .collect();
         self.participants = participants;
-        let net = self.network();
         SystemReport {
             elapsed: net.now().duration_since(VirtualInstant::EPOCH),
             net_stats: net.stats(),
@@ -413,7 +411,7 @@ impl Drop for System {
             return;
         };
         let mut participants = std::mem::take(&mut self.participants);
-        host(&net, &mut participants);
+        host(&net, &mut participants, &mut self.stacks);
         participants.clear();
         if let Some(arena) = net.reclaim() {
             let scratch = self.shared.scratch.take();
@@ -426,6 +424,7 @@ impl Drop for System {
                     .filter(|idle| idle.arena.capacity() > arena.capacity());
                 pool.set(Some(idle.unwrap_or(RunPool {
                     arena,
+                    stacks: std::mem::take(&mut self.stacks),
                     scratch,
                     participants,
                 })));
@@ -602,6 +601,7 @@ impl SystemBuilder {
                 scratch: RefCell::new(pool.scratch),
             }),
             participants: pool.participants,
+            stacks: pool.stacks,
         }
     }
 }

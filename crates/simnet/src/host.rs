@@ -3,9 +3,10 @@
 //! access to the [`Core`], and a way to give up the CPU — and the host
 //! `caa-runtime` uses, [`Fibers`]. The thread host is [`crate::threads`].
 //!
-//! A host wraps the core and nothing else: what the core decides about a
-//! send goes back to the sender as the return value of
-//! [`Endpoint::send`](crate::Endpoint::send).
+//! A host wraps the core and decides nothing: what the core decides about
+//! a send goes back to the sender as the return value of
+//! [`Endpoint::send`](crate::Endpoint::send), and who runs next is the
+//! core's answer too ([`Network::next_runnable`](crate::Network::next_runnable)).
 
 use std::cell::RefCell;
 use std::fmt;
@@ -41,9 +42,9 @@ pub trait Host<M>: Clone {
 /// `System::run` builds): the core sits in an `Rc<RefCell<_>>`, so such a
 /// network and its endpoints are `!Send`, and an operation costs a borrow
 /// flag, not a lock. A blocked endpoint [suspends](caa_fiber::suspend) its
-/// fiber; whoever resumes the fibers asks
-/// [`take_runnable`](crate::Network::take_runnable) which ones to resume.
-/// The borrow is never held across a suspend.
+/// fiber; whoever resumes the fibers asks the network which one runs next
+/// ([`next_runnable`](crate::Network::next_runnable)). The borrow is never
+/// held across a suspend.
 pub struct Fibers<M>(Rc<RefCell<Core<M>>>);
 
 impl<M> Clone for Fibers<M> {

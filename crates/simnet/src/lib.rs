@@ -54,11 +54,14 @@
 //! # Targeted wake-ups
 //!
 //! Scheduling is wake-targeted, not broadcast: every endpoint parks on
-//! its own slot (a runnable mark that its fiber's host reads, which the
-//! thread host turns into a notification of that endpoint's condvar), a
-//! delivery wakes only its (already-deliverable)
-//! receiver, and a time advance wakes only the endpoints whose wake-up
-//! point was reached — the unique next runners instead of the herd. For
+//! its own slot (a runnable mark, which the network takes in passes over
+//! the endpoints in registration order: [`FiberNetwork::next_runnable`]
+//! names the fiber to resume, and the thread host notifies that endpoint's
+//! condvar), a delivery
+//! wakes only its (already-deliverable) receiver, and a time advance wakes
+//! only the endpoints whose wake-up point — computed from what each waits
+//! for: its next delivery and doorbell, if the wait takes messages, and its
+//! deadline — was reached: the unique next runners instead of the herd. For
 //! wait conditions the network cannot see (e.g. the runtime's
 //! shared-object arbitration), a thread opens a doorbell wait
 //! ([`Endpoint::begin_wait`]) and blocks in the one [`Endpoint::wait`]

@@ -23,11 +23,13 @@
 //! All simulator state of a network, and everything the simulator does
 //! with it, is one plain single-owner value (`simcore::Core`): `&mut self`
 //! methods over ordinary fields, with no lock, no atomic, no condvar and
-//! no notion of what runs the endpoints. A blocking operation is, to the
-//! core, a sequence of *turns*, each answering "ready, with this value" or
-//! "park" — the endpoint is then marked blocked, its wake-up point is
-//! published, and wake sites (a delivery, a doorbell, the advance arbiter)
-//! will mark it runnable.
+//! no notion of what runs the endpoints. Every blocking operation is one
+//! wait — a deadline, and whether a message or the doorbell ends it too
+//! ([`Endpoint::wait`] and [`Endpoint::recv`] take both, [`Endpoint::sleep`]
+//! neither) — and to the core a sequence of *turns* of it, each answering
+//! "ready, with what ended it" or "park". A parked endpoint is waiting;
+//! its wake-up point is computed from what it waits for, and wake sites (a
+//! delivery, a doorbell, the advance arbiter) mark it runnable.
 //!
 //! The operations of [`Network`] and [`Endpoint`] are written once, in
 //! this file, over a *host* — the type parameter `H` — which supplies the
@@ -37,8 +39,8 @@
 //! * [`Fibers`] ([`FiberNetwork`], [`FiberEndpoint`]) keeps the core in an
 //!   `Rc<RefCell<_>>`. Every endpoint runs as a fiber of one thread; a
 //!   blocked one [suspends](caa_fiber::suspend), and whoever resumes the
-//!   fibers — `caa-runtime`'s `System::run`, the only user — asks
-//!   [`take_runnable`](Network::take_runnable) which to resume. An
+//!   fibers — `caa-runtime`'s `System::run`, the only user — asks the
+//!   network which to resume next ([`Network::next_runnable`]). An
 //!   operation costs a borrow flag, a hand-off is a user-space stack
 //!   switch, and the types are `!Send`: a system's network holds no
 //!   mutex, condvar or atomic *by construction*;
@@ -51,10 +53,10 @@
 //!   kernels move onto fibers it can be deleted with its file.
 //!
 //! The host is chosen by type — there is no option. The advance arbiter,
-//! heap keys, FIFO clamps, doorbell epochs and every counter belong to the
-//! core, so what an endpoint *observes* is the same under either host
-//! (`tests::both_hosts_observe_the_same` drives one script under both);
-//! only how it sleeps differs. Neither host holds the core across a
+//! delivery keys, FIFO clamps, doorbell epochs, the run order and every
+//! counter belong to the core, so what an endpoint *observes* is the same
+//! under either host (`tests::both_hosts_observe_the_same` drives one
+//! script under both); only how it sleeps differs. Neither host holds the core across a
 //! suspend or a wait. What the core decided about a sent message goes back
 //! to its sender as the return value of [`Endpoint::send`]: the network
 //! calls nothing of its caller's.
@@ -62,17 +64,15 @@
 //! # Arena reuse
 //!
 //! Callers execute thousands of sub-millisecond simulations; a
-//! [`NetArena`] recycles the allocation-heavy parts (actor slots with
-//! the fiber stacks parked in them, mailbox heaps, link rows) from one
-//! finished network into the next (see [`Network::new_reusing`] /
-//! [`Network::reclaim`]). This crate provides the mechanism and holds no
-//! arena itself: between networks the arena belongs to whoever reclaimed
-//! it. For `FiberNetwork<Message>` that is `caa-runtime`, which keeps one
-//! per host thread — a finished `System` puts it there, the next
-//! `SystemBuilder::build` on the thread takes it — so a warmed-up thread
-//! neither allocates a slot nor maps a stack per run, whatever runs the
-//! systems. Reuse is invisible to the simulation: recycled state is fully
-//! cleared.
+//! [`NetArena`] recycles the allocation-heavy parts (actor slots, mailbox
+//! queues, link rows) from one finished network into the next (see
+//! [`Network::new_reusing`] / [`Network::reclaim`]). This crate provides
+//! the mechanism and holds no arena itself: between networks the arena
+//! belongs to whoever reclaimed it. For `FiberNetwork<Message>` that is
+//! `caa-runtime`, which keeps one per host thread beside the fiber stacks
+//! it recycles — a finished `System` puts both there, the next
+//! `SystemBuilder::build` on the thread takes them. Reuse is invisible to
+//! the simulation: recycled state is fully cleared.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -80,12 +80,11 @@ use std::marker::PhantomData;
 use caa_core::ids::PartitionId;
 use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_fiber::Stack;
 
 use crate::fault::FaultPlan;
 use crate::host::{Fibers, Host};
 use crate::latency::LatencyModel;
-use crate::simcore::{Core, NetArena, SchedStats, Sent, Turn};
+use crate::simcore::{Core, NetArena, SchedStats, Sent, Wait};
 use crate::stats::{Classify, NetStats};
 use crate::threads::Threads;
 
@@ -259,14 +258,16 @@ impl<M, H: Host<M>> fmt::Debug for Network<M, H> {
 }
 
 impl<M> FiberNetwork<M> {
-    /// Whether endpoint `id` has been made runnable since it last
-    /// suspended (or has yet to start), clearing the mark. A `true`
-    /// obliges the caller — whoever resumes the endpoints' fibers — to
-    /// resume that endpoint's fiber: the wake-up is consumed.
-    #[inline]
+    /// The endpoint whose fiber to resume next, its runnable mark cleared:
+    /// the next one a delivery, a doorbell, a time advance or the deadlock
+    /// broadcast has woken since it last suspended (or that has yet to
+    /// start), in passes over the endpoints in registration order. `None`
+    /// when a whole pass found nobody — with every endpoint blocked, the
+    /// advance arbiter always wakes somebody, so the network is then being
+    /// driven from outside the fibers.
     #[must_use]
-    pub fn take_runnable(&self, id: PartitionId) -> bool {
-        self.host.with(|core| core.take_runnable(id))
+    pub fn next_runnable(&self) -> Option<PartitionId> {
+        self.host.with(Core::next_runnable)
     }
 }
 
@@ -333,24 +334,8 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
         self.host.with(|core| core.sched_stats())
     }
 
-    /// Takes the fiber stack parked in endpoint `id`'s slot, if one was
-    /// left there by [`Network::park_stack`] — in this network or, through
-    /// a [`NetArena`], in an earlier one.
-    #[must_use]
-    pub fn take_stack(&self, id: PartitionId) -> Option<Stack> {
-        self.host.with(|core| core.take_stack(id))
-    }
-
-    /// Parks a fiber stack in endpoint `id`'s slot once its fiber has
-    /// finished, so that [`Network::reclaim`] carries it to the next
-    /// network with the slot. (An unknown `id` just drops the stack.)
-    pub fn park_stack(&self, id: PartitionId, stack: Stack) {
-        self.host.with(|core| core.park_stack(id, stack));
-    }
-
-    /// Takes turns at endpoint `id`'s blocking operation until one is
-    /// ready. This is the one place an endpoint gives up the CPU — how is
-    /// the host's business.
+    /// Takes turns at endpoint `id`'s `wait` until it ends. This is the
+    /// one place an endpoint gives up the CPU — how is the host's business.
     ///
     /// Always inlined, like the blocking operations that call it and the
     /// fiber host's `turn`: a fiber resumes in the middle of this loop with
@@ -360,13 +345,9 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// wall clock when the chain was four frames deep; a plain `#[inline]`
     /// does not persuade the compiler).
     #[inline(always)]
-    fn block_on<T>(
-        &self,
-        id: PartitionId,
-        mut turn: impl FnMut(&mut Core<M>) -> Turn<T>,
-    ) -> Result<T, SimError> {
+    fn block_on(&self, id: PartitionId, wait: Wait) -> Result<Parked<M>, SimError> {
         loop {
-            if let Some(done) = self.host.turn(id, &mut turn) {
+            if let Some(done) = self.host.turn(id, |core| core.wait_turn(id, wait)) {
                 return done;
             }
         }
@@ -481,8 +462,11 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// wait-for cycle that a polling design would spin on forever.
     #[inline(always)]
     pub fn wait(&mut self, deadline: Option<VirtualInstant>) -> Result<Parked<M>, SimError> {
-        let id = self.id;
-        self.net.block_on(id, |core| core.wait_turn(id, deadline))
+        let wait = Wait {
+            deadline,
+            takes_messages: true,
+        };
+        self.net.block_on(self.id, wait)
     }
 
     /// Opens a doorbell wait: discards any doorbell left over from an
@@ -504,7 +488,8 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
         self.net.host.with(|core| core.new_epoch(self.id));
     }
 
-    /// Sleeps for `dur` — models local computation taking virtual time.
+    /// Sleeps for `dur` — models local computation taking virtual time: a
+    /// wait that neither a message nor the doorbell ends.
     ///
     /// # Errors
     ///
@@ -514,9 +499,11 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
         if dur.is_zero() {
             return Ok(());
         }
-        let id = self.id;
-        let deadline = self.net.now().saturating_add(dur);
-        self.net.block_on(id, |core| core.sleep_turn(id, deadline))
+        let wait = Wait {
+            deadline: Some(self.net.now().saturating_add(dur)),
+            takes_messages: false,
+        };
+        self.net.block_on(self.id, wait).map(drop)
     }
 
     /// Retires the endpoint: the scheduler stops waiting for this
@@ -536,7 +523,7 @@ impl<M, H: Host<M>> Drop for Endpoint<M, H> {
 mod tests {
     use super::*;
     use caa_core::time::secs;
-    use caa_fiber::Fiber;
+    use caa_fiber::{Fiber, Stack};
     use std::thread;
 
     #[derive(Debug, PartialEq)]
@@ -1127,22 +1114,22 @@ mod tests {
         outcome(logs, &net)
     }
 
-    /// Runs `bodies` as fibers the way `caa-runtime`'s host does: passes in
-    /// registration order, resuming whoever the network marked runnable.
+    /// Runs `bodies` as fibers the way `caa-runtime`'s host does: resuming
+    /// whoever the network says runs next.
     fn run_fibers(net: &FiberNetwork<Msg>, bodies: Vec<(PartitionId, Fiber<Log>)>) -> Vec<Log> {
         let mut hosted: Vec<_> = bodies
             .into_iter()
             .map(|(id, fiber)| (id, fiber, None))
             .collect();
         while hosted.iter().any(|(_, _, log)| log.is_none()) {
-            let mut resumed = false;
-            for (id, fiber, log) in &mut hosted {
-                if log.is_none() && net.take_runnable(*id) {
-                    resumed = true;
-                    *log = fiber.resume().map(|body| body.expect("no panic"));
-                }
-            }
-            assert!(resumed, "blocked fibers and none runnable");
+            let next = net
+                .next_runnable()
+                .expect("blocked fibers and none runnable");
+            let (_, fiber, log) = hosted
+                .iter_mut()
+                .find(|(id, ..)| *id == next)
+                .expect("every endpoint is a fiber's");
+            *log = fiber.resume().map(|body| body.expect("no panic"));
         }
         hosted.into_iter().filter_map(|(_, _, log)| log).collect()
     }

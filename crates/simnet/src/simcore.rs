@@ -1,16 +1,24 @@
 //! The simulator itself: one plain, single-owner value.
 //!
-//! Everything a network knows — the clock, every endpoint's blocked state,
-//! wake-up point and `Mailbox` (delivery queue plus the dense per-source
-//! link row of FIFO clamps and sequence numbers), the fault budgets, the
-//! counters, the deadlock verdict — is a field of one [`Core`], and
-//! everything it does is a `&mut self` method of it: a send, a non-blocking
-//! receive, a doorbell, a retirement, the advance arbiter, and one *turn*
-//! of each blocking operation, which answers either "ready, with this
-//! value" or "park" ([`Turn`]). Nothing here locks, waits, suspends or
-//! notifies, and nothing knows what drives the endpoints: how callers get
-//! their exclusive access and what a parked endpoint does until it is
-//! marked runnable again is the business of a [`Host`](crate::host::Host).
+//! Everything a network knows — the clock, every endpoint's state (running,
+//! waiting on a [`Wait`], or retired) and `Mailbox` (delivery queue plus the
+//! dense per-source link row of FIFO clamps and sequence numbers), the fault
+//! budgets, the counters, the run order's pass, the deadlock verdict — is a
+//! field of one [`Core`], and everything it does is a `&mut self` method of
+//! it: a send, a non-blocking receive, a doorbell, a retirement, the advance
+//! arbiter, the choice of who runs next, and one *turn* of a wait, which
+//! answers either "ready, with this value" or "park" ([`Turn`]).
+//!
+//! What happens next is decided from two things alone. A waiting
+//! endpoint's wake-up point follows from what it waits for by one rule,
+//! `ActorSlot::rearm` — the one function that sets it, called wherever
+//! what it depends on changes (a state change, a send, a doorbell) — and
+//! the advance arbiter and a turn read what it set. The order woken
+//! endpoints resume in is [`Core::next_runnable`]'s.
+//! Nothing here locks, waits, suspends or notifies, and nothing knows what
+//! drives the endpoints: how callers get their exclusive access and what a
+//! parked endpoint does until it is marked runnable again is the business
+//! of a [`Host`](crate::host::Host).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -18,54 +26,51 @@ use std::fmt;
 use caa_core::ids::PartitionId;
 use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_fiber::Stack;
 
 use crate::fault::FaultPlan;
 use crate::latency::{effective_latency, LatencyModel};
 use crate::net::{DeadlockInfo, NetConfig, Parked, Received, SimError};
 use crate::stats::{Classify, NetStats};
 
-/// What one turn of a blocking operation answers: `Some` when the
-/// operation is over (with its value, or the deadlock that ended it),
-/// `None` when the endpoint has to park — it is then marked blocked, its
-/// wake-up point is published, the park is counted, and the caller takes
+/// What one turn of a wait answers: `Some` when the wait is over (with
+/// what ended it, or the deadlock that did), `None` when the endpoint has
+/// to park — it is then waiting, the park is counted, and the caller takes
 /// another turn once a wake site has marked it runnable.
 pub type Turn<T> = Option<Result<T, SimError>>;
 
+/// What a blocked endpoint waits for: its deadline, if any, and whether a
+/// deliverable message or a due doorbell ends the wait too. A receive
+/// takes messages ("recv" in a deadlock report); a sleep takes neither and
+/// ends at its deadline alone ("sleep").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockKind {
-    /// [`Core::wait_turn`]: blocked until a message is deliverable, the
-    /// endpoint's doorbell rings (see [`Core::schedule_wake`]) or the
-    /// wait's deadline passes.
-    Recv,
-    Sleep,
+pub struct Wait {
+    pub deadline: Option<VirtualInstant>,
+    pub takes_messages: bool,
 }
 
-impl BlockKind {
-    fn label(self) -> &'static str {
-        match self {
-            BlockKind::Recv => "recv",
-            BlockKind::Sleep => "sleep",
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Registered and not blocked (it may not have started yet): while any
+    /// endpoint runs, virtual time stands still.
+    Running,
+    Waiting(Wait),
+    /// Retired: the scheduler no longer waits for it, and messages to it
+    /// are discarded.
+    Retired,
 }
 
 struct ActorSlot<M> {
     name: Name,
-    alive: bool,
-    running: bool,
-    blocked_on: BlockKind,
+    state: State,
+    /// The earliest instant at which the endpoint's wait can end, if it is
+    /// waiting: set by [`ActorSlot::rearm`] alone.
     wake_at: Option<VirtualInstant>,
     /// A wake site has given the endpoint the CPU back since it last
     /// parked — or it has not started yet. Wake-ups are *targeted*: a
     /// delivery marks only the receiver, a time advance only the endpoints
     /// whose wake-up point was reached, a doorbell only its owner — never
-    /// the whole herd. Read and cleared by the host
-    /// ([`Core::take_runnable`]).
+    /// the whole herd. Read and cleared by [`Core::next_runnable`].
     runnable: bool,
-    /// The stack of the fiber hosting this endpoint, parked here between
-    /// runs so it is recycled with the slot ([`NetArena`]).
-    stack: Option<Stack>,
     /// Pending explicit wake-up, if any ([`Core::schedule_wake`]): consumed
     /// by [`Core::wait_turn`] when virtual time reaches it. Armed only
     /// while a doorbell wait is open ([`Core::new_epoch`] disarms it at
@@ -84,26 +89,66 @@ struct ActorSlot<M> {
 }
 
 impl<M> ActorSlot<M> {
-    /// A slot for a newly registered endpoint, built over the allocations
-    /// of a `recycled` one where there is one: its parked fiber stack and
-    /// (cleared) mailbox capacity.
+    /// A slot for a newly registered endpoint, over the (cleared) mailbox
+    /// capacity of a `recycled` one where there is one.
     fn fresh(name: Name, recycled: Option<ActorSlot<M>>) -> ActorSlot<M> {
-        let (stack, mailbox) = match recycled {
-            Some(old) => (old.stack, old.mailbox),
-            None => Default::default(),
-        };
         ActorSlot {
             name,
-            alive: true,
-            running: true,
-            blocked_on: BlockKind::Recv,
+            state: State::Running,
             wake_at: None,
             runnable: true,
-            stack,
             doorbell: None,
             wait_epoch: 0,
-            mailbox,
+            mailbox: recycled.map(|old| old.mailbox).unwrap_or_default(),
         }
+    }
+
+    /// The wait this endpoint is blocked in, if it is.
+    fn wait(&self) -> Option<Wait> {
+        match self.state {
+            State::Waiting(wait) => Some(wait),
+            State::Running | State::Retired => None,
+        }
+    }
+
+    /// Whether a message or a doorbell can end the endpoint's current wait.
+    fn takes_messages(&self) -> bool {
+        self.wait().is_some_and(|wait| wait.takes_messages)
+    }
+
+    /// The one wake-up rule, and the one place `wake_at` is set: the
+    /// earliest instant at which a waiting endpoint's wait can end — its
+    /// next delivery and its doorbell, if the wait takes messages, and its
+    /// deadline. `None` for an endpoint that is not waiting, or that only a
+    /// message sent later can wake. Called after every change to what it
+    /// reads while the endpoint may be waiting: its state, its mailbox's
+    /// head, its doorbell.
+    fn rearm(&mut self) {
+        self.wake_at = match self.state {
+            State::Waiting(wait) if wait.takes_messages => earlier(
+                earlier(self.mailbox.head_deliver_at(), self.doorbell),
+                wait.deadline,
+            ),
+            State::Waiting(wait) => wait.deadline,
+            State::Running | State::Retired => None,
+        };
+    }
+
+    /// What ends `wait` at `now`, consuming it: a deliverable message
+    /// first, then a due doorbell, then the deadline.
+    fn take_due(&mut self, wait: Wait, now: VirtualInstant) -> Option<Parked<M>> {
+        if wait.takes_messages {
+            if let Some(received) = self.mailbox.pop_ready(now) {
+                return Some(Parked::Msg(received));
+            }
+            if self.doorbell.is_some_and(|at| at <= now) {
+                self.doorbell = None;
+                return Some(Parked::Doorbell);
+            }
+        }
+        wait.deadline
+            .is_some_and(|at| at <= now)
+            .then_some(Parked::Deadline)
     }
 }
 
@@ -212,8 +257,8 @@ fn earlier(a: Option<VirtualInstant>, b: Option<VirtualInstant>) -> Option<Virtu
 /// These say what the *simulator* did, not what the protocol did, so
 /// report them apart from the protocol's metrics. Under `System::run`
 /// they are nonetheless a pure function of the seed: participants run to
-/// their next block one at a time, in registration order, each resumed
-/// when the host's pass reaches it with its runnable mark set, so the
+/// their next block one at a time, in the order
+/// [`Network::next_runnable`](crate::Network::next_runnable) picks, so the
 /// same seed parks and wakes identically on every run and the counts may
 /// be gated by equality (the harness pins their sums over 150 seeds).
 /// Only endpoints driven by concurrently running OS threads park
@@ -227,11 +272,10 @@ pub struct SchedStats {
     pub wakes: u64,
 }
 
-/// Recycled allocations of a finished network: its actor slots, with any
-/// fiber stacks parked in them and their mailboxes' queue and link-row
-/// capacity. Obtained from [`Network::reclaim`](crate::Network::reclaim),
-/// consumed by [`Network::new_reusing`](crate::Network::new_reusing), of
-/// either host. Purely an allocation cache — a network built from an arena
+/// Recycled allocations of a finished network: its actor slots, with their
+/// mailboxes' queue and link-row capacity. Obtained from
+/// [`Network::reclaim`](crate::Network::reclaim), consumed by
+/// [`Network::new_reusing`](crate::Network::new_reusing), of either host. Purely an allocation cache — a network built from an arena
 /// is observably identical to a fresh one.
 pub struct NetArena<M> {
     slots: Vec<ActorSlot<M>>,
@@ -308,6 +352,9 @@ pub struct Core<M> {
     latency: LatencyModel,
     seed: u64,
     ack_timeout: Option<VirtualDuration>,
+    /// Where [`Core::next_runnable`]'s current pass has got to, and whether
+    /// it has found anybody yet.
+    pass: (usize, bool),
 }
 
 impl<M> fmt::Debug for Core<M> {
@@ -334,6 +381,7 @@ impl<M> Core<M> {
             latency: config.latency,
             seed: config.seed,
             ack_timeout: config.ack_timeout,
+            pass: (0, false),
         }
     }
 
@@ -368,23 +416,21 @@ impl<M> Core<M> {
         self.handoffs
     }
 
-    pub fn take_stack(&mut self, id: PartitionId) -> Option<Stack> {
-        self.actors.get_mut(id.index())?.stack.take()
-    }
-
-    pub fn park_stack(&mut self, id: PartitionId, stack: Stack) {
-        if let Some(slot) = self.actors.get_mut(id.index()) {
-            slot.stack = Some(stack);
-        }
-    }
-
-    /// Whether endpoint `id` has been made runnable since it last parked
-    /// (or has yet to start), clearing the mark: the wake-up is consumed,
-    /// and the host owes the endpoint the CPU.
-    pub fn take_runnable(&mut self, id: PartitionId) -> bool {
-        self.actors
-            .get_mut(id.index())
-            .is_some_and(|slot| std::mem::take(&mut slot.runnable))
+    /// The endpoint to resume next, its mark cleared: the next marked one
+    /// in passes over the endpoints in registration order. An endpoint
+    /// woken by one resumed earlier in the same pass runs in that pass if
+    /// it comes later, in the next pass otherwise. `None` when a whole pass
+    /// found nobody (the next call starts a new one).
+    pub fn next_runnable(&mut self) -> Option<PartitionId> {
+        let (from, found) = self.pass;
+        let wrap = if found { self.actors.len() } else { 0 };
+        let next = (from..self.actors.len())
+            .chain(0..wrap)
+            .find(|&i| self.actors[i].runnable);
+        self.pass = next.map_or((0, false), |i| (i + 1, true));
+        let i = next?;
+        self.actors[i].runnable = false;
+        Some(PartitionId::new(u32::try_from(i).expect("registered")))
     }
 
     /// Books, times and enqueues one message.
@@ -442,7 +488,7 @@ impl<M> Core<M> {
                 // A message to a retired endpoint is lost like a datagram
                 // to a dead host — but it was accepted, so counters and
                 // the sender's record still see it.
-                if slot.alive {
+                if slot.state != State::Retired {
                     slot.mailbox.push(Envelope {
                         deliver_at,
                         src,
@@ -450,19 +496,14 @@ impl<M> Core<M> {
                         sent_at: now,
                         msg: (!corrupted).then_some(msg),
                     });
-                    // If the destination is blocked waiting for messages,
-                    // ensure the scheduler knows when it becomes wakeable
-                    // — and wake it (alone) if the message is already
-                    // deliverable. A message still in flight needs no
-                    // wake-up: only a time advance can make it
-                    // deliverable, and the advance arbiter wakes exactly
-                    // the endpoints whose wake-up point was reached.
-                    if !slot.running && slot.blocked_on == BlockKind::Recv {
-                        slot.wake_at = earlier(slot.wake_at, Some(deliver_at));
-                        if deliver_at <= now {
-                            slot.runnable = true;
-                            self.handoffs.wakes += 1;
-                        }
+                    slot.rearm();
+                    // Wake a receiver (alone) the message is already
+                    // deliverable to. One still in flight needs no wake-up:
+                    // only a time advance can make it deliverable, and the
+                    // advance arbiter reads the receiver's wake-up point.
+                    if deliver_at <= now && slot.takes_messages() {
+                        slot.runnable = true;
+                        self.handoffs.wakes += 1;
                     }
                 }
             }
@@ -479,23 +520,19 @@ impl<M> Core<M> {
     /// Rings endpoint `id`'s doorbell at `at` if `epoch` is still its
     /// current wait (see [`Network::schedule_wake`](crate::Network::schedule_wake)).
     pub fn schedule_wake(&mut self, id: PartitionId, at: VirtualInstant, epoch: u64) {
-        let Some(slot) = self.actors.get_mut(id.index()).filter(|slot| slot.alive) else {
+        let Some(slot) = self.actors.get_mut(id.index()) else {
             return;
         };
-        if slot.wait_epoch != epoch {
+        if slot.state == State::Retired || slot.wait_epoch != epoch {
             return; // stale: computed against an earlier, finished wait
         }
         slot.doorbell = Some(at);
-        if !slot.running && slot.blocked_on == BlockKind::Recv {
-            // Re-derive the wait's wake hint (min of next delivery and the
-            // new doorbell).
-            slot.wake_at = earlier(slot.mailbox.head_deliver_at(), Some(at));
-            // Wake the owner only if the bell is already due — the
-            // advance arbiter will deliver future bells at `at`.
-            if at <= self.now {
-                slot.runnable = true;
-                self.handoffs.wakes += 1;
-            }
+        slot.rearm();
+        // Wake the owner only if the bell is already due — the advance
+        // arbiter delivers a future bell at its wake-up point.
+        if at <= self.now && slot.takes_messages() {
+            slot.runnable = true;
+            self.handoffs.wakes += 1;
         }
     }
 
@@ -517,106 +554,57 @@ impl<M> Core<M> {
         Ok(self.actors[id.index()].mailbox.pop_ready(self.now))
     }
 
-    /// One turn of a wait: a deliverable message first, then a due
-    /// doorbell (consumed), then `deadline` (when there is one).
-    pub fn wait_turn(
-        &mut self,
-        id: PartitionId,
-        deadline: Option<VirtualInstant>,
-    ) -> Turn<Parked<M>> {
-        self.turn(
-            id,
-            BlockKind::Recv,
-            |slot, now| {
-                if let Some(received) = slot.mailbox.pop_ready(now) {
-                    return Some(Parked::Msg(received));
-                }
-                if slot.doorbell.is_some_and(|at| at <= now) {
-                    slot.doorbell = None;
-                    return Some(Parked::Doorbell);
-                }
-                deadline
-                    .is_some_and(|at| at <= now)
-                    .then_some(Parked::Deadline)
-            },
-            |slot| {
-                earlier(
-                    earlier(slot.mailbox.head_deliver_at(), slot.doorbell),
-                    deadline,
-                )
-            },
-        )
-    }
-
-    /// One turn of a sleep until `deadline`.
-    pub fn sleep_turn(&mut self, id: PartitionId, deadline: VirtualInstant) -> Turn<()> {
-        self.turn(
-            id,
-            BlockKind::Sleep,
-            |_, now| (now >= deadline).then_some(()),
-            |_| Some(deadline),
-        )
-    }
-
-    /// The blocking funnel, one turn of it.
-    ///
-    /// Evaluates `pred` over the caller's own slot (mailbox included);
-    /// when it does not hold, the endpoint is marked blocked with
-    /// `wake_hint` as the earliest instant at which `pred` could become
-    /// true (None = only a message or retirement can help), and the
-    /// advance arbiter gets to run — this may be the block that lets time
-    /// move.
-    fn turn<T>(
-        &mut self,
-        id: PartitionId,
-        kind: BlockKind,
-        mut pred: impl FnMut(&mut ActorSlot<M>, VirtualInstant) -> Option<T>,
-        wake_hint: impl Fn(&ActorSlot<M>) -> Option<VirtualInstant>,
-    ) -> Turn<T> {
+    /// One turn of `wait`: what ends it now, if anything does (a
+    /// deliverable message first, then a due doorbell, consumed, then the
+    /// deadline); otherwise the endpoint waits, and the advance arbiter gets
+    /// to run — this may be the block that lets time move.
+    pub fn wait_turn(&mut self, id: PartitionId, wait: Wait) -> Turn<Parked<M>> {
         let i = id.index();
         loop {
             if let Some(info) = &self.deadlocked {
                 return Some(Err(SimError::Deadlock(info.clone())));
             }
-            let slot = &mut self.actors[i];
-            if let Some(v) = pred(slot, self.now) {
-                slot.running = true;
-                return Some(Ok(v));
+            let (now, slot) = (self.now, &mut self.actors[i]);
+            if let Some(parked) = slot.take_due(wait, now) {
+                slot.state = State::Running;
+                slot.rearm();
+                return Some(Ok(parked));
             }
-            slot.running = false;
-            slot.blocked_on = kind;
-            slot.wake_at = wake_hint(slot);
+            slot.state = State::Waiting(wait);
+            slot.rearm();
             // If our own blocking triggered an advance that reached our
             // wake-up point (or deadlock detection), the wake-up fired
             // before we could park — re-evaluate instead of waiting for it.
             // An advance that stopped short of it woke somebody else:
-            // nothing changed for this endpoint (nobody else ran, its hint
-            // still lies ahead, and a second scan would only find the
-            // endpoint just woken), so it parks now.
+            // nothing changed for this endpoint (nobody else ran, its
+            // wake-up point still lies ahead, and a second scan would only
+            // find the endpoint just woken), so it parks now.
             let advanced = self.advance_if_blocked();
             let reached = self.actors[i].wake_at.is_some_and(|w| w <= self.now);
             if advanced && reached || self.deadlocked.is_some() {
                 continue;
             }
             self.handoffs.parks += 1;
-            // Nothing ran between the predicate and here, so a mark still
-            // set is a leftover of a wake-up already acted on (our own
-            // advance above, on an earlier turn of the loop).
+            // Nothing ran between the check and here, so a mark still set
+            // is a leftover of a wake-up already acted on (our own advance
+            // above, on an earlier turn of the loop).
             self.actors[i].runnable = false;
             return None;
         }
     }
 
-    /// Retires endpoint `id`: the scheduler stops waiting for it.
+    /// Retires endpoint `id`: the scheduler stops waiting for it, and it
+    /// is never resumed again — a mark left over from the wait it ended
+    /// last is dropped.
     pub fn retire(&mut self, id: PartitionId) {
         let slot = &mut self.actors[id.index()];
-        slot.alive = false;
-        slot.running = false;
+        (slot.state, slot.runnable) = (State::Retired, false);
+        slot.rearm();
         self.advance_if_blocked();
     }
 
     /// The virtual-time advance arbiter: if every live endpoint is
-    /// blocked, advances time to the earliest wake-up point and wakes
+    /// waiting, advances time to the earliest wake-up point and wakes
     /// **only** the endpoints whose wake-up point was reached — the unique
     /// next runner(s), not the herd — or, with no wake-up point anywhere,
     /// declares deadlock and wakes everyone to report it. Returns whether
@@ -626,53 +614,62 @@ impl<M> Core<M> {
         if self.deadlocked.is_some() {
             return false;
         }
-        let mut min_wake: Option<VirtualInstant> = None;
-        for actor in self.actors.iter().filter(|a| a.alive) {
-            if actor.running {
-                return false; // someone can still make progress right now
-            }
-            if let Some(w) = actor.wake_at {
-                if w <= self.now {
-                    return false; // already wakeable; it was marked
-                }
-                min_wake = earlier(min_wake, Some(w));
-            }
-        }
-        match min_wake {
-            Some(t) => {
-                self.now = t;
-                for actor in &mut self.actors {
-                    if actor.alive && !actor.running && actor.wake_at.is_some_and(|w| w <= t) {
-                        self.handoffs.wakes += 1;
-                        actor.runnable = true;
+        let (mut min_wake, mut waiting) = (None, false);
+        for actor in &self.actors {
+            match actor.state {
+                State::Running => return false, // it can still make progress
+                State::Retired => {}
+                State::Waiting(_) => {
+                    waiting = true;
+                    if let Some(w) = actor.wake_at {
+                        if w <= self.now {
+                            return false; // already wakeable; it was marked
+                        }
+                        min_wake = earlier(min_wake, Some(w));
                     }
                 }
-                true
+            }
+        }
+        if !waiting {
+            return false; // everyone retired: nothing to schedule
+        }
+        let due = match min_wake {
+            Some(t) => {
+                self.now = t;
+                Some(t)
             }
             None => {
-                if !self.actors.iter().any(|a| a.alive) {
-                    return false; // everyone retired: nothing to schedule
-                }
                 self.deadlocked = Some(DeadlockInfo {
                     at: self.now,
                     blocked: self
                         .actors
                         .iter()
-                        .filter(|a| a.alive)
-                        .map(|a| (a.name.to_string(), a.blocked_on.label()))
+                        .filter_map(|a| {
+                            let label = if a.wait()?.takes_messages {
+                                "recv"
+                            } else {
+                                "sleep"
+                            };
+                            Some((a.name.to_string(), label))
+                        })
                         .collect(),
                 });
                 // Everyone must observe the deadlock: this is the one
                 // remaining broadcast wake-up, and the simulation is over.
-                for actor in &mut self.actors {
-                    if actor.alive && !actor.running {
-                        self.handoffs.wakes += 1;
-                        actor.runnable = true;
-                    }
-                }
-                true
+                None
+            }
+        };
+        for actor in &mut self.actors {
+            let woken = match due {
+                Some(t) => actor.wake_at.is_some_and(|w| w <= t),
+                None => actor.wait().is_some(),
+            };
+            if woken {
+                self.handoffs.wakes += 1;
+                actor.runnable = true;
             }
         }
+        true
     }
 }
 
@@ -686,6 +683,7 @@ mod tests {
     use crate::net::ClockMode;
 
     /// A message whose class says what the fault plan does to it.
+    #[derive(Debug)]
     struct Msg(&'static str);
 
     impl Classify for Msg {
@@ -699,6 +697,51 @@ mod tests {
 
     /// The order the mailbox used to keep: a min-heap by key.
     type Reference = BinaryHeap<Reverse<(VirtualInstant, PartitionId, u64, bool)>>;
+
+    #[test]
+    fn a_doorbell_rung_after_a_wait_blocked_keeps_the_wait_bounded() {
+        let mut core: Core<Msg> = Core::new(NetConfig::default(), NetArena::new());
+        let (waiter, peer) = (core.register(Name::new("w")), core.register(Name::new("p")));
+        let epoch = core.new_epoch(waiter);
+        let ns = VirtualInstant::from_nanos;
+        let wait = Wait {
+            deadline: Some(ns(5)),
+            takes_messages: true,
+        };
+        assert!(
+            core.wait_turn(waiter, wait).is_none(),
+            "the peer still runs"
+        );
+        core.schedule_wake(waiter, ns(10), epoch);
+        core.retire(peer); // every live endpoint waits: time advances
+        assert_eq!(core.next_runnable(), Some(waiter));
+        let ended = core
+            .wait_turn(waiter, wait)
+            .expect("woken")
+            .expect("no deadlock");
+        assert!(matches!(ended, Parked::Deadline), "{ended:?}");
+        assert_eq!(core.now(), ns(5));
+    }
+
+    #[test]
+    fn the_run_order_is_passes_in_registration_order() {
+        let mut core: Core<Msg> = Core::new(NetConfig::default(), NetArena::new());
+        let ids: Vec<PartitionId> = (0..3).map(|_| core.register(Name::new("n"))).collect();
+        // Every endpoint starts marked, and a pass takes each mark once.
+        let first: Vec<_> = std::iter::from_fn(|| core.next_runnable()).collect();
+        assert_eq!(first, ids);
+        assert_eq!(core.next_runnable(), None, "a whole pass found nobody");
+        // Woken behind the pass: the next one. Ahead of it: this one.
+        core.actors[2].runnable = true;
+        assert_eq!(core.next_runnable(), Some(ids[2]));
+        core.actors[0].runnable = true;
+        core.actors[1].runnable = true;
+        assert_eq!(core.next_runnable(), Some(ids[0]));
+        core.actors[2].runnable = true;
+        assert_eq!(core.next_runnable(), Some(ids[1]));
+        assert_eq!(core.next_runnable(), Some(ids[2]));
+        assert_eq!(core.next_runnable(), None);
+    }
 
     #[test]
     fn the_mailbox_delivers_in_the_order_of_the_heap_it_replaced() {

@@ -22,12 +22,10 @@ struct Locked<M> {
 impl<M> Locked<M> {
     /// Turns the runnable marks the core's wake sites have set into
     /// notifications, each to the one thread parked on that endpoint.
-    /// (An endpoint that never parked has no condvar and nobody to wake;
-    /// its start-up mark is cleared when it first parks.)
+    /// (An endpoint that never parked has no condvar and nobody to wake.)
     fn notify_woken(&mut self) {
-        for (i, condvar) in self.condvars.iter().enumerate() {
-            let id = PartitionId::new(u32::try_from(i).expect("fewer than 2^32 endpoints"));
-            if self.core.take_runnable(id) {
+        while let Some(id) = self.core.next_runnable() {
+            if let Some(condvar) = self.condvars.get(id.index()) {
                 condvar.notify_one();
             }
         }

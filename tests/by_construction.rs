@@ -80,7 +80,16 @@
 //!   tests the simulator's core names no `BinaryHeap` (a mailbox is a
 //!   sorted deque), and the signal table, its exchanges and the exit
 //!   barrier declare no `InlineVec<(ThreadId, …)>` row (a round's tallies
-//!   are thread sets).
+//!   are thread sets);
+//! * what happens next is the simulator's one decision: the simulator's
+//!   core has one kind of wait (no `BlockKind`, no `sleep_turn`), sets a
+//!   wake-up point in one function (`ActorSlot::rearm`, the one
+//!   `wake_at =`) and keeps no fiber stack; no source names
+//!   `take_runnable`, `take_stack` or `park_stack` (the run order is
+//!   `next_runnable`'s, which both hosts read, and the runtime pools its
+//!   own stacks);
+//! * the runtime's sources carry no `allow(dead_code)`: code only tests
+//!   call is `#[cfg(test)]`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -973,6 +982,53 @@ fn a_delivered_message_meets_no_heap_and_no_pair_table() {
             !struct_body(&rounds, table).contains("InlineVec<(ThreadId"),
             "`{table}` keeps a row per member: a round's tallies are \
              `ThreadSet`s, asked one bit per member"
+        );
+    }
+}
+
+#[test]
+fn what_happens_next_is_the_simulators_one_decision() {
+    let simcore = fs::read_to_string(root().join("crates/simnet/src/simcore.rs")).expect("simcore");
+    for gone in ["BlockKind", "sleep_turn", "Stack"] {
+        assert!(
+            !names_word(&simcore, gone),
+            "simcore.rs names `{gone}`: a wait is one `Wait`, and the runtime \
+             keeps the fiber stacks"
+        );
+    }
+    let code = outside_unit_tests(&simcore);
+    let setter = code.find("    fn rearm(").expect("ActorSlot::rearm");
+    assert_eq!(
+        (code.matches("wake_at =").count(), code.find("wake_at =")),
+        (1, code[setter..].find("wake_at =").map(|at| setter + at)),
+        "a wake-up point is set in one function, `ActorSlot::rearm`"
+    );
+    let files = workspace_sources();
+    assert!(files.len() > 100, "the scan found the sources: {files:?}");
+    for file in &files {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        for gone in ["take_runnable", "take_stack", "park_stack"] {
+            assert!(
+                !source.contains(gone),
+                "{}: `{gone}` — the network says who runs next \
+                 (`FiberNetwork::next_runnable`), and `System` pools its stacks",
+                file.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn the_runtime_allows_no_dead_code() {
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/runtime/src"), &mut files);
+    assert!(files.len() > 5, "the scan found the sources: {files:?}");
+    for file in files {
+        let source = fs::read_to_string(&file).expect("a readable source file");
+        assert!(
+            !source.contains("allow(dead_code)"),
+            "{}: code only tests call is `#[cfg(test)]`",
+            file.display()
         );
     }
 }
