@@ -4,16 +4,20 @@
 //! ```text
 //! cargo run --release -p caa-bench --bin caa -- <command> [arguments]
 //!
-//!   replay  [<seed>] [--corpus DIR] [--bisect] [--spans-out PATH]
-//!   sweep   [--seeds N] [--start SEED] [--shard k/n] [--metrics-out PATH]
+//!   replay  [<seed>] [--space NAME] [--corpus DIR] [--bisect] [--spans-out PATH]
+//!   sweep   [--space NAME] [--seeds N] [--start SEED] [--shard k/n] [--metrics-out PATH]
 //!   bench   [--seeds N] [--workers N] [--shard k/n] [--out PATH]
 //!           [--min-seeds-per-sec N] [--max-handoffs-per-seed N]
-//!   fuzz    [--budget N] [--initial N] … [--fuzz-smoke] [--multi-crash]
+//!   fuzz    [--space NAME] [--budget N] [--initial N] … [--fuzz-smoke]
 //!   merge   <metrics.json|coverage.json>... [--out PATH] [--triage PATH]
 //!   diff    <baseline.json> <candidate.json> [--max-quantile-pct X] …
 //!   tables  [all|fig9|fig10|fig12|fig13|msgs|signalling|lemma1]...
-//!   hashes  [--seeds N] [--prodcell N] [--workers N] [--shard k/n] [--digest]
+//!   hashes  [--space NAME] [--seeds N] [--workers N] [--shard k/n] [--digest]
 //! ```
+//!
+//! `--space` names a scenario space, a row of
+//! [`SPACES`](caa_harness::plan::SPACES): `default` (what a command runs
+//! without the flag), `object-heavy` or `multi-crash`.
 //!
 //! Each command documents itself in its module. They share the exit
 //! statuses: `0` all well, `1` an oracle violation (or a crossed `diff` /
@@ -79,7 +83,12 @@ const COMMANDS: [Command; 8] = [
         name: "replay",
         operands: "[<seed>]",
         max_operands: 1,
-        flags: &["--corpus <dir>/<entry>", "--bisect", "--spans-out PATH"],
+        flags: &[
+            "--space NAME",
+            "--corpus <dir>/<entry>",
+            "--bisect",
+            "--spans-out PATH",
+        ],
         run: replay::run,
     },
     Command {
@@ -87,6 +96,7 @@ const COMMANDS: [Command; 8] = [
         operands: "",
         max_operands: 0,
         flags: &[
+            "--space NAME",
             "--seeds N",
             "--start SEED",
             "--shard k/n",
@@ -113,6 +123,7 @@ const COMMANDS: [Command; 8] = [
         operands: "",
         max_operands: 0,
         flags: &[
+            "--space NAME",
             "--budget N",
             "--initial N",
             "--start SEED",
@@ -126,7 +137,6 @@ const COMMANDS: [Command; 8] = [
             "--out PATH",
             "--triage PATH",
             "--min-gain-pct X",
-            "--multi-crash",
             "--fuzz-smoke",
             "--max-handoffs-per-seed N",
         ],
@@ -162,8 +172,8 @@ const COMMANDS: [Command; 8] = [
         operands: "",
         max_operands: 0,
         flags: &[
+            "--space NAME",
             "--seeds N",
-            "--prodcell N",
             "--workers N",
             "--shard k/n",
             "--digest",
@@ -312,7 +322,7 @@ mod tests {
         let args = parse("hashes", &["--digest", "--seeds", "48"]).unwrap();
         assert!(args.switch("--digest"));
         assert_eq!(args.get_or("--seeds", 12_000u64).unwrap(), 48);
-        assert_eq!(args.get_or("--prodcell", 32u64).unwrap(), 32, "default");
+        assert_eq!(args.get::<u64>("--workers").unwrap(), None, "unset");
         assert!(!parse("hashes", &[]).unwrap().switch("--digest"));
     }
 
@@ -357,17 +367,38 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_space_is_a_usage_error_that_lists_the_table() {
+        for name in ["replay", "sweep", "fuzz", "hashes"] {
+            let args = parse(name, &["--space", "bogus"]).unwrap();
+            let message = args
+                .get::<caa_harness::plan::Space>("--space")
+                .unwrap_err()
+                .to_string();
+            assert_eq!(
+                message,
+                "bad --space value \"bogus\": no space \"bogus\"; \
+                 the spaces are default, object-heavy, multi-crash",
+                "{name}"
+            );
+            let mut out = Vec::new();
+            let status = run(&strings(&[name, "--space", "bogus"]), &mut out);
+            assert_eq!((status, out.is_empty()), (2, true), "{name}");
+        }
+    }
+
+    #[test]
     fn every_command_has_a_usage_line_and_usage_errors_exit_2() {
         let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
         names.dedup();
         assert_eq!(names.len(), COMMANDS.len(), "command names are distinct");
         assert_eq!(
             command("replay").usage(),
-            "caa replay [<seed>] [--corpus <dir>/<entry>] [--bisect] [--spans-out PATH]"
+            "caa replay [<seed>] [--space NAME] [--corpus <dir>/<entry>] [--bisect] \
+             [--spans-out PATH]"
         );
         assert_eq!(
             command("hashes").usage(),
-            "caa hashes [--seeds N] [--prodcell N] [--workers N] [--shard k/n] [--digest]"
+            "caa hashes [--space NAME] [--seeds N] [--workers N] [--shard k/n] [--digest]"
         );
         assert_eq!(
             command("tables").usage(),

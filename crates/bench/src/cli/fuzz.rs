@@ -19,8 +19,12 @@
 //!
 //! # The tier-1 shape: a tiny smoke loop proving the feedback loop still
 //! # finds novelty beyond its initial seeds:
-//! caa fuzz --fuzz-smoke
+//! caa fuzz --fuzz-smoke [--space multi-crash]
 //! ```
+//!
+//! `--space` picks the scenario space generation 0 draws its seeds from
+//! (the default one without it). Every corpus entry persists the space's
+//! bounds, so a find replays through `caa replay --corpus`.
 //!
 //! `--shard k/n` gives each shard a disjoint generation-0 seed range and
 //! its own mutation stream (the master fuzz seed is offset by the shard
@@ -36,13 +40,15 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use caa_harness::fuzz::{fuzz, CoverageDoc, FuzzConfig};
-use caa_harness::plan::ScenarioConfig;
+use caa_harness::plan::Space;
 use caa_harness::sweep::Shard;
 
 use super::{usage_error, write_file, Args, Run};
 
 pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
+    let space: Space = args.get_or("--space", Space::default())?;
     let mut config = FuzzConfig {
+        scenario: (space.config)(),
         corpus_dir: Some(PathBuf::from("target/caa-corpus")),
         ..FuzzConfig::default()
     };
@@ -65,13 +71,6 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
     config.check_replay = args.switch("--check-replay");
     if let Some(dir) = args.value("--corpus") {
         config.corpus_dir = Some(PathBuf::from(dir));
-    }
-    if args.switch("--multi-crash") {
-        // The crash-heavy scenario space: nearly every plan carries a
-        // crash schedule, so multi-crash and rejoin-mid-recovery paths
-        // dominate the frontier. The config is persisted with every
-        // corpus entry, so finds replay through `caa replay --corpus`.
-        config.scenario = ScenarioConfig::multi_crash();
     }
     if let Some(shard) = args.get::<Shard>("--shard")? {
         // Disjoint generation-0 ranges and distinct mutation streams per

@@ -3,16 +3,17 @@
 //! oracle verdicts. Exit 0 = every oracle passed, 1 = violations (listed).
 //!
 //! ```text
-//! # Regenerate the seed under the default ScenarioConfig. `--spans-out`
-//! # additionally exports the run's derived span timeline as Chrome
-//! # trace-event JSON (spans, causal-message flow arrows, critical-path
-//! # lanes) — open it at https://ui.perfetto.dev:
-//! caa replay 42 [--bisect] [--spans-out trace.json]
+//! # Regenerate the seed in a scenario space (the default one without
+//! # `--space`). `--spans-out` additionally exports the run's derived span
+//! # timeline as Chrome trace-event JSON (spans, causal-message flow
+//! # arrows, critical-path lanes) — open it at https://ui.perfetto.dev:
+//! caa replay 42 [--space multi-crash] [--bisect] [--spans-out trace.json]
 //!
 //! # Replay a persisted corpus entry: its config.txt and recipe.txt (a
 //! # base seed plus an edit list) rebuild the exact plan — a sweep's
 //! # violating seed, a fuzz find and a shrunk find alike — and the run
-//! # is compared byte for byte with the recorded trace:
+//! # is compared byte for byte with the recorded trace. The entry names
+//! # its own bounds, so `--space` does not go with `--corpus`:
 //! caa replay --corpus target/caa-corpus/42
 //! ```
 //!
@@ -30,15 +31,16 @@ use std::path::Path;
 
 use caa_harness::arena::ExecutionArena;
 use caa_harness::edit::{load_corpus_plan, plan_violates, shrink, Recipe};
-use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
+use caa_harness::plan::{ScenarioConfig, ScenarioPlan, Space};
 use caa_harness::spans::trace_event_json;
 use caa_harness::sweep::{run_plan_checked, write_corpus_files};
 
 use super::{usage_error, write_file, Args, Run};
 
 pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
+    let space: Option<Space> = args.get("--space")?;
     let (plan, config, recipe, entry) = match (args.value("--corpus"), args.positional.as_slice()) {
-        (Some(entry), []) => {
+        (Some(entry), []) if space.is_none() => {
             let entry = Path::new(entry);
             let (plan, config, recipe) = load_corpus_plan(entry)
                 .map_err(|e| usage_error(format!("cannot load corpus entry {entry:?}: {e}")))?;
@@ -50,7 +52,7 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
             )?;
             (plan, config, recipe, Some(entry))
         }
-        (Some(_), [_, ..]) => return Err(usage_error("give a seed or --corpus, not both")),
+        (Some(_), _) => return Err(usage_error("--corpus takes neither a seed nor --space")),
         (None, seed) => {
             let seed = match seed.first() {
                 Some(raw) => raw
@@ -58,7 +60,7 @@ pub(super) fn run(args: &Args, out: &mut dyn Write) -> Run {
                     .map_err(|e| usage_error(format!("bad seed {raw:?}: {e}")))?,
                 None => 0,
             };
-            let config = ScenarioConfig::default();
+            let config = (space.unwrap_or_default().config)();
             let plan = ScenarioPlan::generate(seed, &config);
             (plan, config, Recipe::base(seed), None)
         }

@@ -1,16 +1,16 @@
 //! `caa sweep` and `caa bench` — drive a seed range through
 //! [`caa_harness::sweep::sweep`].
 //!
-//! `caa sweep --seeds N [--start SEED] [--shard k/n] [--metrics-out PATH]`
-//! explores the range under the default scenario space with byte-exact
-//! replay checking, prints the sweep summary (throughput, paths hit,
-//! virtual-time protocol latency quantiles, per-class message counts,
-//! scheduler hand-offs, a replay command per violating seed) and exits 1
-//! if any seed violated an oracle. `--metrics-out` writes the sweep's
-//! machine-readable `metrics.json`. `--shard k/n` restricts the run to one
-//! deterministic shard of the range (see [`Shard`]), so CI matrices or
-//! several machines split one big sweep without coordination; `caa merge`
-//! unions the shards' documents.
+//! `caa sweep [--space NAME] --seeds N [--start SEED] [--shard k/n]
+//! [--metrics-out PATH]` explores the range in a scenario space (the
+//! default one without `--space`) with byte-exact replay checking, prints
+//! the sweep summary (throughput, paths hit, virtual-time protocol latency
+//! quantiles, per-class message counts, scheduler hand-offs, a replay
+//! command per violating seed) and exits 1 if any seed violated an oracle.
+//! `--metrics-out` writes the sweep's machine-readable `metrics.json`.
+//! `--shard k/n` restricts the run to one deterministic shard of the range
+//! (see [`Shard`]), so CI matrices or several machines split one big sweep
+//! without coordination; `caa merge` unions the shards' documents.
 //!
 //! `caa bench` is the sweep-throughput benchmark behind `BENCH_sweep.json`.
 //! It measures how fast the harness explores seeds, under the honest
@@ -20,8 +20,8 @@
 //!
 //! * `default` — the acceptance-sweep scenario space, no replay check;
 //! * `default+replay` — the same space with byte-exact replay checking;
-//! * `object-heavy` — [`ScenarioConfig::object_heavy`]: every plan carries
-//!   a contended shared-object pool with ≥ 4 participants.
+//! * `object-heavy` — the space of that name: every plan carries a
+//!   contended shared-object pool with ≥ 4 participants.
 //!
 //! The bench JSON — a flat, diff-friendly document, also printed — goes to
 //! `--out`, and the merged `metrics.json` of all three cases next to it;
@@ -50,7 +50,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use caa_harness::metrics::{metrics_json, SweepMetrics};
-use caa_harness::plan::ScenarioConfig;
+use caa_harness::plan::{Space, SPACES};
 use caa_harness::sweep::{effective_workers, sweep, Shard, SweepConfig, SweepReport};
 
 use super::{write_file, Args, Run};
@@ -59,10 +59,12 @@ pub(super) fn run_sweep(args: &Args, out: &mut dyn Write) -> Run {
     let seeds: u64 = args.get_or("--seeds", 1000)?;
     let start: u64 = args.get_or("--start", 0)?;
     let shard: Option<Shard> = args.get("--shard")?;
+    let space: Space = args.get_or("--space", Space::default())?;
     let report = sweep(&SweepConfig {
         start_seed: start,
         seeds,
         shard,
+        scenario: (space.config)(),
         check_replay: true,
         ..SweepConfig::default()
     });
@@ -127,19 +129,20 @@ pub(super) fn run_bench(args: &Args, out: &mut dyn Write) -> Run {
     let min_seeds_per_sec: Option<f64> = args.get("--min-seeds-per-sec")?;
     let max_handoffs_per_seed: Option<u64> = args.get("--max-handoffs-per-seed")?;
 
+    let [default, object_heavy, _] = SPACES;
     let cases = [
-        ("default", ScenarioConfig::default(), false),
-        ("default+replay", ScenarioConfig::default(), true),
-        ("object-heavy", ScenarioConfig::object_heavy(), false),
+        (default.name, default, false),
+        ("default+replay", default, true),
+        (object_heavy.name, object_heavy, false),
     ];
     let started = Instant::now();
     let mut results = Vec::new();
-    for (name, scenario, check_replay) in cases {
+    for (name, space, check_replay) in cases {
         let report = sweep(&SweepConfig {
             start_seed: 0,
             seeds,
             workers,
-            scenario,
+            scenario: (space.config)(),
             check_replay,
             corpus_dir: None,
             shard,

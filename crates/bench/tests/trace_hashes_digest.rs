@@ -1,19 +1,23 @@
 //! The 12k-seed pre/post trace gate as a tier-1 test: `caa hashes
-//! --digest` (12 000 default-config seeds + 32 production-cell runs, then
-//! 2 000 seeds each of the object-heavy and multi-crash spaces; one
-//! `hash64` line per section and 1 000-seed block) must equal the committed
+//! --digest` (every scenario space in table order: 12 000 default-space
+//! seeds + 32 production-cell runs, then 2 000 seeds each of the
+//! object-heavy and multi-crash spaces; one `hash64` line per section and
+//! 1 000-seed block) must equal the committed
 //! `tests/golden/trace_hashes_12k.digest`.
 //!
 //! Every crash-free, crash, prodcell, object-heavy and multi-crash trace is
 //! a pure function of its seed, so a runtime, simnet or harness refactor
 //! that claims unchanged behaviour keeps this file untouched. On a mismatch
-//! the test names the differing blocks and writes the default space's
-//! per-seed listing under `target/` for diffing against a listing from the
-//! parent commit. Only a deliberate behaviour change may re-bless it:
+//! the test names the differing blocks and writes the per-seed listing of
+//! each drifted section's space (`caa hashes --space <name>`) under
+//! `target/` for diffing against a listing from the parent commit. Only a
+//! deliberate behaviour change may re-bless it:
 //!
 //! ```text
 //! CAA_GOLDEN_BLESS=1 cargo test -p caa-bench --test trace_hashes_digest
 //! ```
+
+use caa_harness::plan::Space;
 
 fn run(args: &[&str]) -> String {
     let args: Vec<String> = args.iter().map(|arg| (*arg).to_owned()).collect();
@@ -44,14 +48,29 @@ fn twelve_k_seed_digest_matches_the_committed_golden_file() {
         .lines()
         .filter(|line| !golden.lines().any(|g| g == *line))
         .collect();
-    let listing_path = concat!(env!("CARGO_TARGET_TMPDIR"), "/trace_hashes_12k.listing.txt");
-    std::fs::write(listing_path, run(&["hashes"])).expect("write per-seed listing");
+    // A section is named by its space, or is one of the default space's.
+    let mut drifted: Vec<&str> = differing
+        .iter()
+        .map(|line| line.split(' ').next().unwrap_or_default())
+        .map(|section| section.parse::<Space>().unwrap_or_default().name)
+        .collect();
+    drifted.dedup();
+    let mut listings = Vec::new();
+    for space in drifted {
+        let path = format!(
+            "{}/trace_hashes_12k.{space}.listing.txt",
+            env!("CARGO_TARGET_TMPDIR")
+        );
+        std::fs::write(&path, run(&["hashes", "--space", space])).expect("write listing");
+        listings.push(path);
+    }
     panic!(
         "trace digest drift in {} block(s) ({} golden vs {} now):\n  {}\n\
-         full per-seed listing written to {listing_path}",
+         per-seed listings of the drifted spaces written to {}",
         differing.len(),
         golden.lines().count(),
         digest.lines().count(),
         differing.join("\n  "),
+        listings.join(", "),
     );
 }

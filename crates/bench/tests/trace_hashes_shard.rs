@@ -15,19 +15,11 @@ fn run(args: &[&str]) -> String {
 
 #[test]
 fn sharded_hash_runs_union_to_the_unsharded_output() {
-    let full = run(&["hashes", "--seeds", "48", "--prodcell", "2"]);
+    let full = run(&["hashes", "--seeds", "48"]);
     let mut union: BTreeMap<u64, String> = BTreeMap::new();
     let mut prodcell_lines = Vec::new();
     for index in 0..3 {
-        let shard = run(&[
-            "hashes",
-            "--seeds",
-            "48",
-            "--prodcell",
-            "2",
-            "--shard",
-            &format!("{index}/3"),
-        ]);
+        let shard = run(&["hashes", "--seeds", "48", "--shard", &format!("{index}/3")]);
         for line in shard.lines() {
             if line.starts_with("prodcell") {
                 assert_eq!(index, 0, "only shard 0 may emit the prodcell section");

@@ -227,6 +227,66 @@ impl ScenarioConfig {
     }
 }
 
+/// A named scenario space: a row of [`SPACES`], the table every `caa`
+/// command's `--space` names.
+#[derive(Debug, Clone, Copy)]
+pub struct Space {
+    /// What `--space`, a replay line and a digest section call it.
+    pub name: &'static str,
+    /// Builds its bounds.
+    pub config: fn() -> ScenarioConfig,
+}
+
+/// The scenario spaces, the default first.
+pub const SPACES: [Space; 3] = [
+    Space {
+        name: "default",
+        config: ScenarioConfig::default,
+    },
+    Space {
+        name: "object-heavy",
+        config: ScenarioConfig::object_heavy,
+    },
+    Space {
+        name: "multi-crash",
+        config: ScenarioConfig::multi_crash,
+    },
+];
+
+impl Space {
+    /// Whether this is the default space, the table's first row.
+    #[must_use]
+    pub fn is_default(self) -> bool {
+        self.name == SPACES[0].name
+    }
+
+    /// The row whose bounds `config` has, if one does.
+    #[must_use]
+    pub fn of(config: &ScenarioConfig) -> Option<Space> {
+        let kv = config.to_kv();
+        SPACES
+            .into_iter()
+            .find(|space| (space.config)().to_kv() == kv)
+    }
+}
+
+impl Default for Space {
+    fn default() -> Space {
+        SPACES[0]
+    }
+}
+
+/// Parses a row's name; the error lists the table.
+impl std::str::FromStr for Space {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Space, String> {
+        let names = SPACES.map(|space| space.name).join(", ");
+        let row = SPACES.into_iter().find(|space| space.name == name);
+        row.ok_or_else(|| format!("no space {name:?}; the spaces are {names}"))
+    }
+}
+
 /// How a role's handler concludes for any resolved exception.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictChoice {
@@ -1406,5 +1466,24 @@ mod tests {
             "unpinned fault rules too rare: {unpinned}/300"
         );
         assert!(crash_stop > 20, "crash-stops too rare: {crash_stop}/300");
+    }
+
+    #[test]
+    fn each_space_is_named_once_and_found_by_its_bounds() {
+        for space in SPACES {
+            let parsed: Space = space.name.parse().unwrap();
+            assert_eq!(parsed.name, space.name);
+            assert_eq!(Space::of(&(space.config)()).unwrap().name, space.name);
+        }
+        assert!(Space::default().is_default());
+        assert_eq!(
+            "bogus".parse::<Space>().unwrap_err(),
+            r#"no space "bogus"; the spaces are default, object-heavy, multi-crash"#
+        );
+        let custom = ScenarioConfig {
+            max_depth: 3,
+            ..ScenarioConfig::default()
+        };
+        assert!(Space::of(&custom).is_none());
     }
 }

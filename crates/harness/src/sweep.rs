@@ -6,8 +6,9 @@
 //! is embarrassingly parallel and scales with the host's cores while the
 //! simulated time stays virtual. A violating seed reproduces exactly with
 //! [`run_plan_checked`] over the plan its seed generates (or `cargo run
-//! --release -p caa-bench --bin caa -- replay <seed>`; `caa sweep --seeds
-//! N` is this module from the command line).
+//! --release -p caa-bench --bin caa -- replay [--space <name>] <seed>`;
+//! `caa sweep [--space <name>] --seeds N` is this module from the command
+//! line).
 //! Beyond one host, a seed range splits across processes or machines with
 //! [`SweepConfig::shard`] (`--shard k/n` on `caa sweep|bench|fuzz|hashes`):
 //! shards are disjoint, deterministic and together cover the range exactly.
@@ -34,7 +35,7 @@ use crate::edit::Recipe;
 use crate::exec::{execute_owned, RunArtifacts};
 use crate::metrics::{metrics_json, SweepMetrics, WallCounter};
 use crate::oracle::{check_replay, check_run, Violation};
-use crate::plan::{ScenarioConfig, ScenarioPlan};
+use crate::plan::{ScenarioConfig, ScenarioPlan, Space};
 use crate::trace::{hash64, EntryKind, Trace};
 
 /// One shard of a deterministically split seed range: this process
@@ -135,6 +136,10 @@ pub struct SeedResult {
     /// The persisted corpus entry, when the sweep dumped one (violating
     /// seeds only, and only with [`SweepConfig::corpus_dir`] set).
     pub corpus: Option<PathBuf>,
+    /// The named space the sweep generated the seed in (violating seeds
+    /// only, and only when [`SweepConfig::scenario`] is a row of
+    /// [`SPACES`](crate::plan::SPACES)).
+    pub space: Option<Space>,
 }
 
 impl SeedResult {
@@ -144,20 +149,18 @@ impl SeedResult {
         self.violations.is_empty()
     }
 
-    /// The command reproducing this seed's run and oracle verdicts.
-    ///
-    /// With a persisted corpus entry the command replays from it —
-    /// including the sweep's (possibly non-default) [`ScenarioConfig`]
-    /// and a byte-exact comparison against the recorded trace. Without
-    /// one, the bare-seed form regenerates the plan under the **default**
-    /// config; a sweep run with a custom config but no corpus must
-    /// generate the seed's plan under that same config and run it with
-    /// [`run_plan_checked`] to reproduce the seed.
+    /// The command reproducing this seed's run and oracle verdicts: from
+    /// its persisted corpus entry, which also compares the trace byte for
+    /// byte, or else from the bare seed, with `--space` naming its
+    /// [`SeedResult::space`] unless that is the default (or unknown).
     #[must_use]
     pub fn replay_command(&self) -> String {
-        match &self.corpus {
-            Some(entry) => format!("{CAA} replay --corpus {}", entry.display()),
-            None => format!("{CAA} replay {}", self.seed),
+        match (&self.corpus, self.space) {
+            (Some(entry), _) => format!("{CAA} replay --corpus {}", entry.display()),
+            (None, Some(space)) if !space.is_default() => {
+                format!("{CAA} replay --space {} {}", space.name, self.seed)
+            }
+            (None, _) => format!("{CAA} replay {}", self.seed),
         }
     }
 }
@@ -589,6 +592,7 @@ fn run_plan_from(
         violations,
         artifacts,
         corpus: None,
+        space: None,
     }
 }
 
@@ -744,12 +748,16 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         total.retained_dropped += tally.retained_dropped;
     }
     total.failures.sort_by_key(|f| f.seed);
-    if let Some(dir) = &config.corpus_dir {
-        for failure in &mut total.failures {
-            match dump_corpus(dir, &config.scenario, failure) {
-                Ok(entry) => failure.corpus = Some(entry),
-                Err(e) => eprintln!("corpus dump for seed {} failed: {e}", failure.seed),
-            }
+    // Named once per sweep, for the bare-seed replay lines.
+    let space = Space::of(&config.scenario);
+    for failure in &mut total.failures {
+        failure.space = space;
+        let Some(dir) = &config.corpus_dir else {
+            continue;
+        };
+        match dump_corpus(dir, &config.scenario, failure) {
+            Ok(entry) => failure.corpus = Some(entry),
+            Err(e) => eprintln!("corpus dump for seed {} failed: {e}", failure.seed),
         }
     }
     SweepReport {
@@ -887,8 +895,15 @@ mod tests {
     #[test]
     fn run_seed_exposes_replay_command() {
         let plan = ScenarioPlan::generate(3, &ScenarioConfig::default());
-        let result = run_plan_checked(plan, false, &mut ExecutionArena::default());
+        let mut result = run_plan_checked(plan, false, &mut ExecutionArena::default());
         assert!(result.replay_command().ends_with("-- replay 3"));
+        for (name, line) in [
+            ("default", "-- replay 3"),
+            ("multi-crash", "-- replay --space multi-crash 3"),
+        ] {
+            result.space = Some(name.parse().unwrap());
+            assert!(result.replay_command().ends_with(line), "{name}");
+        }
     }
 
     #[test]

@@ -140,15 +140,16 @@ impl std::error::Error for SimError {}
 pub struct DeadlockInfo {
     /// Virtual time at which the deadlock occurred.
     pub at: VirtualInstant,
-    /// The blocked endpoints: `(name, what they were blocked on)`.
-    pub blocked: Vec<(String, &'static str)>,
+    /// The names of the blocked endpoints. Each waits for a message with
+    /// no deadline: a sleep always has one, so it never deadlocks.
+    pub blocked: Vec<String>,
 }
 
 impl fmt::Display for DeadlockInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "at {}, all endpoints blocked:", self.at)?;
-        for (name, kind) in &self.blocked {
-            write!(f, " {name}({kind})")?;
+        write!(f, "at {}, all endpoints blocked on a receive:", self.at)?;
+        for name in &self.blocked {
+            write!(f, " {name}")?;
         }
         Ok(())
     }
@@ -619,8 +620,8 @@ mod tests {
             match r {
                 Err(SimError::Deadlock(info)) => {
                     assert_eq!(info.blocked.len(), 2);
-                    let names: Vec<_> = info.blocked.iter().map(|(n, _)| n.as_str()).collect();
-                    assert!(names.contains(&"alice") && names.contains(&"bob"));
+                    assert!(info.blocked.iter().any(|n| n == "alice"));
+                    assert!(info.blocked.iter().any(|n| n == "bob"));
                 }
                 other => panic!("expected deadlock, got {other:?}"),
             }
@@ -1161,7 +1162,7 @@ mod tests {
             "parked: Doorbell at 2000000000", // not the stale bell at 1 s
             "got: Some(Msg(3)) from 0",       // Msg(2) was lost
             "try: false",
-            r#"blocked: [("alice", "recv"), ("bob", "recv")]"#,
+            r#"blocked: ["alice", "bob"]"#,
             // The late bell at 3 s woke nobody: the receive after the
             // ended doorbell wait deadlocked where it began.
             "ended at 2000000000",

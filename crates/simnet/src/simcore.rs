@@ -40,8 +40,8 @@ pub type Turn<T> = Option<Result<T, SimError>>;
 
 /// What a blocked endpoint waits for: its deadline, if any, and whether a
 /// deliverable message or a due doorbell ends the wait too. A receive
-/// takes messages ("recv" in a deadlock report); a sleep takes neither and
-/// ends at its deadline alone ("sleep").
+/// takes messages; a sleep takes neither and ends at its deadline alone,
+/// so only receives are left in a deadlock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wait {
     pub deadline: Option<VirtualInstant>,
@@ -644,14 +644,8 @@ impl<M> Core<M> {
                     blocked: self
                         .actors
                         .iter()
-                        .filter_map(|a| {
-                            let label = if a.wait()?.takes_messages {
-                                "recv"
-                            } else {
-                                "sleep"
-                            };
-                            Some((a.name.to_string(), label))
-                        })
+                        .filter(|a| a.wait().is_some())
+                        .map(|a| a.name.to_string())
                         .collect(),
                 });
                 // Everyone must observe the deadlock: this is the one

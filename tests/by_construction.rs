@@ -89,7 +89,11 @@
 //!   `next_runnable`'s, which both hosts read, and the runtime pools its
 //!   own stacks);
 //! * the runtime's sources carry no `allow(dead_code)`: code only tests
-//!   call is `#[cfg(test)]`.
+//!   call is `#[cfg(test)]`;
+//! * a scenario space is named one way: `caa_harness::plan::SPACES` is the
+//!   one table, the bench crate's sources reach the non-default spaces
+//!   through it alone, and no source, CI file or doc names the flags it
+//!   replaced (`--multi-crash`, `--prodcell`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -1030,5 +1034,47 @@ fn the_runtime_allows_no_dead_code() {
             "{}: code only tests call is `#[cfg(test)]`",
             file.display()
         );
+    }
+}
+
+#[test]
+fn a_scenario_space_is_named_one_way() {
+    assert_eq!(
+        files_naming("pub const SPACES", &["crates"]),
+        ["crates/harness/src/plan.rs"],
+        "one table of scenario spaces"
+    );
+    for constructor in [
+        "ScenarioConfig::object_heavy",
+        "ScenarioConfig::multi_crash",
+    ] {
+        assert_eq!(
+            files_naming(constructor, &["crates/bench/src"]),
+            [""; 0],
+            "a command names its space from the table, not by `{constructor}`"
+        );
+    }
+    let mut files = workspace_sources();
+    for doc in [
+        ".github/workflows/ci.yml",
+        "README.md",
+        "docs/ARCHITECTURE.md",
+        "compat/README.md",
+        "crates/fiber/README.md",
+        "perf/README.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        files.push(root().join(doc));
+    }
+    for file in &files {
+        let text = fs::read_to_string(file).expect("a readable file");
+        for gone in ["--multi-crash", "--prodcell"] {
+            assert!(
+                !text.contains(gone),
+                "{}: `{gone}` — a command takes `--space <name>`, and the \
+                 production-cell section is a fixed 32 runs",
+                file.display()
+            );
+        }
     }
 }
