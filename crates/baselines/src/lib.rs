@@ -1,11 +1,11 @@
 //! Baseline exception-resolution algorithms for the comparative experiments
 //! of §5.3 and §3.3.3 (Xu, Romanovsky & Randell, ICDCS 1998).
 //!
-//! Both baselines implement the runtime's
-//! [`ResolutionProtocol`](caa_runtime::protocol::ResolutionProtocol), so a
-//! [`System`](caa_runtime::System) can swap algorithms while "the rest of
-//! the CA action support \[is\] kept unchanged" — exactly how the paper built
-//! its comparison:
+//! Both baselines implement the protocol's
+//! [`ResolutionProtocol`](caa_protocol::ResolutionProtocol), so a
+//! `caa_runtime::System` can swap algorithms while "the rest of the CA
+//! action support \[is\] kept unchanged" — exactly how the paper built its
+//! comparison:
 //!
 //! * [`CrResolution`] — Campbell & Randell 1986: flooding re-broadcast,
 //!   every thread resolves repeatedly (`N(N−1)(N−2)` invocations), O(N³)

@@ -24,7 +24,7 @@ use caa_core::exception::ExceptionId;
 use caa_core::ids::ThreadId;
 use caa_core::message::Message;
 use caa_core::state::ParticipantState;
-use caa_runtime::protocol::{
+use caa_protocol::protocol::{
     ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState,
 };
 

@@ -11,8 +11,8 @@ use caa_core::exception::{Exception, ExceptionId};
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::secs;
 use caa_exgraph::generate::conjunction_lattice;
-use caa_runtime::protocol::ResolutionProtocol;
-use caa_runtime::{ActionDef, System, SystemReport, XrrResolution};
+use caa_protocol::{ResolutionProtocol, XrrResolution};
+use caa_runtime::{ActionDef, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 /// §5.3's scenario: N threads enter a CA action; after some computation

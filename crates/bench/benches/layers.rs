@@ -75,10 +75,11 @@ use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::build_span_tree;
 use caa_harness::sweep::{run_plan_checked, PathCoverage};
 use caa_harness::trace::{hash64, Entry, EntryKind, Trace};
+use caa_protocol::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
+use caa_protocol::XrrResolution;
 use caa_runtime::action::{AbortHandler, Handler};
 use caa_runtime::observe::{EventKind, RunLog};
-use caa_runtime::protocol::{ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
-use caa_runtime::{ActionDef, XrrResolution};
+use caa_runtime::ActionDef;
 use caa_simnet::{Classify, FiberNetwork, LatencyModel, NetConfig, Network};
 use std::hint::black_box;
 

@@ -24,8 +24,9 @@ use caa_baselines::{CrResolution, Rom96Resolution};
 use caa_core::exception::Exception;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::secs;
-use caa_runtime::protocol::{lemma1_bound, ResolutionProtocol};
-use caa_runtime::{ActionDef, System, SystemReport, XrrResolution};
+use caa_protocol::protocol::lemma1_bound;
+use caa_protocol::{ResolutionProtocol, XrrResolution};
+use caa_runtime::{ActionDef, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 use super::{usage_error, Args, Run};

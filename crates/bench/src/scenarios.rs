@@ -20,7 +20,7 @@ use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
 use caa_exgraph::generate::conjunction_lattice;
 use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
-use caa_runtime::protocol::ResolutionProtocol;
+use caa_protocol::ResolutionProtocol;
 use caa_runtime::{ActionDef, System, SystemReport};
 use caa_simnet::LatencyModel;
 

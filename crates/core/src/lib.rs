@@ -67,7 +67,7 @@ pub mod time;
 pub use exception::{Exception, ExceptionId, Signal};
 pub use ids::{ActionId, PartitionId, RoleId, ThreadId};
 pub use inline::InlineVec;
-pub use message::{AppPayload, Message, MessageKind, SignalRound};
+pub use message::{AppMsg, AppPayload, Message, MessageKind, SignalRound};
 pub use name::Name;
 pub use outcome::{ActionOutcome, HandlerVerdict};
 pub use state::ParticipantState;

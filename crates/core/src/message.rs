@@ -148,6 +148,17 @@ impl fmt::Debug for AppPayload {
     }
 }
 
+/// An application message delivered to a role.
+#[derive(Debug)]
+pub struct AppMsg {
+    /// The sending thread.
+    pub from: ThreadId,
+    /// The application-chosen tag.
+    pub tag: &'static str,
+    /// The payload.
+    pub payload: AppPayload,
+}
+
 /// A message of the coordination protocols.
 ///
 /// # Examples

@@ -121,8 +121,6 @@ pub struct FreshBaseline {
 /// Aggregated outcome of a fuzz run.
 #[derive(Debug)]
 pub struct FuzzReport {
-    /// The scenario bounds the run explored under.
-    pub scenario: ScenarioConfig,
     /// Executions performed (≤ the configured budget).
     pub executions: u64,
     /// Generation-0 fresh seeds executed.
@@ -422,7 +420,6 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
     });
 
     FuzzReport {
-        scenario: config.scenario.clone(),
         executions: state.executed,
         initial_seeds: initial,
         generations,
@@ -480,39 +477,18 @@ pub struct CoverageDoc {
 
 /// The coverage counters by (alphabetical) wire name.
 fn counter_pairs(coverage: &PathCoverage) -> [(&'static str, u64); 12] {
-    [
-        ("aborts", coverage.aborts),
-        ("crash_stops", coverage.crash_stops),
-        ("exit_races", coverage.exit_races),
-        ("exit_timeouts", coverage.exit_timeouts),
-        ("failure_cascades", coverage.failure_cascades),
-        ("failure_outcomes", coverage.failure_outcomes),
-        ("object_acquisitions", coverage.object_acquisitions),
-        ("recoveries", coverage.recoveries),
-        ("rejoins", coverage.rejoins),
-        ("resolution_timeouts", coverage.resolution_timeouts),
-        ("undo_outcomes", coverage.undo_outcomes),
-        ("view_changes", coverage.view_changes),
-    ]
+    let mut counts = *coverage;
+    let mut pairs = PathCoverage::COUNTERS.map(|(name, field)| (name, *field(&mut counts)));
+    pairs.sort_unstable_by_key(|&(name, _)| name);
+    pairs
 }
 
+/// Sets the counter named `name`; `false` if no counter is.
 fn set_counter(coverage: &mut PathCoverage, name: &str, value: u64) -> bool {
-    match name {
-        "aborts" => coverage.aborts = value,
-        "crash_stops" => coverage.crash_stops = value,
-        "exit_races" => coverage.exit_races = value,
-        "exit_timeouts" => coverage.exit_timeouts = value,
-        "failure_cascades" => coverage.failure_cascades = value,
-        "failure_outcomes" => coverage.failure_outcomes = value,
-        "object_acquisitions" => coverage.object_acquisitions = value,
-        "recoveries" => coverage.recoveries = value,
-        "rejoins" => coverage.rejoins = value,
-        "resolution_timeouts" => coverage.resolution_timeouts = value,
-        "undo_outcomes" => coverage.undo_outcomes = value,
-        "view_changes" => coverage.view_changes = value,
-        _ => return false,
-    }
-    true
+    let counter = PathCoverage::COUNTERS
+        .iter()
+        .find(|&&(known, _)| known == name);
+    counter.map(|(_, field)| *field(coverage) = value).is_some()
 }
 
 fn write_signature_map(out: &mut String, map: &SignatureMap, indent: &str) {

@@ -51,8 +51,8 @@ use std::cell::Cell;
 use std::fmt;
 
 use caa_core::inline::InlineVec;
+use caa_protocol::protocol;
 use caa_runtime::observe::EventKind;
-use caa_runtime::protocol;
 use caa_runtime::SystemReport;
 
 use crate::exec::RunArtifacts;

@@ -264,7 +264,27 @@ pub struct PathCoverage {
     pub rejoins: u64,
 }
 
+/// A [`PathCoverage`] counter: its `coverage.json` name and its field.
+pub(crate) type Counter = (&'static str, fn(&mut PathCoverage) -> &mut u64);
+
 impl PathCoverage {
+    /// The counters in declaration order, each by its `coverage.json` name:
+    /// the one place the names are spelled.
+    pub(crate) const COUNTERS: [Counter; 12] = [
+        ("recoveries", |c| &mut c.recoveries),
+        ("undo_outcomes", |c| &mut c.undo_outcomes),
+        ("failure_outcomes", |c| &mut c.failure_outcomes),
+        ("failure_cascades", |c| &mut c.failure_cascades),
+        ("exit_races", |c| &mut c.exit_races),
+        ("exit_timeouts", |c| &mut c.exit_timeouts),
+        ("resolution_timeouts", |c| &mut c.resolution_timeouts),
+        ("view_changes", |c| &mut c.view_changes),
+        ("crash_stops", |c| &mut c.crash_stops),
+        ("aborts", |c| &mut c.aborts),
+        ("object_acquisitions", |c| &mut c.object_acquisitions),
+        ("rejoins", |c| &mut c.rejoins),
+    ];
+
     /// Counts one run's protocol-path hits from its canonical trace.
     #[must_use]
     pub fn from_trace(trace: &Trace) -> PathCoverage {
@@ -317,18 +337,10 @@ impl PathCoverage {
 
     /// Accumulates another run's counts into this one.
     pub fn merge(&mut self, other: &PathCoverage) {
-        self.recoveries += other.recoveries;
-        self.undo_outcomes += other.undo_outcomes;
-        self.failure_outcomes += other.failure_outcomes;
-        self.failure_cascades += other.failure_cascades;
-        self.exit_races += other.exit_races;
-        self.exit_timeouts += other.exit_timeouts;
-        self.resolution_timeouts += other.resolution_timeouts;
-        self.view_changes += other.view_changes;
-        self.crash_stops += other.crash_stops;
-        self.aborts += other.aborts;
-        self.object_acquisitions += other.object_acquisitions;
-        self.rejoins += other.rejoins;
+        let mut other = *other;
+        for (_, field) in Self::COUNTERS {
+            *field(self) += *field(&mut other);
+        }
     }
 
     /// Packs the run's counters into a 48-bit **protocol-path signature**:
@@ -352,22 +364,10 @@ impl PathCoverage {
                 }
             }
         }
-        [
-            self.recoveries,
-            self.undo_outcomes,
-            self.failure_outcomes,
-            self.failure_cascades,
-            self.exit_races,
-            self.exit_timeouts,
-            self.resolution_timeouts,
-            self.view_changes,
-            self.crash_stops,
-            self.aborts,
-            self.object_acquisitions,
-            self.rejoins,
-        ]
-        .iter()
-        .fold(0u64, |acc, &n| (acc << 4) | bucket(n))
+        let mut counts = *self;
+        Self::COUNTERS.iter().fold(0u64, |acc, (_, field)| {
+            (acc << 4) | bucket(*field(&mut counts))
+        })
     }
 
     /// One-line report, in a stable order.

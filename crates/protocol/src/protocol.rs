@@ -92,9 +92,8 @@ pub trait ResolverState {
     /// expires.
     ///
     /// The default (for protocols without membership support) reports
-    /// nothing, which makes a configured
-    /// [`resolution timeout`](crate::ActionDefBuilder::resolution_timeout)
-    /// a fatal protocol error on expiry rather than a silent misdiagnosis.
+    /// nothing, which makes a configured resolution timeout a fatal
+    /// protocol error on expiry rather than a silent misdiagnosis.
     ///
     /// The set comes back inline (see [`caa_core::inline`]): suspects are
     /// members of one action's group.
@@ -299,9 +298,7 @@ impl XrrState {
         self.resolved = Some(resolved);
         actions.resolved = Some(resolved);
     }
-}
 
-impl XrrState {
     /// Nothing to do yet, over the recycled outbound list.
     fn actions(&mut self) -> ProtoActions {
         ProtoActions {

@@ -1,28 +1,27 @@
 //! Sans-IO round state: the action frame, and what each coordination
 //! round of the recovery protocol *decides*.
 //!
-//! `Ctx::wait` (see [`crate::context`]) is the one wait every round blocks
-//! in; this module holds what differs between rounds, as pure
-//! `event → action` state in the shape [`ResolverState::on_event`] has. A
-//! [`Round`] says whether it is complete ([`Round::status`]) and what its
-//! deadline decides ([`Round::expired`]: the quorum gate's verdict on the
-//! silent peers, then the conclusion; [`Round::timed_out`]: what the
-//! expiry counts and logs). The frame it runs in says what an arriving
-//! message means ([`classify`]: [`Frame::absorb`], [`unframed`],
-//! [`corrupted`]), adopting a removal set there and naming the view step
-//! and what the resolver hears ([`Feed`]). Each answer is a
-//! [`RoundAction`] the driver executes, or for a deadline an [`Expiry`].
+//! A host blocks every round in one wait of its own; this module holds
+//! what differs between rounds, as pure `event → action` state in the
+//! shape [`ResolverState::on_event`] has. A [`Round`] says whether it is
+//! complete ([`Round::status`]) and what its deadline decides
+//! ([`Round::expired`]: the quorum gate's verdict on the silent peers,
+//! then the conclusion). The frame it runs in says what an arriving
+//! message means ([`classify`]: [`Frame::absorb`], or the retention and
+//! corruption rules), adopting a removal set there and naming the view
+//! step and what the resolver hears ([`Feed`]). Each answer is a
+//! [`RoundAction`] the host performs, or for a deadline an [`Expiry`].
 //! So are the decisions taken between rounds: where an unwind lands at a
 //! frame and what an abortion handler's result carries on (the §3.3.1
 //! cascade: [`land`], [`aborted`]), §3.4's case analysis ([`signalling`]:
 //! exchange, undo or conclude), how an action leaves once its exit round
-//! ended ([`leave`]) and releases its objects ([`release_on_exit`]), and
-//! whether a rejoin grant re-admits ([`admit`]). A decision that no correct
-//! run takes is a [`Violation`], never an error made on the spot. Nothing
-//! here sends, receives, observes or reads a clock, so every decision is
-//! unit-tested below without a network, a system or a thread.
-//! (The quorum gate and the set-wise merge live with the view they guard:
-//! [`FrameMembership::suspect`], [`FrameMembership::adopt_removals`].)
+//! ended ([`leave`]), and whether a rejoin grant re-admits
+//! ([`FrameMembership::sync_grant`]). A
+//! decision that no correct run takes is a [`Violation`], never an error
+//! made on the spot. Nothing here sends, receives, observes or reads a
+//! clock, so every decision is unit-tested below without a network, a
+//! system or a thread. (The quorum gate and the set-wise merge live with
+//! the view they guard, [`FrameMembership`].)
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -30,154 +29,178 @@ use std::rc::Rc;
 use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, RoleId, ThreadId};
 use caa_core::inline::InlineVec;
-use caa_core::message::{Message, SignalRound};
+use caa_core::message::{AppMsg, Message, SignalRound};
 use caa_core::outcome::ActionOutcome;
-use caa_simnet::Received;
+use caa_exgraph::ExceptionGraph;
 
-use crate::action::DefInner;
-use crate::context::AppMsg;
-use crate::error::Unwind;
-use crate::membership::{synthesize_crashes, Eviction, FrameMembership, ThreadSet, ViewSnapshot};
-use crate::membership::{ViewStep, GROUP_INLINE};
-use crate::objects::{Release, TxControl};
-use crate::observe::EventKind;
+use crate::membership::{synthesize_crashes, FrameMembership, Suspicion, ThreadSet};
+use crate::membership::{ViewSnapshot, ViewStep, GROUP_INLINE};
 use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolutionProtocol, ResolverState};
-use crate::system::RuntimeStats;
 
-/// One entry of the action stack (`SA`), grouped by responsibility.
+/// What the protocol reads of a CA action's definition: its ordered group,
+/// its exception graph and the exception a corrupted message raises. A
+/// host's definition `D` owns one and lends it to the frames of its
+/// instances (`D: AsRef<ActionSpec>`), so entering an action copies
+/// nothing.
+#[derive(Debug)]
+pub struct ActionSpec {
+    /// All participating threads, sorted ascending (the ordered group
+    /// `GA`); inline like every table keyed by a member.
+    pub group: ViewSnapshot,
+    /// The exception graph concurrent exceptions are resolved in.
+    pub graph: Rc<ExceptionGraph>,
+    /// What a corrupted message raises in a running body (Figure 7's
+    /// `l_mes`).
+    pub corruption_exception: ExceptionId,
+}
+
+impl AsRef<ActionSpec> for ActionSpec {
+    fn as_ref(&self) -> &ActionSpec {
+        self
+    }
+}
+
+/// One entry of the action stack (`SA`), grouped by responsibility; `D` is
+/// the host's definition of the action.
 ///
 /// What a round keeps per participant — announcements, votes, the peers
 /// heard from — lives inline in the frame ([`ThreadSet`]s, spilling to the
 /// heap only for a thread index past 63), and what has to be on the heap —
-/// the inboxes, the list of touched objects, the resolver's state — keeps
-/// its allocation from one instance to the next: a frame is boxed once and
-/// then stays put, *left* in place when its action ends ([`Frame::leave`])
-/// and *re-entered* in place by the participant's next action
-/// ([`Frame::reenter`]). Entering an action,
-/// running its rounds and leaving it allocate nothing, and move a pointer
-/// where they used to move the kilobyte the frame is.
-pub(crate) struct Frame {
-    pub(crate) id: Identity,
-    pub(crate) inbox: Inboxes,
-    pub(crate) recovery: Recovery,
-    pub(crate) signals: SignalTable,
-    pub(crate) exit: ExitBarrier,
+/// the inboxes, the resolver's state — keeps its allocation from one
+/// instance to the next: a frame is boxed once and then stays put, *left*
+/// in place when its action ends ([`Frame::leave`]) and *re-entered* in
+/// place by the participant's next action ([`Frame::reenter`]). Entering
+/// an action, running its rounds and leaving it allocate nothing, and move
+/// a pointer where they used to move the kilobyte the frame is.
+pub struct Frame<D> {
+    /// The instance, its definition and this thread's part in it.
+    pub id: Identity<D>,
+    /// What arrived and waits to be consumed.
+    pub inbox: Inboxes,
+    /// Progress through coordinated recovery.
+    pub recovery: Recovery,
+    /// §3.4's announcements.
+    pub signals: SignalTable,
+    /// §5.1's vote barrier.
+    pub exit: ExitBarrier,
     /// This participant's membership view of the instance: starts as the
     /// full group, shrinks when a bounded wait presumes a peer crashed.
-    pub(crate) view: FrameMembership,
-    /// External objects this thread touched within the action.
-    pub(crate) objects: Vec<Box<dyn TxControl>>,
+    pub view: FrameMembership,
 }
 
-/// A participant's frames — its action stack, its spare pool — by box:
-/// a frame is over a kilobyte, and entering or leaving an action moves a
-/// pointer to it, never the frame.
-#[allow(clippy::vec_box)]
-pub(crate) type Frames = Vec<Box<Frame>>;
-
 /// Which instance a frame is and how this thread is bound to it.
-pub(crate) struct Identity {
-    pub(crate) action: ActionId,
+pub struct Identity<D> {
+    /// The instance.
+    pub action: ActionId,
     /// The definition — kept by a left frame until it is re-entered, so
     /// that re-entering the same action (the usual case: a participant
     /// loops over the same actions) touches no reference count.
-    pub(crate) def: Rc<DefInner>,
-    pub(crate) role: RoleId,
+    pub def: Rc<D>,
+    /// The role this thread plays.
+    pub role: RoleId,
+    /// This thread: the one the definition binds to `role`.
+    pub me: ThreadId,
+}
+
+impl<D: AsRef<ActionSpec>> Identity<D> {
+    /// What the protocol reads of the definition.
+    pub fn spec(&self) -> &ActionSpec {
+        (*self.def).as_ref()
+    }
 }
 
 /// What arrived for a frame and waits to be consumed.
 #[derive(Default)]
-pub(crate) struct Inboxes {
+pub struct Inboxes {
     /// Control messages for this action stashed by the router for the
     /// recovery driver (the trigger that interrupted the body, §3.3.2's
     /// "retain"). Drained when recovery starts.
-    pub(crate) control: VecDeque<Message>,
+    pub control: VecDeque<Message>,
     /// Buffered application messages.
-    pub(crate) app: VecDeque<AppMsg>,
+    pub app: VecDeque<AppMsg>,
     /// Rejoin requests that arrived while a recovery was in flight,
     /// granted when the frame reaches its exit protocol.
-    pub(crate) joins: Vec<ThreadId>,
+    pub joins: Vec<ThreadId>,
 }
 
 /// A frame's progress through coordinated recovery.
 #[derive(Default)]
-pub(crate) struct Recovery {
+pub struct Recovery {
     /// Protocol state for this frame's resolution: the (reset) one an
     /// earlier instance of the frame left, else made when the frame first
-    /// takes part in a resolution ([`Frame::proto_ctx`]) — most frames
+    /// takes part in a resolution (`Frame::proto_ctx`) — most frames
     /// never recover, and their state was a boxed allocation per entry.
-    pub(crate) resolver: Option<Box<dyn ResolverState>>,
+    pub resolver: Option<Box<dyn ResolverState>>,
     /// Resolution completed — later Exception/Suspended messages for this
     /// instance are stragglers and are dropped (termination model: nothing
     /// new can be raised within the action after handlers start).
-    pub(crate) recovered: bool,
+    pub recovered: bool,
     /// Enclosing-level recovery is aborting this frame (its abortion
     /// handler may be running). In-flight recovery messages for the
     /// instance — e.g. a `Commit` whose resolution raced with the
     /// enclosing trigger — are stragglers and are dropped.
-    pub(crate) aborting: bool,
+    pub aborting: bool,
     /// Set while this frame's exception handler runs.
-    pub(crate) in_handler: Option<ExceptionId>,
+    pub in_handler: Option<ExceptionId>,
     /// While a recovery is in flight (resolution start through signalling
     /// end): the members the recovery started with. Signalling ranges over
     /// `cohort ∩ current members` — peers readmitted mid-recovery have no
     /// handler verdict to announce. Also the join-deferral gate: rejoin
     /// grants are queued while this is `Some` and flushed before the exit
     /// protocol, so the view never grows mid-resolution or mid-signalling.
-    pub(crate) cohort: Option<ThreadSet>,
+    pub cohort: Option<ThreadSet>,
     /// The exception this frame's recovery resolved to (set the moment the
     /// resolver reports agreement), handed to rejoiners so a restarted
     /// participant knows recovery already happened.
-    pub(crate) resolved_exception: Option<ExceptionId>,
+    pub resolved_exception: Option<ExceptionId>,
 }
 
-impl Frame {
+impl<D: AsRef<ActionSpec>> Frame<D> {
     /// A new frame for `def`'s actions, as [`Frame::leave`] leaves one:
     /// [`Frame::reenter`] it before use.
-    pub(crate) fn new(def: &Rc<DefInner>) -> Box<Frame> {
+    pub fn new(def: &Rc<D>) -> Box<Frame<D>> {
         Box::new(Frame {
             id: Identity {
                 action: ActionId::top_level(0),
                 def: Rc::clone(def),
                 role: RoleId::new(0),
+                me: ThreadId::new(0),
             },
             inbox: Inboxes::default(),
             recovery: Recovery::default(),
             signals: SignalTable::default(),
             exit: ExitBarrier::default(),
-            view: FrameMembership::new(&def.group),
-            objects: Vec::new(),
+            view: FrameMembership::new(&(**def).as_ref().group),
         })
     }
 
-    /// Binds a left frame to instance `action` of `def`, played as `role`,
-    /// over the action's full group — the only way a frame is entered.
-    pub(crate) fn reenter(&mut self, action: ActionId, def: &Rc<DefInner>, role: RoleId) {
+    /// Binds a left frame to instance `action` of `def`, played as `role`
+    /// by thread `me`, over the action's full group — the only way a frame
+    /// is entered.
+    pub fn reenter(&mut self, action: ActionId, def: &Rc<D>, role: RoleId, me: ThreadId) {
         if !Rc::ptr_eq(&self.id.def, def) {
             self.id.def = Rc::clone(def);
         }
         self.id.action = action;
         self.id.role = role;
-        self.view.reset(&def.group);
+        self.id.me = me;
+        self.view.reset(&self.id.spec().group);
     }
 
-    /// Ends the frame's instance in place: its inboxes and object list
-    /// emptied (their capacity kept), its resolver state reset (dropped if
-    /// it cannot be), its rounds and recovery back to where an entry starts
-    /// them. Only the identity and the view are left to
-    /// [`Frame::reenter`].
-    pub(crate) fn leave(&mut self) {
+    /// Ends the frame's instance in place: its inboxes emptied (their
+    /// capacity kept), its resolver state reset (dropped if it cannot be),
+    /// its rounds and recovery back to where an entry starts them. Only the
+    /// identity and the view are left to [`Frame::reenter`].
+    pub fn leave(&mut self) {
         self.inbox.control.clear();
         self.inbox.app.clear();
         self.inbox.joins.clear();
-        self.objects.clear();
-        let recovery = &mut self.recovery;
-        recovery.resolver.take_if(|state| !state.reset());
-        recovery.recovered = false;
-        recovery.aborting = false;
-        recovery.in_handler = None;
-        recovery.cohort = None;
-        recovery.resolved_exception = None;
+        let resolver = self.recovery.resolver.take();
+        let resolver = resolver.and_then(|mut state| state.reset().then_some(state));
+        self.recovery = Recovery {
+            resolver,
+            ..Recovery::default()
+        };
         self.signals.clear();
         self.exit.clear();
     }
@@ -186,7 +209,7 @@ impl Frame {
     /// describes: the granter's view, its exit epoch, and — when recovery
     /// already resolved — the resolved exception, so the restarted
     /// participant skips straight to the exit protocol.
-    pub(crate) fn rejoin(
+    pub fn rejoin(
         &mut self,
         view: FrameMembership,
         exit_epoch: u32,
@@ -210,23 +233,23 @@ impl Frame {
         members.filter(move |&&t| cohort.is_none_or(|cohort| cohort.contains(t)))
     }
 
-    /// [`Frame::signalling_members`], as a snapshot to announce to.
-    pub(crate) fn signalling_group(&self) -> ViewSnapshot {
+    /// `Frame::signalling_members`, as a snapshot to announce to.
+    pub fn signalling_group(&self) -> ViewSnapshot {
         self.signalling_members().copied().collect()
     }
 
     /// The frame's resolver — a fresh state of `protocol` the first time —
     /// together with the static context its events take: this thread, the
     /// instance, the *current* view and the action's exception graph.
-    pub(crate) fn proto_ctx(
+    fn proto_ctx(
         &mut self,
         protocol: &dyn ResolutionProtocol,
     ) -> (&mut dyn ResolverState, ProtoCtx<'_>) {
         let ctx = ProtoCtx {
-            me: self.id.def.thread_of(self.id.role),
+            me: self.id.me,
             action: self.id.action,
             group: self.view.members(),
-            graph: &self.id.def.graph,
+            graph: &self.id.spec().graph,
         };
         let resolver = self
             .recovery
@@ -240,7 +263,7 @@ impl Frame {
     /// later round (signals, votes, application traffic, stashed triggers,
     /// a removal set for the view). `is_top` tells whether the frame is
     /// the active one.
-    pub(crate) fn absorb(&mut self, msg: Message, is_top: bool, round: Round) -> RoundAction {
+    pub fn absorb<F>(&mut self, msg: Message, is_top: bool, round: Round) -> RoundAction<F> {
         if !matches!(msg, Message::App { .. }) {
             // Protocol traffic proves the sender advanced this instance's
             // protocol: liveness evidence for the eviction quorum gate.
@@ -376,14 +399,14 @@ impl Frame {
     /// removal set is merged first, so a commit racing ahead of its
     /// `ViewChange` still shrinks the view; the resolver then hears the
     /// step or the message, and a `ViewChange` opens a fresh round.
-    fn control(&mut self, msg: Message, resolving: bool) -> RoundAction {
+    fn control<F>(&mut self, msg: Message, resolving: bool) -> RoundAction<F> {
         let (removed, view_change) = match &msg {
             Message::ViewChange { removed, .. } => (Some(removed), true),
             Message::Commit { view_removed, .. } => (Some(view_removed), false),
             _ => (None, false),
         };
         let adopts = removed.is_some();
-        let me = self.id.def.thread_of(self.id.role);
+        let me = self.id.me;
         let step = removed.and_then(|removed| self.view.adopt_removals(me, removed));
         let hears = self.hears_steps(resolving);
         let feed = match &step {
@@ -401,21 +424,9 @@ impl Frame {
         resolving && !self.view.evicted
     }
 
-    /// A bounded wait — of the resolution round if `resolving` — expired
-    /// with `silent` peers: what the quorum gate decides
-    /// ([`FrameMembership::suspect`]).
-    fn suspect(&mut self, silent: &[ThreadId], resolving: bool) -> Result<Suspicion, Violation> {
-        let fed = self.hears_steps(resolving);
-        match self.view.suspect(silent) {
-            Ok(Eviction::Refused { .. }) => Ok(Suspicion::Refused),
-            Ok(Eviction::Evict { step, recipients }) => Ok(Suspicion::Evict(step, recipients, fed)),
-            Err(why) => Err(Violation(format!("membership view change rejected: {why}"))),
-        }
-    }
-
     /// What the frame's resolver (made on first use) answers to `feed`, the
     /// view stamped into its `Commit`s; a resolved exception is recorded.
-    pub(crate) fn feed(&mut self, protocol: &dyn ResolutionProtocol, feed: Feed) -> ProtoActions {
+    pub fn feed(&mut self, protocol: &dyn ResolutionProtocol, feed: Feed) -> ProtoActions {
         let (resolver, ctx) = self.proto_ctx(protocol);
         let mut actions = match feed {
             Feed::Raise(e) => resolver.on_event(&ctx, ProtoEvent::LocalRaise(&e)),
@@ -447,11 +458,11 @@ impl Frame {
     /// epoch, the vote is re-sent — the original broadcast went to the
     /// joiner's pre-crash endpoint and was discarded. `None` when `joiner`
     /// was never part of this action's group.
-    pub(crate) fn grant_join(&mut self, joiner: ThreadId) -> Option<JoinGranted> {
-        if !self.id.def.group.contains(&joiner) {
+    pub fn grant_join(&mut self, joiner: ThreadId) -> Option<JoinGranted> {
+        if !self.id.spec().group.contains(&joiner) {
             return None;
         }
-        let me = self.id.def.thread_of(self.id.role);
+        let me = self.id.me;
         // (A joiner the view never removed — it restarted before anyone
         // suspected it — simply gets its unchanged membership confirmed.)
         let readmitted = self.view.adopt_rejoin(joiner);
@@ -484,33 +495,39 @@ impl Frame {
 /// epoch the joiner was re-admitted at (when the view had removed it), the
 /// `JoinGrant`, and this thread's exit vote again if it already voted.
 #[derive(Debug)]
-pub(crate) struct JoinGranted {
-    pub(crate) readmitted: Option<u32>,
-    pub(crate) grant: Message,
-    pub(crate) revote: Option<Message>,
+pub struct JoinGranted {
+    /// The epoch the joiner was re-admitted at.
+    pub readmitted: Option<u32>,
+    /// The `JoinGrant` to send it.
+    pub grant: Message,
+    /// This thread's exit vote, to send it again.
+    pub revote: Option<Message>,
 }
 
 /// What a received message means while `round` is in progress, with the
 /// index of the frame it addresses: asked of the frame of its instance on
 /// `stack`, or — when it has none here — of the retention rule
-/// ([`unframed`]; `finished` holds the sorted serials of the instances this
+/// (`unframed`; `finished` holds the sorted serials of the instances this
 /// thread left, `retained` how many messages it holds back).
-pub(crate) fn classify(
-    received: Received<Message>,
+pub fn classify<D: AsRef<ActionSpec>, F>(
+    msg: Option<Message>,
     round: Round,
-    stack: &mut [Box<Frame>],
+    stack: &mut [impl AsMut<Frame<D>>],
     finished: &[u64],
     retained: usize,
     me: ThreadId,
-) -> (usize, RoundAction) {
+) -> (usize, RoundAction<F>) {
     let depth = stack.len();
-    let Some(msg) = received.msg else {
+    let Some(msg) = msg else {
         let top = depth.saturating_sub(1);
-        return (top, corrupted(stack.last_mut().map(Box::as_mut), round, me));
+        return (top, corrupted(stack.last_mut().map(AsMut::as_mut), round));
     };
     let action = msg.action();
-    match stack.iter().position(|f| f.id.action == action) {
-        Some(i) => (i, stack[i].absorb(msg, i + 1 == depth, round)),
+    match stack
+        .iter_mut()
+        .position(|f| f.as_mut().id.action == action)
+    {
+        Some(i) => (i, stack[i].as_mut().absorb(msg, i + 1 == depth, round)),
         None => {
             let finished = finished.binary_search(&action.serial()).is_ok();
             (depth, unframed(msg, round, me, finished, retained))
@@ -526,13 +543,13 @@ const RETAINED_CAP: usize = 4096;
 /// Decides what a message for an instance that has no frame here means:
 /// the grant a [`Round::Join`] wait is for, a straggler if the instance
 /// `finished` at this thread, else retained up to the cap.
-fn unframed(
+fn unframed<F>(
     msg: Message,
     round: Round,
     me: ThreadId,
     finished: bool,
     retained: usize,
-) -> RoundAction {
+) -> RoundAction<F> {
     match (round, &msg) {
         (
             Round::Join { action },
@@ -550,15 +567,18 @@ fn unframed(
 
 /// Decides what a corrupted message (payload unrecoverable) means to the
 /// active frame while `round` is in progress.
-fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -> RoundAction {
+fn corrupted<D: AsRef<ActionSpec>, F>(
+    frame: Option<&mut Frame<D>>,
+    round: Round,
+) -> RoundAction<F> {
     match (round, frame) {
         // A corrupted message during normal computation raises the action's
         // corruption exception (Figure 7's `l_mes`).
         (Round::Body | Round::Object, Some(frame))
             if frame.recovery.in_handler.is_none() && !frame.recovery.recovered =>
         {
-            let e = Exception::new(frame.id.def.corruption_exception)
-                .with_origin(me)
+            let e = Exception::new(frame.id.spec().corruption_exception)
+                .with_origin(frame.id.me)
                 .with_detail("corrupted message delivered");
             RoundAction::Interrupt(Unwind::Raise(e))
         }
@@ -578,24 +598,24 @@ fn corrupted(frame: Option<&mut Frame>, round: Round, me: ThreadId) -> RoundActi
 /// What a signalling exchange collected, reduced to what the case analysis
 /// of §3.4 reads off it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Collected {
+pub struct Collected {
     /// Some member announced ƒ (or was silent at expiry, which counts as ƒ).
-    pub(crate) failure: bool,
+    pub failure: bool,
     /// Some member announced µ.
-    pub(crate) undo: bool,
+    pub undo: bool,
 }
 
 impl Collected {
     /// An exchange that did not coordinate: ƒ.
-    pub(crate) const FAILED: Collected = Collected {
+    pub const FAILED: Collected = Collected {
         failure: true,
         undo: false,
     };
 }
 
-/// Signalling announcements seen (§3.4), one [`Exchange`] per exchange.
+/// Signalling announcements seen (§3.4), one `Exchange` per exchange.
 #[derive(Debug, Default)]
-pub(crate) struct SignalTable {
+pub struct SignalTable {
     exchanges: [Exchange; 2],
     /// A corrupted message arrived during a signalling collection.
     corrupted: bool,
@@ -633,7 +653,7 @@ impl SignalTable {
     }
 
     /// Records `from`'s announcement for `round` (the latest one wins).
-    pub(crate) fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
+    pub fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
         self.exchanges[Self::slot(round)].record(from, &signal);
     }
 
@@ -700,8 +720,8 @@ impl SignalTable {
 }
 
 /// The synchronous exit protocol's vote barrier (§5.1).
-#[derive(Default)]
-pub(crate) struct ExitBarrier {
+#[derive(Debug, Default)]
+pub struct ExitBarrier {
     /// Who voted in the current epoch.
     votes: ThreadSet,
     /// Votes of later epochs, as `(epoch, voter)` pairs until their epoch
@@ -710,8 +730,8 @@ pub(crate) struct ExitBarrier {
     early: InlineVec<(u32, ThreadId), GROUP_INLINE>,
     /// The exit epoch this thread votes in next: 0 for normal completion,
     /// bumped by each completed recovery.
-    pub(crate) epoch: u32,
-    /// This frame was re-entered through [`Ctx::rejoin`](crate::Ctx::rejoin)
+    pub epoch: u32,
+    /// This frame was fast-forwarded by a rejoin grant ([`Frame::rejoin`])
     /// after a crash. Rejoiners that time out waiting for exit votes give
     /// up silently (finalize `Failed`) instead of suspecting the
     /// survivors: a rejoiner may be missing votes that were broadcast while
@@ -732,14 +752,14 @@ impl ExitBarrier {
     }
 
     /// Casts this thread's own vote; returns the epoch it votes in.
-    pub(crate) fn vote(&mut self, me: ThreadId) -> u32 {
+    pub fn vote(&mut self, me: ThreadId) -> u32 {
         self.votes.insert(me);
         self.epoch
     }
 
     /// A completed recovery opens the next exit epoch: the votes of the
     /// one it closes no longer count, the early ones for it do.
-    pub(crate) fn open_next_epoch(&mut self) {
+    pub fn open_next_epoch(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.votes.clear();
@@ -776,11 +796,11 @@ impl ExitBarrier {
 /// What a thread's wait serves: one of the four bounded-collect rounds of
 /// the protocol, a shared-object acquisition, or nothing in particular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Round {
+pub enum Round {
     /// Not a round: a role body (or handler) at a poll point.
     Body,
     /// A role body's shared-object acquisition
-    /// ([`crate::objects::Acquisition`]): a body poll point that also wakes
+    /// (the host's acquisition): a body poll point that also wakes
     /// on its doorbell. A message means what it means to the body. The
     /// scheduled crash instant is only the wait's deadline here, so what
     /// is due at that instant — messages, the doorbell — is taken first.
@@ -794,22 +814,29 @@ pub(crate) enum Round {
     Exit,
     /// Epoch-numbered rejoin: a restarted participant (which has no frame
     /// yet) waits for the first `JoinGrant` re-admitting it into `action`.
-    Join { action: ActionId },
+    Join {
+        /// The instance the restarted participant rejoins.
+        action: ActionId,
+    },
 }
 
 /// What a round decision wants the driver to do.
 #[derive(Debug)]
-pub(crate) enum RoundAction {
+pub enum RoundAction<F> {
     /// Nothing (more): the event was recorded, buffered or dropped as a
     /// straggler. Keep collecting.
     Continue,
+    /// The round ended.
     End(RoundEnd),
     /// A message for the addressed frame's recovery: count and log the
     /// `step` it made the view take, feed the active frame's resolver, and
     /// — `rearm` — restart the round's bound.
     Control {
+        /// The step the view took.
         step: Option<ViewStep>,
+        /// What the resolver hears.
         feed: Option<Feed>,
+        /// Whether the round's bound starts afresh.
         rearm: bool,
     },
     /// Grant this restarted participant's rejoin at the addressed frame.
@@ -817,12 +844,12 @@ pub(crate) enum RoundAction {
     /// For an action this thread has not entered yet: "retain the Exception
     /// or Suspended message till Ti enters A*" (§3.3.2).
     Retain(Message),
-    /// Retainable, but [`RETAINED_CAP`] messages are held: dropped, counted.
+    /// Retainable, but `RETAINED_CAP` messages are held: dropped, counted.
     CapDropped,
     /// Count a corrupted message that is otherwise ignored.
     CountCorrupted,
     /// Recovery takes over: unwind the role body.
-    Interrupt(Unwind),
+    Interrupt(Unwind<F>),
     /// The event cannot occur in a correct run.
     Violation(Violation),
 }
@@ -833,12 +860,12 @@ pub(crate) enum RoundAction {
 /// the suspicion would add an allocation to every expiry.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub(crate) enum Expiry {
+pub enum Expiry {
     /// Nothing: a body's own deadline.
     Ignored,
     /// The round ends, suspecting nobody.
     End(RoundEnd),
-    /// The wait expired with these suspects silent ([`Round::timed_out`]),
+    /// The wait expired with these suspects silent,
     /// and the suspicion was decided; then conclude with the end or — `None`
     /// — re-arm the deadline and keep collecting over the new view.
     Suspect(ViewSnapshot, Result<Suspicion, Violation>, Option<RoundEnd>),
@@ -846,37 +873,28 @@ pub(crate) enum Expiry {
     Violation(Violation),
 }
 
-/// What a bounded wait's expiry decided about its silent peers.
-#[derive(Debug)]
-pub(crate) enum Suspicion {
-    /// The quorum gate refused: the frame gives up, announcing nothing.
-    Refused,
-    /// A rejoiner gives up on the missing votes, suspecting nobody.
-    GiveUp,
-    /// The view took this step: announce it to the recipients (the
-    /// pre-removal view), then — `true` — feed the resolver the change.
-    Evict(ViewStep, ViewSnapshot, bool),
-}
-
 /// What a frame's resolver is fed ([`Frame::feed`]): this thread's raise or
 /// suspension, a control message, or a view step's removals (presume-ƒ).
 #[derive(Debug)]
-pub(crate) enum Feed {
+pub enum Feed {
+    /// This thread raised the exception.
     Raise(Exception),
+    /// This thread suspends.
     Suspend,
+    /// A control message arrived.
     Control(Message),
+    /// The view removed these threads.
     ViewChange(ViewSnapshot),
 }
 
 /// A decision no correct run takes, named: the thread performing it ends
-/// with [`RuntimeError::Protocol`](crate::RuntimeError::Protocol) carrying
-/// the text.
-#[derive(Debug)]
-pub(crate) struct Violation(pub(crate) String);
+/// with a protocol error carrying the text.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Violation(pub String);
 
 /// How a round ended.
 #[derive(Debug)]
-pub(crate) enum RoundEnd {
+pub enum RoundEnd {
     /// Resolution reached agreement on this exception.
     Resolved(ExceptionId),
     /// The signalling exchange concluded with these announcements.
@@ -899,7 +917,7 @@ impl Round {
     /// Suspicion shrinks the view mid-round and a granted rejoin grows it
     /// (the readmitted thread's vote is required again), so nothing derived
     /// from the view is cached across passes.
-    pub(crate) fn status(self, frame: Option<&Frame>) -> Option<RoundEnd> {
+    pub fn status<D: AsRef<ActionSpec>>(self, frame: Option<&Frame<D>>) -> Option<RoundEnd> {
         let frame = frame?;
         match self {
             // A concurrent view change evicted this thread — possibly
@@ -926,10 +944,9 @@ impl Round {
     /// makes of them, and what follows. (`protocol` for a resolution wait
     /// that expires on a frame no event was fed to yet: its fresh state
     /// still names whom it waits on.)
-    pub(crate) fn expired(
+    pub fn expired<D: AsRef<ActionSpec>>(
         self,
-        frame: Option<&mut Frame>,
-        me: ThreadId,
+        frame: Option<&mut Frame<D>>,
         protocol: &dyn ResolutionProtocol,
     ) -> Expiry {
         let frame = match (self, frame) {
@@ -952,14 +969,16 @@ impl Round {
                             .into(),
                     ));
                 }
-                let decided = frame.suspect(&suspects, true);
+                let decided = frame.view.suspect(&suspects, frame.hears_steps(true));
                 Expiry::Suspect(suspects, decided, None)
             }
             // The §3.4 timeout is a per-round deadline — unrelated traffic
             // must not extend the wait — so expiry concludes the exchange.
             Round::Signalling(round) => {
                 let (silent, collected) =
-                    frame.signals.expire(round, &frame.signalling_group(), me);
+                    frame
+                        .signals
+                        .expire(round, &frame.signalling_group(), frame.id.me);
                 // Against a degraded view (a crash was detected earlier in
                 // this action) a missing announcement is presumed another
                 // crash, not a §3.4 loss: suspect the silent peers, so the
@@ -967,7 +986,7 @@ impl Round {
                 // the ƒ rule stands alone (the exit round catches a crash).
                 let then = RoundEnd::Signals(collected);
                 if frame.view.epoch() > 0 && !frame.view.evicted && !silent.is_empty() {
-                    let decided = frame.suspect(&silent, false);
+                    let decided = frame.view.suspect(&silent, false);
                     Expiry::Suspect(silent, decided, Some(then))
                 } else {
                     Expiry::End(then)
@@ -984,75 +1003,69 @@ impl Round {
             // wholesale.
             Round::Exit => {
                 let silent: ViewSnapshot = frame.exit.silent(frame.view.members()).collect();
-                let decided = frame.suspect(&silent, false);
+                let decided = frame.view.suspect(&silent, false);
                 Expiry::Suspect(silent, decided, None)
             }
             Round::Body | Round::Object | Round::Join { .. } => Expiry::Ignored,
         }
     }
-
-    /// Counts in `stats` that this round's wait expired with `suspects`
-    /// silent; the event that logs it (an exit timeout names the frame's
-    /// `exit_epoch`), `None` for a wait that is not a frame's round.
-    pub(crate) fn timed_out(
-        self,
-        suspects: &[ThreadId],
-        exit_epoch: u32,
-        stats: &mut RuntimeStats,
-    ) -> Option<EventKind> {
-        let suspects: Box<[ThreadId]> = suspects.into();
-        Some(match self {
-            Round::Resolution => {
-                stats.resolution_timeouts += 1;
-                EventKind::ResolutionTimeout { suspects }
-            }
-            Round::Signalling(round) => {
-                stats.signal_timeouts += 1;
-                EventKind::SignalTimeout { round, suspects }
-            }
-            Round::Exit => {
-                stats.exit_timeouts += 1;
-                EventKind::ExitTimeout { epoch: exit_epoch }
-            }
-            Round::Body | Round::Object | Round::Join { .. } => return None,
-        })
-    }
 }
 
-/// How a role body was started or restarted into recovery.
+/// Why a role body is being unwound; `F` is the host's fatal error.
 #[derive(Debug)]
-pub(crate) enum RecoveryStart {
-    /// This thread raised the exception.
+pub enum Unwind<F> {
+    /// The role itself raised an exception in its active action.
     Raise(Exception),
-    /// This thread suspends because of peers' exceptions.
+    /// A peer's exception (already recorded at the active frame) requires
+    /// this role to suspend and join recovery of its active action.
     Suspend,
+    /// Recovery is required at the enclosing action `target`; frames below
+    /// it must abort on the way out. `eab` carries the exception raised by
+    /// the most recently executed abortion handler (only the handler of the
+    /// action directly inside `target` survives, per §3.3.1).
+    Outer {
+        /// Where recovery runs.
+        target: ActionId,
+        /// The last abortion handler's exception.
+        eab: Option<Exception>,
+    },
+    /// The participant crash-stopped (simulated process death): frames are
+    /// discarded silently on the way out, no handlers run, no messages are
+    /// sent.
+    Crash,
+    /// Unrecoverable error; propagates to the thread's top level.
+    Fatal(F),
 }
 
 /// Where an unwind that reached a frame lands (§3.3.1).
 #[derive(Debug)]
-pub(crate) enum Landing {
-    /// Recovery starts at this frame.
-    Recover(RecoveryStart),
+pub enum Landing<F> {
+    /// Recovery starts at this frame, with this thread's raise or its
+    /// suspension: what the resolver is fed first.
+    Recover(Feed),
     /// Recovery lands further out, at `target`: this frame is aborted on
     /// the way, and its abortion handler's result ([`aborted`]) carries the
     /// cascade on.
-    Abort { target: ActionId },
+    Abort {
+        /// Where recovery runs.
+        target: ActionId,
+    },
     /// A crash-stop or a fatal error passes through: the frame is discarded
     /// with no handler.
-    Dead(Unwind),
+    Dead(Unwind<F>),
 }
 
 /// Where `unwind` lands at the frame of instance `at`.
-pub(crate) fn land(unwind: Unwind, at: ActionId) -> Landing {
+pub fn land<F>(unwind: Unwind<F>, at: ActionId) -> Landing<F> {
     match unwind {
-        Unwind::Raise(e) => Landing::Recover(RecoveryStart::Raise(e)),
-        Unwind::Suspend => Landing::Recover(RecoveryStart::Suspend),
+        Unwind::Raise(e) => Landing::Recover(Feed::Raise(e)),
+        Unwind::Suspend => Landing::Recover(Feed::Suspend),
         // Recovery lands here: the abortion-handler exception of the
         // directly nested action (if any) is raised, else this thread
         // suspends.
         Unwind::Outer { target, eab } if target == at => Landing::Recover(match eab {
-            Some(e) => RecoveryStart::Raise(e),
-            None => RecoveryStart::Suspend,
+            Some(e) => Feed::Raise(e),
+            None => Feed::Suspend,
         }),
         Unwind::Outer { target, .. } => Landing::Abort { target },
         dead @ (Unwind::Crash | Unwind::Fatal(_)) => Landing::Dead(dead),
@@ -1064,10 +1077,10 @@ pub(crate) fn land(unwind: Unwind, at: ActionId) -> Landing {
 /// `next` carries the cascade on — or `Err(dead)` when the handler
 /// crash-stopped or failed fatally. A handler reports `Eab` by returning or
 /// raising it; a trigger for an action further out extends the cascade.
-pub(crate) fn aborted(
-    result: Result<Option<Exception>, Unwind>,
+pub fn aborted<F>(
+    result: Result<Option<Exception>, Unwind<F>>,
     target: ActionId,
-) -> Result<(Option<ExceptionId>, Unwind), Unwind> {
+) -> Result<(Option<ExceptionId>, Unwind<F>), Unwind<F>> {
     let eab = match result {
         Ok(eab) => eab,
         Err(Unwind::Raise(e)) => Some(e),
@@ -1082,9 +1095,17 @@ pub(crate) fn aborted(
 /// thread undid its effects as [`SignalStep::Undo`] asked (coming to µ,
 /// or ƒ if an undo operation failed), or an exchange collected.
 #[derive(Debug)]
-pub(crate) enum Signalled {
+pub enum Signalled {
+    /// The handler returned.
     Handled,
-    Undone { signal: Signal, alone: bool },
+    /// This thread undid its effects.
+    Undone {
+        /// µ, or ƒ when an undo operation failed.
+        signal: Signal,
+        /// Whether it was a lone thread's local undo.
+        alone: bool,
+    },
+    /// An exchange collected.
     Exchanged(SignalRound, Collected),
 }
 
@@ -1092,15 +1113,25 @@ pub(crate) enum Signalled {
 /// signal, an undo — case 2's, or (`alone`) a lone thread's local one —,
 /// or the signal this thread leaves with.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum SignalStep {
+pub enum SignalStep {
+    /// Announce this signal in this exchange and collect the others'.
     Exchange(SignalRound, Signal),
-    Undo { alone: bool },
+    /// Undo this thread's effects.
+    Undo {
+        /// A lone thread's local undo rather than case 2's round.
+        alone: bool,
+    },
+    /// The signal this thread leaves with.
     Done(Signal),
 }
 
 /// §3.4's case analysis for a thread whose handler came to `mine`, at
 /// `frame`, after `at`.
-pub(crate) fn signalling(frame: &Frame, mine: &Signal, at: Signalled) -> SignalStep {
+pub fn signalling<D: AsRef<ActionSpec>>(
+    frame: &Frame<D>,
+    mine: &Signal,
+    at: Signalled,
+) -> SignalStep {
     match at {
         // Removed from the view: the survivors no longer expect our
         // announcements; any broadcast would only confuse their rounds.
@@ -1129,7 +1160,8 @@ pub(crate) fn signalling(frame: &Frame, mine: &Signal, at: Signalled) -> SignalS
 
 /// How an action leaves once its exit round ended.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Leave {
+pub enum Leave {
+    /// The action ends with this outcome.
     Finalize(ActionOutcome),
     /// A peer started recovery while this thread was leaving: join it.
     Recover,
@@ -1138,7 +1170,7 @@ pub(crate) enum Leave {
 /// How an action leaves once its exit round ended with `end`; `signalled`
 /// is what its recovery's signalling concluded, `None` when the body
 /// completed normally.
-pub(crate) fn leave(end: RoundEnd, signalled: Option<ActionOutcome>) -> Result<Leave, Violation> {
+pub fn leave(end: RoundEnd, signalled: Option<ActionOutcome>) -> Result<Leave, Violation> {
     match (end, signalled) {
         (RoundEnd::Exited, outcome) => {
             Ok(Leave::Finalize(outcome.unwrap_or(ActionOutcome::Success)))
@@ -1155,60 +1187,12 @@ pub(crate) fn leave(end: RoundEnd, signalled: Option<ActionOutcome>) -> Result<L
     }
 }
 
-/// How an action that ends with `outcome` releases its objects.
-pub(crate) fn release_on_exit(outcome: &ActionOutcome) -> Release {
-    match outcome {
-        // Forward recovery leaves objects in (new) valid states.
-        ActionOutcome::Success | ActionOutcome::Signalled(_) => Release::Commit,
-        // Rolled back in the undo round; a layer opened after it is
-        // discarded.
-        ActionOutcome::Undone => Release::Rollback,
-        ActionOutcome::Failed => Release::Taint,
-    }
-}
-
-/// The view a restarted participant re-enters `group` with, from the
-/// `epoch` and cumulative `removed` set of the grant that ended its grant
-/// wait ([`Round::Join`]). A grant that does not re-admit `me` is a
-/// violation.
-pub(crate) fn admit(
-    group: &[ThreadId],
-    epoch: u32,
-    removed: &[ThreadId],
-    me: ThreadId,
-) -> Result<FrameMembership, Violation> {
-    FrameMembership::sync_grant(group, epoch, removed, me)
-        .map_err(|reason| Violation(format!("join grant rejected: {reason}")))
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::action::ActionDef;
     use crate::protocol::{ProtoEvent, XrrResolution};
     use caa_core::state::ParticipantState;
-
-    /// Every field of `frame` but the resolver state, as text: what the
-    /// frame-reuse test compares a re-entered frame and a new one by. (A
-    /// re-entered frame keeps the reset resolver state of an earlier
-    /// instance, which a new frame makes on first use.)
-    pub(crate) fn snapshot(frame: &Frame) -> String {
-        let (id, inbox, recovery) = (&frame.id, &frame.inbox, &frame.recovery);
-        let (signals, exit) = (&frame.signals, &frame.exit);
-        format!(
-            "{:?}",
-            (
-                (id.action, id.role, Rc::as_ptr(&id.def)),
-                (inbox.control.len(), inbox.app.len(), inbox.joins.len()),
-                frame.objects.len(),
-                (recovery.recovered, recovery.aborting, recovery.in_handler),
-                (&recovery.cohort, recovery.resolved_exception),
-                signals,
-                (&exit.votes, &exit.early, exit.epoch, exit.is_rejoiner),
-                &frame.view,
-            )
-        )
-    }
+    use caa_exgraph::ExceptionGraphBuilder;
 
     fn t(n: u32) -> ThreadId {
         ThreadId::new(n)
@@ -1216,22 +1200,55 @@ pub(crate) mod tests {
 
     const ACTION: ActionId = ActionId::top_level(7);
 
-    /// The frame thread 0 enters for `def`'s first role.
-    fn entered(def: &ActionDef) -> Frame {
-        let mut frame = Frame::new(&def.inner);
-        frame.reenter(ACTION, &def.inner, RoleId::new(0));
+    /// Thread `group[0]`'s frame of an action over `group` (ascending),
+    /// whose graph knows the universal exception alone.
+    fn frame_over(group: &[u32]) -> Frame<ActionSpec> {
+        let graph = ExceptionGraphBuilder::new()
+            .exception(ExceptionId::universal())
+            .build()
+            .expect("a valid graph");
+        let spec = Rc::new(ActionSpec {
+            group: group.iter().map(|&n| t(n)).collect(),
+            graph: Rc::new(graph),
+            corruption_exception: ExceptionId::new("l_mes"),
+        });
+        let mut frame = Frame::new(&spec);
+        frame.reenter(ACTION, &spec, RoleId::new(0), t(group[0]));
         *frame
     }
 
     /// Thread 0's frame of a three-party action: no network, no system.
-    fn frame() -> Frame {
-        let def = ActionDef::builder("a")
-            .role("r0", 0u32)
-            .role("r1", 1u32)
-            .role("r2", 2u32)
-            .build()
-            .expect("valid definition");
-        entered(&def)
+    fn frame() -> Frame<ActionSpec> {
+        frame_over(&[0, 1, 2])
+    }
+
+    /// A host's fatal error, as far as these tables care.
+    type Fatal = &'static str;
+
+    /// [`Frame::absorb`] for a host whose fatal errors are [`Fatal`].
+    fn absorb(
+        f: &mut Frame<ActionSpec>,
+        msg: Message,
+        is_top: bool,
+        round: Round,
+    ) -> RoundAction<Fatal> {
+        f.absorb(msg, is_top, round)
+    }
+
+    /// [`super::corrupted`], likewise.
+    fn corrupted(frame: Option<&mut Frame<ActionSpec>>, round: Round) -> RoundAction<Fatal> {
+        super::corrupted(frame, round)
+    }
+
+    /// [`super::unframed`], likewise.
+    fn unframed(
+        msg: Message,
+        round: Round,
+        me: ThreadId,
+        finished: bool,
+        retained: usize,
+    ) -> RoundAction<Fatal> {
+        super::unframed(msg, round, me, finished, retained)
     }
 
     fn exception(from: u32) -> Message {
@@ -1350,7 +1367,7 @@ pub(crate) mod tests {
         // Pristine view (epoch 0): a missing announcement is a §3.4 loss,
         // nobody is suspected, and the round concludes with ƒ for the
         // silent members of the group at expiry.
-        match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
+        match FIRST.expired(Some(&mut f), &XrrResolution) {
             Expiry::End(RoundEnd::Signals(collected)) => {
                 assert!(collected.failure && !collected.undo);
                 assert!(f.signals.failed(collected));
@@ -1394,7 +1411,7 @@ pub(crate) mod tests {
         let mut f = frame();
         f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         f.signals.record(SignalRound::First, t(0), Signal::None);
-        match FIRST.expired(Some(&mut f), t(0), &XrrResolution) {
+        match FIRST.expired(Some(&mut f), &XrrResolution) {
             Expiry::Suspect(suspects, Ok(Suspicion::Evict(step, _, feed)), then) => {
                 assert_eq!(&suspects[..], [t(1)], "epoch > 0: silence is another crash");
                 assert_eq!(
@@ -1414,7 +1431,7 @@ pub(crate) mod tests {
         f.view.adopt_removals(t(0), &[t(2)]).expect("T2 was live");
         f.view.evicted = true;
         assert!(matches!(
-            FIRST.expired(Some(&mut f), t(0), &XrrResolution),
+            FIRST.expired(Some(&mut f), &XrrResolution),
             Expiry::End(RoundEnd::Signals(_))
         ));
     }
@@ -1423,17 +1440,17 @@ pub(crate) mod tests {
     fn corruption_during_signalling_forces_failure() {
         let mut f = frame();
         assert!(matches!(
-            corrupted(Some(&mut f), FIRST, t(0)),
+            corrupted(Some(&mut f), FIRST),
             RoundAction::Continue
         ));
         assert!(f.signals.failed(Collected::default()));
         // Elsewhere it is counted — or, in a body, raised.
         assert!(matches!(
-            corrupted(Some(&mut f), Round::Exit, t(0)),
+            corrupted(Some(&mut f), Round::Exit),
             RoundAction::CountCorrupted
         ));
         assert!(matches!(
-            corrupted(Some(&mut f), Round::Body, t(0)),
+            corrupted(Some(&mut f), Round::Body),
             RoundAction::Interrupt(Unwind::Raise(_))
         ));
     }
@@ -1453,13 +1470,13 @@ pub(crate) mod tests {
             payload: caa_core::message::AppPayload::new(7u32),
         };
         assert!(matches!(
-            f.absorb(app, true, Round::Body),
+            absorb(&mut f, app, true, Round::Body),
             RoundAction::Continue
         ));
         f.exit.vote(t(0));
         f.exit.record(0, t(1));
         assert!(matches!(
-            Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
+            Round::Exit.expired(Some(&mut f), &XrrResolution),
             Expiry::Suspect(..)
         ));
         f.exit.record(0, t(2));
@@ -1475,7 +1492,7 @@ pub(crate) mod tests {
         // The state is made for the question: nobody has an entry yet, so
         // everybody is silent.
         let mut f = frame();
-        match Round::Resolution.expired(Some(&mut f), t(0), &XrrResolution) {
+        match Round::Resolution.expired(Some(&mut f), &XrrResolution) {
             Expiry::Suspect(suspects, _, None) => {
                 assert_eq!(&suspects[..], [t(0), t(1), t(2)]);
             }
@@ -1504,7 +1521,7 @@ pub(crate) mod tests {
             }
         }
         assert!(matches!(
-            Round::Resolution.expired(Some(&mut frame()), t(0), &Mute),
+            Round::Resolution.expired(Some(&mut frame()), &Mute),
             Expiry::Violation(_)
         ));
     }
@@ -1517,7 +1534,7 @@ pub(crate) mod tests {
         assert_eq!(f.exit.vote(t(0)), 0);
         f.exit.record(0, t(1));
         assert!(Round::Exit.status(Some(&f)).is_none(), "T2 has not voted");
-        match Round::Exit.expired(Some(&mut f), t(0), &XrrResolution) {
+        match Round::Exit.expired(Some(&mut f), &XrrResolution) {
             Expiry::Suspect(suspects, Ok(Suspicion::Evict(_, recipients, _)), None) => {
                 assert_eq!(&suspects[..], [t(2)]);
                 assert_eq!(&recipients[..], [t(0), t(1), t(2)]);
@@ -1533,7 +1550,7 @@ pub(crate) mod tests {
     #[test]
     fn exit_requires_a_readmitted_members_vote_again() {
         let mut f = frame();
-        f.view.suspect(&[t(2)]).expect("T2 was live");
+        f.view.suspect(&[t(2)], false).expect("T2 was live");
         f.exit.vote(t(0));
         f.exit.record(0, t(1));
         assert!(matches!(
@@ -1584,7 +1601,7 @@ pub(crate) mod tests {
         assert!(f.recovery.recovered);
         assert_eq!(f.exit.vote(t(0)), 1, "votes in the granter's exit epoch");
         assert!(matches!(
-            Round::Exit.expired(Some(&mut f), t(0), &XrrResolution),
+            Round::Exit.expired(Some(&mut f), &XrrResolution),
             Expiry::Suspect(_, Ok(Suspicion::GiveUp), Some(RoundEnd::Excluded))
         ));
         assert_eq!(f.view.members(), [t(0), t(1), t(2)], "nobody suspected");
@@ -1636,12 +1653,12 @@ pub(crate) mod tests {
             from: t(2),
         };
         assert!(matches!(
-            f.absorb(request(), true, Round::Body),
+            absorb(&mut f, request(), true, Round::Body),
             RoundAction::Grant(j) if j == t(2)
         ));
         f.recovery.cohort = Some(f.view.members().iter().copied().collect());
         assert!(matches!(
-            f.absorb(request(), true, Round::Resolution),
+            absorb(&mut f, request(), true, Round::Resolution),
             RoundAction::Continue
         ));
         assert_eq!(f.inbox.joins, [t(2)]);
@@ -1665,22 +1682,12 @@ pub(crate) mod tests {
             RoundAction::Continue
         ));
         assert!(matches!(
-            join.expired(None, t(0), &XrrResolution),
+            join.expired::<ActionSpec>(None, &XrrResolution),
             Expiry::End(RoundEnd::Excluded)
         ));
     }
 
     // -- groups past the inline capacity, sparse ids ----------------------
-
-    /// Thread `group[0]`'s frame of an action over `group`.
-    fn frame_over(group: &[u32]) -> Frame {
-        let mut builder = ActionDef::builder("a");
-        for &thread in group {
-            builder = builder.role(format!("r{thread}"), thread);
-        }
-        let def = builder.build().expect("valid definition");
-        entered(&def)
-    }
 
     /// Every per-participant table of a frame, driven through one
     /// signalling exchange and one exit barrier over `group`: nothing
@@ -1707,7 +1714,7 @@ pub(crate) mod tests {
         ));
         // The second exchange expires with only this thread announced.
         f.signals.record(SignalRound::AfterUndo, me, Signal::Undo);
-        match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), me, &XrrResolution) {
+        match Round::Signalling(SignalRound::AfterUndo).expired(Some(&mut f), &XrrResolution) {
             // A pristine view: nobody is suspected.
             Expiry::End(RoundEnd::Signals(collected)) => assert!(collected.failure),
             other => panic!("expected an ƒ-filled conclusion, got {other:?}"),
@@ -1730,7 +1737,7 @@ pub(crate) mod tests {
                 members[1..i]
             );
         }
-        match Round::Exit.expired(Some(&mut f), me, &XrrResolution) {
+        match Round::Exit.expired(Some(&mut f), &XrrResolution) {
             Expiry::Suspect(suspects, Ok(Suspicion::Evict(step, ..)), None) => {
                 assert_eq!(&suspects[..], &members[1..2]);
                 assert_eq!((step.epoch, &step.removed[..]), (1, &members[1..2]));
@@ -1974,7 +1981,9 @@ pub(crate) mod tests {
     fn a_round_action_stays_small() {
         // Every delivered message's decision is moved through one (272
         // bytes while it carried the expiry's payloads too).
-        assert_eq!(std::mem::size_of::<RoundAction>(), 152);
+        // What the host's fatal error is does not change it: the largest
+        // variant is a control decision.
+        assert_eq!(std::mem::size_of::<RoundAction<Fatal>>(), 152);
     }
 
     // -- routing decisions -----------------------------------------------
@@ -1999,11 +2008,11 @@ pub(crate) mod tests {
     fn a_trigger_means_what_the_round_in_progress_says() {
         let mut f = frame();
         assert!(matches!(
-            f.absorb(exception(1), true, Round::Body),
+            absorb(&mut f, exception(1), true, Round::Body),
             RoundAction::Interrupt(Unwind::Suspend)
         ));
         assert!(matches!(
-            f.absorb(exception(1), true, Round::Resolution),
+            absorb(&mut f, exception(1), true, Round::Resolution),
             RoundAction::Control {
                 step: None,
                 feed: Some(Feed::Control(Message::Exception { .. })),
@@ -2011,12 +2020,12 @@ pub(crate) mod tests {
             }
         ));
         assert!(matches!(
-            f.absorb(exception(1), true, Round::Exit),
+            absorb(&mut f, exception(1), true, Round::Exit),
             RoundAction::End(RoundEnd::Recover)
         ));
         // For an enclosing frame it unwinds the nested ones.
         assert!(matches!(
-            f.absorb(exception(1), false, Round::Body),
+            absorb(&mut f, exception(1), false, Round::Body),
             RoundAction::Interrupt(Unwind::Outer { target, eab: None }) if target == ACTION
         ));
         assert_eq!(f.inbox.control.len(), 3, "stashed for the recovery driver");
@@ -2024,7 +2033,7 @@ pub(crate) mod tests {
         // Once recovered (or aborting) it is a straggler.
         f.recovery.recovered = true;
         assert!(matches!(
-            f.absorb(exception(1), true, Round::Exit),
+            absorb(&mut f, exception(1), true, Round::Exit),
             RoundAction::Continue
         ));
     }
@@ -2038,7 +2047,7 @@ pub(crate) mod tests {
     }
 
     /// What a landing says, as text: the start, the target, or the unwind.
-    fn landed(unwind: Unwind) -> String {
+    fn landed(unwind: Unwind<Fatal>) -> String {
         format!("{:?}", land(unwind, ACTION))
     }
 
@@ -2062,15 +2071,15 @@ pub(crate) mod tests {
         // Past the frame: it is aborted on the way, whatever `Eab` was.
         for eab in [None, Some(raised("eab"))] {
             assert!(matches!(
-                land(Unwind::Outer { target: OUTER, eab }, ACTION),
+                land::<Fatal>(Unwind::Outer { target: OUTER, eab }, ACTION),
                 Landing::Abort { target: OUTER }
             ));
         }
         assert!(matches!(
-            land(Unwind::Crash, ACTION),
+            land(Unwind::<Fatal>::Crash, ACTION),
             Landing::Dead(Unwind::Crash)
         ));
-        let fatal = Unwind::Fatal(crate::RuntimeError::RaiseInHandler);
+        let fatal: Unwind<Fatal> = Unwind::Fatal("raise in handler");
         assert!(matches!(
             land(fatal, ACTION),
             Landing::Dead(Unwind::Fatal(_))
@@ -2081,20 +2090,23 @@ pub(crate) mod tests {
     fn an_abortion_handler_reports_eab_or_carries_the_cascade_deeper() {
         let eab_id = ExceptionId::new("eab");
         let to_outer = |eab: Option<ExceptionId>| {
-            move |next: &Unwind| {
+            move |next: &Unwind<Fatal>| {
                 matches!(next, Unwind::Outer { target: OUTER, eab: e }
                     if e.as_ref().map(|e| *e.id()) == eab)
             }
         };
         // Returning or raising `Eab` reports it, and the cascade goes on
         // toward the original target carrying it.
-        for result in [Ok(Some(raised("eab"))), Err(Unwind::Raise(raised("eab")))] {
+        let results: [Result<_, Unwind<Fatal>>; 2] =
+            [Ok(Some(raised("eab"))), Err(Unwind::Raise(raised("eab")))];
+        for result in results {
             let (eab, next) = aborted(result, OUTER).expect("aborted, not dead");
             assert_eq!(eab, Some(eab_id));
             assert!(to_outer(Some(eab_id))(&next));
         }
         // No `Eab`: returned none, or suspended.
-        for result in [Ok(None), Err(Unwind::Suspend)] {
+        let results: [Result<_, Unwind<Fatal>>; 2] = [Ok(None), Err(Unwind::Suspend)];
+        for result in results {
             let (eab, next) = aborted(result, OUTER).expect("aborted, not dead");
             assert_eq!(eab, None);
             assert!(to_outer(None)(&next));
@@ -2102,7 +2114,7 @@ pub(crate) mod tests {
         // A trigger further out extends the cascade past the target; the
         // frame itself reports no `Eab`.
         let deeper = ActionId::top_level(1);
-        let (eab, next) = aborted(
+        let (eab, next) = aborted::<Fatal>(
             Err(Unwind::Outer {
                 target: deeper,
                 eab: Some(raised("inner")),
@@ -2114,11 +2126,14 @@ pub(crate) mod tests {
         assert!(matches!(next, Unwind::Outer { target, eab: Some(_) } if target == deeper));
         // A handler that crashes or fails fatally leaves the frame dead.
         assert!(matches!(
-            aborted(Err(Unwind::Crash), OUTER),
+            aborted::<Fatal>(Err(Unwind::Crash), OUTER),
             Err(Unwind::Crash)
         ));
-        let fatal = Unwind::Fatal(crate::RuntimeError::RaiseInHandler);
-        assert!(matches!(aborted(Err(fatal), OUTER), Err(Unwind::Fatal(_))));
+        let fatal = Unwind::Fatal("raise in handler");
+        assert!(matches!(
+            aborted::<Fatal>(Err(fatal), OUTER),
+            Err(Unwind::Fatal(_))
+        ));
     }
 
     #[test]
@@ -2142,19 +2157,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn each_outcome_releases_its_objects_one_way() {
-        let signalled = ActionOutcome::Signalled(ExceptionId::new("s"));
-        for (outcome, release) in [
-            (ActionOutcome::Success, Release::Commit),
-            (signalled, Release::Commit),
-            (ActionOutcome::Undone, Release::Rollback),
-            (ActionOutcome::Failed, Release::Taint),
-        ] {
-            assert_eq!(release_on_exit(&outcome), release, "{outcome:?}");
-        }
-    }
-
     fn violated<T: std::fmt::Debug>(decision: Result<T, Violation>) -> String {
         decision.expect_err("a violation").0
     }
@@ -2169,9 +2171,9 @@ pub(crate) mod tests {
     #[test]
     fn a_grant_that_does_not_readmit_the_joiner_is_a_violation() {
         let group = [t(0), t(1), t(2)];
-        let view = admit(&group, 1, &[t(2)], t(0)).expect("re-admits T0");
+        let view = FrameMembership::sync_grant(&group, 1, &[t(2)], t(0)).expect("re-admits T0");
         assert_eq!((view.epoch(), view.members()), (1, &[t(0), t(1)][..]));
-        let what = violated(admit(&group, 1, &[t(0)], t(0)));
+        let what = violated(FrameMembership::sync_grant(&group, 1, &[t(0)], t(0)));
         assert!(what.starts_with("join grant rejected: "), "{what}");
     }
 
@@ -2203,7 +2205,7 @@ pub(crate) mod tests {
     #[test]
     fn a_suspicion_the_view_cannot_apply_is_a_violation() {
         let mut f = frame();
-        match Round::Resolution.expired(Some(&mut f), t(0), &Liar) {
+        match Round::Resolution.expired(Some(&mut f), &Liar) {
             Expiry::Suspect(suspects, Err(Violation(what)), None) => {
                 assert_eq!(&suspects[..], [t(9)], "the timeout still names them");
                 assert!(
@@ -2244,7 +2246,7 @@ pub(crate) mod tests {
     /// What an absorbed message asks of the driver, as text: the view step
     /// (epoch and removals), what the resolver hears, whether the round
     /// re-arms — or that the message is stashed or dropped.
-    fn route(action: RoundAction) -> String {
+    fn route(action: RoundAction<Fatal>) -> String {
         match action {
             RoundAction::Control { step, feed, rearm } => {
                 let step = step.map_or("-".into(), |step| {
@@ -2420,7 +2422,7 @@ pub(crate) mod tests {
                 "{} in {round:?} (top {is_top}, recovered {recovered})",
                 msg.kind()
             );
-            assert_eq!(route(f.absorb(msg, is_top, round)), expect, "{what}");
+            assert_eq!(route(absorb(&mut f, msg, is_top, round)), expect, "{what}");
             assert_eq!(f.view.evicted, evicted, "{what}");
             assert_eq!(f.view.epoch() > 0, expect.starts_with('e'), "{what}");
         }
@@ -2456,7 +2458,7 @@ pub(crate) mod tests {
         // T0's frame of {T0, T1, T2}, having heard from `heard`: the round
         // that expires → the suspects, the gate's decision and what
         // follows, and whether T0 gave up (evicted).
-        type Setup = fn(&mut Frame);
+        type Setup = fn(&mut Frame<ActionSpec>);
         let resolving: Setup = |f| {
             f.feed(&XrrResolution, Feed::Suspend);
         };
@@ -2496,7 +2498,7 @@ pub(crate) mod tests {
                 Round::Resolution,
                 resolving,
                 &[1, 2],
-                "[1, 2]: Refused; rearm",
+                "[1, 2]: Refused { survivors: 1, recently_alive: 2 }; rearm",
                 true,
             ),
             // Signalling: against a degraded view the silent are evicted
@@ -2524,7 +2526,13 @@ pub(crate) mod tests {
                 "[1, 2]: evict e1 [1, 2] to [0, 1, 2]; rearm",
                 false,
             ),
-            (Round::Exit, voted, &[1, 2], "[1, 2]: Refused; rearm", true),
+            (
+                Round::Exit,
+                voted,
+                &[1, 2],
+                "[1, 2]: Refused { survivors: 1, recently_alive: 2 }; rearm",
+                true,
+            ),
             (Round::Exit, rejoined, &[1, 2], "[]: GiveUp; end", false),
             // A body's own deadline decides nothing.
             (Round::Body, voted, &[1, 2], "Ignored", false),
@@ -2536,47 +2544,10 @@ pub(crate) mod tests {
                 f.view.hear(t(peer));
             }
             let what = format!("{round:?}, heard {heard:?}");
-            let decided = round.expired(Some(&mut f), t(0), &XrrResolution);
+            let decided = round.expired(Some(&mut f), &XrrResolution);
             assert_eq!(expiry(decided), expect, "{what}");
             assert_eq!(f.view.evicted, evicted, "{what}");
         }
-    }
-
-    #[test]
-    fn a_timeout_counts_and_logs_by_round() {
-        let mut stats = RuntimeStats::default();
-        let rounds = [
-            Round::Resolution,
-            FIRST,
-            Round::Signalling(SignalRound::AfterUndo),
-            Round::Exit,
-            Round::Body,
-            Round::Object,
-            Round::Join { action: ACTION },
-        ];
-        let logged = rounds.map(|round| {
-            round
-                .timed_out(&[t(1), t(2)], 3, &mut stats)
-                .map(|e| e.to_string())
-        });
-        assert_eq!(
-            logged,
-            [
-                Some("resolution timeout suspects T1 T2".to_owned()),
-                Some("signal timeout round-1 suspects T1 T2".to_owned()),
-                Some("signal timeout round-2 suspects T1 T2".to_owned()),
-                Some("exit timeout e3".to_owned()),
-                None,
-                None,
-                None,
-            ]
-        );
-        let counted = (
-            stats.resolution_timeouts,
-            stats.signal_timeouts,
-            stats.exit_timeouts,
-        );
-        assert_eq!(counted, (1, 2, 1));
     }
 
     #[test]

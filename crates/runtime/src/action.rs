@@ -25,7 +25,8 @@ use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
 
 use crate::context::Ctx;
 use crate::error::Step;
-use crate::membership::ViewSnapshot;
+use caa_protocol::membership::ViewSnapshot;
+use caa_protocol::ActionSpec;
 
 /// Exception-handler body: attempts forward recovery for the resolving
 /// exception the thread was committed to, then reports a verdict.
@@ -81,10 +82,9 @@ pub(crate) struct DefInner {
     /// The declared roles in declaration order (roles are dense
     /// [`RoleId`]s): one table, one allocation.
     pub(crate) roles: Vec<Role>,
-    /// All participating threads, sorted ascending (the ordered group
-    /// `GA`); inline like every table keyed by a member.
-    pub(crate) group: ViewSnapshot,
-    pub(crate) graph: Rc<ExceptionGraph>,
+    /// What the protocol reads of the definition: the group, the graph and
+    /// the corruption exception.
+    pub(crate) spec: ActionSpec,
     pub(crate) interface: Vec<ExceptionId>,
     /// The handlers registered for a (role, exception) pair, one per pair:
     /// a handful, searched by comparing ids (two pointer compares a row).
@@ -92,7 +92,12 @@ pub(crate) struct DefInner {
     pub(crate) signal_timeout: Option<VirtualDuration>,
     pub(crate) exit_timeout: Option<VirtualDuration>,
     pub(crate) resolution_timeout: Option<VirtualDuration>,
-    pub(crate) corruption_exception: ExceptionId,
+}
+
+impl AsRef<ActionSpec> for DefInner {
+    fn as_ref(&self) -> &ActionSpec {
+        &self.spec
+    }
 }
 
 /// One role of a definition: its name, the thread bound to it, and its
@@ -138,14 +143,6 @@ impl DefInner {
         self.roles[role.index()].thread
     }
 
-    #[cfg(test)]
-    pub(crate) fn role_of_thread(&self, thread: ThreadId) -> Option<RoleId> {
-        self.roles
-            .iter()
-            .position(|role| role.thread == thread)
-            .map(|i| RoleId::new(u32::try_from(i).expect("role count bounded")))
-    }
-
     /// Handler lookup: exact (role, exception) match, then the role's
     /// fallback. Returns `None` when the default policy applies.
     pub(crate) fn handler_for(&self, role: RoleId, exception: ExceptionId) -> Option<&Handler> {
@@ -177,7 +174,7 @@ impl fmt::Debug for DefInner {
         f.debug_struct("ActionDef")
             .field("name", &self.name)
             .field("roles", &role_names(&self.roles))
-            .field("group", &self.group)
+            .field("group", &self.spec.group)
             .finish()
     }
 }
@@ -256,13 +253,13 @@ impl ActionDef {
     /// The participating threads, sorted ascending.
     #[must_use]
     pub fn group(&self) -> &[ThreadId] {
-        &self.inner.group
+        &self.inner.spec.group
     }
 
     /// The exception graph used to resolve concurrent exceptions.
     #[must_use]
     pub fn graph(&self) -> &ExceptionGraph {
-        &self.inner.graph
+        &self.inner.spec.graph
     }
 
     /// The interface exceptions `ε` this action may signal (µ and ƒ are
@@ -476,7 +473,7 @@ impl ActionDefBuilder {
     /// Bounds how long the resolution algorithm's collection loop waits
     /// for a peer's `Exception`/`Suspended`/`Commit` before presuming the
     /// silent peer crashed — the membership extension (see
-    /// [`crate::membership`]). When the per-round bound expires, the
+    /// [`caa_protocol::membership`]). When the per-round bound expires, the
     /// threads this participant is blocked on are removed from the
     /// action's membership view, a crash exception is synthesized on their
     /// behalf, a `ViewChange` is broadcast so all survivors agree on the
@@ -562,14 +559,16 @@ impl ActionDefBuilder {
             inner: Rc::new(DefInner {
                 name: self.name,
                 roles,
-                group,
-                graph,
+                spec: ActionSpec {
+                    group,
+                    graph,
+                    corruption_exception: self.corruption_exception,
+                },
                 interface: self.interface,
                 handlers,
                 signal_timeout: self.signal_timeout,
                 exit_timeout: self.exit_timeout,
                 resolution_timeout: self.resolution_timeout,
-                corruption_exception: self.corruption_exception,
             }),
         })
     }
@@ -603,6 +602,16 @@ pub(crate) fn make_action_id(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DefInner {
+        #[cfg(test)]
+        fn role_of_thread(&self, thread: ThreadId) -> Option<RoleId> {
+            self.roles
+                .iter()
+                .position(|role| role.thread == thread)
+                .map(|i| RoleId::new(u32::try_from(i).expect("role count bounded")))
+        }
+    }
 
     #[test]
     fn builder_validates_roles() {

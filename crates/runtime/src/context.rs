@@ -5,19 +5,12 @@
 //! frame on the paper's `SA` stack; every runtime operation the role
 //! performs is a *poll point* at which pending control messages are
 //! processed — the `Result`-based stand-in for Ada 95's asynchronous
-//! transfer of control (see `DESIGN.md`). The driver in this module
-//! realises, per action frame:
-//!
-//! * the resolution algorithm of §3.3.2 (delegated to the system's
-//!   [`ResolutionProtocol`]), with
-//!   the crash-aware bounded wait of the membership extension
-//!   ([`crate::membership`]): a silent peer is presumed crashed, removed
-//!   from the frame's membership view and resolved as a synthesized crash
-//!   exception;
-//! * the abortion cascade over nested actions (§3.3.1);
-//! * exception handling under the termination model (§3.1);
-//! * the signalling algorithm of §3.4 with its µ/ƒ coordination;
-//! * the synchronous exit protocol (§5.1).
+//! transfer of control (see the crate documentation). The driver in this module
+//! performs, per action frame, what [`caa_protocol`] decides — resolution
+//! (§3.3.2, through the system's [`ResolutionProtocol`]) with the
+//! membership extension's bounded wait, the abortion cascade (§3.3.1),
+//! §3.4's signalling and the exit protocol (§5.1) — and runs the exception
+//! handlers under the termination model (§3.1).
 //!
 //! # One wait
 //!
@@ -30,7 +23,7 @@
 //! `Ctx::wait` for the round it serves: until a message, the doorbell or
 //! the deadline (the round's or the crash instant), then performing what
 //! the round decides. What a round *decides* is pure `event → action`
-//! state in the private `rounds` module: `Round::status`; `Round::expired`
+//! state in [`caa_protocol::rounds`]: `Round::status`; `Round::expired`
 //! (the quorum gate on the silent peers, the view step and its recipients,
 //! the conclusion); `Frame::absorb` for a message (a removal set adopted,
 //! and what the resolver hears); between rounds, where an unwind lands
@@ -41,14 +34,15 @@
 //! `Ctx::expire` for a deadline's `Expiry`): it counts, logs, sends, feeds
 //! the resolver and runs the handlers.
 //!
-//! A frame (parts grouped by responsibility, see `rounds::Frame`) is
-//! reached through `Ctx::frame`/`Ctx::frame_mut`. Rounds range over its
-//! *current view*, so a shrunk membership completes among the survivors.
+//! A frame ([`caa_protocol::Frame`]) is reached through `Ctx::frame` /
+//! `Ctx::frame_mut`. Rounds range over its *current view*, so a shrunk
+//! membership completes among the survivors.
 //!
-//! **Adding a round:** add a `Round` variant with its `status`, `expired`
-//! and `timed_out` arms in `rounds.rs` (what completes it, who is silent at
-//! expiry and what that concludes, what its timeout counts), keep what it
-//! collects in a frame part that `Frame::absorb` fills, and call
+//! **Adding a round:** add a `Round` variant with its `status` and
+//! `expired` arms in `caa_protocol::rounds` (what completes it, who is
+//! silent at expiry and what that concludes) and its arm in `timed_out`
+//! here (what its timeout counts and logs), keep what it collects in a
+//! frame part that `Frame::absorb` fills, and call
 //! `self.collect(Round::…, timeout)` after announcing with `Ctx::broadcast`.
 //! The driver changes only if the round needs an effect no `RoundAction`
 //! or `Expiry` names. A round that a peer's doorbell ends, like the object
@@ -62,32 +56,36 @@ use std::sync::Arc;
 use caa_core::exception::{Exception, ExceptionId, Signal};
 use caa_core::ids::{ActionId, PartitionId, RoleId, ThreadId};
 use caa_core::inline::InlineVec;
-use caa_core::message::{AppPayload, Message, SignalRound};
+use caa_core::message::{AppMsg, AppPayload, Message, SignalRound};
 use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_simnet::{FiberEndpoint, Parked, Received};
+use caa_protocol::membership::{FrameMembership, Suspicion, ViewSnapshot, ViewStep};
+use caa_protocol::rounds::{self, aborted, leave, Collected, Expiry, Feed, Landing, Leave};
+use caa_protocol::rounds::{Round, RoundAction, RoundEnd, SignalStep, Signalled, Violation};
+use caa_protocol::ResolutionProtocol;
+use caa_simnet::{FiberEndpoint, Parked};
 
 use crate::action::{make_action_id, ActionDef, DefInner};
 use crate::error::{Flow, RuntimeError, Step, Unwind};
-use crate::membership::{ViewSnapshot, ViewStep};
-use crate::objects::{self, Acquisition, Release, SharedObject, TxControl};
+use crate::objects::{self, release_on_exit, Acquisition, Release, SharedObject, TxControl};
 use crate::observe::{EntryKind, EventKind};
-use crate::protocol::ResolutionProtocol;
-use crate::rounds::{self, aborted, admit, leave, release_on_exit, Collected, Feed, Frame};
-use crate::rounds::{Expiry, SignalStep, Signalled, Suspicion, Violation};
-use crate::rounds::{Frames, Landing, Leave, RecoveryStart, Round, RoundAction, RoundEnd};
-use crate::system::SystemShared;
+use crate::system::{RuntimeStats, SystemShared};
 
-/// An application message delivered to a role.
-#[derive(Debug)]
-pub struct AppMsg {
-    /// The sending thread.
-    pub from: ThreadId,
-    /// The application-chosen tag.
-    pub tag: &'static str,
-    /// The payload.
-    pub payload: AppPayload,
+/// A frame of this runtime's actions.
+type Frame = caa_protocol::Frame<DefInner>;
+
+/// One entry of the action stack: the protocol's frame (boxed: entering
+/// and leaving move a pointer) and the objects touched within the action.
+struct Level {
+    frame: Box<Frame>,
+    objects: Vec<Box<dyn TxControl>>,
+}
+
+impl AsMut<Frame> for Level {
+    fn as_mut(&mut self) -> &mut Frame {
+        &mut self.frame
+    }
 }
 
 /// What a participant's context keeps on the heap, as one run's context
@@ -96,11 +94,11 @@ pub struct AppMsg {
 /// (see [`crate::system`]), so a warmed participant sizes nothing.
 #[derive(Default)]
 pub(crate) struct CtxScratch {
-    stack: Frames,
+    stack: Vec<Level>,
     retained: Vec<Message>,
     /// The frames popped so far, left ([`Frame::leave`]) for the next
     /// entries to re-enter.
-    spare: Frames,
+    spare: Vec<Level>,
     /// The protocol that made the resolver states among `spare`: they
     /// serve a system of that protocol only.
     protocol: Option<Arc<dyn ResolutionProtocol>>,
@@ -116,12 +114,11 @@ pub struct Ctx {
     name: Name,
     endpoint: FiberEndpoint<Message>,
     system: Rc<SystemShared>,
-    /// The action stack, innermost last. Boxed, so that entering and
-    /// leaving move a pointer, not a frame.
-    stack: Frames,
+    /// The action stack, innermost last.
+    stack: Vec<Level>,
     /// Popped frames, left for the next entries to re-enter, and the
     /// protocol their resolver states are of (the system's own).
-    spare: Frames,
+    spare: Vec<Level>,
     spare_protocol: Option<Arc<dyn ResolutionProtocol>>,
     /// A scheduled crash-stop instant ([`Ctx::schedule_crash`]): the
     /// thread dies at the first poll point at or after it — mid-body,
@@ -193,8 +190,8 @@ impl Ctx {
         let mut scratch = left.unwrap_or_default();
         let same_protocol = |made_by| Arc::ptr_eq(made_by, &system.protocol);
         if !scratch.protocol.as_ref().is_some_and(same_protocol) {
-            for frame in &mut scratch.spare {
-                frame.recovery.resolver = None;
+            for level in &mut scratch.spare {
+                level.frame.recovery.resolver = None;
             }
             scratch.protocol = Some(Arc::clone(&system.protocol));
         }
@@ -259,7 +256,9 @@ impl Ctx {
     /// The name of the active action, if any.
     #[must_use]
     pub fn action_name(&self) -> Option<&str> {
-        self.stack.last().map(|f| f.id.def.name.as_str())
+        self.stack
+            .last()
+            .map(|level| level.frame.id.def.name.as_str())
     }
 
     /// The resolving exception currently being handled, if this thread is
@@ -268,17 +267,17 @@ impl Ctx {
     pub fn handling(&self) -> Option<&ExceptionId> {
         self.stack
             .last()
-            .and_then(|f| f.recovery.in_handler.as_ref())
+            .and_then(|level| level.frame.recovery.in_handler.as_ref())
     }
 
     /// The active (innermost) frame. Every protocol phase runs inside
     /// [`Ctx::drive`], which holds the frame open until it returns.
     fn frame(&self) -> &Frame {
-        self.stack.last().expect("frame active")
+        &self.stack.last().expect("frame active").frame
     }
 
     fn frame_mut(&mut self) -> &mut Frame {
-        self.stack.last_mut().expect("frame active")
+        &mut self.stack.last_mut().expect("frame active").frame
     }
 
     /// Sends `msg` to `to` — the runtime's one send site — and, if the run
@@ -401,14 +400,14 @@ impl Ctx {
             (d, c) => d.or(c),
         };
         let (index, action) = match self.endpoint.wait(effective)? {
-            Parked::Msg(received) => self.classify(received, round),
+            Parked::Msg(received) => self.classify(received.msg, round),
             Parked::Doorbell => return Ok(Performed::Rang),
             Parked::Deadline => {
                 // The crash instant takes precedence over the round's own.
                 self.crash_check()?;
                 let protocol = &*self.system.protocol;
-                let frame = self.stack.last_mut().map(Box::as_mut);
-                let expiry = round.expired(frame, self.me, protocol);
+                let frame = self.stack.last_mut().map(AsMut::as_mut);
+                let expiry = round.expired(frame, protocol);
                 return self.expire(round, expiry);
             }
         };
@@ -424,11 +423,10 @@ impl Ctx {
     /// Always returns `Err`: either the raise itself (to be propagated), or
     /// a fatal error when called outside an action or from a handler.
     pub fn raise(&mut self, e: impl Into<Exception>) -> Step<()> {
-        let frame = match self.stack.last() {
-            Some(f) => f,
-            None => return Err(RuntimeError::NoActiveAction("raise").into()),
-        };
-        if frame.recovery.in_handler.is_some() {
+        if self.stack.is_empty() {
+            return Err(RuntimeError::NoActiveAction("raise").into());
+        }
+        if self.frame().recovery.in_handler.is_some() {
             return Err(RuntimeError::RaiseInHandler.into());
         }
         let e = e.into().with_origin(self.me);
@@ -452,6 +450,7 @@ impl Ctx {
         let frame = self
             .stack
             .last()
+            .map(|level| &level.frame)
             .ok_or_else(|| Flow::from(RuntimeError::NoActiveAction("send_to_role")))?;
         let def = &frame.id.def;
         let role_id = role_id(def, role)?;
@@ -493,10 +492,10 @@ impl Ctx {
     fn recv_app_until(&mut self, deadline: Option<VirtualInstant>) -> Step<Option<AppMsg>> {
         loop {
             self.poll()?;
-            let Some(frame) = self.stack.last_mut() else {
+            let Some(level) = self.stack.last_mut() else {
                 return Err(RuntimeError::NoActiveAction("recv_app").into());
             };
-            if let Some(msg) = frame.inbox.app.pop_front() {
+            if let Some(msg) = level.frame.inbox.app.pop_front() {
                 return Ok(Some(msg));
             }
             if deadline.is_some_and(|d| d.duration_since(self.now()).is_zero()) {
@@ -552,7 +551,11 @@ impl Ctx {
             return Err(RuntimeError::NoActiveAction("object access").into());
         }
         let action = self.frame().id.action;
-        let chain = self.stack.iter().map(|frame| frame.id.action).collect();
+        let chain = self
+            .stack
+            .iter()
+            .map(|level| level.frame.id.action)
+            .collect();
         let request = Acquisition::request(obj, self.me, chain, &self.endpoint);
         let mut f = Some(f);
         let (value, opened) = loop {
@@ -574,9 +577,9 @@ impl Ctx {
         // must commit or roll back its own layer when it completes.
         // Dedup by identity, not name — two distinct objects may share one.
         let obj_id = TxControl::object_id(obj);
-        for frame in &mut self.stack {
-            if !frame.objects.iter().any(|o| o.object_id() == obj_id) {
-                frame.objects.push(Box::new(obj.clone()));
+        for level in &mut self.stack {
+            if !level.objects.iter().any(|o| o.object_id() == obj_id) {
+                level.objects.push(Box::new(obj.clone()));
             }
         }
         if opened > 0 {
@@ -618,7 +621,10 @@ impl Ctx {
         let role_id = self.bind_role(inner, role)?;
 
         let depth = u32::try_from(self.stack.len()).expect("nesting depth bounded");
-        let parent_serial = self.stack.last().map_or(0, |f| f.id.action.serial());
+        let parent_serial = self
+            .stack
+            .last()
+            .map_or(0, |level| level.frame.id.action.serial());
         let key = (def.def_id, parent_serial);
         let at = match self.entry_counts.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(at) => at,
@@ -633,7 +639,7 @@ impl Ctx {
         self.push_frame(action, inner, role_id);
 
         // "if Ti enters A then <A> → SAi; consume messages having arrived".
-        let mut initial: Option<RecoveryStart> = None;
+        let mut initial: Option<Feed> = None;
         // In place and in arrival order: the messages retained before this
         // entry are looked at once each, and whatever handling one of them
         // retains lands behind them (usually there is none, and no list).
@@ -652,7 +658,7 @@ impl Ctx {
             let decision = self.frame_mut().absorb(msg, true, Round::Body);
             if let Err(flow) = self.perform(top, decision) {
                 if matches!(flow.unwind, Unwind::Suspend) {
-                    initial = Some(RecoveryStart::Suspend);
+                    initial = Some(Feed::Suspend);
                 }
             }
         }
@@ -690,9 +696,12 @@ impl Ctx {
     /// spare one re-entered, or — while the participant has none — a new
     /// one.
     fn push_frame(&mut self, action: ActionId, def: &Rc<DefInner>, role: RoleId) {
-        let mut frame = self.spare.pop().unwrap_or_else(|| Frame::new(def));
-        frame.reenter(action, def, role);
-        self.stack.push(frame);
+        let mut level = self.spare.pop().unwrap_or_else(|| Level {
+            frame: Frame::new(def),
+            objects: Vec::new(),
+        });
+        level.frame.reenter(action, def, role, self.me);
+        self.stack.push(level);
     }
 
     fn observe_enter(&self, action: ActionId, def: &DefInner, role: RoleId) {
@@ -720,7 +729,7 @@ impl Ctx {
     }
 
     /// Re-enters the action this thread last crashed out of, as a restarted
-    /// participant (epoch-numbered rejoin; see [`crate::membership`]).
+    /// participant (epoch-numbered rejoin; see [`caa_protocol::membership`]).
     ///
     /// Call at the thread's top level after a crash-stop [`Flow`] (see
     /// [`Flow::is_crash`]) unwound the stack. The restarted participant
@@ -754,7 +763,7 @@ impl Ctx {
         let inner = &def.inner;
         let role_id = self.bind_role(inner, role)?;
         let me = self.me;
-        self.broadcast(&inner.group, |peer| {
+        self.broadcast(&inner.spec.group, |peer| {
             self.observe(action, || EventKind::JoinRequested { to: peer });
             Message::JoinRequest { action, from: me }
         });
@@ -777,7 +786,7 @@ impl Ctx {
         else {
             return Ok(None);
         };
-        let view = match admit(&inner.group, epoch, &removed, me) {
+        let view = match FrameMembership::sync_grant(&inner.spec.group, epoch, &removed, me) {
             Ok(view) => view,
             Err(violation) => return self.violated(violation),
         };
@@ -810,7 +819,7 @@ impl Ctx {
     fn drive(
         &mut self,
         def: &DefInner,
-        initial: Option<RecoveryStart>,
+        initial: Option<Feed>,
         body: impl FnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
         let mut attempt = match initial {
@@ -835,7 +844,7 @@ impl Ctx {
     /// ([`rounds::land`]): the recovery that starts there, or — the frame
     /// aborted on the way out or dead, and popped — the flow that carries
     /// the unwind on (§3.3.1).
-    fn unwind_top(&mut self, def: &DefInner, unwind: Unwind) -> Result<RecoveryStart, Flow> {
+    fn unwind_top(&mut self, def: &DefInner, unwind: Unwind) -> Result<Feed, Flow> {
         let dead = match rounds::land(unwind, self.frame().id.action) {
             Landing::Recover(start) => return Ok(start),
             Landing::Abort { target } => {
@@ -884,18 +893,20 @@ impl Ctx {
 
     /// [`objects::release`] over the top frame's objects.
     fn release(&mut self, how: Release) -> bool {
-        let frame = self.stack.last_mut().expect("frame active");
-        objects::release(&mut frame.objects, frame.id.action, how, &self.endpoint)
+        let level = self.stack.last_mut().expect("frame active");
+        let action = level.frame.id.action;
+        objects::release(&mut level.objects, action, how, &self.endpoint)
     }
 
     fn pop_frame(&mut self) {
-        if let Some(mut frame) = self.stack.pop() {
-            let serial = frame.id.action.serial();
+        if let Some(mut level) = self.stack.pop() {
+            let serial = level.frame.id.action.serial();
             if let Err(at) = self.finished.binary_search(&serial) {
                 self.finished.insert(at, serial);
             }
-            frame.leave();
-            self.spare.push(frame);
+            level.frame.leave();
+            level.objects.clear();
+            self.spare.push(level);
         }
     }
 
@@ -914,13 +925,13 @@ impl Ctx {
         let end = self.run_exit()?;
         match leave(end, signalled) {
             Ok(Leave::Finalize(outcome)) => self.finalize(outcome),
-            Ok(Leave::Recover) => self.phase_recover(def, RecoveryStart::Suspend),
+            Ok(Leave::Recover) => self.phase_recover(def, Feed::Suspend),
             Err(violation) => self.violated(violation),
         }
     }
 
     /// One full recovery: resolution, handling, signalling, exit.
-    fn phase_recover(&mut self, def: &DefInner, start: RecoveryStart) -> Step<ActionOutcome> {
+    fn phase_recover(&mut self, def: &DefInner, start: Feed) -> Step<ActionOutcome> {
         self.system.stats.borrow_mut().recoveries += 1;
         let resolved = match self.run_recovery(start)? {
             Some(resolved) => resolved,
@@ -956,7 +967,7 @@ impl Ctx {
     /// Runs resolution until agreement, or until a concurrent view change
     /// evicts this thread (`Ok(None)`: the survivors resolve without us and
     /// the caller must give up locally).
-    fn run_recovery(&mut self, start: RecoveryStart) -> Step<Option<ExceptionId>> {
+    fn run_recovery(&mut self, start: Feed) -> Step<Option<ExceptionId>> {
         let frame = self.frame_mut();
         // Open the join-deferral window and pin the signalling cohort:
         // the view must not grow while resolution or signalling ranges
@@ -964,7 +975,7 @@ impl Ctx {
         frame.recovery.cohort = Some(frame.view.members().iter().copied().collect());
         frame.recovery.resolved_exception = None;
         self.observe_top(|| EventKind::RecoveryStart {
-            raised: matches!(start, RecoveryStart::Raise(_)),
+            raised: matches!(start, Feed::Raise(_)),
         });
         // The stashed triggers first, absorbed as if they arrived now, then
         // our own transition. (One at a time, so the inbox keeps its buffer;
@@ -979,22 +990,17 @@ impl Ctx {
             // our own transition: stay silent and give up.
             return Ok(None);
         }
-        let own = match start {
-            RecoveryStart::Raise(e) => {
-                self.system.stats.borrow_mut().exceptions_raised += 1;
-                // "inform external objects (used by Ti within A) of the
-                // exception".
-                let frame = self.frame();
-                let action = frame.id.action;
-                for obj in &frame.objects {
-                    obj.inform_exception(action, e.id().name());
-                }
-                self.observe_top(|| EventKind::Raise { exception: *e.id() });
-                Feed::Raise(e)
+        if let Feed::Raise(e) = &start {
+            self.system.stats.borrow_mut().exceptions_raised += 1;
+            // "inform external objects (used by Ti within A) of the
+            // exception".
+            let level = self.stack.last().expect("frame active");
+            for obj in &level.objects {
+                obj.inform_exception(level.frame.id.action, e.id().name());
             }
-            RecoveryStart::Suspend => Feed::Suspend,
-        };
-        self.feed(own)?;
+            self.observe_top(|| EventKind::Raise { exception: *e.id() });
+        }
+        self.feed(start)?;
         let timeout = self.frame().id.def.resolution_timeout;
         let RoundEnd::Resolved(resolved) = self.collect(Round::Resolution, timeout)? else {
             return Ok(None);
@@ -1010,7 +1016,7 @@ impl Ctx {
     /// answer: sends its outbound messages and charges `Treso` per
     /// resolution invocation.
     fn feed(&mut self, feed: Feed) -> Step {
-        let frame = self.stack.last_mut().expect("frame active");
+        let frame = &mut self.stack.last_mut().expect("frame active").frame;
         let mut actions = frame.feed(&*self.system.protocol, feed);
         for (to, msg) in actions.outbound.drain(..) {
             self.send(to, msg);
@@ -1040,7 +1046,7 @@ impl Ctx {
     fn collect(&mut self, round: Round, timeout: Option<VirtualDuration>) -> Step<RoundEnd> {
         let mut deadline = self.deadline_in(timeout);
         loop {
-            if let Some(end) = round.status(self.stack.last().map(Box::as_ref)) {
+            if let Some(end) = round.status(self.stack.last().map(|level| &*level.frame)) {
                 return Ok(end);
             }
             match self.wait(round, deadline)? {
@@ -1052,7 +1058,7 @@ impl Ctx {
     }
 
     /// Executes one round decision. `index` is the frame it addresses.
-    fn perform(&mut self, index: usize, action: RoundAction) -> Step<Performed> {
+    fn perform(&mut self, index: usize, action: RoundAction<RuntimeError>) -> Step<Performed> {
         match action {
             RoundAction::Continue => {}
             RoundAction::End(end) => return Ok(Performed::End(end)),
@@ -1090,19 +1096,19 @@ impl Ctx {
             Expiry::Violation(violation) => return self.violated(violation),
         };
         let (epoch, stats) = (self.frame().exit.epoch, &self.system.stats);
-        let timeout = round.timed_out(&suspects, epoch, &mut stats.borrow_mut());
+        let timeout = timed_out(round, &suspects, epoch, &mut stats.borrow_mut());
         if let Some(timeout) = timeout {
             self.observe_top(|| timeout);
         }
         match decided {
-            Ok(Suspicion::Refused) => stats.borrow_mut().suspicions_refused += 1,
+            Ok(Suspicion::Refused { .. }) => stats.borrow_mut().suspicions_refused += 1,
             Ok(Suspicion::GiveUp) => stats.borrow_mut().exit_give_ups += 1,
             Ok(Suspicion::Evict(step, recipients, feed)) => {
                 let index = self.stack.len() - 1;
                 self.observe_view_step(index, &step);
                 // Announce first: per-link FIFO then shows every
                 // survivor the change before what we derive from it.
-                let (action, me) = (self.stack[index].id.action, self.me);
+                let (action, me) = (self.stack[index].frame.id.action, self.me);
                 let removed: Rc<[ThreadId]> = Rc::from(&step.removed[..]);
                 self.broadcast(&recipients, |_| Message::ViewChange {
                     action,
@@ -1130,16 +1136,18 @@ impl Ctx {
     /// local eviction or an adopted removal set.
     fn observe_view_step(&self, index: usize, step: &ViewStep) {
         self.system.stats.borrow_mut().view_changes += 1;
-        self.observe(self.stack[index].id.action, || EventKind::ViewChange {
-            epoch: step.epoch,
-            removed: step.removed[..].into(),
+        self.observe(self.stack[index].frame.id.action, || {
+            EventKind::ViewChange {
+                epoch: step.epoch,
+                removed: step.removed[..].into(),
+            }
         });
     }
 
     /// Answers a restarted participant's `JoinRequest` at the frame at
     /// `index` with the grant the frame builds ([`Frame::grant_join`]).
     fn grant_join(&mut self, index: usize, joiner: ThreadId) {
-        let frame = &mut self.stack[index];
+        let frame = &mut self.stack[index].frame;
         let action = frame.id.action;
         let Some(granted) = frame.grant_join(joiner) else {
             return; // never part of this action's group; ignore
@@ -1161,14 +1169,14 @@ impl Ctx {
     /// resolution/signalling ranged over it.
     fn flush_pending_joins(&mut self) {
         let top = self.stack.len() - 1;
-        self.stack[top].recovery.cohort = None;
+        self.frame_mut().recovery.cohort = None;
         // (By index, so the list keeps its buffer; with the cohort gone a
         // request is granted on arrival, not queued here.)
-        for at in 0..self.stack[top].inbox.joins.len() {
-            let joiner = self.stack[top].inbox.joins[at];
+        for at in 0..self.frame().inbox.joins.len() {
+            let joiner = self.frame().inbox.joins[at];
             self.grant_join(top, joiner);
         }
-        self.stack[top].inbox.joins.clear();
+        self.frame_mut().inbox.joins.clear();
     }
 
     // ------------------------------------------------------------------
@@ -1186,8 +1194,8 @@ impl Ctx {
             Some(h) => h(self),
             None => Ok(DefInner::default_verdict(resolved)),
         };
-        if let Some(frame) = self.stack.last_mut() {
-            frame.recovery.in_handler = None;
+        if let Some(level) = self.stack.last_mut() {
+            level.frame.recovery.in_handler = None;
         }
         let verdict = verdict?;
         self.observe_top(|| EventKind::HandlerEnd {
@@ -1286,18 +1294,16 @@ impl Ctx {
     // Message routing
     // ------------------------------------------------------------------
 
-    /// What `received` means while `round` is in progress
-    /// ([`rounds::classify`]), with the index of the frame it addresses.
-    fn classify(&mut self, received: Received<Message>, round: Round) -> (usize, RoundAction) {
+    /// What a received message — `None` if it arrived corrupted — means
+    /// while `round` is in progress ([`rounds::classify`]), with the index
+    /// of the frame it addresses.
+    fn classify(
+        &mut self,
+        msg: Option<Message>,
+        round: Round,
+    ) -> (usize, RoundAction<RuntimeError>) {
         let (finished, retained) = (&self.finished, self.retained.len());
-        rounds::classify(
-            received,
-            round,
-            &mut self.stack,
-            finished,
-            retained,
-            self.me,
-        )
+        rounds::classify(msg, round, &mut self.stack, finished, retained, self.me)
     }
 
     /// Non-blocking poll point: absorbs everything deliverable now; unwinds
@@ -1305,7 +1311,7 @@ impl Ctx {
     fn poll(&mut self) -> Step {
         self.crash_check()?;
         while let Some(received) = self.endpoint.try_recv()? {
-            let (index, action) = self.classify(received, Round::Body);
+            let (index, action) = self.classify(received.msg, Round::Body);
             self.perform(index, action)?;
         }
         Ok(())
@@ -1332,6 +1338,33 @@ impl Ctx {
     }
 }
 
+/// Counts in `stats` that `round`'s wait expired with `suspects` silent;
+/// the event that logs it (an exit timeout names the frame's `exit_epoch`),
+/// `None` for a wait that is not a frame's round.
+fn timed_out(
+    round: Round,
+    suspects: &[ThreadId],
+    exit_epoch: u32,
+    stats: &mut RuntimeStats,
+) -> Option<EventKind> {
+    let suspects: Box<[ThreadId]> = suspects.into();
+    Some(match round {
+        Round::Resolution => {
+            stats.resolution_timeouts += 1;
+            EventKind::ResolutionTimeout { suspects }
+        }
+        Round::Signalling(round) => {
+            stats.signal_timeouts += 1;
+            EventKind::SignalTimeout { round, suspects }
+        }
+        Round::Exit => {
+            stats.exit_timeouts += 1;
+            EventKind::ExitTimeout { epoch: exit_epoch }
+        }
+        Round::Body | Round::Object | Round::Join { .. } => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
@@ -1341,7 +1374,6 @@ mod tests {
     use caa_core::time::secs;
 
     use super::*;
-    use crate::rounds::tests::snapshot;
     use crate::System;
 
     thread_local! {
@@ -1354,10 +1386,67 @@ mod tests {
         std::ptr::from_ref(frame) as usize
     }
 
+    /// Every field of `level` but the resolver state, as text: what the
+    /// frame-reuse test compares a re-entered level and a new one by. (A
+    /// re-entered frame keeps the reset resolver state of an earlier
+    /// instance, which a new frame makes on first use.)
+    fn snapshot(level: &Level) -> String {
+        let frame = &level.frame;
+        let (id, inbox, recovery) = (&frame.id, &frame.inbox, &frame.recovery);
+        format!(
+            "{:?}",
+            (
+                (id.action, id.role, id.me, Rc::as_ptr(&id.def)),
+                (inbox.control.len(), inbox.app.len(), inbox.joins.len()),
+                level.objects.len(),
+                (recovery.recovered, recovery.aborting, recovery.in_handler),
+                (&recovery.cohort, recovery.resolved_exception),
+                (&frame.signals, &frame.exit, &frame.view),
+            )
+        )
+    }
+
     /// A frame a participant re-enters from its spare pool is, field for
     /// field, the frame a first entry makes — after serving an instance
     /// that went through object traffic, buffered application messages,
     /// resolution, a handler and both signalling exchanges of an undo.
+    #[test]
+    fn a_timeout_counts_and_logs_by_round() {
+        let mut stats = RuntimeStats::default();
+        let t = ThreadId::new;
+        let rounds = [
+            Round::Resolution,
+            Round::Signalling(SignalRound::First),
+            Round::Signalling(SignalRound::AfterUndo),
+            Round::Exit,
+            Round::Body,
+            Round::Object,
+            Round::Join {
+                action: ActionId::top_level(7),
+            },
+        ];
+        let logged = rounds
+            .map(|round| timed_out(round, &[t(1), t(2)], 3, &mut stats).map(|e| e.to_string()));
+        assert_eq!(
+            logged,
+            [
+                Some("resolution timeout suspects T1 T2".to_owned()),
+                Some("signal timeout round-1 suspects T1 T2".to_owned()),
+                Some("signal timeout round-2 suspects T1 T2".to_owned()),
+                Some("exit timeout e3".to_owned()),
+                None,
+                None,
+                None,
+            ]
+        );
+        let counted = (
+            stats.resolution_timeouts,
+            stats.signal_timeouts,
+            stats.exit_timeouts,
+        );
+        assert_eq!(counted, (1, 2, 1));
+    }
+
     #[test]
     fn a_frame_left_after_an_undo_is_reentered_as_new() {
         let undo = |_: &mut Ctx| Ok(HandlerVerdict::Undo);
@@ -1367,11 +1456,11 @@ mod tests {
             .fallback_handler("a0", undo)
             .fallback_handler("a1", undo)
             .undo_hook("a0", |uc| {
-                let frame = uc.frame();
-                let recovery = &frame.recovery;
+                let level = uc.stack.last().expect("A's frame");
+                let (frame, recovery) = (&level.frame, &level.frame.recovery);
                 assert!(recovery.recovered && recovery.cohort.is_some());
                 assert!(recovery.resolved_exception.is_some());
-                assert!(!frame.objects.is_empty() && !frame.inbox.app.is_empty());
+                assert!(!level.objects.is_empty() && !frame.inbox.app.is_empty());
                 A_FRAME.set(Some(address(frame)));
                 Ok(true)
             })
@@ -1393,12 +1482,17 @@ mod tests {
             assert_eq!(outcome, ActionOutcome::Undone);
             assert_eq!(ctx.spare.len(), 1, "A's frame was left to the pool");
             ctx.enter(&b, "b0", |bc| {
-                let frame = bc.frame();
+                let level = bc.stack.last().expect("B's frame");
+                let frame = &level.frame;
                 let a_frame = A_FRAME.take().expect("A recovered through its undo");
                 assert_eq!(address(frame), a_frame, "B re-entered A's frame");
-                let mut new = Frame::new(&b.inner);
-                new.reenter(frame.id.action, &b.inner, frame.id.role);
-                assert_eq!(snapshot(frame), snapshot(&new));
+                let mut new = Level {
+                    frame: Frame::new(&b.inner),
+                    objects: Vec::new(),
+                };
+                new.frame
+                    .reenter(frame.id.action, &b.inner, frame.id.role, frame.id.me);
+                assert_eq!(snapshot(level), snapshot(&new));
                 let resolver = frame.recovery.resolver.as_ref();
                 assert!(resolver.is_none_or(|r| r.participant_state() == ParticipantState::Normal));
                 Ok(())

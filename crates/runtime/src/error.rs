@@ -11,8 +11,6 @@
 use std::error::Error;
 use std::fmt;
 
-use caa_core::exception::Exception;
-use caa_core::ids::ActionId;
 use caa_simnet::SimError;
 
 /// A unit of fallible role progress. `Err` means control is being
@@ -55,29 +53,8 @@ impl Flow {
     }
 }
 
-/// Internal reason a role body is being unwound.
-#[derive(Debug)]
-pub(crate) enum Unwind {
-    /// The role itself raised an exception in its active action.
-    Raise(Exception),
-    /// A peer's exception (already recorded at the active frame) requires
-    /// this role to suspend and join recovery of its active action.
-    Suspend,
-    /// Recovery is required at the enclosing action `target`; frames below
-    /// it must abort on the way out. `eab` carries the exception raised by
-    /// the most recently executed abortion handler (only the handler of the
-    /// action directly inside `target` survives, per §3.3.1).
-    Outer {
-        target: ActionId,
-        eab: Option<Exception>,
-    },
-    /// The participant crash-stopped (simulated process death): frames are
-    /// discarded silently on the way out, no handlers run, no messages are
-    /// sent. Terminates the thread with [`RuntimeError::Crashed`].
-    Crash,
-    /// Unrecoverable error; propagates to the thread's top level.
-    Fatal(RuntimeError),
-}
+/// Internal reason a role body is being unwound: fatal with a [`RuntimeError`].
+pub(crate) type Unwind = caa_protocol::rounds::Unwind<RuntimeError>;
 
 /// Unrecoverable failure of a participating thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +89,7 @@ pub enum RuntimeError {
     /// report failure through their verdict instead (termination model).
     RaiseInHandler,
     /// A protocol invariant was violated; indicates a bug in a
-    /// [`ResolutionProtocol`](crate::protocol::ResolutionProtocol)
+    /// [`ResolutionProtocol`](caa_protocol::ResolutionProtocol)
     /// implementation.
     Protocol(String),
     /// The participant crash-stopped via

@@ -8,20 +8,12 @@
 //! no OS thread and a hand-off between participants no system call. Threads
 //! enter [`ActionDef`]s — Coordinated Atomic actions — through
 //! [`Ctx::enter`], cooperate via role-to-role messages and transactional
-//! [`SharedObject`]s, and recover from exceptions through:
-//!
-//! * the **resolution algorithm** of §3.3.2 (default
-//!   [`XrrResolution`], pluggable via [`protocol::ResolutionProtocol`] for
-//!   the baseline comparisons of §5.3),
-//! * the **membership extension** ([`membership`]): a bounded resolution
-//!   wait whose expiry presumes silent peers crashed, shrinks the
-//!   per-instance membership view and resolves a synthesized crash
-//!   exception among the survivors,
-//! * the **abortion cascade** over nested actions (§3.3.1),
-//! * exception **handlers** under the termination model (§3.1),
-//! * the **signalling algorithm** of §3.4 coordinating `ε`/µ/ƒ, and
-//! * a synchronous **exit protocol** (§5.1) — signalling and exit range
-//!   over the current membership view.
+//! [`SharedObject`]s, and recover from exceptions — resolution (§3.3.2,
+//! default [`XrrResolution`], pluggable for the baseline comparisons of
+//! §5.3), the membership extension, the abortion cascade (§3.3.1),
+//! signalling (§3.4) and exit (§5.1) — by the protocol of
+//! [`caa_protocol`], which decides; this crate performs what it decides
+//! and runs the exception **handlers** under the termination model (§3.1).
 //!
 //! Rust has no asynchronous exceptions, so the Ada 95 ATC of the paper's
 //! prototype becomes a `Result`-based design: all role operations return
@@ -40,11 +32,8 @@
 //! blocked waiter parks until the arbitration event that can actually
 //! enable it (a release, grant or cancellation) schedules its next
 //! on-grid attempt as a targeted doorbell
-//! ([`caa_simnet::Network::schedule_wake`]) — grant order and grant
-//! instants are identical to the historical per-quantum polling design,
-//! but the per-tick retry wake-ups are gone. Fault tolerance is bounded,
-//! not hung on:
-//! the §3.4 signalling timeout treats missing announcements as ƒ, and the
+//! ([`caa_simnet::Network::schedule_wake`]). Fault tolerance is bounded,
+//! not hung on: the §3.4 signalling timeout treats missing announcements as ƒ, and the
 //! same timeout generalised to the exit protocol
 //! ([`ActionDefBuilder::exit_timeout`]) resolves a crash-stopped peer's
 //! missing vote ([`Ctx::crash_stop`]) to abortion at a deterministic
@@ -100,16 +89,18 @@
 pub mod action;
 pub mod context;
 mod error;
-pub mod membership;
 pub mod objects;
 pub mod observe;
-pub mod protocol;
-mod rounds;
 mod system;
 
 pub use action::{ActionDef, ActionDefBuilder, DefError};
-pub use context::{AppMsg, Ctx};
+pub use context::Ctx;
 pub use error::{Flow, RuntimeError, Step};
 pub use objects::SharedObject;
-pub use protocol::XrrResolution;
 pub use system::{RuntimeStats, System, SystemBuilder, SystemReport};
+
+// The benchmark's frozen surface (`perf/src/surface.rs`) imports the
+// resolution protocol as `caa_runtime::protocol` and `XrrResolution` from
+// here; these two re-exports keep those paths alone. Workspace code
+// imports from `caa_protocol`.
+pub use caa_protocol::{protocol, XrrResolution};

@@ -95,6 +95,7 @@ use caa_core::ids::{ActionId, PartitionId, ThreadId};
 use caa_core::inline::InlineVec;
 use caa_core::message::Message;
 use caa_core::name::Name;
+use caa_core::outcome::ActionOutcome;
 use caa_core::time::{VirtualDuration, VirtualInstant};
 use caa_simnet::FiberEndpoint;
 
@@ -539,48 +540,6 @@ impl<T: Clone + 'static> SharedObject<T> {
             wake,
         }
     }
-
-    /// Directly opens transaction layers for `action` (and any enclosing
-    /// actions missing one) when no competing action holds the object.
-    /// Returns `false` if a competing layer exists.
-    ///
-    /// The unarbitrated path of the unit tests; runtime access goes
-    /// through [`SharedObject::try_access`].
-    #[cfg(test)]
-    pub(crate) fn try_acquire(&self, action: ActionId, enclosing: &[ActionId]) -> bool {
-        let mut inner = self.shared.state.borrow_mut();
-        let chain: Vec<ActionId> = enclosing.iter().copied().chain([action]).collect();
-        if inner
-            .layers
-            .iter()
-            .any(|layer| !chain.contains(&layer.owner))
-        {
-            return false;
-        }
-        open_missing_layers(&mut inner, &chain);
-        true
-    }
-
-    /// Reads through the layer owned by `action` (unit tests).
-    #[cfg(test)]
-    pub(crate) fn with_working<R>(
-        &self,
-        action: ActionId,
-        f: impl FnOnce(&mut T, &mut bool) -> R,
-    ) -> Result<R, ObjectError> {
-        let mut inner = self.shared.state.borrow_mut();
-        match inner.layers.last_mut() {
-            Some(top) if top.owner == action => {
-                let mut dirty = top.dirty;
-                let r = f(&mut top.working, &mut dirty);
-                top.dirty = dirty;
-                Ok(r)
-            }
-            _ => Err(ObjectError::NotAcquired {
-                object: self.shared.name.to_string(),
-            }),
-        }
-    }
 }
 
 /// Opens a layer for every chain member missing one, in chain order.
@@ -616,7 +575,7 @@ fn ring(endpoint: &FiberEndpoint<Message>, wake: Wake) {
 }
 
 /// One thread's request for an object, from registration to its end: the
-/// state of the object round ([`crate::rounds::Round::Object`]). Either
+/// state of the object round ([`caa_protocol::rounds::Round::Object`]). Either
 /// end closes the doorbell wait ([`caa_simnet::Endpoint::end_wait`]), so
 /// no doorbell stays armed for the waits that follow.
 pub(crate) struct Acquisition<'o, T> {
@@ -691,9 +650,9 @@ impl<'o, T: Clone + 'static> Acquisition<'o, T> {
 }
 
 /// How an ending frame pops the layer it holds on each object it
-/// registered (the choice: [`crate::rounds::release_on_exit`] for an
-/// action that exits, [`Release::Undo`] for an abort or crash,
-/// [`Release::Rollback`] for a fatal end).
+/// registered (the choice: [`release_on_exit`] for an action that exits,
+/// [`Release::Undo`] for an abort or crash, [`Release::Rollback`] for a
+/// fatal end).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Release {
     /// Commit into the layer below (forward recovery).
@@ -705,6 +664,18 @@ pub(crate) enum Release {
     /// Discard the layer, tainting instead where the object is
     /// irreversible (ƒ semantics).
     Undo,
+}
+
+/// How an action that ends with `outcome` releases its objects.
+pub(crate) fn release_on_exit(outcome: &ActionOutcome) -> Release {
+    match outcome {
+        // Forward recovery leaves objects in (new) valid states.
+        ActionOutcome::Success | ActionOutcome::Signalled(_) => Release::Commit,
+        // Rolled back in the undo round; a layer opened after it is
+        // discarded.
+        ActionOutcome::Undone => Release::Rollback,
+        ActionOutcome::Failed => Release::Taint,
+    }
 }
 
 /// Pops `action`'s layer on each of `objects` as `how` says — each ending
@@ -871,6 +842,64 @@ pub fn irreversible<T: Clone + 'static>(name: impl Into<Name>, initial: T) -> Sh
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Clone + 'static> SharedObject<T> {
+        /// Directly opens transaction layers for `action` (and any enclosing
+        /// actions missing one) when no competing action holds the object.
+        /// Returns `false` if a competing layer exists.
+        ///
+        /// The unarbitrated path of the unit tests; runtime access goes
+        /// through [`SharedObject::try_access`].
+        #[cfg(test)]
+        fn try_acquire(&self, action: ActionId, enclosing: &[ActionId]) -> bool {
+            let mut inner = self.shared.state.borrow_mut();
+            let chain: Vec<ActionId> = enclosing.iter().copied().chain([action]).collect();
+            if inner
+                .layers
+                .iter()
+                .any(|layer| !chain.contains(&layer.owner))
+            {
+                return false;
+            }
+            open_missing_layers(&mut inner, &chain);
+            true
+        }
+
+        /// Reads through the layer owned by `action` (unit tests).
+        #[cfg(test)]
+        fn with_working<R>(
+            &self,
+            action: ActionId,
+            f: impl FnOnce(&mut T, &mut bool) -> R,
+        ) -> Result<R, ObjectError> {
+            let mut inner = self.shared.state.borrow_mut();
+            match inner.layers.last_mut() {
+                Some(top) if top.owner == action => {
+                    let mut dirty = top.dirty;
+                    let r = f(&mut top.working, &mut dirty);
+                    top.dirty = dirty;
+                    Ok(r)
+                }
+                _ => Err(ObjectError::NotAcquired {
+                    object: self.shared.name.to_string(),
+                }),
+            }
+        }
+    }
+    use caa_core::exception::ExceptionId;
+
+    #[test]
+    fn each_outcome_releases_its_objects_one_way() {
+        let signalled = ActionOutcome::Signalled(ExceptionId::new("s"));
+        for (outcome, release) in [
+            (ActionOutcome::Success, Release::Commit),
+            (signalled, Release::Commit),
+            (ActionOutcome::Undone, Release::Rollback),
+            (ActionOutcome::Failed, Release::Taint),
+        ] {
+            assert_eq!(release_on_exit(&outcome), release, "{outcome:?}");
+        }
+    }
 
     fn aid(serial: u64) -> ActionId {
         ActionId::top_level(serial)

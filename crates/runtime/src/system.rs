@@ -69,7 +69,7 @@ use caa_simnet::{
 use crate::context::{Ctx, CtxScratch};
 use crate::error::{RuntimeError, Step, Unwind};
 use crate::observe::RunLog;
-use crate::protocol::{ResolutionProtocol, XrrResolution};
+use caa_protocol::{ResolutionProtocol, XrrResolution};
 
 /// Run-wide counters maintained by the recovery driver.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -783,8 +783,8 @@ mod tests {
 
     #[test]
     fn a_resolver_state_serves_only_systems_of_the_protocol_that_made_it() {
-        use crate::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolverState};
         use caa_core::inline::InlineVec;
+        use caa_protocol::protocol::{ProtoActions, ProtoCtx, ProtoEvent, ResolverState};
 
         thread_local! {
             /// The tag of the system whose run is under way.

@@ -15,7 +15,7 @@ use caa_core::exception::ExceptionId;
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualInstant};
 use caa_exgraph::generate::conjunction_lattice;
-use caa_runtime::protocol::lemma1_bound;
+use caa_protocol::protocol::lemma1_bound;
 use caa_runtime::{ActionDef, System};
 use caa_simnet::LatencyModel;
 use proptest::prelude::*;

@@ -16,8 +16,8 @@ use caa::core::exception::{Exception, ExceptionId};
 use caa::core::outcome::HandlerVerdict;
 use caa::core::time::secs;
 use caa::exgraph::generate::conjunction_lattice;
-use caa::runtime::protocol::ResolutionProtocol;
-use caa::runtime::{ActionDef, System, XrrResolution};
+use caa::protocol::{ResolutionProtocol, XrrResolution};
+use caa::runtime::{ActionDef, System};
 use caa::simnet::LatencyModel;
 
 fn run(n: u32, protocol: Arc<dyn ResolutionProtocol>) {

@@ -16,7 +16,8 @@
 //! | [`core`] | `caa-core` | exceptions, ids, states, messages, outcomes, time |
 //! | [`exgraph`] | `caa-exgraph` | exception graphs and resolution (§3.2) |
 //! | [`simnet`] | `caa-simnet` | virtual-time scheduler + simulated FIFO network (§5.1) |
-//! | [`runtime`] | `caa-runtime` | the CA-action runtime: resolution, signalling, abortion (§3.3–3.4) |
+//! | [`protocol`] | `caa-protocol` | the recovery protocol with no I/O: resolution, signalling, exit, membership (§3.3–3.4) |
+//! | [`runtime`] | `caa-runtime` | the CA-action runtime that performs it: contexts, hosting, objects, the log |
 //! | [`baselines`] | `caa-baselines` | Campbell–Randell 1986 and Romanovsky 1996 (§5.3) |
 //! | [`prodcell`] | `caa-prodcell` | the production-cell case study (§4) |
 //! | [`harness`] | `caa-harness` | deterministic scenario/chaos harness: seed sweeps, traces, oracles |
@@ -75,5 +76,6 @@ pub use caa_core as core;
 pub use caa_exgraph as exgraph;
 pub use caa_harness as harness;
 pub use caa_prodcell as prodcell;
+pub use caa_protocol as protocol;
 pub use caa_runtime as runtime;
 pub use caa_simnet as simnet;

@@ -2,12 +2,16 @@
 //! (CI's `check` job also runs them as a step of their own):
 //!
 //! * the network a `System` runs on, and the runtime that drives it, are
-//!   single-threaded code — outside their unit tests, the simulator's core
-//!   and the runtime's context, rounds, system, membership, objects and
-//!   protocol modules name no `Mutex`, `Condvar`, atomic or `parking_lot`
-//!   item;
+//!   single-threaded code — outside their unit tests, the simulator's core,
+//!   the runtime's context, system and objects modules and the protocol's
+//!   rounds, membership and protocol modules name no `Mutex`, `Condvar`,
+//!   atomic or `parking_lot` item;
+//! * the protocol is a library with no I/O: `caa-protocol` depends on the
+//!   core and the exception graphs alone, none of its files names the
+//!   simulator, the fiber host, a `RefCell` or a lock, and the baselines
+//!   depend on it, not on the runtime or the simulator;
 //! * a run has one owner, and the types say so: outside unit tests and
-//!   comments, the core, the runtime and the production cell name neither
+//!   comments, the core, the protocol, the runtime and the production cell name neither
 //!   `Send` nor `Sync`; no mutex is left in the runtime, the harness, the
 //!   bench crate or the production cell; `parking_lot` is a dependency of
 //!   the simulator (its thread host) alone; the scenario executor keeps no
@@ -65,7 +69,7 @@
 //!   seed list, index-addressed action edits, their two files and the
 //!   shrinker's old module are gone.
 //! * a view has one membership semantics, the set-wise one in
-//!   `runtime::membership`: no source names the epoch-step view
+//!   `caa_protocol::membership`: no source names the epoch-step view
 //!   (`MembershipView`, `ViewChangeOutcome`, `sync_to`), the core has no
 //!   `membership` module, no message but a `JoinGrant` carries an epoch
 //!   (`Commit` has no `view_epoch`, `ViewChange` no `epoch`), and the
@@ -88,8 +92,8 @@
 //!   `take_runnable`, `take_stack` or `park_stack` (the run order is
 //!   `next_runnable`'s, which both hosts read, and the runtime pools its
 //!   own stacks);
-//! * the runtime's sources carry no `allow(dead_code)`: code only tests
-//!   call is `#[cfg(test)]`;
+//! * the runtime's and the protocol's sources carry no `allow(dead_code)`:
+//!   code only tests call is `#[cfg(test)]`;
 //! * a scenario space is named one way: `caa_harness::plan::SPACES` is the
 //!   one table, the bench crate's sources reach the non-default spaces
 //!   through it alone, and no source, CI file or doc names the flags it
@@ -101,11 +105,11 @@ use std::path::{Path, PathBuf};
 const SINGLE_THREADED: [&str; 7] = [
     "crates/simnet/src/simcore.rs",
     "crates/runtime/src/context.rs",
-    "crates/runtime/src/rounds.rs",
+    "crates/protocol/src/rounds.rs",
     "crates/runtime/src/system.rs",
-    "crates/runtime/src/membership.rs",
+    "crates/protocol/src/membership.rs",
     "crates/runtime/src/objects.rs",
-    "crates/runtime/src/protocol.rs",
+    "crates/protocol/src/protocol.rs",
 ];
 
 const THREAD_ITEMS: [&str; 4] = ["Mutex", "Condvar", "Atomic", "parking_lot"];
@@ -223,6 +227,56 @@ fn the_core_and_the_runtime_name_no_thread_primitive() {
     }
 }
 
+/// The crates `crates/<krate>/Cargo.toml` names under `[dependencies]`.
+fn dependencies(krate: &str) -> Vec<String> {
+    let path = root().join("crates").join(krate).join("Cargo.toml");
+    let manifest = fs::read_to_string(path).expect("a readable manifest");
+    let (_, section) = manifest
+        .split_once("\n[dependencies]\n")
+        .expect("a [dependencies] section");
+    section
+        .lines()
+        .take_while(|line| !line.starts_with('['))
+        .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            line.split(['.', ' ', '='])
+                .next()
+                .unwrap_or(line)
+                .to_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn the_protocol_is_a_library_with_no_io() {
+    assert_eq!(
+        dependencies("protocol"),
+        ["caa-core", "caa-exgraph"],
+        "the protocol decides; where it runs and what is logged are the runtime's"
+    );
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/protocol/src"), &mut files);
+    assert!(files.len() >= 4, "the scan found the sources: {files:?}");
+    for file in &files {
+        let source = fs::read_to_string(file).expect("a readable source file");
+        for host in ["caa_simnet", "caa_fiber", "RefCell", "Mutex", "parking_lot"] {
+            assert!(
+                !source.contains(host),
+                "{}: `{host}` — a frame is driven by whoever hands it messages",
+                file.display()
+            );
+        }
+    }
+    let baselines = dependencies("baselines");
+    assert!(baselines.iter().any(|krate| krate == "caa-protocol"));
+    for host in ["caa-runtime", "caa-simnet", "caa-fiber"] {
+        assert!(
+            !baselines.iter().any(|krate| krate == host),
+            "the baselines implement the protocol's trait and need no `{host}`"
+        );
+    }
+}
+
 #[test]
 fn unsafe_is_written_in_the_fiber_crate_only() {
     let mut files = Vec::new();
@@ -291,6 +345,7 @@ fn a_run_is_owned_by_one_thread_in_the_types() {
     let mut files = Vec::new();
     for dir in [
         "crates/core/src",
+        "crates/protocol/src",
         "crates/runtime/src",
         "crates/prodcell/src",
     ] {
@@ -650,9 +705,10 @@ fn every_committed_bench_document_parses() {
 }
 
 /// Where a run's names live; `Exception::detail` is free text, not a name.
-const NAMED: [&str; 5] = [
+const NAMED: [&str; 6] = [
     "crates/core/src",
     "crates/simnet/src",
+    "crates/protocol/src",
     "crates/runtime/src",
     "crates/harness/src",
     "crates/telemetry/src",
@@ -894,7 +950,7 @@ fn the_epoch_step_view_is_gone() {
             assert!(
                 !source.contains(gone),
                 "{}: `{gone}` — a view adopts removal sets and readmissions \
-                 (`runtime::membership::FrameMembership`)",
+                 (`caa_protocol::membership::FrameMembership`)",
                 file.display()
             );
         }
@@ -906,7 +962,7 @@ fn the_core_has_no_membership_module() {
     let core = fs::read_to_string(root().join("crates/core/src/lib.rs")).expect("core lib.rs");
     assert!(
         !root().join("crates/core/src/membership.rs").exists() && !core.contains("mod membership"),
-        "a view is the runtime's (`runtime::membership`)"
+        "a view is the protocol's (`caa_protocol::membership`)"
     );
 }
 
@@ -980,7 +1036,7 @@ fn a_delivered_message_meets_no_heap_and_no_pair_table() {
          delivery order, which a send enters from the back and a receive \
          leaves at the front"
     );
-    let rounds = fs::read_to_string(root().join("crates/runtime/src/rounds.rs")).expect("rounds");
+    let rounds = fs::read_to_string(root().join("crates/protocol/src/rounds.rs")).expect("rounds");
     for table in ["SignalTable", "ExitBarrier", "Exchange"] {
         assert!(
             !struct_body(&rounds, table).contains("InlineVec<(ThreadId"),
@@ -1026,6 +1082,7 @@ fn what_happens_next_is_the_simulators_one_decision() {
 fn the_runtime_allows_no_dead_code() {
     let mut files = Vec::new();
     rust_files(&root().join("crates/runtime/src"), &mut files);
+    rust_files(&root().join("crates/protocol/src"), &mut files);
     assert!(files.len() > 5, "the scan found the sources: {files:?}");
     for file in files {
         let source = fs::read_to_string(&file).expect("a readable source file");

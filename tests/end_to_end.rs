@@ -10,7 +10,7 @@ use caa::core::time::secs;
 use caa::exgraph::generate::conjunction_lattice;
 use caa::exgraph::ExceptionGraphBuilder;
 use caa::prodcell::{CellFaultScripts, ControllerConfig, DeviceFault, FaultScript, ProductionCell};
-use caa::runtime::protocol::ResolutionProtocol;
+use caa::protocol::ResolutionProtocol;
 use caa::runtime::{ActionDef, System};
 use caa::simnet::{FaultPlan, FaultSpec, LatencyModel};
 
