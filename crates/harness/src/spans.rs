@@ -162,15 +162,33 @@ impl InstancePath {
 
 /// Reusable scratch for critical-path extraction: cleared (capacity
 /// kept) between runs, so a long-lived recorder adds no steady-state
-/// allocations to the pinned per-seed budget. Everything the walk
-/// correlates — first raise and resolve per instance, an instance's
-/// messages — it reads from the trace's [`TraceIndex`](crate::trace::TraceIndex).
+/// allocations to the pinned per-seed budget. The first raise and resolve
+/// per instance come from the trace's [`TraceIndex`](crate::trace::TraceIndex);
+/// the two tables a step of the walk reads — a thread's previous entry and
+/// the messages delivered to a thread within an instance — are built once
+/// per trace, so a step looks its predecessor up and scans only the sends
+/// to its own thread, not the entries before it and every send of the
+/// instance.
 #[derive(Debug, Default)]
 pub struct CriticalPathScratch {
     /// Labels of the resolved instances, in resolution order.
     order: Vec<u32>,
+    /// Per entry, the index of its thread's previous entry (`NONE` for the
+    /// thread's first).
+    prev: Vec<u32>,
+    /// The `NetSent` entries, each with the slot in `sends` of the one
+    /// before it in its `(instance, receiver)` cell
+    /// ([`TraceIndex::cell`](crate::trace::TraceIndex::cell)): a list per
+    /// cell, newest first.
+    sends: Vec<(u32, u32)>,
+    /// Per cell, the slot of its newest send; then, per thread, its last
+    /// entry so far (while the tables are built).
+    heads: Vec<u32>,
     path: InstancePath,
 }
+
+/// "No such entry" in [`CriticalPathScratch`]'s tables.
+const NONE: u32 = u32::MAX;
 
 impl CriticalPathScratch {
     /// Fresh scratch (equivalent to `default()`).
@@ -196,10 +214,72 @@ impl CriticalPathScratch {
         // the position of the first `Resolved` (resolution time, then
         // thread, then program order).
         self.order.sort_unstable_by_key(|&label| resolved(label));
+        let Some(&last) = self.order.last() else {
+            return;
+        };
+        self.index(trace, resolved(last).expect("a resolved instance"));
         for i in 0..self.order.len() {
             self.walk(trace, self.order[i]);
             visit(&self.path);
         }
+    }
+
+    /// Fills the walk's two tables for `trace`'s entries up to `end`, the
+    /// last first `Resolved` (no walk stands on a later one), in one pass:
+    /// every entry's predecessor in its thread's program order, and the
+    /// sends listed by `(instance, receiver)`. A send to a thread that
+    /// logged nothing has no cell: the walk never stands on such a thread.
+    fn index(&mut self, trace: &Trace, end: usize) {
+        let (entries, index) = (trace.entries(), trace.index());
+        let (cells, threads) = (index.cells(), index.threads());
+        self.heads.clear();
+        self.heads.resize(cells + threads, NONE);
+        self.prev.clear();
+        self.sends.clear();
+        for (i, entry) in entries[..=end].iter().enumerate() {
+            let last = &mut self.heads[cells + entry.thread as usize];
+            self.prev.push(*last);
+            *last = i as u32;
+            if let EntryKind::NetSent(net) = &entry.kind {
+                if (net.dst.as_u32() as usize) < threads {
+                    let head = &mut self.heads[index.cell(entry.label, net.dst.as_u32())];
+                    self.sends.push((i as u32, *head));
+                    *head = self.sends.len() as u32 - 1;
+                }
+            }
+        }
+    }
+
+    /// The latest message of instance `label` delivered to `thread` inside
+    /// `(floor, end]` and sent strictly before `end` (strict, so every hop
+    /// makes progress toward the raise): the index of its `NetSent` entry
+    /// and the message. Ties in delivery time go to the larger `(src, seq)`
+    /// — a key unique within a cell, so the list's order does not matter.
+    fn find_send<'t>(
+        &self,
+        trace: &'t Trace,
+        label: u32,
+        thread: u32,
+        floor: u64,
+        end: u64,
+    ) -> Option<(usize, &'t Net)> {
+        let entries = trace.entries();
+        let head = self.heads[trace.index().cell(label, thread)];
+        std::iter::successors((head != NONE).then_some(head), |&slot| {
+            let next = self.sends[slot as usize].1;
+            (next != NONE).then_some(next)
+        })
+        .map(|slot| self.sends[slot as usize].0 as usize)
+        .skip_while(|&i| entries[i].at_ns >= end)
+        .filter_map(|i| match &entries[i].kind {
+            EntryKind::NetSent(net) => Some((i, net)),
+            _ => None,
+        })
+        .filter(|(_, net)| {
+            let delivered = net.deliver_at.as_nanos();
+            floor < delivered && delivered <= end
+        })
+        .max_by_key(|(i, net)| (net.deliver_at, entries[*i].thread, net.seq))
     }
 
     /// The backward walk for one instance (see the module docs); fills
@@ -241,10 +321,11 @@ impl CriticalPathScratch {
             }
             let base = base_class(entry);
             // The thread's previous entry in program order.
-            let prev = entries[..at].iter().rposition(|e| e.thread == entry.thread);
+            let prev = (self.prev[at] != NONE).then(|| self.prev[at] as usize);
             let floor = prev.map_or(0, |i| entries[i].at_ns).max(raised_at);
             // 2. Causal message edge into the window (latest delivery).
-            if let Some((sent_at, send)) = find_send(trace, label, entry.thread, floor, cursor) {
+            if let Some((sent_at, send)) = self.find_send(trace, label, entry.thread, floor, cursor)
+            {
                 let delivered = send.deliver_at.as_nanos();
                 self.push_segment(base, delivered, cursor);
                 let sent = entries[sent_at].at_ns.max(raised_at);
@@ -278,35 +359,6 @@ impl CriticalPathScratch {
             });
         }
     }
-}
-
-/// The latest message of instance `label` delivered to `thread` inside
-/// `(floor, end]` and sent strictly before `end` (strict, so every hop
-/// makes progress toward the raise): the index of its `NetSent` entry and
-/// the message. Ties in delivery time go to the larger `(src, seq)`.
-fn find_send(
-    trace: &Trace,
-    label: u32,
-    thread: u32,
-    floor: u64,
-    end: u64,
-) -> Option<(usize, &Net)> {
-    let entries = trace.entries();
-    trace
-        .index()
-        .members(label as usize)
-        .iter()
-        .map(|&i| i as usize)
-        .take_while(|&i| entries[i].at_ns < end)
-        .filter_map(|i| match &entries[i].kind {
-            EntryKind::NetSent(net) => Some((i, net)),
-            _ => None,
-        })
-        .filter(|(_, net)| {
-            let delivered = net.deliver_at.as_nanos();
-            net.dst.as_u32() == thread && floor < delivered && delivered <= end
-        })
-        .max_by_key(|(i, net)| (net.deliver_at, entries[*i].thread, net.seq))
 }
 
 /// Convenience form of [`CriticalPathScratch::extract`]: every resolved
@@ -701,7 +753,7 @@ mod tests {
     use super::*;
     use crate::arena::ExecutionArena;
     use crate::exec::execute_in;
-    use crate::plan::{ScenarioConfig, ScenarioPlan};
+    use crate::plan::{ScenarioConfig, ScenarioPlan, SPACES};
     use crate::trace::{EntryKind, Trace};
     use caa_core::exception::ExceptionId;
     use caa_core::ids::{ActionId, PartitionId, ThreadId};
@@ -766,6 +818,38 @@ mod tests {
         assert_eq!(sum, path.total_ns());
     }
 
+    /// Two deliveries of one instant into the window: the walk hops to the
+    /// larger sender. (No seed of the spaces' first thousand has such a
+    /// tie, so only this trace holds the tie-break.)
+    #[test]
+    fn a_delivery_tie_goes_to_the_larger_sender() {
+        let action = ActionId::top_level(7);
+        let mut log = RunLog::default();
+        let x = ExceptionId::new("x");
+        let (raise, resolved) = (
+            EventKind::Raise { exception: x },
+            EventKind::Resolved { exception: x },
+        );
+        event(&mut log, 100, 0, action, raise);
+        send(&mut log, 100, 150, (0, 1), action);
+        send(&mut log, 120, 150, (2, 1), action);
+        event(&mut log, 180, 1, action, resolved);
+        let trace = Trace::from_log(&mut log, Trace::default());
+        let segment = |class, start_ns, end_ns| Segment {
+            class,
+            start_ns,
+            end_ns,
+        };
+        let want = vec![
+            segment(SegmentClass::Compute, 100, 120),
+            segment(SegmentClass::MessageWait, 120, 150),
+            segment(SegmentClass::Compute, 150, 180),
+        ];
+        let paths = critical_paths(&trace);
+        assert_eq!(paths[0].segments, want);
+        assert_eq!(paths, reference_paths(&trace));
+    }
+
     /// Every real seed's paths partition raise→resolve exactly.
     #[test]
     fn segments_sum_exactly_to_latency_on_real_seeds() {
@@ -807,6 +891,129 @@ mod tests {
         for span in tree.spans() {
             assert!(span.end_ns >= span.start_ns, "{span:?}");
         }
+    }
+
+    /// The walk before its tables: each step searches the entries before
+    /// it for the thread's previous one, and every send of the instance
+    /// for the latest delivery. `critical_paths` must answer as it does.
+    fn reference_paths(trace: &Trace) -> Vec<InstancePath> {
+        let entries = trace.entries();
+        let instances = trace.index().instances();
+        let resolved = |label: u32| {
+            let instance = &instances[label as usize];
+            instance.first_raise().and(instance.first_resolved())
+        };
+        let mut order: Vec<u32> = (0..instances.len() as u32)
+            .filter(|&label| resolved(label).is_some())
+            .collect();
+        order.sort_unstable_by_key(|&label| resolved(label));
+        let find_send = |label: u32, thread: u32, floor: u64, end: u64| {
+            trace
+                .index()
+                .members(label as usize)
+                .iter()
+                .map(|&i| i as usize)
+                .take_while(|&i| entries[i].at_ns < end)
+                .filter_map(|i| match &entries[i].kind {
+                    EntryKind::NetSent(net) => Some((i, net)),
+                    _ => None,
+                })
+                .filter(|(_, net)| {
+                    let delivered = net.deliver_at.as_nanos();
+                    net.dst.as_u32() == thread && floor < delivered && delivered <= end
+                })
+                .max_by_key(|(i, net)| (net.deliver_at, entries[*i].thread, net.seq))
+        };
+        let mut paths = Vec::new();
+        for label in order {
+            let instance = &instances[label as usize];
+            let (raise, mut at) = (instance.first_raise().unwrap(), resolved(label).unwrap());
+            let resolved_at = entries[at].at_ns;
+            let raised_at = entries[raise].at_ns.min(resolved_at);
+            let mut segments = Vec::new();
+            let mut push = |class, start_ns, end_ns| {
+                if start_ns < end_ns {
+                    segments.push(Segment {
+                        class,
+                        start_ns,
+                        end_ns,
+                    });
+                }
+            };
+            let mut cursor = resolved_at;
+            let mut guard = entries.len() * 2 + 16;
+            while cursor > raised_at {
+                if guard == 0 {
+                    push(SegmentClass::Compute, raised_at, cursor);
+                    break;
+                }
+                guard -= 1;
+                let entry = &entries[at];
+                if let EntryKind::Runtime(EventKind::ObjectAcquired { waited_ns, .. }) = &entry.kind
+                {
+                    let wait_start = cursor.saturating_sub(*waited_ns).max(raised_at);
+                    push(SegmentClass::ObjectWait, wait_start, cursor);
+                    cursor = wait_start;
+                    if cursor == raised_at {
+                        break;
+                    }
+                }
+                let base = base_class(entry);
+                let prev = entries[..at].iter().rposition(|e| e.thread == entry.thread);
+                let floor = prev.map_or(0, |i| entries[i].at_ns).max(raised_at);
+                if let Some((sent_at, send)) = find_send(label, entry.thread, floor, cursor) {
+                    let delivered = send.deliver_at.as_nanos();
+                    push(base, delivered, cursor);
+                    let sent = entries[sent_at].at_ns.max(raised_at);
+                    push(SegmentClass::MessageWait, sent, delivered);
+                    cursor = sent;
+                    if cursor == raised_at {
+                        break;
+                    }
+                    at = sent_at;
+                    continue;
+                }
+                push(base, floor, cursor);
+                cursor = floor;
+                if cursor == raised_at {
+                    break;
+                }
+                at = prev.unwrap();
+            }
+            segments.reverse();
+            paths.push(InstancePath {
+                instance: u64::from(label),
+                raised_at,
+                resolved_at,
+                segments,
+            });
+        }
+        paths
+    }
+
+    /// The tables change how fast the walk finds its steps, not which it
+    /// takes: seeds 0–999 of every scenario space, path for path.
+    #[test]
+    fn the_walk_answers_like_the_scans_it_replaces() {
+        let mut scratch = CriticalPathScratch::new();
+        let mut arena = ExecutionArena::default();
+        let mut hops = 0;
+        for space in SPACES {
+            let config = (space.config)();
+            for seed in 0..1000u64 {
+                let plan = ScenarioPlan::generate(seed, &config);
+                let artifacts = execute_in(&plan, &mut arena);
+                let mut paths = Vec::new();
+                scratch.extract(&artifacts.trace, |p| paths.push(p.clone()));
+                let want = reference_paths(&artifacts.trace);
+                assert_eq!(paths, want, "{} seed {seed}", space.name);
+                hops += want
+                    .iter()
+                    .map(|p| p.class_total_ns(SegmentClass::MessageWait).min(1))
+                    .sum::<u64>();
+            }
+        }
+        assert!(hops > 1000, "the seeds hop message edges: {hops}");
     }
 
     #[test]

@@ -103,18 +103,21 @@ pub struct ThreadSet {
 
 impl ThreadSet {
     /// The word and the bit of `thread`.
+    #[inline]
     fn bit(thread: ThreadId) -> (usize, u64) {
         let index = thread.index();
         (index / 64, 1 << (index % 64))
     }
 
     /// Whether `thread` is in the set.
+    #[inline]
     pub(crate) fn contains(&self, thread: ThreadId) -> bool {
         let (word, bit) = ThreadSet::bit(thread);
         self.words.get(word).is_some_and(|w| w & bit != 0)
     }
 
     /// Adds `thread`.
+    #[inline]
     pub(crate) fn insert(&mut self, thread: ThreadId) {
         let (word, bit) = ThreadSet::bit(thread);
         while self.words.len() <= word {
@@ -124,6 +127,7 @@ impl ThreadSet {
     }
 
     /// Adds `thread` if `member`, else removes it.
+    #[inline]
     pub(crate) fn set(&mut self, thread: ThreadId, member: bool) {
         let (word, bit) = ThreadSet::bit(thread);
         if member {
@@ -134,11 +138,13 @@ impl ThreadSet {
     }
 
     /// Empties the set, keeping its words.
+    #[inline]
     pub(crate) fn clear(&mut self) {
         self.words.fill(0);
     }
 
     /// The threads in the set, ascending.
+    #[inline]
     pub(crate) fn iter(&self) -> impl Iterator<Item = ThreadId> + '_ {
         self.words.iter().enumerate().flat_map(|(word, &bits)| {
             (0..64)
@@ -151,6 +157,7 @@ impl ThreadSet {
 }
 
 impl FromIterator<ThreadId> for ThreadSet {
+    #[inline]
     fn from_iter<I: IntoIterator<Item = ThreadId>>(threads: I) -> Self {
         let mut set = ThreadSet::default();
         for thread in threads {
@@ -161,6 +168,7 @@ impl FromIterator<ThreadId> for ThreadSet {
 }
 
 impl std::fmt::Debug for ThreadSet {
+    #[cold]
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
     }
@@ -231,6 +239,7 @@ pub struct FrameMembership {
 
 impl FrameMembership {
     /// The initial full view over the action's group.
+    #[cold]
     pub(crate) fn new(group: &[ThreadId]) -> Self {
         let mut members = ViewSnapshot::from_slice(group);
         members.sort_unstable();
@@ -248,6 +257,7 @@ impl FrameMembership {
     /// Back to the initial full view over `group` — an action's group,
     /// sorted and free of duplicates already — in place (a frame's view
     /// when it is re-entered).
+    #[inline]
     pub(crate) fn reset(&mut self, group: &[ThreadId]) {
         debug_assert!(group.is_sorted_by(|a, b| a < b), "a group is a sorted set");
         self.members.clear();
@@ -260,21 +270,25 @@ impl FrameMembership {
     }
 
     /// The live members, sorted ascending.
+    #[inline]
     pub fn members(&self) -> &[ThreadId] {
         &self.members
     }
 
     /// The current membership epoch.
+    #[inline]
     pub fn epoch(&self) -> u32 {
         self.epoch
     }
 
+    #[inline]
     fn contains(&self, thread: ThreadId) -> bool {
         self.members.binary_search(&thread).is_ok()
     }
 
     /// Moves the live members `gone` (in any order, repeats allowed) to
     /// the removed set. The epoch is the caller's to set.
+    #[inline]
     fn remove(&mut self, gone: &[ThreadId]) {
         self.members.retain(|t| !gone.contains(t));
         self.removed.extend_from_slice(gone);
@@ -284,6 +298,7 @@ impl FrameMembership {
 
     /// Notes a protocol message from `peer`: it was alive within this
     /// instance (see `FrameMembership::suspect`).
+    #[inline]
     pub(crate) fn hear(&mut self, peer: ThreadId) {
         self.heard_from.insert(peer);
     }
@@ -291,6 +306,7 @@ impl FrameMembership {
     /// Every thread removed so far, ascending, as a shared slice for message
     /// stamping — cached per epoch, so broadcast fan-out clones an `Rc`
     /// instead of copying the set per recipient.
+    #[inline]
     pub(crate) fn removed_shared(&mut self) -> Rc<[ThreadId]> {
         match &self.removed_cache {
             Some((epoch, set)) if *epoch == self.epoch => Rc::clone(set),
@@ -327,6 +343,7 @@ impl FrameMembership {
     /// a crash before the protocol ever reached them (presume-ƒ), so a
     /// sole survivor can still evict a genuinely dead cohort. A tie still
     /// evicts, which preserves two-party recovery.
+    #[inline]
     pub(crate) fn suspect(
         &mut self,
         suspects: &[ThreadId],
@@ -374,6 +391,7 @@ impl FrameMembership {
     ///
     /// Returns the step (its removals ascending), or `None` when the
     /// announcement carried nothing new.
+    #[inline]
     pub(crate) fn adopt_removals(
         &mut self,
         me: ThreadId,
@@ -403,6 +421,7 @@ impl FrameMembership {
     /// Returns the new epoch, or `None` when `thread` is not in the removed
     /// set — it is a live member here (a duplicate request) or was never
     /// one.
+    #[inline]
     pub(crate) fn adopt_rejoin(&mut self, thread: ThreadId) -> Option<u32> {
         if !self.removed.contains(&thread) {
             return None;
@@ -423,6 +442,7 @@ impl FrameMembership {
     /// member; a later one may name members only. A grant that does not
     /// re-admit `me` — a granter must re-admit before granting — is a
     /// violation too.
+    #[inline]
     pub fn sync_grant(
         group: &[ThreadId],
         epoch: u32,
@@ -456,6 +476,7 @@ impl FrameMembership {
 /// thread (presume-ƒ): it enters the resolver's entry list as if the dead
 /// peer had raised it, so the crash is resolved — and handled — like any
 /// other concurrent exception.
+#[inline]
 pub(crate) fn synthesize_crashes(removed: &[ThreadId]) -> Vec<Exception> {
     removed
         .iter()

@@ -55,6 +55,7 @@ pub struct ActionSpec {
 }
 
 impl AsRef<ActionSpec> for ActionSpec {
+    #[inline]
     fn as_ref(&self) -> &ActionSpec {
         self
     }
@@ -104,6 +105,7 @@ pub struct Identity<D> {
 
 impl<D: AsRef<ActionSpec>> Identity<D> {
     /// What the protocol reads of the definition.
+    #[inline]
     pub fn spec(&self) -> &ActionSpec {
         (*self.def).as_ref()
     }
@@ -158,6 +160,7 @@ pub struct Recovery {
 impl<D: AsRef<ActionSpec>> Frame<D> {
     /// A new frame for `def`'s actions, as [`Frame::leave`] leaves one:
     /// [`Frame::reenter`] it before use.
+    #[cold]
     pub fn new(def: &Rc<D>) -> Box<Frame<D>> {
         Box::new(Frame {
             id: Identity {
@@ -177,6 +180,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// Binds a left frame to instance `action` of `def`, played as `role`
     /// by thread `me`, over the action's full group — the only way a frame
     /// is entered.
+    #[inline]
     pub fn reenter(&mut self, action: ActionId, def: &Rc<D>, role: RoleId, me: ThreadId) {
         if !Rc::ptr_eq(&self.id.def, def) {
             self.id.def = Rc::clone(def);
@@ -191,6 +195,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// capacity kept), its resolver state reset (dropped if it cannot be),
     /// its rounds and recovery back to where an entry starts them. Only the
     /// identity and the view are left to [`Frame::reenter`].
+    #[inline]
     pub fn leave(&mut self) {
         self.inbox.control.clear();
         self.inbox.app.clear();
@@ -209,6 +214,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// describes: the granter's view, its exit epoch, and — when recovery
     /// already resolved — the resolved exception, so the restarted
     /// participant skips straight to the exit protocol.
+    #[inline]
     pub fn rejoin(
         &mut self,
         view: FrameMembership,
@@ -227,6 +233,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// never took part in this recovery's handling and have no verdict to
     /// announce, so they are excluded; crash-free frames never shrink the
     /// view and the cohort equals the full group.
+    #[inline]
     fn signalling_members(&self) -> impl Iterator<Item = &ThreadId> {
         let cohort = self.recovery.cohort.as_ref();
         let members = self.view.members().iter();
@@ -234,6 +241,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     }
 
     /// `Frame::signalling_members`, as a snapshot to announce to.
+    #[inline]
     pub fn signalling_group(&self) -> ViewSnapshot {
         self.signalling_members().copied().collect()
     }
@@ -241,6 +249,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// The frame's resolver — a fresh state of `protocol` the first time —
     /// together with the static context its events take: this thread, the
     /// instance, the *current* view and the action's exception graph.
+    #[inline]
     fn proto_ctx(
         &mut self,
         protocol: &dyn ResolutionProtocol,
@@ -263,6 +272,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// later round (signals, votes, application traffic, stashed triggers,
     /// a removal set for the view). `is_top` tells whether the frame is
     /// the active one.
+    #[inline]
     pub fn absorb<F>(&mut self, msg: Message, is_top: bool, round: Round) -> RoundAction<F> {
         if !matches!(msg, Message::App { .. }) {
             // Protocol traffic proves the sender advanced this instance's
@@ -399,6 +409,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// removal set is merged first, so a commit racing ahead of its
     /// `ViewChange` still shrinks the view; the resolver then hears the
     /// step or the message, and a `ViewChange` opens a fresh round.
+    #[inline]
     fn control<F>(&mut self, msg: Message, resolving: bool) -> RoundAction<F> {
         let (removed, view_change) = match &msg {
             Message::ViewChange { removed, .. } => (Some(removed), true),
@@ -420,12 +431,14 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
 
     /// The one rule for whether the resolver hears of a view step or a
     /// commit: in resolution, while this thread is still in the view.
+    #[inline]
     fn hears_steps(&self, resolving: bool) -> bool {
         resolving && !self.view.evicted
     }
 
     /// What the frame's resolver (made on first use) answers to `feed`, the
     /// view stamped into its `Commit`s; a resolved exception is recorded.
+    #[inline]
     pub fn feed(&mut self, protocol: &dyn ResolutionProtocol, feed: Feed) -> ProtoActions {
         let (resolver, ctx) = self.proto_ctx(protocol);
         let mut actions = match feed {
@@ -458,6 +471,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// epoch, the vote is re-sent — the original broadcast went to the
     /// joiner's pre-crash endpoint and was discarded. `None` when `joiner`
     /// was never part of this action's group.
+    #[inline]
     pub fn grant_join(&mut self, joiner: ThreadId) -> Option<JoinGranted> {
         if !self.id.spec().group.contains(&joiner) {
             return None;
@@ -509,6 +523,7 @@ pub struct JoinGranted {
 /// `stack`, or — when it has none here — of the retention rule
 /// (`unframed`; `finished` holds the sorted serials of the instances this
 /// thread left, `retained` how many messages it holds back).
+#[inline]
 pub fn classify<D: AsRef<ActionSpec>, F>(
     msg: Option<Message>,
     round: Round,
@@ -543,6 +558,7 @@ const RETAINED_CAP: usize = 4096;
 /// Decides what a message for an instance that has no frame here means:
 /// the grant a [`Round::Join`] wait is for, a straggler if the instance
 /// `finished` at this thread, else retained up to the cap.
+#[inline]
 fn unframed<F>(
     msg: Message,
     round: Round,
@@ -567,6 +583,7 @@ fn unframed<F>(
 
 /// Decides what a corrupted message (payload unrecoverable) means to the
 /// active frame while `round` is in progress.
+#[inline]
 fn corrupted<D: AsRef<ActionSpec>, F>(
     frame: Option<&mut Frame<D>>,
     round: Round,
@@ -631,12 +648,14 @@ struct Exchange {
 }
 
 impl Exchange {
+    #[inline]
     fn record(&mut self, from: ThreadId, signal: &Signal) {
         self.announced.insert(from);
         self.failure.set(from, *signal == Signal::Failure);
         self.undo.set(from, *signal == Signal::Undo);
     }
 
+    #[inline]
     fn clear(&mut self) {
         self.announced.clear();
         self.failure.clear();
@@ -645,6 +664,7 @@ impl Exchange {
 }
 
 impl SignalTable {
+    #[inline]
     fn slot(round: SignalRound) -> usize {
         match round {
             SignalRound::First => 0,
@@ -653,11 +673,13 @@ impl SignalTable {
     }
 
     /// Records `from`'s announcement for `round` (the latest one wins).
+    #[inline]
     pub fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
         self.exchanges[Self::slot(round)].record(from, &signal);
     }
 
     /// What `group` announced for `round`, once every member has.
+    #[inline]
     fn complete<'a>(
         &self,
         round: SignalRound,
@@ -682,6 +704,7 @@ impl SignalTable {
     /// when the wait expired — every member of it reaches ƒ through its
     /// own timeout, so the round's outcome stays agreed even when the
     /// suspicion the driver runs next shrinks the view.
+    #[inline]
     fn expire(
         &mut self,
         round: SignalRound,
@@ -706,11 +729,13 @@ impl SignalTable {
 
     /// §3.4 case 3: some thread announced ƒ, or information was lost while
     /// collecting — ƒ dominates.
+    #[inline]
     pub(crate) fn failed(&self, collected: Collected) -> bool {
         self.corrupted || collected.failure
     }
 
     /// Forgets every announcement and the corruption mark.
+    #[inline]
     fn clear(&mut self) {
         for exchange in &mut self.exchanges {
             exchange.clear();
@@ -743,6 +768,7 @@ pub struct ExitBarrier {
 impl ExitBarrier {
     /// Records `from`'s vote for `epoch`. A vote of an epoch this thread
     /// has left behind is never read again and is not kept.
+    #[inline]
     pub(crate) fn record(&mut self, epoch: u32, from: ThreadId) {
         if epoch == self.epoch {
             self.votes.insert(from);
@@ -752,6 +778,7 @@ impl ExitBarrier {
     }
 
     /// Casts this thread's own vote; returns the epoch it votes in.
+    #[inline]
     pub fn vote(&mut self, me: ThreadId) -> u32 {
         self.votes.insert(me);
         self.epoch
@@ -759,6 +786,7 @@ impl ExitBarrier {
 
     /// A completed recovery opens the next exit epoch: the votes of the
     /// one it closes no longer count, the early ones for it do.
+    #[inline]
     pub fn open_next_epoch(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -771,6 +799,7 @@ impl ExitBarrier {
         self.early.retain(|&(e, _)| e > epoch);
     }
 
+    #[inline]
     fn voted(&self, epoch: u32, thread: ThreadId) -> bool {
         if epoch == self.epoch {
             self.votes.contains(thread)
@@ -780,11 +809,13 @@ impl ExitBarrier {
     }
 
     /// The members of `view` whose vote in the current epoch is missing.
+    #[inline]
     fn silent<'a>(&'a self, view: &'a [ThreadId]) -> impl Iterator<Item = ThreadId> + 'a {
         view.iter().copied().filter(|&t| !self.votes.contains(t))
     }
 
     /// Back to epoch 0 with no votes, for the frame's next instance.
+    #[inline]
     fn clear(&mut self) {
         self.votes.clear();
         self.early.clear();
@@ -917,6 +948,7 @@ impl Round {
     /// Suspicion shrinks the view mid-round and a granted rejoin grows it
     /// (the readmitted thread's vote is required again), so nothing derived
     /// from the view is cached across passes.
+    #[inline]
     pub fn status<D: AsRef<ActionSpec>>(self, frame: Option<&Frame<D>>) -> Option<RoundEnd> {
         let frame = frame?;
         match self {
@@ -944,6 +976,7 @@ impl Round {
     /// makes of them, and what follows. (`protocol` for a resolution wait
     /// that expires on a frame no event was fed to yet: its fresh state
     /// still names whom it waits on.)
+    #[inline]
     pub fn expired<D: AsRef<ActionSpec>>(
         self,
         frame: Option<&mut Frame<D>>,
@@ -1056,6 +1089,7 @@ pub enum Landing<F> {
 }
 
 /// Where `unwind` lands at the frame of instance `at`.
+#[inline]
 pub fn land<F>(unwind: Unwind<F>, at: ActionId) -> Landing<F> {
     match unwind {
         Unwind::Raise(e) => Landing::Recover(Feed::Raise(e)),
@@ -1077,6 +1111,7 @@ pub fn land<F>(unwind: Unwind<F>, at: ActionId) -> Landing<F> {
 /// `next` carries the cascade on — or `Err(dead)` when the handler
 /// crash-stopped or failed fatally. A handler reports `Eab` by returning or
 /// raising it; a trigger for an action further out extends the cascade.
+#[inline]
 pub fn aborted<F>(
     result: Result<Option<Exception>, Unwind<F>>,
     target: ActionId,
@@ -1127,6 +1162,7 @@ pub enum SignalStep {
 
 /// §3.4's case analysis for a thread whose handler came to `mine`, at
 /// `frame`, after `at`.
+#[inline]
 pub fn signalling<D: AsRef<ActionSpec>>(
     frame: &Frame<D>,
     mine: &Signal,
@@ -1170,6 +1206,7 @@ pub enum Leave {
 /// How an action leaves once its exit round ended with `end`; `signalled`
 /// is what its recovery's signalling concluded, `None` when the body
 /// completed normally.
+#[inline]
 pub fn leave(end: RoundEnd, signalled: Option<ActionOutcome>) -> Result<Leave, Violation> {
     match (end, signalled) {
         (RoundEnd::Exited, outcome) => {

@@ -48,22 +48,26 @@ pub trait Host<M>: Clone {
 pub struct Fibers<M>(Rc<RefCell<Core<M>>>);
 
 impl<M> Clone for Fibers<M> {
+    #[inline]
     fn clone(&self) -> Self {
         Fibers(Rc::clone(&self.0))
     }
 }
 
 impl<M> fmt::Debug for Fibers<M> {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("Fibers")
     }
 }
 
 impl<M> Host<M> for Fibers<M> {
+    #[cold]
     fn new(core: Core<M>) -> Self {
         Fibers(Rc::new(RefCell::new(core)))
     }
 
+    #[cold]
     fn into_core(self) -> Option<Core<M>> {
         Some(Rc::try_unwrap(self.0).ok()?.into_inner())
     }

@@ -126,6 +126,7 @@ pub enum SimError {
 }
 
 impl fmt::Display for SimError {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Deadlock(info) => write!(f, "simulation deadlock: {info}"),
@@ -146,6 +147,7 @@ pub struct DeadlockInfo {
 }
 
 impl fmt::Display for DeadlockInfo {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "at {}, all endpoints blocked on a receive:", self.at)?;
         for name in &self.blocked {
@@ -172,6 +174,7 @@ pub struct Received<M> {
 impl<M> Received<M> {
     /// Whether the message was corrupted in transit.
     #[must_use]
+    #[inline]
     pub fn is_corrupted(&self) -> bool {
         self.msg.is_none()
     }
@@ -243,6 +246,7 @@ pub type FiberNetwork<M> = Network<M, Fibers<M>>;
 pub type FiberEndpoint<M> = Endpoint<M, Fibers<M>>;
 
 impl<M, H: Host<M>> Clone for Network<M, H> {
+    #[inline]
     fn clone(&self) -> Self {
         Network {
             host: self.host.clone(),
@@ -252,6 +256,7 @@ impl<M, H: Host<M>> Clone for Network<M, H> {
 }
 
 impl<M, H: Host<M>> fmt::Debug for Network<M, H> {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.host
             .with(|core| f.debug_tuple("Network").field(core).finish())
@@ -267,6 +272,7 @@ impl<M> FiberNetwork<M> {
     /// advance arbiter always wakes somebody, so the network is then being
     /// driven from outside the fibers.
     #[must_use]
+    #[inline]
     pub fn next_runnable(&self) -> Option<PartitionId> {
         self.host.with(Core::next_runnable)
     }
@@ -275,6 +281,7 @@ impl<M> FiberNetwork<M> {
 impl<M: Classify, H: Host<M>> Network<M, H> {
     /// Creates a network with the given configuration.
     #[must_use]
+    #[cold]
     pub fn new(config: NetConfig) -> Self {
         Network::new_reusing(config, None)
     }
@@ -284,6 +291,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// is an allocation cache only: the new network starts from a fully
     /// cleared state and behaves byte-identically to a fresh one.
     #[must_use]
+    #[cold]
     pub fn new_reusing(config: NetConfig, arena: Option<NetArena<M>>) -> Self {
         Network {
             host: H::new(Core::new(config, arena.unwrap_or_default())),
@@ -297,6 +305,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// reclamation requires sole ownership, so it is safe to call
     /// opportunistically after every run.
     #[must_use]
+    #[cold]
     pub fn reclaim(self) -> Option<NetArena<M>> {
         self.host.into_core().map(Core::into_arena)
     }
@@ -306,6 +315,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// The endpoint is counted as *running* from this moment, so register it
     /// before handing it to its thread — otherwise virtual time may advance
     /// past events the thread would have handled.
+    #[cold]
     pub fn endpoint(&self, name: impl Into<Name>) -> Endpoint<M, H> {
         let name = name.into();
         Endpoint {
@@ -318,12 +328,14 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// endpoint is blocked, so a running caller always sees the exact
     /// current instant.
     #[must_use]
+    #[inline]
     pub fn now(&self) -> VirtualInstant {
         self.host.with(|core| core.now())
     }
 
     /// Snapshot of the message counters.
     #[must_use]
+    #[inline]
     pub fn stats(&self) -> NetStats {
         self.host.with(|core| core.stats().clone())
     }
@@ -331,6 +343,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// Snapshot of the scheduler's park/wake hand-off counters (see
     /// [`SchedStats`]).
     #[must_use]
+    #[inline]
     pub fn sched_stats(&self) -> SchedStats {
         self.host.with(|core| core.sched_stats())
     }
@@ -373,6 +386,7 @@ impl<M: Classify, H: Host<M>> Network<M, H> {
     /// targeted wait has since ended ([`Endpoint::end_wait`]) — the
     /// doorbell would be stale, and is dropped. Unknown or retired
     /// endpoints are ignored too.
+    #[inline]
     pub fn schedule_wake(&self, id: PartitionId, at: VirtualInstant, epoch: u64) {
         self.host.with(|core| core.schedule_wake(id, at, epoch));
     }
@@ -388,6 +402,7 @@ pub struct Endpoint<M, H: Host<M> = Threads<M>> {
 }
 
 impl<M, H: Host<M>> fmt::Debug for Endpoint<M, H> {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Endpoint").field("id", &self.id).finish()
     }
@@ -396,18 +411,21 @@ impl<M, H: Host<M>> fmt::Debug for Endpoint<M, H> {
 impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// This endpoint's partition id.
     #[must_use]
+    #[inline]
     pub fn id(&self) -> PartitionId {
         self.id
     }
 
     /// The network this endpoint belongs to.
     #[must_use]
+    #[inline]
     pub fn network(&self) -> &Network<M, H> {
         &self.net
     }
 
     /// Current (virtual) time.
     #[must_use]
+    #[inline]
     pub fn now(&self) -> VirtualInstant {
         self.net.now()
     }
@@ -417,6 +435,7 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// parameters)"), and says what the network did with it: when it was
     /// sent and is due, its slot in the link's sequence, and whether fault
     /// injection lost or corrupted it.
+    #[inline]
     pub fn send(&self, dst: PartitionId, msg: M) -> Sent {
         self.net.host.with(|core| core.send(self.id, dst, msg))
     }
@@ -443,6 +462,7 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the simulation already deadlocked.
+    #[inline]
     pub fn try_recv(&mut self) -> Result<Option<Received<M>>, SimError> {
         self.net.host.with(|core| core.try_recv(self.id))
     }
@@ -477,6 +497,7 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// an older epoch are ignored from this point on, so a scheduler that
     /// raced against the end of the previous wait cannot ring a stale
     /// bell into this one.
+    #[inline]
     pub fn begin_wait(&self) -> u64 {
         self.net.host.with(|core| core.new_epoch(self.id))
     }
@@ -485,6 +506,7 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
     /// way it ended: disarms its doorbell, and a
     /// [`Network::schedule_wake`] still naming its epoch is ignored — the
     /// waits that follow wake for their own messages and deadlines only.
+    #[inline]
     pub fn end_wait(&self) {
         self.net.host.with(|core| core.new_epoch(self.id));
     }
@@ -509,12 +531,14 @@ impl<M: Classify, H: Host<M>> Endpoint<M, H> {
 
     /// Retires the endpoint: the scheduler stops waiting for this
     /// participant and undelivered messages to it are discarded.
+    #[inline]
     pub fn retire(self) {
         drop(self);
     }
 }
 
 impl<M, H: Host<M>> Drop for Endpoint<M, H> {
+    #[inline]
     fn drop(&mut self) {
         self.net.host.with(|core| core.retire(self.id));
     }

@@ -91,6 +91,7 @@ struct ActorSlot<M> {
 impl<M> ActorSlot<M> {
     /// A slot for a newly registered endpoint, over the (cleared) mailbox
     /// capacity of a `recycled` one where there is one.
+    #[cold]
     fn fresh(name: Name, recycled: Option<ActorSlot<M>>) -> ActorSlot<M> {
         ActorSlot {
             name,
@@ -104,6 +105,7 @@ impl<M> ActorSlot<M> {
     }
 
     /// The wait this endpoint is blocked in, if it is.
+    #[inline]
     fn wait(&self) -> Option<Wait> {
         match self.state {
             State::Waiting(wait) => Some(wait),
@@ -112,6 +114,7 @@ impl<M> ActorSlot<M> {
     }
 
     /// Whether a message or a doorbell can end the endpoint's current wait.
+    #[inline]
     fn takes_messages(&self) -> bool {
         self.wait().is_some_and(|wait| wait.takes_messages)
     }
@@ -123,6 +126,7 @@ impl<M> ActorSlot<M> {
     /// message sent later can wake. Called after every change to what it
     /// reads while the endpoint may be waiting: its state, its mailbox's
     /// head, its doorbell.
+    #[inline]
     fn rearm(&mut self) {
         self.wake_at = match self.state {
             State::Waiting(wait) if wait.takes_messages => earlier(
@@ -136,6 +140,7 @@ impl<M> ActorSlot<M> {
 
     /// What ends `wait` at `now`, consuming it: a deliverable message
     /// first, then a due doorbell, then the deadline.
+    #[inline]
     fn take_due(&mut self, wait: Wait, now: VirtualInstant) -> Option<Parked<M>> {
         if wait.takes_messages {
             if let Some(received) = self.mailbox.pop_ready(now) {
@@ -162,6 +167,7 @@ struct Envelope<M> {
 
 impl<M> Envelope<M> {
     /// The delivery order: unique per mailbox, since `(src, seq)` is.
+    #[inline]
     fn key(&self) -> (VirtualInstant, u32, u64) {
         (self.deliver_at, self.src.as_u32(), self.seq)
     }
@@ -187,6 +193,7 @@ struct Mailbox<M> {
 }
 
 impl<M> Default for Mailbox<M> {
+    #[cold]
     fn default() -> Mailbox<M> {
         Mailbox {
             queue: VecDeque::new(),
@@ -199,6 +206,7 @@ impl<M> Mailbox<M> {
     /// The `(src → this)` link cell, grown on demand (dense by source
     /// index; sources register before they can send, so the row length is
     /// bounded by the endpoint count).
+    #[inline]
     fn link(&mut self, src: PartitionId) -> &mut LinkState {
         let i = src.index();
         if self.links_in.len() <= i {
@@ -208,6 +216,7 @@ impl<M> Mailbox<M> {
     }
 
     /// Queues `env` in delivery order.
+    #[inline]
     fn push(&mut self, env: Envelope<M>) {
         let key = env.key();
         let at = self
@@ -218,6 +227,7 @@ impl<M> Mailbox<M> {
         self.queue.insert(at, env);
     }
 
+    #[inline]
     fn pop_ready(&mut self, now: VirtualInstant) -> Option<Received<M>> {
         let env = self.queue.pop_front_if(|env| env.deliver_at <= now)?;
         Some(Received {
@@ -228,11 +238,13 @@ impl<M> Mailbox<M> {
         })
     }
 
+    #[inline]
     fn head_deliver_at(&self) -> Option<VirtualInstant> {
         self.queue.front().map(|env| env.deliver_at)
     }
 
     /// Clears the mailbox for arena reuse, keeping queue and row capacity.
+    #[cold]
     fn recycle(&mut self) {
         self.queue.clear();
         self.links_in.clear();
@@ -240,6 +252,7 @@ impl<M> Mailbox<M> {
 }
 
 /// The earlier of two optional instants (`None` = never).
+#[inline]
 fn earlier(a: Option<VirtualInstant>, b: Option<VirtualInstant>) -> Option<VirtualInstant> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
@@ -289,6 +302,7 @@ impl<M> NetArena<M> {
     /// An empty arena (equivalent to passing `None` to
     /// [`Network::new_reusing`](crate::Network::new_reusing)).
     #[must_use]
+    #[cold]
     pub fn new() -> NetArena<M> {
         NetArena {
             slots: Vec::new(),
@@ -298,18 +312,21 @@ impl<M> NetArena<M> {
 
     /// How many endpoint slots the arena currently caches.
     #[must_use]
+    #[cold]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 }
 
 impl<M> Default for NetArena<M> {
+    #[cold]
     fn default() -> Self {
         NetArena::new()
     }
 }
 
 impl<M> fmt::Debug for NetArena<M> {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetArena")
             .field("slots", &self.slots.len())
@@ -358,6 +375,7 @@ pub struct Core<M> {
 }
 
 impl<M> fmt::Debug for Core<M> {
+    #[cold]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Core")
             .field("now", &self.now)
@@ -369,6 +387,7 @@ impl<M> fmt::Debug for Core<M> {
 impl<M> Core<M> {
     /// A network at the epoch with no endpoints, over `arena`'s
     /// allocations.
+    #[cold]
     pub fn new(config: NetConfig, arena: NetArena<M>) -> Core<M> {
         Core {
             now: VirtualInstant::EPOCH,
@@ -386,6 +405,7 @@ impl<M> Core<M> {
     }
 
     /// Takes the finished network apart into its recyclable allocations.
+    #[cold]
     pub fn into_arena(self) -> NetArena<M> {
         let (mut slots, mut registered) = (self.actors, self.spare_slots);
         slots.append(&mut registered);
@@ -396,6 +416,7 @@ impl<M> Core<M> {
     }
 
     /// Registers a new endpoint, counted as running from this moment.
+    #[cold]
     pub fn register(&mut self, name: Name) -> PartitionId {
         let id =
             PartitionId::new(u32::try_from(self.actors.len()).expect("fewer than 2^32 endpoints"));
@@ -404,14 +425,17 @@ impl<M> Core<M> {
         id
     }
 
+    #[inline]
     pub fn now(&self) -> VirtualInstant {
         self.now
     }
 
+    #[inline]
     pub fn stats(&self) -> &NetStats {
         &self.stats
     }
 
+    #[inline]
     pub fn sched_stats(&self) -> SchedStats {
         self.handoffs
     }
@@ -421,6 +445,7 @@ impl<M> Core<M> {
     /// woken by one resumed earlier in the same pass runs in that pass if
     /// it comes later, in the next pass otherwise. `None` when a whole pass
     /// found nobody (the next call starts a new one).
+    #[inline]
     pub fn next_runnable(&mut self) -> Option<PartitionId> {
         let (from, found) = self.pass;
         let wrap = if found { self.actors.len() } else { 0 };
@@ -434,6 +459,7 @@ impl<M> Core<M> {
     }
 
     /// Books, times and enqueues one message.
+    #[inline]
     pub fn send(&mut self, src: PartitionId, dst: PartitionId, msg: M) -> Sent
     where
         M: Classify,
@@ -519,6 +545,7 @@ impl<M> Core<M> {
 
     /// Rings endpoint `id`'s doorbell at `at` if `epoch` is still its
     /// current wait (see [`Network::schedule_wake`](crate::Network::schedule_wake)).
+    #[inline]
     pub fn schedule_wake(&mut self, id: PartitionId, at: VirtualInstant, epoch: u64) {
         let Some(slot) = self.actors.get_mut(id.index()) else {
             return;
@@ -539,6 +566,7 @@ impl<M> Core<M> {
     /// Starts a fresh wait epoch for `id` — what opens a doorbell wait and
     /// what ends one: disarms the doorbell and makes every wake computed
     /// against an earlier epoch stale. Returns the new epoch.
+    #[inline]
     pub fn new_epoch(&mut self, id: PartitionId) -> u64 {
         let slot = &mut self.actors[id.index()];
         slot.doorbell = None;
@@ -547,6 +575,7 @@ impl<M> Core<M> {
     }
 
     /// The next message for `id` if one is already deliverable.
+    #[inline]
     pub fn try_recv(&mut self, id: PartitionId) -> Result<Option<Received<M>>, SimError> {
         if let Some(info) = &self.deadlocked {
             return Err(SimError::Deadlock(info.clone()));
@@ -558,6 +587,7 @@ impl<M> Core<M> {
     /// deliverable message first, then a due doorbell, consumed, then the
     /// deadline); otherwise the endpoint waits, and the advance arbiter gets
     /// to run — this may be the block that lets time move.
+    #[inline]
     pub fn wait_turn(&mut self, id: PartitionId, wait: Wait) -> Turn<Parked<M>> {
         let i = id.index();
         loop {
@@ -596,6 +626,7 @@ impl<M> Core<M> {
     /// Retires endpoint `id`: the scheduler stops waiting for it, and it
     /// is never resumed again — a mark left over from the wait it ended
     /// last is dropped.
+    #[inline]
     pub fn retire(&mut self, id: PartitionId) {
         let slot = &mut self.actors[id.index()];
         (slot.state, slot.runnable) = (State::Retired, false);
@@ -610,6 +641,7 @@ impl<M> Core<M> {
     /// declares deadlock and wakes everyone to report it. Returns whether
     /// it changed the world, so the calling blocker re-evaluates instead
     /// of missing its own wake-up.
+    #[inline]
     fn advance_if_blocked(&mut self) -> bool {
         if self.deadlocked.is_some() {
             return false;
@@ -639,15 +671,7 @@ impl<M> Core<M> {
                 Some(t)
             }
             None => {
-                self.deadlocked = Some(DeadlockInfo {
-                    at: self.now,
-                    blocked: self
-                        .actors
-                        .iter()
-                        .filter(|a| a.wait().is_some())
-                        .map(|a| a.name.to_string())
-                        .collect(),
-                });
+                self.deadlocked = Some(self.deadlock_report());
                 // Everyone must observe the deadlock: this is the one
                 // remaining broadcast wake-up, and the simulation is over.
                 None
@@ -664,6 +688,20 @@ impl<M> Core<M> {
             }
         }
         true
+    }
+
+    /// What a deadlock reports: when, and who was left waiting.
+    #[cold]
+    fn deadlock_report(&self) -> DeadlockInfo {
+        DeadlockInfo {
+            at: self.now,
+            blocked: self
+                .actors
+                .iter()
+                .filter(|a| a.wait().is_some())
+                .map(|a| a.name.to_string())
+                .collect(),
+        }
     }
 }
 

@@ -97,7 +97,14 @@
 //! * a scenario space is named one way: `caa_harness::plan::SPACES` is the
 //!   one table, the bench crate's sources reach the non-default spaces
 //!   through it alone, and no source, CI file or doc names the flags it
-//!   replaced (`--multi-crash`, `--prodcell`).
+//!   replaced (`--multi-crash`, `--prodcell`);
+//! * the per-message chain inlines across crate lines: outside their unit
+//!   tests, every function with a body in the modules a message's send,
+//!   wait and round steps run through — the simulator's core, network and
+//!   host, the protocol's rounds and membership — carries `#[inline]`,
+//!   `#[inline(always)]` or `#[cold]` (rustc inlines a non-generic function
+//!   into another crate only when it is marked, and `Ctx` is in another
+//!   crate than all five).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -1134,4 +1141,116 @@ fn a_scenario_space_is_named_one_way() {
             );
         }
     }
+}
+
+/// The modules a message's send, wait and round steps run through on their
+/// way from `Ctx`: `Endpoint` → `Network` → `Core` in the simulator, `Frame`
+/// → `FrameMembership` → `ThreadSet` in the protocol.
+const PER_MESSAGE_CHAIN: [&str; 5] = [
+    "crates/simnet/src/simcore.rs",
+    "crates/simnet/src/net.rs",
+    "crates/simnet/src/host.rs",
+    "crates/protocol/src/rounds.rs",
+    "crates/protocol/src/membership.rs",
+];
+
+/// The name of the function `line` declares, if it declares one.
+fn declared_function(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start();
+    for prefix in ["pub(crate) ", "pub(super) ", "pub ", "const ", "unsafe "] {
+        rest = rest.strip_prefix(prefix).unwrap_or(rest);
+    }
+    let name = rest.strip_prefix("fn ")?;
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    Some(&name[..end])
+}
+
+/// Whether the signature starting `lines` goes on to a body (`{`) rather
+/// than ending as a prototype (`;`), brackets skipped.
+fn has_body(lines: &[&str]) -> bool {
+    let mut depth = 0;
+    for c in lines.iter().flat_map(|line| line.chars()) {
+        match c {
+            '(' | '[' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '{' if depth == 0 => return true,
+            ';' if depth == 0 => return false,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// The functions with a body in `code` whose attributes say nothing about
+/// inlining: neither `#[inline]`, `#[inline(always)]` nor `#[cold]`.
+fn uninlined_functions(code: &str) -> Vec<&str> {
+    let lines: Vec<&str> = code.lines().collect();
+    (0..lines.len())
+        .filter_map(|i| Some((i, declared_function(lines[i])?)))
+        .filter(|&(i, _)| has_body(&lines[i..]))
+        .filter(|&(i, _)| {
+            !lines[..i]
+                .iter()
+                .rev()
+                .map(|line| line.trim())
+                .take_while(|line| line.starts_with("#[") || line.starts_with("///"))
+                .any(|line| ["#[inline]", "#[inline(always)]", "#[cold]"].contains(&line))
+        })
+        .map(|(_, name)| name)
+        .collect()
+}
+
+#[test]
+fn the_per_message_chain_inlines_across_crate_lines() {
+    for file in PER_MESSAGE_CHAIN {
+        let source = fs::read_to_string(root().join(file)).expect("a readable source file");
+        let code = outside_unit_tests(&source);
+        assert!(
+            code.lines().filter_map(declared_function).count() > 3,
+            "{file}: the scan finds its functions"
+        );
+        assert_eq!(
+            uninlined_functions(code),
+            [""; 0],
+            "{file}: a function on the per-message chain says how it inlines \
+             into `Ctx`'s crate — `#[inline]`, `#[inline(always)]`, or \
+             `#[cold]` for a once-per-run or error path"
+        );
+    }
+}
+
+#[test]
+fn the_inline_scan_sees_what_it_looks_for() {
+    let code = "\
+impl Core {
+    /// Documented.
+    #[must_use]
+    #[inline]
+    pub fn marked(&self) -> u32 {
+        0
+    }
+
+    #[cold]
+    pub(crate) fn once(&mut self) {}
+
+    #[inline(never)]
+    fn refused(&self) {}
+
+    fn bare<F>(f: F) -> [u8; 2]
+    where
+        F: Fn(),
+    {
+        [0; 2]
+    }
+}
+
+trait Host {
+    fn prototype(&self) -> [u8; 2];
+}
+";
+    assert_eq!(uninlined_functions(code), ["refused", "bare"]);
+    assert_eq!(declared_function("    pub const fn f() {}"), Some("f"));
+    assert_eq!(declared_function("    // fn f() {}"), None);
 }
