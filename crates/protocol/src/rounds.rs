@@ -64,6 +64,10 @@ impl AsRef<ActionSpec> for ActionSpec {
 /// One entry of the action stack (`SA`), grouped by responsibility; `D` is
 /// the host's definition of the action.
 ///
+/// Only the identity is public: a host moves the rest on through the
+/// frame's steps ([`Frame::absorb`], [`Frame::begin_recovery`] …
+/// [`Frame::vote_exit`]), in the order the protocol fixes.
+///
 /// What a round keeps per participant — announcements, votes, the peers
 /// heard from — lives inline in the frame ([`ThreadSet`]s, spilling to the
 /// heap only for a thread index past 63), and what has to be on the heap —
@@ -77,16 +81,16 @@ pub struct Frame<D> {
     /// The instance, its definition and this thread's part in it.
     pub id: Identity<D>,
     /// What arrived and waits to be consumed.
-    pub inbox: Inboxes,
+    inbox: Inboxes,
     /// Progress through coordinated recovery.
-    pub recovery: Recovery,
+    recovery: Recovery,
     /// §3.4's announcements.
-    pub signals: SignalTable,
+    signals: SignalTable,
     /// §5.1's vote barrier.
-    pub exit: ExitBarrier,
+    exit: ExitBarrier,
     /// This participant's membership view of the instance: starts as the
     /// full group, shrinks when a bounded wait presumes a peer crashed.
-    pub view: FrameMembership,
+    view: FrameMembership,
 }
 
 /// Which instance a frame is and how this thread is bound to it.
@@ -113,48 +117,48 @@ impl<D: AsRef<ActionSpec>> Identity<D> {
 
 /// What arrived for a frame and waits to be consumed.
 #[derive(Default)]
-pub struct Inboxes {
+struct Inboxes {
     /// Control messages for this action stashed by the router for the
     /// recovery driver (the trigger that interrupted the body, §3.3.2's
     /// "retain"). Drained when recovery starts.
-    pub control: VecDeque<Message>,
+    control: VecDeque<Message>,
     /// Buffered application messages.
-    pub app: VecDeque<AppMsg>,
+    app: VecDeque<AppMsg>,
     /// Rejoin requests that arrived while a recovery was in flight,
     /// granted when the frame reaches its exit protocol.
-    pub joins: Vec<ThreadId>,
+    joins: Vec<ThreadId>,
 }
 
 /// A frame's progress through coordinated recovery.
 #[derive(Default)]
-pub struct Recovery {
+struct Recovery {
     /// Protocol state for this frame's resolution: the (reset) one an
     /// earlier instance of the frame left, else made when the frame first
     /// takes part in a resolution (`Frame::proto_ctx`) — most frames
     /// never recover, and their state was a boxed allocation per entry.
-    pub resolver: Option<Box<dyn ResolverState>>,
+    resolver: Option<Box<dyn ResolverState>>,
     /// Resolution completed — later Exception/Suspended messages for this
     /// instance are stragglers and are dropped (termination model: nothing
     /// new can be raised within the action after handlers start).
-    pub recovered: bool,
+    recovered: bool,
     /// Enclosing-level recovery is aborting this frame (its abortion
     /// handler may be running). In-flight recovery messages for the
     /// instance — e.g. a `Commit` whose resolution raced with the
     /// enclosing trigger — are stragglers and are dropped.
-    pub aborting: bool,
+    aborting: bool,
     /// Set while this frame's exception handler runs.
-    pub in_handler: Option<ExceptionId>,
+    in_handler: Option<ExceptionId>,
     /// While a recovery is in flight (resolution start through signalling
     /// end): the members the recovery started with. Signalling ranges over
     /// `cohort ∩ current members` — peers readmitted mid-recovery have no
     /// handler verdict to announce. Also the join-deferral gate: rejoin
     /// grants are queued while this is `Some` and flushed before the exit
     /// protocol, so the view never grows mid-resolution or mid-signalling.
-    pub cohort: Option<ThreadSet>,
+    cohort: Option<ThreadSet>,
     /// The exception this frame's recovery resolved to (set the moment the
     /// resolver reports agreement), handed to rejoiners so a restarted
     /// participant knows recovery already happened.
-    pub resolved_exception: Option<ExceptionId>,
+    resolved_exception: Option<ExceptionId>,
 }
 
 impl<D: AsRef<ActionSpec>> Frame<D> {
@@ -242,7 +246,7 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
 
     /// `Frame::signalling_members`, as a snapshot to announce to.
     #[inline]
-    pub fn signalling_group(&self) -> ViewSnapshot {
+    fn signalling_group(&self) -> ViewSnapshot {
         self.signalling_members().copied().collect()
     }
 
@@ -503,6 +507,131 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
                 }),
         })
     }
+
+    // -- the steps between rounds, in the order a recovery takes them --
+
+    /// An enclosing recovery aborts this frame (§3.3.1): its recovery
+    /// traffic is stragglers from now on.
+    #[inline]
+    pub fn abort(&mut self) {
+        self.recovery.aborting = true;
+    }
+
+    /// Begins a recovery (§3.3.2): pins the members it starts with — the
+    /// signalling cohort and the join-deferral window — and forgets what an
+    /// earlier recovery resolved. Then [`Frame::next_opening`] until it
+    /// answers [`Opening::Announce`].
+    #[inline]
+    pub fn begin_recovery(&mut self) {
+        self.recovery.cohort = Some(self.view.members().iter().copied().collect());
+        self.recovery.resolved_exception = None;
+    }
+
+    /// The next step of a recovery's opening: a stashed trigger absorbed as
+    /// if it arrived now, then this thread's own transition — unless a view
+    /// change among them removed it.
+    #[inline]
+    pub fn next_opening<F>(&mut self) -> Opening<F> {
+        match self.inbox.control.pop_front() {
+            Some(msg) => Opening::Stashed(self.absorb(msg, true, Round::Resolution)),
+            None if self.view.evicted => Opening::Excluded,
+            None => Opening::Announce,
+        }
+    }
+
+    /// Hands back the `outbound` list of an answer [`Frame::feed`] gave,
+    /// once the host sent what was in it, for the resolver to fill again.
+    #[inline]
+    pub fn recycle(&mut self, outbound: Vec<(ThreadId, Message)>) {
+        if let Some(resolver) = &mut self.recovery.resolver {
+            resolver.recycle(outbound);
+        }
+    }
+
+    /// The resolution round ended with `end`: agreement marks the frame
+    /// recovered and starts its handler (until [`Frame::handled`]); `None`
+    /// when a view change evicted this thread.
+    #[inline]
+    pub fn resolved(&mut self, end: RoundEnd) -> Option<ExceptionId> {
+        let RoundEnd::Resolved(resolved) = end else {
+            return None;
+        };
+        self.recovery.recovered = true;
+        self.recovery.in_handler = Some(resolved);
+        Some(resolved)
+    }
+
+    /// The exception this thread's handler is handling, while it runs.
+    #[inline]
+    pub fn handling(&self) -> Option<&ExceptionId> {
+        self.recovery.in_handler.as_ref()
+    }
+
+    /// This thread's handler returned or unwound.
+    #[inline]
+    pub fn handled(&mut self) {
+        self.recovery.in_handler = None;
+    }
+
+    /// Records this thread's own `signal` for exchange `round` of §3.4 and
+    /// answers whom to announce it to: the recovery cohort still live.
+    #[inline]
+    pub fn announce_signal(&mut self, round: SignalRound, signal: &Signal) -> ViewSnapshot {
+        self.signals.record(round, self.id.me, signal.clone());
+        self.signalling_group()
+    }
+
+    /// The recovery's rounds are over: opens the next exit epoch, then
+    /// closes the join-deferral window and answers the rejoins it deferred,
+    /// in arrival order, to grant in that epoch.
+    #[inline]
+    pub fn end_recovery(&mut self) -> ViewSnapshot {
+        self.exit.open_next_epoch();
+        self.recovery.cohort = None;
+        self.inbox.joins.drain(..).collect()
+    }
+
+    /// Casts this thread's exit vote (§5.1): its epoch and the view to
+    /// announce it to — `None` when a view change removed this thread,
+    /// whose vote the survivors no longer count.
+    #[inline]
+    pub fn vote_exit(&mut self) -> Option<(u32, ViewSnapshot)> {
+        if self.view.evicted {
+            return None;
+        }
+        let epoch = self.exit.vote(self.id.me);
+        Some((epoch, ViewSnapshot::from_slice(self.view.members())))
+    }
+
+    /// The exit epoch this thread votes in next.
+    #[inline]
+    pub fn exit_epoch(&self) -> u32 {
+        self.exit.epoch
+    }
+
+    /// The next buffered application message, in arrival order.
+    #[inline]
+    pub fn next_app(&mut self) -> Option<AppMsg> {
+        self.inbox.app.pop_front()
+    }
+
+    /// Forgets the resolver state an earlier instance left, for a host that
+    /// runs the frame under another protocol.
+    #[inline]
+    pub fn forget_resolver(&mut self) {
+        self.recovery.resolver = None;
+    }
+}
+
+/// A step of a recovery's opening ([`Frame::next_opening`]).
+#[derive(Debug)]
+pub enum Opening<F> {
+    /// What absorbing a stashed trigger decided: perform it, ask again.
+    Stashed(RoundAction<F>),
+    /// Feed the resolver this thread's own raise or suspension.
+    Announce,
+    /// A stashed view change removed this thread: it gives up silently.
+    Excluded,
 }
 
 /// A survivor's answer to a `JoinRequest` (see [`Frame::grant_join`]): the
@@ -632,7 +761,7 @@ impl Collected {
 
 /// Signalling announcements seen (§3.4), one `Exchange` per exchange.
 #[derive(Debug, Default)]
-pub struct SignalTable {
+struct SignalTable {
     exchanges: [Exchange; 2],
     /// A corrupted message arrived during a signalling collection.
     corrupted: bool,
@@ -674,7 +803,7 @@ impl SignalTable {
 
     /// Records `from`'s announcement for `round` (the latest one wins).
     #[inline]
-    pub fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
+    fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
         self.exchanges[Self::slot(round)].record(from, &signal);
     }
 
@@ -730,7 +859,7 @@ impl SignalTable {
     /// §3.4 case 3: some thread announced ƒ, or information was lost while
     /// collecting — ƒ dominates.
     #[inline]
-    pub(crate) fn failed(&self, collected: Collected) -> bool {
+    fn failed(&self, collected: Collected) -> bool {
         self.corrupted || collected.failure
     }
 
@@ -746,7 +875,7 @@ impl SignalTable {
 
 /// The synchronous exit protocol's vote barrier (§5.1).
 #[derive(Debug, Default)]
-pub struct ExitBarrier {
+struct ExitBarrier {
     /// Who voted in the current epoch.
     votes: ThreadSet,
     /// Votes of later epochs, as `(epoch, voter)` pairs until their epoch
@@ -755,7 +884,7 @@ pub struct ExitBarrier {
     early: InlineVec<(u32, ThreadId), GROUP_INLINE>,
     /// The exit epoch this thread votes in next: 0 for normal completion,
     /// bumped by each completed recovery.
-    pub epoch: u32,
+    epoch: u32,
     /// This frame was fast-forwarded by a rejoin grant ([`Frame::rejoin`])
     /// after a crash. Rejoiners that time out waiting for exit votes give
     /// up silently (finalize `Failed`) instead of suspecting the
@@ -769,7 +898,7 @@ impl ExitBarrier {
     /// Records `from`'s vote for `epoch`. A vote of an epoch this thread
     /// has left behind is never read again and is not kept.
     #[inline]
-    pub(crate) fn record(&mut self, epoch: u32, from: ThreadId) {
+    fn record(&mut self, epoch: u32, from: ThreadId) {
         if epoch == self.epoch {
             self.votes.insert(from);
         } else if epoch > self.epoch && !self.early.contains(&(epoch, from)) {
@@ -779,7 +908,7 @@ impl ExitBarrier {
 
     /// Casts this thread's own vote; returns the epoch it votes in.
     #[inline]
-    pub fn vote(&mut self, me: ThreadId) -> u32 {
+    fn vote(&mut self, me: ThreadId) -> u32 {
         self.votes.insert(me);
         self.epoch
     }
@@ -787,7 +916,7 @@ impl ExitBarrier {
     /// A completed recovery opens the next exit epoch: the votes of the
     /// one it closes no longer count, the early ones for it do.
     #[inline]
-    pub fn open_next_epoch(&mut self) {
+    fn open_next_epoch(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.votes.clear();
@@ -1722,6 +1851,136 @@ mod tests {
             join.expired::<ActionSpec>(None, &XrrResolution),
             Expiry::End(RoundEnd::Excluded)
         ));
+    }
+
+    // -- leaving and re-entering ------------------------------------------
+
+    /// Every part of `f` but the resolver state, as text: what a left and
+    /// re-entered frame is compared with a new one by. (A left frame keeps
+    /// the reset resolver state of an earlier instance, which a new frame
+    /// makes on first use.)
+    fn snapshot(f: &Frame<ActionSpec>) -> String {
+        let (id, inbox, recovery) = (&f.id, &f.inbox, &f.recovery);
+        format!(
+            "{:?}",
+            (
+                (id.action, id.role, id.me, Rc::as_ptr(&id.def)),
+                (inbox.control.len(), inbox.app.len(), inbox.joins.len()),
+                (recovery.recovered, recovery.aborting, recovery.in_handler),
+                (&recovery.cohort, recovery.resolved_exception),
+                (&f.signals, &f.exit, &f.view),
+            )
+        )
+    }
+
+    /// Feeds `f`'s resolver what `action` says it hears, if anything.
+    fn hear(f: &mut Frame<ActionSpec>, action: RoundAction<Fatal>) {
+        match action {
+            RoundAction::Continue | RoundAction::Control { feed: None, .. } => {}
+            RoundAction::Control {
+                feed: Some(feed), ..
+            } => drop(f.feed(&XrrResolution, feed)),
+            other => panic!("a resolution message decided {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_left_frame_is_reentered_as_a_new_one() {
+        let mut f = frame();
+        let spec = Rc::clone(&f.id.def);
+        let app = || Message::App {
+            action: ACTION,
+            from: t(1),
+            tag: "unread",
+            payload: caa_core::message::AppPayload::new(1u32),
+        };
+        absorb(&mut f, app(), true, Round::Body);
+        // T2 raises and T0's body is interrupted: the trigger is stashed,
+        // absorbed when the recovery opens, then T0 suspends.
+        assert!(matches!(
+            absorb(&mut f, exception(2), true, Round::Body),
+            RoundAction::Interrupt(Unwind::Suspend)
+        ));
+        f.begin_recovery();
+        loop {
+            match f.next_opening::<Fatal>() {
+                Opening::Stashed(action) => hear(&mut f, action),
+                Opening::Announce => break,
+                Opening::Excluded => panic!("nobody evicted T0"),
+            }
+        }
+        drop(f.feed(&XrrResolution, Feed::Suspend));
+        let suspended = Message::Suspended {
+            action: ACTION,
+            from: t(1),
+        };
+        let action = absorb(&mut f, suspended, true, Round::Resolution);
+        hear(&mut f, action);
+        // A restarted T2's rejoin waits for the recovery to end.
+        let request = || Message::JoinRequest {
+            action: ACTION,
+            from: t(2),
+        };
+        absorb(&mut f, request(), true, Round::Resolution);
+        let commit = Message::Commit {
+            action: ACTION,
+            from: t(2),
+            resolved: ExceptionId::new("e"),
+            view_removed: Rc::from([]),
+        };
+        let action = absorb(&mut f, commit, true, Round::Resolution);
+        hear(&mut f, action);
+        let end = Round::Resolution.status(Some(&f)).expect("T2 committed");
+        let resolved = f.resolved(end).expect("T0 is in the view");
+        assert_eq!(f.handling(), Some(&resolved), "left while handling");
+        absorb(&mut f, app(), true, Round::Body);
+
+        // Both exchanges of §3.4's case 2, the second one corrupted.
+        let signalled = |round, from| Message::ToBeSignalled {
+            action: ACTION,
+            from: t(from),
+            round,
+            signal: Signal::Undo,
+        };
+        for round in [SignalRound::First, SignalRound::AfterUndo] {
+            f.announce_signal(round, &Signal::Undo);
+            absorb(&mut f, signalled(round, 1), true, Round::Signalling(round));
+        }
+        corrupted(Some(&mut f), Round::Signalling(SignalRound::AfterUndo));
+        assert!(f.signals.corrupted);
+
+        // The exit barrier: the deferred joiner granted, votes of this
+        // epoch and the next, and T2's silence suspected.
+        assert_eq!(&f.end_recovery()[..], [t(2)]);
+        assert!(f.grant_join(t(2)).is_some());
+        assert_eq!(f.vote_exit().map(|(epoch, _)| epoch), Some(1));
+        let vote = |from, epoch| Message::ExitVote {
+            action: ACTION,
+            from: t(from),
+            epoch,
+        };
+        absorb(&mut f, vote(1, 1), true, Round::Exit);
+        absorb(&mut f, vote(1, 2), true, Round::Exit);
+        assert!(matches!(
+            Round::Exit.expired(Some(&mut f), &XrrResolution),
+            Expiry::Suspect(_, Ok(Suspicion::Evict(..)), None)
+        ));
+        assert!(f.view.epoch() > 0 && !f.exit.early.is_empty());
+        // An enclosing recovery aborts the frame while a later recovery of
+        // its own holds another rejoin back.
+        f.recovery.cohort = Some(f.view.members().iter().copied().collect());
+        absorb(&mut f, request(), true, Round::Body);
+        f.abort();
+        assert!(f.inbox.app.len() == 2 && f.inbox.joins.len() == 1);
+
+        let next = ActionId::top_level(8);
+        f.leave();
+        f.reenter(next, &spec, RoleId::new(0), t(0));
+        let mut new = Frame::new(&spec);
+        new.reenter(next, &spec, RoleId::new(0), t(0));
+        assert_eq!(snapshot(&f), snapshot(&new));
+        let resolver = f.recovery.resolver.as_ref().expect("T0 recovered once");
+        assert_eq!(resolver.participant_state(), ParticipantState::Normal);
     }
 
     // -- groups past the inline capacity, sparse ids ----------------------

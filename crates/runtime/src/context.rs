@@ -28,21 +28,31 @@
 //! the conclusion); `Frame::absorb` for a message (a removal set adopted,
 //! and what the resolver hears); between rounds, where an unwind lands
 //! (§3.3.1's cascade), §3.4's cases (`rounds::signalling`) and how an
-//! action leaves. An object's arbitration lives with the object
-//! ([`crate::objects`]). `Ctx` is the thin driver that owns the endpoint
-//! and the frame stack and performs what it is told (`Ctx::perform`, and
-//! `Ctx::expire` for a deadline's `Expiry`): it counts, logs, sends, feeds
-//! the resolver and runs the handlers.
+//! action leaves. So is the order of a recovery's steps, which the frame
+//! takes itself: `Frame::begin_recovery`, then `Frame::next_opening` until
+//! the stashed triggers are absorbed and it says to announce this thread's
+//! transition (or, evicted, to give up silently); `Frame::resolved` and
+//! `Frame::handled` around the handler; `Frame::announce_signal` per §3.4
+//! exchange; `Frame::end_recovery` (the next exit epoch, the deferred
+//! rejoins to grant); `Frame::vote_exit`. An object's arbitration lives
+//! with the object ([`crate::objects`]). `Ctx` is the thin driver that
+//! owns the endpoint and the frame stack and performs what it is told
+//! (`Ctx::perform`, and `Ctx::expire` for a deadline's `Expiry`): it
+//! counts, logs, sends, waits and runs the user's code — the body, the
+//! handlers, the abortion handler and the undo hook.
 //!
 //! A frame ([`caa_protocol::Frame`]) is reached through `Ctx::frame` /
-//! `Ctx::frame_mut`. Rounds range over its *current view*, so a shrunk
-//! membership completes among the survivors.
+//! `Ctx::frame_mut`; `Ctx` reads its identity and nothing else of it.
+//! Rounds range over its *current view*, so a shrunk membership completes
+//! among the survivors.
 //!
 //! **Adding a round:** add a `Round` variant with its `status` and
 //! `expired` arms in `caa_protocol::rounds` (what completes it, who is
 //! silent at expiry and what that concludes) and its arm in `timed_out`
 //! here (what its timeout counts and logs), keep what it collects in a
-//! frame part that `Frame::absorb` fills, and call
+//! frame part that `Frame::absorb` fills, give the frame a step that
+//! records this thread's own part and answers whom to announce it to (as
+//! `Frame::announce_signal` and `Frame::vote_exit` do), and call
 //! `self.collect(Round::…, timeout)` after announcing with `Ctx::broadcast`.
 //! The driver changes only if the round needs an effect no `RoundAction`
 //! or `Expiry` names. A round that a peer's doorbell ends, like the object
@@ -60,8 +70,10 @@ use caa_core::message::{AppMsg, AppPayload, Message, SignalRound};
 use caa_core::name::Name;
 use caa_core::outcome::{ActionOutcome, HandlerVerdict};
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_protocol::membership::{FrameMembership, Suspicion, ViewSnapshot, ViewStep};
-use caa_protocol::rounds::{self, aborted, leave, Collected, Expiry, Feed, Landing, Leave};
+use caa_protocol::membership::{FrameMembership, Suspicion, ViewStep};
+use caa_protocol::rounds::{
+    self, aborted, leave, Collected, Expiry, Feed, Landing, Leave, Opening,
+};
 use caa_protocol::rounds::{Round, RoundAction, RoundEnd, SignalStep, Signalled, Violation};
 use caa_protocol::ResolutionProtocol;
 use caa_simnet::{FiberEndpoint, Parked};
@@ -191,7 +203,7 @@ impl Ctx {
         let same_protocol = |made_by| Arc::ptr_eq(made_by, &system.protocol);
         if !scratch.protocol.as_ref().is_some_and(same_protocol) {
             for level in &mut scratch.spare {
-                level.frame.recovery.resolver = None;
+                level.frame.forget_resolver();
             }
             scratch.protocol = Some(Arc::clone(&system.protocol));
         }
@@ -265,9 +277,7 @@ impl Ctx {
     /// executing an exception handler.
     #[must_use]
     pub fn handling(&self) -> Option<&ExceptionId> {
-        self.stack
-            .last()
-            .and_then(|level| level.frame.recovery.in_handler.as_ref())
+        self.stack.last().and_then(|level| level.frame.handling())
     }
 
     /// The active (innermost) frame. Every protocol phase runs inside
@@ -426,7 +436,7 @@ impl Ctx {
         if self.stack.is_empty() {
             return Err(RuntimeError::NoActiveAction("raise").into());
         }
-        if self.frame().recovery.in_handler.is_some() {
+        if self.frame().handling().is_some() {
             return Err(RuntimeError::RaiseInHandler.into());
         }
         let e = e.into().with_origin(self.me);
@@ -495,7 +505,7 @@ impl Ctx {
             let Some(level) = self.stack.last_mut() else {
                 return Err(RuntimeError::NoActiveAction("recv_app").into());
             };
-            if let Some(msg) = level.frame.inbox.app.pop_front() {
+            if let Some(msg) = level.frame.next_app() {
                 return Ok(Some(msg));
             }
             if deadline.is_some_and(|d| d.duration_since(self.now()).is_zero()) {
@@ -853,7 +863,7 @@ impl Ctx {
                 // stragglers. Its abortion handler runs while the frame is
                 // still active, so it can use the context.
                 let frame = self.frame_mut();
-                frame.recovery.aborting = true;
+                frame.abort();
                 let result = match &def.roles[frame.id.role.index()].abort {
                     Some(handler) => handler(self).map_err(|flow| flow.unwind),
                     None => Ok(None),
@@ -941,14 +951,15 @@ impl Ctx {
         };
         let verdict = self.run_handler(def, resolved)?;
         let my_signal = self.run_signalling(def, verdict)?;
-        self.frame_mut().exit.open_next_epoch();
         self.observe_top(|| EventKind::SignalOutcome {
             signal: my_signal.clone(),
         });
         // The recovery rounds are over: re-admit any restarted participant
-        // that asked to rejoin while they ran. Done after the new exit
-        // epoch opens so grants carry the epoch the joiner must vote in.
-        self.flush_pending_joins();
+        // that asked to rejoin while they ran.
+        let (top, joiners) = (self.stack.len() - 1, self.frame_mut().end_recovery());
+        for &joiner in &joiners {
+            self.grant_join(top, joiner);
+        }
         self.phase_exit(def, Some(my_signal.into()))
     }
 
@@ -968,27 +979,19 @@ impl Ctx {
     /// evicts this thread (`Ok(None)`: the survivors resolve without us and
     /// the caller must give up locally).
     fn run_recovery(&mut self, start: Feed) -> Step<Option<ExceptionId>> {
-        let frame = self.frame_mut();
-        // Open the join-deferral window and pin the signalling cohort:
-        // the view must not grow while resolution or signalling ranges
-        // over it (see `Recovery::cohort`).
-        frame.recovery.cohort = Some(frame.view.members().iter().copied().collect());
-        frame.recovery.resolved_exception = None;
+        self.frame_mut().begin_recovery();
         self.observe_top(|| EventKind::RecoveryStart {
             raised: matches!(start, Feed::Raise(_)),
         });
-        // The stashed triggers first, absorbed as if they arrived now, then
-        // our own transition. (One at a time, so the inbox keeps its buffer;
-        // nothing stashes into it while recovery is under way.)
-        while let Some(msg) = self.frame_mut().inbox.control.pop_front() {
-            let top = self.stack.len() - 1;
-            let decision = self.frame_mut().absorb(msg, true, Round::Resolution);
-            self.perform(top, decision)?;
-        }
-        if self.frame().view.evicted {
-            // A pending view change removed us before we ever announced
-            // our own transition: stay silent and give up.
-            return Ok(None);
+        let top = self.stack.len() - 1;
+        loop {
+            match self.frame_mut().next_opening() {
+                Opening::Stashed(decision) => {
+                    self.perform(top, decision)?;
+                }
+                Opening::Announce => break,
+                Opening::Excluded => return Ok(None),
+            }
         }
         if let Feed::Raise(e) = &start {
             self.system.stats.borrow_mut().exceptions_raised += 1;
@@ -1002,10 +1005,10 @@ impl Ctx {
         }
         self.feed(start)?;
         let timeout = self.frame().id.def.resolution_timeout;
-        let RoundEnd::Resolved(resolved) = self.collect(Round::Resolution, timeout)? else {
+        let end = self.collect(Round::Resolution, timeout)?;
+        let Some(resolved) = self.frame_mut().resolved(end) else {
             return Ok(None);
         };
-        self.frame_mut().recovery.recovered = true;
         self.observe_top(|| EventKind::Resolved {
             exception: resolved,
         });
@@ -1021,9 +1024,7 @@ impl Ctx {
         for (to, msg) in actions.outbound.drain(..) {
             self.send(to, msg);
         }
-        if let Some(resolver) = &mut self.frame_mut().recovery.resolver {
-            resolver.recycle(actions.outbound);
-        }
+        self.frame_mut().recycle(actions.outbound);
         if actions.resolve_invocations > 0 {
             self.system.stats.borrow_mut().resolutions_invoked +=
                 u64::from(actions.resolve_invocations);
@@ -1095,7 +1096,7 @@ impl Ctx {
             Expiry::Suspect(suspects, decided, then) => (suspects, decided, then),
             Expiry::Violation(violation) => return self.violated(violation),
         };
-        let (epoch, stats) = (self.frame().exit.epoch, &self.system.stats);
+        let (epoch, stats) = (self.frame().exit_epoch(), &self.system.stats);
         let timeout = timed_out(round, &suspects, epoch, &mut stats.borrow_mut());
         if let Some(timeout) = timeout {
             self.observe_top(|| timeout);
@@ -1164,29 +1165,14 @@ impl Ctx {
         }
     }
 
-    /// Ends the join-deferral window a recovery opened: clears the
-    /// signalling cohort and grants the rejoin requests that arrived while
-    /// resolution/signalling ranged over it.
-    fn flush_pending_joins(&mut self) {
-        let top = self.stack.len() - 1;
-        self.frame_mut().recovery.cohort = None;
-        // (By index, so the list keeps its buffer; with the cohort gone a
-        // request is granted on arrival, not queued here.)
-        for at in 0..self.frame().inbox.joins.len() {
-            let joiner = self.frame().inbox.joins[at];
-            self.grant_join(top, joiner);
-        }
-        self.frame_mut().inbox.joins.clear();
-    }
-
     // ------------------------------------------------------------------
     // Recovery: handling
     // ------------------------------------------------------------------
 
+    /// Runs the role's handler for `resolved` (the frame marks itself
+    /// handling it from [`Frame::resolved`] to [`Frame::handled`]).
     fn run_handler(&mut self, def: &DefInner, resolved: ExceptionId) -> Step<HandlerVerdict> {
-        let frame = self.frame_mut();
-        frame.recovery.in_handler = Some(resolved);
-        let handler = def.handler_for(frame.id.role, resolved);
+        let handler = def.handler_for(self.frame().id.role, resolved);
         self.observe_top(|| EventKind::HandlerStart {
             exception: resolved,
         });
@@ -1195,7 +1181,7 @@ impl Ctx {
             None => Ok(DefInner::default_verdict(resolved)),
         };
         if let Some(level) = self.stack.last_mut() {
-            level.frame.recovery.in_handler = None;
+            level.frame.handled();
         }
         let verdict = verdict?;
         self.observe_top(|| EventKind::HandlerEnd {
@@ -1250,9 +1236,8 @@ impl Ctx {
     fn signal_round(&mut self, round: SignalRound, mine: Signal) -> Step<Collected> {
         let me = self.me;
         let frame = self.frame_mut();
-        frame.signals.record(round, me, mine.clone());
-        let (action, group) = (frame.id.action, frame.signalling_group());
-        let timeout = frame.id.def.signal_timeout;
+        let group = frame.announce_signal(round, &mine);
+        let (action, timeout) = (frame.id.action, frame.id.def.signal_timeout);
         self.broadcast(&group, |_| Message::ToBeSignalled {
             action,
             from: me,
@@ -1270,17 +1255,11 @@ impl Ctx {
     // ------------------------------------------------------------------
 
     fn run_exit(&mut self) -> Step<RoundEnd> {
-        if self.frame().view.evicted {
-            // A peer's view change removed us: the survivors no longer
-            // count our vote, and broadcasting one would only confuse the
-            // epochs they are collecting.
+        let Some((epoch, view)) = self.frame_mut().vote_exit() else {
             return Ok(RoundEnd::Excluded);
-        }
-        let me = self.me;
-        let frame = self.frame_mut();
-        let epoch = frame.exit.vote(me);
+        };
+        let (me, frame) = (self.me, self.frame());
         let (action, timeout) = (frame.id.action, frame.id.def.exit_timeout);
-        let view = ViewSnapshot::from_slice(frame.view.members());
         self.observe(action, || EventKind::ExitStart { epoch });
         self.broadcast(&view, |_| Message::ExitVote {
             action,
@@ -1370,7 +1349,6 @@ mod tests {
     use std::cell::Cell;
 
     use caa_core::outcome::{ActionOutcome, HandlerVerdict};
-    use caa_core::state::ParticipantState;
     use caa_core::time::secs;
 
     use super::*;
@@ -1386,30 +1364,9 @@ mod tests {
         std::ptr::from_ref(frame) as usize
     }
 
-    /// Every field of `level` but the resolver state, as text: what the
-    /// frame-reuse test compares a re-entered level and a new one by. (A
-    /// re-entered frame keeps the reset resolver state of an earlier
-    /// instance, which a new frame makes on first use.)
-    fn snapshot(level: &Level) -> String {
-        let frame = &level.frame;
-        let (id, inbox, recovery) = (&frame.id, &frame.inbox, &frame.recovery);
-        format!(
-            "{:?}",
-            (
-                (id.action, id.role, id.me, Rc::as_ptr(&id.def)),
-                (inbox.control.len(), inbox.app.len(), inbox.joins.len()),
-                level.objects.len(),
-                (recovery.recovered, recovery.aborting, recovery.in_handler),
-                (&recovery.cohort, recovery.resolved_exception),
-                (&frame.signals, &frame.exit, &frame.view),
-            )
-        )
-    }
-
-    /// A frame a participant re-enters from its spare pool is, field for
-    /// field, the frame a first entry makes — after serving an instance
-    /// that went through object traffic, buffered application messages,
-    /// resolution, a handler and both signalling exchanges of an undo.
+    /// What an expired wait counts and logs, by the round it served: a
+    /// frame's round names its suspects (an exit timeout its epoch), and a
+    /// body's, an object's or a grant wait's deadline is no round timeout.
     #[test]
     fn a_timeout_counts_and_logs_by_round() {
         let mut stats = RuntimeStats::default();
@@ -1447,6 +1404,12 @@ mod tests {
         assert_eq!(counted, (1, 2, 1));
     }
 
+    /// A participant's next action re-enters the boxed frame its last one
+    /// left, objects list emptied — after an instance that went through
+    /// object traffic, buffered application messages, resolution, a
+    /// handler and both signalling exchanges of an undo. (That the frame
+    /// is then, field for field, the frame a first entry makes is
+    /// `caa_protocol::rounds`'s test.)
     #[test]
     fn a_frame_left_after_an_undo_is_reentered_as_new() {
         let undo = |_: &mut Ctx| Ok(HandlerVerdict::Undo);
@@ -1457,11 +1420,8 @@ mod tests {
             .fallback_handler("a1", undo)
             .undo_hook("a0", |uc| {
                 let level = uc.stack.last().expect("A's frame");
-                let (frame, recovery) = (&level.frame, &level.frame.recovery);
-                assert!(recovery.recovered && recovery.cohort.is_some());
-                assert!(recovery.resolved_exception.is_some());
-                assert!(!level.objects.is_empty() && !frame.inbox.app.is_empty());
-                A_FRAME.set(Some(address(frame)));
+                assert!(!level.objects.is_empty(), "A touched the object");
+                A_FRAME.set(Some(address(&level.frame)));
                 Ok(true)
             })
             .build()
@@ -1483,18 +1443,10 @@ mod tests {
             assert_eq!(ctx.spare.len(), 1, "A's frame was left to the pool");
             ctx.enter(&b, "b0", |bc| {
                 let level = bc.stack.last().expect("B's frame");
-                let frame = &level.frame;
                 let a_frame = A_FRAME.take().expect("A recovered through its undo");
-                assert_eq!(address(frame), a_frame, "B re-entered A's frame");
-                let mut new = Level {
-                    frame: Frame::new(&b.inner),
-                    objects: Vec::new(),
-                };
-                new.frame
-                    .reenter(frame.id.action, &b.inner, frame.id.role, frame.id.me);
-                assert_eq!(snapshot(level), snapshot(&new));
-                let resolver = frame.recovery.resolver.as_ref();
-                assert!(resolver.is_none_or(|r| r.participant_state() == ParticipantState::Normal));
+                assert_eq!(address(&level.frame), a_frame, "B re-entered A's frame");
+                assert!(Rc::ptr_eq(&level.frame.id.def, &b.inner));
+                assert!(level.objects.is_empty(), "A's objects stayed with A");
                 Ok(())
             })
             .map(drop)

@@ -5,13 +5,17 @@
 //! the benchmark's two simnet kernels; a `System` never runs on it.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use caa_core::ids::PartitionId;
-use parking_lot::{Condvar, Mutex};
 
 use crate::host::Host;
 use crate::simcore::Core;
+
+/// Why a lock or a wait on the core fails: an endpoint's thread panicked
+/// while it held the core, which may be left mid-update and must not be
+/// used again.
+const POISONED: &str = "an endpoint's thread panicked while it held the network core";
 
 struct Locked<M> {
     core: Core<M>,
@@ -65,18 +69,19 @@ impl<M> Host<M> for Threads<M> {
     }
 
     fn into_core(self) -> Option<Core<M>> {
-        Some(Arc::try_unwrap(self.0).ok()?.into_inner().core)
+        let locked = Arc::try_unwrap(self.0).ok()?;
+        Some(locked.into_inner().expect(POISONED).core)
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut Core<M>) -> R) -> R {
-        let mut locked = self.0.lock();
+        let mut locked = self.0.lock().expect(POISONED);
         let result = f(&mut locked.core);
         locked.notify_woken();
         result
     }
 
     fn turn<T>(&self, id: PartitionId, turn: impl FnOnce(&mut Core<M>) -> Option<T>) -> Option<T> {
-        let mut locked = self.0.lock();
+        let mut locked = self.0.lock().expect(POISONED);
         let ready = turn(&mut locked.core);
         // The turn may have been the block that let time advance.
         locked.notify_woken();
@@ -88,7 +93,7 @@ impl<M> Host<M> for Threads<M> {
             // Blocked state and wait share one critical section, so a
             // wake-up cannot fall between them.
             let condvar = Arc::clone(&locked.condvars[i]);
-            condvar.wait(&mut locked);
+            drop(condvar.wait(locked).expect(POISONED));
         }
         ready
     }

@@ -13,10 +13,10 @@
 //! * a run has one owner, and the types say so: outside unit tests and
 //!   comments, the core, the protocol, the runtime and the production cell name neither
 //!   `Send` nor `Sync`; no mutex is left in the runtime, the harness, the
-//!   bench crate or the production cell; `parking_lot` is a dependency of
-//!   the simulator (its thread host) alone; the scenario executor keeps no
-//!   thread-local; and the harness has one entry point per job — one
-//!   execute function, one plan runner;
+//!   bench crate or the production cell; no crate depends on
+//!   `parking_lot` (the simulator's thread host locks through `std::sync`);
+//!   the scenario executor keeps no thread-local; and the harness has one
+//!   entry point per job — one execute function, one plan runner;
 //! * a run records into its own log, which `System::run` hands back: no
 //!   library source names the observer and tap hooks, the trace recorder
 //!   that served them or the records they were called with (`Event`,
@@ -38,7 +38,7 @@
 //!   `to_owned` or by-name counter, and nothing in the harness adds to a
 //!   wall-clock counter by name;
 //! * the tooling has one front door: one `caa` binary over one argument
-//!   parser, one worker pool, one bench target, two `compat/` shims — and
+//!   parser, one worker pool, one bench target, one `compat/` shim — and
 //!   every committed `BENCH*.json` parses;
 //! * names are interned symbols: outside their unit tests the core, the
 //!   simulator, the runtime, the harness and the telemetry crate hold no
@@ -80,6 +80,10 @@
 //!   `adopt_removal_set`, `absorb_active_control`, `suspect_round` or
 //!   `observe_timeout`), and builds a `Message::ViewChange` at one site —
 //!   the announcement of an eviction `rounds` decided;
+//! * the frame keeps its state private: `caa_protocol::Frame` declares no
+//!   public field but its identity, and its parts (`Inboxes`, `Recovery`,
+//!   `SignalTable`, `ExitBarrier`) are not public — a host moves them on
+//!   through the frame's steps, in the order the protocol fixes;
 //! * a delivered message meets no heap and no pair table: outside its unit
 //!   tests the simulator's core names no `BinaryHeap` (a mailbox is a
 //!   sorted deque), and the signal table, its exchanges and the exit
@@ -395,9 +399,8 @@ fn a_run_is_owned_by_one_thread_in_the_types() {
         })
         .collect();
     assert_eq!(
-        dependents,
-        ["simnet"],
-        "`parking_lot` serves the simulator's thread host alone"
+        dependents, [""; 0],
+        "no crate depends on parking_lot: the thread host locks through `std::sync`"
     );
     assert_eq!(
         files_naming("thread_local!", &["crates/harness/src"]),
@@ -680,7 +683,7 @@ fn the_tooling_has_one_front_door() {
         [""; 0],
         "the harness's command line is `caa`, not an example"
     );
-    assert_eq!(entries("compat"), ["README.md", "parking_lot", "proptest"]);
+    assert_eq!(entries("compat"), ["README.md", "proptest"]);
     assert_eq!(
         files_naming("env::args", &["crates"]),
         ["crates/bench/src/bin/caa.rs"],
@@ -1032,6 +1035,29 @@ fn the_context_performs_the_view_steps_the_frame_decides() {
         "context.rs builds a `ViewChange` at one site, announcing an eviction \
          the round decided, and matches on none"
     );
+}
+
+#[test]
+fn the_frame_keeps_its_state_private() {
+    let source = fs::read_to_string(root().join("crates/protocol/src/rounds.rs")).expect("rounds");
+    let rounds = outside_unit_tests(&source);
+    let public: Vec<&str> = struct_body(rounds, "Frame<D>")
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with("pub"))
+        .collect();
+    assert_eq!(
+        public,
+        ["pub id: Identity<D>,"],
+        "a host reads a frame's identity and moves the rest on through the \
+         frame's steps (`Frame::begin_recovery`, `Frame::vote_exit`, …)"
+    );
+    for part in ["Inboxes", "Recovery", "SignalTable", "ExitBarrier"] {
+        assert!(
+            !rounds.contains(&format!("pub struct {part} ")),
+            "`{part}` is a part of the frame only the protocol names"
+        );
+    }
 }
 
 #[test]
