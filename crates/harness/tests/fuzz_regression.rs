@@ -16,7 +16,7 @@ use caa_harness::arena::ExecutionArena;
 use caa_harness::edit::{apply, load_corpus_plan, Edit, Kind, Recipe, Site};
 use caa_harness::exec::execute_in;
 use caa_harness::oracle::{check_run, Violation};
-use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
+use caa_harness::plan::{CrashChoice, ScenarioConfig, ScenarioPlan};
 use caa_harness::sweep::{run_plan_checked, write_corpus_files};
 
 /// The minimized find: the first default-config seed in the class, with
@@ -179,6 +179,66 @@ fn an_open_multi_crash_rejoin_find_reports_one_view_disagreement() {
         [Violation::ViewDisagreement {
             action: 0,
             removed_sets: vec![vec![2, 3], vec![0, 2]],
+        }]
+    );
+}
+
+/// The smallest class of the census (ROADMAP item 19): one crash and no
+/// rejoin. Default seed 70 103, shrunk by `caa replay 70103 --bisect` to
+/// this 1-minimal recipe: thread 4 crash-stops, and a fault rule drops
+/// the `toBeSignalled` messages among threads 0, 2 and 3 both ways.
+const ONE_CRASH_NO_REJOIN: &str = "\
+seed 70103
+drop fault 1
+drop raise a0
+drop phase a0.0 0
+drop phase a0.0 0
+drop raiser a0.0.0 0
+drop raiser a0.0.0 0
+drop phase a0.0.0 0
+drop phase a0.0.0 0
+drop send a0 0 0
+drop send a0 0 1
+drop listener a0 0 0
+drop eab a0.0 0
+drop eab a0.0.0 0
+drop eab a0.0.0 0
+";
+
+/// Pins what the oracles say of that recipe today: two survivors end
+/// action 1 with the removed sets {2, 3, 4} and {0, 3, 4}, neither of
+/// which includes the other. A fix of item 19(c)'s first class flips this
+/// assertion to an empty verdict.
+#[test]
+fn a_one_crash_no_rejoin_find_reports_one_view_disagreement() {
+    let recipe: Recipe = ONE_CRASH_NO_REJOIN
+        .parse()
+        .expect("the pinned recipe parses");
+    assert_eq!(
+        recipe.to_string(),
+        ONE_CRASH_NO_REJOIN,
+        "the pin is canonical text"
+    );
+    let plan = recipe
+        .materialize(&ScenarioConfig::default())
+        .expect("the pinned recipe applies");
+    assert!(
+        matches!(
+            plan.crashes[..],
+            [CrashChoice {
+                rejoin_delay_ns: None,
+                ..
+            }]
+        ),
+        "one crash-stop, no rejoin: {:?}",
+        plan.crashes
+    );
+    let artifacts = execute_in(&plan, &mut ExecutionArena::default());
+    assert_eq!(
+        check_run(&artifacts),
+        [Violation::ViewDisagreement {
+            action: 1,
+            removed_sets: vec![vec![2, 3, 4], vec![0, 3, 4]],
         }]
     );
 }

@@ -55,7 +55,6 @@ pub struct ActionSpec {
 }
 
 impl AsRef<ActionSpec> for ActionSpec {
-    #[inline]
     fn as_ref(&self) -> &ActionSpec {
         self
     }
@@ -109,7 +108,6 @@ pub struct Identity<D> {
 
 impl<D: AsRef<ActionSpec>> Identity<D> {
     /// What the protocol reads of the definition.
-    #[inline]
     pub fn spec(&self) -> &ActionSpec {
         (*self.def).as_ref()
     }
@@ -164,7 +162,6 @@ struct Recovery {
 impl<D: AsRef<ActionSpec>> Frame<D> {
     /// A new frame for `def`'s actions, as [`Frame::leave`] leaves one:
     /// [`Frame::reenter`] it before use.
-    #[cold]
     pub fn new(def: &Rc<D>) -> Box<Frame<D>> {
         Box::new(Frame {
             id: Identity {
@@ -184,7 +181,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// Binds a left frame to instance `action` of `def`, played as `role`
     /// by thread `me`, over the action's full group — the only way a frame
     /// is entered.
-    #[inline]
     pub fn reenter(&mut self, action: ActionId, def: &Rc<D>, role: RoleId, me: ThreadId) {
         if !Rc::ptr_eq(&self.id.def, def) {
             self.id.def = Rc::clone(def);
@@ -199,7 +195,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// capacity kept), its resolver state reset (dropped if it cannot be),
     /// its rounds and recovery back to where an entry starts them. Only the
     /// identity and the view are left to [`Frame::reenter`].
-    #[inline]
     pub fn leave(&mut self) {
         self.inbox.control.clear();
         self.inbox.app.clear();
@@ -218,7 +213,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// describes: the granter's view, its exit epoch, and — when recovery
     /// already resolved — the resolved exception, so the restarted
     /// participant skips straight to the exit protocol.
-    #[inline]
     pub fn rejoin(
         &mut self,
         view: FrameMembership,
@@ -237,7 +231,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// never took part in this recovery's handling and have no verdict to
     /// announce, so they are excluded; crash-free frames never shrink the
     /// view and the cohort equals the full group.
-    #[inline]
     fn signalling_members(&self) -> impl Iterator<Item = &ThreadId> {
         let cohort = self.recovery.cohort.as_ref();
         let members = self.view.members().iter();
@@ -245,7 +238,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     }
 
     /// `Frame::signalling_members`, as a snapshot to announce to.
-    #[inline]
     fn signalling_group(&self) -> ViewSnapshot {
         self.signalling_members().copied().collect()
     }
@@ -253,7 +245,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// The frame's resolver — a fresh state of `protocol` the first time —
     /// together with the static context its events take: this thread, the
     /// instance, the *current* view and the action's exception graph.
-    #[inline]
     fn proto_ctx(
         &mut self,
         protocol: &dyn ResolutionProtocol,
@@ -276,7 +267,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// later round (signals, votes, application traffic, stashed triggers,
     /// a removal set for the view). `is_top` tells whether the frame is
     /// the active one.
-    #[inline]
     pub fn absorb<F>(&mut self, msg: Message, is_top: bool, round: Round) -> RoundAction<F> {
         if !matches!(msg, Message::App { .. }) {
             // Protocol traffic proves the sender advanced this instance's
@@ -413,7 +403,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// removal set is merged first, so a commit racing ahead of its
     /// `ViewChange` still shrinks the view; the resolver then hears the
     /// step or the message, and a `ViewChange` opens a fresh round.
-    #[inline]
     fn control<F>(&mut self, msg: Message, resolving: bool) -> RoundAction<F> {
         let (removed, view_change) = match &msg {
             Message::ViewChange { removed, .. } => (Some(removed), true),
@@ -435,14 +424,12 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
 
     /// The one rule for whether the resolver hears of a view step or a
     /// commit: in resolution, while this thread is still in the view.
-    #[inline]
     fn hears_steps(&self, resolving: bool) -> bool {
         resolving && !self.view.evicted
     }
 
     /// What the frame's resolver (made on first use) answers to `feed`, the
     /// view stamped into its `Commit`s; a resolved exception is recorded.
-    #[inline]
     pub fn feed(&mut self, protocol: &dyn ResolutionProtocol, feed: Feed) -> ProtoActions {
         let (resolver, ctx) = self.proto_ctx(protocol);
         let mut actions = match feed {
@@ -475,7 +462,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// epoch, the vote is re-sent — the original broadcast went to the
     /// joiner's pre-crash endpoint and was discarded. `None` when `joiner`
     /// was never part of this action's group.
-    #[inline]
     pub fn grant_join(&mut self, joiner: ThreadId) -> Option<JoinGranted> {
         if !self.id.spec().group.contains(&joiner) {
             return None;
@@ -512,7 +498,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
 
     /// An enclosing recovery aborts this frame (§3.3.1): its recovery
     /// traffic is stragglers from now on.
-    #[inline]
     pub fn abort(&mut self) {
         self.recovery.aborting = true;
     }
@@ -521,7 +506,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// signalling cohort and the join-deferral window — and forgets what an
     /// earlier recovery resolved. Then [`Frame::next_opening`] until it
     /// answers [`Opening::Announce`].
-    #[inline]
     pub fn begin_recovery(&mut self) {
         self.recovery.cohort = Some(self.view.members().iter().copied().collect());
         self.recovery.resolved_exception = None;
@@ -530,7 +514,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// The next step of a recovery's opening: a stashed trigger absorbed as
     /// if it arrived now, then this thread's own transition — unless a view
     /// change among them removed it.
-    #[inline]
     pub fn next_opening<F>(&mut self) -> Opening<F> {
         match self.inbox.control.pop_front() {
             Some(msg) => Opening::Stashed(self.absorb(msg, true, Round::Resolution)),
@@ -541,7 +524,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
 
     /// Hands back the `outbound` list of an answer [`Frame::feed`] gave,
     /// once the host sent what was in it, for the resolver to fill again.
-    #[inline]
     pub fn recycle(&mut self, outbound: Vec<(ThreadId, Message)>) {
         if let Some(resolver) = &mut self.recovery.resolver {
             resolver.recycle(outbound);
@@ -551,7 +533,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// The resolution round ended with `end`: agreement marks the frame
     /// recovered and starts its handler (until [`Frame::handled`]); `None`
     /// when a view change evicted this thread.
-    #[inline]
     pub fn resolved(&mut self, end: RoundEnd) -> Option<ExceptionId> {
         let RoundEnd::Resolved(resolved) = end else {
             return None;
@@ -562,20 +543,17 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     }
 
     /// The exception this thread's handler is handling, while it runs.
-    #[inline]
     pub fn handling(&self) -> Option<&ExceptionId> {
         self.recovery.in_handler.as_ref()
     }
 
     /// This thread's handler returned or unwound.
-    #[inline]
     pub fn handled(&mut self) {
         self.recovery.in_handler = None;
     }
 
     /// Records this thread's own `signal` for exchange `round` of §3.4 and
     /// answers whom to announce it to: the recovery cohort still live.
-    #[inline]
     pub fn announce_signal(&mut self, round: SignalRound, signal: &Signal) -> ViewSnapshot {
         self.signals.record(round, self.id.me, signal.clone());
         self.signalling_group()
@@ -584,7 +562,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// The recovery's rounds are over: opens the next exit epoch, then
     /// closes the join-deferral window and answers the rejoins it deferred,
     /// in arrival order, to grant in that epoch.
-    #[inline]
     pub fn end_recovery(&mut self) -> ViewSnapshot {
         self.exit.open_next_epoch();
         self.recovery.cohort = None;
@@ -594,7 +571,6 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     /// Casts this thread's exit vote (§5.1): its epoch and the view to
     /// announce it to — `None` when a view change removed this thread,
     /// whose vote the survivors no longer count.
-    #[inline]
     pub fn vote_exit(&mut self) -> Option<(u32, ViewSnapshot)> {
         if self.view.evicted {
             return None;
@@ -604,20 +580,17 @@ impl<D: AsRef<ActionSpec>> Frame<D> {
     }
 
     /// The exit epoch this thread votes in next.
-    #[inline]
     pub fn exit_epoch(&self) -> u32 {
         self.exit.epoch
     }
 
     /// The next buffered application message, in arrival order.
-    #[inline]
     pub fn next_app(&mut self) -> Option<AppMsg> {
         self.inbox.app.pop_front()
     }
 
     /// Forgets the resolver state an earlier instance left, for a host that
     /// runs the frame under another protocol.
-    #[inline]
     pub fn forget_resolver(&mut self) {
         self.recovery.resolver = None;
     }
@@ -652,7 +625,6 @@ pub struct JoinGranted {
 /// `stack`, or — when it has none here — of the retention rule
 /// (`unframed`; `finished` holds the sorted serials of the instances this
 /// thread left, `retained` how many messages it holds back).
-#[inline]
 pub fn classify<D: AsRef<ActionSpec>, F>(
     msg: Option<Message>,
     round: Round,
@@ -687,7 +659,6 @@ const RETAINED_CAP: usize = 4096;
 /// Decides what a message for an instance that has no frame here means:
 /// the grant a [`Round::Join`] wait is for, a straggler if the instance
 /// `finished` at this thread, else retained up to the cap.
-#[inline]
 fn unframed<F>(
     msg: Message,
     round: Round,
@@ -712,7 +683,6 @@ fn unframed<F>(
 
 /// Decides what a corrupted message (payload unrecoverable) means to the
 /// active frame while `round` is in progress.
-#[inline]
 fn corrupted<D: AsRef<ActionSpec>, F>(
     frame: Option<&mut Frame<D>>,
     round: Round,
@@ -777,14 +747,12 @@ struct Exchange {
 }
 
 impl Exchange {
-    #[inline]
     fn record(&mut self, from: ThreadId, signal: &Signal) {
         self.announced.insert(from);
         self.failure.set(from, *signal == Signal::Failure);
         self.undo.set(from, *signal == Signal::Undo);
     }
 
-    #[inline]
     fn clear(&mut self) {
         self.announced.clear();
         self.failure.clear();
@@ -793,7 +761,6 @@ impl Exchange {
 }
 
 impl SignalTable {
-    #[inline]
     fn slot(round: SignalRound) -> usize {
         match round {
             SignalRound::First => 0,
@@ -802,13 +769,11 @@ impl SignalTable {
     }
 
     /// Records `from`'s announcement for `round` (the latest one wins).
-    #[inline]
     fn record(&mut self, round: SignalRound, from: ThreadId, signal: Signal) {
         self.exchanges[Self::slot(round)].record(from, &signal);
     }
 
     /// What `group` announced for `round`, once every member has.
-    #[inline]
     fn complete<'a>(
         &self,
         round: SignalRound,
@@ -833,7 +798,6 @@ impl SignalTable {
     /// when the wait expired — every member of it reaches ƒ through its
     /// own timeout, so the round's outcome stays agreed even when the
     /// suspicion the driver runs next shrinks the view.
-    #[inline]
     fn expire(
         &mut self,
         round: SignalRound,
@@ -858,13 +822,11 @@ impl SignalTable {
 
     /// §3.4 case 3: some thread announced ƒ, or information was lost while
     /// collecting — ƒ dominates.
-    #[inline]
     fn failed(&self, collected: Collected) -> bool {
         self.corrupted || collected.failure
     }
 
     /// Forgets every announcement and the corruption mark.
-    #[inline]
     fn clear(&mut self) {
         for exchange in &mut self.exchanges {
             exchange.clear();
@@ -897,7 +859,6 @@ struct ExitBarrier {
 impl ExitBarrier {
     /// Records `from`'s vote for `epoch`. A vote of an epoch this thread
     /// has left behind is never read again and is not kept.
-    #[inline]
     fn record(&mut self, epoch: u32, from: ThreadId) {
         if epoch == self.epoch {
             self.votes.insert(from);
@@ -907,7 +868,6 @@ impl ExitBarrier {
     }
 
     /// Casts this thread's own vote; returns the epoch it votes in.
-    #[inline]
     fn vote(&mut self, me: ThreadId) -> u32 {
         self.votes.insert(me);
         self.epoch
@@ -915,7 +875,6 @@ impl ExitBarrier {
 
     /// A completed recovery opens the next exit epoch: the votes of the
     /// one it closes no longer count, the early ones for it do.
-    #[inline]
     fn open_next_epoch(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -928,7 +887,6 @@ impl ExitBarrier {
         self.early.retain(|&(e, _)| e > epoch);
     }
 
-    #[inline]
     fn voted(&self, epoch: u32, thread: ThreadId) -> bool {
         if epoch == self.epoch {
             self.votes.contains(thread)
@@ -938,13 +896,11 @@ impl ExitBarrier {
     }
 
     /// The members of `view` whose vote in the current epoch is missing.
-    #[inline]
     fn silent<'a>(&'a self, view: &'a [ThreadId]) -> impl Iterator<Item = ThreadId> + 'a {
         view.iter().copied().filter(|&t| !self.votes.contains(t))
     }
 
     /// Back to epoch 0 with no votes, for the frame's next instance.
-    #[inline]
     fn clear(&mut self) {
         self.votes.clear();
         self.early.clear();
@@ -1077,7 +1033,6 @@ impl Round {
     /// Suspicion shrinks the view mid-round and a granted rejoin grows it
     /// (the readmitted thread's vote is required again), so nothing derived
     /// from the view is cached across passes.
-    #[inline]
     pub fn status<D: AsRef<ActionSpec>>(self, frame: Option<&Frame<D>>) -> Option<RoundEnd> {
         let frame = frame?;
         match self {
@@ -1105,7 +1060,6 @@ impl Round {
     /// makes of them, and what follows. (`protocol` for a resolution wait
     /// that expires on a frame no event was fed to yet: its fresh state
     /// still names whom it waits on.)
-    #[inline]
     pub fn expired<D: AsRef<ActionSpec>>(
         self,
         frame: Option<&mut Frame<D>>,
@@ -1218,7 +1172,6 @@ pub enum Landing<F> {
 }
 
 /// Where `unwind` lands at the frame of instance `at`.
-#[inline]
 pub fn land<F>(unwind: Unwind<F>, at: ActionId) -> Landing<F> {
     match unwind {
         Unwind::Raise(e) => Landing::Recover(Feed::Raise(e)),
@@ -1240,7 +1193,6 @@ pub fn land<F>(unwind: Unwind<F>, at: ActionId) -> Landing<F> {
 /// `next` carries the cascade on — or `Err(dead)` when the handler
 /// crash-stopped or failed fatally. A handler reports `Eab` by returning or
 /// raising it; a trigger for an action further out extends the cascade.
-#[inline]
 pub fn aborted<F>(
     result: Result<Option<Exception>, Unwind<F>>,
     target: ActionId,
@@ -1291,7 +1243,6 @@ pub enum SignalStep {
 
 /// §3.4's case analysis for a thread whose handler came to `mine`, at
 /// `frame`, after `at`.
-#[inline]
 pub fn signalling<D: AsRef<ActionSpec>>(
     frame: &Frame<D>,
     mine: &Signal,
@@ -1335,7 +1286,6 @@ pub enum Leave {
 /// How an action leaves once its exit round ended with `end`; `signalled`
 /// is what its recovery's signalling concluded, `None` when the body
 /// completed normally.
-#[inline]
 pub fn leave(end: RoundEnd, signalled: Option<ActionOutcome>) -> Result<Leave, Violation> {
     match (end, signalled) {
         (RoundEnd::Exited, outcome) => {

@@ -103,12 +103,18 @@
 //!   through it alone, and no source, CI file or doc names the flags it
 //!   replaced (`--multi-crash`, `--prodcell`);
 //! * the per-message chain inlines across crate lines: outside their unit
-//!   tests, every function with a body in the modules a message's send,
-//!   wait and round steps run through — the simulator's core, network and
-//!   host, the protocol's rounds and membership — carries `#[inline]`,
-//!   `#[inline(always)]` or `#[cold]` (rustc inlines a non-generic function
-//!   into another crate only when it is marked, and `Ctx` is in another
-//!   crate than all five).
+//!   tests, every function with a body in the simulator's network and the
+//!   protocol's membership carries `#[inline]`, `#[inline(always)]` or
+//!   `#[cold]` (under fat LTO these two modules still read faster marked;
+//!   the simulator's core and host and the protocol's rounds do not), and
+//!   the functions a resumed fiber returns through — `Network::block_on`,
+//!   `Endpoint::{recv, wait, sleep}`, `Fibers::{with, turn}`, `Ctx::wait`,
+//!   `Fiber::resume` — are `#[inline(always)]`;
+//! * the release profile is one file: `.cargo/config.toml`'s
+//!   `[profile.release]` (fat LTO), which cargo reads for every build
+//!   started in the checkout, the benchmark's under `perf/` included; no
+//!   workspace manifest has a `[profile` table, and `perf/Cargo.toml`'s
+//!   own table repeats what the config file says and nothing else.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -1169,15 +1175,29 @@ fn a_scenario_space_is_named_one_way() {
     }
 }
 
-/// The modules a message's send, wait and round steps run through on their
-/// way from `Ctx`: `Endpoint` → `Network` → `Core` in the simulator, `Frame`
-/// → `FrameMembership` → `ThreadSet` in the protocol.
-const PER_MESSAGE_CHAIN: [&str; 5] = [
-    "crates/simnet/src/simcore.rs",
+/// The modules of a message's send, wait and round steps on their way from
+/// `Ctx` whose annotations still pay under fat LTO: `Endpoint` / `Network`
+/// in the simulator, `FrameMembership` / `ThreadSet` in the protocol.
+/// Without them `paper` or `mixed` read below the noise; `simcore.rs`,
+/// `host.rs` and `rounds.rs` read the same with or without theirs, and
+/// carry none (docs/ARCHITECTURE.md, "The release profile").
+const PER_MESSAGE_CHAIN: [&str; 2] = [
     "crates/simnet/src/net.rs",
-    "crates/simnet/src/host.rs",
-    "crates/protocol/src/rounds.rs",
     "crates/protocol/src/membership.rs",
+];
+
+/// The functions every blocking point of a participant returns through
+/// after a fiber switch, by file: forced inline, because a resumed fiber
+/// mispredicts every return it makes before its next call.
+const ALWAYS_INLINED: [(&str, &str); 8] = [
+    ("crates/simnet/src/net.rs", "block_on"),
+    ("crates/simnet/src/net.rs", "recv"),
+    ("crates/simnet/src/net.rs", "wait"),
+    ("crates/simnet/src/net.rs", "sleep"),
+    ("crates/simnet/src/host.rs", "with"),
+    ("crates/simnet/src/host.rs", "turn"),
+    ("crates/runtime/src/context.rs", "wait"),
+    ("crates/fiber/src/lib.rs", "resume"),
 ];
 
 /// The name of the function `line` declares, if it declares one.
@@ -1209,6 +1229,16 @@ fn has_body(lines: &[&str]) -> bool {
     false
 }
 
+/// The attribute and doc lines directly above line `i` of `lines`, trimmed,
+/// nearest first.
+fn attributes_above<'a>(lines: &'a [&'a str], i: usize) -> impl Iterator<Item = &'a str> + 'a {
+    lines[..i]
+        .iter()
+        .rev()
+        .map(|line| line.trim())
+        .take_while(|line| line.starts_with("#[") || line.starts_with("///"))
+}
+
 /// The functions with a body in `code` whose attributes say nothing about
 /// inlining: neither `#[inline]`, `#[inline(always)]` nor `#[cold]`.
 fn uninlined_functions(code: &str) -> Vec<&str> {
@@ -1217,11 +1247,7 @@ fn uninlined_functions(code: &str) -> Vec<&str> {
         .filter_map(|i| Some((i, declared_function(lines[i])?)))
         .filter(|&(i, _)| has_body(&lines[i..]))
         .filter(|&(i, _)| {
-            !lines[..i]
-                .iter()
-                .rev()
-                .map(|line| line.trim())
-                .take_while(|line| line.starts_with("#[") || line.starts_with("///"))
+            !attributes_above(&lines, i)
                 .any(|line| ["#[inline]", "#[inline(always)]", "#[cold]"].contains(&line))
         })
         .map(|(_, name)| name)
@@ -1244,6 +1270,18 @@ fn the_per_message_chain_inlines_across_crate_lines() {
              into `Ctx`'s crate — `#[inline]`, `#[inline(always)]`, or \
              `#[cold]` for a once-per-run or error path"
         );
+    }
+}
+
+#[test]
+fn the_blocking_chain_is_always_inlined() {
+    for (file, function) in ALWAYS_INLINED {
+        let source = fs::read_to_string(root().join(file)).expect("a readable source file");
+        let lines: Vec<&str> = outside_unit_tests(&source).lines().collect();
+        let forced = (0..lines.len())
+            .filter(|&i| declared_function(lines[i]) == Some(function))
+            .any(|i| attributes_above(&lines, i).any(|line| line.starts_with("#[inline(always)]")));
+        assert!(forced, "{file}: `{function}` is `#[inline(always)]`");
     }
 }
 
@@ -1279,4 +1317,94 @@ trait Host {
     assert_eq!(uninlined_functions(code), ["refused", "bare"]);
     assert_eq!(declared_function("    pub const fn f() {}"), Some("f"));
     assert_eq!(declared_function("    // fn f() {}"), None);
+}
+
+/// The `key = value` lines of `[table]` in the TOML text `toml`, in order
+/// (comments and blank lines skipped), or `None` when it has no such table.
+fn toml_table<'a>(toml: &'a str, table: &str) -> Option<Vec<(&'a str, &'a str)>> {
+    let header = format!("[{table}]");
+    let mut lines = toml.lines().map(str::trim);
+    lines.by_ref().find(|line| *line == header)?;
+    Some(
+        lines
+            .take_while(|line| !line.starts_with('['))
+            .filter(|line| !line.is_empty() && !line.starts_with('#'))
+            .filter_map(|line| line.split_once('='))
+            .map(|(key, value)| (key.trim(), value.trim()))
+            .collect(),
+    )
+}
+
+#[test]
+fn the_release_profile_is_one_file() {
+    let config = fs::read_to_string(root().join(".cargo/config.toml"))
+        .expect(".cargo/config.toml holds the release profile");
+    let profile = toml_table(&config, "profile.release").expect("a [profile.release] table");
+    assert!(
+        profile.contains(&("lto", "\"fat\"")),
+        "every release build, the benchmark's included, is one fat-LTO unit: {profile:?}"
+    );
+
+    let mut manifests = vec!["Cargo.toml".to_owned()];
+    for dir in ["crates", "compat"] {
+        manifests.extend(
+            entries(dir)
+                .into_iter()
+                .map(|krate| format!("{dir}/{krate}/Cargo.toml"))
+                .filter(|manifest| root().join(manifest).exists()),
+        );
+    }
+    assert!(
+        manifests.len() > 10,
+        "the scan finds the members: {manifests:?}"
+    );
+    let with_profiles: Vec<&String> = manifests
+        .iter()
+        .filter(|manifest| {
+            let text = fs::read_to_string(root().join(manifest)).expect("a readable manifest");
+            text.lines()
+                .any(|line| line.trim_start().starts_with("[profile"))
+        })
+        .collect();
+    assert_eq!(
+        with_profiles, [""; 0],
+        "a build profile lives in .cargo/config.toml, which cargo reads for \
+         every build started in the checkout; a manifest's table would be a \
+         second one"
+    );
+
+    // The benchmark is a workspace of its own and keeps a table of its own,
+    // which the config file overrides key by key: it may repeat what the
+    // config file says, and say nothing else.
+    let perf = fs::read_to_string(root().join("perf/Cargo.toml")).expect("perf/Cargo.toml");
+    for (key, value) in toml_table(&perf, "profile.release").unwrap_or_default() {
+        let ours = profile.iter().find(|(name, _)| *name == key);
+        assert_eq!(
+            ours.map(|(_, set)| *set),
+            Some(value),
+            "perf/Cargo.toml's release profile sets `{key}`: .cargo/config.toml \
+             must set it to the same value"
+        );
+    }
+}
+
+#[test]
+fn the_table_scan_sees_what_it_looks_for() {
+    let toml = "\
+[package]
+name = \"x\"
+
+[profile.release]
+# a comment
+debug = true
+lto = \"fat\"
+
+[profile.dev]
+opt-level = 1
+";
+    assert_eq!(
+        toml_table(toml, "profile.release"),
+        Some(vec![("debug", "true"), ("lto", "\"fat\"")])
+    );
+    assert_eq!(toml_table(toml, "profile.bench"), None);
 }
