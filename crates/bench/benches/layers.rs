@@ -28,10 +28,11 @@
 //! * **simnet ping-pong, µs per round trip** — two endpoints bouncing one
 //!   message over a 1 ms link, hosted both ways: by two OS threads (the
 //!   thread host; what `caa-perf`'s `simnet.pingpong_rt_us` times) and by
-//!   two fibers resumed the way `System::run` resumes them (the fiber
-//!   host; what a system pays). Each round trip is two deliveries, each a
-//!   time advance and a hand-off — a futex sleep and wake-up on threads, a
-//!   stack switch on fibers;
+//!   two fibers in a `caa_fiber::Group`, as `System::run` hosts
+//!   participants (the fiber host; what a system pays). Each round trip
+//!   is two deliveries, each a time advance and a hand-off — a futex sleep
+//!   and wake-up on threads, one stack switch on fibers, where the one
+//!   that blocks transfers the CPU to the other;
 //! * **a seed's cost model** — `execute` timed for 3 000 default seeds
 //!   (the best of three runs each, through one warmed arena) and fitted by
 //!   least squares, no intercept, to what the seed did: µs per message,
@@ -335,8 +336,10 @@ fn pingpong_on_threads(round_trips: u64) -> Duration {
     started.elapsed()
 }
 
-/// The same exchange between two fiber-hosted endpoints, resumed as
-/// `System::run` resumes participants: whoever the network says runs next.
+/// The same exchange between two fiber-hosted endpoints in a group, as
+/// `System::run` hosts participants: the one that blocks hands the CPU
+/// straight to whoever the network says runs next, and the loop runs once
+/// per fiber that ends.
 fn pingpong_on_fibers(round_trips: u64) -> Duration {
     const STACK_BYTES: usize = 64 * 1024;
     let net: FiberNetwork<Ping> = Network::new(pingpong_config());
@@ -354,12 +357,15 @@ fn pingpong_on_fibers(round_trips: u64) -> Duration {
             b.send(a_id, Ping);
         }
     });
-    let mut hosted = [(ping, false), (pong, false)];
+    let mut group = caa_fiber::Group::new();
+    group.insert(a_id.index(), ping);
+    group.insert(b_id.index(), pong);
     let started = Instant::now();
-    while hosted.iter().any(|(_, done)| !done) {
+    while !group.is_empty() {
         let next = net.next_runnable().expect("one of the two is woken");
-        let (fiber, done) = &mut hosted[next.index()];
-        *done = fiber.resume().is_some();
+        if let Some((index, _)) = group.resume(next.index()) {
+            drop(group.remove(index));
+        }
     }
     started.elapsed()
 }

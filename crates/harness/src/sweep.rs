@@ -420,7 +420,12 @@ pub struct SweepReport {
     /// Total trace entries recorded across all seeds (primary executions
     /// only; replay traces are compared, then discarded).
     pub trace_entries: u64,
-    /// Total virtual time simulated across all seeds (seconds).
+    /// Total virtual time simulated across all seeds, exactly (crash plans
+    /// idle through simulated hours, so the sum outgrows a `u64` of
+    /// nanoseconds within a few million seeds). Shards add up to the
+    /// unsharded sweep's total.
+    pub virtual_ns: u128,
+    /// [`SweepReport::virtual_ns`] in seconds.
     pub virtual_secs: f64,
     /// Which protocol paths the sweep hit, aggregated over every explored
     /// seed's trace.
@@ -662,7 +667,7 @@ pub fn run_workers<R: Send>(
 struct WorkerTally {
     seeds_run: u64,
     entries: u64,
-    virtual_ns: u64,
+    virtual_ns: u128,
     coverage: PathCoverage,
     signatures: SignatureMap,
     failures: Vec<SeedResult>,
@@ -670,6 +675,22 @@ struct WorkerTally {
     exit_give_ups: u64,
     suspicions_refused: u64,
     retained_dropped: u64,
+}
+
+impl WorkerTally {
+    /// Adds `other`'s seeds to this tally.
+    fn merge(&mut self, other: WorkerTally) {
+        self.seeds_run += other.seeds_run;
+        self.entries += other.entries;
+        self.virtual_ns += other.virtual_ns;
+        self.coverage.merge(&other.coverage);
+        merge_signatures(&mut self.signatures, &other.signatures);
+        self.failures.extend(other.failures);
+        self.metrics.merge(&other.metrics);
+        self.exit_give_ups += other.exit_give_ups;
+        self.suspicions_refused += other.suspicions_refused;
+        self.retained_dropped += other.retained_dropped;
+    }
 }
 
 /// Explores `config.seeds` seeds across worker threads.
@@ -698,11 +719,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
                 tally.exit_give_ups += stats.exit_give_ups;
                 tally.suspicions_refused += stats.suspicions_refused;
                 tally.retained_dropped += stats.retained_dropped;
-                // Crash plans idle through simulated hours: the sum may
-                // wrap, and must not be a debug-build overflow panic.
-                tally.virtual_ns = tally
-                    .virtual_ns
-                    .wrapping_add(result.artifacts.report.elapsed.as_nanos());
+                tally.virtual_ns += u128::from(result.artifacts.report.elapsed.as_nanos());
                 let run_coverage = PathCoverage::from_trace(&result.artifacts.trace);
                 *tally
                     .signatures
@@ -736,16 +753,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
 
     let mut total = WorkerTally::default();
     for tally in per_worker {
-        total.seeds_run += tally.seeds_run;
-        total.entries += tally.entries;
-        total.virtual_ns = total.virtual_ns.wrapping_add(tally.virtual_ns);
-        total.coverage.merge(&tally.coverage);
-        merge_signatures(&mut total.signatures, &tally.signatures);
-        total.failures.extend(tally.failures);
-        total.metrics.merge(&tally.metrics);
-        total.exit_give_ups += tally.exit_give_ups;
-        total.suspicions_refused += tally.suspicions_refused;
-        total.retained_dropped += tally.retained_dropped;
+        total.merge(tally);
     }
     total.failures.sort_by_key(|f| f.seed);
     // Named once per sweep, for the bare-seed replay lines.
@@ -765,6 +773,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         executions_run: total.seeds_run * if config.check_replay { 2 } else { 1 },
         failures: total.failures,
         trace_entries: total.entries,
+        virtual_ns: total.virtual_ns,
         virtual_secs: total.virtual_ns as f64 / 1e9,
         coverage: total.coverage,
         signatures: total.signatures,
@@ -806,6 +815,7 @@ mod tests {
         let full = sweep(&base);
         assert_eq!(full.seeds_run, 30);
         let mut sharded_seeds = 0;
+        let mut sharded_virtual_ns = 0;
         let mut sharded_coverage = PathCoverage::default();
         let mut sharded_signatures = SignatureMap::new();
         for index in 0..3 {
@@ -815,11 +825,17 @@ mod tests {
             });
             assert_eq!(report.seeds_run, 10, "shard {index} must cover a third");
             sharded_seeds += report.seeds_run;
+            sharded_virtual_ns += report.virtual_ns;
             sharded_coverage.merge(&report.coverage);
             merge_signatures(&mut sharded_signatures, &report.signatures);
         }
         // The union of the shards is exactly the full sweep.
         assert_eq!(sharded_seeds, full.seeds_run);
+        assert_eq!(
+            sharded_virtual_ns, full.virtual_ns,
+            "sharded virtual-time totals must add up to the full sweep's"
+        );
+        assert!(full.virtual_ns > 0);
         assert_eq!(
             sharded_coverage, full.coverage,
             "sharded coverage must add up to the full sweep's"
@@ -828,6 +844,24 @@ mod tests {
             sharded_signatures, full.signatures,
             "sharded signature maps must union to the full sweep's"
         );
+    }
+
+    #[test]
+    fn tallies_sum_virtual_time_past_a_u64_exactly() {
+        // Four workers, each past 2^64 - 1 ns minus a little: the total is
+        // four of them, not what a wrapping or saturating u64 would keep.
+        let near = u128::from(u64::MAX) - 5;
+        let tally = || WorkerTally {
+            seeds_run: 1,
+            virtual_ns: near,
+            ..WorkerTally::default()
+        };
+        let mut total = tally();
+        for _ in 0..3 {
+            total.merge(tally());
+        }
+        assert_eq!(total.seeds_run, 4);
+        assert_eq!(total.virtual_ns, 4 * u128::from(u64::MAX) - 20);
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! control between participants is pure overhead. [`System::run`] therefore
 //! hosts every participant as a run-to-block fiber ([`caa_fiber`]) on the
 //! calling thread — a participant runs until it blocks in the network,
-//! which suspends it, and `host` resumes whichever one the network says
-//! runs next ([`FiberNetwork::next_runnable`]). No OS thread is created, a
-//! hand-off is a user-space stack switch, and because the canonical trace
-//! is ordered by (virtual time, thread, sequence) the serial order changes
-//! nothing that is observed.
+//! and then the one the network says runs next
+//! ([`FiberNetwork::next_runnable`]) runs: the blocked participant's fiber
+//! asks and transfers the CPU straight to the pick's
+//! ([`caa_simnet::Fibers`]), and `host` only starts the first pick and
+//! takes back each participant that finishes. No OS thread is created, a
+//! hand-off is one user-space stack switch, and because the canonical
+//! trace is ordered by (virtual time, thread, sequence) the serial order
+//! changes nothing that is observed.
 //!
 //! One thread is all a system ever has, and its types say so: the network
 //! is a [`FiberNetwork`] (the simulator's plain core in an `Rc<RefCell<_>>`
@@ -36,7 +39,8 @@
 //! What a run needs besides its messages — one actor slot, mailbox queue,
 //! link row and 256 KiB guard-paged fiber stack per participant, the lists
 //! a participant's context keeps (frame stack, inboxes, retained messages,
-//! resolver states) and the host's own table of participants — outlives
+//! resolver states) and the host's own tables of participants and their
+//! fibers — outlives
 //! it: each host thread keeps those of the last system it finished
 //! (`RUN_POOL`, a `thread_local!`), [`SystemBuilder::build`] takes them
 //! and a [`System`] puts them back when it is dropped — at the end of
@@ -57,11 +61,11 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use caa_core::ids::{PartitionId, ThreadId};
+use caa_core::ids::ThreadId;
 use caa_core::message::Message;
 use caa_core::name::Name;
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_fiber::{Fiber, Stack};
+use caa_fiber::{Fiber, Group, Stack};
 use caa_simnet::{
     ClockMode, FaultPlan, FiberNetwork, LatencyModel, NetArena, NetConfig, NetStats, SchedStats,
 };
@@ -136,23 +140,22 @@ pub(crate) struct SystemShared {
     pub(crate) scratch: RefCell<Vec<CtxScratch>>,
 }
 
-/// A spawned participant: its body on a fiber, until it ends.
+/// A spawned participant, at its partition's index of the host's table:
+/// its name, and its result once its body has ended.
 ///
 /// [`System::spawn`] registers the participant's network partition
 /// immediately (ids are assigned in spawn order, and a registered
-/// endpoint holds virtual time back) and puts the body on its fiber, but
-/// the fiber is first resumed by [`System::run`] — by which point every
-/// participant is registered, so no start gate is needed.
+/// endpoint holds virtual time back) and puts the body on a fiber of the
+/// system's [`Group`], at the same index, but the fiber first runs in
+/// [`System::run`] — by which point every participant is registered, so
+/// no start gate is needed.
 struct Participant {
-    id: PartitionId,
     name: Name,
-    state: Hosted,
+    result: Option<Result<(), RuntimeError>>,
 }
 
-enum Hosted {
-    Running(Fiber<Result<(), RuntimeError>>),
-    Done(Result<(), RuntimeError>),
-}
+/// What a participant's fiber returns.
+type Outcome = Result<(), RuntimeError>;
 
 /// What a finished system leaves for the next one built on its thread
 /// (see the module docs).
@@ -162,8 +165,10 @@ struct RunPool {
     /// Finished participants' fiber stacks.
     stacks: Vec<Stack>,
     scratch: Vec<CtxScratch>,
-    /// Empty: the host's table of participants, for its capacity.
-    participants: Vec<Participant>,
+    /// Empty: the host's tables of participants and of their fibers, for
+    /// their capacity.
+    participants: Vec<Option<Participant>>,
+    fibers: Group<Outcome>,
 }
 
 thread_local! {
@@ -188,32 +193,36 @@ thread_local! {
 /// process rather than corrupting anything.
 const PARTICIPANT_STACK_BYTES: usize = 256 * 1024;
 
-/// Runs the participants to completion as fibers on the calling thread,
-/// leaving each one's result in its place and its stack in `stacks`.
+/// Runs the participants' fibers to completion on the calling thread,
+/// leaving each one's result in its participant and its stack in
+/// `stacks`.
 ///
 /// Run-to-block: a participant keeps the CPU until it blocks in the
-/// network (which suspends its fiber) or finishes; the network says who
-/// runs next. Its advance arbiter guarantees that whenever every live
-/// endpoint is blocked at least one is woken, so when it names nobody the
-/// network is also being driven from outside this loop, which a
-/// fiber-hosted system cannot wait for.
-fn host(net: &FiberNetwork<Message>, participants: &mut [Participant], stacks: &mut Vec<Stack>) {
-    let mut live = participants.len();
-    while live > 0 {
+/// network or finishes, and the network says who runs next. A blocked
+/// participant's fiber asks it and hands the CPU on itself (see
+/// [`caa_simnet::Fibers`]), so this loop starts the first pick, and after
+/// that runs once per participant that finishes — and once per pick that
+/// has no fiber: an endpoint registered outside `spawn`, or nobody. The
+/// network's advance arbiter guarantees that whenever every live endpoint
+/// is blocked at least one is woken, so when it names nobody the network
+/// is also being driven from outside this loop, which a fiber-hosted
+/// system cannot wait for.
+fn host(
+    net: &FiberNetwork<Message>,
+    fibers: &mut Group<Outcome>,
+    participants: &mut [Option<Participant>],
+    stacks: &mut Vec<Stack>,
+) {
+    while !fibers.is_empty() {
         let Some(id) = net.next_runnable() else {
             panic!(
-                "{live} participants are blocked and none is runnable: the system's network is \
-                 being driven from outside System::run, which cannot wait for another thread"
+                "{} participants are blocked and none is runnable: the system's network is \
+                 being driven from outside System::run, which cannot wait for another thread",
+                fibers.len()
             );
         };
-        let Some(participant) = participants.iter_mut().find(|p| p.id == id) else {
-            continue; // an endpoint registered outside `spawn`
-        };
-        let Hosted::Running(fiber) = &mut participant.state else {
-            continue;
-        };
-        let Some(outcome) = fiber.resume() else {
-            continue; // blocked again
+        let Some((index, outcome)) = fibers.resume(id.index()) else {
+            continue; // the pick, or a fiber's pick, has no fiber
         };
         let result = outcome.unwrap_or_else(|panic| {
             let msg = panic
@@ -223,11 +232,14 @@ fn host(net: &FiberNetwork<Message>, participants: &mut [Participant], stacks: &
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
             Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
         });
-        let finished = std::mem::replace(&mut participant.state, Hosted::Done(result));
-        if let Hosted::Running(fiber) = finished {
-            stacks.push(fiber.into_stack());
-        }
-        live -= 1;
+        let finished = fibers
+            .remove(index)
+            .expect("a finished fiber stays until removed");
+        stacks.push(finished.into_stack());
+        participants[index]
+            .as_mut()
+            .expect("every fiber is a participant's")
+            .result = Some(result);
     }
 }
 
@@ -263,9 +275,12 @@ pub struct System {
     /// Present until `Drop` takes it apart.
     net: Option<FiberNetwork<Message>>,
     shared: Rc<SystemShared>,
-    /// The spawned participants, none of them started, until `run` (or
+    /// The spawned participants by partition id (`None` at an endpoint
+    /// registered outside `spawn`), none of them started, until `run` (or
     /// `Drop`) hosts them.
-    participants: Vec<Participant>,
+    participants: Vec<Option<Participant>>,
+    /// Their bodies, by the same index.
+    fibers: Group<Outcome>,
     /// Stacks for participants yet to spawn, and those of finished ones.
     stacks: Vec<Stack>,
 }
@@ -273,7 +288,7 @@ pub struct System {
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field("threads", &self.participants.len())
+            .field("threads", &self.fibers.len())
             .field("protocol", &self.shared.protocol.name())
             .finish()
     }
@@ -345,11 +360,12 @@ impl System {
                 },
             }
         });
-        self.participants.push(Participant {
-            id,
-            name,
-            state: Hosted::Running(fiber),
-        });
+        let index = id.index();
+        if self.participants.len() <= index {
+            self.participants.resize_with(index + 1, || None);
+        }
+        self.participants[index] = Some(Participant { name, result: None });
+        self.fibers.insert(index, fiber);
         me
     }
 
@@ -368,19 +384,24 @@ impl System {
     /// When called from inside a participant body: systems do not nest.
     #[must_use]
     pub fn run(mut self) -> SystemReport {
-        // Out of `self` while they run: a host that gives up leaves them
-        // (suspended mid-body) to be dropped before the network is.
+        // Out of `self` while they run: a host that gives up leaves the
+        // fibers (suspended mid-body) to be dropped before the network is.
         let mut participants = std::mem::take(&mut self.participants);
+        let mut fibers = std::mem::take(&mut self.fibers);
         let net = self.net.as_ref().expect("the network leaves in Drop");
-        host(net, &mut participants, &mut self.stacks);
-        let results = participants
-            .drain(..)
-            .map(|participant| match participant.state {
-                Hosted::Done(result) => (participant.name, result),
-                Hosted::Running(_) => unreachable!("host ends when every participant is done"),
-            })
-            .collect();
+        host(net, &mut fibers, &mut participants, &mut self.stacks);
+        // Sized up front: a flattened iterator's length is unknown, and
+        // collecting it would grow the vector step by step.
+        let mut results = Vec::with_capacity(participants.len());
+        results.extend(participants.drain(..).flatten().map(|participant| {
+            let result = participant.result;
+            (
+                participant.name,
+                result.expect("host ends when every participant is done"),
+            )
+        }));
         self.participants = participants;
+        self.fibers = fibers;
         SystemReport {
             elapsed: net.now().duration_since(VirtualInstant::EPOCH),
             net_stats: net.stats(),
@@ -411,8 +432,10 @@ impl Drop for System {
             return;
         };
         let mut participants = std::mem::take(&mut self.participants);
-        host(&net, &mut participants, &mut self.stacks);
+        let mut fibers = std::mem::take(&mut self.fibers);
+        host(&net, &mut fibers, &mut participants, &mut self.stacks);
         participants.clear();
+        fibers.clear();
         if let Some(arena) = net.reclaim() {
             let scratch = self.shared.scratch.take();
             // The thread's destructors may already have run (a system run
@@ -427,6 +450,7 @@ impl Drop for System {
                     stacks: std::mem::take(&mut self.stacks),
                     scratch,
                     participants,
+                    fibers,
                 })));
             });
         }
@@ -601,6 +625,7 @@ impl SystemBuilder {
                 scratch: RefCell::new(pool.scratch),
             }),
             participants: pool.participants,
+            fibers: pool.fibers,
             stacks: pool.stacks,
         }
     }
@@ -859,6 +884,7 @@ mod tests {
     /// and then its `NetCorrupted`.
     #[test]
     fn a_recorded_run_logs_each_thread_in_program_order() {
+        use caa_core::ids::PartitionId;
         use caa_core::message::MessageKind;
         use caa_simnet::FaultSpec;
 

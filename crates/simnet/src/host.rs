@@ -6,7 +6,8 @@
 //! A host wraps the core and decides nothing: what the core decides about
 //! a send goes back to the sender as the return value of
 //! [`Endpoint::send`](crate::Endpoint::send), and who runs next is the
-//! core's answer too ([`Network::next_runnable`](crate::Network::next_runnable)).
+//! core's answer too ([`Network::next_runnable`](crate::Network::next_runnable)),
+//! which [`Fibers`] asks on a parked endpoint's behalf.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -41,10 +42,21 @@ pub trait Host<M>: Clone {
 /// ([`FiberNetwork`](crate::FiberNetwork), what `caa-runtime`'s
 /// `System::run` builds): the core sits in an `Rc<RefCell<_>>`, so such a
 /// network and its endpoints are `!Send`, and an operation costs a borrow
-/// flag, not a lock. A blocked endpoint [suspends](caa_fiber::suspend) its
-/// fiber; whoever resumes the fibers asks the network which one runs next
-/// ([`next_runnable`](crate::Network::next_runnable)). The borrow is never
-/// held across a suspend.
+/// flag, not a lock.
+///
+/// The endpoints' fibers are a [`caa_fiber::Group`] indexed by partition
+/// id (`System::run`'s), and the endpoint that blocks asks the network
+/// which runs next ([`next_runnable`](crate::Network::next_runnable)), in
+/// the same borrow as the turn that parked it, then
+/// [transfers](caa_fiber::transfer) the CPU straight to the fiber at the
+/// pick's index: one stack switch a hand-off. The group's resumer sees
+/// the CPU again only when a fiber finishes or the pick has none (an
+/// endpoint outside the group, or nobody runnable), and then asks the
+/// network itself — so it is asked once after each park, in the order a
+/// loop resuming one fiber per park would ask it. The borrow is never
+/// held across a switch. A fiber resumed on its own
+/// ([`caa_fiber::Fiber::resume`]) has nobody to transfer to: it panics
+/// when it parks with an endpoint runnable.
 pub struct Fibers<M>(Rc<RefCell<Core<M>>>);
 
 impl<M> Clone for Fibers<M> {
@@ -75,10 +87,17 @@ impl<M> Host<M> for Fibers<M> {
 
     #[inline(always)]
     fn turn<T>(&self, _: PartitionId, turn: impl FnOnce(&mut Core<M>) -> Option<T>) -> Option<T> {
-        let ready = self.with(turn);
-        if ready.is_none() {
-            caa_fiber::suspend();
+        let mut core = self.0.borrow_mut();
+        let ready = turn(&mut core);
+        if ready.is_some() {
+            return ready;
         }
-        ready
+        let next = core.next_runnable();
+        drop(core);
+        match next {
+            Some(next) => caa_fiber::transfer(next.index()),
+            None => caa_fiber::suspend(),
+        }
+        None
     }
 }

@@ -44,9 +44,10 @@
 //! fault budgets, counters, the advance arbiter — with no lock, atomic or
 //! condvar in it. [`Network`] and [`Endpoint`] are written once over a
 //! *host* that supplies exclusive access to that core and a way to give
-//! up the CPU: [`Fibers`] keeps it in an `Rc<RefCell<_>>` and suspends
-//! the calling fiber ([`FiberNetwork`], [`FiberEndpoint`]: `!Send`, what
-//! a `caa-runtime` `System` runs on); [`Threads`], the default, keeps it
+//! up the CPU: [`Fibers`] keeps it in an `Rc<RefCell<_>>` and hands the
+//! CPU from the calling fiber to the next runnable endpoint's
+//! ([`FiberNetwork`], [`FiberEndpoint`]: `!Send`, what a `caa-runtime`
+//! `System` runs on); [`Threads`], the default, keeps it
 //! behind a mutex and parks the calling OS thread on its endpoint's
 //! condvar (`Network<M>`, `Endpoint<M>`: `Send`). What an endpoint
 //! observes is the same under both.
@@ -56,8 +57,8 @@
 //! Scheduling is wake-targeted, not broadcast: every endpoint parks on
 //! its own slot (a runnable mark, which the network takes in passes over
 //! the endpoints in registration order: [`FiberNetwork::next_runnable`]
-//! names the fiber to resume, and the thread host notifies that endpoint's
-//! condvar), a delivery
+//! names the fiber that runs next, and the thread host notifies that
+//! endpoint's condvar), a delivery
 //! wakes only its (already-deliverable) receiver, and a time advance wakes
 //! only the endpoints whose wake-up point — computed from what each waits
 //! for: its next delivery and doorbell, if the wait takes messages, and its

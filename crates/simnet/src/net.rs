@@ -37,13 +37,14 @@
 //! up the CPU between turns. There are two:
 //!
 //! * [`Fibers`] ([`FiberNetwork`], [`FiberEndpoint`]) keeps the core in an
-//!   `Rc<RefCell<_>>`. Every endpoint runs as a fiber of one thread; a
-//!   blocked one [suspends](caa_fiber::suspend), and whoever resumes the
-//!   fibers — `caa-runtime`'s `System::run`, the only user — asks the
-//!   network which to resume next ([`Network::next_runnable`]). An
-//!   operation costs a borrow flag, a hand-off is a user-space stack
-//!   switch, and the types are `!Send`: a system's network holds no
-//!   mutex, condvar or atomic *by construction*;
+//!   `Rc<RefCell<_>>`. Every endpoint runs as a fiber of one
+//!   [`caa_fiber::Group`] — how `caa-runtime`'s `System::run`, the only
+//!   user, hosts them — and a blocked one asks the network which runs
+//!   next ([`Network::next_runnable`]) and
+//!   [transfers](caa_fiber::transfer) the CPU to that endpoint's fiber.
+//!   An operation costs a borrow flag, a hand-off is one user-space stack switch, and
+//!   the types are `!Send`: a system's network holds no mutex, condvar or
+//!   atomic *by construction*;
 //! * [`Threads`] — the default, so plain `Network<M>` and `Endpoint<M>` —
 //!   keeps the core behind one mutex, taken once per operation and once
 //!   more each time a blocked operation is woken, with one condvar per
@@ -264,7 +265,7 @@ impl<M, H: Host<M>> fmt::Debug for Network<M, H> {
 }
 
 impl<M> FiberNetwork<M> {
-    /// The endpoint whose fiber to resume next, its runnable mark cleared:
+    /// The endpoint whose fiber runs next, its runnable mark cleared:
     /// the next one a delivery, a doorbell, a time advance or the deadlock
     /// broadcast has woken since it last suspended (or that has yet to
     /// start), in passes over the endpoints in registration order. `None`
@@ -548,7 +549,7 @@ impl<M, H: Host<M>> Drop for Endpoint<M, H> {
 mod tests {
     use super::*;
     use caa_core::time::secs;
-    use caa_fiber::{Fiber, Stack};
+    use caa_fiber::{Fiber, Group, Stack};
     use std::thread;
 
     #[derive(Debug, PartialEq)]
@@ -1139,24 +1140,25 @@ mod tests {
         outcome(logs, &net)
     }
 
-    /// Runs `bodies` as fibers the way `caa-runtime`'s host does: resuming
-    /// whoever the network says runs next.
+    /// Runs `bodies` as `caa-runtime`'s host does: as a group indexed by
+    /// partition, whose fibers hand the CPU to the network's next pick
+    /// themselves.
     fn run_fibers(net: &FiberNetwork<Msg>, bodies: Vec<(PartitionId, Fiber<Log>)>) -> Vec<Log> {
-        let mut hosted: Vec<_> = bodies
-            .into_iter()
-            .map(|(id, fiber)| (id, fiber, None))
-            .collect();
-        while hosted.iter().any(|(_, _, log)| log.is_none()) {
+        let mut group = Group::new();
+        for (id, fiber) in bodies {
+            group.insert(id.index(), fiber);
+        }
+        let mut logs = vec![None; group.len()];
+        while !group.is_empty() {
             let next = net
                 .next_runnable()
                 .expect("blocked fibers and none runnable");
-            let (_, fiber, log) = hosted
-                .iter_mut()
-                .find(|(id, ..)| *id == next)
-                .expect("every endpoint is a fiber's");
-            *log = fiber.resume().map(|body| body.expect("no panic"));
+            if let Some((index, log)) = group.resume(next.index()) {
+                logs[index] = Some(log.expect("no panic"));
+                drop(group.remove(index));
+            }
         }
-        hosted.into_iter().filter_map(|(_, _, log)| log).collect()
+        logs.into_iter().flatten().collect()
     }
 
     fn script_on_fibers() -> String {

@@ -1188,8 +1188,10 @@ const PER_MESSAGE_CHAIN: [&str; 2] = [
 
 /// The functions every blocking point of a participant returns through
 /// after a fiber switch, by file: forced inline, because a resumed fiber
-/// mispredicts every return it makes before its next call.
-const ALWAYS_INLINED: [(&str, &str); 8] = [
+/// mispredicts every return it makes before its next call. A participant
+/// that parks in a run hands the CPU on through `transfer`, and is handed
+/// it back there.
+const ALWAYS_INLINED: [(&str, &str); 9] = [
     ("crates/simnet/src/net.rs", "block_on"),
     ("crates/simnet/src/net.rs", "recv"),
     ("crates/simnet/src/net.rs", "wait"),
@@ -1198,6 +1200,7 @@ const ALWAYS_INLINED: [(&str, &str); 8] = [
     ("crates/simnet/src/host.rs", "turn"),
     ("crates/runtime/src/context.rs", "wait"),
     ("crates/fiber/src/lib.rs", "resume"),
+    ("crates/fiber/src/lib.rs", "transfer"),
 ];
 
 /// The name of the function `line` declares, if it declares one.
